@@ -14,7 +14,8 @@ and through phi this induces the Ball action g.W together with the
 automorphy factor alpha(g, W) defined by g.(W, C) = (g.W, alpha(g,W) C).
 
 Everything here is a pure function of ndarrays; typed wrappers live in
-hfe.frames and hfe.groups.
+hfe.frames and hfe.groups.  The n x n arguments U, V, W and C may carry
+leading stack axes, which broadcast like np.matmul (g is one matrix).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
     tols = get_tolerances()
-    if abs(np.linalg.det(C)) <= tols.singular:
+    if np.any(np.abs(np.linalg.det(C)) <= tols.singular):
         raise SingularityError("U - iV is singular (frame not positive)")
     W = (U + 1j * V) @ np.linalg.inv(C)
     return W, C
@@ -57,7 +58,7 @@ def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi_inv(W, C) = (1/2 (1+W) C, i/2 (1-W) C)."""
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
-    eye = np.eye(W.shape[0])
+    eye = np.eye(W.shape[-1])
     return 0.5 * (eye + W) @ C, 0.5j * (eye - W) @ C
 
 
@@ -67,8 +68,7 @@ def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Computed by pushing (W, I) through phi_inv, acting, and reading off
     phi of the result.
     """
-    n = np.asarray(W).shape[0]
-    U, V = phi_inv_raw(W, np.eye(n))
+    U, V = phi_inv_raw(W, np.eye(np.shape(W)[-1]))
     U2, V2 = sp_apply(g, U, V)
     return phi_raw(U2, V2)
 

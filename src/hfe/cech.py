@@ -18,7 +18,7 @@ import numpy as np
 from . import groups as G
 from .config import get_tolerances
 from .errors import TrackingError, ValidationError
-from .tracking import principal_sqrt
+from .tracking import _MAX_ARG, principal_sqrt
 
 PairKey = tuple[str, str]
 TripleKey = tuple[str, str, str]
@@ -437,7 +437,7 @@ def _track_component(comp: OverlapComponent, fn: Callable[[SamplePoint], Any]
         cur = frontier.pop(0)
         for nxt in adj[cur]:
             ratio = dets[nxt] / dets[cur]
-            if abs(np.angle(ratio)) >= 0.5 * np.pi * 0.999:
+            if abs(np.angle(ratio)) >= _MAX_ARG:
                 raise TrackingError(
                     f"branch jump between {comp.points[cur].id} and "
                     f"{comp.points[nxt].id} (edge too long)"

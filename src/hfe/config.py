@@ -1,13 +1,16 @@
-"""Global numerical tolerances.
+"""Numerical tolerances.
 
-All comparisons in the engine go through a single, globally configurable
-set of tolerances so that scenario files and the CLI can tighten or relax
-them uniformly.
+All comparisons in the engine go through a single configurable set of
+tolerances so that scenario files and the CLI can tighten or relax them
+uniformly.  The current set lives in a context variable: each thread
+(``hfe verify --jobs``) runs in its own context, so an override in one
+never leaks into another.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass, replace
 
 
@@ -30,25 +33,25 @@ class Tolerances:
         return replace(self, **kwargs)
 
 
-_current = Tolerances()
+_current: contextvars.ContextVar[Tolerances] = contextvars.ContextVar(
+    "hfe_tolerances", default=Tolerances()
+)
 
 
 def get_tolerances() -> Tolerances:
-    return _current
+    return _current.get()
 
 
 def set_tolerances(tols: Tolerances) -> None:
-    global _current
-    _current = tols
+    _current.set(tols)
 
 
 @contextlib.contextmanager
 def tolerance_overrides(**kwargs: float):
-    """Temporarily override selected tolerances."""
-    global _current
-    saved = _current
-    _current = saved.with_overrides(**kwargs)
+    """Temporarily override selected tolerances in the current context."""
+    tols = _current.get().with_overrides(**kwargs)
+    token = _current.set(tols)
     try:
-        yield _current
+        yield tols
     finally:
-        _current = saved
+        _current.reset(token)

@@ -21,7 +21,7 @@ import numpy as np
 from . import ball
 from .config import get_tolerances
 from .errors import SingularityError, SubgroupRejection, ValidationError
-from .groups import GlElement, MlElement, MpElement, SpElement
+from .groups import GlElement, MlElement, MpElement, SpElement, _tracked_alpha_det
 from .tracking import track_sqrt
 
 
@@ -246,15 +246,15 @@ def gamma(W1, W2, via: Optional[float] = None) -> complex:
     W1 = W1.W if isinstance(W1, BallPoint) else np.asarray(W1, complex)
     W2 = W2.W if isinstance(W2, BallPoint) else np.asarray(W2, complex)
     n = W1.shape[0]
+    if n == 0:
+        return 1.0 + 0j
     M = W1.conj().T @ W2
     eye = np.eye(n)
 
-    def f(t: float) -> complex:
-        return complex(np.linalg.det(0.5 * (eye - (t * t) * M))) if n else 1.0
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.linalg.det(0.5 * (eye - (t * t)[:, None, None] * M))
 
     anchor = 2.0 ** (-n / 2.0)
-    if n == 0:
-        return 1.0 + 0j
     if via is None:
         return track_sqrt(f, anchor)
     if not (0.0 < via < 1.0):
@@ -270,14 +270,7 @@ def alpha_tilde(gt: MpElement, W: BallPoint | np.ndarray) -> MlElement:
     straight segment s -> s W by square-root tracking of det alpha.
     """
     Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    g = gt.g.g
-
-    def f(s: float) -> complex:
-        _, a = ball.alpha_raw(g, s * Wm)
-        return complex(np.linalg.det(a))
-
-    z = track_sqrt(f, gt.zeta)
-    _, a1 = ball.alpha_raw(g, Wm)
+    z, a1 = _tracked_alpha_det(gt.g.g, Wm, gt.zeta)
     return MlElement(a1, z)
 
 

@@ -207,10 +207,6 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 
-def known_generators() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def build_generator(spec: dict, n: int, k: int) -> Callable[[SamplePoint], Any]:
     """Instantiate a generator description {"name": ..., "params": {...}}."""
     name = spec.get("name")

@@ -185,18 +185,24 @@ def mp_identity(n: int) -> MpElement:
     return MpElement(sp_identity(n), 1.0)
 
 
-def _tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta: complex) -> complex:
+def _tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta: complex
+                       ) -> tuple[complex, np.ndarray]:
     """Continue zeta (anchored at W=0) to the Ball point W.
 
     Tracks the square root of det alpha(g, s*W) along the straight
-    segment s in [0, 1].
+    segment s in [0, 1], all parameters of a call in one stack.  Returns
+    the root and alpha(g, W), read off the first call: track_sqrt's
+    uniform grid, whose last point is s = 1.
     """
+    grid: list[np.ndarray] = []
 
-    def f(s: float) -> complex:
-        _, a = ball.alpha_raw(g, s * W)
-        return complex(np.linalg.det(a))
+    def f(s: np.ndarray) -> np.ndarray:
+        a = ball.alpha_raw(g, s[:, None, None] * W)[1]
+        if not grid:
+            grid.append(a[-1])
+        return np.linalg.det(a)
 
-    return track_sqrt(f, zeta)
+    return track_sqrt(f, zeta), grid[0]
 
 
 def mp_mul(a: MpElement, b: MpElement) -> MpElement:
@@ -210,7 +216,7 @@ def mp_mul(a: MpElement, b: MpElement) -> MpElement:
     if a.n != b.n:
         raise ValidationError("dimension mismatch in mp_mul")
     Wb, _ = ball.alpha_raw(b.g.g, np.zeros((b.n, b.n)))
-    za = _tracked_alpha_det(a.g.g, Wb, a.zeta)
+    za, _ = _tracked_alpha_det(a.g.g, Wb, a.zeta)
     return MpElement(SpElement(a.g.g @ b.g.g), za * b.zeta)
 
 

@@ -33,7 +33,7 @@ from .frames import (
 )
 from .groups import MlElement, MpElement, ml_mul, subgroup_classify
 from .sampling import random_mlkd
-from .tracking import principal_sqrt
+from .tracking import _MAX_ARG, principal_sqrt
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def chart_sqrt_values(
             cur = frontier.pop(0)
             for nxt in adj[cur]:
                 ratio = vals[nxt] / vals[cur]
-                if abs(np.angle(ratio)) >= 0.5 * np.pi * 0.999:
+                if abs(np.angle(ratio)) >= _MAX_ARG:
                     raise TrackingError(
                         f"branch jump between {cur} and {nxt} on chart {chart}"
                     )

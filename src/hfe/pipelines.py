@@ -124,11 +124,6 @@ def _enumerate_sign_patterns(scenario: Scenario):
     return comps, valid, 2 ** cb_rank
 
 
-def _pattern_is_coboundary(scenario: Scenario, comps, pattern) -> bool:
-    rows = _chart_matrix(scenario)
-    return gf2_solve(rows, pattern) is not None
-
-
 def _flip_ml_cocycle(c: Cocycle, comps, pattern) -> Cocycle:
     """Flip the z-sheet of an Ml cocycle on the flagged components."""
     flagged = {key for key, bit in zip(comps, pattern) if bit}
@@ -563,7 +558,7 @@ _RUNNERS = {
 
 _PIPELINE_DEPS = {
     "induce": ["validate"],
-    "delta_tilde": ["induce"],
+    "delta_tilde": ["induce", "lift"],
     "cross_check": ["validate"],
 }
 
@@ -584,10 +579,14 @@ def run_scenario(
     selected = scenario.pipelines if pipelines is None else [
         p for p in scenario.pipelines if p in pipelines
     ]
-    # implied dependencies, then canonical order
-    needed = set(selected)
-    for p in list(needed):
-        needed.update(_PIPELINE_DEPS.get(p, []))
+    # implied dependencies (transitively), then canonical order
+    needed: set[str] = set()
+    stack = list(selected)
+    while stack:
+        p = stack.pop()
+        if p not in needed:
+            needed.add(p)
+            stack.extend(_PIPELINE_DEPS.get(p, []))
     ordered = [p for p in PIPELINE_ORDER if p in needed]
     unknown = sorted(needed - set(PIPELINE_ORDER))
     if unknown:

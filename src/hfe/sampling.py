@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ball
-from .errors import ValidationError
-from .frames import BallPoint, LagFrame, LagFramePair, MetaLagFrame, validate_lagrangian
+from .frames import BallPoint, LagFrame, validate_lagrangian
 from .groups import MlElement, SpElement
 from .tracking import principal_sqrt
 
@@ -111,36 +110,3 @@ def random_positive_frame(rng: np.random.Generator, n: int) -> LagFrame:
     C = random_gl(rng, n)
     U, V = ball.phi_inv_raw(W.W, C)
     return validate_lagrangian(U, V)
-
-
-def random_meta_frame(rng: np.random.Generator, n: int) -> MetaLagFrame:
-    W = random_ball_point(rng, n)
-    C = random_ml(rng, n)
-    return MetaLagFrame(W, C)
-
-
-def random_pair(rng: np.random.Generator, n: int, k: int) -> LagFramePair:
-    """Random Lagrangian frame pair sharing its first k real columns.
-
-    Built from D-adapted block frames (shared real A block, independent
-    complex B and reduced positive parts) pushed through a random real
-    symplectic matrix, which preserves both the shared-real-column
-    condition and isotropy.
-    """
-    if not (0 <= k <= n):
-        raise ValidationError("bad k")
-    g = random_sp(rng, n).g
-    frames = []
-    A = random_gl_real(rng, k)
-    for _ in range(2):
-        B = random_complex(rng, (k, n - k))
-        red = random_positive_frame(rng, n - k)
-        U = np.zeros((n, n), dtype=complex)
-        V = np.zeros((n, n), dtype=complex)
-        U[:k, :k] = A
-        U[:k, k:] = B
-        U[k:, k:] = red.U
-        V[k:, k:] = red.V
-        U2, V2 = ball.sp_apply(g, U, V)
-        frames.append(validate_lagrangian(U2, V2))
-    return LagFramePair(frames[0], frames[1], k)

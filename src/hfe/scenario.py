@@ -228,6 +228,10 @@ SCENARIO_SCHEMA: dict = {
     "additionalProperties": False,
 }
 
+# Compiled once; the schema itself is checked against its metaschema by
+# the test suite rather than on every load.
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
 
 @dataclass
 class Scenario:
@@ -328,7 +332,9 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     else:
         text = Path(source).read_text()
         doc = json.loads(text)
-    jsonschema.validate(doc, SCENARIO_SCHEMA)
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise error
     n, k = doc["n"], doc["k"]
     if k > n:
         raise ValidationError("k must not exceed n")

@@ -14,6 +14,8 @@ import cmath
 import math
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .config import get_tolerances
 from .errors import TrackingError
 
@@ -32,7 +34,7 @@ def principal_sqrt(w: complex) -> complex:
 
 
 def track_sqrt(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     z0: complex,
     t0: float = 0.0,
     t1: float = 1.0,
@@ -40,6 +42,11 @@ def track_sqrt(
     initial_steps: int = 16,
 ) -> complex:
     """Continue z with z**2 = f(t) from the anchor z0 at t0 to t1.
+
+    ``f`` is vectorized: it takes a 1-D float array of parameters and
+    returns a complex array of the same length.  The grid
+    ``t0 + j*h`` (j = 0..initial_steps) is evaluated in one call, and
+    each bisection midpoint in one further call of length 1.
 
     The anchor must satisfy z0**2 = f(t0).  Raises TrackingError if the
     tracked value passes within the tracking tolerance of zero away from
@@ -50,19 +57,20 @@ def track_sqrt(
     that winds around the origin yet returns with a small total argument.
     """
     tols = get_tolerances()
-    ft0 = complex(f(t0))
+    h = (t1 - t0) / initial_steps
+    grid = t0 + np.arange(initial_steps + 1) * h
+    values = np.asarray(f(grid), dtype=complex).tolist()
+    ft0 = values[0]
     if abs(z0 * z0 - ft0) > tols.rel * max(1.0, abs(ft0)) * 10:
         raise TrackingError("anchor does not square to the path start value")
 
     t, ft, z = t0, ft0, complex(z0)
-    # Stack of pending right endpoints (top of stack is processed next);
-    # seed with a uniform subdivision, finest target first.
-    h = (t1 - t0) / initial_steps
-    pending = [t0 + j * h for j in range(initial_steps, 0, -1)]
+    # Stack of pending (right endpoint, value) pairs (top of stack is
+    # processed next); seeded with the uniform grid, finest target first.
+    pending = list(zip(grid.tolist()[:0:-1], values[:0:-1]))
     depth = 0
     while pending:
-        tn = pending[-1]
-        fn = complex(f(tn))
+        tn, fn = pending[-1]
         if abs(fn) <= tols.track * max(1.0, abs(ft0)) and tn < t1:
             raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
         if abs(ft) == 0.0:
@@ -72,7 +80,8 @@ def track_sqrt(
             depth += 1
             if depth > max_depth:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
-            pending.append(0.5 * (t + tn))
+            tm = 0.5 * (t + tn)
+            pending.append((tm, complex(f(np.array([tm]))[0])))
             continue
         z = z * principal_sqrt(ratio)
         t, ft = tn, fn

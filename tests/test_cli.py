@@ -2,7 +2,7 @@ import json
 
 import hfe.cli as cli
 from hfe.report import VerificationReport
-from hfe.scenario import SCENARIO_SCHEMA, builtin_scenario_names
+from hfe.scenario import SCENARIO_SCHEMA, builtin_scenario_names, builtin_scenario_path
 
 
 def run(capsys, *argv):
@@ -71,6 +71,18 @@ def test_exit_2_on_schema_violation(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(p))
     assert code == 2
     assert "schema" in err
+
+
+def test_schema_violation_message(tmp_path, capsys):
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["nerve"]["overlaps"][0]["components"][0]["points"][0]["params"] = "x"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 2
+    assert err == ("error: scenario schema violation at "
+                   "nerve/overlaps/0/components/0/points/0/params: "
+                   "'x' is not of type 'array'\n")
 
 
 def test_exit_2_on_bad_tolerance_key(capsys):

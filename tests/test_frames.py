@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.errors import SubgroupRejection, ValidationError
+from hfe.errors import SingularityError, SubgroupRejection, ValidationError
 from hfe.frames import (
     BallPoint,
     LagFramePair,
@@ -110,6 +110,21 @@ def test_alpha_is_automorphy_cocycle(rng):
         _, agh = ball.alpha_raw(g.g @ h.g, W.W)
         scale = max(1.0, float(np.max(np.abs(ag @ ah.A if hasattr(ah, "A") else ag @ ah))))
         assert np.max(np.abs(agh - ag @ ah)) < 1e-8 * scale
+
+
+def test_ball_maps_broadcast_over_stacks(rng):
+    # a stack of Ball points gives the stack of the pointwise results
+    g = random_sp(rng, 2)
+    Ws = np.stack([random_ball_point(rng, 2).W for _ in range(5)])
+    gWs, As = ball.alpha_raw(g.g, Ws)
+    for W, gW, A in zip(Ws, gWs, As):
+        gW1, A1 = ball.alpha_raw(g.g, W)
+        assert np.max(np.abs(gW - gW1)) < 1e-12
+        assert np.max(np.abs(A - A1)) < 1e-12
+    # one singular member of a stack trips the guard
+    U = np.stack([np.eye(2), np.zeros((2, 2))])
+    with pytest.raises(SingularityError):
+        ball.phi_raw(U, np.zeros((2, 2, 2)))
 
 
 def test_alpha_moves_frames_consistently(rng):

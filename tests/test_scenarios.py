@@ -1,10 +1,12 @@
 import json
 
+import jsonschema
 import pytest
 
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import (
+    SCENARIO_SCHEMA,
     builtin_scenario_names,
     builtin_scenario_path,
     load_scenario,
@@ -75,6 +77,45 @@ def test_scenario_loader_rejects_schema_violation():
     doc = {"name": "bad", "n": 1, "k": 0, "pipelines": []}  # no nerve
     with pytest.raises(Exception):
         load_scenario(doc)
+
+
+def test_pipeline_selection_runs_dependencies_transitively():
+    # delta_tilde needs induce (which needs validate) and the lift
+    # enumeration; selecting it alone must not drop their checks
+    report = run_scenario(builtin_scenario_path("torus_grid"),
+                          pipelines=["delta_tilde"])
+    ids = {c.check_id for c in report.checks}
+    assert {"nerve.structure", "cocycle.pair", "pair_data.consistency"} <= ids
+    assert {"lift.double-cover", "lift.class-count"} <= ids
+    assert {"delta_tilde.unique-class", "delta_tilde.equivalent-glues",
+            "delta_tilde.inequivalent-fails"} <= ids
+    assert report.passed
+
+
+def test_scenario_schema_is_a_valid_draft_2020_12_schema():
+    # load_scenario validates with a validator compiled once, without
+    # re-checking the schema itself against the metaschema
+    jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+
+def _nested_violation() -> dict:
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["nerve"]["overlaps"][0]["components"][0]["points"][0]["params"] = "x"
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "bad", "n": 1, "k": 0, "pipelines": []},
+    {"name": "bad", "n": "two", "k": 0, "pipelines": []},
+    _nested_violation(),
+])
+def test_schema_violation_matches_jsonschema_validate(doc):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        load_scenario(doc)
+    assert got.value.message == expected.value.message
+    assert list(got.value.absolute_path) == list(expected.value.absolute_path)
 
 
 def test_json_report_deterministic():
