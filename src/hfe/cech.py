@@ -11,6 +11,7 @@ of square roots become breadth-first tracking over component graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -132,6 +133,31 @@ class Nerve:
             for tp in self.triples[key]:
                 out.append((key, tp))
         return out
+
+    @cached_property
+    def delta0(self) -> np.ndarray:
+        """GF(2) coboundary from chart signs to component signs: one row
+        per component of component_list(), ones at its two charts."""
+        col = {ch: i for i, ch in enumerate(self.charts)}
+        comps = self.component_list()
+        d = np.zeros((len(comps), len(self.charts)), dtype=np.uint8)
+        d[np.repeat(np.arange(len(comps)), 2),
+          [col[ch] for pair, _ in comps for ch in pair]] = 1
+        d.setflags(write=False)  # shared by every caller
+        return d
+
+    @cached_property
+    def delta1(self) -> np.ndarray:
+        """GF(2) coboundary from component signs to triple-point signs: one
+        row per point of triple_points(), ones at its three components."""
+        col = {key: i for i, key in enumerate(self.component_list())}
+        tps = self.triple_points()
+        d = np.zeros((len(tps), len(col)), dtype=np.uint8)
+        d[np.repeat(np.arange(len(tps)), 3),
+          [col[(pair, tp.memberships[pair][0])]
+           for (a, b, c), tp in tps for pair in ((a, b), (b, c), (a, c))]] = 1
+        d.setflags(write=False)
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -363,39 +389,110 @@ def push_cocycle(c: Cocycle, hom: str, nerve: Optional[Nerve] = None) -> Cocycle
 # GF(2) linear algebra
 # ---------------------------------------------------------------------------
 
-def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Solve A x = b over GF(2) by Gaussian elimination.
+def _gf2_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M over GF(2) by Gaussian elimination.
 
-    Returns one particular solution as a uint8 vector, or None if the
-    system is infeasible.
+    Returns the reduced uint8 matrix, whose first len(pivots) rows are
+    nonzero, and the pivot columns in increasing order.  Each pivot row
+    is the first remaining row with a one in that column.
     """
-    A = (np.asarray(A) & 1).astype(np.uint8)
-    b = (np.asarray(b).reshape(-1) & 1).astype(np.uint8)
-    m, n = A.shape
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    r = 0
-    pivots = []
-    for col in range(n):
-        if r >= m:
+    R = (np.asarray(M) & 1).astype(np.uint8)
+    pivots: list[int] = []
+    for col in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
             break
-        rows = np.where(aug[r:, col] == 1)[0]
+        rows = np.flatnonzero(R[r:, col])
         if rows.size == 0:
             continue
         p = r + int(rows[0])
         if p != r:
-            aug[[r, p]] = aug[[p, r]]
-        ones = np.where(aug[:, col] == 1)[0]
-        ones = ones[ones != r]
-        if ones.size:
-            aug[ones] ^= aug[r]
+            R[[r, p]] = R[[p, r]]
+        ones = np.flatnonzero(R[:, col])
+        R[ones[ones != r]] ^= R[r]
         pivots.append(col)
-        r += 1
-    if np.any(np.all(aug[:, :n] == 0, axis=1) & (aug[:, n] == 1)):
+    return R, pivots
+
+
+def _gf2_rank(M: np.ndarray) -> int:
+    return len(_gf2_reduce(M)[1])
+
+
+def _gf2_nullspace(M: np.ndarray) -> np.ndarray:
+    """Basis of {x : M x = 0} over GF(2), one uint8 row per free column."""
+    R, pivots = _gf2_reduce(M)
+    free = sorted(set(range(R.shape[1])) - set(pivots))
+    N = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
+    N[np.arange(len(free)), free] = 1
+    N[:, pivots] = R[:len(pivots), free].T
+    return N
+
+
+def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Solve A x = b over GF(2) by Gaussian elimination.
+
+    Returns one particular solution as a uint8 vector (pivot variables
+    from the reduced system, free variables 0), or None if the system is
+    infeasible.
+    """
+    n = np.shape(A)[1]
+    R, pivots = _gf2_reduce(np.column_stack([A, np.reshape(b, -1)]))
+    if pivots and pivots[-1] == n:
         return None
     x = np.zeros(n, dtype=np.uint8)
-    for row, col in enumerate(pivots):
-        x[col] = aug[row, n]
+    x[pivots] = R[:len(pivots), n]
     return x
+
+
+def _top_down_basis(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Fully reduced basis of the row space of M, pivots taken from the
+    highest column down, and its pivot columns.  Read as integers with
+    column 0 the least significant bit, the rows decrease: the last one
+    is the smallest nonzero vector of the span."""
+    R, pivots = _gf2_reduce(np.asarray(M)[:, ::-1])
+    return R[:len(pivots), ::-1], [R.shape[1] - 1 - p for p in pivots]
+
+
+@dataclass(frozen=True)
+class LiftClasses:
+    """Counts of sign patterns on overlap components (entry j flips
+    component j): valid ones keep the cocycle identity (ker delta1),
+    coboundaries come from chart signs (im delta0), and gluing ones are
+    both.  The witnesses are the smallest nonzero gluing pattern and the
+    smallest valid non-coboundary, or None; "smallest" reads a pattern as
+    an integer with component 0 the least significant bit."""
+
+    valid: int
+    coboundaries: int
+    gluing: int
+    classes: int
+    witness_equiv: Optional[np.ndarray]
+    witness_inequiv: Optional[np.ndarray]
+
+
+def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
+    """Count the sign patterns of a nerve with coboundaries delta1
+    (triple points x components) and delta0 (components x charts)."""
+    kernel, _ = _top_down_basis(_gf2_nullspace(delta1))
+    # ker delta1 meets im delta0 in the image of ker(delta1 delta0);
+    # uint8 products wrap modulo 256, which keeps their parity
+    gluing, pivots = _top_down_basis(
+        (_gf2_nullspace((delta1 @ delta0) & 1) @ delta0.T) & 1
+    )
+    # a kernel row is a coboundary iff the gluing rows at its pivot
+    # entries add up to it
+    outside = np.flatnonzero(
+        np.any(kernel ^ ((kernel[:, pivots] @ gluing) & 1), axis=1)
+    )
+    valid, coboundaries = 2 ** len(kernel), 2 ** _gf2_rank(delta0)
+    return LiftClasses(
+        valid=valid,
+        coboundaries=coboundaries,
+        gluing=2 ** len(gluing),
+        classes=valid // coboundaries,
+        witness_equiv=gluing[-1] if len(gluing) else None,
+        witness_inequiv=kernel[outside[-1]] if outside.size else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +569,7 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
             fn = c.transitions[pair][ci]
             lifted[pair].append(_LiftedTransition(fn, _track_component(comp, fn)))
 
-    comp_index = {key: i for i, key in enumerate(nerve.component_list())}
-    rows, rhs, defects = [], [], {}
+    rhs, defects = [], {}
     tols = get_tolerances()
     for (a, b, cc), tp in nerve.triple_points():
         cab, _ = tp.memberships[(a, b)]
@@ -490,18 +586,13 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
             )
         bit = 1 if abs(s + 1) < abs(s - 1) else 0
         defects[((a, b, cc), tp.id)] = -1 if bit else 1
-        row = np.zeros(len(comp_index), dtype=np.uint8)
-        for pair, ci in (((a, b), cab), ((b, cc), cbc), ((a, cc), cac)):
-            row[comp_index[(pair, ci)]] ^= 1
-        rows.append(row)
         rhs.append(bit)
-    if rows:
-        sol = gf2_solve(np.array(rows), np.array(rhs, dtype=np.uint8))
-        if sol is None:
-            return SignCochain(degree=2, values=defects)
-        for (pair, ci), idx in comp_index.items():
-            if sol[idx]:
-                lifted[pair][ci] = lifted[pair][ci].flipped()
+    sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
+    if sol is None:
+        return SignCochain(degree=2, values=defects)
+    for (pair, ci), flip in zip(nerve.component_list(), sol):
+        if flip:
+            lifted[pair][ci] = lifted[pair][ci].flipped()
     return Cocycle(
         group="Ml",
         n=c.n,
@@ -515,24 +606,17 @@ def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
     infeasibility over GF(2)."""
     if c2.degree != 2:
         raise ValidationError("expected a degree-2 sign cochain")
-    comp_index = {key: i for i, key in enumerate(nerve.component_list())}
-    rows, rhs = [], []
-    for (a, b, cc), tp in nerve.triple_points():
-        v = c2.values.get(((a, b, cc), tp.id), 1)
-        row = np.zeros(len(comp_index), dtype=np.uint8)
-        for pair in ((a, b), (b, cc), (a, cc)):
-            ci, _ = tp.memberships[pair]
-            row[comp_index[(pair, ci)]] ^= 1
-        rows.append(row)
-        rhs.append(0 if v == 1 else 1)
-    if not rows:
-        return SignCochain(degree=1, values={k: 1 for k in comp_index})
-    sol = gf2_solve(np.array(rows), np.array(rhs, dtype=np.uint8))
+    rhs = [
+        0 if c2.values.get((key, tp.id), 1) == 1 else 1
+        for key, tp in nerve.triple_points()
+    ]
+    sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return None
     return SignCochain(
         degree=1,
-        values={key: -1 if sol[idx] else 1 for key, idx in comp_index.items()},
+        values={key: -1 if bit else 1
+                for key, bit in zip(nerve.component_list(), sol)},
     )
 
 
@@ -545,10 +629,8 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     every overlap component, or None if the lifts are inequivalent.
     """
     tols = get_tolerances()
-    chart_index = {ch: i for i, ch in enumerate(nerve.charts)}
-    rows, rhs = [], []
+    rhs = []
     for pair in sorted(nerve.overlaps):
-        a, b = pair
         for ci, comp in enumerate(nerve.overlaps[pair]):
             ratio = None
             for pt in comp.points:
@@ -572,14 +654,8 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
                     raise ValidationError(
                         "z-ratio not constant on an overlap component"
                     )
-            row = np.zeros(len(chart_index), dtype=np.uint8)
-            row[chart_index[a]] ^= 1
-            row[chart_index[b]] ^= 1
-            rows.append(row)
             rhs.append(ratio)
-    if not rows:
-        return {ch: 1 for ch in nerve.charts}
-    sol = gf2_solve(np.array(rows), np.array(rhs, dtype=np.uint8))
+    sol = gf2_solve(nerve.delta0, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return None
-    return {ch: -1 if sol[idx] else 1 for ch, idx in chart_index.items()}
+    return {ch: -1 if bit else 1 for ch, bit in zip(nerve.charts, sol)}

@@ -10,8 +10,8 @@ falsified.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
+import math
 import os
 import sys
 
@@ -28,6 +28,13 @@ EXIT_PARSE_ERROR = 2
 EXIT_FALSIFICATION = 3
 
 
+def _tolerance_value(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _parse_tolerances(items: list[str]) -> dict[str, float]:
     out = {}
     for item in items:
@@ -36,7 +43,7 @@ def _parse_tolerances(items: list[str]) -> dict[str, float]:
         key, _, value = item.partition("=")
         if key not in ("rel", "abs", "singular", "track"):
             raise ValueError(f"unknown tolerance key {key!r}")
-        out[key] = float(value)
+        out[key] = _tolerance_value(value)
     return out
 
 
@@ -67,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tolerance override (rel, abs, singular, track)")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--report", choices=("json", "text"), default="text")
-    v.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario executions")
 
     sub.add_parser("list-scenarios", help="list the built-in scenario corpus")
     sub.add_parser("schema", help="print the scenario JSON schema")
@@ -84,25 +89,18 @@ def _verify(args) -> int:
     env_rel = os.environ.get("HFE_TOL_REL")
     if env_rel is not None and "rel" not in tolerances:
         try:
-            tolerances["rel"] = float(env_rel)
+            tolerances["rel"] = _tolerance_value(env_rel)
         except ValueError:
-            print(f"error: HFE_TOL_REL={env_rel!r} is not a number",
+            print(f"error: HFE_TOL_REL={env_rel!r} is not a finite number > 0",
                   file=sys.stderr)
             return EXIT_PARSE_ERROR
     pipelines = args.pipeline.split(",") if args.pipeline else None
-    targets = [_resolve(t) for t in args.scenarios]
-
-    def run_one(path):
-        return run_scenario(path, pipelines=pipelines,
-                            tolerances=tolerances, seed=args.seed)
-
-    reports = []
     try:
-        if args.jobs > 1 and len(targets) > 1:
-            with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-                reports = list(pool.map(run_one, targets))
-        else:
-            reports = [run_one(t) for t in targets]
+        reports = [
+            run_scenario(_resolve(t), pipelines=pipelines,
+                         tolerances=tolerances, seed=args.seed)
+            for t in args.scenarios
+        ]
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

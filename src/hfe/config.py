@@ -3,8 +3,8 @@
 All comparisons in the engine go through a single configurable set of
 tolerances so that scenario files and the CLI can tighten or relax them
 uniformly.  The current set lives in a context variable: each thread
-(``hfe verify --jobs``) runs in its own context, so an override in one
-never leaks into another.
+runs in its own context, so an override in one never leaks into
+another.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Each pipeline turns one construction of the engine into check records:
 structural validation, pairing-determinant spot checks, double-cover
-lifting with exhaustive sign enumeration, inducing the compatible
+lifting and counting its lift classes, inducing the compatible
 metalinear cocycle, gluing the square-root datum and verifying its
 uniqueness class, self-compatibility, the metaplectic recipe, the
 D-adapted square-root datum, the cross-check between the two
@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import Cocycle, SamplePoint, SignCochain, gf2_solve
+from .cech import Cocycle, Nerve, SamplePoint, SignCochain, gf2_solve
 from .compatibility import PolarizationPairData
 from .config import get_tolerances, tolerance_overrides
 from .errors import EngineError, GluingError, TheoremFalsification
@@ -39,90 +39,9 @@ PIPELINE_ORDER = [
     "obstruction",
 ]
 
-_ENUMERATION_CAP = 20  # at most 2^20 sign patterns enumerated exhaustively
-
-
 # ---------------------------------------------------------------------------
-# GF(2) helpers for exhaustive sign enumeration
+# sign patterns on overlap components
 # ---------------------------------------------------------------------------
-
-def _gf2_rank(M: np.ndarray) -> int:
-    M = (np.asarray(M, dtype=np.uint8) & 1).copy()
-    if M.size == 0:
-        return 0
-    rank = 0
-    rows, cols = M.shape
-    for col in range(cols):
-        pivots = np.where(M[rank:, col] == 1)[0]
-        if pivots.size == 0:
-            continue
-        p = rank + int(pivots[0])
-        if p != rank:
-            M[[rank, p]] = M[[p, rank]]
-        ones = np.where(M[:, col] == 1)[0]
-        ones = ones[ones != rank]
-        if ones.size:
-            M[ones] ^= M[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _triple_matrix(scenario: Scenario) -> np.ndarray:
-    """Rows: one per triple sample point; columns: overlap components.
-    A sign pattern keeps the cocycle identity iff every row parity is 0."""
-    comp_index = {key: i for i, key in enumerate(scenario.nerve.component_list())}
-    rows = []
-    for (a, b, c), tp in scenario.nerve.triple_points():
-        row = np.zeros(len(comp_index), dtype=np.uint8)
-        for pair in ((a, b), (b, c), (a, c)):
-            ci, _ = tp.memberships[pair]
-            row[comp_index[(pair, ci)]] ^= 1
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, len(comp_index)), dtype=np.uint8)
-    return np.array(rows, dtype=np.uint8)
-
-
-def _chart_matrix(scenario: Scenario) -> np.ndarray:
-    """Rows: one per overlap component; columns: charts.  The image of
-    this map is the set of coboundary sign patterns."""
-    chart_index = {ch: i for i, ch in enumerate(scenario.nerve.charts)}
-    rows = []
-    for (a, b), _ci in scenario.nerve.component_list():
-        row = np.zeros(len(chart_index), dtype=np.uint8)
-        row[chart_index[a]] ^= 1
-        row[chart_index[b]] ^= 1
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, len(chart_index)), dtype=np.uint8)
-    return np.array(rows, dtype=np.uint8)
-
-
-def _enumerate_sign_patterns(scenario: Scenario):
-    """All component sign patterns preserving the cocycle identity, and
-    the count of coboundary patterns among them."""
-    comps = scenario.nerve.component_list()
-    if len(comps) > _ENUMERATION_CAP:
-        raise EngineError(
-            f"too many overlap components ({len(comps)}) for exhaustive "
-            "sign enumeration"
-        )
-    tri = _triple_matrix(scenario)
-    count = 1 << len(comps)
-    patterns = (
-        (np.arange(count, dtype=np.uint32)[:, None]
-         >> np.arange(len(comps), dtype=np.uint32)) & 1
-    ).astype(np.uint8)
-    if tri.shape[0] == 0:
-        keep = np.ones(count, dtype=bool)
-    else:
-        keep = ~np.any((patterns @ tri.T.astype(np.uint32)) & 1, axis=1)
-    valid = [patterns[i] for i in np.where(keep)[0]]
-    cb_rank = _gf2_rank(_chart_matrix(scenario).T) if comps else 0
-    return comps, valid, 2 ** cb_rank
-
 
 def _flip_ml_cocycle(c: Cocycle, comps, pattern) -> Cocycle:
     """Flip the z-sheet of an Ml cocycle on the flagged components."""
@@ -142,15 +61,13 @@ def _flip_ml_cocycle(c: Cocycle, comps, pattern) -> Cocycle:
     return Cocycle("Ml", c.n, c.k, transitions)
 
 
-def _coboundary_base(scenario: Scenario, comps, pattern) -> Optional[dict]:
-    """Chart signs whose coboundary is the pattern, as base-value
-    functions, or None if the pattern is not a coboundary."""
-    sol = gf2_solve(_chart_matrix(scenario), pattern)
-    if sol is None:
-        return None
+def _coboundary_base(nerve: Nerve, pattern) -> dict:
+    """Chart signs whose coboundary is the given coboundary pattern, as
+    base-value functions."""
+    sol = gf2_solve(nerve.delta0, pattern)
     return {
-        ch: (lambda pt, s=-1.0 if sol[i] else 1.0: complex(s))
-        for i, ch in enumerate(scenario.nerve.charts)
+        ch: (lambda pt, s=-1.0 if bit else 1.0: complex(s))
+        for ch, bit in zip(nerve.charts, sol)
     }
 
 
@@ -257,24 +174,23 @@ def _run_lift(scenario: Scenario, report, rng, ctx):
             failures=res["failures"],
         )
     )
-    comps, valid, cb_count = _enumerate_sign_patterns(scenario)
-    classes = len(valid) // cb_count if cb_count else 0
+    lc = cech.lift_classes(scenario.nerve.delta1, scenario.nerve.delta0)
     expected = scenario.expectations.get("lift_classes")
-    ok = expected is None or classes == expected
+    ok = expected is None or lc.classes == expected
     report.add(
         CheckRecord(
             "lift.class-count",
             "cocycle.lift-enumeration",
             passed=ok,
-            failures=[] if ok else [("classes", classes, "expected", expected)],
+            failures=[] if ok else [("classes", lc.classes, "expected", expected)],
             details={
-                "valid_lifts": len(valid),
-                "coboundaries": cb_count,
-                "classes": classes,
+                "valid_lifts": lc.valid,
+                "coboundaries": lc.coboundaries,
+                "classes": lc.classes,
             },
         )
     )
-    ctx["enumeration"] = (comps, valid, cb_count)
+    ctx["lift_classes"] = lc
 
 
 def _run_induce(scenario: Scenario, report, rng, ctx):
@@ -322,38 +238,27 @@ def _run_delta_tilde(scenario: Scenario, report, rng, ctx):
             },
         )
     )
-    if "enumeration" not in ctx:
+    lc = ctx.get("lift_classes")
+    if lc is None:
         return
-    comps, valid, cb_count = ctx["enumeration"]
-    # Exhaustively decide, for every valid sheet pattern, whether the
-    # flipped candidate admits chart-sign base values that glue; exactly
-    # the patterns equivalent to the induced lift must qualify.
-    feasible = 0
-    witness_equiv = None
-    witness_inequiv = None
-    for pattern in valid:
-        base = _coboundary_base(scenario, comps, pattern)
-        if base is not None:
-            feasible += 1
-            if np.any(pattern) and witness_equiv is None:
-                witness_equiv = pattern
-        elif witness_inequiv is None:
-            witness_inequiv = pattern
-    ok = feasible == cb_count
+    # Exactly the valid sheet patterns equivalent to the induced lift,
+    # the coboundaries, may admit chart-sign base values that glue.
+    ok = lc.gluing == lc.coboundaries
     report.add(
         CheckRecord(
             "delta_tilde.unique-class",
             "sqrt-datum.uniqueness-enumeration",
             passed=ok,
-            failures=[] if ok else [("gluing_patterns", feasible,
-                                     "expected", cb_count)],
-            details={"gluing_patterns": feasible, "total_valid": len(valid)},
+            failures=[] if ok else [("gluing_patterns", lc.gluing,
+                                     "expected", lc.coboundaries)],
+            details={"gluing_patterns": lc.gluing, "total_valid": lc.valid},
         )
     )
     # concrete confirmations on representatives
-    if witness_equiv is not None:
-        flipped = _flip_ml_cocycle(z2, comps, witness_equiv)
-        base = _coboundary_base(scenario, comps, witness_equiv)
+    comps = scenario.nerve.component_list()
+    if lc.witness_equiv is not None:
+        flipped = _flip_ml_cocycle(z2, comps, lc.witness_equiv)
+        base = _coboundary_base(scenario.nerve, lc.witness_equiv)
         dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
                                               base_values=base)
         glue2 = max(dt2.residuals.values()) if dt2.residuals else 0.0
@@ -369,8 +274,8 @@ def _run_delta_tilde(scenario: Scenario, report, rng, ctx):
                 details={"witness": witness},
             )
         )
-    if witness_inequiv is not None:
-        flipped = _flip_ml_cocycle(z2, comps, witness_inequiv)
+    if lc.witness_inequiv is not None:
+        flipped = _flip_ml_cocycle(z2, comps, lc.witness_inequiv)
         try:
             compatibility.build_delta_tilde(norm, z1, flipped, None)
             report.add(CheckRecord("delta_tilde.inequivalent-fails",
@@ -576,6 +481,10 @@ def run_scenario(
     failing checks; a TheoremFalsification marks the whole report.
     """
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
+    unknown = sorted(set(scenario.pipelines).union(pipelines or ())
+                     - set(PIPELINE_ORDER))
+    if unknown:
+        raise EngineError(f"unknown pipelines {unknown}")
     selected = scenario.pipelines if pipelines is None else [
         p for p in scenario.pipelines if p in pipelines
     ]
@@ -588,9 +497,6 @@ def run_scenario(
             needed.add(p)
             stack.extend(_PIPELINE_DEPS.get(p, []))
     ordered = [p for p in PIPELINE_ORDER if p in needed]
-    unknown = sorted(needed - set(PIPELINE_ORDER))
-    if unknown:
-        raise EngineError(f"unknown pipelines {unknown}")
 
     overrides = dict(scenario.tolerance_overrides)
     overrides.update(tolerances or {})

@@ -221,8 +221,9 @@ SCENARIO_SCHEMA: dict = {
         },
         "pipelines": {"type": "array", "items": {"type": "string"}},
         "expectations": {"type": "object"},
-        "tolerances": {"type": "object",
-                       "additionalProperties": {"type": "number"}},
+        "tolerances": {"type": "object", "additionalProperties": False,
+                       "properties": {key: {"type": "number", "exclusiveMinimum": 0}
+                                      for key in ("rel", "abs", "singular", "track")}},
     },
     "required": ["name", "n", "k", "nerve", "pipelines"],
     "additionalProperties": False,

@@ -230,7 +230,7 @@ def test_criterion_06_gluing_and_lift_classes(corpus_reports):
                        f"classes {count.details['classes']}")
     _verdict(
         "criterion 6: square-root datum glues on both twisted scenarios "
-        "with exhaustively enumerated lift classes 2 and 4",
+        "with lift classes 2 and 4 counted from GF(2) ranks",
         ok,
         "; ".join(details),
     )

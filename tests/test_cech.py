@@ -10,6 +10,7 @@ from hfe.cech import (
     SignCochain,
     TriplePoint,
     gf2_solve,
+    lift_classes,
     lift_double_cover,
     lifts_equivalent,
     push_cocycle,
@@ -18,6 +19,7 @@ from hfe.cech import (
 )
 from hfe.errors import TrackingError, ValidationError
 from hfe.groups import MlElement
+from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
 
 
 def _pt(pid, params=()):
@@ -207,3 +209,77 @@ def test_gf2_solve_infeasible():
     A = np.array([[1, 1], [1, 1]], dtype=np.uint8)
     b = np.array([0, 1], dtype=np.uint8)
     assert gf2_solve(A, b) is None
+
+
+def test_gf2_solve_particular_solution_sets_free_variables_to_zero():
+    # pivots in columns 0 and 2; the free column 1 stays 0
+    A = np.array([[1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+    assert gf2_solve(A, np.array([1, 0])).tolist() == [1, 0, 1]
+
+
+def test_nerve_incidence_matrices():
+    nerve = triangle_nerve(points=("p", "q"))
+    # components (a,b), (a,c), (b,c) against charts a, b, c
+    assert nerve.delta0.tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert nerve.delta1.tolist() == [[1, 1, 1], [1, 1, 1]]
+    assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
+    assert nerve.delta0 is nerve.delta0  # built once
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_corpus_coboundaries_compose_to_zero(name):
+    nerve = load_scenario(builtin_scenario_path(name)).nerve
+    composite = nerve.delta1.astype(int) @ nerve.delta0.astype(int)
+    assert not np.any(composite % 2)
+
+
+def _brute_force_classes(delta1, delta0):
+    """Enumerate all 2^c sign patterns in integer order, component 0 the
+    least significant bit, and test each against the coboundaries of
+    all 2^h chart-sign patterns."""
+    c, h = delta0.shape
+
+    def patterns(width):
+        return (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
+
+    valid = [p for p in patterns(c) if not np.any((delta1 @ p) % 2)]
+    image = {tuple((delta0 @ y) % 2) for y in patterns(h)}
+    gluing = [p for p in valid if tuple(p) in image]
+    equiv = next((p for p in gluing if np.any(p)), None)
+    inequiv = next((p for p in valid if tuple(p) not in image), None)
+    return len(valid), len(image), len(gluing), equiv, inequiv
+
+
+@st.composite
+def _coboundary_pairs(draw):
+    c = draw(st.integers(0, 12))
+    h = draw(st.integers(0, 6))
+    t = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    delta0 = rng.integers(0, 2, size=(c, h))
+    delta1 = rng.integers(0, 2, size=(t, c))
+    if draw(st.booleans()):
+        # rows from the left kernel of delta0, so delta1 delta0 = 0
+        left = [y for y in (np.arange(2 ** c)[:, None] >> np.arange(c)) & 1
+                if not np.any((y @ delta0) % 2)]
+        delta1 = np.array([left[i] for i in rng.integers(0, len(left), t)],
+                          dtype=int).reshape(t, c)
+    return delta1.astype(np.uint8), delta0.astype(np.uint8)
+
+
+def _same_pattern(got, want):
+    if want is None:
+        return got is None
+    return got is not None and np.array_equal(got, want)
+
+
+@given(_coboundary_pairs())
+def test_lift_classes_match_brute_force_enumeration(pair):
+    delta1, delta0 = pair
+    valid, cob, gluing, equiv, inequiv = _brute_force_classes(
+        delta1.astype(int), delta0.astype(int))
+    lc = lift_classes(delta1, delta0)
+    assert (lc.valid, lc.coboundaries, lc.gluing) == (valid, cob, gluing)
+    assert lc.classes == valid // cob
+    assert _same_pattern(lc.witness_equiv, equiv)
+    assert _same_pattern(lc.witness_inequiv, inequiv)

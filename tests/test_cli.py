@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import hfe.cli as cli
 from hfe.report import VerificationReport
 from hfe.scenario import SCENARIO_SCHEMA, builtin_scenario_names, builtin_scenario_path
@@ -45,9 +47,8 @@ def test_verify_pipeline_filter(capsys):
     assert ids == ["frame_pairs.delta-values"]
 
 
-def test_verify_multiple_scenarios_parallel(capsys):
-    code, out, _ = run(capsys, "verify", "trivial_r2", "circle_mobius",
-                       "--jobs", "2")
+def test_verify_multiple_scenarios(capsys):
+    code, out, _ = run(capsys, "verify", "trivial_r2", "circle_mobius")
     assert code == 0
     assert out.count("=> PASS") == 2
 
@@ -120,3 +121,32 @@ def test_exit_3_on_falsification(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "trivial_r2")
     assert code == 3
     assert "FALSIFIED" in out
+
+
+def test_exit_2_on_unknown_pipeline(capsys):
+    code, out, err = run(capsys, "verify", "trivial_r2", "--pipeline", "bogus")
+    assert code == 2
+    assert "bogus" in err
+    assert "PASS" not in out
+
+
+def test_exit_2_on_unknown_scenario_tolerance(tmp_path, capsys):
+    doc = json.loads(builtin_scenario_path("trivial_r2").read_text())
+    doc["tolerances"] = {"bogus": 1.0}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", str(p))
+    assert code == 2
+    assert "schema" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_exit_2_on_invalid_tolerance_value(value, capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "trivial_r2",
+                       "--tolerance", f"rel={value}")
+    assert code == 2
+    assert out == ""
+    monkeypatch.setenv("HFE_TOL_REL", value)
+    code, out, _ = run(capsys, "verify", "trivial_r2")
+    assert code == 2
+    assert out == ""

@@ -135,3 +135,46 @@ def test_pipeline_filter_pulls_dependencies():
     assert "delta_tilde.glue" in ids
     assert "induce.compatible" in ids  # implied dependency
     assert "frame_pairs.delta-values" not in ids
+
+
+def _ring_doc(n_charts: int, twisted: set[int]) -> dict:
+    """Chart i overlaps chart i+1 (mod n_charts) in one component with one
+    sample point, n=1, and no triple points: every one of the 2^c sign
+    patterns is a valid lift and H^1 has two classes."""
+    charts = [f"c{i:02d}" for i in range(n_charts)]
+    overlaps, transitions = [], []
+    for j in range(n_charts):
+        pair = sorted((charts[j], charts[(j + 1) % n_charts]))
+        overlaps.append({"pair": pair,
+                         "components": [{"points": [{"id": f"o{j:02d}",
+                                                     "params": [0.0]}]}]})
+        g = [[-1.0 if j in twisted else 1.0]]
+        transitions.append({"pair": pair, "component": 0,
+                            "generator": {"name": "pair_const",
+                                          "params": {"first": g, "second": g}}})
+    delta = {"name": "linear_scalar", "params": {"const": 2.0, "slope": 0.25}}
+    return {
+        "name": f"ring_{n_charts}",
+        "n": 1,
+        "k": 0,
+        "nerve": {"charts": charts, "overlaps": overlaps},
+        "pair_cocycle": {"group": "Glkd", "transitions": transitions},
+        "delta_samples": {ch: delta for ch in charts},
+        "pipelines": ["validate", "lift", "induce", "delta_tilde"],
+        "expectations": {"lift_classes": 2},
+    }
+
+
+def test_lift_classes_counted_on_a_24_chart_ring():
+    # 2^24 sign patterns: counted from GF(2) ranks, not enumerated
+    report = run_scenario(_ring_doc(24, {0, 5, 11, 17}))
+    assert report.passed, [c.check_id for c in report.checks if not c.passed]
+    count = _check(report, "lift.class-count")
+    assert count.details == {"valid_lifts": 2 ** 24, "coboundaries": 2 ** 23,
+                             "classes": 2}
+    unique = _check(report, "delta_tilde.unique-class")
+    assert unique.details == {"gluing_patterns": 2 ** 23,
+                              "total_valid": 2 ** 24}
+    ids = {c.check_id for c in report.checks}
+    assert {"delta_tilde.equivalent-glues",
+            "delta_tilde.inequivalent-fails"} <= ids
