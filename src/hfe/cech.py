@@ -217,6 +217,37 @@ _OPS: dict[str, dict[str, Callable]] = {
 _OPS["Spk"] = _OPS["Sp"]
 
 
+class PointMemo:
+    """A function of a sample point, evaluated once per point and
+    tolerance set.
+
+    Values are cached under (point, current tolerances), so a function
+    that validates its value at the current tolerances runs again under
+    a different set.  Exceptions propagate and are not cached.  Callers
+    must not mutate a returned value: it is shared by every later call.
+    """
+
+    __slots__ = ("fn", "_values")
+
+    def __init__(self, fn: Callable[[SamplePoint], Any]):
+        self.fn = fn
+        self._values: dict = {}
+
+    def __call__(self, pt: SamplePoint) -> Any:
+        key = (pt, get_tolerances())
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        value = self._values[key] = self.fn(pt)
+        return value
+
+
+def memoize(fn: Callable[[SamplePoint], Any]) -> PointMemo:
+    """Wrap fn in a PointMemo unless it already is one."""
+    return fn if isinstance(fn, PointMemo) else PointMemo(fn)
+
+
 @dataclass(frozen=True)
 class Cocycle:
     """Group-valued transition data over a nerve.
@@ -224,6 +255,8 @@ class Cocycle:
     transitions maps a sorted chart pair to one function object per
     overlap component; each function takes a SamplePoint and returns a
     group element.  Values for the reversed pair are the group inverses.
+    Every transition is memoized per sample point (see PointMemo), so a
+    cocycle derived pointwise from another evaluates each point once.
     """
 
     group: str
@@ -236,6 +269,10 @@ class Cocycle:
     def __post_init__(self):
         if self.group not in _OPS:
             raise ValidationError(f"unknown cocycle group {self.group!r}")
+        object.__setattr__(self, "transitions", {
+            pair: tuple(memoize(fn) for fn in fns)
+            for pair, fns in self.transitions.items()
+        })
 
     @property
     def ops(self) -> dict[str, Callable]:

@@ -4,7 +4,8 @@ Subcommands: ``verify`` runs a scenario file's pipelines and prints a
 report, ``list-scenarios`` lists the built-in corpus, ``schema`` prints
 the scenario JSON schema.  Exit codes: 0 all checks pass, 1 check
 failure, 2 parse/schema error, 3 a verified theorem was numerically
-falsified.
+falsified, 141 (as for a process ended by SIGPIPE) standard output was
+closed before the report was written.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_FALSIFICATION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _tolerance_value(text: str) -> float:
@@ -122,8 +124,7 @@ def _verify(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "list-scenarios":
         for name in builtin_scenario_names():
             print(name)
@@ -132,6 +133,19 @@ def main(argv=None) -> int:
         print(json.dumps(SCENARIO_SCHEMA, indent=2, sort_keys=True))
         return EXIT_OK
     return _verify(args)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`hfe verify ... | head`); send the rest,
+        # and the flush at exit, to devnull instead of a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -268,9 +268,10 @@ def _check_translation_law(
         for _ in range(draws):
             pt = pts[int(rng.integers(len(pts)))]
             m1, m2 = random_mlkd(rng, data.n, data.k)
-            val = dt.value(ch, pt, (m1, m2))
+            # dt.value(ch, pt, (m1, m2)), sharing one classification
             tag = subgroup_classify((m1, m2), data.k)
             detA = np.linalg.det(tag.blocks["A"]) if data.k else 1.0
+            val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(detA)
             d1 = np.linalg.det(m1.A) if data.n else 1.0
             d2 = np.linalg.det(m2.A) if data.n else 1.0
             delta0 = complex(data.delta_samples[ch](pt))

@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, Nerve, SamplePoint
+from .cech import Cocycle, Nerve, PairKey, SamplePoint
 from .compatibility import DeltaTildeData, PolarizationPairData
-from .config import get_tolerances
+from .config import Tolerances, get_tolerances
 from .errors import TheoremFalsification, TrackingError, ValidationError
 from .frames import (
     BallPoint,
@@ -62,9 +62,16 @@ class MetaplecticBundleData:
 
 @dataclass(frozen=True)
 class FrameSectionData:
-    """Per-chart positive Lagrangian frame sections in chart coordinates."""
+    """Per-chart positive Lagrangian frame sections in chart coordinates.
+
+    Keeps the sheet-independent transport of the last bundle it served
+    (see transport), so the recipe runs of one section family share it.
+    """
 
     sections: dict[str, Callable[[SamplePoint], tuple[np.ndarray, np.ndarray]]]
+    _last: Optional["SectionTransport"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def frame(self, chart: str, pt: SamplePoint) -> LagFrame:
         U, V = self.sections[chart](pt)
@@ -72,6 +79,16 @@ class FrameSectionData:
         if not fr.positive:
             raise ValidationError(f"section frame not positive at {pt.id}")
         return fr
+
+    def transport(self, data: MetaplecticBundleData) -> "SectionTransport":
+        """The sheet-independent part of the recipe on this bundle,
+        computed once per bundle and tolerance set."""
+        tols = get_tolerances()
+        last = self._last
+        if last is None or last.bundle is not data or last.tols != tols:
+            last = _transport(data, self)
+            object.__setattr__(self, "_last", last)
+        return last
 
 
 def _chart_graph(nerve: Nerve, chart: str):
@@ -162,6 +179,56 @@ def mp_act_meta(gt: MpElement, X: MetaLagFrame) -> MetaLagFrame:
     return MetaLagFrame(BallPoint(gW), ml_mul(a, X.C))
 
 
+@dataclass(frozen=True)
+class SectionTransport:
+    """The part of the recipe that no sheet choice changes.
+
+    charts maps chart -> point id -> (validated section frame, Ball
+    point W, frame block C) with (W, C) = phi(section).  moves maps an
+    overlap (pair, component) -> point id -> (frame transition N with
+    g sigma_b = sigma_a N, alpha_tilde(g, W_b), g.W_b).
+    """
+
+    bundle: MetaplecticBundleData
+    tols: Tolerances
+    charts: dict[str, dict[str, tuple[LagFrame, BallPoint, np.ndarray]]]
+    moves: dict[tuple[PairKey, int], dict[str, tuple[np.ndarray, MlElement, BallPoint]]]
+
+
+def _transport(data: MetaplecticBundleData, sections: FrameSectionData
+               ) -> SectionTransport:
+    tols = get_tolerances()
+    nerve = data.nerve
+    charts: dict[str, dict] = {}
+    for ch in nerve.charts:
+        charts[ch] = {}
+        for pid, p in _chart_graph(nerve, ch)[0].items():
+            W, C = ball.phi_raw(*sections.sections[ch](p))
+            charts[ch][pid] = (sections.frame(ch, p), BallPoint(W), C)
+    moves: dict = {}
+    for pair in sorted(nerve.overlaps):
+        a, b = pair
+        for ci, comp in enumerate(nerve.overlaps[pair]):
+            moves[(pair, ci)] = table = {}
+            for pt in comp.points:
+                gt = data.mp_cocycle.transitions[pair][ci](pt)
+                fb, Wb, _ = charts[b][pt.id]
+                fa = charts[a][pt.id][0]
+                # frame transition N: g sigma_b = sigma_a N
+                gU, gV = ball.sp_apply(gt.g.g, fb.U, fb.V)
+                Sa = fa.stacked()
+                Sg = np.vstack([gU, gV])
+                N, *_ = np.linalg.lstsq(Sa, Sg, rcond=None)
+                res = float(np.max(np.abs(Sa @ N - Sg)))
+                if res > 1e4 * tols.rel * max(1.0, float(np.max(np.abs(Sg)))):
+                    raise ValidationError(
+                        f"sections inconsistent with the cocycle at {pt.id}"
+                    )
+                gW, _ = ball.alpha_raw(gt.g.g, Wb.W)
+                table[pt.id] = (N, alpha_tilde(gt, Wb), BallPoint(gW))
+    return SectionTransport(data, tols, charts, moves)
+
+
 def recipe(
     data: MetaplecticBundleData,
     sections: FrameSectionData,
@@ -175,29 +242,27 @@ def recipe(
     chart and is compared with the lifted section of the other; the
     quotient is the metalinear transition.  Its projection equals the
     Gl-valued frame transition computed independently from the sections.
+    The sheet-independent part comes from sections.transport(data).
     """
     sheet_flips = sheet_flips or {}
     tols = get_tolerances()
     nerve = data.nerve
+    transport = sections.transport(data)
     # per-chart lifted sections
     chart_lifts: dict[str, dict[str, MetaLagFrame]] = {}
-    for ch in nerve.charts:
-        pts, _ = _chart_graph(nerve, ch)
-        if not pts:
+    for ch, wc in transport.charts.items():
+        if not wc:
             chart_lifts[ch] = {}
             continue
-        wc = {
-            pid: ball.phi_raw(*sections.sections[ch](p)) for pid, p in pts.items()
-        }
         z = chart_sqrt_values(
             nerve,
             ch,
-            lambda p: complex(np.linalg.det(wc[p.id][1])),
+            lambda p: complex(np.linalg.det(wc[p.id][2])),
             sheet_flips.get(ch, 1),
         )
         chart_lifts[ch] = {
-            pid: MetaLagFrame(BallPoint(W), MlElement(C, z[pid]))
-            for pid, (W, C) in wc.items()
+            pid: MetaLagFrame(W, MlElement(C, z[pid]))
+            for pid, (_, W, C) in wc.items()
         }
 
     ml_transitions: dict = {}
@@ -207,36 +272,22 @@ def recipe(
         a, b = pair
         ml_transitions[pair] = []
         gl_transitions[pair] = []
-        for ci, comp in enumerate(nerve.overlaps[pair]):
+        for ci in range(len(nerve.overlaps[pair])):
             table: dict[str, MlElement] = {}
-            for pt in comp.points:
-                gt = data.mp_cocycle.transitions[pair][ci](pt)
-                fb = sections.frame(b, pt)
-                fa = sections.frame(a, pt)
-                # frame transition N: g sigma_b = sigma_a N
-                gU, gV = ball.sp_apply(gt.g.g, fb.U, fb.V)
-                Sa = fa.stacked()
-                Sg = np.vstack([gU, gV])
-                N, *_ = np.linalg.lstsq(Sa, Sg, rcond=None)
-                res = float(np.max(np.abs(Sa @ N - Sg)))
-                if res > 1e4 * tols.rel * max(1.0, float(np.max(np.abs(Sg)))):
-                    raise ValidationError(
-                        f"sections inconsistent with the cocycle at {pt.id}"
-                    )
-                Xb = chart_lifts[b][pt.id]
-                Xa = chart_lifts[a][pt.id]
-                moved = mp_act_meta(gt, Xb)
-                wres = float(np.max(np.abs(moved.W.W - Xa.W.W)))
+            for pid, (N, alpha_b, gW) in transport.moves[(pair, ci)].items():
+                Xa = chart_lifts[a][pid]
+                moved_C = ml_mul(alpha_b, chart_lifts[b][pid].C)
+                wres = float(np.max(np.abs(gW.W - Xa.W.W)))
                 worst_w = max(worst_w, wres)
                 if wres > 1e4 * tols.rel:
                     raise ValidationError(
-                        f"Ball points disagree on overlap at {pt.id}"
+                        f"Ball points disagree on overlap at {pid}"
                     )
-                Ninv_mat = np.linalg.inv(Xa.C.A) @ moved.C.A
-                Nz = moved.C.z / Xa.C.z
+                Ninv_mat = np.linalg.inv(Xa.C.A) @ moved_C.A
+                Nz = moved_C.z / Xa.C.z
                 nres = float(np.max(np.abs(Ninv_mat - N)))
                 worst_n = max(worst_n, nres)
-                table[pt.id] = MlElement(Ninv_mat, Nz)
+                table[pid] = MlElement(Ninv_mat, Nz)
             ml_transitions[pair].append(_PointTable(table))
             gl_transitions[pair].append(
                 lambda pt, t=table: t[pt.id].A
@@ -302,11 +353,12 @@ def build_delta_D_tilde(
     k = data.k
     nerve = data.nerve
 
-    def base_for(ch):
-        fn = pair_sections[ch]
-        return lambda pt, fn=fn: delta_L_tilde(fn(pt), k)
-
-    dt = DeltaTildeData(base={ch: base_for(ch) for ch in nerve.charts}, k=k)
+    # the chart value at a point serves both the gluing and the chart checks
+    base = {
+        ch: cech.memoize(lambda pt, fn=pair_sections[ch]: delta_L_tilde(fn(pt), k))
+        for ch in nerve.charts
+    }
+    dt = DeltaTildeData(base=base, k=k)
     worst = 0.0
     for pair in sorted(nerve.overlaps):
         for ci, comp in enumerate(nerve.overlaps[pair]):
@@ -314,7 +366,7 @@ def build_delta_D_tilde(
                 gt = data.mp_cocycle.transitions[pair][ci](pt)
                 X1, X2 = pair_sections[pair[1]](pt)
                 moved = (mp_act_meta(gt, X1), mp_act_meta(gt, X2))
-                v0 = delta_L_tilde((X1, X2), k)
+                v0 = base[pair[1]](pt)
                 v1 = delta_L_tilde(moved, k)
                 r = abs(v1 - v0) / max(1.0, abs(v0))
                 dt.residuals[(pair, ci, pt.id)] = r
@@ -329,7 +381,7 @@ def build_delta_D_tilde(
         pts, _ = _chart_graph(nerve, ch)
         for pid, pt in pts.items():
             X1, X2 = pair_sections[ch](pt)
-            v = delta_L_tilde((X1, X2), k)
+            v = base[ch](pt)
             f1 = ball.phi_inv_raw(X1.W.W, X1.C.A)
             f2 = ball.phi_inv_raw(X2.W.W, X2.C.A)
             dl = delta_L((f1, f2), k)
@@ -392,7 +444,7 @@ def cross_check(
 
     def delta_fn(ch):
         s1, s2 = sections1.sections[ch], sections2.sections[ch]
-        return lambda pt: delta_L((s1(pt), s2(pt)), k)
+        return cech.memoize(lambda pt: delta_L((s1(pt), s2(pt)), k))
 
     pdata = PolarizationPairData(
         nerve, pair_c, {ch: delta_fn(ch) for ch in nerve.charts}, n, k
@@ -408,22 +460,11 @@ def cross_check(
     # reference lift: transport the second recipe cocycle to the
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
-    w: dict[str, dict[str, complex]] = {}
-    for ch in nerve.charts:
-        pts, _ = _chart_graph(nerve, ch)
-        w[ch] = {}
-        for pid, pt in pts.items():
-            X = (
-                MetaLagFrame(
-                    BallPoint(r1.chart_lifts[ch][pid].W.W),
-                    r1.chart_lifts[ch][pid].C,
-                ),
-                MetaLagFrame(
-                    BallPoint(r2.chart_lifts[ch][pid].W.W),
-                    r2.chart_lifts[ch][pid].C,
-                ),
-            )
-            w[ch][pid] = delta_L_tilde(X, k)
+    w = {
+        ch: {pid: delta_L_tilde((X1, r2.chart_lifts[ch][pid]), k)
+             for pid, X1 in r1.chart_lifts[ch].items()}
+        for ch in nerve.charts
+    }
 
     def ref_fn(pair, ci):
         a, b = pair
@@ -464,11 +505,11 @@ def cross_check(
     restr_worst = 0.0
     from .frames import LagFramePair, delta as delta_ambient
 
+    frames1 = sections1.transport(data).charts
+    frames2 = sections2.transport(data).charts
     for ch in nerve.charts:
-        pts, _ = _chart_graph(nerve, ch)
-        for pid, pt in pts.items():
-            fr1 = sections1.frame(ch, pt)
-            fr2 = sections2.frame(ch, pt)
+        for pid, (fr1, _, _) in frames1[ch].items():
+            fr2 = frames2[ch][pid][0]
             amb = delta_ambient(LagFramePair(fr1, fr2, k))
             red = delta_L(((fr1.U, fr1.V), (fr2.U, fr2.V)), k)
             restr_worst = max(restr_worst, abs(amb - red) / max(1.0, abs(red)))

@@ -329,25 +329,41 @@ def _run_self_compat(scenario: Scenario, report, rng, ctx):
         )
 
 
-def _mp_data(scenario: Scenario) -> induction.MetaplecticBundleData:
-    return induction.MetaplecticBundleData(
+def _shared(ctx: dict, key: str, build):
+    """A value built once per run and shared by every stage that uses it."""
+    if key not in ctx:
+        ctx[key] = build()
+    return ctx[key]
+
+
+def _mp_data(scenario: Scenario, ctx) -> induction.MetaplecticBundleData:
+    return _shared(ctx, "mp_data", lambda: induction.MetaplecticBundleData(
         scenario.nerve, scenario.mp_cocycle, scenario.d_adapted, scenario.k
-    )
+    ))
+
+
+def _sections(ctx, key: str, sections) -> induction.FrameSectionData:
+    """One FrameSectionData per section family and run, so the stages
+    share its recipe transport."""
+    return _shared(ctx, key, lambda: induction.FrameSectionData(sections))
+
+
+def _projection_bound(tols) -> float:
+    """Bound of recipe.projection: a tenth of rel (1e-10 by default)."""
+    return tols.rel / 10
 
 
 def _run_recipe(scenario: Scenario, report, rng, ctx):
-    data = _mp_data(scenario)
-    sections = induction.FrameSectionData(scenario.sections_first)
+    data = _mp_data(scenario, ctx)
+    sections = _sections(ctx, "sections_first", scenario.sections_first)
     r = induction.recipe(data, sections)
-    ctx["recipe"] = r
+    residual = max(r.residuals["projection_match"], r.residuals["ball_match"])
     report.add(
         CheckRecord(
             "recipe.projection",
             "recipe.metalinear-transitions",
-            max_residual=float(max(r.residuals["projection_match"],
-                                   r.residuals["ball_match"])),
-            passed=max(r.residuals["projection_match"],
-                       r.residuals["ball_match"]) < 1e-10,
+            max_residual=float(residual),
+            passed=residual < _projection_bound(get_tolerances()),
             details=dict(r.residuals),
         )
     )
@@ -368,7 +384,7 @@ def _run_recipe(scenario: Scenario, report, rng, ctx):
 
 
 def _run_delta_D(scenario: Scenario, report, rng, ctx):
-    data = _mp_data(scenario)
+    data = _mp_data(scenario, ctx)
     dt = induction.build_delta_D_tilde(data, scenario.pair_sections, rng)
     glue = max(dt.residuals.values()) if dt.residuals else 0.0
     tols = get_tolerances()
@@ -387,11 +403,10 @@ def _run_delta_D(scenario: Scenario, report, rng, ctx):
 
 
 def _run_cross_check(scenario: Scenario, report, rng, ctx):
-    data = _mp_data(scenario)
     out = induction.cross_check(
-        data,
-        induction.FrameSectionData(scenario.sections_first),
-        induction.FrameSectionData(scenario.sections_second),
+        _mp_data(scenario, ctx),
+        _sections(ctx, "sections_first", scenario.sections_first),
+        _sections(ctx, "sections_second", scenario.sections_second),
         rng,
     )
     tols = get_tolerances()

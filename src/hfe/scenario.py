@@ -9,6 +9,7 @@ sections are generator descriptions resolved by :mod:`hfe.generators`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,15 @@ from typing import Callable, Optional
 
 import jsonschema
 
-from .cech import Cocycle, Nerve, OverlapComponent, SamplePoint, SignCochain, TriplePoint
+from .cech import (
+    Cocycle,
+    Nerve,
+    OverlapComponent,
+    SamplePoint,
+    SignCochain,
+    TriplePoint,
+    memoize,
+)
 from .errors import ValidationError
 from .generators import build_generator, parse_complex
 
@@ -315,7 +324,7 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
     for ch, gen in doc.items():
         if ch not in nerve.charts:
             raise ValidationError(f"generator for unknown chart {ch!r}")
-        out[ch] = build_generator(gen, n, k)
+        out[ch] = memoize(build_generator(gen, n, k))
     return out
 
 
@@ -336,6 +345,12 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
     if error is not None:
         raise error
+    # json reads NaN and Infinity, and the schema's exclusiveMinimum
+    # lets both through
+    nonfinite = sorted(key for key, value in doc.get("tolerances", {}).items()
+                       if not math.isfinite(value))
+    if nonfinite:
+        raise ValidationError(f"tolerances {nonfinite} must be finite")
     n, k = doc["n"], doc["k"]
     if k > n:
         raise ValidationError("k must not exceed n")

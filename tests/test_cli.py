@@ -1,10 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hfe.cli as cli
+from hfe.errors import ValidationError
 from hfe.report import VerificationReport
-from hfe.scenario import SCENARIO_SCHEMA, builtin_scenario_names, builtin_scenario_path
+from hfe.scenario import (
+    SCENARIO_SCHEMA,
+    builtin_scenario_names,
+    builtin_scenario_path,
+    load_scenario,
+)
 
 
 def run(capsys, *argv):
@@ -150,3 +160,35 @@ def test_exit_2_on_invalid_tolerance_value(value, capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "trivial_r2")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_exit_2_on_nonfinite_scenario_tolerance(literal, tmp_path, capsys):
+    text = builtin_scenario_path("trivial_r2").read_text().rstrip()
+    assert text.endswith("}")
+    p = tmp_path / "nonfinite.json"
+    p.write_text(text[:-1] + f', "tolerances": {{"rel": {literal}}}}}')
+    with pytest.raises(ValidationError, match="finite"):
+        load_scenario(p)
+    code, out, err = run(capsys, "verify", str(p))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hfe.cli", "verify", "trivial_r2",
+         "--report", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the report is written: imports come first
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert "Traceback" not in err
+    assert code == cli.EXIT_BROKEN_PIPE

@@ -46,6 +46,18 @@ def test_circle_scenario_details(corpus_reports):
     assert _check(report, "recipe.projection").max_residual < 1e-10
 
 
+def test_recipe_projection_bound_follows_rel():
+    # the projection residual is ~2e-16; its bound is a tenth of rel
+    path = builtin_scenario_path("circle_mobius")
+    for rel, passed in ((1e-14, True), (1e-15, False)):
+        report = run_scenario(path, pipelines=["recipe"],
+                              tolerances={"rel": rel})
+        proj = _check(report, "recipe.projection")
+        assert proj.max_residual > 1e-17
+        assert proj.passed is passed
+        assert _check(report, "recipe.sheet-coboundary").passed
+
+
 def test_torus_enumeration_details(corpus_reports):
     details = _check(corpus_reports["torus_grid"], "lift.class-count").details
     assert details == {"valid_lifts": 32, "coboundaries": 8, "classes": 4}
