@@ -62,12 +62,6 @@ class OverlapComponent:
         if len(seen) != npts:
             raise ValidationError("overlap component graph is disconnected")
 
-    def index_of(self, point_id: str) -> int:
-        for i, p in enumerate(self.points):
-            if p.id == point_id:
-                return i
-        raise ValidationError(f"point {point_id!r} not in component")
-
 
 @dataclass(frozen=True)
 class TriplePoint:

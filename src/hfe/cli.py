@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("scenarios", nargs="+",
                    help="scenario file path or built-in scenario name")
     v.add_argument("--pipeline", default=None,
-                   help="comma-separated pipeline filter")
+                   help="comma-separated pipeline filter; the stages "
+                   "producing a selected stage's inputs are pulled in")
     v.add_argument("--tolerance", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="tolerance override (rel, abs, singular, track)")

@@ -30,6 +30,9 @@ from .errors import (
 from .groups import MlElement, subgroup_classify
 from .sampling import random_mlkd
 
+# seeded random draws per chart in the translation-law and positivity checks
+_DRAWS_PER_CHART = 20
+
 
 @dataclass(frozen=True)
 class PolarizationPairData:
@@ -255,7 +258,6 @@ def _check_translation_law(
     dt: DeltaTildeData,
     data: PolarizationPairData,
     rng: np.random.Generator,
-    draws: int = 20,
 ) -> float:
     """Squared identity under random metalinear-pair translations.
 
@@ -265,7 +267,7 @@ def _check_translation_law(
     worst = 0.0
     for ch in data.nerve.charts:
         pts = _chart_sample_points(data, ch)
-        for _ in range(draws):
+        for _ in range(_DRAWS_PER_CHART):
             pt = pts[int(rng.integers(len(pts)))]
             m1, m2 = random_mlkd(rng, data.n, data.k)
             # dt.value(ch, pt, (m1, m2)), sharing one classification
@@ -414,7 +416,7 @@ def self_compat(
         worst_imag, min_real = 0.0, float("inf")
         for ch in data.nerve.charts:
             pts = _chart_sample_points(data, ch)
-            for _ in range(20):
+            for _ in range(_DRAWS_PER_CHART):
                 pt = pts[int(rng.integers(len(pts)))]
                 m, _ = random_mlkd(rng, data.n, data.k)
                 val = dt_norm.value(ch, pt, (m, m))

@@ -167,7 +167,6 @@ class _PointTable:
 @dataclass
 class RecipeResult:
     ml_cocycle: Cocycle
-    gl_cocycle: Cocycle
     chart_lifts: dict[str, dict[str, MetaLagFrame]]
     residuals: dict = field(default_factory=dict)
 
@@ -266,12 +265,10 @@ def recipe(
         }
 
     ml_transitions: dict = {}
-    gl_transitions: dict = {}
     worst_w, worst_n = 0.0, 0.0
     for pair in sorted(nerve.overlaps):
         a, b = pair
         ml_transitions[pair] = []
-        gl_transitions[pair] = []
         for ci in range(len(nerve.overlaps[pair])):
             table: dict[str, MlElement] = {}
             for pid, (N, alpha_b, gW) in transport.moves[(pair, ci)].items():
@@ -289,11 +286,7 @@ def recipe(
                 worst_n = max(worst_n, nres)
                 table[pid] = MlElement(Ninv_mat, Nz)
             ml_transitions[pair].append(_PointTable(table))
-            gl_transitions[pair].append(
-                lambda pt, t=table: t[pt.id].A
-            )
         ml_transitions[pair] = tuple(ml_transitions[pair])
-        gl_transitions[pair] = tuple(gl_transitions[pair])
 
     ml_c = Cocycle("Ml", data.n, data.k, ml_transitions)
     report = cech.validate_cocycle(nerve, ml_c)
@@ -303,7 +296,6 @@ def recipe(
         )
     return RecipeResult(
         ml_cocycle=ml_c,
-        gl_cocycle=Cocycle("Gl", data.n, data.k, gl_transitions),
         chart_lifts=chart_lifts,
         residuals={"ball_match": worst_w, "projection_match": worst_n,
                    "cocycle": report["max_residual"]},

@@ -7,12 +7,31 @@ metalinear cocycle, gluing the square-root datum and verifying its
 uniqueness class, self-compatibility, the metaplectic recipe, the
 D-adapted square-root datum, the cross-check between the two
 constructions, and lift obstructions.
+
+A stage declares the named artefacts it consumes and produces:
+
+    pair.cocycle      the pair cocycle, checked as cocycle.pair
+    pair.data         the pair cocycle with its delta samples
+    mp.bundle         the metaplectic bundle, its cocycle checked as cocycle.mp
+    sections.first    the first frame-section family
+    sections.second   the second frame-section family
+    sections.pair     the meta pair sections of the block-form datum
+    pair_first.lift   the metalinear lift of the pair's first member
+    lift_classes      the lift classes of the nerve
+    pair.normalized   the pair data normalized to delta = 1
+    induced           the compatible metalinear cocycle of the second member
+
+From these declarations alone, run_scenario pulls in the stages that
+produce a selected stage's inputs, and records a stage whose inputs
+are missing as ``<stage>.skipped`` (anchor ``pipeline.skipped``) with
+the reason and the missing artefacts.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,18 +45,37 @@ from .groups import MlElement
 from .report import CheckRecord, VerificationReport
 from .scenario import Scenario, load_scenario
 
-PIPELINE_ORDER = [
-    "validate",
-    "frame_pairs",
-    "lift",
-    "induce",
-    "delta_tilde",
-    "self_compat",
-    "recipe",
-    "delta_D",
-    "cross_check",
-    "obstruction",
-]
+# ---------------------------------------------------------------------------
+# stage declarations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    """The artefacts a stage consumes and produces.
+
+    Its runner is called as run(scenario, report, rng, *inputs), with
+    the consumed artefacts in declared order, and returns a dict of the
+    artefacts it produced.  ``produces`` maps each to the reason a
+    finished run of the stage leaves it out, or None if it never does.
+    """
+
+    consumes: tuple[str, ...]
+    produces: dict[str, Optional[str]]
+
+
+_STAGES: dict[str, Stage] = {}
+_RUNNERS: dict[str, Callable] = {}
+
+
+def _stage(name: str, consumes=(), produces=None):
+    """Declare a stage; stages run in declaration order."""
+    def register(run):
+        _STAGES[name] = Stage(tuple(consumes), produces or {})
+        _RUNNERS[name] = run
+        return run
+    return register
+
 
 # ---------------------------------------------------------------------------
 # sign patterns on overlap components
@@ -71,21 +109,46 @@ def _coboundary_base(nerve: Nerve, pattern) -> dict:
     }
 
 
+def _projection_bound(tols) -> float:
+    """Bound of recipe.projection: a tenth of rel (1e-10 by default)."""
+    return tols.rel / 10
+
+
+def _check_bound(tols) -> float:
+    """Bound of the frame-pair, gluing and cross-check residuals: a
+    thousand times rel (1e-6 by default)."""
+    return 1e3 * tols.rel
+
+
+def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
+    """The record of a validation result (ok, max_residual, failures)."""
+    return CheckRecord(check_id, anchor, max_residual=float(res["max_residual"]),
+                       passed=res["ok"], failures=res["failures"])
+
+
+def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
+    """The record of a glued square-root datum: its worst gluing residual
+    against the check bound, with its property-check residuals."""
+    glue = max(dt.residuals.values()) if dt.residuals else 0.0
+    return CheckRecord(check_id, anchor, max_residual=float(glue),
+                       passed=glue <= _check_bound(get_tolerances()),
+                       details={key: dt.checks.get(key, 0.0) for key in
+                                ("square_identity", "translation_law")})
+
+
 # ---------------------------------------------------------------------------
 # individual pipelines
 # ---------------------------------------------------------------------------
 
-def _pair_data(scenario: Scenario) -> PolarizationPairData:
-    return PolarizationPairData(
-        scenario.nerve,
-        scenario.pair_cocycle,
-        scenario.delta_samples,
-        scenario.n,
-        scenario.k,
-    )
-
-
-def _run_validate(scenario: Scenario, report, rng, ctx):
+@_stage("validate", produces={
+    "pair.cocycle": "no pair cocycle",
+    "pair.data": "no pair cocycle with delta samples",
+    "mp.bundle": "no metaplectic data",
+    "sections.first": "no first section family",
+    "sections.second": "no second section family",
+    "sections.pair": "no pair sections",
+})
+def _run_validate(scenario: Scenario, report, rng):
     report.add(CheckRecord("nerve.structure", "nerve.validity",
                            details={"charts": len(scenario.nerve.charts)}))
     for role, c in (
@@ -96,29 +159,34 @@ def _run_validate(scenario: Scenario, report, rng, ctx):
         if c is None:
             continue
         res = cech.validate_cocycle(scenario.nerve, c)
-        report.add(
-            CheckRecord(
-                f"cocycle.{role}",
-                "cocycle.identity-at-triples",
-                max_residual=float(res["max_residual"]),
-                passed=res["ok"],
-                failures=res["failures"],
-            )
-        )
+        report.add(_verdict(f"cocycle.{role}", "cocycle.identity-at-triples", res))
+    out = {}
+    if scenario.pair_cocycle is not None:
+        out["pair.cocycle"] = scenario.pair_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
-        res = compatibility.validate_pair_data(_pair_data(scenario))
-        report.add(
-            CheckRecord(
-                "pair_data.consistency",
-                "delta.transformation-law",
-                max_residual=float(res["max_residual"]),
-                passed=res["ok"],
-                failures=res["failures"],
-            )
+        data = PolarizationPairData(scenario.nerve, scenario.pair_cocycle,
+                                    scenario.delta_samples, scenario.n,
+                                    scenario.k)
+        res = compatibility.validate_pair_data(data)
+        report.add(_verdict("pair_data.consistency", "delta.transformation-law", res))
+        out["pair.data"] = data
+    # one bundle and one FrameSectionData per family for the whole run:
+    # the recipe transport is cached per bundle
+    if scenario.mp_cocycle is not None:
+        out["mp.bundle"] = induction.MetaplecticBundleData(
+            scenario.nerve, scenario.mp_cocycle, scenario.d_adapted, scenario.k
         )
+    for key, sections in (("sections.first", scenario.sections_first),
+                          ("sections.second", scenario.sections_second)):
+        if sections is not None:
+            out[key] = induction.FrameSectionData(sections)
+    if scenario.pair_sections is not None:
+        out["sections.pair"] = scenario.pair_sections
+    return out
 
 
-def _run_frame_pairs(scenario: Scenario, report, rng, ctx):
+@_stage("frame_pairs")
+def _run_frame_pairs(scenario: Scenario, report, rng):
     origin = SamplePoint("origin", ())
     tols = get_tolerances()
     worst = 0.0
@@ -132,7 +200,7 @@ def _run_frame_pairs(scenario: Scenario, report, rng, ctx):
         val = delta(pair)
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
         worst = max(worst, r)
-        if r > 1e3 * tols.rel:
+        if r > _check_bound(tols):
             failures.append((fp["name"], val))
     report.add(
         CheckRecord(
@@ -146,11 +214,12 @@ def _run_frame_pairs(scenario: Scenario, report, rng, ctx):
     )
 
 
-def _run_lift(scenario: Scenario, report, rng, ctx):
-    if scenario.gl_cocycle is not None:
-        base = scenario.gl_cocycle
-    else:
-        base = cech.push_cocycle(scenario.pair_cocycle, "pair_first")
+@_stage("lift", consumes=("pair.cocycle",),
+        produces=dict.fromkeys(("pair_first.lift", "lift_classes"),
+                               "the first member does not lift "
+                               "(see lift.double-cover)"))
+def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
+    base = cech.push_cocycle(pair_cocycle, "pair_first")
     lifted = cech.lift_double_cover(scenario.nerve, base)
     if isinstance(lifted, SignCochain):
         report.add(
@@ -162,18 +231,9 @@ def _run_lift(scenario: Scenario, report, rng, ctx):
                     k for k, v in lifted.values.items() if v == -1))],
             )
         )
-        return
-    ctx["base_lift"] = lifted
+        return {}
     res = cech.validate_cocycle(scenario.nerve, lifted)
-    report.add(
-        CheckRecord(
-            "lift.double-cover",
-            "cocycle.sqrt-lift",
-            max_residual=float(res["max_residual"]),
-            passed=res["ok"],
-            failures=res["failures"],
-        )
-    )
+    report.add(_verdict("lift.double-cover", "cocycle.sqrt-lift", res))
     lc = cech.lift_classes(scenario.nerve.delta1, scenario.nerve.delta0)
     expected = scenario.expectations.get("lift_classes")
     ok = expected is None or lc.classes == expected
@@ -190,57 +250,25 @@ def _run_lift(scenario: Scenario, report, rng, ctx):
             },
         )
     )
-    ctx["lift_classes"] = lc
+    return {"pair_first.lift": lifted, "lift_classes": lc}
 
 
-def _run_induce(scenario: Scenario, report, rng, ctx):
-    data = _pair_data(scenario)
+@_stage("induce", consumes=("pair.data", "pair_first.lift"),
+        produces=dict.fromkeys(("pair.normalized", "induced")))
+def _run_induce(scenario: Scenario, report, rng, data, z1):
     norm = compatibility.normalize_sections(data)
-    z1 = ctx.get("base_lift")
-    if z1 is None:
-        base = cech.push_cocycle(scenario.pair_cocycle, "pair_first")
-        z1 = cech.lift_double_cover(scenario.nerve, base)
-        if isinstance(z1, SignCochain):
-            report.add(CheckRecord("induce.compatible", "induce.formula",
-                                   passed=False,
-                                   failures=[("first member not liftable",)]))
-            return
     z2 = compatibility.induce_compatible(norm, z1)
     res = cech.validate_cocycle(scenario.nerve, z2)
-    report.add(
-        CheckRecord(
-            "induce.compatible",
-            "induce.formula",
-            max_residual=float(res["max_residual"]),
-            passed=res["ok"],
-            failures=res["failures"],
-        )
-    )
-    ctx["norm"] = norm
-    ctx["z1"] = z1
-    ctx["z2"] = z2
+    report.add(_verdict("induce.compatible", "induce.formula", res))
+    return {"pair.normalized": norm, "induced": z2}
 
 
-def _run_delta_tilde(scenario: Scenario, report, rng, ctx):
-    norm, z1, z2 = ctx["norm"], ctx["z1"], ctx["z2"]
-    tols = get_tolerances()
+@_stage("delta_tilde",
+        consumes=("pair.normalized", "pair_first.lift", "induced",
+                  "lift_classes"))
+def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     dt = compatibility.build_delta_tilde(norm, z1, z2, rng)
-    glue = max(dt.residuals.values()) if dt.residuals else 0.0
-    report.add(
-        CheckRecord(
-            "delta_tilde.glue",
-            "sqrt-datum.gluing",
-            max_residual=float(glue),
-            passed=glue <= 1e3 * tols.rel,
-            details={
-                "square_identity": dt.checks.get("square_identity", 0.0),
-                "translation_law": dt.checks.get("translation_law", 0.0),
-            },
-        )
-    )
-    lc = ctx.get("lift_classes")
-    if lc is None:
-        return
+    report.add(_glue_record("delta_tilde.glue", "sqrt-datum.gluing", dt))
     # Exactly the valid sheet patterns equivalent to the induced lift,
     # the coboundaries, may admit chart-sign base values that glue.
     ok = lc.gluing == lc.coboundaries
@@ -270,7 +298,8 @@ def _run_delta_tilde(scenario: Scenario, report, rng, ctx):
                 "delta_tilde.equivalent-glues",
                 "sqrt-datum.coboundary-freedom",
                 max_residual=float(glue2),
-                passed=glue2 <= 1e3 * tols.rel and witness is not None,
+                passed=(glue2 <= _check_bound(get_tolerances())
+                        and witness is not None),
                 details={"witness": witness},
             )
         )
@@ -294,7 +323,8 @@ def _run_delta_tilde(scenario: Scenario, report, rng, ctx):
             )
 
 
-def _run_self_compat(scenario: Scenario, report, rng, ctx):
+@_stage("self_compat")
+def _run_self_compat(scenario: Scenario, report, rng):
     for case in scenario.self_compat_cases:
         data = PolarizationPairData(
             scenario.nerve, case["pair_cocycle"], case["delta_samples"],
@@ -329,33 +359,8 @@ def _run_self_compat(scenario: Scenario, report, rng, ctx):
         )
 
 
-def _shared(ctx: dict, key: str, build):
-    """A value built once per run and shared by every stage that uses it."""
-    if key not in ctx:
-        ctx[key] = build()
-    return ctx[key]
-
-
-def _mp_data(scenario: Scenario, ctx) -> induction.MetaplecticBundleData:
-    return _shared(ctx, "mp_data", lambda: induction.MetaplecticBundleData(
-        scenario.nerve, scenario.mp_cocycle, scenario.d_adapted, scenario.k
-    ))
-
-
-def _sections(ctx, key: str, sections) -> induction.FrameSectionData:
-    """One FrameSectionData per section family and run, so the stages
-    share its recipe transport."""
-    return _shared(ctx, key, lambda: induction.FrameSectionData(sections))
-
-
-def _projection_bound(tols) -> float:
-    """Bound of recipe.projection: a tenth of rel (1e-10 by default)."""
-    return tols.rel / 10
-
-
-def _run_recipe(scenario: Scenario, report, rng, ctx):
-    data = _mp_data(scenario, ctx)
-    sections = _sections(ctx, "sections_first", scenario.sections_first)
+@_stage("recipe", consumes=("mp.bundle", "sections.first"))
+def _run_recipe(scenario: Scenario, report, rng, data, sections):
     r = induction.recipe(data, sections)
     residual = max(r.residuals["projection_match"], r.residuals["ball_match"])
     report.add(
@@ -383,40 +388,23 @@ def _run_recipe(scenario: Scenario, report, rng, ctx):
     )
 
 
-def _run_delta_D(scenario: Scenario, report, rng, ctx):
-    data = _mp_data(scenario, ctx)
-    dt = induction.build_delta_D_tilde(data, scenario.pair_sections, rng)
-    glue = max(dt.residuals.values()) if dt.residuals else 0.0
-    tols = get_tolerances()
-    report.add(
-        CheckRecord(
-            "delta_D.glue",
-            "sqrt-datum.block-form-gluing",
-            max_residual=float(glue),
-            passed=glue <= 1e3 * tols.rel,
-            details={
-                "square_identity": dt.checks.get("square_identity", 0.0),
-                "translation_law": dt.checks.get("translation_law", 0.0),
-            },
-        )
-    )
+@_stage("delta_D", consumes=("mp.bundle", "sections.pair"))
+def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
+    dt = induction.build_delta_D_tilde(data, pair_sections, rng)
+    report.add(_glue_record("delta_D.glue", "sqrt-datum.block-form-gluing", dt))
 
 
-def _run_cross_check(scenario: Scenario, report, rng, ctx):
-    out = induction.cross_check(
-        _mp_data(scenario, ctx),
-        _sections(ctx, "sections_first", scenario.sections_first),
-        _sections(ctx, "sections_second", scenario.sections_second),
-        rng,
-    )
-    tols = get_tolerances()
+@_stage("cross_check",
+        consumes=("mp.bundle", "sections.first", "sections.second"))
+def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
+    out = induction.cross_check(data, first, second, rng)
     worst = max(out["glue_residual"], out["restriction_residual"])
     report.add(
         CheckRecord(
             "cross_check.agreement",
             "cross-check.global-sign",
             max_residual=float(worst),
-            passed=worst <= 1e3 * tols.rel,
+            passed=worst <= _check_bound(get_tolerances()),
             details={
                 "global_sign": out["global_sign"],
                 "witness": out["witness"],
@@ -427,7 +415,8 @@ def _run_cross_check(scenario: Scenario, report, rng, ctx):
     )
 
 
-def _run_obstruction(scenario: Scenario, report, rng, ctx):
+@_stage("obstruction")
+def _run_obstruction(scenario: Scenario, report, rng):
     if scenario.gl_cocycle is not None:
         lifted = cech.lift_double_cover(scenario.nerve, scenario.gl_cocycle)
         expected = scenario.expectations.get("obstructed", False)
@@ -463,24 +452,32 @@ def _run_obstruction(scenario: Scenario, report, rng, ctx):
         )
 
 
-_RUNNERS = {
-    "validate": _run_validate,
-    "frame_pairs": _run_frame_pairs,
-    "lift": _run_lift,
-    "induce": _run_induce,
-    "delta_tilde": _run_delta_tilde,
-    "self_compat": _run_self_compat,
-    "recipe": _run_recipe,
-    "delta_D": _run_delta_D,
-    "cross_check": _run_cross_check,
-    "obstruction": _run_obstruction,
-}
+def _producers() -> dict[str, str]:
+    """Each artefact's producing stage.  A stage may consume only what an
+    earlier stage produces, so declaration order is a run order."""
+    producer: dict[str, str] = {}
+    for name, stage in _STAGES.items():
+        unmet = [a for a in stage.consumes if a not in producer]
+        twice = [a for a in stage.produces if a in producer]
+        if unmet or twice:
+            raise RuntimeError(f"stage {name}: inputs {unmet} not produced "
+                               f"earlier, outputs {twice} produced twice")
+        producer.update(dict.fromkeys(stage.produces, name))
+    return producer
 
-_PIPELINE_DEPS = {
-    "induce": ["validate"],
-    "delta_tilde": ["induce", "lift"],
-    "cross_check": ["validate"],
-}
+
+_PRODUCER = _producers()
+PIPELINE_ORDER = list(_STAGES)
+
+
+def _with_producers(selected) -> list[str]:
+    """The selected stages and the stages producing their inputs, in
+    declaration order; one pass back over that order closes the set."""
+    needed = set(selected)
+    for name in reversed(PIPELINE_ORDER):
+        if name in needed:
+            needed.update(_PRODUCER[a] for a in _STAGES[name].consumes)
+    return [p for p in PIPELINE_ORDER if p in needed]
 
 
 def run_scenario(
@@ -489,11 +486,12 @@ def run_scenario(
     tolerances: Optional[dict[str, float]] = None,
     seed: int = 0,
 ) -> VerificationReport:
-    """Execute a scenario's verification pipelines in dependency order.
+    """Execute a scenario's verification pipelines in declaration order.
 
     ``source`` is a path, JSON text, or dict.  Raises nothing for check
     failures (they are recorded); scenario-level errors are recorded as
-    failing checks; a TheoremFalsification marks the whole report.
+    failing checks; a stage whose inputs are missing is recorded as
+    skipped; a TheoremFalsification marks the whole report.
     """
     scenario = source if isinstance(source, Scenario) else load_scenario(source)
     unknown = sorted(set(scenario.pipelines).union(pipelines or ())
@@ -503,44 +501,48 @@ def run_scenario(
     selected = scenario.pipelines if pipelines is None else [
         p for p in scenario.pipelines if p in pipelines
     ]
-    # implied dependencies (transitively), then canonical order
-    needed: set[str] = set()
-    stack = list(selected)
-    while stack:
-        p = stack.pop()
-        if p not in needed:
-            needed.add(p)
-            stack.extend(_PIPELINE_DEPS.get(p, []))
-    ordered = [p for p in PIPELINE_ORDER if p in needed]
 
     overrides = dict(scenario.tolerance_overrides)
     overrides.update(tolerances or {})
     report = VerificationReport(scenario=scenario.name, seed=seed)
     rng = np.random.default_rng(seed)
-    ctx: dict = {}
+    artefacts: dict = {}
+    # stage -> why it produced nothing: it was skipped or failed
+    unfinished: dict[str, str] = {}
     start = time.perf_counter()
     with tolerance_overrides(**overrides):
-        report.tolerances = {
-            "rel": get_tolerances().rel,
-            "abs": get_tolerances().abs,
-            "singular": get_tolerances().singular,
-            "track": get_tolerances().track,
-        }
-        for name in ordered:
+        report.tolerances = asdict(get_tolerances())
+        for name in _with_producers(selected):
+            stage = _STAGES[name]
+            missing = [a for a in stage.consumes if a not in artefacts]
+            if missing:
+                producer = _PRODUCER[missing[0]]
+                reason = (unfinished.get(producer)
+                          or _STAGES[producer].produces[missing[0]])
+                unfinished[name] = reason
+                report.add(CheckRecord(f"{name}.skipped", "pipeline.skipped",
+                                       details={"reason": reason,
+                                                "missing": missing}))
+                continue
+            inputs = [artefacts[a] for a in stage.consumes]
             try:
-                _RUNNERS[name](scenario, report, rng, ctx)
+                produced = _RUNNERS[name](scenario, report, rng, *inputs) or {}
             except TheoremFalsification as exc:
                 report.falsified = True
-                report.add(
+                failed = report.add(
                     CheckRecord(f"{name}.falsification", "theorem.violated",
                                 passed=False, failures=[str(exc)])
                 )
             except EngineError as exc:
-                report.add(
+                failed = report.add(
                     CheckRecord(f"{name}.error", "pipeline.execution",
                                 passed=False,
                                 failures=[f"{type(exc).__name__}: {exc}"])
                 )
+            else:
+                artefacts.update(produced)
+                continue
+            unfinished[name] = f"{name} failed (see {failed.check_id})"
     report.notes.append(
         "square-root anchor at the Ball origin fixed to 2^(-n/2); a unit "
         "anchor would contradict the squared identity"

@@ -97,13 +97,16 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     """Serialize a report; JSON is stable-ordered, text is one line per
-    check."""
+    check, with SKIP and the reason for a skipped stage."""
     if fmt == "json":
         return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"scenario {report.scenario} (seed {report.seed})"]
     for c in report.checks:
+        if c.anchor == "pipeline.skipped":
+            lines.append(f"  {c.check_id:40s} SKIP  [{c.details['reason']}]")
+            continue
         verdict = "PASS" if c.passed else "FAIL"
         line = f"  {c.check_id:40s} residual {c.max_residual:.3e}  {verdict}"
         if not c.passed and c.failures:

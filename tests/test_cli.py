@@ -192,3 +192,51 @@ def test_closed_stdout_exits_without_traceback():
     code = proc.wait(timeout=60)
     assert "Traceback" not in err
     assert code == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("stage", ["recipe", "delta_D"])
+def test_pipeline_subset_checks_the_mp_cocycle_it_consumes(stage, capsys):
+    code, out, _ = run(capsys, "verify", "abstract_k1_nonorientable",
+                       "--pipeline", stage, "--report", "json")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    assert "cocycle.mp" in ids
+    assert ids.index("cocycle.mp") < [i.split(".")[0] for i in ids].index(stage)
+
+
+def _scenario_file(tmp_path, name, edit):
+    doc = json.loads(builtin_scenario_path(name).read_text())
+    edit(doc)
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _inconsistent_delta(doc):
+    # the delta samples no longer follow the transformation law, so the
+    # induction premise fails and induce stops with an error
+    doc["delta_samples"]["1"]["params"]["const"] = 3.0
+    doc["pipelines"] = ["validate", "lift", "induce", "delta_tilde"]
+
+
+@pytest.mark.parametrize("name, edit, skipped, reason", [
+    ("circle_mobius", _inconsistent_delta, "delta_tilde.skipped",
+     "induce failed (see induce.error)"),
+    ("trivial_r2", lambda d: d["pipelines"].append("recipe"),
+     "recipe.skipped", "no metaplectic data"),
+    ("sphere_octa", lambda d: d.update(pipelines=["lift", "delta_tilde"]),
+     "lift.skipped", "no pair cocycle"),
+])
+def test_missing_stage_inputs_are_recorded_as_skipped(
+        name, edit, skipped, reason, tmp_path, capsys):
+    path = _scenario_file(tmp_path, name, edit)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks[skipped]["anchor"] == "pipeline.skipped"
+    assert checks[skipped]["pass"] is True
+    assert checks[skipped]["details"]["reason"] == reason
+    assert checks[skipped]["details"]["missing"]
+    code, out, _ = run(capsys, "verify", path)
+    assert f"SKIP  [{reason}]" in out

@@ -67,9 +67,12 @@ def test_recipe_rotation_anchor():
 
 
 def test_recipe_projection_matches_gl():
-    r = recipe(rotation_bundle(theta=0.7), holo_sections())
+    # the projection of the metalinear transition is the frame transition
+    # N with g sigma_b = sigma_a N, solved from the sections on their own
+    data, sections = rotation_bundle(theta=0.7), holo_sections()
+    r = recipe(data, sections)
     ml = r.ml_cocycle.transitions[("a", "b")][1](WEST)
-    gl = r.gl_cocycle.transitions[("a", "b")][1](WEST)
+    gl = sections.transport(data).moves[(("a", "b"), 1)][WEST.id][0]
     assert np.allclose(ml.A, gl)
 
 

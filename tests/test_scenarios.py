@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from hfe.cech import Cocycle
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import (
@@ -190,3 +191,50 @@ def test_lift_classes_counted_on_a_24_chart_ring():
     ids = {c.check_id for c in report.checks}
     assert {"delta_tilde.equivalent-glues",
             "delta_tilde.inequivalent-fails"} <= ids
+
+
+def test_induce_uses_the_lift_of_the_first_member():
+    # a gl_cocycle that is not the pair's first member (identity on the
+    # twisted component) must not be taken as the first member's lift
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["gl_cocycle"] = {"group": "Gl", "transitions": [
+        {"pair": ["0", "1"], "component": ci,
+         "generator": {"name": "const", "params": {"value": [[1]]}}}
+        for ci in (0, 1)
+    ]}
+    report = run_scenario(doc, pipelines=["lift", "induce"])
+    assert _check(report, "cocycle.gl").passed
+    assert _check(report, "induce.compatible").passed
+    assert report.passed, [c.check_id for c in report.checks if not c.passed]
+
+
+def test_skipped_stage_reports_its_missing_inputs():
+    doc = json.loads(builtin_scenario_path("trivial_r2").read_text())
+    doc["pipelines"] = ["cross_check"]
+    report = run_scenario(doc)
+    skipped = _check(report, "cross_check.skipped")
+    assert skipped.anchor == "pipeline.skipped" and skipped.passed
+    assert skipped.details == {
+        "reason": "no metaplectic data",
+        "missing": ["mp.bundle", "sections.first", "sections.second"],
+    }
+    assert [c.check_id for c in report.checks][0] == "nerve.structure"
+
+
+def test_obstructed_first_member_skips_induce_and_delta_tilde():
+    # the sphere's obstructed Gl cocycle as both members of the pair
+    sc = load_scenario(builtin_scenario_path("sphere_octa"))
+    gl = sc.gl_cocycle
+    sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, {
+        pair: tuple((lambda pt, f=f: (f(pt), f(pt))) for f in fns)
+        for pair, fns in gl.transitions.items()
+    })
+    sc.delta_samples = {ch: (lambda pt: 1.0 + 0j) for ch in sc.nerve.charts}
+    sc.pipelines = ["lift", "delta_tilde"]
+    report = run_scenario(sc)
+    assert not _check(report, "lift.double-cover").passed
+    for stage in ("induce", "delta_tilde"):
+        skipped = _check(report, f"{stage}.skipped")
+        assert skipped.details["reason"] == (
+            "the first member does not lift (see lift.double-cover)")
+    assert not report.passed
