@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import jsonschema
-
 from .errors import EngineError, ValidationError
 from .pipelines import run_scenario
 from .report import emit_report
@@ -107,13 +105,18 @@ def _verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except jsonschema.ValidationError as exc:
+    except (ValidationError, EngineError) as exc:
+        print(f"error: invalid scenario data: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except Exception as exc:
+        # the loader imports jsonschema only to describe a rejected
+        # document, so without it the exception is not a schema error
+        jsonschema = sys.modules.get("jsonschema")
+        if jsonschema is None or not isinstance(exc, jsonschema.ValidationError):
+            raise
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         print(f"error: scenario schema violation at {loc}: {exc.message}",
               file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (ValidationError, EngineError) as exc:
-        print(f"error: invalid scenario data: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
     for report in reports:

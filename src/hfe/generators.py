@@ -208,8 +208,17 @@ _REGISTRY: dict[str, Callable] = {
 
 
 def build_generator(spec: dict, n: int, k: int) -> Callable[[SamplePoint], Any]:
-    """Instantiate a generator description {"name": ..., "params": {...}}."""
+    """Instantiate a generator description {"name": ..., "params": {...}}.
+
+    Parameters it cannot build from (a missing key, a value of the wrong
+    type or shape) raise ValidationError.
+    """
     name = spec.get("name")
     if name not in _REGISTRY:
         raise ValidationError(f"unknown generator {name!r}")
-    return _REGISTRY[name](spec.get("params", {}), n, k)
+    try:
+        return _REGISTRY[name](spec.get("params", {}), n, k)
+    except KeyError as exc:
+        raise ValidationError(f"generator {name!r}: missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"generator {name!r}: {exc}") from exc

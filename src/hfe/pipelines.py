@@ -11,6 +11,7 @@ constructions, and lift obstructions.
 A stage declares the named artefacts it consumes and produces:
 
     pair.cocycle      the pair cocycle, checked as cocycle.pair
+    gl.cocycle        the Gl cocycle, checked as cocycle.gl
     pair.data         the pair cocycle with its delta samples
     mp.bundle         the metaplectic bundle, its cocycle checked as cocycle.mp
     sections.first    the first frame-section family
@@ -21,10 +22,13 @@ A stage declares the named artefacts it consumes and produces:
     pair.normalized   the pair data normalized to delta = 1
     induced           the compatible metalinear cocycle of the second member
 
-From these declarations alone, run_scenario pulls in the stages that
-produce a selected stage's inputs, and records a stage whose inputs
-are missing as ``<stage>.skipped`` (anchor ``pipeline.skipped``) with
-the reason and the missing artefacts.
+A stage may also take an artefact as an optional input, which it gets
+as None when its producer finished without it.  From these
+declarations alone, run_scenario pulls in the stages that produce a
+selected stage's inputs, optional ones included, and records a stage
+whose inputs are missing as ``<stage>.skipped`` (anchor
+``pipeline.skipped``) with the reason and the missing artefacts; an
+optional input is missing only when its producer was skipped or failed.
 """
 
 from __future__ import annotations
@@ -55,23 +59,29 @@ class Stage:
     """The artefacts a stage consumes and produces.
 
     Its runner is called as run(scenario, report, rng, *inputs), with
-    the consumed artefacts in declared order, and returns a dict of the
-    artefacts it produced.  ``produces`` maps each to the reason a
-    finished run of the stage leaves it out, or None if it never does.
+    the consumed and then the optional artefacts in declared order, and
+    returns a dict of the artefacts it produced.  ``produces`` maps each
+    to the reason a finished run of the stage leaves it out, or None if
+    it never does.
     """
 
     consumes: tuple[str, ...]
     produces: dict[str, Optional[str]]
+    optional: tuple[str, ...] = ()
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        return self.consumes + self.optional
 
 
 _STAGES: dict[str, Stage] = {}
 _RUNNERS: dict[str, Callable] = {}
 
 
-def _stage(name: str, consumes=(), produces=None):
+def _stage(name: str, consumes=(), produces=None, optional=()):
     """Declare a stage; stages run in declaration order."""
     def register(run):
-        _STAGES[name] = Stage(tuple(consumes), produces or {})
+        _STAGES[name] = Stage(tuple(consumes), produces or {}, tuple(optional))
         _RUNNERS[name] = run
         return run
     return register
@@ -142,6 +152,7 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
 
 @_stage("validate", produces={
     "pair.cocycle": "no pair cocycle",
+    "gl.cocycle": "no gl cocycle",
     "pair.data": "no pair cocycle with delta samples",
     "mp.bundle": "no metaplectic data",
     "sections.first": "no first section family",
@@ -163,6 +174,8 @@ def _run_validate(scenario: Scenario, report, rng):
     out = {}
     if scenario.pair_cocycle is not None:
         out["pair.cocycle"] = scenario.pair_cocycle
+    if scenario.gl_cocycle is not None:
+        out["gl.cocycle"] = scenario.gl_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
         data = PolarizationPairData(scenario.nerve, scenario.pair_cocycle,
                                     scenario.delta_samples, scenario.n,
@@ -415,10 +428,10 @@ def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
     )
 
 
-@_stage("obstruction")
-def _run_obstruction(scenario: Scenario, report, rng):
-    if scenario.gl_cocycle is not None:
-        lifted = cech.lift_double_cover(scenario.nerve, scenario.gl_cocycle)
+@_stage("obstruction", optional=("gl.cocycle",))
+def _run_obstruction(scenario: Scenario, report, rng, gl_cocycle):
+    if gl_cocycle is not None:
+        lifted = cech.lift_double_cover(scenario.nerve, gl_cocycle)
         expected = scenario.expectations.get("obstructed", False)
         obstructed = isinstance(lifted, SignCochain)
         record = CheckRecord(
@@ -457,7 +470,7 @@ def _producers() -> dict[str, str]:
     earlier stage produces, so declaration order is a run order."""
     producer: dict[str, str] = {}
     for name, stage in _STAGES.items():
-        unmet = [a for a in stage.consumes if a not in producer]
+        unmet = [a for a in stage.inputs if a not in producer]
         twice = [a for a in stage.produces if a in producer]
         if unmet or twice:
             raise RuntimeError(f"stage {name}: inputs {unmet} not produced "
@@ -476,7 +489,7 @@ def _with_producers(selected) -> list[str]:
     needed = set(selected)
     for name in reversed(PIPELINE_ORDER):
         if name in needed:
-            needed.update(_PRODUCER[a] for a in _STAGES[name].consumes)
+            needed.update(_PRODUCER[a] for a in _STAGES[name].inputs)
     return [p for p in PIPELINE_ORDER if p in needed]
 
 
@@ -515,6 +528,8 @@ def run_scenario(
         for name in _with_producers(selected):
             stage = _STAGES[name]
             missing = [a for a in stage.consumes if a not in artefacts]
+            missing += [a for a in stage.optional
+                        if a not in artefacts and _PRODUCER[a] in unfinished]
             if missing:
                 producer = _PRODUCER[missing[0]]
                 reason = (unfinished.get(producer)
@@ -524,7 +539,7 @@ def run_scenario(
                                        details={"reason": reason,
                                                 "missing": missing}))
                 continue
-            inputs = [artefacts[a] for a in stage.consumes]
+            inputs = [artefacts.get(a) for a in stage.inputs]
             try:
                 produced = _RUNNERS[name](scenario, report, rng, *inputs) or {}
             except TheoremFalsification as exc:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
-
-import jsonschema
 
 from .cech import (
     Cocycle,
@@ -26,7 +25,7 @@ from .cech import (
     TriplePoint,
     memoize,
 )
-from .errors import ValidationError
+from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
 
 _GENERATOR = {
@@ -238,9 +237,73 @@ SCENARIO_SCHEMA: dict = {
     "additionalProperties": False,
 }
 
-# Compiled once; the schema itself is checked against its metaschema by
-# the test suite rather than on every load.
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# Draft 2020-12 type checks: bool is neither an integer nor a number,
+# and an integral float is an integer.
+_TYPES: dict[str, Callable] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+# The keywords _conforms implements; the schema uses no others.
+CHECKED_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "enum",
+})
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether ``value`` satisfies ``schema`` under Draft 2020-12, for the
+    keywords in CHECKED_KEYWORDS.  As in jsonschema, NaN and Infinity
+    pass ``minimum`` and ``exclusiveMinimum``."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return False
+    if isinstance(value, dict):
+        if any(key not in value for key in schema.get("required", ())):
+            return False
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        for key, item in value.items():
+            sub = props.get(key, extra)
+            if sub is False or (sub is not True and not _conforms(item, sub)):
+                return False
+    elif isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get(
+                "maxItems", math.inf):
+            return False
+        items = schema.get("items")
+        if items is not None and not all(_conforms(v, items) for v in value):
+            return False
+    elif _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return False
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return False
+    # enum members are scalars; True equals 1 in Python but not in JSON
+    return "enum" not in schema or any(
+        value == member and isinstance(value, bool) == isinstance(member, bool)
+        for member in schema["enum"])
+
+
+def _check_schema(doc) -> None:
+    """Raise jsonschema's best-matching error if ``doc`` violates
+    SCENARIO_SCHEMA.  jsonschema is imported only to describe a document
+    that _conforms rejected."""
+    if _conforms(doc, SCENARIO_SCHEMA):
+        return
+    import jsonschema
+
+    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is None:
+        raise EngineError("the scenario schema checker rejected a "
+                          "document that jsonschema accepts")
+    raise error
 
 
 @dataclass
@@ -342,9 +405,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     else:
         text = Path(source).read_text()
         doc = json.loads(text)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        raise error
+    _check_schema(doc)
     # json reads NaN and Infinity, and the schema's exclusiveMinimum
     # lets both through
     nonfinite = sorted(key for key, value in doc.get("tolerances", {}).items()

@@ -96,6 +96,31 @@ def test_schema_violation_message(tmp_path, capsys):
                    "'x' is not of type 'array'\n")
 
 
+_IMPORT_PROBE = """
+import sys
+import hfe.cli
+assert "jsonschema" not in sys.modules, "imported by hfe.cli"
+assert hfe.cli.main(["verify", "trivial_r2"]) == 0
+assert "jsonschema" not in sys.modules, "imported by a passing verify"
+sys.exit(hfe.cli.main(["verify", sys.argv[1]]))
+"""
+
+
+def test_jsonschema_is_imported_only_for_a_rejected_document(tmp_path):
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["nerve"]["overlaps"][0]["components"][0]["points"][0]["params"] = "x"
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(p)],
+                          capture_output=True, text=True, timeout=120,
+                          env=_subprocess_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "=> PASS" in proc.stdout
+    assert proc.stderr == ("error: scenario schema violation at "
+                           "nerve/overlaps/0/components/0/points/0/params: "
+                           "'x' is not of type 'array'\n")
+
+
 def test_exit_2_on_bad_tolerance_key(capsys):
     code, _, err = run(capsys, "verify", "trivial_r2",
                        "--tolerance", "bogus=1e-9")
@@ -176,15 +201,20 @@ def test_exit_2_on_nonfinite_scenario_tolerance(literal, tmp_path, capsys):
     assert "finite" in err
 
 
-def test_closed_stdout_exits_without_traceback():
+def _subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this hfe."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).parents[1])]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_closed_stdout_exits_without_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "hfe.cli", "verify", "trivial_r2",
          "--report", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
     )
     proc.stdout.close()  # before the report is written: imports come first
     err = proc.stderr.read().decode()
@@ -240,3 +270,79 @@ def test_missing_stage_inputs_are_recorded_as_skipped(
     assert checks[skipped]["details"]["missing"]
     code, out, _ = run(capsys, "verify", path)
     assert f"SKIP  [{reason}]" in out
+
+
+def _empty_delta_params(doc):
+    doc["delta_samples"]["0"]["params"] = {}
+
+
+def _text_rotation_angle(doc):
+    rotation = doc["mp_cocycle"]["transitions"][1]["generator"]
+    assert rotation["name"] == "mp_rotation"
+    rotation["params"]["theta"] = "x"
+
+
+def _wide_frame_point(doc):
+    frame = doc["sections"]["first"]["0"]
+    assert frame["name"] == "frame_phi_inv"
+    frame["params"]["W"] = [[0, 1]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_empty_delta_params, "generator 'linear_scalar': missing parameter 'const'"),
+    (_text_rotation_angle,
+     "generator 'mp_rotation': could not convert string to float: 'x'"),
+    (_wide_frame_point, "generator 'frame_phi_inv': matmul"),
+])
+def test_exit_2_on_malformed_generator_params(edit, message, tmp_path, capsys):
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    with pytest.raises(ValidationError):
+        load_scenario(path)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def test_obstruction_alone_checks_the_gl_cocycle_it_lifts(capsys):
+    code, out, _ = run(capsys, "verify", "sphere_octa",
+                       "--pipeline", "obstruction", "--report", "json")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    assert ids == ["nerve.structure", "cocycle.gl", "obstruction.lift",
+                   "obstruction.cochain.fundamental_class",
+                   "obstruction.cochain.trivial"]
+
+
+def test_obstruction_without_gl_cocycle_checks_its_sign_cochains(
+        tmp_path, capsys):
+    path = _scenario_file(tmp_path, "sphere_octa",
+                          lambda d: d.pop("gl_cocycle"))
+    code, out, _ = run(capsys, "verify", path, "--pipeline", "obstruction",
+                       "--report", "json")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    assert ids == ["nerve.structure", "obstruction.cochain.fundamental_class",
+                   "obstruction.cochain.trivial"]
+
+
+def test_obstruction_is_skipped_when_validate_fails(monkeypatch, capsys):
+    # gl.cocycle is missing because its producer failed, not because the
+    # scenario has none: the lift check must not vanish silently
+    from hfe import pipelines
+    from hfe.errors import EngineError
+
+    def broken(nerve, cocycle):
+        raise EngineError("broken cocycle")
+
+    monkeypatch.setattr(pipelines.cech, "validate_cocycle", broken)
+    code, out, _ = run(capsys, "verify", "sphere_octa",
+                       "--pipeline", "obstruction", "--report", "json")
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert not checks["validate.error"]["pass"]
+    assert checks["obstruction.skipped"]["details"] == {
+        "reason": "validate failed (see validate.error)",
+        "missing": ["gl.cocycle"],
+    }
+    assert "obstruction.lift" not in checks

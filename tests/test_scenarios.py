@@ -1,13 +1,20 @@
+import copy
+import functools
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfe.cech import Cocycle
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import (
+    _TYPES,
+    CHECKED_KEYWORDS,
     SCENARIO_SCHEMA,
+    _conforms,
     builtin_scenario_names,
     builtin_scenario_path,
     load_scenario,
@@ -238,3 +245,145 @@ def test_obstructed_first_member_skips_induce_and_delta_tilde():
         assert skipped.details["reason"] == (
             "the first member does not lift (see lift.double-cover)")
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the in-tree schema checker against jsonschema
+# ---------------------------------------------------------------------------
+
+_JSONSCHEMA = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+
+@functools.cache
+def _corpus_doc(name: str) -> dict:
+    return json.loads(builtin_scenario_path(name).read_text())
+
+
+def _paths(node, path=()):
+    """Every location in a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+_REPLACEMENTS = [True, False, 1.0, 1.5, -1, 0, float("nan"), float("inf"),
+                 -float("inf"), "x", None, [], {}]
+
+
+@st.composite
+def _mutated_corpus_doc(draw):
+    """A corpus scenario with one mutation at a random location: a key
+    deleted or added, a list lengthened or shortened, or a value
+    replaced by one of another type or by an edge value."""
+    doc = copy.deepcopy(_corpus_doc(draw(st.sampled_from(EXPECTED_CORPUS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = None
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    ops = ["replace"] if path else []
+    if isinstance(node, dict):
+        ops += ["add key"] + (["delete key"] if node else [])
+    if isinstance(node, list):
+        ops += ["append"] + (["pop", "clear"] if node else [])
+    op = draw(st.sampled_from(ops))
+    if op == "replace":
+        parent[path[-1]] = draw(st.sampled_from(_REPLACEMENTS))
+    elif op == "add key":
+        node["unknown"] = draw(st.sampled_from(_REPLACEMENTS))
+    elif op == "delete key":
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif op == "append":
+        node.append(copy.deepcopy(node[-1]) if node else 1)
+    elif op == "pop":
+        node.pop()
+    else:
+        node.clear()
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_corpus_doc())
+def test_checker_agrees_with_jsonschema_on_mutated_corpus(doc):
+    assert _conforms(doc, SCENARIO_SCHEMA) == _JSONSCHEMA.is_valid(doc)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("schema, value, valid", [
+    ({"type": "integer"}, True, False),
+    ({"type": "number"}, True, False),
+    ({"type": "boolean"}, 1, False),
+    ({"type": "integer"}, 1.0, True),
+    ({"type": "integer"}, 1.5, False),
+    ({"type": "integer"}, _NAN, False),
+    ({"type": "number"}, _INF, True),
+    ({"type": "array"}, (1, 2), False),
+    ({"enum": [1, 2]}, True, False),
+    ({"enum": [1, 2]}, 1.0, True),
+    ({"type": "integer", "enum": [1, 2]}, True, False),
+    ({"type": "integer", "enum": [1, 2]}, 1.0, True),
+    ({"type": "integer", "enum": [1, -1]}, 0, False),
+    ({"type": "number", "exclusiveMinimum": 0}, _NAN, True),
+    ({"type": "number", "exclusiveMinimum": 0}, _INF, True),
+    ({"type": "number", "exclusiveMinimum": 0}, 0, False),
+    ({"type": "number", "exclusiveMinimum": 0}, -_INF, False),
+    ({"type": "integer", "minimum": 0}, 0, True),
+    ({"type": "integer", "minimum": 0}, -1, False),
+    ({"minimum": 0}, True, True),
+    ({"minimum": 0}, "x", True),
+    ({"type": "array", "minItems": 2, "maxItems": 2}, [1], False),
+    ({"type": "array", "minItems": 2, "maxItems": 2}, [1, 2, 3], False),
+    ({"type": "array", "minItems": 2, "maxItems": 2}, [1, 2], True),
+    ({"minItems": 2}, "x", True),
+    ({"items": {"type": "integer"}}, [1, True], False),
+    ({"items": {"type": "integer"}}, {"a": True}, True),
+    ({"required": ["a"]}, {}, False),
+    ({"required": ["a"]}, [], True),
+    ({"properties": {"a": {"type": "string"}}}, {"a": 1}, False),
+    ({"properties": {"a": {"type": "string"}}}, {"b": 1}, True),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"a": 1}, True),
+    ({"additionalProperties": False, "properties": {"a": {}}}, {"b": 1}, False),
+    ({"additionalProperties": {"type": "integer"}}, {"b": 1.0}, True),
+    ({"additionalProperties": {"type": "integer"}}, {"b": True}, False),
+    ({}, None, True),
+    ({}, _NAN, True),
+])
+def test_checker_edge_cases_follow_draft_2020_12(schema, value, valid):
+    assert _conforms(value, schema) is valid
+    assert jsonschema.Draft202012Validator(schema).is_valid(value) is valid
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    for key in ("items", "additionalProperties"):
+        if isinstance(schema.get(key), dict):
+            yield from _subschemas(schema[key])
+
+
+def test_scenario_schema_uses_only_checked_keywords():
+    # a keyword the checker does not implement would go unenforced
+    annotations = {"$schema", "title"}
+    for sub in _subschemas(SCENARIO_SCHEMA):
+        assert set(sub) <= CHECKED_KEYWORDS | annotations, sub
+        assert sub.get("type", "object") in _TYPES, sub
+        assert isinstance(sub.get("items", {}), dict), sub
+        assert isinstance(sub.get("additionalProperties", True), (bool, dict)), sub
+        for member in sub.get("enum", ()):
+            assert isinstance(member, (int, str)) and not isinstance(member, bool)
+
+
+def test_rejection_that_jsonschema_accepts_is_an_internal_error(monkeypatch):
+    import hfe.scenario as scenario
+    from hfe.errors import EngineError
+
+    monkeypatch.setattr(scenario, "_conforms", lambda value, schema: False)
+    with pytest.raises(EngineError, match="jsonschema accepts"):
+        load_scenario(builtin_scenario_path("trivial_r2"))
