@@ -15,7 +15,7 @@ automorphy factor alpha(g, W) defined by g.(W, C) = (g.W, alpha(g,W) C).
 
 Everything here is a pure function of ndarrays; typed wrappers live in
 hfe.frames and hfe.groups.  The n x n arguments U, V, W and C may carry
-leading stack axes, which broadcast like np.matmul (g is one matrix).
+leading stack axes, which broadcast like np.matmul; so may g.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from .errors import SingularityError, ValidationError
 
 
 def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a 2n x 2n matrix into its four n x n blocks (T1, T2; T3, T4)."""
+    """Split a 2n x 2n matrix, or a stack of them, into its four n x n
+    blocks (T1, T2; T3, T4)."""
     g = np.asarray(g)
-    m = g.shape[0]
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or m % 2 != 0:
+    m = g.shape[-1]
+    if g.ndim < 2 or g.shape[-2] != m or m % 2 != 0:
         raise ValidationError("expected a square even-dimensional matrix")
     n = m // 2
-    return g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
+    return g[..., :n, :n], g[..., :n, n:], g[..., n:, :n], g[..., n:, n:]
 
 
 def sp_apply(g: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +74,12 @@ def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi_raw(U2, V2)
 
 
-def ball_point_residuals(W: np.ndarray) -> tuple[float, float]:
-    """(symmetry residual, operator-norm excess over 1) of a Ball point."""
+def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetry residuals and operator-norm excesses over 1 of a stack of
+    Ball points W (P, n, n), as (P,) arrays."""
     W = np.asarray(W, dtype=complex)
-    sym = float(np.max(np.abs(W - W.T))) if W.size else 0.0
-    norm = float(np.linalg.norm(W, 2)) if W.size else 0.0
-    return sym, max(0.0, norm - 1.0)
+    if not W.shape[-1]:
+        return np.zeros(len(W)), np.zeros(len(W))
+    sym = np.max(np.abs(W - np.swapaxes(W, -1, -2)), axis=(-2, -1))
+    norm = np.linalg.norm(W, 2, axis=(-2, -1))
+    return sym, np.maximum(0.0, norm - 1.0)

@@ -17,7 +17,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import groups as G
-from .config import get_tolerances
+from .config import get_tolerances, identity_bound
 from .errors import TrackingError, ValidationError
 from .tracking import _MAX_ARG, principal_sqrt
 
@@ -76,6 +76,26 @@ class TriplePoint:
 
 
 @dataclass(frozen=True)
+class PointIndex:
+    """Every overlap sample point of a nerve, one row per (component,
+    point), in component_list() order; built once per nerve.
+
+    points      the sample point of each row
+    components  (pair, component index) -> the range of its rows
+    charts      chart -> the rows of the overlaps containing it, in row
+                order; a point in two of them has a row in each
+    graphs      chart -> (the first row of each distinct point id of
+                those overlaps, the sorted edges between the ids): the
+                chart's sample graph
+    """
+
+    points: tuple[SamplePoint, ...]
+    components: dict[tuple[PairKey, int], range]
+    charts: dict[str, list[int]]
+    graphs: dict[str, tuple[list[int], list[tuple[str, str]]]]
+
+
+@dataclass(frozen=True)
 class Nerve:
     charts: tuple[str, ...]
     overlaps: dict[PairKey, tuple[OverlapComponent, ...]] = field(default_factory=dict)
@@ -127,6 +147,30 @@ class Nerve:
             for tp in self.triples[key]:
                 out.append((key, tp))
         return out
+
+    @cached_property
+    def point_index(self) -> PointIndex:
+        """The index of every overlap sample point (see PointIndex)."""
+        points: list[SamplePoint] = []
+        components: dict[tuple[PairKey, int], range] = {}
+        charts: dict[str, list[int]] = {ch: [] for ch in self.charts}
+        first: dict[str, dict[str, int]] = {ch: {} for ch in self.charts}
+        edges: dict[str, set] = {ch: set() for ch in self.charts}
+        for pair, ci in self.component_list():
+            comp = self.overlaps[pair][ci]
+            rows = components[(pair, ci)] = range(len(points),
+                                                  len(points) + len(comp.points))
+            points.extend(comp.points)
+            ids = [pt.id for pt in comp.points]
+            for ch in pair:
+                charts[ch].extend(rows)
+                for row, pid in zip(rows, ids):
+                    first[ch].setdefault(pid, row)
+                edges[ch].update((min(ids[i], ids[j]), max(ids[i], ids[j]))
+                                 for i, j in comp.edges)
+        graphs = {ch: (list(first[ch].values()), sorted(edges[ch]))
+                  for ch in self.charts}
+        return PointIndex(tuple(points), components, charts, graphs)
 
     @cached_property
     def delta0(self) -> np.ndarray:
@@ -242,6 +286,24 @@ def memoize(fn: Callable[[SamplePoint], Any]) -> PointMemo:
     return fn if isinstance(fn, PointMemo) else PointMemo(fn)
 
 
+class _Batched:
+    """A transition of one overlap component whose values at all its
+    points are made together by make(points), on the first call under
+    each tolerance set."""
+
+    def __init__(self, make: Callable[[tuple], list], points: tuple):
+        self.make = make
+        self.points = points
+        self._tables: dict = {}
+
+    def __call__(self, pt: SamplePoint) -> Any:
+        tols = get_tolerances()
+        if tols not in self._tables:
+            self._tables[tols] = dict(zip((p.id for p in self.points),
+                                          self.make(self.points)))
+        return self._tables[tols][pt.id]
+
+
 @dataclass(frozen=True)
 class Cocycle:
     """Group-valued transition data over a nerve.
@@ -268,9 +330,30 @@ class Cocycle:
             for pair, fns in self.transitions.items()
         })
 
+    @classmethod
+    def from_rows(cls, group: str, n: int, k: int, nerve: Nerve, values: list
+                  ) -> "Cocycle":
+        """The cocycle taking values[r] at each row r of nerve.point_index."""
+        index = nerve.point_index
+        transitions: dict = {pair: [] for pair in sorted(nerve.overlaps)}
+        for (pair, ci), rows in index.components.items():
+            transitions[pair].append(_Batched(
+                lambda pts, rows=rows: values[rows.start:rows.stop],
+                nerve.overlaps[pair][ci].points))
+        return cls(group, n, k, {pair: tuple(fns) for pair, fns in transitions.items()})
+
     @property
     def ops(self) -> dict[str, Callable]:
         return _OPS[self.group]
+
+    def row_values(self, nerve: Nerve) -> list:
+        """The transition values at every row of nerve.point_index."""
+        index = nerve.point_index
+        out = []
+        for (pair, ci), rows in index.components.items():
+            fn = self.transitions[pair][ci]
+            out.extend(fn(index.points[r]) for r in rows)
+        return out
 
     def value(self, a: str, b: str, comp: int, point: SamplePoint) -> Any:
         """Transition t_ab evaluated at a sample point of component comp."""
@@ -295,23 +378,34 @@ class SignCochain:
                 raise ValidationError("sign cochain values must be +/-1")
 
 
-def _element_membership_residual(c: Cocycle, x: Any) -> float:
-    """Residual of the group-membership invariant of a single element."""
+def _membership_residuals(c: Cocycle, values: list) -> list[float]:
+    """Residuals of the group-membership invariant of every value; a
+    pattern that fails raises for the first failing value."""
     if c.group == "Ml":
-        d = np.linalg.det(x.A) if x.A.size else 1.0
-        return abs(x.z * x.z - d) / max(1.0, abs(d))
-    if c.group in ("Sp", "Spk"):
-        G.sp_validate(x)
-        if c.group == "Spk":
-            G.subgroup_classify(x, c.k)
-        return max(x.residuals())
-    if c.group == "Mp":
-        G.sp_validate(x.g)
-        return 0.0
+        if not c.n:
+            return [abs(x.z * x.z - 1.0) / 1.0 for x in values]
+        dets = np.linalg.det(G.as_stack([x.A for x in values], c.n))
+        return [abs(x.z * x.z - d) / max(1.0, abs(d)) for x, d in zip(values, dets)]
     if c.group in ("Glkd", "Mlkd"):
-        G.subgroup_classify(tuple(x), c.k)
-        return 0.0
-    return 0.0
+        first, second = zip(*values) if values else ((), ())
+        if c.group == "Mlkd":
+            G.classify_pairs(G.as_stack([x.A for x in first], c.n),
+                             G.as_stack([x.A for x in second], c.n), c.k,
+                             [x.z for x in first], [x.z for x in second])
+        else:
+            G.classify_pairs(G.as_stack([_mat(x) for x in first], c.n),
+                             G.as_stack([_mat(x) for x in second], c.n), c.k)
+        return [0.0] * len(values)
+    if c.group in ("Sp", "Spk", "Mp"):
+        g = np.array([x.g.g if c.group == "Mp" else x.g for x in values],
+                     dtype=float).reshape(len(values), 2 * c.n, 2 * c.n)
+        res = G.check_sp(g)
+        if c.group == "Mp":
+            return [0.0] * len(values)
+        if c.group == "Spk":
+            G.spk_blocks(g, c.k)
+        return [max(r) for r in res.tolist()]
+    return [0.0] * len(values)
 
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
@@ -325,13 +419,14 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
             raise ValidationError(f"missing transition for overlap {pair}")
         if len(c.transitions[pair]) != len(nerve.overlaps[pair]):
             raise ValidationError(f"component count mismatch for {pair}")
-        for ci, comp in enumerate(nerve.overlaps[pair]):
-            for pt in comp.points:
-                x = c.transitions[pair][ci](pt)
-                r = _element_membership_residual(c, x)
-                max_res = max(max_res, r)
-                if r > tols.rel:
-                    failures.append(("membership", pair, ci, pt.id, r))
+    index = nerve.point_index
+    residuals = _membership_residuals(c, c.row_values(nerve))
+    for (pair, ci), rows in index.components.items():
+        for row in rows:
+            r = residuals[row]
+            max_res = max(max_res, r)
+            if r > tols.rel:
+                failures.append(("membership", pair, ci, index.points[row].id, r))
     ops = c.ops
     for (a, b, cc), tp in nerve.triple_points():
         cab, pab = tp.memberships[(a, b)]
@@ -344,7 +439,7 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
         rhs = c.value(a, cc, cac, m_ac)
         r = float(ops["dist"](lhs, rhs))
         max_res = max(max_res, r)
-        if r > tols.rel * 10:
+        if r > identity_bound(tols):
             failures.append(("cocycle", (a, b, cc), tp.id, r))
     return {"ok": not failures, "max_residual": max_res, "failures": failures}
 
@@ -530,20 +625,26 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
 # double-cover lifting
 # ---------------------------------------------------------------------------
 
-class _LiftedTransition:
-    """Ml-valued transition: a Gl base function plus tracked z per point."""
+def _sheet(fn: Callable, points: tuple, z: Callable[[SamplePoint], complex]
+           ) -> _Batched:
+    """The Ml transition taking the matrix of fn with the root z(p) of
+    its determinant at each point p of a component."""
+    return _Batched(lambda pts: G.ml_elements(
+        np.array([_mat(fn(p)) for p in pts]), [z(p) for p in pts]), points)
 
-    def __init__(self, base: Callable[[SamplePoint], Any], zmap: dict[str, complex],
-                 sign: int = 1):
-        self.base = base
-        self.zmap = dict(zmap)
-        self.sign = sign
 
-    def __call__(self, pt: SamplePoint) -> G.MlElement:
-        return G.MlElement(_mat(self.base(pt)), self.sign * self.zmap[pt.id])
-
-    def flipped(self) -> "_LiftedTransition":
-        return _LiftedTransition(self.base, self.zmap, -self.sign)
+def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
+    """The Ml cocycle c with its z-sheet flipped on the components whose
+    entry of pattern (indexed like component_list()) is set."""
+    flagged = {key for key, bit in zip(nerve.component_list(), pattern) if bit}
+    return Cocycle("Ml", c.n, c.k, {
+        pair: tuple(
+            _sheet(lambda p, fn=fn: fn(p).A, nerve.overlaps[pair][ci].points,
+                   lambda p, fn=fn: -fn(p).z)
+            if (pair, ci) in flagged else fn
+            for ci, fn in enumerate(fns))
+        for pair, fns in c.transitions.items()
+    })
 
 
 def _track_component(comp: OverlapComponent, fn: Callable[[SamplePoint], Any]
@@ -554,7 +655,7 @@ def _track_component(comp: OverlapComponent, fn: Callable[[SamplePoint], Any]
     single tracking step; non-tree edges are consistency-checked.
     """
     tols = get_tolerances()
-    dets = [complex(np.linalg.det(_mat(fn(p)))) for p in comp.points]
+    dets = np.linalg.det(np.array([_mat(fn(p)) for p in comp.points])).tolist()
     z: dict[int, complex] = {0: principal_sqrt(dets[0])}
     adj = {i: [] for i in range(len(comp.points))}
     for i, j in comp.edges:
@@ -593,22 +694,18 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     """
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
-    lifted: dict[PairKey, list[_LiftedTransition]] = {}
-    for pair in sorted(nerve.overlaps):
-        lifted[pair] = []
-        for ci, comp in enumerate(nerve.overlaps[pair]):
-            fn = c.transitions[pair][ci]
-            lifted[pair].append(_LiftedTransition(fn, _track_component(comp, fn)))
+    zmaps = {
+        (pair, ci): _track_component(comp, c.transitions[pair][ci])
+        for pair in sorted(nerve.overlaps)
+        for ci, comp in enumerate(nerve.overlaps[pair])
+    }
 
     rhs, defects = [], {}
     tols = get_tolerances()
     for (a, b, cc), tp in nerve.triple_points():
-        cab, _ = tp.memberships[(a, b)]
-        cbc, _ = tp.memberships[(b, cc)]
-        cac, _ = tp.memberships[(a, cc)]
-        zab = lifted[(a, b)][cab].zmap[tp.id]
-        zbc = lifted[(b, cc)][cbc].zmap[tp.id]
-        zac = lifted[(a, cc)][cac].zmap[tp.id]
+        zab = zmaps[((a, b), tp.memberships[(a, b)][0])][tp.id]
+        zbc = zmaps[((b, cc), tp.memberships[(b, cc)][0])][tp.id]
+        zac = zmaps[((a, cc), tp.memberships[(a, cc)][0])][tp.id]
         s = zab * zbc / zac
         if abs(s - 1) > 1e3 * tols.rel and abs(s + 1) > 1e3 * tols.rel:
             raise ValidationError(
@@ -621,14 +718,18 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return SignCochain(degree=2, values=defects)
-    for (pair, ci), flip in zip(nerve.component_list(), sol):
-        if flip:
-            lifted[pair][ci] = lifted[pair][ci].flipped()
+    signs = {key: -1 if flip else 1 for key, flip in zip(nerve.component_list(), sol)}
     return Cocycle(
         group="Ml",
         n=c.n,
         k=c.k,
-        transitions={pair: tuple(fns) for pair, fns in lifted.items()},
+        transitions={
+            pair: tuple(
+                _sheet(c.transitions[pair][ci], comp.points,
+                       lambda p, z=zmaps[(pair, ci)], s=signs[(pair, ci)]: s * z[p.id])
+                for ci, comp in enumerate(nerve.overlaps[pair]))
+            for pair in sorted(nerve.overlaps)
+        },
     )
 
 

@@ -20,14 +20,20 @@ import numpy as np
 
 from . import cech
 from .cech import Cocycle, Nerve, SamplePoint
-from .config import get_tolerances
+from .config import check_bound, get_tolerances, property_bound
 from .errors import (
     GluingError,
     SingularityError,
     TheoremFalsification,
     ValidationError,
 )
-from .groups import MlElement, subgroup_classify
+from .groups import (
+    MlElement,
+    as_stack,
+    classify_pairs,
+    ml_elements,
+    subgroup_classify,
+)
 from .sampling import random_mlkd
 
 # seeded random draws per chart in the translation-law and positivity checks
@@ -52,18 +58,12 @@ class PolarizationPairData:
                 raise ValidationError(f"missing delta samples for chart {ch}")
 
 
-def _pair_blocks(data: PolarizationPairData, pair, comp: int, pt: SamplePoint):
-    g1, g2 = data.pair_cocycle.transitions[pair][comp](pt)
-    tag = subgroup_classify((np.asarray(g1, complex), np.asarray(g2, complex)),
-                            data.k)
-    return np.asarray(g1, complex), np.asarray(g2, complex), tag.blocks
-
-
-def _transformation_factor(blocks: dict) -> complex:
-    """conj(det D1) det D2 — the pairing-determinant transformation."""
-    d1 = np.linalg.det(blocks["D1"]) if blocks["D1"].size else 1.0
-    d2 = np.linalg.det(blocks["D2"]) if blocks["D2"].size else 1.0
-    return complex(np.conj(d1) * d2)
+def _pair_stacks(data: PolarizationPairData):
+    """The two member stacks (P, n, n) of the pair cocycle over the rows
+    of the nerve's point index."""
+    values = data.pair_cocycle.row_values(data.nerve)
+    return (as_stack([g1 for g1, _ in values], data.n),
+            as_stack([g2 for _, g2 in values], data.n))
 
 
 def validate_pair_data(data: PolarizationPairData) -> dict:
@@ -72,20 +72,26 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     tols = get_tolerances()
     failures = []
     max_res = 0.0
-    for pair in sorted(data.nerve.overlaps):
+    index = data.nerve.point_index
+    G1, G2 = _pair_stacks(data)
+    blocks = classify_pairs(G1, G2, data.k)
+    # conj(det D1) det D2, the pairing-determinant transformation
+    ones = [1.0] * len(G1)
+    d1 = np.linalg.det(blocks["D1"]) if data.k < data.n else ones
+    d2 = np.linalg.det(blocks["D2"]) if data.k < data.n else ones
+    for (pair, ci), rows in index.components.items():
         a, b = pair
-        for ci, comp in enumerate(data.nerve.overlaps[pair]):
-            for pt in comp.points:
-                _, _, blocks = _pair_blocks(data, pair, ci, pt)
-                da = complex(data.delta_samples[a](pt))
-                db = complex(data.delta_samples[b](pt))
-                if min(abs(da), abs(db)) <= tols.singular:
-                    raise SingularityError(f"delta sample vanishes at {pt.id}")
-                expected = da * _transformation_factor(blocks)
-                r = abs(db - expected) / max(1.0, abs(expected))
-                max_res = max(max_res, r)
-                if r > 1e3 * tols.rel:
-                    failures.append(("delta-consistency", pair, ci, pt.id, r))
+        for r in rows:
+            pt = index.points[r]
+            da = complex(data.delta_samples[a](pt))
+            db = complex(data.delta_samples[b](pt))
+            if min(abs(da), abs(db)) <= tols.singular:
+                raise SingularityError(f"delta sample vanishes at {pt.id}")
+            expected = da * complex(np.conj(d1[r]) * d2[r])
+            res = abs(db - expected) / max(1.0, abs(expected))
+            max_res = max(max_res, res)
+            if res > check_bound(tols):
+                failures.append(("delta-consistency", pair, ci, pt.id, res))
     base = cech.validate_cocycle(data.nerve, data.pair_cocycle)
     if not base["ok"]:
         failures.extend(base["failures"])
@@ -94,11 +100,11 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
             "failures": failures}
 
 
-def _diag_change(delta_value: complex, n: int, k: int) -> np.ndarray:
-    """The section-change matrix: identity with one diagonal element set
-    to the delta value (in the last slot of the D-block)."""
-    m = np.eye(n, dtype=complex)
-    m[n - 1, n - 1] = delta_value
+def _diag_changes(values: list[complex], n: int) -> np.ndarray:
+    """The section-change matrices: the identity with one diagonal element
+    set to each value (in the last slot of the D-block), as a stack."""
+    m = np.tile(np.eye(n, dtype=complex), (len(values), 1, 1))
+    m[:, n - 1, n - 1] = values
     return m
 
 
@@ -115,31 +121,24 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     if k == n:
         # delta is an empty determinant, identically 1 already
         return data
-
-    def conjugated(pair, ci):
+    index = data.nerve.point_index
+    G1, G2 = _pair_stacks(data)
+    va, vb_inv = [], []
+    for (pair, _), rows in index.components.items():
         a, b = pair
-        fn = data.pair_cocycle.transitions[pair][ci]
-        da = data.delta_samples[a]
-        db = data.delta_samples[b]
-
-        def new_fn(pt, fn=fn, da=da, db=db):
-            g1, g2 = fn(pt)
-            va, vb = complex(da(pt)), complex(db(pt))
-            if min(abs(va), abs(vb)) <= tols.singular:
+        for r in rows:
+            pt = index.points[r]
+            v_a = complex(data.delta_samples[a](pt))
+            v_b = complex(data.delta_samples[b](pt))
+            if min(abs(v_a), abs(v_b)) <= tols.singular:
                 raise SingularityError("delta sample vanishes")
-            h_a = _diag_change(va, n, k)
-            h_b_inv = _diag_change(1.0 / vb, n, k)
-            return np.asarray(g1, complex), h_a @ np.asarray(g2, complex) @ h_b_inv
-
-        return new_fn
-
-    new_transitions = {
-        pair: tuple(conjugated(pair, ci) for ci in range(len(fns)))
-        for pair, fns in data.pair_cocycle.transitions.items()
-    }
+            va.append(v_a)
+            vb_inv.append(1.0 / v_b)
+    G2 = _diag_changes(va, n) @ G2 @ _diag_changes(vb_inv, n)
     return PolarizationPairData(
         nerve=data.nerve,
-        pair_cocycle=Cocycle("Glkd", n, k, new_transitions),
+        pair_cocycle=Cocycle.from_rows("Glkd", n, k, data.nerve,
+                                       list(zip(G1, G2))),
         delta_samples={ch: (lambda pt: 1.0 + 0j) for ch in data.nerve.charts},
         n=n,
         k=k,
@@ -149,29 +148,18 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
 def _chart_sample_points(data: PolarizationPairData, ch: str) -> list[SamplePoint]:
     """Overlap sample points of a chart, or a fallback origin point for
     charts that meet no overlap (single-chart nerves)."""
-    pts = [
-        pt
-        for pair in sorted(data.nerve.overlaps)
-        if ch in pair
-        for comp in data.nerve.overlaps[pair]
-        for pt in comp.points
-    ]
-    return pts or [SamplePoint("origin", ())]
+    index = data.nerve.point_index
+    return [index.points[r] for r in index.charts[ch]] or [SamplePoint("origin", ())]
 
 
 def _require_normalized(data: PolarizationPairData) -> None:
     tols = get_tolerances()
+    index = data.nerve.point_index
     for ch in data.nerve.charts:
         fn = data.delta_samples[ch]
-        for pair in sorted(data.nerve.overlaps):
-            if ch not in pair:
-                continue
-            for comp in data.nerve.overlaps[pair]:
-                for pt in comp.points:
-                    if abs(complex(fn(pt)) - 1.0) > 1e3 * tols.rel:
-                        raise ValidationError(
-                            "data not normalized (delta sample != 1)"
-                        )
+        for r in index.charts[ch]:
+            if abs(complex(fn(index.points[r])) - 1.0) > check_bound(tols):
+                raise ValidationError("data not normalized (delta sample != 1)")
 
 
 def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
@@ -184,44 +172,29 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
         raise ValidationError("z1 must be an Ml cocycle")
     _require_normalized(data)
     tols = get_tolerances()
-
-    def induced(pair, ci):
-        fn = data.pair_cocycle.transitions[pair][ci]
-        lift = z1.transitions[pair][ci]
-
-        def new_fn(pt, fn=fn, lift=lift):
-            g1, g2 = fn(pt)
-            tag = subgroup_classify(
-                (np.asarray(g1, complex), np.asarray(g2, complex)), data.k
+    index = data.nerve.point_index
+    G1, G2 = _pair_stacks(data)
+    blocks = classify_pairs(G1, G2, data.k)
+    detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(G1)
+    d1, d2 = np.linalg.det(G1), np.linalg.det(G2)
+    lifts = z1.row_values(data.nerve)
+    L = as_stack([x.A for x in lifts], data.n)
+    axes = (-2, -1)
+    off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
+    off_bound = 1e3 * tols.abs * np.maximum(1.0, np.max(np.abs(L), axis=axes,
+                                                       initial=0.0))
+    z2 = []
+    for r, (dA, x) in enumerate(zip(detA, lifts)):
+        premise = np.conj(d1[r]) * d2[r] / (dA * dA)
+        if abs(premise - 1.0) > property_bound(tols):
+            raise ValidationError(
+                f"premise violated at {index.points[r].id}: "
+                f"conj(det g1) det g2 / det(A)^2 = {premise}"
             )
-            detA = np.linalg.det(tag.blocks["A"]) if data.k else 1.0
-            d1 = np.linalg.det(np.asarray(g1, complex))
-            d2 = np.linalg.det(np.asarray(g2, complex))
-            premise = np.conj(d1) * d2 / (detA * detA)
-            if abs(premise - 1.0) > 1e4 * tols.rel:
-                raise ValidationError(
-                    f"premise violated at {pt.id}: "
-                    f"conj(det g1) det g2 / det(A)^2 = {premise}"
-                )
-            l1 = lift(pt)
-            if np.max(np.abs(l1.A - np.asarray(g1, complex))) > 1e3 * tols.abs * max(
-                1.0, float(np.max(np.abs(l1.A)))
-            ):
-                raise ValidationError("z1 does not lift the first member")
-            z2 = abs(detA) / np.conj(l1.z)
-            return MlElement(np.asarray(g2, complex), z2)
-
-        return new_fn
-
-    out = Cocycle(
-        "Ml",
-        data.n,
-        data.k,
-        {
-            pair: tuple(induced(pair, ci) for ci in range(len(fns)))
-            for pair, fns in data.pair_cocycle.transitions.items()
-        },
-    )
+        if off[r] > off_bound[r]:
+            raise ValidationError("z1 does not lift the first member")
+        z2.append(abs(dA) / np.conj(x.z))
+    out = Cocycle.from_rows("Ml", data.n, data.k, data.nerve, ml_elements(G2, z2))
     report = cech.validate_cocycle(data.nerve, out)
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "
@@ -254,6 +227,31 @@ class DeltaTildeData:
         return v * np.conj(mlkd[0].z) * mlkd[1].z / abs(detA)
 
 
+def _draw_translations(data: PolarizationPairData, rng: np.random.Generator,
+                       pairs: bool = True) -> list:
+    """_DRAWS_PER_CHART seeded (chart, point, m1, m2) per chart: a random
+    overlap sample point of the chart and a random metalinear pair, or
+    (when pairs is False) the first member of one taken twice."""
+    draws = []
+    for ch in data.nerve.charts:
+        pts = _chart_sample_points(data, ch)
+        for _ in range(_DRAWS_PER_CHART):
+            pt = pts[int(rng.integers(len(pts)))]
+            m1, m2 = random_mlkd(rng, data.n, data.k)
+            draws.append((ch, pt, m1, m2 if pairs else m1))
+    return draws
+
+
+def _translation_dets(draws: list, n: int, k: int):
+    """det A of the shared blocks of the drawn metalinear pairs (checked
+    as Mlkd pairs), and the stacks of their two members."""
+    M1 = as_stack([m1.A for _, _, m1, _ in draws], n)
+    M2 = as_stack([m2.A for _, _, _, m2 in draws], n)
+    blocks = classify_pairs(M1, M2, k, [m1.z for _, _, m1, _ in draws],
+                            [m2.z for _, _, _, m2 in draws])
+    return (np.linalg.det(blocks["A"]) if k else [1.0] * len(draws)), M1, M2
+
+
 def _check_translation_law(
     dt: DeltaTildeData,
     data: PolarizationPairData,
@@ -264,21 +262,18 @@ def _check_translation_law(
     The square of the translated value must be delta at the translated
     pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.
     """
+    draws = _draw_translations(data, rng)
+    detA, M1, M2 = _translation_dets(draws, data.n, data.k)
+    ones = [1.0] * len(draws)
+    d1 = np.linalg.det(M1) if data.n else ones
+    d2 = np.linalg.det(M2) if data.n else ones
     worst = 0.0
-    for ch in data.nerve.charts:
-        pts = _chart_sample_points(data, ch)
-        for _ in range(_DRAWS_PER_CHART):
-            pt = pts[int(rng.integers(len(pts)))]
-            m1, m2 = random_mlkd(rng, data.n, data.k)
-            # dt.value(ch, pt, (m1, m2)), sharing one classification
-            tag = subgroup_classify((m1, m2), data.k)
-            detA = np.linalg.det(tag.blocks["A"]) if data.k else 1.0
-            val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(detA)
-            d1 = np.linalg.det(m1.A) if data.n else 1.0
-            d2 = np.linalg.det(m2.A) if data.n else 1.0
-            delta0 = complex(data.delta_samples[ch](pt))
-            target = delta0 * np.conj(d1) * d2 / (detA * detA)
-            worst = max(worst, abs(val * val - target) / max(1.0, abs(target)))
+    for (ch, pt, m1, m2), dA, e1, e2 in zip(draws, detA, d1, d2):
+        # dt.value(ch, pt, (m1, m2)), sharing one classification
+        val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(dA)
+        delta0 = complex(data.delta_samples[ch](pt))
+        target = delta0 * np.conj(e1) * e2 / (dA * dA)
+        worst = max(worst, abs(val * val - target) / max(1.0, abs(target)))
     return worst
 
 
@@ -294,29 +289,32 @@ def build_delta_tilde(
     With normalized data the base value is 1 on every chart; gluing
     requires conj(z1) z2 |det A|^{-1} = base_b / base_a across every
     overlap sample point.  A residual above tolerance raises GluingError
-    (this is the uniqueness detector).
+    (this is the uniqueness detector).  The pairs (z1, z2) of all points
+    are classified as one stack.
     """
     tols = get_tolerances()
     if base_values is None:
         _require_normalized(data)
         base_values = {ch: (lambda pt: 1.0 + 0j) for ch in data.nerve.charts}
     dt = DeltaTildeData(base=base_values, k=data.k)
+    index = data.nerve.point_index
+    l1, l2 = z1.row_values(data.nerve), z2.row_values(data.nerve)
+    blocks = classify_pairs(as_stack([x.A for x in l1], data.n),
+                            as_stack([x.A for x in l2], data.n), data.k,
+                            [x.z for x in l1], [x.z for x in l2])
+    detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(l1)
     bad = {}
-    for pair in sorted(data.nerve.overlaps):
+    for (pair, ci), rows in index.components.items():
         a, b = pair
-        for ci, comp in enumerate(data.nerve.overlaps[pair]):
-            for pt in comp.points:
-                l1 = z1.transitions[pair][ci](pt)
-                l2 = z2.transitions[pair][ci](pt)
-                tag = subgroup_classify((l1, l2), data.k)
-                detA = np.linalg.det(tag.blocks["A"]) if data.k else 1.0
-                factor = np.conj(l1.z) * l2.z / abs(detA)
-                lhs = complex(base_values[a](pt)) * factor
-                rhs = complex(base_values[b](pt))
-                r = abs(lhs - rhs) / max(1.0, abs(rhs))
-                dt.residuals[(pair, ci, pt.id)] = r
-                if r > 1e3 * tols.rel:
-                    bad[(pair, ci, pt.id)] = r
+        for r in rows:
+            pt = index.points[r]
+            factor = np.conj(l1[r].z) * l2[r].z / abs(detA[r])
+            lhs = complex(base_values[a](pt)) * factor
+            rhs = complex(base_values[b](pt))
+            res = abs(lhs - rhs) / max(1.0, abs(rhs))
+            dt.residuals[(pair, ci, pt.id)] = res
+            if res > check_bound(tols):
+                bad[(pair, ci, pt.id)] = res
     if bad:
         raise GluingError("square-root datum does not glue", bad)
     # squared identity against the delta samples
@@ -327,7 +325,7 @@ def build_delta_tilde(
             d = complex(data.delta_samples[ch](pt))
             sq_worst = max(sq_worst, abs(v * v - d) / max(1.0, abs(d)))
     dt.checks["square_identity"] = sq_worst
-    if sq_worst > 1e3 * tols.rel:
+    if sq_worst > check_bound(tols):
         raise GluingError("square identity fails", {"square": sq_worst})
     if rng is not None:
         dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
@@ -414,17 +412,16 @@ def self_compat(
     # metalinear pair multiplies by |z|^2 / |det A| > 0
     if rng is not None:
         worst_imag, min_real = 0.0, float("inf")
-        for ch in data.nerve.charts:
-            pts = _chart_sample_points(data, ch)
-            for _ in range(_DRAWS_PER_CHART):
-                pt = pts[int(rng.integers(len(pts)))]
-                m, _ = random_mlkd(rng, data.n, data.k)
-                val = dt_norm.value(ch, pt, (m, m))
-                worst_imag = max(worst_imag, abs(val.imag))
-                min_real = min(min_real, val.real)
+        draws = _draw_translations(data, rng, pairs=False)
+        detA, _, _ = _translation_dets(draws, data.n, data.k)
+        for (ch, pt, m, _), dA in zip(draws, detA):
+            # dt_norm.value(ch, pt, (m, m)), sharing one classification
+            val = dt_norm.value(ch, pt) * np.conj(m.z) * m.z / abs(dA)
+            worst_imag = max(worst_imag, abs(val.imag))
+            min_real = min(min_real, val.real)
         dt_norm.checks["positivity_imag"] = worst_imag
         dt_norm.checks["positivity_min_real"] = min_real
-        if worst_imag > 1e3 * tols.rel or min_real <= 0:
+        if worst_imag > check_bound(tols) or min_real <= 0:
             raise TheoremFalsification(
                 "normalized self-compatibility value not positive real"
             )

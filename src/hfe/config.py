@@ -46,6 +46,34 @@ def set_tolerances(tols: Tolerances) -> None:
     _current.set(tols)
 
 
+# Named bounds: each residual of the engine is compared with one of these
+# multiples of the current tolerances.
+
+def projection_bound(tols: Tolerances) -> float:
+    """Bound of recipe.projection: a tenth of rel (1e-10 by default)."""
+    return tols.rel / 10
+
+
+def identity_bound(tols: Tolerances) -> float:
+    """Relative bound of an exact algebraic identity of group elements,
+    z**2 = det A or a triple-point cocycle identity: ten times rel."""
+    return 10 * tols.rel
+
+
+def check_bound(tols: Tolerances) -> float:
+    """Bound of the frame-pair, gluing and cross-check residuals: a
+    thousand times rel (1e-6 by default)."""
+    return 1e3 * tols.rel
+
+
+def property_bound(tols: Tolerances) -> float:
+    """Relative bound of an identity reached through several numerical
+    steps (a frame transition, Ball action, square-root tracking): the
+    section consistency, Ball-match, invariance and property checks of
+    the recipe and the premise of induce_compatible, 1e4 times rel."""
+    return 1e4 * tols.rel
+
+
 @contextlib.contextmanager
 def tolerance_overrides(**kwargs: float):
     """Temporarily override selected tolerances in the current context."""

@@ -20,8 +20,18 @@ import numpy as np
 
 from . import ball
 from .config import get_tolerances
-from .errors import SingularityError, SubgroupRejection, ValidationError
-from .groups import GlElement, MlElement, MpElement, SpElement, _tracked_alpha_det
+from .errors import SingularityError, ValidationError
+from .groups import (
+    GlElement,
+    MlElement,
+    MpElement,
+    SpElement,
+    block_pattern,
+    ml_elements,
+    raise_first,
+    shared_corner,
+    tracked_alpha_det,
+)
 from .tracking import track_sqrt
 
 
@@ -92,27 +102,39 @@ def validate_lagrangian(
     V = np.asarray(V, dtype=complex)
     if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValidationError("U, V must be square matrices of equal size")
+    return validate_lagrangian_stack(U[None], V[None])[0]
+
+
+def validate_lagrangian_stack(U: np.ndarray, V: np.ndarray) -> list[LagFrame]:
+    """validate_lagrangian of every frame (U[p], V[p]) of two (P, n, n)
+    stacks; raises for the first frame that fails."""
     tols = get_tolerances()
-    scale = (
-        max(1.0, float(np.max(np.abs(U))), float(np.max(np.abs(V))))
-        if U.size
-        else 1.0
-    )
-    iso = float(np.max(np.abs(U.T @ V - V.T @ U))) if U.size else 0.0
-    if iso > tols.rel * scale * scale:
-        raise ValidationError(f"frame not isotropic (residual {iso:.3e})")
-    indep = complex(np.linalg.det(U.conj().T @ U + V.conj().T @ V)) if U.size else 1.0
-    if abs(indep) <= tols.singular:
-        raise ValidationError("frame vectors dependent")
-    H = 1j * (V.conj().T @ U - U.conj().T @ V)
-    mineig = float(np.min(np.linalg.eigvalsh(0.5 * (H + H.conj().T)))) if U.size else 0.0
-    return LagFrame(
-        U=U, V=V,
-        isotropy_residual=iso,
-        independence=indep,
-        min_eigenvalue=mineig,
-        positive=bool(mineig >= -tols.abs * scale * scale),
-    )
+    P, n = len(U), U.shape[-1]
+    if not n:
+        return [LagFrame(U=u, V=v, isotropy_residual=0.0, independence=1.0,
+                         min_eigenvalue=0.0, positive=True) for u, v in zip(U, V)]
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(U), axis=axes),
+                                       np.max(np.abs(V), axis=axes)))
+    Ut, Vt = np.swapaxes(U, -1, -2), np.swapaxes(V, -1, -2)
+    iso = np.max(np.abs(Ut @ V - Vt @ U), axis=axes)
+    indep = np.linalg.det(Ut.conj() @ U + Vt.conj() @ V)
+    raise_first([
+        (iso > tols.rel * scale * scale, lambda p: ValidationError(
+            f"frame not isotropic (residual {iso[p]:.3e})")),
+        (np.abs(indep) <= tols.singular,
+         lambda p: ValidationError("frame vectors dependent")),
+    ])
+    H = 1j * (Vt.conj() @ U - Ut.conj() @ V)
+    mineig = np.min(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2).conj())),
+                    axis=-1)
+    positive = mineig >= -tols.abs * scale * scale
+    return [
+        LagFrame(U=U[p], V=V[p], isotropy_residual=i, independence=d,
+                 min_eigenvalue=e, positive=b)
+        for p, (i, d, e, b) in enumerate(zip(iso.tolist(), indep.tolist(),
+                                             mineig.tolist(), positive.tolist()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -124,22 +146,34 @@ class LagFramePair:
     k: int
 
     def __post_init__(self):
-        k, n = self.k, self.first.n
-        if self.second.n != n or not (0 <= k <= n):
+        if self.second.n != self.first.n:
             raise ValidationError("pair dimension/k mismatch")
-        tols = get_tolerances()
-        s1, s2 = self.first.stacked(), self.second.stacked()
-        if k:
-            if np.max(np.abs(s1[:, :k].imag)) > tols.abs or np.max(
-                np.abs(s2[:, :k].imag)
-            ) > tols.abs:
-                raise ValidationError("shared columns must be real")
-            if np.max(np.abs(s1[:, :k] - s2[:, :k])) > tols.abs:
-                raise ValidationError("first k columns differ across the pair")
+        check_frame_pairs(self.first.stacked()[None], self.second.stacked()[None],
+                          self.k)
 
     @property
     def n(self) -> int:
         return self.first.n
+
+
+def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
+    """The LagFramePair test of the frames with stacked columns S1[p] and
+    S2[p], stacks (P, 2n, n): their first k columns are real and shared.
+    Raises for the first pair that fails."""
+    n = S1.shape[-1]
+    if S2.shape[-1] != n or not (0 <= k <= n):
+        raise ValidationError("pair dimension/k mismatch")
+    if not k:
+        return
+    tol = get_tolerances().abs
+    axes = (-2, -1)
+    raise_first([
+        ((np.max(np.abs(S1[..., :k].imag), axis=axes) > tol)
+         | (np.max(np.abs(S2[..., :k].imag), axis=axes) > tol),
+         lambda p: ValidationError("shared columns must be real")),
+        (np.max(np.abs(S1[..., :k] - S2[..., :k]), axis=axes) > tol,
+         lambda p: ValidationError("first k columns differ across the pair")),
+    ])
 
 
 def frame_compose(frame: np.ndarray, X: tuple[np.ndarray, np.ndarray],
@@ -164,13 +198,24 @@ def frame_compose(frame: np.ndarray, X: tuple[np.ndarray, np.ndarray],
 def delta(pair: LagFramePair, model: Optional[SymplecticModel] = None) -> complex:
     """Pairing determinant det(-i omega(conj u_i, v_j)) over i,j > k."""
     model = model or SymplecticModel(pair.n)
-    s1, s2 = pair.first.stacked(), pair.second.stacked()
-    k = pair.k
-    M = -1j * (s1[:, k:].conj().T @ model.omega @ s2[:, k:])
-    val = complex(np.linalg.det(M)) if M.size else 1.0 + 0j
-    if abs(val) < get_tolerances().singular:
-        raise SingularityError("pairing determinant vanishes (invalid pair)")
-    return val
+    return delta_stack(pair.first.stacked()[None], pair.second.stacked()[None],
+                       pair.k, model.omega)[0]
+
+
+def delta_stack(S1: np.ndarray, S2: np.ndarray, k: int,
+                omega: Optional[np.ndarray] = None) -> list[complex]:
+    """delta of the frame pairs with stacked columns S1[p] and S2[p],
+    stacks (P, 2n, n), for the standard form unless omega is given;
+    raises for the first pair whose determinant vanishes."""
+    if omega is None:
+        omega = SymplecticModel(S1.shape[-1]).omega
+    M = -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:])
+    vals = np.linalg.det(M).tolist() if M.shape[-1] else [1.0 + 0j] * len(M)
+    singular = get_tolerances().singular
+    raise_first([(np.array([abs(v) < singular for v in vals], dtype=bool),
+                  lambda p: SingularityError(
+                      "pairing determinant vanishes (invalid pair)"))])
+    return vals
 
 
 @dataclass(frozen=True)
@@ -182,16 +227,39 @@ class BallPoint:
     def __post_init__(self):
         W = np.asarray(self.W, dtype=complex)
         object.__setattr__(self, "W", W)
-        tols = get_tolerances()
-        sym, excess = ball.ball_point_residuals(W)
-        if sym > tols.abs * max(1.0, float(np.max(np.abs(W))) if W.size else 1.0):
-            raise ValidationError("Ball point not symmetric")
-        if excess > tols.abs:
-            raise ValidationError("Ball point has operator norm > 1")
+        check_ball(W[None])
 
     @property
     def n(self) -> int:
         return self.W.shape[0]
+
+
+def check_ball(W: np.ndarray) -> None:
+    """The Ball membership test of a stack W (P, n, n): every W[p] is
+    symmetric and of operator norm at most 1.  Raises for the first
+    point that fails."""
+    tols = get_tolerances()
+    sym, excess = ball.ball_point_residuals(W)
+    scale = np.maximum(1.0, np.max(np.abs(W), axis=(-2, -1))) if W.shape[-1] else 1.0
+    raise_first([
+        (sym > tols.abs * scale,
+         lambda p: ValidationError("Ball point not symmetric")),
+        (excess > tols.abs,
+         lambda p: ValidationError("Ball point has operator norm > 1")),
+    ])
+
+
+def ball_points(W: np.ndarray) -> list[BallPoint]:
+    """The Ball points of a stack W (P, n, n), checked in one pass of
+    check_ball."""
+    W = np.asarray(W, dtype=complex)
+    check_ball(W)
+    out = []
+    for w in W:
+        pt = object.__new__(BallPoint)
+        object.__setattr__(pt, "W", w)
+        out.append(pt)
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,21 +313,28 @@ def gamma(W1, W2, via: Optional[float] = None) -> complex:
     """
     W1 = W1.W if isinstance(W1, BallPoint) else np.asarray(W1, complex)
     W2 = W2.W if isinstance(W2, BallPoint) else np.asarray(W2, complex)
-    n = W1.shape[0]
+    return gamma_stack(W1[None], W2[None], via)[0]
+
+
+def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
+                ) -> list[complex]:
+    """gamma(W1[p], W2[p]) of two stacks (P, n, n) of Ball points, tracked
+    as one stack of paths."""
+    P, n = len(W1), W1.shape[-1]
     if n == 0:
-        return 1.0 + 0j
-    M = W1.conj().T @ W2
+        return [1.0 + 0j] * P
+    M = np.swapaxes(W1, -1, -2).conj() @ W2
     eye = np.eye(n)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return np.linalg.det(0.5 * (eye - (t * t)[:, None, None] * M))
+        return np.linalg.det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
 
-    anchor = 2.0 ** (-n / 2.0)
+    anchors = [2.0 ** (-n / 2.0)] * P
     if via is None:
-        return track_sqrt(f, anchor)
+        return track_sqrt(f, anchors)
     if not (0.0 < via < 1.0):
         raise ValidationError("via must lie in (0, 1)")
-    z_mid = track_sqrt(f, anchor, 0.0, via)
+    z_mid = track_sqrt(f, anchors, 0.0, via)
     return track_sqrt(f, z_mid, via, 1.0)
 
 
@@ -270,42 +345,33 @@ def alpha_tilde(gt: MpElement, W: BallPoint | np.ndarray) -> MlElement:
     straight segment s -> s W by square-root tracking of det alpha.
     """
     Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    z, a1 = _tracked_alpha_det(gt.g.g, Wm, gt.zeta)
-    return MlElement(a1, z)
+    return alpha_tilde_stack(gt.g.g[None], [gt.zeta], Wm[None])[0]
+
+
+def alpha_tilde_stack(g: np.ndarray, zeta, W: np.ndarray) -> list[MlElement]:
+    """alpha_tilde of the metaplectic elements (g[p], zeta[p]) at the Ball
+    points W[p], for stacks g (P, 2n, 2n) and W (P, n, n), tracked as one
+    stack of paths."""
+    z, a1 = tracked_alpha_det(g, W, zeta)
+    return ml_elements(a1, z)
 
 
 # ---------------------------------------------------------------------------
 # D-adapted block forms
 # ---------------------------------------------------------------------------
 
-def _frame_blocks(U: np.ndarray, V: np.ndarray, k: int) -> dict:
-    """Extract blocks of a frame in D-adapted form.
-
-    U = (A B; 0 Ur), V = (0 0; 0 Vr) with A real invertible k x k.
-    """
+def frame_pattern(U: np.ndarray, V: np.ndarray, k: int):
+    """The block-pattern checks of frames (U[p], V[p]) in D-adapted form,
+    U = (A B; 0 Ur), V = (0 0; 0 Vr) with A real invertible k x k, for
+    stacks (P, n, n), and their blocks as stacks."""
     tols = get_tolerances()
-    n = U.shape[0]
-    bad = [(i, j) for i in range(n) for j in range(k) if abs(V[i, j]) > tols.abs]
-    bad += [(i, j) for i in range(k) for j in range(k, n) if abs(V[i, j]) > tols.abs]
-    if bad:
-        raise SubgroupRejection("V does not vanish on the D-block", bad)
-    bad = [(i, j) for i in range(k, n) for j in range(k) if abs(U[i, j]) > tols.abs]
-    if bad:
-        raise SubgroupRejection("U lower-left block nonzero", bad)
-    A = U[:k, :k]
-    bad = [(i, j) for i in range(k) for j in range(k) if abs(A[i, j].imag) > tols.abs]
-    if bad:
-        raise SubgroupRejection("A-block not real", bad)
-    A = A.real
-    if k and abs(np.linalg.det(A)) <= tols.singular:
-        raise SingularityError("A-block singular")
-    return {"A": A, "B": U[:k, k:], "Ur": U[k:, k:], "Vr": V[k:, k:]}
-
-
-def _shared_A(b1: dict, b2: dict, k: int) -> np.ndarray:
-    if k and np.max(np.abs(b1["A"] - b2["A"])) > get_tolerances().abs:
-        raise SubgroupRejection("A-blocks differ across the pair", [])
-    return b1["A"]
+    n = U.shape[-1]
+    head, tail, rows = slice(0, k), slice(k, n), slice(0, n)
+    checks, A = block_pattern(
+        [("V does not vanish on the D-block", V, [(rows, head), (head, tail)], tols.abs),
+         ("U lower-left block nonzero", U, [(tail, head)], tols.abs)],
+        U, k)
+    return checks, {"A": A, "B": U[:, :k, k:], "Ur": U[:, k:, k:], "Vr": V[:, k:, k:]}
 
 
 def delta_L(pairX, k: int) -> complex:
@@ -315,48 +381,41 @@ def delta_L(pairX, k: int) -> complex:
     det(i (V1r* U2r - U1r* V2r)) on the reduced blocks.
     """
     (U1, V1), (U2, V2) = pairX
-    U1, V1, U2, V2 = (np.asarray(m, complex) for m in (U1, V1, U2, V2))
-    b1 = _frame_blocks(U1, V1, k)
-    b2 = _frame_blocks(U2, V2, k)
-    _shared_A(b1, b2, k)
-    M = 1j * (b1["Vr"].conj().T @ b2["Ur"] - b1["Ur"].conj().T @ b2["Vr"])
-    val = complex(np.linalg.det(M)) if M.size else 1.0 + 0j
-    if abs(val) < get_tolerances().singular:
-        raise SingularityError("reduced pairing determinant vanishes")
-    return val
+    U1, V1, U2, V2 = (np.asarray(m, complex)[None] for m in (U1, V1, U2, V2))
+    return delta_L_stack(U1, V1, U2, V2, k)[0]
 
 
-def _meta_blocks(X: MetaLagFrame, k: int) -> dict:
-    """Extract blocks of a meta frame in block form.
+def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
+    """delta_L of the frame pairs ((U1[p], V1[p]), (U2[p], V2[p])) of four
+    (P, n, n) stacks; raises for the first pair that fails."""
+    checks1, b1 = frame_pattern(U1, V1, k)
+    checks2, b2 = frame_pattern(U2, V2, k)
+    M = 1j * (np.swapaxes(b1["Vr"], -1, -2).conj() @ b2["Ur"]
+              - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
+    vals = (np.linalg.det(M).tolist() if M.shape[-1]
+            else [1.0 + 0j] * len(M))
+    singular = get_tolerances().singular
+    raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
+        (np.array([abs(v) < singular for v in vals], dtype=bool),
+         lambda p: SingularityError("reduced pairing determinant vanishes"))])
+    return vals
 
-    W = diag(1_k, Wr) and C = (A B; 0 Cr) with A real invertible.
-    """
+
+def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
+    """The block-pattern checks of meta frames (W[p], C[p]) in block form,
+    W = diag(1_k, Wr) and C = (A B; 0 Cr) with A real invertible, for
+    stacks (P, n, n), and their blocks as stacks."""
     tols = get_tolerances()
-    W, C = X.W.W, X.C.A
-    n = W.shape[0]
-    bad = [
-        (i, j)
-        for i in range(k)
-        for j in range(n)
-        if abs(W[i, j] - (1.0 if i == j else 0.0)) > 1e3 * tols.abs
-    ]
-    bad += [(i, j) for i in range(k, n) for j in range(k) if abs(W[i, j]) > 1e3 * tols.abs]
-    if bad:
-        raise SubgroupRejection("W not of the form diag(1, Wr)", bad)
-    cb = {"A": None, "B": C[:k, k:], "Cr": C[k:, k:]}
-    bad = [(i, j) for i in range(k, n) for j in range(k) if abs(C[i, j]) > tols.abs]
-    if bad:
-        raise SubgroupRejection("C lower-left block nonzero", bad)
-    A = C[:k, :k]
-    bad = [(i, j) for i in range(k) for j in range(k) if abs(A[i, j].imag) > tols.abs]
-    if bad:
-        raise SubgroupRejection("C's A-block not real", bad)
-    cb["A"] = A.real
-    if k and abs(np.linalg.det(cb["A"])) <= tols.singular:
-        raise SingularityError("A-block singular")
-    cb["Wr"] = W[k:, k:]
-    cb["z"] = X.C.z
-    return cb
+    n = W.shape[-1]
+    head, tail, rows = slice(0, k), slice(k, n), slice(0, n)
+    unit = np.zeros((n, n))
+    unit[:k, :k] = np.eye(k)
+    checks, A = block_pattern(
+        [("W not of the form diag(1, Wr)", W - unit, [(head, rows), (tail, head)],
+          1e3 * tols.abs),
+         ("C lower-left block nonzero", C, [(tail, head)], tols.abs)],
+        C, k, "C's A-block not real")
+    return checks, {"A": A, "B": C[:, :k, k:], "Cr": C[:, k:, k:], "Wr": W[:, k:, k:]}
 
 
 def delta_L_tilde(pairXt: tuple[MetaLagFrame, MetaLagFrame], k: int) -> complex:
@@ -366,11 +425,21 @@ def delta_L_tilde(pairXt: tuple[MetaLagFrame, MetaLagFrame], k: int) -> complex:
     points; its square is delta_L of the projected pair.
     """
     X1, X2 = pairXt
-    b1 = _meta_blocks(X1, k)
-    b2 = _meta_blocks(X2, k)
-    A = _shared_A(b1, b2, k)
-    absdetA = abs(np.linalg.det(A)) if k else 1.0
-    return b1["z"].conjugate() * b2["z"] / absdetA * gamma(b1["Wr"], b2["Wr"])
+    return delta_L_tilde_stack(X1.W.W[None], X1.C.A[None], [X1.C.z],
+                               X2.W.W[None], X2.C.A[None], [X2.C.z], k)[0]
+
+
+def delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k: int) -> list[complex]:
+    """delta_L_tilde of the meta frame pairs ((W1[p], (C1[p], z1[p])),
+    (W2[p], (C2[p], z2[p]))) for stacks W, C (P, n, n) and sequences z of
+    P scalars, with the Gamma factors tracked as one stack of paths;
+    raises for the first pair that fails."""
+    checks1, b1 = meta_pattern(W1, C1, k)
+    checks2, b2 = meta_pattern(W2, C2, k)
+    raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
+    absdetA = np.abs(np.linalg.det(b1["A"])) if k else [1.0] * len(W1)
+    return [a.conjugate() * b / d * g for a, b, d, g in
+            zip(z1, z2, absdetA, gamma_stack(b1["Wr"], b2["Wr"]))]
 
 
 def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],

@@ -207,17 +207,61 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 
+def _block_shapes(n: int, k: int) -> dict:
+    """Matrix parameter shapes of a D-adapted block frame; A is read only
+    when k > 0."""
+    r = n - k
+    shapes = {"A": (k, k)} if k else {}
+    return {**shapes, "B": (k, r), "Wr": (r, r), "Wr_slope": (r, r), "Cr": (r, r)}
+
+
+def _shapes(name: str, n: int, k: int) -> dict:
+    """The shape of every matrix parameter of a generator, nested for
+    the members of a pair."""
+    square = (n, n)
+    return {
+        "const": {"value": square},
+        "pair_const": {"first": square, "second": square},
+        "ml_const": {"A": square},
+        "mp_const": {"g": (2 * n, 2 * n)},
+        "frame_const": {"U": square, "V": square},
+        "frame_phi_inv": {"W": square, "C": square},
+        "frame_blocks": _block_shapes(n, k),
+        "meta_pair_blocks": {"first": _block_shapes(n, k),
+                             "second": _block_shapes(n, k)},
+    }.get(name, {})
+
+
+def _check_shapes(params: dict, shapes: dict, prefix: str = "") -> None:
+    """Raise ValueError for a matrix parameter of the wrong shape; a
+    missing one is left to the generator, which names it."""
+    for key, shape in shapes.items():
+        if key not in params:
+            continue
+        if isinstance(shape, dict):
+            _check_shapes(params[key], shape, f"{prefix}{key}.")
+            continue
+        got = parse_matrix(params[key]).shape
+        if got != shape:
+            raise ValueError(
+                f"parameter '{prefix}{key}' must be {shape[0]} x {shape[1]}, "
+                f"got {' x '.join(map(str, got))}"
+            )
+
+
 def build_generator(spec: dict, n: int, k: int) -> Callable[[SamplePoint], Any]:
     """Instantiate a generator description {"name": ..., "params": {...}}.
 
     Parameters it cannot build from (a missing key, a value of the wrong
-    type or shape) raise ValidationError.
+    type, a matrix of the wrong shape for n and k) raise ValidationError.
     """
     name = spec.get("name")
     if name not in _REGISTRY:
         raise ValidationError(f"unknown generator {name!r}")
+    params = spec.get("params", {})
     try:
-        return _REGISTRY[name](spec.get("params", {}), n, k)
+        _check_shapes(params, _shapes(name, n, k))
+        return _REGISTRY[name](params, n, k)
     except KeyError as exc:
         raise ValidationError(f"generator {name!r}: missing parameter {exc}") from exc
     except (TypeError, ValueError) as exc:

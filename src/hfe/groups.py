@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import ball
-from .config import get_tolerances
+from .config import get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError
 from .tracking import principal_sqrt, track_sqrt
 
@@ -27,6 +27,14 @@ def _as_square(A: Any, name: str = "matrix") -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {A.shape}")
     return A
+
+
+def as_stack(mats, n: int) -> np.ndarray:
+    """The (P, n, n) complex stack of P matrices, P = 0 included."""
+    A = np.array(mats, dtype=complex)
+    if A.shape[1:] != (n, n) and len(mats):
+        raise ValidationError(f"expected {n} x {n} matrices, got shape {A.shape[1:]}")
+    return A.reshape(len(mats), n, n)
 
 
 @dataclass(frozen=True)
@@ -57,12 +65,7 @@ class MlElement:
         A = _as_square(self.A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "z", complex(self.z))
-        d = np.linalg.det(A) if A.size else 1.0 + 0j
-        tols = get_tolerances()
-        if abs(d) <= tols.singular:
-            raise SingularityError("matrix is singular")
-        if abs(self.z * self.z - d) > 10 * tols.rel * abs(d):
-            raise ValidationError("z**2 != det(A): not a metalinear element")
+        check_ml(A[None], [self.z])
 
     @property
     def n(self) -> int:
@@ -70,6 +73,35 @@ class MlElement:
 
     def project(self) -> GlElement:
         return GlElement(self.A)
+
+
+def check_ml(A: np.ndarray, z) -> None:
+    """The Ml membership test of a stack: every A[p] of the (P, n, n)
+    stack A is nonsingular with z[p]**2 = det A[p].  Raises for the first
+    point that fails."""
+    tols = get_tolerances()
+    bound = identity_bound(tols)
+    dets = np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
+    for zp, d in zip(z, dets):
+        if abs(d) <= tols.singular:
+            raise SingularityError("matrix is singular")
+        if abs(zp * zp - d) > bound * abs(d):
+            raise ValidationError("z**2 != det(A): not a metalinear element")
+
+
+def ml_elements(A: np.ndarray, z) -> list[MlElement]:
+    """The metalinear elements (A[p], z[p]) of a (P, n, n) stack and P
+    scalars, checked in one pass of check_ml."""
+    A = np.asarray(A, dtype=complex)
+    zs = [complex(v) for v in z]
+    check_ml(A, zs)
+    out = []
+    for a, v in zip(A, zs):
+        el = object.__new__(MlElement)
+        object.__setattr__(el, "A", a)
+        object.__setattr__(el, "z", v)
+        out.append(el)
+    return out
 
 
 def ml_identity(n: int) -> MlElement:
@@ -123,20 +155,36 @@ class SpElement:
 
     def residuals(self) -> tuple[float, float, float]:
         """Residuals of T4'T1 - T2'T3 = 1, T1'T3 = T3'T1, T2'T4 = T4'T2."""
-        T1, T2, T3, T4 = self.blocks
-        r1 = np.max(np.abs(T4.T @ T1 - T2.T @ T3 - np.eye(self.n)))
-        r2 = np.max(np.abs(T1.T @ T3 - T3.T @ T1))
-        r3 = np.max(np.abs(T2.T @ T4 - T4.T @ T2))
-        return float(r1), float(r2), float(r3)
+        return tuple(sp_residuals(self.g[None])[0].tolist())
+
+
+def sp_residuals(g: np.ndarray) -> np.ndarray:
+    """SpElement.residuals of a stack g (P, 2n, 2n), as a (P, 3) array."""
+    T1, T2, T3, T4 = ball.sp_blocks(g)
+    Tt = [np.swapaxes(T, -1, -2) for T in (T1, T2, T3, T4)]
+    axes = (-2, -1)
+    r1 = np.max(np.abs(Tt[3] @ T1 - Tt[1] @ T3 - np.eye(g.shape[-1] // 2)),
+                axis=axes, initial=0.0)
+    r2 = np.max(np.abs(Tt[0] @ T3 - Tt[2] @ T1), axis=axes, initial=0.0)
+    r3 = np.max(np.abs(Tt[1] @ T4 - Tt[3] @ T2), axis=axes, initial=0.0)
+    return np.stack([r1, r2, r3], axis=-1)
+
+
+def check_sp(g: np.ndarray) -> np.ndarray:
+    """The test of sp_validate on a stack g (P, 2n, 2n): raises for the
+    first matrix that is not symplectic; returns the residuals."""
+    res = sp_residuals(g)
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+    raise_first([(np.max(res, axis=-1) > get_tolerances().rel * scale,
+                  lambda p: ValidationError(
+                      f"matrix is not symplectic, residuals {tuple(res[p].tolist())}"))])
+    return res
 
 
 def sp_validate(g: np.ndarray | SpElement) -> SpElement:
     """Validate the three block identities of a symplectic matrix."""
     el = g if isinstance(g, SpElement) else SpElement(np.asarray(g))
-    res = el.residuals()
-    tols = get_tolerances()
-    if max(res) > tols.rel * max(1.0, float(np.max(np.abs(el.g)))):
-        raise ValidationError(f"matrix is not symplectic, residuals {res}")
+    check_sp(el.g[None])
     return el
 
 
@@ -185,21 +233,23 @@ def mp_identity(n: int) -> MpElement:
     return MpElement(sp_identity(n), 1.0)
 
 
-def _tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta: complex
-                       ) -> tuple[complex, np.ndarray]:
-    """Continue zeta (anchored at W=0) to the Ball point W.
+def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
+                      ) -> tuple[list[complex], np.ndarray]:
+    """Continue each anchor zeta[p] (at W = 0) to the Ball point W[p].
 
-    Tracks the square root of det alpha(g, s*W) along the straight
-    segment s in [0, 1], all parameters of a call in one stack.  Returns
-    the root and alpha(g, W), read off the first call: track_sqrt's
-    uniform grid, whose last point is s = 1.
+    Tracks the square roots of det alpha(g[p], s*W[p]) along the straight
+    segments s in [0, 1] as one stack of paths, for stacks g (P, 2n, 2n)
+    and W (P, n, n).  Returns the roots and alpha(g, W) (P, n, n), read
+    off the first call: track_sqrt's uniform grid, whose last point is
+    s = 1.
     """
     grid: list[np.ndarray] = []
+    g = np.asarray(g)[:, None]
 
     def f(s: np.ndarray) -> np.ndarray:
-        a = ball.alpha_raw(g, s[:, None, None] * W)[1]
+        a = ball.alpha_raw(g, s[None, :, None, None] * W[:, None])[1]
         if not grid:
-            grid.append(a[-1])
+            grid.append(a[:, -1])
         return np.linalg.det(a)
 
     return track_sqrt(f, zeta), grid[0]
@@ -216,8 +266,8 @@ def mp_mul(a: MpElement, b: MpElement) -> MpElement:
     if a.n != b.n:
         raise ValidationError("dimension mismatch in mp_mul")
     Wb, _ = ball.alpha_raw(b.g.g, np.zeros((b.n, b.n)))
-    za, _ = _tracked_alpha_det(a.g.g, Wb, a.zeta)
-    return MpElement(SpElement(a.g.g @ b.g.g), za * b.zeta)
+    za, _ = tracked_alpha_det(a.g.g[None], Wb[None], [a.zeta])
+    return MpElement(SpElement(a.g.g @ b.g.g), za[0] * b.zeta)
 
 
 def mp_inv(a: MpElement) -> MpElement:
@@ -244,65 +294,143 @@ class SubgroupTag:
     blocks: dict = field(default_factory=dict)
 
 
-def _check_glk_pattern(A: np.ndarray, k: int, label: str = "") -> dict:
-    """Upper block-triangular with a real invertible k x k corner.
+def raise_first(checks) -> None:
+    """Raise for the first point of a stack that fails a check, the
+    exception of its first failing check.
 
-    Returns the extracted blocks; raises SubgroupRejection with the
-    offending indices otherwise.
+    ``checks`` lists, in the order one point is checked, pairs (bad,
+    error): bad a (P,) boolean array flagging the failing points, and
+    error(p) the exception of point p.
+    """
+    if not checks:
+        return
+    bad = np.array([b for b, _ in checks])
+    hit = bad.any(axis=0)
+    if hit.any():
+        p = int(np.argmax(hit))
+        raise checks[int(np.argmax(bad[:, p]))][1](p)
+
+
+def _region_check(message: str, dev: np.ndarray, regions, tol: float):
+    """The check that every entry of dev[p] in the regions (pairs of row
+    and column slices with explicit starts) is within tol of zero."""
+    over = [np.abs(dev[:, r, c]) > tol for r, c in regions]
+    bad = np.zeros(len(dev), dtype=bool)
+    for o in over:
+        bad |= o.any(axis=(1, 2))
+
+    def error(p: int) -> SubgroupRejection:
+        return SubgroupRejection(message, [
+            (r.start + i, c.start + j)
+            for (r, c), o in zip(regions, over) for i, j in np.argwhere(o[p]).tolist()
+        ])
+
+    return bad, error
+
+
+def block_pattern(rules, corner: np.ndarray, k: int,
+                  real_message: str = "A-block not real"):
+    """The stacked block-pattern check, and the real k x k corners.
+
+    ``rules`` lists (message, dev, regions, tol): every entry of dev[p]
+    (a stack (P, n, n)) in the regions, pairs of row and column slices,
+    must be within tol of zero.  The k x k corner of corner[p] must then
+    be real (real_message) and invertible.  Returns the checks, in the
+    order one point is checked, for raise_first (a failing rule is a
+    SubgroupRejection with the offending indices, region by region and
+    row-major; a singular corner a SingularityError), and the (P, k, k)
+    real parts of the corners.
     """
     tols = get_tolerances()
-    n = A.shape[0]
+    corners = corner[:, :k, :k]
+    checks = [_region_check(*rule) for rule in rules]
+    checks.append(_region_check(real_message, corners.imag,
+                                [(slice(0, k), slice(0, k))], tols.abs))
+    corners = corners.real
+    if k:
+        checks.append((np.abs(np.linalg.det(corners)) <= tols.singular,
+                       lambda p: SingularityError("A-block singular")))
+    return checks, corners
+
+
+def _glk_pattern(A: np.ndarray, k: int, label: str = ""):
+    """Upper block-triangular with a real invertible k x k corner: the
+    checks of a stack A (P, n, n) and its real corners."""
+    n = A.shape[-1]
     if not (0 <= k <= n):
         raise ValidationError(f"k={k} out of range for n={n}")
-    bad = [
-        (i, j)
-        for i in range(k, n)
-        for j in range(k)
-        if abs(A[i, j]) > tols.abs
-    ]
-    if bad:
-        raise SubgroupRejection(f"nonzero lower-left block{label}", bad)
-    Ak = A[:k, :k]
-    bad = [
-        (i, j) for i in range(k) for j in range(k) if abs(Ak[i, j].imag) > tols.abs
-    ]
-    if bad:
-        raise SubgroupRejection(f"A-block not real{label}", bad)
-    Ak = Ak.real
-    if k and abs(np.linalg.det(Ak)) <= tols.singular:
-        raise SingularityError("A-block singular")
-    return {"A": Ak, "B": A[:k, k:], "D": A[k:, k:]}
+    return block_pattern(
+        [(f"nonzero lower-left block{label}", A, [(slice(k, n), slice(0, k))],
+          get_tolerances().abs)],
+        A, k, f"A-block not real{label}")
 
 
-def _check_spk_pattern(g: np.ndarray, k: int) -> dict:
-    """Block pattern of the symplectic subgroup preserving a rank-k real
-    subspace, with index blocks (0:k, k:n, n:n+k, n+k:2n)."""
+def shared_corner(A1: np.ndarray, A2: np.ndarray, k: int) -> list:
+    """The check, for raise_first, that the pairs of real k x k corners
+    (A1[p], A2[p]) agree."""
+    if not k:
+        return []
+    return [(np.max(np.abs(A1 - A2), axis=(-2, -1)) > get_tolerances().abs,
+             lambda p: SubgroupRejection("A-blocks differ across the pair", []))]
+
+
+def classify_pairs(A1: np.ndarray, A2: np.ndarray, k: int,
+                   z1=None, z2=None) -> dict:
+    """Stacked Glkd membership of the pairs (A1[p], A2[p]), or Mlkd
+    membership with the scalars z1[p], z2[p]: both members upper
+    block-triangular with one real invertible k x k corner A and, for
+    Mlkd, z**2 = det(A) det(D).  Raises for the first failing pair;
+    returns the blocks as stacks.
+    """
     tols = get_tolerances()
-    n = g.shape[0] // 2
+    n = A1.shape[-1]
+    checks1, A = _glk_pattern(A1, k, " (first)")
+    checks2, Ab = _glk_pattern(A2, k, " (second)")
+    checks = checks1 + checks2 + shared_corner(A, Ab, k)
+    blocks = {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:],
+              "D1": A1[:, k:, k:], "D2": A2[:, k:, k:]}
+    if z1 is not None:
+        bound = identity_bound(tols)
+        dA = np.linalg.det(A) if k else [1.0] * len(A)
+        for who, z, D in (("first", z1, blocks["D1"]), ("second", z2, blocks["D2"])):
+            dD = np.linalg.det(D) if k < n else [1.0] * len(A)
+            bad = np.array([abs(zp * zp - a * d) > bound * abs(a * d)
+                            for zp, a, d in zip(z, dA, dD)], dtype=bool)
+            checks.append((bad, lambda p, who=who: SubgroupRejection(
+                f"z**2 != det(A) det(D) ({who})", [])))
+        blocks.update(z1=z1, z2=z2)
+    raise_first(checks)
+    return blocks
+
+
+def spk_blocks(g: np.ndarray, k: int) -> dict:
+    """Stacked Spk membership: the block pattern of the symplectic
+    subgroup preserving a rank-k real subspace, with index blocks (0:k,
+    k:n, n:n+k, n+k:2n), for a stack g (P, 2n, 2n).  Raises for the first
+    failing matrix; returns the blocks A_g and g_r as stacks."""
+    tols = get_tolerances()
+    n = g.shape[-1] // 2
     if not (0 <= k <= n):
         raise ValidationError(f"k={k} out of range for n={n}")
     s = [slice(0, k), slice(k, n), slice(n, n + k), slice(n + k, 2 * n)]
     zero_blocks = [(1, 0), (2, 0), (2, 1), (2, 3), (3, 0)]
-    bad = []
-    for bi, bj in zero_blocks:
-        block = g[s[bi], s[bj]]
-        for (i, j), v in np.ndenumerate(block):
-            if abs(v) > tols.abs:
-                bad.append((s[bi].start + i, s[bj].start + j))
-    if bad:
-        raise SubgroupRejection("zero pattern violated", bad)
-    A_g = g[s[0], s[0]].T
-    if k and abs(np.linalg.det(A_g)) <= tols.singular:
-        raise SingularityError("A_g block singular")
-    inv_res = (
-        float(np.max(np.abs(g[s[2], s[2]] - np.linalg.inv(A_g)))) if k else 0.0
-    )
-    if inv_res > 1e3 * tols.rel * max(1.0, float(np.max(np.abs(g)))):
-        raise SubgroupRejection(
-            "third diagonal block is not the inverse of the first", []
-        )
-    g_r = np.block([[g[s[1], s[1]], g[s[1], s[3]]], [g[s[3], s[1]], g[s[3], s[3]]]])
-    sp_validate(g_r)
+    checks = [_region_check("zero pattern violated", g,
+                            [(s[i], s[j]) for i, j in zero_blocks], tols.abs)]
+    A_g = np.swapaxes(g[:, s[0], s[0]], -1, -2)
+    if k:
+        checks.append((np.abs(np.linalg.det(A_g)) <= tols.singular,
+                       lambda p: SingularityError("A_g block singular")))
+    raise_first(checks)
+    if k:
+        inv_res = np.max(np.abs(g[:, s[2], s[2]] - np.linalg.inv(A_g)), axis=(-2, -1))
+        bound = 1e3 * tols.rel * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        raise_first([(inv_res > bound, lambda p: SubgroupRejection(
+            "third diagonal block is not the inverse of the first", []))])
+    g_r = np.concatenate([
+        np.concatenate([g[:, s[1], s[1]], g[:, s[1], s[3]]], axis=-1),
+        np.concatenate([g[:, s[3], s[1]], g[:, s[3], s[3]]], axis=-1),
+    ], axis=-2)
+    check_sp(g_r)
     return {"A_g": A_g, "g_r": g_r}
 
 
@@ -314,42 +442,27 @@ def subgroup_classify(x: Any, k: int) -> SubgroupTag:
     SpElement (-> Spk) or an MpElement (-> Mpk).  Raises SubgroupRejection
     (with offending indices) if the pattern fails.
     """
-    tols = get_tolerances()
     if isinstance(x, (tuple, list)) and len(x) == 2:
         a, b = x
         if isinstance(a, MlElement) and isinstance(b, MlElement):
-            b1 = _check_glk_pattern(a.A, k, " (first)")
-            b2 = _check_glk_pattern(b.A, k, " (second)")
-            if k and np.max(np.abs(b1["A"] - b2["A"])) > tols.abs:
-                raise SubgroupRejection("A-blocks differ across the pair", [])
-            dA = np.linalg.det(b1["A"]) if k else 1.0
-            for who, z, blocks in (("first", a.z, b1), ("second", b.z, b2)):
-                dD = np.linalg.det(blocks["D"]) if k < a.n else 1.0
-                if abs(z * z - dA * dD) > 10 * tols.rel * abs(dA * dD):
-                    raise SubgroupRejection(f"z**2 != det(A) det(D) ({who})", [])
-            return SubgroupTag(
-                "Mlkd", k, a.n,
-                {"A": b1["A"], "B1": b1["B"], "B2": b2["B"],
-                 "D1": b1["D"], "D2": b2["D"], "z1": a.z, "z2": b.z},
-            )
+            blocks = classify_pairs(a.A[None], b.A[None], k, [a.z], [b.z])
+            return SubgroupTag("Mlkd", k, a.n,
+                               {key: v[0] for key, v in blocks.items()})
         ga = a.A if isinstance(a, GlElement) else _as_square(a)
         gb = b.A if isinstance(b, GlElement) else _as_square(b)
-        b1 = _check_glk_pattern(ga, k, " (first)")
-        b2 = _check_glk_pattern(gb, k, " (second)")
-        if k and np.max(np.abs(b1["A"] - b2["A"])) > tols.abs:
-            raise SubgroupRejection("A-blocks differ across the pair", [])
-        return SubgroupTag(
-            "Glkd", k, ga.shape[0],
-            {"A": b1["A"], "B1": b1["B"], "B2": b2["B"],
-             "D1": b1["D"], "D2": b2["D"]},
-        )
-    if isinstance(x, MpElement):
-        blocks = _check_spk_pattern(x.g.g, k)
-        return SubgroupTag("Mpk", k, x.n, {**blocks, "zeta": x.zeta})
-    if isinstance(x, SpElement):
-        return SubgroupTag("Spk", k, x.n, _check_spk_pattern(x.g, k))
+        blocks = classify_pairs(ga[None], gb[None], k)
+        return SubgroupTag("Glkd", k, ga.shape[0],
+                           {key: v[0] for key, v in blocks.items()})
+    if isinstance(x, (MpElement, SpElement)):
+        g = x.g.g if isinstance(x, MpElement) else x.g
+        blocks = {key: v[0] for key, v in spk_blocks(g[None], k).items()}
+        if isinstance(x, MpElement):
+            return SubgroupTag("Mpk", k, x.n, {**blocks, "zeta": x.zeta})
+        return SubgroupTag("Spk", k, x.n, blocks)
+    mat = x.A if isinstance(x, (GlElement, MlElement)) else _as_square(x)
+    checks, A = _glk_pattern(mat[None], k)
+    raise_first(checks)
+    blocks = {"A": A[0], "B": mat[:k, k:], "D": mat[k:, k:]}
     if isinstance(x, MlElement):
-        blocks = _check_glk_pattern(x.A, k)
         return SubgroupTag("Mlk", k, x.n, {**blocks, "z": x.z})
-    mat = x.A if isinstance(x, GlElement) else _as_square(x)
-    return SubgroupTag("Glk", k, mat.shape[0], _check_glk_pattern(mat, k))
+    return SubgroupTag("Glk", k, mat.shape[0], blocks)

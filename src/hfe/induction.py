@@ -18,20 +18,36 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, Nerve, PairKey, SamplePoint
+from .cech import Cocycle, Nerve, SamplePoint
 from .compatibility import DeltaTildeData, PolarizationPairData
-from .config import Tolerances, get_tolerances
+from .config import Tolerances, check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, TrackingError, ValidationError
 from .frames import (
     BallPoint,
     LagFrame,
     MetaLagFrame,
-    alpha_tilde,
-    delta_L,
+    alpha_tilde_stack,
+    ball_points,
+    check_ball,
+    check_frame_pairs,
+    delta_L_stack,
     delta_L_tilde,
+    delta_L_tilde_stack,
+    delta_stack,
+    frame_pattern,
     validate_lagrangian,
+    validate_lagrangian_stack,
 )
-from .groups import MlElement, MpElement, ml_mul, subgroup_classify
+from .groups import (
+    MlElement,
+    MpElement,
+    as_stack,
+    check_ml,
+    classify_pairs,
+    ml_elements,
+    raise_first,
+    spk_blocks,
+)
 from .sampling import random_mlkd
 from .tracking import _MAX_ARG, principal_sqrt
 
@@ -49,15 +65,20 @@ class MetaplecticBundleData:
         if self.mp_cocycle.group != "Mp":
             raise ValidationError("mp cocycle must be Mp-valued")
         if self.d_adapted:
-            for pair in sorted(self.nerve.overlaps):
-                for ci, comp in enumerate(self.nerve.overlaps[pair]):
-                    for pt in comp.points:
-                        x = self.mp_cocycle.transitions[pair][ci](pt)
-                        subgroup_classify(x, self.k)  # raises on pattern fail
+            g = [x.g.g for x in self.mp_cocycle.row_values(self.nerve)]
+            n2 = 2 * self.mp_cocycle.n
+            spk_blocks(np.array(g, dtype=float).reshape(len(g), n2, n2), self.k)
 
     @property
     def n(self) -> int:
         return self.mp_cocycle.n
+
+
+def _require_positive(frames: list[LagFrame], points) -> None:
+    """Every section frame, at its sample point, must be positive."""
+    for fr, pt in zip(frames, points):
+        if not fr.positive:
+            raise ValidationError(f"section frame not positive at {pt.id}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +95,8 @@ class FrameSectionData:
     )
 
     def frame(self, chart: str, pt: SamplePoint) -> LagFrame:
-        U, V = self.sections[chart](pt)
-        fr = validate_lagrangian(U, V)
-        if not fr.positive:
-            raise ValidationError(f"section frame not positive at {pt.id}")
+        fr = validate_lagrangian(*self.sections[chart](pt))
+        _require_positive([fr], [pt])
         return fr
 
     def transport(self, data: MetaplecticBundleData) -> "SectionTransport":
@@ -89,23 +108,6 @@ class FrameSectionData:
             last = _transport(data, self)
             object.__setattr__(self, "_last", last)
         return last
-
-
-def _chart_graph(nerve: Nerve, chart: str):
-    """Sample graph of a chart: all points of overlaps involving it,
-    merged by point id, with the component edges."""
-    points: dict[str, SamplePoint] = {}
-    edges: set[tuple[str, str]] = set()
-    for pair in sorted(nerve.overlaps):
-        if chart not in pair:
-            continue
-        for comp in nerve.overlaps[pair]:
-            for pt in comp.points:
-                points.setdefault(pt.id, pt)
-            for i, j in comp.edges:
-                a, b = comp.points[i].id, comp.points[j].id
-                edges.add((min(a, b), max(a, b)))
-    return points, sorted(edges)
 
 
 def chart_sqrt_values(
@@ -121,15 +123,16 @@ def chart_sqrt_values(
     principal root (times the sheet flip); edges are single tracking
     steps.
     """
-    points, edges = _chart_graph(nerve, chart)
-    vals = {pid: complex(value_fn(p)) for pid, p in points.items()}
-    adj: dict[str, list[str]] = {pid: [] for pid in points}
+    index = nerve.point_index
+    vertices, edges = index.graphs[chart]
+    vals = {index.points[r].id: complex(value_fn(index.points[r])) for r in vertices}
+    adj: dict[str, list[str]] = {pid: [] for pid in vals}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     z: dict[str, complex] = {}
     tols = get_tolerances()
-    for root in sorted(points):
+    for root in sorted(vals):
         if root in z:
             continue
         z[root] = flip * principal_sqrt(vals[root])
@@ -144,7 +147,7 @@ def chart_sqrt_values(
                     )
                 val = z[cur] * principal_sqrt(ratio)
                 if nxt in z:
-                    if abs(val - z[nxt]) > 1e3 * tols.rel * max(1.0, abs(val)):
+                    if abs(val - z[nxt]) > check_bound(tols) * max(1.0, abs(val)):
                         raise TrackingError(
                             f"inconsistent square root on chart {chart}"
                         )
@@ -152,16 +155,6 @@ def chart_sqrt_values(
                     z[nxt] = val
                     frontier.append(nxt)
     return z
-
-
-class _PointTable:
-    """Transition function realized as a lookup over sample point ids."""
-
-    def __init__(self, table: dict[str, MlElement]):
-        self.table = dict(table)
-
-    def __call__(self, pt: SamplePoint) -> MlElement:
-        return self.table[pt.id]
 
 
 @dataclass
@@ -173,59 +166,107 @@ class RecipeResult:
 
 def mp_act_meta(gt: MpElement, X: MetaLagFrame) -> MetaLagFrame:
     """Left metaplectic action on a meta frame through the Ball."""
-    a = alpha_tilde(gt, X.W)
-    gW, _ = ball.alpha_raw(gt.g.g, X.W.W)
-    return MetaLagFrame(BallPoint(gW), ml_mul(a, X.C))
+    W, C, z = _mp_act_stack(gt.g.g[None], [gt.zeta], X.W.W[None], X.C.A[None],
+                            [X.C.z])
+    return MetaLagFrame(ball_points(W)[0], ml_elements(C, z)[0])
+
+
+def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
+    """mp_act_meta of the elements (g[p], zeta[p]) on the meta frames
+    (W[p], (C[p], z[p])), for stacks g (P, 2n, 2n) and W, C (P, n, n):
+    the moved W and C stacks and the moved z, checked in one pass."""
+    a = alpha_tilde_stack(g, zeta, W)
+    gW = ball.alpha_raw(g, W)[0]
+    check_ball(gW)
+    A = as_stack([x.A for x in a], W.shape[-1]) @ C
+    zs = [x.z * zp for x, zp in zip(a, z)]
+    check_ml(A, zs)
+    return gW, A, zs
 
 
 @dataclass(frozen=True)
 class SectionTransport:
-    """The part of the recipe that no sheet choice changes.
+    """The part of the recipe that no sheet choice changes, as stacks.
 
-    charts maps chart -> point id -> (validated section frame, Ball
-    point W, frame block C) with (W, C) = phi(section).  moves maps an
-    overlap (pair, component) -> point id -> (frame transition N with
-    g sigma_b = sigma_a N, alpha_tilde(g, W_b), g.W_b).
+    Chart stacks have one row per sample-graph vertex of every chart,
+    chart by chart: rows maps chart -> point id -> chart row; U, V hold
+    the section frames, validated as positive Lagrangian frames, W and C
+    the stacks (R, n, n) of (W, C) = phi(section), balls the Ball points
+    W.  Overlap stacks
+    have one row per row of nerve.point_index: a and b are the chart rows
+    of its point in the two charts of its overlap, N the frame
+    transition with g sigma_b = sigma_a N, alpha alpha_tilde(g, W_b) and
+    gW the Ball point g.W_b.
     """
 
     bundle: MetaplecticBundleData
     tols: Tolerances
-    charts: dict[str, dict[str, tuple[LagFrame, BallPoint, np.ndarray]]]
-    moves: dict[tuple[PairKey, int], dict[str, tuple[np.ndarray, MlElement, BallPoint]]]
+    rows: dict[str, dict[str, int]]
+    U: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
+    C: np.ndarray
+    balls: list[BallPoint]
+    a: list[int]
+    b: list[int]
+    N: np.ndarray
+    alpha: list[MlElement]
+    gW: np.ndarray
+
+
+def _chart_rows(nerve: Nerve):
+    """chart -> point id -> chart row over the sample-graph vertices of
+    every chart, chart by chart, and the sample point of each chart row
+    with its chart."""
+    index = nerve.point_index
+    rows: dict[str, dict[str, int]] = {}
+    points: list[tuple[str, SamplePoint]] = []
+    for ch in nerve.charts:
+        rows[ch] = {}
+        for r in index.graphs[ch][0]:
+            rows[ch][index.points[r].id] = len(points)
+            points.append((ch, index.points[r]))
+    return rows, points
+
+
+def _overlap_rows(nerve: Nerve, rows: dict[str, dict[str, int]], end: int):
+    """The chart rows of every row of nerve.point_index in the first
+    (end=0) or second (end=1) chart of its overlap."""
+    index = nerve.point_index
+    return [rows[pair[end]][index.points[r].id]
+            for (pair, _), rr in index.components.items() for r in rr]
 
 
 def _transport(data: MetaplecticBundleData, sections: FrameSectionData
                ) -> SectionTransport:
     tols = get_tolerances()
-    nerve = data.nerve
-    charts: dict[str, dict] = {}
-    for ch in nerve.charts:
-        charts[ch] = {}
-        for pid, p in _chart_graph(nerve, ch)[0].items():
-            W, C = ball.phi_raw(*sections.sections[ch](p))
-            charts[ch][pid] = (sections.frame(ch, p), BallPoint(W), C)
-    moves: dict = {}
-    for pair in sorted(nerve.overlaps):
-        a, b = pair
-        for ci, comp in enumerate(nerve.overlaps[pair]):
-            moves[(pair, ci)] = table = {}
-            for pt in comp.points:
-                gt = data.mp_cocycle.transitions[pair][ci](pt)
-                fb, Wb, _ = charts[b][pt.id]
-                fa = charts[a][pt.id][0]
-                # frame transition N: g sigma_b = sigma_a N
-                gU, gV = ball.sp_apply(gt.g.g, fb.U, fb.V)
-                Sa = fa.stacked()
-                Sg = np.vstack([gU, gV])
-                N, *_ = np.linalg.lstsq(Sa, Sg, rcond=None)
-                res = float(np.max(np.abs(Sa @ N - Sg)))
-                if res > 1e4 * tols.rel * max(1.0, float(np.max(np.abs(Sg)))):
-                    raise ValidationError(
-                        f"sections inconsistent with the cocycle at {pt.id}"
-                    )
-                gW, _ = ball.alpha_raw(gt.g.g, Wb.W)
-                table[pt.id] = (N, alpha_tilde(gt, Wb), BallPoint(gW))
-    return SectionTransport(data, tols, charts, moves)
+    nerve, n = data.nerve, data.n
+    index = nerve.point_index
+    rows, points = _chart_rows(nerve)
+    UV = [sections.sections[ch](pt) for ch, pt in points]
+    U = as_stack([u for u, _ in UV], n)
+    V = as_stack([v for _, v in UV], n)
+    W, C = ball.phi_raw(U, V)
+    _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in points])
+    balls = ball_points(W)
+    a, b = _overlap_rows(nerve, rows, 0), _overlap_rows(nerve, rows, 1)
+    gts = data.mp_cocycle.row_values(nerve)
+    g = np.array([gt.g.g for gt in gts], dtype=float).reshape(len(gts), 2 * n, 2 * n)
+    # frame transitions N: g sigma_b = sigma_a N
+    gU, gV = ball.sp_apply(g, U[b], V[b])
+    Sa = np.concatenate([U[a], V[a]], axis=-2)
+    Sg = np.concatenate([gU, gV], axis=-2)
+    N = as_stack([np.linalg.lstsq(sa, sg, rcond=None)[0] for sa, sg in zip(Sa, Sg)], n)
+    axes = (-2, -1)
+    res = np.max(np.abs(Sa @ N - Sg), axis=axes, initial=0.0)
+    bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
+                                                          initial=0.0))
+    raise_first([(res > bound, lambda p: ValidationError(
+        f"sections inconsistent with the cocycle at {index.points[p].id}"))])
+    gW = ball.alpha_raw(g, W[b])[0]
+    alpha = alpha_tilde_stack(g, [gt.zeta for gt in gts], W[b])
+    check_ball(gW)
+    return SectionTransport(data, tols, rows, U, V, W, C, balls, a, b, N, alpha, gW)
 
 
 def recipe(
@@ -241,54 +282,40 @@ def recipe(
     chart and is compared with the lifted section of the other; the
     quotient is the metalinear transition.  Its projection equals the
     Gl-valued frame transition computed independently from the sections.
-    The sheet-independent part comes from sections.transport(data).
+    The sheet-independent part comes from sections.transport(data), and
+    every step runs on the stacks of all sample points at once.
     """
     sheet_flips = sheet_flips or {}
     tols = get_tolerances()
-    nerve = data.nerve
-    transport = sections.transport(data)
+    nerve, n = data.nerve, data.n
+    t = sections.transport(data)
     # per-chart lifted sections
-    chart_lifts: dict[str, dict[str, MetaLagFrame]] = {}
-    for ch, wc in transport.charts.items():
-        if not wc:
-            chart_lifts[ch] = {}
-            continue
-        z = chart_sqrt_values(
-            nerve,
-            ch,
-            lambda p: complex(np.linalg.det(wc[p.id][2])),
-            sheet_flips.get(ch, 1),
-        )
-        chart_lifts[ch] = {
-            pid: MetaLagFrame(W, MlElement(C, z[pid]))
-            for pid, (_, W, C) in wc.items()
-        }
+    dets = np.linalg.det(t.C).tolist()
+    z = [0j] * len(dets)
+    for ch, rows in t.rows.items():
+        if rows:
+            zc = chart_sqrt_values(nerve, ch, lambda p, rows=rows: dets[rows[p.id]],
+                                   sheet_flips.get(ch, 1))
+            for pid, r in rows.items():
+                z[r] = zc[pid]
+    lifted = ml_elements(t.C, z)
+    chart_lifts = {ch: {pid: MetaLagFrame(t.balls[r], lifted[r])
+                        for pid, r in rows.items()}
+                   for ch, rows in t.rows.items()}
 
-    ml_transitions: dict = {}
-    worst_w, worst_n = 0.0, 0.0
-    for pair in sorted(nerve.overlaps):
-        a, b = pair
-        ml_transitions[pair] = []
-        for ci in range(len(nerve.overlaps[pair])):
-            table: dict[str, MlElement] = {}
-            for pid, (N, alpha_b, gW) in transport.moves[(pair, ci)].items():
-                Xa = chart_lifts[a][pid]
-                moved_C = ml_mul(alpha_b, chart_lifts[b][pid].C)
-                wres = float(np.max(np.abs(gW.W - Xa.W.W)))
-                worst_w = max(worst_w, wres)
-                if wres > 1e4 * tols.rel:
-                    raise ValidationError(
-                        f"Ball points disagree on overlap at {pid}"
-                    )
-                Ninv_mat = np.linalg.inv(Xa.C.A) @ moved_C.A
-                Nz = moved_C.z / Xa.C.z
-                nres = float(np.max(np.abs(Ninv_mat - N)))
-                worst_n = max(worst_n, nres)
-                table[pid] = MlElement(Ninv_mat, Nz)
-            ml_transitions[pair].append(_PointTable(table))
-        ml_transitions[pair] = tuple(ml_transitions[pair])
-
-    ml_c = Cocycle("Ml", data.n, data.k, ml_transitions)
+    # the metaplectic transition acting on the lifted section of chart b
+    moved_A = as_stack([x.A for x in t.alpha], n) @ t.C[t.b]
+    moved_z = [x.z * z[r] for x, r in zip(t.alpha, t.b)]
+    check_ml(moved_A, moved_z)
+    axes = (-2, -1)
+    wres = np.max(np.abs(t.gW - t.W[t.a]), axis=axes, initial=0.0)
+    index = nerve.point_index
+    raise_first([(wres > property_bound(tols), lambda p: ValidationError(
+        f"Ball points disagree on overlap at {index.points[p].id}"))])
+    Ninv = np.linalg.inv(t.C[t.a]) @ moved_A
+    Nz = [mz / z[r] for mz, r in zip(moved_z, t.a)]
+    nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
+    ml_c = Cocycle.from_rows("Ml", data.n, data.k, nerve, ml_elements(Ninv, Nz))
     report = cech.validate_cocycle(nerve, ml_c)
     if not report["ok"]:
         raise ValidationError(
@@ -297,7 +324,8 @@ def recipe(
     return RecipeResult(
         ml_cocycle=ml_c,
         chart_lifts=chart_lifts,
-        residuals={"ball_match": worst_w, "projection_match": worst_n,
+        residuals={"ball_match": max([0.0, *wres.tolist()]),
+                   "projection_match": max([0.0, *nres.tolist()]),
                    "cocycle": report["max_residual"]},
     )
 
@@ -314,16 +342,23 @@ def reduce_D_adapted(frame: LagFrame | tuple[np.ndarray, np.ndarray], k: int) ->
         full = frame
     else:
         U, V = (np.asarray(m, complex) for m in frame)
-        full = validate_lagrangian(U, V)
-    from .frames import _frame_blocks  # block pattern check shared with delta_L
-
-    blocks = _frame_blocks(np.asarray(U, complex), np.asarray(V, complex), k)
-    reduced = validate_lagrangian(blocks["Ur"], blocks["Vr"])
+        full = validate_lagrangian_stack(U[None], V[None])[0]
+    checks, blocks = frame_pattern(np.asarray(U, complex)[None],
+                                   np.asarray(V, complex)[None], k)
+    raise_first(checks)
+    blocks = {key: m[0] for key, m in blocks.items()}
+    reduced = validate_lagrangian_stack(blocks["Ur"][None], blocks["Vr"][None])[0]
     if reduced.positive != full.positive:
         raise ValidationError(
             "positivity verdicts of full and reduced frames disagree"
         )
     return {**blocks, "reduced": reduced, "positive": full.positive}
+
+
+def _meta_stacks(frames: list[MetaLagFrame], n: int):
+    """The W and C stacks and the z scalars of a list of meta frames."""
+    return (as_stack([X.W.W for X in frames], n), as_stack([X.C.A for X in frames], n),
+            [X.C.z for X in frames])
 
 
 def build_delta_D_tilde(
@@ -337,62 +372,75 @@ def build_delta_D_tilde(
     block form; gluing across an overlap is the invariance of that value
     under the (diagonal) metaplectic block action — verified here, not
     assumed.  The square identity against delta_L and the metalinear-pair
-    transformation law are checked at sample points.
+    transformation law are checked at sample points.  Each check runs on
+    the stacks of all sample points at once.
     """
     if not data.d_adapted:
         raise ValidationError("requires D-adapted metaplectic data")
     tols = get_tolerances()
-    k = data.k
-    nerve = data.nerve
+    nerve, n, k = data.nerve, data.n, data.k
+    index = nerve.point_index
 
-    # the chart value at a point serves both the gluing and the chart checks
     base = {
         ch: cech.memoize(lambda pt, fn=pair_sections[ch]: delta_L_tilde(fn(pt), k))
         for ch in nerve.charts
     }
     dt = DeltaTildeData(base=base, k=k)
+    # the chart values at every sample-graph vertex serve the gluing and
+    # the chart checks
+    rows, points = _chart_rows(nerve)
+    pairs = [pair_sections[ch](pt) for ch, pt in points]
+    W1, C1, z1 = _meta_stacks([X1 for X1, _ in pairs], n)
+    W2, C2, z2 = _meta_stacks([X2 for _, X2 in pairs], n)
+    values = delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k)
+
+    # invariance: both members of the chart-b pair moved by the transition
+    b = _overlap_rows(nerve, rows, 1)
+    P = len(b)
+    gts = data.mp_cocycle.row_values(nerve)
+    g = np.array([gt.g.g for gt in gts], dtype=float).reshape(P, 2 * n, 2 * n)
+    gW, gC, gz = _mp_act_stack(np.concatenate([g, g]),
+                               [gt.zeta for gt in gts] * 2,
+                               np.concatenate([W1[b], W2[b]]),
+                               np.concatenate([C1[b], C2[b]]),
+                               [z1[r] for r in b] + [z2[r] for r in b])
+    moved = delta_L_tilde_stack(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
     worst = 0.0
-    for pair in sorted(nerve.overlaps):
-        for ci, comp in enumerate(nerve.overlaps[pair]):
-            for pt in comp.points:
-                gt = data.mp_cocycle.transitions[pair][ci](pt)
-                X1, X2 = pair_sections[pair[1]](pt)
-                moved = (mp_act_meta(gt, X1), mp_act_meta(gt, X2))
-                v0 = base[pair[1]](pt)
-                v1 = delta_L_tilde(moved, k)
-                r = abs(v1 - v0) / max(1.0, abs(v0))
-                dt.residuals[(pair, ci, pt.id)] = r
-                worst = max(worst, r)
+    for (pair, ci), rr in index.components.items():
+        for r in rr:
+            v0 = values[b[r]]
+            res = abs(moved[r] - v0) / max(1.0, abs(v0))
+            dt.residuals[(pair, ci, index.points[r].id)] = res
+            worst = max(worst, res)
     dt.checks["invariance"] = worst
-    if worst > 1e4 * tols.rel:
+    if worst > property_bound(tols):
         raise ValidationError("delta_L_tilde not invariant across an overlap")
+
     # square identity and transformation law at chart sample points
-    sq_worst, law_worst = 0.0, 0.0
+    U1, V1 = ball.phi_inv_raw(W1, C1)
+    U2, V2 = ball.phi_inv_raw(W2, C2)
+    sq_worst = 0.0
+    for v, dl in zip(values, delta_L_stack(U1, V1, U2, V2, k)):
+        sq_worst = max(sq_worst, abs(v * v - dl) / max(1.0, abs(dl)))
     rng = rng or np.random.default_rng(0)
-    for ch in nerve.charts:
-        pts, _ = _chart_graph(nerve, ch)
-        for pid, pt in pts.items():
-            X1, X2 = pair_sections[ch](pt)
-            v = base[ch](pt)
-            f1 = ball.phi_inv_raw(X1.W.W, X1.C.A)
-            f2 = ball.phi_inv_raw(X2.W.W, X2.C.A)
-            dl = delta_L((f1, f2), k)
-            sq_worst = max(sq_worst, abs(v * v - dl) / max(1.0, abs(dl)))
-            m1, m2 = random_mlkd(rng, data.n, k)
-            Y = (
-                MetaLagFrame(X1.W, ml_mul(X1.C, m1)),
-                MetaLagFrame(X2.W, ml_mul(X2.C, m2)),
-            )
-            tag = subgroup_classify((m1, m2), k)
-            detA = np.linalg.det(tag.blocks["A"]) if k else 1.0
-            target = v * np.conj(m1.z) * m2.z / abs(detA)
-            law_worst = max(
-                law_worst,
-                abs(delta_L_tilde(Y, k) - target) / max(1.0, abs(target)),
-            )
+    draws = [random_mlkd(rng, n, k) for _ in points]
+    M1 = as_stack([m1.A for m1, _ in draws], n)
+    M2 = as_stack([m2.A for _, m2 in draws], n)
+    Y1, y1 = C1 @ M1, [z * m1.z for z, (m1, _) in zip(z1, draws)]
+    Y2, y2 = C2 @ M2, [z * m2.z for z, (_, m2) in zip(z2, draws)]
+    check_ml(Y1, y1)
+    check_ml(Y2, y2)
+    blocks = classify_pairs(M1, M2, k, [m1.z for m1, _ in draws],
+                            [m2.z for _, m2 in draws])
+    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(draws)
+    law_worst = 0.0
+    for v, (m1, m2), dA, y in zip(values, draws, detA,
+                                  delta_L_tilde_stack(W1, Y1, y1, W2, Y2, y2, k)):
+        target = v * np.conj(m1.z) * m2.z / abs(dA)
+        law_worst = max(law_worst, abs(y - target) / max(1.0, abs(target)))
     dt.checks["square_identity"] = sq_worst
     dt.checks["translation_law"] = law_worst
-    if max(sq_worst, law_worst) > 1e4 * tols.rel:
+    if max(sq_worst, law_worst) > property_bound(tols):
         raise ValidationError("delta_D_tilde property check failed")
     return dt
 
@@ -419,6 +467,7 @@ def cross_check(
     nerve, n, k = data.nerve, data.n, data.k
     r1 = recipe(data, sections1)
     r2 = recipe(data, sections2)
+    t1, t2 = sections1.transport(data), sections2.transport(data)
 
     # pair data spanned by the two families
     def pair_fn(pair, ci):
@@ -433,10 +482,13 @@ def cross_check(
             for pair, fns in r1.ml_cocycle.transitions.items()
         },
     )
+    # the reduced pairing determinant of the two families at every chart
+    # row; it also serves the restriction identity
+    reduced = delta_L_stack(t1.U, t1.V, t2.U, t2.V, k)
 
     def delta_fn(ch):
-        s1, s2 = sections1.sections[ch], sections2.sections[ch]
-        return cech.memoize(lambda pt: delta_L((s1(pt), s2(pt)), k))
+        rows = t1.rows[ch]
+        return lambda pt: reduced[rows[pt.id]]
 
     pdata = PolarizationPairData(
         nerve, pair_c, {ch: delta_fn(ch) for ch in nerve.charts}, n, k
@@ -452,33 +504,14 @@ def cross_check(
     # reference lift: transport the second recipe cocycle to the
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
-    w = {
-        ch: {pid: delta_L_tilde((X1, r2.chart_lifts[ch][pid]), k)
-             for pid, X1 in r1.chart_lifts[ch].items()}
-        for ch in nerve.charts
-    }
+    def lifted_z(r: RecipeResult) -> list[complex]:
+        return [X.C.z for ch in nerve.charts for X in r.chart_lifts[ch].values()]
 
-    def ref_fn(pair, ci):
-        a, b = pair
-        fz = r2.ml_cocycle.transitions[pair][ci]
-        fp = pnorm.pair_cocycle.transitions[pair][ci]
-
-        def new_fn(pt, fz=fz, fp=fp, a=a, b=b):
-            _, g2n = fp(pt)
-            return MlElement(
-                np.asarray(g2n, complex),
-                w[a][pt.id] * fz(pt).z / w[b][pt.id],
-            )
-
-        return new_fn
-
-    z2_ref = Cocycle(
-        "Ml", n, k,
-        {
-            pair: tuple(ref_fn(pair, ci) for ci in range(len(fns)))
-            for pair, fns in r2.ml_cocycle.transitions.items()
-        },
-    )
+    w = delta_L_tilde_stack(t1.W, t1.C, lifted_z(r1), t2.W, t2.C, lifted_z(r2), k)
+    zs = [w[ra] * x.z / w[rb] for x, ra, rb in
+          zip(r2.ml_cocycle.row_values(nerve), t1.a, t1.b)]
+    g2n = as_stack([g2 for _, g2 in pnorm.pair_cocycle.row_values(nerve)], n)
+    z2_ref = Cocycle.from_rows("Ml", n, k, nerve, ml_elements(g2n, zs))
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)
     if witness is None:
@@ -494,18 +527,13 @@ def cross_check(
 
     # restriction identity: ambient pairing determinant equals the
     # reduced-block one on the section frames
+    S1 = np.concatenate([t1.U, t1.V], axis=-2)
+    S2 = np.concatenate([t2.U, t2.V], axis=-2)
+    check_frame_pairs(S1, S2, k)
     restr_worst = 0.0
-    from .frames import LagFramePair, delta as delta_ambient
-
-    frames1 = sections1.transport(data).charts
-    frames2 = sections2.transport(data).charts
-    for ch in nerve.charts:
-        for pid, (fr1, _, _) in frames1[ch].items():
-            fr2 = frames2[ch][pid][0]
-            amb = delta_ambient(LagFramePair(fr1, fr2, k))
-            red = delta_L(((fr1.U, fr1.V), (fr2.U, fr2.V)), k)
-            restr_worst = max(restr_worst, abs(amb - red) / max(1.0, abs(red)))
-    if restr_worst > 1e3 * tols.rel:
+    for amb, red in zip(delta_stack(S1, S2, k), reduced):
+        restr_worst = max(restr_worst, abs(amb - red) / max(1.0, abs(red)))
+    if restr_worst > check_bound(tols):
         raise TheoremFalsification("restriction identity fails")
 
     return {

@@ -40,12 +40,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import Cocycle, Nerve, SamplePoint, SignCochain, gf2_solve
+from .cech import Nerve, SamplePoint, SignCochain, gf2_solve
 from .compatibility import PolarizationPairData
-from .config import get_tolerances, tolerance_overrides
+from .config import (
+    check_bound,
+    get_tolerances,
+    projection_bound,
+    tolerance_overrides,
+)
 from .errors import EngineError, GluingError, TheoremFalsification
 from .frames import LagFramePair, delta, validate_lagrangian
-from .groups import MlElement
 from .report import CheckRecord, VerificationReport
 from .scenario import Scenario, load_scenario
 
@@ -91,24 +95,6 @@ def _stage(name: str, consumes=(), produces=None, optional=()):
 # sign patterns on overlap components
 # ---------------------------------------------------------------------------
 
-def _flip_ml_cocycle(c: Cocycle, comps, pattern) -> Cocycle:
-    """Flip the z-sheet of an Ml cocycle on the flagged components."""
-    flagged = {key for key, bit in zip(comps, pattern) if bit}
-
-    def wrap(fn, flip):
-        if not flip:
-            return fn
-        return lambda pt: MlElement(fn(pt).A, -fn(pt).z)
-
-    transitions = {
-        pair: tuple(
-            wrap(fn, (pair, ci) in flagged) for ci, fn in enumerate(fns)
-        )
-        for pair, fns in c.transitions.items()
-    }
-    return Cocycle("Ml", c.n, c.k, transitions)
-
-
 def _coboundary_base(nerve: Nerve, pattern) -> dict:
     """Chart signs whose coboundary is the given coboundary pattern, as
     base-value functions."""
@@ -117,17 +103,6 @@ def _coboundary_base(nerve: Nerve, pattern) -> dict:
         ch: (lambda pt, s=-1.0 if bit else 1.0: complex(s))
         for ch, bit in zip(nerve.charts, sol)
     }
-
-
-def _projection_bound(tols) -> float:
-    """Bound of recipe.projection: a tenth of rel (1e-10 by default)."""
-    return tols.rel / 10
-
-
-def _check_bound(tols) -> float:
-    """Bound of the frame-pair, gluing and cross-check residuals: a
-    thousand times rel (1e-6 by default)."""
-    return 1e3 * tols.rel
 
 
 def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
@@ -141,7 +116,7 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     against the check bound, with its property-check residuals."""
     glue = max(dt.residuals.values()) if dt.residuals else 0.0
     return CheckRecord(check_id, anchor, max_residual=float(glue),
-                       passed=glue <= _check_bound(get_tolerances()),
+                       passed=glue <= check_bound(get_tolerances()),
                        details={key: dt.checks.get(key, 0.0) for key in
                                 ("square_identity", "translation_law")})
 
@@ -213,7 +188,7 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
         val = delta(pair)
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
         worst = max(worst, r)
-        if r > _check_bound(tols):
+        if r > check_bound(tols):
             failures.append((fp["name"], val))
     report.add(
         CheckRecord(
@@ -296,9 +271,8 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
         )
     )
     # concrete confirmations on representatives
-    comps = scenario.nerve.component_list()
     if lc.witness_equiv is not None:
-        flipped = _flip_ml_cocycle(z2, comps, lc.witness_equiv)
+        flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_equiv)
         base = _coboundary_base(scenario.nerve, lc.witness_equiv)
         dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
                                               base_values=base)
@@ -311,13 +285,13 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
                 "delta_tilde.equivalent-glues",
                 "sqrt-datum.coboundary-freedom",
                 max_residual=float(glue2),
-                passed=(glue2 <= _check_bound(get_tolerances())
+                passed=(glue2 <= check_bound(get_tolerances())
                         and witness is not None),
                 details={"witness": witness},
             )
         )
     if lc.witness_inequiv is not None:
-        flipped = _flip_ml_cocycle(z2, comps, lc.witness_inequiv)
+        flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_inequiv)
         try:
             compatibility.build_delta_tilde(norm, z1, flipped, None)
             report.add(CheckRecord("delta_tilde.inequivalent-fails",
@@ -381,7 +355,7 @@ def _run_recipe(scenario: Scenario, report, rng, data, sections):
             "recipe.projection",
             "recipe.metalinear-transitions",
             max_residual=float(residual),
-            passed=residual < _projection_bound(get_tolerances()),
+            passed=residual < projection_bound(get_tolerances()),
             details=dict(r.residuals),
         )
     )
@@ -417,7 +391,7 @@ def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
             "cross_check.agreement",
             "cross-check.global-sign",
             max_residual=float(worst),
-            passed=worst <= _check_bound(get_tolerances()),
+            passed=worst <= check_bound(get_tolerances()),
             details={
                 "global_sign": out["global_sign"],
                 "witness": out["witness"],

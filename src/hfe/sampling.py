@@ -10,7 +10,7 @@ import numpy as np
 
 from . import ball
 from .frames import BallPoint, LagFrame, validate_lagrangian
-from .groups import MlElement, SpElement
+from .groups import MlElement, SpElement, ml_elements
 from .tracking import principal_sqrt
 
 
@@ -59,14 +59,14 @@ def random_glkd(rng: np.random.Generator, n: int, k: int
 
 def random_mlkd(rng: np.random.Generator, n: int, k: int
                 ) -> tuple[MlElement, MlElement]:
-    g1, g2 = random_glkd(rng, n, k)
-    out = []
-    for g in (g1, g2):
-        z = principal_sqrt(np.linalg.det(g) if n else 1.0)
-        if rng.integers(2):
-            z = -z
-        out.append(MlElement(g, z))
-    return out[0], out[1]
+    g = np.array(random_glkd(rng, n, k))
+    dets = np.linalg.det(g) if n else [1.0, 1.0]
+    z = []
+    for d in dets:
+        root = principal_sqrt(d)
+        z.append(-root if rng.integers(2) else root)
+    m1, m2 = ml_elements(g, z)
+    return m1, m2
 
 
 def random_sp(rng: np.random.Generator, n: int, factors: int = 3) -> SpElement:

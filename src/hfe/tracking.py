@@ -35,12 +35,12 @@ def principal_sqrt(w: complex) -> complex:
 
 def track_sqrt(
     f: Callable[[np.ndarray], np.ndarray],
-    z0: complex,
+    z0,
     t0: float = 0.0,
     t1: float = 1.0,
     max_depth: int = 48,
     initial_steps: int = 16,
-) -> complex:
+):
     """Continue z with z**2 = f(t) from the anchor z0 at t0 to t1.
 
     ``f`` is vectorized: it takes a 1-D float array of parameters and
@@ -48,45 +48,75 @@ def track_sqrt(
     ``t0 + j*h`` (j = 0..initial_steps) is evaluated in one call, and
     each bisection midpoint in one further call of length 1.
 
-    The anchor must satisfy z0**2 = f(t0).  Raises TrackingError if the
-    tracked value passes within the tracking tolerance of zero away from
-    the endpoint, or if bisection cannot reduce the argument step.
+    A stack of P paths is tracked by passing a 1-D sequence of P anchors:
+    ``f`` then returns a (P, m) array for m parameters, row p on path p,
+    and the result is the list of the P roots.  Every path is stepped and
+    bisected on its own, exactly as alone; a midpoint is evaluated for the
+    whole stack in one call, once per distinct parameter, so ``f`` must
+    be defined on all of [t0, t1] for every path.
+
+    An anchor must satisfy z0**2 = f(t0).  Raises TrackingError, for the
+    first failing path, if the tracked value passes within the tracking
+    tolerance of zero away from the endpoint, or if bisection cannot
+    reduce the argument step.
 
     The interval is always cut into ``initial_steps`` pieces before the
     adaptive bisection: testing only endpoint ratios would miss a path
     that winds around the origin yet returns with a small total argument.
     """
-    tols = get_tolerances()
+    single = np.ndim(z0) == 0
+    paths = (lambda t: np.asarray(f(t), dtype=complex)[None, :]) if single else f
+    anchors = [z0] if single else list(z0)
     h = (t1 - t0) / initial_steps
     grid = t0 + np.arange(initial_steps + 1) * h
-    values = np.asarray(f(grid), dtype=complex).tolist()
+    rows = np.asarray(paths(grid), dtype=complex).tolist()
+    midpoints: dict[float, list[complex]] = {}
+
+    def at(tm: float) -> list[complex]:
+        if tm not in midpoints:
+            midpoints[tm] = np.asarray(paths(np.array([tm])),
+                                       dtype=complex)[:, 0].tolist()
+        return midpoints[tm]
+
+    tols = get_tolerances()
+    grid = grid.tolist()
+    roots = [_track_path(values, anchor, p, grid, at, t1, max_depth, tols)
+             for p, (values, anchor) in enumerate(zip(rows, anchors))]
+    return roots[0] if single else roots
+
+
+def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
+    """One path of track_sqrt: ``values`` on the grid, ``at(t)[p]`` at a
+    midpoint t."""
     ft0 = values[0]
     if abs(z0 * z0 - ft0) > tols.rel * max(1.0, abs(ft0)) * 10:
         raise TrackingError("anchor does not square to the path start value")
-
-    t, ft, z = t0, ft0, complex(z0)
-    # Stack of pending (right endpoint, value) pairs (top of stack is
-    # processed next); seeded with the uniform grid, finest target first.
-    pending = list(zip(grid.tolist()[:0:-1], values[:0:-1]))
-    depth = 0
-    while pending:
-        tn, fn = pending[-1]
-        if abs(fn) <= tols.track * max(1.0, abs(ft0)) and tn < t1:
-            raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
-        if abs(ft) == 0.0:
-            raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-        ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
-            depth += 1
-            if depth > max_depth:
-                raise TrackingError("bisection depth exceeded (branch ambiguity)")
-            tm = 0.5 * (t + tn)
-            pending.append((tm, complex(f(np.array([tm]))[0])))
-            continue
-        z = z * principal_sqrt(ratio)
-        t, ft = tn, fn
-        pending.pop()
+    floor = tols.track * max(1.0, abs(ft0))
+    t, ft, z = grid[0], ft0, complex(z0)
+    for target in zip(grid[1:], values[1:]):
+        # Stack of pending (right endpoint, value) pairs, the grid point
+        # at the bottom and bisection midpoints above it; the top is
+        # processed next.
+        pending = [target]
         depth = 0
+        while pending:
+            tn, fn = pending[-1]
+            if abs(fn) <= floor and tn < t1:
+                raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
+            if abs(ft) == 0.0:
+                raise TrackingError(f"tracked value vanishes at t={t:.6g}")
+            ratio = fn / ft
+            if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
+                depth += 1
+                if depth > max_depth:
+                    raise TrackingError("bisection depth exceeded (branch ambiguity)")
+                tm = 0.5 * (t + tn)
+                pending.append((tm, at(tm)[p]))
+                continue
+            z = z * principal_sqrt(ratio)
+            t, ft = tn, fn
+            pending.pop()
+            depth = 0
     return z
 
 

@@ -292,7 +292,8 @@ def _wide_frame_point(doc):
     (_empty_delta_params, "generator 'linear_scalar': missing parameter 'const'"),
     (_text_rotation_angle,
      "generator 'mp_rotation': could not convert string to float: 'x'"),
-    (_wide_frame_point, "generator 'frame_phi_inv': matmul"),
+    (_wide_frame_point,
+     "generator 'frame_phi_inv': parameter 'W' must be 1 x 1, got 1 x 2"),
 ])
 def test_exit_2_on_malformed_generator_params(edit, message, tmp_path, capsys):
     path = _scenario_file(tmp_path, "circle_mobius", edit)
@@ -301,6 +302,43 @@ def test_exit_2_on_malformed_generator_params(edit, message, tmp_path, capsys):
     code, out, err = run(capsys, "verify", path)
     assert code == 2
     assert out == ""
+    assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def _wide_slope(doc):
+    frame = doc["sections"]["first"]["0"]
+    assert frame["name"] == "frame_blocks"
+    frame["params"]["Wr_slope"] = [[0, 1]]
+
+
+def _wide_pair_member(doc):
+    pair = doc["pair_sections"]["0"]
+    assert pair["name"] == "meta_pair_blocks"
+    pair["params"]["first"]["Wr"] = [[0, 1]]
+
+
+def _short_mp_matrix(doc):
+    doc["mp_cocycle"]["transitions"][0]["generator"]["params"]["g"] = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("abstract_k1_nonorientable", _wide_slope,
+     "generator 'frame_blocks': parameter 'Wr_slope' must be 1 x 1, got 1 x 2"),
+    ("circle_mobius", _wide_pair_member,
+     "generator 'meta_pair_blocks': parameter 'first.Wr' must be 1 x 1, "
+     "got 1 x 2"),
+    ("abstract_k1_nonorientable", _short_mp_matrix,
+     "generator 'mp_const': parameter 'g' must be 4 x 4, got 2 x 2"),
+])
+def test_exit_2_on_generator_parameter_shapes(name, edit, message, tmp_path,
+                                              capsys):
+    # these shapes used to fail only when a stage evaluated the generator,
+    # with a traceback and exit 1
+    path = _scenario_file(tmp_path, name, edit)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
     assert err.startswith(f"error: invalid scenario data: {message}")
 
 

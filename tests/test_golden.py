@@ -1,6 +1,9 @@
 """Golden reports: the JSON report of every corpus scenario at seed 0,
 minus its wall time, must stay byte-identical to the file recorded in
-``tests/golden/<scenario>.json``.
+``tests/golden/<scenario>.json``.  So must the reports of the scenario
+documents in ``tests/golden/scenarios/``: seeded 6-chart rings with 8
+sample points per overlap (n=2, k=1), the dense workload of the
+benchmark, whose per-point stages dominate their run time.
 
 A refactor that changes no verdict, residual or detail keeps these files
 as they are.  A change that means to alter a report re-records them with
@@ -15,10 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import builtin_scenario_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DOCUMENTS = sorted(p.stem for p in (GOLDEN_DIR / "scenarios").glob("*.json"))
 
 
 def golden_text(report) -> str:
@@ -26,6 +31,10 @@ def golden_text(report) -> str:
     doc = json.loads(emit_report(report, "json"))
     del doc["wall_time"]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def document_report(name: str):
+    return run_scenario(GOLDEN_DIR / "scenarios" / f"{name}.json")
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -43,20 +52,30 @@ def _first_difference(got: dict, want: dict) -> str:
     return f"top-level fields differ: {_differing_keys(got, want)}"
 
 
-@pytest.mark.parametrize("name", builtin_scenario_names())
-def test_corpus_report_matches_golden(name, corpus_reports):
+def _compare(name: str, report) -> None:
     want = (GOLDEN_DIR / f"{name}.json").read_text()
-    got = golden_text(corpus_reports[name])
+    got = golden_text(report)
     if got != want:
         pytest.fail(f"{name}: {_first_difference(json.loads(got), json.loads(want))}")
 
 
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_corpus_report_matches_golden(name, corpus_reports):
+    _compare(name, corpus_reports[name])
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_document_report_matches_golden(name):
+    _compare(name, document_report(name))
+
+
 if __name__ == "__main__":
-    from hfe.pipelines import run_scenario
     from hfe.scenario import builtin_scenario_path
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for scenario in builtin_scenario_names():
-        text = golden_text(run_scenario(builtin_scenario_path(scenario)))
-        (GOLDEN_DIR / f"{scenario}.json").write_text(text)
-        print(f"recorded {scenario}")
+    reports = {name: run_scenario(builtin_scenario_path(name))
+               for name in builtin_scenario_names()}
+    reports.update((name, document_report(name)) for name in DOCUMENTS)
+    for name, report in reports.items():
+        (GOLDEN_DIR / f"{name}.json").write_text(golden_text(report))
+        print(f"recorded {name}")

@@ -72,7 +72,8 @@ def test_recipe_projection_matches_gl():
     data, sections = rotation_bundle(theta=0.7), holo_sections()
     r = recipe(data, sections)
     ml = r.ml_cocycle.transitions[("a", "b")][1](WEST)
-    gl = sections.transport(data).moves[(("a", "b"), 1)][WEST.id][0]
+    row = data.nerve.point_index.components[(("a", "b"), 1)][0]
+    gl = sections.transport(data).N[row]
     assert np.allclose(ml.A, gl)
 
 
