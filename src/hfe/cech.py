@@ -17,9 +17,9 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import groups as G
-from .config import get_tolerances, identity_bound
-from .errors import TrackingError, ValidationError
-from .tracking import _MAX_ARG, principal_sqrt
+from .config import check_bound, get_tolerances, identity_bound, zero_bound
+from .errors import ValidationError
+from .tracking import track_graph
 
 PairKey = tuple[str, str]
 TripleKey = tuple[str, str, str]
@@ -449,66 +449,23 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
 # ---------------------------------------------------------------------------
 
 _PUSH_TAGS = {
-    "ml_to_gl": ("Ml", "Gl", lambda x: x.A),
-    "mp_to_sp": ("Mp", "Sp", lambda x: x.g),
     "det": ("Gl", "Gl", lambda x: np.array([[np.linalg.det(_mat(x))]])),
-    "absdet_sqrt": (
-        "Gl",
-        "Gl",
-        lambda x: np.array([[abs(np.linalg.det(_mat(x))) ** 0.5]]),
-    ),
-    "absdet_invsqrt": (
-        "Gl",
-        "Gl",
-        lambda x: np.array([[abs(np.linalg.det(_mat(x))) ** -0.5]]),
-    ),
     "pair_first": ("Glkd", "Gl", lambda x: _mat(x[0])),
-    "pair_second": ("Glkd", "Gl", lambda x: _mat(x[1])),
-    "pair_first_ml": ("Mlkd", "Ml", lambda x: x[0]),
-    "pair_second_ml": ("Mlkd", "Ml", lambda x: x[1]),
-    "sp_ball_alpha": ("Sp", "Gl", None),  # handled below (not a homomorphism)
 }
 
 
-def push_cocycle(c: Cocycle, hom: str, nerve: Optional[Nerve] = None) -> Cocycle:
+def push_cocycle(c: Cocycle, hom: str) -> Cocycle:
     """Transition functions of an associated bundle: apply a homomorphism
-    tag pointwise.
-
-    The ``sp_ball_alpha`` composite g -> alpha(g, 0) is *not* a
-    homomorphism in general; when a nerve is supplied the result is
-    validated rather than assumed.
-    """
+    tag pointwise."""
     if hom not in _PUSH_TAGS:
         raise ValidationError(f"unknown homomorphism tag {hom!r}")
     src, dst, fn = _PUSH_TAGS[hom]
-    if c.group != src and not (src == "Gl" and c.group == "Gl"):
+    if c.group != src:
         raise ValidationError(f"tag {hom!r} expects a {src} cocycle, got {c.group}")
-    if hom == "sp_ball_alpha":
-        from . import ball
-
-        def fn(x):
-            _, a = ball.alpha_raw(x.g, np.zeros((x.n, x.n)))
-            return a
-
-    def wrap(f):
-        return lambda pt: fn(f(pt))
-
-    out = Cocycle(
-        group=dst,
-        n=c.n,
-        k=c.k,
-        transitions={
-            pair: tuple(wrap(f) for f in fns) for pair, fns in c.transitions.items()
-        },
-    )
-    if hom == "sp_ball_alpha" and nerve is not None:
-        report = validate_cocycle(nerve, out)
-        if not report["ok"]:
-            raise ValidationError(
-                "alpha composite is not a cocycle on this nerve: "
-                f"{report['failures'][:3]}"
-            )
-    return out
+    return Cocycle(dst, c.n, c.k, {
+        pair: tuple(lambda pt, f=f: fn(f(pt)) for f in fns)
+        for pair, fns in c.transitions.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +582,11 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
 # double-cover lifting
 # ---------------------------------------------------------------------------
 
-def _sheet(fn: Callable, points: tuple, z: Callable[[SamplePoint], complex]
-           ) -> _Batched:
-    """The Ml transition taking the matrix of fn with the root z(p) of
-    its determinant at each point p of a component."""
+def _sheet(fn: Callable, points: tuple, z: Callable[[tuple], list]) -> _Batched:
+    """The Ml transition taking the matrix of fn at each point of a
+    component with the roots z(points) of its determinant."""
     return _Batched(lambda pts: G.ml_elements(
-        np.array([_mat(fn(p)) for p in pts]), [z(p) for p in pts]), points)
+        np.array([_mat(fn(p)) for p in pts]), z(pts)), points)
 
 
 def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
@@ -640,97 +596,72 @@ def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
     return Cocycle("Ml", c.n, c.k, {
         pair: tuple(
             _sheet(lambda p, fn=fn: fn(p).A, nerve.overlaps[pair][ci].points,
-                   lambda p, fn=fn: -fn(p).z)
+                   lambda pts, fn=fn: [-fn(p).z for p in pts])
             if (pair, ci) in flagged else fn
             for ci, fn in enumerate(fns))
         for pair, fns in c.transitions.items()
     })
 
 
-def _track_component(comp: OverlapComponent, fn: Callable[[SamplePoint], Any]
-                     ) -> dict[str, complex]:
-    """Continuous square root of det fn along a component graph.
-
-    BFS from point 0 with the principal root at the root; each edge is a
-    single tracking step; non-tree edges are consistency-checked.
-    """
-    tols = get_tolerances()
-    dets = np.linalg.det(np.array([_mat(fn(p)) for p in comp.points])).tolist()
-    z: dict[int, complex] = {0: principal_sqrt(dets[0])}
-    adj = {i: [] for i in range(len(comp.points))}
-    for i, j in comp.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    frontier = [0]
-    while frontier:
-        cur = frontier.pop(0)
-        for nxt in adj[cur]:
-            ratio = dets[nxt] / dets[cur]
-            if abs(np.angle(ratio)) >= _MAX_ARG:
-                raise TrackingError(
-                    f"branch jump between {comp.points[cur].id} and "
-                    f"{comp.points[nxt].id} (edge too long)"
-                )
-            val = z[cur] * principal_sqrt(ratio)
-            if nxt in z:
-                if abs(val - z[nxt]) > 1e3 * tols.rel * max(1.0, abs(val)):
-                    raise TrackingError(
-                        "inconsistent square root around a cycle in component"
-                    )
-            else:
-                z[nxt] = val
-                frontier.append(nxt)
-    return {comp.points[i].id: z[i] for i in range(len(comp.points))}
+def _sign_bit(r: complex) -> Optional[int]:
+    """The GF(2) bit of a ratio that should be a sign: 0 for +1, 1 for
+    -1, None if it is within check_bound of neither."""
+    bound = check_bound(get_tolerances())
+    if abs(r - 1) > bound and abs(r + 1) > bound:
+        return None
+    return 1 if abs(r + 1) < abs(r - 1) else 0
 
 
 def lift_double_cover(nerve: Nerve, c: Cocycle):
     """Lift a Gl cocycle through the metalinear double cover.
 
     Chooses a continuous square root of det t_ab per overlap component,
-    solves the triple-point sign defects for per-component flips over
-    GF(2), and returns the Ml cocycle; if the GF(2) system is infeasible
-    the defect SignCochain (degree 2) is returned instead — the witness
-    of a nontrivial obstruction class.
+    each tracked from its first point with the principal root, solves
+    the triple-point sign defects for per-component flips over GF(2),
+    and returns the Ml cocycle; if the GF(2) system is infeasible the
+    defect SignCochain (degree 2) is returned instead — the witness of a
+    nontrivial obstruction class.
     """
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
-    zmaps = {
-        (pair, ci): _track_component(comp, c.transitions[pair][ci])
-        for pair in sorted(nerve.overlaps)
-        for ci, comp in enumerate(nerve.overlaps[pair])
-    }
+    index = nerve.point_index
+    mats = [_mat(x) for x in c.row_values(nerve)]
+    dets = np.linalg.det(G.as_stack(mats, len(mats[0]) if mats else 0)).tolist()
+    comps = index.components
+    z = track_graph(dets,
+                    [(rows.start + i, rows.start + j)
+                     for (pair, ci), rows in comps.items()
+                     for i, j in nerve.overlaps[pair][ci].edges],
+                    [rows.start for rows in comps.values()],
+                    [pt.id for pt in index.points],
+                    cycle="around a cycle in component")
 
     rhs, defects = [], {}
-    tols = get_tolerances()
     for (a, b, cc), tp in nerve.triple_points():
-        zab = zmaps[((a, b), tp.memberships[(a, b)][0])][tp.id]
-        zbc = zmaps[((b, cc), tp.memberships[(b, cc)][0])][tp.id]
-        zac = zmaps[((a, cc), tp.memberships[(a, cc)][0])][tp.id]
+        zab, zbc, zac = (z[comps[(pair, tp.memberships[pair][0])].start
+                           + tp.memberships[pair][1]]
+                         for pair in ((a, b), (b, cc), (a, cc)))
         s = zab * zbc / zac
-        if abs(s - 1) > 1e3 * tols.rel and abs(s + 1) > 1e3 * tols.rel:
+        bit = _sign_bit(s)
+        if bit is None:
             raise ValidationError(
                 f"triple defect at {tp.id} is not a sign: {s} "
                 "(input not a cocycle?)"
             )
-        bit = 1 if abs(s + 1) < abs(s - 1) else 0
         defects[((a, b, cc), tp.id)] = -1 if bit else 1
         rhs.append(bit)
     sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return SignCochain(degree=2, values=defects)
     signs = {key: -1 if flip else 1 for key, flip in zip(nerve.component_list(), sol)}
-    return Cocycle(
-        group="Ml",
-        n=c.n,
-        k=c.k,
-        transitions={
-            pair: tuple(
-                _sheet(c.transitions[pair][ci], comp.points,
-                       lambda p, z=zmaps[(pair, ci)], s=signs[(pair, ci)]: s * z[p.id])
-                for ci, comp in enumerate(nerve.overlaps[pair]))
-            for pair in sorted(nerve.overlaps)
-        },
-    )
+    return Cocycle("Ml", c.n, c.k, {
+        pair: tuple(
+            _sheet(c.transitions[pair][ci], comp.points,
+                   lambda pts, rows=comps[(pair, ci)], s=signs[(pair, ci)]:
+                   [s * z[r] for r in rows])
+            for ci, comp in enumerate(nerve.overlaps[pair]))
+        for pair in sorted(nerve.overlaps)
+    })
 
 
 def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
@@ -768,18 +699,18 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
             for pt in comp.points:
                 x1 = l1.transitions[pair][ci](pt)
                 x2 = l2.transitions[pair][ci](pt)
-                if float(np.max(np.abs(x1.A - x2.A))) > 1e3 * tols.abs * max(
+                if float(np.max(np.abs(x1.A - x2.A))) > zero_bound(tols) * max(
                     1.0, float(np.max(np.abs(x1.A)))
                 ):
                     raise ValidationError(
                         "lifts do not project to the same Gl cocycle"
                     )
                 r = x2.z / x1.z
-                if abs(r - 1) > 1e3 * tols.rel and abs(r + 1) > 1e3 * tols.rel:
+                rbit = _sign_bit(r)
+                if rbit is None:
                     raise ValidationError(
                         f"z-ratio at {pt.id} is not a sign: {r}"
                     )
-                rbit = 1 if abs(r + 1) < abs(r - 1) else 0
                 if ratio is None:
                     ratio = rbit
                 elif ratio != rbit:

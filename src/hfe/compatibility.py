@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cech
 from .cech import Cocycle, Nerve, SamplePoint
-from .config import check_bound, get_tolerances, property_bound
+from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import (
     GluingError,
     SingularityError,
@@ -181,7 +181,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     L = as_stack([x.A for x in lifts], data.n)
     axes = (-2, -1)
     off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
-    off_bound = 1e3 * tols.abs * np.maximum(1.0, np.max(np.abs(L), axis=axes,
+    off_bound = zero_bound(tols) * np.maximum(1.0, np.max(np.abs(L), axis=axes,
                                                        initial=0.0))
     z2 = []
     for r, (dA, x) in enumerate(zip(detA, lifts)):
@@ -374,14 +374,14 @@ def self_compat(
         for ci, comp in enumerate(data.nerve.overlaps[pair]):
             for pt in comp.points:
                 g1, g2 = data.pair_cocycle.transitions[pair][ci](pt)
-                if np.max(np.abs(np.asarray(g1) - np.asarray(g2))) > 1e3 * tols.abs:
+                if np.max(np.abs(np.asarray(g1) - np.asarray(g2))) > zero_bound(tols):
                     raise ValidationError("pair cocycle is not diagonal")
     # real, constant-sign delta samples
     sign = None
     for ch in data.nerve.charts:
         for pt in _chart_sample_points(data, ch):
             d = complex(data.delta_samples[ch](pt))
-            if abs(d.imag) > 1e3 * tols.abs * max(1.0, abs(d)):
+            if abs(d.imag) > zero_bound(tols) * max(1.0, abs(d)):
                 raise ValidationError("delta samples not real")
             s = 1 if d.real > 0 else -1
             if sign is None:

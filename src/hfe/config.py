@@ -66,6 +66,14 @@ def check_bound(tols: Tolerances) -> float:
     return 1e3 * tols.rel
 
 
+def zero_bound(tols: Tolerances) -> float:
+    """Absolute bound of an entry or difference that vanishes exactly in
+    theory but is reached through arithmetic: a block pattern, a pair or
+    lift that must match, the imaginary part of a real sample; a
+    thousand times abs (1e-7 by default)."""
+    return 1e3 * tols.abs
+
+
 def property_bound(tols: Tolerances) -> float:
     """Relative bound of an identity reached through several numerical
     steps (a frame transition, Ball action, square-root tracking): the

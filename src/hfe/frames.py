@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ball
-from .config import get_tolerances
+from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError
 from .groups import (
     GlElement,
@@ -412,7 +412,7 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
     unit[:k, :k] = np.eye(k)
     checks, A = block_pattern(
         [("W not of the form diag(1, Wr)", W - unit, [(head, rows), (tail, head)],
-          1e3 * tols.abs),
+          zero_bound(tols)),
          ("C lower-left block nonzero", C, [(tail, head)], tols.abs)],
         C, k, "C's A-block not real")
     return checks, {"A": A, "B": C[:, :k, k:], "Cr": C[:, k:, k:], "Wr": W[:, k:, k:]}
@@ -530,7 +530,7 @@ def pairing_density(
         if delta_tilde_value is None:
             raise ValidationError("half-form mode requires delta_tilde_value")
         factor = complex(delta_tilde_value)
-        if abs(factor * factor - d) > get_tolerances().rel * abs(d) * 10:
+        if abs(factor * factor - d) > identity_bound(get_tolerances()) * abs(d):
             raise ValidationError("delta_tilde_value does not square to delta")
     else:
         raise ValidationError(f"unknown mode {mode!r}")

@@ -145,35 +145,36 @@ def _block_frame(A, B, Wr, Cr):
     return U, V
 
 
-def _gen_frame_blocks(params, n, k):
-    """D-adapted block frame with reduced part phi_inv(Wr(t), Cr), where
-    Wr(t) = Wr + t * Wr_slope along the sample parameter."""
+def _parse_blocks(params: dict, n: int, k: int):
+    """The blocks of a D-adapted block frame: A (real, read only when
+    k > 0), B (zero by default), Cr, and the reduced Ball point as a
+    function of the sample point, Wr(t) = Wr + t * Wr_slope."""
     A = parse_matrix(params["A"]).real if k else np.zeros((0, 0))
     B = parse_matrix(params["B"]) if "B" in params else np.zeros((k, n - k))
     Wr0 = parse_matrix(params["Wr"])
     Wslope = parse_matrix(params["Wr_slope"]) if "Wr_slope" in params else None
     Cr = parse_matrix(params["Cr"])
 
-    def fn(pt):
-        Wr = Wr0 if Wslope is None else Wr0 + _point_param(pt) * Wslope
-        return _block_frame(A, B, Wr, Cr)
+    def Wr(pt):
+        return Wr0 if Wslope is None else Wr0 + _point_param(pt) * Wslope
 
-    return fn
+    return A, B, Wr, Cr
+
+
+def _gen_frame_blocks(params, n, k):
+    """D-adapted block frame with reduced part phi_inv(Wr(t), Cr)."""
+    A, B, Wr, Cr = _parse_blocks(params, n, k)
+    return lambda pt: _block_frame(A, B, Wr(pt), Cr)
 
 
 def _meta_member(spec: dict, n: int, k: int):
-    A = parse_matrix(spec["A"]).real if k else np.zeros((0, 0))
-    B = parse_matrix(spec["B"]) if "B" in spec else np.zeros((k, n - k))
-    Wr0 = parse_matrix(spec["Wr"])
-    Wslope = parse_matrix(spec["Wr_slope"]) if "Wr_slope" in spec else None
-    Cr = parse_matrix(spec["Cr"])
+    A, B, Wr, Cr = _parse_blocks(spec, n, k)
     zsign = int(spec.get("zsign", 1))
 
     def fn(pt):
-        Wr = Wr0 if Wslope is None else Wr0 + _point_param(pt) * Wslope
         W = np.zeros((n, n), dtype=complex)
         W[:k, :k] = np.eye(k)
-        W[k:, k:] = Wr
+        W[k:, k:] = Wr(pt)
         C = np.zeros((n, n), dtype=complex)
         C[:k, :k] = A
         C[:k, k:] = B

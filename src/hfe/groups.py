@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import ball
-from .config import get_tolerances, identity_bound
+from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError
 from .tracking import principal_sqrt, track_sqrt
 
@@ -210,7 +210,7 @@ class MpElement:
         object.__setattr__(self, "zeta", complex(self.zeta))
         _, a0 = ball.alpha_raw(self.g.g, np.zeros((self.g.n, self.g.n)))
         d = np.linalg.det(a0)
-        if abs(self.zeta * self.zeta - d) > 1e3 * get_tolerances().rel * abs(d):
+        if abs(self.zeta * self.zeta - d) > check_bound(get_tolerances()) * abs(d):
             raise ValidationError("zeta**2 != det alpha(g, 0)")
 
     @property
@@ -423,7 +423,7 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
     raise_first(checks)
     if k:
         inv_res = np.max(np.abs(g[:, s[2], s[2]] - np.linalg.inv(A_g)), axis=(-2, -1))
-        bound = 1e3 * tols.rel * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        bound = check_bound(tols) * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
         raise_first([(inv_res > bound, lambda p: SubgroupRejection(
             "third diagonal block is not the inverse of the first", []))])
     g_r = np.concatenate([

@@ -21,7 +21,7 @@ from . import ball, cech, compatibility
 from .cech import Cocycle, Nerve, SamplePoint
 from .compatibility import DeltaTildeData, PolarizationPairData
 from .config import Tolerances, check_bound, get_tolerances, property_bound
-from .errors import TheoremFalsification, TrackingError, ValidationError
+from .errors import TheoremFalsification, ValidationError
 from .frames import (
     BallPoint,
     LagFrame,
@@ -49,7 +49,7 @@ from .groups import (
     spk_blocks,
 )
 from .sampling import random_mlkd
-from .tracking import _MAX_ARG, principal_sqrt
+from .tracking import track_graph
 
 
 @dataclass(frozen=True)
@@ -117,44 +117,21 @@ def chart_sqrt_values(
     flip: int = 1,
 ) -> dict[str, complex]:
     """Continuous square root of a nonvanishing function over a chart's
-    sample graph.
+    sample graph, by point id.
 
     Each connected piece is rooted at its smallest point id with the
     principal root (times the sheet flip); edges are single tracking
-    steps.
+    steps (see track_graph).
     """
     index = nerve.point_index
     vertices, edges = index.graphs[chart]
-    vals = {index.points[r].id: complex(value_fn(index.points[r])) for r in vertices}
-    adj: dict[str, list[str]] = {pid: [] for pid in vals}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    z: dict[str, complex] = {}
-    tols = get_tolerances()
-    for root in sorted(vals):
-        if root in z:
-            continue
-        z[root] = flip * principal_sqrt(vals[root])
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop(0)
-            for nxt in adj[cur]:
-                ratio = vals[nxt] / vals[cur]
-                if abs(np.angle(ratio)) >= _MAX_ARG:
-                    raise TrackingError(
-                        f"branch jump between {cur} and {nxt} on chart {chart}"
-                    )
-                val = z[cur] * principal_sqrt(ratio)
-                if nxt in z:
-                    if abs(val - z[nxt]) > check_bound(tols) * max(1.0, abs(val)):
-                        raise TrackingError(
-                            f"inconsistent square root on chart {chart}"
-                        )
-                else:
-                    z[nxt] = val
-                    frontier.append(nxt)
-    return z
+    ids = [index.points[r].id for r in vertices]
+    at = {pid: i for i, pid in enumerate(ids)}
+    z = track_graph([complex(value_fn(index.points[r])) for r in vertices],
+                    [(at[a], at[b]) for a, b in edges],
+                    sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
+                    jump=f"on chart {chart}", cycle=f"on chart {chart}")
+    return dict(zip(ids, z))
 
 
 @dataclass

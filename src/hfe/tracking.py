@@ -5,22 +5,25 @@ anchor ``z0`` with ``z0**2 = f(t0)``, there is a unique continuous branch
 ``z(t)`` with ``z(t)**2 = f(t)``.  We realize it numerically by stepping
 along the path and multiplying by the principal square root of the ratio
 of consecutive values; adaptive bisection keeps every argument step below
-pi/2 so the branch can never jump.
+pi/2 so the branch can never jump.  On a sampled graph (track_graph)
+the steps are the edges and cannot be refined, so a step of pi/2 or
+more is an error.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from collections import deque
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import get_tolerances
+from .config import check_bound, get_tolerances, identity_bound
 from .errors import TrackingError
 
 # Argument-step safety margin: a ratio with |arg| beyond this triggers
-# bisection (continuous functions) or an error (discrete samples).
+# bisection (continuous functions) or an error (sampled graphs).
 _MAX_ARG = 0.5 * math.pi * 0.999
 
 
@@ -89,7 +92,7 @@ def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
     """One path of track_sqrt: ``values`` on the grid, ``at(t)[p]`` at a
     midpoint t."""
     ft0 = values[0]
-    if abs(z0 * z0 - ft0) > tols.rel * max(1.0, abs(ft0)) * 10:
+    if abs(z0 * z0 - ft0) > identity_bound(tols) * max(1.0, abs(ft0)):
         raise TrackingError("anchor does not square to the path start value")
     floor = tols.track * max(1.0, abs(ft0))
     t, ft, z = grid[0], ft0, complex(z0)
@@ -111,6 +114,9 @@ def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
                 if depth > max_depth:
                     raise TrackingError("bisection depth exceeded (branch ambiguity)")
                 tm = 0.5 * (t + tn)
+                if tm in (t, tn):
+                    raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
+                                        "left to bisect (branch ambiguity)")
                 pending.append((tm, at(tm)[p]))
                 continue
             z = z * principal_sqrt(ratio)
@@ -120,29 +126,57 @@ def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
     return z
 
 
-def track_sqrt_samples(values: Sequence[complex], z0: complex) -> list[complex]:
-    """Track a square root along a discrete sample sequence.
+def track_graph(
+    values: Sequence[complex],
+    edges: Iterable[tuple[int, int]],
+    roots: Iterable[int],
+    names: Sequence[str],
+    flip: int = 1,
+    *,
+    jump: str = "(edge too long)",
+    cycle: str = "around a cycle",
+) -> list[Optional[complex]]:
+    """Continuous square roots of sampled values over a graph.
 
-    Returns the branch values at every sample.  Unlike track_sqrt the
-    samples cannot be refined, so an argument step of pi/2 or more is a
-    hard error (the sampling is too coarse to rule out a branch jump).
+    values[i] is the value at vertex i, named names[i] in errors, and
+    each edge (i, j) is one tracking step.  Each root in turn that no
+    earlier walk reached starts a piece with flip * principal_sqrt of its
+    value, and a breadth-first walk visits the neighbours of a vertex in
+    edge order; so the caller's edge and root order fix every value.
+    Returns the root at every vertex, None where no walk arrived.
+
+    Samples cannot be refined, so a step raises TrackingError if a value
+    at either end is exactly zero, if its argument reaches _MAX_ARG
+    ("branch jump between <i> and <j> <jump>": the sampling is too coarse
+    to rule out a branch jump), or if it reaches a tracked vertex with a
+    root that differs beyond check_bound ("inconsistent square root
+    <cycle>").
     """
-    if not values:
-        return []
-    out = [complex(z0)]
-    prev = complex(values[0])
-    tols = get_tolerances()
-    if abs(z0 * z0 - prev) > tols.rel * max(1.0, abs(prev)) * 10:
-        raise TrackingError("anchor does not square to the first sample")
-    for v in values[1:]:
-        v = complex(v)
-        if abs(prev) == 0.0 or abs(v) == 0.0:
-            raise TrackingError("sample value vanishes; branch undefined")
-        ratio = v / prev
-        if abs(cmath.phase(ratio)) >= _MAX_ARG:
-            raise TrackingError(
-                "argument step >= pi/2 between samples (edge too long)"
-            )
-        out.append(out[-1] * principal_sqrt(ratio))
-        prev = v
-    return out
+    bound = check_bound(get_tolerances())
+    adj: list[list[int]] = [[] for _ in values]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    z: list[Optional[complex]] = [None] * len(values)
+    for root in roots:
+        if z[root] is not None:
+            continue
+        z[root] = flip * principal_sqrt(values[root])
+        frontier = deque([root])
+        while frontier:
+            cur = frontier.popleft()
+            for nxt in adj[cur]:
+                if values[cur] == 0 or values[nxt] == 0:
+                    raise TrackingError(f"value vanishes between {names[cur]} and "
+                                        f"{names[nxt]}; branch undefined")
+                ratio = values[nxt] / values[cur]
+                if abs(np.angle(ratio)) >= _MAX_ARG:
+                    raise TrackingError(
+                        f"branch jump between {names[cur]} and {names[nxt]} {jump}")
+                val = z[cur] * principal_sqrt(ratio)
+                if z[nxt] is None:
+                    z[nxt] = val
+                    frontier.append(nxt)
+                elif abs(val - z[nxt]) > bound * max(1.0, abs(val)):
+                    raise TrackingError(f"inconsistent square root {cycle}")
+    return z

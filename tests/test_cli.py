@@ -384,3 +384,23 @@ def test_obstruction_is_skipped_when_validate_fails(monkeypatch, capsys):
         "missing": ["gl.cocycle"],
     }
     assert "obstruction.lift" not in checks
+
+
+def test_vanishing_determinant_is_a_lift_error(tmp_path, capsys):
+    # a singular first member makes det vanish at every overlap point: the
+    # square root has no branch there, which the lift must report
+    doc = json.loads((Path(__file__).parent / "golden" / "scenarios"
+                      / "dense_ring_seed0.json").read_text())
+    for tr in doc["pair_cocycle"]["transitions"]:
+        tr["generator"]["params"]["first"] = [[1, 0], [0, 0]]
+        tr["generator"]["params"]["second"] = [[1, 0], [0, 0]]
+    doc["pipelines"] = ["validate", "lift"]
+    path = tmp_path / "vanishing.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "--report", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["lift.error"]["failures"] == [
+        "TrackingError: value vanishes between o00p00 and o00p01; "
+        "branch undefined"]

@@ -1,12 +1,20 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import hfe
+from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lift_double_cover
+from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
-from hfe.tracking import _MAX_ARG, principal_sqrt, track_sqrt, track_sqrt_samples
+from hfe.induction import chart_sqrt_values
+from hfe.tracking import _MAX_ARG, principal_sqrt, track_graph, track_sqrt
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -48,9 +56,36 @@ def test_track_sqrt_partial_interval_composition():
     assert abs(z_full - track_sqrt(f, 1.0)) < 1e-12
 
 
-def test_track_sqrt_samples_continuity():
+def test_track_sqrt_rejects_a_sign_jump_without_hanging():
+    # the path changes sign without vanishing: bisection shrinks the step
+    # toward the jump until no midpoint is left between its two ends
+    code = ("import numpy as np\n"
+            "from hfe.errors import TrackingError\n"
+            "from hfe.tracking import track_sqrt\n"
+            "try:\n"
+            "    track_sqrt(lambda t: np.where(t < 0.3, 1.0, -1.0), 1.0)\n"
+            "except TrackingError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hfe.__file__).parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("path jumps near t=0.3")
+    assert "branch ambiguity" in proc.stdout
+
+
+def _track_path_graph(vals):
+    """track_graph on the path 0 - 1 - ... - m-1, rooted at vertex 0."""
+    return track_graph(vals, [(i, i + 1) for i in range(len(vals) - 1)], [0],
+                       [f"s{i}" for i in range(len(vals))])
+
+
+def test_track_graph_path_continuity():
     vals = [cmath.exp(0.4j * k) for k in range(8)]
-    out = track_sqrt_samples(vals, 1.0)
+    out = _track_path_graph(vals)
     for z, v in zip(out, vals):
         assert abs(z * z - v) < 1e-12
     # consecutive roots stay close (no sheet jumps)
@@ -58,9 +93,9 @@ def test_track_sqrt_samples_continuity():
         assert abs(b - a) < 1.0
 
 
-def test_track_sqrt_samples_coarse_edge_rejected():
+def test_track_graph_path_coarse_edge_rejected():
     with pytest.raises(TrackingError):
-        track_sqrt_samples([1.0, -1.0], 1.0)
+        _track_path_graph([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +179,159 @@ def test_track_sqrt_one_call_per_midpoint():
     assert abs(z * z - cmath.exp(60j)) < 1e-9
     assert f.calls[0].shape == (17,)
     assert [c.shape for c in f.calls[1:]] == [(1,)] * (16 * 3)
+
+
+# ---------------------------------------------------------------------------
+# the graph tracker against the two trackers it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_track_component(comp, fn):
+    """The lift's former per-component tracker, verbatim."""
+    tols = get_tolerances()
+    dets = np.linalg.det(np.array([np.asarray(fn(p), dtype=complex)
+                                   for p in comp.points])).tolist()
+    z = {0: principal_sqrt(dets[0])}
+    adj = {i: [] for i in range(len(comp.points))}
+    for i, j in comp.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    frontier = [0]
+    while frontier:
+        cur = frontier.pop(0)
+        for nxt in adj[cur]:
+            ratio = dets[nxt] / dets[cur]
+            if abs(np.angle(ratio)) >= _MAX_ARG:
+                raise TrackingError(
+                    f"branch jump between {comp.points[cur].id} and "
+                    f"{comp.points[nxt].id} (edge too long)"
+                )
+            val = z[cur] * principal_sqrt(ratio)
+            if nxt in z:
+                if abs(val - z[nxt]) > 1e3 * tols.rel * max(1.0, abs(val)):
+                    raise TrackingError(
+                        "inconsistent square root around a cycle in component"
+                    )
+            else:
+                z[nxt] = val
+                frontier.append(nxt)
+    return {comp.points[i].id: z[i] for i in range(len(comp.points))}
+
+
+def _oracle_chart_sqrt_values(nerve, chart, value_fn, flip=1):
+    """The recipe's former chart tracker, verbatim."""
+    index = nerve.point_index
+    vertices, edges = index.graphs[chart]
+    vals = {index.points[r].id: complex(value_fn(index.points[r])) for r in vertices}
+    adj = {pid: [] for pid in vals}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    z = {}
+    tols = get_tolerances()
+    for root in sorted(vals):
+        if root in z:
+            continue
+        z[root] = flip * principal_sqrt(vals[root])
+        frontier = [root]
+        while frontier:
+            cur = frontier.pop(0)
+            for nxt in adj[cur]:
+                ratio = vals[nxt] / vals[cur]
+                if abs(np.angle(ratio)) >= _MAX_ARG:
+                    raise TrackingError(
+                        f"branch jump between {cur} and {nxt} on chart {chart}"
+                    )
+                val = z[cur] * principal_sqrt(ratio)
+                if nxt in z:
+                    if abs(val - z[nxt]) > check_bound(tols) * max(1.0, abs(val)):
+                        raise TrackingError(
+                            f"inconsistent square root on chart {chart}"
+                        )
+                else:
+                    z[nxt] = val
+                    frontier.append(nxt)
+    return z
+
+
+@st.composite
+def _graph_nerves(draw):
+    """A nerve whose chart "a" overlaps charts b0, b1, ... in one random
+    connected component each, with shuffled point ids and edge order and
+    nonzero values.  A component is a tree whose phase moves by up to 108
+    degrees per edge (some edges jump) or a ring that winds around the
+    origin at most once (some close inconsistently), plus random edges."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    labels = draw(st.permutations(range(sum(sizes))))
+    base = draw(st.floats(-math.pi, math.pi))
+    comps, vals = [], {}
+    for m in sizes:
+        ids, labels = [f"p{x:02d}" for x in labels[:m]], labels[m:]
+        if m >= 3 and draw(st.booleans()):
+            edges = [(i, i + 1) for i in range(m - 1)] + [(m - 1, 0)]
+            w = draw(st.integers(0, 1))
+            phase = [2 * math.pi * w * i / m for i in range(m)]
+        else:
+            edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, m)]
+            phase = [0.0]
+            for _, p in edges:
+                phase.append(phase[p] + math.pi * draw(st.integers(-3, 3)) / 5)
+        extra = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=2))
+        edges = draw(st.permutations(edges + [(i, j) for i, j in extra if i != j]))
+        edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in edges]
+        for pid, ph in zip(ids, phase):
+            vals[pid] = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * (base + ph))
+        comps.append(OverlapComponent(tuple(SamplePoint(pid) for pid in ids),
+                                      tuple(edges)))
+    nerve = Nerve(("a",) + tuple(f"b{j}" for j in range(len(comps))),
+                  {("a", f"b{j}"): (comp,) for j, comp in enumerate(comps)})
+    return nerve, vals
+
+
+def _outcome(fn):
+    """The result of fn(), or the class and message of what it raised."""
+    try:
+        return fn()
+    except TrackingError as exc:
+        return type(exc), str(exc)
+
+
+@given(_graph_nerves(), st.sampled_from([1, -1]))
+def test_chart_tracking_matches_former_tracker(case, flip):
+    # the roots go in sorted point-id order, a random order of the
+    # vertices; == compares every root bit for bit up to the sign of zero
+    nerve, vals = case
+    value_fn = lambda pt: vals[pt.id]  # noqa: E731
+    got = _outcome(lambda: chart_sqrt_values(nerve, "a", value_fn, flip))
+    want = _outcome(lambda: _oracle_chart_sqrt_values(nerve, "a", value_fn, flip))
+    assert got == want
+
+
+@given(_graph_nerves())
+def test_lift_tracking_matches_former_tracker(case):
+    # without triple points every component keeps the sheet it was
+    # tracked on, so the lifted z is the tracked root at every point
+    nerve, vals = case
+    fn = lambda pt: np.array([[vals[pt.id]]])  # noqa: E731
+    gl = Cocycle("Gl", 1, 0, {pair: (fn,) for pair in nerve.overlaps})
+
+    def lifted():
+        ml = lift_double_cover(nerve, gl)
+        return {pt.id: ml.transitions[pair][0](pt).z
+                for pair, (comp,) in nerve.overlaps.items() for pt in comp.points}
+
+    def former():
+        out = {}
+        for pair in sorted(nerve.overlaps):
+            out.update(_oracle_track_component(nerve.overlaps[pair][0], fn))
+        return out
+
+    assert _outcome(lifted) == _outcome(former)
+
+
+@pytest.mark.parametrize("zero", [0, 1])
+def test_track_graph_rejects_a_vanishing_value(zero):
+    vals = [1.0, 1.0]
+    vals[zero] = 0j
+    with pytest.raises(TrackingError, match="value vanishes between s0 and s1"):
+        _track_path_graph(vals)
