@@ -5,6 +5,13 @@ documents in ``tests/golden/scenarios/``: seeded 6-chart rings with 8
 sample points per overlap (n=2, k=1), the dense workload of the
 benchmark, whose per-point stages dominate their run time.
 
+Two more sets pin which stage records each error and skip:
+``tests/golden/selection/<scenario>.<stage>.json`` holds the report of
+every corpus scenario run with ``--pipeline <stage>``, for each stage it
+lists, and ``tests/golden/stress/<scenario>.<key>=<value>.json`` the
+report of abstract_k1_nonorientable under one tolerance far from its
+default, where stages fail with evaluation errors.
+
 A refactor that changes no verdict, residual or detail keeps these files
 as they are.  A change that means to alter a report re-records them with
 
@@ -20,10 +27,15 @@ import pytest
 
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
-from hfe.scenario import builtin_scenario_names
+from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DOCUMENTS = sorted(p.stem for p in (GOLDEN_DIR / "scenarios").glob("*.json"))
+SELECTIONS = [(name, stage) for name in builtin_scenario_names()
+              for stage in json.loads(builtin_scenario_path(name).read_text())["pipelines"]]
+STRESS = [("abstract_k1_nonorientable", key, value) for key, value in (
+    ("singular", 0.9), ("singular", 1.5), ("rel", 1e-17), ("abs", 1e-20),
+    ("track", 0.99))]
 
 
 def golden_text(report) -> str:
@@ -35,6 +47,30 @@ def golden_text(report) -> str:
 
 def document_report(name: str):
     return run_scenario(GOLDEN_DIR / "scenarios" / f"{name}.json")
+
+
+def selection_report(name: str, stage: str):
+    return run_scenario(builtin_scenario_path(name), pipelines=[stage])
+
+
+def stress_report(name: str, key: str, value: float):
+    return run_scenario(builtin_scenario_path(name), tolerances={key: value})
+
+
+def _golden_files():
+    """Every golden file's path below GOLDEN_DIR with a function making
+    its report."""
+    out = {f"{name}.json": lambda name=name: run_scenario(builtin_scenario_path(name))
+           for name in builtin_scenario_names()}
+    out.update((f"{name}.json", lambda name=name: document_report(name))
+               for name in DOCUMENTS)
+    out.update((f"selection/{name}.{stage}.json",
+                lambda name=name, stage=stage: selection_report(name, stage))
+               for name, stage in SELECTIONS)
+    out.update((f"stress/{name}.{key}={value}.json",
+                lambda name=name, key=key, value=value: stress_report(name, key, value))
+               for name, key, value in STRESS)
+    return out
 
 
 def _differing_keys(got: dict, want: dict) -> list[str]:
@@ -53,7 +89,7 @@ def _first_difference(got: dict, want: dict) -> str:
 
 
 def _compare(name: str, report) -> None:
-    want = (GOLDEN_DIR / f"{name}.json").read_text()
+    want = (GOLDEN_DIR / name).read_text()
     got = golden_text(report)
     if got != want:
         pytest.fail(f"{name}: {_first_difference(json.loads(got), json.loads(want))}")
@@ -61,21 +97,29 @@ def _compare(name: str, report) -> None:
 
 @pytest.mark.parametrize("name", builtin_scenario_names())
 def test_corpus_report_matches_golden(name, corpus_reports):
-    _compare(name, corpus_reports[name])
+    _compare(f"{name}.json", corpus_reports[name])
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)
 def test_document_report_matches_golden(name):
-    _compare(name, document_report(name))
+    _compare(f"{name}.json", document_report(name))
+
+
+@pytest.mark.parametrize("name,stage", SELECTIONS,
+                         ids=[f"{n}.{s}" for n, s in SELECTIONS])
+def test_selection_report_matches_golden(name, stage):
+    _compare(f"selection/{name}.{stage}.json", selection_report(name, stage))
+
+
+@pytest.mark.parametrize("name,key,value", STRESS,
+                         ids=[f"{n}.{k}={v}" for n, k, v in STRESS])
+def test_stress_report_matches_golden(name, key, value):
+    _compare(f"stress/{name}.{key}={value}.json", stress_report(name, key, value))
 
 
 if __name__ == "__main__":
-    from hfe.scenario import builtin_scenario_path
-
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    reports = {name: run_scenario(builtin_scenario_path(name))
-               for name in builtin_scenario_names()}
-    reports.update((name, document_report(name)) for name in DOCUMENTS)
-    for name, report in reports.items():
-        (GOLDEN_DIR / f"{name}.json").write_text(golden_text(report))
+    for name, make in _golden_files().items():
+        path = GOLDEN_DIR / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(golden_text(make()))
         print(f"recorded {name}")
