@@ -18,7 +18,7 @@ import numpy as np
 
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
-from .errors import ValidationError
+from .errors import SingularityError, ValidationError
 from .tracking import track_graph
 
 PairKey = tuple[str, str]
@@ -29,6 +29,9 @@ TripleKey = tuple[str, str, str]
 class SamplePoint:
     id: str
     params: tuple[float, ...] = ()
+
+
+ORIGIN = SamplePoint("origin", ())
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,12 @@ class Nerve:
                 out.append((key, tp))
         return out
 
+    def chart_points(self, chart: str) -> list[SamplePoint]:
+        """One sample point per point id of the overlaps containing a
+        chart, or the origin for a chart that meets no overlap."""
+        index = self.point_index
+        return [index.points[r] for r in index.graphs[chart][0]] or [ORIGIN]
+
     @cached_property
     def point_index(self) -> PointIndex:
         """The index of every overlap sample point (see PointIndex)."""
@@ -210,43 +219,34 @@ def _gl_mul(x, y):
     return _mat(x) @ _mat(y)
 
 
-def _gl_inv(x):
-    return np.linalg.inv(_mat(x))
-
-
 def _gl_dist(x, y):
     return float(np.max(np.abs(_mat(x) - _mat(y))))
 
 
 _OPS: dict[str, dict[str, Callable]] = {
-    "Gl": {"mul": _gl_mul, "inv": _gl_inv, "dist": _gl_dist},
+    "Gl": {"mul": _gl_mul, "dist": _gl_dist},
     "Ml": {
         "mul": G.ml_mul,
-        "inv": G.ml_inv,
         "dist": lambda x, y: max(
             float(np.max(np.abs(x.A - y.A))), abs(x.z - y.z)
         ),
     },
     "Sp": {
         "mul": lambda x, y: G.SpElement(x.g @ y.g),
-        "inv": lambda x: G.SpElement(np.linalg.inv(x.g)),
         "dist": lambda x, y: float(np.max(np.abs(x.g - y.g))),
     },
     "Mp": {
         "mul": G.mp_mul,
-        "inv": G.mp_inv,
         "dist": lambda x, y: max(
             float(np.max(np.abs(x.g.g - y.g.g))), abs(x.zeta - y.zeta)
         ),
     },
     "Glkd": {
         "mul": lambda x, y: (_gl_mul(x[0], y[0]), _gl_mul(x[1], y[1])),
-        "inv": lambda x: (_gl_inv(x[0]), _gl_inv(x[1])),
         "dist": lambda x, y: max(_gl_dist(x[0], y[0]), _gl_dist(x[1], y[1])),
     },
     "Mlkd": {
         "mul": lambda x, y: (G.ml_mul(x[0], y[0]), G.ml_mul(x[1], y[1])),
-        "inv": lambda x: (G.ml_inv(x[0]), G.ml_inv(x[1])),
         "dist": lambda x, y: max(
             _OPS["Ml"]["dist"](x[0], y[0]), _OPS["Ml"]["dist"](x[1], y[1])
         ),
@@ -255,111 +255,43 @@ _OPS: dict[str, dict[str, Callable]] = {
 _OPS["Spk"] = _OPS["Sp"]
 
 
-class PointMemo:
-    """A function of a sample point, evaluated once per point and
-    tolerance set.
-
-    Values are cached under (point, current tolerances), so a function
-    that validates its value at the current tolerances runs again under
-    a different set.  Exceptions propagate and are not cached.  Callers
-    must not mutate a returned value: it is shared by every later call.
-    """
-
-    __slots__ = ("fn", "_values")
-
-    def __init__(self, fn: Callable[[SamplePoint], Any]):
-        self.fn = fn
-        self._values: dict = {}
-
-    def __call__(self, pt: SamplePoint) -> Any:
-        key = (pt, get_tolerances())
-        try:
-            return self._values[key]
-        except KeyError:
-            pass
-        value = self._values[key] = self.fn(pt)
-        return value
-
-
-def memoize(fn: Callable[[SamplePoint], Any]) -> PointMemo:
-    """Wrap fn in a PointMemo unless it already is one."""
-    return fn if isinstance(fn, PointMemo) else PointMemo(fn)
-
-
-class _Batched:
-    """A transition of one overlap component whose values at all its
-    points are made together by make(points), on the first call under
-    each tolerance set."""
-
-    def __init__(self, make: Callable[[tuple], list], points: tuple):
-        self.make = make
-        self.points = points
-        self._tables: dict = {}
-
-    def __call__(self, pt: SamplePoint) -> Any:
-        tols = get_tolerances()
-        if tols not in self._tables:
-            self._tables[tols] = dict(zip((p.id for p in self.points),
-                                          self.make(self.points)))
-        return self._tables[tols][pt.id]
-
-
 @dataclass(frozen=True)
 class Cocycle:
     """Group-valued transition data over a nerve.
 
-    transitions maps a sorted chart pair to one function object per
-    overlap component; each function takes a SamplePoint and returns a
-    group element.  Values for the reversed pair are the group inverses.
-    Every transition is memoized per sample point (see PointMemo), so a
-    cocycle derived pointwise from another evaluates each point once.
+    values holds the transition t_ab, a < b, at every row of the nerve's
+    point index, in component_list() order.
     """
 
     group: str
     n: int
     k: int
-    transitions: dict[PairKey, tuple[Callable[[SamplePoint], Any], ...]] = field(
-        default_factory=dict
-    )
+    values: list
 
     def __post_init__(self):
         if self.group not in _OPS:
             raise ValidationError(f"unknown cocycle group {self.group!r}")
-        object.__setattr__(self, "transitions", {
-            pair: tuple(memoize(fn) for fn in fns)
-            for pair, fns in self.transitions.items()
-        })
 
     @classmethod
-    def from_rows(cls, group: str, n: int, k: int, nerve: Nerve, values: list
-                  ) -> "Cocycle":
-        """The cocycle taking values[r] at each row r of nerve.point_index."""
+    def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
+                 transitions: dict[PairKey, tuple[Callable[[SamplePoint], Any], ...]]
+                 ) -> "Cocycle":
+        """The cocycle whose transition on component ci of a sorted chart
+        pair is transitions[pair][ci], evaluated once at each of its
+        sample points."""
+        for pair in sorted(nerve.overlaps):
+            if pair not in transitions:
+                raise ValidationError(f"missing transition for overlap {pair}")
+            if len(transitions[pair]) != len(nerve.overlaps[pair]):
+                raise ValidationError(f"component count mismatch for {pair}")
         index = nerve.point_index
-        transitions: dict = {pair: [] for pair in sorted(nerve.overlaps)}
-        for (pair, ci), rows in index.components.items():
-            transitions[pair].append(_Batched(
-                lambda pts, rows=rows: values[rows.start:rows.stop],
-                nerve.overlaps[pair][ci].points))
-        return cls(group, n, k, {pair: tuple(fns) for pair, fns in transitions.items()})
+        return cls(group, n, k, [transitions[pair][ci](index.points[r])
+                                 for (pair, ci), rows in index.components.items()
+                                 for r in rows])
 
     @property
     def ops(self) -> dict[str, Callable]:
         return _OPS[self.group]
-
-    def row_values(self, nerve: Nerve) -> list:
-        """The transition values at every row of nerve.point_index."""
-        index = nerve.point_index
-        out = []
-        for (pair, ci), rows in index.components.items():
-            fn = self.transitions[pair][ci]
-            out.extend(fn(index.points[r]) for r in rows)
-        return out
-
-    def value(self, a: str, b: str, comp: int, point: SamplePoint) -> Any:
-        """Transition t_ab evaluated at a sample point of component comp."""
-        if a < b:
-            return self.transitions[(a, b)][comp](point)
-        return self.ops["inv"](self.transitions[(b, a)][comp](point))
 
 
 @dataclass(frozen=True)
@@ -389,12 +321,17 @@ def _membership_residuals(c: Cocycle, values: list) -> list[float]:
     if c.group in ("Glkd", "Mlkd"):
         first, second = zip(*values) if values else ((), ())
         if c.group == "Mlkd":
-            G.classify_pairs(G.as_stack([x.A for x in first], c.n),
-                             G.as_stack([x.A for x in second], c.n), c.k,
-                             [x.z for x in first], [x.z for x in second])
+            A1 = G.as_stack([x.A for x in first], c.n)
+            A2 = G.as_stack([x.A for x in second], c.n)
+            G.classify_pairs(A1, A2, c.k, [x.z for x in first],
+                             [x.z for x in second])
         else:
-            G.classify_pairs(G.as_stack([_mat(x) for x in first], c.n),
-                             G.as_stack([_mat(x) for x in second], c.n), c.k)
+            A1 = G.as_stack([_mat(x) for x in first], c.n)
+            A2 = G.as_stack([_mat(x) for x in second], c.n)
+            G.classify_pairs(A1, A2, c.k)
+        dets = np.abs(np.concatenate([np.linalg.det(A1), np.linalg.det(A2)]))
+        if np.any(dets <= get_tolerances().singular):
+            raise SingularityError("pair cocycle member is singular")
         return [0.0] * len(values)
     if c.group in ("Sp", "Spk", "Mp"):
         g = np.array([x.g.g if c.group == "Mp" else x.g for x in values],
@@ -414,13 +351,11 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     tols = get_tolerances()
     failures = []
     max_res = 0.0
-    for pair in sorted(nerve.overlaps):
-        if pair not in c.transitions:
-            raise ValidationError(f"missing transition for overlap {pair}")
-        if len(c.transitions[pair]) != len(nerve.overlaps[pair]):
-            raise ValidationError(f"component count mismatch for {pair}")
     index = nerve.point_index
-    residuals = _membership_residuals(c, c.row_values(nerve))
+    if len(c.values) != len(index.points):
+        raise ValidationError(f"cocycle has {len(c.values)} values for "
+                              f"{len(index.points)} sample points")
+    residuals = _membership_residuals(c, c.values)
     for (pair, ci), rows in index.components.items():
         for row in rows:
             r = residuals[row]
@@ -429,15 +364,11 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
                 failures.append(("membership", pair, ci, index.points[row].id, r))
     ops = c.ops
     for (a, b, cc), tp in nerve.triple_points():
-        cab, pab = tp.memberships[(a, b)]
-        cbc, pbc = tp.memberships[(b, cc)]
-        cac, pac = tp.memberships[(a, cc)]
-        m_ab = nerve.overlaps[(a, b)][cab].points[pab]
-        m_bc = nerve.overlaps[(b, cc)][cbc].points[pbc]
-        m_ac = nerve.overlaps[(a, cc)][cac].points[pac]
-        lhs = ops["mul"](c.value(a, b, cab, m_ab), c.value(b, cc, cbc, m_bc))
-        rhs = c.value(a, cc, cac, m_ac)
-        r = float(ops["dist"](lhs, rhs))
+        # triple keys are sorted, so every factor is a forward transition
+        t_ab, t_bc, t_ac = (c.values[index.components[(pair, tp.memberships[pair][0])].start
+                                     + tp.memberships[pair][1]]
+                            for pair in ((a, b), (b, cc), (a, cc)))
+        r = float(ops["dist"](ops["mul"](t_ab, t_bc), t_ac))
         max_res = max(max_res, r)
         if r > identity_bound(tols):
             failures.append(("cocycle", (a, b, cc), tp.id, r))
@@ -462,10 +393,7 @@ def push_cocycle(c: Cocycle, hom: str) -> Cocycle:
     src, dst, fn = _PUSH_TAGS[hom]
     if c.group != src:
         raise ValidationError(f"tag {hom!r} expects a {src} cocycle, got {c.group}")
-    return Cocycle(dst, c.n, c.k, {
-        pair: tuple(lambda pt, f=f: fn(f(pt)) for f in fns)
-        for pair, fns in c.transitions.items()
-    })
+    return Cocycle(dst, c.n, c.k, [fn(x) for x in c.values])
 
 
 # ---------------------------------------------------------------------------
@@ -582,25 +510,17 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
 # double-cover lifting
 # ---------------------------------------------------------------------------
 
-def _sheet(fn: Callable, points: tuple, z: Callable[[tuple], list]) -> _Batched:
-    """The Ml transition taking the matrix of fn at each point of a
-    component with the roots z(points) of its determinant."""
-    return _Batched(lambda pts: G.ml_elements(
-        np.array([_mat(fn(p)) for p in pts]), z(pts)), points)
-
-
 def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
     """The Ml cocycle c with its z-sheet flipped on the components whose
     entry of pattern (indexed like component_list()) is set."""
-    flagged = {key for key, bit in zip(nerve.component_list(), pattern) if bit}
-    return Cocycle("Ml", c.n, c.k, {
-        pair: tuple(
-            _sheet(lambda p, fn=fn: fn(p).A, nerve.overlaps[pair][ci].points,
-                   lambda pts, fn=fn: [-fn(p).z for p in pts])
-            if (pair, ci) in flagged else fn
-            for ci, fn in enumerate(fns))
-        for pair, fns in c.transitions.items()
-    })
+    rows = [r for key, bit in zip(nerve.component_list(), pattern) if bit
+            for r in nerve.point_index.components[key]]
+    values = list(c.values)
+    flipped = G.ml_elements(G.as_stack([values[r].A for r in rows], c.n),
+                            [-values[r].z for r in rows])
+    for r, x in zip(rows, flipped):
+        values[r] = x
+    return Cocycle("Ml", c.n, c.k, values)
 
 
 def _sign_bit(r: complex) -> Optional[int]:
@@ -625,8 +545,9 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
     index = nerve.point_index
-    mats = [_mat(x) for x in c.row_values(nerve)]
-    dets = np.linalg.det(G.as_stack(mats, len(mats[0]) if mats else 0)).tolist()
+    mats = [_mat(x) for x in c.values]
+    stack = G.as_stack(mats, len(mats[0]) if mats else 0)
+    dets = np.linalg.det(stack).tolist()
     comps = index.components
     z = track_graph(dets,
                     [(rows.start + i, rows.start + j)
@@ -653,15 +574,9 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return SignCochain(degree=2, values=defects)
-    signs = {key: -1 if flip else 1 for key, flip in zip(nerve.component_list(), sol)}
-    return Cocycle("Ml", c.n, c.k, {
-        pair: tuple(
-            _sheet(c.transitions[pair][ci], comp.points,
-                   lambda pts, rows=comps[(pair, ci)], s=signs[(pair, ci)]:
-                   [s * z[r] for r in rows])
-            for ci, comp in enumerate(nerve.overlaps[pair]))
-        for pair in sorted(nerve.overlaps)
-    })
+    return Cocycle("Ml", c.n, c.k, G.ml_elements(
+        stack, [-z[r] if flip else z[r]
+                for rows, flip in zip(comps.values(), sol) for r in rows]))
 
 
 def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
@@ -692,32 +607,26 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     every overlap component, or None if the lifts are inequivalent.
     """
     tols = get_tolerances()
+    index = nerve.point_index
     rhs = []
-    for pair in sorted(nerve.overlaps):
-        for ci, comp in enumerate(nerve.overlaps[pair]):
-            ratio = None
-            for pt in comp.points:
-                x1 = l1.transitions[pair][ci](pt)
-                x2 = l2.transitions[pair][ci](pt)
-                if float(np.max(np.abs(x1.A - x2.A))) > zero_bound(tols) * max(
-                    1.0, float(np.max(np.abs(x1.A)))
-                ):
-                    raise ValidationError(
-                        "lifts do not project to the same Gl cocycle"
-                    )
-                r = x2.z / x1.z
-                rbit = _sign_bit(r)
-                if rbit is None:
-                    raise ValidationError(
-                        f"z-ratio at {pt.id} is not a sign: {r}"
-                    )
-                if ratio is None:
-                    ratio = rbit
-                elif ratio != rbit:
-                    raise ValidationError(
-                        "z-ratio not constant on an overlap component"
-                    )
-            rhs.append(ratio)
+    for rows in index.components.values():
+        ratio = None
+        for row in rows:
+            x1, x2 = l1.values[row], l2.values[row]
+            if float(np.max(np.abs(x1.A - x2.A))) > zero_bound(tols) * max(
+                1.0, float(np.max(np.abs(x1.A)))
+            ):
+                raise ValidationError("lifts do not project to the same Gl cocycle")
+            r = x2.z / x1.z
+            rbit = _sign_bit(r)
+            if rbit is None:
+                raise ValidationError(
+                    f"z-ratio at {index.points[row].id} is not a sign: {r}")
+            if ratio is None:
+                ratio = rbit
+            elif ratio != rbit:
+                raise ValidationError("z-ratio not constant on an overlap component")
+        rhs.append(ratio)
     sol = gf2_solve(nerve.delta0, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return None

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import cech
-from .cech import Cocycle, Nerve, SamplePoint
+from .cech import ORIGIN, Cocycle, Nerve, SamplePoint
 from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import (
     GluingError,
@@ -46,7 +46,7 @@ class PolarizationPairData:
 
     nerve: Nerve
     pair_cocycle: Cocycle  # Glkd-valued
-    delta_samples: dict[str, Callable[[SamplePoint], complex]]
+    delta_samples: dict[str, dict[str, complex]]  # chart -> point id -> delta
     n: int
     k: int
 
@@ -61,7 +61,7 @@ class PolarizationPairData:
 def _pair_stacks(data: PolarizationPairData):
     """The two member stacks (P, n, n) of the pair cocycle over the rows
     of the nerve's point index."""
-    values = data.pair_cocycle.row_values(data.nerve)
+    values = data.pair_cocycle.values
     return (as_stack([g1 for g1, _ in values], data.n),
             as_stack([g2 for _, g2 in values], data.n))
 
@@ -83,8 +83,8 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
         a, b = pair
         for r in rows:
             pt = index.points[r]
-            da = complex(data.delta_samples[a](pt))
-            db = complex(data.delta_samples[b](pt))
+            da = complex(data.delta_samples[a][pt.id])
+            db = complex(data.delta_samples[b][pt.id])
             if min(abs(da), abs(db)) <= tols.singular:
                 raise SingularityError(f"delta sample vanishes at {pt.id}")
             expected = da * complex(np.conj(d1[r]) * d2[r])
@@ -108,6 +108,12 @@ def _diag_changes(values: list[complex], n: int) -> np.ndarray:
     return m
 
 
+def _ones(data: PolarizationPairData) -> dict[str, dict[str, complex]]:
+    """The value 1 at every delta sample point."""
+    return {ch: dict.fromkeys(data.delta_samples[ch], 1.0 + 0j)
+            for ch in data.nerve.charts}
+
+
 def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     """Change sections so every delta sample becomes identically 1.
 
@@ -128,8 +134,8 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         a, b = pair
         for r in rows:
             pt = index.points[r]
-            v_a = complex(data.delta_samples[a](pt))
-            v_b = complex(data.delta_samples[b](pt))
+            v_a = complex(data.delta_samples[a][pt.id])
+            v_b = complex(data.delta_samples[b][pt.id])
             if min(abs(v_a), abs(v_b)) <= tols.singular:
                 raise SingularityError("delta sample vanishes")
             va.append(v_a)
@@ -137,9 +143,8 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     G2 = _diag_changes(va, n) @ G2 @ _diag_changes(vb_inv, n)
     return PolarizationPairData(
         nerve=data.nerve,
-        pair_cocycle=Cocycle.from_rows("Glkd", n, k, data.nerve,
-                                       list(zip(G1, G2))),
-        delta_samples={ch: (lambda pt: 1.0 + 0j) for ch in data.nerve.charts},
+        pair_cocycle=Cocycle("Glkd", n, k, list(zip(G1, G2))),
+        delta_samples=_ones(data),
         n=n,
         k=k,
     )
@@ -149,16 +154,16 @@ def _chart_sample_points(data: PolarizationPairData, ch: str) -> list[SamplePoin
     """Overlap sample points of a chart, or a fallback origin point for
     charts that meet no overlap (single-chart nerves)."""
     index = data.nerve.point_index
-    return [index.points[r] for r in index.charts[ch]] or [SamplePoint("origin", ())]
+    return [index.points[r] for r in index.charts[ch]] or [ORIGIN]
 
 
 def _require_normalized(data: PolarizationPairData) -> None:
     tols = get_tolerances()
     index = data.nerve.point_index
     for ch in data.nerve.charts:
-        fn = data.delta_samples[ch]
+        values = data.delta_samples[ch]
         for r in index.charts[ch]:
-            if abs(complex(fn(index.points[r])) - 1.0) > check_bound(tols):
+            if abs(complex(values[index.points[r].id]) - 1.0) > check_bound(tols):
                 raise ValidationError("data not normalized (delta sample != 1)")
 
 
@@ -177,7 +182,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     blocks = classify_pairs(G1, G2, data.k)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(G1)
     d1, d2 = np.linalg.det(G1), np.linalg.det(G2)
-    lifts = z1.row_values(data.nerve)
+    lifts = z1.values
     L = as_stack([x.A for x in lifts], data.n)
     axes = (-2, -1)
     off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
@@ -194,7 +199,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
         if off[r] > off_bound[r]:
             raise ValidationError("z1 does not lift the first member")
         z2.append(abs(dA) / np.conj(x.z))
-    out = Cocycle.from_rows("Ml", data.n, data.k, data.nerve, ml_elements(G2, z2))
+    out = Cocycle("Ml", data.n, data.k, ml_elements(G2, z2))
     report = cech.validate_cocycle(data.nerve, out)
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "
@@ -206,12 +211,12 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
 class DeltaTildeData:
     """The global square-root datum.
 
-    Stored as per-chart base values plus the group-translation formula:
-    the value at a point translated by a metalinear pair (gt1, gt2) is
-    base * conj(z1) z2 |det A|^{-1}.
+    Stored as per-chart base values (chart -> point id -> value) plus
+    the group-translation formula: the value at a point translated by a
+    metalinear pair (gt1, gt2) is base * conj(z1) z2 |det A|^{-1}.
     """
 
-    base: dict[str, Callable[[SamplePoint], complex]]
+    base: dict[str, dict[str, complex]]
     k: int
     residuals: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
@@ -219,7 +224,7 @@ class DeltaTildeData:
 
     def value(self, chart: str, pt: SamplePoint,
               mlkd: Optional[tuple[MlElement, MlElement]] = None) -> complex:
-        v = complex(self.base[chart](pt))
+        v = complex(self.base[chart][pt.id])
         if mlkd is None:
             return v
         tag = subgroup_classify(tuple(mlkd), self.k)
@@ -271,7 +276,7 @@ def _check_translation_law(
     for (ch, pt, m1, m2), dA, e1, e2 in zip(draws, detA, d1, d2):
         # dt.value(ch, pt, (m1, m2)), sharing one classification
         val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(dA)
-        delta0 = complex(data.delta_samples[ch](pt))
+        delta0 = complex(data.delta_samples[ch][pt.id])
         target = delta0 * np.conj(e1) * e2 / (dA * dA)
         worst = max(worst, abs(val * val - target) / max(1.0, abs(target)))
     return worst
@@ -282,7 +287,7 @@ def build_delta_tilde(
     z1: Cocycle,
     z2: Cocycle,
     rng: Optional[np.random.Generator] = None,
-    base_values: Optional[dict[str, Callable[[SamplePoint], complex]]] = None,
+    base_values: Optional[dict[str, dict[str, complex]]] = None,
 ) -> DeltaTildeData:
     """Glue the global square-root datum from per-chart base values.
 
@@ -295,10 +300,10 @@ def build_delta_tilde(
     tols = get_tolerances()
     if base_values is None:
         _require_normalized(data)
-        base_values = {ch: (lambda pt: 1.0 + 0j) for ch in data.nerve.charts}
+        base_values = _ones(data)
     dt = DeltaTildeData(base=base_values, k=data.k)
     index = data.nerve.point_index
-    l1, l2 = z1.row_values(data.nerve), z2.row_values(data.nerve)
+    l1, l2 = z1.values, z2.values
     blocks = classify_pairs(as_stack([x.A for x in l1], data.n),
                             as_stack([x.A for x in l2], data.n), data.k,
                             [x.z for x in l1], [x.z for x in l2])
@@ -309,8 +314,8 @@ def build_delta_tilde(
         for r in rows:
             pt = index.points[r]
             factor = np.conj(l1[r].z) * l2[r].z / abs(detA[r])
-            lhs = complex(base_values[a](pt)) * factor
-            rhs = complex(base_values[b](pt))
+            lhs = complex(base_values[a][pt.id]) * factor
+            rhs = complex(base_values[b][pt.id])
             res = abs(lhs - rhs) / max(1.0, abs(rhs))
             dt.residuals[(pair, ci, pt.id)] = res
             if res > check_bound(tols):
@@ -322,7 +327,7 @@ def build_delta_tilde(
     for ch in data.nerve.charts:
         for pt in _chart_sample_points(data, ch):
             v = dt.value(ch, pt)
-            d = complex(data.delta_samples[ch](pt))
+            d = complex(data.delta_samples[ch][pt.id])
             sq_worst = max(sq_worst, abs(v * v - d) / max(1.0, abs(d)))
     dt.checks["square_identity"] = sq_worst
     if sq_worst > check_bound(tols):
@@ -335,8 +340,8 @@ def build_delta_tilde(
 def verify_uniqueness(
     data: PolarizationPairData, z1: Cocycle, z2a: Cocycle, z2b: Cocycle,
     rng: Optional[np.random.Generator] = None,
-    base_a: Optional[dict[str, Callable]] = None,
-    base_b: Optional[dict[str, Callable]] = None,
+    base_a: Optional[dict[str, dict[str, complex]]] = None,
+    base_b: Optional[dict[str, dict[str, complex]]] = None,
 ) -> dict[str, int]:
     """Both candidates glue (precondition), hence must be equivalent.
 
@@ -370,17 +375,14 @@ def self_compat(
     """
     tols = get_tolerances()
     # diagonal data check
-    for pair in sorted(data.nerve.overlaps):
-        for ci, comp in enumerate(data.nerve.overlaps[pair]):
-            for pt in comp.points:
-                g1, g2 = data.pair_cocycle.transitions[pair][ci](pt)
-                if np.max(np.abs(np.asarray(g1) - np.asarray(g2))) > zero_bound(tols):
-                    raise ValidationError("pair cocycle is not diagonal")
+    for g1, g2 in data.pair_cocycle.values:
+        if np.max(np.abs(np.asarray(g1) - np.asarray(g2))) > zero_bound(tols):
+            raise ValidationError("pair cocycle is not diagonal")
     # real, constant-sign delta samples
     sign = None
     for ch in data.nerve.charts:
         for pt in _chart_sample_points(data, ch):
-            d = complex(data.delta_samples[ch](pt))
+            d = complex(data.delta_samples[ch][pt.id])
             if abs(d.imag) > zero_bound(tols) * max(1.0, abs(d)):
                 raise ValidationError("delta samples not real")
             s = 1 if d.real > 0 else -1
@@ -393,20 +395,17 @@ def self_compat(
     eps = 0 if sign > 0 else 1
     phase = cmath.exp(1j * cmath.pi * eps / 2.0)
 
-    def base_for(ch):
-        fn = data.delta_samples[ch]
-        return lambda pt, fn=fn: phase * abs(complex(fn(pt))) ** 0.5
-
-    bases = {ch: base_for(ch) for ch in data.nerve.charts}
+    bases = {ch: {pid: phase * abs(complex(d)) ** 0.5
+                  for pid, d in data.delta_samples[ch].items()}
+             for ch in data.nerve.charts}
     dt = build_delta_tilde(data, z1, z1, rng=None, base_values=bases)
     dt.epsilon = eps
     dt.checks["epsilon"] = eps
     if rng is not None:
         dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
 
-    norm_bases = {
-        ch: (lambda pt, fn=bases[ch]: fn(pt) / phase) for ch in data.nerve.charts
-    }
+    norm_bases = {ch: {pid: v / phase for pid, v in bases[ch].items()}
+                  for ch in data.nerve.charts}
     dt_norm = DeltaTildeData(base=norm_bases, k=data.k, epsilon=eps)
     # positivity on equal meta frames: translating by a diagonal
     # metalinear pair multiplies by |z|^2 / |det A| > 0

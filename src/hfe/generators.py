@@ -114,6 +114,9 @@ def _gen_mobius_ratio(params, n, k):
         z = _point_zeta(pt)
         num = 1.0 + 0j if wa == complex("inf") else z - wa
         den = 1.0 + 0j if wb == complex("inf") else z - wb
+        if den == 0:
+            raise ValidationError(
+                f"generator 'mobius_ratio': pole at sample point {pt.id}")
         return np.array([[num / den]], dtype=complex)
 
     return fn

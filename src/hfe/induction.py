@@ -31,7 +31,6 @@ from .frames import (
     check_ball,
     check_frame_pairs,
     delta_L_stack,
-    delta_L_tilde,
     delta_L_tilde_stack,
     delta_stack,
     frame_pattern,
@@ -65,7 +64,7 @@ class MetaplecticBundleData:
         if self.mp_cocycle.group != "Mp":
             raise ValidationError("mp cocycle must be Mp-valued")
         if self.d_adapted:
-            g = [x.g.g for x in self.mp_cocycle.row_values(self.nerve)]
+            g = [x.g.g for x in self.mp_cocycle.values]
             n2 = 2 * self.mp_cocycle.n
             spk_blocks(np.array(g, dtype=float).reshape(len(g), n2, n2), self.k)
 
@@ -227,7 +226,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in points])
     balls = ball_points(W)
     a, b = _overlap_rows(nerve, rows, 0), _overlap_rows(nerve, rows, 1)
-    gts = data.mp_cocycle.row_values(nerve)
+    gts = data.mp_cocycle.values
     g = np.array([gt.g.g for gt in gts], dtype=float).reshape(len(gts), 2 * n, 2 * n)
     # frame transitions N: g sigma_b = sigma_a N
     gU, gV = ball.sp_apply(g, U[b], V[b])
@@ -292,7 +291,7 @@ def recipe(
     Ninv = np.linalg.inv(t.C[t.a]) @ moved_A
     Nz = [mz / z[r] for mz, r in zip(moved_z, t.a)]
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
-    ml_c = Cocycle.from_rows("Ml", data.n, data.k, nerve, ml_elements(Ninv, Nz))
+    ml_c = Cocycle("Ml", data.n, data.k, ml_elements(Ninv, Nz))
     report = cech.validate_cocycle(nerve, ml_c)
     if not report["ok"]:
         raise ValidationError(
@@ -358,11 +357,6 @@ def build_delta_D_tilde(
     nerve, n, k = data.nerve, data.n, data.k
     index = nerve.point_index
 
-    base = {
-        ch: cech.memoize(lambda pt, fn=pair_sections[ch]: delta_L_tilde(fn(pt), k))
-        for ch in nerve.charts
-    }
-    dt = DeltaTildeData(base=base, k=k)
     # the chart values at every sample-graph vertex serve the gluing and
     # the chart checks
     rows, points = _chart_rows(nerve)
@@ -370,11 +364,13 @@ def build_delta_D_tilde(
     W1, C1, z1 = _meta_stacks([X1 for X1, _ in pairs], n)
     W2, C2, z2 = _meta_stacks([X2 for _, X2 in pairs], n)
     values = delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k)
+    dt = DeltaTildeData(base={ch: {pid: values[r] for pid, r in rows[ch].items()}
+                              for ch in nerve.charts}, k=k)
 
     # invariance: both members of the chart-b pair moved by the transition
     b = _overlap_rows(nerve, rows, 1)
     P = len(b)
-    gts = data.mp_cocycle.row_values(nerve)
+    gts = data.mp_cocycle.values
     g = np.array([gt.g.g for gt in gts], dtype=float).reshape(P, 2 * n, 2 * n)
     gW, gC, gz = _mp_act_stack(np.concatenate([g, g]),
                                [gt.zeta for gt in gts] * 2,
@@ -447,28 +443,14 @@ def cross_check(
     t1, t2 = sections1.transport(data), sections2.transport(data)
 
     # pair data spanned by the two families
-    def pair_fn(pair, ci):
-        f1 = r1.ml_cocycle.transitions[pair][ci]
-        f2 = r2.ml_cocycle.transitions[pair][ci]
-        return lambda pt: (f1(pt).A, f2(pt).A)
-
-    pair_c = Cocycle(
-        "Glkd", n, k,
-        {
-            pair: tuple(pair_fn(pair, ci) for ci in range(len(fns)))
-            for pair, fns in r1.ml_cocycle.transitions.items()
-        },
-    )
+    pair_c = Cocycle("Glkd", n, k, [(x1.A, x2.A) for x1, x2 in
+                                    zip(r1.ml_cocycle.values, r2.ml_cocycle.values)])
     # the reduced pairing determinant of the two families at every chart
     # row; it also serves the restriction identity
     reduced = delta_L_stack(t1.U, t1.V, t2.U, t2.V, k)
-
-    def delta_fn(ch):
-        rows = t1.rows[ch]
-        return lambda pt: reduced[rows[pt.id]]
-
     pdata = PolarizationPairData(
-        nerve, pair_c, {ch: delta_fn(ch) for ch in nerve.charts}, n, k
+        nerve, pair_c, {ch: {pid: reduced[r] for pid, r in t1.rows[ch].items()}
+                        for ch in nerve.charts}, n, k
     )
     vrep = compatibility.validate_pair_data(pdata)
     if not vrep["ok"]:
@@ -486,9 +468,9 @@ def cross_check(
 
     w = delta_L_tilde_stack(t1.W, t1.C, lifted_z(r1), t2.W, t2.C, lifted_z(r2), k)
     zs = [w[ra] * x.z / w[rb] for x, ra, rb in
-          zip(r2.ml_cocycle.row_values(nerve), t1.a, t1.b)]
-    g2n = as_stack([g2 for _, g2 in pnorm.pair_cocycle.row_values(nerve)], n)
-    z2_ref = Cocycle.from_rows("Ml", n, k, nerve, ml_elements(g2n, zs))
+          zip(r2.ml_cocycle.values, t1.a, t1.b)]
+    g2n = as_stack([g2 for _, g2 in pnorm.pair_cocycle.values], n)
+    z2_ref = Cocycle("Ml", n, k, ml_elements(g2n, zs))
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)
     if witness is None:

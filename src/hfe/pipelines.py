@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import Nerve, SamplePoint, SignCochain, gf2_solve
+from .cech import ORIGIN, SignCochain, gf2_solve
 from .compatibility import PolarizationPairData
 from .config import (
     check_bound,
@@ -95,14 +95,12 @@ def _stage(name: str, consumes=(), produces=None, optional=()):
 # sign patterns on overlap components
 # ---------------------------------------------------------------------------
 
-def _coboundary_base(nerve: Nerve, pattern) -> dict:
+def _coboundary_base(data: PolarizationPairData, pattern) -> dict:
     """Chart signs whose coboundary is the given coboundary pattern, as
-    base-value functions."""
-    sol = gf2_solve(nerve.delta0, pattern)
-    return {
-        ch: (lambda pt, s=-1.0 if bit else 1.0: complex(s))
-        for ch, bit in zip(nerve.charts, sol)
-    }
+    base values at every delta sample point."""
+    sol = gf2_solve(data.nerve.delta0, pattern)
+    return {ch: dict.fromkeys(data.delta_samples[ch], complex(-1.0 if bit else 1.0))
+            for ch, bit in zip(data.nerve.charts, sol)}
 
 
 def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
@@ -175,13 +173,12 @@ def _run_validate(scenario: Scenario, report, rng):
 
 @_stage("frame_pairs")
 def _run_frame_pairs(scenario: Scenario, report, rng):
-    origin = SamplePoint("origin", ())
     tols = get_tolerances()
     worst = 0.0
     failures = []
     for fp in scenario.frame_pairs:
-        U1, V1 = fp["first"](origin)
-        U2, V2 = fp["second"](origin)
+        U1, V1 = fp["first"](ORIGIN)
+        U2, V2 = fp["second"](ORIGIN)
         pair = LagFramePair(
             validate_lagrangian(U1, V1), validate_lagrangian(U2, V2), fp["k"]
         )
@@ -273,7 +270,7 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     # concrete confirmations on representatives
     if lc.witness_equiv is not None:
         flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_equiv)
-        base = _coboundary_base(scenario.nerve, lc.witness_equiv)
+        base = _coboundary_base(norm, lc.witness_equiv)
         dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
                                               base_values=base)
         glue2 = max(dt2.residuals.values()) if dt2.residuals else 0.0

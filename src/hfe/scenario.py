@@ -23,7 +23,6 @@ from .cech import (
     SamplePoint,
     SignCochain,
     TriplePoint,
-    memoize,
 )
 from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
@@ -320,7 +319,7 @@ class Scenario:
     gl_cocycle: Optional[Cocycle] = None
     mp_cocycle: Optional[Cocycle] = None
     d_adapted: bool = False
-    delta_samples: Optional[dict[str, Callable]] = None
+    delta_samples: Optional[dict[str, dict[str, complex]]] = None
     sections_first: Optional[dict[str, Callable]] = None
     sections_second: Optional[dict[str, Callable]] = None
     pair_sections: Optional[dict[str, Callable]] = None
@@ -361,6 +360,8 @@ def _build_nerve(doc: dict) -> Nerve:
 
 
 def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
+    """The cocycle a document describes, its generators evaluated once at
+    every overlap sample point."""
     table: dict[tuple[str, str], dict[int, Callable]] = {}
     for tr in doc["transitions"]:
         pair = tuple(tr["pair"])
@@ -378,7 +379,7 @@ def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
                 f"cocycle missing transitions for {pair} components {missing}"
             )
         transitions[pair] = tuple(fns[ci] for ci in range(len(comps)))
-    return Cocycle(doc["group"], n, k, transitions)
+    return Cocycle.evaluate(doc["group"], n, k, nerve, transitions)
 
 
 def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
@@ -387,8 +388,16 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
     for ch, gen in doc.items():
         if ch not in nerve.charts:
             raise ValidationError(f"generator for unknown chart {ch!r}")
-        out[ch] = memoize(build_generator(gen, n, k))
+        out[ch] = build_generator(gen, n, k)
     return out
+
+
+def _build_chart_values(doc: dict, nerve: Nerve, n: int, k: int
+                        ) -> dict[str, dict[str, complex]]:
+    """Chart generators evaluated once at every sample point of their
+    chart (see Nerve.chart_points), by point id."""
+    return {ch: {pt.id: fn(pt) for pt in nerve.chart_points(ch)}
+            for ch, fn in _build_chart_generators(doc, nerve, n, k).items()}
 
 
 def _build_sign_cochain(doc: dict) -> SignCochain:
@@ -434,7 +443,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     if "mp_cocycle" in doc:
         sc.mp_cocycle = _build_cocycle(doc["mp_cocycle"], nerve, n, k)
     if "delta_samples" in doc:
-        sc.delta_samples = _build_chart_generators(doc["delta_samples"], nerve, n, k)
+        sc.delta_samples = _build_chart_values(doc["delta_samples"], nerve, n, k)
     sections = doc.get("sections", {})
     if "first" in sections:
         sc.sections_first = _build_chart_generators(sections["first"], nerve, n, k)
@@ -447,7 +456,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             {
                 "name": case["name"],
                 "pair_cocycle": _build_cocycle(case["pair_cocycle"], nerve, n, k),
-                "delta_samples": _build_chart_generators(
+                "delta_samples": _build_chart_values(
                     case["delta_samples"], nerve, n, k
                 ),
             }

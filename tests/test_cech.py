@@ -66,7 +66,7 @@ def test_nerve_rejects_malformed():
 
 def test_validate_cocycle_accepts_consistent_triangle():
     nerve = triangle_nerve()
-    c = Cocycle("Gl", 1, 0, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[6.0]]),),
@@ -77,7 +77,7 @@ def test_validate_cocycle_accepts_consistent_triangle():
 
 def test_validate_cocycle_flags_broken_identity():
     nerve = triangle_nerve()
-    c = Cocycle("Gl", 1, 0, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[5.0]]),),
@@ -87,28 +87,43 @@ def test_validate_cocycle_flags_broken_identity():
     assert any(f[0] == "cocycle" for f in out["failures"])
 
 
-def test_cocycle_reversed_pair_is_inverse():
-    c = Cocycle("Gl", 1, 0, {("a", "b"): (_const([[4.0]]),)})
-    v = c.value("b", "a", 0, _pt("p"))
-    assert np.allclose(v, [[0.25]])
+def test_cocycle_evaluates_each_transition_once_per_point():
+    nerve = circle_nerve()
+    calls = []
+
+    def fn(pt):
+        calls.append(pt.id)
+        return np.eye(1)
+
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn, _const([[2.0]]))})
+    assert calls == ["east"]
+    assert np.allclose(c.values, [np.eye(1), [[2.0]]])
+    with pytest.raises(ValidationError, match="missing transition"):
+        Cocycle.evaluate("Gl", 1, 0, nerve, {})
+    with pytest.raises(ValidationError, match="component count mismatch"):
+        Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn,)})
+    with pytest.raises(ValidationError, match="1 values for 2 sample points"):
+        validate_cocycle(nerve, Cocycle("Gl", 1, 0, c.values[:1]))
 
 
 def test_push_cocycle_det_and_pair_tags():
-    c = Cocycle("Gl", 2, 0, {("a", "b"): (_const([[2.0, 1.0], [0.0, 3.0]]),)})
+    nerve = circle_nerve()
+    c = Cocycle.evaluate("Gl", 2, 0, nerve,
+                         {("a", "b"): (_const([[2.0, 1.0], [0.0, 3.0]]),) * 2})
     d = push_cocycle(c, "det")
-    assert np.allclose(d.transitions[("a", "b")][0](_pt("p")), [[6.0]])
-    pc = Cocycle("Glkd", 1, 0, {
-        ("a", "b"): ((lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),)
+    assert np.allclose(d.values[0], [[6.0]])
+    pc = Cocycle.evaluate("Glkd", 1, 0, nerve, {
+        ("a", "b"): ((lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),) * 2
     })
     first = push_cocycle(pc, "pair_first")
-    assert np.allclose(first.transitions[("a", "b")][0](_pt("p")), [[2.0]])
+    assert np.allclose(first.values[0], [[2.0]])
 
 
 def test_lift_double_cover_correctable_defect():
     # three -1 transitions on a triangle: principal roots give defect -1,
     # which is a coboundary of component flips
     nerve = triangle_nerve()
-    c = Cocycle("Gl", 1, 0, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
         ("a", "b"): (_const([[-1.0]]),),
         ("b", "c"): (_const([[-1.0]]),),
         ("a", "c"): (_const([[1.0]]),),
@@ -139,7 +154,7 @@ def test_lift_double_cover_obstructed():
                                ("a", "c"): (0, 1)}),
         )},
     )
-    c = Cocycle("Gl", 1, 0, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
         ("a", "b"): (_winding,),
         ("b", "c"): (_const([[1.0]]),),
         ("a", "c"): (_winding,),  # equals 1 at both triple points
@@ -156,8 +171,9 @@ def test_lift_tracks_branch_along_component():
     pts = tuple(_pt(f"t{i}", (i / 8.0,)) for i in range(9))
     comp = OverlapComponent(pts, tuple((i, i + 1) for i in range(8)))
     nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
-    lifted = lift_double_cover(nerve, Cocycle("Gl", 1, 0, {("a", "b"): (_winding,)}))
-    z_end = lifted.transitions[("a", "b")][0](pts[-1]).z
+    lifted = lift_double_cover(
+        nerve, Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (_winding,)}))
+    z_end = lifted.values[-1].z
     assert abs(z_end + 1.0) < 1e-9  # continued onto the other sheet
 
 
@@ -167,19 +183,20 @@ def test_lift_rejects_too_coarse_edges():
     nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
 
     with pytest.raises(TrackingError):
-        lift_double_cover(nerve, Cocycle("Gl", 1, 0, {("a", "b"): (_winding,)}))
+        lift_double_cover(
+            nerve, Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (_winding,)}))
 
 
 def test_lifts_equivalent_witness_and_rejection():
     nerve = circle_nerve()
 
-    def ml(sign):
-        el = MlElement(np.array([[1.0]]), float(sign))
-        return lambda pt: el
+    def ml(*signs):
+        return Cocycle("Ml", 1, 0, [MlElement(np.array([[1.0]]), float(s))
+                                    for s in signs])
 
-    base = Cocycle("Ml", 1, 0, {("a", "b"): (ml(1), ml(1))})
-    both = Cocycle("Ml", 1, 0, {("a", "b"): (ml(-1), ml(-1))})
-    one = Cocycle("Ml", 1, 0, {("a", "b"): (ml(-1), ml(1))})
+    base = ml(1, 1)
+    both = ml(-1, -1)
+    one = ml(-1, 1)
     witness = lifts_equivalent(nerve, base, both)
     assert witness is not None
     assert witness["a"] * witness["b"] == -1

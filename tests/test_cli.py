@@ -387,8 +387,8 @@ def test_obstruction_is_skipped_when_validate_fails(monkeypatch, capsys):
 
 
 def test_vanishing_determinant_is_a_lift_error(tmp_path, capsys):
-    # a singular first member makes det vanish at every overlap point: the
-    # square root has no branch there, which the lift must report
+    # a singular member is not in Gl: validation rejects the pair cocycle
+    # before the lift tracks the square root of its vanishing determinant
     doc = json.loads((Path(__file__).parent / "golden" / "scenarios"
                       / "dense_ring_seed0.json").read_text())
     for tr in doc["pair_cocycle"]["transitions"]:
@@ -401,6 +401,27 @@ def test_vanishing_determinant_is_a_lift_error(tmp_path, capsys):
     assert code == 1
     assert "Traceback" not in err
     checks = {c["id"]: c for c in json.loads(out)["checks"]}
-    assert checks["lift.error"]["failures"] == [
-        "TrackingError: value vanishes between o00p00 and o00p01; "
-        "branch undefined"]
+    assert checks["validate.error"]["failures"] == [
+        "SingularityError: pair cocycle member is singular"]
+    assert checks["lift.skipped"]["details"] == {
+        "reason": "validate failed (see validate.error)",
+        "missing": ["pair.cocycle"],
+    }
+
+
+def _pole_at_sample_point(doc):
+    first = doc["gl_cocycle"]["transitions"][0]
+    assert first["pair"] == ["B", "E"]
+    point = doc["nerve"]["overlaps"][0]["components"][0]["points"][0]
+    assert point["id"] == "f_BEN"
+    first["generator"]["params"]["w_b"] = point["params"]
+
+
+def test_exit_2_on_mobius_pole_at_a_sample_point(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "sphere_octa", _pole_at_sample_point)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: invalid scenario data: generator "
+                          "'mobius_ratio': pole at sample point f_BEN")

@@ -25,6 +25,11 @@ def circle_nerve():
     )
 
 
+def _samples(**fns):
+    """Per-chart values at both sample points of the circle nerve."""
+    return {ch: {pt.id: fn(pt) for pt in (EAST, WEST)} for ch, fn in fns.items()}
+
+
 def _pair_fn(g2):
     g2 = np.array(g2, dtype=complex)
     eye = np.eye(len(g2), dtype=complex)
@@ -35,8 +40,8 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
     """Two-chart, two-component pair data with a twisted west transition."""
     n = len(g2_west)
     nerve = circle_nerve()
-    pair_c = Cocycle(
-        "Glkd", n, 0,
+    pair_c = Cocycle.evaluate(
+        "Glkd", n, 0, nerve,
         {("a", "b"): (_pair_fn(np.eye(n)), _pair_fn(g2_west))},
     )
     d2 = complex(np.linalg.det(np.array(g2_west, dtype=complex)))
@@ -45,7 +50,7 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
         return 2.0 * d2 if pt.id == "west" else 2.0
 
     return PolarizationPairData(
-        nerve, pair_c, {"a": lambda pt: 2.0 + 0j, "b": delta_b}, n, 0
+        nerve, pair_c, _samples(a=lambda pt: 2.0 + 0j, b=delta_b), n, 0
     )
 
 
@@ -55,27 +60,18 @@ def _ml_const(A, z):
 
 
 def identity_lift(n):
-    return Cocycle(
-        "Ml", n, 0,
+    return Cocycle.evaluate(
+        "Ml", n, 0, circle_nerve(),
         {("a", "b"): (_ml_const(np.eye(n), 1.0), _ml_const(np.eye(n), 1.0))},
     )
 
 
 def _flip(c, comp_indices):
-    """Flip the root sheet of an Ml cocycle on the given components."""
-
-    def wrap(fn, flip):
-        if not flip:
-            return fn
-        return lambda pt: MlElement(fn(pt).A, -fn(pt).z)
-
-    return Cocycle(
-        c.group, c.n, c.k,
-        {
-            pair: tuple(wrap(fn, ci in comp_indices) for ci, fn in enumerate(fns))
-            for pair, fns in c.transitions.items()
-        },
-    )
+    """Flip the root sheet of an Ml cocycle on the given components (each
+    component of the circle nerve has one point, so one row)."""
+    return Cocycle(c.group, c.n, c.k, [
+        MlElement(x.A, -x.z) if ci in comp_indices else x
+        for ci, x in enumerate(c.values)])
 
 
 def test_validate_pair_data_accepts_consistent():
@@ -87,7 +83,7 @@ def test_validate_pair_data_flags_inconsistent_delta():
     data = circle_pair_data()
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
-        {"a": data.delta_samples["a"], "b": lambda pt: 2.0 + 0j},
+        {"a": data.delta_samples["a"], **_samples(b=lambda pt: 2.0 + 0j)},
         data.n, data.k,
     )
     out = validate_pair_data(bad)
@@ -99,8 +95,9 @@ def test_pair_data_requires_glkd():
     with pytest.raises(ValidationError):
         PolarizationPairData(
             circle_nerve(),
-            Cocycle("Gl", 1, 0, {("a", "b"): (lambda pt: np.eye(1),) * 2}),
-            {"a": lambda pt: 1.0, "b": lambda pt: 1.0},
+            Cocycle.evaluate("Gl", 1, 0, circle_nerve(),
+                             {("a", "b"): (lambda pt: np.eye(1),) * 2}),
+            _samples(a=lambda pt: 1.0, b=lambda pt: 1.0),
             1, 0,
         )
 
@@ -108,11 +105,11 @@ def test_pair_data_requires_glkd():
 def test_normalize_makes_delta_one_and_keeps_consistency():
     norm = normalize_sections(circle_pair_data())
     for ch in ("a", "b"):
-        assert norm.delta_samples[ch](WEST) == 1.0
+        assert norm.delta_samples[ch]["west"] == 1.0
     out = validate_pair_data(norm)
     assert out["ok"]
     # the normalized second member has unit premise factor
-    _, g2 = norm.pair_cocycle.transitions[("a", "b")][1](WEST)
+    _, g2 = norm.pair_cocycle.values[1]  # the row of WEST
     assert abs(np.conj(1.0) * np.linalg.det(g2) - 1.0) < 1e-12
 
 
@@ -123,7 +120,8 @@ def test_induce_requires_normalized_data():
 
 def test_induce_requires_ml_lift():
     norm = normalize_sections(circle_pair_data())
-    gl = Cocycle("Gl", 2, 0, {("a", "b"): (lambda pt: np.eye(2),) * 2})
+    gl = Cocycle.evaluate("Gl", 2, 0, norm.nerve,
+                          {("a", "b"): (lambda pt: np.eye(2),) * 2})
     with pytest.raises(ValidationError):
         induce_compatible(norm, gl)
 
@@ -132,13 +130,13 @@ def test_induce_rejects_premise_violation():
     # data that claims to be normalized but whose second member has a
     # non-unit determinant factor
     nerve = circle_nerve()
-    pair_c = Cocycle(
-        "Glkd", 2, 0,
+    pair_c = Cocycle.evaluate(
+        "Glkd", 2, 0, nerve,
         {("a", "b"): (_pair_fn(np.eye(2)), _pair_fn(np.diag([2.0, 1.0])))},
     )
     data = PolarizationPairData(
         nerve, pair_c,
-        {"a": lambda pt: 1.0 + 0j, "b": lambda pt: 1.0 + 0j}, 2, 0,
+        _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: 1.0 + 0j), 2, 0,
     )
     with pytest.raises(ValidationError):
         induce_compatible(data, identity_lift(2))
@@ -148,8 +146,7 @@ def test_induce_and_glue_roundtrip(rng):
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
     z2 = induce_compatible(norm, z1)
-    for ci, pt in ((0, EAST), (1, WEST)):
-        el = z2.transitions[("a", "b")][ci](pt)
+    for el in z2.values:
         assert abs(el.z * el.z - np.linalg.det(el.A)) < 1e-12
     dt = build_delta_tilde(norm, z1, z2, rng)
     assert max(dt.residuals.values()) < 1e-12
@@ -172,7 +169,7 @@ def test_verify_uniqueness_witness(rng):
     z1 = identity_lift(2)
     z2 = induce_compatible(norm, z1)
     both = _flip(z2, {0, 1})
-    base_b = {"a": lambda pt: 1.0 + 0j, "b": lambda pt: -1.0 + 0j}
+    base_b = _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: -1.0 + 0j)
     witness = verify_uniqueness(norm, z1, z2, both, rng, base_b=base_b)
     assert witness["a"] * witness["b"] == -1
 
@@ -184,10 +181,10 @@ def test_verify_uniqueness_falsification_detector(rng):
     z1 = identity_lift(2)
     z2 = induce_compatible(norm, z1)
     one = _flip(z2, {1})
-    base_b = {
-        "a": lambda pt: 1.0 + 0j,
-        "b": lambda pt: -1.0 + 0j if pt.id == "west" else 1.0 + 0j,
-    }
+    base_b = _samples(
+        a=lambda pt: 1.0 + 0j,
+        b=lambda pt: -1.0 + 0j if pt.id == "west" else 1.0 + 0j,
+    )
     with pytest.raises(TheoremFalsification):
         verify_uniqueness(norm, z1, z2, one, rng, base_b=base_b)
 
@@ -196,8 +193,8 @@ def diagonal_pair_data(sign=1.0):
     """Diagonal pair data with real delta samples of one sign."""
     nerve = circle_nerve()
     g = np.array([[2.0]])
-    pair_c = Cocycle(
-        "Glkd", 1, 0,
+    pair_c = Cocycle.evaluate(
+        "Glkd", 1, 0, nerve,
         {("a", "b"): (lambda pt: (np.eye(1), np.eye(1)),
                       lambda pt: (g, g))},
     )
@@ -206,13 +203,13 @@ def diagonal_pair_data(sign=1.0):
         return sign * (8.0 if pt.id == "west" else 2.0)
 
     return PolarizationPairData(
-        nerve, pair_c, {"a": lambda pt: sign * 2.0 + 0j, "b": delta_b}, 1, 0
+        nerve, pair_c, _samples(a=lambda pt: sign * 2.0 + 0j, b=delta_b), 1, 0
     )
 
 
 def _diagonal_lift():
-    return Cocycle(
-        "Ml", 1, 0,
+    return Cocycle.evaluate(
+        "Ml", 1, 0, circle_nerve(),
         {("a", "b"): (_ml_const(np.eye(1), 1.0),
                       _ml_const([[2.0]], 2.0 ** 0.5))},
     )
@@ -244,8 +241,8 @@ def test_self_compat_rejects_nonreal_delta(rng):
     data = diagonal_pair_data(1.0)
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
-        {"a": lambda pt: 2.0j, "b": lambda pt: 2.0j
-         if pt.id == "east" else 8.0j},
+        _samples(a=lambda pt: 2.0j,
+                 b=lambda pt: 2.0j if pt.id == "east" else 8.0j),
         1, 0,
     )
     with pytest.raises(ValidationError):

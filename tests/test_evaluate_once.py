@@ -1,15 +1,13 @@
-"""Per-sample-point data is evaluated once per point and tolerance set,
-and sharing it across stages and runs leaves the reports unchanged."""
+"""Cocycle and delta generators run once per sample point, when the
+scenario is loaded; section generators once per chart point in each
+run.  Rerunning a loaded scenario leaves its reports unchanged."""
 
 import json
 from collections import Counter
 
-import numpy as np
 import pytest
 
 import hfe.scenario as scenario_mod
-from hfe.cech import Cocycle, SamplePoint
-from hfe.config import get_tolerances, tolerance_overrides
 from hfe.pipelines import run_scenario
 from hfe.report import report_to_dict
 from hfe.scenario import builtin_scenario_path, load_scenario
@@ -74,48 +72,6 @@ def _report_json(sc, **kwargs):
     return json.dumps(doc, sort_keys=True)
 
 
-def test_cocycle_transition_evaluated_once_per_point_and_tolerance_set():
-    calls = Counter()
-
-    def fn(pt):
-        calls[(pt, get_tolerances())] += 1
-        return np.eye(1) * (1.0 + pt.params[0])
-
-    c = Cocycle("Gl", 1, 0, {("a", "b"): (fn,)})
-    pts = [SamplePoint(f"p{i}", (0.1 * i,)) for i in range(3)]
-    for _ in range(3):
-        for pt in pts:
-            c.value("a", "b", 0, pt)
-            c.value("b", "a", 0, pt)
-    assert list(calls.values()) == [1, 1, 1]
-    with tolerance_overrides(rel=1e-6):
-        for _ in range(2):
-            for pt in pts:
-                c.value("a", "b", 0, pt)
-    assert sum(calls.values()) == 6
-    assert set(calls.values()) == {1}
-    # a derived cocycle keeps the memo it is given and adds none
-    d = Cocycle("Gl", 1, 0, c.transitions)
-    assert d.transitions[("a", "b")][0] is c.transitions[("a", "b")][0]
-
-
-def test_failed_evaluation_is_not_cached():
-    calls = []
-
-    def fn(pt):
-        calls.append(pt)
-        if len(calls) == 1:
-            raise ValueError("first call fails")
-        return np.eye(1)
-
-    c = Cocycle("Gl", 1, 0, {("a", "b"): (fn,)})
-    pt = SamplePoint("p", ())
-    with pytest.raises(ValueError):
-        c.value("a", "b", 0, pt)
-    assert np.array_equal(c.value("a", "b", 0, pt), np.eye(1))
-    assert len(calls) == 2
-
-
 @pytest.mark.parametrize("source", [
     str(builtin_scenario_path("abstract_k1_nonorientable")), _ring_doc(),
 ], ids=["abstract_k1_nonorientable", "ring_6x4"])
@@ -124,15 +80,14 @@ def test_rerunning_a_loaded_scenario_gives_the_same_report(source):
     first = _report_json(sc, seed=3)
     assert json.loads(first)["status"] == "pass"
     assert _report_json(sc, seed=3) == first
-    # a run under other tolerances in between leaves the cached values
-    # of the first set untouched
+    # a run under other tolerances in between changes no value the
+    # scenario holds
     _report_json(sc, seed=3, tolerances={"rel": 1e-8})
     assert _report_json(sc, seed=3) == first
     assert _report_json(load_scenario(source), seed=3) == first
 
 
-def test_generators_evaluated_at_most_once_per_point_and_tolerance_set(
-        monkeypatch):
+def test_generators_run_once_per_sample_point(monkeypatch):
     calls = Counter()
     build = scenario_mod.build_generator
 
@@ -140,17 +95,33 @@ def test_generators_evaluated_at_most_once_per_point_and_tolerance_set(
         fn = build(spec, n, k)
 
         def counted(pt):
-            calls[(id(counted), pt, get_tolerances())] += 1
+            calls[(spec["name"], id(counted), pt.id)] += 1
             return fn(pt)
         return counted
 
+    def evals():
+        out = Counter()
+        for (name, _, _), count in calls.items():
+            out[name] += count
+        return out
+
     monkeypatch.setattr(scenario_mod, "build_generator", counting_build)
     sc = load_scenario(_ring_doc())
-    report = run_scenario(sc)
-    assert report.passed
-    assert calls and max(calls.values()) == 1
-    evaluated = len(calls)
-    run_scenario(sc)
-    assert len(calls) == evaluated and max(calls.values()) == 1
-    run_scenario(sc, tolerances={"rel": 1e-8})
-    assert len(calls) == 2 * evaluated and max(calls.values()) == 1
+    points = len(sc.nerve.point_index.points)
+    chart_points = sum(len(sc.nerve.chart_points(ch)) for ch in sc.nerve.charts)
+    # at load, every cocycle generator runs once at each point of its
+    # component and every delta generator once at each point of its chart
+    assert set(calls.values()) == {1}
+    assert evals() == {"pair_const": points, "mp_const": points,
+                       "linear_scalar": chart_points}
+    # each run evaluates every section generator once at each point of
+    # its chart, and no cocycle or delta generator again
+    for runs, tolerances in ((1, None), (2, None), (3, {"rel": 1e-8})):
+        report = run_scenario(sc, tolerances=tolerances)
+        assert report.passed
+        assert evals() == {"pair_const": points, "mp_const": points,
+                           "linear_scalar": chart_points,
+                           "frame_blocks": 2 * runs * chart_points,
+                           "meta_pair_blocks": runs * chart_points}
+        assert {count for (name, _, _), count in calls.items()
+                if name in ("frame_blocks", "meta_pair_blocks")} == {runs}

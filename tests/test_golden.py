@@ -32,7 +32,8 @@ from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DOCUMENTS = sorted(p.stem for p in (GOLDEN_DIR / "scenarios").glob("*.json"))
 SELECTIONS = [(name, stage) for name in builtin_scenario_names()
-              for stage in json.loads(builtin_scenario_path(name).read_text())["pipelines"]]
+              for stage in json.loads(
+                  builtin_scenario_path(name).read_text())["pipelines"]]
 STRESS = [("abstract_k1_nonorientable", key, value) for key, value in (
     ("singular", 0.9), ("singular", 1.5), ("rel", 1e-17), ("abs", 1e-20),
     ("track", 0.99))]

@@ -41,11 +41,12 @@ def _mp_rotation(theta):
 
 
 def rotation_bundle(theta=math.pi / 2):
-    mp_c = Cocycle(
-        "Mp", 1, 0,
+    nerve = circle_nerve()
+    mp_c = Cocycle.evaluate(
+        "Mp", 1, 0, nerve,
         {("a", "b"): (lambda pt: mp_identity(1), _mp_rotation(theta))},
     )
-    return MetaplecticBundleData(circle_nerve(), mp_c, d_adapted=False, k=0)
+    return MetaplecticBundleData(nerve, mp_c, d_adapted=False, k=0)
 
 
 def holo_sections():
@@ -58,10 +59,9 @@ def test_recipe_rotation_anchor():
     # rotating the origin frame by a quarter turn produces the metalinear
     # transition ([i], e^{i pi/4}) on the twisted component
     r = recipe(rotation_bundle(), holo_sections())
-    el = r.ml_cocycle.transitions[("a", "b")][1](WEST)
+    eye, el = r.ml_cocycle.values  # the rows of EAST and WEST
     assert abs(el.A[0, 0] - 1j) < 1e-12
     assert abs(el.z - cmath.exp(0.25j * cmath.pi)) < 1e-12
-    eye = r.ml_cocycle.transitions[("a", "b")][0](EAST)
     assert abs(eye.A[0, 0] - 1.0) < 1e-12 and abs(eye.z - 1.0) < 1e-12
     assert max(r.residuals.values()) < 1e-10
 
@@ -71,8 +71,8 @@ def test_recipe_projection_matches_gl():
     # N with g sigma_b = sigma_a N, solved from the sections on their own
     data, sections = rotation_bundle(theta=0.7), holo_sections()
     r = recipe(data, sections)
-    ml = r.ml_cocycle.transitions[("a", "b")][1](WEST)
     row = data.nerve.point_index.components[(("a", "b"), 1)][0]
+    ml = r.ml_cocycle.values[row]
     gl = sections.transport(data).N[row]
     assert np.allclose(ml.A, gl)
 
@@ -164,7 +164,7 @@ def test_delta_D_on_nonorientable_scenario(rng):
     # gluing exercises the |det A| convention
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
-    gt = sc.mp_cocycle.transitions[("0", "1")][1](WEST)
+    gt = sc.mp_cocycle.values[sc.nerve.point_index.components[(("0", "1"), 1)][0]]
     assert np.linalg.det(gt.g.g[: sc.k, : sc.k]) < 0
     dt = build_delta_D_tilde(data, sc.pair_sections, rng)
     assert dt.checks["invariance"] < 1e-8

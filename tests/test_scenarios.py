@@ -232,11 +232,9 @@ def test_obstructed_first_member_skips_induce_and_delta_tilde():
     # the sphere's obstructed Gl cocycle as both members of the pair
     sc = load_scenario(builtin_scenario_path("sphere_octa"))
     gl = sc.gl_cocycle
-    sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, {
-        pair: tuple((lambda pt, f=f: (f(pt), f(pt))) for f in fns)
-        for pair, fns in gl.transitions.items()
-    })
-    sc.delta_samples = {ch: (lambda pt: 1.0 + 0j) for ch in sc.nerve.charts}
+    sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, [(x, x) for x in gl.values])
+    sc.delta_samples = {ch: {pt.id: 1.0 + 0j for pt in sc.nerve.chart_points(ch)}
+                        for ch in sc.nerve.charts}
     sc.pipelines = ["lift", "delta_tilde"]
     report = run_scenario(sc)
     assert not _check(report, "lift.double-cover").passed

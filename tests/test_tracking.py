@@ -313,12 +313,11 @@ def test_lift_tracking_matches_former_tracker(case):
     # tracked on, so the lifted z is the tracked root at every point
     nerve, vals = case
     fn = lambda pt: np.array([[vals[pt.id]]])  # noqa: E731
-    gl = Cocycle("Gl", 1, 0, {pair: (fn,) for pair in nerve.overlaps})
+    gl = Cocycle.evaluate("Gl", 1, 0, nerve, {pair: (fn,) for pair in nerve.overlaps})
 
     def lifted():
         ml = lift_double_cover(nerve, gl)
-        return {pt.id: ml.transitions[pair][0](pt).z
-                for pair, (comp,) in nerve.overlaps.items() for pt in comp.points}
+        return {pt.id: x.z for pt, x in zip(nerve.point_index.points, ml.values)}
 
     def former():
         out = {}
