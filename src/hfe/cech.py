@@ -182,6 +182,16 @@ class Nerve:
         return PointIndex(tuple(points), components, charts, graphs)
 
     @cached_property
+    def triple_rows(self) -> np.ndarray:
+        """The point-index rows of the factors t_ab, t_bc, t_ac at every
+        point of triple_points(), as a (T, 3) int array."""
+        comps = self.point_index.components
+        rows = [comps[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
+                for (a, b, c), tp in self.triple_points()
+                for pair in ((a, b), (b, c), (a, c))]
+        return np.array(rows, dtype=int).reshape(-1, 3)
+
+    @cached_property
     def delta0(self) -> np.ndarray:
         """GF(2) coboundary from chart signs to component signs: one row
         per component of component_list(), ones at its two charts."""
@@ -207,70 +217,52 @@ class Nerve:
         return d
 
 
-# ---------------------------------------------------------------------------
-# group operation dispatch per cocycle kind
-# ---------------------------------------------------------------------------
-
-def _mat(x: Any) -> np.ndarray:
-    return x.A if isinstance(x, G.GlElement) else np.asarray(x, dtype=complex)
-
-
-def _gl_mul(x, y):
-    return _mat(x) @ _mat(y)
+def _row_shape(group: str, n: int) -> tuple[int, ...]:
+    """The shape of one row of the matrix stack of a cocycle group."""
+    if group not in ("Gl", "Glkd", "Ml", "Mp"):
+        raise ValidationError(f"unknown cocycle group {group!r}")
+    return {"Glkd": (2, n, n), "Mp": (2 * n, 2 * n)}.get(group, (n, n))
 
 
-def _gl_dist(x, y):
-    return float(np.max(np.abs(_mat(x) - _mat(y))))
-
-
-_OPS: dict[str, dict[str, Callable]] = {
-    "Gl": {"mul": _gl_mul, "dist": _gl_dist},
-    "Ml": {
-        "mul": G.ml_mul,
-        "dist": lambda x, y: max(
-            float(np.max(np.abs(x.A - y.A))), abs(x.z - y.z)
-        ),
-    },
-    "Sp": {
-        "mul": lambda x, y: G.SpElement(x.g @ y.g),
-        "dist": lambda x, y: float(np.max(np.abs(x.g - y.g))),
-    },
-    "Mp": {
-        "mul": G.mp_mul,
-        "dist": lambda x, y: max(
-            float(np.max(np.abs(x.g.g - y.g.g))), abs(x.zeta - y.zeta)
-        ),
-    },
-    "Glkd": {
-        "mul": lambda x, y: (_gl_mul(x[0], y[0]), _gl_mul(x[1], y[1])),
-        "dist": lambda x, y: max(_gl_dist(x[0], y[0]), _gl_dist(x[1], y[1])),
-    },
-    "Mlkd": {
-        "mul": lambda x, y: (G.ml_mul(x[0], y[0]), G.ml_mul(x[1], y[1])),
-        "dist": lambda x, y: max(
-            _OPS["Ml"]["dist"](x[0], y[0]), _OPS["Ml"]["dist"](x[1], y[1])
-        ),
-    },
-}
-_OPS["Spk"] = _OPS["Sp"]
+def _row(group: str, n: int, x):
+    """A generator value as (matrix row, root) of a group's layout, or
+    None if it does not fit: an n x n matrix (Gl), a pair of them (Glkd),
+    an MlElement (Ml) or an MpElement (Mp) of dimension n."""
+    if group == "Ml":
+        m, root = (x.A, x.z) if isinstance(x, G.MlElement) else (None, None)
+    elif group == "Mp":
+        m, root = (x.g.g, x.zeta) if isinstance(x, G.MpElement) else (None, None)
+    else:
+        try:
+            m, root = np.asarray(x, dtype=complex), None
+        except (TypeError, ValueError):
+            m = None
+    return None if m is None or m.shape != _row_shape(group, n) else (m, root)
 
 
 @dataclass(frozen=True)
 class Cocycle:
     """Group-valued transition data over a nerve.
 
-    values holds the transition t_ab, a < b, at every row of the nerve's
-    point index, in component_list() order.
+    Row r of each stack holds the transition t_ab, a < b, at row r of the
+    nerve's point index (component_list() order), in the layout of the
+    group:
+
+        Gl    mats (P, n, n) complex
+        Glkd  mats (P, 2, n, n) complex, the two members of each pair
+        Ml    mats (P, n, n) complex, roots z (P,) with z**2 = det A
+        Mp    mats (P, 2n, 2n) real, roots the anchors zeta (P,) with
+              zeta**2 = det alpha(g, 0)
     """
 
     group: str
     n: int
     k: int
-    values: list
+    mats: np.ndarray
+    roots: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.group not in _OPS:
-            raise ValidationError(f"unknown cocycle group {self.group!r}")
+        _row_shape(self.group, self.n)  # rejects an unknown group
 
     @classmethod
     def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
@@ -278,20 +270,35 @@ class Cocycle:
                  ) -> "Cocycle":
         """The cocycle whose transition on component ci of a sorted chart
         pair is transitions[pair][ci], evaluated once at each of its
-        sample points."""
+        sample points and stacked.  A value that does not fit the
+        group's layout (see _row) raises ValidationError."""
+        shape = _row_shape(group, n)
         for pair in sorted(nerve.overlaps):
             if pair not in transitions:
                 raise ValidationError(f"missing transition for overlap {pair}")
             if len(transitions[pair]) != len(nerve.overlaps[pair]):
                 raise ValidationError(f"component count mismatch for {pair}")
         index = nerve.point_index
-        return cls(group, n, k, [transitions[pair][ci](index.points[r])
-                                 for (pair, ci), rows in index.components.items()
-                                 for r in rows])
+        values = []
+        for (pair, ci), rows in index.components.items():
+            for r in rows:
+                pt = index.points[r]
+                values.append(_row(group, n, transitions[pair][ci](pt)))
+                if values[-1] is None:
+                    raise ValidationError(f"transition of {pair} at {pt.id} is not "
+                                          f"a {group} value for n={n}")
+        mats = np.array([m for m, _ in values], dtype=float if group == "Mp" else complex)
+        roots = [z for _, z in values] if group in ("Ml", "Mp") else None
+        return cls(group, n, k, mats.reshape(len(values), *shape),
+                   None if roots is None else np.array(roots, dtype=complex))
 
-    @property
-    def ops(self) -> dict[str, Callable]:
-        return _OPS[self.group]
+    @classmethod
+    def ml(cls, n: int, k: int, A: np.ndarray, z) -> "Cocycle":
+        """The Ml cocycle of the (P, n, n) stack A and the roots z,
+        checked in one pass of check_ml."""
+        A, z = np.asarray(A, dtype=complex), [complex(v) for v in z]
+        G.check_ml(A, z)
+        return cls("Ml", n, k, A, np.array(z, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -310,90 +317,70 @@ class SignCochain:
                 raise ValidationError("sign cochain values must be +/-1")
 
 
-def _membership_residuals(c: Cocycle, values: list) -> list[float]:
-    """Residuals of the group-membership invariant of every value; a
-    pattern that fails raises for the first failing value."""
+def _membership_residuals(c: Cocycle) -> list[float]:
+    """Residuals of the group-membership invariant of every row; a
+    pattern that fails raises for the first failing row."""
     if c.group == "Ml":
+        z = c.roots.tolist()
         if not c.n:
-            return [abs(x.z * x.z - 1.0) / 1.0 for x in values]
-        dets = np.linalg.det(G.as_stack([x.A for x in values], c.n))
-        return [abs(x.z * x.z - d) / max(1.0, abs(d)) for x, d in zip(values, dets)]
-    if c.group in ("Glkd", "Mlkd"):
-        first, second = zip(*values) if values else ((), ())
-        if c.group == "Mlkd":
-            A1 = G.as_stack([x.A for x in first], c.n)
-            A2 = G.as_stack([x.A for x in second], c.n)
-            G.classify_pairs(A1, A2, c.k, [x.z for x in first],
-                             [x.z for x in second])
-        else:
-            A1 = G.as_stack([_mat(x) for x in first], c.n)
-            A2 = G.as_stack([_mat(x) for x in second], c.n)
-            G.classify_pairs(A1, A2, c.k)
-        dets = np.abs(np.concatenate([np.linalg.det(A1), np.linalg.det(A2)]))
-        if np.any(dets <= get_tolerances().singular):
+            return [abs(x * x - 1.0) / 1.0 for x in z]
+        dets = np.linalg.det(c.mats)
+        return [abs(x * x - d) / max(1.0, abs(d)) for x, d in zip(z, dets)]
+    if c.group == "Glkd":
+        G.classify_pairs(c.mats[:, 0], c.mats[:, 1], c.k)
+        if np.any(np.abs(np.linalg.det(c.mats)) <= get_tolerances().singular):
             raise SingularityError("pair cocycle member is singular")
-        return [0.0] * len(values)
-    if c.group in ("Sp", "Spk", "Mp"):
-        g = np.array([x.g.g if c.group == "Mp" else x.g for x in values],
-                     dtype=float).reshape(len(values), 2 * c.n, 2 * c.n)
-        res = G.check_sp(g)
-        if c.group == "Mp":
-            return [0.0] * len(values)
-        if c.group == "Spk":
-            G.spk_blocks(g, c.k)
-        return [max(r) for r in res.tolist()]
-    return [0.0] * len(values)
+    if c.group == "Mp":
+        G.check_sp(c.mats)
+    return [0.0] * len(c.mats)
 
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     """Check group membership of every value and the cocycle identity at
     every triple sample point.  Returns a result dict with residuals."""
     tols = get_tolerances()
-    failures = []
-    max_res = 0.0
     index = nerve.point_index
-    if len(c.values) != len(index.points):
-        raise ValidationError(f"cocycle has {len(c.values)} values for "
+    if len(c.mats) != len(index.points):
+        raise ValidationError(f"cocycle has {len(c.mats)} values for "
                               f"{len(index.points)} sample points")
-    residuals = _membership_residuals(c, c.values)
-    for (pair, ci), rows in index.components.items():
-        for row in rows:
-            r = residuals[row]
-            max_res = max(max_res, r)
-            if r > tols.rel:
-                failures.append(("membership", pair, ci, index.points[row].id, r))
-    ops = c.ops
-    for (a, b, cc), tp in nerve.triple_points():
-        # triple keys are sorted, so every factor is a forward transition
-        t_ab, t_bc, t_ac = (c.values[index.components[(pair, tp.memberships[pair][0])].start
-                                     + tp.memberships[pair][1]]
-                            for pair in ((a, b), (b, cc), (a, cc)))
-        r = float(ops["dist"](ops["mul"](t_ab, t_bc), t_ac))
-        max_res = max(max_res, r)
-        if r > identity_bound(tols):
-            failures.append(("cocycle", (a, b, cc), tp.id, r))
-    return {"ok": not failures, "max_residual": max_res, "failures": failures}
+    residuals = _membership_residuals(c)
+    failures = [("membership", pair, ci, index.points[row].id, residuals[row])
+                for (pair, ci), rows in index.components.items() for row in rows
+                if residuals[row] > tols.rel]
+    # triple keys are sorted, so every factor is a forward transition
+    ab, bc, ac = nerve.triple_rows.T
+    if c.roots is None or not len(ab):
+        prod, roots = c.mats[ab] @ c.mats[bc], []
+    else:
+        # products checked as group elements, skipped without triple
+        # points since an empty stack still calls det and track_sqrt
+        mul = G.ml_mul if c.group == "Ml" else G.mp_mul
+        prod, roots = mul(c.mats[ab], c.roots[ab].tolist(),
+                          c.mats[bc], c.roots[bc].tolist())
+    dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
+                  initial=0.0).tolist()
+    if roots:
+        dist = [max(d, abs(x - y)) for d, x, y in zip(dist, roots, c.roots[ac].tolist())]
+    failures += [("cocycle", key, tp.id, r)
+                 for (key, tp), r in zip(nerve.triple_points(), dist)
+                 if r > identity_bound(tols)]
+    return {"ok": not failures, "max_residual": max([0.0, *residuals, *dist]),
+            "failures": failures}
 
 
 # ---------------------------------------------------------------------------
 # associated-bundle pushforward
 # ---------------------------------------------------------------------------
 
-_PUSH_TAGS = {
-    "det": ("Gl", "Gl", lambda x: np.array([[np.linalg.det(_mat(x))]])),
-    "pair_first": ("Glkd", "Gl", lambda x: _mat(x[0])),
-}
-
-
 def push_cocycle(c: Cocycle, hom: str) -> Cocycle:
     """Transition functions of an associated bundle: apply a homomorphism
-    tag pointwise."""
-    if hom not in _PUSH_TAGS:
+    tag pointwise.  The tag "pair_first" takes the first member of every
+    pair of a Glkd cocycle."""
+    if hom != "pair_first":
         raise ValidationError(f"unknown homomorphism tag {hom!r}")
-    src, dst, fn = _PUSH_TAGS[hom]
-    if c.group != src:
-        raise ValidationError(f"tag {hom!r} expects a {src} cocycle, got {c.group}")
-    return Cocycle(dst, c.n, c.k, [fn(x) for x in c.values])
+    if c.group != "Glkd":
+        raise ValidationError(f"tag {hom!r} expects a Glkd cocycle, got {c.group}")
+    return Cocycle("Gl", c.n, c.k, c.mats[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +502,10 @@ def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
     entry of pattern (indexed like component_list()) is set."""
     rows = [r for key, bit in zip(nerve.component_list(), pattern) if bit
             for r in nerve.point_index.components[key]]
-    values = list(c.values)
-    flipped = G.ml_elements(G.as_stack([values[r].A for r in rows], c.n),
-                            [-values[r].z for r in rows])
-    for r, x in zip(rows, flipped):
-        values[r] = x
-    return Cocycle("Ml", c.n, c.k, values)
+    z = c.roots.copy()
+    z[rows] = -z[rows]
+    G.check_ml(c.mats[rows], z[rows].tolist())
+    return Cocycle("Ml", c.n, c.k, c.mats, z)
 
 
 def _sign_bit(r: complex) -> Optional[int]:
@@ -545,9 +530,7 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
     index = nerve.point_index
-    mats = [_mat(x) for x in c.values]
-    stack = G.as_stack(mats, len(mats[0]) if mats else 0)
-    dets = np.linalg.det(stack).tolist()
+    dets = np.linalg.det(c.mats).tolist()
     comps = index.components
     z = track_graph(dets,
                     [(rows.start + i, rows.start + j)
@@ -558,25 +541,23 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
                     cycle="around a cycle in component")
 
     rhs, defects = [], {}
-    for (a, b, cc), tp in nerve.triple_points():
-        zab, zbc, zac = (z[comps[(pair, tp.memberships[pair][0])].start
-                           + tp.memberships[pair][1]]
-                         for pair in ((a, b), (b, cc), (a, cc)))
-        s = zab * zbc / zac
+    for (key, tp), (ab, bc, ac) in zip(nerve.triple_points(),
+                                       nerve.triple_rows.tolist()):
+        s = z[ab] * z[bc] / z[ac]
         bit = _sign_bit(s)
         if bit is None:
             raise ValidationError(
                 f"triple defect at {tp.id} is not a sign: {s} "
                 "(input not a cocycle?)"
             )
-        defects[((a, b, cc), tp.id)] = -1 if bit else 1
+        defects[(key, tp.id)] = -1 if bit else 1
         rhs.append(bit)
     sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
     if sol is None:
         return SignCochain(degree=2, values=defects)
-    return Cocycle("Ml", c.n, c.k, G.ml_elements(
-        stack, [-z[r] if flip else z[r]
-                for rows, flip in zip(comps.values(), sol) for r in rows]))
+    return Cocycle.ml(c.n, c.k, c.mats, [-z[r] if flip else z[r]
+                                         for rows, flip in zip(comps.values(), sol)
+                                         for r in rows])
 
 
 def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
@@ -608,16 +589,18 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     """
     tols = get_tolerances()
     index = nerve.point_index
+    axes = (-2, -1)
+    apart = (np.max(np.abs(l1.mats - l2.mats), axis=axes, initial=0.0)
+             > zero_bound(tols) * np.maximum(1.0, np.max(np.abs(l1.mats), axis=axes,
+                                                        initial=0.0)))
+    z1, z2 = l1.roots.tolist(), l2.roots.tolist()
     rhs = []
     for rows in index.components.values():
         ratio = None
         for row in rows:
-            x1, x2 = l1.values[row], l2.values[row]
-            if float(np.max(np.abs(x1.A - x2.A))) > zero_bound(tols) * max(
-                1.0, float(np.max(np.abs(x1.A)))
-            ):
+            if apart[row]:
                 raise ValidationError("lifts do not project to the same Gl cocycle")
-            r = x2.z / x1.z
+            r = z2[row] / z1[row]
             rbit = _sign_bit(r)
             if rbit is None:
                 raise ValidationError(

@@ -27,13 +27,7 @@ from .errors import (
     TheoremFalsification,
     ValidationError,
 )
-from .groups import (
-    MlElement,
-    as_stack,
-    classify_pairs,
-    ml_elements,
-    subgroup_classify,
-)
+from .groups import as_stack, classify_pairs
 from .sampling import random_mlkd
 
 # seeded random draws per chart in the translation-law and positivity checks
@@ -58,14 +52,6 @@ class PolarizationPairData:
                 raise ValidationError(f"missing delta samples for chart {ch}")
 
 
-def _pair_stacks(data: PolarizationPairData):
-    """The two member stacks (P, n, n) of the pair cocycle over the rows
-    of the nerve's point index."""
-    values = data.pair_cocycle.values
-    return (as_stack([g1 for g1, _ in values], data.n),
-            as_stack([g2 for _, g2 in values], data.n))
-
-
 def validate_pair_data(data: PolarizationPairData) -> dict:
     """Check shared-A membership, nonzero delta samples, and the
     transformation consistency of the delta samples across overlaps."""
@@ -73,10 +59,10 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     failures = []
     max_res = 0.0
     index = data.nerve.point_index
-    G1, G2 = _pair_stacks(data)
-    blocks = classify_pairs(G1, G2, data.k)
+    pairs = data.pair_cocycle.mats
+    blocks = classify_pairs(pairs[:, 0], pairs[:, 1], data.k)
     # conj(det D1) det D2, the pairing-determinant transformation
-    ones = [1.0] * len(G1)
+    ones = [1.0] * len(pairs)
     d1 = np.linalg.det(blocks["D1"]) if data.k < data.n else ones
     d2 = np.linalg.det(blocks["D2"]) if data.k < data.n else ones
     for (pair, ci), rows in index.components.items():
@@ -128,7 +114,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         # delta is an empty determinant, identically 1 already
         return data
     index = data.nerve.point_index
-    G1, G2 = _pair_stacks(data)
+    G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     va, vb_inv = [], []
     for (pair, _), rows in index.components.items():
         a, b = pair
@@ -143,7 +129,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     G2 = _diag_changes(va, n) @ G2 @ _diag_changes(vb_inv, n)
     return PolarizationPairData(
         nerve=data.nerve,
-        pair_cocycle=Cocycle("Glkd", n, k, list(zip(G1, G2))),
+        pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),
         delta_samples=_ones(data),
         n=n,
         k=k,
@@ -178,18 +164,17 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     _require_normalized(data)
     tols = get_tolerances()
     index = data.nerve.point_index
-    G1, G2 = _pair_stacks(data)
+    G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     blocks = classify_pairs(G1, G2, data.k)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(G1)
     d1, d2 = np.linalg.det(G1), np.linalg.det(G2)
-    lifts = z1.values
-    L = as_stack([x.A for x in lifts], data.n)
+    L = z1.mats
     axes = (-2, -1)
     off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
     off_bound = zero_bound(tols) * np.maximum(1.0, np.max(np.abs(L), axis=axes,
                                                        initial=0.0))
     z2 = []
-    for r, (dA, x) in enumerate(zip(detA, lifts)):
+    for r, (dA, x) in enumerate(zip(detA, z1.roots.tolist())):
         premise = np.conj(d1[r]) * d2[r] / (dA * dA)
         if abs(premise - 1.0) > property_bound(tols):
             raise ValidationError(
@@ -198,8 +183,8 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
             )
         if off[r] > off_bound[r]:
             raise ValidationError("z1 does not lift the first member")
-        z2.append(abs(dA) / np.conj(x.z))
-    out = Cocycle("Ml", data.n, data.k, ml_elements(G2, z2))
+        z2.append(abs(dA) / np.conj(x))
+    out = Cocycle.ml(data.n, data.k, G2, z2)
     report = cech.validate_cocycle(data.nerve, out)
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "
@@ -222,14 +207,8 @@ class DeltaTildeData:
     checks: dict = field(default_factory=dict)
     epsilon: Optional[int] = None
 
-    def value(self, chart: str, pt: SamplePoint,
-              mlkd: Optional[tuple[MlElement, MlElement]] = None) -> complex:
-        v = complex(self.base[chart][pt.id])
-        if mlkd is None:
-            return v
-        tag = subgroup_classify(tuple(mlkd), self.k)
-        detA = np.linalg.det(tag.blocks["A"]) if self.k else 1.0
-        return v * np.conj(mlkd[0].z) * mlkd[1].z / abs(detA)
+    def value(self, chart: str, pt: SamplePoint) -> complex:
+        return complex(self.base[chart][pt.id])
 
 
 def _draw_translations(data: PolarizationPairData, rng: np.random.Generator,
@@ -274,7 +253,7 @@ def _check_translation_law(
     d2 = np.linalg.det(M2) if data.n else ones
     worst = 0.0
     for (ch, pt, m1, m2), dA, e1, e2 in zip(draws, detA, d1, d2):
-        # dt.value(ch, pt, (m1, m2)), sharing one classification
+        # the value translated by (m1, m2), sharing one classification
         val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(dA)
         delta0 = complex(data.delta_samples[ch][pt.id])
         target = delta0 * np.conj(e1) * e2 / (dA * dA)
@@ -303,17 +282,15 @@ def build_delta_tilde(
         base_values = _ones(data)
     dt = DeltaTildeData(base=base_values, k=data.k)
     index = data.nerve.point_index
-    l1, l2 = z1.values, z2.values
-    blocks = classify_pairs(as_stack([x.A for x in l1], data.n),
-                            as_stack([x.A for x in l2], data.n), data.k,
-                            [x.z for x in l1], [x.z for x in l2])
+    l1, l2 = z1.roots.tolist(), z2.roots.tolist()
+    blocks = classify_pairs(z1.mats, z2.mats, data.k, l1, l2)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(l1)
     bad = {}
     for (pair, ci), rows in index.components.items():
         a, b = pair
         for r in rows:
             pt = index.points[r]
-            factor = np.conj(l1[r].z) * l2[r].z / abs(detA[r])
+            factor = np.conj(l1[r]) * l2[r] / abs(detA[r])
             lhs = complex(base_values[a][pt.id]) * factor
             rhs = complex(base_values[b][pt.id])
             res = abs(lhs - rhs) / max(1.0, abs(rhs))
@@ -375,9 +352,9 @@ def self_compat(
     """
     tols = get_tolerances()
     # diagonal data check
-    for g1, g2 in data.pair_cocycle.values:
-        if np.max(np.abs(np.asarray(g1) - np.asarray(g2))) > zero_bound(tols):
-            raise ValidationError("pair cocycle is not diagonal")
+    pairs = data.pair_cocycle.mats
+    if np.any(np.abs(pairs[:, 0] - pairs[:, 1]) > zero_bound(tols)):
+        raise ValidationError("pair cocycle is not diagonal")
     # real, constant-sign delta samples
     sign = None
     for ch in data.nerve.charts:
@@ -414,7 +391,7 @@ def self_compat(
         draws = _draw_translations(data, rng, pairs=False)
         detA, _, _ = _translation_dets(draws, data.n, data.k)
         for (ch, pt, m, _), dA in zip(draws, detA):
-            # dt_norm.value(ch, pt, (m, m)), sharing one classification
+            # the value translated by (m, m), sharing one classification
             val = dt_norm.value(ch, pt) * np.conj(m.z) * m.z / abs(dA)
             worst_imag = max(worst_imag, abs(val.imag))
             min_real = min(min_real, val.real)

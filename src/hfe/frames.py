@@ -27,6 +27,7 @@ from .groups import (
     MpElement,
     SpElement,
     block_pattern,
+    check_ml,
     ml_elements,
     raise_first,
     shared_corner,
@@ -174,25 +175,6 @@ def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
         (np.max(np.abs(S1[..., :k] - S2[..., :k]), axis=axes) > tol,
          lambda p: ValidationError("first k columns differ across the pair")),
     ])
-
-
-def frame_compose(frame: np.ndarray, X: tuple[np.ndarray, np.ndarray],
-                  model: Optional[SymplecticModel] = None) -> np.ndarray:
-    """Apply a symplectic frame (columns e_1..e_n, f_1..f_n) to (U, V).
-
-    Returns the ambient 2n x n column matrix frame @ (U; V).  The frame
-    must be symplectic for the model form: frame^t omega frame equals the
-    standard form.
-    """
-    frame = np.asarray(frame, dtype=complex)
-    n = frame.shape[0] // 2
-    model = model or SymplecticModel(n)
-    tols = get_tolerances()
-    res = np.max(np.abs(frame.T @ model.omega @ frame - standard_omega(n)))
-    if res > tols.rel * max(1.0, float(np.max(np.abs(frame))) ** 2):
-        raise ValidationError(f"frame not symplectic (residual {res:.3e})")
-    U, V = X
-    return frame @ np.vstack([np.asarray(U, complex), np.asarray(V, complex)])
 
 
 def delta(pair: LagFramePair, model: Optional[SymplecticModel] = None) -> complex:
@@ -345,15 +327,18 @@ def alpha_tilde(gt: MpElement, W: BallPoint | np.ndarray) -> MlElement:
     straight segment s -> s W by square-root tracking of det alpha.
     """
     Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    return alpha_tilde_stack(gt.g.g[None], [gt.zeta], Wm[None])[0]
+    return ml_elements(*alpha_tilde_stack(gt.g.g[None], [gt.zeta], Wm[None]))[0]
 
 
-def alpha_tilde_stack(g: np.ndarray, zeta, W: np.ndarray) -> list[MlElement]:
+def alpha_tilde_stack(g: np.ndarray, zeta, W: np.ndarray
+                      ) -> tuple[np.ndarray, list[complex]]:
     """alpha_tilde of the metaplectic elements (g[p], zeta[p]) at the Ball
     points W[p], for stacks g (P, 2n, 2n) and W (P, n, n), tracked as one
-    stack of paths."""
+    stack of paths: the stack (P, n, n) of alpha(g[p], W[p]) and the
+    roots, checked in one pass of check_ml."""
     z, a1 = tracked_alpha_det(g, W, zeta)
-    return ml_elements(a1, z)
+    check_ml(a1, z)
+    return a1, z
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +357,6 @@ def frame_pattern(U: np.ndarray, V: np.ndarray, k: int):
          ("U lower-left block nonzero", U, [(tail, head)], tols.abs)],
         U, k)
     return checks, {"A": A, "B": U[:, :k, k:], "Ur": U[:, k:, k:], "Vr": V[:, k:, k:]}
-
-
-def delta_L(pairX, k: int) -> complex:
-    """Pairing determinant on frames in D-adapted block form.
-
-    pairX is ((U1, V1), (U2, V2)); the value is
-    det(i (V1r* U2r - U1r* V2r)) on the reduced blocks.
-    """
-    (U1, V1), (U2, V2) = pairX
-    U1, V1, U2, V2 = (np.asarray(m, complex)[None] for m in (U1, V1, U2, V2))
-    return delta_L_stack(U1, V1, U2, V2, k)[0]
 
 
 def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:

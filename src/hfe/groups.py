@@ -108,29 +108,14 @@ def ml_identity(n: int) -> MlElement:
     return MlElement(np.eye(n), 1.0)
 
 
-def ml_mul(a: MlElement, b: MlElement) -> MlElement:
-    """Componentwise product; the defining relation is preserved."""
-    if a.n != b.n:
-        raise ValidationError("dimension mismatch in ml_mul")
-    return MlElement(a.A @ b.A, a.z * b.z)
-
-
-def ml_inv(a: MlElement) -> MlElement:
-    return MlElement(np.linalg.inv(a.A), 1.0 / a.z)
-
-
-def ml_lift(A: GlElement | np.ndarray) -> tuple[MlElement, MlElement]:
-    """Both preimages of A in Ml(n,C).
-
-    The first returned element carries the principal square root of
-    det(A), with Arg(z) in (-pi/2, pi/2]; the second carries its negative.
-    """
-    mat = A.A if isinstance(A, GlElement) else _as_square(A)
-    d = np.linalg.det(mat) if mat.size else 1.0 + 0j
-    if abs(d) <= get_tolerances().singular:
-        raise SingularityError("cannot lift a singular matrix")
-    z = principal_sqrt(d)
-    return MlElement(mat, z), MlElement(mat, -z)
+def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
+    """The products (A1[p], z1[p]) (A2[p], z2[p]) in Ml(n,C) of two
+    (P, n, n) stacks and their roots: componentwise, checked in one pass
+    of check_ml."""
+    A = A1 @ A2
+    z = [a * b for a, b in zip(z1, z2)]
+    check_ml(A, z)
+    return A, z
 
 
 @dataclass(frozen=True)
@@ -208,10 +193,7 @@ class MpElement:
         if not isinstance(self.g, SpElement):
             object.__setattr__(self, "g", sp_validate(np.asarray(self.g)))
         object.__setattr__(self, "zeta", complex(self.zeta))
-        _, a0 = ball.alpha_raw(self.g.g, np.zeros((self.g.n, self.g.n)))
-        d = np.linalg.det(a0)
-        if abs(self.zeta * self.zeta - d) > check_bound(get_tolerances()) * abs(d):
-            raise ValidationError("zeta**2 != det alpha(g, 0)")
+        check_mp(self.g.g[None], [self.zeta])
 
     @property
     def n(self) -> int:
@@ -219,6 +201,18 @@ class MpElement:
 
     def project(self) -> SpElement:
         return self.g
+
+
+def check_mp(g: np.ndarray, zeta) -> None:
+    """The Mp anchor test of a stack: zeta[p]**2 = det alpha(g[p], 0) for
+    every g[p] of the (P, 2n, 2n) stack g.  Raises for the first point
+    that fails."""
+    n = g.shape[-1] // 2
+    _, a0 = ball.alpha_raw(g, np.zeros((len(g), n, n)))
+    bound = check_bound(get_tolerances())
+    for zp, d in zip(zeta, np.linalg.det(a0)):
+        if abs(zp * zp - d) > bound * abs(d):
+            raise ValidationError("zeta**2 != det alpha(g, 0)")
 
 
 def mp_lift(g: SpElement | np.ndarray) -> tuple[MpElement, MpElement]:
@@ -255,33 +249,25 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
     return track_sqrt(f, zeta), grid[0]
 
 
-def mp_mul(a: MpElement, b: MpElement) -> MpElement:
-    """Product in Mp(2n,R).
+def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
+           ) -> tuple[np.ndarray, list]:
+    """The products (g1[p], zeta1[p]) (g2[p], zeta2[p]) in Mp(2n,R) of two
+    (P, 2n, 2n) stacks and their anchors.
 
     The matrix part is the matrix product; the anchor of the product is
     fixed by the automorphy-cocycle identity
     alphat(ab, 0) = alphat(a, b.0) * alphat(b, 0),
-    where alphat(a, .) is continued from a's anchor by tracking.
+    where alphat(a, .) is continued from a's anchor by tracking, all
+    products as one stack of paths.  The products are checked in one
+    pass of check_mp.
     """
-    if a.n != b.n:
-        raise ValidationError("dimension mismatch in mp_mul")
-    Wb, _ = ball.alpha_raw(b.g.g, np.zeros((b.n, b.n)))
-    za, _ = tracked_alpha_det(a.g.g[None], Wb[None], [a.zeta])
-    return MpElement(SpElement(a.g.g @ b.g.g), za[0] * b.zeta)
-
-
-def mp_inv(a: MpElement) -> MpElement:
-    """Inverse in Mp: the sheet over g^{-1} with a * a^{-1} = (e, +1)."""
-    cand = mp_lift(SpElement(np.linalg.inv(a.g.g)))[0]
-    prod = mp_mul(a, cand)
-    if abs(prod.zeta - 1.0) > abs(prod.zeta + 1.0):
-        cand = MpElement(cand.g, -cand.zeta)
-    return cand
-
-
-def mp_deck(a: MpElement) -> MpElement:
-    """The other sheet over the same symplectic matrix."""
-    return MpElement(a.g, -a.zeta)
+    n = g1.shape[-1] // 2
+    W2, _ = ball.alpha_raw(g2, np.zeros((len(g2), n, n)))
+    za, _ = tracked_alpha_det(g1, W2, zeta1)
+    g = g1 @ g2
+    zeta = [a * b for a, b in zip(za, zeta2)]
+    check_mp(g, zeta)
+    return g, zeta
 
 
 @dataclass(frozen=True)

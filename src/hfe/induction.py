@@ -23,7 +23,6 @@ from .compatibility import DeltaTildeData, PolarizationPairData
 from .config import Tolerances, check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, ValidationError
 from .frames import (
-    BallPoint,
     LagFrame,
     MetaLagFrame,
     alpha_tilde_stack,
@@ -38,7 +37,6 @@ from .frames import (
     validate_lagrangian_stack,
 )
 from .groups import (
-    MlElement,
     MpElement,
     as_stack,
     check_ml,
@@ -64,9 +62,7 @@ class MetaplecticBundleData:
         if self.mp_cocycle.group != "Mp":
             raise ValidationError("mp cocycle must be Mp-valued")
         if self.d_adapted:
-            g = [x.g.g for x in self.mp_cocycle.values]
-            n2 = 2 * self.mp_cocycle.n
-            spk_blocks(np.array(g, dtype=float).reshape(len(g), n2, n2), self.k)
+            spk_blocks(self.mp_cocycle.mats, self.k)
 
     @property
     def n(self) -> int:
@@ -135,8 +131,11 @@ def chart_sqrt_values(
 
 @dataclass
 class RecipeResult:
+    """The induced Ml cocycle, and chart_z the root z of the lifted
+    section (C, z) at every chart row of the section transport."""
+
     ml_cocycle: Cocycle
-    chart_lifts: dict[str, dict[str, MetaLagFrame]]
+    chart_z: list[complex]
     residuals: dict = field(default_factory=dict)
 
 
@@ -151,11 +150,11 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     """mp_act_meta of the elements (g[p], zeta[p]) on the meta frames
     (W[p], (C[p], z[p])), for stacks g (P, 2n, 2n) and W, C (P, n, n):
     the moved W and C stacks and the moved z, checked in one pass."""
-    a = alpha_tilde_stack(g, zeta, W)
+    aA, az = alpha_tilde_stack(g, zeta, W)
     gW = ball.alpha_raw(g, W)[0]
     check_ball(gW)
-    A = as_stack([x.A for x in a], W.shape[-1]) @ C
-    zs = [x.z * zp for x, zp in zip(a, z)]
+    A = aA @ C
+    zs = [x * zp for x, zp in zip(az, z)]
     check_ml(A, zs)
     return gW, A, zs
 
@@ -167,12 +166,12 @@ class SectionTransport:
     Chart stacks have one row per sample-graph vertex of every chart,
     chart by chart: rows maps chart -> point id -> chart row; U, V hold
     the section frames, validated as positive Lagrangian frames, W and C
-    the stacks (R, n, n) of (W, C) = phi(section), balls the Ball points
-    W.  Overlap stacks
+    the stacks (R, n, n) of (W, C) = phi(section), W checked as Ball
+    points.  Overlap stacks
     have one row per row of nerve.point_index: a and b are the chart rows
     of its point in the two charts of its overlap, N the frame
-    transition with g sigma_b = sigma_a N, alpha alpha_tilde(g, W_b) and
-    gW the Ball point g.W_b.
+    transition with g sigma_b = sigma_a N, alpha and alpha_z the stack and
+    roots of alpha_tilde(g, W_b), and gW the Ball point g.W_b.
     """
 
     bundle: MetaplecticBundleData
@@ -182,11 +181,11 @@ class SectionTransport:
     V: np.ndarray
     W: np.ndarray
     C: np.ndarray
-    balls: list[BallPoint]
     a: list[int]
     b: list[int]
     N: np.ndarray
-    alpha: list[MlElement]
+    alpha: np.ndarray
+    alpha_z: list[complex]
     gW: np.ndarray
 
 
@@ -224,10 +223,9 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     V = as_stack([v for _, v in UV], n)
     W, C = ball.phi_raw(U, V)
     _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in points])
-    balls = ball_points(W)
+    check_ball(W)
     a, b = _overlap_rows(nerve, rows, 0), _overlap_rows(nerve, rows, 1)
-    gts = data.mp_cocycle.values
-    g = np.array([gt.g.g for gt in gts], dtype=float).reshape(len(gts), 2 * n, 2 * n)
+    g = data.mp_cocycle.mats
     # frame transitions N: g sigma_b = sigma_a N
     gU, gV = ball.sp_apply(g, U[b], V[b])
     Sa = np.concatenate([U[a], V[a]], axis=-2)
@@ -240,9 +238,9 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     raise_first([(res > bound, lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {index.points[p].id}"))])
     gW = ball.alpha_raw(g, W[b])[0]
-    alpha = alpha_tilde_stack(g, [gt.zeta for gt in gts], W[b])
+    alpha, alpha_z = alpha_tilde_stack(g, data.mp_cocycle.roots.tolist(), W[b])
     check_ball(gW)
-    return SectionTransport(data, tols, rows, U, V, W, C, balls, a, b, N, alpha, gW)
+    return SectionTransport(data, tols, rows, U, V, W, C, a, b, N, alpha, alpha_z, gW)
 
 
 def recipe(
@@ -263,7 +261,7 @@ def recipe(
     """
     sheet_flips = sheet_flips or {}
     tols = get_tolerances()
-    nerve, n = data.nerve, data.n
+    nerve = data.nerve
     t = sections.transport(data)
     # per-chart lifted sections
     dets = np.linalg.det(t.C).tolist()
@@ -274,14 +272,11 @@ def recipe(
                                    sheet_flips.get(ch, 1))
             for pid, r in rows.items():
                 z[r] = zc[pid]
-    lifted = ml_elements(t.C, z)
-    chart_lifts = {ch: {pid: MetaLagFrame(t.balls[r], lifted[r])
-                        for pid, r in rows.items()}
-                   for ch, rows in t.rows.items()}
+    check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
-    moved_A = as_stack([x.A for x in t.alpha], n) @ t.C[t.b]
-    moved_z = [x.z * z[r] for x, r in zip(t.alpha, t.b)]
+    moved_A = t.alpha @ t.C[t.b]
+    moved_z = [x * z[r] for x, r in zip(t.alpha_z, t.b)]
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[t.a]), axis=axes, initial=0.0)
@@ -291,7 +286,7 @@ def recipe(
     Ninv = np.linalg.inv(t.C[t.a]) @ moved_A
     Nz = [mz / z[r] for mz, r in zip(moved_z, t.a)]
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
-    ml_c = Cocycle("Ml", data.n, data.k, ml_elements(Ninv, Nz))
+    ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)
     report = cech.validate_cocycle(nerve, ml_c)
     if not report["ok"]:
         raise ValidationError(
@@ -299,7 +294,7 @@ def recipe(
         )
     return RecipeResult(
         ml_cocycle=ml_c,
-        chart_lifts=chart_lifts,
+        chart_z=z,
         residuals={"ball_match": max([0.0, *wres.tolist()]),
                    "projection_match": max([0.0, *nres.tolist()]),
                    "cocycle": report["max_residual"]},
@@ -370,10 +365,9 @@ def build_delta_D_tilde(
     # invariance: both members of the chart-b pair moved by the transition
     b = _overlap_rows(nerve, rows, 1)
     P = len(b)
-    gts = data.mp_cocycle.values
-    g = np.array([gt.g.g for gt in gts], dtype=float).reshape(P, 2 * n, 2 * n)
+    g = data.mp_cocycle.mats
     gW, gC, gz = _mp_act_stack(np.concatenate([g, g]),
-                               [gt.zeta for gt in gts] * 2,
+                               data.mp_cocycle.roots.tolist() * 2,
                                np.concatenate([W1[b], W2[b]]),
                                np.concatenate([C1[b], C2[b]]),
                                [z1[r] for r in b] + [z2[r] for r in b])
@@ -443,8 +437,8 @@ def cross_check(
     t1, t2 = sections1.transport(data), sections2.transport(data)
 
     # pair data spanned by the two families
-    pair_c = Cocycle("Glkd", n, k, [(x1.A, x2.A) for x1, x2 in
-                                    zip(r1.ml_cocycle.values, r2.ml_cocycle.values)])
+    pair_c = Cocycle("Glkd", n, k, np.stack([r1.ml_cocycle.mats, r2.ml_cocycle.mats],
+                                            axis=1))
     # the reduced pairing determinant of the two families at every chart
     # row; it also serves the restriction identity
     reduced = delta_L_stack(t1.U, t1.V, t2.U, t2.V, k)
@@ -463,14 +457,10 @@ def cross_check(
     # reference lift: transport the second recipe cocycle to the
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
-    def lifted_z(r: RecipeResult) -> list[complex]:
-        return [X.C.z for ch in nerve.charts for X in r.chart_lifts[ch].values()]
-
-    w = delta_L_tilde_stack(t1.W, t1.C, lifted_z(r1), t2.W, t2.C, lifted_z(r2), k)
-    zs = [w[ra] * x.z / w[rb] for x, ra, rb in
-          zip(r2.ml_cocycle.values, t1.a, t1.b)]
-    g2n = as_stack([g2 for _, g2 in pnorm.pair_cocycle.values], n)
-    z2_ref = Cocycle("Ml", n, k, ml_elements(g2n, zs))
+    w = delta_L_tilde_stack(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
+    zs = [w[ra] * x / w[rb] for x, ra, rb in
+          zip(r2.ml_cocycle.roots.tolist(), t1.a, t1.b)]
+    z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)
     if witness is None:

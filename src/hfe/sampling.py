@@ -33,14 +33,6 @@ def random_gl_real(rng: np.random.Generator, n: int) -> np.ndarray:
             return A
 
 
-def random_ml(rng: np.random.Generator, n: int) -> MlElement:
-    A = random_gl(rng, n)
-    z = principal_sqrt(np.linalg.det(A) if n else 1.0)
-    if rng.integers(2):
-        z = -z
-    return MlElement(A, z)
-
-
 def random_glkd(rng: np.random.Generator, n: int, k: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Random pair of upper block-triangular matrices sharing a real A."""

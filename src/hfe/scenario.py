@@ -37,28 +37,32 @@ _GENERATOR = {
     "additionalProperties": False,
 }
 
-_COCYCLE = {
-    "type": "object",
-    "properties": {
-        "group": {"type": "string"},
-        "transitions": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "pair": {"type": "array", "items": {"type": "string"},
-                             "minItems": 2, "maxItems": 2},
-                    "component": {"type": "integer", "minimum": 0},
-                    "generator": _GENERATOR,
+
+def _cocycle(group: str) -> dict:
+    """The schema of a cocycle role whose consumer accepts only one group."""
+    return {
+        "type": "object",
+        "properties": {
+            "group": {"type": "string", "enum": [group]},
+            "transitions": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "properties": {
+                        "pair": {"type": "array", "items": {"type": "string"},
+                                 "minItems": 2, "maxItems": 2},
+                        "component": {"type": "integer", "minimum": 0},
+                        "generator": _GENERATOR,
+                    },
+                    "required": ["pair", "component", "generator"],
+                    "additionalProperties": False,
                 },
-                "required": ["pair", "component", "generator"],
-                "additionalProperties": False,
             },
         },
-    },
-    "required": ["group", "transitions"],
-    "additionalProperties": False,
-}
+        "required": ["group", "transitions"],
+        "additionalProperties": False,
+    }
+
 
 _CHART_GENERATORS = {"type": "object", "additionalProperties": _GENERATOR}
 
@@ -158,9 +162,9 @@ SCENARIO_SCHEMA: dict = {
             "required": ["charts"],
             "additionalProperties": False,
         },
-        "pair_cocycle": _COCYCLE,
-        "gl_cocycle": _COCYCLE,
-        "mp_cocycle": _COCYCLE,
+        "pair_cocycle": _cocycle("Glkd"),
+        "gl_cocycle": _cocycle("Gl"),
+        "mp_cocycle": _cocycle("Mp"),
         "d_adapted": {"type": "boolean"},
         "delta_samples": _CHART_GENERATORS,
         "sections": {
@@ -178,7 +182,7 @@ SCENARIO_SCHEMA: dict = {
                 "type": "object",
                 "properties": {
                     "name": {"type": "string"},
-                    "pair_cocycle": _COCYCLE,
+                    "pair_cocycle": _cocycle("Glkd"),
                     "delta_samples": _CHART_GENERATORS,
                 },
                 "required": ["name", "pair_cocycle", "delta_samples"],
@@ -395,9 +399,16 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
 def _build_chart_values(doc: dict, nerve: Nerve, n: int, k: int
                         ) -> dict[str, dict[str, complex]]:
     """Chart generators evaluated once at every sample point of their
-    chart (see Nerve.chart_points), by point id."""
-    return {ch: {pt.id: fn(pt) for pt in nerve.chart_points(ch)}
-            for ch, fn in _build_chart_generators(doc, nerve, n, k).items()}
+    chart (see Nerve.chart_points), by point id; each value must be a
+    scalar."""
+    out = {ch: {pt.id: fn(pt) for pt in nerve.chart_points(ch)}
+           for ch, fn in _build_chart_generators(doc, nerve, n, k).items()}
+    for ch, values in out.items():
+        for pid, value in values.items():
+            if not isinstance(value, numbers.Number):
+                raise ValidationError(f"delta sample of chart {ch!r} at {pid} "
+                                      "is not a scalar")
+    return out
 
 
 def _build_sign_cochain(doc: dict) -> SignCochain:

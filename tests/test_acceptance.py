@@ -21,7 +21,7 @@ from hfe.frames import (
     phi_inv,
     validate_lagrangian,
 )
-from hfe.groups import MlElement, ml_lift, ml_mul, mp_deck, mp_lift
+from hfe.groups import MlElement, MpElement, ml_elements, ml_mul, mp_lift
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -29,7 +29,6 @@ from hfe.sampling import (
     random_gl_real,
     random_glkd,
     random_mlkd,
-    random_ml,
     random_positive_frame,
     random_sp,
 )
@@ -64,13 +63,17 @@ def test_criterion_01_metalinear_group_law():
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
-        c = ml_mul(random_ml(rng, n), random_ml(rng, n))
-        d = np.linalg.det(c.A)
-        worst = max(worst, abs(c.z * c.z - d) / abs(d))
+        A = np.array([random_gl(rng, n), random_gl(rng, n)])
+        z = [s * principal_sqrt(d) for s, d in zip(rng.choice([1, -1], 2),
+                                                   np.linalg.det(A))]
+        C, (zc,) = ml_mul(A[:1], z[:1], A[1:], z[1:])
+        d = np.linalg.det(C[0])
+        worst = max(worst, abs(zc * zc - d) / abs(d))
     lift_ok = True
     for _ in range(50):
         A = random_gl(rng, int(rng.integers(1, 7)))
-        p, m = ml_lift(A)
+        z = principal_sqrt(np.linalg.det(A))
+        p, m = ml_elements(np.array([A, A]), [z, -z])
         lift_ok = lift_ok and np.array_equal(p.A, A) and np.array_equal(m.A, A)
         lift_ok = lift_ok and m.z == -p.z
     _verdict(
@@ -165,12 +168,12 @@ def test_criterion_04_automorphy_cocycle_and_cover():
             at = alpha_tilde(gt, W)
             _, am = ball.alpha_raw(gt.g.g, W.W)
             proj_ok = proj_ok and np.array_equal(at.A, am)
-            dk = alpha_tilde(mp_deck(gt), W)
-            flipped = ml_mul(at, MlElement(np.eye(n), -1.0))
+            dk = alpha_tilde(MpElement(gt.g, -gt.zeta), W)
+            flipped, (z,) = ml_mul(at.A[None], [at.z], np.eye(n)[None], [-1.0])
             deck_ok = (
                 deck_ok
-                and np.array_equal(dk.A, flipped.A)
-                and dk.z == flipped.z
+                and np.array_equal(dk.A, flipped[0])
+                and dk.z == z
             )
     _verdict(
         "criterion 4: automorphy cocycle identity on 300 pairs, tracked "
@@ -364,10 +367,10 @@ def test_criterion_11_density_invariance():
             "half-form", delta_tilde_value=dt,
         )
         m1, m2 = random_mlkd(rng, n, k)
-        moved = (
-            MetaLagFrame(metas[0].W, ml_mul(metas[0].C, m1)),
-            MetaLagFrame(metas[1].W, ml_mul(metas[1].C, m2)),
-        )
+        C, z = ml_mul(np.array([X.C.A for X in metas]), [X.C.z for X in metas],
+                      np.array([m1.A, m2.A]), [m1.z, m2.z])
+        moved = tuple(MetaLagFrame(X.W, MlElement(c, zc))
+                      for X, c, zc in zip(metas, C, z))
         dt2 = delta_L_tilde(moved, k)
         moved_frames = [
             validate_lagrangian(f.U @ m.A, f.V @ m.A)

@@ -18,7 +18,7 @@ from hfe.cech import (
     z2_coboundary_solve,
 )
 from hfe.errors import TrackingError, ValidationError
-from hfe.groups import MlElement
+from hfe.groups import MpElement, SpElement
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
 
 
@@ -87,6 +87,32 @@ def test_validate_cocycle_flags_broken_identity():
     assert any(f[0] == "cocycle" for f in out["failures"])
 
 
+def _rotation(theta, sheet=1):
+    g = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    el = MpElement(SpElement(g), sheet * np.exp(0.5j * theta))
+    return lambda pt: el
+
+
+@pytest.mark.parametrize("sheet", [1, -1])
+def test_validate_mp_cocycle_on_triangle(sheet):
+    # rotations by 0.7 and 1.9 compose to 2.6 with the anchors
+    # e^{i theta/2}; the other sheet over t_ac misses the product's
+    # anchor by 2 at both triple points
+    nerve = triangle_nerve(("p", "q"))
+    c = Cocycle.evaluate("Mp", 1, 0, nerve, {
+        ("a", "b"): (_rotation(0.7),),
+        ("b", "c"): (_rotation(1.9),),
+        ("a", "c"): (_rotation(2.6, sheet),),
+    })
+    out = validate_cocycle(nerve, c)
+    if sheet == 1:
+        assert out["ok"] and out["max_residual"] < 1e-12
+    else:
+        assert [f[:3] for f in out["failures"]] == [
+            ("cocycle", ("a", "b", "c"), "p"), ("cocycle", ("a", "b", "c"), "q")]
+        assert abs(out["max_residual"] - 2.0) < 1e-12
+
+
 def test_cocycle_evaluates_each_transition_once_per_point():
     nerve = circle_nerve()
     calls = []
@@ -97,26 +123,27 @@ def test_cocycle_evaluates_each_transition_once_per_point():
 
     c = Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn, _const([[2.0]]))})
     assert calls == ["east"]
-    assert np.allclose(c.values, [np.eye(1), [[2.0]]])
+    assert np.allclose(c.mats, [np.eye(1), [[2.0]]])
     with pytest.raises(ValidationError, match="missing transition"):
         Cocycle.evaluate("Gl", 1, 0, nerve, {})
     with pytest.raises(ValidationError, match="component count mismatch"):
         Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn,)})
     with pytest.raises(ValidationError, match="1 values for 2 sample points"):
-        validate_cocycle(nerve, Cocycle("Gl", 1, 0, c.values[:1]))
+        validate_cocycle(nerve, Cocycle("Gl", 1, 0, c.mats[:1]))
 
 
-def test_push_cocycle_det_and_pair_tags():
+def test_push_cocycle_pair_first():
     nerve = circle_nerve()
-    c = Cocycle.evaluate("Gl", 2, 0, nerve,
-                         {("a", "b"): (_const([[2.0, 1.0], [0.0, 3.0]]),) * 2})
-    d = push_cocycle(c, "det")
-    assert np.allclose(d.values[0], [[6.0]])
     pc = Cocycle.evaluate("Glkd", 1, 0, nerve, {
         ("a", "b"): ((lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),) * 2
     })
     first = push_cocycle(pc, "pair_first")
-    assert np.allclose(first.values[0], [[2.0]])
+    assert first.group == "Gl"
+    assert np.allclose(first.mats, [[[2.0]], [[2.0]]])
+    with pytest.raises(ValidationError, match="unknown homomorphism tag 'det'"):
+        push_cocycle(pc, "det")
+    with pytest.raises(ValidationError, match="expects a Glkd cocycle, got Gl"):
+        push_cocycle(first, "pair_first")
 
 
 def test_lift_double_cover_correctable_defect():
@@ -173,7 +200,7 @@ def test_lift_tracks_branch_along_component():
     nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
     lifted = lift_double_cover(
         nerve, Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (_winding,)}))
-    z_end = lifted.values[-1].z
+    z_end = lifted.roots[-1]
     assert abs(z_end + 1.0) < 1e-9  # continued onto the other sheet
 
 
@@ -191,8 +218,7 @@ def test_lifts_equivalent_witness_and_rejection():
     nerve = circle_nerve()
 
     def ml(*signs):
-        return Cocycle("Ml", 1, 0, [MlElement(np.array([[1.0]]), float(s))
-                                    for s in signs])
+        return Cocycle.ml(1, 0, np.ones((len(signs), 1, 1)), signs)
 
     base = ml(1, 1)
     both = ml(-1, -1)

@@ -425,3 +425,60 @@ def test_exit_2_on_mobius_pole_at_a_sample_point(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: invalid scenario data: generator "
                           "'mobius_ratio': pole at sample point f_BEN")
+
+
+@pytest.mark.parametrize("generator", [
+    {"name": "const", "params": {"value": [[1]]}},
+    {"name": "frame_const", "params": {"U": [[1]], "V": [[0]]}},
+    {"name": "pair_const", "params": {"first": [[1]], "second": [[1]]}},
+], ids=lambda g: g["name"])
+def test_exit_2_on_non_scalar_delta_samples(generator, tmp_path, capsys):
+    # these used to end in a TypeError traceback from validate_pair_data
+    path = _scenario_file(tmp_path, "circle_mobius",
+                          lambda doc: doc["delta_samples"].update({"0": generator}))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid scenario data: delta sample of chart "
+                          "'0' at east is not a scalar")
+
+
+def _declared(role, group):
+    """A circle_mobius edit declaring a role's cocycle of another group,
+    and the schema error it gets."""
+    want = {"mp_cocycle": "Mp", "pair_cocycle": "Glkd"}[role]
+    return (lambda doc: doc[role].update(group=group),
+            f"scenario schema violation at {role}/group: '{group}' is not one of "
+            f"['{want}']")
+
+
+def _built(role, generator, group):
+    """A circle_mobius edit building a role's first transition from a
+    generator of the wrong kind, and the load error it gets."""
+    return (lambda doc: doc[role]["transitions"][0].update(generator=generator),
+            f"invalid scenario data: transition of ('0', '1') at east is not a "
+            f"{group} value for n=1")
+
+
+_MISMATCHES = {
+    **{f"{role}={group}": _declared(role, group) for role, group in (
+        ("mp_cocycle", "Glkd"), ("mp_cocycle", "Ml"), ("mp_cocycle", "Spk"),
+        ("pair_cocycle", "Mp"), ("pair_cocycle", "Mlkd"), ("pair_cocycle", "Sp"),
+        ("pair_cocycle", "Gl"))},
+    "mp_cocycle<-const": _built(
+        "mp_cocycle", {"name": "const", "params": {"value": [[1]]}}, "Mp"),
+    "pair_cocycle<-mp_rotation": _built(
+        "pair_cocycle", {"name": "mp_rotation", "params": {"theta": 1.0}}, "Glkd"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _MISMATCHES.values(), ids=_MISMATCHES)
+def test_exit_2_on_cocycle_group_mismatch(edit, message, tmp_path, capsys):
+    # each role takes the one group its consumer accepts; these used to
+    # end in a traceback, or in a cocycle.pair PASS on Gl data
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {message}")

@@ -69,9 +69,8 @@ def identity_lift(n):
 def _flip(c, comp_indices):
     """Flip the root sheet of an Ml cocycle on the given components (each
     component of the circle nerve has one point, so one row)."""
-    return Cocycle(c.group, c.n, c.k, [
-        MlElement(x.A, -x.z) if ci in comp_indices else x
-        for ci, x in enumerate(c.values)])
+    return Cocycle.ml(c.n, c.k, c.mats, [-z if ci in comp_indices else z
+                                         for ci, z in enumerate(c.roots.tolist())])
 
 
 def test_validate_pair_data_accepts_consistent():
@@ -109,7 +108,7 @@ def test_normalize_makes_delta_one_and_keeps_consistency():
     out = validate_pair_data(norm)
     assert out["ok"]
     # the normalized second member has unit premise factor
-    _, g2 = norm.pair_cocycle.values[1]  # the row of WEST
+    _, g2 = norm.pair_cocycle.mats[1]  # the row of WEST
     assert abs(np.conj(1.0) * np.linalg.det(g2) - 1.0) < 1e-12
 
 
@@ -146,8 +145,8 @@ def test_induce_and_glue_roundtrip(rng):
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
     z2 = induce_compatible(norm, z1)
-    for el in z2.values:
-        assert abs(el.z * el.z - np.linalg.det(el.A)) < 1e-12
+    for A, z in zip(z2.mats, z2.roots):
+        assert abs(z * z - np.linalg.det(A)) < 1e-12
     dt = build_delta_tilde(norm, z1, z2, rng)
     assert max(dt.residuals.values()) < 1e-12
     assert dt.checks["square_identity"] < 1e-10

@@ -10,10 +10,9 @@ from hfe.frames import (
     alpha,
     alpha_tilde,
     delta,
-    delta_L,
     delta_L_from_wc,
+    delta_L_stack,
     delta_L_tilde,
-    frame_compose,
     gamma,
     liouville,
     pairing_density,
@@ -21,7 +20,7 @@ from hfe.frames import (
     phi_inv,
     validate_lagrangian,
 )
-from hfe.groups import MlElement, ml_mul, mp_deck, mp_lift
+from hfe.groups import MlElement, MpElement, ml_mul, mp_lift
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -68,13 +67,6 @@ def test_delta_shared_columns_k_equals_n():
 def test_pair_rejects_differing_shared_columns():
     with pytest.raises(ValidationError):
         _pair(VERT, HORIZ, k=1)
-
-
-def test_frame_compose_requires_symplectic_frame():
-    with pytest.raises(ValidationError):
-        frame_compose(np.eye(2) * 2.0, VERT)
-    out = frame_compose(np.eye(2), VERT)
-    assert np.allclose(out, np.array([[0.0], [1.0]]))
 
 
 def test_phi_anchor_and_roundtrip(rng):
@@ -145,10 +137,10 @@ def test_alpha_tilde_projection_and_deck(rng):
     at = alpha_tilde(gt, W)
     _, am = ball.alpha_raw(gt.g.g, W.W)
     assert np.array_equal(at.A, am)
-    deck = alpha_tilde(mp_deck(gt), W)
-    flipped = ml_mul(at, MlElement(np.eye(2), -1.0))
-    assert np.array_equal(deck.A, flipped.A)
-    assert deck.z == flipped.z
+    deck = alpha_tilde(MpElement(gt.g, -gt.zeta), W)
+    flipped, (z,) = ml_mul(at.A[None], [at.z], np.eye(2)[None], [-1.0])
+    assert np.array_equal(deck.A, flipped[0])
+    assert deck.z == z
 
 
 def test_gamma_anchor_and_square(rng):
@@ -182,7 +174,8 @@ def test_delta_L_restriction_matches_ambient(rng):
             V[k:, k:] = red.V
             frames.append((U, V))
         amb = delta(_pair(frames[0], frames[1], k))
-        red = delta_L(frames, k)
+        (U1, V1), (U2, V2) = frames
+        red = delta_L_stack(U1[None], V1[None], U2[None], V2[None], k)[0]
         assert abs(amb - red) < 1e-9 * max(1.0, abs(red))
 
 
@@ -190,7 +183,7 @@ def test_delta_L_rejects_bad_block_pattern():
     U = np.array([[1.0, 0.0], [0.5, 1.0]])
     V = np.array([[0.0, 0.0], [0.0, 1j]])
     with pytest.raises(SubgroupRejection):
-        delta_L(((U, V), (U, V)), 1)
+        delta_L_stack(U[None], V[None], U[None], V[None], 1)
 
 
 def _block_meta(rng, n, k, A):
@@ -216,7 +209,7 @@ def test_delta_L_tilde_squares_to_delta_L(rng):
         v = delta_L_tilde((X1, X2), k)
         f1 = ball.phi_inv_raw(X1.W.W, X1.C.A)
         f2 = ball.phi_inv_raw(X2.W.W, X2.C.A)
-        target = delta_L((f1, f2), k)
+        target = delta_L_stack(f1[0][None], f1[1][None], f2[0][None], f2[1][None], k)[0]
         assert abs(v * v - target) < 1e-9 * max(1.0, abs(target))
         via_wc = delta_L_from_wc((X1.W.W, X1.C.A), (X2.W.W, X2.C.A), k)
         assert abs(via_wc - target) < 1e-9 * max(1.0, abs(target))

@@ -7,19 +7,17 @@ from hfe.groups import (
     MlElement,
     MpElement,
     SpElement,
+    ml_elements,
     ml_identity,
-    ml_inv,
-    ml_lift,
     ml_mul,
-    mp_deck,
     mp_identity,
-    mp_inv,
     mp_lift,
     mp_mul,
     sp_validate,
     subgroup_classify,
 )
-from hfe.sampling import random_gl, random_ml, random_mlkd, random_sp
+from hfe.sampling import random_gl, random_mlkd, random_sp
+from hfe.tracking import principal_sqrt
 
 
 def test_ml_element_rejects_wrong_root():
@@ -30,25 +28,27 @@ def test_ml_element_rejects_wrong_root():
 def test_ml_product_preserves_relation(rng):
     for _ in range(100):
         n = int(rng.integers(1, 5))
-        a, b = random_ml(rng, n), random_ml(rng, n)
-        c = ml_mul(a, b)
-        d = np.linalg.det(c.A)
-        assert abs(c.z * c.z - d) <= 1e-9 * abs(d)
-        assert np.allclose(c.A, a.A @ b.A)
+        A = np.array([random_gl(rng, n), random_gl(rng, n)])
+        z = [s * principal_sqrt(d) for s, d in zip(rng.choice([1, -1], 2),
+                                                   np.linalg.det(A))]
+        C, zc = ml_mul(A[:1], z[:1], A[1:], z[1:])
+        d = np.linalg.det(C[0])
+        assert abs(zc[0] * zc[0] - d) <= 1e-9 * abs(d)
+        assert np.allclose(C[0], A[0] @ A[1])
 
 
-def test_ml_inverse_and_identity(rng):
-    a = random_ml(rng, 3)
-    e = ml_mul(a, ml_inv(a))
-    assert np.max(np.abs(e.A - np.eye(3))) < 1e-10
-    assert abs(e.z - 1.0) < 1e-10
-    assert ml_mul(a, ml_identity(3)).z == a.z
+def test_ml_identity(rng):
+    A = random_gl(rng, 3)
+    a = ml_elements(A[None], [principal_sqrt(np.linalg.det(A))])[0]
+    e = ml_identity(3)
+    assert ml_mul(a.A[None], [a.z], e.A[None], [e.z])[1] == [a.z]
 
 
 def test_ml_lift_two_sheets(rng):
     A = random_gl(rng, 3)
-    p, m = ml_lift(A)
-    assert p.A is A or np.array_equal(p.A, A)
+    z = principal_sqrt(np.linalg.det(A))
+    p, m = ml_elements(np.array([A, A]), [z, -z])
+    assert np.array_equal(p.A, A) and np.array_equal(m.A, A)
     assert m.z == -p.z
     assert abs(p.z * p.z - np.linalg.det(A)) < 1e-9 * abs(np.linalg.det(A))
 
@@ -59,34 +59,36 @@ def test_sp_validate_accepts_generated_rejects_generic(rng):
         sp_validate(np.eye(4) + 0.5)
 
 
+def _stack(x: MpElement):
+    """An element as the one-row stack mp_mul takes."""
+    return x.g.g[None], [x.zeta]
+
+
 def test_mp_product_stays_on_cover(rng):
-    # MpElement's constructor enforces zeta**2 = det alpha(g, 0), so a
+    # mp_mul checks zeta**2 = det alpha(g, 0) of every product, so a
     # successful product is itself the check of the tracked anchor
     for _ in range(20):
         n = int(rng.integers(1, 4))
         a = mp_lift(random_sp(rng, n))[0]
         b = mp_lift(random_sp(rng, n))[0]
-        c = mp_mul(a, b)
-        assert np.allclose(c.g.g, a.g.g @ b.g.g)
+        g, _ = mp_mul(*_stack(a), *_stack(b))
+        assert np.allclose(g[0], a.g.g @ b.g.g)
 
 
 def test_mp_associativity_of_sheets(rng):
-    a, b, c = (mp_lift(random_sp(rng, 2))[0] for _ in range(3))
-    lhs = mp_mul(mp_mul(a, b), c)
-    rhs = mp_mul(a, mp_mul(b, c))
-    assert np.max(np.abs(lhs.g.g - rhs.g.g)) < 1e-8
-    assert abs(lhs.zeta - rhs.zeta) < 1e-8 * max(1.0, abs(lhs.zeta))
+    a, b, c = (_stack(mp_lift(random_sp(rng, 2))[0]) for _ in range(3))
+    (lhs, (zl,)), (rhs, (zr,)) = mp_mul(*mp_mul(*a, *b), *c), mp_mul(*a, *mp_mul(*b, *c))
+    assert np.max(np.abs(lhs - rhs)) < 1e-8
+    assert abs(zl - zr) < 1e-8 * max(1.0, abs(zl))
 
 
-def test_mp_inverse_and_deck(rng):
+def test_mp_deck_is_central(rng):
+    # flipping the sheet of a factor flips the sheet of the product
     a = mp_lift(random_sp(rng, 2))[0]
-    e = mp_mul(a, mp_inv(a))
-    assert np.max(np.abs(e.g.g - np.eye(4))) < 1e-8
-    assert abs(e.zeta - 1.0) < 1e-8
-    # the deck transformation is central: flipping either factor flips
-    # the product
     b = mp_lift(random_sp(rng, 2))[0]
-    assert abs(mp_mul(mp_deck(a), b).zeta + mp_mul(a, b).zeta) < 1e-8
+    _, (flipped,) = mp_mul(*_stack(MpElement(a.g, -a.zeta)), *_stack(b))
+    _, (zeta,) = mp_mul(*_stack(a), *_stack(b))
+    assert abs(flipped + zeta) < 1e-8
     assert mp_identity(2).zeta == 1.0
 
 

@@ -59,10 +59,10 @@ def test_recipe_rotation_anchor():
     # rotating the origin frame by a quarter turn produces the metalinear
     # transition ([i], e^{i pi/4}) on the twisted component
     r = recipe(rotation_bundle(), holo_sections())
-    eye, el = r.ml_cocycle.values  # the rows of EAST and WEST
-    assert abs(el.A[0, 0] - 1j) < 1e-12
-    assert abs(el.z - cmath.exp(0.25j * cmath.pi)) < 1e-12
-    assert abs(eye.A[0, 0] - 1.0) < 1e-12 and abs(eye.z - 1.0) < 1e-12
+    (eye, el), (z_eye, z_el) = r.ml_cocycle.mats, r.ml_cocycle.roots  # EAST, WEST
+    assert abs(el[0, 0] - 1j) < 1e-12
+    assert abs(z_el - cmath.exp(0.25j * cmath.pi)) < 1e-12
+    assert abs(eye[0, 0] - 1.0) < 1e-12 and abs(z_eye - 1.0) < 1e-12
     assert max(r.residuals.values()) < 1e-10
 
 
@@ -72,9 +72,8 @@ def test_recipe_projection_matches_gl():
     data, sections = rotation_bundle(theta=0.7), holo_sections()
     r = recipe(data, sections)
     row = data.nerve.point_index.components[(("a", "b"), 1)][0]
-    ml = r.ml_cocycle.values[row]
     gl = sections.transport(data).N[row]
-    assert np.allclose(ml.A, gl)
+    assert np.allclose(r.ml_cocycle.mats[row], gl)
 
 
 def test_recipe_sheet_flip_is_coboundary():
@@ -164,8 +163,8 @@ def test_delta_D_on_nonorientable_scenario(rng):
     # gluing exercises the |det A| convention
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
-    gt = sc.mp_cocycle.values[sc.nerve.point_index.components[(("0", "1"), 1)][0]]
-    assert np.linalg.det(gt.g.g[: sc.k, : sc.k]) < 0
+    g = sc.mp_cocycle.mats[sc.nerve.point_index.components[(("0", "1"), 1)][0]]
+    assert np.linalg.det(g[: sc.k, : sc.k]) < 0
     dt = build_delta_D_tilde(data, sc.pair_sections, rng)
     assert dt.checks["invariance"] < 1e-8
     assert dt.checks["square_identity"] < 1e-9

@@ -3,6 +3,7 @@ import functools
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,7 +233,7 @@ def test_obstructed_first_member_skips_induce_and_delta_tilde():
     # the sphere's obstructed Gl cocycle as both members of the pair
     sc = load_scenario(builtin_scenario_path("sphere_octa"))
     gl = sc.gl_cocycle
-    sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, [(x, x) for x in gl.values])
+    sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, np.stack([gl.mats, gl.mats], axis=1))
     sc.delta_samples = {ch: {pt.id: 1.0 + 0j for pt in sc.nerve.chart_points(ch)}
                         for ch in sc.nerve.charts}
     sc.pipelines = ["lift", "delta_tilde"]

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfe.config import get_tolerances
 from hfe.errors import SingularityError, SubgroupRejection, TrackingError
@@ -232,6 +232,9 @@ def _oracle_track(f, z0, t0=0.0, t1=1.0, max_depth=48, initial_steps=16):
             if depth > max_depth:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
             tm = 0.5 * (t + tn)
+            if tm in (t, tn):
+                raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
+                                    "left to bisect (branch ambiguity)")
             pending.append((tm, complex(f(np.array([tm]))[0])))
             continue
         z = z * cmath.sqrt(ratio)
@@ -256,6 +259,7 @@ _PATH = st.tuples(st.floats(-60.0, 60.0), st.floats(-0.9, 2.0),
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_PATH, min_size=1, max_size=5), st.floats(0.05, 1.0))
+@example([(0.0, 0.0, "winds", 1.0)], 0.7239267074851946)
 def test_stacked_tracking_matches_each_path(paths, t1):
     ws, amps, broken, signs = zip(*paths)
     f = _stack_of_paths(ws, amps, broken)

@@ -317,7 +317,7 @@ def test_lift_tracking_matches_former_tracker(case):
 
     def lifted():
         ml = lift_double_cover(nerve, gl)
-        return {pt.id: x.z for pt, x in zip(nerve.point_index.points, ml.values)}
+        return dict(zip([pt.id for pt in nerve.point_index.points], ml.roots.tolist()))
 
     def former():
         out = {}
