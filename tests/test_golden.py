@@ -11,6 +11,9 @@ every corpus scenario run with ``--pipeline <stage>``, for each stage it
 lists, and ``tests/golden/stress/<scenario>.<key>=<value>.json`` the
 report of abstract_k1_nonorientable under one tolerance far from its
 default, where stages fail with evaluation errors.
+``tests/golden/mutants/abstract_k1_nonorientable.<mutant>.json`` holds
+the report of that scenario with a fault patched into the pair sections
+of every chart, which ``delta_D`` must report as its error.
 
 A refactor that changes no verdict, residual or detail keeps these files
 as they are.  A change that means to alter a report re-records them with
@@ -37,6 +40,13 @@ SELECTIONS = [(name, stage) for name in builtin_scenario_names()
 STRESS = [("abstract_k1_nonorientable", key, value) for key, value in (
     ("singular", 0.9), ("singular", 1.5), ("rel", 1e-17), ("abs", 1e-20),
     ("track", 0.99))]
+# Pair-section faults: member -> the meta_pair_blocks parameters patched
+# into the pair section of every chart of abstract_k1_nonorientable.
+MUTANTS = {
+    "first.Wr=1.5": {"first": {"Wr": [[1.5]]}},
+    "second.Cr=0": {"second": {"Cr": [[0]]}},
+    "first.Wr=1.5,Cr=0": {"first": {"Wr": [[1.5]], "Cr": [[0]]}},
+}
 
 
 def golden_text(report) -> str:
@@ -58,6 +68,15 @@ def stress_report(name: str, key: str, value: float):
     return run_scenario(builtin_scenario_path(name), tolerances={key: value})
 
 
+def mutant_report(mutant: str):
+    path = builtin_scenario_path("abstract_k1_nonorientable")
+    doc = json.loads(path.read_text())
+    for spec in doc["pair_sections"].values():
+        for member, params in MUTANTS[mutant].items():
+            spec["params"][member].update(params)
+    return run_scenario(doc)
+
+
 def _golden_files():
     """Every golden file's path below GOLDEN_DIR with a function making
     its report."""
@@ -71,6 +90,9 @@ def _golden_files():
     out.update((f"stress/{name}.{key}={value}.json",
                 lambda name=name, key=key, value=value: stress_report(name, key, value))
                for name, key, value in STRESS)
+    out.update((f"mutants/abstract_k1_nonorientable.{mutant}.json",
+                lambda mutant=mutant: mutant_report(mutant))
+               for mutant in MUTANTS)
     return out
 
 
@@ -116,6 +138,12 @@ def test_selection_report_matches_golden(name, stage):
                          ids=[f"{n}.{k}={v}" for n, k, v in STRESS])
 def test_stress_report_matches_golden(name, key, value):
     _compare(f"stress/{name}.{key}={value}.json", stress_report(name, key, value))
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_report_matches_golden(mutant):
+    _compare(f"mutants/abstract_k1_nonorientable.{mutant}.json",
+             mutant_report(mutant))
 
 
 if __name__ == "__main__":
