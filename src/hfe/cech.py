@@ -217,27 +217,54 @@ class Nerve:
         return d
 
 
-def _row_shape(group: str, n: int) -> tuple[int, ...]:
-    """The shape of one row of the matrix stack of a cocycle group."""
+def _layout(group: str, n: int) -> tuple:
+    """The layout of a generator value of a cocycle group (see
+    stack_values): an n x n matrix (Gl), a pair of them (Glkd), an n x n
+    matrix with its root (Ml), a 2n x 2n matrix with its anchor (Mp)."""
     if group not in ("Gl", "Glkd", "Ml", "Mp"):
         raise ValidationError(f"unknown cocycle group {group!r}")
-    return {"Glkd": (2, n, n), "Mp": (2 * n, 2 * n)}.get(group, (n, n))
+    square = (n, n)
+    return {"Gl": square, "Glkd": (square, square), "Ml": (square, ()),
+            "Mp": ((2 * n, 2 * n), ())}[group]
 
 
-def _row(group: str, n: int, x):
-    """A generator value as (matrix row, root) of a group's layout, or
-    None if it does not fit: an n x n matrix (Gl), a pair of them (Glkd),
-    an MlElement (Ml) or an MpElement (Mp) of dimension n."""
-    if group == "Ml":
-        m, root = (x.A, x.z) if isinstance(x, G.MlElement) else (None, None)
-    elif group == "Mp":
-        m, root = (x.g.g, x.zeta) if isinstance(x, G.MpElement) else (None, None)
-    else:
+def _is_shape(layout: tuple) -> bool:
+    return all(isinstance(d, int) for d in layout)
+
+
+def _leaves(value, layout: tuple) -> Optional[list[np.ndarray]]:
+    """The complex arrays of a value in a layout, depth first, or None if
+    it does not fit."""
+    if _is_shape(layout):
         try:
-            m, root = np.asarray(x, dtype=complex), None
+            arr = np.asarray(value, dtype=complex)
         except (TypeError, ValueError):
-            m = None
-    return None if m is None or m.shape != _row_shape(group, n) else (m, root)
+            return None
+        return [arr] if arr.shape == layout else None
+    if not isinstance(value, tuple) or len(value) != len(layout):
+        return None
+    parts = [_leaves(v, sub) for v, sub in zip(value, layout)]
+    return None if any(p is None for p in parts) else [a for p in parts for a in p]
+
+
+def _leaf_shapes(layout: tuple) -> list[tuple]:
+    return [layout] if _is_shape(layout) else [s for sub in layout for s in _leaf_shapes(sub)]
+
+
+def stack_values(values: list, layout: tuple, error: Callable[[int], str]
+                 ) -> list[np.ndarray]:
+    """Stack the generator values of one layout: a layout is the shape
+    of an array value, or a tuple of layouts for a tuple value of that
+    length.  Returns one complex stack (P, *shape) per array of the
+    layout, depth first; raises ValidationError(error(i)) for the first
+    value i that does not fit."""
+    leaves = []
+    for i, value in enumerate(values):
+        leaves.append(_leaves(value, layout))
+        if leaves[-1] is None:
+            raise ValidationError(error(i))
+    return [np.array([lv[j] for lv in leaves], dtype=complex).reshape(len(values), *shape)
+            for j, shape in enumerate(_leaf_shapes(layout))]
 
 
 @dataclass(frozen=True)
@@ -262,7 +289,7 @@ class Cocycle:
     roots: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _row_shape(self.group, self.n)  # rejects an unknown group
+        _layout(self.group, self.n)  # rejects an unknown group
 
     @classmethod
     def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
@@ -271,26 +298,31 @@ class Cocycle:
         """The cocycle whose transition on component ci of a sorted chart
         pair is transitions[pair][ci], evaluated once at each of its
         sample points and stacked.  A value that does not fit the
-        group's layout (see _row) raises ValidationError."""
-        shape = _row_shape(group, n)
+        group's layout (see _layout) raises ValidationError, and so does
+        an Ml or Mp value that is not in its group."""
         for pair in sorted(nerve.overlaps):
             if pair not in transitions:
                 raise ValidationError(f"missing transition for overlap {pair}")
             if len(transitions[pair]) != len(nerve.overlaps[pair]):
                 raise ValidationError(f"component count mismatch for {pair}")
         index = nerve.point_index
-        values = []
-        for (pair, ci), rows in index.components.items():
-            for r in rows:
-                pt = index.points[r]
-                values.append(_row(group, n, transitions[pair][ci](pt)))
-                if values[-1] is None:
-                    raise ValidationError(f"transition of {pair} at {pt.id} is not "
-                                          f"a {group} value for n={n}")
-        mats = np.array([m for m, _ in values], dtype=float if group == "Mp" else complex)
-        roots = [z for _, z in values] if group in ("Ml", "Mp") else None
-        return cls(group, n, k, mats.reshape(len(values), *shape),
-                   None if roots is None else np.array(roots, dtype=complex))
+        keys = [key for key, rows in index.components.items() for _ in rows]
+        stacks = stack_values(
+            [transitions[pair][ci](pt) for (pair, ci), pt in zip(keys, index.points)],
+            _layout(group, n),
+            lambda r: f"transition of {keys[r][0]} at {index.points[r].id} is not "
+                      f"a {group} value for n={n}")
+        if group == "Glkd":
+            return cls(group, n, k, np.stack(stacks, axis=1))
+        if group == "Mp":
+            # a copy, so that the stack is contiguous
+            g, zeta = stacks[0].real.copy(), stacks[1].tolist()
+            G.check_sp(g)
+            G.check_mp(g, zeta)
+            return cls(group, n, k, g, stacks[1])
+        if group == "Ml":
+            G.check_ml(stacks[0], stacks[1].tolist())
+        return cls(group, n, k, *stacks)
 
     @classmethod
     def ml(cls, n: int, k: int, A: np.ndarray, z) -> "Cocycle":

@@ -4,10 +4,10 @@ A Lagrangian frame is stored as a pair of n x n complex matrices (U, V)
 whose stacked columns (U; V) are the coordinates of n frame vectors in a
 symplectic frame.  This module provides validation (isotropy,
 independence, positivity), the pairing determinant delta_k and its
-D-adapted block versions, the bijection phi between positive frames and
-Ball x Gl(n,C), the Ball automorphy factors alpha / alpha-tilde, the
-continuous square root Gamma, Liouville volume evaluation via Pfaffians,
-and pointwise pairing densities.
+D-adapted block versions, Ball membership, the metalinear automorphy
+factor alpha-tilde, the continuous square root Gamma, Liouville volume
+evaluation via Pfaffians, and pointwise pairing densities; the bijection
+phi and the Ball action live in hfe.ball.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError
 from .groups import (
-    GlElement,
     MlElement,
     MpElement,
-    SpElement,
     block_pattern,
     check_ml,
     ml_elements,
@@ -60,9 +58,6 @@ class SymplecticModel:
             raise ValidationError("omega degenerate")
         object.__setattr__(self, "omega", om)
 
-    def form(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.asarray(x) @ self.omega @ np.asarray(y))
-
 
 def standard_omega(n: int) -> np.ndarray:
     eye = np.eye(n)
@@ -90,9 +85,7 @@ class LagFrame:
         return np.vstack([self.U, self.V])
 
 
-def validate_lagrangian(
-    U: np.ndarray, V: np.ndarray, model: Optional[SymplecticModel] = None
-) -> LagFrame:
+def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> LagFrame:
     """Check isotropy and independence; report the positivity verdict.
 
     Isotropy is U^t V = V^t U; independence is det(U*U + V*V) != 0;
@@ -216,32 +209,24 @@ class BallPoint:
         return self.W.shape[0]
 
 
-def check_ball(W: np.ndarray) -> None:
-    """The Ball membership test of a stack W (P, n, n): every W[p] is
-    symmetric and of operator norm at most 1.  Raises for the first
-    point that fails."""
+def ball_checks(W: np.ndarray) -> list:
+    """The Ball membership checks of a stack W (P, n, n), for
+    raise_first: every W[p] is symmetric and of operator norm at most 1."""
     tols = get_tolerances()
     sym, excess = ball.ball_point_residuals(W)
     scale = np.maximum(1.0, np.max(np.abs(W), axis=(-2, -1))) if W.shape[-1] else 1.0
-    raise_first([
+    return [
         (sym > tols.abs * scale,
          lambda p: ValidationError("Ball point not symmetric")),
         (excess > tols.abs,
          lambda p: ValidationError("Ball point has operator norm > 1")),
-    ])
+    ]
 
 
-def ball_points(W: np.ndarray) -> list[BallPoint]:
-    """The Ball points of a stack W (P, n, n), checked in one pass of
-    check_ball."""
-    W = np.asarray(W, dtype=complex)
-    check_ball(W)
-    out = []
-    for w in W:
-        pt = object.__new__(BallPoint)
-        object.__setattr__(pt, "W", w)
-        out.append(pt)
-    return out
+def check_ball(W: np.ndarray) -> None:
+    """The Ball membership test of a stack W (see ball_checks): raises
+    for the first point that fails."""
+    raise_first(ball_checks(W))
 
 
 @dataclass(frozen=True)
@@ -256,52 +241,20 @@ class MetaLagFrame:
         return self.W.n
 
 
-def phi(frame: LagFrame | tuple[np.ndarray, np.ndarray]) -> tuple[BallPoint, GlElement]:
-    """Map a positive frame to its (W, C) coordinates."""
-    if isinstance(frame, LagFrame):
-        U, V = frame.U, frame.V
-    else:
-        U, V = frame
-    W, C = ball.phi_raw(U, V)
-    return BallPoint(W), GlElement(C)
-
-
-def phi_inv(W: BallPoint | np.ndarray, C: np.ndarray | GlElement) -> LagFrame:
-    """Inverse of phi; always yields a positive Lagrangian frame."""
-    Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    Cm = C.A if isinstance(C, GlElement) else np.asarray(C, complex)
-    BallPoint(Wm)  # validate
-    U, V = ball.phi_inv_raw(Wm, Cm)
-    return validate_lagrangian(U, V)
-
-
-def alpha(g: SpElement, W: BallPoint | np.ndarray) -> tuple[BallPoint, GlElement]:
-    """Ball action with automorphy factor: g.(W, C) = (g.W, alpha(g,W) C)."""
-    Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    gW, a = ball.alpha_raw(g.g, Wm)
-    return BallPoint(gW), GlElement(a)
-
-
-def gamma(W1, W2, via: Optional[float] = None) -> complex:
-    """Continuous square root of det(1/2 (1 - W1* W2)) on Ball x Ball.
+def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
+                ) -> list[complex]:
+    """Continuous square roots of det(1/2 (1 - W1[p]* W2[p])) on Ball x
+    Ball, for two stacks (P, n, n) of Ball points, tracked as one stack
+    of paths.
 
     The argument order is fixed so that the square of the meta pairing
     value equals the pairing determinant of the projected frames; with
     the opposite order the squared identity fails by a conjugation.
-    Anchored at gamma(0, 0) = 2**(-n/2), which is forced by the squared
-    identity; tracked along t -> det(1/2 (1 - t^2 W1* W2)).  If ``via``
-    is given in (0, 1), the value is computed in two tracking legs with a
-    re-anchoring at t = via (used to test path independence).
+    Anchored at W1 = W2 = 0 with 2**(-n/2), which is forced by the
+    squared identity; tracked along t -> det(1/2 (1 - t^2 W1* W2)).  If
+    ``via`` is given in (0, 1), the values are computed in two tracking
+    legs with a re-anchoring at t = via (used to test path independence).
     """
-    W1 = W1.W if isinstance(W1, BallPoint) else np.asarray(W1, complex)
-    W2 = W2.W if isinstance(W2, BallPoint) else np.asarray(W2, complex)
-    return gamma_stack(W1[None], W2[None], via)[0]
-
-
-def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
-                ) -> list[complex]:
-    """gamma(W1[p], W2[p]) of two stacks (P, n, n) of Ball points, tracked
-    as one stack of paths."""
     P, n = len(W1), W1.shape[-1]
     if n == 0:
         return [1.0 + 0j] * P

@@ -2,7 +2,9 @@
 
 Scenario files describe transition functions, sections, and sampled
 scalar fields as named generators with JSON parameters; this module
-parses those descriptions into the callables the engine consumes.
+parses those descriptions into callables from a sample point to a plain
+value: a complex scalar, a matrix, or a tuple of such values.  The
+scenario loader evaluates them and checks each value's layout and group.
 Complex scalars are written as a number or a two-element [re, im] list;
 matrices as nested lists of such scalars.
 """
@@ -17,8 +19,6 @@ import numpy as np
 from . import ball
 from .cech import SamplePoint
 from .errors import ValidationError
-from .frames import BallPoint, MetaLagFrame
-from .groups import MlElement, MpElement, SpElement
 from .tracking import principal_sqrt
 
 
@@ -70,27 +70,22 @@ def _gen_pair_const(params, n, k):
     return lambda pt: (g1, g2)
 
 
-def _gen_ml_const(params, n, k):
-    A = parse_matrix(params["A"])
-    el = MlElement(A, _zeta(params, np.linalg.det(A) if A.size else 1.0))
-    return lambda pt: el
-
-
 def _gen_mp_const(params, n, k):
-    g = SpElement(parse_matrix(params["g"]).real)
-    _, a0 = ball.alpha_raw(g.g, np.zeros((g.n, g.n)))
-    el = MpElement(g, _zeta(params, np.linalg.det(a0) if a0.size else 1.0))
-    return lambda pt: el
+    """A metaplectic value (g, zeta)."""
+    g = parse_matrix(params["g"]).real
+    _, a0 = ball.alpha_raw(g, np.zeros((n, n)))
+    value = (g, _zeta(params, np.linalg.det(a0) if a0.size else 1.0))
+    return lambda pt: value
 
 
 def _gen_mp_rotation(params, n, k):
     """n=1 rotation by theta with anchor e^{i theta/2} on the chosen sheet."""
     theta = float(params["theta"])
     sign = int(params.get("sheet", 1))
-    g = SpElement(np.array([[np.cos(theta), np.sin(theta)],
-                            [-np.sin(theta), np.cos(theta)]]))
-    el = MpElement(g, sign * cmath.exp(0.5j * theta))
-    return lambda pt: el
+    g = np.array([[np.cos(theta), np.sin(theta)],
+                  [-np.sin(theta), np.cos(theta)]])
+    value = (g, sign * cmath.exp(0.5j * theta))
+    return lambda pt: value
 
 
 def _gen_const_scalar(params, n, k):
@@ -171,6 +166,8 @@ def _gen_frame_blocks(params, n, k):
 
 
 def _meta_member(spec: dict, n: int, k: int):
+    """A meta frame (W, C, z) in block form, W = diag(1_k, Wr(t)) and
+    C = (A B; 0 Cr), with z a signed principal root of det C."""
     A, B, Wr, Cr = _parse_blocks(spec, n, k)
     zsign = int(spec.get("zsign", 1))
 
@@ -183,7 +180,7 @@ def _meta_member(spec: dict, n: int, k: int):
         C[:k, k:] = B
         C[k:, k:] = Cr
         z = zsign * principal_sqrt(np.linalg.det(C) if n else 1.0)
-        return MetaLagFrame(BallPoint(W), MlElement(C, z))
+        return W, C, z
 
     return fn
 
@@ -198,7 +195,6 @@ def _gen_meta_pair_blocks(params, n, k):
 _REGISTRY: dict[str, Callable] = {
     "const": _gen_const,
     "pair_const": _gen_pair_const,
-    "ml_const": _gen_ml_const,
     "mp_const": _gen_mp_const,
     "mp_rotation": _gen_mp_rotation,
     "const_scalar": _gen_const_scalar,
@@ -226,7 +222,6 @@ def _shapes(name: str, n: int, k: int) -> dict:
     return {
         "const": {"value": square},
         "pair_const": {"first": square, "second": square},
-        "ml_const": {"A": square},
         "mp_const": {"g": (2 * n, 2 * n)},
         "frame_const": {"U": square, "V": square},
         "frame_phi_inv": {"W": square, "C": square},

@@ -19,7 +19,7 @@ import numpy as np
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError
-from .tracking import principal_sqrt, track_sqrt
+from .tracking import track_sqrt
 
 
 def _as_square(A: Any, name: str = "matrix") -> np.ndarray:
@@ -71,22 +71,26 @@ class MlElement:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def project(self) -> GlElement:
-        return GlElement(self.A)
 
-
-def check_ml(A: np.ndarray, z) -> None:
-    """The Ml membership test of a stack: every A[p] of the (P, n, n)
-    stack A is nonsingular with z[p]**2 = det A[p].  Raises for the first
-    point that fails."""
+def ml_checks(A: np.ndarray, z) -> list:
+    """The Ml membership checks of a stack, for raise_first: every A[p]
+    of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p]."""
     tols = get_tolerances()
     bound = identity_bound(tols)
     dets = np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
-    for zp, d in zip(z, dets):
-        if abs(d) <= tols.singular:
-            raise SingularityError("matrix is singular")
-        if abs(zp * zp - d) > bound * abs(d):
-            raise ValidationError("z**2 != det(A): not a metalinear element")
+    return [
+        (np.array([abs(d) <= tols.singular for d in dets], dtype=bool),
+         lambda p: SingularityError("matrix is singular")),
+        (np.array([abs(zp * zp - d) > bound * abs(d) for zp, d in zip(z, dets)],
+                  dtype=bool),
+         lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
+    ]
+
+
+def check_ml(A: np.ndarray, z) -> None:
+    """The Ml membership test of a stack (see ml_checks): raises for the
+    first point that fails."""
+    raise_first(ml_checks(A, z))
 
 
 def ml_elements(A: np.ndarray, z) -> list[MlElement]:
@@ -104,10 +108,6 @@ def ml_elements(A: np.ndarray, z) -> list[MlElement]:
     return out
 
 
-def ml_identity(n: int) -> MlElement:
-    return MlElement(np.eye(n), 1.0)
-
-
 def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
     """The products (A1[p], z1[p]) (A2[p], z2[p]) in Ml(n,C) of two
     (P, n, n) stacks and their roots: componentwise, checked in one pass
@@ -120,7 +120,8 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
 
 @dataclass(frozen=True)
 class SpElement:
-    """A real 2n x 2n symplectic matrix with block view (T1 T2; T3 T4)."""
+    """A real 2n x 2n matrix (T1 T2; T3 T4), checked as symplectic by
+    sp_validate."""
 
     g: np.ndarray
 
@@ -134,17 +135,11 @@ class SpElement:
     def n(self) -> int:
         return self.g.shape[0] // 2
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return ball.sp_blocks(self.g)
-
-    def residuals(self) -> tuple[float, float, float]:
-        """Residuals of T4'T1 - T2'T3 = 1, T1'T3 = T3'T1, T2'T4 = T4'T2."""
-        return tuple(sp_residuals(self.g[None])[0].tolist())
-
 
 def sp_residuals(g: np.ndarray) -> np.ndarray:
-    """SpElement.residuals of a stack g (P, 2n, 2n), as a (P, 3) array."""
+    """The residuals of T4'T1 - T2'T3 = 1, T1'T3 = T3'T1 and T2'T4 = T4'T2
+    of a stack g (P, 2n, 2n) of matrices (T1 T2; T3 T4), as a (P, 3)
+    array."""
     T1, T2, T3, T4 = ball.sp_blocks(g)
     Tt = [np.swapaxes(T, -1, -2) for T in (T1, T2, T3, T4)]
     axes = (-2, -1)
@@ -173,10 +168,6 @@ def sp_validate(g: np.ndarray | SpElement) -> SpElement:
     return el
 
 
-def sp_identity(n: int) -> SpElement:
-    return SpElement(np.eye(2 * n))
-
-
 @dataclass(frozen=True)
 class MpElement:
     """A pair (g, zeta) with zeta**2 = det alpha(g, 0).
@@ -199,9 +190,6 @@ class MpElement:
     def n(self) -> int:
         return self.g.n
 
-    def project(self) -> SpElement:
-        return self.g
-
 
 def check_mp(g: np.ndarray, zeta) -> None:
     """The Mp anchor test of a stack: zeta[p]**2 = det alpha(g[p], 0) for
@@ -213,18 +201,6 @@ def check_mp(g: np.ndarray, zeta) -> None:
     for zp, d in zip(zeta, np.linalg.det(a0)):
         if abs(zp * zp - d) > bound * abs(d):
             raise ValidationError("zeta**2 != det alpha(g, 0)")
-
-
-def mp_lift(g: SpElement | np.ndarray) -> tuple[MpElement, MpElement]:
-    """Both metaplectic elements over a symplectic matrix."""
-    el = sp_validate(g)
-    _, a0 = ball.alpha_raw(el.g, np.zeros((el.n, el.n)))
-    zeta = principal_sqrt(np.linalg.det(a0))
-    return MpElement(el, zeta), MpElement(el, -zeta)
-
-
-def mp_identity(n: int) -> MpElement:
-    return MpElement(sp_identity(n), 1.0)
 
 
 def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta

@@ -18,30 +18,26 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, Nerve, SamplePoint
+from .cech import Cocycle, Nerve, SamplePoint, stack_values
 from .compatibility import DeltaTildeData, PolarizationPairData
 from .config import Tolerances, check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, ValidationError
 from .frames import (
     LagFrame,
-    MetaLagFrame,
     alpha_tilde_stack,
-    ball_points,
+    ball_checks,
     check_ball,
     check_frame_pairs,
     delta_L_stack,
     delta_L_tilde_stack,
     delta_stack,
-    frame_pattern,
-    validate_lagrangian,
     validate_lagrangian_stack,
 )
 from .groups import (
-    MpElement,
     as_stack,
     check_ml,
     classify_pairs,
-    ml_elements,
+    ml_checks,
     raise_first,
     spk_blocks,
 )
@@ -76,23 +72,42 @@ def _require_positive(frames: list[LagFrame], points) -> None:
             raise ValidationError(f"section frame not positive at {pt.id}")
 
 
+def _chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
+                  layout: tuple, kind: str) -> list[np.ndarray]:
+    """The generators of a chart role evaluated once at every chart row
+    (see _chart_rows) and stacked by cech.stack_values; a value that is
+    not ``kind`` (of the layout) raises ValidationError."""
+    _, points = _chart_rows(nerve)
+    missing = sorted({ch for ch, _ in points} - set(generators))
+    if missing:
+        raise ValidationError(f"no {role} for charts {missing}")
+    return stack_values([generators[ch](pt) for ch, pt in points], layout,
+                        lambda r: f"{role} of chart {points[r][0]!r} at "
+                                  f"{points[r][1].id} is not {kind}")
+
+
 @dataclass(frozen=True)
 class FrameSectionData:
-    """Per-chart positive Lagrangian frame sections in chart coordinates.
+    """Per-chart frame sections in chart coordinates: the stacks U and V
+    (R, n, n) of their frames (U, V) at every chart row (see
+    _chart_rows), checked as positive Lagrangian frames by the transport.
 
     Keeps the sheet-independent transport of the last bundle it served
     (see transport), so the recipe runs of one section family share it.
     """
 
-    sections: dict[str, Callable[[SamplePoint], tuple[np.ndarray, np.ndarray]]]
+    U: np.ndarray
+    V: np.ndarray
     _last: Optional["SectionTransport"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def frame(self, chart: str, pt: SamplePoint) -> LagFrame:
-        fr = validate_lagrangian(*self.sections[chart](pt))
-        _require_positive([fr], [pt])
-        return fr
+    @classmethod
+    def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
+                 ) -> "FrameSectionData":
+        """The sections of a family of chart generators, evaluated once."""
+        return cls(*_chart_stacks(nerve, generators, "section", ((n, n), (n, n)),
+                                  f"a frame (U, V) for n={n}"))
 
     def transport(self, data: MetaplecticBundleData) -> "SectionTransport":
         """The sheet-independent part of the recipe on this bundle,
@@ -103,6 +118,30 @@ class FrameSectionData:
             last = _transport(data, self)
             object.__setattr__(self, "_last", last)
         return last
+
+
+@dataclass(frozen=True)
+class PairSectionData:
+    """Per-chart pairs of meta frames (W, (C, z)) in block form: at every
+    chart row (see _chart_rows), W1, C1, z1 of the first frame and W2,
+    C2, z2 of the second, the W and C as stacks (R, n, n) and the z as
+    (R,) arrays.  build_delta_D_tilde checks them as Ball points and
+    metalinear frames."""
+
+    W1: np.ndarray
+    C1: np.ndarray
+    z1: np.ndarray
+    W2: np.ndarray
+    C2: np.ndarray
+    z2: np.ndarray
+
+    @classmethod
+    def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
+                 ) -> "PairSectionData":
+        """The pair sections of chart generators, evaluated once."""
+        meta = ((n, n), (n, n), ())
+        return cls(*_chart_stacks(nerve, generators, "pair section", (meta, meta),
+                                  f"a pair of meta frames (W, C, z) for n={n}"))
 
 
 def chart_sqrt_values(
@@ -139,17 +178,11 @@ class RecipeResult:
     residuals: dict = field(default_factory=dict)
 
 
-def mp_act_meta(gt: MpElement, X: MetaLagFrame) -> MetaLagFrame:
-    """Left metaplectic action on a meta frame through the Ball."""
-    W, C, z = _mp_act_stack(gt.g.g[None], [gt.zeta], X.W.W[None], X.C.A[None],
-                            [X.C.z])
-    return MetaLagFrame(ball_points(W)[0], ml_elements(C, z)[0])
-
-
 def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
-    """mp_act_meta of the elements (g[p], zeta[p]) on the meta frames
-    (W[p], (C[p], z[p])), for stacks g (P, 2n, 2n) and W, C (P, n, n):
-    the moved W and C stacks and the moved z, checked in one pass."""
+    """The left metaplectic action, through the Ball, of the elements
+    (g[p], zeta[p]) on the meta frames (W[p], (C[p], z[p])), for stacks
+    g (P, 2n, 2n) and W, C (P, n, n): the moved W and C stacks and the
+    moved z, checked in one pass."""
     aA, az = alpha_tilde_stack(g, zeta, W)
     gW = ball.alpha_raw(g, W)[0]
     check_ball(gW)
@@ -218,9 +251,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     nerve, n = data.nerve, data.n
     index = nerve.point_index
     rows, points = _chart_rows(nerve)
-    UV = [sections.sections[ch](pt) for ch, pt in points]
-    U = as_stack([u for u, _ in UV], n)
-    V = as_stack([v for _, v in UV], n)
+    U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
     _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in points])
     check_ball(W)
@@ -301,40 +332,9 @@ def recipe(
     )
 
 
-def reduce_D_adapted(frame: LagFrame | tuple[np.ndarray, np.ndarray], k: int) -> dict:
-    """Extract the block data of a frame in D-adapted coordinates.
-
-    U = (A B; 0 Ur), V = (0 0; 0 Vr) with A real invertible; returns the
-    blocks, the validated reduced frame, and the positivity verdicts of
-    the full and reduced frames (which must agree).
-    """
-    if isinstance(frame, LagFrame):
-        U, V = frame.U, frame.V
-        full = frame
-    else:
-        U, V = (np.asarray(m, complex) for m in frame)
-        full = validate_lagrangian_stack(U[None], V[None])[0]
-    checks, blocks = frame_pattern(np.asarray(U, complex)[None],
-                                   np.asarray(V, complex)[None], k)
-    raise_first(checks)
-    blocks = {key: m[0] for key, m in blocks.items()}
-    reduced = validate_lagrangian_stack(blocks["Ur"][None], blocks["Vr"][None])[0]
-    if reduced.positive != full.positive:
-        raise ValidationError(
-            "positivity verdicts of full and reduced frames disagree"
-        )
-    return {**blocks, "reduced": reduced, "positive": full.positive}
-
-
-def _meta_stacks(frames: list[MetaLagFrame], n: int):
-    """The W and C stacks and the z scalars of a list of meta frames."""
-    return (as_stack([X.W.W for X in frames], n), as_stack([X.C.A for X in frames], n),
-            [X.C.z for X in frames])
-
-
 def build_delta_D_tilde(
     data: MetaplecticBundleData,
-    pair_sections: dict[str, Callable[[SamplePoint], tuple[MetaLagFrame, MetaLagFrame]]],
+    pair_sections: PairSectionData,
     rng: Optional[np.random.Generator] = None,
 ) -> DeltaTildeData:
     """Global square-root pairing datum on a D-adapted metaplectic bundle.
@@ -344,7 +344,8 @@ def build_delta_D_tilde(
     under the (diagonal) metaplectic block action — verified here, not
     assumed.  The square identity against delta_L and the metalinear-pair
     transformation law are checked at sample points.  Each check runs on
-    the stacks of all sample points at once.
+    the stacks of all sample points at once, after the pair sections
+    are checked as Ball points and metalinear frames.
     """
     if not data.d_adapted:
         raise ValidationError("requires D-adapted metaplectic data")
@@ -355,9 +356,12 @@ def build_delta_D_tilde(
     # the chart values at every sample-graph vertex serve the gluing and
     # the chart checks
     rows, points = _chart_rows(nerve)
-    pairs = [pair_sections[ch](pt) for ch, pt in points]
-    W1, C1, z1 = _meta_stacks([X1 for X1, _ in pairs], n)
-    W2, C2, z2 = _meta_stacks([X2 for _, X2 in pairs], n)
+    s = pair_sections
+    W1, C1, z1 = s.W1, s.C1, s.z1.tolist()
+    W2, C2, z2 = s.W2, s.C2, s.z2.tolist()
+    # each point's first W, first (C, z), second W and second (C, z)
+    raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
+                + ml_checks(C2, z2))
     values = delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k)
     dt = DeltaTildeData(base={ch: {pid: values[r] for pid, r in rows[ch].items()}
                               for ch in nerve.charts}, k=k)

@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import ORIGIN, SignCochain, gf2_solve
+from .cech import SignCochain, gf2_solve
 from .compatibility import PolarizationPairData
 from .config import (
     check_bound,
@@ -156,18 +156,17 @@ def _run_validate(scenario: Scenario, report, rng):
         res = compatibility.validate_pair_data(data)
         report.add(_verdict("pair_data.consistency", "delta.transformation-law", res))
         out["pair.data"] = data
-    # one bundle and one FrameSectionData per family for the whole run:
-    # the recipe transport is cached per bundle
+    # one bundle for the whole run: each section family caches its
+    # recipe transport per bundle
     if scenario.mp_cocycle is not None:
         out["mp.bundle"] = induction.MetaplecticBundleData(
             scenario.nerve, scenario.mp_cocycle, scenario.d_adapted, scenario.k
         )
     for key, sections in (("sections.first", scenario.sections_first),
-                          ("sections.second", scenario.sections_second)):
+                          ("sections.second", scenario.sections_second),
+                          ("sections.pair", scenario.pair_sections)):
         if sections is not None:
-            out[key] = induction.FrameSectionData(sections)
-    if scenario.pair_sections is not None:
-        out["sections.pair"] = scenario.pair_sections
+            out[key] = sections
     return out
 
 
@@ -177,11 +176,8 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
     worst = 0.0
     failures = []
     for fp in scenario.frame_pairs:
-        U1, V1 = fp["first"](ORIGIN)
-        U2, V2 = fp["second"](ORIGIN)
-        pair = LagFramePair(
-            validate_lagrangian(U1, V1), validate_lagrangian(U2, V2), fp["k"]
-        )
+        pair = LagFramePair(validate_lagrangian(*fp["first"]),
+                            validate_lagrangian(*fp["second"]), fp["k"])
         val = delta(pair)
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
         worst = max(worst, r)

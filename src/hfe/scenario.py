@@ -3,7 +3,9 @@
 A scenario bundles a nerve, group-valued cocycles (by role), sampled
 scalar fields, frame sections, and the list of verification pipelines to
 run on them.  Everything is declarative: transition functions and
-sections are generator descriptions resolved by :mod:`hfe.generators`.
+sections are generator descriptions resolved by :mod:`hfe.generators`,
+and loading evaluates every generator once, at the points its consumer
+reads, into values and stacks.
 """
 
 from __future__ import annotations
@@ -16,16 +18,21 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from .cech import (
+    ORIGIN,
     Cocycle,
     Nerve,
     OverlapComponent,
     SamplePoint,
     SignCochain,
     TriplePoint,
+    stack_values,
 )
 from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
+from .induction import FrameSectionData, PairSectionData
 
 _GENERATOR = {
     "type": "object",
@@ -311,7 +318,7 @@ def _check_schema(doc) -> None:
 
 @dataclass
 class Scenario:
-    """A loaded scenario with all generator descriptions resolved."""
+    """A loaded scenario with every generator evaluated."""
 
     name: str
     description: str
@@ -324,9 +331,9 @@ class Scenario:
     mp_cocycle: Optional[Cocycle] = None
     d_adapted: bool = False
     delta_samples: Optional[dict[str, dict[str, complex]]] = None
-    sections_first: Optional[dict[str, Callable]] = None
-    sections_second: Optional[dict[str, Callable]] = None
-    pair_sections: Optional[dict[str, Callable]] = None
+    sections_first: Optional[FrameSectionData] = None
+    sections_second: Optional[FrameSectionData] = None
+    pair_sections: Optional[PairSectionData] = None
     self_compat_cases: list[dict] = field(default_factory=list)
     frame_pairs: list[dict] = field(default_factory=list)
     sign_cochains: dict[str, SignCochain] = field(default_factory=dict)
@@ -401,14 +408,21 @@ def _build_chart_values(doc: dict, nerve: Nerve, n: int, k: int
     """Chart generators evaluated once at every sample point of their
     chart (see Nerve.chart_points), by point id; each value must be a
     scalar."""
-    out = {ch: {pt.id: fn(pt) for pt in nerve.chart_points(ch)}
-           for ch, fn in _build_chart_generators(doc, nerve, n, k).items()}
-    for ch, values in out.items():
-        for pid, value in values.items():
-            if not isinstance(value, numbers.Number):
-                raise ValidationError(f"delta sample of chart {ch!r} at {pid} "
-                                      "is not a scalar")
+    out = {}
+    for ch, fn in _build_chart_generators(doc, nerve, n, k).items():
+        pts = nerve.chart_points(ch)
+        values, = stack_values([fn(pt) for pt in pts], (), lambda i: (
+            f"delta sample of chart {ch!r} at {pts[i].id} is not a scalar"))
+        out[ch] = dict(zip([pt.id for pt in pts], values.tolist()))
     return out
+
+
+def _build_frame(spec: dict, n: int, k: int, what: str
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A frame (U, V) generator evaluated once, at the origin."""
+    U, V = stack_values([build_generator(spec, n, k)(ORIGIN)], ((n, n), (n, n)),
+                        lambda i: f"{what} is not a frame (U, V) for n={n}")
+    return U[0], V[0]
 
 
 def _build_sign_cochain(doc: dict) -> SignCochain:
@@ -457,11 +471,14 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         sc.delta_samples = _build_chart_values(doc["delta_samples"], nerve, n, k)
     sections = doc.get("sections", {})
     if "first" in sections:
-        sc.sections_first = _build_chart_generators(sections["first"], nerve, n, k)
+        sc.sections_first = FrameSectionData.evaluate(
+            nerve, n, _build_chart_generators(sections["first"], nerve, n, k))
     if "second" in sections:
-        sc.sections_second = _build_chart_generators(sections["second"], nerve, n, k)
+        sc.sections_second = FrameSectionData.evaluate(
+            nerve, n, _build_chart_generators(sections["second"], nerve, n, k))
     if "pair_sections" in doc:
-        sc.pair_sections = _build_chart_generators(doc["pair_sections"], nerve, n, k)
+        sc.pair_sections = PairSectionData.evaluate(
+            nerve, n, _build_chart_generators(doc["pair_sections"], nerve, n, k))
     for case in doc.get("self_compat", []):
         sc.self_compat_cases.append(
             {
@@ -476,8 +493,10 @@ def load_scenario(source: str | Path | dict) -> Scenario:
         sc.frame_pairs.append(
             {
                 "name": fp["name"],
-                "first": build_generator(fp["first"], n, fp["k"]),
-                "second": build_generator(fp["second"], n, fp["k"]),
+                "first": _build_frame(fp["first"], n, fp["k"],
+                                      f"frame pair {fp['name']!r} first member"),
+                "second": _build_frame(fp["second"], n, fp["k"],
+                                       f"frame pair {fp['name']!r} second member"),
                 "k": fp["k"],
                 "expected_delta": parse_complex(fp["expected_delta"]),
             }

@@ -25,6 +25,10 @@ from .errors import TrackingError
 # Argument-step safety margin: a ratio with |arg| beyond this triggers
 # bisection (continuous functions) or an error (sampled graphs).
 _MAX_ARG = 0.5 * math.pi * 0.999
+# track_sqrt cuts [t0, t1] into _INITIAL_STEPS pieces and bisects a step
+# at most _MAX_DEPTH times in a row.
+_INITIAL_STEPS = 16
+_MAX_DEPTH = 48
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -41,14 +45,12 @@ def track_sqrt(
     z0,
     t0: float = 0.0,
     t1: float = 1.0,
-    max_depth: int = 48,
-    initial_steps: int = 16,
 ):
     """Continue z with z**2 = f(t) from the anchor z0 at t0 to t1.
 
     ``f`` is vectorized: it takes a 1-D float array of parameters and
     returns a complex array of the same length.  The grid
-    ``t0 + j*h`` (j = 0..initial_steps) is evaluated in one call, and
+    ``t0 + j*h`` (j = 0.._INITIAL_STEPS) is evaluated in one call, and
     each bisection midpoint in one further call of length 1.
 
     A stack of P paths is tracked by passing a 1-D sequence of P anchors:
@@ -63,15 +65,15 @@ def track_sqrt(
     tolerance of zero away from the endpoint, or if bisection cannot
     reduce the argument step.
 
-    The interval is always cut into ``initial_steps`` pieces before the
+    The interval is always cut into _INITIAL_STEPS pieces before the
     adaptive bisection: testing only endpoint ratios would miss a path
     that winds around the origin yet returns with a small total argument.
     """
     single = np.ndim(z0) == 0
     paths = (lambda t: np.asarray(f(t), dtype=complex)[None, :]) if single else f
     anchors = [z0] if single else list(z0)
-    h = (t1 - t0) / initial_steps
-    grid = t0 + np.arange(initial_steps + 1) * h
+    h = (t1 - t0) / _INITIAL_STEPS
+    grid = t0 + np.arange(_INITIAL_STEPS + 1) * h
     rows = np.asarray(paths(grid), dtype=complex).tolist()
     midpoints: dict[float, list[complex]] = {}
 
@@ -83,12 +85,12 @@ def track_sqrt(
 
     tols = get_tolerances()
     grid = grid.tolist()
-    roots = [_track_path(values, anchor, p, grid, at, t1, max_depth, tols)
+    roots = [_track_path(values, anchor, p, grid, at, t1, tols)
              for p, (values, anchor) in enumerate(zip(rows, anchors))]
     return roots[0] if single else roots
 
 
-def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
+def _track_path(values, z0, p, grid, at, t1, tols) -> complex:
     """One path of track_sqrt: ``values`` on the grid, ``at(t)[p]`` at a
     midpoint t."""
     ft0 = values[0]
@@ -111,7 +113,7 @@ def _track_path(values, z0, p, grid, at, t1, max_depth, tols) -> complex:
             ratio = fn / ft
             if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
                 depth += 1
-                if depth > max_depth:
+                if depth > _MAX_DEPTH:
                     raise TrackingError("bisection depth exceeded (branch ambiguity)")
                 tm = 0.5 * (t + tn)
                 if tm in (t, tn):

@@ -13,15 +13,14 @@ from hfe.frames import (
     LagFramePair,
     MetaLagFrame,
     alpha_tilde,
+    check_ball,
     delta,
     delta_L_tilde,
-    gamma,
+    gamma_stack,
     pairing_density,
-    phi,
-    phi_inv,
     validate_lagrangian,
 )
-from hfe.groups import MlElement, MpElement, ml_elements, ml_mul, mp_lift
+from hfe.groups import MlElement, MpElement, ml_elements, ml_mul
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -120,26 +119,29 @@ def test_criterion_03_ball_chart_roundtrips():
     for _ in range(500):
         n = int(rng.integers(1, 5))
         fr = random_positive_frame(rng, n)
-        W, C = phi(fr)
-        back = phi_inv(W, C)
+        W, C = ball.phi_raw(fr.U, fr.V)
+        check_ball(W[None])
+        U, V = ball.phi_inv_raw(W, C)
         worst = max(
             worst,
-            float(np.max(np.abs(back.U - fr.U))),
-            float(np.max(np.abs(back.V - fr.V))),
+            float(np.max(np.abs(U - fr.U))),
+            float(np.max(np.abs(V - fr.V))),
         )
     for _ in range(500):
         n = int(rng.integers(1, 5))
-        W = random_ball_point(rng, n)
+        W = random_ball_point(rng, n).W
         C = random_gl(rng, n)
-        W2, C2 = phi(phi_inv(W, C))
+        U, V = ball.phi_inv_raw(W, C)
+        validate_lagrangian(U, V)
+        W2, C2 = ball.phi_raw(U, V)
         worst = max(
             worst,
-            float(np.max(np.abs(W2.W - W.W))),
-            float(np.max(np.abs(C2.A - C))),
+            float(np.max(np.abs(W2 - W))),
+            float(np.max(np.abs(C2 - C))),
         )
-    Wa, Ca = phi((np.array([[1.0]]), np.array([[1j]])))
+    Wa, Ca = ball.phi_raw(np.array([[1.0]]), np.array([[1j]]))
     anchor_ok = (
-        abs(Wa.W[0, 0]) < 1e-12 and abs(Ca.A[0, 0] - 2.0) < 1e-12
+        abs(Wa[0, 0]) < 1e-12 and abs(Ca[0, 0] - 2.0) < 1e-12
     )
     _verdict(
         "criterion 3: 1000 Ball-chart roundtrips and the origin anchor "
@@ -164,7 +166,8 @@ def test_criterion_04_automorphy_cocycle_and_cover():
         scale = max(1.0, float(np.max(np.abs(ag @ ah))))
         worst = max(worst, float(np.max(np.abs(agh - ag @ ah))) / scale)
         if i < 60:  # tracked-sheet checks on a subsample
-            gt = mp_lift(g)[0]
+            _, a0 = ball.alpha_raw(g.g, np.zeros((n, n)))
+            gt = MpElement(g, principal_sqrt(np.linalg.det(a0)))
             at = alpha_tilde(gt, W)
             _, am = ball.alpha_raw(gt.g.g, W.W)
             proj_ok = proj_ok and np.array_equal(at.A, am)
@@ -189,15 +192,15 @@ def test_criterion_05_gamma_square_and_path_independence(corpus_reports):
     worst_path = 0.0
     for i in range(1000):
         n = int(rng.integers(1, 5))
-        W1, W2 = random_ball_point(rng, n), random_ball_point(rng, n)
-        v = gamma(W1, W2)
-        target = np.linalg.det(0.5 * (np.eye(n) - W1.W.conj().T @ W2.W))
+        W1, W2 = random_ball_point(rng, n).W[None], random_ball_point(rng, n).W[None]
+        v, = gamma_stack(W1, W2)
+        target = np.linalg.det(0.5 * (np.eye(n) - W1[0].conj().T @ W2[0]))
         worst_sq = max(worst_sq, abs(v * v - target) / max(1.0, abs(target)))
         if i < 200:
             worst_path = max(
                 worst_path,
-                abs(v - gamma(W1, W2, via=0.3)),
-                abs(v - gamma(W1, W2, via=0.7)),
+                abs(v - gamma_stack(W1, W2, via=0.3)[0]),
+                abs(v - gamma_stack(W1, W2, via=0.7)[0]),
             )
     anchor_flagged = all(
         any("2^(-n/2)" in note for note in report.notes)

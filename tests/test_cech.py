@@ -18,7 +18,6 @@ from hfe.cech import (
     z2_coboundary_solve,
 )
 from hfe.errors import TrackingError, ValidationError
-from hfe.groups import MpElement, SpElement
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
 
 
@@ -89,8 +88,8 @@ def test_validate_cocycle_flags_broken_identity():
 
 def _rotation(theta, sheet=1):
     g = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-    el = MpElement(SpElement(g), sheet * np.exp(0.5j * theta))
-    return lambda pt: el
+    value = (g, sheet * np.exp(0.5j * theta))
+    return lambda pt: value
 
 
 @pytest.mark.parametrize("sheet", [1, -1])

@@ -288,12 +288,19 @@ def _wide_frame_point(doc):
     frame["params"]["W"] = [[0, 1]]
 
 
+def _ml_const_transition(doc):
+    doc["mp_cocycle"]["transitions"][0]["generator"] = {
+        "name": "ml_const", "params": {"A": [[1]]}}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_empty_delta_params, "generator 'linear_scalar': missing parameter 'const'"),
     (_text_rotation_angle,
      "generator 'mp_rotation': could not convert string to float: 'x'"),
     (_wide_frame_point,
      "generator 'frame_phi_inv': parameter 'W' must be 1 x 1, got 1 x 2"),
+    # no role takes an Ml value, so the vocabulary has no Ml generator
+    (_ml_const_transition, "unknown generator 'ml_const'"),
 ])
 def test_exit_2_on_malformed_generator_params(edit, message, tmp_path, capsys):
     path = _scenario_file(tmp_path, "circle_mobius", edit)
@@ -469,6 +476,11 @@ _MISMATCHES = {
         "mp_cocycle", {"name": "const", "params": {"value": [[1]]}}, "Mp"),
     "pair_cocycle<-mp_rotation": _built(
         "pair_cocycle", {"name": "mp_rotation", "params": {"theta": 1.0}}, "Glkd"),
+    # the layout fits but the matrix is not symplectic
+    "mp_cocycle<-mp_const(diag(2,1))": (
+        lambda doc: doc["mp_cocycle"]["transitions"][0].update(generator={
+            "name": "mp_const", "params": {"g": [[2, 0], [0, 1]]}}),
+        "invalid scenario data: matrix is not symplectic, residuals (1.0, 0.0, 0.0)"),
 }
 
 
@@ -482,3 +494,61 @@ def test_exit_2_on_cocycle_group_mismatch(edit, message, tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: {message}")
+
+
+def _section(role, generator):
+    """An abstract_k1_nonorientable edit building chart 0's generator of
+    a section role from a generator of the wrong kind."""
+    def edit(doc):
+        family = doc["sections"]["first"] if role == "section" else doc[role]
+        family["0"] = generator
+    return edit
+
+
+def _frame_pair_member(doc):
+    doc["frame_pairs"][0]["first"] = {"name": "const_scalar",
+                                      "params": {"value": 1.0}}
+
+
+_WRONG_KINDS = {
+    "section<-const": (
+        "abstract_k1_nonorientable",
+        _section("section", {"name": "const",
+                             "params": {"value": [[1, 0], [0, 1]]}}),
+        "section of chart '0' at east is not a frame (U, V) for n=2"),
+    "section<-const_scalar": (
+        "abstract_k1_nonorientable",
+        _section("section", {"name": "const_scalar", "params": {"value": 1.0}}),
+        "section of chart '0' at east is not a frame (U, V) for n=2"),
+    "pair_section<-frame_const": (
+        "abstract_k1_nonorientable",
+        _section("pair_sections", {"name": "frame_const",
+                                   "params": {"U": [[1, 0], [0, 1]],
+                                              "V": [[0, 0], [0, 0]]}}),
+        "pair section of chart '0' at east is not a pair of meta frames "
+        "(W, C, z) for n=2"),
+    "frame_pair<-const_scalar": (
+        "trivial_r2", _frame_pair_member,
+        "frame pair 'vertical_horizontal' first member is not a frame (U, V) "
+        "for n=1"),
+    # a family without a generator for one chart
+    "section<-missing": (
+        "abstract_k1_nonorientable",
+        lambda doc: doc["sections"]["second"].pop("1"),
+        "no section for charts ['1']"),
+}
+
+
+@pytest.mark.parametrize("name, edit, message", _WRONG_KINDS.values(),
+                         ids=_WRONG_KINDS)
+def test_exit_2_on_wrong_kind_section_generator(name, edit, message, tmp_path,
+                                                capsys):
+    # these used to end in a traceback from the stage that evaluated the
+    # generator: ValueError, AttributeError, TypeError or KeyError
+    path = _scenario_file(tmp_path, name, edit)
+    selection = ["--pipeline", "frame_pairs"] if name == "trivial_r2" else []
+    code, out, err = run(capsys, "verify", path, *selection)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: invalid scenario data: {message}")

@@ -12,7 +12,6 @@ from hfe.compatibility import (
     verify_uniqueness,
 )
 from hfe.errors import GluingError, TheoremFalsification, ValidationError
-from hfe.groups import MlElement
 
 EAST = SamplePoint("east", (0.0,))
 WEST = SamplePoint("west", (1.0,))
@@ -55,8 +54,8 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
 
 
 def _ml_const(A, z):
-    el = MlElement(np.array(A, dtype=complex), z)
-    return lambda pt: el
+    value = (np.array(A, dtype=complex), z)
+    return lambda pt: value
 
 
 def identity_lift(n):

@@ -1,6 +1,6 @@
-"""Cocycle and delta generators run once per sample point, when the
-scenario is loaded; section generators once per chart point in each
-run.  Rerunning a loaded scenario leaves its reports unchanged."""
+"""Every generator runs once per sample point, when the scenario is
+loaded, and never during a run.  Rerunning a loaded scenario leaves its
+reports unchanged."""
 
 import json
 from collections import Counter
@@ -110,18 +110,16 @@ def test_generators_run_once_per_sample_point(monkeypatch):
     points = len(sc.nerve.point_index.points)
     chart_points = sum(len(sc.nerve.chart_points(ch)) for ch in sc.nerve.charts)
     # at load, every cocycle generator runs once at each point of its
-    # component and every delta generator once at each point of its chart
+    # component, and every delta, section and pair-section generator once
+    # at each point of its chart
+    loaded = {"pair_const": points, "mp_const": points,
+              "linear_scalar": chart_points, "frame_blocks": 2 * chart_points,
+              "meta_pair_blocks": chart_points}
     assert set(calls.values()) == {1}
-    assert evals() == {"pair_const": points, "mp_const": points,
-                       "linear_scalar": chart_points}
-    # each run evaluates every section generator once at each point of
-    # its chart, and no cocycle or delta generator again
-    for runs, tolerances in ((1, None), (2, None), (3, {"rel": 1e-8})):
+    assert evals() == loaded
+    # a run evaluates no generator again
+    for tolerances in (None, None, {"rel": 1e-8}):
         report = run_scenario(sc, tolerances=tolerances)
         assert report.passed
-        assert evals() == {"pair_const": points, "mp_const": points,
-                           "linear_scalar": chart_points,
-                           "frame_blocks": 2 * runs * chart_points,
-                           "meta_pair_blocks": runs * chart_points}
-        assert {count for (name, _, _), count in calls.items()
-                if name in ("frame_blocks", "meta_pair_blocks")} == {runs}
+        assert set(calls.values()) == {1}
+        assert evals() == loaded

@@ -7,20 +7,18 @@ from hfe.frames import (
     BallPoint,
     LagFramePair,
     MetaLagFrame,
-    alpha,
     alpha_tilde,
+    check_ball,
     delta,
     delta_L_from_wc,
     delta_L_stack,
     delta_L_tilde,
-    gamma,
+    gamma_stack,
     liouville,
     pairing_density,
-    phi,
-    phi_inv,
     validate_lagrangian,
 )
-from hfe.groups import MlElement, MpElement, ml_mul, mp_lift
+from hfe.groups import MlElement, MpElement, ml_mul
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -70,26 +68,29 @@ def test_pair_rejects_differing_shared_columns():
 
 
 def test_phi_anchor_and_roundtrip(rng):
-    W, C = phi(HOLO)
-    assert np.max(np.abs(W.W)) < 1e-12
-    assert abs(C.A[0, 0] - 2.0) < 1e-12
+    W, C = ball.phi_raw(*HOLO)
+    assert np.max(np.abs(W)) < 1e-12
+    assert abs(C[0, 0] - 2.0) < 1e-12
     for _ in range(50):
         n = int(rng.integers(1, 5))
         fr = random_positive_frame(rng, n)
-        W, C = phi(fr)
-        back = phi_inv(W, C)
-        assert np.max(np.abs(back.U - fr.U)) < 1e-10
-        assert np.max(np.abs(back.V - fr.V)) < 1e-10
+        W, C = ball.phi_raw(fr.U, fr.V)
+        check_ball(W[None])
+        U, V = ball.phi_inv_raw(W, C)
+        assert np.max(np.abs(U - fr.U)) < 1e-10
+        assert np.max(np.abs(V - fr.V)) < 1e-10
 
 
 def test_phi_inv_left_inverse(rng):
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        W = random_ball_point(rng, n)
+        W = random_ball_point(rng, n).W
         C = random_gl(rng, n)
-        W2, C2 = phi(phi_inv(W, C))
-        assert np.max(np.abs(W2.W - W.W)) < 1e-10
-        assert np.max(np.abs(C2.A - C)) < 1e-10
+        U, V = ball.phi_inv_raw(W, C)
+        assert validate_lagrangian(U, V).positive
+        W2, C2 = ball.phi_raw(U, V)
+        assert np.max(np.abs(W2 - W)) < 1e-10
+        assert np.max(np.abs(C2 - C)) < 1e-10
 
 
 def test_alpha_is_automorphy_cocycle(rng):
@@ -123,16 +124,19 @@ def test_alpha_moves_frames_consistently(rng):
     # phi(g . frame) = (g.W, alpha(g, W) C)
     g = random_sp(rng, 2)
     fr = random_positive_frame(rng, 2)
-    W, C = phi(fr)
+    W, C = ball.phi_raw(fr.U, fr.V)
     gU, gV = ball.sp_apply(g.g, fr.U, fr.V)
-    W2, C2 = phi((gU, gV))
-    gW, a = alpha(g, W)
-    assert np.max(np.abs(W2.W - gW.W)) < 1e-9
-    assert np.max(np.abs(C2.A - a.A @ C.A)) < 1e-9
+    W2, C2 = ball.phi_raw(gU, gV)
+    gW, a = ball.alpha_raw(g.g, W)
+    check_ball(gW[None])
+    assert np.max(np.abs(W2 - gW)) < 1e-9
+    assert np.max(np.abs(C2 - a @ C)) < 1e-9
 
 
 def test_alpha_tilde_projection_and_deck(rng):
-    gt = mp_lift(random_sp(rng, 2))[0]
+    g = random_sp(rng, 2)
+    _, a0 = ball.alpha_raw(g.g, np.zeros((2, 2)))
+    gt = MpElement(g, principal_sqrt(np.linalg.det(a0)))
     W = random_ball_point(rng, 2)
     at = alpha_tilde(gt, W)
     _, am = ball.alpha_raw(gt.g.g, W.W)
@@ -144,15 +148,16 @@ def test_alpha_tilde_projection_and_deck(rng):
 
 
 def test_gamma_anchor_and_square(rng):
-    assert abs(gamma(np.zeros((1, 1)), np.zeros((1, 1))) - 2 ** -0.5) < 1e-12
-    assert abs(gamma(np.zeros((3, 3)), np.zeros((3, 3))) - 2 ** -1.5) < 1e-12
+    for n in (1, 3):
+        origin = np.zeros((1, n, n))
+        assert abs(gamma_stack(origin, origin)[0] - 2 ** (-n / 2)) < 1e-12
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        W1, W2 = random_ball_point(rng, n), random_ball_point(rng, n)
-        v = gamma(W1, W2)
-        target = np.linalg.det(0.5 * (np.eye(n) - W1.W.conj().T @ W2.W))
+        W1, W2 = random_ball_point(rng, n).W, random_ball_point(rng, n).W
+        v, = gamma_stack(W1[None], W2[None])
+        target = np.linalg.det(0.5 * (np.eye(n) - W1.conj().T @ W2))
         assert abs(v * v - target) < 1e-9 * max(1.0, abs(target))
-        assert abs(v - gamma(W1, W2, via=0.5)) < 1e-8
+        assert abs(v - gamma_stack(W1[None], W2[None], via=0.5)[0]) < 1e-8
 
 
 def test_delta_L_restriction_matches_ambient(rng):

@@ -8,10 +8,7 @@ from hfe.groups import (
     MpElement,
     SpElement,
     ml_elements,
-    ml_identity,
     ml_mul,
-    mp_identity,
-    mp_lift,
     mp_mul,
     sp_validate,
     subgroup_classify,
@@ -40,7 +37,7 @@ def test_ml_product_preserves_relation(rng):
 def test_ml_identity(rng):
     A = random_gl(rng, 3)
     a = ml_elements(A[None], [principal_sqrt(np.linalg.det(A))])[0]
-    e = ml_identity(3)
+    e = MlElement(np.eye(3), 1.0)
     assert ml_mul(a.A[None], [a.z], e.A[None], [e.z])[1] == [a.z]
 
 
@@ -59,6 +56,12 @@ def test_sp_validate_accepts_generated_rejects_generic(rng):
         sp_validate(np.eye(4) + 0.5)
 
 
+def _lift(g: SpElement) -> MpElement:
+    """The metaplectic element over g with the principal anchor."""
+    _, a0 = ball.alpha_raw(g.g, np.zeros((g.n, g.n)))
+    return MpElement(g, principal_sqrt(np.linalg.det(a0)))
+
+
 def _stack(x: MpElement):
     """An element as the one-row stack mp_mul takes."""
     return x.g.g[None], [x.zeta]
@@ -69,14 +72,14 @@ def test_mp_product_stays_on_cover(rng):
     # successful product is itself the check of the tracked anchor
     for _ in range(20):
         n = int(rng.integers(1, 4))
-        a = mp_lift(random_sp(rng, n))[0]
-        b = mp_lift(random_sp(rng, n))[0]
+        a = _lift(random_sp(rng, n))
+        b = _lift(random_sp(rng, n))
         g, _ = mp_mul(*_stack(a), *_stack(b))
         assert np.allclose(g[0], a.g.g @ b.g.g)
 
 
 def test_mp_associativity_of_sheets(rng):
-    a, b, c = (_stack(mp_lift(random_sp(rng, 2))[0]) for _ in range(3))
+    a, b, c = (_stack(_lift(random_sp(rng, 2))) for _ in range(3))
     (lhs, (zl,)), (rhs, (zr,)) = mp_mul(*mp_mul(*a, *b), *c), mp_mul(*a, *mp_mul(*b, *c))
     assert np.max(np.abs(lhs - rhs)) < 1e-8
     assert abs(zl - zr) < 1e-8 * max(1.0, abs(zl))
@@ -84,12 +87,14 @@ def test_mp_associativity_of_sheets(rng):
 
 def test_mp_deck_is_central(rng):
     # flipping the sheet of a factor flips the sheet of the product
-    a = mp_lift(random_sp(rng, 2))[0]
-    b = mp_lift(random_sp(rng, 2))[0]
+    a = _lift(random_sp(rng, 2))
+    b = _lift(random_sp(rng, 2))
     _, (flipped,) = mp_mul(*_stack(MpElement(a.g, -a.zeta)), *_stack(b))
     _, (zeta,) = mp_mul(*_stack(a), *_stack(b))
     assert abs(flipped + zeta) < 1e-8
-    assert mp_identity(2).zeta == 1.0
+    # the identity lies on the cover with either anchor
+    for sheet in (1, -1):
+        MpElement(SpElement(np.eye(4)), sheet)
 
 
 def test_subgroup_classify_glk_accept_and_reject():

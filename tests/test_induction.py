@@ -7,17 +7,16 @@ import pytest
 from hfe import ball
 from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError
-from hfe.frames import BallPoint, MetaLagFrame
-from hfe.groups import MlElement, MpElement, SpElement, mp_identity
+from hfe.frames import frame_pattern, validate_lagrangian_stack
+from hfe.groups import raise_first
 from hfe.induction import (
     FrameSectionData,
     MetaplecticBundleData,
+    _mp_act_stack,
     build_delta_D_tilde,
     chart_sqrt_values,
     cross_check,
-    mp_act_meta,
     recipe,
-    reduce_D_adapted,
 )
 from hfe.scenario import builtin_scenario_path, load_scenario
 from hfe.tracking import principal_sqrt
@@ -34,25 +33,29 @@ def circle_nerve():
 
 
 def _mp_rotation(theta):
-    g = SpElement(np.array([[math.cos(theta), math.sin(theta)],
-                            [-math.sin(theta), math.cos(theta)]]))
-    el = MpElement(g, cmath.exp(0.5j * theta))
-    return lambda pt: el
+    g = np.array([[math.cos(theta), math.sin(theta)],
+                  [-math.sin(theta), math.cos(theta)]])
+    value = (g, cmath.exp(0.5j * theta))
+    return lambda pt: value
 
 
 def rotation_bundle(theta=math.pi / 2):
     nerve = circle_nerve()
     mp_c = Cocycle.evaluate(
-        "Mp", 1, 0, nerve,
-        {("a", "b"): (lambda pt: mp_identity(1), _mp_rotation(theta))},
+        "Mp", 1, 0, nerve, {("a", "b"): (_mp_rotation(0.0), _mp_rotation(theta))},
     )
     return MetaplecticBundleData(nerve, mp_c, d_adapted=False, k=0)
 
 
+def _sections(UVa, UVb=None):
+    """Sections of the circle nerve, the frame UVa on chart a and UVb
+    (by default the same) on chart b."""
+    return FrameSectionData.evaluate(circle_nerve(), 1, {
+        "a": lambda pt: UVa, "b": lambda pt: UVa if UVb is None else UVb})
+
+
 def holo_sections():
-    UV = ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1))
-    fn = lambda pt: UV
-    return FrameSectionData({"a": fn, "b": fn})
+    return _sections(ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1)))
 
 
 def test_recipe_rotation_anchor():
@@ -88,28 +91,25 @@ def test_recipe_sheet_flip_is_coboundary():
 
 def test_recipe_rejects_inconsistent_sections():
     data = rotation_bundle(theta=0.0)
-    UVa = ball.phi_inv_raw(np.array([[0.5]]), np.eye(1))
-    UVb = ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1))
-    sections = FrameSectionData({"a": lambda pt: UVa, "b": lambda pt: UVb})
+    sections = _sections(ball.phi_inv_raw(np.array([[0.5]]), np.eye(1)),
+                         ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1)))
     with pytest.raises(ValidationError):
         recipe(data, sections)
 
 
 def test_frame_sections_must_be_positive():
-    anti = (np.array([[1.0]]), np.array([[-1j]]))
-    with pytest.raises(ValidationError):
-        FrameSectionData({"a": lambda pt: anti}).frame("a", EAST)
+    # Lagrangian with U - iV invertible, but i(V*U - U*V) = -1
+    negative = (np.array([[1.0]]), np.array([[-0.5j]]))
+    with pytest.raises(ValidationError, match="section frame not positive at east"):
+        recipe(rotation_bundle(), _sections(negative))
 
 
-def test_mp_act_meta_identity():
-    X = MetaLagFrame(
-        BallPoint(np.zeros((1, 1))),
-        MlElement(np.array([[2.0]]), principal_sqrt(2.0)),
-    )
-    Y = mp_act_meta(mp_identity(1), X)
-    assert np.allclose(Y.W.W, X.W.W)
-    assert np.allclose(Y.C.A, X.C.A)
-    assert abs(Y.C.z - X.C.z) < 1e-12
+def test_mp_act_stack_identity():
+    W, C, z = np.zeros((1, 1, 1)), np.array([[[2.0]]]), [principal_sqrt(2.0)]
+    gW, gC, gz = _mp_act_stack(np.eye(2)[None], [1.0], W, C, z)
+    assert np.allclose(gW, W)
+    assert np.allclose(gC, C)
+    assert abs(gz[0] - z[0]) < 1e-12
 
 
 def test_chart_sqrt_values_continuity():
@@ -129,29 +129,33 @@ def test_chart_sqrt_values_continuity():
     assert abs(zf["t0"] + 1.0) < 1e-12
 
 
-def test_reduce_D_adapted_blocks():
+def test_frame_pattern_blocks():
     Ur, Vr = ball.phi_inv_raw(np.array([[0.2]]), np.array([[1.0]]))
-    U = np.zeros((2, 2), dtype=complex)
-    V = np.zeros((2, 2), dtype=complex)
-    U[0, 0] = 2.0
-    U[0, 1] = 0.3
-    U[1:, 1:] = Ur
-    V[1:, 1:] = Vr
-    out = reduce_D_adapted((U, V), 1)
-    assert np.allclose(out["A"], [[2.0]])
-    assert out["positive"] and out["reduced"].positive
+    U = np.zeros((1, 2, 2), dtype=complex)
+    V = np.zeros((1, 2, 2), dtype=complex)
+    U[0, 0, 0] = 2.0
+    U[0, 0, 1] = 0.3
+    U[0, 1:, 1:] = Ur
+    V[0, 1:, 1:] = Vr
+    checks, blocks = frame_pattern(U, V, 1)
+    raise_first(checks)
+    assert np.allclose(blocks["A"], [[[2.0]]])
+    # the full and the reduced frame are both positive
+    full, = validate_lagrangian_stack(U, V)
+    reduced, = validate_lagrangian_stack(blocks["Ur"], blocks["Vr"])
+    assert full.positive and reduced.positive
 
 
-def test_reduce_D_adapted_rejects_bad_pattern():
+def test_frame_pattern_rejects_bad_pattern():
     # the holomorphic frame is Lagrangian but has no zero V-block
     with pytest.raises(SubgroupRejection):
-        reduce_D_adapted((np.eye(2), 1j * np.eye(2)), 1)
+        raise_first(frame_pattern(np.eye(2)[None], 1j * np.eye(2)[None], 1)[0])
 
 
 def test_build_delta_D_requires_adapted_flag():
     data = rotation_bundle()  # d_adapted False
     with pytest.raises(ValidationError):
-        build_delta_D_tilde(data, {})
+        build_delta_D_tilde(data, None)
 
 
 def _load(name):
@@ -174,12 +178,7 @@ def test_delta_D_on_nonorientable_scenario(rng):
 def test_cross_check_global_sign(rng):
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
-    out = cross_check(
-        data,
-        FrameSectionData(sc.sections_first),
-        FrameSectionData(sc.sections_second),
-        rng,
-    )
+    out = cross_check(data, sc.sections_first, sc.sections_second, rng)
     assert out["ok"]
     assert out["global_sign"] in (1, -1)
     assert out["glue_residual"] < 1e-8

@@ -1,0 +1,107 @@
+"""Every module-level function and class of ``hfe`` has a caller.
+
+The package is parsed, not imported.  A definition counts as used when
+some code of the package outside the definition itself refers to it:
+by name in its own module, through ``from .module import name``, as
+``module.name`` after ``from . import module``, or in an ``__all__``
+list.  A decorated function counts as used, since its decorator
+registers it (the pipeline stages).  The exceptions below have no
+caller in the package on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+from test_spans import TARGETS
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
+
+EXCEPTIONS = {
+    # the benchmark's trace targets must exist for a traced run
+    **{(module.split(".", 1)[1], attr): "trace target in perfbench/spans.py"
+       for module, attr in TARGETS},
+    # the BKS pairing of the open ROADMAP item 1; its stage will call these
+    ("frames", "liouville"): "BKS pairing, ROADMAP item 1",
+    ("frames", "pairing_density"): "BKS pairing, ROADMAP item 1",
+    ("frames", "delta_L_from_wc"): "BKS pairing, ROADMAP item 1",
+    # seeded draws the tests build their random inputs from
+    ("sampling", "random_sp"): "test draw",
+    ("sampling", "random_positive_frame"): "test draw",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(modules) -> dict[tuple[str, str], ast.AST]:
+    return {(name, node.name): node
+            for name, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def _aliases(tree: ast.Module) -> tuple[dict, dict]:
+    """The names a module imports from the package: local name ->
+    (module, name), and local name -> module for imported modules."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module, alias.name)
+    return names, modules
+
+
+def _references(name: str, tree: ast.Module):
+    """(target, enclosing top-level statement) of every reference the
+    module makes to a definition of the package."""
+    names, modules = _aliases(tree)
+
+    def target(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id, (name, node.id))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return modules[node.value.id], node.attr
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return names.get(node.value, (name, node.value))
+        return None
+
+    for stmt in tree.body:
+        if (isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in stmt.targets)):
+            for elt in stmt.value.elts:
+                yield target(elt), stmt
+            continue
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Constant):
+                yield target(node), stmt
+
+
+def _unused() -> list[str]:
+    modules = _modules()
+    defs = _definitions(modules)
+    used = set()
+    for name, tree in modules.items():
+        for ref, stmt in _references(name, tree):
+            if ref in defs and defs[ref] is not stmt:
+                used.add(ref)
+    return sorted(f"{m}.{n}" for (m, n), node in defs.items()
+                  if (m, n) not in used and (m, n) not in EXCEPTIONS
+                  and not (isinstance(node, ast.FunctionDef)
+                           and node.decorator_list))
+
+
+def test_every_definition_has_a_caller():
+    assert _unused() == []
+
+
+def test_exceptions_exist():
+    defs = _definitions(_modules())
+    assert [key for key in EXCEPTIONS if key not in defs] == []
