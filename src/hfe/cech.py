@@ -80,22 +80,36 @@ class TriplePoint:
 
 @dataclass(frozen=True)
 class PointIndex:
-    """Every overlap sample point of a nerve, one row per (component,
-    point), in component_list() order; built once per nerve.
+    """The rows of a nerve's sample points, built once per nerve.
 
-    points      the sample point of each row
-    components  (pair, component index) -> the range of its rows
-    charts      chart -> the rows of the overlaps containing it, in row
-                order; a point in two of them has a row in each
-    graphs      chart -> (the first row of each distinct point id of
-                those overlaps, the sorted edges between the ids): the
-                chart's sample graph
+    Overlap rows, one per (component, point) in component_list() order:
+
+    points      the sample point of each overlap row
+    components  (pair, component index) -> the range of its overlap rows
+
+    Chart rows, chart by chart: one per point id of the overlaps
+    containing the chart, in the order of their first overlap rows, or
+    one origin row for a chart that meets no overlap:
+
+    sites       (chart, sample point) of each chart row
+    charts      chart -> the range of its chart rows
+    ends        (P, 2) int array: the chart rows of each overlap row's
+                point in the first and the second chart of its overlap
+    draws       chart -> the chart rows of the overlap rows containing the
+                chart, in overlap-row order (a point in two of them once
+                per row), or its origin row: the population of the
+                chart's seeded draws
+    edges       chart -> its sample graph, as pairs (i, j) of positions
+                in its chart rows, sorted by their point ids
     """
 
     points: tuple[SamplePoint, ...]
     components: dict[tuple[PairKey, int], range]
-    charts: dict[str, list[int]]
-    graphs: dict[str, tuple[list[int], list[tuple[str, str]]]]
+    sites: tuple[tuple[str, SamplePoint], ...]
+    charts: dict[str, range]
+    ends: np.ndarray
+    draws: dict[str, list[int]]
+    edges: dict[str, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -151,35 +165,46 @@ class Nerve:
                 out.append((key, tp))
         return out
 
-    def chart_points(self, chart: str) -> list[SamplePoint]:
-        """One sample point per point id of the overlaps containing a
-        chart, or the origin for a chart that meets no overlap."""
-        index = self.point_index
-        return [index.points[r] for r in index.graphs[chart][0]] or [ORIGIN]
-
     @cached_property
     def point_index(self) -> PointIndex:
-        """The index of every overlap sample point (see PointIndex)."""
+        """The index of every sample point (see PointIndex)."""
         points: list[SamplePoint] = []
         components: dict[tuple[PairKey, int], range] = {}
-        charts: dict[str, list[int]] = {ch: [] for ch in self.charts}
-        first: dict[str, dict[str, int]] = {ch: {} for ch in self.charts}
+        # per chart: the position of each point id among its chart rows,
+        # their points, and the position of every overlap row it is in
+        at: dict[str, dict[str, int]] = {ch: {} for ch in self.charts}
+        vertices: dict[str, list[SamplePoint]] = {ch: [] for ch in self.charts}
+        met: dict[str, list[int]] = {ch: [] for ch in self.charts}
         edges: dict[str, set] = {ch: set() for ch in self.charts}
         for pair, ci in self.component_list():
             comp = self.overlaps[pair][ci]
-            rows = components[(pair, ci)] = range(len(points),
-                                                  len(points) + len(comp.points))
+            components[(pair, ci)] = range(len(points), len(points) + len(comp.points))
             points.extend(comp.points)
             ids = [pt.id for pt in comp.points]
             for ch in pair:
-                charts[ch].extend(rows)
-                for row, pid in zip(rows, ids):
-                    first[ch].setdefault(pid, row)
+                for pt in comp.points:
+                    if pt.id not in at[ch]:
+                        at[ch][pt.id] = len(vertices[ch])
+                        vertices[ch].append(pt)
+                    met[ch].append(at[ch][pt.id])
                 edges[ch].update((min(ids[i], ids[j]), max(ids[i], ids[j]))
                                  for i, j in comp.edges)
-        graphs = {ch: (list(first[ch].values()), sorted(edges[ch]))
-                  for ch in self.charts}
-        return PointIndex(tuple(points), components, charts, graphs)
+        sites: list[tuple[str, SamplePoint]] = []
+        charts: dict[str, range] = {}
+        for ch in self.charts:
+            charts[ch] = range(len(sites), len(sites) + max(1, len(vertices[ch])))
+            sites += [(ch, pt) for pt in vertices[ch] or [ORIGIN]]
+        ends = np.array([[charts[ch].start + at[ch][pt.id] for ch in pair]
+                         for (pair, _), span in components.items()
+                         for pt in points[span.start:span.stop]],
+                        dtype=int).reshape(-1, 2)
+        ends.setflags(write=False)
+        return PointIndex(
+            tuple(points), components, tuple(sites), charts, ends,
+            {ch: [charts[ch].start + i for i in met[ch]] or [charts[ch].start]
+             for ch in self.charts},
+            {ch: [(at[ch][a], at[ch][b]) for a, b in sorted(edges[ch])]
+             for ch in self.charts})
 
     @cached_property
     def triple_rows(self) -> np.ndarray:
@@ -265,6 +290,21 @@ def stack_values(values: list, layout: tuple, error: Callable[[int], str]
             raise ValidationError(error(i))
     return [np.array([lv[j] for lv in leaves], dtype=complex).reshape(len(values), *shape)
             for j, shape in enumerate(_leaf_shapes(layout))]
+
+
+def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
+                 layout: tuple, kind: str) -> list[np.ndarray]:
+    """The generators of a chart role, one per chart, evaluated once at
+    every chart row of the nerve's point index and stacked by
+    stack_values; a chart without a generator, or a value that is not
+    ``kind`` (of the layout), raises ValidationError."""
+    sites = nerve.point_index.sites
+    missing = sorted(set(nerve.charts) - set(generators))
+    if missing:
+        raise ValidationError(f"no {role} for charts {missing}")
+    return stack_values([generators[ch](pt) for ch, pt in sites], layout,
+                        lambda r: f"{role} of chart {sites[r][0]!r} at "
+                                  f"{sites[r][1].id} is not {kind}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import cech
-from .cech import ORIGIN, Cocycle, Nerve, SamplePoint
+from .cech import Cocycle, Nerve, PointIndex
 from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import (
     GluingError,
@@ -36,20 +36,23 @@ _DRAWS_PER_CHART = 20
 
 @dataclass(frozen=True)
 class PolarizationPairData:
-    """Čech data of a compatible pair of polarizations."""
+    """Čech data of a compatible pair of polarizations: the Glkd pair
+    cocycle and the (R,) complex stack of the pairing determinant delta at
+    every chart row of the nerve's point index."""
 
     nerve: Nerve
-    pair_cocycle: Cocycle  # Glkd-valued
-    delta_samples: dict[str, dict[str, complex]]  # chart -> point id -> delta
+    pair_cocycle: Cocycle
+    delta_samples: np.ndarray
     n: int
     k: int
 
     def __post_init__(self):
         if self.pair_cocycle.group != "Glkd":
             raise ValidationError("pair cocycle must be Glkd-valued")
-        for ch in self.nerve.charts:
-            if ch not in self.delta_samples:
-                raise ValidationError(f"missing delta samples for chart {ch}")
+        rows = len(self.nerve.point_index.sites)
+        if np.shape(self.delta_samples) != (rows,):
+            raise ValidationError(f"expected delta samples at {rows} chart rows, "
+                                  f"got shape {np.shape(self.delta_samples)}")
 
 
 def validate_pair_data(data: PolarizationPairData) -> dict:
@@ -65,12 +68,12 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     ones = [1.0] * len(pairs)
     d1 = np.linalg.det(blocks["D1"]) if data.k < data.n else ones
     d2 = np.linalg.det(blocks["D2"]) if data.k < data.n else ones
+    delta, ends = data.delta_samples.tolist(), index.ends.tolist()
     for (pair, ci), rows in index.components.items():
-        a, b = pair
         for r in rows:
             pt = index.points[r]
-            da = complex(data.delta_samples[a][pt.id])
-            db = complex(data.delta_samples[b][pt.id])
+            a, b = ends[r]
+            da, db = delta[a], delta[b]
             if min(abs(da), abs(db)) <= tols.singular:
                 raise SingularityError(f"delta sample vanishes at {pt.id}")
             expected = da * complex(np.conj(d1[r]) * d2[r])
@@ -94,12 +97,6 @@ def _diag_changes(values: list[complex], n: int) -> np.ndarray:
     return m
 
 
-def _ones(data: PolarizationPairData) -> dict[str, dict[str, complex]]:
-    """The value 1 at every delta sample point."""
-    return {ch: dict.fromkeys(data.delta_samples[ch], 1.0 + 0j)
-            for ch in data.nerve.charts}
-
-
 def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     """Change sections so every delta sample becomes identically 1.
 
@@ -113,44 +110,30 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     if k == n:
         # delta is an empty determinant, identically 1 already
         return data
-    index = data.nerve.point_index
+    delta = data.delta_samples.tolist()
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     va, vb_inv = [], []
-    for (pair, _), rows in index.components.items():
-        a, b = pair
-        for r in rows:
-            pt = index.points[r]
-            v_a = complex(data.delta_samples[a][pt.id])
-            v_b = complex(data.delta_samples[b][pt.id])
-            if min(abs(v_a), abs(v_b)) <= tols.singular:
-                raise SingularityError("delta sample vanishes")
-            va.append(v_a)
-            vb_inv.append(1.0 / v_b)
+    for a, b in data.nerve.point_index.ends.tolist():
+        if min(abs(delta[a]), abs(delta[b])) <= tols.singular:
+            raise SingularityError("delta sample vanishes")
+        va.append(delta[a])
+        vb_inv.append(1.0 / delta[b])
     G2 = _diag_changes(va, n) @ G2 @ _diag_changes(vb_inv, n)
     return PolarizationPairData(
         nerve=data.nerve,
         pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),
-        delta_samples=_ones(data),
+        delta_samples=np.ones(len(delta), dtype=complex),
         n=n,
         k=k,
     )
 
 
-def _chart_sample_points(data: PolarizationPairData, ch: str) -> list[SamplePoint]:
-    """Overlap sample points of a chart, or a fallback origin point for
-    charts that meet no overlap (single-chart nerves)."""
-    index = data.nerve.point_index
-    return [index.points[r] for r in index.charts[ch]] or [ORIGIN]
-
-
 def _require_normalized(data: PolarizationPairData) -> None:
-    tols = get_tolerances()
-    index = data.nerve.point_index
-    for ch in data.nerve.charts:
-        values = data.delta_samples[ch]
-        for r in index.charts[ch]:
-            if abs(complex(values[index.points[r].id]) - 1.0) > check_bound(tols):
-                raise ValidationError("data not normalized (delta sample != 1)")
+    """Every delta sample at an overlap point is 1."""
+    bound = check_bound(get_tolerances())
+    delta = data.delta_samples[data.nerve.point_index.ends].ravel().tolist()
+    if any(abs(d - 1.0) > bound for d in delta):
+        raise ValidationError("data not normalized (delta sample != 1)")
 
 
 def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
@@ -196,44 +179,60 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
 class DeltaTildeData:
     """The global square-root datum.
 
-    Stored as per-chart base values (chart -> point id -> value) plus
-    the group-translation formula: the value at a point translated by a
-    metalinear pair (gt1, gt2) is base * conj(z1) z2 |det A|^{-1}.
+    Stored as base values, the (R,) stack of its value at every chart
+    row of the nerve's point index, plus the group-translation formula:
+    the value at a point translated by a metalinear pair (gt1, gt2) is
+    base * conj(z1) z2 |det A|^{-1}.  residuals holds the gluing residual
+    of every overlap row.
     """
 
-    base: dict[str, dict[str, complex]]
+    base: np.ndarray
     k: int
-    residuals: dict = field(default_factory=dict)
+    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     checks: dict = field(default_factory=dict)
     epsilon: Optional[int] = None
 
-    def value(self, chart: str, pt: SamplePoint) -> complex:
-        return complex(self.base[chart][pt.id])
+
+@dataclass(frozen=True)
+class Translations:
+    """Seeded metalinear pairs ((M1[p], z1[p]), (M2[p], z2[p])) checked as
+    Mlkd pairs: the stacks M1, M2 (m, n, n), their roots, det A of their
+    shared blocks, and the chart row each pair translates."""
+
+    rows: list[int]
+    M1: np.ndarray
+    M2: np.ndarray
+    z1: list[complex]
+    z2: list[complex]
+    detA: list
 
 
-def _draw_translations(data: PolarizationPairData, rng: np.random.Generator,
-                       pairs: bool = True) -> list:
-    """_DRAWS_PER_CHART seeded (chart, point, m1, m2) per chart: a random
-    overlap sample point of the chart and a random metalinear pair, or
-    (when pairs is False) the first member of one taken twice."""
-    draws = []
-    for ch in data.nerve.charts:
-        pts = _chart_sample_points(data, ch)
+def draw_translations(rng: np.random.Generator, n: int, k: int, rows,
+                      diagonal: bool = False) -> Translations:
+    """One seeded random metalinear pair per chart row of the iterable
+    rows, or (diagonal) the first member of one taken twice.  rows is read
+    one row per draw, just before it, so a generator that draws its rows
+    from rng interleaves those draws with the pairs'."""
+    picked, first, second = [], [], []
+    for r in rows:
+        m1, m2 = random_mlkd(rng, n, k)
+        picked.append(r)
+        first.append(m1)
+        second.append(m1 if diagonal else m2)
+    M1 = as_stack([m.A for m in first], n)
+    M2 = as_stack([m.A for m in second], n)
+    z1, z2 = [m.z for m in first], [m.z for m in second]
+    blocks = classify_pairs(M1, M2, k, z1, z2)
+    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(picked)
+    return Translations(picked, M1, M2, z1, z2, detA)
+
+
+def _chart_draws(index: PointIndex, rng: np.random.Generator):
+    """_DRAWS_PER_CHART seeded chart rows per chart, each drawn from the
+    chart's draw population (see PointIndex), one at a time."""
+    for population in index.draws.values():
         for _ in range(_DRAWS_PER_CHART):
-            pt = pts[int(rng.integers(len(pts)))]
-            m1, m2 = random_mlkd(rng, data.n, data.k)
-            draws.append((ch, pt, m1, m2 if pairs else m1))
-    return draws
-
-
-def _translation_dets(draws: list, n: int, k: int):
-    """det A of the shared blocks of the drawn metalinear pairs (checked
-    as Mlkd pairs), and the stacks of their two members."""
-    M1 = as_stack([m1.A for _, _, m1, _ in draws], n)
-    M2 = as_stack([m2.A for _, _, _, m2 in draws], n)
-    blocks = classify_pairs(M1, M2, k, [m1.z for _, _, m1, _ in draws],
-                            [m2.z for _, _, _, m2 in draws])
-    return (np.linalg.det(blocks["A"]) if k else [1.0] * len(draws)), M1, M2
+            yield population[int(rng.integers(len(population)))]
 
 
 def _check_translation_law(
@@ -246,17 +245,16 @@ def _check_translation_law(
     The square of the translated value must be delta at the translated
     pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.
     """
-    draws = _draw_translations(data, rng)
-    detA, M1, M2 = _translation_dets(draws, data.n, data.k)
-    ones = [1.0] * len(draws)
-    d1 = np.linalg.det(M1) if data.n else ones
-    d2 = np.linalg.det(M2) if data.n else ones
+    t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve.point_index, rng))
+    ones = [1.0] * len(t.rows)
+    d1 = np.linalg.det(t.M1) if data.n else ones
+    d2 = np.linalg.det(t.M2) if data.n else ones
+    base, delta = dt.base.tolist(), data.delta_samples.tolist()
     worst = 0.0
-    for (ch, pt, m1, m2), dA, e1, e2 in zip(draws, detA, d1, d2):
+    for r, x1, x2, dA, e1, e2 in zip(t.rows, t.z1, t.z2, t.detA, d1, d2):
         # the value translated by (m1, m2), sharing one classification
-        val = dt.value(ch, pt) * np.conj(m1.z) * m2.z / abs(dA)
-        delta0 = complex(data.delta_samples[ch][pt.id])
-        target = delta0 * np.conj(e1) * e2 / (dA * dA)
+        val = base[r] * np.conj(x1) * x2 / abs(dA)
+        target = delta[r] * np.conj(e1) * e2 / (dA * dA)
         worst = max(worst, abs(val * val - target) / max(1.0, abs(target)))
     return worst
 
@@ -266,9 +264,10 @@ def build_delta_tilde(
     z1: Cocycle,
     z2: Cocycle,
     rng: Optional[np.random.Generator] = None,
-    base_values: Optional[dict[str, dict[str, complex]]] = None,
+    base_values: Optional[np.ndarray] = None,
 ) -> DeltaTildeData:
-    """Glue the global square-root datum from per-chart base values.
+    """Glue the global square-root datum from base values at every chart
+    row.
 
     With normalized data the base value is 1 on every chart; gluing
     requires conj(z1) z2 |det A|^{-1} = base_b / base_a across every
@@ -277,35 +276,30 @@ def build_delta_tilde(
     are classified as one stack.
     """
     tols = get_tolerances()
+    index = data.nerve.point_index
     if base_values is None:
         _require_normalized(data)
-        base_values = _ones(data)
-    dt = DeltaTildeData(base=base_values, k=data.k)
-    index = data.nerve.point_index
+        base_values = np.ones(len(index.sites), dtype=complex)
     l1, l2 = z1.roots.tolist(), z2.roots.tolist()
     blocks = classify_pairs(z1.mats, z2.mats, data.k, l1, l2)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(l1)
-    bad = {}
+    base, ends = base_values.tolist(), index.ends.tolist()
+    residuals, bad = [], {}
     for (pair, ci), rows in index.components.items():
-        a, b = pair
         for r in rows:
-            pt = index.points[r]
+            a, b = ends[r]
             factor = np.conj(l1[r]) * l2[r] / abs(detA[r])
-            lhs = complex(base_values[a][pt.id]) * factor
-            rhs = complex(base_values[b][pt.id])
-            res = abs(lhs - rhs) / max(1.0, abs(rhs))
-            dt.residuals[(pair, ci, pt.id)] = res
+            res = abs(base[a] * factor - base[b]) / max(1.0, abs(base[b]))
+            residuals.append(res)
             if res > check_bound(tols):
-                bad[(pair, ci, pt.id)] = res
+                bad[(pair, ci, index.points[r].id)] = res
     if bad:
         raise GluingError("square-root datum does not glue", bad)
+    dt = DeltaTildeData(base=base_values, k=data.k, residuals=np.array(residuals))
     # squared identity against the delta samples
     sq_worst = 0.0
-    for ch in data.nerve.charts:
-        for pt in _chart_sample_points(data, ch):
-            v = dt.value(ch, pt)
-            d = complex(data.delta_samples[ch][pt.id])
-            sq_worst = max(sq_worst, abs(v * v - d) / max(1.0, abs(d)))
+    for v, d in zip(base, data.delta_samples.tolist()):
+        sq_worst = max(sq_worst, abs(v * v - d) / max(1.0, abs(d)))
     dt.checks["square_identity"] = sq_worst
     if sq_worst > check_bound(tols):
         raise GluingError("square identity fails", {"square": sq_worst})
@@ -314,23 +308,12 @@ def build_delta_tilde(
     return dt
 
 
-def verify_uniqueness(
-    data: PolarizationPairData, z1: Cocycle, z2a: Cocycle, z2b: Cocycle,
-    rng: Optional[np.random.Generator] = None,
-    base_a: Optional[dict[str, dict[str, complex]]] = None,
-    base_b: Optional[dict[str, dict[str, complex]]] = None,
-) -> dict[str, int]:
-    """Both candidates glue (precondition), hence must be equivalent.
-
-    Each candidate may come with its own per-chart base values (gluing
-    with the trivial base pins the cocycle down pointwise; the
-    equivalence freedom lives in chart-sign base changes).  Delegates to
-    the chart-sign coboundary solver; a failure contradicts the
-    uniqueness theorem and raises TheoremFalsification.
-    """
-    build_delta_tilde(data, z1, z2a, rng, base_values=base_a)
-    build_delta_tilde(data, z1, z2b, rng, base_values=base_b)
-    witness = cech.lifts_equivalent(data.nerve, z2a, z2b)
+def verify_uniqueness(nerve: Nerve, z2a: Cocycle, z2b: Cocycle) -> dict[str, int]:
+    """Two candidates that both glue (checked by the caller) must be
+    equivalent: returns the chart-sign witness of the coboundary solver.
+    A failure contradicts the uniqueness theorem and raises
+    TheoremFalsification."""
+    witness = cech.lifts_equivalent(nerve, z2a, z2b)
     if witness is None:
         raise TheoremFalsification(
             "two gluing metalinear lifts are inequivalent"
@@ -356,43 +339,38 @@ def self_compat(
     if np.any(np.abs(pairs[:, 0] - pairs[:, 1]) > zero_bound(tols)):
         raise ValidationError("pair cocycle is not diagonal")
     # real, constant-sign delta samples
+    delta = data.delta_samples.tolist()
     sign = None
-    for ch in data.nerve.charts:
-        for pt in _chart_sample_points(data, ch):
-            d = complex(data.delta_samples[ch][pt.id])
-            if abs(d.imag) > zero_bound(tols) * max(1.0, abs(d)):
-                raise ValidationError("delta samples not real")
-            s = 1 if d.real > 0 else -1
-            if sign is None:
-                sign = s
-            elif sign != s:
-                raise ValidationError("delta sign not constant")
-    if sign is None:
-        sign = 1
-    eps = 0 if sign > 0 else 1
+    for d in delta:
+        if abs(d.imag) > zero_bound(tols) * max(1.0, abs(d)):
+            raise ValidationError("delta samples not real")
+        s = 1 if d.real > 0 else -1
+        if sign is None:
+            sign = s
+        elif sign != s:
+            raise ValidationError("delta sign not constant")
+    eps = 1 if sign == -1 else 0
     phase = cmath.exp(1j * cmath.pi * eps / 2.0)
 
-    bases = {ch: {pid: phase * abs(complex(d)) ** 0.5
-                  for pid, d in data.delta_samples[ch].items()}
-             for ch in data.nerve.charts}
-    dt = build_delta_tilde(data, z1, z1, rng=None, base_values=bases)
+    bases = [phase * abs(d) ** 0.5 for d in delta]
+    dt = build_delta_tilde(data, z1, z1, rng=None, base_values=np.array(bases))
     dt.epsilon = eps
     dt.checks["epsilon"] = eps
     if rng is not None:
         dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
 
-    norm_bases = {ch: {pid: v / phase for pid, v in bases[ch].items()}
-                  for ch in data.nerve.charts}
-    dt_norm = DeltaTildeData(base=norm_bases, k=data.k, epsilon=eps)
+    dt_norm = DeltaTildeData(base=np.array([v / phase for v in bases]), k=data.k,
+                             epsilon=eps)
     # positivity on equal meta frames: translating by a diagonal
     # metalinear pair multiplies by |z|^2 / |det A| > 0
     if rng is not None:
         worst_imag, min_real = 0.0, float("inf")
-        draws = _draw_translations(data, rng, pairs=False)
-        detA, _, _ = _translation_dets(draws, data.n, data.k)
-        for (ch, pt, m, _), dA in zip(draws, detA):
+        t = draw_translations(rng, data.n, data.k,
+                              _chart_draws(data.nerve.point_index, rng), diagonal=True)
+        norm = dt_norm.base.tolist()
+        for r, x, dA in zip(t.rows, t.z1, t.detA):
             # the value translated by (m, m), sharing one classification
-            val = dt_norm.value(ch, pt) * np.conj(m.z) * m.z / abs(dA)
+            val = norm[r] * np.conj(x) * x / abs(dA)
             worst_imag = max(worst_imag, abs(val.imag))
             min_real = min(min_real, val.real)
         dt_norm.checks["positivity_imag"] = worst_imag

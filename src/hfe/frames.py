@@ -34,32 +34,9 @@ from .groups import (
 from .tracking import track_sqrt
 
 
-@dataclass(frozen=True)
-class SymplecticModel:
-    """A complex symplectic vector space of dimension 2n.
-
-    The default form is the standard one with omega(a_i, b_j) = delta_ij
-    for the basis ordering (a_1..a_n, b_1..b_n).
-    """
-
-    n: int
-    omega: np.ndarray = None
-
-    def __post_init__(self):
-        if self.omega is None:
-            object.__setattr__(self, "omega", standard_omega(self.n))
-        om = np.asarray(self.omega, dtype=complex)
-        if om.shape != (2 * self.n, 2 * self.n):
-            raise ValidationError("omega has wrong shape")
-        tols = get_tolerances()
-        if np.max(np.abs(om + om.T)) > tols.abs * max(1.0, np.max(np.abs(om))):
-            raise ValidationError("omega not antisymmetric")
-        if abs(np.linalg.det(om)) <= tols.singular:
-            raise ValidationError("omega degenerate")
-        object.__setattr__(self, "omega", om)
-
-
 def standard_omega(n: int) -> np.ndarray:
+    """The standard symplectic form of C^2n, omega(a_i, b_j) = delta_ij
+    for the basis ordering (a_1..a_n, b_1..b_n)."""
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]])
@@ -170,20 +147,17 @@ def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
     ])
 
 
-def delta(pair: LagFramePair, model: Optional[SymplecticModel] = None) -> complex:
+def delta(pair: LagFramePair) -> complex:
     """Pairing determinant det(-i omega(conj u_i, v_j)) over i,j > k."""
-    model = model or SymplecticModel(pair.n)
     return delta_stack(pair.first.stacked()[None], pair.second.stacked()[None],
-                       pair.k, model.omega)[0]
+                       pair.k)[0]
 
 
-def delta_stack(S1: np.ndarray, S2: np.ndarray, k: int,
-                omega: Optional[np.ndarray] = None) -> list[complex]:
+def delta_stack(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     """delta of the frame pairs with stacked columns S1[p] and S2[p],
-    stacks (P, 2n, n), for the standard form unless omega is given;
-    raises for the first pair whose determinant vanishes."""
-    if omega is None:
-        omega = SymplecticModel(S1.shape[-1]).omega
+    stacks (P, 2n, n), for the standard form; raises for the first pair
+    whose determinant vanishes."""
+    omega = standard_omega(S1.shape[-1])
     M = -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:])
     vals = np.linalg.det(M).tolist() if M.shape[-1] else [1.0 + 0j] * len(M)
     singular = get_tolerances().singular
@@ -413,7 +387,7 @@ def _pfaffian(M: np.ndarray) -> complex:
     return total
 
 
-def liouville(X: Sequence[np.ndarray], model: Optional[SymplecticModel] = None) -> complex:
+def liouville(X: Sequence[np.ndarray]) -> complex:
     """Liouville volume evaluated on 2n tangent vectors.
 
     Equals (-1)**(n(n-1)/2) Pf(Omega) with Omega_ij = omega(X_i, X_j);
@@ -426,9 +400,8 @@ def liouville(X: Sequence[np.ndarray], model: Optional[SymplecticModel] = None) 
     if any(v.shape != (dim,) for v in vecs) or dim != len(vecs):
         raise ValidationError("need exactly 2n vectors of dimension 2n")
     n = dim // 2
-    model = model or SymplecticModel(n)
     stacked = np.column_stack(vecs)
-    Om = stacked.T @ model.omega @ stacked
+    Om = stacked.T @ standard_omega(n) @ stacked
     return (-1.0) ** (n * (n - 1) // 2) * _pfaffian(Om)
 
 
@@ -440,7 +413,6 @@ def pairing_density(
     lifts: Sequence[np.ndarray],
     mode: str = "half-density",
     delta_tilde_value: Optional[complex] = None,
-    model: Optional[SymplecticModel] = None,
 ) -> complex:
     """Pointwise pairing density of two polarized sections.
 
@@ -449,8 +421,7 @@ def pairing_density(
     supplied square root delta_tilde_value in half-form mode (checked to
     square to delta_k).
     """
-    model = model or SymplecticModel(pair.n)
-    d = delta(pair, model)
+    d = delta(pair)
     if mode == "half-density":
         factor = math.sqrt(abs(d))
     elif mode == "half-form":
@@ -463,5 +434,5 @@ def pairing_density(
         raise ValidationError(f"unknown mode {mode!r}")
     k = pair.k
     shared = [pair.first.stacked()[:, i] for i in range(k)]
-    vol = liouville(list(shared) + [np.asarray(v, complex) for v in lifts], model)
+    vol = liouville(list(shared) + [np.asarray(v, complex) for v in lifts])
     return complex(prequantum_value) * nu1.conjugate() * nu2 * factor * abs(vol)

@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, Nerve, SamplePoint, stack_values
-from .compatibility import DeltaTildeData, PolarizationPairData
+from .cech import Cocycle, Nerve, chart_stacks
+from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
 from .config import Tolerances, check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, ValidationError
 from .frames import (
@@ -33,15 +33,7 @@ from .frames import (
     delta_stack,
     validate_lagrangian_stack,
 )
-from .groups import (
-    as_stack,
-    check_ml,
-    classify_pairs,
-    ml_checks,
-    raise_first,
-    spk_blocks,
-)
-from .sampling import random_mlkd
+from .groups import as_stack, check_ml, ml_checks, raise_first, spk_blocks
 from .tracking import track_graph
 
 
@@ -72,25 +64,11 @@ def _require_positive(frames: list[LagFrame], points) -> None:
             raise ValidationError(f"section frame not positive at {pt.id}")
 
 
-def _chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
-                  layout: tuple, kind: str) -> list[np.ndarray]:
-    """The generators of a chart role evaluated once at every chart row
-    (see _chart_rows) and stacked by cech.stack_values; a value that is
-    not ``kind`` (of the layout) raises ValidationError."""
-    _, points = _chart_rows(nerve)
-    missing = sorted({ch for ch, _ in points} - set(generators))
-    if missing:
-        raise ValidationError(f"no {role} for charts {missing}")
-    return stack_values([generators[ch](pt) for ch, pt in points], layout,
-                        lambda r: f"{role} of chart {points[r][0]!r} at "
-                                  f"{points[r][1].id} is not {kind}")
-
-
 @dataclass(frozen=True)
 class FrameSectionData:
     """Per-chart frame sections in chart coordinates: the stacks U and V
-    (R, n, n) of their frames (U, V) at every chart row (see
-    _chart_rows), checked as positive Lagrangian frames by the transport.
+    (R, n, n) of their frames (U, V) at every chart row of the nerve's
+    point index, checked as positive Lagrangian frames by the transport.
 
     Keeps the sheet-independent transport of the last bundle it served
     (see transport), so the recipe runs of one section family share it.
@@ -106,8 +84,8 @@ class FrameSectionData:
     def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
                  ) -> "FrameSectionData":
         """The sections of a family of chart generators, evaluated once."""
-        return cls(*_chart_stacks(nerve, generators, "section", ((n, n), (n, n)),
-                                  f"a frame (U, V) for n={n}"))
+        return cls(*chart_stacks(nerve, generators, "section", ((n, n), (n, n)),
+                                 f"a frame (U, V) for n={n}"))
 
     def transport(self, data: MetaplecticBundleData) -> "SectionTransport":
         """The sheet-independent part of the recipe on this bundle,
@@ -123,7 +101,7 @@ class FrameSectionData:
 @dataclass(frozen=True)
 class PairSectionData:
     """Per-chart pairs of meta frames (W, (C, z)) in block form: at every
-    chart row (see _chart_rows), W1, C1, z1 of the first frame and W2,
+    chart row of the nerve's point index, W1, C1, z1 of the first frame and W2,
     C2, z2 of the second, the W and C as stacks (R, n, n) and the z as
     (R,) arrays.  build_delta_D_tilde checks them as Ball points and
     metalinear frames."""
@@ -140,32 +118,25 @@ class PairSectionData:
                  ) -> "PairSectionData":
         """The pair sections of chart generators, evaluated once."""
         meta = ((n, n), (n, n), ())
-        return cls(*_chart_stacks(nerve, generators, "pair section", (meta, meta),
-                                  f"a pair of meta frames (W, C, z) for n={n}"))
+        return cls(*chart_stacks(nerve, generators, "pair section", (meta, meta),
+                                 f"a pair of meta frames (W, C, z) for n={n}"))
 
 
-def chart_sqrt_values(
-    nerve: Nerve,
-    chart: str,
-    value_fn: Callable[[SamplePoint], complex],
-    flip: int = 1,
-) -> dict[str, complex]:
+def chart_sqrt_values(nerve: Nerve, chart: str, values: list[complex],
+                      flip: int = 1) -> list[complex]:
     """Continuous square root of a nonvanishing function over a chart's
-    sample graph, by point id.
+    sample graph: values[i] is its value at the chart's i-th chart row
+    (see PointIndex), and so is the returned root.
 
     Each connected piece is rooted at its smallest point id with the
     principal root (times the sheet flip); edges are single tracking
     steps (see track_graph).
     """
     index = nerve.point_index
-    vertices, edges = index.graphs[chart]
-    ids = [index.points[r].id for r in vertices]
-    at = {pid: i for i, pid in enumerate(ids)}
-    z = track_graph([complex(value_fn(index.points[r])) for r in vertices],
-                    [(at[a], at[b]) for a, b in edges],
-                    sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
-                    jump=f"on chart {chart}", cycle=f"on chart {chart}")
-    return dict(zip(ids, z))
+    ids = [index.sites[r][1].id for r in index.charts[chart]]
+    return track_graph(values, index.edges[chart],
+                       sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
+                       jump=f"on chart {chart}", cycle=f"on chart {chart}")
 
 
 @dataclass
@@ -196,53 +167,26 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
 class SectionTransport:
     """The part of the recipe that no sheet choice changes, as stacks.
 
-    Chart stacks have one row per sample-graph vertex of every chart,
-    chart by chart: rows maps chart -> point id -> chart row; U, V hold
-    the section frames, validated as positive Lagrangian frames, W and C
-    the stacks (R, n, n) of (W, C) = phi(section), W checked as Ball
-    points.  Overlap stacks
-    have one row per row of nerve.point_index: a and b are the chart rows
-    of its point in the two charts of its overlap, N the frame
-    transition with g sigma_b = sigma_a N, alpha and alpha_z the stack and
-    roots of alpha_tilde(g, W_b), and gW the Ball point g.W_b.
+    Chart stacks have one row per chart row of the nerve's point index:
+    U, V hold the section frames, validated as positive Lagrangian
+    frames, W and C the stacks (R, n, n) of (W, C) = phi(section), W
+    checked as Ball points.  Overlap stacks have one row per overlap row,
+    whose point has the chart rows a, b (the index's ends) in the two
+    charts of its overlap: N the frame transition with g sigma_b =
+    sigma_a N, alpha and alpha_z the stack and roots of
+    alpha_tilde(g, W_b), and gW the Ball point g.W_b.
     """
 
     bundle: MetaplecticBundleData
     tols: Tolerances
-    rows: dict[str, dict[str, int]]
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
     C: np.ndarray
-    a: list[int]
-    b: list[int]
     N: np.ndarray
     alpha: np.ndarray
     alpha_z: list[complex]
     gW: np.ndarray
-
-
-def _chart_rows(nerve: Nerve):
-    """chart -> point id -> chart row over the sample-graph vertices of
-    every chart, chart by chart, and the sample point of each chart row
-    with its chart."""
-    index = nerve.point_index
-    rows: dict[str, dict[str, int]] = {}
-    points: list[tuple[str, SamplePoint]] = []
-    for ch in nerve.charts:
-        rows[ch] = {}
-        for r in index.graphs[ch][0]:
-            rows[ch][index.points[r].id] = len(points)
-            points.append((ch, index.points[r]))
-    return rows, points
-
-
-def _overlap_rows(nerve: Nerve, rows: dict[str, dict[str, int]], end: int):
-    """The chart rows of every row of nerve.point_index in the first
-    (end=0) or second (end=1) chart of its overlap."""
-    index = nerve.point_index
-    return [rows[pair[end]][index.points[r].id]
-            for (pair, _), rr in index.components.items() for r in rr]
 
 
 def _transport(data: MetaplecticBundleData, sections: FrameSectionData
@@ -250,12 +194,11 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     tols = get_tolerances()
     nerve, n = data.nerve, data.n
     index = nerve.point_index
-    rows, points = _chart_rows(nerve)
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
-    _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in points])
+    _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in index.sites])
     check_ball(W)
-    a, b = _overlap_rows(nerve, rows, 0), _overlap_rows(nerve, rows, 1)
+    a, b = index.ends.T
     g = data.mp_cocycle.mats
     # frame transitions N: g sigma_b = sigma_a N
     gU, gV = ball.sp_apply(g, U[b], V[b])
@@ -271,7 +214,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     gW = ball.alpha_raw(g, W[b])[0]
     alpha, alpha_z = alpha_tilde_stack(g, data.mp_cocycle.roots.tolist(), W[b])
     check_ball(gW)
-    return SectionTransport(data, tols, rows, U, V, W, C, a, b, N, alpha, alpha_z, gW)
+    return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
 
 
 def recipe(
@@ -293,29 +236,26 @@ def recipe(
     sheet_flips = sheet_flips or {}
     tols = get_tolerances()
     nerve = data.nerve
+    index = nerve.point_index
     t = sections.transport(data)
     # per-chart lifted sections
     dets = np.linalg.det(t.C).tolist()
-    z = [0j] * len(dets)
-    for ch, rows in t.rows.items():
-        if rows:
-            zc = chart_sqrt_values(nerve, ch, lambda p, rows=rows: dets[rows[p.id]],
-                                   sheet_flips.get(ch, 1))
-            for pid, r in rows.items():
-                z[r] = zc[pid]
+    z = [root for ch, rows in index.charts.items()
+         for root in chart_sqrt_values(nerve, ch, dets[rows.start:rows.stop],
+                                       sheet_flips.get(ch, 1))]
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
-    moved_A = t.alpha @ t.C[t.b]
-    moved_z = [x * z[r] for x, r in zip(t.alpha_z, t.b)]
+    a, b = index.ends.T
+    moved_A = t.alpha @ t.C[b]
+    moved_z = [x * z[r] for x, r in zip(t.alpha_z, b.tolist())]
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
-    wres = np.max(np.abs(t.gW - t.W[t.a]), axis=axes, initial=0.0)
-    index = nerve.point_index
+    wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
         f"Ball points disagree on overlap at {index.points[p].id}"))])
-    Ninv = np.linalg.inv(t.C[t.a]) @ moved_A
-    Nz = [mz / z[r] for mz, r in zip(moved_z, t.a)]
+    Ninv = np.linalg.inv(t.C[a]) @ moved_A
+    Nz = [mz / z[r] for mz, r in zip(moved_z, a.tolist())]
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)
     report = cech.validate_cocycle(nerve, ml_c)
@@ -353,9 +293,7 @@ def build_delta_D_tilde(
     nerve, n, k = data.nerve, data.n, data.k
     index = nerve.point_index
 
-    # the chart values at every sample-graph vertex serve the gluing and
-    # the chart checks
-    rows, points = _chart_rows(nerve)
+    # the values at every chart row serve the gluing and the chart checks
     s = pair_sections
     W1, C1, z1 = s.W1, s.C1, s.z1.tolist()
     W2, C2, z2 = s.W2, s.C2, s.z2.tolist()
@@ -363,11 +301,9 @@ def build_delta_D_tilde(
     raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
                 + ml_checks(C2, z2))
     values = delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k)
-    dt = DeltaTildeData(base={ch: {pid: values[r] for pid, r in rows[ch].items()}
-                              for ch in nerve.charts}, k=k)
 
     # invariance: both members of the chart-b pair moved by the transition
-    b = _overlap_rows(nerve, rows, 1)
+    b = index.ends[:, 1].tolist()
     P = len(b)
     g = data.mp_cocycle.mats
     gW, gC, gz = _mp_act_stack(np.concatenate([g, g]),
@@ -376,13 +312,9 @@ def build_delta_D_tilde(
                                np.concatenate([C1[b], C2[b]]),
                                [z1[r] for r in b] + [z2[r] for r in b])
     moved = delta_L_tilde_stack(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
-    worst = 0.0
-    for (pair, ci), rr in index.components.items():
-        for r in rr:
-            v0 = values[b[r]]
-            res = abs(moved[r] - v0) / max(1.0, abs(v0))
-            dt.residuals[(pair, ci, index.points[r].id)] = res
-            worst = max(worst, res)
+    residuals = [abs(v - values[r]) / max(1.0, abs(values[r])) for v, r in zip(moved, b)]
+    dt = DeltaTildeData(base=np.array(values), k=k, residuals=np.array(residuals))
+    worst = max([0.0, *residuals])
     dt.checks["invariance"] = worst
     if worst > property_bound(tols):
         raise ValidationError("delta_L_tilde not invariant across an overlap")
@@ -394,20 +326,15 @@ def build_delta_D_tilde(
     for v, dl in zip(values, delta_L_stack(U1, V1, U2, V2, k)):
         sq_worst = max(sq_worst, abs(v * v - dl) / max(1.0, abs(dl)))
     rng = rng or np.random.default_rng(0)
-    draws = [random_mlkd(rng, n, k) for _ in points]
-    M1 = as_stack([m1.A for m1, _ in draws], n)
-    M2 = as_stack([m2.A for _, m2 in draws], n)
-    Y1, y1 = C1 @ M1, [z * m1.z for z, (m1, _) in zip(z1, draws)]
-    Y2, y2 = C2 @ M2, [z * m2.z for z, (_, m2) in zip(z2, draws)]
+    t = draw_translations(rng, n, k, range(len(values)))
+    Y1, y1 = C1 @ t.M1, [z * x for z, x in zip(z1, t.z1)]
+    Y2, y2 = C2 @ t.M2, [z * x for z, x in zip(z2, t.z2)]
     check_ml(Y1, y1)
     check_ml(Y2, y2)
-    blocks = classify_pairs(M1, M2, k, [m1.z for m1, _ in draws],
-                            [m2.z for _, m2 in draws])
-    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(draws)
     law_worst = 0.0
-    for v, (m1, m2), dA, y in zip(values, draws, detA,
-                                  delta_L_tilde_stack(W1, Y1, y1, W2, Y2, y2, k)):
-        target = v * np.conj(m1.z) * m2.z / abs(dA)
+    for v, x1, x2, dA, y in zip(values, t.z1, t.z2, t.detA,
+                                delta_L_tilde_stack(W1, Y1, y1, W2, Y2, y2, k)):
+        target = v * np.conj(x1) * x2 / abs(dA)
         law_worst = max(law_worst, abs(y - target) / max(1.0, abs(target)))
     dt.checks["square_identity"] = sq_worst
     dt.checks["translation_law"] = law_worst
@@ -446,10 +373,7 @@ def cross_check(
     # the reduced pairing determinant of the two families at every chart
     # row; it also serves the restriction identity
     reduced = delta_L_stack(t1.U, t1.V, t2.U, t2.V, k)
-    pdata = PolarizationPairData(
-        nerve, pair_c, {ch: {pid: reduced[r] for pid, r in t1.rows[ch].items()}
-                        for ch in nerve.charts}, n, k
-    )
+    pdata = PolarizationPairData(nerve, pair_c, np.array(reduced), n, k)
     vrep = compatibility.validate_pair_data(pdata)
     if not vrep["ok"]:
         raise ValidationError(f"recipe pair data inconsistent: "
@@ -462,8 +386,8 @@ def cross_check(
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
     w = delta_L_tilde_stack(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
-    zs = [w[ra] * x / w[rb] for x, ra, rb in
-          zip(r2.ml_cocycle.roots.tolist(), t1.a, t1.b)]
+    zs = [w[ra] * x / w[rb] for x, (ra, rb) in
+          zip(r2.ml_cocycle.roots.tolist(), nerve.point_index.ends.tolist())]
     z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)
@@ -493,7 +417,7 @@ def cross_check(
         "ok": True,
         "global_sign": global_sign,
         "witness": witness,
-        "glue_residual": max(dt_ref.residuals.values()) if dt_ref.residuals else 0.0,
+        "glue_residual": max(dt_ref.residuals.tolist(), default=0.0),
         "restriction_residual": restr_worst,
         "recipe_residuals": {"first": r1.residuals, "second": r2.residuals},
     }

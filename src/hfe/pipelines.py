@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import SignCochain, gf2_solve
+from .cech import Nerve, SignCochain, gf2_solve
 from .compatibility import PolarizationPairData
 from .config import (
     check_bound,
@@ -95,12 +95,12 @@ def _stage(name: str, consumes=(), produces=None, optional=()):
 # sign patterns on overlap components
 # ---------------------------------------------------------------------------
 
-def _coboundary_base(data: PolarizationPairData, pattern) -> dict:
+def _coboundary_base(nerve: Nerve, pattern) -> np.ndarray:
     """Chart signs whose coboundary is the given coboundary pattern, as
-    base values at every delta sample point."""
-    sol = gf2_solve(data.nerve.delta0, pattern)
-    return {ch: dict.fromkeys(data.delta_samples[ch], complex(-1.0 if bit else 1.0))
-            for ch, bit in zip(data.nerve.charts, sol)}
+    base values at every chart row."""
+    sign = {ch: -1.0 if bit else 1.0
+            for ch, bit in zip(nerve.charts, gf2_solve(nerve.delta0, pattern))}
+    return np.array([sign[ch] for ch, _ in nerve.point_index.sites], dtype=complex)
 
 
 def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
@@ -112,7 +112,7 @@ def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
 def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     """The record of a glued square-root datum: its worst gluing residual
     against the check bound, with its property-check residuals."""
-    glue = max(dt.residuals.values()) if dt.residuals else 0.0
+    glue = max(dt.residuals.tolist(), default=0.0)
     return CheckRecord(check_id, anchor, max_residual=float(glue),
                        passed=glue <= check_bound(get_tolerances()),
                        details={key: dt.checks.get(key, 0.0) for key in
@@ -266,13 +266,11 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     # concrete confirmations on representatives
     if lc.witness_equiv is not None:
         flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_equiv)
-        base = _coboundary_base(norm, lc.witness_equiv)
-        dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
-                                              base_values=base)
-        glue2 = max(dt2.residuals.values()) if dt2.residuals else 0.0
-        witness = compatibility.verify_uniqueness(
-            norm, z1, z2, flipped, None, base_a=None, base_b=base
-        )
+        dt2 = compatibility.build_delta_tilde(
+            norm, z1, flipped, rng,
+            base_values=_coboundary_base(scenario.nerve, lc.witness_equiv))
+        glue2 = max(dt2.residuals.tolist(), default=0.0)
+        witness = compatibility.verify_uniqueness(scenario.nerve, z2, flipped)
         report.add(
             CheckRecord(
                 "delta_tilde.equivalent-glues",

@@ -28,6 +28,7 @@ from .cech import (
     SamplePoint,
     SignCochain,
     TriplePoint,
+    chart_stacks,
     stack_values,
 )
 from .errors import EngineError, ValidationError
@@ -330,7 +331,7 @@ class Scenario:
     gl_cocycle: Optional[Cocycle] = None
     mp_cocycle: Optional[Cocycle] = None
     d_adapted: bool = False
-    delta_samples: Optional[dict[str, dict[str, complex]]] = None
+    delta_samples: Optional[np.ndarray] = None
     sections_first: Optional[FrameSectionData] = None
     sections_second: Optional[FrameSectionData] = None
     pair_sections: Optional[PairSectionData] = None
@@ -403,18 +404,13 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
     return out
 
 
-def _build_chart_values(doc: dict, nerve: Nerve, n: int, k: int
-                        ) -> dict[str, dict[str, complex]]:
-    """Chart generators evaluated once at every sample point of their
-    chart (see Nerve.chart_points), by point id; each value must be a
-    scalar."""
-    out = {}
-    for ch, fn in _build_chart_generators(doc, nerve, n, k).items():
-        pts = nerve.chart_points(ch)
-        values, = stack_values([fn(pt) for pt in pts], (), lambda i: (
-            f"delta sample of chart {ch!r} at {pts[i].id} is not a scalar"))
-        out[ch] = dict(zip([pt.id for pt in pts], values.tolist()))
-    return out
+def _build_delta_samples(doc: dict, nerve: Nerve, n: int, k: int) -> np.ndarray:
+    """Delta-sample generators, one per chart, evaluated once at every
+    chart row of the nerve's point index: the (R,) stack of their scalar
+    values."""
+    values, = chart_stacks(nerve, _build_chart_generators(doc, nerve, n, k),
+                           "delta sample", (), "a scalar")
+    return values
 
 
 def _build_frame(spec: dict, n: int, k: int, what: str
@@ -468,7 +464,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
     if "mp_cocycle" in doc:
         sc.mp_cocycle = _build_cocycle(doc["mp_cocycle"], nerve, n, k)
     if "delta_samples" in doc:
-        sc.delta_samples = _build_chart_values(doc["delta_samples"], nerve, n, k)
+        sc.delta_samples = _build_delta_samples(doc["delta_samples"], nerve, n, k)
     sections = doc.get("sections", {})
     if "first" in sections:
         sc.sections_first = FrameSectionData.evaluate(
@@ -484,7 +480,7 @@ def load_scenario(source: str | Path | dict) -> Scenario:
             {
                 "name": case["name"],
                 "pair_cocycle": _build_cocycle(case["pair_cocycle"], nerve, n, k),
-                "delta_samples": _build_chart_values(
+                "delta_samples": _build_delta_samples(
                     case["delta_samples"], nerve, n, k
                 ),
             }

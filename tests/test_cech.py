@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hfe.cech import (
+    ORIGIN,
     Cocycle,
     Nerve,
     OverlapComponent,
@@ -266,6 +267,73 @@ def test_nerve_incidence_matrices():
     assert nerve.delta1.tolist() == [[1, 1, 1], [1, 1, 1]]
     assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
     assert nerve.delta0 is nerve.delta0  # built once
+
+
+@st.composite
+def _generated_nerves(draw):
+    """A ring of 2-6 charts or a 2 x 2 or 3 x 3 torus grid of charts, in
+    random chart order, optionally with a chart that meets no overlap.
+    Each overlap has one or two path components of 1-4 points whose ids
+    come from a pool of six, so a chart's overlaps share some ids."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        names = [f"c{i}" for i in range(n)]
+        pairs = {tuple(sorted((names[i], names[(i + 1) % n]))) for i in range(n)}
+    else:
+        m = draw(st.integers(2, 3))
+        names = [f"c{i}{j}" for i in range(m) for j in range(m)]
+        pairs = {tuple(sorted((f"c{i}{j}", f"c{(i + di) % m}{(j + dj) % m}")))
+                 for i in range(m) for j in range(m) for di, dj in ((0, 1), (1, 0))}
+    pool = [f"p{i}" for i in range(6)]
+    overlaps = {}
+    for pair in sorted(pairs):
+        comps = []
+        for _ in range(draw(st.integers(1, 2))):
+            ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
+                                unique=True))
+            comps.append(OverlapComponent(tuple(_pt(p) for p in ids),
+                                          tuple((i, i + 1) for i in range(len(ids) - 1))))
+        overlaps[pair] = tuple(comps)
+    if draw(st.booleans()):
+        names.append("isolated")
+    return Nerve(tuple(draw(st.permutations(names))), overlaps)
+
+
+@given(_generated_nerves())
+def test_chart_rows_index_every_chart_point(nerve):
+    index = nerve.point_index
+    # the pair of every overlap row, read off the nerve on its own
+    pairs = [pair for pair, ci in nerve.component_list()
+             for _ in nerve.overlaps[pair][ci].points]
+    assert len(pairs) == len(index.points) == len(index.ends)
+    start = 0
+    for ch in nerve.charts:
+        rows = index.charts[ch]
+        assert rows.start == start
+        start = rows.stop
+        met = [r for r, pair in enumerate(pairs) if ch in pair]
+        ids = list(dict.fromkeys(index.points[r].id for r in met))
+        sites = [index.sites[r] for r in rows]
+        assert all(c == ch for c, _ in sites)
+        if met:
+            # its distinct point ids in first-row order
+            assert [pt.id for _, pt in sites] == ids
+            # the draw population: its overlap rows, duplicates included
+            assert [index.sites[r][1].id for r in index.draws[ch]] == [
+                index.points[r].id for r in met]
+            assert all(r in rows for r in index.draws[ch])
+        else:
+            assert sites == [(ch, ORIGIN)]
+            assert index.draws[ch] == [rows.start]
+        edges = {tuple(sorted((comp.points[i].id, comp.points[j].id)))
+                 for pair in nerve.overlaps if ch in pair
+                 for comp in nerve.overlaps[pair] for i, j in comp.edges}
+        assert [(ids[i], ids[j]) for i, j in index.edges[ch]] == sorted(edges)
+    assert start == len(index.sites)
+    # both chart rows of an overlap row carry its point id
+    for r, (pair, ends) in enumerate(zip(pairs, index.ends.tolist())):
+        for ch, e in zip(pair, ends):
+            assert (index.sites[e][0], index.sites[e][1].id) == (ch, index.points[r].id)
 
 
 @pytest.mark.parametrize("name", builtin_scenario_names())

@@ -552,3 +552,36 @@ def test_exit_2_on_wrong_kind_section_generator(name, edit, message, tmp_path,
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def _isolated_chart(doc):
+    # chart 2 meets no overlap: it has delta samples and pair sections,
+    # but no frame sections
+    doc["nerve"]["charts"].append("2")
+    doc["delta_samples"]["2"] = doc["delta_samples"]["0"]
+    doc["pair_sections"]["2"] = doc["pair_sections"]["0"]
+
+
+_UNCOVERED_CHARTS = {
+    "delta_samples<-missing": (
+        "circle_mobius", lambda doc: doc["delta_samples"].pop("1"),
+        "no delta sample for charts ['1']"),
+    "section<-isolated_chart": (
+        "abstract_k1_nonorientable", _isolated_chart,
+        "no section for charts ['2']"),
+}
+
+
+@pytest.mark.parametrize("name, edit, message", _UNCOVERED_CHARTS.values(),
+                         ids=_UNCOVERED_CHARTS)
+def test_exit_2_on_a_chart_role_without_a_chart(name, edit, message, tmp_path,
+                                                capsys):
+    # every chart has chart rows (a chart that meets no overlap its origin
+    # row), so a chart role needs a generator for every chart, and the
+    # scenario is rejected at load, before any stage runs
+    path = _scenario_file(tmp_path, name, edit)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: invalid scenario data: {message}")

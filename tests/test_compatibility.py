@@ -24,9 +24,18 @@ def circle_nerve():
     )
 
 
+SITES = circle_nerve().point_index.sites
+
+
 def _samples(**fns):
-    """Per-chart values at both sample points of the circle nerve."""
-    return {ch: {pt.id: fn(pt) for pt in (EAST, WEST)} for ch, fn in fns.items()}
+    """The values fns[chart](point) at every chart row of the circle
+    nerve, as a stack."""
+    return np.array([fns[ch](pt) for ch, pt in SITES], dtype=complex)
+
+
+def _row(chart, point):
+    """The chart row of a point of a chart of the circle nerve."""
+    return SITES.index((chart, point))
 
 
 def _pair_fn(g2):
@@ -81,7 +90,7 @@ def test_validate_pair_data_flags_inconsistent_delta():
     data = circle_pair_data()
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
-        {"a": data.delta_samples["a"], **_samples(b=lambda pt: 2.0 + 0j)},
+        _samples(a=lambda pt: 2.0 + 0j, b=lambda pt: 2.0 + 0j),
         data.n, data.k,
     )
     out = validate_pair_data(bad)
@@ -102,8 +111,7 @@ def test_pair_data_requires_glkd():
 
 def test_normalize_makes_delta_one_and_keeps_consistency():
     norm = normalize_sections(circle_pair_data())
-    for ch in ("a", "b"):
-        assert norm.delta_samples[ch]["west"] == 1.0
+    assert norm.delta_samples.tolist() == [1.0] * len(SITES)
     out = validate_pair_data(norm)
     assert out["ok"]
     # the normalized second member has unit premise factor
@@ -147,10 +155,10 @@ def test_induce_and_glue_roundtrip(rng):
     for A, z in zip(z2.mats, z2.roots):
         assert abs(z * z - np.linalg.det(A)) < 1e-12
     dt = build_delta_tilde(norm, z1, z2, rng)
-    assert max(dt.residuals.values()) < 1e-12
+    assert max(dt.residuals) < 1e-12
     assert dt.checks["square_identity"] < 1e-10
     assert dt.checks["translation_law"] < 1e-8
-    assert abs(dt.value("a", EAST) - 1.0) < 1e-12
+    assert abs(dt.base[_row("a", EAST)] - 1.0) < 1e-12
 
 
 def test_flipped_lift_fails_to_glue(rng):
@@ -168,7 +176,10 @@ def test_verify_uniqueness_witness(rng):
     z2 = induce_compatible(norm, z1)
     both = _flip(z2, {0, 1})
     base_b = _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: -1.0 + 0j)
-    witness = verify_uniqueness(norm, z1, z2, both, rng, base_b=base_b)
+    # both candidates glue, each with its own base values
+    build_delta_tilde(norm, z1, z2, rng)
+    build_delta_tilde(norm, z1, both, rng, base_values=base_b)
+    witness = verify_uniqueness(norm.nerve, z2, both)
     assert witness["a"] * witness["b"] == -1
 
 
@@ -183,8 +194,10 @@ def test_verify_uniqueness_falsification_detector(rng):
         a=lambda pt: 1.0 + 0j,
         b=lambda pt: -1.0 + 0j if pt.id == "west" else 1.0 + 0j,
     )
+    build_delta_tilde(norm, z1, z2, rng)
+    build_delta_tilde(norm, z1, one, rng, base_values=base_b)
     with pytest.raises(TheoremFalsification):
-        verify_uniqueness(norm, z1, z2, one, rng, base_b=base_b)
+        verify_uniqueness(norm.nerve, z2, one)
 
 
 def diagonal_pair_data(sign=1.0):
@@ -216,7 +229,7 @@ def _diagonal_lift():
 def test_self_compat_positive_sign(rng):
     dt, dt_norm = self_compat(diagonal_pair_data(1.0), _diagonal_lift(), rng)
     assert dt.epsilon == 0
-    assert abs(dt.value("a", EAST) ** 2 - 2.0) < 1e-12
+    assert abs(dt.base[_row("a", EAST)] ** 2 - 2.0) < 1e-12
     assert dt.checks["translation_law"] < 1e-8
     assert dt_norm.checks["positivity_min_real"] > 0
 
@@ -224,7 +237,7 @@ def test_self_compat_positive_sign(rng):
 def test_self_compat_negative_sign(rng):
     dt, dt_norm = self_compat(diagonal_pair_data(-1.0), _diagonal_lift(), rng)
     assert dt.epsilon == 1
-    v = dt.value("b", WEST)
+    v = dt.base[_row("b", WEST)]
     assert abs(v * v + 8.0) < 1e-10
     assert dt_norm.checks["positivity_min_real"] > 0
     assert dt_norm.checks["positivity_imag"] < 1e-10

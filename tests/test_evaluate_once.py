@@ -108,7 +108,7 @@ def test_generators_run_once_per_sample_point(monkeypatch):
     monkeypatch.setattr(scenario_mod, "build_generator", counting_build)
     sc = load_scenario(_ring_doc())
     points = len(sc.nerve.point_index.points)
-    chart_points = sum(len(sc.nerve.chart_points(ch)) for ch in sc.nerve.charts)
+    chart_points = len(sc.nerve.point_index.sites)
     # at load, every cocycle generator runs once at each point of its
     # component, and every delta, section and pair-section generator once
     # at each point of its chart

@@ -20,11 +20,19 @@ as they are.  A change that means to alter a report re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which check ids changed and why.
+and says in its description which check ids changed and why.  With one
+or more ``--allow CHECK:FIELD`` (for example
+``--allow cocycle.mp:max_residual``) the recorder writes the files only
+if every difference from the recorded ones lies in an allowed field of
+a check record with an allowed id; otherwise it writes nothing, prints
+the first other difference and exits 1.
 """
 
+import argparse
 import json
+import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -111,6 +119,21 @@ def _first_difference(got: dict, want: dict) -> str:
     return f"top-level fields differ: {_differing_keys(got, want)}"
 
 
+def _unallowed_difference(got: dict, want: dict, allowed: set) -> Optional[str]:
+    """The first difference between two reports outside the allowed
+    (check id, field) pairs of their check records, or None."""
+    gids = [c["id"] for c in got["checks"]]
+    wids = [c["id"] for c in want["checks"]]
+    if gids != wids:
+        return f"check lists differ: {gids} vs {wids}"
+    for g, w in zip(got["checks"], want["checks"]):
+        keys = [k for k in _differing_keys(g, w) if (w["id"], k) not in allowed]
+        if keys:
+            return f"check {w['id']!r} differs in {keys}"
+    keys = [k for k in _differing_keys(got, want) if k != "checks"]
+    return f"top-level fields differ: {keys}" if keys else None
+
+
 def _compare(name: str, report) -> None:
     want = (GOLDEN_DIR / name).read_text()
     got = golden_text(report)
@@ -146,9 +169,47 @@ def test_mutant_report_matches_golden(mutant):
              mutant_report(mutant))
 
 
-if __name__ == "__main__":
-    for name, make in _golden_files().items():
+def test_guard_allows_only_the_listed_fields():
+    want = {"checks": [{"id": "a", "pass": True, "max_residual": 0.0}], "seed": 0}
+    got = {"checks": [{"id": "a", "pass": True, "max_residual": 1e-16}], "seed": 0}
+    assert _unallowed_difference(got, want, {("a", "max_residual")}) is None
+    assert _unallowed_difference(got, want, {("b", "max_residual")}) == (
+        "check 'a' differs in ['max_residual']")
+    got["checks"][0]["pass"] = False
+    assert _unallowed_difference(got, want, {("a", "max_residual")}) == (
+        "check 'a' differs in ['pass']")
+    assert _unallowed_difference({**want, "seed": 1}, want, set()) == (
+        "top-level fields differ: ['seed']")
+
+
+def record(allowed: Optional[set]) -> int:
+    """Write every golden file, or (with allowed pairs) none unless each
+    differs from its recorded report only in allowed fields."""
+    texts = {name: golden_text(make()) for name, make in _golden_files().items()}
+    if allowed is not None:
+        for name, text in texts.items():
+            path = GOLDEN_DIR / name
+            why = ("no recorded file" if not path.exists() else
+                   _unallowed_difference(json.loads(text),
+                                         json.loads(path.read_text()), allowed))
+            if why:
+                print(f"{name}: {why}; nothing recorded")
+                return 1
+    for name, text in texts.items():
         path = GOLDEN_DIR / name
         path.parent.mkdir(exist_ok=True)
-        path.write_text(golden_text(make()))
+        path.write_text(text)
         print(f"recorded {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Record the golden reports.")
+    parser.add_argument("--allow", action="append", metavar="CHECK:FIELD",
+                        help="record only if every difference lies in the field "
+                             "FIELD of the check CHECK (repeatable)")
+    args = parser.parse_args()
+    if any(":" not in pair for pair in args.allow or ()):
+        parser.error("--allow takes CHECK:FIELD")
+    sys.exit(record(None if args.allow is None else
+                    {tuple(pair.rsplit(":", 1)) for pair in args.allow}))

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -104,6 +105,22 @@ def test_frame_sections_must_be_positive():
         recipe(rotation_bundle(), _sections(negative))
 
 
+@pytest.mark.parametrize("flip", [1, -1])
+def test_recipe_roots_an_isolated_chart_at_its_origin_row(flip):
+    # a chart that meets no overlap has one chart row, the origin, rooted
+    # with the principal root of det C times its sheet flip
+    doc = json.loads(builtin_scenario_path("abstract_k1_nonorientable").read_text())
+    doc["nerve"]["charts"].append("2")
+    for family in (doc["delta_samples"], doc["pair_sections"], *doc["sections"].values()):
+        family["2"] = family["0"]
+    sc = load_scenario(doc)
+    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
+    r = recipe(data, sc.sections_first, sheet_flips={"2": flip})
+    row, = sc.nerve.point_index.charts["2"]
+    det = np.linalg.det(sc.sections_first.transport(data).C)[row]
+    assert r.chart_z[row] == flip * principal_sqrt(complex(det))
+
+
 def test_mp_act_stack_identity():
     W, C, z = np.zeros((1, 1, 1)), np.array([[[2.0]]]), [principal_sqrt(2.0)]
     gW, gC, gz = _mp_act_stack(np.eye(2)[None], [1.0], W, C, z)
@@ -118,15 +135,13 @@ def test_chart_sqrt_values_continuity():
     )
     comp = OverlapComponent(pts, tuple((i, i + 1) for i in range(8)))
     nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
-    z = chart_sqrt_values(
-        nerve, "a", lambda pt: cmath.exp(2j * cmath.pi * pt.params[0])
-    )
-    assert abs(z["t0"] - 1.0) < 1e-12
-    assert abs(z["t8"] + 1.0) < 1e-9  # tracked onto the other sheet
-    zf = chart_sqrt_values(
-        nerve, "a", lambda pt: cmath.exp(2j * cmath.pi * pt.params[0]), flip=-1
-    )
-    assert abs(zf["t0"] + 1.0) < 1e-12
+    # chart a's rows are t0, ..., t8
+    values = [cmath.exp(2j * cmath.pi * pt.params[0]) for pt in pts]
+    z = chart_sqrt_values(nerve, "a", values)
+    assert abs(z[0] - 1.0) < 1e-12
+    assert abs(z[8] + 1.0) < 1e-9  # tracked onto the other sheet
+    zf = chart_sqrt_values(nerve, "a", values, flip=-1)
+    assert abs(zf[0] + 1.0) < 1e-12
 
 
 def test_frame_pattern_blocks():

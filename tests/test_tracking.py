@@ -218,12 +218,17 @@ def _oracle_track_component(comp, fn):
 
 
 def _oracle_chart_sqrt_values(nerve, chart, value_fn, flip=1):
-    """The recipe's former chart tracker, verbatim."""
-    index = nerve.point_index
-    vertices, edges = index.graphs[chart]
-    vals = {index.points[r].id: complex(value_fn(index.points[r])) for r in vertices}
+    """The recipe's former chart tracker, verbatim, on the chart's sample
+    graph read off the nerve's overlaps."""
+    vals, edges = {}, set()
+    for pair in sorted(nerve.overlaps):
+        for comp in nerve.overlaps[pair] if chart in pair else ():
+            for pt in comp.points:
+                vals.setdefault(pt.id, complex(value_fn(pt)))
+            edges.update(tuple(sorted((comp.points[i].id, comp.points[j].id)))
+                         for i, j in comp.edges)
     adj = {pid: [] for pid in vals}
-    for a, b in edges:
+    for a, b in sorted(edges):
         adj[a].append(b)
         adj[b].append(a)
     z = {}
@@ -301,9 +306,12 @@ def test_chart_tracking_matches_former_tracker(case, flip):
     # the roots go in sorted point-id order, a random order of the
     # vertices; == compares every root bit for bit up to the sign of zero
     nerve, vals = case
-    value_fn = lambda pt: vals[pt.id]  # noqa: E731
-    got = _outcome(lambda: chart_sqrt_values(nerve, "a", value_fn, flip))
-    want = _outcome(lambda: _oracle_chart_sqrt_values(nerve, "a", value_fn, flip))
+    index = nerve.point_index
+    ids = [index.sites[r][1].id for r in index.charts["a"]]
+    got = _outcome(lambda: dict(zip(ids, chart_sqrt_values(
+        nerve, "a", [vals[pid] for pid in ids], flip))))
+    want = _outcome(lambda: _oracle_chart_sqrt_values(
+        nerve, "a", lambda pt: vals[pt.id], flip))
     assert got == want
 
 
