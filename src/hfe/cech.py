@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from . import ball
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError
@@ -390,20 +391,24 @@ class SignCochain:
 
 
 def _membership_residuals(c: Cocycle) -> list[float]:
-    """Residuals of the group-membership invariant of every row; a
-    pattern that fails raises for the first failing row."""
+    """Residuals of the group-membership invariant of every row: of
+    z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
+    max(1, |det|); a pattern that fails raises for the first failing row."""
     if c.group == "Ml":
         z = c.roots.tolist()
         if not c.n:
             return [abs(x * x - 1.0) / 1.0 for x in z]
         dets = np.linalg.det(c.mats)
         return [abs(x * x - d) / max(1.0, abs(d)) for x, d in zip(z, dets)]
+    if c.group == "Mp":
+        G.check_sp(c.mats)
+        _, a0 = ball.alpha_raw(c.mats, np.zeros((len(c.mats), c.n, c.n)))
+        return [abs(x * x - d) / max(1.0, abs(d))
+                for x, d in zip(c.roots.tolist(), np.linalg.det(a0))]
     if c.group == "Glkd":
         G.classify_pairs(c.mats[:, 0], c.mats[:, 1], c.k)
         if np.any(np.abs(np.linalg.det(c.mats)) <= get_tolerances().singular):
             raise SingularityError("pair cocycle member is singular")
-    if c.group == "Mp":
-        G.check_sp(c.mats)
     return [0.0] * len(c.mats)
 
 

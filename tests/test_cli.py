@@ -585,3 +585,23 @@ def test_exit_2_on_a_chart_role_without_a_chart(name, edit, message, tmp_path,
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def _loose_mp_anchor(doc):
+    # zeta**2 is off det alpha(g, 0) = 1 by 2e-8: inside the load-time
+    # check at the default tolerances, outside the membership bound at
+    # rel=1e-13
+    anchor = doc["mp_cocycle"]["transitions"][0]["generator"]
+    assert anchor["name"] == "mp_const"
+    anchor["params"]["zeta"] = 1 + 1e-8
+
+
+def test_mp_anchors_are_checked_at_the_run_tolerances(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "circle_mobius", _loose_mp_anchor)
+    code, out, _ = run(capsys, "verify", path, "--tolerance", "rel=1e-13",
+                       "--report", "json")
+    assert code == 1
+    mp = {c["id"]: c for c in json.loads(out)["checks"]}["cocycle.mp"]
+    assert mp["pass"] is False
+    assert mp["max_residual"] > 1e-8
+    assert [f[:3] for f in mp["failures"]] == [["membership", ["0", "1"], 0]]
