@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
 
 
 def _require_normalized(data: PolarizationPairData) -> None:
-    """Every delta sample at an overlap point is 1."""
+    """Raise ValidationError unless the delta sample at every overlap
+    point is 1."""
     bound = check_bound(get_tolerances())
     delta = data.delta_samples[data.nerve.point_index.ends].ravel().tolist()
     if any(abs(d - 1.0) > bound for d in delta):
@@ -204,10 +205,10 @@ class Translations:
     M2: np.ndarray
     z1: list[complex]
     z2: list[complex]
-    detA: list
+    detA: np.ndarray | list[float]
 
 
-def draw_translations(rng: np.random.Generator, n: int, k: int, rows,
+def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Iterable[int],
                       diagonal: bool = False) -> Translations:
     """One seeded random metalinear pair per chart row of the iterable
     rows, or (diagonal) the first member of one taken twice.  rows is read

@@ -291,8 +291,8 @@ def _generated_nerves(draw):
         for _ in range(draw(st.integers(1, 2))):
             ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
                                 unique=True))
-            comps.append(OverlapComponent(tuple(_pt(p) for p in ids),
-                                          tuple((i, i + 1) for i in range(len(ids) - 1))))
+            path = tuple((i, i + 1) for i in range(len(ids) - 1))
+            comps.append(OverlapComponent(tuple(_pt(p) for p in ids), path))
         overlaps[pair] = tuple(comps)
     if draw(st.booleans()):
         names.append("isolated")

@@ -111,7 +111,8 @@ def test_recipe_roots_an_isolated_chart_at_its_origin_row(flip):
     # with the principal root of det C times its sheet flip
     doc = json.loads(builtin_scenario_path("abstract_k1_nonorientable").read_text())
     doc["nerve"]["charts"].append("2")
-    for family in (doc["delta_samples"], doc["pair_sections"], *doc["sections"].values()):
+    for family in (doc["delta_samples"], doc["pair_sections"],
+                   *doc["sections"].values()):
         family["2"] = family["0"]
     sc = load_scenario(doc)
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
