@@ -16,10 +16,21 @@ import math
 import os
 import sys
 
-from .errors import EngineError, ValidationError
-from .pipelines import run_scenario
-from .report import emit_report
-from .scenario import SCENARIO_SCHEMA, builtin_scenario_names, builtin_scenario_path
+# The engine's largest matrix is 2n x 2n for small n, so BLAS threads do
+# none of its work, yet their pool costs CPU time when numpy loads.  One
+# thread per BLAS, set before any engine module imports numpy; a value
+# set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .errors import EngineError, ValidationError  # noqa: E402
+from .pipelines import run_scenario  # noqa: E402
+from .report import emit_report  # noqa: E402
+from .scenario import (  # noqa: E402
+    SCENARIO_SCHEMA,
+    builtin_scenario_names,
+    builtin_scenario_path,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1

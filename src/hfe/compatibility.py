@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .errors import (
     TheoremFalsification,
     ValidationError,
 )
-from .groups import as_stack, classify_pairs
-from .sampling import random_mlkd
+from .groups import classify_pairs
+from .sampling import random_mlkd_stack
 
 # seeded random draws per chart in the translation-law and positivity checks
 _DRAWS_PER_CHART = 20
@@ -57,7 +57,8 @@ class PolarizationPairData:
 
 def validate_pair_data(data: PolarizationPairData) -> dict:
     """Check shared-A membership, nonzero delta samples, and the
-    transformation consistency of the delta samples across overlaps."""
+    transformation consistency of the delta samples across overlaps;
+    with k == n, that every delta sample is 1."""
     tols = get_tolerances()
     failures = []
     max_res = 0.0
@@ -81,6 +82,13 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
             max_res = max(max_res, res)
             if res > check_bound(tols):
                 failures.append(("delta-consistency", pair, ci, pt.id, res))
+    if data.k == data.n:
+        # delta is an empty determinant: every sample must be 1
+        for (chart, pt), d in zip(index.sites, delta):
+            res = abs(d - 1.0)
+            max_res = max(max_res, res)
+            if res > check_bound(tols):
+                failures.append(("delta-consistency", chart, pt.id, res))
     base = cech.validate_cocycle(data.nerve, data.pair_cocycle)
     if not base["ok"]:
         failures.extend(base["failures"])
@@ -208,32 +216,24 @@ class Translations:
     detA: np.ndarray | list[float]
 
 
-def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Iterable[int],
+def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Sequence[int],
                       diagonal: bool = False) -> Translations:
-    """One seeded random metalinear pair per chart row of the iterable
-    rows, or (diagonal) the first member of one taken twice.  rows is read
-    one row per draw, just before it, so a generator that draws its rows
-    from rng interleaves those draws with the pairs'."""
-    picked, first, second = [], [], []
-    for r in rows:
-        m1, m2 = random_mlkd(rng, n, k)
-        picked.append(r)
-        first.append(m1)
-        second.append(m1 if diagonal else m2)
-    M1 = as_stack([m.A for m in first], n)
-    M2 = as_stack([m.A for m in second], n)
-    z1, z2 = [m.z for m in first], [m.z for m in second]
+    """One seeded random metalinear pair per chart row of rows, or
+    (diagonal) one element taken twice, drawn as one stack by
+    random_mlkd_stack and checked as Mlkd pairs."""
+    M1, z1, M2, z2 = random_mlkd_stack(rng, len(rows), n, k, diagonal)
+    z1, z2 = z1.tolist(), z2.tolist()
     blocks = classify_pairs(M1, M2, k, z1, z2)
-    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(picked)
-    return Translations(picked, M1, M2, z1, z2, detA)
+    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(rows)
+    return Translations(list(rows), M1, M2, z1, z2, detA)
 
 
-def _chart_draws(index: PointIndex, rng: np.random.Generator):
-    """_DRAWS_PER_CHART seeded chart rows per chart, each drawn from the
-    chart's draw population (see PointIndex), one at a time."""
-    for population in index.draws.values():
-        for _ in range(_DRAWS_PER_CHART):
-            yield population[int(rng.integers(len(population)))]
+def _chart_draws(index: PointIndex, rng: np.random.Generator) -> list[int]:
+    """_DRAWS_PER_CHART seeded chart rows per chart, drawn from the
+    chart's draw population (see PointIndex) by one integers call per
+    chart."""
+    return [population[i] for population in index.draws.values()
+            for i in rng.integers(len(population), size=_DRAWS_PER_CHART).tolist()]
 
 
 def _check_translation_law(

@@ -2,6 +2,9 @@
 
 Used by property checks inside the engine and by the test suite; all
 functions take an explicit numpy Generator so runs are reproducible.
+The engine's seeded draws are stacks: random_mlkd_stack draws every
+pair of a draw site from one call per block stack, in the stream order
+its docstring states.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ import numpy as np
 
 from . import ball
 from .frames import BallPoint, LagFrame, validate_lagrangian
-from .groups import MlElement, SpElement, ml_elements
-from .tracking import principal_sqrt
+from .groups import SpElement, check_ml
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -49,16 +51,51 @@ def random_glkd(rng: np.random.Generator, n: int, k: int
     return out[0], out[1]
 
 
-def random_mlkd(rng: np.random.Generator, n: int, k: int
-                ) -> tuple[MlElement, MlElement]:
-    g = np.array(random_glkd(rng, n, k))
-    dets = np.linalg.det(g) if n else [1.0, 1.0]
-    z = []
-    for d in dets:
-        root = principal_sqrt(d)
-        z.append(-root if rng.integers(2) else root)
-    m1, m2 = ml_elements(g, z)
-    return m1, m2
+def _invertible_stack(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m square matrices draw(m) with |det| > 1e-3, redrawing only the
+    rejected rows (draw(r) for r of them) until none is rejected; returns
+    the stack and its determinants."""
+    X = draw(m)
+    dets = np.linalg.det(X)
+    bad = np.flatnonzero(np.abs(dets) <= 1e-3)
+    while bad.size:
+        X[bad] = draw(bad.size)
+        dets[bad] = np.linalg.det(X[bad])
+        bad = bad[np.abs(dets[bad]) <= 1e-3]
+    return X, dets
+
+
+def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
+                      diagonal: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """m random Mlkd pairs ((M1[p], z1[p]), (M2[p], z2[p])) as stacks
+    M1, M2 (m, n, n) and roots z1, z2 (m,), or (diagonal) m pairs of one
+    element taken twice, M2 = M1 and z2 = z1.
+
+    Both members of pair p are upper block-triangular with the shared
+    real k x k block A[p]; z**2 = det A det D with a random sign.  The
+    draws, in stream order, with members 1 (diagonal) or 2: the real A
+    stack (m, k, k), then its redraws; the complex B stack (members, m,
+    k, n - k); the complex D stack (members * m, n - k, n - k), then its
+    redraws; the signs integers(2, size=(members, m)).  A complex stack
+    is drawn by random_complex (its real, then its imaginary parts).  A
+    and D are redrawn, rejected rows only, while |det| <= 1e-3.
+    Every element is checked as metalinear (check_ml) at the run's
+    tolerances.
+    """
+    members = 1 if diagonal else 2
+    r = n - k
+    A, dA = _invertible_stack(lambda c: rng.standard_normal((c, k, k)), m)
+    B = random_complex(rng, (members, m, k, r))
+    D, dD = _invertible_stack(lambda c: random_complex(rng, (c, r, r)), members * m)
+    M = np.zeros((members, m, n, n), dtype=complex)
+    M[:, :, :k, :k] = A
+    M[:, :, :k, k:] = B
+    M[:, :, k:, k:] = D.reshape(members, m, r, r)
+    roots = np.sqrt((dA * dD.reshape(members, m)).astype(complex))
+    z = np.where(rng.integers(2, size=(members, m)) == 1, -roots, roots)
+    check_ml(M.reshape(members * m, n, n), z.ravel().tolist())
+    return M[0], z[0], M[-1], z[-1]
 
 
 def random_sp(rng: np.random.Generator, n: int, factors: int = 3) -> SpElement:

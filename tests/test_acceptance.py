@@ -27,7 +27,7 @@ from hfe.sampling import (
     random_gl,
     random_gl_real,
     random_glkd,
-    random_mlkd,
+    random_mlkd_stack,
     random_positive_frame,
     random_sp,
 )
@@ -369,7 +369,8 @@ def test_criterion_11_density_invariance():
             preq, nu1, nu2, LagFramePair(frames[0], frames[1], k), lifts,
             "half-form", delta_tilde_value=dt,
         )
-        m1, m2 = random_mlkd(rng, n, k)
+        M1, z1, M2, z2 = random_mlkd_stack(rng, 1, n, k)
+        m1, m2 = ml_elements(np.concatenate([M1, M2]), [z1[0], z2[0]])
         C, z = ml_mul(np.array([X.C.A for X in metas]), [X.C.z for X in metas],
                       np.array([m1.A, m2.A]), [m1.z, m2.z])
         moved = tuple(MetaLagFrame(X.W, MlElement(c, zc))

@@ -121,6 +121,42 @@ def test_jsonschema_is_imported_only_for_a_rejected_document(tmp_path):
                            "'x' is not of type 'array'\n")
 
 
+_THREADS_PROBE = """
+import json
+import os
+import sys
+
+set_at = {}
+setdefault = os.environ.setdefault
+
+
+def probe(key, value):
+    set_at[key] = "numpy" in sys.modules
+    return setdefault(key, value)
+
+
+os.environ.setdefault = probe
+import hfe.cli
+print(json.dumps({"numpy_loaded_when_set": set_at,
+                  "value": os.environ["OPENBLAS_NUM_THREADS"]}))
+"""
+
+
+@pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")])
+def test_cli_import_sets_one_blas_thread_unless_set(preset, value):
+    env = {k: v for k, v in _subprocess_env().items() if not k.endswith("_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["value"] == value
+    assert out["numpy_loaded_when_set"] == {
+        "OPENBLAS_NUM_THREADS": False, "OMP_NUM_THREADS": False,
+        "MKL_NUM_THREADS": False}
+
+
 def test_exit_2_on_bad_tolerance_key(capsys):
     code, _, err = run(capsys, "verify", "trivial_r2",
                        "--tolerance", "bogus=1e-9")
@@ -605,3 +641,19 @@ def test_mp_anchors_are_checked_at_the_run_tolerances(tmp_path, capsys):
     assert mp["pass"] is False
     assert mp["max_residual"] > 1e-8
     assert [f[:3] for f in mp["failures"]] == [["membership", ["0", "1"], 0]]
+
+
+def _k_equals_n(doc):
+    # with k == n delta is an empty determinant, so its sample 2 is wrong
+    assert doc["n"] == 1
+    assert doc["delta_samples"]["0"]["params"]["value"] == [2.0, 0.0]
+    doc["k"] = 1
+
+
+def test_pair_data_requires_delta_one_when_k_equals_n(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "trivial_r2", _k_equals_n)
+    code, out, _ = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    check = {c["id"]: c for c in json.loads(out)["checks"]}["pair_data.consistency"]
+    assert check["pass"] is False
+    assert check["failures"] == [["delta-consistency", "0", "origin", 1.0]]

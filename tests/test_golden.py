@@ -25,7 +25,9 @@ or more ``--allow CHECK:FIELD`` (for example
 ``--allow cocycle.mp:max_residual``) the recorder writes the files only
 if every difference from the recorded ones lies in an allowed field of
 a check record with an allowed id; otherwise it writes nothing, prints
-the first other difference and exits 1.
+the first other difference and exits 1.  FIELD may be ``details.KEY``
+(for example ``--allow delta_D.glue:details.translation_law``): one key
+of the record's details may then move while the rest stays pinned.
 """
 
 import argparse
@@ -121,13 +123,21 @@ def _first_difference(got: dict, want: dict) -> str:
 
 def _unallowed_difference(got: dict, want: dict, allowed: set) -> Optional[str]:
     """The first difference between two reports outside the allowed
-    (check id, field) pairs of their check records, or None."""
+    (check id, field) pairs of their check records, or None.  A field
+    details.KEY allows one key of a check's details; details allows
+    them all."""
     gids = [c["id"] for c in got["checks"]]
     wids = [c["id"] for c in want["checks"]]
     if gids != wids:
         return f"check lists differ: {gids} vs {wids}"
     for g, w in zip(got["checks"], want["checks"]):
-        keys = [k for k in _differing_keys(g, w) if (w["id"], k) not in allowed]
+        keys = _differing_keys(g, w)
+        if "details" in keys and isinstance(g.get("details"), dict) \
+                and isinstance(w.get("details"), dict):
+            keys.remove("details")
+            keys += [f"details.{k}" for k in _differing_keys(g["details"], w["details"])]
+        keys = [k for k in keys if (w["id"], k) not in allowed
+                and not (k.startswith("details.") and (w["id"], "details") in allowed)]
         if keys:
             return f"check {w['id']!r} differs in {keys}"
     keys = [k for k in _differing_keys(got, want) if k != "checks"]
@@ -182,6 +192,26 @@ def test_guard_allows_only_the_listed_fields():
         "top-level fields differ: ['seed']")
 
 
+def test_guard_allows_single_detail_keys():
+    want = {"checks": [{"id": "a", "details": {"law": 0.0, "eps": 1}}]}
+    got = {"checks": [{"id": "a", "details": {"law": 1e-16, "eps": 1}}]}
+    assert _unallowed_difference(got, want, {("a", "details.law")}) is None
+    assert _unallowed_difference(got, want, {("a", "details")}) is None
+    assert _unallowed_difference(got, want, {("a", "details.eps")}) == (
+        "check 'a' differs in ['details.law']")
+    assert _unallowed_difference(got, want, {("b", "details.law")}) == (
+        "check 'a' differs in ['details.law']")
+    got["checks"][0]["details"]["eps"] = 0
+    assert _unallowed_difference(got, want, {("a", "details.law")}) == (
+        "check 'a' differs in ['details.eps']")
+    del got["checks"][0]["details"]["eps"]
+    assert _unallowed_difference(got, want, {("a", "details.law")}) == (
+        "check 'a' differs in ['details.eps']")
+    got["checks"][0]["details"] = None
+    assert _unallowed_difference(got, want, {("a", "details.law")}) == (
+        "check 'a' differs in ['details']")
+
+
 def record(allowed: Optional[set]) -> int:
     """Write every golden file, or (with allowed pairs) none unless each
     differs from its recorded report only in allowed fields."""
@@ -207,7 +237,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Record the golden reports.")
     parser.add_argument("--allow", action="append", metavar="CHECK:FIELD",
                         help="record only if every difference lies in the field "
-                             "FIELD of the check CHECK (repeatable)")
+                             "FIELD (or details.KEY) of the check CHECK (repeatable)")
     args = parser.parse_args()
     if any(":" not in pair for pair in args.allow or ()):
         parser.error("--allow takes CHECK:FIELD")

@@ -13,7 +13,7 @@ from hfe.groups import (
     sp_validate,
     subgroup_classify,
 )
-from hfe.sampling import random_gl, random_mlkd, random_sp
+from hfe.sampling import random_gl, random_mlkd_stack, random_sp
 from hfe.tracking import principal_sqrt
 
 
@@ -116,10 +116,11 @@ def test_subgroup_classify_complex_a_block_rejected():
 
 
 def test_subgroup_classify_pair_shared_a(rng):
-    m1, m2 = random_mlkd(rng, 3, 2)
+    M1, z1, M2, z2 = random_mlkd_stack(rng, 2, 3, 2)
+    m1, m2, other = ml_elements(np.stack([M1[0], M2[0], M1[1]]),
+                                [z1[0], z2[0], z1[1]])
     tag = subgroup_classify((m1, m2), 2)
     assert tag.kind == "Mlkd"
-    other = random_mlkd(rng, 3, 2)[0]
     with pytest.raises(SubgroupRejection):
         subgroup_classify((m1, other), 2)
 

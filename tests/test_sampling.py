@@ -1,0 +1,73 @@
+"""The stacked sampler of seeded metalinear pairs."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hfe.groups import classify_pairs
+from hfe.sampling import random_mlkd_stack
+
+
+@st.composite
+def _draws(draw):
+    n = draw(st.integers(0, 4))
+    return (draw(st.integers(0, 30)), n, draw(st.integers(0, n)),
+            draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_draws())
+def test_stack_holds_m_seeded_mlkd_pairs(params):
+    m, n, k, diagonal, seed = params
+    got = random_mlkd_stack(np.random.default_rng(seed), m, n, k, diagonal)
+    M1, z1, M2, z2 = got
+    assert M1.shape == M2.shape == (m, n, n)
+    assert z1.shape == z2.shape == (m,)
+    blocks = classify_pairs(M1, M2, k, z1.tolist(), z2.tolist())
+    assert np.all(np.abs(np.linalg.det(blocks["A"])) > 1e-3)
+    assert np.all(np.abs(np.linalg.det(blocks["D1"])) > 1e-3)
+    assert np.all(np.abs(np.linalg.det(blocks["D2"])) > 1e-3)
+    for M, z in ((M1, z1), (M2, z2)):
+        np.testing.assert_allclose(z * z, np.linalg.det(M), rtol=1e-9, atol=0)
+    if diagonal:
+        assert np.array_equal(M1, M2) and np.array_equal(z1, z2)
+    again = random_mlkd_stack(np.random.default_rng(seed), m, n, k, diagonal)
+    assert all(np.array_equal(a, b) for a, b in zip(again, got))
+
+
+class _SingularRows:
+    """A Generator whose standard_normal calls numbered in `calls` return
+    their draw with the first matrix of the stack set to zero; records the
+    shape of every standard_normal call."""
+
+    def __init__(self, calls):
+        self.rng = np.random.default_rng(3)
+        self.calls = calls
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        self.shapes.append(shape)
+        if len(self.shapes) in self.calls:
+            out[..., 0, :, :] = 0.0
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+# m = 4 pairs, n = 2, k = 1: the draws of A, of B and of D (real, then
+# imaginary parts), and the redraw of the one singular row of A or of D
+@pytest.mark.parametrize("calls,shapes", [
+    ({1}, [(4, 1, 1), (1, 1, 1), (2, 4, 1, 1), (2, 4, 1, 1), (8, 1, 1), (8, 1, 1)]),
+    ({4, 5}, [(4, 1, 1), (2, 4, 1, 1), (2, 4, 1, 1), (8, 1, 1), (8, 1, 1),
+              (1, 1, 1), (1, 1, 1)]),
+], ids=["A", "D"])
+def test_singular_rows_alone_are_redrawn(calls, shapes):
+    rng = _SingularRows(calls)
+    M1, z1, M2, z2 = random_mlkd_stack(rng, 4, 2, 1)
+    assert rng.shapes == shapes
+    blocks = classify_pairs(M1, M2, 1, z1.tolist(), z2.tolist())
+    assert np.all(np.abs(blocks["A"][:, 0, 0]) > 1e-3)
+    assert np.all(np.abs(blocks["D1"][:, 0, 0]) > 1e-3)
