@@ -3,8 +3,8 @@
 Used by property checks inside the engine and by the test suite; all
 functions take an explicit numpy Generator so runs are reproducible.
 The engine's seeded draws are stacks: random_mlkd_stack draws every
-pair of a draw site from one call per block stack, in the stream order
-its docstring states.
+pair of a draw site as block stacks, in the stream order its docstring
+states.
 """
 
 from __future__ import annotations
@@ -20,19 +20,27 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _invertible_stack(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m square matrices draw(m) with |det| > 1e-3, redrawing only the
+    rejected rows (draw(r) for r of them) until none is rejected; returns
+    the stack and its determinants."""
+    X = draw(m)
+    dets = np.linalg.det(X)
+    bad = np.flatnonzero(np.abs(dets) <= 1e-3)
+    while bad.size:
+        X[bad] = draw(bad.size)
+        dets[bad] = np.linalg.det(X[bad])
+        bad = bad[np.abs(dets[bad]) <= 1e-3]
+    return X, dets
+
+
 def random_gl(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random invertible complex matrix (redraw while near-singular)."""
-    while True:
-        A = random_complex(rng, (n, n))
-        if n == 0 or abs(np.linalg.det(A)) > 1e-3:
-            return A
+    return _invertible_stack(lambda c: random_complex(rng, (c, n, n)), 1)[0][0]
 
 
 def random_gl_real(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        A = rng.standard_normal((n, n))
-        if n == 0 or abs(np.linalg.det(A)) > 1e-3:
-            return A
+    return _invertible_stack(lambda c: rng.standard_normal((c, n, n)), 1)[0][0]
 
 
 def random_glkd(rng: np.random.Generator, n: int, k: int
@@ -49,20 +57,6 @@ def random_glkd(rng: np.random.Generator, n: int, k: int
         g[k:, k:] = D
         out.append(g)
     return out[0], out[1]
-
-
-def _invertible_stack(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m square matrices draw(m) with |det| > 1e-3, redrawing only the
-    rejected rows (draw(r) for r of them) until none is rejected; returns
-    the stack and its determinants."""
-    X = draw(m)
-    dets = np.linalg.det(X)
-    bad = np.flatnonzero(np.abs(dets) <= 1e-3)
-    while bad.size:
-        X[bad] = draw(bad.size)
-        dets[bad] = np.linalg.det(X[bad])
-        bad = bad[np.abs(dets[bad]) <= 1e-3]
-    return X, dets
 
 
 def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
