@@ -10,7 +10,6 @@ of square roots become breadth-first tracking over component graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Optional
 
@@ -26,35 +25,34 @@ PairKey = tuple[str, str]
 TripleKey = tuple[str, str, str]
 
 
-@dataclass(frozen=True)
 class SamplePoint:
-    id: str
-    params: tuple[float, ...] = ()
+    def __init__(self, id: str, params: tuple[float, ...] = ()):
+        self.id = id
+        self.params = params
 
 
 ORIGIN = SamplePoint("origin", ())
 
 
-@dataclass(frozen=True)
 class OverlapComponent:
     """A connected, sampled component of a pairwise overlap."""
 
-    points: tuple[SamplePoint, ...]
-    edges: tuple[tuple[int, int], ...] = ()
-    contractible: bool = True
-
-    def __post_init__(self):
-        npts = len(self.points)
+    def __init__(self, points: tuple[SamplePoint, ...],
+                 edges: tuple[tuple[int, int], ...] = (), contractible: bool = True):
+        self.points = points
+        self.edges = edges
+        self.contractible = contractible
+        npts = len(points)
         if npts == 0:
             raise ValidationError("overlap component needs at least one point")
-        for i, j in self.edges:
+        for i, j in edges:
             if not (0 <= i < npts and 0 <= j < npts):
                 raise ValidationError("edge references a missing point")
         # connectivity
         seen = {0}
         frontier = [0]
         adj = {i: [] for i in range(npts)}
-        for i, j in self.edges:
+        for i, j in edges:
             adj[i].append(j)
             adj[j].append(i)
         while frontier:
@@ -67,7 +65,6 @@ class OverlapComponent:
             raise ValidationError("overlap component graph is disconnected")
 
 
-@dataclass(frozen=True)
 class TriplePoint:
     """A sample point of a triple intersection.
 
@@ -75,11 +72,11 @@ class TriplePoint:
     chart pairs) to (component index, point index within the component).
     """
 
-    id: str
-    memberships: dict[PairKey, tuple[int, int]] = field(default_factory=dict)
+    def __init__(self, id: str, memberships: dict[PairKey, tuple[int, int]]):
+        self.id = id
+        self.memberships = memberships
 
 
-@dataclass(frozen=True)
 class PointIndex:
     """The rows of a nerve's sample points, built once per nerve.
 
@@ -104,33 +101,38 @@ class PointIndex:
                 in its chart rows, sorted by their point ids
     """
 
-    points: tuple[SamplePoint, ...]
-    components: dict[tuple[PairKey, int], range]
-    sites: tuple[tuple[str, SamplePoint], ...]
-    charts: dict[str, range]
-    ends: np.ndarray
-    draws: dict[str, list[int]]
-    edges: dict[str, list[tuple[int, int]]]
+    def __init__(self, points: tuple[SamplePoint, ...],
+                 components: dict[tuple[PairKey, int], range],
+                 sites: tuple[tuple[str, SamplePoint], ...], charts: dict[str, range],
+                 ends: np.ndarray, draws: dict[str, list[int]],
+                 edges: dict[str, list[tuple[int, int]]]):
+        self.points = points
+        self.components = components
+        self.sites = sites
+        self.charts = charts
+        self.ends = ends
+        self.draws = draws
+        self.edges = edges
 
 
-@dataclass(frozen=True)
 class Nerve:
-    charts: tuple[str, ...]
-    overlaps: dict[PairKey, tuple[OverlapComponent, ...]] = field(default_factory=dict)
-    triples: dict[TripleKey, tuple[TriplePoint, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        chartset = set(self.charts)
-        if len(chartset) != len(self.charts):
+    def __init__(self, charts: tuple[str, ...],
+                 overlaps: Optional[dict[PairKey, tuple[OverlapComponent, ...]]] = None,
+                 triples: Optional[dict[TripleKey, tuple[TriplePoint, ...]]] = None):
+        self.charts = charts
+        self.overlaps = overlaps = overlaps or {}
+        self.triples = triples = triples or {}
+        chartset = set(charts)
+        if len(chartset) != len(charts):
             raise ValidationError("duplicate chart ids")
-        for (a, b), comps in self.overlaps.items():
+        for (a, b), comps in overlaps.items():
             if a == b:
                 raise ValidationError("self-overlap (a, a) not allowed")
             if a > b:
                 raise ValidationError("overlap keys must be sorted pairs")
             if a not in chartset or b not in chartset:
                 raise ValidationError(f"overlap ({a},{b}) references unknown chart")
-        for key, pts in self.triples.items():
+        for key, pts in triples.items():
             a, b, c = key
             if not (a < b < c) or {a, b, c} - chartset:
                 raise ValidationError(f"bad triple key {key}")
@@ -141,7 +143,7 @@ class Nerve:
                             f"triple point {tp.id} missing membership for {pair}"
                         )
                     ci, pi = tp.memberships[pair]
-                    comps = self.overlaps.get(pair, ())
+                    comps = overlaps.get(pair, ())
                     if ci >= len(comps) or pi >= len(comps[ci].points):
                         raise ValidationError(
                             f"triple point {tp.id}: bad membership for {pair}"
@@ -308,7 +310,6 @@ def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
                                   f"{sites[r][1].id} is not {kind}")
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """Group-valued transition data over a nerve.
 
@@ -323,14 +324,14 @@ class Cocycle:
               zeta**2 = det alpha(g, 0)
     """
 
-    group: str
-    n: int
-    k: int
-    mats: np.ndarray
-    roots: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        _layout(self.group, self.n)  # rejects an unknown group
+    def __init__(self, group: str, n: int, k: int, mats: np.ndarray,
+                 roots: Optional[np.ndarray] = None):
+        _layout(group, n)  # rejects an unknown group
+        self.group = group
+        self.n = n
+        self.k = k
+        self.mats = mats
+        self.roots = roots
 
     @classmethod
     def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
@@ -374,20 +375,18 @@ class Cocycle:
         return cls("Ml", n, k, A, np.array(z, dtype=complex))
 
 
-@dataclass(frozen=True)
 class SignCochain:
     """A +/-1 valued cochain on overlap components (deg 1) or triple
     points (deg 2)."""
 
-    degree: int
-    values: dict
-
-    def __post_init__(self):
-        if self.degree not in (1, 2):
+    def __init__(self, degree: int, values: dict):
+        if degree not in (1, 2):
             raise ValidationError("degree must be 1 or 2")
-        for v in self.values.values():
+        for v in values.values():
             if v not in (1, -1):
                 raise ValidationError("sign cochain values must be +/-1")
+        self.degree = degree
+        self.values = values
 
 
 def _membership_residuals(c: Cocycle) -> list[float]:
@@ -528,7 +527,6 @@ def _top_down_basis(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R[:len(pivots), ::-1], [R.shape[1] - 1 - p for p in pivots]
 
 
-@dataclass(frozen=True)
 class LiftClasses:
     """Counts of sign patterns on overlap components (entry j flips
     component j): valid ones keep the cocycle identity (ker delta1),
@@ -537,12 +535,15 @@ class LiftClasses:
     smallest valid non-coboundary, or None; "smallest" reads a pattern as
     an integer with component 0 the least significant bit."""
 
-    valid: int
-    coboundaries: int
-    gluing: int
-    classes: int
-    witness_equiv: Optional[np.ndarray]
-    witness_inequiv: Optional[np.ndarray]
+    def __init__(self, valid: int, coboundaries: int, gluing: int, classes: int,
+                 witness_equiv: Optional[np.ndarray],
+                 witness_inequiv: Optional[np.ndarray]):
+        self.valid = valid
+        self.coboundaries = coboundaries
+        self.gluing = gluing
+        self.classes = classes
+        self.witness_equiv = witness_equiv
+        self.witness_inequiv = witness_inequiv
 
 
 def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:

@@ -11,6 +11,7 @@ closed before the report was written.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -23,6 +24,14 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+# The objects the engine's imports make (modules, functions, numpy's
+# tables) live as long as the process.  The collector pauses while they
+# are made, and gc.freeze() then moves them to the permanent generation,
+# which no later collection walks, the final one at exit included.  The
+# collector's enabled state is then restored.
+_gc_enabled = gc.isenabled()
+gc.disable()
+
 from .errors import EngineError, ValidationError  # noqa: E402
 from .pipelines import run_scenario  # noqa: E402
 from .report import emit_report  # noqa: E402
@@ -31,6 +40,10 @@ from .scenario import (  # noqa: E402
     builtin_scenario_names,
     builtin_scenario_path,
 )
+
+gc.freeze()
+if _gc_enabled:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1

@@ -13,7 +13,6 @@ conditions, tests uniqueness, and establishes self-compatibility.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,25 +33,24 @@ from .sampling import random_mlkd_stack
 _DRAWS_PER_CHART = 20
 
 
-@dataclass(frozen=True)
 class PolarizationPairData:
     """Čech data of a compatible pair of polarizations: the Glkd pair
     cocycle and the (R,) complex stack of the pairing determinant delta at
     every chart row of the nerve's point index."""
 
-    nerve: Nerve
-    pair_cocycle: Cocycle
-    delta_samples: np.ndarray
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.pair_cocycle.group != "Glkd":
+    def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples: np.ndarray,
+                 n: int, k: int):
+        if pair_cocycle.group != "Glkd":
             raise ValidationError("pair cocycle must be Glkd-valued")
-        rows = len(self.nerve.point_index.sites)
-        if np.shape(self.delta_samples) != (rows,):
+        rows = len(nerve.point_index.sites)
+        if np.shape(delta_samples) != (rows,):
             raise ValidationError(f"expected delta samples at {rows} chart rows, "
-                                  f"got shape {np.shape(self.delta_samples)}")
+                                  f"got shape {np.shape(delta_samples)}")
+        self.nerve = nerve
+        self.pair_cocycle = pair_cocycle
+        self.delta_samples = delta_samples
+        self.n = n
+        self.k = k
 
 
 def validate_pair_data(data: PolarizationPairData) -> dict:
@@ -184,7 +182,6 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     return out
 
 
-@dataclass
 class DeltaTildeData:
     """The global square-root datum.
 
@@ -195,25 +192,28 @@ class DeltaTildeData:
     of every overlap row.
     """
 
-    base: np.ndarray
-    k: int
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    checks: dict = field(default_factory=dict)
-    epsilon: Optional[int] = None
+    def __init__(self, base: np.ndarray, k: int, residuals: Optional[np.ndarray] = None,
+                 epsilon: Optional[int] = None):
+        self.base = base
+        self.k = k
+        self.residuals = np.zeros(0) if residuals is None else residuals
+        self.checks: dict = {}
+        self.epsilon = epsilon
 
 
-@dataclass(frozen=True)
 class Translations:
     """Seeded metalinear pairs ((M1[p], z1[p]), (M2[p], z2[p])) checked as
     Mlkd pairs: the stacks M1, M2 (m, n, n), their roots, det A of their
     shared blocks, and the chart row each pair translates."""
 
-    rows: list[int]
-    M1: np.ndarray
-    M2: np.ndarray
-    z1: list[complex]
-    z2: list[complex]
-    detA: np.ndarray | list[float]
+    def __init__(self, rows: list[int], M1: np.ndarray, M2: np.ndarray,
+                 z1: list[complex], z2: list[complex], detA: np.ndarray | list[float]):
+        self.rows = rows
+        self.M1 = M1
+        self.M2 = M2
+        self.z1 = z1
+        self.z2 = z2
+        self.detA = detA
 
 
 def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Sequence[int],

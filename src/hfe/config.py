@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, replace
 
 
-@dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle used throughout the engine.
+    """Tolerance bundle used throughout the engine; equal bundles
+    compare equal.
 
     rel       relative error for algebraic identities
     abs       absolute error for exact-zero / reality pattern checks
@@ -24,13 +23,31 @@ class Tolerances:
     track     margin for square-root path tracking near a vanishing value
     """
 
-    rel: float = 1e-9
-    abs: float = 1e-10
-    singular: float = 1e-12
-    track: float = 1e-6
+    def __init__(self, rel: float = 1e-9, abs: float = 1e-10,
+                 singular: float = 1e-12, track: float = 1e-6):
+        self.rel = rel
+        self.abs = abs
+        self.singular = singular
+        self.track = track
+
+    def as_dict(self) -> dict[str, float]:
+        """The tolerances by name, in the order rel, abs, singular, track."""
+        return {"rel": self.rel, "abs": self.abs, "singular": self.singular,
+                "track": self.track}
 
     def with_overrides(self, **kwargs: float) -> "Tolerances":
-        return replace(self, **kwargs)
+        return Tolerances(**{**self.as_dict(), **kwargs})
+
+    def __eq__(self, other):
+        if other.__class__ is not Tolerances:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().values()))
+
+    def __repr__(self):
+        return "Tolerances(" + ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items()) + ")"
 
 
 _current: contextvars.ContextVar[Tolerances] = contextvars.ContextVar(

@@ -13,7 +13,6 @@ phi and the Ball action live in hfe.ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,16 +41,18 @@ def standard_omega(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-@dataclass(frozen=True)
 class LagFrame:
     """A validated Lagrangian frame with its diagnostics."""
 
-    U: np.ndarray
-    V: np.ndarray
-    isotropy_residual: float = 0.0
-    independence: complex = 1.0
-    min_eigenvalue: float = 0.0
-    positive: bool = True
+    def __init__(self, U: np.ndarray, V: np.ndarray, isotropy_residual: float = 0.0,
+                 independence: complex = 1.0, min_eigenvalue: float = 0.0,
+                 positive: bool = True):
+        self.U = U
+        self.V = V
+        self.isotropy_residual = isotropy_residual
+        self.independence = independence
+        self.min_eigenvalue = min_eigenvalue
+        self.positive = positive
 
     @property
     def n(self) -> int:
@@ -82,8 +83,7 @@ def validate_lagrangian_stack(U: np.ndarray, V: np.ndarray) -> list[LagFrame]:
     tols = get_tolerances()
     P, n = len(U), U.shape[-1]
     if not n:
-        return [LagFrame(U=u, V=v, isotropy_residual=0.0, independence=1.0,
-                         min_eigenvalue=0.0, positive=True) for u, v in zip(U, V)]
+        return [LagFrame(u, v) for u, v in zip(U, V)]
     axes = (-2, -1)
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(U), axis=axes),
                                        np.max(np.abs(V), axis=axes)))
@@ -101,26 +101,22 @@ def validate_lagrangian_stack(U: np.ndarray, V: np.ndarray) -> list[LagFrame]:
                     axis=-1)
     positive = mineig >= -tols.abs * scale * scale
     return [
-        LagFrame(U=U[p], V=V[p], isotropy_residual=i, independence=d,
-                 min_eigenvalue=e, positive=b)
+        LagFrame(U[p], V[p], i, d, e, b)
         for p, (i, d, e, b) in enumerate(zip(iso.tolist(), indep.tolist(),
                                              mineig.tolist(), positive.tolist()))
     ]
 
 
-@dataclass(frozen=True)
 class LagFramePair:
     """Two Lagrangian frames sharing their first k real columns."""
 
-    first: LagFrame
-    second: LagFrame
-    k: int
-
-    def __post_init__(self):
-        if self.second.n != self.first.n:
+    def __init__(self, first: LagFrame, second: LagFrame, k: int):
+        if second.n != first.n:
             raise ValidationError("pair dimension/k mismatch")
-        check_frame_pairs(self.first.stacked()[None], self.second.stacked()[None],
-                          self.k)
+        check_frame_pairs(first.stacked()[None], second.stacked()[None], k)
+        self.first = first
+        self.second = second
+        self.k = k
 
     @property
     def n(self) -> int:
@@ -167,16 +163,12 @@ def delta_stack(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     return vals
 
 
-@dataclass(frozen=True)
 class BallPoint:
     """A symmetric complex matrix of operator norm at most 1."""
 
-    W: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=complex)
-        object.__setattr__(self, "W", W)
-        check_ball(W[None])
+    def __init__(self, W: np.ndarray):
+        self.W = np.asarray(W, dtype=complex)
+        check_ball(self.W[None])
 
     @property
     def n(self) -> int:
@@ -203,12 +195,12 @@ def check_ball(W: np.ndarray) -> None:
     raise_first(ball_checks(W))
 
 
-@dataclass(frozen=True)
 class MetaLagFrame:
     """A point of Ball x Ml(n,C): a positive meta Lagrangian frame."""
 
-    W: BallPoint
-    C: MlElement
+    def __init__(self, W: BallPoint, C: MlElement):
+        self.W = W
+        self.C = C
 
     @property
     def n(self) -> int:

@@ -11,7 +11,6 @@ tracking of det alpha along a segment in the Ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -37,35 +36,13 @@ def as_stack(mats, n: int) -> np.ndarray:
     return A.reshape(len(mats), n, n)
 
 
-@dataclass(frozen=True)
-class GlElement:
-    """An invertible complex n x n matrix."""
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = _as_square(self.A)
-        object.__setattr__(self, "A", A)
-        if A.size and abs(np.linalg.det(A)) <= get_tolerances().singular:
-            raise SingularityError("matrix is singular")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True)
 class MlElement:
     """A pair (A, z) with z**2 = det A."""
 
-    A: np.ndarray
-    z: complex
-
-    def __post_init__(self):
-        A = _as_square(self.A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "z", complex(self.z))
-        check_ml(A[None], [self.z])
+    def __init__(self, A: np.ndarray, z: complex):
+        self.A = _as_square(A)
+        self.z = complex(z)
+        check_ml(self.A[None], [self.z])
 
     @property
     def n(self) -> int:
@@ -102,8 +79,7 @@ def ml_elements(A: np.ndarray, z) -> list[MlElement]:
     out = []
     for a, v in zip(A, zs):
         el = object.__new__(MlElement)
-        object.__setattr__(el, "A", a)
-        object.__setattr__(el, "z", v)
+        el.A, el.z = a, v
         out.append(el)
     return out
 
@@ -118,18 +94,15 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
     return A, z
 
 
-@dataclass(frozen=True)
 class SpElement:
     """A real 2n x 2n matrix (T1 T2; T3 T4), checked as symplectic by
     sp_validate."""
 
-    g: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
+    def __init__(self, g: np.ndarray):
+        g = np.asarray(g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValidationError("expected a square even-dimensional real matrix")
-        object.__setattr__(self, "g", g)
+        self.g = g
 
     @property
     def n(self) -> int:
@@ -168,7 +141,6 @@ def sp_validate(g: np.ndarray | SpElement) -> SpElement:
     return el
 
 
-@dataclass(frozen=True)
 class MpElement:
     """A pair (g, zeta) with zeta**2 = det alpha(g, 0).
 
@@ -177,13 +149,9 @@ class MpElement:
     by continuous square-root tracking.
     """
 
-    g: SpElement
-    zeta: complex
-
-    def __post_init__(self):
-        if not isinstance(self.g, SpElement):
-            object.__setattr__(self, "g", sp_validate(np.asarray(self.g)))
-        object.__setattr__(self, "zeta", complex(self.zeta))
+    def __init__(self, g: SpElement, zeta: complex):
+        self.g = g if isinstance(g, SpElement) else sp_validate(np.asarray(g))
+        self.zeta = complex(zeta)
         check_mp(self.g.g[None], [self.zeta])
 
     @property
@@ -246,14 +214,14 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     return g, zeta
 
 
-@dataclass(frozen=True)
 class SubgroupTag:
     """Result of a block-subgroup membership test."""
 
-    kind: str  # one of Glk, Glkd, Mlk, Mlkd, Spk, Mpk
-    k: int
-    n: int
-    blocks: dict = field(default_factory=dict)
+    def __init__(self, kind: str, k: int, n: int, blocks: dict):
+        self.kind = kind  # one of Glk, Glkd, Mlk, Mlkd, Spk, Mpk
+        self.k = k
+        self.n = n
+        self.blocks = blocks
 
 
 def raise_first(checks) -> None:
@@ -399,8 +367,8 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
 def subgroup_classify(x: Any, k: int) -> SubgroupTag:
     """Classify x into the block subgroup of parameter k.
 
-    Accepts a GlElement/matrix (-> Glk), an MlElement (-> Mlk), a pair of
-    Gl or Ml elements sharing their A-block (-> Glkd / Mlkd), an
+    Accepts a matrix (-> Glk), an MlElement (-> Mlk), a pair of matrices
+    or of Ml elements sharing their A-block (-> Glkd / Mlkd), an
     SpElement (-> Spk) or an MpElement (-> Mpk).  Raises SubgroupRejection
     (with offending indices) if the pattern fails.
     """
@@ -410,8 +378,7 @@ def subgroup_classify(x: Any, k: int) -> SubgroupTag:
             blocks = classify_pairs(a.A[None], b.A[None], k, [a.z], [b.z])
             return SubgroupTag("Mlkd", k, a.n,
                                {key: v[0] for key, v in blocks.items()})
-        ga = a.A if isinstance(a, GlElement) else _as_square(a)
-        gb = b.A if isinstance(b, GlElement) else _as_square(b)
+        ga, gb = _as_square(a), _as_square(b)
         blocks = classify_pairs(ga[None], gb[None], k)
         return SubgroupTag("Glkd", k, ga.shape[0],
                            {key: v[0] for key, v in blocks.items()})
@@ -421,7 +388,7 @@ def subgroup_classify(x: Any, k: int) -> SubgroupTag:
         if isinstance(x, MpElement):
             return SubgroupTag("Mpk", k, x.n, {**blocks, "zeta": x.zeta})
         return SubgroupTag("Spk", k, x.n, blocks)
-    mat = x.A if isinstance(x, (GlElement, MlElement)) else _as_square(x)
+    mat = x.A if isinstance(x, MlElement) else _as_square(x)
     checks, A = _glk_pattern(mat[None], k)
     raise_first(checks)
     blocks = {"A": A[0], "B": mat[:k, k:], "D": mat[k:, k:]}

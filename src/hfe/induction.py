@@ -12,7 +12,6 @@ compatible-cocycle machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,20 +36,19 @@ from .groups import as_stack, check_ml, ml_checks, raise_first, spk_blocks
 from .tracking import track_graph
 
 
-@dataclass(frozen=True)
 class MetaplecticBundleData:
     """A metaplectic cocycle over a nerve, optionally in D-adapted form."""
 
-    nerve: Nerve
-    mp_cocycle: Cocycle  # Mp-valued
-    d_adapted: bool = False
-    k: int = 0
-
-    def __post_init__(self):
-        if self.mp_cocycle.group != "Mp":
+    def __init__(self, nerve: Nerve, mp_cocycle: Cocycle, d_adapted: bool = False,
+                 k: int = 0):
+        if mp_cocycle.group != "Mp":
             raise ValidationError("mp cocycle must be Mp-valued")
-        if self.d_adapted:
-            spk_blocks(self.mp_cocycle.mats, self.k)
+        if d_adapted:
+            spk_blocks(mp_cocycle.mats, k)
+        self.nerve = nerve
+        self.mp_cocycle = mp_cocycle
+        self.d_adapted = d_adapted
+        self.k = k
 
     @property
     def n(self) -> int:
@@ -64,7 +62,6 @@ def _require_positive(frames: list[LagFrame], points) -> None:
             raise ValidationError(f"section frame not positive at {pt.id}")
 
 
-@dataclass(frozen=True)
 class FrameSectionData:
     """Per-chart frame sections in chart coordinates: the stacks U and V
     (R, n, n) of their frames (U, V) at every chart row of the nerve's
@@ -74,11 +71,10 @@ class FrameSectionData:
     (see transport), so the recipe runs of one section family share it.
     """
 
-    U: np.ndarray
-    V: np.ndarray
-    _last: Optional["SectionTransport"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, U: np.ndarray, V: np.ndarray):
+        self.U = U
+        self.V = V
+        self._last: Optional[SectionTransport] = None
 
     @classmethod
     def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
@@ -94,11 +90,10 @@ class FrameSectionData:
         last = self._last
         if last is None or last.bundle is not data or last.tols != tols:
             last = _transport(data, self)
-            object.__setattr__(self, "_last", last)
+            self._last = last
         return last
 
 
-@dataclass(frozen=True)
 class PairSectionData:
     """Per-chart pairs of meta frames (W, (C, z)) in block form: at every
     chart row of the nerve's point index, W1, C1, z1 of the first frame and W2,
@@ -106,12 +101,14 @@ class PairSectionData:
     (R,) arrays.  build_delta_D_tilde checks them as Ball points and
     metalinear frames."""
 
-    W1: np.ndarray
-    C1: np.ndarray
-    z1: np.ndarray
-    W2: np.ndarray
-    C2: np.ndarray
-    z2: np.ndarray
+    def __init__(self, W1: np.ndarray, C1: np.ndarray, z1: np.ndarray,
+                 W2: np.ndarray, C2: np.ndarray, z2: np.ndarray):
+        self.W1 = W1
+        self.C1 = C1
+        self.z1 = z1
+        self.W2 = W2
+        self.C2 = C2
+        self.z2 = z2
 
     @classmethod
     def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
@@ -139,14 +136,14 @@ def chart_sqrt_values(nerve: Nerve, chart: str, values: list[complex],
                        jump=f"on chart {chart}", cycle=f"on chart {chart}")
 
 
-@dataclass
 class RecipeResult:
     """The induced Ml cocycle, and chart_z the root z of the lifted
     section (C, z) at every chart row of the section transport."""
 
-    ml_cocycle: Cocycle
-    chart_z: list[complex]
-    residuals: dict = field(default_factory=dict)
+    def __init__(self, ml_cocycle: Cocycle, chart_z: list[complex], residuals: dict):
+        self.ml_cocycle = ml_cocycle
+        self.chart_z = chart_z
+        self.residuals = residuals
 
 
 def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
@@ -163,7 +160,6 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     return gW, A, zs
 
 
-@dataclass(frozen=True)
 class SectionTransport:
     """The part of the recipe that no sheet choice changes, as stacks.
 
@@ -177,16 +173,19 @@ class SectionTransport:
     alpha_tilde(g, W_b), and gW the Ball point g.W_b.
     """
 
-    bundle: MetaplecticBundleData
-    tols: Tolerances
-    U: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-    C: np.ndarray
-    N: np.ndarray
-    alpha: np.ndarray
-    alpha_z: list[complex]
-    gW: np.ndarray
+    def __init__(self, bundle: MetaplecticBundleData, tols: Tolerances, U: np.ndarray,
+                 V: np.ndarray, W: np.ndarray, C: np.ndarray, N: np.ndarray,
+                 alpha: np.ndarray, alpha_z: list[complex], gW: np.ndarray):
+        self.bundle = bundle
+        self.tols = tols
+        self.U = U
+        self.V = V
+        self.W = W
+        self.C = C
+        self.N = N
+        self.alpha = alpha
+        self.alpha_z = alpha_z
+        self.gW = gW
 
 
 def _transport(data: MetaplecticBundleData, sections: FrameSectionData

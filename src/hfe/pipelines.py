@@ -34,7 +34,6 @@ optional input is missing only when its producer was skipped or failed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +57,6 @@ from .scenario import Scenario, load_scenario
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Stage:
     """The artefacts a stage consumes and produces.
 
@@ -69,9 +67,11 @@ class Stage:
     it never does.
     """
 
-    consumes: tuple[str, ...]
-    produces: dict[str, Optional[str]]
-    optional: tuple[str, ...] = ()
+    def __init__(self, consumes: tuple[str, ...], produces: dict[str, Optional[str]],
+                 optional: tuple[str, ...]):
+        self.consumes = consumes
+        self.produces = produces
+        self.optional = optional
 
     @property
     def inputs(self) -> tuple[str, ...]:
@@ -489,7 +489,7 @@ def run_scenario(
     unfinished: dict[str, str] = {}
     start = time.perf_counter()
     with tolerance_overrides(**overrides):
-        report.tolerances = asdict(get_tolerances())
+        report.tolerances = get_tolerances().as_dict()
         for name in _with_producers(selected):
             stage = _STAGES[name]
             missing = [a for a in stage.consumes if a not in artefacts]

@@ -10,31 +10,32 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    anchor: str
-    max_residual: float = 0.0
-    passed: bool = True
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, check_id: str, anchor: str, max_residual: float = 0.0,
+                 passed: bool = True, failures: Optional[list] = None,
+                 details: Optional[dict] = None):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.max_residual = max_residual
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+        self.details = {} if details is None else details
 
 
-@dataclass
 class VerificationReport:
-    scenario: str
-    seed: int
-    tolerances: dict[str, float] = field(default_factory=dict)
-    checks: list[CheckRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
-    falsified: bool = False
+    def __init__(self, scenario: str, seed: int):
+        self.scenario = scenario
+        self.seed = seed
+        self.tolerances: dict[str, float] = {}
+        self.checks: list[CheckRecord] = []
+        self.notes: list[str] = []
+        self.wall_time = 0.0
+        self.falsified = False
 
     def add(self, record: CheckRecord) -> CheckRecord:
         if any(c.check_id == record.check_id for c in self.checks):

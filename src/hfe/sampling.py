@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ball
+from .config import get_tolerances
 from .frames import BallPoint, LagFrame, validate_lagrangian
 from .groups import SpElement, check_ml
 
@@ -20,17 +21,26 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _invertible_stack(draw, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m square matrices draw(m) with |det| > 1e-3, redrawing only the
-    rejected rows (draw(r) for r of them) until none is rejected; returns
-    the stack and its determinants."""
+# redraw rounds of a rejection; a row still rejected after them is left
+# for the membership check to reject (a floor no draw reaches, say)
+_REDRAWS = 100
+
+
+def _invertible_stack(draw, m: int, floor=1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """m square matrices draw(m) with |det| > floor, a number or an (m,)
+    array of one floor per row, redrawing only the rejected rows (draw(r)
+    for r of them) until none is rejected or _REDRAWS rounds are done;
+    returns the stack and its determinants."""
     X = draw(m)
     dets = np.linalg.det(X)
-    bad = np.flatnonzero(np.abs(dets) <= 1e-3)
-    while bad.size:
+    floor = np.broadcast_to(floor, (m,))
+    bad = np.flatnonzero(np.abs(dets) <= floor)
+    for _ in range(_REDRAWS):
+        if not bad.size:
+            break
         X[bad] = draw(bad.size)
         dets[bad] = np.linalg.det(X[bad])
-        bad = bad[np.abs(dets[bad]) <= 1e-3]
+        bad = bad[np.abs(dets[bad]) <= floor[bad]]
     return X, dets
 
 
@@ -41,22 +51,6 @@ def random_gl(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_gl_real(rng: np.random.Generator, n: int) -> np.ndarray:
     return _invertible_stack(lambda c: rng.standard_normal((c, n, n)), 1)[0][0]
-
-
-def random_glkd(rng: np.random.Generator, n: int, k: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Random pair of upper block-triangular matrices sharing a real A."""
-    A = random_gl_real(rng, k)
-    out = []
-    for _ in range(2):
-        B = random_complex(rng, (k, n - k))
-        D = random_gl(rng, n - k)
-        g = np.zeros((n, n), dtype=complex)
-        g[:k, :k] = A
-        g[:k, k:] = B
-        g[k:, k:] = D
-        out.append(g)
-    return out[0], out[1]
 
 
 def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
@@ -72,16 +66,22 @@ def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
     stack (m, k, k), then its redraws; the complex B stack (members, m,
     k, n - k); the complex D stack (members * m, n - k, n - k), then its
     redraws; the signs integers(2, size=(members, m)).  A complex stack
-    is drawn by random_complex (its real, then its imaginary parts).  A
-    and D are redrawn, rejected rows only, while |det| <= 1e-3.
-    Every element is checked as metalinear (check_ml) at the run's
-    tolerances.
+    is drawn by random_complex (its real, then its imaginary parts).
+    Rejected rows only are redrawn (see _invertible_stack): A while |det A| <= 1e-3 or <= the
+    run's singular tolerance, D while |det D| <= 1e-3 or |det A det D|
+    <= singular, so that no member fails the singularity tests of the
+    A block and of the member, at the run's tolerances.  At the default
+    tolerances only the 1e-3 floor rejects.  Every element is checked as
+    metalinear (check_ml) at the run's tolerances.
     """
     members = 1 if diagonal else 2
     r = n - k
-    A, dA = _invertible_stack(lambda c: rng.standard_normal((c, k, k)), m)
+    singular = get_tolerances().singular
+    A, dA = _invertible_stack(lambda c: rng.standard_normal((c, k, k)), m,
+                              max(1e-3, singular))
     B = random_complex(rng, (members, m, k, r))
-    D, dD = _invertible_stack(lambda c: random_complex(rng, (c, r, r)), members * m)
+    D, dD = _invertible_stack(lambda c: random_complex(rng, (c, r, r)), members * m,
+                              np.tile(np.maximum(1e-3, singular / np.abs(dA)), members))
     M = np.zeros((members, m, n, n), dtype=complex)
     M[:, :, :k, :k] = A
     M[:, :, :k, k:] = B

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -317,30 +316,33 @@ def _check_schema(doc) -> None:
     raise error
 
 
-@dataclass
 class Scenario:
-    """A loaded scenario with every generator evaluated."""
+    """A loaded scenario with every generator evaluated; load_scenario
+    sets the optional parts that the document has."""
 
-    name: str
-    description: str
-    n: int
-    k: int
-    nerve: Nerve
-    pipelines: list[str]
-    pair_cocycle: Optional[Cocycle] = None
-    gl_cocycle: Optional[Cocycle] = None
-    mp_cocycle: Optional[Cocycle] = None
-    d_adapted: bool = False
-    delta_samples: Optional[np.ndarray] = None
-    sections_first: Optional[FrameSectionData] = None
-    sections_second: Optional[FrameSectionData] = None
-    pair_sections: Optional[PairSectionData] = None
-    self_compat_cases: list[dict] = field(default_factory=list)
-    frame_pairs: list[dict] = field(default_factory=list)
-    sign_cochains: dict[str, SignCochain] = field(default_factory=dict)
-    expectations: dict = field(default_factory=dict)
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    noncontractible_components: list = field(default_factory=list)
+    def __init__(self, name: str, description: str, n: int, k: int, nerve: Nerve,
+                 pipelines: list[str], d_adapted: bool, expectations: dict,
+                 tolerance_overrides: dict[str, float]):
+        self.name = name
+        self.description = description
+        self.n = n
+        self.k = k
+        self.nerve = nerve
+        self.pipelines = pipelines
+        self.d_adapted = d_adapted
+        self.expectations = expectations
+        self.tolerance_overrides = tolerance_overrides
+        self.pair_cocycle: Optional[Cocycle] = None
+        self.gl_cocycle: Optional[Cocycle] = None
+        self.mp_cocycle: Optional[Cocycle] = None
+        self.delta_samples: Optional[np.ndarray] = None
+        self.sections_first: Optional[FrameSectionData] = None
+        self.sections_second: Optional[FrameSectionData] = None
+        self.pair_sections: Optional[PairSectionData] = None
+        self.self_compat_cases: list[dict] = []
+        self.frame_pairs: list[dict] = []
+        self.sign_cochains: dict[str, SignCochain] = {}
+        self.noncontractible_components: list = []
 
 
 def _build_nerve(doc: dict) -> Nerve:

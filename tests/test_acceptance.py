@@ -14,11 +14,13 @@ from hfe.frames import (
     MetaLagFrame,
     alpha_tilde,
     check_ball,
-    delta,
+    check_frame_pairs,
     delta_L_tilde,
+    delta_stack,
     gamma_stack,
     pairing_density,
     validate_lagrangian,
+    validate_lagrangian_stack,
 )
 from hfe.groups import MlElement, MpElement, ml_elements, ml_mul
 from hfe.sampling import (
@@ -26,7 +28,6 @@ from hfe.sampling import (
     random_complex,
     random_gl,
     random_gl_real,
-    random_glkd,
     random_mlkd_stack,
     random_positive_frame,
     random_sp,
@@ -55,6 +56,35 @@ def _block_pair(rng, n, k):
         V[k:, k:] = red.V
         frames.append(validate_lagrangian(U, V))
     return frames
+
+
+def _ball_stack(rng, m, r, radius=0.9):
+    """m symmetric r x r matrices of operator norm < radius, each scaled
+    as random_ball_point scales one."""
+    W = random_complex(rng, (m, r, r))
+    W = 0.5 * (W + np.swapaxes(W, -1, -2))
+    if not r:
+        return W
+    scale = radius * rng.uniform(0.05, 1.0, m) / np.linalg.norm(W, 2, axis=(-2, -1))
+    return W * scale[:, None, None]
+
+
+def _block_pair_stacks(rng, m, n, k):
+    """m frame pairs in D-adapted block form, as stacked columns (m, 2n,
+    n): the members of pair p share the real block A[p] of a
+    random_mlkd_stack pair and have the upper rows (A B; 0 U_r) and the
+    lower rows (0 0; 0 V_r), with (U_r, V_r) = phi_inv(W, D), W a Ball
+    point and B, D the member's other blocks."""
+    M1, _, M2, _ = random_mlkd_stack(rng, m, n, k)
+    stacks = []
+    for M in (M1, M2):
+        Ur, Vr = ball.phi_inv_raw(_ball_stack(rng, m, n - k), M[:, k:, k:])
+        U, V = M.copy(), np.zeros_like(M)
+        U[:, k:, k:], V[:, k:, k:] = Ur, Vr
+        validate_lagrangian_stack(U, V)
+        stacks.append(np.concatenate([U, V], axis=1))
+    check_frame_pairs(*stacks, k)
+    return stacks
 
 
 def test_criterion_01_metalinear_group_law():
@@ -89,22 +119,18 @@ def test_criterion_02_delta_transformation_law():
     min_abs = float("inf")
     for n in range(1, 5):
         for k in range(0, n + 1):
-            for _ in range(500):
-                s1, s2 = _block_pair(rng, n, k)
-                base = delta(LagFramePair(s1, s2, k))
-                min_abs = min(min_abs, abs(base))
-                g1, g2 = random_glkd(rng, n, k)
-                detA = np.linalg.det(g1[:k, :k].real) if k else 1.0
-                t1 = validate_lagrangian(s1.U @ g1, s1.V @ g1)
-                t2 = validate_lagrangian(s2.U @ g2, s2.V @ g2)
-                moved = delta(LagFramePair(t1, t2, k))
-                target = (
-                    np.conj(np.linalg.det(g1))
-                    * np.linalg.det(g2)
-                    / (detA * detA)
-                    * base
-                )
-                worst = max(worst, abs(moved - target) / abs(target))
+            S1, S2 = _block_pair_stacks(rng, 500, n, k)
+            base = np.array(delta_stack(S1, S2, k))
+            min_abs = min(min_abs, np.min(np.abs(base)))
+            g1, _, g2, _ = random_mlkd_stack(rng, 500, n, k)
+            T1, T2 = S1 @ g1, S2 @ g2
+            for T in (T1, T2):
+                validate_lagrangian_stack(T[:, :n], T[:, n:])
+            check_frame_pairs(T1, T2, k)
+            moved = np.array(delta_stack(T1, T2, k))
+            detA = np.linalg.det(g1[:, :k, :k].real)
+            target = np.conj(np.linalg.det(g1)) * np.linalg.det(g2) / (detA * detA) * base
+            worst = max(worst, np.max(np.abs(moved - target) / np.abs(target)))
     _verdict(
         "criterion 2: pairing determinant transformation law on 500 draws "
         "per (n, k), n <= 4",
@@ -328,7 +354,7 @@ def test_criterion_11_density_invariance():
         nu1, nu2 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         preq = complex(*rng.standard_normal(2))
         v = pairing_density(preq, nu1, nu2, LagFramePair(s1, s2, k), lifts)
-        g1, g2 = random_glkd(rng, n, k)
+        (g1,), _, (g2,), _ = random_mlkd_stack(rng, 1, n, k)
         t1 = validate_lagrangian(s1.U @ g1, s1.V @ g1)
         t2 = validate_lagrangian(s2.U @ g2, s2.V @ g2)
         v2 = pairing_density(

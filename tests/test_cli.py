@@ -157,6 +157,46 @@ def test_cli_import_sets_one_blas_thread_unless_set(preset, value):
         "MKL_NUM_THREADS": False}
 
 
+def _fresh_interpreter(code: str):
+    """The JSON that code prints in a fresh interpreter importing this hfe."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert _fresh_interpreter(
+        "import json, sys\n"
+        "import hfe.cli\n"
+        "print(json.dumps('dataclasses' in sys.modules))"
+    ) is False
+
+
+def test_engine_imports_leave_the_collector_alone():
+    modules = sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py")
+                     if p.stem not in ("__init__", "cli"))
+    assert "pipelines" in modules
+    assert _fresh_interpreter(
+        "import gc, importlib, json\n"
+        "import hfe\n"
+        f"for m in {modules!r}:\n"
+        "    importlib.import_module('hfe.' + m)\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))"
+    ) == [True, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_import_freezes_and_keeps_the_collector_state(enabled):
+    # the import freezes its objects and leaves the collector as it was
+    assert _fresh_interpreter(
+        "import gc, json\n"
+        f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+        "import hfe.cli\n"
+        "print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0]))"
+    ) == [enabled, True]
+
+
 def test_exit_2_on_bad_tolerance_key(capsys):
     code, _, err = run(capsys, "verify", "trivial_r2",
                        "--tolerance", "bogus=1e-9")

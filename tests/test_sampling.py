@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hfe.config import tolerance_overrides
+from hfe.errors import SingularityError
 from hfe.groups import classify_pairs
 from hfe.sampling import random_mlkd_stack
 
@@ -34,6 +36,25 @@ def test_stack_holds_m_seeded_mlkd_pairs(params):
         assert np.array_equal(M1, M2) and np.array_equal(z1, z2)
     again = random_mlkd_stack(np.random.default_rng(seed), m, n, k, diagonal)
     assert all(np.array_equal(a, b) for a, b in zip(again, got))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_draws(), st.sampled_from([0.5, 0.9, 1.5]))
+def test_draws_pass_the_singularity_tests_at_the_run_tolerance(params, singular):
+    m, n, k, diagonal, seed = params
+    assume(n or singular < 1)  # the empty matrix has det 1
+    with tolerance_overrides(singular=singular):
+        M1, z1, M2, z2 = random_mlkd_stack(np.random.default_rng(seed), m, n, k,
+                                           diagonal)
+        blocks = classify_pairs(M1, M2, k, z1.tolist(), z2.tolist())
+    assert not k or np.all(np.abs(np.linalg.det(blocks["A"])) > singular)
+    for M in (M1, M2):
+        assert np.all(np.abs(np.linalg.det(M)) > singular)
+
+
+def test_an_unreachable_singular_tolerance_ends_the_redraws():
+    with tolerance_overrides(singular=1e300), pytest.raises(SingularityError):
+        random_mlkd_stack(np.random.default_rng(0), 5, 2, 1)
 
 
 class _SingularRows:
