@@ -42,17 +42,17 @@ class OverlapComponent:
         self.points = points
         self.edges = edges
         self.contractible = contractible
-        npts = len(points)
+        npts = len(self.points)
         if npts == 0:
             raise ValidationError("overlap component needs at least one point")
-        for i, j in edges:
+        for i, j in self.edges:
             if not (0 <= i < npts and 0 <= j < npts):
                 raise ValidationError("edge references a missing point")
         # connectivity
         seen = {0}
         frontier = [0]
         adj = {i: [] for i in range(npts)}
-        for i, j in edges:
+        for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
         while frontier:
@@ -120,19 +120,19 @@ class Nerve:
                  overlaps: Optional[dict[PairKey, tuple[OverlapComponent, ...]]] = None,
                  triples: Optional[dict[TripleKey, tuple[TriplePoint, ...]]] = None):
         self.charts = charts
-        self.overlaps = overlaps = overlaps or {}
-        self.triples = triples = triples or {}
-        chartset = set(charts)
-        if len(chartset) != len(charts):
+        self.overlaps = overlaps or {}
+        self.triples = triples or {}
+        chartset = set(self.charts)
+        if len(chartset) != len(self.charts):
             raise ValidationError("duplicate chart ids")
-        for (a, b), comps in overlaps.items():
+        for (a, b), comps in self.overlaps.items():
             if a == b:
                 raise ValidationError("self-overlap (a, a) not allowed")
             if a > b:
                 raise ValidationError("overlap keys must be sorted pairs")
             if a not in chartset or b not in chartset:
                 raise ValidationError(f"overlap ({a},{b}) references unknown chart")
-        for key, pts in triples.items():
+        for key, pts in self.triples.items():
             a, b, c = key
             if not (a < b < c) or {a, b, c} - chartset:
                 raise ValidationError(f"bad triple key {key}")
@@ -143,7 +143,7 @@ class Nerve:
                             f"triple point {tp.id} missing membership for {pair}"
                         )
                     ci, pi = tp.memberships[pair]
-                    comps = overlaps.get(pair, ())
+                    comps = self.overlaps.get(pair, ())
                     if ci >= len(comps) or pi >= len(comps[ci].points):
                         raise ValidationError(
                             f"triple point {tp.id}: bad membership for {pair}"

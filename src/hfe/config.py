@@ -47,7 +47,8 @@ class Tolerances:
         return hash(tuple(self.as_dict().values()))
 
     def __repr__(self):
-        return "Tolerances(" + ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items()) + ")"
+        args = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
+        return f"Tolerances({args})"
 
 
 _current: contextvars.ContextVar[Tolerances] = contextvars.ContextVar(

@@ -67,12 +67,12 @@ def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
     k, n - k); the complex D stack (members * m, n - k, n - k), then its
     redraws; the signs integers(2, size=(members, m)).  A complex stack
     is drawn by random_complex (its real, then its imaginary parts).
-    Rejected rows only are redrawn (see _invertible_stack): A while |det A| <= 1e-3 or <= the
-    run's singular tolerance, D while |det D| <= 1e-3 or |det A det D|
-    <= singular, so that no member fails the singularity tests of the
-    A block and of the member, at the run's tolerances.  At the default
-    tolerances only the 1e-3 floor rejects.  Every element is checked as
-    metalinear (check_ml) at the run's tolerances.
+    Rejected rows only are redrawn (see _invertible_stack): A while
+    |det A| <= 1e-3 or <= the run's singular tolerance, D while
+    |det D| <= 1e-3 or |det A det D| <= singular, so that no member
+    fails the singularity tests of its A block and of itself.  At the
+    default tolerances only the 1e-3 floor rejects.  Every element is
+    checked as metalinear (check_ml) at the run's tolerances.
     """
     members = 1 if diagonal else 2
     r = n - k
