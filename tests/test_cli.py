@@ -697,3 +697,54 @@ def test_pair_data_requires_delta_one_when_k_equals_n(tmp_path, capsys):
     check = {c["id"]: c for c in json.loads(out)["checks"]}["pair_data.consistency"]
     assert check["pass"] is False
     assert check["failures"] == [["delta-consistency", "0", "origin", 1.0]]
+
+
+def _frame_member(index, member, U, V):
+    def edit(doc):
+        doc["frame_pairs"][index][member]["params"] = {"U": U, "V": V}
+    return edit
+
+
+def _frame_pairs_report(tmp_path, capsys, edit, *argv):
+    path = _scenario_file(tmp_path, "trivial_r2", edit)
+    code, out, err = run(capsys, "verify", path, "--pipeline", "frame_pairs",
+                         "--report", "json", *argv)
+    assert "Traceback" not in err
+    return code, {c["id"]: c for c in json.loads(out)["checks"]}
+
+
+def test_frame_pairs_reports_a_wrong_expected_delta(tmp_path, capsys):
+    def edit(doc):
+        assert doc["frame_pairs"][3]["name"] == "vertical_holomorphic"
+        doc["frame_pairs"][3]["expected_delta"] = 5.0
+    code, checks = _frame_pairs_report(tmp_path, capsys, edit)
+    assert code == 1
+    check = checks["frame_pairs.delta-values"]
+    assert check["pass"] is False
+    assert check["failures"] == [["vertical_holomorphic", [0.0, 1.0]]]
+
+
+def _both(*edits):
+    def edit(doc):
+        for e in edits:
+            e(doc)
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_frame_member(1, "first", [[0]], [[0]]),
+     "ValidationError: frame vectors dependent"),
+    (_frame_member(4, "second", [[1]], [[0]]),
+     "ValidationError: first k columns differ across the pair"),
+    (_frame_member(0, "second", [[0]], [[1]]),
+     "SingularityError: pairing determinant vanishes (invalid pair)"),
+    # two bad pairs: the earlier pair's error is the one reported
+    (_both(_frame_member(1, "first", [[0]], [[0]]),
+           _frame_member(4, "second", [[1]], [[0]])),
+     "ValidationError: frame vectors dependent"),
+], ids=["dependent", "shared-columns", "vanishing-delta", "first-bad-pair"])
+def test_frame_pairs_records_the_first_invalid_pair(edit, error, tmp_path, capsys):
+    code, checks = _frame_pairs_report(tmp_path, capsys, edit)
+    assert code == 1
+    assert checks["frame_pairs.error"]["failures"] == [error]
+
