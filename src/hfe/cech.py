@@ -405,7 +405,7 @@ def _membership_residuals(c: Cocycle) -> list[float]:
         return [abs(x * x - d) / max(1.0, abs(d))
                 for x, d in zip(c.roots.tolist(), np.linalg.det(a0))]
     if c.group == "Glkd":
-        G.classify_pairs(c.mats[:, 0], c.mats[:, 1], c.k)
+        G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
         if np.any(np.abs(np.linalg.det(c.mats)) <= get_tolerances().singular):
             raise SingularityError("pair cocycle member is singular")
     return [0.0] * len(c.mats)

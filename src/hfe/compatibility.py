@@ -26,7 +26,7 @@ from .errors import (
     TheoremFalsification,
     ValidationError,
 )
-from .groups import classify_pairs
+from .groups import subgroup_classify
 from .sampling import random_mlkd_stack
 
 # seeded random draws per chart in the translation-law and positivity checks
@@ -62,7 +62,7 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     max_res = 0.0
     index = data.nerve.point_index
     pairs = data.pair_cocycle.mats
-    blocks = classify_pairs(pairs[:, 0], pairs[:, 1], data.k)
+    blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], data.k)
     # conj(det D1) det D2, the pairing-determinant transformation
     ones = [1.0] * len(pairs)
     d1 = np.linalg.det(blocks["D1"]) if data.k < data.n else ones
@@ -155,7 +155,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     tols = get_tolerances()
     index = data.nerve.point_index
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
-    blocks = classify_pairs(G1, G2, data.k)
+    blocks = subgroup_classify(G1, G2, data.k)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(G1)
     d1, d2 = np.linalg.det(G1), np.linalg.det(G2)
     L = z1.mats
@@ -223,7 +223,7 @@ def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Sequence[i
     random_mlkd_stack and checked as Mlkd pairs."""
     M1, z1, M2, z2 = random_mlkd_stack(rng, len(rows), n, k, diagonal)
     z1, z2 = z1.tolist(), z2.tolist()
-    blocks = classify_pairs(M1, M2, k, z1, z2)
+    blocks = subgroup_classify(M1, M2, k, z1, z2)
     detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(rows)
     return Translations(list(rows), M1, M2, z1, z2, detA)
 
@@ -282,7 +282,7 @@ def build_delta_tilde(
         _require_normalized(data)
         base_values = np.ones(len(index.sites), dtype=complex)
     l1, l2 = z1.roots.tolist(), z2.roots.tolist()
-    blocks = classify_pairs(z1.mats, z2.mats, data.k, l1, l2)
+    blocks = subgroup_classify(z1.mats, z2.mats, data.k, l1, l2)
     detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(l1)
     base, ends = base_values.tolist(), index.ends.tolist()
     residuals, bad = [], {}

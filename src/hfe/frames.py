@@ -21,11 +21,8 @@ from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError
 from .groups import (
-    MlElement,
-    MpElement,
     block_pattern,
     check_ml,
-    ml_elements,
     raise_first,
     shared_corner,
     tracked_alpha_det,
@@ -41,49 +38,18 @@ def standard_omega(n: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-class LagFrame:
-    """A validated Lagrangian frame with its diagnostics."""
-
-    def __init__(self, U: np.ndarray, V: np.ndarray, isotropy_residual: float = 0.0,
-                 independence: complex = 1.0, min_eigenvalue: float = 0.0,
-                 positive: bool = True):
-        self.U = U
-        self.V = V
-        self.isotropy_residual = isotropy_residual
-        self.independence = independence
-        self.min_eigenvalue = min_eigenvalue
-        self.positive = positive
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """2n x n column matrix of the frame vectors in model coordinates."""
-        return np.vstack([self.U, self.V])
-
-
-def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> LagFrame:
-    """Check isotropy and independence; report the positivity verdict.
+def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Check the frames (U[p], V[p]) of two (P, n, n) stacks for isotropy
+    and independence, raising for the first frame that fails; return the
+    (P,) positivity verdicts.
 
     Isotropy is U^t V = V^t U; independence is det(U*U + V*V) != 0;
     positivity is PSD-ness of i(V*U - U*V) (equivalently, the hermitian
     matrix -i omega(conj u_i, u_j) has no negative eigenvalue).
     """
-    U = np.asarray(U, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValidationError("U, V must be square matrices of equal size")
-    return validate_lagrangian_stack(U[None], V[None])[0]
-
-
-def validate_lagrangian_stack(U: np.ndarray, V: np.ndarray) -> list[LagFrame]:
-    """validate_lagrangian of every frame (U[p], V[p]) of two (P, n, n)
-    stacks; raises for the first frame that fails."""
     tols = get_tolerances()
-    P, n = len(U), U.shape[-1]
-    if not n:
-        return [LagFrame(u, v) for u, v in zip(U, V)]
+    if not U.shape[-1]:
+        return np.ones(len(U), dtype=bool)
     axes = (-2, -1)
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(U), axis=axes),
                                        np.max(np.abs(V), axis=axes)))
@@ -99,34 +65,13 @@ def validate_lagrangian_stack(U: np.ndarray, V: np.ndarray) -> list[LagFrame]:
     H = 1j * (Vt.conj() @ U - Ut.conj() @ V)
     mineig = np.min(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2).conj())),
                     axis=-1)
-    positive = mineig >= -tols.abs * scale * scale
-    return [
-        LagFrame(U[p], V[p], i, d, e, b)
-        for p, (i, d, e, b) in enumerate(zip(iso.tolist(), indep.tolist(),
-                                             mineig.tolist(), positive.tolist()))
-    ]
-
-
-class LagFramePair:
-    """Two Lagrangian frames sharing their first k real columns."""
-
-    def __init__(self, first: LagFrame, second: LagFrame, k: int):
-        if second.n != first.n:
-            raise ValidationError("pair dimension/k mismatch")
-        check_frame_pairs(first.stacked()[None], second.stacked()[None], k)
-        self.first = first
-        self.second = second
-        self.k = k
-
-    @property
-    def n(self) -> int:
-        return self.first.n
+    return mineig >= -tols.abs * scale * scale
 
 
 def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
-    """The LagFramePair test of the frames with stacked columns S1[p] and
-    S2[p], stacks (P, 2n, n): their first k columns are real and shared.
-    Raises for the first pair that fails."""
+    """The pair test of the frames with stacked columns S1[p] and S2[p],
+    stacks (P, 2n, n): their first k columns are real and shared.  Raises
+    for the first pair that fails."""
     n = S1.shape[-1]
     if S2.shape[-1] != n or not (0 <= k <= n):
         raise ValidationError("pair dimension/k mismatch")
@@ -143,36 +88,23 @@ def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
     ])
 
 
-def delta(pair: LagFramePair) -> complex:
-    """Pairing determinant det(-i omega(conj u_i, v_j)) over i,j > k."""
-    return delta_stack(pair.first.stacked()[None], pair.second.stacked()[None],
-                       pair.k)[0]
+def _pairing_dets(M: np.ndarray) -> np.ndarray:
+    """det M[p] of a stack (P, m, m), 1 for m = 0."""
+    return np.linalg.det(M) if M.shape[-1] else np.ones(len(M), dtype=complex)
 
 
-def delta_stack(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
-    """delta of the frame pairs with stacked columns S1[p] and S2[p],
-    stacks (P, 2n, n), for the standard form; raises for the first pair
-    whose determinant vanishes."""
+def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
+    """Pairing determinants det(-i omega(conj u_i, v_j)) over i, j > k of
+    the frame pairs with stacked columns S1[p] and S2[p], stacks (P, 2n,
+    n), for the standard form; raises for the first pair whose
+    determinant vanishes."""
     omega = standard_omega(S1.shape[-1])
-    M = -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:])
-    vals = np.linalg.det(M).tolist() if M.shape[-1] else [1.0 + 0j] * len(M)
-    singular = get_tolerances().singular
-    raise_first([(np.array([abs(v) < singular for v in vals], dtype=bool),
+    vals = _pairing_dets(
+        -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:]))
+    raise_first([(np.abs(vals) <= get_tolerances().singular,
                   lambda p: SingularityError(
                       "pairing determinant vanishes (invalid pair)"))])
-    return vals
-
-
-class BallPoint:
-    """A symmetric complex matrix of operator norm at most 1."""
-
-    def __init__(self, W: np.ndarray):
-        self.W = np.asarray(W, dtype=complex)
-        check_ball(self.W[None])
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[0]
+    return vals.tolist()
 
 
 def ball_checks(W: np.ndarray) -> list:
@@ -193,18 +125,6 @@ def check_ball(W: np.ndarray) -> None:
     """The Ball membership test of a stack W (see ball_checks): raises
     for the first point that fails."""
     raise_first(ball_checks(W))
-
-
-class MetaLagFrame:
-    """A point of Ball x Ml(n,C): a positive meta Lagrangian frame."""
-
-    def __init__(self, W: BallPoint, C: MlElement):
-        self.W = W
-        self.C = C
-
-    @property
-    def n(self) -> int:
-        return self.W.n
 
 
 def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
@@ -239,22 +159,17 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
     return track_sqrt(f, z_mid, via, 1.0)
 
 
-def alpha_tilde(gt: MpElement, W: BallPoint | np.ndarray) -> MlElement:
-    """Metalinear automorphy factor: (alpha(g, W), z) on the sheet of gt.
+def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
+                ) -> tuple[np.ndarray, list[complex]]:
+    """Metalinear automorphy factors (alpha(g[p], W[p]), z[p]) of the
+    metaplectic elements (g[p], zeta[p]) at the Ball points W[p], for
+    stacks g (P, 2n, 2n) and W (P, n, n): the stack (P, n, n) of alpha
+    and the roots, checked in one pass of check_ml.
 
-    z is continued from the anchor zeta at the Ball center along the
-    straight segment s -> s W by square-root tracking of det alpha.
+    z[p] is continued from the anchor zeta[p] at the Ball center along
+    the straight segment s -> s W[p] by square-root tracking of det
+    alpha, all points as one stack of paths.
     """
-    Wm = W.W if isinstance(W, BallPoint) else np.asarray(W, complex)
-    return ml_elements(*alpha_tilde_stack(gt.g.g[None], [gt.zeta], Wm[None]))[0]
-
-
-def alpha_tilde_stack(g: np.ndarray, zeta, W: np.ndarray
-                      ) -> tuple[np.ndarray, list[complex]]:
-    """alpha_tilde of the metaplectic elements (g[p], zeta[p]) at the Ball
-    points W[p], for stacks g (P, 2n, 2n) and W (P, n, n), tracked as one
-    stack of paths: the stack (P, n, n) of alpha(g[p], W[p]) and the
-    roots, checked in one pass of check_ml."""
     z, a1 = tracked_alpha_det(g, W, zeta)
     check_ml(a1, z)
     return a1, z
@@ -285,13 +200,11 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
     checks2, b2 = frame_pattern(U2, V2, k)
     M = 1j * (np.swapaxes(b1["Vr"], -1, -2).conj() @ b2["Ur"]
               - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
-    vals = (np.linalg.det(M).tolist() if M.shape[-1]
-            else [1.0 + 0j] * len(M))
-    singular = get_tolerances().singular
+    vals = _pairing_dets(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
-        (np.array([abs(v) < singular for v in vals], dtype=bool),
+        (np.abs(vals) <= get_tolerances().singular,
          lambda p: SingularityError("reduced pairing determinant vanishes"))])
-    return vals
+    return vals.tolist()
 
 
 def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
@@ -311,22 +224,16 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
     return checks, {"A": A, "B": C[:, :k, k:], "Cr": C[:, k:, k:], "Wr": W[:, k:, k:]}
 
 
-def delta_L_tilde(pairXt: tuple[MetaLagFrame, MetaLagFrame], k: int) -> complex:
-    """Square-root pairing value on meta frames in block form.
+def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> list[complex]:
+    """Square-root pairing values of the meta frame pairs ((W1[p], (C1[p],
+    z1[p])), (W2[p], (C2[p], z2[p]))) in block form, for stacks W, C (P,
+    n, n) and sequences z of P scalars; raises for the first pair that
+    fails.
 
     Value: conj(z1) z2 |det A|^{-1} Gamma(W1r, W2r) on the reduced Ball
-    points; its square is delta_L of the projected pair.
+    points, the Gamma factors tracked as one stack of paths; its square
+    is delta_L of the projected pair.
     """
-    X1, X2 = pairXt
-    return delta_L_tilde_stack(X1.W.W[None], X1.C.A[None], [X1.C.z],
-                               X2.W.W[None], X2.C.A[None], [X2.C.z], k)[0]
-
-
-def delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k: int) -> list[complex]:
-    """delta_L_tilde of the meta frame pairs ((W1[p], (C1[p], z1[p])),
-    (W2[p], (C2[p], z2[p]))) for stacks W, C (P, n, n) and sequences z of
-    P scalars, with the Gamma factors tracked as one stack of paths;
-    raises for the first pair that fails."""
     checks1, b1 = meta_pattern(W1, C1, k)
     checks2, b2 = meta_pattern(W2, C2, k)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
@@ -401,19 +308,24 @@ def pairing_density(
     prequantum_value: complex,
     nu1: complex,
     nu2: complex,
-    pair: LagFramePair,
+    S1: np.ndarray,
+    S2: np.ndarray,
+    k: int,
     lifts: Sequence[np.ndarray],
     mode: str = "half-density",
     delta_tilde_value: Optional[complex] = None,
 ) -> complex:
-    """Pointwise pairing density of two polarized sections.
+    """Pointwise pairing density of two polarized sections whose frames
+    have the stacked columns S1 and S2 (2n, n), sharing their first k.
 
     Returns <s1, s2> conj(nu1) nu2 * factor * |Lambda(u_1..u_k, lifts)|,
     where the factor is sqrt|delta_k| in half-density mode and the
     supplied square root delta_tilde_value in half-form mode (checked to
     square to delta_k).
     """
-    d = delta(pair)
+    S1, S2 = S1[None], S2[None]
+    check_frame_pairs(S1, S2, k)
+    d, = delta(S1, S2, k)
     if mode == "half-density":
         factor = math.sqrt(abs(d))
     elif mode == "half-form":
@@ -424,7 +336,6 @@ def pairing_density(
             raise ValidationError("delta_tilde_value does not square to delta")
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    k = pair.k
-    shared = [pair.first.stacked()[:, i] for i in range(k)]
-    vol = liouville(list(shared) + [np.asarray(v, complex) for v in lifts])
+    shared = [S1[0, :, i] for i in range(k)]
+    vol = liouville(shared + [np.asarray(v, complex) for v in lifts])
     return complex(prequantum_value) * nu1.conjugate() * nu2 * factor * abs(vol)

@@ -6,12 +6,12 @@ componentwise.  Sp(2n,R) is validated through its block identities.  The
 metaplectic group Mp(2n,R) has no matrix realization; an element is
 stored as (g, zeta) where zeta**2 = det alpha(g, 0) anchors the sheet at
 the Ball center, and products are formed by continuous square-root
-tracking of det alpha along a segment in the Ball.
+tracking of det alpha along a segment in the Ball.  Elements are held as
+stacks: a (P, n, n) or (P, 2n, 2n) array with a sequence of P roots or
+anchors; the membership tests raise for the first point that fails.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -21,32 +21,12 @@ from .errors import SingularityError, SubgroupRejection, ValidationError
 from .tracking import track_sqrt
 
 
-def _as_square(A: Any, name: str = "matrix") -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {A.shape}")
-    return A
-
-
 def as_stack(mats, n: int) -> np.ndarray:
     """The (P, n, n) complex stack of P matrices, P = 0 included."""
     A = np.array(mats, dtype=complex)
     if A.shape[1:] != (n, n) and len(mats):
         raise ValidationError(f"expected {n} x {n} matrices, got shape {A.shape[1:]}")
     return A.reshape(len(mats), n, n)
-
-
-class MlElement:
-    """A pair (A, z) with z**2 = det A."""
-
-    def __init__(self, A: np.ndarray, z: complex):
-        self.A = _as_square(A)
-        self.z = complex(z)
-        check_ml(self.A[None], [self.z])
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
 
 def ml_checks(A: np.ndarray, z) -> list:
@@ -70,20 +50,6 @@ def check_ml(A: np.ndarray, z) -> None:
     raise_first(ml_checks(A, z))
 
 
-def ml_elements(A: np.ndarray, z) -> list[MlElement]:
-    """The metalinear elements (A[p], z[p]) of a (P, n, n) stack and P
-    scalars, checked in one pass of check_ml."""
-    A = np.asarray(A, dtype=complex)
-    zs = [complex(v) for v in z]
-    check_ml(A, zs)
-    out = []
-    for a, v in zip(A, zs):
-        el = object.__new__(MlElement)
-        el.A, el.z = a, v
-        out.append(el)
-    return out
-
-
 def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
     """The products (A1[p], z1[p]) (A2[p], z2[p]) in Ml(n,C) of two
     (P, n, n) stacks and their roots: componentwise, checked in one pass
@@ -92,21 +58,6 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
     z = [a * b for a, b in zip(z1, z2)]
     check_ml(A, z)
     return A, z
-
-
-class SpElement:
-    """A real 2n x 2n matrix (T1 T2; T3 T4), checked as symplectic by
-    sp_validate."""
-
-    def __init__(self, g: np.ndarray):
-        g = np.asarray(g, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
-            raise ValidationError("expected a square even-dimensional real matrix")
-        self.g = g
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0] // 2
 
 
 def sp_residuals(g: np.ndarray) -> np.ndarray:
@@ -124,39 +75,15 @@ def sp_residuals(g: np.ndarray) -> np.ndarray:
 
 
 def check_sp(g: np.ndarray) -> np.ndarray:
-    """The test of sp_validate on a stack g (P, 2n, 2n): raises for the
-    first matrix that is not symplectic; returns the residuals."""
+    """The symplectic test of a stack g (P, 2n, 2n), the three block
+    identities of sp_residuals: raises for the first matrix that is not
+    symplectic; returns the residuals."""
     res = sp_residuals(g)
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1), initial=0.0))
     raise_first([(np.max(res, axis=-1) > get_tolerances().rel * scale,
                   lambda p: ValidationError(
                       f"matrix is not symplectic, residuals {tuple(res[p].tolist())}"))])
     return res
-
-
-def sp_validate(g: np.ndarray | SpElement) -> SpElement:
-    """Validate the three block identities of a symplectic matrix."""
-    el = g if isinstance(g, SpElement) else SpElement(np.asarray(g))
-    check_sp(el.g[None])
-    return el
-
-
-class MpElement:
-    """A pair (g, zeta) with zeta**2 = det alpha(g, 0).
-
-    The anchor zeta at the Ball center selects one of the two sheets over
-    g; since the Ball is contractible the sheet is determined everywhere
-    by continuous square-root tracking.
-    """
-
-    def __init__(self, g: SpElement, zeta: complex):
-        self.g = g if isinstance(g, SpElement) else sp_validate(np.asarray(g))
-        self.zeta = complex(zeta)
-        check_mp(self.g.g[None], [self.zeta])
-
-    @property
-    def n(self) -> int:
-        return self.g.n
 
 
 def check_mp(g: np.ndarray, zeta) -> None:
@@ -212,16 +139,6 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     zeta = [a * b for a, b in zip(za, zeta2)]
     check_mp(g, zeta)
     return g, zeta
-
-
-class SubgroupTag:
-    """Result of a block-subgroup membership test."""
-
-    def __init__(self, kind: str, k: int, n: int, blocks: dict):
-        self.kind = kind  # one of Glk, Glkd, Mlk, Mlkd, Spk, Mpk
-        self.k = k
-        self.n = n
-        self.blocks = blocks
 
 
 def raise_first(checks) -> None:
@@ -304,8 +221,8 @@ def shared_corner(A1: np.ndarray, A2: np.ndarray, k: int) -> list:
              lambda p: SubgroupRejection("A-blocks differ across the pair", []))]
 
 
-def classify_pairs(A1: np.ndarray, A2: np.ndarray, k: int,
-                   z1=None, z2=None) -> dict:
+def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
+                      z1=None, z2=None) -> dict:
     """Stacked Glkd membership of the pairs (A1[p], A2[p]), or Mlkd
     membership with the scalars z1[p], z2[p]: both members upper
     block-triangular with one real invertible k x k corner A and, for
@@ -362,36 +279,3 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
     ], axis=-2)
     check_sp(g_r)
     return {"A_g": A_g, "g_r": g_r}
-
-
-def subgroup_classify(x: Any, k: int) -> SubgroupTag:
-    """Classify x into the block subgroup of parameter k.
-
-    Accepts a matrix (-> Glk), an MlElement (-> Mlk), a pair of matrices
-    or of Ml elements sharing their A-block (-> Glkd / Mlkd), an
-    SpElement (-> Spk) or an MpElement (-> Mpk).  Raises SubgroupRejection
-    (with offending indices) if the pattern fails.
-    """
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        a, b = x
-        if isinstance(a, MlElement) and isinstance(b, MlElement):
-            blocks = classify_pairs(a.A[None], b.A[None], k, [a.z], [b.z])
-            return SubgroupTag("Mlkd", k, a.n,
-                               {key: v[0] for key, v in blocks.items()})
-        ga, gb = _as_square(a), _as_square(b)
-        blocks = classify_pairs(ga[None], gb[None], k)
-        return SubgroupTag("Glkd", k, ga.shape[0],
-                           {key: v[0] for key, v in blocks.items()})
-    if isinstance(x, (MpElement, SpElement)):
-        g = x.g.g if isinstance(x, MpElement) else x.g
-        blocks = {key: v[0] for key, v in spk_blocks(g[None], k).items()}
-        if isinstance(x, MpElement):
-            return SubgroupTag("Mpk", k, x.n, {**blocks, "zeta": x.zeta})
-        return SubgroupTag("Spk", k, x.n, blocks)
-    mat = x.A if isinstance(x, MlElement) else _as_square(x)
-    checks, A = _glk_pattern(mat[None], k)
-    raise_first(checks)
-    blocks = {"A": A[0], "B": mat[:k, k:], "D": mat[k:, k:]}
-    if isinstance(x, MlElement):
-        return SubgroupTag("Mlk", k, x.n, {**blocks, "z": x.z})
-    return SubgroupTag("Glk", k, mat.shape[0], blocks)

@@ -22,15 +22,14 @@ from .compatibility import DeltaTildeData, PolarizationPairData, draw_translatio
 from .config import Tolerances, check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, ValidationError
 from .frames import (
-    LagFrame,
-    alpha_tilde_stack,
+    alpha_tilde,
     ball_checks,
     check_ball,
     check_frame_pairs,
+    delta,
     delta_L_stack,
-    delta_L_tilde_stack,
-    delta_stack,
-    validate_lagrangian_stack,
+    delta_L_tilde,
+    validate_lagrangian,
 )
 from .groups import as_stack, check_ml, ml_checks, raise_first, spk_blocks
 from .tracking import track_graph
@@ -55,10 +54,10 @@ class MetaplecticBundleData:
         return self.mp_cocycle.n
 
 
-def _require_positive(frames: list[LagFrame], points) -> None:
+def _require_positive(positive: np.ndarray, points) -> None:
     """Every section frame, at its sample point, must be positive."""
-    for fr, pt in zip(frames, points):
-        if not fr.positive:
+    for ok, pt in zip(positive.tolist(), points):
+        if not ok:
             raise ValidationError(f"section frame not positive at {pt.id}")
 
 
@@ -151,7 +150,7 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     (g[p], zeta[p]) on the meta frames (W[p], (C[p], z[p])), for stacks
     g (P, 2n, 2n) and W, C (P, n, n): the moved W and C stacks and the
     moved z, checked in one pass."""
-    aA, az = alpha_tilde_stack(g, zeta, W)
+    aA, az = alpha_tilde(g, zeta, W)
     gW = ball.alpha_raw(g, W)[0]
     check_ball(gW)
     A = aA @ C
@@ -195,7 +194,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     index = nerve.point_index
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
-    _require_positive(validate_lagrangian_stack(U, V), [pt for _, pt in index.sites])
+    _require_positive(validate_lagrangian(U, V), [pt for _, pt in index.sites])
     check_ball(W)
     a, b = index.ends.T
     g = data.mp_cocycle.mats
@@ -211,7 +210,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     raise_first([(res > bound, lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {index.points[p].id}"))])
     gW = ball.alpha_raw(g, W[b])[0]
-    alpha, alpha_z = alpha_tilde_stack(g, data.mp_cocycle.roots.tolist(), W[b])
+    alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots.tolist(), W[b])
     check_ball(gW)
     return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
 
@@ -299,7 +298,7 @@ def build_delta_D_tilde(
     # each point's first W, first (C, z), second W and second (C, z)
     raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
                 + ml_checks(C2, z2))
-    values = delta_L_tilde_stack(W1, C1, z1, W2, C2, z2, k)
+    values = delta_L_tilde(W1, C1, z1, W2, C2, z2, k)
 
     # invariance: both members of the chart-b pair moved by the transition
     b = index.ends[:, 1].tolist()
@@ -310,7 +309,7 @@ def build_delta_D_tilde(
                                np.concatenate([W1[b], W2[b]]),
                                np.concatenate([C1[b], C2[b]]),
                                [z1[r] for r in b] + [z2[r] for r in b])
-    moved = delta_L_tilde_stack(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
+    moved = delta_L_tilde(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
     residuals = [abs(v - values[r]) / max(1.0, abs(values[r])) for v, r in zip(moved, b)]
     dt = DeltaTildeData(base=np.array(values), k=k, residuals=np.array(residuals))
     worst = max([0.0, *residuals])
@@ -332,7 +331,7 @@ def build_delta_D_tilde(
     check_ml(Y2, y2)
     law_worst = 0.0
     for v, x1, x2, dA, y in zip(values, t.z1, t.z2, t.detA,
-                                delta_L_tilde_stack(W1, Y1, y1, W2, Y2, y2, k)):
+                                delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k)):
         target = v * np.conj(x1) * x2 / abs(dA)
         law_worst = max(law_worst, abs(y - target) / max(1.0, abs(target)))
     dt.checks["square_identity"] = sq_worst
@@ -384,7 +383,7 @@ def cross_check(
     # reference lift: transport the second recipe cocycle to the
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
-    w = delta_L_tilde_stack(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
+    w = delta_L_tilde(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
     zs = [w[ra] * x / w[rb] for x, (ra, rb) in
           zip(r2.ml_cocycle.roots.tolist(), nerve.point_index.ends.tolist())]
     z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
@@ -407,7 +406,7 @@ def cross_check(
     S2 = np.concatenate([t2.U, t2.V], axis=-2)
     check_frame_pairs(S1, S2, k)
     restr_worst = 0.0
-    for amb, red in zip(delta_stack(S1, S2, k), reduced):
+    for amb, red in zip(delta(S1, S2, k), reduced):
         restr_worst = max(restr_worst, abs(amb - red) / max(1.0, abs(red)))
     if restr_worst > check_bound(tols):
         raise TheoremFalsification("restriction identity fails")

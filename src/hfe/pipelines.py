@@ -48,7 +48,7 @@ from .config import (
     tolerance_overrides,
 )
 from .errors import EngineError, GluingError, TheoremFalsification
-from .frames import LagFramePair, delta, validate_lagrangian
+from .frames import check_frame_pairs, delta, validate_lagrangian
 from .report import CheckRecord, VerificationReport
 from .scenario import Scenario, load_scenario
 
@@ -176,9 +176,12 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
     worst = 0.0
     failures = []
     for fp in scenario.frame_pairs:
-        pair = LagFramePair(validate_lagrangian(*fp["first"]),
-                            validate_lagrangian(*fp["second"]), fp["k"])
-        val = delta(pair)
+        (U1, V1), (U2, V2) = fp["first"], fp["second"]
+        validate_lagrangian(U1[None], V1[None])
+        validate_lagrangian(U2[None], V2[None])
+        S1, S2 = np.vstack([U1, V1])[None], np.vstack([U2, V2])[None]
+        check_frame_pairs(S1, S2, fp["k"])
+        val, = delta(S1, S2, fp["k"])
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
         worst = max(worst, r)
         if r > check_bound(tols):

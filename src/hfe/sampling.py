@@ -13,8 +13,8 @@ import numpy as np
 
 from . import ball
 from .config import get_tolerances
-from .frames import BallPoint, LagFrame, validate_lagrangian
-from .groups import SpElement, check_ml
+from .frames import check_ball, validate_lagrangian
+from .groups import check_ml
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -92,7 +92,7 @@ def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
     return M[0], z[0], M[-1], z[-1]
 
 
-def random_sp(rng: np.random.Generator, n: int, factors: int = 3) -> SpElement:
+def random_sp(rng: np.random.Generator, n: int, factors: int = 3) -> np.ndarray:
     """Random symplectic matrix as a product of elementary generators.
 
     Uses shears (1 S; 0 1), (1 0; T 1) with S, T symmetric and block
@@ -111,25 +111,28 @@ def random_sp(rng: np.random.Generator, n: int, factors: int = 3) -> SpElement:
             [[A, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(A).T]]
         )
         g = g @ up @ lo @ bl
-    return SpElement(g)
+    return g
 
 
 def random_ball_point(rng: np.random.Generator, n: int, radius: float = 0.9
-                      ) -> BallPoint:
-    """Symmetric matrix of operator norm < radius (rejection sampling)."""
-    while True:
-        W = random_complex(rng, (n, n))
-        W = 0.5 * (W + W.T)
-        nrm = np.linalg.norm(W, 2) if n else 0.0
-        if nrm < 1e-12:
-            return BallPoint(W)
+                      ) -> np.ndarray:
+    """Symmetric matrix of operator norm < radius: a random complex
+    symmetric matrix scaled to a uniform fraction in [0.05, 1) of radius
+    (left as drawn if its norm is below 1e-12), checked as a Ball
+    point."""
+    W = random_complex(rng, (n, n))
+    W = 0.5 * (W + W.T)
+    nrm = np.linalg.norm(W, 2) if n else 0.0
+    if nrm >= 1e-12:
         W = W * (radius * rng.uniform(0.05, 1.0) / nrm)
-        return BallPoint(W)
+    check_ball(W[None])
+    return W
 
 
-def random_positive_frame(rng: np.random.Generator, n: int) -> LagFrame:
-    """Positive Lagrangian frame via phi_inv of a random (W, C)."""
-    W = random_ball_point(rng, n)
-    C = random_gl(rng, n)
-    U, V = ball.phi_inv_raw(W.W, C)
-    return validate_lagrangian(U, V)
+def random_positive_frame(rng: np.random.Generator, n: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Positive Lagrangian frame (U, V) via phi_inv of a random (W, C),
+    checked by validate_lagrangian."""
+    U, V = ball.phi_inv_raw(random_ball_point(rng, n), random_gl(rng, n))
+    validate_lagrangian(U[None], V[None])
+    return U, V

@@ -9,20 +9,16 @@ import numpy as np
 
 from hfe import ball
 from hfe.frames import (
-    BallPoint,
-    LagFramePair,
-    MetaLagFrame,
     alpha_tilde,
     check_ball,
     check_frame_pairs,
+    delta,
     delta_L_tilde,
-    delta_stack,
     gamma_stack,
     pairing_density,
     validate_lagrangian,
-    validate_lagrangian_stack,
 )
-from hfe.groups import MlElement, MpElement, ml_elements, ml_mul
+from hfe.groups import check_ml, ml_mul
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -42,20 +38,26 @@ def _verdict(label, ok, detail=""):
 
 
 def _block_pair(rng, n, k):
-    """Frame pair in D-adapted block form sharing a real A block."""
+    """Frame pair (U, V) in D-adapted block form sharing a real A block."""
     A = random_gl_real(rng, k)
     frames = []
     for _ in range(2):
         B = random_complex(rng, (k, n - k))
-        red = random_positive_frame(rng, n - k)
+        Ur, Vr = random_positive_frame(rng, n - k)
         U = np.zeros((n, n), dtype=complex)
         V = np.zeros((n, n), dtype=complex)
         U[:k, :k] = A
         U[:k, k:] = B
-        U[k:, k:] = red.U
-        V[k:, k:] = red.V
-        frames.append(validate_lagrangian(U, V))
+        U[k:, k:] = Ur
+        V[k:, k:] = Vr
+        validate_lagrangian(U[None], V[None])
+        frames.append((U, V))
     return frames
+
+
+def _columns(U, V):
+    """The stacked columns (U; V) (2n, n) of a frame."""
+    return np.vstack([U, V])
 
 
 def _ball_stack(rng, m, r, radius=0.9):
@@ -81,7 +83,7 @@ def _block_pair_stacks(rng, m, n, k):
         Ur, Vr = ball.phi_inv_raw(_ball_stack(rng, m, n - k), M[:, k:, k:])
         U, V = M.copy(), np.zeros_like(M)
         U[:, k:, k:], V[:, k:, k:] = Ur, Vr
-        validate_lagrangian_stack(U, V)
+        validate_lagrangian(U, V)
         stacks.append(np.concatenate([U, V], axis=1))
     check_frame_pairs(*stacks, k)
     return stacks
@@ -102,9 +104,9 @@ def test_criterion_01_metalinear_group_law():
     for _ in range(50):
         A = random_gl(rng, int(rng.integers(1, 7)))
         z = principal_sqrt(np.linalg.det(A))
-        p, m = ml_elements(np.array([A, A]), [z, -z])
-        lift_ok = lift_ok and np.array_equal(p.A, A) and np.array_equal(m.A, A)
-        lift_ok = lift_ok and m.z == -p.z
+        # both sheets over A are metalinear (check_ml raises otherwise)
+        check_ml(np.array([A, A]), [z, -z])
+        lift_ok = lift_ok and abs(z * z - np.linalg.det(A)) <= 1e-9 * abs(z * z)
     _verdict(
         "criterion 1: metalinear products keep z^2 = det on 1000 draws "
         "and both lift sheets project exactly",
@@ -120,14 +122,14 @@ def test_criterion_02_delta_transformation_law():
     for n in range(1, 5):
         for k in range(0, n + 1):
             S1, S2 = _block_pair_stacks(rng, 500, n, k)
-            base = np.array(delta_stack(S1, S2, k))
+            base = np.array(delta(S1, S2, k))
             min_abs = min(min_abs, np.min(np.abs(base)))
             g1, _, g2, _ = random_mlkd_stack(rng, 500, n, k)
             T1, T2 = S1 @ g1, S2 @ g2
             for T in (T1, T2):
-                validate_lagrangian_stack(T[:, :n], T[:, n:])
+                validate_lagrangian(T[:, :n], T[:, n:])
             check_frame_pairs(T1, T2, k)
-            moved = np.array(delta_stack(T1, T2, k))
+            moved = np.array(delta(T1, T2, k))
             detA = np.linalg.det(g1[:, :k, :k].real)
             target = np.conj(np.linalg.det(g1)) * np.linalg.det(g2) / (detA * detA) * base
             worst = max(worst, np.max(np.abs(moved - target) / np.abs(target)))
@@ -144,21 +146,21 @@ def test_criterion_03_ball_chart_roundtrips():
     worst = 0.0
     for _ in range(500):
         n = int(rng.integers(1, 5))
-        fr = random_positive_frame(rng, n)
-        W, C = ball.phi_raw(fr.U, fr.V)
+        U0, V0 = random_positive_frame(rng, n)
+        W, C = ball.phi_raw(U0, V0)
         check_ball(W[None])
         U, V = ball.phi_inv_raw(W, C)
         worst = max(
             worst,
-            float(np.max(np.abs(U - fr.U))),
-            float(np.max(np.abs(V - fr.V))),
+            float(np.max(np.abs(U - U0))),
+            float(np.max(np.abs(V - V0))),
         )
     for _ in range(500):
         n = int(rng.integers(1, 5))
-        W = random_ball_point(rng, n).W
+        W = random_ball_point(rng, n)
         C = random_gl(rng, n)
         U, V = ball.phi_inv_raw(W, C)
-        validate_lagrangian(U, V)
+        validate_lagrangian(U[None], V[None])
         W2, C2 = ball.phi_raw(U, V)
         worst = max(
             worst,
@@ -186,23 +188,23 @@ def test_criterion_04_automorphy_cocycle_and_cover():
         n = int(rng.integers(1, 4))
         g, h = random_sp(rng, n), random_sp(rng, n)
         W = random_ball_point(rng, n)
-        hW, ah = ball.alpha_raw(h.g, W.W)
-        _, ag = ball.alpha_raw(g.g, hW)
-        _, agh = ball.alpha_raw(g.g @ h.g, W.W)
+        hW, ah = ball.alpha_raw(h, W)
+        _, ag = ball.alpha_raw(g, hW)
+        _, agh = ball.alpha_raw(g @ h, W)
         scale = max(1.0, float(np.max(np.abs(ag @ ah))))
         worst = max(worst, float(np.max(np.abs(agh - ag @ ah))) / scale)
         if i < 60:  # tracked-sheet checks on a subsample
-            _, a0 = ball.alpha_raw(g.g, np.zeros((n, n)))
-            gt = MpElement(g, principal_sqrt(np.linalg.det(a0)))
-            at = alpha_tilde(gt, W)
-            _, am = ball.alpha_raw(gt.g.g, W.W)
-            proj_ok = proj_ok and np.array_equal(at.A, am)
-            dk = alpha_tilde(MpElement(gt.g, -gt.zeta), W)
-            flipped, (z,) = ml_mul(at.A[None], [at.z], np.eye(n)[None], [-1.0])
+            _, a0 = ball.alpha_raw(g, np.zeros((n, n)))
+            zeta = principal_sqrt(np.linalg.det(a0))
+            A, z = alpha_tilde(g[None], [zeta], W[None])
+            _, am = ball.alpha_raw(g, W)
+            proj_ok = proj_ok and np.array_equal(A[0], am)
+            dA, dz = alpha_tilde(g[None], [-zeta], W[None])
+            flipped, fz = ml_mul(A, z, np.eye(n)[None], [-1.0])
             deck_ok = (
                 deck_ok
-                and np.array_equal(dk.A, flipped[0])
-                and dk.z == z
+                and np.array_equal(dA, flipped)
+                and dz == fz
             )
     _verdict(
         "criterion 4: automorphy cocycle identity on 300 pairs, tracked "
@@ -218,7 +220,7 @@ def test_criterion_05_gamma_square_and_path_independence(corpus_reports):
     worst_path = 0.0
     for i in range(1000):
         n = int(rng.integers(1, 5))
-        W1, W2 = random_ball_point(rng, n).W[None], random_ball_point(rng, n).W[None]
+        W1, W2 = random_ball_point(rng, n)[None], random_ball_point(rng, n)[None]
         v, = gamma_stack(W1, W2)
         target = np.linalg.det(0.5 * (np.eye(n) - W1[0].conj().T @ W2[0]))
         worst_sq = max(worst_sq, abs(v * v - target) / max(1.0, abs(target)))
@@ -349,19 +351,20 @@ def test_criterion_11_density_invariance():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(0, n + 1))
-        s1, s2 = _block_pair(rng, n, k)
+        (U1, V1), (U2, V2) = _block_pair(rng, n, k)
         lifts = [rng.standard_normal(2 * n) for _ in range(2 * n - k)]
         nu1, nu2 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         preq = complex(*rng.standard_normal(2))
-        v = pairing_density(preq, nu1, nu2, LagFramePair(s1, s2, k), lifts)
+        v = pairing_density(preq, nu1, nu2, _columns(U1, V1), _columns(U2, V2),
+                            k, lifts)
         (g1,), _, (g2,), _ = random_mlkd_stack(rng, 1, n, k)
-        t1 = validate_lagrangian(s1.U @ g1, s1.V @ g1)
-        t2 = validate_lagrangian(s2.U @ g2, s2.V @ g2)
+        T1, T2 = _columns(U1, V1) @ g1, _columns(U2, V2) @ g2
+        validate_lagrangian(np.array([T1[:n], T2[:n]]), np.array([T1[n:], T2[n:]]))
         v2 = pairing_density(
             preq,
             nu1 * abs(np.linalg.det(g1)) ** -0.5,
             nu2 * abs(np.linalg.det(g2)) ** -0.5,
-            LagFramePair(t1, t2, k),
+            T1, T2, k,
             lifts,
         )
         worst_hd = max(worst_hd, abs(v2 - v) / max(1.0, abs(v)))
@@ -373,7 +376,7 @@ def test_criterion_11_density_invariance():
         metas, frames = [], []
         for _ in range(2):
             B = random_complex(rng, (k, n - k))
-            Wr = random_ball_point(rng, n - k).W
+            Wr = random_ball_point(rng, n - k)
             Cr = random_gl(rng, n - k)
             W = np.zeros((n, n), dtype=complex)
             W[:k, :k] = np.eye(k)
@@ -382,33 +385,32 @@ def test_criterion_11_density_invariance():
             C[:k, :k] = A
             C[:k, k:] = B
             C[k:, k:] = Cr
-            metas.append(
-                MetaLagFrame(BallPoint(W),
-                             MlElement(C, principal_sqrt(np.linalg.det(C))))
-            )
-            frames.append(validate_lagrangian(*ball.phi_inv_raw(W, C)))
+            metas.append((W, C))
+        # the meta frames (W[p], (C[p], zc[p])) and their projected frames
+        W, C = (np.array(x) for x in zip(*metas))
+        zc = [principal_sqrt(d) for d in np.linalg.det(C)]
+        check_ball(W)
+        check_ml(C, zc)
+        U, V = ball.phi_inv_raw(W, C)
+        validate_lagrangian(U, V)
+        S = np.concatenate([U, V], axis=-2)
         lifts = [rng.standard_normal(2 * n) for _ in range(2 * n - k)]
         nu1, nu2 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         preq = complex(*rng.standard_normal(2))
-        dt = delta_L_tilde((metas[0], metas[1]), k)
+        dt, = delta_L_tilde(W[:1], C[:1], zc[:1], W[1:], C[1:], zc[1:], k)
         v = pairing_density(
-            preq, nu1, nu2, LagFramePair(frames[0], frames[1], k), lifts,
+            preq, nu1, nu2, S[0], S[1], k, lifts,
             "half-form", delta_tilde_value=dt,
         )
         M1, z1, M2, z2 = random_mlkd_stack(rng, 1, n, k)
-        m1, m2 = ml_elements(np.concatenate([M1, M2]), [z1[0], z2[0]])
-        C, z = ml_mul(np.array([X.C.A for X in metas]), [X.C.z for X in metas],
-                      np.array([m1.A, m2.A]), [m1.z, m2.z])
-        moved = tuple(MetaLagFrame(X.W, MlElement(c, zc))
-                      for X, c, zc in zip(metas, C, z))
-        dt2 = delta_L_tilde(moved, k)
-        moved_frames = [
-            validate_lagrangian(f.U @ m.A, f.V @ m.A)
-            for f, m in zip(frames, (m1, m2))
-        ]
+        M, zm = np.concatenate([M1, M2]), [z1[0], z2[0]]
+        C2, z = ml_mul(C, zc, M, zm)
+        dt2, = delta_L_tilde(W[:1], C2[:1], z[:1], W[1:], C2[1:], z[1:], k)
+        T = S @ M
+        validate_lagrangian(T[:, :n], T[:, n:])
         v2 = pairing_density(
-            preq, nu1 / m1.z, nu2 / m2.z,
-            LagFramePair(moved_frames[0], moved_frames[1], k), lifts,
+            preq, nu1 / zm[0], nu2 / zm[1],
+            T[0], T[1], k, lifts,
             "half-form", delta_tilde_value=dt2,
         )
         worst_hf = max(worst_hf, abs(v2 - v) / max(1.0, abs(v)))

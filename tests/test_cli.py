@@ -748,3 +748,24 @@ def test_frame_pairs_records_the_first_invalid_pair(edit, error, tmp_path, capsy
     assert code == 1
     assert checks["frame_pairs.error"]["failures"] == [error]
 
+
+def _half_delta_pair(doc):
+    # |delta| = 0.5 exactly, and both frames have independence above 0.5
+    doc["frame_pairs"] = [{
+        "name": "half",
+        "first": {"name": "frame_const", "params": {"U": [[1]], "V": [[0]]}},
+        "second": {"name": "frame_const", "params": {"U": [[1]], "V": [[0.5]]}},
+        "k": 0,
+        "expected_delta": [0.0, -0.5],
+    }]
+
+
+def test_frame_pairs_delta_at_the_singular_bound_vanishes(tmp_path, capsys):
+    code, checks = _frame_pairs_report(tmp_path, capsys, _half_delta_pair)
+    assert code == 0
+    assert checks["frame_pairs.delta-values"]["pass"] is True
+    code, checks = _frame_pairs_report(tmp_path, capsys, _half_delta_pair,
+                                       "--tolerance", "singular=0.5")
+    assert code == 1
+    assert checks["frame_pairs.error"]["failures"] == [
+        "SingularityError: pairing determinant vanishes (invalid pair)"]

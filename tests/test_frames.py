@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from hfe import ball
+from hfe.config import tolerance_overrides
 from hfe.errors import SingularityError, SubgroupRejection, ValidationError
 from hfe.frames import (
-    BallPoint,
-    LagFramePair,
-    MetaLagFrame,
     alpha_tilde,
     check_ball,
+    check_frame_pairs,
     delta,
     delta_L_from_wc,
     delta_L_stack,
@@ -18,7 +17,7 @@ from hfe.frames import (
     pairing_density,
     validate_lagrangian,
 )
-from hfe.groups import MlElement, MpElement, ml_mul
+from hfe.groups import ml_mul
 from hfe.sampling import (
     random_ball_point,
     random_complex,
@@ -34,37 +33,57 @@ HORIZ = (np.array([[1.0]]), np.array([[0.0]]))
 HOLO = (np.array([[1.0]]), np.array([[1j]]))
 
 
-def _pair(f1, f2, k=0):
-    return LagFramePair(validate_lagrangian(*f1), validate_lagrangian(*f2), k)
+def _columns(U, V):
+    """The stacked columns (U; V) of a frame, as a stack of one."""
+    return np.vstack([U, V]).astype(complex)[None]
+
+
+def _delta(f1, f2, k=0):
+    """delta of one frame pair, checked as a pair first."""
+    S1, S2 = _columns(*f1), _columns(*f2)
+    check_frame_pairs(S1, S2, k)
+    return delta(S1, S2, k)[0]
 
 
 def test_validate_rejects_nonisotropic():
     U = np.eye(2)
     V = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
-        validate_lagrangian(U, V)
+        validate_lagrangian(U[None], V[None])
 
 
 def test_validate_positivity_verdict():
-    assert validate_lagrangian(*HOLO).positive
-    anti = validate_lagrangian(np.array([[1.0]]), np.array([[-1j]]))
-    assert not anti.positive
+    U, V = np.array([[[1.0]], [[1.0]]]), np.array([[[1j]], [[-1j]]])
+    assert validate_lagrangian(U, V).tolist() == [True, False]
 
 
 def test_delta_axis_values():
-    assert abs(delta(_pair(VERT, HORIZ)) - 1j) < 1e-12
-    assert abs(delta(_pair(HORIZ, VERT)) + 1j) < 1e-12
-    assert abs(delta(_pair(HOLO, HOLO)) - 2.0) < 1e-12
+    assert abs(_delta(VERT, HORIZ) - 1j) < 1e-12
+    assert abs(_delta(HORIZ, VERT) + 1j) < 1e-12
+    assert abs(_delta(HOLO, HOLO) - 2.0) < 1e-12
 
 
 def test_delta_shared_columns_k_equals_n():
-    pair = _pair(VERT, VERT, k=1)
-    assert delta(pair) == 1.0
+    assert _delta(VERT, VERT, k=1) == 1.0
 
 
 def test_pair_rejects_differing_shared_columns():
     with pytest.raises(ValidationError):
-        _pair(VERT, HORIZ, k=1)
+        _delta(VERT, HORIZ, k=1)
+
+
+def test_delta_singular_bound_is_inclusive():
+    # |delta| = |delta_L| = 0.5 exactly: vanishing at singular = 0.5, as
+    # every other singular guard counts |value| <= singular
+    (U1, V1), (U2, V2) = HORIZ, (np.array([[1.0]]), np.array([[0.5]]))
+    S1, S2 = _columns(U1, V1), _columns(U2, V2)
+    assert abs(delta(S1, S2, 0)[0]) == 0.5
+    assert abs(delta_L_stack(U1[None], V1[None], U2[None], V2[None], 0)[0]) == 0.5
+    with tolerance_overrides(singular=0.5):
+        with pytest.raises(SingularityError, match="pairing determinant vanishes"):
+            delta(S1, S2, 0)
+        with pytest.raises(SingularityError, match="reduced pairing determinant"):
+            delta_L_stack(U1[None], V1[None], U2[None], V2[None], 0)
 
 
 def test_phi_anchor_and_roundtrip(rng):
@@ -73,21 +92,21 @@ def test_phi_anchor_and_roundtrip(rng):
     assert abs(C[0, 0] - 2.0) < 1e-12
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        fr = random_positive_frame(rng, n)
-        W, C = ball.phi_raw(fr.U, fr.V)
+        U0, V0 = random_positive_frame(rng, n)
+        W, C = ball.phi_raw(U0, V0)
         check_ball(W[None])
         U, V = ball.phi_inv_raw(W, C)
-        assert np.max(np.abs(U - fr.U)) < 1e-10
-        assert np.max(np.abs(V - fr.V)) < 1e-10
+        assert np.max(np.abs(U - U0)) < 1e-10
+        assert np.max(np.abs(V - V0)) < 1e-10
 
 
 def test_phi_inv_left_inverse(rng):
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        W = random_ball_point(rng, n).W
+        W = random_ball_point(rng, n)
         C = random_gl(rng, n)
         U, V = ball.phi_inv_raw(W, C)
-        assert validate_lagrangian(U, V).positive
+        assert validate_lagrangian(U[None], V[None])[0]
         W2, C2 = ball.phi_raw(U, V)
         assert np.max(np.abs(W2 - W)) < 1e-10
         assert np.max(np.abs(C2 - C)) < 1e-10
@@ -98,20 +117,20 @@ def test_alpha_is_automorphy_cocycle(rng):
         n = int(rng.integers(1, 4))
         g, h = random_sp(rng, n), random_sp(rng, n)
         W = random_ball_point(rng, n)
-        hW, ah = ball.alpha_raw(h.g, W.W)
-        _, ag = ball.alpha_raw(g.g, hW)
-        _, agh = ball.alpha_raw(g.g @ h.g, W.W)
-        scale = max(1.0, float(np.max(np.abs(ag @ ah.A if hasattr(ah, "A") else ag @ ah))))
+        hW, ah = ball.alpha_raw(h, W)
+        _, ag = ball.alpha_raw(g, hW)
+        _, agh = ball.alpha_raw(g @ h, W)
+        scale = max(1.0, float(np.max(np.abs(ag @ ah))))
         assert np.max(np.abs(agh - ag @ ah)) < 1e-8 * scale
 
 
 def test_ball_maps_broadcast_over_stacks(rng):
     # a stack of Ball points gives the stack of the pointwise results
     g = random_sp(rng, 2)
-    Ws = np.stack([random_ball_point(rng, 2).W for _ in range(5)])
-    gWs, As = ball.alpha_raw(g.g, Ws)
+    Ws = np.stack([random_ball_point(rng, 2) for _ in range(5)])
+    gWs, As = ball.alpha_raw(g, Ws)
     for W, gW, A in zip(Ws, gWs, As):
-        gW1, A1 = ball.alpha_raw(g.g, W)
+        gW1, A1 = ball.alpha_raw(g, W)
         assert np.max(np.abs(gW - gW1)) < 1e-12
         assert np.max(np.abs(A - A1)) < 1e-12
     # one singular member of a stack trips the guard
@@ -123,11 +142,11 @@ def test_ball_maps_broadcast_over_stacks(rng):
 def test_alpha_moves_frames_consistently(rng):
     # phi(g . frame) = (g.W, alpha(g, W) C)
     g = random_sp(rng, 2)
-    fr = random_positive_frame(rng, 2)
-    W, C = ball.phi_raw(fr.U, fr.V)
-    gU, gV = ball.sp_apply(g.g, fr.U, fr.V)
+    U, V = random_positive_frame(rng, 2)
+    W, C = ball.phi_raw(U, V)
+    gU, gV = ball.sp_apply(g, U, V)
     W2, C2 = ball.phi_raw(gU, gV)
-    gW, a = ball.alpha_raw(g.g, W)
+    gW, a = ball.alpha_raw(g, W)
     check_ball(gW[None])
     assert np.max(np.abs(W2 - gW)) < 1e-9
     assert np.max(np.abs(C2 - a @ C)) < 1e-9
@@ -135,16 +154,16 @@ def test_alpha_moves_frames_consistently(rng):
 
 def test_alpha_tilde_projection_and_deck(rng):
     g = random_sp(rng, 2)
-    _, a0 = ball.alpha_raw(g.g, np.zeros((2, 2)))
-    gt = MpElement(g, principal_sqrt(np.linalg.det(a0)))
+    _, a0 = ball.alpha_raw(g, np.zeros((2, 2)))
+    zeta = principal_sqrt(np.linalg.det(a0))
     W = random_ball_point(rng, 2)
-    at = alpha_tilde(gt, W)
-    _, am = ball.alpha_raw(gt.g.g, W.W)
-    assert np.array_equal(at.A, am)
-    deck = alpha_tilde(MpElement(gt.g, -gt.zeta), W)
-    flipped, (z,) = ml_mul(at.A[None], [at.z], np.eye(2)[None], [-1.0])
-    assert np.array_equal(deck.A, flipped[0])
-    assert deck.z == z
+    A, z = alpha_tilde(g[None], [zeta], W[None])
+    _, am = ball.alpha_raw(g, W)
+    assert np.array_equal(A[0], am)
+    deck = alpha_tilde(g[None], [-zeta], W[None])
+    flipped, zf = ml_mul(A, z, np.eye(2)[None], [-1.0])
+    assert np.array_equal(deck[0], flipped)
+    assert deck[1] == zf
 
 
 def test_gamma_anchor_and_square(rng):
@@ -153,7 +172,7 @@ def test_gamma_anchor_and_square(rng):
         assert abs(gamma_stack(origin, origin)[0] - 2 ** (-n / 2)) < 1e-12
     for _ in range(50):
         n = int(rng.integers(1, 5))
-        W1, W2 = random_ball_point(rng, n).W, random_ball_point(rng, n).W
+        W1, W2 = random_ball_point(rng, n), random_ball_point(rng, n)
         v, = gamma_stack(W1[None], W2[None])
         target = np.linalg.det(0.5 * (np.eye(n) - W1.conj().T @ W2))
         assert abs(v * v - target) < 1e-9 * max(1.0, abs(target))
@@ -170,15 +189,16 @@ def test_delta_L_restriction_matches_ambient(rng):
         frames = []
         for _ in range(2):
             B = random_complex(rng, (k, n - k))
-            red = random_positive_frame(rng, n - k)
+            Ur, Vr = random_positive_frame(rng, n - k)
             U = np.zeros((n, n), dtype=complex)
             V = np.zeros((n, n), dtype=complex)
             U[:k, :k] = A
             U[:k, k:] = B
-            U[k:, k:] = red.U
-            V[k:, k:] = red.V
+            U[k:, k:] = Ur
+            V[k:, k:] = Vr
+            validate_lagrangian(U[None], V[None])
             frames.append((U, V))
-        amb = delta(_pair(frames[0], frames[1], k))
+        amb = _delta(frames[0], frames[1], k)
         (U1, V1), (U2, V2) = frames
         red = delta_L_stack(U1[None], V1[None], U2[None], V2[None], k)[0]
         assert abs(amb - red) < 1e-9 * max(1.0, abs(red))
@@ -193,7 +213,7 @@ def test_delta_L_rejects_bad_block_pattern():
 
 def _block_meta(rng, n, k, A):
     B = random_complex(rng, (k, n - k))
-    Wr = random_ball_point(rng, n - k).W
+    Wr = random_ball_point(rng, n - k)
     Cr = random_gl(rng, n - k)
     W = np.zeros((n, n), dtype=complex)
     W[:k, :k] = np.eye(k)
@@ -202,7 +222,7 @@ def _block_meta(rng, n, k, A):
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
-    return MetaLagFrame(BallPoint(W), MlElement(C, principal_sqrt(np.linalg.det(C))))
+    return W, C, principal_sqrt(np.linalg.det(C))
 
 
 def test_delta_L_tilde_squares_to_delta_L(rng):
@@ -211,12 +231,14 @@ def test_delta_L_tilde_squares_to_delta_L(rng):
         k = int(rng.integers(0, n + 1))
         A = random_gl_real(rng, k)
         X1, X2 = _block_meta(rng, n, k, A), _block_meta(rng, n, k, A)
-        v = delta_L_tilde((X1, X2), k)
-        f1 = ball.phi_inv_raw(X1.W.W, X1.C.A)
-        f2 = ball.phi_inv_raw(X2.W.W, X2.C.A)
+        (W1, C1, z1), (W2, C2, z2) = X1, X2
+        check_ball(np.array([W1, W2]))
+        v, = delta_L_tilde(W1[None], C1[None], [z1], W2[None], C2[None], [z2], k)
+        f1 = ball.phi_inv_raw(W1, C1)
+        f2 = ball.phi_inv_raw(W2, C2)
         target = delta_L_stack(f1[0][None], f1[1][None], f2[0][None], f2[1][None], k)[0]
         assert abs(v * v - target) < 1e-9 * max(1.0, abs(target))
-        via_wc = delta_L_from_wc((X1.W.W, X1.C.A), (X2.W.W, X2.C.A), k)
+        via_wc = delta_L_from_wc((W1, C1), (W2, C2), k)
         assert abs(via_wc - target) < 1e-9 * max(1.0, abs(target))
 
 
@@ -233,20 +255,24 @@ def test_liouville_scaling_and_value(rng):
 
 
 def test_pairing_density_anchor():
-    pair = _pair(HOLO, HOLO)
+    S = _columns(*HOLO)[0]
     lifts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    v = pairing_density(1.0, 1.0, 1.0, pair, lifts, "half-density")
+    v = pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-density")
     assert abs(v - 2 ** 0.5) < 1e-12
-    v2 = pairing_density(1.0, 1.0, 1.0, pair, lifts, "half-form",
+    v2 = pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-form",
                          delta_tilde_value=2 ** 0.5)
     assert abs(v2 - 2 ** 0.5) < 1e-12
     with pytest.raises(ValidationError):
-        pairing_density(1.0, 1.0, 1.0, pair, lifts, "half-form",
+        pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-form",
                         delta_tilde_value=1.0)
+    # the frames must share their first k columns
+    with pytest.raises(ValidationError):
+        pairing_density(1.0, 1.0, 1.0, _columns(*VERT)[0], _columns(*HORIZ)[0], 1,
+                        [np.array([1.0, 0.0])])
 
 
 def test_ball_point_validation():
     with pytest.raises(ValidationError):
-        BallPoint(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
+        check_ball(np.array([[[0.0, 1.0], [0.0, 0.0]]]))  # not symmetric
     with pytest.raises(ValidationError):
-        BallPoint(np.array([[1.5]]))  # operator norm > 1
+        check_ball(np.array([[[1.5]]]))  # operator norm > 1

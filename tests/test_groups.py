@@ -4,13 +4,14 @@ import pytest
 from hfe import ball
 from hfe.errors import SubgroupRejection, ValidationError
 from hfe.groups import (
-    MlElement,
-    MpElement,
-    SpElement,
-    ml_elements,
+    _glk_pattern,
+    check_ml,
+    check_mp,
+    check_sp,
     ml_mul,
     mp_mul,
-    sp_validate,
+    raise_first,
+    spk_blocks,
     subgroup_classify,
 )
 from hfe.sampling import random_gl, random_mlkd_stack, random_sp
@@ -19,7 +20,7 @@ from hfe.tracking import principal_sqrt
 
 def test_ml_element_rejects_wrong_root():
     with pytest.raises(ValidationError):
-        MlElement(np.eye(2), 2.0)
+        check_ml(np.eye(2)[None], [2.0])
 
 
 def test_ml_product_preserves_relation(rng):
@@ -35,36 +36,33 @@ def test_ml_product_preserves_relation(rng):
 
 
 def test_ml_identity(rng):
-    A = random_gl(rng, 3)
-    a = ml_elements(A[None], [principal_sqrt(np.linalg.det(A))])[0]
-    e = MlElement(np.eye(3), 1.0)
-    assert ml_mul(a.A[None], [a.z], e.A[None], [e.z])[1] == [a.z]
+    A = random_gl(rng, 3)[None]
+    z = [principal_sqrt(np.linalg.det(A[0]))]
+    check_ml(A, z)
+    check_ml(np.eye(3)[None], [1.0])
+    assert ml_mul(A, z, np.eye(3)[None], [1.0])[1] == z
 
 
 def test_ml_lift_two_sheets(rng):
     A = random_gl(rng, 3)
     z = principal_sqrt(np.linalg.det(A))
-    p, m = ml_elements(np.array([A, A]), [z, -z])
-    assert np.array_equal(p.A, A) and np.array_equal(m.A, A)
-    assert m.z == -p.z
-    assert abs(p.z * p.z - np.linalg.det(A)) < 1e-9 * abs(np.linalg.det(A))
+    # both sheets over A are metalinear; their roots differ by the sign
+    check_ml(np.array([A, A]), [z, -z])
+    assert abs(z * z - np.linalg.det(A)) < 1e-9 * abs(np.linalg.det(A))
 
 
 def test_sp_validate_accepts_generated_rejects_generic(rng):
-    sp_validate(random_sp(rng, 3))
+    check_sp(random_sp(rng, 3)[None])
     with pytest.raises(ValidationError):
-        sp_validate(np.eye(4) + 0.5)
+        check_sp((np.eye(4) + 0.5)[None])
 
 
-def _lift(g: SpElement) -> MpElement:
-    """The metaplectic element over g with the principal anchor."""
-    _, a0 = ball.alpha_raw(g.g, np.zeros((g.n, g.n)))
-    return MpElement(g, principal_sqrt(np.linalg.det(a0)))
-
-
-def _stack(x: MpElement):
-    """An element as the one-row stack mp_mul takes."""
-    return x.g.g[None], [x.zeta]
+def _lift(g: np.ndarray):
+    """The metaplectic element over g with the principal anchor, as the
+    one-row stack mp_mul takes."""
+    n = len(g) // 2
+    _, a0 = ball.alpha_raw(g, np.zeros((n, n)))
+    return g[None], [principal_sqrt(np.linalg.det(a0))]
 
 
 def test_mp_product_stays_on_cover(rng):
@@ -74,12 +72,12 @@ def test_mp_product_stays_on_cover(rng):
         n = int(rng.integers(1, 4))
         a = _lift(random_sp(rng, n))
         b = _lift(random_sp(rng, n))
-        g, _ = mp_mul(*_stack(a), *_stack(b))
-        assert np.allclose(g[0], a.g.g @ b.g.g)
+        g, _ = mp_mul(*a, *b)
+        assert np.allclose(g[0], a[0][0] @ b[0][0])
 
 
 def test_mp_associativity_of_sheets(rng):
-    a, b, c = (_stack(_lift(random_sp(rng, 2))) for _ in range(3))
+    a, b, c = (_lift(random_sp(rng, 2)) for _ in range(3))
     (lhs, (zl,)), (rhs, (zr,)) = mp_mul(*mp_mul(*a, *b), *c), mp_mul(*a, *mp_mul(*b, *c))
     assert np.max(np.abs(lhs - rhs)) < 1e-8
     assert abs(zl - zr) < 1e-8 * max(1.0, abs(zl))
@@ -87,50 +85,45 @@ def test_mp_associativity_of_sheets(rng):
 
 def test_mp_deck_is_central(rng):
     # flipping the sheet of a factor flips the sheet of the product
-    a = _lift(random_sp(rng, 2))
-    b = _lift(random_sp(rng, 2))
-    _, (flipped,) = mp_mul(*_stack(MpElement(a.g, -a.zeta)), *_stack(b))
-    _, (zeta,) = mp_mul(*_stack(a), *_stack(b))
+    (ga, (za,)), b = _lift(random_sp(rng, 2)), _lift(random_sp(rng, 2))
+    _, (flipped,) = mp_mul(ga, [-za], *b)
+    _, (zeta,) = mp_mul(ga, [za], *b)
     assert abs(flipped + zeta) < 1e-8
     # the identity lies on the cover with either anchor
-    for sheet in (1, -1):
-        MpElement(SpElement(np.eye(4)), sheet)
+    check_mp(np.array([np.eye(4), np.eye(4)]), [1.0, -1.0])
 
 
 def test_subgroup_classify_glk_accept_and_reject():
     g = np.array([[2.0, 1.0 + 1j], [0.0, 3.0 - 1j]])
-    tag = subgroup_classify(g, 1)
-    assert tag.kind == "Glk"
-    assert np.allclose(tag.blocks["A"], [[2.0]])
+    checks, A = _glk_pattern(g[None], 1)
+    raise_first(checks)
+    assert np.allclose(A[0], [[2.0]])
     bad = g.copy()
     bad[1, 0] = 0.5
     with pytest.raises(SubgroupRejection) as exc:
-        subgroup_classify(bad, 1)
+        raise_first(_glk_pattern(bad[None], 1)[0])
     assert (1, 0) in exc.value.indices
 
 
 def test_subgroup_classify_complex_a_block_rejected():
     g = np.array([[2.0 + 1j, 0.0], [0.0, 3.0]])
     with pytest.raises(SubgroupRejection):
-        subgroup_classify(g, 1)
+        raise_first(_glk_pattern(g[None], 1)[0])
 
 
 def test_subgroup_classify_pair_shared_a(rng):
     M1, z1, M2, z2 = random_mlkd_stack(rng, 2, 3, 2)
-    m1, m2, other = ml_elements(np.stack([M1[0], M2[0], M1[1]]),
-                                [z1[0], z2[0], z1[1]])
-    tag = subgroup_classify((m1, m2), 2)
-    assert tag.kind == "Mlkd"
+    blocks = subgroup_classify(M1[:1], M2[:1], 2, z1[:1], z2[:1])
+    assert np.array_equal(blocks["A"], M1[:1, :2, :2].real)
     with pytest.raises(SubgroupRejection):
-        subgroup_classify((m1, other), 2)
+        subgroup_classify(M1[:1], M1[1:], 2, z1[:1], z1[1:])
 
 
 def test_subgroup_classify_spk():
     # diag(A, g_r-embedded, A^{-t}, ...) pattern with k=1, n=2
     g = np.diag([-1.0, 1.0, -1.0, 1.0])
-    tag = subgroup_classify(SpElement(g), 1)
-    assert tag.kind == "Spk"
-    assert np.allclose(tag.blocks["A_g"], [[-1.0]])
+    blocks = spk_blocks(g[None], 1)
+    assert np.allclose(blocks["A_g"][0], [[-1.0]])
     # a shear mixing the distinguished direction into the rest violates
     # the required zero pattern
     A = np.array([[1.0, 0.0], [0.3, 1.0]])
@@ -139,12 +132,12 @@ def test_subgroup_classify_spk():
         [np.zeros((2, 2)), np.linalg.inv(A).T],
     ])
     with pytest.raises(SubgroupRejection):
-        subgroup_classify(SpElement(shear), 1)
+        spk_blocks(shear[None], 1)
 
 
 def test_mp_element_wrong_anchor_rejected(rng):
     g = random_sp(rng, 2)
-    _, a0 = ball.alpha_raw(g.g, np.zeros((2, 2)))
+    _, a0 = ball.alpha_raw(g, np.zeros((2, 2)))
     zeta = np.sqrt(abs(np.linalg.det(a0))) * 5.0
     with pytest.raises(ValidationError):
-        MpElement(g, zeta)
+        check_mp(g[None], [zeta])

@@ -8,7 +8,7 @@ import pytest
 from hfe import ball
 from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError
-from hfe.frames import frame_pattern, validate_lagrangian_stack
+from hfe.frames import frame_pattern, validate_lagrangian
 from hfe.groups import raise_first
 from hfe.induction import (
     FrameSectionData,
@@ -157,9 +157,9 @@ def test_frame_pattern_blocks():
     raise_first(checks)
     assert np.allclose(blocks["A"], [[[2.0]]])
     # the full and the reduced frame are both positive
-    full, = validate_lagrangian_stack(U, V)
-    reduced, = validate_lagrangian_stack(blocks["Ur"], blocks["Vr"])
-    assert full.positive and reduced.positive
+    full, = validate_lagrangian(U, V)
+    reduced, = validate_lagrangian(blocks["Ur"], blocks["Vr"])
+    assert full and reduced
 
 
 def test_frame_pattern_rejects_bad_pattern():

@@ -8,20 +8,16 @@ list.  A decorated function counts as used, since its decorator
 registers it (the pipeline stages).  A class named only as the class
 argument of isinstance does not count as used: no instance of it can
 reach the check unless some code makes one.  The exceptions below have
-no caller in the package on purpose.
+no caller in the package on purpose.  The benchmark's trace targets get
+no exception: a traced run must measure code the engine runs.
 """
 
 import ast
 from pathlib import Path
 
-from test_spans import TARGETS
-
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 
 EXCEPTIONS = {
-    # the benchmark's trace targets must exist for a traced run
-    **{(module.split(".", 1)[1], attr): "trace target in perfbench/spans.py"
-       for module, attr in TARGETS},
     # the BKS pairing of the open ROADMAP item 1; its stage will call these
     ("frames", "liouville"): "BKS pairing, ROADMAP item 1",
     ("frames", "pairing_density"): "BKS pairing, ROADMAP item 1",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hfe.config import tolerance_overrides
 from hfe.errors import SingularityError
-from hfe.groups import classify_pairs
+from hfe.groups import subgroup_classify
 from hfe.sampling import random_mlkd_stack
 
 
@@ -26,7 +26,7 @@ def test_stack_holds_m_seeded_mlkd_pairs(params):
     M1, z1, M2, z2 = got
     assert M1.shape == M2.shape == (m, n, n)
     assert z1.shape == z2.shape == (m,)
-    blocks = classify_pairs(M1, M2, k, z1.tolist(), z2.tolist())
+    blocks = subgroup_classify(M1, M2, k, z1.tolist(), z2.tolist())
     assert np.all(np.abs(np.linalg.det(blocks["A"])) > 1e-3)
     assert np.all(np.abs(np.linalg.det(blocks["D1"])) > 1e-3)
     assert np.all(np.abs(np.linalg.det(blocks["D2"])) > 1e-3)
@@ -46,7 +46,7 @@ def test_draws_pass_the_singularity_tests_at_the_run_tolerance(params, singular)
     with tolerance_overrides(singular=singular):
         M1, z1, M2, z2 = random_mlkd_stack(np.random.default_rng(seed), m, n, k,
                                            diagonal)
-        blocks = classify_pairs(M1, M2, k, z1.tolist(), z2.tolist())
+        blocks = subgroup_classify(M1, M2, k, z1.tolist(), z2.tolist())
     assert not k or np.all(np.abs(np.linalg.det(blocks["A"])) > singular)
     for M in (M1, M2):
         assert np.all(np.abs(np.linalg.det(M)) > singular)
@@ -89,6 +89,6 @@ def test_singular_rows_alone_are_redrawn(calls, shapes):
     rng = _SingularRows(calls)
     M1, z1, M2, z2 = random_mlkd_stack(rng, 4, 2, 1)
     assert rng.shapes == shapes
-    blocks = classify_pairs(M1, M2, 1, z1.tolist(), z2.tolist())
+    blocks = subgroup_classify(M1, M2, 1, z1.tolist(), z2.tolist())
     assert np.all(np.abs(blocks["A"][:, 0, 0]) > 1e-3)
     assert np.all(np.abs(blocks["D1"][:, 0, 0]) > 1e-3)
