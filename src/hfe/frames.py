@@ -2,7 +2,9 @@
 
 A Lagrangian frame is stored as a pair of n x n complex matrices (U, V)
 whose stacked columns (U; V) are the coordinates of n frame vectors in a
-symplectic frame.  This module provides validation (isotropy,
+symplectic frame; the per-point kernels take stacks of frames, (P, n, n)
+or (P, 2n, n), and raise for the first point that fails.  This module
+provides validation (isotropy,
 independence, positivity), the pairing determinant delta_k and its
 D-adapted block versions, Ball membership, the metalinear automorphy
 factor alpha-tilde, the continuous square root Gamma, Liouville volume
@@ -23,6 +25,7 @@ from .errors import SingularityError, ValidationError
 from .groups import (
     block_pattern,
     check_ml,
+    det_stack,
     raise_first,
     shared_corner,
     tracked_alpha_det,
@@ -88,18 +91,13 @@ def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
     ])
 
 
-def _pairing_dets(M: np.ndarray) -> np.ndarray:
-    """det M[p] of a stack (P, m, m), 1 for m = 0."""
-    return np.linalg.det(M) if M.shape[-1] else np.ones(len(M), dtype=complex)
-
-
 def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     """Pairing determinants det(-i omega(conj u_i, v_j)) over i, j > k of
     the frame pairs with stacked columns S1[p] and S2[p], stacks (P, 2n,
     n), for the standard form; raises for the first pair whose
     determinant vanishes."""
     omega = standard_omega(S1.shape[-1])
-    vals = _pairing_dets(
+    vals = det_stack(
         -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:]))
     raise_first([(np.abs(vals) <= get_tolerances().singular,
                   lambda p: SingularityError(
@@ -200,7 +198,7 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
     checks2, b2 = frame_pattern(U2, V2, k)
     M = 1j * (np.swapaxes(b1["Vr"], -1, -2).conj() @ b2["Ur"]
               - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
-    vals = _pairing_dets(M)
+    vals = det_stack(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
         (np.abs(vals) <= get_tolerances().singular,
          lambda p: SingularityError("reduced pairing determinant vanishes"))])

@@ -29,12 +29,17 @@ def as_stack(mats, n: int) -> np.ndarray:
     return A.reshape(len(mats), n, n)
 
 
+def det_stack(A: np.ndarray) -> np.ndarray:
+    """The (P,) determinants of a stack A (P, m, m), 1 for m = 0."""
+    return np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
+
+
 def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p]."""
     tols = get_tolerances()
     bound = identity_bound(tols)
-    dets = np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
+    dets = det_stack(A)
     return [
         (np.array([abs(d) <= tols.singular for d in dets], dtype=bool),
          lambda p: SingularityError("matrix is singular")),
