@@ -13,9 +13,9 @@ A real symplectic matrix g = (T1 T2; T3 T4) acts on frames by
 and through phi this induces the Ball action g.W together with the
 automorphy factor alpha(g, W) defined by g.(W, C) = (g.W, alpha(g,W) C).
 
-Everything here is a pure function of ndarrays; typed wrappers live in
-hfe.frames and hfe.groups.  The n x n arguments U, V, W and C may carry
-leading stack axes, which broadcast like np.matmul; so may g.
+Everything here is a pure function of ndarrays.  The n x n arguments U,
+V, W and C may carry leading stack axes, which broadcast like np.matmul;
+so may g.
 """
 
 from __future__ import annotations

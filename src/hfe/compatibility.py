@@ -13,7 +13,7 @@ conditions, tests uniqueness, and establishes self-compatibility.
 from __future__ import annotations
 
 import cmath
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     TheoremFalsification,
     ValidationError,
 )
-from .groups import subgroup_classify
+from .groups import det_stack, raise_first, rel_residual, subgroup_classify
 from .sampling import random_mlkd_stack
 
 # seeded random draws per chart in the translation-law and positivity checks
@@ -53,45 +53,43 @@ class PolarizationPairData:
         self.k = k
 
 
+def check_delta_samples(data: PolarizationPairData) -> None:
+    """Raise SingularityError for the first chart row whose delta sample
+    vanishes."""
+    sites = data.nerve.point_index.sites
+    raise_first([(np.abs(data.delta_samples) <= get_tolerances().singular,
+                  lambda r: SingularityError(f"delta sample vanishes at {sites[r][1].id} "
+                                             f"on chart {sites[r][0]!r}"))])
+
+
 def validate_pair_data(data: PolarizationPairData) -> dict:
     """Check shared-A membership, nonzero delta samples, and the
     transformation consistency of the delta samples across overlaps;
     with k == n, that every delta sample is 1."""
-    tols = get_tolerances()
-    failures = []
-    max_res = 0.0
+    bound = check_bound(get_tolerances())
     index = data.nerve.point_index
     pairs = data.pair_cocycle.mats
     blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], data.k)
+    check_delta_samples(data)
+    delta = data.delta_samples
+    a, b = index.ends.T
     # conj(det D1) det D2, the pairing-determinant transformation
-    ones = [1.0] * len(pairs)
-    d1 = np.linalg.det(blocks["D1"]) if data.k < data.n else ones
-    d2 = np.linalg.det(blocks["D2"]) if data.k < data.n else ones
-    delta, ends = data.delta_samples.tolist(), index.ends.tolist()
-    for (pair, ci), rows in index.components.items():
-        for r in rows:
-            pt = index.points[r]
-            a, b = ends[r]
-            da, db = delta[a], delta[b]
-            if min(abs(da), abs(db)) <= tols.singular:
-                raise SingularityError(f"delta sample vanishes at {pt.id}")
-            expected = da * complex(np.conj(d1[r]) * d2[r])
-            res = abs(db - expected) / max(1.0, abs(expected))
-            max_res = max(max_res, res)
-            if res > check_bound(tols):
-                failures.append(("delta-consistency", pair, ci, pt.id, res))
+    res = rel_residual(delta[b], delta[a] * (np.conj(blocks["detD1"]) * blocks["detD2"]))
+    res = res.tolist()
+    failures = [("delta-consistency", pair, ci, index.points[r].id, res[r])
+                for (pair, ci), rows in index.components.items() for r in rows
+                if res[r] > bound]
     if data.k == data.n:
         # delta is an empty determinant: every sample must be 1
-        for (chart, pt), d in zip(index.sites, delta):
-            res = abs(d - 1.0)
-            max_res = max(max_res, res)
-            if res > check_bound(tols):
-                failures.append(("delta-consistency", chart, pt.id, res))
+        ones = rel_residual(delta, 1.0).tolist()
+        res += ones
+        failures += [("delta-consistency", chart, pt.id, x)
+                     for (chart, pt), x in zip(index.sites, ones) if x > bound]
     base = cech.validate_cocycle(data.nerve, data.pair_cocycle)
     if not base["ok"]:
         failures.extend(base["failures"])
     return {"ok": not failures,
-            "max_residual": max(max_res, base["max_residual"]),
+            "max_residual": max([0.0, *res, base["max_residual"]]),
             "failures": failures}
 
 
@@ -111,20 +109,15 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     by itself; the pair cocycle is conjugated accordingly.  The shared
     A-block is untouched (the change lives in the D-block).
     """
-    tols = get_tolerances()
+    check_delta_samples(data)
     n, k = data.n, data.k
     if k == n:
         # delta is an empty determinant, identically 1 already
         return data
-    delta = data.delta_samples.tolist()
+    delta = data.delta_samples
+    a, b = data.nerve.point_index.ends.T
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
-    va, vb_inv = [], []
-    for a, b in data.nerve.point_index.ends.tolist():
-        if min(abs(delta[a]), abs(delta[b])) <= tols.singular:
-            raise SingularityError("delta sample vanishes")
-        va.append(delta[a])
-        vb_inv.append(1.0 / delta[b])
-    G2 = _diag_changes(va, n) @ G2 @ _diag_changes(vb_inv, n)
+    G2 = _diag_changes(delta[a], n) @ G2 @ _diag_changes(1.0 / delta[b], n)
     return PolarizationPairData(
         nerve=data.nerve,
         pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),
@@ -137,9 +130,8 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
 def _require_normalized(data: PolarizationPairData) -> None:
     """Raise ValidationError unless the delta sample at every overlap
     point is 1."""
-    bound = check_bound(get_tolerances())
-    delta = data.delta_samples[data.nerve.point_index.ends].ravel().tolist()
-    if any(abs(d - 1.0) > bound for d in delta):
+    delta = data.delta_samples[data.nerve.point_index.ends]
+    if np.any(np.abs(delta - 1.0) > check_bound(get_tolerances())):
         raise ValidationError("data not normalized (delta sample != 1)")
 
 
@@ -155,26 +147,20 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     tols = get_tolerances()
     index = data.nerve.point_index
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
-    blocks = subgroup_classify(G1, G2, data.k)
-    detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(G1)
-    d1, d2 = np.linalg.det(G1), np.linalg.det(G2)
+    detA = subgroup_classify(G1, G2, data.k)["detA"]
+    premise = np.conj(det_stack(G1)) * det_stack(G2) / (detA * detA)
     L = z1.mats
     axes = (-2, -1)
     off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
     off_bound = zero_bound(tols) * np.maximum(1.0, np.max(np.abs(L), axis=axes,
                                                        initial=0.0))
-    z2 = []
-    for r, (dA, x) in enumerate(zip(detA, z1.roots.tolist())):
-        premise = np.conj(d1[r]) * d2[r] / (dA * dA)
-        if abs(premise - 1.0) > property_bound(tols):
-            raise ValidationError(
-                f"premise violated at {index.points[r].id}: "
-                f"conj(det g1) det g2 / det(A)^2 = {premise}"
-            )
-        if off[r] > off_bound[r]:
-            raise ValidationError("z1 does not lift the first member")
-        z2.append(abs(dA) / np.conj(x))
-    out = Cocycle.ml(data.n, data.k, G2, z2)
+    raise_first([
+        (np.abs(premise - 1.0) > property_bound(tols), lambda r: ValidationError(
+            f"premise violated at {index.points[r].id}: "
+            f"conj(det g1) det g2 / det(A)^2 = {premise[r]}")),
+        (off > off_bound, lambda r: ValidationError("z1 does not lift the first member")),
+    ])
+    out = Cocycle.ml(data.n, data.k, G2, np.abs(detA) / np.conj(z1.roots))
     report = cech.validate_cocycle(data.nerve, out)
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "
@@ -201,31 +187,16 @@ class DeltaTildeData:
         self.epsilon = epsilon
 
 
-class Translations:
-    """Seeded metalinear pairs ((M1[p], z1[p]), (M2[p], z2[p])) checked as
-    Mlkd pairs: the stacks M1, M2 (m, n, n), their roots, det A of their
-    shared blocks, and the chart row each pair translates."""
-
-    def __init__(self, rows: list[int], M1: np.ndarray, M2: np.ndarray,
-                 z1: list[complex], z2: list[complex], detA: np.ndarray | list[float]):
-        self.rows = rows
-        self.M1 = M1
-        self.M2 = M2
-        self.z1 = z1
-        self.z2 = z2
-        self.detA = detA
-
-
-def draw_translations(rng: np.random.Generator, n: int, k: int, rows: Sequence[int],
-                      diagonal: bool = False) -> Translations:
+def draw_translations(rng: np.random.Generator, n: int, k: int,
+                      rows: list[int] | range, diagonal: bool = False) -> dict:
     """One seeded random metalinear pair per chart row of rows, or
     (diagonal) one element taken twice, drawn as one stack by
-    random_mlkd_stack and checked as Mlkd pairs."""
+    random_mlkd_stack and checked as Mlkd pairs: the blocks of
+    subgroup_classify with the stacks M1, M2 (m, n, n) and the rows."""
     M1, z1, M2, z2 = random_mlkd_stack(rng, len(rows), n, k, diagonal)
-    z1, z2 = z1.tolist(), z2.tolist()
     blocks = subgroup_classify(M1, M2, k, z1, z2)
-    detA = np.linalg.det(blocks["A"]) if k else [1.0] * len(rows)
-    return Translations(list(rows), M1, M2, z1, z2, detA)
+    blocks.update(rows=rows, M1=M1, M2=M2)
+    return blocks
 
 
 def _chart_draws(index: PointIndex, rng: np.random.Generator) -> list[int]:
@@ -247,17 +218,11 @@ def _check_translation_law(
     pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.
     """
     t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve.point_index, rng))
-    ones = [1.0] * len(t.rows)
-    d1 = np.linalg.det(t.M1) if data.n else ones
-    d2 = np.linalg.det(t.M2) if data.n else ones
-    base, delta = dt.base.tolist(), data.delta_samples.tolist()
-    worst = 0.0
-    for r, x1, x2, dA, e1, e2 in zip(t.rows, t.z1, t.z2, t.detA, d1, d2):
-        # the value translated by (m1, m2), sharing one classification
-        val = base[r] * np.conj(x1) * x2 / abs(dA)
-        target = delta[r] * np.conj(e1) * e2 / (dA * dA)
-        worst = max(worst, abs(val * val - target) / max(1.0, abs(target)))
-    return worst
+    rows, detA = t["rows"], t["detA"]
+    val = dt.base[rows] * t["factor"]
+    target = (data.delta_samples[rows] * np.conj(det_stack(t["M1"])) * det_stack(t["M2"])
+              / (detA * detA))
+    return max([0.0, *rel_residual(val * val, target).tolist()])
 
 
 def build_delta_tilde(
@@ -276,33 +241,26 @@ def build_delta_tilde(
     (this is the uniqueness detector).  The pairs (z1, z2) of all points
     are classified as one stack.
     """
-    tols = get_tolerances()
+    bound = check_bound(get_tolerances())
     index = data.nerve.point_index
     if base_values is None:
         _require_normalized(data)
         base_values = np.ones(len(index.sites), dtype=complex)
-    l1, l2 = z1.roots.tolist(), z2.roots.tolist()
-    blocks = subgroup_classify(z1.mats, z2.mats, data.k, l1, l2)
-    detA = np.linalg.det(blocks["A"]) if data.k else [1.0] * len(l1)
-    base, ends = base_values.tolist(), index.ends.tolist()
-    residuals, bad = [], {}
-    for (pair, ci), rows in index.components.items():
-        for r in rows:
-            a, b = ends[r]
-            factor = np.conj(l1[r]) * l2[r] / abs(detA[r])
-            res = abs(base[a] * factor - base[b]) / max(1.0, abs(base[b]))
-            residuals.append(res)
-            if res > check_bound(tols):
-                bad[(pair, ci, index.points[r].id)] = res
+    factor = subgroup_classify(z1.mats, z2.mats, data.k, z1.roots, z2.roots)["factor"]
+    a, b = index.ends.T
+    residuals = rel_residual(base_values[a] * factor, base_values[b])
+    res = residuals.tolist()
+    bad = {(pair, ci, index.points[r].id): res[r]
+           for (pair, ci), rows in index.components.items() for r in rows
+           if res[r] > bound}
     if bad:
         raise GluingError("square-root datum does not glue", bad)
-    dt = DeltaTildeData(base=base_values, k=data.k, residuals=np.array(residuals))
+    dt = DeltaTildeData(base=base_values, k=data.k, residuals=residuals)
     # squared identity against the delta samples
-    sq_worst = 0.0
-    for v, d in zip(base, data.delta_samples.tolist()):
-        sq_worst = max(sq_worst, abs(v * v - d) / max(1.0, abs(d)))
+    sq_worst = max([0.0, *rel_residual(base_values * base_values,
+                                       data.delta_samples).tolist()])
     dt.checks["square_identity"] = sq_worst
-    if sq_worst > check_bound(tols):
+    if sq_worst > bound:
         raise GluingError("square identity fails", {"square": sq_worst})
     if rng is not None:
         dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
@@ -339,41 +297,35 @@ def self_compat(
     pairs = data.pair_cocycle.mats
     if np.any(np.abs(pairs[:, 0] - pairs[:, 1]) > zero_bound(tols)):
         raise ValidationError("pair cocycle is not diagonal")
+    check_delta_samples(data)
     # real, constant-sign delta samples
-    delta = data.delta_samples.tolist()
-    sign = None
-    for d in delta:
-        if abs(d.imag) > zero_bound(tols) * max(1.0, abs(d)):
-            raise ValidationError("delta samples not real")
-        s = 1 if d.real > 0 else -1
-        if sign is None:
-            sign = s
-        elif sign != s:
-            raise ValidationError("delta sign not constant")
-    eps = 1 if sign == -1 else 0
+    delta = data.delta_samples
+    positive = delta.real > 0
+    raise_first([
+        (np.abs(delta.imag) > zero_bound(tols) * np.maximum(1.0, np.abs(delta)),
+         lambda r: ValidationError("delta samples not real")),
+        (positive != positive[:1], lambda r: ValidationError("delta sign not constant")),
+    ])
+    # a nerve without charts has no sample: epsilon 0
+    eps = 0 if positive[:1].all() else 1
     phase = cmath.exp(1j * cmath.pi * eps / 2.0)
 
-    bases = [phase * abs(d) ** 0.5 for d in delta]
-    dt = build_delta_tilde(data, z1, z1, rng=None, base_values=np.array(bases))
+    bases = phase * np.abs(delta) ** 0.5
+    dt = build_delta_tilde(data, z1, z1, rng=None, base_values=bases)
     dt.epsilon = eps
     dt.checks["epsilon"] = eps
     if rng is not None:
         dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
 
-    dt_norm = DeltaTildeData(base=np.array([v / phase for v in bases]), k=data.k,
-                             epsilon=eps)
+    dt_norm = DeltaTildeData(base=bases / phase, k=data.k, epsilon=eps)
     # positivity on equal meta frames: translating by a diagonal
     # metalinear pair multiplies by |z|^2 / |det A| > 0
     if rng is not None:
-        worst_imag, min_real = 0.0, float("inf")
         t = draw_translations(rng, data.n, data.k,
                               _chart_draws(data.nerve.point_index, rng), diagonal=True)
-        norm = dt_norm.base.tolist()
-        for r, x, dA in zip(t.rows, t.z1, t.detA):
-            # the value translated by (m, m), sharing one classification
-            val = norm[r] * np.conj(x) * x / abs(dA)
-            worst_imag = max(worst_imag, abs(val.imag))
-            min_real = min(min_real, val.real)
+        val = dt_norm.base[t["rows"]] * t["factor"]
+        worst_imag = max([0.0, *np.abs(val.imag).tolist()])
+        min_real = min([float("inf"), *val.real.tolist()])
         dt_norm.checks["positivity_imag"] = worst_imag
         dt_norm.checks["positivity_min_real"] = min_real
         if worst_imag > check_bound(tols) or min_real <= 0:

@@ -34,6 +34,11 @@ def det_stack(A: np.ndarray) -> np.ndarray:
     return np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
 
 
+def rel_residual(x, target) -> np.ndarray:
+    """The relative residuals |x - t| / max(1, |t|), elementwise."""
+    return np.abs(np.subtract(x, target)) / np.maximum(1.0, np.abs(target))
+
+
 def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p]."""
@@ -232,26 +237,29 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
     membership with the scalars z1[p], z2[p]: both members upper
     block-triangular with one real invertible k x k corner A and, for
     Mlkd, z**2 = det(A) det(D).  Raises for the first failing pair;
-    returns the blocks as stacks.
+    returns the blocks as stacks with their (P,) determinants detA,
+    detD1 and detD2 and, for Mlkd, the roots z1, z2 and the factor
+    conj(z1) z2 / |det A| by which the pair translates a square-root
+    datum.
     """
-    tols = get_tolerances()
-    n = A1.shape[-1]
     checks1, A = _glk_pattern(A1, k, " (first)")
     checks2, Ab = _glk_pattern(A2, k, " (second)")
     checks = checks1 + checks2 + shared_corner(A, Ab, k)
     blocks = {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:],
               "D1": A1[:, k:, k:], "D2": A2[:, k:, k:]}
+    blocks.update(detA=det_stack(A), detD1=det_stack(blocks["D1"]),
+                  detD2=det_stack(blocks["D2"]))
     if z1 is not None:
-        bound = identity_bound(tols)
-        dA = np.linalg.det(A) if k else [1.0] * len(A)
-        for who, z, D in (("first", z1, blocks["D1"]), ("second", z2, blocks["D2"])):
-            dD = np.linalg.det(D) if k < n else [1.0] * len(A)
-            bad = np.array([abs(zp * zp - a * d) > bound * abs(a * d)
-                            for zp, a, d in zip(z, dA, dD)], dtype=bool)
-            checks.append((bad, lambda p, who=who: SubgroupRejection(
-                f"z**2 != det(A) det(D) ({who})", [])))
-        blocks.update(z1=z1, z2=z2)
+        bound = identity_bound(get_tolerances())
+        z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+        for who, z, D in (("first", z1, "detD1"), ("second", z2, "detD2")):
+            d = blocks["detA"] * blocks[D]
+            checks.append((np.abs(z * z - d) > bound * np.abs(d),
+                           lambda p, who=who: SubgroupRejection(
+                               f"z**2 != det(A) det(D) ({who})", [])))
     raise_first(checks)
+    if z1 is not None:
+        blocks.update(z1=z1, z2=z2, factor=np.conj(z1) * z2 / np.abs(blocks["detA"]))
     return blocks
 
 

@@ -31,7 +31,7 @@ from .frames import (
     delta_L_tilde,
     validate_lagrangian,
 )
-from .groups import as_stack, check_ml, ml_checks, raise_first, spk_blocks
+from .groups import as_stack, check_ml, ml_checks, raise_first, rel_residual, spk_blocks
 from .tracking import track_graph
 
 
@@ -52,13 +52,6 @@ class MetaplecticBundleData:
     @property
     def n(self) -> int:
         return self.mp_cocycle.n
-
-
-def _require_positive(positive: np.ndarray, points) -> None:
-    """Every section frame, at its sample point, must be positive."""
-    for ok, pt in zip(positive.tolist(), points):
-        if not ok:
-            raise ValidationError(f"section frame not positive at {pt.id}")
 
 
 class FrameSectionData:
@@ -194,7 +187,8 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     index = nerve.point_index
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
-    _require_positive(validate_lagrangian(U, V), [pt for _, pt in index.sites])
+    raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
+        f"section frame not positive at {index.sites[r][1].id}"))])
     check_ball(W)
     a, b = index.ends.T
     g = data.mp_cocycle.mats
@@ -310,9 +304,10 @@ def build_delta_D_tilde(
                                np.concatenate([C1[b], C2[b]]),
                                [z1[r] for r in b] + [z2[r] for r in b])
     moved = delta_L_tilde(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
-    residuals = [abs(v - values[r]) / max(1.0, abs(values[r])) for v, r in zip(moved, b)]
-    dt = DeltaTildeData(base=np.array(values), k=k, residuals=np.array(residuals))
-    worst = max([0.0, *residuals])
+    values = np.array(values)
+    residuals = rel_residual(moved, values[b])
+    dt = DeltaTildeData(base=values, k=k, residuals=residuals)
+    worst = max([0.0, *residuals.tolist()])
     dt.checks["invariance"] = worst
     if worst > property_bound(tols):
         raise ValidationError("delta_L_tilde not invariant across an overlap")
@@ -320,20 +315,15 @@ def build_delta_D_tilde(
     # square identity and transformation law at chart sample points
     U1, V1 = ball.phi_inv_raw(W1, C1)
     U2, V2 = ball.phi_inv_raw(W2, C2)
-    sq_worst = 0.0
-    for v, dl in zip(values, delta_L_stack(U1, V1, U2, V2, k)):
-        sq_worst = max(sq_worst, abs(v * v - dl) / max(1.0, abs(dl)))
+    sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
     rng = rng or np.random.default_rng(0)
     t = draw_translations(rng, n, k, range(len(values)))
-    Y1, y1 = C1 @ t.M1, [z * x for z, x in zip(z1, t.z1)]
-    Y2, y2 = C2 @ t.M2, [z * x for z, x in zip(z2, t.z2)]
+    Y1, y1 = C1 @ t["M1"], s.z1 * t["z1"]
+    Y2, y2 = C2 @ t["M2"], s.z2 * t["z2"]
     check_ml(Y1, y1)
     check_ml(Y2, y2)
-    law_worst = 0.0
-    for v, x1, x2, dA, y in zip(values, t.z1, t.z2, t.detA,
-                                delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k)):
-        target = v * np.conj(x1) * x2 / abs(dA)
-        law_worst = max(law_worst, abs(y - target) / max(1.0, abs(target)))
+    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])
+    sq_worst, law_worst = (max([0.0, *r.tolist()]) for r in (sq, law))
     dt.checks["square_identity"] = sq_worst
     dt.checks["translation_law"] = law_worst
     if max(sq_worst, law_worst) > property_bound(tols):
@@ -405,9 +395,7 @@ def cross_check(
     S1 = np.concatenate([t1.U, t1.V], axis=-2)
     S2 = np.concatenate([t2.U, t2.V], axis=-2)
     check_frame_pairs(S1, S2, k)
-    restr_worst = 0.0
-    for amb, red in zip(delta(S1, S2, k), reduced):
-        restr_worst = max(restr_worst, abs(amb - red) / max(1.0, abs(red)))
+    restr_worst = max([0.0, *rel_residual(delta(S1, S2, k), reduced).tolist()])
     if restr_worst > check_bound(tols):
         raise TheoremFalsification("restriction identity fails")
 

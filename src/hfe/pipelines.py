@@ -349,7 +349,7 @@ def _run_recipe(scenario: Scenario, report, rng, data, sections):
             "recipe.projection",
             "recipe.metalinear-transitions",
             max_residual=float(residual),
-            passed=residual < projection_bound(get_tolerances()),
+            passed=residual <= projection_bound(get_tolerances()),
             details=dict(r.residuals),
         )
     )

@@ -492,6 +492,33 @@ def test_vanishing_determinant_is_a_lift_error(tmp_path, capsys):
     }
 
 
+def _zero_delta_sample(doc):
+    doc["delta_samples"]["0"]["params"]["value"] = 0.0
+
+
+def _zero_eps1_sample(doc):
+    assert doc["self_compat"][1]["name"] == "eps1"
+    doc["self_compat"][1]["delta_samples"]["0"]["params"]["value"] = 0.0
+
+
+@pytest.mark.parametrize("edit, error", [
+    (_zero_delta_sample, "validate.error"),
+    (_zero_eps1_sample, "self_compat.error"),
+])
+def test_vanishing_delta_sample_is_an_error(edit, error, tmp_path, capsys):
+    # trivial_r2 has one chart and no overlap: a zero delta sample there
+    # used to pass validation, and in a self-compatibility case to be
+    # reported as a falsification of the theorem
+    path = _scenario_file(tmp_path, "trivial_r2", edit)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks[error]["failures"] == [
+        "SingularityError: delta sample vanishes at origin on chart '0'"]
+    assert not [i for i in checks if i.endswith(".falsification")]
+
+
 def _pole_at_sample_point(doc):
     first = doc["gl_cocycle"]["transitions"][0]
     assert first["pair"] == ["B", "E"]

@@ -119,6 +119,26 @@ def test_subgroup_classify_pair_shared_a(rng):
         subgroup_classify(M1[:1], M1[1:], 2, z1[:1], z1[1:])
 
 
+def _dets(blocks: np.ndarray) -> np.ndarray:
+    """The determinants of a stack, block by block, an empty block's 1."""
+    return np.array([np.linalg.det(b) if b.size else 1.0 for b in blocks])
+
+
+def test_subgroup_classify_returns_determinants_and_factor(rng):
+    for n in range(4):
+        for k in range(n + 1):
+            M1, z1, M2, z2 = random_mlkd_stack(rng, 4, n, k)
+            blocks = subgroup_classify(M1, M2, k, z1, z2)
+            detA = _dets(M1[:, :k, :k])
+            for key, want in (("detA", detA), ("detD1", _dets(M1[:, k:, k:])),
+                              ("detD2", _dets(M2[:, k:, k:])),
+                              ("factor", np.conj(z1) * z2 / np.abs(detA))):
+                assert blocks[key].shape == (4,)
+                np.testing.assert_allclose(blocks[key], want, rtol=1e-12, atol=0,
+                                           err_msg=f"{key}, n={n}, k={k}")
+            assert "factor" not in subgroup_classify(M1, M2, k)
+
+
 def test_subgroup_classify_spk():
     # diag(A, g_r-embedded, A^{-t}, ...) pattern with k=1, n=2
     g = np.diag([-1.0, 1.0, -1.0, 1.0])

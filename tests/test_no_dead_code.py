@@ -10,6 +10,10 @@ argument of isinstance does not count as used: no instance of it can
 reach the check unless some code makes one.  The exceptions below have
 no caller in the package on purpose.  The benchmark's trace targets get
 no exception: a traced run must measure code the engine runs.
+
+Every name a module imports must be used by that module: by name, as
+the root of an attribute, in a string (a quoted annotation) or in an
+``__all__`` list.
 """
 
 import ast
@@ -111,6 +115,31 @@ def _unused() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert _unused() == []
+
+
+def _unused_imports() -> list[str]:
+    out = []
+    for name, tree in _modules().items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(local, alias.name)
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        out += [f"{name}: {imported[local]}" for local in imported if local not in used]
+    return sorted(out)
+
+
+def test_every_import_is_used():
+    assert _unused_imports() == []
 
 
 def test_exceptions_exist():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hfe.cech import Cocycle
+from hfe.config import projection_bound, tolerance_overrides
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import (
@@ -65,6 +66,19 @@ def test_recipe_projection_bound_follows_rel():
         assert proj.max_residual > 1e-17
         assert proj.passed is passed
         assert _check(report, "recipe.sheet-coboundary").passed
+
+
+def test_recipe_projection_bound_is_inclusive():
+    # a residual exactly at its bound passes, as at every other check
+    path = builtin_scenario_path("circle_mobius")
+    r = _check(run_scenario(path, pipelines=["recipe"]), "recipe.projection").max_residual
+    rel = 10 * r
+    with tolerance_overrides(rel=rel) as tols:
+        assert projection_bound(tols) == r
+    proj = _check(run_scenario(path, pipelines=["recipe"], tolerances={"rel": rel}),
+                  "recipe.projection")
+    assert proj.max_residual == r
+    assert proj.passed
 
 
 def test_torus_enumeration_details(corpus_reports):
