@@ -53,7 +53,7 @@ class PolarizationPairData:
         self.k = k
 
 
-def check_delta_samples(data: PolarizationPairData) -> None:
+def _check_delta_samples(data: PolarizationPairData) -> None:
     """Raise SingularityError for the first chart row whose delta sample
     vanishes."""
     sites = data.nerve.point_index.sites
@@ -70,12 +70,12 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     index = data.nerve.point_index
     pairs = data.pair_cocycle.mats
     blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], data.k)
-    check_delta_samples(data)
+    _check_delta_samples(data)
     delta = data.delta_samples
     a, b = index.ends.T
     # conj(det D1) det D2, the pairing-determinant transformation
-    res = rel_residual(delta[b], delta[a] * (np.conj(blocks["detD1"]) * blocks["detD2"]))
-    res = res.tolist()
+    law = np.conj(blocks["detD1"]) * blocks["detD2"]
+    res = rel_residual(delta[b], delta[a] * law).tolist()
     failures = [("delta-consistency", pair, ci, index.points[r].id, res[r])
                 for (pair, ci), rows in index.components.items() for r in rows
                 if res[r] > bound]
@@ -109,7 +109,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     by itself; the pair cocycle is conjugated accordingly.  The shared
     A-block is untouched (the change lives in the D-block).
     """
-    check_delta_samples(data)
+    _check_delta_samples(data)
     n, k = data.n, data.k
     if k == n:
         # delta is an empty determinant, identically 1 already
@@ -297,7 +297,7 @@ def self_compat(
     pairs = data.pair_cocycle.mats
     if np.any(np.abs(pairs[:, 0] - pairs[:, 1]) > zero_bound(tols)):
         raise ValidationError("pair cocycle is not diagonal")
-    check_delta_samples(data)
+    _check_delta_samples(data)
     # real, constant-sign delta samples
     delta = data.delta_samples
     positive = delta.real > 0
