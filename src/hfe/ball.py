@@ -12,6 +12,8 @@ A real symplectic matrix g = (T1 T2; T3 T4) acts on frames by
 
 and through phi this induces the Ball action g.W together with the
 automorphy factor alpha(g, W) defined by g.(W, C) = (g.W, alpha(g,W) C).
+In closed form, alpha(g, W) = P + Q W and g.W = (R + S W) alpha(g, W)^{-1}
+with the blocks P, Q, R, S of cayley_blocks.
 
 Everything here is a pure function of ndarrays.  The n x n arguments U,
 V, W and C may carry leading stack axes, which broadcast like np.matmul;
@@ -43,14 +45,19 @@ def sp_apply(g: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, n
     return T1 @ U + T2 @ V, T3 @ U + T4 @ V
 
 
+def check_positive(dets: np.ndarray) -> None:
+    """Raise SingularityError if a determinant of U - iV (equivalently of
+    alpha(g, W)) is within the ``singular`` tolerance of zero."""
+    if np.any(np.abs(dets) <= get_tolerances().singular):
+        raise SingularityError("U - iV is singular (frame not positive)")
+
+
 def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi(U, V) = ((U+iV)(U-iV)^{-1}, U-iV); requires U-iV invertible."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
-    tols = get_tolerances()
-    if np.any(np.abs(np.linalg.det(C)) <= tols.singular):
-        raise SingularityError("U - iV is singular (frame not positive)")
+    check_positive(np.linalg.det(C))
     W = (U + 1j * V) @ np.linalg.inv(C)
     return W, C
 
@@ -63,15 +70,28 @@ def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (eye + W) @ C, 0.5j * (eye - W) @ C
 
 
+def cayley_blocks(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The n x n blocks (P, Q, R, S) of g in the Ball picture, with
+    alpha(g, W) = P + Q W and g.W = (R + S W) alpha(g, W)^{-1}:
+    P = 1/2 [(T1 + T4) + i(T2 - T3)], Q = 1/2 [(T1 - T4) - i(T2 + T3)],
+    R = 1/2 [(T1 - T4) + i(T2 + T3)], S = 1/2 [(T1 + T4) - i(T2 - T3)];
+    for a real g, R = conj Q and S = conj P."""
+    T1, T2, T3, T4 = sp_blocks(g)
+    plus, minus, skew, sym = T1 + T4, T1 - T4, 1j * (T2 - T3), 1j * (T2 + T3)
+    return 0.5 * (plus + skew), 0.5 * (minus - sym), 0.5 * (minus + sym), 0.5 * (plus - skew)
+
+
 def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ball action and automorphy factor: returns (g.W, alpha(g, W)).
 
-    Computed by pushing (W, I) through phi_inv, acting, and reading off
-    phi of the result.
+    In closed form (cayley_blocks): the values of pushing (W, 1) through
+    phi_inv, acting and reading off phi, without the round trip; raises
+    phi_raw's SingularityError if det alpha is within ``singular`` of 0.
     """
-    U, V = phi_inv_raw(W, np.eye(np.shape(W)[-1]))
-    U2, V2 = sp_apply(g, U, V)
-    return phi_raw(U2, V2)
+    P, Q, R, S = cayley_blocks(g)
+    alpha = P + Q @ W
+    check_positive(np.linalg.det(alpha))
+    return (R + S @ W) @ np.linalg.inv(alpha), alpha
 
 
 def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

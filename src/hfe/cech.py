@@ -247,8 +247,9 @@ class Nerve:
 
 def _layout(group: str, n: int) -> tuple:
     """The layout of a generator value of a cocycle group (see
-    stack_values): an n x n matrix (Gl), a pair of them (Glkd), an n x n
-    matrix with its root (Ml), a 2n x 2n matrix with its anchor (Mp)."""
+    groups.stack_values): an n x n matrix (Gl), a pair of them (Glkd),
+    an n x n matrix with its root (Ml), a 2n x 2n matrix with its anchor
+    (Mp)."""
     if group not in ("Gl", "Glkd", "Ml", "Mp"):
         raise ValidationError(f"unknown cocycle group {group!r}")
     square = (n, n)
@@ -256,58 +257,19 @@ def _layout(group: str, n: int) -> tuple:
             "Mp": ((2 * n, 2 * n), ())}[group]
 
 
-def _is_shape(layout: tuple) -> bool:
-    return all(isinstance(d, int) for d in layout)
-
-
-def _leaves(value, layout: tuple) -> Optional[list[np.ndarray]]:
-    """The complex arrays of a value in a layout, depth first, or None if
-    it does not fit."""
-    if _is_shape(layout):
-        try:
-            arr = np.asarray(value, dtype=complex)
-        except (TypeError, ValueError):
-            return None
-        return [arr] if arr.shape == layout else None
-    if not isinstance(value, tuple) or len(value) != len(layout):
-        return None
-    parts = [_leaves(v, sub) for v, sub in zip(value, layout)]
-    return None if any(p is None for p in parts) else [a for p in parts for a in p]
-
-
-def _leaf_shapes(layout: tuple) -> list[tuple]:
-    return [layout] if _is_shape(layout) else [s for sub in layout for s in _leaf_shapes(sub)]
-
-
-def stack_values(values: list, layout: tuple, error: Callable[[int], str]
-                 ) -> list[np.ndarray]:
-    """Stack the generator values of one layout: a layout is the shape
-    of an array value, or a tuple of layouts for a tuple value of that
-    length.  Returns one complex stack (P, *shape) per array of the
-    layout, depth first; raises ValidationError(error(i)) for the first
-    value i that does not fit."""
-    leaves = []
-    for i, value in enumerate(values):
-        leaves.append(_leaves(value, layout))
-        if leaves[-1] is None:
-            raise ValidationError(error(i))
-    return [np.array([lv[j] for lv in leaves], dtype=complex).reshape(len(values), *shape)
-            for j, shape in enumerate(_leaf_shapes(layout))]
-
-
 def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
                  layout: tuple, kind: str) -> list[np.ndarray]:
     """The generators of a chart role, one per chart, evaluated once at
     every chart row of the nerve's point index and stacked by
-    stack_values; a chart without a generator, or a value that is not
-    ``kind`` (of the layout), raises ValidationError."""
+    groups.stack_values; a chart without a generator, or a value that is
+    not ``kind`` (of the layout), raises ValidationError."""
     sites = nerve.point_index.sites
     missing = sorted(set(nerve.charts) - set(generators))
     if missing:
         raise ValidationError(f"no {role} for charts {missing}")
-    return stack_values([generators[ch](pt) for ch, pt in sites], layout,
-                        lambda r: f"{role} of chart {sites[r][0]!r} at "
-                                  f"{sites[r][1].id} is not {kind}")
+    return G.stack_values([generators[ch](pt) for ch, pt in sites], layout,
+                          lambda r: f"{role} of chart {sites[r][0]!r} at "
+                                    f"{sites[r][1].id} is not {kind}")
 
 
 class Cocycle:
@@ -349,7 +311,7 @@ class Cocycle:
                 raise ValidationError(f"component count mismatch for {pair}")
         index = nerve.point_index
         keys = [key for key, rows in index.components.items() for _ in rows]
-        stacks = stack_values(
+        stacks = G.stack_values(
             [transitions[pair][ci](pt) for (pair, ci), pt in zip(keys, index.points)],
             _layout(group, n),
             lambda r: f"transition of {keys[r][0]} at {index.points[r].id} is not "

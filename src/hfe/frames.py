@@ -184,7 +184,7 @@ def frame_pattern(U: np.ndarray, V: np.ndarray, k: int):
     tols = get_tolerances()
     n = U.shape[-1]
     head, tail, rows = slice(0, k), slice(k, n), slice(0, n)
-    checks, A = block_pattern(
+    checks, A, _ = block_pattern(
         [("V does not vanish on the D-block", V, [(rows, head), (head, tail)], tols.abs),
          ("U lower-left block nonzero", U, [(tail, head)], tols.abs)],
         U, k)
@@ -214,7 +214,7 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
     head, tail, rows = slice(0, k), slice(k, n), slice(0, n)
     unit = np.zeros((n, n))
     unit[:k, :k] = np.eye(k)
-    checks, A = block_pattern(
+    checks, A, _ = block_pattern(
         [("W not of the form diag(1, Wr)", W - unit, [(head, rows), (tail, head)],
           zero_bound(tols)),
          ("C lower-left block nonzero", C, [(tail, head)], tols.abs)],

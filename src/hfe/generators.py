@@ -167,19 +167,19 @@ def _gen_frame_blocks(params, n, k):
 
 def _meta_member(spec: dict, n: int, k: int):
     """A meta frame (W, C, z) in block form, W = diag(1_k, Wr(t)) and
-    C = (A B; 0 Cr), with z a signed principal root of det C."""
+    C = (A B; 0 Cr), with z a signed principal root of det C; C and z do
+    not depend on the sample point and are built once."""
     A, B, Wr, Cr = _parse_blocks(spec, n, k)
-    zsign = int(spec.get("zsign", 1))
+    C = np.zeros((n, n), dtype=complex)
+    C[:k, :k] = A
+    C[:k, k:] = B
+    C[k:, k:] = Cr
+    z = int(spec.get("zsign", 1)) * principal_sqrt(np.linalg.det(C) if n else 1.0)
 
     def fn(pt):
         W = np.zeros((n, n), dtype=complex)
         W[:k, :k] = np.eye(k)
         W[k:, k:] = Wr(pt)
-        C = np.zeros((n, n), dtype=complex)
-        C[:k, :k] = A
-        C[:k, k:] = B
-        C[k:, k:] = Cr
-        z = zsign * principal_sqrt(np.linalg.det(C) if n else 1.0)
         return W, C, z
 
     return fn

@@ -13,11 +13,13 @@ anchors; the membership tests raise for the first point that fails.
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 import numpy as np
 
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
-from .errors import SingularityError, SubgroupRejection, ValidationError
+from .errors import EngineError, SingularityError, SubgroupRejection, ValidationError
 from .tracking import track_sqrt
 
 
@@ -27,6 +29,44 @@ def as_stack(mats, n: int) -> np.ndarray:
     if A.shape[1:] != (n, n) and len(mats):
         raise ValidationError(f"expected {n} x {n} matrices, got shape {A.shape[1:]}")
     return A.reshape(len(mats), n, n)
+
+
+def _is_shape(layout: tuple) -> bool:
+    return all(isinstance(d, int) for d in layout)
+
+
+def _stacks(values: list, layout: tuple) -> Optional[list[np.ndarray]]:
+    """The complex stacks (P, *shape) of the arrays of the layout over the
+    P values, depth first, one np.array call each, or None if a value
+    does not fit."""
+    if _is_shape(layout):
+        try:
+            arr = np.array(values, dtype=complex)
+        except (TypeError, ValueError):
+            return None
+        if values and arr.shape != (len(values),) + layout:
+            return None
+        return [arr.reshape((len(values),) + layout)]
+    if not all(isinstance(v, tuple) and len(v) == len(layout) for v in values):
+        return None
+    parts = [_stacks([v[i] for v in values], sub) for i, sub in enumerate(layout)]
+    return None if any(p is None for p in parts) else [a for p in parts for a in p]
+
+
+def stack_values(values: list, layout: tuple, error: Callable[[int], str]
+                 ) -> list[np.ndarray]:
+    """Stack the generator values of one layout: a layout is the shape
+    of an array value, or a tuple of layouts for a tuple value of that
+    length.  Returns one complex stack (P, *shape) per array of the
+    layout, depth first; raises ValidationError(error(i)) for the first
+    value i that does not fit."""
+    stacks = _stacks(values, layout)
+    if stacks is not None:
+        return stacks
+    for i, value in enumerate(values):
+        if _stacks([value], layout) is None:
+            raise ValidationError(error(i))
+    raise EngineError("generator values that each fit their layout did not stack")
 
 
 def det_stack(A: np.ndarray) -> np.ndarray:
@@ -114,20 +154,20 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
 
     Tracks the square roots of det alpha(g[p], s*W[p]) along the straight
     segments s in [0, 1] as one stack of paths, for stacks g (P, 2n, 2n)
-    and W (P, n, n).  Returns the roots and alpha(g, W) (P, n, n), read
-    off the first call: track_sqrt's uniform grid, whose last point is
-    s = 1.
+    and W (P, n, n).  In closed form alpha(g, sW) = P + s QW (see
+    ball.cayley_blocks), so QW is one matmul per point and no parameter
+    takes an inverse; every determinant gets alpha_raw's singular check.
+    Returns the roots and alpha(g, W) = P + QW (P, n, n).
     """
-    grid: list[np.ndarray] = []
-    g = np.asarray(g)[:, None]
+    P, Q, _, _ = ball.cayley_blocks(np.asarray(g))
+    QW = Q @ W
 
     def f(s: np.ndarray) -> np.ndarray:
-        a = ball.alpha_raw(g, s[None, :, None, None] * W[:, None])[1]
-        if not grid:
-            grid.append(a[:, -1])
-        return np.linalg.det(a)
+        dets = np.linalg.det(P[:, None] + s[None, :, None, None] * QW[:, None])
+        ball.check_positive(dets)
+        return dets
 
-    return track_sqrt(f, zeta), grid[0]
+    return track_sqrt(f, zeta), P + QW
 
 
 def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
@@ -195,8 +235,9 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     be real (real_message) and invertible.  Returns the checks, in the
     order one point is checked, for raise_first (a failing rule is a
     SubgroupRejection with the offending indices, region by region and
-    row-major; a singular corner a SingularityError), and the (P, k, k)
-    real parts of the corners.
+    row-major; a singular corner a SingularityError), the (P, k, k)
+    real parts of the corners and their (P,) determinants (det_stack,
+    so 1 for k = 0).
     """
     tols = get_tolerances()
     corners = corner[:, :k, :k]
@@ -204,15 +245,17 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     checks.append(_region_check(real_message, corners.imag,
                                 [(slice(0, k), slice(0, k))], tols.abs))
     corners = corners.real
+    dets = det_stack(corners)
     if k:
-        checks.append((np.abs(np.linalg.det(corners)) <= tols.singular,
+        checks.append((np.abs(dets) <= tols.singular,
                        lambda p: SingularityError("A-block singular")))
-    return checks, corners
+    return checks, corners, dets
 
 
 def _glk_pattern(A: np.ndarray, k: int, label: str = ""):
     """Upper block-triangular with a real invertible k x k corner: the
-    checks of a stack A (P, n, n) and its real corners."""
+    checks of a stack A (P, n, n), its real corners and their
+    determinants."""
     n = A.shape[-1]
     if not (0 <= k <= n):
         raise ValidationError(f"k={k} out of range for n={n}")
@@ -242,12 +285,12 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
     conj(z1) z2 / |det A| by which the pair translates a square-root
     datum.
     """
-    checks1, A = _glk_pattern(A1, k, " (first)")
-    checks2, Ab = _glk_pattern(A2, k, " (second)")
+    checks1, A, detA = _glk_pattern(A1, k, " (first)")
+    checks2, Ab, _ = _glk_pattern(A2, k, " (second)")
     checks = checks1 + checks2 + shared_corner(A, Ab, k)
     blocks = {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:],
               "D1": A1[:, k:, k:], "D2": A2[:, k:, k:]}
-    blocks.update(detA=det_stack(A), detD1=det_stack(blocks["D1"]),
+    blocks.update(detA=detA, detD1=det_stack(blocks["D1"]),
                   detD2=det_stack(blocks["D2"]))
     if z1 is not None:
         bound = identity_bound(get_tolerances())

@@ -28,10 +28,10 @@ from .cech import (
     SignCochain,
     TriplePoint,
     chart_stacks,
-    stack_values,
 )
 from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
+from .groups import stack_values
 from .induction import FrameSectionData, PairSectionData
 
 _GENERATOR = {
@@ -85,7 +85,8 @@ SCENARIO_SCHEMA: dict = {
         "nerve": {
             "type": "object",
             "properties": {
-                "charts": {"type": "array", "items": {"type": "string"}},
+                "charts": {"type": "array", "items": {"type": "string"},
+                           "minItems": 1},
                 "overlaps": {
                     "type": "array",
                     "items": {

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import deque
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -29,6 +30,9 @@ _MAX_ARG = 0.5 * math.pi * 0.999
 # at most _MAX_DEPTH times in a row.
 _INITIAL_STEPS = 16
 _MAX_DEPTH = 48
+# np.arctan2 may differ from cmath.phase by a few ulps: a lockstep step
+# whose argument is this close to _MAX_ARG is left to _bisect.
+_ARG_MARGIN = 1e-12
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -56,9 +60,19 @@ def track_sqrt(
     A stack of P paths is tracked by passing a 1-D sequence of P anchors:
     ``f`` then returns a (P, m) array for m parameters, row p on path p,
     and the result is the list of the P roots.  Every path is stepped and
-    bisected on its own, exactly as alone; a midpoint is evaluated for the
-    whole stack in one call, once per distinct parameter, so ``f`` must
-    be defined on all of [t0, t1] for every path.
+    bisected as if alone; a midpoint is evaluated for the whole stack in
+    one call, once per distinct parameter, so ``f`` must be defined on
+    all of [t0, t1] for every path.
+
+    The paths are stepped in lockstep: the ratios, the checks and the
+    running products of every grid step of every path are float-array
+    operations that reproduce Python's complex arithmetic bit for bit
+    (_quot, _prod and _sqrt; abs is np.hypot).  Only a step that needs
+    bisection, fails a check, comes within a margin of a check's
+    threshold or meets a non-finite value is stepped by _bisect, path by
+    path in stack order, and so is the anchor test of a path that comes
+    within a margin of its bound.  The roots, the errors and the
+    midpoints evaluated are those of stepping each path alone.
 
     An anchor must satisfy z0**2 = f(t0).  Raises TrackingError, for the
     first failing path, if the tracked value passes within the tracking
@@ -74,7 +88,7 @@ def track_sqrt(
     anchors = [z0] if single else list(z0)
     h = (t1 - t0) / _INITIAL_STEPS
     grid = t0 + np.arange(_INITIAL_STEPS + 1) * h
-    rows = np.asarray(paths(grid), dtype=complex).tolist()
+    rows = np.asarray(paths(grid), dtype=complex).reshape(len(anchors), len(grid))
     midpoints: dict[float, list[complex]] = {}
 
     def at(tm: float) -> list[complex]:
@@ -84,48 +98,110 @@ def track_sqrt(
         return midpoints[tm]
 
     tols = get_tolerances()
+    fr, fi = rows.real, rows.imag
+    size = np.hypot(fr, fi)  # abs of every value
+    z = np.array(anchors, dtype=complex).reshape(len(anchors))
+    zr, zi = z.real, z.imag
+    with np.errstate(all="ignore"):
+        # the anchor test is settled here only well inside its bound
+        sr, si = _prod(zr, zi, zr, zi)
+        slow = ~(np.hypot(sr - fr[:, 0], si - fi[:, 0])
+                 < 0.5 * identity_bound(tols) * np.fmax(1.0, size[:, 0]))
+        # step j goes from grid point j to j + 1; it is flagged unless
+        # every test of _bisect passes with room to spare
+        rr, ri = _quot(fr[:, 1:], fi[:, 1:], fr[:, :-1], fi[:, :-1])
+        flagged = ~(np.isfinite(size[:, 1:]) & np.isfinite(size[:, :-1])
+                    & np.isfinite(rr) & np.isfinite(ri) & (size[:, :-1] != 0.0)
+                    & ((rr != 0.0) | (ri != 0.0))
+                    & (np.abs(np.arctan2(ri, rr)) < _MAX_ARG - _ARG_MARGIN))
+        flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < t1)
+        sr, si = _sqrt(rr, ri)
+        for j in range(_INITIAL_STEPS):
+            zr, zi = _prod(zr, zi, sr[:, j], si[:, j])
+    roots = _complex(zr, zi).tolist()
+    steps = _complex(sr, si)
     grid = grid.tolist()
-    roots = [_track_path(values, anchor, p, grid, at, t1, tols)
-             for p, (values, anchor) in enumerate(zip(rows, anchors))]
+    # each path with a flagged step or anchor, in stack order, as alone
+    for p in np.flatnonzero(slow | flagged.any(axis=1)).tolist():
+        values, root = rows[p].tolist(), anchors[p]
+        if abs(root * root - values[0]) > identity_bound(tols) * max(1.0, abs(values[0])):
+            raise TrackingError("anchor does not square to the path start value")
+        floor = tols.track * max(1.0, abs(values[0]))
+        root = complex(root)
+        for j, step in enumerate(steps[p].tolist()):
+            if flagged[p, j]:
+                root = _bisect(root, grid[j], values[j], grid[j + 1], values[j + 1],
+                               at, p, t1, floor)
+            else:
+                root = root * step
+        roots[p] = root
     return roots[0] if single else roots
 
 
-def _track_path(values, z0, p, grid, at, t1, tols) -> complex:
-    """One path of track_sqrt: ``values`` on the grid, ``at(t)[p]`` at a
-    midpoint t."""
-    ft0 = values[0]
-    if abs(z0 * z0 - ft0) > identity_bound(tols) * max(1.0, abs(ft0)):
-        raise TrackingError("anchor does not square to the path start value")
-    floor = tols.track * max(1.0, abs(ft0))
-    t, ft, z = grid[0], ft0, complex(z0)
-    for target in zip(grid[1:], values[1:]):
-        # Stack of pending (right endpoint, value) pairs, the grid point
-        # at the bottom and bisection midpoints above it; the top is
-        # processed next.
-        pending = [target]
+def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
+    """One grid step of path p of track_sqrt, from the value ft at t to
+    fn at tn, bisected as needed: returns z continued to tn.  ``at(tm)[p]``
+    is the path's value at a midpoint tm."""
+    # Stack of pending (right endpoint, value) pairs, the grid point at
+    # the bottom and bisection midpoints above it; the top is processed
+    # next.
+    pending = [(tn, fn)]
+    depth = 0
+    while pending:
+        tn, fn = pending[-1]
+        if abs(fn) <= floor and tn < t1:
+            raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
+        if abs(ft) == 0.0:
+            raise TrackingError(f"tracked value vanishes at t={t:.6g}")
+        ratio = fn / ft
+        if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise TrackingError("bisection depth exceeded (branch ambiguity)")
+            tm = 0.5 * (t + tn)
+            if tm in (t, tn):
+                raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
+                                    "left to bisect (branch ambiguity)")
+            pending.append((tm, at(tm)[p]))
+            continue
+        z = z * principal_sqrt(ratio)
+        t, ft = tn, fn
+        pending.pop()
         depth = 0
-        while pending:
-            tn, fn = pending[-1]
-            if abs(fn) <= floor and tn < t1:
-                raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
-            if abs(ft) == 0.0:
-                raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-            ratio = fn / ft
-            if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    raise TrackingError("bisection depth exceeded (branch ambiguity)")
-                tm = 0.5 * (t + tn)
-                if tm in (t, tn):
-                    raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
-                                        "left to bisect (branch ambiguity)")
-                pending.append((tm, at(tm)[p]))
-                continue
-            z = z * principal_sqrt(ratio)
-            t, ft = tn, fn
-            pending.pop()
-            depth = 0
     return z
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array of two float arrays of parts, signed zeros kept."""
+    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+
+
+def _prod(ar, ai, br, bi):
+    """Python's complex a * b on float arrays of the parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    """Python's complex a / b (Smith's algorithm, as CPython's
+    _Py_c_quot) on float arrays of the parts, for b != 0."""
+    big = np.abs(br) >= np.abs(bi)
+    q = np.where(big, bi / br, br / bi)
+    d = np.where(big, br, bi) + np.where(big, bi, br) * q
+    return (np.where(big, ar + ai * q, ar * q + ai) / d,
+            np.where(big, ai - ar * q, ai * q - ar) / d)
+
+
+def _sqrt(re, im):
+    """cmath.sqrt on float arrays of the parts, for finite nonzero
+    values: CPython's scaling, with hypot, of the parts by 1/8, or by
+    2**53 where both are subnormal."""
+    ax, ay = np.abs(re), np.abs(im)
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+    up = np.ldexp(ax, 53)
+    s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
+                 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
+    d = ay / (2.0 * s)
+    return np.where(re >= 0.0, s, d), np.copysign(np.where(re >= 0.0, d, s), im)
 
 
 def track_graph(
@@ -172,7 +248,7 @@ def track_graph(
                     raise TrackingError(f"value vanishes between {names[cur]} and "
                                         f"{names[nxt]}; branch undefined")
                 ratio = values[nxt] / values[cur]
-                if abs(np.angle(ratio)) >= _MAX_ARG:
+                if abs(cmath.phase(ratio)) >= _MAX_ARG:
                     raise TrackingError(
                         f"branch jump between {names[cur]} and {names[nxt]} {jump}")
                 val = z[cur] * principal_sqrt(ratio)

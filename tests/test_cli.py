@@ -519,6 +519,23 @@ def test_vanishing_delta_sample_is_an_error(edit, error, tmp_path, capsys):
     assert not [i for i in checks if i.endswith(".falsification")]
 
 
+def _no_charts(doc):
+    doc["nerve"]["charts"] = []
+    doc["delta_samples"] = {}
+    for case in doc["self_compat"]:
+        case["delta_samples"] = {}
+
+
+def test_exit_2_on_a_nerve_without_charts(tmp_path, capsys):
+    # every check used to pass on zero sample points but self_compat.eps1
+    path = _scenario_file(tmp_path, "trivial_r2", _no_charts)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: scenario schema violation at nerve/charts: "
+                   "[] should be non-empty\n")
+
+
 def _pole_at_sample_point(doc):
     first = doc["gl_cocycle"]["transitions"][0]
     assert first["pair"] == ["B", "E"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfe import ball
 from hfe.config import tolerance_overrides
@@ -122,6 +123,48 @@ def test_alpha_is_automorphy_cocycle(rng):
         _, agh = ball.alpha_raw(g @ h, W)
         scale = max(1.0, float(np.max(np.abs(ag @ ah))))
         assert np.max(np.abs(agh - ag @ ah)) < 1e-8 * scale
+
+
+def _alpha_by_frames(g, W):
+    """(g.W, alpha(g, W)) the long way: (W, 1) through phi_inv, the
+    action on frames, and phi of the result."""
+    U, V = ball.phi_inv_raw(W, np.eye(W.shape[-1]))
+    return ball.phi_raw(*ball.sp_apply(g, U, V))
+
+
+def _ball_maps(fn, g, W):
+    """fn(g, W), or the class and message of the SingularityError."""
+    try:
+        return fn(g, W)
+    except SingularityError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_closed_form_alpha_matches_the_frame_round_trip(n, P, seed, singular):
+    rng = np.random.default_rng(seed)
+    g = np.stack([random_sp(rng, n) for _ in range(P)])
+    W = np.stack([random_ball_point(rng, n) for _ in range(P)])
+    if singular:
+        # W = -Q^{-1} P, outside the Ball, zeroes alpha = P + Q W
+        p = int(rng.integers(P))
+        T1, T2, T3, T4 = ball.sp_blocks(g[p])
+        W[p] = -np.linalg.solve(0.5 * ((T1 - T4) - 1j * (T2 + T3)),
+                                0.5 * ((T1 + T4) + 1j * (T2 - T3)))
+    # At W = -Q^{-1} P both sides leave a rounding residue of about
+    # eps * |g| in alpha; a regular point of the 0.9-Ball has
+    # |det alpha| >= 0.1**n, so 1e-4 separates the two for every n <= 3.
+    with tolerance_overrides(singular=1e-4):
+        got = _ball_maps(ball.alpha_raw, g, W)
+        want = _ball_maps(_alpha_by_frames, g, W)
+    if singular:
+        assert got == want == (SingularityError, "U - iV is singular (frame not positive)")
+        return
+    scale = np.max(np.abs(g), axis=(-2, -1))[:, None, None]
+    for a, b in zip(got, want):
+        assert np.all(np.abs(a - b) <= 1e-13 * scale)
 
 
 def test_ball_maps_broadcast_over_stacks(rng):

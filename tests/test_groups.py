@@ -13,6 +13,7 @@ from hfe.groups import (
     raise_first,
     spk_blocks,
     subgroup_classify,
+    tracked_alpha_det,
 )
 from hfe.sampling import random_gl, random_mlkd_stack, random_sp
 from hfe.tracking import principal_sqrt
@@ -76,6 +77,28 @@ def test_mp_product_stays_on_cover(rng):
         assert np.allclose(g[0], a[0][0] @ b[0][0])
 
 
+def test_tracked_alpha_det_takes_no_inverse(rng, monkeypatch):
+    # alpha(g, sW) = P + s QW: no grid parameter inverts anything
+    g = np.stack([random_sp(rng, 2) for _ in range(3)])
+    W = np.stack([np.diag([0.5, -0.3j]), np.zeros((2, 2)), [[0.2, 0.1], [0.1, 0.0]]])
+    zeta = [_lift(gp)[1][0] for gp in g]
+    calls = []
+    real_inv = np.linalg.inv
+
+    def counting_inv(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    z, alpha = tracked_alpha_det(g, W, zeta)
+    assert calls == []
+    monkeypatch.undo()
+    _, want = ball.alpha_raw(g, W)
+    assert np.array_equal(alpha, want)
+    for zp, a in zip(z, np.linalg.det(alpha)):
+        assert abs(zp * zp - a) < 1e-9 * abs(a)
+
+
 def test_mp_associativity_of_sheets(rng):
     a, b, c = (_lift(random_sp(rng, 2)) for _ in range(3))
     (lhs, (zl,)), (rhs, (zr,)) = mp_mul(*mp_mul(*a, *b), *c), mp_mul(*a, *mp_mul(*b, *c))
@@ -95,7 +118,7 @@ def test_mp_deck_is_central(rng):
 
 def test_subgroup_classify_glk_accept_and_reject():
     g = np.array([[2.0, 1.0 + 1j], [0.0, 3.0 - 1j]])
-    checks, A = _glk_pattern(g[None], 1)
+    checks, A, _ = _glk_pattern(g[None], 1)
     raise_first(checks)
     assert np.allclose(A[0], [[2.0]])
     bad = g.copy()

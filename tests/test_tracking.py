@@ -14,7 +14,16 @@ from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lift_double_
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
-from hfe.tracking import _MAX_ARG, principal_sqrt, track_graph, track_sqrt
+from hfe.tracking import (
+    _MAX_ARG,
+    _complex,
+    _prod,
+    _quot,
+    _sqrt,
+    principal_sqrt,
+    track_graph,
+    track_sqrt,
+)
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -96,6 +105,34 @@ def test_track_graph_path_continuity():
 def test_track_graph_path_coarse_edge_rejected():
     with pytest.raises(TrackingError):
         _track_path_graph([1.0, -1.0])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(z: complex) -> tuple:
+    """The parts of z with the signs of zeros."""
+    return (z.real, math.copysign(1.0, z.real), z.imag, math.copysign(1.0, z.imag))
+
+
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), min_size=1, max_size=8))
+def test_float_array_complex_ops_match_python(parts):
+    # the lockstep tracker's *, / and cmath.sqrt, bit for bit, on every
+    # finite input they are used on (subnormal parts included)
+    ar, ai, br, bi = (np.array(x) for x in zip(*parts))
+    with np.errstate(all="ignore"):
+        prod = _complex(*_prod(ar, ai, br, bi)).tolist()
+        quot = _complex(*_quot(ar, ai, br, bi)).tolist()
+        root = _complex(*_sqrt(ar, ai)).tolist()
+    for a, b, p, q, r in zip(_complex(ar, ai).tolist(), _complex(br, bi).tolist(),
+                             prod, quot, root):
+        want = a * b
+        if cmath.isfinite(want):
+            assert _bits(p) == _bits(want)
+        if b != 0 and cmath.isfinite(a / b):
+            assert _bits(q) == _bits(a / b)
+        if a != 0:
+            assert _bits(r) == _bits(cmath.sqrt(a))
 
 
 # ---------------------------------------------------------------------------
