@@ -15,11 +15,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from . import ball
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError
-from .tracking import track_graph
+from .tracking import cabs, cdiv, cmul, track_graph
 
 PairKey = tuple[str, str]
 TripleKey = tuple[str, str, str]
@@ -320,21 +319,21 @@ class Cocycle:
             return cls(group, n, k, np.stack(stacks, axis=1))
         if group == "Mp":
             # a copy, so that the stack is contiguous
-            g, zeta = stacks[0].real.copy(), stacks[1].tolist()
+            g = stacks[0].real.copy()
             G.check_sp(g)
-            G.check_mp(g, zeta)
+            G.check_mp(g, stacks[1])
             return cls(group, n, k, g, stacks[1])
         if group == "Ml":
-            G.check_ml(stacks[0], stacks[1].tolist())
+            G.check_ml(*stacks)
         return cls(group, n, k, *stacks)
 
     @classmethod
     def ml(cls, n: int, k: int, A: np.ndarray, z) -> "Cocycle":
         """The Ml cocycle of the (P, n, n) stack A and the roots z,
         checked in one pass of check_ml."""
-        A, z = np.asarray(A, dtype=complex), [complex(v) for v in z]
+        A, z = np.asarray(A, dtype=complex), np.array(z, dtype=complex)
         G.check_ml(A, z)
-        return cls("Ml", n, k, A, np.array(z, dtype=complex))
+        return cls("Ml", n, k, A, z)
 
 
 class SignCochain:
@@ -351,26 +350,20 @@ class SignCochain:
         self.values = values
 
 
-def _membership_residuals(c: Cocycle) -> list[float]:
+def _membership_residuals(c: Cocycle) -> np.ndarray:
     """Residuals of the group-membership invariant of every row: of
     z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
     max(1, |det|); a pattern that fails raises for the first failing row."""
-    if c.group == "Ml":
-        z = c.roots.tolist()
-        if not c.n:
-            return [abs(x * x - 1.0) / 1.0 for x in z]
-        dets = np.linalg.det(c.mats)
-        return [abs(x * x - d) / max(1.0, abs(d)) for x, d in zip(z, dets)]
-    if c.group == "Mp":
-        G.check_sp(c.mats)
-        _, a0 = ball.alpha_raw(c.mats, np.zeros((len(c.mats), c.n, c.n)))
-        return [abs(x * x - d) / max(1.0, abs(d))
-                for x, d in zip(c.roots.tolist(), np.linalg.det(a0))]
     if c.group == "Glkd":
         G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
         if np.any(np.abs(np.linalg.det(c.mats)) <= get_tolerances().singular):
             raise SingularityError("pair cocycle member is singular")
-    return [0.0] * len(c.mats)
+    if c.roots is None:
+        return np.zeros(len(c.mats))
+    if c.group == "Mp":
+        G.check_sp(c.mats)
+    dets = G.alpha0_det(c.mats) if c.group == "Mp" else G.det_stack(c.mats)
+    return cabs(cmul(c.roots, c.roots) - dets) / np.fmax(1.0, cabs(dets))
 
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
@@ -381,24 +374,23 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     if len(c.mats) != len(index.points):
         raise ValidationError(f"cocycle has {len(c.mats)} values for "
                               f"{len(index.points)} sample points")
-    residuals = _membership_residuals(c)
+    residuals = _membership_residuals(c).tolist()
     failures = [("membership", pair, ci, index.points[row].id, residuals[row])
                 for (pair, ci), rows in index.components.items() for row in rows
                 if residuals[row] > tols.rel]
     # triple keys are sorted, so every factor is a forward transition
     ab, bc, ac = nerve.triple_rows.T
     if c.roots is None or not len(ab):
-        prod, roots = c.mats[ab] @ c.mats[bc], []
+        prod, gap = c.mats[ab] @ c.mats[bc], np.zeros(len(ab))
     else:
         # products checked as group elements, skipped without triple
         # points since an empty stack still calls det and track_sqrt
         mul = G.ml_mul if c.group == "Ml" else G.mp_mul
-        prod, roots = mul(c.mats[ab], c.roots[ab].tolist(),
-                          c.mats[bc], c.roots[bc].tolist())
+        prod, roots = mul(c.mats[ab], c.roots[ab], c.mats[bc], c.roots[bc])
+        gap = cabs(roots - c.roots[ac])
     dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
-                  initial=0.0).tolist()
-    if roots:
-        dist = [max(d, abs(x - y)) for d, x, y in zip(dist, roots, c.roots[ac].tolist())]
+                  initial=0.0)
+    dist = np.where(gap > dist, gap, dist).tolist()
     failures += [("cocycle", key, tp.id, r)
                  for (key, tp), r in zip(nerve.triple_points(), dist)
                  if r > identity_bound(tols)]
@@ -544,17 +536,16 @@ def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
             for r in nerve.point_index.components[key]]
     z = c.roots.copy()
     z[rows] = -z[rows]
-    G.check_ml(c.mats[rows], z[rows].tolist())
+    G.check_ml(c.mats[rows], z[rows])
     return Cocycle("Ml", c.n, c.k, c.mats, z)
 
 
-def _sign_bit(r: complex) -> Optional[int]:
-    """The GF(2) bit of a ratio that should be a sign: 0 for +1, 1 for
-    -1, None if it is within check_bound of neither."""
+def _sign_bits(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The GF(2) bits of ratios that should be signs, 0 for +1 and 1 for
+    -1, and the flags of the ratios within check_bound of neither."""
     bound = check_bound(get_tolerances())
-    if abs(r - 1) > bound and abs(r + 1) > bound:
-        return None
-    return 1 if abs(r + 1) < abs(r - 1) else 0
+    up, down = cabs(r - 1.0), cabs(r + 1.0)
+    return (down < up).astype(np.uint8), (up > bound) & (down > bound)
 
 
 def lift_double_cover(nerve: Nerve, c: Cocycle):
@@ -570,34 +561,28 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
     index = nerve.point_index
-    dets = np.linalg.det(c.mats).tolist()
     comps = index.components
-    z = track_graph(dets,
-                    [(rows.start + i, rows.start + j)
-                     for (pair, ci), rows in comps.items()
-                     for i, j in nerve.overlaps[pair][ci].edges],
-                    [rows.start for rows in comps.values()],
-                    [pt.id for pt in index.points],
-                    cycle="around a cycle in component")
+    z = np.array(track_graph(np.linalg.det(c.mats).tolist(),
+                             [(rows.start + i, rows.start + j)
+                              for (pair, ci), rows in comps.items()
+                              for i, j in nerve.overlaps[pair][ci].edges],
+                             [rows.start for rows in comps.values()],
+                             [pt.id for pt in index.points],
+                             cycle="around a cycle in component"), dtype=complex)
 
-    rhs, defects = [], {}
-    for (key, tp), (ab, bc, ac) in zip(nerve.triple_points(),
-                                       nerve.triple_rows.tolist()):
-        s = z[ab] * z[bc] / z[ac]
-        bit = _sign_bit(s)
-        if bit is None:
-            raise ValidationError(
-                f"triple defect at {tp.id} is not a sign: {s} "
-                "(input not a cocycle?)"
-            )
-        defects[(key, tp.id)] = -1 if bit else 1
-        rhs.append(bit)
-    sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
+    tps = nerve.triple_points()
+    ab, bc, ac = nerve.triple_rows.T
+    s = cdiv(cmul(z[ab], z[bc]), z[ac])
+    rhs, off = _sign_bits(s)
+    G.raise_first([(off, lambda t: ValidationError(
+        f"triple defect at {tps[t][1].id} is not a sign: {complex(s[t])} "
+        "(input not a cocycle?)"))])
+    sol = gf2_solve(nerve.delta1, rhs)
     if sol is None:
-        return SignCochain(degree=2, values=defects)
-    return Cocycle.ml(c.n, c.k, c.mats, [-z[r] if flip else z[r]
-                                         for rows, flip in zip(comps.values(), sol)
-                                         for r in rows])
+        return SignCochain(degree=2, values={
+            (key, tp.id): -1 if bit else 1 for (key, tp), bit in zip(tps, rhs.tolist())})
+    flips = np.repeat(sol, [len(rows) for rows in comps.values()]).astype(bool)
+    return Cocycle.ml(c.n, c.k, c.mats, np.where(flips, -z, z))
 
 
 def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
@@ -633,24 +618,19 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     apart = (np.max(np.abs(l1.mats - l2.mats), axis=axes, initial=0.0)
              > zero_bound(tols) * np.maximum(1.0, np.max(np.abs(l1.mats), axis=axes,
                                                         initial=0.0)))
-    z1, z2 = l1.roots.tolist(), l2.roots.tolist()
-    rhs = []
-    for rows in index.components.values():
-        ratio = None
-        for row in rows:
-            if apart[row]:
-                raise ValidationError("lifts do not project to the same Gl cocycle")
-            r = z2[row] / z1[row]
-            rbit = _sign_bit(r)
-            if rbit is None:
-                raise ValidationError(
-                    f"z-ratio at {index.points[row].id} is not a sign: {r}")
-            if ratio is None:
-                ratio = rbit
-            elif ratio != rbit:
-                raise ValidationError("z-ratio not constant on an overlap component")
-        rhs.append(ratio)
-    sol = gf2_solve(nerve.delta0, np.array(rhs, dtype=np.uint8))
+    r = cdiv(l2.roots, l1.roots)
+    bits, off = _sign_bits(r)
+    # each row against the first row of its component
+    starts = [rows.start for rows in index.components.values()]
+    first = np.repeat(bits[starts], [len(rows) for rows in index.components.values()])
+    G.raise_first([
+        (apart, lambda p: ValidationError("lifts do not project to the same Gl cocycle")),
+        (off, lambda p: ValidationError(
+            f"z-ratio at {index.points[p].id} is not a sign: {complex(r[p])}")),
+        (bits != first, lambda p: ValidationError(
+            "z-ratio not constant on an overlap component")),
+    ])
+    sol = gf2_solve(nerve.delta0, bits[starts])
     if sol is None:
         return None
     return {ch: -1 if bit else 1 for ch, bit in zip(nerve.charts, sol)}

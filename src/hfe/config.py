@@ -100,6 +100,13 @@ def property_bound(tols: Tolerances) -> float:
     return 1e4 * tols.rel
 
 
+def loosest(a: Tolerances, b: Tolerances) -> Tolerances:
+    """The tolerances that accept what either set accepts: the larger rel
+    and abs, the smaller singular and track."""
+    return Tolerances(max(a.rel, b.rel), max(a.abs, b.abs),
+                      min(a.singular, b.singular), min(a.track, b.track))
+
+
 @contextlib.contextmanager
 def tolerance_overrides(**kwargs: float):
     """Temporarily override selected tolerances in the current context."""

@@ -30,7 +30,7 @@ from .groups import (
     shared_corner,
     tracked_alpha_det,
 )
-from .tracking import track_sqrt
+from .tracking import cdiv, cmul, track_sqrt
 
 
 def standard_omega(n: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def check_ball(W: np.ndarray) -> None:
 
 
 def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
-                ) -> list[complex]:
+                ) -> np.ndarray:
     """Continuous square roots of det(1/2 (1 - W1[p]* W2[p])) on Ball x
     Ball, for two stacks (P, n, n) of Ball points, tracked as one stack
     of paths.
@@ -141,14 +141,14 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
     """
     P, n = len(W1), W1.shape[-1]
     if n == 0:
-        return [1.0 + 0j] * P
+        return np.ones(P, dtype=complex)
     M = np.swapaxes(W1, -1, -2).conj() @ W2
     eye = np.eye(n)
 
     def f(t: np.ndarray) -> np.ndarray:
         return np.linalg.det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
 
-    anchors = [2.0 ** (-n / 2.0)] * P
+    anchors = np.full(P, 2.0 ** (-n / 2.0), dtype=complex)
     if via is None:
         return track_sqrt(f, anchors)
     if not (0.0 < via < 1.0):
@@ -158,19 +158,22 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
 
 
 def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
-                ) -> tuple[np.ndarray, list[complex]]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Metalinear automorphy factors (alpha(g[p], W[p]), z[p]) of the
     metaplectic elements (g[p], zeta[p]) at the Ball points W[p], for
-    stacks g (P, 2n, 2n) and W (P, n, n): the stack (P, n, n) of alpha
-    and the roots, checked in one pass of check_ml.
+    stacks g (P, 2n, 2n) and W (P, n, n), with the Ball action: the
+    stacks (P, n, n) of g.W and of alpha and the (P,) roots, checked in
+    one pass of check_ml.
 
     z[p] is continued from the anchor zeta[p] at the Ball center along
     the straight segment s -> s W[p] by square-root tracking of det
-    alpha, all points as one stack of paths.
+    alpha, all points as one stack of paths; g.W = (R + S W) alpha^{-1}
+    (ball.cayley_blocks) takes its alpha.
     """
     z, a1 = tracked_alpha_det(g, W, zeta)
     check_ml(a1, z)
-    return a1, z
+    _, _, R, S = ball.cayley_blocks(g)
+    return (R + S @ W) @ np.linalg.inv(a1), a1, z
 
 
 # ---------------------------------------------------------------------------
@@ -208,36 +211,36 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
 def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
     """The block-pattern checks of meta frames (W[p], C[p]) in block form,
     W = diag(1_k, Wr) and C = (A B; 0 Cr) with A real invertible, for
-    stacks (P, n, n), and their blocks as stacks."""
+    stacks (P, n, n), and their blocks as stacks with detA (P,)."""
     tols = get_tolerances()
     n = W.shape[-1]
     head, tail, rows = slice(0, k), slice(k, n), slice(0, n)
     unit = np.zeros((n, n))
     unit[:k, :k] = np.eye(k)
-    checks, A, _ = block_pattern(
+    checks, A, detA = block_pattern(
         [("W not of the form diag(1, Wr)", W - unit, [(head, rows), (tail, head)],
           zero_bound(tols)),
          ("C lower-left block nonzero", C, [(tail, head)], tols.abs)],
         C, k, "C's A-block not real")
-    return checks, {"A": A, "B": C[:, :k, k:], "Cr": C[:, k:, k:], "Wr": W[:, k:, k:]}
+    return checks, {"A": A, "detA": detA, "B": C[:, :k, k:], "Cr": C[:, k:, k:],
+                    "Wr": W[:, k:, k:]}
 
 
-def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> list[complex]:
+def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int, div=cdiv) -> np.ndarray:
     """Square-root pairing values of the meta frame pairs ((W1[p], (C1[p],
     z1[p])), (W2[p], (C2[p], z2[p]))) in block form, for stacks W, C (P,
-    n, n) and sequences z of P scalars; raises for the first pair that
-    fails.
+    n, n) and roots z (P,); raises for the first pair that fails.
 
     Value: conj(z1) z2 |det A|^{-1} Gamma(W1r, W2r) on the reduced Ball
     points, the Gamma factors tracked as one stack of paths; its square
-    is delta_L of the projected pair.
+    is delta_L of the projected pair.  The quotient by |det A| is
+    ``div``: Python's (cdiv), or numpy's (np.divide) on numpy's roots.
     """
     checks1, b1 = meta_pattern(W1, C1, k)
     checks2, b2 = meta_pattern(W2, C2, k)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
-    absdetA = np.abs(np.linalg.det(b1["A"])) if k else [1.0] * len(W1)
-    return [a.conjugate() * b / d * g for a, b, d, g in
-            zip(z1, z2, absdetA, gamma_stack(b1["Wr"], b2["Wr"]))]
+    return cmul(div(cmul(np.conj(z1), z2), np.abs(b1["detA"])),
+                gamma_stack(b1["Wr"], b2["Wr"]))
 
 
 def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],

@@ -19,6 +19,7 @@ import numpy as np
 from . import ball
 from .cech import SamplePoint
 from .errors import ValidationError
+from .groups import alpha0_det
 from .tracking import principal_sqrt
 
 
@@ -73,8 +74,7 @@ def _gen_pair_const(params, n, k):
 def _gen_mp_const(params, n, k):
     """A metaplectic value (g, zeta)."""
     g = parse_matrix(params["g"]).real
-    _, a0 = ball.alpha_raw(g, np.zeros((n, n)))
-    value = (g, _zeta(params, np.linalg.det(a0) if a0.size else 1.0))
+    value = (g, _zeta(params, alpha0_det(g)))
     return lambda pt: value
 
 

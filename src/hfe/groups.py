@@ -7,8 +7,8 @@ metaplectic group Mp(2n,R) has no matrix realization; an element is
 stored as (g, zeta) where zeta**2 = det alpha(g, 0) anchors the sheet at
 the Ball center, and products are formed by continuous square-root
 tracking of det alpha along a segment in the Ball.  Elements are held as
-stacks: a (P, n, n) or (P, 2n, 2n) array with a sequence of P roots or
-anchors; the membership tests raise for the first point that fails.
+stacks: a (P, n, n) or (P, 2n, 2n) array with the (P,) array of its roots
+or anchors; the membership tests raise for the first point that fails.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import EngineError, SingularityError, SubgroupRejection, ValidationError
-from .tracking import track_sqrt
+from .tracking import cabs, cmul, track_sqrt
 
 
 def as_stack(mats, n: int) -> np.ndarray:
@@ -83,13 +83,11 @@ def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p]."""
     tols = get_tolerances()
-    bound = identity_bound(tols)
     dets = det_stack(A)
+    size = cabs(dets)
     return [
-        (np.array([abs(d) <= tols.singular for d in dets], dtype=bool),
-         lambda p: SingularityError("matrix is singular")),
-        (np.array([abs(zp * zp - d) > bound * abs(d) for zp, d in zip(z, dets)],
-                  dtype=bool),
+        (size <= tols.singular, lambda p: SingularityError("matrix is singular")),
+        (cabs(cmul(z, z) - dets) > identity_bound(tols) * size,
          lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
     ]
 
@@ -100,12 +98,12 @@ def check_ml(A: np.ndarray, z) -> None:
     raise_first(ml_checks(A, z))
 
 
-def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, list]:
+def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, np.ndarray]:
     """The products (A1[p], z1[p]) (A2[p], z2[p]) in Ml(n,C) of two
     (P, n, n) stacks and their roots: componentwise, checked in one pass
     of check_ml."""
     A = A1 @ A2
-    z = [a * b for a, b in zip(z1, z2)]
+    z = cmul(z1, z2)
     check_ml(A, z)
     return A, z
 
@@ -136,20 +134,27 @@ def check_sp(g: np.ndarray) -> np.ndarray:
     return res
 
 
+def alpha0_det(g: np.ndarray) -> np.ndarray:
+    """det alpha(g, 0) of a 2n x 2n matrix g, or the (P,) determinants of
+    a stack: alpha(g, 0) is the block P of ball.cayley_blocks.  Raises
+    alpha_raw's SingularityError if one is within ``singular`` of 0."""
+    dets = np.linalg.det(ball.cayley_blocks(g)[0])
+    ball.check_positive(dets)
+    return dets
+
+
 def check_mp(g: np.ndarray, zeta) -> None:
     """The Mp anchor test of a stack: zeta[p]**2 = det alpha(g[p], 0) for
     every g[p] of the (P, 2n, 2n) stack g.  Raises for the first point
     that fails."""
-    n = g.shape[-1] // 2
-    _, a0 = ball.alpha_raw(g, np.zeros((len(g), n, n)))
+    dets = alpha0_det(g)
     bound = check_bound(get_tolerances())
-    for zp, d in zip(zeta, np.linalg.det(a0)):
-        if abs(zp * zp - d) > bound * abs(d):
-            raise ValidationError("zeta**2 != det alpha(g, 0)")
+    raise_first([(cabs(cmul(zeta, zeta) - dets) > bound * cabs(dets),
+                  lambda p: ValidationError("zeta**2 != det alpha(g, 0)"))])
 
 
 def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
-                      ) -> tuple[list[complex], np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Continue each anchor zeta[p] (at W = 0) to the Ball point W[p].
 
     Tracks the square roots of det alpha(g[p], s*W[p]) along the straight
@@ -171,7 +176,7 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
 
 
 def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
-           ) -> tuple[np.ndarray, list]:
+           ) -> tuple[np.ndarray, np.ndarray]:
     """The products (g1[p], zeta1[p]) (g2[p], zeta2[p]) in Mp(2n,R) of two
     (P, 2n, 2n) stacks and their anchors.
 
@@ -186,7 +191,7 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     W2, _ = ball.alpha_raw(g2, np.zeros((len(g2), n, n)))
     za, _ = tracked_alpha_det(g1, W2, zeta1)
     g = g1 @ g2
-    zeta = [a * b for a, b in zip(za, zeta2)]
+    zeta = cmul(za, zeta2)
     check_mp(g, zeta)
     return g, zeta
 

@@ -32,7 +32,7 @@ from .frames import (
     validate_lagrangian,
 )
 from .groups import as_stack, check_ml, ml_checks, raise_first, rel_residual, spk_blocks
-from .tracking import track_graph
+from .tracking import cdiv, cmul, track_graph
 
 
 class MetaplecticBundleData:
@@ -112,7 +112,7 @@ class PairSectionData:
 
 
 def chart_sqrt_values(nerve: Nerve, chart: str, values: list[complex],
-                      flip: int = 1) -> list[complex]:
+                      flip: int = 1) -> np.ndarray:
     """Continuous square root of a nonvanishing function over a chart's
     sample graph: values[i] is its value at the chart's i-th chart row
     (see PointIndex), and so is the returned root.
@@ -123,16 +123,17 @@ def chart_sqrt_values(nerve: Nerve, chart: str, values: list[complex],
     """
     index = nerve.point_index
     ids = [index.sites[r][1].id for r in index.charts[chart]]
-    return track_graph(values, index.edges[chart],
-                       sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
-                       jump=f"on chart {chart}", cycle=f"on chart {chart}")
+    return np.array(track_graph(values, index.edges[chart],
+                                sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
+                                jump=f"on chart {chart}", cycle=f"on chart {chart}"),
+                    dtype=complex)
 
 
 class RecipeResult:
     """The induced Ml cocycle, and chart_z the root z of the lifted
     section (C, z) at every chart row of the section transport."""
 
-    def __init__(self, ml_cocycle: Cocycle, chart_z: list[complex], residuals: dict):
+    def __init__(self, ml_cocycle: Cocycle, chart_z: np.ndarray, residuals: dict):
         self.ml_cocycle = ml_cocycle
         self.chart_z = chart_z
         self.residuals = residuals
@@ -143,11 +144,10 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     (g[p], zeta[p]) on the meta frames (W[p], (C[p], z[p])), for stacks
     g (P, 2n, 2n) and W, C (P, n, n): the moved W and C stacks and the
     moved z, checked in one pass."""
-    aA, az = alpha_tilde(g, zeta, W)
-    gW = ball.alpha_raw(g, W)[0]
+    gW, aA, az = alpha_tilde(g, zeta, W)
     check_ball(gW)
     A = aA @ C
-    zs = [x * zp for x, zp in zip(az, z)]
+    zs = cmul(az, z)
     check_ml(A, zs)
     return gW, A, zs
 
@@ -167,7 +167,7 @@ class SectionTransport:
 
     def __init__(self, bundle: MetaplecticBundleData, tols: Tolerances, U: np.ndarray,
                  V: np.ndarray, W: np.ndarray, C: np.ndarray, N: np.ndarray,
-                 alpha: np.ndarray, alpha_z: list[complex], gW: np.ndarray):
+                 alpha: np.ndarray, alpha_z: np.ndarray, gW: np.ndarray):
         self.bundle = bundle
         self.tols = tols
         self.U = U
@@ -203,8 +203,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
                                                           initial=0.0))
     raise_first([(res > bound, lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {index.points[p].id}"))])
-    gW = ball.alpha_raw(g, W[b])[0]
-    alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots.tolist(), W[b])
+    gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
     check_ball(gW)
     return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
 
@@ -232,22 +231,22 @@ def recipe(
     t = sections.transport(data)
     # per-chart lifted sections
     dets = np.linalg.det(t.C).tolist()
-    z = [root for ch, rows in index.charts.items()
-         for root in chart_sqrt_values(nerve, ch, dets[rows.start:rows.stop],
-                                       sheet_flips.get(ch, 1))]
+    z = np.concatenate([chart_sqrt_values(nerve, ch, dets[rows.start:rows.stop],
+                                          sheet_flips.get(ch, 1))
+                        for ch, rows in index.charts.items()])
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
     a, b = index.ends.T
     moved_A = t.alpha @ t.C[b]
-    moved_z = [x * z[r] for x, r in zip(t.alpha_z, b.tolist())]
+    moved_z = cmul(t.alpha_z, z[b])
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
         f"Ball points disagree on overlap at {index.points[p].id}"))])
     Ninv = np.linalg.inv(t.C[a]) @ moved_A
-    Nz = [mz / z[r] for mz, r in zip(moved_z, a.tolist())]
+    Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)
     report = cech.validate_cocycle(nerve, ml_c)
@@ -287,24 +286,22 @@ def build_delta_D_tilde(
 
     # the values at every chart row serve the gluing and the chart checks
     s = pair_sections
-    W1, C1, z1 = s.W1, s.C1, s.z1.tolist()
-    W2, C2, z2 = s.W2, s.C2, s.z2.tolist()
+    W1, C1, z1 = s.W1, s.C1, s.z1
+    W2, C2, z2 = s.W2, s.C2, s.z2
     # each point's first W, first (C, z), second W and second (C, z)
     raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
                 + ml_checks(C2, z2))
     values = delta_L_tilde(W1, C1, z1, W2, C2, z2, k)
 
     # invariance: both members of the chart-b pair moved by the transition
-    b = index.ends[:, 1].tolist()
+    b = index.ends[:, 1]
     P = len(b)
-    g = data.mp_cocycle.mats
-    gW, gC, gz = _mp_act_stack(np.concatenate([g, g]),
-                               data.mp_cocycle.roots.tolist() * 2,
+    g, zeta = data.mp_cocycle.mats, data.mp_cocycle.roots
+    gW, gC, gz = _mp_act_stack(np.concatenate([g, g]), np.concatenate([zeta, zeta]),
                                np.concatenate([W1[b], W2[b]]),
                                np.concatenate([C1[b], C2[b]]),
-                               [z1[r] for r in b] + [z2[r] for r in b])
+                               np.concatenate([z1[b], z2[b]]))
     moved = delta_L_tilde(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
-    values = np.array(values)
     residuals = rel_residual(moved, values[b])
     dt = DeltaTildeData(base=values, k=k, residuals=residuals)
     worst = max([0.0, *residuals.tolist()])
@@ -318,11 +315,13 @@ def build_delta_D_tilde(
     sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
     rng = rng or np.random.default_rng(0)
     t = draw_translations(rng, n, k, range(len(values)))
-    Y1, y1 = C1 @ t["M1"], s.z1 * t["z1"]
-    Y2, y2 = C2 @ t["M2"], s.z2 * t["z2"]
+    Y1, y1 = C1 @ t["M1"], z1 * t["z1"]
+    Y2, y2 = C2 @ t["M2"], z2 * t["z2"]
     check_ml(Y1, y1)
     check_ml(Y2, y2)
-    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])
+    # the translated roots are numpy products, and so is their quotient
+    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k, div=np.divide),
+                       values * t["factor"])
     sq_worst, law_worst = (max([0.0, *r.tolist()]) for r in (sq, law))
     dt.checks["square_identity"] = sq_worst
     dt.checks["translation_law"] = law_worst
@@ -374,8 +373,8 @@ def cross_check(
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
     w = delta_L_tilde(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
-    zs = [w[ra] * x / w[rb] for x, (ra, rb) in
-          zip(r2.ml_cocycle.roots.tolist(), nerve.point_index.ends.tolist())]
+    a, b = nerve.point_index.ends.T
+    zs = cdiv(cmul(w[a], r2.ml_cocycle.roots), w[b])
     z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)

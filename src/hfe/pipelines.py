@@ -474,7 +474,8 @@ def run_scenario(
     failing checks; a stage whose inputs are missing is recorded as
     skipped; a TheoremFalsification marks the whole report.
     """
-    scenario = source if isinstance(source, Scenario) else load_scenario(source)
+    scenario = (source if isinstance(source, Scenario)
+                else load_scenario(source, tolerances))
     unknown = sorted(set(scenario.pipelines).union(pipelines or ())
                      - set(PIPELINE_ORDER))
     if unknown:

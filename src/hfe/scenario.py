@@ -29,6 +29,7 @@ from .cech import (
     TriplePoint,
     chart_stacks,
 )
+from .config import get_tolerances, loosest, tolerance_overrides
 from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
 from .groups import stack_values
@@ -431,8 +432,12 @@ def _build_sign_cochain(doc: dict) -> SignCochain:
     return SignCochain(doc["degree"], values)
 
 
-def load_scenario(source: str | Path | dict) -> Scenario:
-    """Load and validate a scenario from a path, JSON text, or dict."""
+def load_scenario(source: str | Path | dict,
+                  tolerances: Optional[dict[str, float]] = None) -> Scenario:
+    """Load and validate a scenario from a path, JSON text, or dict, at
+    the loosest of the current tolerances and those of a run of it (the
+    document's, overridden by ``tolerances``): what a run tightens, its
+    stages judge."""
     if isinstance(source, dict):
         doc = source
     else:
@@ -445,6 +450,13 @@ def load_scenario(source: str | Path | dict) -> Scenario:
                        if not math.isfinite(value))
     if nonfinite:
         raise ValidationError(f"tolerances {nonfinite} must be finite")
+    base = get_tolerances()
+    run = base.with_overrides(**{**doc.get("tolerances", {}), **(tolerances or {})})
+    with tolerance_overrides(**loosest(base, run).as_dict()):
+        return _build_scenario(doc)
+
+
+def _build_scenario(doc: dict) -> Scenario:
     n, k = doc["n"], doc["k"]
     if k > n:
         raise ValidationError("k must not exceed n")

@@ -13,6 +13,7 @@ more is an error.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from collections import deque
@@ -44,98 +45,73 @@ def principal_sqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def track_sqrt(
-    f: Callable[[np.ndarray], np.ndarray],
-    z0,
-    t0: float = 0.0,
-    t1: float = 1.0,
-):
-    """Continue z with z**2 = f(t) from the anchor z0 at t0 to t1.
+def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
+               t1: float = 1.0) -> np.ndarray:
+    """Continue the anchors z0 (P,), z0[p]**2 = f(t0)[p], along a stack of
+    P paths from t0 to t1: returns the (P,) roots at t1.
 
-    ``f`` is vectorized: it takes a 1-D float array of parameters and
-    returns a complex array of the same length.  The grid
-    ``t0 + j*h`` (j = 0.._INITIAL_STEPS) is evaluated in one call, and
-    each bisection midpoint in one further call of length 1.
+    ``f`` takes a 1-D float array of m parameters and returns a (P, m)
+    complex array, row p on path p.  The grid ``t0 + j*h`` (j =
+    0.._INITIAL_STEPS) is evaluated in one call, and each bisection
+    midpoint in one call of length 1 for the whole stack, so ``f`` must
+    be defined on all of [t0, t1] for every path.
 
-    A stack of P paths is tracked by passing a 1-D sequence of P anchors:
-    ``f`` then returns a (P, m) array for m parameters, row p on path p,
-    and the result is the list of the P roots.  Every path is stepped and
-    bisected as if alone; a midpoint is evaluated for the whole stack in
-    one call, once per distinct parameter, so ``f`` must be defined on
-    all of [t0, t1] for every path.
+    The paths are stepped in lockstep, with the exact kernel (cdiv,
+    cmul, cabs and _sqrt).  Only a step that needs bisection, fails a
+    check, comes within a margin of a check's threshold or meets a
+    non-finite value is stepped by _bisect, path by path in stack order,
+    and so is the anchor test of a path that comes within a margin of
+    its bound.  The roots, the errors and the midpoints evaluated are
+    those of stepping each path alone.
 
-    The paths are stepped in lockstep: the ratios, the checks and the
-    running products of every grid step of every path are float-array
-    operations that reproduce Python's complex arithmetic bit for bit
-    (_quot, _prod and _sqrt; abs is np.hypot).  Only a step that needs
-    bisection, fails a check, comes within a margin of a check's
-    threshold or meets a non-finite value is stepped by _bisect, path by
-    path in stack order, and so is the anchor test of a path that comes
-    within a margin of its bound.  The roots, the errors and the
-    midpoints evaluated are those of stepping each path alone.
-
-    An anchor must satisfy z0**2 = f(t0).  Raises TrackingError, for the
-    first failing path, if the tracked value passes within the tracking
-    tolerance of zero away from the endpoint, or if bisection cannot
-    reduce the argument step.
+    Raises TrackingError, for the first failing path, if its anchor does
+    not square to its start value, if its value passes within the
+    tracking tolerance of zero away from the endpoint, or if bisection
+    cannot reduce the argument step.
 
     The interval is always cut into _INITIAL_STEPS pieces before the
     adaptive bisection: testing only endpoint ratios would miss a path
     that winds around the origin yet returns with a small total argument.
     """
-    single = np.ndim(z0) == 0
-    paths = (lambda t: np.asarray(f(t), dtype=complex)[None, :]) if single else f
-    anchors = [z0] if single else list(z0)
+    z = anchors = np.asarray(z0, dtype=complex)
     h = (t1 - t0) / _INITIAL_STEPS
     grid = t0 + np.arange(_INITIAL_STEPS + 1) * h
-    rows = np.asarray(paths(grid), dtype=complex).reshape(len(anchors), len(grid))
-    midpoints: dict[float, list[complex]] = {}
-
-    def at(tm: float) -> list[complex]:
-        if tm not in midpoints:
-            midpoints[tm] = np.asarray(paths(np.array([tm])),
-                                       dtype=complex)[:, 0].tolist()
-        return midpoints[tm]
+    rows = np.asarray(f(grid), dtype=complex).reshape(len(anchors), len(grid))
+    # the values of every path at a bisection midpoint, one call each
+    at = functools.cache(lambda tm: np.asarray(f(np.array([tm])), dtype=complex)
+                         .reshape(len(anchors)).tolist())
 
     tols = get_tolerances()
-    fr, fi = rows.real, rows.imag
-    size = np.hypot(fr, fi)  # abs of every value
-    z = np.array(anchors, dtype=complex).reshape(len(anchors))
-    zr, zi = z.real, z.imag
+    size = cabs(rows)
     with np.errstate(all="ignore"):
         # the anchor test is settled here only well inside its bound
-        sr, si = _prod(zr, zi, zr, zi)
-        slow = ~(np.hypot(sr - fr[:, 0], si - fi[:, 0])
+        slow = ~(cabs(cmul(z, z) - rows[:, 0])
                  < 0.5 * identity_bound(tols) * np.fmax(1.0, size[:, 0]))
         # step j goes from grid point j to j + 1; it is flagged unless
         # every test of _bisect passes with room to spare
-        rr, ri = _quot(fr[:, 1:], fi[:, 1:], fr[:, :-1], fi[:, :-1])
+        ratio = cdiv(rows[:, 1:], rows[:, :-1])
         flagged = ~(np.isfinite(size[:, 1:]) & np.isfinite(size[:, :-1])
-                    & np.isfinite(rr) & np.isfinite(ri) & (size[:, :-1] != 0.0)
-                    & ((rr != 0.0) | (ri != 0.0))
-                    & (np.abs(np.arctan2(ri, rr)) < _MAX_ARG - _ARG_MARGIN))
+                    & np.isfinite(ratio) & (size[:, :-1] != 0.0) & (ratio != 0.0)
+                    & (np.abs(np.angle(ratio)) < _MAX_ARG - _ARG_MARGIN))
         flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < t1)
-        sr, si = _sqrt(rr, ri)
+        steps = _sqrt(ratio)
         for j in range(_INITIAL_STEPS):
-            zr, zi = _prod(zr, zi, sr[:, j], si[:, j])
-    roots = _complex(zr, zi).tolist()
-    steps = _complex(sr, si)
+            z = cmul(z, steps[:, j])
     grid = grid.tolist()
     # each path with a flagged step or anchor, in stack order, as alone
     for p in np.flatnonzero(slow | flagged.any(axis=1)).tolist():
-        values, root = rows[p].tolist(), anchors[p]
+        values, root = rows[p].tolist(), complex(anchors[p])
         if abs(root * root - values[0]) > identity_bound(tols) * max(1.0, abs(values[0])):
             raise TrackingError("anchor does not square to the path start value")
         floor = tols.track * max(1.0, abs(values[0]))
-        root = complex(root)
         for j, step in enumerate(steps[p].tolist()):
             if flagged[p, j]:
                 root = _bisect(root, grid[j], values[j], grid[j + 1], values[j + 1],
                                at, p, t1, floor)
             else:
                 root = root * step
-        roots[p] = root
-    return roots[0] if single else roots
+        z[p] = root
+    return z
 
 
 def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
@@ -176,32 +152,47 @@ def _complex(re, im) -> np.ndarray:
     return np.stack([re, im], axis=-1).view(complex)[..., 0]
 
 
-def _prod(ar, ai, br, bi):
-    """Python's complex a * b on float arrays of the parts."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def cmul(a, b) -> np.ndarray:
+    """Python's complex a * b, elementwise on complex arrays, bit for bit
+    (numpy's complex multiply may round differently)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
 
 
-def _quot(ar, ai, br, bi):
-    """Python's complex a / b (Smith's algorithm, as CPython's
-    _Py_c_quot) on float arrays of the parts, for b != 0."""
+def cdiv(a, b) -> np.ndarray:
+    """Python's complex a / b, elementwise on complex arrays, bit for bit
+    (Smith's algorithm, as CPython's _Py_c_quot; numpy's complex divide
+    rounds differently), for b != 0."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     big = np.abs(br) >= np.abs(bi)
-    q = np.where(big, bi / br, br / bi)
-    d = np.where(big, br, bi) + np.where(big, bi, br) * q
-    return (np.where(big, ar + ai * q, ar * q + ai) / d,
-            np.where(big, ai - ar * q, ai * q - ar) / d)
+    with np.errstate(all="ignore"):  # the branch not taken may divide by 0
+        q = np.where(big, bi / br, br / bi)
+        d = np.where(big, br, bi) + np.where(big, bi, br) * q
+        return _complex(np.where(big, ar + ai * q, ar * q + ai) / d,
+                        np.where(big, ai - ar * q, ai * q - ar) / d)
 
 
-def _sqrt(re, im):
-    """cmath.sqrt on float arrays of the parts, for finite nonzero
+def cabs(a) -> np.ndarray:
+    """Python's abs of complex values, elementwise: np.hypot of the parts
+    (numpy's complex abs may round differently)."""
+    a = np.asarray(a, dtype=complex)
+    return np.hypot(a.real, a.imag)
+
+
+def _sqrt(w: np.ndarray) -> np.ndarray:
+    """cmath.sqrt, elementwise on a complex array of finite nonzero
     values: CPython's scaling, with hypot, of the parts by 1/8, or by
     2**53 where both are subnormal."""
-    ax, ay = np.abs(re), np.abs(im)
+    re, ax, ay = w.real, np.abs(w.real), np.abs(w.imag)
     tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
     up = np.ldexp(ax, 53)
     s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
                  2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
     d = ay / (2.0 * s)
-    return np.where(re >= 0.0, s, d), np.copysign(np.where(re >= 0.0, d, s), im)
+    return _complex(np.where(re >= 0.0, s, d),
+                    np.copysign(np.where(re >= 0.0, d, s), w.imag))
 
 
 def track_graph(

@@ -196,10 +196,10 @@ def test_criterion_04_automorphy_cocycle_and_cover():
         if i < 60:  # tracked-sheet checks on a subsample
             _, a0 = ball.alpha_raw(g, np.zeros((n, n)))
             zeta = principal_sqrt(np.linalg.det(a0))
-            A, z = alpha_tilde(g[None], [zeta], W[None])
+            _, A, z = alpha_tilde(g[None], [zeta], W[None])
             _, am = ball.alpha_raw(g, W)
             proj_ok = proj_ok and np.array_equal(A[0], am)
-            dA, dz = alpha_tilde(g[None], [-zeta], W[None])
+            _, dA, dz = alpha_tilde(g[None], [-zeta], W[None])
             flipped, fz = ml_mul(A, z, np.eye(n)[None], [-1.0])
             deck_ok = (
                 deck_ok

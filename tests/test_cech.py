@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hfe import ball
 from hfe.cech import (
     ORIGIN,
     Cocycle,
@@ -10,6 +11,7 @@ from hfe.cech import (
     SamplePoint,
     SignCochain,
     TriplePoint,
+    _membership_residuals,
     gf2_solve,
     lift_classes,
     lift_double_cover,
@@ -19,7 +21,10 @@ from hfe.cech import (
     z2_coboundary_solve,
 )
 from hfe.errors import TrackingError, ValidationError
+from hfe.groups import mp_mul
+from hfe.sampling import random_sp
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
+from hfe.tracking import principal_sqrt
 
 
 def _pt(pid, params=()):
@@ -111,6 +116,50 @@ def test_validate_mp_cocycle_on_triangle(sheet):
         assert [f[:3] for f in out["failures"]] == [
             ("cocycle", ("a", "b", "c"), "p"), ("cocycle", ("a", "b", "c"), "q")]
         assert abs(out["max_residual"] - 2.0) < 1e-12
+
+
+def _alpha0_root(g, sign=1.0):
+    """sign times the principal root of det alpha(g, 0)."""
+    n = len(g) // 2
+    return sign * principal_sqrt(np.linalg.det(ball.alpha_raw(g, np.zeros((n, n)))[1]))
+
+
+def test_mp_triangle_residuals_are_pinned():
+    # An n = 2 triangle of seeded random_sp elements, t_ac = t_ab t_bc,
+    # with a perturbed t_ab anchor at p2 (membership), a perturbed t_ac
+    # anchor at p0 (membership and cocycle) and the other t_ac sheet at
+    # p3 (cocycle).  Every value below was recorded before the roots
+    # became arrays; no golden report reaches mp_mul or these residuals.
+    ids = ("p0", "p1", "p2", "p3")
+    nerve = triangle_nerve(ids)
+    rng = np.random.default_rng(19)
+    values = {}
+    for i, p in enumerate(ids):
+        g1, g2 = random_sp(rng, 2), random_sp(rng, 2)
+        values[p] = ((g1, _alpha0_root(g1, 1 + 3e-9 if i == 2 else 1.0)),
+                     (g2, _alpha0_root(g2)),
+                     (g1 @ g2, _alpha0_root(g1 @ g2, {0: 1 + 2e-8, 3: -1.0}.get(i, 1.0))))
+    c = Cocycle.evaluate("Mp", 2, 0, nerve, {
+        pair: ((lambda pt, j=j: values[pt.id][j]),)
+        for j, pair in enumerate((("a", "b"), ("b", "c"), ("a", "c")))})
+    assert validate_cocycle(nerve, c) == {
+        "ok": False, "max_residual": 95.30390661790965, "failures": [
+            ("membership", ("a", "b"), 0, "p2", 5.9999999672366795e-09),
+            ("membership", ("a", "c"), 0, "p0", 4.00000004988725e-08),
+            ("cocycle", ("a", "b", "c"), "p0", 3.246303989839913e-07),
+            ("cocycle", ("a", "b", "c"), "p2", 1.466328193573504e-07),
+            ("cocycle", ("a", "b", "c"), "p3", 95.30390661790965)]}
+    assert _membership_residuals(c).tolist() == [
+        1.596994994083766e-16, 6.61066715548103e-17, 5.9999999672366795e-09,
+        1.5970263939721556e-16, 4.00000004988725e-08, 1.9880874401742407e-16, 0.0,
+        3.504667419987107e-16, 3.0125753804056367e-16, 2.4340666034977294e-17,
+        1.9298661570299093e-16, 2.5882693515862737e-16]
+    # the products of the t_ab and t_bc elements, checked by check_mp
+    _, zeta = mp_mul(*(np.array([values[p][j][m] for p in ids])
+                       for j in (0, 1) for m in (0, 1)))
+    assert zeta.tolist() == [
+        (13.704828236270634 - 8.69712123909171j), (8.125634025365425 - 13.845540079751668j),
+        (25.309711418204664 + 41.814354084646936j), (32.9761146810212 + 34.398902812487435j)]
 
 
 def test_cocycle_evaluates_each_transition_once_per_point():

@@ -813,3 +813,50 @@ def test_frame_pairs_delta_at_the_singular_bound_vanishes(tmp_path, capsys):
     assert code == 1
     assert checks["frame_pairs.error"]["failures"] == [
         "SingularityError: pairing determinant vanishes (invalid pair)"]
+
+
+def _near_symplectic_mp(document_rel):
+    """A circle_mobius edit whose first Mp transition is diag(1 + 1e-8, 1),
+    symplectic only to 1e-8, with the document tolerance rel if given."""
+    def edit(doc):
+        anchor = doc["mp_cocycle"]["transitions"][0]["generator"]
+        assert anchor["name"] == "mp_const"
+        anchor["params"]["g"] = [[1 + 1e-8, 0], [0, 1]]
+        if document_rel is not None:
+            doc["tolerances"] = {"rel": document_rel}
+    return edit
+
+
+@pytest.mark.parametrize("document_rel, option, loads", [
+    (1e-5, [], True),
+    (None, ["--tolerance", "rel=1e-5"], True),
+    (None, [], False),
+], ids=["document", "option", "neither"])
+def test_scenario_values_are_loaded_at_the_run_tolerances(document_rel, option,
+                                                           loads, tmp_path, capsys):
+    # the symplectic test at load reads the tolerances of the run: the
+    # document's, with the command line's winning
+    path = _scenario_file(tmp_path, "circle_mobius", _near_symplectic_mp(document_rel))
+    code, out, err = run(capsys, "verify", path, *option, "--report", "json")
+    if loads:
+        assert code != 2, err
+        assert json.loads(out)["tolerances"]["rel"] == 1e-5
+    else:
+        assert code == 2
+        assert err.startswith("error: invalid scenario data: matrix is not symplectic, "
+                              "residuals (9.99999993922529e-09, 0.0, 0.0)")
+
+
+def test_text_report_failures_hold_python_floats(tmp_path, capsys):
+    # zeta**2 misses det alpha(g, 0) = 1 by 2e-8: inside the load-time
+    # check, outside the cocycle.mp membership bound
+    def edit(doc):
+        anchor = doc["mp_cocycle"]["transitions"][0]["generator"]
+        assert anchor["params"]["g"] == [[1, 0], [0, 1]]
+        anchor["params"]["zeta"] = [1.00000001, 0]
+
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, _ = run(capsys, "verify", path, "--report", "text")
+    assert code == 1
+    assert "1.999999987845058e-08" in out
+    assert "np." not in out

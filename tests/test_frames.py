@@ -200,10 +200,10 @@ def test_alpha_tilde_projection_and_deck(rng):
     _, a0 = ball.alpha_raw(g, np.zeros((2, 2)))
     zeta = principal_sqrt(np.linalg.det(a0))
     W = random_ball_point(rng, 2)
-    A, z = alpha_tilde(g[None], [zeta], W[None])
+    _, A, z = alpha_tilde(g[None], [zeta], W[None])
     _, am = ball.alpha_raw(g, W)
     assert np.array_equal(A[0], am)
-    deck = alpha_tilde(g[None], [-zeta], W[None])
+    deck = alpha_tilde(g[None], [-zeta], W[None])[1:]
     flipped, zf = ml_mul(A, z, np.eye(2)[None], [-1.0])
     assert np.array_equal(deck[0], flipped)
     assert deck[1] == zf

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.errors import SubgroupRejection, ValidationError
+from hfe.config import check_bound, get_tolerances, identity_bound, tolerance_overrides
+from hfe.errors import EngineError, SubgroupRejection, ValidationError
 from hfe.groups import (
     _glk_pattern,
     check_ml,
     check_mp,
     check_sp,
+    det_stack,
+    ml_checks,
     ml_mul,
     mp_mul,
     raise_first,
@@ -184,3 +189,69 @@ def test_mp_element_wrong_anchor_rejected(rng):
     zeta = np.sqrt(abs(np.linalg.det(a0))) * 5.0
     with pytest.raises(ValidationError):
         check_mp(g[None], [zeta])
+
+
+def _per_row_ml_flags(A, z):
+    """The flags of the per-row Ml membership checks, as they were
+    written: the singular test and the root test of each point."""
+    tols = get_tolerances()
+    bound = identity_bound(tols)
+    dets = det_stack(A)
+    return (np.array([abs(d) <= tols.singular for d in dets], dtype=bool),
+            np.array([abs(zp * zp - d) > bound * abs(d) for zp, d in zip(z, dets)],
+                     dtype=bool))
+
+
+def _per_row_check_mp(g, zeta) -> None:
+    """The per-row Mp anchor test, as it was written."""
+    n = g.shape[-1] // 2
+    _, a0 = ball.alpha_raw(g, np.zeros((len(g), n, n)))
+    bound = check_bound(get_tolerances())
+    for zp, d in zip(zeta, np.linalg.det(a0)):
+        if abs(zp * zp - d) > bound * abs(d):
+            raise ValidationError("zeta**2 != det alpha(g, 0)")
+
+
+def _outcome(check, *args):
+    """None, or the type and message of the EngineError check raised."""
+    try:
+        check(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _at_the_bound(gap: float, size: float, scale: float) -> list[float]:
+    """rel values around the one at which scale * rel * size meets gap,
+    so that some point sits at its bound or on either side of it."""
+    rel = gap / (scale * size)
+    return [math.nextafter(rel, 0.0), rel, math.nextafter(rel, math.inf)]
+
+
+def test_vectorized_membership_flags_match_the_per_row_checks(rng):
+    # roots off their determinants by relative amounts around the
+    # default bounds, and tolerances that put a point at its bound
+    off = [0.0, 1e-12, 1e-9, 1e-8, 3e-8, 1e-6, 1e-3]
+    for trial in range(40):
+        n = int(rng.integers(1, 4))
+        A = np.array([random_gl(rng, n) for _ in off])
+        z = [s * principal_sqrt(d) * (1 + e) for s, d, e in
+             zip(rng.choice([1, -1], len(off)), np.linalg.det(A), off)]
+        g = np.array([random_sp(rng, n) for _ in off])
+        zeta = [s * principal_sqrt(d) * (1 + e) for s, d, e in
+                zip(rng.choice([1, -1], len(off)), np.linalg.det(
+                    ball.alpha_raw(g, np.zeros((len(g), n, n)))[1]), off)]
+        p = int(rng.integers(len(off)))
+        d, dm = np.linalg.det(A[p]), np.linalg.det(ball.alpha_raw(g[p], np.zeros((n, n)))[1])
+        settings = [{}, {"singular": abs(d)}, {"singular": math.nextafter(abs(d), 0.0)}]
+        settings += [{"rel": r} for r in _at_the_bound(abs(z[p] * z[p] - d), abs(d), 10)]
+        settings += [{"rel": r} for r in
+                     _at_the_bound(abs(zeta[p] * zeta[p] - dm), abs(dm), 1e3)]
+        for tols in settings:
+            with tolerance_overrides(**tols):
+                flags = [bad for bad, _ in ml_checks(A, np.array(z))]
+                assert [f.tolist() for f in flags] == [
+                    f.tolist() for f in _per_row_ml_flags(A, z)], (trial, tols)
+                for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(off))]:
+                    assert (_outcome(check_mp, g[rows], np.array(zeta[rows]))
+                            == _outcome(_per_row_check_mp, g[rows], zeta[rows])), (trial, tols)

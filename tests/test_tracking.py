@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import hfe
 from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lift_double_cover
@@ -16,14 +16,19 @@ from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
 from hfe.tracking import (
     _MAX_ARG,
-    _complex,
-    _prod,
-    _quot,
     _sqrt,
+    cabs,
+    cdiv,
+    cmul,
     principal_sqrt,
     track_graph,
     track_sqrt,
 )
+
+
+def _alone(f, z0, *interval):
+    """track_sqrt on the stack of the one path f, anchored at z0."""
+    return track_sqrt(lambda t: f(t)[None], [z0], *interval)[0]
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
@@ -44,25 +49,25 @@ def test_principal_sqrt_negative_axis():
 
 def test_track_sqrt_full_loop_changes_sheet():
     # following f(t) = e^{2 pi i t} once around the origin flips the root
-    z = track_sqrt(lambda t: np.exp(2j * math.pi * t), 1.0)
+    z = _alone(lambda t: np.exp(2j * math.pi * t), 1.0)
     assert abs(z + 1.0) < 1e-9
 
 
 def test_track_sqrt_bad_anchor():
     with pytest.raises(TrackingError):
-        track_sqrt(lambda t: 1.0 + t, 2.0)
+        _alone(lambda t: 1.0 + t, 2.0)
 
 
 def test_track_sqrt_vanishing_path():
     with pytest.raises(TrackingError):
-        track_sqrt(lambda t: np.where(t < 0.75, 1.0 - 2.0 * t, 1.0), 1.0)
+        _alone(lambda t: np.where(t < 0.75, 1.0 - 2.0 * t, 1.0), 1.0)
 
 
 def test_track_sqrt_partial_interval_composition():
     f = lambda t: np.exp(1.7j * math.pi * t)
-    z_mid = track_sqrt(f, 1.0, 0.0, 0.4)
-    z_full = track_sqrt(f, z_mid, 0.4, 1.0)
-    assert abs(z_full - track_sqrt(f, 1.0)) < 1e-12
+    z_mid = _alone(f, 1.0, 0.0, 0.4)
+    z_full = _alone(f, z_mid, 0.4, 1.0)
+    assert abs(z_full - _alone(f, 1.0)) < 1e-12
 
 
 def test_track_sqrt_rejects_a_sign_jump_without_hanging():
@@ -72,7 +77,7 @@ def test_track_sqrt_rejects_a_sign_jump_without_hanging():
             "from hfe.errors import TrackingError\n"
             "from hfe.tracking import track_sqrt\n"
             "try:\n"
-            "    track_sqrt(lambda t: np.where(t < 0.3, 1.0, -1.0), 1.0)\n"
+            "    track_sqrt(lambda t: np.where(t < 0.3, 1.0, -1.0)[None], [1.0])\n"
             "except TrackingError as exc:\n"
             "    print(exc)\n")
     env = dict(os.environ)
@@ -107,32 +112,43 @@ def test_track_graph_path_coarse_edge_rejected():
         _track_path_graph([1.0, -1.0])
 
 
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
 def _bits(z: complex) -> tuple:
-    """The parts of z with the signs of zeros."""
-    return (z.real, math.copysign(1.0, z.real), z.imag, math.copysign(1.0, z.imag))
+    """The parts of z, each with the sign of a zero; every NaN alike."""
+    return (repr(z.real), repr(z.imag))
 
 
-@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), min_size=1, max_size=8))
+# every float: signed zeros, subnormals, infinities and NaN
+_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@given(st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT), min_size=1, max_size=8))
+@example([(1.0, 2.0, 3.0, 0.0)])
+@example([(float("inf"), float("nan"), -0.0, 5e-324)])
+# numpy's complex *, / and abs round these differently
+@example([(20.41, 0.3, -14.04, 8.2), (-25.56, -9.6, -7.73, -19.2), (-20.2, 1.94, 1.0, 1.0)])
 def test_float_array_complex_ops_match_python(parts):
-    # the lockstep tracker's *, / and cmath.sqrt, bit for bit, on every
-    # finite input they are used on (subnormal parts included)
-    ar, ai, br, bi = (np.array(x) for x in zip(*parts))
+    # the kernel of every root computation: cmul, cdiv and cabs are
+    # Python's *, / and abs bit for bit, a real (float) divisor included,
+    # and _sqrt is cmath.sqrt on the finite nonzero values it is used on
+    a, b = (np.array([complex(x, y) for x, y in pair]) for pair in
+            (([p[0], p[1]] for p in parts), ([p[2], p[3]] for p in parts)))
+    reals = np.array([p[2] for p in parts])
     with np.errstate(all="ignore"):
-        prod = _complex(*_prod(ar, ai, br, bi)).tolist()
-        quot = _complex(*_quot(ar, ai, br, bi)).tolist()
-        root = _complex(*_sqrt(ar, ai)).tolist()
-    for a, b, p, q, r in zip(_complex(ar, ai).tolist(), _complex(br, bi).tolist(),
-                             prod, quot, root):
-        want = a * b
-        if cmath.isfinite(want):
-            assert _bits(p) == _bits(want)
-        if b != 0 and cmath.isfinite(a / b):
-            assert _bits(q) == _bits(a / b)
-        if a != 0:
-            assert _bits(r) == _bits(cmath.sqrt(a))
+        prod, quot, by_real = cmul(a, b).tolist(), cdiv(a, b).tolist(), cdiv(a, reals)
+        size, root = cabs(a).tolist(), _sqrt(a).tolist()
+    for x, y, r, p, q, qr, m, s in zip(a.tolist(), b.tolist(), reals.tolist(), prod,
+                                       quot, by_real.tolist(), size, root):
+        assert _bits(p) == _bits(x * y)
+        if y != 0:
+            assert _bits(q) == _bits(x / y)
+        if r != 0:
+            assert _bits(qr) == _bits(x / r)
+        try:
+            assert repr(m) == repr(abs(x))
+        except OverflowError:  # Python raises where hypot is inf
+            assert m == math.inf
+        if x != 0 and cmath.isfinite(x):
+            assert _bits(s) == _bits(cmath.sqrt(x))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +207,7 @@ def _winding(w):
 def test_track_sqrt_matches_scalar_oracle(w, t1):
     # |w| * t1 / 16 beyond pi/2 forces bisection of the initial grid
     f = _Recorder(_winding(w))
-    z = track_sqrt(f, 1.0, 0.0, t1)
+    z = _alone(f, 1.0, 0.0, t1)
     z_ref, evaluated = _scalar_track(_winding(w), 1.0, 0.0, t1)
     assert abs(z - z_ref) <= 1e-12
     assert abs(z * z - np.exp(1j * w * t1)) <= 1e-9
@@ -203,7 +219,7 @@ def test_track_sqrt_matches_scalar_oracle(w, t1):
 
 def test_track_sqrt_one_call_without_bisection():
     f = _Recorder(_winding(2.0 * math.pi))
-    track_sqrt(f, 1.0)
+    _alone(f, 1.0)
     assert [c.shape for c in f.calls] == [(17,)]
     assert np.array_equal(f.calls[0], np.arange(17) / 16)
 
@@ -212,7 +228,7 @@ def test_track_sqrt_one_call_per_midpoint():
     # 3.75 rad per grid step: each step bisects to 1.875 (still too far)
     # and 0.9375, so it needs three midpoints
     f = _Recorder(_winding(60.0))
-    z = track_sqrt(f, 1.0)
+    z = _alone(f, 1.0)
     assert abs(z * z - cmath.exp(60j)) < 1e-9
     assert f.calls[0].shape == (17,)
     assert [c.shape for c in f.calls[1:]] == [(1,)] * (16 * 3)
