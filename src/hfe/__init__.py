@@ -10,12 +10,11 @@ Subpackages/modules:
 - ``hfe.cli``           scenario runner front end
 """
 
-from .config import Tolerances, get_tolerances, set_tolerances, tolerance_overrides
+from .config import Tolerances, get_tolerances, tolerance_overrides
 
 __all__ = [
     "Tolerances",
     "get_tolerances",
-    "set_tolerances",
     "tolerance_overrides",
 ]
 

@@ -60,10 +60,6 @@ def get_tolerances() -> Tolerances:
     return _current.get()
 
 
-def set_tolerances(tols: Tolerances) -> None:
-    _current.set(tols)
-
-
 # Named bounds: each residual of the engine is compared with one of these
 # multiples of the current tolerances.
 

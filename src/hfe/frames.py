@@ -7,15 +7,14 @@ or (P, 2n, n), and raise for the first point that fails.  This module
 provides validation (isotropy,
 independence, positivity), the pairing determinant delta_k and its
 D-adapted block versions, Ball membership, the metalinear automorphy
-factor alpha-tilde, the continuous square root Gamma, Liouville volume
-evaluation via Pfaffians, and pointwise pairing densities; the bijection
-phi and the Ball action live in hfe.ball.
+factor alpha-tilde, the continuous square root Gamma, and pointwise
+pairing densities, whose Liouville volume is a determinant; the
+bijection phi and the Ball action live in hfe.ball.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -226,20 +225,19 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
                     "Wr": W[:, k:, k:]}
 
 
-def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int, div=cdiv) -> np.ndarray:
+def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
     """Square-root pairing values of the meta frame pairs ((W1[p], (C1[p],
     z1[p])), (W2[p], (C2[p], z2[p]))) in block form, for stacks W, C (P,
     n, n) and roots z (P,); raises for the first pair that fails.
 
     Value: conj(z1) z2 |det A|^{-1} Gamma(W1r, W2r) on the reduced Ball
     points, the Gamma factors tracked as one stack of paths; its square
-    is delta_L of the projected pair.  The quotient by |det A| is
-    ``div``: Python's (cdiv), or numpy's (np.divide) on numpy's roots.
+    is delta_L of the projected pair.
     """
     checks1, b1 = meta_pattern(W1, C1, k)
     checks2, b2 = meta_pattern(W2, C2, k)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
-    return cmul(div(cmul(np.conj(z1), z2), np.abs(b1["detA"])),
+    return cmul(cdiv(cmul(np.conj(z1), z2), np.abs(b1["detA"])),
                 gamma_stack(b1["Wr"], b2["Wr"]))
 
 
@@ -266,77 +264,32 @@ def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# Liouville volume and pairing densities
+# pairing densities
 # ---------------------------------------------------------------------------
 
-def _pfaffian(M: np.ndarray) -> complex:
-    """Pfaffian by recursive first-row expansion (exact sign handling)."""
-    m = M.shape[0]
-    if m == 0:
-        return 1.0 + 0j
-    if m % 2 == 1:
-        return 0.0 + 0j
-    if m == 2:
-        return complex(M[0, 1])
-    total = 0.0 + 0j
-    rest = list(range(1, m))
-    for idx, j in enumerate(rest):
-        keep = [r for r in rest if r != j]
-        minor = M[np.ix_(keep, keep)]
-        total += (-1.0) ** idx * M[0, j] * _pfaffian(minor)
-    return total
-
-
-def liouville(X: Sequence[np.ndarray]) -> complex:
-    """Liouville volume evaluated on 2n tangent vectors.
-
-    Equals (-1)**(n(n-1)/2) Pf(Omega) with Omega_ij = omega(X_i, X_j);
-    scales by det(M) under a basis change by M.
-    """
-    vecs = [np.asarray(x, dtype=complex) for x in X]
-    if not vecs or len(vecs) % 2 != 0:
-        raise ValidationError("need an even, positive number of vectors")
-    dim = vecs[0].shape[0]
-    if any(v.shape != (dim,) for v in vecs) or dim != len(vecs):
-        raise ValidationError("need exactly 2n vectors of dimension 2n")
-    n = dim // 2
-    stacked = np.column_stack(vecs)
-    Om = stacked.T @ standard_omega(n) @ stacked
-    return (-1.0) ** (n * (n - 1) // 2) * _pfaffian(Om)
-
-
-def pairing_density(
-    prequantum_value: complex,
-    nu1: complex,
-    nu2: complex,
-    S1: np.ndarray,
-    S2: np.ndarray,
-    k: int,
-    lifts: Sequence[np.ndarray],
-    mode: str = "half-density",
-    delta_tilde_value: Optional[complex] = None,
-) -> complex:
-    """Pointwise pairing density of two polarized sections whose frames
-    have the stacked columns S1 and S2 (2n, n), sharing their first k.
+def pairing_density(prequantum, nu1, nu2, S1: np.ndarray, S2: np.ndarray, k: int,
+                    lifts: np.ndarray, delta_tilde=None) -> np.ndarray:
+    """Pointwise pairing densities of pairs of polarized sections whose
+    frames have the stacked columns S1[p] and S2[p], stacks (P, 2n, n)
+    sharing their first k columns, for values prequantum, nu1, nu2 (P,)
+    and a stack lifts (P, 2n, 2n - k) of vectors completing the shared
+    columns; raises for the first pair that fails.
 
     Returns <s1, s2> conj(nu1) nu2 * factor * |Lambda(u_1..u_k, lifts)|,
-    where the factor is sqrt|delta_k| in half-density mode and the
-    supplied square root delta_tilde_value in half-form mode (checked to
-    square to delta_k).
+    where the factor is sqrt|delta_k| (half-density), or in half-form
+    the given square roots delta_tilde (P,), checked to square to
+    delta_k.  The Liouville volume of 2n vectors X is det X: for the
+    standard form Pf(X^t omega X) = det X Pf(omega), and the prefactor
+    (-1)**(n(n-1)/2) of the volume form is Pf(omega).
     """
-    S1, S2 = S1[None], S2[None]
     check_frame_pairs(S1, S2, k)
-    d, = delta(S1, S2, k)
-    if mode == "half-density":
-        factor = math.sqrt(abs(d))
-    elif mode == "half-form":
-        if delta_tilde_value is None:
-            raise ValidationError("half-form mode requires delta_tilde_value")
-        factor = complex(delta_tilde_value)
-        if abs(factor * factor - d) > identity_bound(get_tolerances()) * abs(d):
-            raise ValidationError("delta_tilde_value does not square to delta")
+    d = np.array(delta(S1, S2, k))
+    if delta_tilde is None:
+        factor = np.sqrt(np.abs(d))
     else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    shared = [S1[0, :, i] for i in range(k)]
-    vol = liouville(shared + [np.asarray(v, complex) for v in lifts])
-    return complex(prequantum_value) * nu1.conjugate() * nu2 * factor * abs(vol)
+        factor = np.asarray(delta_tilde, dtype=complex)
+        raise_first([(np.abs(factor * factor - d)
+                      > identity_bound(get_tolerances()) * np.abs(d),
+                      lambda p: ValidationError("delta_tilde does not square to delta"))])
+    vol = det_stack(np.concatenate([S1[..., :k], lifts], axis=-1))
+    return np.asarray(prequantum) * np.conj(nu1) * nu2 * factor * np.abs(vol)

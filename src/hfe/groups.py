@@ -23,14 +23,6 @@ from .errors import EngineError, SingularityError, SubgroupRejection, Validation
 from .tracking import cabs, cmul, track_sqrt
 
 
-def as_stack(mats, n: int) -> np.ndarray:
-    """The (P, n, n) complex stack of P matrices, P = 0 included."""
-    A = np.array(mats, dtype=complex)
-    if A.shape[1:] != (n, n) and len(mats):
-        raise ValidationError(f"expected {n} x {n} matrices, got shape {A.shape[1:]}")
-    return A.reshape(len(mats), n, n)
-
-
 def _is_shape(layout: tuple) -> bool:
     return all(isinstance(d, int) for d in layout)
 
@@ -59,9 +51,14 @@ def stack_values(values: list, layout: tuple, error: Callable[[int], str]
     of an array value, or a tuple of layouts for a tuple value of that
     length.  Returns one complex stack (P, *shape) per array of the
     layout, depth first; raises ValidationError(error(i)) for the first
-    value i that does not fit."""
+    value i that does not fit, or that fits with a NaN or infinite
+    entry."""
     stacks = _stacks(values, layout)
     if stacks is not None:
+        finite = np.logical_and.reduce(
+            [np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks])
+        raise_first([(~finite, lambda i: ValidationError(
+            f"{error(i)}: it has a non-finite entry"))])
         return stacks
     for i, value in enumerate(values):
         if _stacks([value], layout) is None:

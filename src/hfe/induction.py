@@ -31,7 +31,7 @@ from .frames import (
     delta_L_tilde,
     validate_lagrangian,
 )
-from .groups import as_stack, check_ml, ml_checks, raise_first, rel_residual, spk_blocks
+from .groups import check_ml, ml_checks, raise_first, rel_residual, spk_blocks
 from .tracking import cdiv, cmul, track_graph
 
 
@@ -183,8 +183,7 @@ class SectionTransport:
 def _transport(data: MetaplecticBundleData, sections: FrameSectionData
                ) -> SectionTransport:
     tols = get_tolerances()
-    nerve, n = data.nerve, data.n
-    index = nerve.point_index
+    index = data.nerve.point_index
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
     raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
@@ -192,11 +191,12 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     check_ball(W)
     a, b = index.ends.T
     g = data.mp_cocycle.mats
-    # frame transitions N: g sigma_b = sigma_a N
+    # frame transitions N: g sigma_b = sigma_a N, in the least-squares
+    # sense, the columns of sigma_a being independent
     gU, gV = ball.sp_apply(g, U[b], V[b])
     Sa = np.concatenate([U[a], V[a]], axis=-2)
     Sg = np.concatenate([gU, gV], axis=-2)
-    N = as_stack([np.linalg.lstsq(sa, sg, rcond=None)[0] for sa, sg in zip(Sa, Sg)], n)
+    N = np.linalg.pinv(Sa) @ Sg
     axes = (-2, -1)
     res = np.max(np.abs(Sa @ N - Sg), axis=axes, initial=0.0)
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
@@ -315,13 +315,11 @@ def build_delta_D_tilde(
     sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
     rng = rng or np.random.default_rng(0)
     t = draw_translations(rng, n, k, range(len(values)))
-    Y1, y1 = C1 @ t["M1"], z1 * t["z1"]
-    Y2, y2 = C2 @ t["M2"], z2 * t["z2"]
+    Y1, y1 = C1 @ t["M1"], cmul(z1, t["z1"])
+    Y2, y2 = C2 @ t["M2"], cmul(z2, t["z2"])
     check_ml(Y1, y1)
     check_ml(Y2, y2)
-    # the translated roots are numpy products, and so is their quotient
-    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k, div=np.divide),
-                       values * t["factor"])
+    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])
     sq_worst, law_worst = (max([0.0, *r.tolist()]) for r in (sq, law))
     dt.checks["square_identity"] = sq_worst
     dt.checks["translation_law"] = law_worst

@@ -425,6 +425,15 @@ def _build_frame(spec: dict, n: int, k: int, what: str
     return U[0], V[0]
 
 
+def _expected_delta(fp: dict) -> complex:
+    """A frame pair's expected delta, which must be finite."""
+    value = parse_complex(fp["expected_delta"])
+    if not np.isfinite(value):
+        raise ValidationError(f"expected delta of frame pair {fp['name']!r} at "
+                              f"origin is not finite")
+    return value
+
+
 def _build_sign_cochain(doc: dict) -> SignCochain:
     values = {
         (tuple(v["triple"]), v["point"]): v["sign"] for v in doc["values"]
@@ -509,7 +518,7 @@ def _build_scenario(doc: dict) -> Scenario:
                 "second": _build_frame(fp["second"], n, fp["k"],
                                        f"frame pair {fp['name']!r} second member"),
                 "k": fp["k"],
-                "expected_delta": parse_complex(fp["expected_delta"]),
+                "expected_delta": _expected_delta(fp),
             }
         )
     for name, sdoc in doc.get("sign_cochains", {}).items():

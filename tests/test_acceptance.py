@@ -352,19 +352,20 @@ def test_criterion_11_density_invariance():
         n = int(rng.integers(1, 4))
         k = int(rng.integers(0, n + 1))
         (U1, V1), (U2, V2) = _block_pair(rng, n, k)
-        lifts = [rng.standard_normal(2 * n) for _ in range(2 * n - k)]
+        lifts = np.column_stack([rng.standard_normal(2 * n)
+                                 for _ in range(2 * n - k)])[None]
         nu1, nu2 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         preq = complex(*rng.standard_normal(2))
-        v = pairing_density(preq, nu1, nu2, _columns(U1, V1), _columns(U2, V2),
-                            k, lifts)
+        v, = pairing_density([preq], [nu1], [nu2], _columns(U1, V1)[None],
+                             _columns(U2, V2)[None], k, lifts)
         (g1,), _, (g2,), _ = random_mlkd_stack(rng, 1, n, k)
         T1, T2 = _columns(U1, V1) @ g1, _columns(U2, V2) @ g2
         validate_lagrangian(np.array([T1[:n], T2[:n]]), np.array([T1[n:], T2[n:]]))
-        v2 = pairing_density(
-            preq,
-            nu1 * abs(np.linalg.det(g1)) ** -0.5,
-            nu2 * abs(np.linalg.det(g2)) ** -0.5,
-            T1, T2, k,
+        v2, = pairing_density(
+            [preq],
+            [nu1 * abs(np.linalg.det(g1)) ** -0.5],
+            [nu2 * abs(np.linalg.det(g2)) ** -0.5],
+            T1[None], T2[None], k,
             lifts,
         )
         worst_hd = max(worst_hd, abs(v2 - v) / max(1.0, abs(v)))
@@ -394,24 +395,23 @@ def test_criterion_11_density_invariance():
         U, V = ball.phi_inv_raw(W, C)
         validate_lagrangian(U, V)
         S = np.concatenate([U, V], axis=-2)
-        lifts = [rng.standard_normal(2 * n) for _ in range(2 * n - k)]
+        lifts = np.column_stack([rng.standard_normal(2 * n)
+                                 for _ in range(2 * n - k)])[None]
         nu1, nu2 = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         preq = complex(*rng.standard_normal(2))
-        dt, = delta_L_tilde(W[:1], C[:1], zc[:1], W[1:], C[1:], zc[1:], k)
-        v = pairing_density(
-            preq, nu1, nu2, S[0], S[1], k, lifts,
-            "half-form", delta_tilde_value=dt,
-        )
+        dt = delta_L_tilde(W[:1], C[:1], zc[:1], W[1:], C[1:], zc[1:], k)
+        v, = pairing_density([preq], [nu1], [nu2], S[:1], S[1:], k, lifts,
+                             delta_tilde=dt)
         M1, z1, M2, z2 = random_mlkd_stack(rng, 1, n, k)
         M, zm = np.concatenate([M1, M2]), [z1[0], z2[0]]
         C2, z = ml_mul(C, zc, M, zm)
-        dt2, = delta_L_tilde(W[:1], C2[:1], z[:1], W[1:], C2[1:], z[1:], k)
+        dt2 = delta_L_tilde(W[:1], C2[:1], z[:1], W[1:], C2[1:], z[1:], k)
         T = S @ M
         validate_lagrangian(T[:, :n], T[:, n:])
-        v2 = pairing_density(
-            preq, nu1 / zm[0], nu2 / zm[1],
-            T[0], T[1], k, lifts,
-            "half-form", delta_tilde_value=dt2,
+        v2, = pairing_density(
+            [preq], [nu1 / zm[0]], [nu2 / zm[1]],
+            T[:1], T[1:], k, lifts,
+            delta_tilde=dt2,
         )
         worst_hf = max(worst_hf, abs(v2 - v) / max(1.0, abs(v)))
     _verdict(

@@ -348,6 +348,25 @@ def test_missing_stage_inputs_are_recorded_as_skipped(
     assert f"SKIP  [{reason}]" in out
 
 
+def _perturbed_section(doc):
+    # the frame the cocycle carries chart 1's section to is no longer in
+    # the span of chart 0's section
+    doc["sections"]["first"]["1"]["params"]["W"] = [[0.5]]
+    doc["pipelines"] = ["validate", "recipe"]
+
+
+def test_sections_inconsistent_with_the_cocycle_are_a_recipe_error(tmp_path,
+                                                                   capsys):
+    path = _scenario_file(tmp_path, "circle_mobius", _perturbed_section)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["recipe.error"]["failures"] == [
+        "ValidationError: sections inconsistent with the cocycle at east"]
+    assert [i for i in checks if i.startswith("recipe.")] == ["recipe.error"]
+
+
 def _empty_delta_params(doc):
     doc["delta_samples"]["0"]["params"] = {}
 
@@ -668,6 +687,45 @@ def test_exit_2_on_wrong_kind_section_generator(name, edit, message, tmp_path,
     path = _scenario_file(tmp_path, name, edit)
     selection = ["--pipeline", "frame_pairs"] if name == "trivial_r2" else []
     code, out, err = run(capsys, "verify", path, *selection)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def _nan_pair_member(doc):
+    params = doc["pair_cocycle"]["transitions"][0]["generator"]["params"]
+    params["first"] = params["second"] = [[float("nan")]]
+
+
+def _infinite_expected_delta(doc):
+    doc["frame_pairs"][0]["expected_delta"] = [0.0, float("inf")]
+
+
+_NONFINITE = {
+    # this used to run, and report two gluing lifts as inequivalent: a
+    # falsification, while four checks passed with residual 0
+    "pair_cocycle<-NaN": (
+        "circle_mobius", _nan_pair_member,
+        "transition of ('0', '1') at east is not a Glkd value for n=1: "
+        "it has a non-finite entry"),
+    "delta_sample<-Infinity": (
+        "circle_mobius",
+        lambda doc: doc["delta_samples"]["0"]["params"].update(const=float("inf")),
+        "delta sample of chart '0' at east is not a scalar: it has a non-finite "
+        "entry"),
+    "expected_delta<-Infinity": (
+        "trivial_r2", _infinite_expected_delta,
+        "expected delta of frame pair 'vertical_horizontal' at origin is not "
+        "finite"),
+}
+
+
+@pytest.mark.parametrize("name, edit, message", _NONFINITE.values(), ids=_NONFINITE)
+def test_exit_2_on_nonfinite_values(name, edit, message, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity literals, which json reads back
+    path = _scenario_file(tmp_path, name, edit)
+    code, out, err = run(capsys, "verify", path)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err

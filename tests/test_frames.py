@@ -14,8 +14,8 @@ from hfe.frames import (
     delta_L_stack,
     delta_L_tilde,
     gamma_stack,
-    liouville,
     pairing_density,
+    standard_omega,
     validate_lagrangian,
 )
 from hfe.groups import ml_mul
@@ -285,33 +285,128 @@ def test_delta_L_tilde_squares_to_delta_L(rng):
         assert abs(via_wc - target) < 1e-9 * max(1.0, abs(target))
 
 
-def test_liouville_scaling_and_value(rng):
-    e = np.eye(4)
-    base = liouville([e[:, i] for i in range(4)])
-    # the prefactor makes the standard symplectic basis have volume +1
-    assert abs(base - 1.0) < 1e-12
-    M = random_gl(rng, 4)
-    vecs = [M[:, i] for i in range(4)]
-    assert abs(liouville(vecs) - np.linalg.det(M) * base) < 1e-9 * abs(
-        np.linalg.det(M)
-    )
+def _pfaffian(M: np.ndarray) -> complex:
+    """Pfaffian by recursive first-row expansion (exact sign handling)."""
+    m = M.shape[0]
+    if m == 0:
+        return 1.0 + 0j
+    if m % 2 == 1:
+        return 0.0 + 0j
+    if m == 2:
+        return complex(M[0, 1])
+    total = 0.0 + 0j
+    rest = list(range(1, m))
+    for idx, j in enumerate(rest):
+        keep = [r for r in rest if r != j]
+        minor = M[np.ix_(keep, keep)]
+        total += (-1.0) ** idx * M[0, j] * _pfaffian(minor)
+    return total
+
+
+def test_liouville_volume_is_a_determinant(rng):
+    # the Liouville volume of 2n vectors X, (-1)**(n(n-1)/2) Pf(X^t omega X),
+    # is det X, which pairing_density takes it as
+    for n in (1, 2, 3):
+        sign = (-1.0) ** (n * (n - 1) // 2)
+        omega = standard_omega(n)
+        # the prefactor gives the standard symplectic basis volume +1
+        assert abs(sign * _pfaffian(omega) - 1.0) < 1e-12
+        for _ in range(20):
+            X = random_complex(rng, (2 * n, 2 * n))
+            det = np.linalg.det(X)
+            pf = sign * _pfaffian(X.T @ omega @ X)
+            assert abs(pf - det) < 1e-12 * max(1.0, abs(det))
 
 
 def test_pairing_density_anchor():
-    S = _columns(*HOLO)[0]
-    lifts = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    v = pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-density")
+    S = _columns(*HOLO)
+    lifts = np.eye(2)[None]
+    one = np.ones(1)
+    v, = pairing_density(one, one, one, S, S, 0, lifts)
     assert abs(v - 2 ** 0.5) < 1e-12
-    v2 = pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-form",
-                         delta_tilde_value=2 ** 0.5)
+    v2, = pairing_density(one, one, one, S, S, 0, lifts, delta_tilde=[2 ** 0.5])
     assert abs(v2 - 2 ** 0.5) < 1e-12
     with pytest.raises(ValidationError):
-        pairing_density(1.0, 1.0, 1.0, S, S, 0, lifts, "half-form",
-                        delta_tilde_value=1.0)
+        pairing_density(one, one, one, S, S, 0, lifts, delta_tilde=[1.0])
     # the frames must share their first k columns
     with pytest.raises(ValidationError):
-        pairing_density(1.0, 1.0, 1.0, _columns(*VERT)[0], _columns(*HORIZ)[0], 1,
-                        [np.array([1.0, 0.0])])
+        pairing_density(one, one, one, _columns(*VERT), _columns(*HORIZ), 1,
+                        np.array([[[1.0], [0.0]]]))
+
+
+def _density_stack(n, k, P=3):
+    """P seeded pairs of frames' stacked columns (P, 2n, n) sharing their
+    real first k columns, lifts (P, 2n, 2n - k), the values (P,) of the
+    prequantum pairing and of nu1, nu2, and signed roots of delta."""
+    rng = np.random.default_rng(1000 * n + k)
+    shared = rng.standard_normal((P, 2 * n, k))
+    S1 = np.concatenate([shared, random_complex(rng, (P, 2 * n, n - k))], axis=-1)
+    S2 = np.concatenate([shared, random_complex(rng, (P, 2 * n, n - k))], axis=-1)
+    lifts = rng.standard_normal((P, 2 * n, 2 * n - k))
+    preq, nu1, nu2 = random_complex(rng, (3, P))
+    signs = rng.choice([-1.0, 1.0], P)
+    dt = signs * np.array([principal_sqrt(d) for d in delta(S1, S2, k)])
+    return preq, nu1, nu2, S1, S2, lifts, dt
+
+
+# Row by row, the half-density and the half-form densities of
+# _density_stack(n, k) by the scalar pairing_density this stacked one
+# replaced, which took the Liouville volume as a Pfaffian.
+_SCALAR_DENSITIES = {
+    (1, 0): (
+        [(0.12252779801330825-0.25162068171557567j),
+         (-1.2029156954132634-4.993402884707145j),
+         (1.2763687956444498-1.0924798883126747j)],
+        [(0.06079193488465072+0.2731855951655971j),
+         (-4.560115704953135+2.3635615703241153j),
+         (-1.6344133979028599+0.38900186839932493j)],
+    ),
+    (1, 1): (
+        [(-0.2781154128450466-0.23877195479408989j),
+         (-0.21855888139687643-0.2496872000080196j),
+         (-9.086085618704638-3.335049744210414j)],
+        [(0.2781154128450466+0.23877195479408989j),
+         (0.21855888139687643+0.2496872000080196j),
+         (9.086085618704638+3.335049744210414j)],
+    ),
+    (2, 1): (
+        [(0.7006353102399654+1.0167645214015564j),
+         (1.3143557406831345+0.18080097992218305j),
+         (-6.670355457523936-37.05241890473414j)],
+        [(1.009113034261766-0.7116114206636935j),
+         (1.2886721602490816-0.31550605510274693j),
+         (24.193122068053203+28.845592960136848j)],
+    ),
+    (3, 0): (
+        [(-14.268183094291576+78.67042467593578j),
+         (-29.81827702757957-53.629280608722844j),
+         (-27.505498127551085+10.928945443560156j)],
+        [(72.38878028964196-33.948214322439085j),
+         (54.12885840233811+28.901489089011417j),
+         (-2.1110288376908635-29.521819608544934j)],
+    ),
+    (3, 2): (
+        [(-23.80237178035479-41.38661512779466j),
+         (34.44147716039736+32.42881614083583j),
+         (-28.471657902667154+24.78586972575412j)],
+        [(8.390440546997764-47.00005661202683j),
+         (0.39821568791026557-47.304174123984126j),
+         (-37.68883752707537+2.1274791764617516j)],
+    ),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(_SCALAR_DENSITIES))
+def test_stacked_density_matches_the_scalar_kernel(n, k):
+    preq, nu1, nu2, S1, S2, lifts, dt = _density_stack(n, k)
+    half_density, half_form = _SCALAR_DENSITIES[n, k]
+    for got, want in ((pairing_density(preq, nu1, nu2, S1, S2, k, lifts), half_density),
+                      (pairing_density(preq, nu1, nu2, S1, S2, k, lifts, dt), half_form)):
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+    # a root of the wrong size in one row fails the whole stack
+    dt[1] *= 2
+    with pytest.raises(ValidationError, match="does not square"):
+        pairing_density(preq, nu1, nu2, S1, S2, k, lifts, dt)
 
 
 def test_ball_point_validation():

@@ -23,7 +23,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 
 EXCEPTIONS = {
     # the BKS pairing of the open ROADMAP item 1; its stage will call these
-    ("frames", "liouville"): "BKS pairing, ROADMAP item 1",
     ("frames", "pairing_density"): "BKS pairing, ROADMAP item 1",
     ("frames", "delta_L_from_wc"): "BKS pairing, ROADMAP item 1",
     # seeded draws the tests build their random inputs from
