@@ -11,7 +11,7 @@ of square roots become breadth-first tracking over component graphs.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -246,27 +246,30 @@ class Nerve:
 
 def _layout(group: str, n: int) -> tuple:
     """The layout of a generator value of a cocycle group (see
-    groups.stack_values): an n x n matrix (Gl), a pair of them (Glkd),
-    an n x n matrix with its root (Ml), a 2n x 2n matrix with its anchor
-    (Mp)."""
+    groups.stack_values), the shapes of its arrays: an n x n matrix
+    (Gl), a pair of them (Glkd), an n x n matrix with its root (Ml), a
+    2n x 2n matrix with its anchor (Mp)."""
     if group not in ("Gl", "Glkd", "Ml", "Mp"):
         raise ValidationError(f"unknown cocycle group {group!r}")
     square = (n, n)
-    return {"Gl": square, "Glkd": (square, square), "Ml": (square, ()),
+    return {"Gl": (square,), "Glkd": (square, square), "Ml": (square, ()),
             "Mp": ((2 * n, 2 * n), ())}[group]
 
 
 def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
                  layout: tuple, kind: str) -> list[np.ndarray]:
-    """The generators of a chart role, one per chart, evaluated once at
-    every chart row of the nerve's point index and stacked by
+    """The generators of a chart role, one per chart, each evaluated once
+    on the stack of its chart's rows of the nerve's point index, by
     groups.stack_values; a chart without a generator, or a value that is
     not ``kind`` (of the layout), raises ValidationError."""
-    sites = nerve.point_index.sites
+    index = nerve.point_index
+    sites = index.sites
     missing = sorted(set(nerve.charts) - set(generators))
     if missing:
         raise ValidationError(f"no {role} for charts {missing}")
-    return G.stack_values([generators[ch](pt) for ch, pt in sites], layout,
+    parts = [(generators[ch], [pt for _, pt in sites[rows.start:rows.stop]])
+             for ch, rows in index.charts.items()]
+    return G.stack_values(parts, layout,
                           lambda r: f"{role} of chart {sites[r][0]!r} at "
                                     f"{sites[r][1].id} is not {kind}")
 
@@ -296,13 +299,13 @@ class Cocycle:
 
     @classmethod
     def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
-                 transitions: dict[PairKey, tuple[Callable[[SamplePoint], Any], ...]]
-                 ) -> "Cocycle":
+                 transitions: dict[PairKey, tuple[Callable, ...]]) -> "Cocycle":
         """The cocycle whose transition on component ci of a sorted chart
-        pair is transitions[pair][ci], evaluated once at each of its
-        sample points and stacked.  A value that does not fit the
-        group's layout (see _layout) raises ValidationError, and so does
-        an Ml or Mp value that is not in its group."""
+        pair is the generator transitions[pair][ci] (see hfe.generators),
+        evaluated once on the stack of the component's sample points by
+        groups.stack_values.  A value that does not fit the group's layout
+        (see _layout) raises ValidationError, and so does an Ml or Mp
+        value that is not in its group."""
         for pair in sorted(nerve.overlaps):
             if pair not in transitions:
                 raise ValidationError(f"missing transition for overlap {pair}")
@@ -311,7 +314,8 @@ class Cocycle:
         index = nerve.point_index
         keys = [key for key, rows in index.components.items() for _ in rows]
         stacks = G.stack_values(
-            [transitions[pair][ci](pt) for (pair, ci), pt in zip(keys, index.points)],
+            [(transitions[pair][ci], index.points[rows.start:rows.stop])
+             for (pair, ci), rows in index.components.items()],
             _layout(group, n),
             lambda r: f"transition of {keys[r][0]} at {index.points[r].id} is not "
                       f"a {group} value for n={n}")

@@ -2,9 +2,13 @@
 
 Scenario files describe transition functions, sections, and sampled
 scalar fields as named generators with JSON parameters; this module
-parses those descriptions into callables from a sample point to a plain
-value: a complex scalar, a matrix, or a tuple of such values.  The
-scenario loader evaluates them and checks each value's layout and group.
+parses those descriptions into functions from a stack of P sample points
+(the points of one overlap component, or the chart rows of one chart)
+to the tuple of stacked arrays of their values: (P,) for a scalar,
+(P, m, m) for a matrix, and one such array per member of a tuple value
+(an Mp value (g, zeta), a frame (U, V), a pair of meta frames
+(W1, C1, z1, W2, C2, z2)).  groups.stack_values calls each once and
+checks the arrays against the layout of their role.
 Complex scalars are written as a number or a two-element [re, im] list;
 matrices as nested lists of such scalars.
 """
@@ -12,7 +16,7 @@ matrices as nested lists of such scalars.
 from __future__ import annotations
 
 import cmath
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +24,9 @@ from . import ball
 from .cech import SamplePoint
 from .errors import ValidationError
 from .groups import alpha0_det
-from .tracking import principal_sqrt
+from .tracking import cdiv, cmul, principal_sqrt
+
+Generator = Callable[[Sequence[SamplePoint]], tuple]
 
 
 def parse_complex(v: Any) -> complex:
@@ -39,6 +45,17 @@ def parse_matrix(v: Any) -> np.ndarray:
     return np.array([[parse_complex(x) for x in row] for row in v], dtype=complex)
 
 
+def _matrix(params: dict, key: str, shape: tuple, prefix: str = "") -> np.ndarray:
+    """The matrix parameter ``key``, which must have the given shape."""
+    M = parse_matrix(params[key])
+    if M.shape != shape:
+        raise ValueError(
+            f"parameter '{prefix}{key}' must be {shape[0]} x {shape[1]}, "
+            f"got {' x '.join(map(str, M.shape))}"
+        )
+    return M
+
+
 def _zeta(params: dict, det_value: complex) -> complex:
     """Anchor scalar: explicit value, or a signed principal root."""
     if "zeta" in params:
@@ -47,35 +64,36 @@ def _zeta(params: dict, det_value: complex) -> complex:
     return sign * principal_sqrt(det_value)
 
 
-def _point_param(pt: SamplePoint, idx: int = 0) -> float:
-    return pt.params[idx] if len(pt.params) > idx else 0.0
+def _params(points: Sequence[SamplePoint], d: int) -> np.ndarray:
+    """The (P, d) float array of the first d parameters of the points, a
+    missing one 0."""
+    return np.array([(tuple(pt.params) + (0.0,) * d)[:d] for pt in points],
+                    dtype=float).reshape(len(points), d)
 
 
-def _point_zeta(pt: SamplePoint) -> complex:
-    """Sample points on a Riemann-sphere chart carry (re, im) params."""
-    return complex(_point_param(pt, 0), _point_param(pt, 1))
+def _constant(*values) -> Generator:
+    """The generator whose values are the same at every point."""
+    return lambda points: tuple(np.broadcast_to(v, (len(points),) + np.shape(v))
+                                for v in values)
 
 
 # ---------------------------------------------------------------------------
-# generator constructors; each returns a callable SamplePoint -> value
+# generator constructors; each returns a Generator
 # ---------------------------------------------------------------------------
 
 def _gen_const(params, n, k):
-    M = parse_matrix(params["value"])
-    return lambda pt: M
+    return _constant(_matrix(params, "value", (n, n)))
 
 
 def _gen_pair_const(params, n, k):
-    g1 = parse_matrix(params["first"])
-    g2 = parse_matrix(params["second"])
-    return lambda pt: (g1, g2)
+    return _constant(_matrix(params, "first", (n, n)),
+                     _matrix(params, "second", (n, n)))
 
 
 def _gen_mp_const(params, n, k):
     """A metaplectic value (g, zeta)."""
-    g = parse_matrix(params["g"]).real
-    value = (g, _zeta(params, alpha0_det(g)))
-    return lambda pt: value
+    g = _matrix(params, "g", (2 * n, 2 * n)).real
+    return _constant(g, _zeta(params, alpha0_det(g)))
 
 
 def _gen_mp_rotation(params, n, k):
@@ -84,77 +102,68 @@ def _gen_mp_rotation(params, n, k):
     sign = int(params.get("sheet", 1))
     g = np.array([[np.cos(theta), np.sin(theta)],
                   [-np.sin(theta), np.cos(theta)]])
-    value = (g, sign * cmath.exp(0.5j * theta))
-    return lambda pt: value
+    return _constant(g, sign * cmath.exp(0.5j * theta))
 
 
 def _gen_const_scalar(params, n, k):
-    v = parse_complex(params["value"])
-    return lambda pt: v
+    return _constant(parse_complex(params["value"]))
 
 
 def _gen_linear_scalar(params, n, k):
+    """c0 + c1 t at a point with first parameter t, computed as Python's
+    complex arithmetic computes it."""
     c0 = parse_complex(params["const"])
     c1 = parse_complex(params.get("slope", 0.0))
-    return lambda pt: c0 + c1 * _point_param(pt)
+    return lambda points: (c0 + cmul(c1, _params(points, 1)[:, 0]),)
 
 
 def _gen_mobius_ratio(params, n, k):
-    """1x1 transition (zeta - w_a) / (zeta - w_b) at a Riemann-sphere
-    sample point; a factor with w = "inf" is the constant 1."""
+    """1x1 transition (zeta - w_a) / (zeta - w_b) at Riemann-sphere sample
+    points, whose parameters are (re, im) of zeta; a factor with
+    w = "inf" is the constant 1."""
     wa = parse_complex(params["w_a"])
     wb = parse_complex(params["w_b"])
 
-    def fn(pt):
-        z = _point_zeta(pt)
-        num = 1.0 + 0j if wa == complex("inf") else z - wa
-        den = 1.0 + 0j if wb == complex("inf") else z - wb
-        if den == 0:
-            raise ValidationError(
-                f"generator 'mobius_ratio': pole at sample point {pt.id}")
-        return np.array([[num / den]], dtype=complex)
+    def fn(points):
+        z = _params(points, 2).view(complex)[:, 0]
+        one = np.ones(len(points), dtype=complex)
+        num = one if wa == complex("inf") else z - wa
+        den = one if wb == complex("inf") else z - wb
+        poles = np.flatnonzero(den == 0)
+        if poles.size:
+            raise ValidationError(f"generator 'mobius_ratio': pole at sample "
+                                  f"point {points[poles[0]].id}")
+        return (cdiv(num, den)[:, None, None],)
 
     return fn
 
 
 def _gen_frame_const(params, n, k):
-    U = parse_matrix(params["U"])
-    V = parse_matrix(params["V"])
-    return lambda pt: (U, V)
+    return _constant(_matrix(params, "U", (n, n)), _matrix(params, "V", (n, n)))
 
 
 def _gen_frame_phi_inv(params, n, k):
-    W = parse_matrix(params["W"])
-    C = parse_matrix(params["C"])
-    UV = ball.phi_inv_raw(W, C)
-    return lambda pt: UV
+    return _constant(*ball.phi_inv_raw(_matrix(params, "W", (n, n)),
+                                       _matrix(params, "C", (n, n))))
 
 
-def _block_frame(A, B, Wr, Cr):
-    n = A.shape[0] + Wr.shape[0]
-    k = A.shape[0]
-    Ur, Vr = ball.phi_inv_raw(Wr, Cr)
-    U = np.zeros((n, n), dtype=complex)
-    V = np.zeros((n, n), dtype=complex)
-    U[:k, :k] = A
-    U[:k, k:] = B
-    U[k:, k:] = Ur
-    V[k:, k:] = Vr
-    return U, V
-
-
-def _parse_blocks(params: dict, n: int, k: int):
+def _parse_blocks(params: dict, n: int, k: int, prefix: str = ""):
     """The blocks of a D-adapted block frame: A (real, read only when
-    k > 0), B (zero by default), Cr, and the reduced Ball point as a
-    function of the sample point, Wr(t) = Wr + t * Wr_slope."""
-    A = parse_matrix(params["A"]).real if k else np.zeros((0, 0))
-    B = parse_matrix(params["B"]) if "B" in params else np.zeros((k, n - k))
-    Wr0 = parse_matrix(params["Wr"])
-    Wslope = parse_matrix(params["Wr_slope"]) if "Wr_slope" in params else None
-    Cr = parse_matrix(params["Cr"])
+    k > 0), B (zero by default), Cr, and the stack of reduced Ball
+    points at P points, Wr(t) = Wr + t * Wr_slope at a point with first
+    parameter t."""
+    r = n - k
+    A = _matrix(params, "A", (k, k), prefix).real if k else np.zeros((0, 0))
+    B = _matrix(params, "B", (k, r), prefix) if "B" in params else np.zeros((k, r))
+    Wr0 = _matrix(params, "Wr", (r, r), prefix)
+    Wslope = (_matrix(params, "Wr_slope", (r, r), prefix)
+              if "Wr_slope" in params else None)
+    Cr = _matrix(params, "Cr", (r, r), prefix)
 
-    def Wr(pt):
-        return Wr0 if Wslope is None else Wr0 + _point_param(pt) * Wslope
+    def Wr(points):
+        if Wslope is None:
+            return np.broadcast_to(Wr0, (len(points), r, r))
+        return Wr0 + _params(points, 1)[:, :, None] * Wslope
 
     return A, B, Wr, Cr
 
@@ -162,34 +171,45 @@ def _parse_blocks(params: dict, n: int, k: int):
 def _gen_frame_blocks(params, n, k):
     """D-adapted block frame with reduced part phi_inv(Wr(t), Cr)."""
     A, B, Wr, Cr = _parse_blocks(params, n, k)
-    return lambda pt: _block_frame(A, B, Wr(pt), Cr)
+
+    def fn(points):
+        Ur, Vr = ball.phi_inv_raw(Wr(points), Cr)
+        U = np.zeros((len(points), n, n), dtype=complex)
+        V = np.zeros((len(points), n, n), dtype=complex)
+        U[:, :k, :k] = A
+        U[:, :k, k:] = B
+        U[:, k:, k:] = Ur
+        V[:, k:, k:] = Vr
+        return U, V
+
+    return fn
 
 
-def _meta_member(spec: dict, n: int, k: int):
+def _meta_member(spec: dict, n: int, k: int, prefix: str) -> Generator:
     """A meta frame (W, C, z) in block form, W = diag(1_k, Wr(t)) and
     C = (A B; 0 Cr), with z a signed principal root of det C; C and z do
     not depend on the sample point and are built once."""
-    A, B, Wr, Cr = _parse_blocks(spec, n, k)
+    A, B, Wr, Cr = _parse_blocks(spec, n, k, prefix)
     C = np.zeros((n, n), dtype=complex)
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
     z = int(spec.get("zsign", 1)) * principal_sqrt(np.linalg.det(C) if n else 1.0)
 
-    def fn(pt):
-        W = np.zeros((n, n), dtype=complex)
-        W[:k, :k] = np.eye(k)
-        W[k:, k:] = Wr(pt)
-        return W, C, z
+    def fn(points):
+        W = np.zeros((len(points), n, n), dtype=complex)
+        W[:, :k, :k] = np.eye(k)
+        W[:, k:, k:] = Wr(points)
+        return (W,) + _constant(C, z)(points)
 
     return fn
 
 
 def _gen_meta_pair_blocks(params, n, k):
     """Pair of meta frames in D-adapted block form sharing the A block."""
-    f1 = _meta_member(params["first"], n, k)
-    f2 = _meta_member(params["second"], n, k)
-    return lambda pt: (f1(pt), f2(pt))
+    f1 = _meta_member(params["first"], n, k, "first.")
+    f2 = _meta_member(params["second"], n, k, "second.")
+    return lambda points: f1(points) + f2(points)
 
 
 _REGISTRY: dict[str, Callable] = {
@@ -207,48 +227,7 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 
-def _block_shapes(n: int, k: int) -> dict:
-    """Matrix parameter shapes of a D-adapted block frame; A is read only
-    when k > 0."""
-    r = n - k
-    shapes = {"A": (k, k)} if k else {}
-    return {**shapes, "B": (k, r), "Wr": (r, r), "Wr_slope": (r, r), "Cr": (r, r)}
-
-
-def _shapes(name: str, n: int, k: int) -> dict:
-    """The shape of every matrix parameter of a generator, nested for
-    the members of a pair."""
-    square = (n, n)
-    return {
-        "const": {"value": square},
-        "pair_const": {"first": square, "second": square},
-        "mp_const": {"g": (2 * n, 2 * n)},
-        "frame_const": {"U": square, "V": square},
-        "frame_phi_inv": {"W": square, "C": square},
-        "frame_blocks": _block_shapes(n, k),
-        "meta_pair_blocks": {"first": _block_shapes(n, k),
-                             "second": _block_shapes(n, k)},
-    }.get(name, {})
-
-
-def _check_shapes(params: dict, shapes: dict, prefix: str = "") -> None:
-    """Raise ValueError for a matrix parameter of the wrong shape; a
-    missing one is left to the generator, which names it."""
-    for key, shape in shapes.items():
-        if key not in params:
-            continue
-        if isinstance(shape, dict):
-            _check_shapes(params[key], shape, f"{prefix}{key}.")
-            continue
-        got = parse_matrix(params[key]).shape
-        if got != shape:
-            raise ValueError(
-                f"parameter '{prefix}{key}' must be {shape[0]} x {shape[1]}, "
-                f"got {' x '.join(map(str, got))}"
-            )
-
-
-def build_generator(spec: dict, n: int, k: int) -> Callable[[SamplePoint], Any]:
+def build_generator(spec: dict, n: int, k: int) -> Generator:
     """Instantiate a generator description {"name": ..., "params": {...}}.
 
     Parameters it cannot build from (a missing key, a value of the wrong
@@ -257,10 +236,8 @@ def build_generator(spec: dict, n: int, k: int) -> Callable[[SamplePoint], Any]:
     name = spec.get("name")
     if name not in _REGISTRY:
         raise ValidationError(f"unknown generator {name!r}")
-    params = spec.get("params", {})
     try:
-        _check_shapes(params, _shapes(name, n, k))
-        return _REGISTRY[name](params, n, k)
+        return _REGISTRY[name](spec.get("params", {}), n, k)
     except KeyError as exc:
         raise ValidationError(f"generator {name!r}: missing parameter {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -13,57 +13,40 @@ or anchors; the membership tests raise for the first point that fails.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
-from .errors import EngineError, SingularityError, SubgroupRejection, ValidationError
+from .errors import SingularityError, SubgroupRejection, ValidationError
 from .tracking import cabs, cmul, track_sqrt
 
 
-def _is_shape(layout: tuple) -> bool:
-    return all(isinstance(d, int) for d in layout)
-
-
-def _stacks(values: list, layout: tuple) -> Optional[list[np.ndarray]]:
-    """The complex stacks (P, *shape) of the arrays of the layout over the
-    P values, depth first, one np.array call each, or None if a value
-    does not fit."""
-    if _is_shape(layout):
-        try:
-            arr = np.array(values, dtype=complex)
-        except (TypeError, ValueError):
-            return None
-        if values and arr.shape != (len(values),) + layout:
-            return None
-        return [arr.reshape((len(values),) + layout)]
-    if not all(isinstance(v, tuple) and len(v) == len(layout) for v in values):
-        return None
-    parts = [_stacks([v[i] for v in values], sub) for i, sub in enumerate(layout)]
-    return None if any(p is None for p in parts) else [a for p in parts for a in p]
-
-
-def stack_values(values: list, layout: tuple, error: Callable[[int], str]
-                 ) -> list[np.ndarray]:
-    """Stack the generator values of one layout: a layout is the shape
-    of an array value, or a tuple of layouts for a tuple value of that
-    length.  Returns one complex stack (P, *shape) per array of the
-    layout, depth first; raises ValidationError(error(i)) for the first
-    value i that does not fit, or that fits with a NaN or infinite
-    entry."""
-    stacks = _stacks(values, layout)
-    if stacks is not None:
-        finite = np.logical_and.reduce(
-            [np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks])
-        raise_first([(~finite, lambda i: ValidationError(
-            f"{error(i)}: it has a non-finite entry"))])
-        return stacks
-    for i, value in enumerate(values):
-        if _stacks([value], layout) is None:
-            raise ValidationError(error(i))
-    raise EngineError("generator values that each fit their layout did not stack")
+def stack_values(parts: Sequence[tuple[Callable, Sequence]], layout: tuple,
+                 error: Callable[[int], str]) -> list[np.ndarray]:
+    """Evaluate generators on stacks of sample points and stack their
+    values.  ``parts`` lists, in row order, pairs (fn, points): fn is
+    called once and returns one array of shape (P, *shape) per shape of
+    the layout, P = len(points).  Returns one complex stack (R, *shape)
+    per shape, R the total point count; raises ValidationError(error(r))
+    for r the first row of the first part whose arrays do not fit the
+    layout, or else for the first row with a NaN or infinite entry."""
+    values = [(fn(points), len(points)) for fn, points in parts]
+    row = 0
+    for arrays, size in values:
+        if len(arrays) != len(layout) or any(
+                np.shape(a) != (size, *shape) for a, shape in zip(arrays, layout)):
+            raise ValidationError(error(row))
+        row += size
+    stacks = [np.concatenate([np.empty((0, *shape), dtype=complex)]
+                             + [arrays[i] for arrays, _ in values])
+              for i, shape in enumerate(layout)]
+    finite = np.logical_and.reduce(
+        [np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks])
+    raise_first([(~finite, lambda r: ValidationError(
+        f"{error(r)}: it has a non-finite entry"))])
+    return stacks
 
 
 def det_stack(A: np.ndarray) -> np.ndarray:

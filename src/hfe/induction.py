@@ -107,7 +107,7 @@ class PairSectionData:
                  ) -> "PairSectionData":
         """The pair sections of chart generators, evaluated once."""
         meta = ((n, n), (n, n), ())
-        return cls(*chart_stacks(nerve, generators, "pair section", (meta, meta),
+        return cls(*chart_stacks(nerve, generators, "pair section", meta + meta,
                                  f"a pair of meta frames (W, C, z) for n={n}"))
 
 

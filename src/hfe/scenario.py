@@ -4,8 +4,8 @@ A scenario bundles a nerve, group-valued cocycles (by role), sampled
 scalar fields, frame sections, and the list of verification pipelines to
 run on them.  Everything is declarative: transition functions and
 sections are generator descriptions resolved by :mod:`hfe.generators`,
-and loading evaluates every generator once, at the points its consumer
-reads, into values and stacks.
+and loading evaluates every generator once, on the stack of the points
+its consumer reads.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -376,8 +375,8 @@ def _build_nerve(doc: dict) -> Nerve:
 
 
 def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
-    """The cocycle a document describes, its generators evaluated once at
-    every overlap sample point."""
+    """The cocycle a document describes, each generator evaluated once on
+    the sample points of its component."""
     table: dict[tuple[str, str], dict[int, Callable]] = {}
     for tr in doc["transitions"]:
         pair = tuple(tr["pair"])
@@ -409,19 +408,19 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
 
 
 def _build_delta_samples(doc: dict, nerve: Nerve, n: int, k: int) -> np.ndarray:
-    """Delta-sample generators, one per chart, evaluated once at every
-    chart row of the nerve's point index: the (R,) stack of their scalar
-    values."""
+    """Delta-sample generators, one per chart, each evaluated once on its
+    chart's rows of the nerve's point index: the (R,) stack of their
+    scalar values."""
     values, = chart_stacks(nerve, _build_chart_generators(doc, nerve, n, k),
-                           "delta sample", (), "a scalar")
+                           "delta sample", ((),), "a scalar")
     return values
 
 
 def _build_frame(spec: dict, n: int, k: int, what: str
                  ) -> tuple[np.ndarray, np.ndarray]:
     """A frame (U, V) generator evaluated once, at the origin."""
-    U, V = stack_values([build_generator(spec, n, k)(ORIGIN)], ((n, n), (n, n)),
-                        lambda i: f"{what} is not a frame (U, V) for n={n}")
+    U, V = stack_values([(build_generator(spec, n, k), [ORIGIN])], ((n, n), (n, n)),
+                        lambda r: f"{what} is not a frame (U, V) for n={n}")
     return U[0], V[0]
 
 
@@ -532,15 +531,16 @@ def _build_scenario(doc: dict) -> Scenario:
     return sc
 
 
+_BUILTIN_DIR = Path(__file__).parent / "scenarios"
+
+
 def builtin_scenario_names() -> list[str]:
     """Names of the scenarios shipped with the package."""
-    pkg = resources.files("hfe") / "scenarios"
-    return sorted(p.name[: -len(".json")] for p in pkg.iterdir()
-                  if p.name.endswith(".json"))
+    return sorted(p.stem for p in _BUILTIN_DIR.glob("*.json"))
 
 
 def builtin_scenario_path(name: str) -> Path:
-    pkg = resources.files("hfe") / "scenarios" / f"{name}.json"
-    if not pkg.is_file():
+    path = _BUILTIN_DIR / f"{name}.json"
+    if not path.is_file():
         raise ValidationError(f"no built-in scenario named {name!r}")
-    return Path(str(pkg))
+    return path

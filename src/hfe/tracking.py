@@ -31,8 +31,8 @@ _MAX_ARG = 0.5 * math.pi * 0.999
 # at most _MAX_DEPTH times in a row.
 _INITIAL_STEPS = 16
 _MAX_DEPTH = 48
-# np.arctan2 may differ from cmath.phase by a few ulps: a lockstep step
-# whose argument is this close to _MAX_ARG is left to _bisect.
+# np.angle may differ from _arg by a few ulps: a lockstep step whose
+# argument is this close to _MAX_ARG is left to _bisect.
 _ARG_MARGIN = 1e-12
 
 
@@ -43,6 +43,12 @@ def principal_sqrt(w: complex) -> complex:
     axis, which is exactly the (-pi/2, pi/2] convention.
     """
     return cmath.sqrt(w)
+
+
+def _arg(r: complex) -> float:
+    """The argument of r in [-pi, pi].  Unlike cmath.phase, it does not
+    raise where the angle underflows to a subnormal, as for 2+5e-324j."""
+    return math.atan2(r.imag, r.real)
 
 
 def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
@@ -130,7 +136,7 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
         if abs(ft) == 0.0:
             raise TrackingError(f"tracked value vanishes at t={t:.6g}")
         ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
+        if abs(_arg(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
             depth += 1
             if depth > _MAX_DEPTH:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
@@ -239,7 +245,7 @@ def track_graph(
                     raise TrackingError(f"value vanishes between {names[cur]} and "
                                         f"{names[nxt]}; branch undefined")
                 ratio = values[nxt] / values[cur]
-                if abs(cmath.phase(ratio)) >= _MAX_ARG:
+                if abs(_arg(ratio)) >= _MAX_ARG:
                     raise TrackingError(
                         f"branch jump between {names[cur]} and {names[nxt]} {jump}")
                 val = z[cur] * principal_sqrt(ratio)

@@ -19,16 +19,16 @@ from hfe.frames import (
     validate_lagrangian,
 )
 from hfe.groups import check_ml, ml_mul
-from hfe.sampling import (
+from hfe.sampling import random_complex, random_mlkd_stack
+from hfe.tracking import principal_sqrt
+
+from helpers import (
     random_ball_point,
-    random_complex,
     random_gl,
     random_gl_real,
-    random_mlkd_stack,
     random_positive_frame,
     random_sp,
 )
-from hfe.tracking import principal_sqrt
 
 
 def _verdict(label, ok, detail=""):

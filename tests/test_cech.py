@@ -22,9 +22,10 @@ from hfe.cech import (
 )
 from hfe.errors import TrackingError, ValidationError
 from hfe.groups import mp_mul
-from hfe.sampling import random_sp
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
 from hfe.tracking import principal_sqrt
+
+from helpers import per_point, random_sp
 
 
 def _pt(pid, params=()):
@@ -33,7 +34,7 @@ def _pt(pid, params=()):
 
 def _const(value):
     M = np.array(value, dtype=complex)
-    return lambda pt: M
+    return per_point(lambda pt: M)
 
 
 def triangle_nerve(points=("p",)):
@@ -95,7 +96,7 @@ def test_validate_cocycle_flags_broken_identity():
 def _rotation(theta, sheet=1):
     g = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
     value = (g, sheet * np.exp(0.5j * theta))
-    return lambda pt: value
+    return per_point(lambda pt: value)
 
 
 @pytest.mark.parametrize("sheet", [1, -1])
@@ -140,7 +141,7 @@ def test_mp_triangle_residuals_are_pinned():
                      (g2, _alpha0_root(g2)),
                      (g1 @ g2, _alpha0_root(g1 @ g2, {0: 1 + 2e-8, 3: -1.0}.get(i, 1.0))))
     c = Cocycle.evaluate("Mp", 2, 0, nerve, {
-        pair: ((lambda pt, j=j: values[pt.id][j]),)
+        pair: (per_point(lambda pt, j=j: values[pt.id][j]),)
         for j, pair in enumerate((("a", "b"), ("b", "c"), ("a", "c")))})
     assert validate_cocycle(nerve, c) == {
         "ok": False, "max_residual": 95.30390661790965, "failures": [
@@ -162,17 +163,23 @@ def test_mp_triangle_residuals_are_pinned():
         (25.309711418204664 + 41.814354084646936j), (32.9761146810212 + 34.398902812487435j)]
 
 
-def test_cocycle_evaluates_each_transition_once_per_point():
+def test_cocycle_evaluates_each_transition_once_per_component():
     nerve = circle_nerve()
     calls = []
 
-    def fn(pt):
-        calls.append(pt.id)
-        return np.eye(1)
+    def fn(points):
+        calls.append([pt.id for pt in points])
+        return (np.ones((len(points), 1, 1)),)
 
     c = Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn, _const([[2.0]]))})
-    assert calls == ["east"]
+    assert calls == [["east"]]
     assert np.allclose(c.mats, [np.eye(1), [[2.0]]])
+    # one call on the stack of a component's two points
+    calls.clear()
+    c = Cocycle.evaluate("Gl", 1, 0, triangle_nerve(("p", "q")),
+                         {pair: (fn,) for pair in (("a", "b"), ("b", "c"), ("a", "c"))})
+    assert calls == [["p", "q"]] * 3
+    assert c.mats.tolist() == [[[1.0]]] * 6
     with pytest.raises(ValidationError, match="missing transition"):
         Cocycle.evaluate("Gl", 1, 0, nerve, {})
     with pytest.raises(ValidationError, match="component count mismatch"):
@@ -184,7 +191,7 @@ def test_cocycle_evaluates_each_transition_once_per_point():
 def test_push_cocycle_pair_first():
     nerve = circle_nerve()
     pc = Cocycle.evaluate("Glkd", 1, 0, nerve, {
-        ("a", "b"): ((lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),) * 2
+        ("a", "b"): (per_point(lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),) * 2
     })
     first = push_cocycle(pc, "pair_first")
     assert first.group == "Gl"
@@ -209,6 +216,7 @@ def test_lift_double_cover_correctable_defect():
     assert validate_cocycle(nerve, lifted)["ok"]
 
 
+@per_point
 def _winding(pt):
     return np.array([[np.exp(2j * np.pi * pt.params[0])]])
 

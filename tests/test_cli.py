@@ -573,6 +573,30 @@ def test_exit_2_on_mobius_pole_at_a_sample_point(tmp_path, capsys):
                           "'mobius_ratio': pole at sample point f_BEN")
 
 
+def test_step_angle_that_underflows_is_tracked(tmp_path, capsys):
+    # the Gl transition zeta on one edge from 0.75 + 1.67e-309i to
+    # 1.5 + 3.34e-309i: the angle of the step ratio underflows to a
+    # subnormal, where cmath.phase raised OverflowError (a traceback)
+    doc = {
+        "name": "subnormal_mobius", "n": 1, "k": 0,
+        "nerve": {"charts": ["a", "b"], "overlaps": [{
+            "pair": ["a", "b"], "components": [{
+                "points": [{"id": "p0", "params": [0.75, 1.668805393880405e-309]},
+                           {"id": "p1", "params": [1.5, 3.337610787760805e-309]}],
+                "edges": [[0, 1]]}]}]},
+        "gl_cocycle": {"group": "Gl", "transitions": [{
+            "pair": ["a", "b"], "component": 0,
+            "generator": {"name": "mobius_ratio",
+                          "params": {"w_a": [0, 0], "w_b": "inf"}}}]},
+        "pipelines": ["validate", "obstruction"],
+    }
+    path = tmp_path / "subnormal_mobius.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert "obstruction.lift" in out
+
+
 @pytest.mark.parametrize("generator", [
     {"name": "const", "params": {"value": [[1]]}},
     {"name": "frame_const", "params": {"U": [[1]], "V": [[0]]}},

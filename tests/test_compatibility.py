@@ -13,6 +13,8 @@ from hfe.compatibility import (
 )
 from hfe.errors import GluingError, TheoremFalsification, ValidationError
 
+from helpers import per_point
+
 EAST = SamplePoint("east", (0.0,))
 WEST = SamplePoint("west", (1.0,))
 
@@ -41,7 +43,7 @@ def _row(chart, point):
 def _pair_fn(g2):
     g2 = np.array(g2, dtype=complex)
     eye = np.eye(len(g2), dtype=complex)
-    return lambda pt: (eye, g2)
+    return per_point(lambda pt: (eye, g2))
 
 
 def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
@@ -64,7 +66,7 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
 
 def _ml_const(A, z):
     value = (np.array(A, dtype=complex), z)
-    return lambda pt: value
+    return per_point(lambda pt: value)
 
 
 def identity_lift(n):
@@ -103,7 +105,7 @@ def test_pair_data_requires_glkd():
         PolarizationPairData(
             circle_nerve(),
             Cocycle.evaluate("Gl", 1, 0, circle_nerve(),
-                             {("a", "b"): (lambda pt: np.eye(1),) * 2}),
+                             {("a", "b"): (per_point(lambda pt: np.eye(1)),) * 2}),
             _samples(a=lambda pt: 1.0, b=lambda pt: 1.0),
             1, 0,
         )
@@ -127,7 +129,7 @@ def test_induce_requires_normalized_data():
 def test_induce_requires_ml_lift():
     norm = normalize_sections(circle_pair_data())
     gl = Cocycle.evaluate("Gl", 2, 0, norm.nerve,
-                          {("a", "b"): (lambda pt: np.eye(2),) * 2})
+                          {("a", "b"): (per_point(lambda pt: np.eye(2)),) * 2})
     with pytest.raises(ValidationError):
         induce_compatible(norm, gl)
 
@@ -206,8 +208,8 @@ def diagonal_pair_data(sign=1.0):
     g = np.array([[2.0]])
     pair_c = Cocycle.evaluate(
         "Glkd", 1, 0, nerve,
-        {("a", "b"): (lambda pt: (np.eye(1), np.eye(1)),
-                      lambda pt: (g, g))},
+        {("a", "b"): (per_point(lambda pt: (np.eye(1), np.eye(1))),
+                      per_point(lambda pt: (g, g)))},
     )
 
     def delta_b(pt):

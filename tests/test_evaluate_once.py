@@ -1,7 +1,8 @@
-"""Every generator runs once per sample point, when the scenario is
-loaded, and never during a run.  Rerunning a loaded scenario leaves its
-reports unchanged."""
+"""Every generator runs once per overlap component or chart, on the stack
+of its sample points, when the scenario is loaded, and never during a
+run.  Rerunning a loaded scenario leaves its reports unchanged."""
 
+import itertools
 import json
 from collections import Counter
 
@@ -87,39 +88,46 @@ def test_rerunning_a_loaded_scenario_gives_the_same_report(source):
     assert _report_json(load_scenario(source), seed=3) == first
 
 
-def test_generators_run_once_per_sample_point(monkeypatch):
+def test_generators_run_once_per_component_or_chart(monkeypatch):
+    # counts are keyed by a serial number per built generator: the ids
+    # of freed generators are reused
     calls = Counter()
+    serials = itertools.count()
     build = scenario_mod.build_generator
 
     def counting_build(spec, n, k):
         fn = build(spec, n, k)
+        key = (spec["name"], next(serials))
 
-        def counted(pt):
-            calls[(spec["name"], id(counted), pt.id)] += 1
-            return fn(pt)
+        def counted(points):
+            calls[key + (tuple(pt.id for pt in points),)] += 1
+            return fn(points)
         return counted
 
-    def evals():
-        out = Counter()
-        for (name, _, _), count in calls.items():
-            out[name] += count
-        return out
+    def stacks(name):
+        return Counter(ids for (other, _, ids), count in calls.items()
+                       for _ in range(count) if other == name)
 
     monkeypatch.setattr(scenario_mod, "build_generator", counting_build)
     sc = load_scenario(_ring_doc())
-    points = len(sc.nerve.point_index.points)
-    chart_points = len(sc.nerve.point_index.sites)
-    # at load, every cocycle generator runs once at each point of its
-    # component, and every delta, section and pair-section generator once
-    # at each point of its chart
-    loaded = {"pair_const": points, "mp_const": points,
-              "linear_scalar": chart_points, "frame_blocks": 2 * chart_points,
-              "meta_pair_blocks": chart_points}
+    index = sc.nerve.point_index
+    components = Counter(tuple(pt.id for pt in index.points[rows.start:rows.stop])
+                         for rows in index.components.values())
+    charts = Counter(tuple(pt.id for _, pt in index.sites[rows.start:rows.stop])
+                     for rows in index.charts.values())
+    # at load, every cocycle generator runs once, on the stack of the
+    # points of its component, and every delta, section and pair-section
+    # generator once, on the stack of the rows of its chart
+    loaded = {"pair_const": components, "mp_const": components,
+              "linear_scalar": charts, "frame_blocks": charts + charts,
+              "meta_pair_blocks": charts}
     assert set(calls.values()) == {1}
-    assert evals() == loaded
+    assert {name: stacks(name) for name in loaded} == loaded
+    assert sum(calls.values()) == 36
     # a run evaluates no generator again
     for tolerances in (None, None, {"rel": 1e-8}):
         report = run_scenario(sc, tolerances=tolerances)
         assert report.passed
         assert set(calls.values()) == {1}
-        assert evals() == loaded
+        assert {name: stacks(name) for name in loaded} == loaded
+        assert sum(calls.values()) == 36

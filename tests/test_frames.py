@@ -19,15 +19,16 @@ from hfe.frames import (
     validate_lagrangian,
 )
 from hfe.groups import ml_mul
-from hfe.sampling import (
+from hfe.sampling import random_complex
+from hfe.tracking import principal_sqrt
+
+from helpers import (
     random_ball_point,
-    random_complex,
     random_gl,
     random_gl_real,
     random_positive_frame,
     random_sp,
 )
-from hfe.tracking import principal_sqrt
 
 VERT = (np.array([[0.0]]), np.array([[1.0]]))
 HORIZ = (np.array([[1.0]]), np.array([[0.0]]))

@@ -20,8 +20,10 @@ from hfe.groups import (
     subgroup_classify,
     tracked_alpha_det,
 )
-from hfe.sampling import random_gl, random_mlkd_stack, random_sp
+from hfe.sampling import random_mlkd_stack
 from hfe.tracking import principal_sqrt
+
+from helpers import random_gl, random_sp
 
 
 def test_ml_element_rejects_wrong_root():

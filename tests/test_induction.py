@@ -22,6 +22,8 @@ from hfe.induction import (
 from hfe.scenario import builtin_scenario_path, load_scenario
 from hfe.tracking import principal_sqrt
 
+from helpers import per_point
+
 EAST = SamplePoint("east", (0.0,))
 WEST = SamplePoint("west", (1.0,))
 
@@ -37,7 +39,7 @@ def _mp_rotation(theta):
     g = np.array([[math.cos(theta), math.sin(theta)],
                   [-math.sin(theta), math.cos(theta)]])
     value = (g, cmath.exp(0.5j * theta))
-    return lambda pt: value
+    return per_point(lambda pt: value)
 
 
 def rotation_bundle(theta=math.pi / 2):
@@ -52,7 +54,8 @@ def _sections(UVa, UVb=None):
     """Sections of the circle nerve, the frame UVa on chart a and UVb
     (by default the same) on chart b."""
     return FrameSectionData.evaluate(circle_nerve(), 1, {
-        "a": lambda pt: UVa, "b": lambda pt: UVa if UVb is None else UVb})
+        "a": per_point(lambda pt: UVa),
+        "b": per_point(lambda pt: UVa if UVb is None else UVb)})
 
 
 def holo_sections():

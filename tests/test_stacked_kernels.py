@@ -305,16 +305,17 @@ def _dense_ring(points: int) -> dict:
 
 def test_det_calls_do_not_grow_with_sample_points(monkeypatch):
     # The seeded draws (a metalinear pair per chart sample point in the
-    # delta_D transformation law, each with its own rejection tests) and
-    # the scenario's generators are evaluated point by point by design;
-    # every other determinant of the seven stages is taken over a stack.
+    # delta_D transformation law, each with its own rejection tests) are
+    # evaluated point by point by design; every other determinant of the
+    # load and the seven stages is taken over a stack, or once per
+    # generator.
     real_det = np.linalg.det
     count = [0]
 
     def counting_det(a, *args, **kwargs):
         frame = sys._getframe(1)
         while frame is not None:
-            if frame.f_globals.get("__name__") in ("hfe.sampling", "hfe.generators"):
+            if frame.f_globals.get("__name__") == "hfe.sampling":
                 break
             frame = frame.f_back
         else:

@@ -25,6 +25,8 @@ from hfe.tracking import (
     track_sqrt,
 )
 
+from helpers import per_point
+
 
 def _alone(f, z0, *interval):
     """track_sqrt on the stack of the one path f, anchored at z0."""
@@ -89,6 +91,30 @@ def test_track_sqrt_rejects_a_sign_jump_without_hanging():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("path jumps near t=0.3")
     assert "branch ambiguity" in proc.stdout
+
+
+# a step argument past _MAX_ARG
+_THETA = 0.5 * math.pi * 0.9995
+
+
+def _subnormal_path(split):
+    """1 at t = 0 and 2 + 5e-324j up to t = 1/32: the angle of the ratio
+    of the two underflows to a subnormal.  Past 1/32 the argument turns
+    by _THETA, in two halves at t = 3/64 if ``split``."""
+    def f(t):
+        turned = 2 * np.exp(1j * np.where(split & (t <= 3 / 64), 0.5, 1.0) * _THETA)
+        return np.where(t == 0, 1.0, np.where(t <= 1 / 32, 2 + 5e-324j, turned))
+    return f
+
+
+def test_track_sqrt_steps_through_a_subnormal_step_angle():
+    # the first grid step turns by _THETA, so _bisect takes it; the angle
+    # of its first half underflows, where cmath.phase raised OverflowError
+    z = _alone(_subnormal_path(True), 1.0)
+    assert abs(z - cmath.sqrt(2 * cmath.exp(1j * _THETA))) < 1e-12
+    # unsplit, the turn at 1/32 is a branch jump
+    with pytest.raises(TrackingError, match="bisection depth exceeded"):
+        _alone(_subnormal_path(False), 1.0)
 
 
 def _track_path_graph(vals):
@@ -368,13 +394,25 @@ def test_chart_tracking_matches_former_tracker(case, flip):
     assert got == want
 
 
+def _path_case(*values):
+    """A case of _graph_nerves: one component, a path through the values."""
+    ids = [f"p{i:02d}" for i in range(len(values))]
+    comp = OverlapComponent(tuple(SamplePoint(pid) for pid in ids),
+                            tuple((i, i + 1) for i in range(len(ids) - 1)))
+    return Nerve(("a", "b0"), {("a", "b0"): (comp,)}), dict(zip(ids, values))
+
+
+# the values of test_cli's subnormal mobius_ratio scenario: the angle of
+# the step ratio underflows to a subnormal
+@example(_path_case(0.75 + 1.668805393880405e-309j, 1.5 + 3.337610787760805e-309j))
 @given(_graph_nerves())
 def test_lift_tracking_matches_former_tracker(case):
     # without triple points every component keeps the sheet it was
     # tracked on, so the lifted z is the tracked root at every point
     nerve, vals = case
     fn = lambda pt: np.array([[vals[pt.id]]])  # noqa: E731
-    gl = Cocycle.evaluate("Gl", 1, 0, nerve, {pair: (fn,) for pair in nerve.overlaps})
+    gl = Cocycle.evaluate("Gl", 1, 0, nerve,
+                          {pair: (per_point(fn),) for pair in nerve.overlaps})
 
     def lifted():
         ml = lift_double_cover(nerve, gl)
