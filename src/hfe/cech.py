@@ -17,8 +17,8 @@ import numpy as np
 
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
-from .errors import SingularityError, ValidationError
-from .tracking import cabs, cdiv, cmul, track_graph
+from .errors import SingularityError, ValidationError, raise_first
+from .tracking import Walk, cabs, cdiv, cmul, track_graph
 
 PairKey = tuple[str, str]
 TripleKey = tuple[str, str, str]
@@ -47,20 +47,10 @@ class OverlapComponent:
         for i, j in self.edges:
             if not (0 <= i < npts and 0 <= j < npts):
                 raise ValidationError("edge references a missing point")
-        # connectivity
-        seen = {0}
-        frontier = [0]
-        adj = {i: [] for i in range(npts)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if len(seen) != npts:
+        # the breadth-first walk the lift tracks on, which reaches every
+        # point of a connected graph
+        self.walk = Walk.of(npts, self.edges, [0])
+        if np.count_nonzero(self.walk.depth >= 0) != npts:
             raise ValidationError("overlap component graph is disconnected")
 
 
@@ -83,6 +73,8 @@ class PointIndex:
 
     points      the sample point of each overlap row
     components  (pair, component index) -> the range of its overlap rows
+    overlap_walk  the Walk of the components' graphs on the overlap rows,
+                each rooted at its first row
 
     Chart rows, chart by chart: one per point id of the overlaps
     containing the chart, in the order of their first overlap rows, or
@@ -98,20 +90,24 @@ class PointIndex:
                 chart's seeded draws
     edges       chart -> its sample graph, as pairs (i, j) of positions
                 in its chart rows, sorted by their point ids
+    chart_walk  the Walk of the charts' sample graphs on the chart rows,
+                each rooted at its rows in point-id order
     """
 
     def __init__(self, points: tuple[SamplePoint, ...],
-                 components: dict[tuple[PairKey, int], range],
+                 components: dict[tuple[PairKey, int], range], overlap_walk: Walk,
                  sites: tuple[tuple[str, SamplePoint], ...], charts: dict[str, range],
                  ends: np.ndarray, draws: dict[str, list[int]],
-                 edges: dict[str, list[tuple[int, int]]]):
+                 edges: dict[str, list[tuple[int, int]]], chart_walk: Walk):
         self.points = points
         self.components = components
+        self.overlap_walk = overlap_walk
         self.sites = sites
         self.charts = charts
         self.ends = ends
         self.draws = draws
         self.edges = edges
+        self.chart_walk = chart_walk
 
 
 class Nerve:
@@ -201,12 +197,20 @@ class Nerve:
                          for pt in points[span.start:span.stop]],
                         dtype=int).reshape(-1, 2)
         ends.setflags(write=False)
+        graphs = {ch: [(at[ch][a], at[ch][b]) for a, b in sorted(edges[ch])]
+                  for ch in self.charts}
+        chart_walk = Walk.of(
+            len(sites),
+            [(rows.start + i, rows.start + j) for ch, rows in charts.items()
+             for i, j in graphs[ch]],
+            [r for rows in charts.values() for r in sorted(rows, key=lambda r: sites[r][1].id)])
         return PointIndex(
-            tuple(points), components, tuple(sites), charts, ends,
+            tuple(points), components,
+            Walk.join([(self.overlaps[pair][ci].walk, rows.start)
+                       for (pair, ci), rows in components.items()]),
+            tuple(sites), charts, ends,
             {ch: [charts[ch].start + i for i in met[ch]] or [charts[ch].start]
-             for ch in self.charts},
-            {ch: [(at[ch][a], at[ch][b]) for a, b in sorted(edges[ch])]
-             for ch in self.charts})
+             for ch in self.charts}, graphs, chart_walk)
 
     @cached_property
     def triple_rows(self) -> np.ndarray:
@@ -357,11 +361,19 @@ class SignCochain:
 def _membership_residuals(c: Cocycle) -> np.ndarray:
     """Residuals of the group-membership invariant of every row: of
     z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
-    max(1, |det|); a pattern that fails raises for the first failing row."""
-    if c.group == "Glkd":
-        G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
-        if np.any(np.abs(np.linalg.det(c.mats)) <= get_tolerances().singular):
-            raise SingularityError("pair cocycle member is singular")
+    max(1, |det|); a pattern that fails raises for the first failing row,
+    and so does a Gl or Glkd matrix whose determinant is not finite or is
+    within ``singular`` of 0."""
+    if c.group in ("Gl", "Glkd"):
+        what = "pair cocycle member" if c.group == "Glkd" else "Gl transition"
+        if c.group == "Glkd":
+            G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
+        with np.errstate(all="ignore"):
+            size = np.abs(np.linalg.det(c.mats))
+        if not np.isfinite(size).all():
+            raise ValidationError(f"{what} has a non-finite determinant")
+        if np.any(size <= get_tolerances().singular):
+            raise SingularityError(f"{what} is singular")
     if c.roots is None:
         return np.zeros(len(c.mats))
     if c.group == "Mp":
@@ -566,19 +578,15 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
         raise ValidationError("lift_double_cover expects a Gl cocycle")
     index = nerve.point_index
     comps = index.components
-    z = np.array(track_graph(np.linalg.det(c.mats).tolist(),
-                             [(rows.start + i, rows.start + j)
-                              for (pair, ci), rows in comps.items()
-                              for i, j in nerve.overlaps[pair][ci].edges],
-                             [rows.start for rows in comps.values()],
-                             [pt.id for pt in index.points],
-                             cycle="around a cycle in component"), dtype=complex)
+    z = track_graph(np.linalg.det(c.mats), index.overlap_walk,
+                    [pt.id for pt in index.points], 1, jump=lambda r: "(edge too long)",
+                    cycle=lambda r: "around a cycle in component")
 
     tps = nerve.triple_points()
     ab, bc, ac = nerve.triple_rows.T
     s = cdiv(cmul(z[ab], z[bc]), z[ac])
     rhs, off = _sign_bits(s)
-    G.raise_first([(off, lambda t: ValidationError(
+    raise_first([(off, lambda t: ValidationError(
         f"triple defect at {tps[t][1].id} is not a sign: {complex(s[t])} "
         "(input not a cocycle?)"))])
     sol = gf2_solve(nerve.delta1, rhs)
@@ -627,7 +635,7 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     # each row against the first row of its component
     starts = [rows.start for rows in index.components.values()]
     first = np.repeat(bits[starts], [len(rows) for rows in index.components.values()])
-    G.raise_first([
+    raise_first([
         (apart, lambda p: ValidationError("lifts do not project to the same Gl cocycle")),
         (off, lambda p: ValidationError(
             f"z-ratio at {index.points[p].id} is not a sign: {complex(r[p])}")),

@@ -25,8 +25,9 @@ from .errors import (
     SingularityError,
     TheoremFalsification,
     ValidationError,
+    raise_first,
 )
-from .groups import det_stack, raise_first, rel_residual, subgroup_classify
+from .groups import det_stack, rel_residual, subgroup_classify
 from .sampling import random_mlkd_stack
 
 # seeded random draws per chart in the translation-law and positivity checks

@@ -1,6 +1,9 @@
-"""Exception hierarchy for the engine."""
+"""Exception hierarchy for the engine, and raise_first, which raises for
+the first point of a stack that fails a check."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class EngineError(Exception):
@@ -52,3 +55,20 @@ class TheoremFalsification(EngineError):
     """
 
     pass
+
+
+def raise_first(checks) -> None:
+    """Raise for the first point of a stack that fails a check, the
+    exception of its first failing check.
+
+    ``checks`` lists, in the order one point is checked, pairs (bad,
+    error): bad a (P,) boolean array flagging the failing points, and
+    error(p) the exception of point p.
+    """
+    if not checks:
+        return
+    bad = np.array([b for b, _ in checks])
+    hit = bad.any(axis=0)
+    if hit.any():
+        p = int(np.argmax(hit))
+        raise checks[int(np.argmax(bad[:, p]))][1](p)

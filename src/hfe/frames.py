@@ -20,12 +20,11 @@ import numpy as np
 
 from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, raise_first
 from .groups import (
     block_pattern,
     check_ml,
     det_stack,
-    raise_first,
     shared_corner,
     tracked_alpha_det,
 )

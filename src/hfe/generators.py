@@ -24,7 +24,7 @@ from . import ball
 from .cech import SamplePoint
 from .errors import ValidationError
 from .groups import alpha0_det
-from .tracking import cdiv, cmul, principal_sqrt
+from .tracking import cdiv, cmul
 
 Generator = Callable[[Sequence[SamplePoint]], tuple]
 
@@ -61,7 +61,7 @@ def _zeta(params: dict, det_value: complex) -> complex:
     if "zeta" in params:
         return parse_complex(params["zeta"])
     sign = int(params.get("sheet", 1))
-    return sign * principal_sqrt(det_value)
+    return sign * cmath.sqrt(det_value)
 
 
 def _params(points: Sequence[SamplePoint], d: int) -> np.ndarray:
@@ -194,7 +194,7 @@ def _meta_member(spec: dict, n: int, k: int, prefix: str) -> Generator:
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
-    z = int(spec.get("zsign", 1)) * principal_sqrt(np.linalg.det(C) if n else 1.0)
+    z = int(spec.get("zsign", 1)) * cmath.sqrt(np.linalg.det(C) if n else 1.0)
 
     def fn(points):
         W = np.zeros((len(points), n, n), dtype=complex)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
-from .errors import SingularityError, SubgroupRejection, ValidationError
+from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
 from .tracking import cabs, cmul, track_sqrt
 
 
@@ -61,13 +61,14 @@ def rel_residual(x, target) -> np.ndarray:
 
 def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
-    of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p]."""
+    of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p].  A
+    NaN fails them: the flags are negated comparisons."""
     tols = get_tolerances()
     dets = det_stack(A)
     size = cabs(dets)
     return [
-        (size <= tols.singular, lambda p: SingularityError("matrix is singular")),
-        (cabs(cmul(z, z) - dets) > identity_bound(tols) * size,
+        (~(size > tols.singular), lambda p: SingularityError("matrix is singular")),
+        (~(cabs(cmul(z, z) - dets) <= identity_bound(tols) * size),
          lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
     ]
 
@@ -174,23 +175,6 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     zeta = cmul(za, zeta2)
     check_mp(g, zeta)
     return g, zeta
-
-
-def raise_first(checks) -> None:
-    """Raise for the first point of a stack that fails a check, the
-    exception of its first failing check.
-
-    ``checks`` lists, in the order one point is checked, pairs (bad,
-    error): bad a (P,) boolean array flagging the failing points, and
-    error(p) the exception of point p.
-    """
-    if not checks:
-        return
-    bad = np.array([b for b, _ in checks])
-    hit = bad.any(axis=0)
-    if hit.any():
-        p = int(np.argmax(hit))
-        raise checks[int(np.argmax(bad[:, p]))][1](p)
 
 
 def _region_check(message: str, dev: np.ndarray, regions, tol: float):

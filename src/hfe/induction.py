@@ -20,7 +20,7 @@ from . import ball, cech, compatibility
 from .cech import Cocycle, Nerve, chart_stacks
 from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
 from .config import Tolerances, check_bound, get_tolerances, property_bound
-from .errors import TheoremFalsification, ValidationError
+from .errors import TheoremFalsification, ValidationError, raise_first
 from .frames import (
     alpha_tilde,
     ball_checks,
@@ -31,7 +31,7 @@ from .frames import (
     delta_L_tilde,
     validate_lagrangian,
 )
-from .groups import check_ml, ml_checks, raise_first, rel_residual, spk_blocks
+from .groups import check_ml, ml_checks, rel_residual, spk_blocks
 from .tracking import cdiv, cmul, track_graph
 
 
@@ -111,22 +111,22 @@ class PairSectionData:
                                  f"a pair of meta frames (W, C, z) for n={n}"))
 
 
-def chart_sqrt_values(nerve: Nerve, chart: str, values: list[complex],
-                      flip: int = 1) -> np.ndarray:
-    """Continuous square root of a nonvanishing function over a chart's
-    sample graph: values[i] is its value at the chart's i-th chart row
-    (see PointIndex), and so is the returned root.
+def chart_sqrt_values(nerve: Nerve, values, flips: dict[str, int]) -> np.ndarray:
+    """Continuous square roots of a nonvanishing function over the sample
+    graph of every chart: values[r] is its value at chart row r of the
+    nerve's point index, and so is the returned root.
 
-    Each connected piece is rooted at its smallest point id with the
-    principal root (times the sheet flip); edges are single tracking
-    steps (see track_graph).
+    Each connected piece of a chart's graph is rooted at its smallest
+    point id with the principal root times the chart's sheet flip (1 for
+    a chart that flips does not name); edges are single tracking steps (see track_graph on
+    PointIndex.chart_walk).  Errors come for the first chart that fails.
     """
     index = nerve.point_index
-    ids = [index.sites[r][1].id for r in index.charts[chart]]
-    return np.array(track_graph(values, index.edges[chart],
-                                sorted(range(len(ids)), key=ids.__getitem__), ids, flip,
-                                jump=f"on chart {chart}", cycle=f"on chart {chart}"),
-                    dtype=complex)
+    where = lambda r: f"on chart {index.sites[r][0]}"  # noqa: E731
+    return track_graph(values, index.chart_walk, [pt.id for _, pt in index.sites],
+                       np.repeat([flips.get(ch, 1) for ch in index.charts],
+                                 [len(rows) for rows in index.charts.values()]),
+                       jump=where, cycle=where)
 
 
 class RecipeResult:
@@ -224,16 +224,12 @@ def recipe(
     The sheet-independent part comes from sections.transport(data), and
     every step runs on the stacks of all sample points at once.
     """
-    sheet_flips = sheet_flips or {}
     tols = get_tolerances()
     nerve = data.nerve
     index = nerve.point_index
     t = sections.transport(data)
     # per-chart lifted sections
-    dets = np.linalg.det(t.C).tolist()
-    z = np.concatenate([chart_sqrt_values(nerve, ch, dets[rows.start:rows.stop],
-                                          sheet_flips.get(ch, 1))
-                        for ch, rows in index.charts.items()])
+    z = chart_sqrt_values(nerve, np.linalg.det(t.C), sheet_flips or {})
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b

@@ -7,7 +7,7 @@ along the path and multiplying by the principal square root of the ratio
 of consecutive values; adaptive bisection keeps every argument step below
 pi/2 so the branch can never jump.  On a sampled graph (track_graph)
 the steps are the edges and cannot be refined, so a step of pi/2 or
-more is an error.
+more is an error.  Both trackers decide a step with one test, _turns.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import cmath
 import functools
 import math
 import sys
-from collections import deque
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import check_bound, get_tolerances, identity_bound
-from .errors import TrackingError
+from .errors import TrackingError, raise_first
 
 # Argument-step safety margin: a ratio with |arg| beyond this triggers
 # bisection (continuous functions) or an error (sampled graphs).
@@ -31,24 +30,32 @@ _MAX_ARG = 0.5 * math.pi * 0.999
 # at most _MAX_DEPTH times in a row.
 _INITIAL_STEPS = 16
 _MAX_DEPTH = 48
-# np.angle may differ from _arg by a few ulps: a lockstep step whose
-# argument is this close to _MAX_ARG is left to _bisect.
+# np.angle may differ from the exact argument by a few ulps: a step
+# whose argument is this close to _MAX_ARG is decided by _turns_at.
 _ARG_MARGIN = 1e-12
 
 
-def principal_sqrt(w: complex) -> complex:
-    """Principal square root with Arg(result) in (-pi/2, pi/2].
+def _turns_at(r: complex) -> bool:
+    """The exact step test of a ratio r of consecutive values: the step
+    may cross the branch cut of the square root if |arg r| reaches
+    _MAX_ARG or r is zero or not finite.  The argument is math.atan2 of
+    the parts, which unlike cmath.phase does not raise where the angle
+    underflows to a subnormal, as for 2+5e-324j."""
+    return (not abs(math.atan2(r.imag, r.real)) < _MAX_ARG or r == 0
+            or not cmath.isfinite(r))
 
-    cmath.sqrt maps the negative real axis to the positive imaginary
-    axis, which is exactly the (-pi/2, pi/2] convention.
-    """
-    return cmath.sqrt(w)
 
-
-def _arg(r: complex) -> float:
-    """The argument of r in [-pi, pi].  Unlike cmath.phase, it does not
-    raise where the angle underflows to a subnormal, as for 2+5e-324j."""
-    return math.atan2(r.imag, r.real)
+def _turns(ratio: np.ndarray) -> np.ndarray:
+    """The step classifier of both trackers: _turns_at of every entry of
+    a complex array of ratios.  track_sqrt bisects such a step, and on a
+    sampled graph it is a branch jump.  np.angle decides, except within
+    _ARG_MARGIN of _MAX_ARG, where _turns_at does."""
+    with np.errstate(invalid="ignore"):
+        angle = np.abs(np.angle(ratio))
+    turns = ~(angle < _MAX_ARG) | (ratio == 0) | ~np.isfinite(ratio)
+    near = np.abs(angle - _MAX_ARG) <= _ARG_MARGIN
+    turns[near] = [_turns_at(r) for r in ratio[near].tolist()]
+    return turns
 
 
 def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
@@ -63,17 +70,16 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
     be defined on all of [t0, t1] for every path.
 
     The paths are stepped in lockstep, with the exact kernel (cdiv,
-    cmul, cabs and _sqrt).  Only a step that needs bisection, fails a
-    check, comes within a margin of a check's threshold or meets a
-    non-finite value is stepped by _bisect, path by path in stack order,
-    and so is the anchor test of a path that comes within a margin of
-    its bound.  The roots, the errors and the midpoints evaluated are
-    those of stepping each path alone.
+    cmul, cabs and _sqrt).  Only a step that _turns flags, or that comes
+    within the tracking tolerance of zero, is stepped by _bisect, path by
+    path in stack order, and so is the anchor test of a path that comes
+    within a margin of its bound.  The roots, the errors and the
+    midpoints evaluated are those of stepping each path alone.
 
     Raises TrackingError, for the first failing path, if its anchor does
-    not square to its start value, if its value passes within the
-    tracking tolerance of zero away from the endpoint, or if bisection
-    cannot reduce the argument step.
+    not square to its start value, if its value is not finite, if it
+    passes within the tracking tolerance of zero away from the endpoint,
+    or if bisection cannot reduce the argument step.
 
     The interval is always cut into _INITIAL_STEPS pieces before the
     adaptive bisection: testing only endpoint ratios would miss a path
@@ -93,12 +99,10 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
         # the anchor test is settled here only well inside its bound
         slow = ~(cabs(cmul(z, z) - rows[:, 0])
                  < 0.5 * identity_bound(tols) * np.fmax(1.0, size[:, 0]))
-        # step j goes from grid point j to j + 1; it is flagged unless
-        # every test of _bisect passes with room to spare
+        # step j goes from grid point j to j + 1; a value that is zero or
+        # not finite makes its ratios zero or not finite, which _turns flags
         ratio = cdiv(rows[:, 1:], rows[:, :-1])
-        flagged = ~(np.isfinite(size[:, 1:]) & np.isfinite(size[:, :-1])
-                    & np.isfinite(ratio) & (size[:, :-1] != 0.0) & (ratio != 0.0)
-                    & (np.abs(np.angle(ratio)) < _MAX_ARG - _ARG_MARGIN))
+        flagged = _turns(ratio)
         flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < t1)
         steps = _sqrt(ratio)
         for j in range(_INITIAL_STEPS):
@@ -107,7 +111,7 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
     # each path with a flagged step or anchor, in stack order, as alone
     for p in np.flatnonzero(slow | flagged.any(axis=1)).tolist():
         values, root = rows[p].tolist(), complex(anchors[p])
-        if abs(root * root - values[0]) > identity_bound(tols) * max(1.0, abs(values[0])):
+        if not abs(root * root - values[0]) <= identity_bound(tols) * max(1.0, abs(values[0])):
             raise TrackingError("anchor does not square to the path start value")
         floor = tols.track * max(1.0, abs(values[0]))
         for j, step in enumerate(steps[p].tolist()):
@@ -124,6 +128,8 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
     """One grid step of path p of track_sqrt, from the value ft at t to
     fn at tn, bisected as needed: returns z continued to tn.  ``at(tm)[p]``
     is the path's value at a midpoint tm."""
+    if not cmath.isfinite(ft):
+        raise TrackingError(f"tracked value is not finite at t={t:.6g}")
     # Stack of pending (right endpoint, value) pairs, the grid point at
     # the bottom and bisection midpoints above it; the top is processed
     # next.
@@ -131,12 +137,14 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
     depth = 0
     while pending:
         tn, fn = pending[-1]
+        if not cmath.isfinite(fn):
+            raise TrackingError(f"tracked value is not finite at t={tn:.6g}")
         if abs(fn) <= floor and tn < t1:
             raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
         if abs(ft) == 0.0:
             raise TrackingError(f"tracked value vanishes at t={t:.6g}")
         ratio = fn / ft
-        if abs(_arg(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
+        if _turns_at(ratio):
             depth += 1
             if depth > _MAX_DEPTH:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
@@ -146,7 +154,7 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
                                     "left to bisect (branch ambiguity)")
             pending.append((tm, at(tm)[p]))
             continue
-        z = z * principal_sqrt(ratio)
+        z = z * cmath.sqrt(ratio)
         t, ft = tn, fn
         pending.pop()
         depth = 0
@@ -188,70 +196,123 @@ def cabs(a) -> np.ndarray:
 
 
 def _sqrt(w: np.ndarray) -> np.ndarray:
-    """cmath.sqrt, elementwise on a complex array of finite nonzero
-    values: CPython's scaling, with hypot, of the parts by 1/8, or by
-    2**53 where both are subnormal."""
+    """cmath.sqrt, elementwise on a complex array of finite values:
+    CPython's scaling, with hypot, of the parts by 1/8, or by 2**53 where
+    both are subnormal."""
     re, ax, ay = w.real, np.abs(w.real), np.abs(w.imag)
     tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
     up = np.ldexp(ax, 53)
     s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
                  2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
-    d = ay / (2.0 * s)
+    d = ay / np.where(s == 0.0, 1.0, 2.0 * s)  # s is 0 only where w is
     return _complex(np.where(re >= 0.0, s, d),
                     np.copysign(np.where(re >= 0.0, d, s), w.imag))
 
 
-def track_graph(
-    values: Sequence[complex],
-    edges: Iterable[tuple[int, int]],
-    roots: Iterable[int],
-    names: Sequence[str],
-    flip: int = 1,
-    *,
-    jump: str = "(edge too long)",
-    cycle: str = "around a cycle",
-) -> list[Optional[complex]]:
+class Walk:
+    """The breadth-first walk of a sample graph, fixed by its edges and
+    roots: each root in turn that no earlier piece reached starts a
+    piece, and the neighbours of a vertex are visited in edge order.
+
+    visits  (V, 2) int array, in walk order: (r, r) for the root r of a
+            piece, then (cur, nxt) for each neighbour nxt of each vertex
+            cur of the piece
+    depth   (V,) int array: 0 for a root, the depth of nxt for a visit
+            that first reaches it (a tree visit), -1 for one that closes
+            a cycle
+    levels  the positions in visits of each depth 0, 1, 2, ...
+    """
+
+    def __init__(self, visits: np.ndarray, depth: np.ndarray):
+        self.visits = visits
+        self.depth = depth
+
+    @functools.cached_property
+    def levels(self) -> list[np.ndarray]:
+        return [np.flatnonzero(self.depth == d) for d in range(self.depth.max(initial=-1) + 1)]
+
+    @classmethod
+    def of(cls, size: int, edges, roots) -> "Walk":
+        """The walk of the graph on vertices 0..size-1 with the edges
+        (i, j), from the roots in their order."""
+        adj: list[list[int]] = [[] for _ in range(size)]
+        for i, j in edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        level = [-1] * size
+        visits, depth = [], []
+        for root in roots:
+            if level[root] >= 0:
+                continue
+            level[root] = 0
+            visits.append((root, root))
+            depth.append(0)
+            queue = [root]
+            for cur in queue:  # the loop also takes what it appends
+                for nxt in adj[cur]:
+                    tree = level[nxt] < 0
+                    if tree:
+                        level[nxt] = level[cur] + 1
+                        queue.append(nxt)
+                    visits.append((cur, nxt))
+                    depth.append(level[nxt] if tree else -1)
+        return cls(np.array(visits, dtype=int).reshape(-1, 2), np.array(depth, dtype=int))
+
+    @classmethod
+    def join(cls, parts) -> "Walk":
+        """The walk of the disjoint graphs of ``parts``, pairs (walk,
+        index of its first vertex), one after another."""
+        return cls(np.concatenate([np.empty((0, 2), dtype=int)]
+                                  + [w.visits + off for w, off in parts]),
+                   np.concatenate([np.empty(0, dtype=int)] + [w.depth for w, _ in parts]))
+
+
+def track_graph(values, walk: Walk, names: Sequence[str], flip, *,
+                jump: Callable[[int], str], cycle: Callable[[int], str]) -> np.ndarray:
     """Continuous square roots of sampled values over a graph.
 
     values[i] is the value at vertex i, named names[i] in errors, and
-    each edge (i, j) is one tracking step.  Each root in turn that no
-    earlier walk reached starts a piece with flip * principal_sqrt of its
-    value, and a breadth-first walk visits the neighbours of a vertex in
-    edge order; so the caller's edge and root order fix every value.
-    Returns the root at every vertex, None where no walk arrived.
+    each visit (cur, nxt) of the walk is one tracking step.  The root r
+    of each piece gets flip (an int, or one per vertex: flip[r]) times
+    its principal square root, and each tree visit z[cur] *
+    sqrt(values[nxt] / values[cur]), one depth at a time, with the exact
+    kernel: bit for bit the roots of stepping the visits one by one with
+    Python's complex arithmetic.  Returns the roots, NaN where no piece
+    arrived.
 
-    Samples cannot be refined, so a step raises TrackingError if a value
-    at either end is exactly zero, if its argument reaches _MAX_ARG
-    ("branch jump between <i> and <j> <jump>": the sampling is too coarse
-    to rule out a branch jump), or if it reaches a tracked vertex with a
-    root that differs beyond check_bound ("inconsistent square root
-    <cycle>").
+    Samples cannot be refined, so TrackingError is raised for the first
+    visit in walk order that fails, if a value at either end of a step is
+    exactly zero, if a value is not finite, if _turns flags the step
+    ("branch jump between <cur> and <nxt> <jump(cur)>": the sampling is
+    too coarse to rule out a branch jump), or if a visit that closes a
+    cycle gives a root that differs from the tracked one beyond
+    check_bound ("inconsistent square root <cycle(cur)>").
     """
-    bound = check_bound(get_tolerances())
-    adj: list[list[int]] = [[] for _ in values]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    z: list[Optional[complex]] = [None] * len(values)
-    for root in roots:
-        if z[root] is not None:
-            continue
-        z[root] = flip * principal_sqrt(values[root])
-        frontier = deque([root])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in adj[cur]:
-                if values[cur] == 0 or values[nxt] == 0:
-                    raise TrackingError(f"value vanishes between {names[cur]} and "
-                                        f"{names[nxt]}; branch undefined")
-                ratio = values[nxt] / values[cur]
-                if abs(_arg(ratio)) >= _MAX_ARG:
-                    raise TrackingError(
-                        f"branch jump between {names[cur]} and {names[nxt]} {jump}")
-                val = z[cur] * principal_sqrt(ratio)
-                if z[nxt] is None:
-                    z[nxt] = val
-                    frontier.append(nxt)
-                elif abs(val - z[nxt]) > bound * max(1.0, abs(val)):
-                    raise TrackingError(f"inconsistent square root {cycle}")
+    v = np.asarray(values, dtype=complex)
+    cur, nxt = walk.visits.T
+    step = walk.depth != 0
+    with np.errstate(all="ignore"):
+        ratio = cdiv(v[nxt], v[cur])
+        roots = _sqrt(ratio)
+        z = np.full(len(v), np.nan, dtype=complex)
+        first = nxt[walk.depth == 0]
+        z[first] = cmul(np.broadcast_to(flip, v.shape)[first], _sqrt(v[first]))
+        for at in walk.levels[1:]:
+            z[nxt[at]] = cmul(z[cur[at]], roots[at])
+        val = cmul(z[cur], roots)
+        size = cabs(val)
+        off = ~(cabs(val - z[nxt]) <= check_bound(get_tolerances()) * np.fmax(1.0, size))
+    finite = np.isfinite(v)
+    raise_first([
+        (step & ((v[cur] == 0) | (v[nxt] == 0)), lambda p: TrackingError(
+            f"value vanishes between {names[cur[p]]} and {names[nxt[p]]}; "
+            "branch undefined")),
+        (~(finite[cur] & finite[nxt]), lambda p: TrackingError(
+            f"value at {names[cur[p] if not finite[cur[p]] else nxt[p]]} is not finite; "
+            "branch undefined")),
+        (step & _turns(ratio), lambda p: TrackingError(
+            f"branch jump between {names[cur[p]]} and {names[nxt[p]]} {jump(cur[p])}")),
+        ((walk.depth < 0) & off, lambda p: TrackingError(
+            f"inconsistent square root {cycle(cur[p])}")),
+    ])
     return z

@@ -5,6 +5,8 @@ prints a single pass/fail line; run with ``pytest -s`` to see the lines
 on passing runs as well.
 """
 
+from cmath import sqrt as principal_sqrt
+
 import numpy as np
 
 from hfe import ball
@@ -20,7 +22,6 @@ from hfe.frames import (
 )
 from hfe.groups import check_ml, ml_mul
 from hfe.sampling import random_complex, random_mlkd_stack
-from hfe.tracking import principal_sqrt
 
 from helpers import (
     random_ball_point,

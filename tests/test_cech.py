@@ -1,3 +1,5 @@
+from cmath import sqrt as principal_sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +25,6 @@ from hfe.cech import (
 from hfe.errors import TrackingError, ValidationError
 from hfe.groups import mp_mul
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
-from hfe.tracking import principal_sqrt
 
 from helpers import per_point, random_sp
 

@@ -573,28 +573,60 @@ def test_exit_2_on_mobius_pole_at_a_sample_point(tmp_path, capsys):
                           "'mobius_ratio': pole at sample point f_BEN")
 
 
+# the Gl transition zeta at a sample point with parameters (re, im) of zeta
+_ZETA = {"name": "mobius_ratio", "params": {"w_a": [0, 0], "w_b": "inf"}}
+
+
+def _gl_path_file(tmp_path, name, generator, *params):
+    """A two-chart n = 1 scenario whose Gl cocycle is ``generator`` on one
+    overlap component, a path through points with the params, run with
+    pipelines validate and obstruction."""
+    doc = {
+        "name": name, "n": 1, "k": 0,
+        "nerve": {"charts": ["a", "b"], "overlaps": [{
+            "pair": ["a", "b"], "components": [{
+                "points": [{"id": f"p{i}", "params": p} for i, p in enumerate(params)],
+                "edges": [[i, i + 1] for i in range(len(params) - 1)]}]}]},
+        "gl_cocycle": {"group": "Gl", "transitions": [{
+            "pair": ["a", "b"], "component": 0, "generator": generator}]},
+        "pipelines": ["validate", "obstruction"],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_step_angle_that_underflows_is_tracked(tmp_path, capsys):
     # the Gl transition zeta on one edge from 0.75 + 1.67e-309i to
     # 1.5 + 3.34e-309i: the angle of the step ratio underflows to a
     # subnormal, where cmath.phase raised OverflowError (a traceback)
-    doc = {
-        "name": "subnormal_mobius", "n": 1, "k": 0,
-        "nerve": {"charts": ["a", "b"], "overlaps": [{
-            "pair": ["a", "b"], "components": [{
-                "points": [{"id": "p0", "params": [0.75, 1.668805393880405e-309]},
-                           {"id": "p1", "params": [1.5, 3.337610787760805e-309]}],
-                "edges": [[0, 1]]}]}]},
-        "gl_cocycle": {"group": "Gl", "transitions": [{
-            "pair": ["a", "b"], "component": 0,
-            "generator": {"name": "mobius_ratio",
-                          "params": {"w_a": [0, 0], "w_b": "inf"}}}]},
-        "pipelines": ["validate", "obstruction"],
-    }
-    path = tmp_path / "subnormal_mobius.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", str(path))
+    path = _gl_path_file(tmp_path, "subnormal_mobius", _ZETA,
+                         [0.75, 1.668805393880405e-309], [1.5, 3.337610787760805e-309])
+    code, out, err = run(capsys, "verify", path)
     assert (code, err) == (0, "")
     assert "obstruction.lift" in out
+
+
+@pytest.mark.parametrize("generator, params, error", [
+    # np.linalg.det of the finite 1.7e308 + 1e308i is nan + nan i
+    (_ZETA, [[1e308, 0], [1.7e308, 1e308]],
+     "ValidationError: Gl transition has a non-finite determinant"),
+    ({"name": "const", "params": {"value": [[0]]}}, [[0.0]],
+     "SingularityError: Gl transition is singular"),
+], ids=["non-finite", "singular"])
+def test_gl_transition_outside_gl_is_a_validate_error(generator, params, error,
+                                                      tmp_path, capsys):
+    # both used to pass cocycle.gl; the non-finite one then passed
+    # obstruction.lift on a NaN root, and the singular one failed it with
+    # obstruction.error "matrix is singular"
+    path = _gl_path_file(tmp_path, "outside_gl", generator, *params)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["validate.error"]["failures"] == [error]
+    # no cocycle.gl and no obstruction.lift
+    assert list(checks) == ["nerve.structure", "validate.error", "obstruction.skipped"]
 
 
 @pytest.mark.parametrize("generator", [

@@ -1,3 +1,5 @@
+from cmath import sqrt as principal_sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,6 @@ from hfe.frames import (
 )
 from hfe.groups import ml_mul
 from hfe.sampling import random_complex
-from hfe.tracking import principal_sqrt
 
 from helpers import (
     random_ball_point,

@@ -5,6 +5,7 @@ the loader evaluates it on."""
 
 import cmath
 import json
+from cmath import sqrt as principal_sqrt
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from hfe.cech import ORIGIN
 from hfe.generators import build_generator, parse_complex, parse_matrix
 from hfe.groups import alpha0_det
 from hfe.scenario import _build_nerve, builtin_scenario_names, builtin_scenario_path
-from hfe.tracking import principal_sqrt
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 

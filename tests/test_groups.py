@@ -1,11 +1,18 @@
 import math
+from cmath import sqrt as principal_sqrt
 
 import numpy as np
 import pytest
 
 from hfe import ball
 from hfe.config import check_bound, get_tolerances, identity_bound, tolerance_overrides
-from hfe.errors import EngineError, SubgroupRejection, ValidationError
+from hfe.errors import (
+    EngineError,
+    SingularityError,
+    SubgroupRejection,
+    ValidationError,
+    raise_first,
+)
 from hfe.groups import (
     _glk_pattern,
     check_ml,
@@ -15,13 +22,11 @@ from hfe.groups import (
     ml_checks,
     ml_mul,
     mp_mul,
-    raise_first,
     spk_blocks,
     subgroup_classify,
     tracked_alpha_det,
 )
 from hfe.sampling import random_mlkd_stack
-from hfe.tracking import principal_sqrt
 
 from helpers import random_gl, random_sp
 
@@ -29,6 +34,15 @@ from helpers import random_gl, random_sp
 def test_ml_element_rejects_wrong_root():
     with pytest.raises(ValidationError):
         check_ml(np.eye(2)[None], [2.0])
+
+
+def test_ml_checks_reject_nan():
+    # nan <= singular and nan > bound are both False
+    with np.errstate(all="ignore"), pytest.raises(SingularityError,
+                                                  match="matrix is singular"):
+        check_ml(np.array([[[np.nan]]]), [np.nan])
+    with pytest.raises(ValidationError, match="not a metalinear element"):
+        check_ml(np.eye(1)[None], [np.nan])
 
 
 def test_ml_product_preserves_relation(rng):

@@ -1,15 +1,15 @@
 import cmath
 import json
 import math
+from cmath import sqrt as principal_sqrt
 
 import numpy as np
 import pytest
 
 from hfe import ball
 from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lifts_equivalent
-from hfe.errors import SubgroupRejection, ValidationError
+from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, validate_lagrangian
-from hfe.groups import raise_first
 from hfe.induction import (
     FrameSectionData,
     MetaplecticBundleData,
@@ -20,7 +20,6 @@ from hfe.induction import (
     recipe,
 )
 from hfe.scenario import builtin_scenario_path, load_scenario
-from hfe.tracking import principal_sqrt
 
 from helpers import per_point
 
@@ -139,13 +138,14 @@ def test_chart_sqrt_values_continuity():
     )
     comp = OverlapComponent(pts, tuple((i, i + 1) for i in range(8)))
     nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
-    # chart a's rows are t0, ..., t8
+    # chart a's rows are t0, ..., t8, and so are chart b's
     values = [cmath.exp(2j * cmath.pi * pt.params[0]) for pt in pts]
-    z = chart_sqrt_values(nerve, "a", values)
+    z = chart_sqrt_values(nerve, values + values, {})
     assert abs(z[0] - 1.0) < 1e-12
     assert abs(z[8] + 1.0) < 1e-9  # tracked onto the other sheet
-    zf = chart_sqrt_values(nerve, "a", values, flip=-1)
+    zf = chart_sqrt_values(nerve, values + values, {"a": -1})
     assert abs(zf[0] + 1.0) < 1e-12
+    assert zf[9] == z[9]  # chart b keeps its sheet
 
 
 def test_frame_pattern_blocks():

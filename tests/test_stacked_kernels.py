@@ -4,8 +4,9 @@ The block-pattern checks of groups and frames run on stacks of matrices
 and must raise, for the first failing matrix, exactly what the scalar
 checks raised one matrix at a time; track_sqrt on a stack of paths must
 return bit for bit what it returns path by path; and the verification
-stages must take their determinants over stacks, so that their number
-does not grow with the sampling density.
+stages must take their determinants over stacks, and track_graph its
+steps one depth at a time, so that their number does not grow with the
+sampling density.
 """
 
 import cmath
@@ -17,11 +18,12 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from hfe.config import get_tolerances
-from hfe.errors import SingularityError, SubgroupRejection, TrackingError
+from hfe.errors import SingularityError, SubgroupRejection, TrackingError, raise_first
 from hfe.frames import frame_pattern, meta_pattern
-from hfe.groups import _glk_pattern, raise_first
+from hfe.groups import _glk_pattern
+from hfe import tracking
 from hfe.pipelines import run_scenario
-from hfe.tracking import _MAX_ARG, track_sqrt
+from hfe.tracking import _MAX_ARG, Walk, track_graph, track_sqrt
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -331,3 +333,29 @@ def test_det_calls_do_not_grow_with_sample_points(monkeypatch):
         counts.append(count[0])
     assert counts[0] > 0
     assert abs(counts[1] - counts[0]) <= 4, counts
+
+
+def test_graph_steps_do_not_grow_with_vertices(monkeypatch):
+    # a star is one depth below its centre whatever its number of leaves
+    calls = []
+
+    def counted(name, kernel):
+        def fn(*args):
+            calls.append(name)
+            return kernel(*args)
+        return fn
+
+    for name in ("cmul", "_sqrt"):
+        monkeypatch.setattr(tracking, name, counted(name, getattr(tracking, name)))
+    counts = []
+    for leaves in (4, 64):
+        calls.clear()
+        values = np.exp(1j * np.linspace(0.0, 1.0, leaves + 1))
+        z = track_graph(values,
+                        Walk.of(leaves + 1, [(0, i) for i in range(1, leaves + 1)], [0]),
+                        [f"s{i}" for i in range(leaves + 1)], 1,
+                        jump=lambda v: "", cycle=lambda v: "")
+        assert np.allclose(z * z, values)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from cmath import sqrt as principal_sqrt
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,13 @@ from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
 from hfe.tracking import (
     _MAX_ARG,
+    Walk,
     _sqrt,
+    _turns,
+    _turns_at,
     cabs,
     cdiv,
     cmul,
-    principal_sqrt,
     track_graph,
     track_sqrt,
 )
@@ -33,10 +36,15 @@ def _alone(f, z0, *interval):
     return track_sqrt(lambda t: f(t)[None], [z0], *interval)[0]
 
 
+def _root(w: complex) -> complex:
+    """_sqrt of the one value w."""
+    return _sqrt(np.array([w], dtype=complex)).tolist()[0]
+
+
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_principal_sqrt_branch(re, im):
     w = complex(re, im + 0.0)  # normalize -0.0: the cut maps to +i
-    z = principal_sqrt(w)
+    z = _root(w)
     assert abs(z * z - w) <= 1e-9 * max(1.0, abs(w))
     if w != 0:
         # right half plane up to rounding at the branch cut
@@ -45,8 +53,8 @@ def test_principal_sqrt_branch(re, im):
 
 def test_principal_sqrt_negative_axis():
     # the branch cut maps the negative real axis to +i
-    assert principal_sqrt(-1.0) == 1j
-    assert principal_sqrt(-4.0) == 2j
+    assert _root(-1.0) == 1j
+    assert _root(-4.0) == 2j
 
 
 def test_track_sqrt_full_loop_changes_sheet():
@@ -119,8 +127,10 @@ def test_track_sqrt_steps_through_a_subnormal_step_angle():
 
 def _track_path_graph(vals):
     """track_graph on the path 0 - 1 - ... - m-1, rooted at vertex 0."""
-    return track_graph(vals, [(i, i + 1) for i in range(len(vals) - 1)], [0],
-                       [f"s{i}" for i in range(len(vals))])
+    edges = [(i, i + 1) for i in range(len(vals) - 1)]
+    return track_graph(vals, Walk.of(len(vals), edges, [0]),
+                       [f"s{i}" for i in range(len(vals))], 1,
+                       jump=lambda v: "(edge too long)", cycle=lambda v: "around a cycle")
 
 
 def test_track_graph_path_continuity():
@@ -386,9 +396,10 @@ def test_chart_tracking_matches_former_tracker(case, flip):
     # vertices; == compares every root bit for bit up to the sign of zero
     nerve, vals = case
     index = nerve.point_index
-    ids = [index.sites[r][1].id for r in index.charts["a"]]
-    got = _outcome(lambda: dict(zip(ids, chart_sqrt_values(
-        nerve, "a", [vals[pid] for pid in ids], flip))))
+    ids = [pt.id for _, pt in index.sites]
+    rows = index.charts["a"]
+    got = _outcome(lambda: dict(zip(ids[rows.start:rows.stop], chart_sqrt_values(
+        nerve, [vals[pid] for pid in ids], {"a": flip})[rows].tolist())))
     want = _outcome(lambda: _oracle_chart_sqrt_values(
         nerve, "a", lambda pt: vals[pt.id], flip))
     assert got == want
@@ -433,3 +444,45 @@ def test_track_graph_rejects_a_vanishing_value(zero):
     vals[zero] = 0j
     with pytest.raises(TrackingError, match="value vanishes between s0 and s1"):
         _track_path_graph(vals)
+
+
+@pytest.mark.parametrize("vals, name", [
+    ([1.0, np.nan], "s1"),
+    ([np.inf, 1.0], "s0"),
+    ([complex(1.0, np.nan)], "s0"),  # a piece without a step
+])
+def test_track_graph_rejects_a_non_finite_value(vals, name):
+    with pytest.raises(TrackingError, match=f"value at {name} is not finite"):
+        _track_path_graph(vals)
+
+
+@pytest.mark.parametrize("f, z0, message", [
+    # this path used to step on to a NaN root
+    (lambda t: np.where(t > 0.5, np.nan, 1.0), 1.0, "tracked value is not finite at t=0.5625"),
+    (lambda t: np.full(t.shape, np.inf), 1.0, "tracked value is not finite at t=0"),
+    (lambda t: np.ones(t.shape), np.nan, "anchor does not square"),
+])
+def test_track_sqrt_rejects_a_non_finite_value(f, z0, message):
+    with pytest.raises(TrackingError, match=message):
+        _alone(lambda t: f(t) + 0j, z0)
+
+
+def test_lift_rejects_a_non_finite_determinant():
+    # np.linalg.det of the finite 1.7e308+1e308j is nan+nanj
+    nerve, vals = _path_case(1e308, 1.7e308 + 1e308j)
+    gl = Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b0"): (per_point(
+        lambda pt: np.array([[vals[pt.id]]])),)})
+    with np.errstate(all="ignore"), pytest.raises(
+            TrackingError, match="value at p01 is not finite"):
+        lift_double_cover(nerve, gl)
+
+
+@given(st.one_of(st.floats(-1e-9, 1e-9), st.integers(-8, 8).map(lambda k: k * 2.0 ** -52)),
+       st.floats(0.5, 2.0), st.sampled_from([1, -1]))
+@example(0.0, 1.0, 1)
+def test_turns_is_the_exact_step_test(offset, size, side):
+    # near the margin np.angle may be a few ulps off; _turns is exact
+    ratios = np.array([size * cmath.exp(1j * side * (_MAX_ARG + offset)), 0j,
+                       complex(np.inf, 0.0), complex(np.nan, 1.0), 1.0 + 0j])
+    assert _turns(ratios).tolist() == [_turns_at(r) for r in ratios.tolist()]
+    assert _turns(ratios)[1:].tolist() == [True, True, True, False]
