@@ -88,17 +88,16 @@ class PointIndex:
                 chart, in overlap-row order (a point in two of them once
                 per row), or its origin row: the population of the
                 chart's seeded draws
-    edges       chart -> its sample graph, as pairs (i, j) of positions
-                in its chart rows, sorted by their point ids
     chart_walk  the Walk of the charts' sample graphs on the chart rows,
-                each rooted at its rows in point-id order
+                each rooted at its rows in point-id order: a chart's graph
+                has an edge between the rows of two point ids that some
+                overlap component containing the chart joins
     """
 
     def __init__(self, points: tuple[SamplePoint, ...],
                  components: dict[tuple[PairKey, int], range], overlap_walk: Walk,
                  sites: tuple[tuple[str, SamplePoint], ...], charts: dict[str, range],
-                 ends: np.ndarray, draws: dict[str, list[int]],
-                 edges: dict[str, list[tuple[int, int]]], chart_walk: Walk):
+                 ends: np.ndarray, draws: dict[str, list[int]], chart_walk: Walk):
         self.points = points
         self.components = components
         self.overlap_walk = overlap_walk
@@ -106,7 +105,6 @@ class PointIndex:
         self.charts = charts
         self.ends = ends
         self.draws = draws
-        self.edges = edges
         self.chart_walk = chart_walk
 
 
@@ -197,12 +195,10 @@ class Nerve:
                          for pt in points[span.start:span.stop]],
                         dtype=int).reshape(-1, 2)
         ends.setflags(write=False)
-        graphs = {ch: [(at[ch][a], at[ch][b]) for a, b in sorted(edges[ch])]
-                  for ch in self.charts}
         chart_walk = Walk.of(
             len(sites),
-            [(rows.start + i, rows.start + j) for ch, rows in charts.items()
-             for i, j in graphs[ch]],
+            [(rows.start + at[ch][a], rows.start + at[ch][b]) for ch, rows in charts.items()
+             for a, b in sorted(edges[ch])],
             [r for rows in charts.values() for r in sorted(rows, key=lambda r: sites[r][1].id)])
         return PointIndex(
             tuple(points), components,
@@ -210,7 +206,7 @@ class Nerve:
                        for (pair, ci), rows in components.items()]),
             tuple(sites), charts, ends,
             {ch: [charts[ch].start + i for i in met[ch]] or [charts[ch].start]
-             for ch in self.charts}, graphs, chart_walk)
+             for ch in self.charts}, chart_walk)
 
     @cached_property
     def triple_rows(self) -> np.ndarray:
@@ -418,14 +414,10 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
 # associated-bundle pushforward
 # ---------------------------------------------------------------------------
 
-def push_cocycle(c: Cocycle, hom: str) -> Cocycle:
-    """Transition functions of an associated bundle: apply a homomorphism
-    tag pointwise.  The tag "pair_first" takes the first member of every
-    pair of a Glkd cocycle."""
-    if hom != "pair_first":
-        raise ValidationError(f"unknown homomorphism tag {hom!r}")
-    if c.group != "Glkd":
-        raise ValidationError(f"tag {hom!r} expects a Glkd cocycle, got {c.group}")
+def push_cocycle(c: Cocycle) -> Cocycle:
+    """The transition functions of the first polarization's frame bundle:
+    the Gl cocycle of the first member of every pair of the Glkd cocycle
+    c."""
     return Cocycle("Gl", c.n, c.k, c.mats[:, 0])
 
 

@@ -37,10 +37,10 @@ _DRAWS_PER_CHART = 20
 class PolarizationPairData:
     """Čech data of a compatible pair of polarizations: the Glkd pair
     cocycle and the (R,) complex stack of the pairing determinant delta at
-    every chart row of the nerve's point index."""
+    every chart row of the nerve's point index; n and k are the pair
+    cocycle's."""
 
-    def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples: np.ndarray,
-                 n: int, k: int):
+    def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples: np.ndarray):
         if pair_cocycle.group != "Glkd":
             raise ValidationError("pair cocycle must be Glkd-valued")
         rows = len(nerve.point_index.sites)
@@ -50,8 +50,8 @@ class PolarizationPairData:
         self.nerve = nerve
         self.pair_cocycle = pair_cocycle
         self.delta_samples = delta_samples
-        self.n = n
-        self.k = k
+        self.n = pair_cocycle.n
+        self.k = pair_cocycle.k
 
 
 def _check_delta_samples(data: PolarizationPairData) -> None:
@@ -66,7 +66,8 @@ def _check_delta_samples(data: PolarizationPairData) -> None:
 def validate_pair_data(data: PolarizationPairData) -> dict:
     """Check shared-A membership, nonzero delta samples, and the
     transformation consistency of the delta samples across overlaps;
-    with k == n, that every delta sample is 1."""
+    with k == n, that every delta sample is 1.  The pair cocycle itself
+    is checked by cech.validate_cocycle, not here."""
     bound = check_bound(get_tolerances())
     index = data.nerve.point_index
     pairs = data.pair_cocycle.mats
@@ -86,12 +87,7 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
         res += ones
         failures += [("delta-consistency", chart, pt.id, x)
                      for (chart, pt), x in zip(index.sites, ones) if x > bound]
-    base = cech.validate_cocycle(data.nerve, data.pair_cocycle)
-    if not base["ok"]:
-        failures.extend(base["failures"])
-    return {"ok": not failures,
-            "max_residual": max([0.0, *res, base["max_residual"]]),
-            "failures": failures}
+    return {"ok": not failures, "max_residual": max([0.0, *res]), "failures": failures}
 
 
 def _diag_changes(values: list[complex], n: int) -> np.ndarray:
@@ -123,8 +119,6 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         nerve=data.nerve,
         pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),
         delta_samples=np.ones(len(delta), dtype=complex),
-        n=n,
-        k=k,
     )
 
 
@@ -136,11 +130,13 @@ def _require_normalized(data: PolarizationPairData) -> None:
         raise ValidationError("data not normalized (delta sample != 1)")
 
 
-def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
+def induce_compatible(data: PolarizationPairData, z1: Cocycle
+                      ) -> tuple[Cocycle, dict]:
     """Induce the compatible metalinear cocycle for the second member.
 
     z2 = |det A| / conj(z1) per sample point, after checking the premise
     conj(det g1) det g2 det(A)^{-2} = 1 of normalized compatible data.
+    Returns z2 with its cech.validate_cocycle result, which must pass.
     """
     if z1.group != "Ml":
         raise ValidationError("z1 must be an Ml cocycle")
@@ -166,7 +162,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle) -> Cocycle:
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "
                               f"{report['failures'][:3]}")
-    return out
+    return out, report
 
 
 class DeltaTildeData:
@@ -179,10 +175,9 @@ class DeltaTildeData:
     of every overlap row.
     """
 
-    def __init__(self, base: np.ndarray, k: int, residuals: Optional[np.ndarray] = None,
+    def __init__(self, base: np.ndarray, residuals: Optional[np.ndarray] = None,
                  epsilon: Optional[int] = None):
         self.base = base
-        self.k = k
         self.residuals = np.zeros(0) if residuals is None else residuals
         self.checks: dict = {}
         self.epsilon = epsilon
@@ -256,7 +251,7 @@ def build_delta_tilde(
            if res[r] > bound}
     if bad:
         raise GluingError("square-root datum does not glue", bad)
-    dt = DeltaTildeData(base=base_values, k=data.k, residuals=residuals)
+    dt = DeltaTildeData(base=base_values, residuals=residuals)
     # squared identity against the delta samples
     sq_worst = max([0.0, *rel_residual(base_values * base_values,
                                        data.delta_samples).tolist()])
@@ -281,10 +276,8 @@ def verify_uniqueness(nerve: Nerve, z2a: Cocycle, z2b: Cocycle) -> dict[str, int
     return witness
 
 
-def self_compat(
-    data: PolarizationPairData, z1: Cocycle,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[DeltaTildeData, DeltaTildeData]:
+def self_compat(data: PolarizationPairData, z1: Cocycle, rng: np.random.Generator
+                ) -> tuple[DeltaTildeData, DeltaTildeData]:
     """Self-compatibility: diagonal pair data admits a square-root datum.
 
     The delta samples must be real of one constant sign; with
@@ -312,25 +305,21 @@ def self_compat(
     phase = cmath.exp(1j * cmath.pi * eps / 2.0)
 
     bases = phase * np.abs(delta) ** 0.5
-    dt = build_delta_tilde(data, z1, z1, rng=None, base_values=bases)
+    dt = build_delta_tilde(data, z1, z1, rng, base_values=bases)
     dt.epsilon = eps
-    dt.checks["epsilon"] = eps
-    if rng is not None:
-        dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
 
-    dt_norm = DeltaTildeData(base=bases / phase, k=data.k, epsilon=eps)
+    dt_norm = DeltaTildeData(base=bases / phase, epsilon=eps)
     # positivity on equal meta frames: translating by a diagonal
     # metalinear pair multiplies by |z|^2 / |det A| > 0
-    if rng is not None:
-        t = draw_translations(rng, data.n, data.k,
-                              _chart_draws(data.nerve.point_index, rng), diagonal=True)
-        val = dt_norm.base[t["rows"]] * t["factor"]
-        worst_imag = max([0.0, *np.abs(val.imag).tolist()])
-        min_real = min([float("inf"), *val.real.tolist()])
-        dt_norm.checks["positivity_imag"] = worst_imag
-        dt_norm.checks["positivity_min_real"] = min_real
-        if worst_imag > check_bound(tols) or min_real <= 0:
-            raise TheoremFalsification(
-                "normalized self-compatibility value not positive real"
-            )
+    t = draw_translations(rng, data.n, data.k,
+                          _chart_draws(data.nerve.point_index, rng), diagonal=True)
+    val = dt_norm.base[t["rows"]] * t["factor"]
+    worst_imag = max([0.0, *np.abs(val.imag).tolist()])
+    min_real = min([float("inf"), *val.real.tolist()])
+    dt_norm.checks["positivity_imag"] = worst_imag
+    dt_norm.checks["positivity_min_real"] = min_real
+    if worst_imag > check_bound(tols) or min_real <= 0:
+        raise TheoremFalsification(
+            "normalized self-compatibility value not positive real"
+        )
     return dt, dt_norm

@@ -14,8 +14,6 @@ bijection phi and the Ball action live in hfe.ball.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import ball
@@ -123,8 +121,7 @@ def check_ball(W: np.ndarray) -> None:
     raise_first(ball_checks(W))
 
 
-def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
-                ) -> np.ndarray:
+def gamma_stack(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     """Continuous square roots of det(1/2 (1 - W1[p]* W2[p])) on Ball x
     Ball, for two stacks (P, n, n) of Ball points, tracked as one stack
     of paths.
@@ -133,9 +130,7 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
     value equals the pairing determinant of the projected frames; with
     the opposite order the squared identity fails by a conjugation.
     Anchored at W1 = W2 = 0 with 2**(-n/2), which is forced by the
-    squared identity; tracked along t -> det(1/2 (1 - t^2 W1* W2)).  If
-    ``via`` is given in (0, 1), the values are computed in two tracking
-    legs with a re-anchoring at t = via (used to test path independence).
+    squared identity; tracked along t -> det(1/2 (1 - t^2 W1* W2)).
     """
     P, n = len(W1), W1.shape[-1]
     if n == 0:
@@ -146,13 +141,7 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray, via: Optional[float] = None
     def f(t: np.ndarray) -> np.ndarray:
         return np.linalg.det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
 
-    anchors = np.full(P, 2.0 ** (-n / 2.0), dtype=complex)
-    if via is None:
-        return track_sqrt(f, anchors)
-    if not (0.0 < via < 1.0):
-        raise ValidationError("via must lie in (0, 1)")
-    z_mid = track_sqrt(f, anchors, 0.0, via)
-    return track_sqrt(f, z_mid, via, 1.0)
+    return track_sqrt(f, np.full(P, 2.0 ** (-n / 2.0), dtype=complex))
 
 
 def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
@@ -238,28 +227,6 @@ def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
     return cmul(cdiv(cmul(np.conj(z1), z2), np.abs(b1["detA"])),
                 gamma_stack(b1["Wr"], b2["Wr"]))
-
-
-def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],
-                    X2: tuple[np.ndarray, np.ndarray], k: int) -> complex:
-    """delta_L through the (W, C) description:
-
-    conj(det C1) det C2 det(A)^{-2} det(1/2 (1 - W1r* W2r)).
-    """
-    (W1, C1), (W2, C2) = X1, X2
-    W1, C1, W2, C2 = (np.asarray(m, complex) for m in (W1, C1, W2, C2))
-    A = C1[:k, :k].real
-    detA = np.linalg.det(A) if k else 1.0
-    W1r, W2r = W1[k:, k:], W2[k:, k:]
-    n_r = W1r.shape[0]
-    core = (
-        complex(np.linalg.det(0.5 * (np.eye(n_r) - W1r.conj().T @ W2r)))
-        if n_r
-        else 1.0 + 0j
-    )
-    return (
-        np.linalg.det(C1).conjugate() * np.linalg.det(C2) / (detA * detA) * core
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,11 @@ def parse_matrix(v: Any) -> np.ndarray:
 
 
 def _matrix(params: dict, key: str, shape: tuple, prefix: str = "") -> np.ndarray:
-    """The matrix parameter ``key``, which must have the given shape."""
+    """The matrix parameter ``key``, which must have the given shape; an
+    empty list is a matrix with no rows, of any width."""
     M = parse_matrix(params[key])
+    if M.shape == (0,) and shape[0] == 0:
+        M = M.reshape(shape)
     if M.shape != shape:
         raise ValueError(
             f"parameter '{prefix}{key}' must be {shape[0]} x {shape[1]}, "

@@ -127,10 +127,10 @@ def alpha0_det(g: np.ndarray) -> np.ndarray:
 def check_mp(g: np.ndarray, zeta) -> None:
     """The Mp anchor test of a stack: zeta[p]**2 = det alpha(g[p], 0) for
     every g[p] of the (P, 2n, 2n) stack g.  Raises for the first point
-    that fails."""
+    that fails; a NaN fails, as the flag is a negated comparison."""
     dets = alpha0_det(g)
     bound = check_bound(get_tolerances())
-    raise_first([(cabs(cmul(zeta, zeta) - dets) > bound * cabs(dets),
+    raise_first([(~(cabs(cmul(zeta, zeta) - dets) <= bound * cabs(dets)),
                   lambda p: ValidationError("zeta**2 != det alpha(g, 0)"))])
 
 

@@ -135,6 +135,7 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
 def _run_validate(scenario: Scenario, report, rng):
     report.add(CheckRecord("nerve.structure", "nerve.validity",
                            details={"charts": len(scenario.nerve.charts)}))
+    checked = {}
     for role, c in (
         ("pair", scenario.pair_cocycle),
         ("gl", scenario.gl_cocycle),
@@ -142,8 +143,9 @@ def _run_validate(scenario: Scenario, report, rng):
     ):
         if c is None:
             continue
-        res = cech.validate_cocycle(scenario.nerve, c)
-        report.add(_verdict(f"cocycle.{role}", "cocycle.identity-at-triples", res))
+        checked[role] = cech.validate_cocycle(scenario.nerve, c)
+        report.add(_verdict(f"cocycle.{role}", "cocycle.identity-at-triples",
+                            checked[role]))
     out = {}
     if scenario.pair_cocycle is not None:
         out["pair.cocycle"] = scenario.pair_cocycle
@@ -151,17 +153,19 @@ def _run_validate(scenario: Scenario, report, rng):
         out["gl.cocycle"] = scenario.gl_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
         data = PolarizationPairData(scenario.nerve, scenario.pair_cocycle,
-                                    scenario.delta_samples, scenario.n,
-                                    scenario.k)
-        res = compatibility.validate_pair_data(data)
-        report.add(_verdict("pair_data.consistency", "delta.transformation-law", res))
+                                    scenario.delta_samples)
+        # the consistency of pair data includes its cocycle's check
+        res, base = compatibility.validate_pair_data(data), checked["pair"]
+        failures = res["failures"] + base["failures"]
+        report.add(_verdict("pair_data.consistency", "delta.transformation-law", {
+            "ok": not failures, "failures": failures,
+            "max_residual": max(res["max_residual"], base["max_residual"])}))
         out["pair.data"] = data
     # one bundle for the whole run: each section family caches its
     # recipe transport per bundle
     if scenario.mp_cocycle is not None:
         out["mp.bundle"] = induction.MetaplecticBundleData(
-            scenario.nerve, scenario.mp_cocycle, scenario.d_adapted, scenario.k
-        )
+            scenario.nerve, scenario.mp_cocycle, scenario.d_adapted)
     for key, sections in (("sections.first", scenario.sections_first),
                           ("sections.second", scenario.sections_second),
                           ("sections.pair", scenario.pair_sections)):
@@ -203,7 +207,7 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
                                "the first member does not lift "
                                "(see lift.double-cover)"))
 def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
-    base = cech.push_cocycle(pair_cocycle, "pair_first")
+    base = cech.push_cocycle(pair_cocycle)
     lifted = cech.lift_double_cover(scenario.nerve, base)
     if isinstance(lifted, SignCochain):
         report.add(
@@ -241,8 +245,7 @@ def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
         produces=dict.fromkeys(("pair.normalized", "induced")))
 def _run_induce(scenario: Scenario, report, rng, data, z1):
     norm = compatibility.normalize_sections(data)
-    z2 = compatibility.induce_compatible(norm, z1)
-    res = cech.validate_cocycle(scenario.nerve, z2)
+    z2, res = compatibility.induce_compatible(norm, z1)
     report.add(_verdict("induce.compatible", "induce.formula", res))
     return {"pair.normalized": norm, "induced": z2}
 
@@ -307,11 +310,9 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
 @_stage("self_compat")
 def _run_self_compat(scenario: Scenario, report, rng):
     for case in scenario.self_compat_cases:
-        data = PolarizationPairData(
-            scenario.nerve, case["pair_cocycle"], case["delta_samples"],
-            scenario.n, scenario.k,
-        )
-        base = cech.push_cocycle(case["pair_cocycle"], "pair_first")
+        data = PolarizationPairData(scenario.nerve, case["pair_cocycle"],
+                                    case["delta_samples"])
+        base = cech.push_cocycle(case["pair_cocycle"])
         z1 = cech.lift_double_cover(scenario.nerve, base)
         name = case["name"]
         if isinstance(z1, SignCochain):
@@ -469,10 +470,10 @@ def run_scenario(
 ) -> VerificationReport:
     """Execute a scenario's verification pipelines in declaration order.
 
-    ``source`` is a path, JSON text, or dict.  Raises nothing for check
-    failures (they are recorded); scenario-level errors are recorded as
-    failing checks; a stage whose inputs are missing is recorded as
-    skipped; a TheoremFalsification marks the whole report.
+    ``source`` is a path or a dict, or a loaded Scenario.  Raises nothing
+    for check failures (they are recorded); scenario-level errors are
+    recorded as failing checks; a stage whose inputs are missing is
+    recorded as skipped; a TheoremFalsification marks the whole report.
     """
     scenario = (source if isinstance(source, Scenario)
                 else load_scenario(source, tolerances))

@@ -321,11 +321,10 @@ class Scenario:
     """A loaded scenario with every generator evaluated; load_scenario
     sets the optional parts that the document has."""
 
-    def __init__(self, name: str, description: str, n: int, k: int, nerve: Nerve,
-                 pipelines: list[str], d_adapted: bool, expectations: dict,
+    def __init__(self, name: str, n: int, k: int, nerve: Nerve, pipelines: list[str],
+                 d_adapted: bool, expectations: dict,
                  tolerance_overrides: dict[str, float]):
         self.name = name
-        self.description = description
         self.n = n
         self.k = k
         self.nerve = nerve
@@ -379,12 +378,16 @@ def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
     the sample points of its component."""
     table: dict[tuple[str, str], dict[int, Callable]] = {}
     for tr in doc["transitions"]:
-        pair = tuple(tr["pair"])
+        pair, ci = tuple(tr["pair"]), tr["component"]
         if pair not in nerve.overlaps:
             raise ValidationError(f"cocycle references unknown overlap {pair}")
-        table.setdefault(pair, {})[tr["component"]] = build_generator(
-            tr["generator"], n, k
-        )
+        if ci >= len(nerve.overlaps[pair]):
+            raise ValidationError(f"cocycle references unknown component {ci} "
+                                  f"of overlap {pair}")
+        if ci in table.setdefault(pair, {}):
+            raise ValidationError(f"cocycle has two transitions for overlap "
+                                  f"{pair} component {ci}")
+        table[pair][ci] = build_generator(tr["generator"], n, k)
     transitions = {}
     for pair, comps in nerve.overlaps.items():
         fns = table.get(pair, {})
@@ -442,8 +445,8 @@ def _build_sign_cochain(doc: dict) -> SignCochain:
 
 def load_scenario(source: str | Path | dict,
                   tolerances: Optional[dict[str, float]] = None) -> Scenario:
-    """Load and validate a scenario from a path, JSON text, or dict, at
-    the loosest of the current tolerances and those of a run of it (the
+    """Load and validate a scenario from a path or a dict, at the
+    loosest of the current tolerances and those of a run of it (the
     document's, overridden by ``tolerances``): what a run tightens, its
     stages judge."""
     if isinstance(source, dict):
@@ -471,7 +474,6 @@ def _build_scenario(doc: dict) -> Scenario:
     nerve = _build_nerve(doc["nerve"])
     sc = Scenario(
         name=doc["name"],
-        description=doc.get("description", ""),
         n=n,
         k=k,
         nerve=nerve,

@@ -1,12 +1,14 @@
 """Test-side helpers: the seeded draws the tests build their random
-inputs from, and the adapter that turns a per-point test callable into a
-generator on a stack of sample points."""
+inputs from, the adapter that turns a per-point test callable into a
+generator on a stack of sample points, and independent formulas the
+tests check the engine's kernels against."""
 
 import numpy as np
 
 from hfe import ball
 from hfe.frames import check_ball, validate_lagrangian
 from hfe.sampling import _invertible_stack, random_complex
+from hfe.tracking import track_sqrt
 
 
 def per_point(fn):
@@ -74,3 +76,40 @@ def random_positive_frame(rng: np.random.Generator, n: int
     U, V = ball.phi_inv_raw(random_ball_point(rng, n), random_gl(rng, n))
     validate_lagrangian(U[None], V[None])
     return U, V
+
+
+def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],
+                    X2: tuple[np.ndarray, np.ndarray], k: int) -> complex:
+    """delta_L through the (W, C) description:
+
+    conj(det C1) det C2 det(A)^{-2} det(1/2 (1 - W1r* W2r)).
+    """
+    (W1, C1), (W2, C2) = X1, X2
+    W1, C1, W2, C2 = (np.asarray(m, complex) for m in (W1, C1, W2, C2))
+    A = C1[:k, :k].real
+    detA = np.linalg.det(A) if k else 1.0
+    W1r, W2r = W1[k:, k:], W2[k:, k:]
+    n_r = W1r.shape[0]
+    core = (
+        complex(np.linalg.det(0.5 * (np.eye(n_r) - W1r.conj().T @ W2r)))
+        if n_r
+        else 1.0 + 0j
+    )
+    return (
+        np.linalg.det(C1).conjugate() * np.linalg.det(C2) / (detA * detA) * core
+    )
+
+
+def gamma_two_legs(W1: np.ndarray, W2: np.ndarray, via: float) -> np.ndarray:
+    """The roots of frames.gamma_stack, for two stacks (P, n, n) of Ball
+    points with n > 0, tracked in two legs along the same path, re-anchored
+    at t = via in (0, 1): equal to gamma_stack's if the roots do not
+    depend on where the path is cut."""
+    n = W1.shape[-1]
+    M = np.swapaxes(W1, -1, -2).conj() @ W2
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return np.linalg.det(0.5 * (np.eye(n) - (t * t)[None, :, None, None] * M[:, None]))
+
+    mid = track_sqrt(f, np.full(len(W1), 2.0 ** (-n / 2.0), dtype=complex), 0.0, via)
+    return track_sqrt(f, mid, via, 1.0)

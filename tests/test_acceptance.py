@@ -24,6 +24,7 @@ from hfe.groups import check_ml, ml_mul
 from hfe.sampling import random_complex, random_mlkd_stack
 
 from helpers import (
+    gamma_two_legs,
     random_ball_point,
     random_gl,
     random_gl_real,
@@ -228,8 +229,8 @@ def test_criterion_05_gamma_square_and_path_independence(corpus_reports):
         if i < 200:
             worst_path = max(
                 worst_path,
-                abs(v - gamma_stack(W1, W2, via=0.3)[0]),
-                abs(v - gamma_stack(W1, W2, via=0.7)[0]),
+                abs(v - gamma_two_legs(W1, W2, 0.3)[0]),
+                abs(v - gamma_two_legs(W1, W2, 0.7)[0]),
             )
     anchor_flagged = all(
         any("2^(-n/2)" in note for note in report.notes)

@@ -857,6 +857,57 @@ def test_pair_data_requires_delta_one_when_k_equals_n(tmp_path, capsys):
     assert check["failures"] == [["delta-consistency", "0", "origin", 1.0]]
 
 
+def _broken_pair_transition(doc):
+    # the transition of one torus_grid component is (2, 2), which breaks
+    # the cocycle identity at four triple points and the delta law at the
+    # component's two points
+    transition = doc["pair_cocycle"]["transitions"][0]
+    assert transition["pair"] == ["00", "01"] and transition["component"] == 0
+    transition["generator"]["params"] = {"first": [[2]], "second": [[2]]}
+
+
+def test_pair_data_consistency_includes_the_pair_cocycle_check(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "torus_grid", _broken_pair_transition)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    assert "Traceback" not in err
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    cocycle = [["cocycle", ["00", "01", third], point, 1.0]
+               for third in ("10", "11") for point in ("q_EN", "q_WN")]
+    assert checks["cocycle.pair"]["failures"] == cocycle
+    assert checks["cocycle.pair"]["max_residual"] == 1.0
+    consistency = checks["pair_data.consistency"]
+    assert consistency["pass"] is False
+    assert consistency["max_residual"] == 1.0
+    assert consistency["failures"] == [
+        ["delta-consistency", ["00", "01"], 0, point, 0.75]
+        for point in ("q_EN", "q_WN")] + cocycle
+
+
+def _extra_transition(component):
+    """A circle_mobius edit adding a pair_cocycle transition for a
+    component of overlap ('0', '1')."""
+    def edit(doc):
+        transitions = doc["pair_cocycle"]["transitions"]
+        transitions.append({**transitions[0], "component": component})
+    return edit
+
+
+@pytest.mark.parametrize("component, message", [
+    (7, "cocycle references unknown component 7 of overlap ('0', '1')"),
+    (0, "cocycle has two transitions for overlap ('0', '1') component 0"),
+], ids=["unknown-component", "repeated-component"])
+def test_exit_2_on_malformed_cocycle_transitions(component, message, tmp_path,
+                                                 capsys):
+    # both used to load: the unknown component was ignored, and the last
+    # of two transitions for one component was kept
+    path = _scenario_file(tmp_path, "circle_mobius", _extra_transition(component))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: invalid scenario data: {message}")
+
+
 def _frame_member(index, member, U, V):
     def edit(doc):
         doc["frame_pairs"][index][member]["params"] = {"U": U, "V": V}

@@ -59,9 +59,7 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
     def delta_b(pt):
         return 2.0 * d2 if pt.id == "west" else 2.0
 
-    return PolarizationPairData(
-        nerve, pair_c, _samples(a=lambda pt: 2.0 + 0j, b=delta_b), n, 0
-    )
+    return PolarizationPairData(nerve, pair_c, _samples(a=lambda pt: 2.0 + 0j, b=delta_b))
 
 
 def _ml_const(A, z):
@@ -93,7 +91,6 @@ def test_validate_pair_data_flags_inconsistent_delta():
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
         _samples(a=lambda pt: 2.0 + 0j, b=lambda pt: 2.0 + 0j),
-        data.n, data.k,
     )
     out = validate_pair_data(bad)
     assert not out["ok"]
@@ -107,7 +104,6 @@ def test_pair_data_requires_glkd():
             Cocycle.evaluate("Gl", 1, 0, circle_nerve(),
                              {("a", "b"): (per_point(lambda pt: np.eye(1)),) * 2}),
             _samples(a=lambda pt: 1.0, b=lambda pt: 1.0),
-            1, 0,
         )
 
 
@@ -144,7 +140,7 @@ def test_induce_rejects_premise_violation():
     )
     data = PolarizationPairData(
         nerve, pair_c,
-        _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: 1.0 + 0j), 2, 0,
+        _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: 1.0 + 0j),
     )
     with pytest.raises(ValidationError):
         induce_compatible(data, identity_lift(2))
@@ -153,7 +149,7 @@ def test_induce_rejects_premise_violation():
 def test_induce_and_glue_roundtrip(rng):
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
-    z2 = induce_compatible(norm, z1)
+    z2, _ = induce_compatible(norm, z1)
     for A, z in zip(z2.mats, z2.roots):
         assert abs(z * z - np.linalg.det(A)) < 1e-12
     dt = build_delta_tilde(norm, z1, z2, rng)
@@ -166,7 +162,7 @@ def test_induce_and_glue_roundtrip(rng):
 def test_flipped_lift_fails_to_glue(rng):
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
-    z2 = induce_compatible(norm, z1)
+    z2, _ = induce_compatible(norm, z1)
     with pytest.raises(GluingError) as exc:
         build_delta_tilde(norm, z1, _flip(z2, {1}), rng)
     assert exc.value.residuals  # the offending points are reported
@@ -175,7 +171,7 @@ def test_flipped_lift_fails_to_glue(rng):
 def test_verify_uniqueness_witness(rng):
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
-    z2 = induce_compatible(norm, z1)
+    z2, _ = induce_compatible(norm, z1)
     both = _flip(z2, {0, 1})
     base_b = _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: -1.0 + 0j)
     # both candidates glue, each with its own base values
@@ -190,7 +186,7 @@ def test_verify_uniqueness_falsification_detector(rng):
     # chart b; the candidates are then provably inequivalent
     norm = normalize_sections(circle_pair_data())
     z1 = identity_lift(2)
-    z2 = induce_compatible(norm, z1)
+    z2, _ = induce_compatible(norm, z1)
     one = _flip(z2, {1})
     base_b = _samples(
         a=lambda pt: 1.0 + 0j,
@@ -215,9 +211,8 @@ def diagonal_pair_data(sign=1.0):
     def delta_b(pt):
         return sign * (8.0 if pt.id == "west" else 2.0)
 
-    return PolarizationPairData(
-        nerve, pair_c, _samples(a=lambda pt: sign * 2.0 + 0j, b=delta_b), 1, 0
-    )
+    return PolarizationPairData(nerve, pair_c,
+                                _samples(a=lambda pt: sign * 2.0 + 0j, b=delta_b))
 
 
 def _diagonal_lift():
@@ -256,7 +251,6 @@ def test_self_compat_rejects_nonreal_delta(rng):
         data.nerve, data.pair_cocycle,
         _samples(a=lambda pt: 2.0j,
                  b=lambda pt: 2.0j if pt.id == "east" else 8.0j),
-        1, 0,
     )
     with pytest.raises(ValidationError):
         self_compat(bad, _diagonal_lift(), rng)

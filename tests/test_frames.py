@@ -12,7 +12,6 @@ from hfe.frames import (
     check_ball,
     check_frame_pairs,
     delta,
-    delta_L_from_wc,
     delta_L_stack,
     delta_L_tilde,
     gamma_stack,
@@ -24,6 +23,8 @@ from hfe.groups import ml_mul
 from hfe.sampling import random_complex
 
 from helpers import (
+    delta_L_from_wc,
+    gamma_two_legs,
     random_ball_point,
     random_gl,
     random_gl_real,
@@ -221,7 +222,7 @@ def test_gamma_anchor_and_square(rng):
         v, = gamma_stack(W1[None], W2[None])
         target = np.linalg.det(0.5 * (np.eye(n) - W1.conj().T @ W2))
         assert abs(v * v - target) < 1e-9 * max(1.0, abs(target))
-        assert abs(v - gamma_stack(W1[None], W2[None], via=0.5)[0]) < 1e-8
+        assert abs(v - gamma_two_legs(W1[None], W2[None], 0.5)[0]) < 1e-8
 
 
 def test_delta_L_restriction_matches_ambient(rng):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.cech import ORIGIN
+from hfe.cech import ORIGIN, SamplePoint
+from hfe.errors import ValidationError
 from hfe.generators import build_generator, parse_complex, parse_matrix
 from hfe.groups import alpha0_det
 from hfe.scenario import _build_nerve, builtin_scenario_names, builtin_scenario_path
@@ -196,3 +197,39 @@ def test_stacked_generators_match_former_per_point_values(path):
         for a, b in zip(got, want):
             assert a.shape == b.shape, label
             assert np.array_equal(a, b), label
+
+
+# ---------------------------------------------------------------------------
+# block forms at k = n, where the reduced blocks are 0 x 0
+# ---------------------------------------------------------------------------
+
+POINTS = [SamplePoint("t0", (0.0,)), SamplePoint("t1", (1.0,))]
+SHARED = {"A": [[2, 0], [0, -3]], "Wr": [], "Cr": []}
+
+
+def test_frame_blocks_at_k_equals_n():
+    U, V = build_generator({"name": "frame_blocks", "params": {
+        **SHARED, "B": [[], []], "Wr_slope": []}}, 2, 2)(POINTS)
+    assert np.array_equal(U, np.broadcast_to(np.diag([2.0, -3.0]), (2, 2, 2)))
+    assert np.array_equal(V, np.zeros((2, 2, 2)))
+
+
+def test_meta_pair_blocks_at_k_equals_n():
+    W1, C1, z1, W2, C2, z2 = build_generator({"name": "meta_pair_blocks", "params": {
+        "first": SHARED, "second": {**SHARED, "zsign": -1}}}, 2, 2)(POINTS)
+    for W, C in ((W1, C1), (W2, C2)):
+        assert np.array_equal(W, np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert np.array_equal(C, np.broadcast_to(np.diag([2.0, -3.0]), (2, 2, 2)))
+    root = principal_sqrt(np.linalg.det(np.diag([2.0, -3.0])))
+    assert z1.tolist() == [root] * 2
+    assert z2.tolist() == [-root] * 2
+
+
+@pytest.mark.parametrize("params, message", [
+    ({**SHARED, "Wr": [[]]}, "parameter 'Wr' must be 0 x 0, got 1 x 0"),
+    ({**SHARED, "B": []}, "parameter 'B' must be 2 x 0, got 0"),
+    ({**SHARED, "A": []}, "parameter 'A' must be 2 x 2, got 0"),
+])
+def test_empty_list_is_only_a_matrix_without_rows(params, message):
+    with pytest.raises(ValidationError, match=message):
+        build_generator({"name": "frame_blocks", "params": params}, 2, 2)

