@@ -3,14 +3,18 @@
 A nerve is a finite chart set together with sampled overlaps: every
 connected overlap component is a rooted connected graph of sample
 points, and triple intersections are recorded as sample points with
-their component memberships in the three pairwise overlaps.  Cocycle
-identities are checked at triple sample points only; continuous choices
-of square roots become breadth-first tracking over component graphs.
+their component memberships in the three pairwise overlaps.  The Nerve
+is also the one index of these points: its rows, and the maps from a
+row to its component, chart and triple points, are built once by its
+constructor, and every stack of the engine has one row per row of it.
+A sign cochain is the GF(2) bits of its signs over the components
+(degree 1) or the triple points (degree 2).  Cocycle identities are
+checked at triple sample points only; continuous choices of square
+roots become breadth-first tracking over component graphs.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,22 +70,31 @@ class TriplePoint:
         self.memberships = memberships
 
 
-class PointIndex:
-    """The rows of a nerve's sample points, built once per nerve.
+class Nerve:
+    """A finite nerve and the index of its sample points.
 
-    Overlap rows, one per (component, point) in component_list() order:
+    The constructor checks the charts, overlaps and triple points, then
+    builds every row map of the nerve once, as the attributes below; the
+    engine indexes these and builds no map of its own.
 
+    Overlap rows, one per (component, point), the components in key order:
+
+    keys        the sorted component keys (pair, component index)
     points      the sample point of each overlap row
+    comp        (P,) int array: the position in keys of each overlap row's
+                component
     components  (pair, component index) -> the range of its overlap rows
     overlap_walk  the Walk of the components' graphs on the overlap rows,
                 each rooted at its first row
 
-    Chart rows, chart by chart: one per point id of the overlaps
-    containing the chart, in the order of their first overlap rows, or
-    one origin row for a chart that meets no overlap:
+    Chart rows, chart by chart in the given order: one per point id of the
+    overlaps containing the chart, in the order of their first overlap
+    rows, or one origin row for a chart that meets no overlap:
 
-    sites       (chart, sample point) of each chart row
     charts      chart -> the range of its chart rows
+    chart       (R,) int array: the position in charts of each chart row's
+                chart
+    sites       (chart, sample point) of each chart row
     ends        (P, 2) int array: the chart rows of each overlap row's
                 point in the first and the second chart of its overlap
     draws       chart -> the chart rows of the overlap rows containing the
@@ -92,40 +105,38 @@ class PointIndex:
                 each rooted at its rows in point-id order: a chart's graph
                 has an edge between the rows of two point ids that some
                 overlap component containing the chart joins
+
+    Triple points, and the GF(2) coboundaries:
+
+    triples     (triple key, TriplePoint) of every triple point, the keys
+                sorted
+    triple_rows (T, 3) int array: the overlap rows of the factors t_ab,
+                t_bc, t_ac at each triple point
+    delta0      (C, H) uint8: from chart signs to component signs, ones at
+                the two charts of each component of keys
+    delta1      (T, C) uint8: from component signs to triple-point signs,
+                ones at the three components of each triple point
+
+    A sign cochain is the GF(2) bits of its signs, 1 for -1: over keys in
+    degree 1 and over triples in degree 2.
     """
 
-    def __init__(self, points: tuple[SamplePoint, ...],
-                 components: dict[tuple[PairKey, int], range], overlap_walk: Walk,
-                 sites: tuple[tuple[str, SamplePoint], ...], charts: dict[str, range],
-                 ends: np.ndarray, draws: dict[str, list[int]], chart_walk: Walk):
-        self.points = points
-        self.components = components
-        self.overlap_walk = overlap_walk
-        self.sites = sites
-        self.charts = charts
-        self.ends = ends
-        self.draws = draws
-        self.chart_walk = chart_walk
-
-
-class Nerve:
     def __init__(self, charts: tuple[str, ...],
                  overlaps: Optional[dict[PairKey, tuple[OverlapComponent, ...]]] = None,
                  triples: Optional[dict[TripleKey, tuple[TriplePoint, ...]]] = None):
-        self.charts = charts
-        self.overlaps = overlaps or {}
-        self.triples = triples or {}
-        chartset = set(self.charts)
-        if len(chartset) != len(self.charts):
+        self.overlaps = overlaps = overlaps or {}
+        triples = triples or {}
+        chartset = set(charts)
+        if len(chartset) != len(charts):
             raise ValidationError("duplicate chart ids")
-        for (a, b), comps in self.overlaps.items():
+        for (a, b), comps in overlaps.items():
             if a == b:
                 raise ValidationError("self-overlap (a, a) not allowed")
             if a > b:
                 raise ValidationError("overlap keys must be sorted pairs")
             if a not in chartset or b not in chartset:
                 raise ValidationError(f"overlap ({a},{b}) references unknown chart")
-        for key, pts in self.triples.items():
+        for key, pts in triples.items():
             a, b, c = key
             if not (a < b < c) or {a, b, c} - chartset:
                 raise ValidationError(f"bad triple key {key}")
@@ -136,7 +147,7 @@ class Nerve:
                             f"triple point {tp.id} missing membership for {pair}"
                         )
                     ci, pi = tp.memberships[pair]
-                    comps = self.overlaps.get(pair, ())
+                    comps = overlaps.get(pair, ())
                     if ci >= len(comps) or pi >= len(comps[ci].points):
                         raise ValidationError(
                             f"triple point {tp.id}: bad membership for {pair}"
@@ -145,35 +156,19 @@ class Nerve:
                         raise ValidationError(
                             f"triple point {tp.id}: id mismatch in {pair}"
                         )
-
-    def component_list(self) -> list[tuple[PairKey, int]]:
-        """All overlap components as (pair, component index), sorted."""
-        out = []
-        for pair in sorted(self.overlaps):
-            for ci in range(len(self.overlaps[pair])):
-                out.append((pair, ci))
-        return out
-
-    def triple_points(self) -> list[tuple[TripleKey, TriplePoint]]:
-        out = []
-        for key in sorted(self.triples):
-            for tp in self.triples[key]:
-                out.append((key, tp))
-        return out
-
-    @cached_property
-    def point_index(self) -> PointIndex:
-        """The index of every sample point (see PointIndex)."""
+        self.keys = [(pair, ci) for pair in sorted(overlaps)
+                     for ci in range(len(overlaps[pair]))]
+        self.triples = [(key, tp) for key in sorted(triples) for tp in triples[key]]
         points: list[SamplePoint] = []
         components: dict[tuple[PairKey, int], range] = {}
         # per chart: the position of each point id among its chart rows,
         # their points, and the position of every overlap row it is in
-        at: dict[str, dict[str, int]] = {ch: {} for ch in self.charts}
-        vertices: dict[str, list[SamplePoint]] = {ch: [] for ch in self.charts}
-        met: dict[str, list[int]] = {ch: [] for ch in self.charts}
-        edges: dict[str, set] = {ch: set() for ch in self.charts}
-        for pair, ci in self.component_list():
-            comp = self.overlaps[pair][ci]
+        at: dict[str, dict[str, int]] = {ch: {} for ch in charts}
+        vertices: dict[str, list[SamplePoint]] = {ch: [] for ch in charts}
+        met: dict[str, list[int]] = {ch: [] for ch in charts}
+        edges: dict[str, set] = {ch: set() for ch in charts}
+        for pair, ci in self.keys:
+            comp = overlaps[pair][ci]
             components[(pair, ci)] = range(len(points), len(points) + len(comp.points))
             points.extend(comp.points)
             ids = [pt.id for pt in comp.points]
@@ -186,62 +181,42 @@ class Nerve:
                 edges[ch].update((min(ids[i], ids[j]), max(ids[i], ids[j]))
                                  for i, j in comp.edges)
         sites: list[tuple[str, SamplePoint]] = []
-        charts: dict[str, range] = {}
-        for ch in self.charts:
-            charts[ch] = range(len(sites), len(sites) + max(1, len(vertices[ch])))
+        rows: dict[str, range] = {}
+        for ch in charts:
+            rows[ch] = range(len(sites), len(sites) + max(1, len(vertices[ch])))
             sites += [(ch, pt) for pt in vertices[ch] or [ORIGIN]]
-        ends = np.array([[charts[ch].start + at[ch][pt.id] for ch in pair]
-                         for (pair, _), span in components.items()
-                         for pt in points[span.start:span.stop]],
-                        dtype=int).reshape(-1, 2)
-        ends.setflags(write=False)
-        chart_walk = Walk.of(
+        self.points = tuple(points)
+        self.components = components
+        self.comp = np.repeat(np.arange(len(self.keys)),
+                              [len(span) for span in components.values()])
+        self.overlap_walk = Walk.join([(overlaps[pair][ci].walk, span.start)
+                                       for (pair, ci), span in components.items()])
+        self.charts = rows
+        self.chart = np.repeat(np.arange(len(rows)), [len(span) for span in rows.values()])
+        self.sites = tuple(sites)
+        self.ends = np.array([[rows[ch].start + at[ch][pt.id] for ch in pair]
+                              for (pair, _), span in components.items()
+                              for pt in points[span.start:span.stop]],
+                             dtype=int).reshape(-1, 2)
+        self.draws = {ch: [rows[ch].start + i for i in met[ch]] or [rows[ch].start]
+                      for ch in charts}
+        self.chart_walk = Walk.of(
             len(sites),
-            [(rows.start + at[ch][a], rows.start + at[ch][b]) for ch, rows in charts.items()
+            [(span.start + at[ch][a], span.start + at[ch][b]) for ch, span in rows.items()
              for a, b in sorted(edges[ch])],
-            [r for rows in charts.values() for r in sorted(rows, key=lambda r: sites[r][1].id)])
-        return PointIndex(
-            tuple(points), components,
-            Walk.join([(self.overlaps[pair][ci].walk, rows.start)
-                       for (pair, ci), rows in components.items()]),
-            tuple(sites), charts, ends,
-            {ch: [charts[ch].start + i for i in met[ch]] or [charts[ch].start]
-             for ch in self.charts}, chart_walk)
-
-    @cached_property
-    def triple_rows(self) -> np.ndarray:
-        """The point-index rows of the factors t_ab, t_bc, t_ac at every
-        point of triple_points(), as a (T, 3) int array."""
-        comps = self.point_index.components
-        rows = [comps[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
-                for (a, b, c), tp in self.triple_points()
-                for pair in ((a, b), (b, c), (a, c))]
-        return np.array(rows, dtype=int).reshape(-1, 3)
-
-    @cached_property
-    def delta0(self) -> np.ndarray:
-        """GF(2) coboundary from chart signs to component signs: one row
-        per component of component_list(), ones at its two charts."""
-        col = {ch: i for i, ch in enumerate(self.charts)}
-        comps = self.component_list()
-        d = np.zeros((len(comps), len(self.charts)), dtype=np.uint8)
-        d[np.repeat(np.arange(len(comps)), 2),
-          [col[ch] for pair, _ in comps for ch in pair]] = 1
-        d.setflags(write=False)  # shared by every caller
-        return d
-
-    @cached_property
-    def delta1(self) -> np.ndarray:
-        """GF(2) coboundary from component signs to triple-point signs: one
-        row per point of triple_points(), ones at its three components."""
-        col = {key: i for i, key in enumerate(self.component_list())}
-        tps = self.triple_points()
-        d = np.zeros((len(tps), len(col)), dtype=np.uint8)
-        d[np.repeat(np.arange(len(tps)), 3),
-          [col[(pair, tp.memberships[pair][0])]
-           for (a, b, c), tp in tps for pair in ((a, b), (b, c), (a, c))]] = 1
-        d.setflags(write=False)
-        return d
+            [r for span in rows.values()
+             for r in sorted(span, key=lambda r: sites[r][1].id)])
+        self.triple_rows = np.array(
+            [components[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
+             for (a, b, c), tp in self.triples for pair in ((a, b), (b, c), (a, c))],
+            dtype=int).reshape(-1, 3)
+        self.delta0 = np.zeros((len(self.keys), len(rows)), dtype=np.uint8)
+        self.delta0[self.comp[:, None], self.chart[self.ends]] = 1
+        self.delta1 = np.zeros((len(self.triples), len(self.keys)), dtype=np.uint8)
+        self.delta1[np.arange(len(self.triples))[:, None], self.comp[self.triple_rows]] = 1
+        for shared in (self.comp, self.chart, self.ends, self.triple_rows,
+                       self.delta0, self.delta1):
+            shared.setflags(write=False)
 
 
 def _layout(group: str, n: int) -> tuple:
@@ -259,16 +234,15 @@ def _layout(group: str, n: int) -> tuple:
 def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
                  layout: tuple, kind: str) -> list[np.ndarray]:
     """The generators of a chart role, one per chart, each evaluated once
-    on the stack of its chart's rows of the nerve's point index, by
+    on the stack of its chart's rows of the nerve, by
     groups.stack_values; a chart without a generator, or a value that is
     not ``kind`` (of the layout), raises ValidationError."""
-    index = nerve.point_index
-    sites = index.sites
+    sites = nerve.sites
     missing = sorted(set(nerve.charts) - set(generators))
     if missing:
         raise ValidationError(f"no {role} for charts {missing}")
     parts = [(generators[ch], [pt for _, pt in sites[rows.start:rows.stop]])
-             for ch, rows in index.charts.items()]
+             for ch, rows in nerve.charts.items()]
     return G.stack_values(parts, layout,
                           lambda r: f"{role} of chart {sites[r][0]!r} at "
                                     f"{sites[r][1].id} is not {kind}")
@@ -277,9 +251,8 @@ def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
 class Cocycle:
     """Group-valued transition data over a nerve.
 
-    Row r of each stack holds the transition t_ab, a < b, at row r of the
-    nerve's point index (component_list() order), in the layout of the
-    group:
+    Row r of each stack holds the transition t_ab, a < b, at overlap row
+    r of the nerve, in the layout of the group:
 
         Gl    mats (P, n, n) complex
         Glkd  mats (P, 2, n, n) complex, the two members of each pair
@@ -311,14 +284,12 @@ class Cocycle:
                 raise ValidationError(f"missing transition for overlap {pair}")
             if len(transitions[pair]) != len(nerve.overlaps[pair]):
                 raise ValidationError(f"component count mismatch for {pair}")
-        index = nerve.point_index
-        keys = [key for key, rows in index.components.items() for _ in rows]
         stacks = G.stack_values(
-            [(transitions[pair][ci], index.points[rows.start:rows.stop])
-             for (pair, ci), rows in index.components.items()],
+            [(transitions[pair][ci], nerve.points[rows.start:rows.stop])
+             for (pair, ci), rows in nerve.components.items()],
             _layout(group, n),
-            lambda r: f"transition of {keys[r][0]} at {index.points[r].id} is not "
-                      f"a {group} value for n={n}")
+            lambda r: f"transition of {nerve.keys[nerve.comp[r]][0]} at "
+                      f"{nerve.points[r].id} is not a {group} value for n={n}")
         if group == "Glkd":
             return cls(group, n, k, np.stack(stacks, axis=1))
         if group == "Mp":
@@ -338,20 +309,6 @@ class Cocycle:
         A, z = np.asarray(A, dtype=complex), np.array(z, dtype=complex)
         G.check_ml(A, z)
         return cls("Ml", n, k, A, z)
-
-
-class SignCochain:
-    """A +/-1 valued cochain on overlap components (deg 1) or triple
-    points (deg 2)."""
-
-    def __init__(self, degree: int, values: dict):
-        if degree not in (1, 2):
-            raise ValidationError("degree must be 1 or 2")
-        for v in values.values():
-            if v not in (1, -1):
-                raise ValidationError("sign cochain values must be +/-1")
-        self.degree = degree
-        self.values = values
 
 
 def _membership_residuals(c: Cocycle) -> np.ndarray:
@@ -382,14 +339,13 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     """Check group membership of every value and the cocycle identity at
     every triple sample point.  Returns a result dict with residuals."""
     tols = get_tolerances()
-    index = nerve.point_index
-    if len(c.mats) != len(index.points):
+    if len(c.mats) != len(nerve.points):
         raise ValidationError(f"cocycle has {len(c.mats)} values for "
-                              f"{len(index.points)} sample points")
-    residuals = _membership_residuals(c).tolist()
-    failures = [("membership", pair, ci, index.points[row].id, residuals[row])
-                for (pair, ci), rows in index.components.items() for row in rows
-                if residuals[row] > tols.rel]
+                              f"{len(nerve.points)} sample points")
+    res = _membership_residuals(c)
+    residuals = res.tolist()
+    failures = [("membership", *nerve.keys[nerve.comp[r]], nerve.points[r].id, residuals[r])
+                for r in np.flatnonzero(res > tols.rel).tolist()]
     # triple keys are sorted, so every factor is a forward transition
     ab, bc, ac = nerve.triple_rows.T
     if c.roots is None or not len(ab):
@@ -404,7 +360,7 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
                   initial=0.0)
     dist = np.where(gap > dist, gap, dist).tolist()
     failures += [("cocycle", key, tp.id, r)
-                 for (key, tp), r in zip(nerve.triple_points(), dist)
+                 for (key, tp), r in zip(nerve.triples, dist)
                  if r > identity_bound(tols)]
     return {"ok": not failures, "max_residual": max([0.0, *residuals, *dist]),
             "failures": failures}
@@ -537,13 +493,11 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
 # double-cover lifting
 # ---------------------------------------------------------------------------
 
-def flip_sheets(nerve: Nerve, c: Cocycle, pattern) -> Cocycle:
+def flip_sheets(nerve: Nerve, c: Cocycle, pattern: np.ndarray) -> Cocycle:
     """The Ml cocycle c with its z-sheet flipped on the components whose
-    entry of pattern (indexed like component_list()) is set."""
-    rows = [r for key, bit in zip(nerve.component_list(), pattern) if bit
-            for r in nerve.point_index.components[key]]
-    z = c.roots.copy()
-    z[rows] = -z[rows]
+    bit of pattern (over nerve.keys) is set."""
+    rows = pattern.astype(bool)[nerve.comp]
+    z = np.where(rows, -c.roots, c.roots)
     G.check_ml(c.mats[rows], z[rows])
     return Cocycle("Ml", c.n, c.k, c.mats, z)
 
@@ -563,49 +517,32 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     each tracked from its first point with the principal root, solves
     the triple-point sign defects for per-component flips over GF(2),
     and returns the Ml cocycle; if the GF(2) system is infeasible the
-    defect SignCochain (degree 2) is returned instead — the witness of a
-    nontrivial obstruction class.
+    defect bits over nerve.triples (a degree-2 sign cochain) are returned
+    instead — the witness of a nontrivial obstruction class.
     """
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
-    index = nerve.point_index
-    comps = index.components
-    z = track_graph(np.linalg.det(c.mats), index.overlap_walk,
-                    [pt.id for pt in index.points], 1, jump=lambda r: "(edge too long)",
+    z = track_graph(G.det_stack(c.mats), nerve.overlap_walk,
+                    [pt.id for pt in nerve.points], 1, jump=lambda r: "(edge too long)",
                     cycle=lambda r: "around a cycle in component")
 
-    tps = nerve.triple_points()
     ab, bc, ac = nerve.triple_rows.T
     s = cdiv(cmul(z[ab], z[bc]), z[ac])
     rhs, off = _sign_bits(s)
     raise_first([(off, lambda t: ValidationError(
-        f"triple defect at {tps[t][1].id} is not a sign: {complex(s[t])} "
+        f"triple defect at {nerve.triples[t][1].id} is not a sign: {complex(s[t])} "
         "(input not a cocycle?)"))])
     sol = gf2_solve(nerve.delta1, rhs)
     if sol is None:
-        return SignCochain(degree=2, values={
-            (key, tp.id): -1 if bit else 1 for (key, tp), bit in zip(tps, rhs.tolist())})
-    flips = np.repeat(sol, [len(rows) for rows in comps.values()]).astype(bool)
-    return Cocycle.ml(c.n, c.k, c.mats, np.where(flips, -z, z))
+        return rhs
+    return Cocycle.ml(c.n, c.k, c.mats, np.where(sol.astype(bool)[nerve.comp], -z, z))
 
 
-def z2_coboundary_solve(nerve: Nerve, c2: SignCochain) -> Optional[SignCochain]:
-    """Find a degree-1 sign cochain whose coboundary is c2, or prove
-    infeasibility over GF(2)."""
-    if c2.degree != 2:
-        raise ValidationError("expected a degree-2 sign cochain")
-    rhs = [
-        0 if c2.values.get((key, tp.id), 1) == 1 else 1
-        for key, tp in nerve.triple_points()
-    ]
-    sol = gf2_solve(nerve.delta1, np.array(rhs, dtype=np.uint8))
-    if sol is None:
-        return None
-    return SignCochain(
-        degree=1,
-        values={key: -1 if bit else 1
-                for key, bit in zip(nerve.component_list(), sol)},
-    )
+def z2_coboundary_solve(nerve: Nerve, c2: np.ndarray) -> Optional[np.ndarray]:
+    """The bits over nerve.keys of a degree-1 sign cochain whose
+    coboundary is the degree-2 sign cochain c2 (bits over nerve.triples),
+    or None if GF(2) elimination proves there is none."""
+    return gf2_solve(nerve.delta1, c2)
 
 
 def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
@@ -617,7 +554,6 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     every overlap component, or None if the lifts are inequivalent.
     """
     tols = get_tolerances()
-    index = nerve.point_index
     axes = (-2, -1)
     apart = (np.max(np.abs(l1.mats - l2.mats), axis=axes, initial=0.0)
              > zero_bound(tols) * np.maximum(1.0, np.max(np.abs(l1.mats), axis=axes,
@@ -625,13 +561,12 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     r = cdiv(l2.roots, l1.roots)
     bits, off = _sign_bits(r)
     # each row against the first row of its component
-    starts = [rows.start for rows in index.components.values()]
-    first = np.repeat(bits[starts], [len(rows) for rows in index.components.values()])
+    starts = [rows.start for rows in nerve.components.values()]
     raise_first([
         (apart, lambda p: ValidationError("lifts do not project to the same Gl cocycle")),
         (off, lambda p: ValidationError(
-            f"z-ratio at {index.points[p].id} is not a sign: {complex(r[p])}")),
-        (bits != first, lambda p: ValidationError(
+            f"z-ratio at {nerve.points[p].id} is not a sign: {complex(r[p])}")),
+        (bits != bits[starts][nerve.comp], lambda p: ValidationError(
             "z-ratio not constant on an overlap component")),
     ])
     sol = gf2_solve(nerve.delta0, bits[starts])

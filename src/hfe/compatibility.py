@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import cech
-from .cech import Cocycle, Nerve, PointIndex
+from .cech import Cocycle, Nerve
 from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import (
     GluingError,
@@ -37,13 +37,13 @@ _DRAWS_PER_CHART = 20
 class PolarizationPairData:
     """Čech data of a compatible pair of polarizations: the Glkd pair
     cocycle and the (R,) complex stack of the pairing determinant delta at
-    every chart row of the nerve's point index; n and k are the pair
+    every chart row of the nerve; n and k are the pair
     cocycle's."""
 
     def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples: np.ndarray):
         if pair_cocycle.group != "Glkd":
             raise ValidationError("pair cocycle must be Glkd-valued")
-        rows = len(nerve.point_index.sites)
+        rows = len(nerve.sites)
         if np.shape(delta_samples) != (rows,):
             raise ValidationError(f"expected delta samples at {rows} chart rows, "
                                   f"got shape {np.shape(delta_samples)}")
@@ -57,7 +57,7 @@ class PolarizationPairData:
 def _check_delta_samples(data: PolarizationPairData) -> None:
     """Raise SingularityError for the first chart row whose delta sample
     vanishes."""
-    sites = data.nerve.point_index.sites
+    sites = data.nerve.sites
     raise_first([(np.abs(data.delta_samples) <= get_tolerances().singular,
                   lambda r: SingularityError(f"delta sample vanishes at {sites[r][1].id} "
                                              f"on chart {sites[r][0]!r}"))])
@@ -69,24 +69,24 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     with k == n, that every delta sample is 1.  The pair cocycle itself
     is checked by cech.validate_cocycle, not here."""
     bound = check_bound(get_tolerances())
-    index = data.nerve.point_index
+    nerve = data.nerve
     pairs = data.pair_cocycle.mats
     blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], data.k)
     _check_delta_samples(data)
     delta = data.delta_samples
-    a, b = index.ends.T
+    a, b = nerve.ends.T
     # conj(det D1) det D2, the pairing-determinant transformation
     law = np.conj(blocks["detD1"]) * blocks["detD2"]
-    res = rel_residual(delta[b], delta[a] * law).tolist()
-    failures = [("delta-consistency", pair, ci, index.points[r].id, res[r])
-                for (pair, ci), rows in index.components.items() for r in rows
-                if res[r] > bound]
+    residuals = rel_residual(delta[b], delta[a] * law)
+    res = residuals.tolist()
+    failures = [("delta-consistency", *nerve.keys[nerve.comp[r]], nerve.points[r].id,
+                 res[r]) for r in np.flatnonzero(residuals > bound).tolist()]
     if data.k == data.n:
         # delta is an empty determinant: every sample must be 1
         ones = rel_residual(delta, 1.0).tolist()
         res += ones
         failures += [("delta-consistency", chart, pt.id, x)
-                     for (chart, pt), x in zip(index.sites, ones) if x > bound]
+                     for (chart, pt), x in zip(nerve.sites, ones) if x > bound]
     return {"ok": not failures, "max_residual": max([0.0, *res]), "failures": failures}
 
 
@@ -112,7 +112,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         # delta is an empty determinant, identically 1 already
         return data
     delta = data.delta_samples
-    a, b = data.nerve.point_index.ends.T
+    a, b = data.nerve.ends.T
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     G2 = _diag_changes(delta[a], n) @ G2 @ _diag_changes(1.0 / delta[b], n)
     return PolarizationPairData(
@@ -125,7 +125,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
 def _require_normalized(data: PolarizationPairData) -> None:
     """Raise ValidationError unless the delta sample at every overlap
     point is 1."""
-    delta = data.delta_samples[data.nerve.point_index.ends]
+    delta = data.delta_samples[data.nerve.ends]
     if np.any(np.abs(delta - 1.0) > check_bound(get_tolerances())):
         raise ValidationError("data not normalized (delta sample != 1)")
 
@@ -142,7 +142,6 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
         raise ValidationError("z1 must be an Ml cocycle")
     _require_normalized(data)
     tols = get_tolerances()
-    index = data.nerve.point_index
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     detA = subgroup_classify(G1, G2, data.k)["detA"]
     premise = np.conj(det_stack(G1)) * det_stack(G2) / (detA * detA)
@@ -153,7 +152,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
                                                        initial=0.0))
     raise_first([
         (np.abs(premise - 1.0) > property_bound(tols), lambda r: ValidationError(
-            f"premise violated at {index.points[r].id}: "
+            f"premise violated at {data.nerve.points[r].id}: "
             f"conj(det g1) det g2 / det(A)^2 = {premise[r]}")),
         (off > off_bound, lambda r: ValidationError("z1 does not lift the first member")),
     ])
@@ -169,7 +168,7 @@ class DeltaTildeData:
     """The global square-root datum.
 
     Stored as base values, the (R,) stack of its value at every chart
-    row of the nerve's point index, plus the group-translation formula:
+    row of the nerve, plus the group-translation formula:
     the value at a point translated by a metalinear pair (gt1, gt2) is
     base * conj(z1) z2 |det A|^{-1}.  residuals holds the gluing residual
     of every overlap row.
@@ -195,11 +194,11 @@ def draw_translations(rng: np.random.Generator, n: int, k: int,
     return blocks
 
 
-def _chart_draws(index: PointIndex, rng: np.random.Generator) -> list[int]:
+def _chart_draws(nerve: Nerve, rng: np.random.Generator) -> list[int]:
     """_DRAWS_PER_CHART seeded chart rows per chart, drawn from the
-    chart's draw population (see PointIndex) by one integers call per
+    chart's draw population (see Nerve.draws) by one integers call per
     chart."""
-    return [population[i] for population in index.draws.values()
+    return [population[i] for population in nerve.draws.values()
             for i in rng.integers(len(population), size=_DRAWS_PER_CHART).tolist()]
 
 
@@ -213,7 +212,7 @@ def _check_translation_law(
     The square of the translated value must be delta at the translated
     pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.
     """
-    t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve.point_index, rng))
+    t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve, rng))
     rows, detA = t["rows"], t["detA"]
     val = dt.base[rows] * t["factor"]
     target = (data.delta_samples[rows] * np.conj(det_stack(t["M1"])) * det_stack(t["M2"])
@@ -238,17 +237,16 @@ def build_delta_tilde(
     are classified as one stack.
     """
     bound = check_bound(get_tolerances())
-    index = data.nerve.point_index
+    nerve = data.nerve
     if base_values is None:
         _require_normalized(data)
-        base_values = np.ones(len(index.sites), dtype=complex)
+        base_values = np.ones(len(nerve.sites), dtype=complex)
     factor = subgroup_classify(z1.mats, z2.mats, data.k, z1.roots, z2.roots)["factor"]
-    a, b = index.ends.T
+    a, b = nerve.ends.T
     residuals = rel_residual(base_values[a] * factor, base_values[b])
     res = residuals.tolist()
-    bad = {(pair, ci, index.points[r].id): res[r]
-           for (pair, ci), rows in index.components.items() for r in rows
-           if res[r] > bound}
+    bad = {(*nerve.keys[nerve.comp[r]], nerve.points[r].id): res[r]
+           for r in np.flatnonzero(residuals > bound).tolist()}
     if bad:
         raise GluingError("square-root datum does not glue", bad)
     dt = DeltaTildeData(base=base_values, residuals=residuals)
@@ -312,7 +310,7 @@ def self_compat(data: PolarizationPairData, z1: Cocycle, rng: np.random.Generato
     # positivity on equal meta frames: translating by a diagonal
     # metalinear pair multiplies by |z|^2 / |det A| > 0
     t = draw_translations(rng, data.n, data.k,
-                          _chart_draws(data.nerve.point_index, rng), diagonal=True)
+                          _chart_draws(data.nerve, rng), diagonal=True)
     val = dt_norm.base[t["rows"]] * t["factor"]
     worst_imag = max([0.0, *np.abs(val.imag).tolist()])
     min_real = min([float("inf"), *val.real.tolist()])

@@ -50,8 +50,13 @@ def stack_values(parts: Sequence[tuple[Callable, Sequence]], layout: tuple,
 
 
 def det_stack(A: np.ndarray) -> np.ndarray:
-    """The (P,) determinants of a stack A (P, m, m), 1 for m = 0."""
-    return np.linalg.det(A) if A.shape[-1] else np.ones(len(A), dtype=complex)
+    """The (P,) determinants of a stack A (P, m, m), 1 for m = 0.  A
+    determinant near the float maximum may overflow inside det's
+    factorization without a warning; every caller checks the result."""
+    if not A.shape[-1]:
+        return np.ones(len(A), dtype=complex)
+    with np.errstate(over="ignore"):
+        return np.linalg.det(A)
 
 
 def rel_residual(x, target) -> np.ndarray:

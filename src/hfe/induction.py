@@ -53,8 +53,8 @@ class MetaplecticBundleData:
 
 class FrameSectionData:
     """Per-chart frame sections in chart coordinates: the stacks U and V
-    (R, n, n) of their frames (U, V) at every chart row of the nerve's
-    point index, checked as positive Lagrangian frames by the transport.
+    (R, n, n) of their frames (U, V) at every chart row of the nerve,
+    checked as positive Lagrangian frames by the transport.
 
     Keeps the sheet-independent transport of the last bundle it served
     (see transport), so the recipe runs of one section family share it.
@@ -85,7 +85,7 @@ class FrameSectionData:
 
 class PairSectionData:
     """Per-chart pairs of meta frames (W, (C, z)) in block form: at every
-    chart row of the nerve's point index, W1, C1, z1 of the first frame and W2,
+    chart row of the nerve, W1, C1, z1 of the first frame and W2,
     C2, z2 of the second, the W and C as stacks (R, n, n) and the z as
     (R,) arrays.  build_delta_D_tilde checks them as Ball points and
     metalinear frames."""
@@ -111,18 +111,17 @@ class PairSectionData:
 def chart_sqrt_values(nerve: Nerve, values, flips: dict[str, int]) -> np.ndarray:
     """Continuous square roots of a nonvanishing function over the sample
     graph of every chart: values[r] is its value at chart row r of the
-    nerve's point index, and so is the returned root.
+    nerve, and so is the returned root.
 
     Each connected piece of a chart's graph is rooted at its smallest
     point id with the principal root times the chart's sheet flip (1 for
-    a chart that flips does not name); edges are single tracking steps (see track_graph on
-    PointIndex.chart_walk).  Errors come for the first chart that fails.
+    a chart that flips does not name); edges are single tracking steps
+    (see track_graph on Nerve.chart_walk).  Errors come for the first
+    chart that fails.
     """
-    index = nerve.point_index
-    where = lambda r: f"on chart {index.sites[r][0]}"  # noqa: E731
-    return track_graph(values, index.chart_walk, [pt.id for _, pt in index.sites],
-                       np.repeat([flips.get(ch, 1) for ch in index.charts],
-                                 [len(rows) for rows in index.charts.values()]),
+    where = lambda r: f"on chart {nerve.sites[r][0]}"  # noqa: E731
+    return track_graph(values, nerve.chart_walk, [pt.id for _, pt in nerve.sites],
+                       np.array([flips.get(ch, 1) for ch in nerve.charts])[nerve.chart],
                        jump=where, cycle=where)
 
 
@@ -152,11 +151,11 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
 class SectionTransport:
     """The part of the recipe that no sheet choice changes, as stacks.
 
-    Chart stacks have one row per chart row of the nerve's point index:
+    Chart stacks have one row per chart row of the nerve:
     U, V hold the section frames, validated as positive Lagrangian
     frames, W and C the stacks (R, n, n) of (W, C) = phi(section), W
     checked as Ball points.  Overlap stacks have one row per overlap row,
-    whose point has the chart rows a, b (the index's ends) in the two
+    whose point has the chart rows a, b (the nerve's ends) in the two
     charts of its overlap: N the frame transition with g sigma_b =
     sigma_a N, alpha and alpha_z the stack and roots of
     alpha_tilde(g, W_b), and gW the Ball point g.W_b.
@@ -180,13 +179,13 @@ class SectionTransport:
 def _transport(data: MetaplecticBundleData, sections: FrameSectionData
                ) -> SectionTransport:
     tols = get_tolerances()
-    index = data.nerve.point_index
+    nerve = data.nerve
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
     raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
-        f"section frame not positive at {index.sites[r][1].id}"))])
+        f"section frame not positive at {nerve.sites[r][1].id}"))])
     check_ball(W)
-    a, b = index.ends.T
+    a, b = nerve.ends.T
     g = data.mp_cocycle.mats
     # frame transitions N: g sigma_b = sigma_a N, in the least-squares
     # sense, the columns of sigma_a being independent
@@ -199,7 +198,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
                                                           initial=0.0))
     raise_first([(res > bound, lambda p: ValidationError(
-        f"sections inconsistent with the cocycle at {index.points[p].id}"))])
+        f"sections inconsistent with the cocycle at {nerve.points[p].id}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
     check_ball(gW)
     return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
@@ -223,21 +222,20 @@ def recipe(
     """
     tols = get_tolerances()
     nerve = data.nerve
-    index = nerve.point_index
     t = sections.transport(data)
     # per-chart lifted sections
     z = chart_sqrt_values(nerve, np.linalg.det(t.C), sheet_flips or {})
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
-    a, b = index.ends.T
+    a, b = nerve.ends.T
     moved_A = t.alpha @ t.C[b]
     moved_z = cmul(t.alpha_z, z[b])
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
-        f"Ball points disagree on overlap at {index.points[p].id}"))])
+        f"Ball points disagree on overlap at {nerve.points[p].id}"))])
     Ninv = np.linalg.inv(t.C[a]) @ moved_A
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
@@ -272,7 +270,6 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
         raise ValidationError("requires D-adapted metaplectic data")
     tols = get_tolerances()
     nerve, n, k = data.nerve, data.n, data.k
-    index = nerve.point_index
 
     # the values at every chart row serve the gluing and the chart checks
     s = pair_sections
@@ -284,7 +281,7 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     values = delta_L_tilde(W1, C1, z1, W2, C2, z2, k)
 
     # invariance: both members of the chart-b pair moved by the transition
-    b = index.ends[:, 1]
+    b = nerve.ends[:, 1]
     P = len(b)
     g, zeta = data.mp_cocycle.mats, data.mp_cocycle.roots
     gW, gC, gz = _mp_act_stack(np.concatenate([g, g]), np.concatenate([zeta, zeta]),
@@ -356,7 +353,7 @@ def cross_check(data: MetaplecticBundleData, sections1: FrameSectionData,
     # normalized bundle using the restricted square-root pairing values
     # as the per-chart square root of delta
     w = delta_L_tilde(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
-    a, b = nerve.point_index.ends.T
+    a, b = nerve.ends.T
     zs = cdiv(cmul(w[a], r2.ml_cocycle.roots), w[b])
     z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref, rng)

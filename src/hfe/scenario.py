@@ -24,7 +24,6 @@ from .cech import (
     Nerve,
     OverlapComponent,
     SamplePoint,
-    SignCochain,
     TriplePoint,
     chart_stacks,
 )
@@ -217,7 +216,7 @@ SCENARIO_SCHEMA: dict = {
             "additionalProperties": {
                 "type": "object",
                 "properties": {
-                    "degree": {"type": "integer", "enum": [1, 2]},
+                    "degree": {"type": "integer", "enum": [2]},
                     "values": {
                         "type": "array",
                         "items": {
@@ -341,7 +340,7 @@ class Scenario:
         self.pair_sections: Optional[PairSectionData] = None
         self.self_compat_cases: list[dict] = []
         self.frame_pairs: list[dict] = []
-        self.sign_cochains: dict[str, SignCochain] = {}
+        self.sign_cochains: dict[str, np.ndarray] = {}
         self.noncontractible_components: list = []
 
 
@@ -412,8 +411,7 @@ def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
 
 def _build_delta_samples(doc: dict, nerve: Nerve, n: int, k: int) -> np.ndarray:
     """Delta-sample generators, one per chart, each evaluated once on its
-    chart's rows of the nerve's point index: the (R,) stack of their
-    scalar values."""
+    chart's rows of the nerve: the (R,) stack of their scalar values."""
     values, = chart_stacks(nerve, _build_chart_generators(doc, nerve, n, k),
                            "delta sample", ((),), "a scalar")
     return values
@@ -436,11 +434,18 @@ def _expected_delta(fp: dict) -> complex:
     return value
 
 
-def _build_sign_cochain(doc: dict) -> SignCochain:
-    values = {
-        (tuple(v["triple"]), v["point"]): v["sign"] for v in doc["values"]
-    }
-    return SignCochain(doc["degree"], values)
+def _build_sign_cochain(name: str, doc: dict, nerve: Nerve) -> np.ndarray:
+    """The bits over nerve.triples of a degree-2 sign cochain: 1 where
+    its last value at a triple point is -1.  A value at a triple point
+    that the nerve does not have raises ValidationError."""
+    signs = {(tuple(v["triple"]), v["point"]): v["sign"] for v in doc["values"]}
+    known = {(key, tp.id) for key, tp in nerve.triples}
+    for key, point in signs:
+        if (key, point) not in known:
+            raise ValidationError(f"sign cochain {name!r} names point {point!r} of "
+                                  f"triple {list(key)}, which the nerve does not have")
+    return np.array([signs.get((key, tp.id)) == -1 for key, tp in nerve.triples],
+                    dtype=np.uint8)
 
 
 def load_scenario(source: str | Path | dict,
@@ -523,7 +528,7 @@ def _build_scenario(doc: dict) -> Scenario:
             }
         )
     for name, sdoc in doc.get("sign_cochains", {}).items():
-        sc.sign_cochains[name] = _build_sign_cochain(sdoc)
+        sc.sign_cochains[name] = _build_sign_cochain(name, sdoc, nerve)
     sc.noncontractible_components = [
         (pair, ci)
         for pair, comps in nerve.overlaps.items()

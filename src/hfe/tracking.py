@@ -58,6 +58,21 @@ def _turns(ratio: np.ndarray) -> np.ndarray:
     return turns
 
 
+def _ratio(a, b) -> np.ndarray:
+    """The step ratio a / b of both trackers: cdiv, except where the
+    quotient of finite operands is not finite, as it is near the float
+    maximum (Python's (1e308+1e308j) / (1e308+1e308j) is nan+0j); there
+    both operands are halved first.  Halving is exact for normal parts,
+    and every other ratio is cdiv's, bit for bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    q = cdiv(a, b)
+    redo = ~np.isfinite(q) & np.isfinite(a) & np.isfinite(b)
+    if redo.any():
+        half = [_complex(0.5 * x.real, 0.5 * x.imag) for x in (a, b)]
+        q = np.where(redo, cdiv(*half), q)
+    return q
+
+
 def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
                t1: float = 1.0) -> np.ndarray:
     """Continue the anchors z0 (P,), z0[p]**2 = f(t0)[p], along a stack of
@@ -101,7 +116,7 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
                  < 0.5 * identity_bound(tols) * np.fmax(1.0, size[:, 0]))
         # step j goes from grid point j to j + 1; a value that is zero or
         # not finite makes its ratios zero or not finite, which _turns flags
-        ratio = cdiv(rows[:, 1:], rows[:, :-1])
+        ratio = _ratio(rows[:, 1:], rows[:, :-1])
         flagged = _turns(ratio)
         flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < t1)
         steps = _sqrt(ratio)
@@ -143,7 +158,7 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
             raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
         if abs(ft) == 0.0:
             raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-        ratio = fn / ft
+        ratio = complex(_ratio(fn, ft))
         if _turns_at(ratio):
             depth += 1
             if depth > _MAX_DEPTH:
@@ -292,7 +307,7 @@ def track_graph(values, walk: Walk, names: Sequence[str], flip, *,
     cur, nxt = walk.visits.T
     step = walk.depth != 0
     with np.errstate(all="ignore"):
-        ratio = cdiv(v[nxt], v[cur])
+        ratio = _ratio(v[nxt], v[cur])
         roots = _sqrt(ratio)
         z = np.full(len(v), np.nan, dtype=complex)
         first = nxt[walk.depth == 0]

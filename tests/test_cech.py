@@ -1,3 +1,4 @@
+import itertools
 from cmath import sqrt as principal_sqrt
 
 import numpy as np
@@ -11,7 +12,6 @@ from hfe.cech import (
     Nerve,
     OverlapComponent,
     SamplePoint,
-    SignCochain,
     TriplePoint,
     _membership_residuals,
     gf2_solve,
@@ -24,7 +24,12 @@ from hfe.cech import (
 )
 from hfe.errors import TrackingError, ValidationError
 from hfe.groups import mp_mul
-from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
+from hfe.scenario import (
+    _build_sign_cochain,
+    builtin_scenario_names,
+    builtin_scenario_path,
+    load_scenario,
+)
 
 from helpers import per_point, random_sp
 
@@ -241,8 +246,9 @@ def test_lift_double_cover_obstructed():
         ("a", "c"): (_winding,),  # equals 1 at both triple points
     })
     lifted = lift_double_cover(nerve, c)
-    assert isinstance(lifted, SignCochain)
-    assert set(lifted.values.values()) == {1, -1}
+    # the defect bits over the two triple points: one of each sign
+    assert isinstance(lifted, np.ndarray) and lifted.dtype == np.uint8
+    assert sorted(lifted.tolist()) == [0, 1]
     assert z2_coboundary_solve(nerve, lifted) is None
 
 
@@ -285,10 +291,12 @@ def test_lifts_equivalent_witness_and_rejection():
 
 def test_z2_coboundary_solve_feasible_case():
     nerve = triangle_nerve()
-    cochain = SignCochain(2, {(("a", "b", "c"), "p"): -1})
+    cochain = np.array([1], dtype=np.uint8)  # -1 at the triple point p
     sol = z2_coboundary_solve(nerve, cochain)
-    assert sol is not None and sol.degree == 1
-    assert np.prod([v for v in sol.values.values()]) == -1
+    # one bit per component, of odd parity: the signs multiply to -1
+    assert sol is not None and len(sol) == len(nerve.keys) == 3
+    assert sol.sum() % 2 == 1
+    assert ((nerve.delta1 @ sol) & 1).tolist() == cochain.tolist()
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 12))
@@ -324,11 +332,14 @@ def test_nerve_incidence_matrices():
 
 
 @st.composite
-def _generated_nerves(draw):
-    """A ring of 2-6 charts or a 2 x 2 or 3 x 3 torus grid of charts, in
-    random chart order, optionally with a chart that meets no overlap.
-    Each overlap has one or two path components of 1-4 points whose ids
-    come from a pool of six, so a chart's overlaps share some ids."""
+def _nerve_parts(draw):
+    """The charts, overlaps and triple points of a ring of 2-6 charts or a
+    2 x 2 or 3 x 3 torus grid of charts, in random chart order, optionally
+    with a chart that meets no overlap.  Each overlap has one or two path
+    components of 1-4 points whose ids come from a pool of six, so a
+    chart's overlaps share some ids.  Where three charts overlap pairwise
+    (a ring of 3, a row or column of the 3 x 3 grid), some of the ids in
+    all three overlaps are triple points, in random order."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 6))
         names = [f"c{i}" for i in range(n)]
@@ -348,50 +359,133 @@ def _generated_nerves(draw):
             path = tuple((i, i + 1) for i in range(len(ids) - 1))
             comps.append(OverlapComponent(tuple(_pt(p) for p in ids), path))
         overlaps[pair] = tuple(comps)
+    triples = {}
+    for key in itertools.combinations(sorted(names), 3):
+        a, b, c = key
+        sides = ((a, b), (b, c), (a, c))
+        if not all(side in overlaps for side in sides):
+            continue
+        # the first (component, position) of every id in each overlap
+        first = {side: {} for side in sides}
+        for side in sides:
+            for ci, comp in enumerate(overlaps[side]):
+                for pi, pt in enumerate(comp.points):
+                    first[side].setdefault(pt.id, (ci, pi))
+        common = sorted(set.intersection(*(set(at) for at in first.values())))
+        ids = draw(st.lists(st.sampled_from(common), unique=True)) if common else []
+        triples[key] = tuple(TriplePoint(pid, {side: first[side][pid] for side in sides})
+                             for pid in ids)
     if draw(st.booleans()):
         names.append("isolated")
-    return Nerve(tuple(draw(st.permutations(names))), overlaps)
+    return tuple(draw(st.permutations(names))), overlaps, triples
+
+
+def _generated_nerves():
+    """The nerves of _nerve_parts."""
+    return _nerve_parts().map(lambda parts: Nerve(*parts))
 
 
 @given(_generated_nerves())
 def test_chart_rows_index_every_chart_point(nerve):
-    index = nerve.point_index
-    # the pair of every overlap row, read off the nerve on its own
-    pairs = [pair for pair, ci in nerve.component_list()
-             for _ in nerve.overlaps[pair][ci].points]
-    assert len(pairs) == len(index.points) == len(index.ends)
+    # the pair of every overlap row, read off the overlaps on their own
+    pairs = [pair for pair in sorted(nerve.overlaps) for comp in nerve.overlaps[pair]
+             for _ in comp.points]
+    assert len(pairs) == len(nerve.points) == len(nerve.ends)
     start = 0
     for ch in nerve.charts:
-        rows = index.charts[ch]
+        rows = nerve.charts[ch]
         assert rows.start == start
         start = rows.stop
         met = [r for r, pair in enumerate(pairs) if ch in pair]
-        ids = list(dict.fromkeys(index.points[r].id for r in met))
-        sites = [index.sites[r] for r in rows]
+        ids = list(dict.fromkeys(nerve.points[r].id for r in met))
+        sites = [nerve.sites[r] for r in rows]
         assert all(c == ch for c, _ in sites)
         if met:
             # its distinct point ids in first-row order
             assert [pt.id for _, pt in sites] == ids
             # the draw population: its overlap rows, duplicates included
-            assert [index.sites[r][1].id for r in index.draws[ch]] == [
-                index.points[r].id for r in met]
-            assert all(r in rows for r in index.draws[ch])
+            assert [nerve.sites[r][1].id for r in nerve.draws[ch]] == [
+                nerve.points[r].id for r in met]
+            assert all(r in rows for r in nerve.draws[ch])
         else:
             assert sites == [(ch, ORIGIN)]
-            assert index.draws[ch] == [rows.start]
+            assert nerve.draws[ch] == [rows.start]
         edges = {tuple(sorted((comp.points[i].id, comp.points[j].id)))
                  for pair in nerve.overlaps if ch in pair
                  for comp in nerve.overlaps[pair] for i, j in comp.edges}
         # the chart's sample graph: the edges its walk visits from its rows
-        walk = index.chart_walk
-        assert {tuple(sorted((index.sites[cur][1].id, index.sites[nxt][1].id)))
+        walk = nerve.chart_walk
+        assert {tuple(sorted((nerve.sites[cur][1].id, nerve.sites[nxt][1].id)))
                 for (cur, nxt), depth in zip(walk.visits.tolist(), walk.depth.tolist())
                 if depth != 0 and cur in rows} == edges
-    assert start == len(index.sites)
+    assert start == len(nerve.sites)
     # both chart rows of an overlap row carry its point id
-    for r, (pair, ends) in enumerate(zip(pairs, index.ends.tolist())):
+    for r, (pair, ends) in enumerate(zip(pairs, nerve.ends.tolist())):
         for ch, e in zip(pair, ends):
-            assert (index.sites[e][0], index.sites[e][1].id) == (ch, index.points[r].id)
+            assert (nerve.sites[e][0], nerve.sites[e][1].id) == (ch, nerve.points[r].id)
+
+
+def _former_maps(charts, overlaps, triples):
+    """The maps the nerve now builds, as they were built before it did,
+    by walking the memberships: the sorted components, the sorted triple
+    points, the overlap rows of every component and of the factors of
+    every triple point, and the coboundaries."""
+    comps = [(pair, ci) for pair in sorted(overlaps) for ci in range(len(overlaps[pair]))]
+    tps = [(key, tp) for key in sorted(triples) for tp in triples[key]]
+    spans, start = {}, 0
+    for pair, ci in comps:
+        size = len(overlaps[pair][ci].points)
+        spans[(pair, ci)] = range(start, start + size)
+        start += size
+    triple_rows = [[spans[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
+                    for pair in ((a, b), (b, c), (a, c))] for (a, b, c), tp in tps]
+    col = {ch: i for i, ch in enumerate(charts)}
+    delta0 = np.zeros((len(comps), len(charts)), dtype=np.uint8)
+    delta0[np.repeat(np.arange(len(comps)), 2),
+           [col[ch] for pair, _ in comps for ch in pair]] = 1
+    at = {key: i for i, key in enumerate(comps)}
+    delta1 = np.zeros((len(tps), len(comps)), dtype=np.uint8)
+    delta1[np.repeat(np.arange(len(tps)), 3),
+           [at[(pair, tp.memberships[pair][0])]
+            for (a, b, c), tp in tps for pair in ((a, b), (b, c), (a, c))]] = 1
+    return comps, tps, spans, triple_rows, delta0, delta1
+
+
+@given(_nerve_parts(), st.data())
+def test_nerve_maps_match_former_builds(parts, data):
+    nerve = Nerve(*parts)
+    comps, tps, spans, triple_rows, delta0, delta1 = _former_maps(*parts)
+    assert nerve.keys == comps == list(nerve.components)
+    assert [(key, tp.id) for key, tp in nerve.triples] == [(key, tp.id) for key, tp in tps]
+    assert nerve.components == spans
+    assert nerve.triple_rows.tolist() == triple_rows
+    assert nerve.triple_rows.shape == (len(tps), 3)
+    assert nerve.delta0.tolist() == delta0.tolist()
+    assert nerve.delta1.tolist() == delta1.tolist()
+    assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
+    # every row's component and chart number against the ranges
+    for i, rows in enumerate(nerve.components.values()):
+        assert nerve.comp[rows].tolist() == [i] * len(rows)
+    for i, rows in enumerate(nerve.charts.values()):
+        assert nerve.chart[rows].tolist() == [i] * len(rows)
+    assert len(nerve.comp) == len(nerve.points)
+    assert len(nerve.chart) == len(nerve.sites)
+    # a sign cochain's bits against its former dict, which counted a
+    # triple point it does not name as +1
+    named = data.draw(st.lists(st.sampled_from(tps), unique_by=lambda t: id(t[1]))
+                      if tps else st.just([]))
+    values = [{"triple": list(key), "point": tp.id,
+               "sign": data.draw(st.sampled_from([1, -1]))} for key, tp in named]
+    signs = {(tuple(v["triple"]), v["point"]): v["sign"] for v in values}
+    former = [0 if signs.get((key, tp.id), 1) == 1 else 1 for key, tp in tps]
+    bits = _build_sign_cochain("c", {"degree": 2, "values": values}, nerve)
+    assert bits.dtype == np.uint8 and bits.tolist() == former
+    feasible = gf2_solve(delta1, np.array(former, dtype=np.uint8)) is not None
+    sol = z2_coboundary_solve(nerve, bits)
+    assert (sol is not None) == feasible
+    if sol is not None:
+        assert len(sol) == len(comps)
+        assert ((delta1 @ sol) & 1).tolist() == former
 
 
 @pytest.mark.parametrize("name", builtin_scenario_names())

@@ -16,6 +16,9 @@ from hfe.scenario import (
     load_scenario,
 )
 
+# a warning is an engine fault here: it would reach the user's stderr
+pytestmark = pytest.mark.filterwarnings("error")
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -466,6 +469,33 @@ def test_obstruction_without_gl_cocycle_checks_its_sign_cochains(
                    "obstruction.cochain.trivial"]
 
 
+def _cochain_at_unknown_point(doc):
+    doc["sign_cochains"]["fundamental_class"]["values"][0]["point"] = "nope"
+    doc["expectations"]["sign_cochains"]["fundamental_class"] = "feasible"
+
+
+def _degree_one_cochain(doc):
+    doc["sign_cochains"]["fundamental_class"]["degree"] = 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the value at the unknown point counted as +1: the cochain was
+    # feasible and the run passed
+    (_cochain_at_unknown_point, "invalid scenario data: sign cochain "
+     "'fundamental_class' names point 'nope' of triple ['B', 'E', 'N'], which the "
+     "nerve does not have"),
+    # the run recorded obstruction.error "expected a degree-2 sign cochain"
+    (_degree_one_cochain, "scenario schema violation at "
+     "sign_cochains/fundamental_class/degree: 1 is not one of [2]"),
+], ids=["unknown-point", "degree-1"])
+def test_exit_2_on_a_sign_cochain_that_means_nothing(edit, message, tmp_path, capsys):
+    path = _scenario_file(tmp_path, "sphere_octa", edit)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_obstruction_is_skipped_when_validate_fails(monkeypatch, capsys):
     # gl.cocycle is missing because its producer failed, not because the
     # scenario has none: the lift check must not vanish silently
@@ -602,6 +632,17 @@ def test_step_angle_that_underflows_is_tracked(tmp_path, capsys):
     # subnormal, where cmath.phase raised OverflowError (a traceback)
     path = _gl_path_file(tmp_path, "subnormal_mobius", _ZETA,
                          [0.75, 1.668805393880405e-309], [1.5, 3.337610787760805e-309])
+    code, out, err = run(capsys, "verify", path)
+    assert (code, err) == (0, "")
+    assert "obstruction.lift" in out
+
+
+def test_transition_near_the_float_maximum_is_tracked(tmp_path, capsys):
+    # the constant 1e308 + 1e308i on one edge: Python's quotient of the
+    # two values is nan + 0j, which was reported as a branch jump, and
+    # det warned of an overflow on stderr
+    path = _gl_path_file(tmp_path, "near_max", {"name": "const", "params": {
+        "value": [[[1e308, 1e308]]]}}, [0.0], [1.0])
     code, out, err = run(capsys, "verify", path)
     assert (code, err) == (0, "")
     assert "obstruction.lift" in out

@@ -26,7 +26,7 @@ def circle_nerve():
     )
 
 
-SITES = circle_nerve().point_index.sites
+SITES = circle_nerve().sites
 
 
 def _samples(**fns):

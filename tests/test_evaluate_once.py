@@ -110,11 +110,11 @@ def test_generators_run_once_per_component_or_chart(monkeypatch):
 
     monkeypatch.setattr(scenario_mod, "build_generator", counting_build)
     sc = load_scenario(_ring_doc())
-    index = sc.nerve.point_index
-    components = Counter(tuple(pt.id for pt in index.points[rows.start:rows.stop])
-                         for rows in index.components.values())
-    charts = Counter(tuple(pt.id for _, pt in index.sites[rows.start:rows.stop])
-                     for rows in index.charts.values())
+    nerve = sc.nerve
+    components = Counter(tuple(pt.id for pt in nerve.points[rows.start:rows.stop])
+                         for rows in nerve.components.values())
+    charts = Counter(tuple(pt.id for _, pt in nerve.sites[rows.start:rows.stop])
+                     for rows in nerve.charts.values())
     # at load, every cocycle generator runs once, on the stack of the
     # points of its component, and every delta, section and pair-section
     # generator once, on the stack of the rows of its chart

@@ -148,11 +148,11 @@ def _flat(value):
 def _evaluations(doc):
     """(label, spec, n, k, points) of every generator of a document."""
     n, k = doc["n"], doc["k"]
-    index = _build_nerve(doc["nerve"]).point_index
-    comps = {(pair, ci): index.points[rows.start:rows.stop]
-             for (pair, ci), rows in index.components.items()}
-    rows = {ch: [pt for _, pt in index.sites[r.start:r.stop]]
-            for ch, r in index.charts.items()}
+    nerve = _build_nerve(doc["nerve"])
+    comps = {(pair, ci): nerve.points[rows.start:rows.stop]
+             for (pair, ci), rows in nerve.components.items()}
+    rows = {ch: [pt for _, pt in nerve.sites[r.start:r.stop]]
+            for ch, r in nerve.charts.items()}
 
     def cocycle(role, cdoc):
         for tr in cdoc["transitions"]:

@@ -77,7 +77,7 @@ def test_recipe_projection_matches_gl():
     # N with g sigma_b = sigma_a N, solved from the sections on their own
     data, sections = rotation_bundle(theta=0.7), holo_sections()
     r = recipe(data, sections)
-    row = data.nerve.point_index.components[(("a", "b"), 1)][0]
+    row = data.nerve.components[(("a", "b"), 1)][0]
     gl = sections.transport(data).N[row]
     assert np.allclose(r.ml_cocycle.mats[row], gl)
 
@@ -119,7 +119,7 @@ def test_recipe_roots_an_isolated_chart_at_its_origin_row(flip):
     sc = load_scenario(doc)
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     r = recipe(data, sc.sections_first, sheet_flips={"2": flip})
-    row, = sc.nerve.point_index.charts["2"]
+    row, = sc.nerve.charts["2"]
     det = np.linalg.det(sc.sections_first.transport(data).C)[row]
     assert r.chart_z[row] == flip * principal_sqrt(complex(det))
 
@@ -186,7 +186,7 @@ def test_delta_D_on_nonorientable_scenario(rng):
     # gluing exercises the |det A| convention
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
-    g = sc.mp_cocycle.mats[sc.nerve.point_index.components[(("0", "1"), 1)][0]]
+    g = sc.mp_cocycle.mats[sc.nerve.components[(("0", "1"), 1)][0]]
     assert np.linalg.det(g[: sc.k, : sc.k]) < 0
     dt = build_delta_D_tilde(data, sc.pair_sections, rng)
     assert dt.checks["invariance"] < 1e-8

@@ -248,7 +248,7 @@ def test_obstructed_first_member_skips_induce_and_delta_tilde():
     sc = load_scenario(builtin_scenario_path("sphere_octa"))
     gl = sc.gl_cocycle
     sc.pair_cocycle = Cocycle("Glkd", gl.n, gl.k, np.stack([gl.mats, gl.mats], axis=1))
-    sc.delta_samples = np.ones(len(sc.nerve.point_index.sites), dtype=complex)
+    sc.delta_samples = np.ones(len(sc.nerve.sites), dtype=complex)
     sc.pipelines = ["lift", "delta_tilde"]
     report = run_scenario(sc)
     assert not _check(report, "lift.double-cover").passed

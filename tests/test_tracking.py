@@ -125,6 +125,20 @@ def test_track_sqrt_steps_through_a_subnormal_step_angle():
         _alone(_subnormal_path(False), 1.0)
 
 
+@pytest.mark.parametrize("f", [
+    lambda t: np.full(len(t), 1e308 + 1e308j),
+    # every grid step turns by _THETA, so _bisect takes it
+    lambda t: 1.5e308 * np.exp(1j * (np.pi / 4 + 16 * _THETA * t)),
+], ids=["constant", "turning"])
+def test_track_sqrt_near_the_float_maximum(f):
+    # Python's quotient of two such values overflows (nan + 0j for equal
+    # ones), which the trackers took for a step they must bisect, until
+    # the bisection depth was exceeded
+    start, end = f(np.array([0.0, 1.0])).tolist()
+    z = _alone(f, cmath.sqrt(start))
+    assert abs(z * z - end) <= 1e-14 * abs(end)
+
+
 def _track_path_graph(vals):
     """track_graph on the path 0 - 1 - ... - m-1, rooted at vertex 0."""
     edges = [(i, i + 1) for i in range(len(vals) - 1)]
@@ -395,9 +409,8 @@ def test_chart_tracking_matches_former_tracker(case, flip):
     # the roots go in sorted point-id order, a random order of the
     # vertices; == compares every root bit for bit up to the sign of zero
     nerve, vals = case
-    index = nerve.point_index
-    ids = [pt.id for _, pt in index.sites]
-    rows = index.charts["a"]
+    ids = [pt.id for _, pt in nerve.sites]
+    rows = nerve.charts["a"]
     got = _outcome(lambda: dict(zip(ids[rows.start:rows.stop], chart_sqrt_values(
         nerve, [vals[pid] for pid in ids], {"a": flip})[rows].tolist())))
     want = _outcome(lambda: _oracle_chart_sqrt_values(
@@ -427,7 +440,7 @@ def test_lift_tracking_matches_former_tracker(case):
 
     def lifted():
         ml = lift_double_cover(nerve, gl)
-        return dict(zip([pt.id for pt in nerve.point_index.points], ml.roots.tolist()))
+        return dict(zip([pt.id for pt in nerve.points], ml.roots.tolist()))
 
     def former():
         out = {}
