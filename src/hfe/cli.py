@@ -71,6 +71,18 @@ def _parse_tolerances(items: list[str]) -> dict[str, float]:
     return out
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2**64), the seeds of the draw
+    stream (hfe.sampling.Draws)."""
+    try:
+        seed = int(text)
+        if 0 <= seed < 2 ** 64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
+
+
 def _resolve(target: str) -> str:
     """A scenario argument is a file path or a built-in scenario name."""
     if os.path.exists(target):
@@ -97,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tolerance", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="tolerance override (rel, abs, singular, track)")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0,
+                   help="seed of the draw stream, an integer in [0, 2**64)")
     v.add_argument("--report", choices=("json", "text"), default="text")
 
     sub.add_parser("list-scenarios", help="list the built-in scenario corpus")

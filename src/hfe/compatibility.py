@@ -28,7 +28,7 @@ from .errors import (
     raise_first,
 )
 from .groups import det_stack, rel_residual, subgroup_classify
-from .sampling import random_mlkd_stack
+from .sampling import Draws, random_mlkd_stack
 
 # seeded random draws per chart in the translation-law and positivity checks
 _DRAWS_PER_CHART = 20
@@ -182,7 +182,7 @@ class DeltaTildeData:
         self.epsilon = epsilon
 
 
-def draw_translations(rng: np.random.Generator, n: int, k: int,
+def draw_translations(rng: Draws, n: int, k: int,
                       rows: list[int] | range, diagonal: bool = False) -> dict:
     """One seeded random metalinear pair per chart row of rows, or
     (diagonal) one element taken twice, drawn as one stack by
@@ -194,7 +194,7 @@ def draw_translations(rng: np.random.Generator, n: int, k: int,
     return blocks
 
 
-def _chart_draws(nerve: Nerve, rng: np.random.Generator) -> list[int]:
+def _chart_draws(nerve: Nerve, rng: Draws) -> list[int]:
     """_DRAWS_PER_CHART seeded chart rows per chart, drawn from the
     chart's draw population (see Nerve.draws) by one integers call per
     chart."""
@@ -205,7 +205,7 @@ def _chart_draws(nerve: Nerve, rng: np.random.Generator) -> list[int]:
 def _check_translation_law(
     dt: DeltaTildeData,
     data: PolarizationPairData,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> float:
     """Squared identity under random metalinear-pair translations.
 
@@ -224,7 +224,7 @@ def build_delta_tilde(
     data: PolarizationPairData,
     z1: Cocycle,
     z2: Cocycle,
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[Draws] = None,
     base_values: Optional[np.ndarray] = None,
 ) -> DeltaTildeData:
     """Glue the global square-root datum from base values at every chart
@@ -274,7 +274,7 @@ def verify_uniqueness(nerve: Nerve, z2a: Cocycle, z2b: Cocycle) -> dict[str, int
     return witness
 
 
-def self_compat(data: PolarizationPairData, z1: Cocycle, rng: np.random.Generator
+def self_compat(data: PolarizationPairData, z1: Cocycle, rng: Draws
                 ) -> tuple[DeltaTildeData, DeltaTildeData]:
     """Self-compatibility: diagonal pair data admits a square-root datum.
 

@@ -32,6 +32,7 @@ from .frames import (
     validate_lagrangian,
 )
 from .groups import check_ml, ml_checks, rel_residual, spk_blocks
+from .sampling import Draws
 from .tracking import cdiv, cmul, track_graph
 
 
@@ -255,7 +256,7 @@ def recipe(
 
 
 def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionData,
-                        rng: np.random.Generator) -> DeltaTildeData:
+                        rng: Draws) -> DeltaTildeData:
     """Global square-root pairing datum on a D-adapted metaplectic bundle.
 
     Per chart, the value at a sampled meta pair is delta_L_tilde of its
@@ -315,7 +316,7 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
 
 
 def cross_check(data: MetaplecticBundleData, sections1: FrameSectionData,
-                sections2: FrameSectionData, rng: np.random.Generator) -> dict:
+                sections2: FrameSectionData, rng: Draws) -> dict:
     """Metaplectically induced metalinear bundles are compatible.
 
     Runs the recipe for both section families, assembles the pair data

@@ -50,6 +50,7 @@ from .config import (
 from .errors import EngineError, GluingError, TheoremFalsification
 from .frames import check_frame_pairs, delta, validate_lagrangian
 from .report import CheckRecord, VerificationReport
+from .sampling import Draws
 from .scenario import Scenario, load_scenario
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,7 @@ def run_scenario(
     overrides = dict(scenario.tolerance_overrides)
     overrides.update(tolerances or {})
     report = VerificationReport(scenario=scenario.name, seed=seed)
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     artefacts: dict = {}
     # stage -> why it produced nothing: it was skipped or failed
     unfinished: dict[str, str] = {}

@@ -59,14 +59,16 @@ def _turns(ratio: np.ndarray) -> np.ndarray:
 
 
 def _ratio(a, b) -> np.ndarray:
-    """The step ratio a / b of both trackers: cdiv, except where the
-    quotient of finite operands is not finite, as it is near the float
-    maximum (Python's (1e308+1e308j) / (1e308+1e308j) is nan+0j); there
-    both operands are halved first.  Halving is exact for normal parts,
-    and every other ratio is cdiv's, bit for bit."""
+    """The step ratio a / b of both trackers: cdiv, except where Smith's
+    denominator overflows near the float maximum, so that the quotient
+    of finite operands is not finite (Python's (1e308+1e308j) /
+    (1e308+1e308j) is nan+0j) or that of nonzero ones is zero
+    ((-1e308j) / (1e308-1e308j) is -0j, not 0.5-0.5j); there both
+    operands are halved first.  Halving is exact for normal parts, and
+    every other ratio is cdiv's, bit for bit."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     q = cdiv(a, b)
-    redo = ~np.isfinite(q) & np.isfinite(a) & np.isfinite(b)
+    redo = (~np.isfinite(q) | ((q == 0) & (a != 0))) & np.isfinite(a) & np.isfinite(b)
     if redo.any():
         half = [_complex(0.5 * x.real, 0.5 * x.imag) for x in (a, b)]
         q = np.where(redo, cdiv(*half), q)

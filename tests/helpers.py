@@ -7,7 +7,7 @@ import numpy as np
 
 from hfe import ball
 from hfe.frames import check_ball, validate_lagrangian
-from hfe.sampling import _invertible_stack, random_complex
+from hfe.sampling import _invertible_stack
 from hfe.tracking import track_sqrt
 
 
@@ -23,9 +23,14 @@ def per_point(fn):
     return stacked
 
 
+def normal_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex entries with standard normal real, then imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def random_gl(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random invertible complex matrix (redraw while near-singular)."""
-    return _invertible_stack(lambda c: random_complex(rng, (c, n, n)), 1)[0][0]
+    return _invertible_stack(lambda c: normal_complex(rng, (c, n, n)), 1)[0][0]
 
 
 def random_gl_real(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -60,7 +65,7 @@ def random_ball_point(rng: np.random.Generator, n: int, radius: float = 0.9
     symmetric matrix scaled to a uniform fraction in [0.05, 1) of radius
     (left as drawn if its norm is below 1e-12), checked as a Ball
     point."""
-    W = random_complex(rng, (n, n))
+    W = normal_complex(rng, (n, n))
     W = 0.5 * (W + W.T)
     nrm = np.linalg.norm(W, 2) if n else 0.0
     if nrm >= 1e-12:

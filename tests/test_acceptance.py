@@ -21,10 +21,11 @@ from hfe.frames import (
     validate_lagrangian,
 )
 from hfe.groups import check_ml, ml_mul
-from hfe.sampling import random_complex, random_mlkd_stack
+from hfe.sampling import random_mlkd_stack
 
 from helpers import (
     gamma_two_legs,
+    normal_complex,
     random_ball_point,
     random_gl,
     random_gl_real,
@@ -44,7 +45,7 @@ def _block_pair(rng, n, k):
     A = random_gl_real(rng, k)
     frames = []
     for _ in range(2):
-        B = random_complex(rng, (k, n - k))
+        B = normal_complex(rng, (k, n - k))
         Ur, Vr = random_positive_frame(rng, n - k)
         U = np.zeros((n, n), dtype=complex)
         V = np.zeros((n, n), dtype=complex)
@@ -65,7 +66,7 @@ def _columns(U, V):
 def _ball_stack(rng, m, r, radius=0.9):
     """m symmetric r x r matrices of operator norm < radius, each scaled
     as random_ball_point scales one."""
-    W = random_complex(rng, (m, r, r))
+    W = normal_complex(rng, (m, r, r))
     W = 0.5 * (W + np.swapaxes(W, -1, -2))
     if not r:
         return W
@@ -378,7 +379,7 @@ def test_criterion_11_density_invariance():
         A = random_gl_real(rng, k)
         metas, frames = [], []
         for _ in range(2):
-            B = random_complex(rng, (k, n - k))
+            B = normal_complex(rng, (k, n - k))
             Wr = random_ball_point(rng, n - k)
             Cr = random_gl(rng, n - k)
             W = np.zeros((n, n), dtype=complex)

@@ -124,6 +124,48 @@ def test_jsonschema_is_imported_only_for_a_rejected_document(tmp_path):
                            "'x' is not of type 'array'\n")
 
 
+_RANDOM_PROBE = """
+import sys
+import hfe.cli
+code = hfe.cli.main(["verify", sys.argv[1], "--report", "json"])
+assert "numpy.random" not in sys.modules, "numpy.random imported"
+sys.exit(code)
+"""
+
+
+_DOCUMENTS = sorted((Path(__file__).parent / "golden" / "scenarios").glob("*.json"))
+
+
+# the engine draws from its own stream (hfe.sampling.Draws), so no
+# verification pays numpy.random's import
+@pytest.mark.parametrize("target", builtin_scenario_names() + [str(p) for p in _DOCUMENTS],
+                         ids=builtin_scenario_names() + [p.stem for p in _DOCUMENTS])
+def test_no_verification_imports_numpy_random(target):
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_PROBE, target],
+                          capture_output=True, text=True, timeout=120,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_exit_2_on_a_seed_outside_the_draw_stream(seed, capsys):
+    # a 64-bit counter would alias such a seed to another one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "trivial_r2", "--seed", seed])
+    assert exc.value.code == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert f"argument --seed: seed must be an integer in [0, 2**64), got '{seed}'" in err
+    assert "Traceback" not in err
+
+
+def test_the_largest_seed_is_verified(capsys):
+    code, out, _ = run(capsys, "verify", "circle_mobius", "--seed", str(2 ** 64 - 1),
+                       "--report", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == 2 ** 64 - 1
+
+
 _THREADS_PROBE = """
 import json
 import os

@@ -20,11 +20,11 @@ from hfe.frames import (
     validate_lagrangian,
 )
 from hfe.groups import ml_mul
-from hfe.sampling import random_complex
 
 from helpers import (
     delta_L_from_wc,
     gamma_two_legs,
+    normal_complex,
     random_ball_point,
     random_gl,
     random_gl_real,
@@ -234,7 +234,7 @@ def test_delta_L_restriction_matches_ambient(rng):
         A = random_gl_real(rng, k)
         frames = []
         for _ in range(2):
-            B = random_complex(rng, (k, n - k))
+            B = normal_complex(rng, (k, n - k))
             Ur, Vr = random_positive_frame(rng, n - k)
             U = np.zeros((n, n), dtype=complex)
             V = np.zeros((n, n), dtype=complex)
@@ -258,7 +258,7 @@ def test_delta_L_rejects_bad_block_pattern():
 
 
 def _block_meta(rng, n, k, A):
-    B = random_complex(rng, (k, n - k))
+    B = normal_complex(rng, (k, n - k))
     Wr = random_ball_point(rng, n - k)
     Cr = random_gl(rng, n - k)
     W = np.zeros((n, n), dtype=complex)
@@ -315,7 +315,7 @@ def test_liouville_volume_is_a_determinant(rng):
         # the prefactor gives the standard symplectic basis volume +1
         assert abs(sign * _pfaffian(omega) - 1.0) < 1e-12
         for _ in range(20):
-            X = random_complex(rng, (2 * n, 2 * n))
+            X = normal_complex(rng, (2 * n, 2 * n))
             det = np.linalg.det(X)
             pf = sign * _pfaffian(X.T @ omega @ X)
             assert abs(pf - det) < 1e-12 * max(1.0, abs(det))
@@ -343,10 +343,10 @@ def _density_stack(n, k, P=3):
     prequantum pairing and of nu1, nu2, and signed roots of delta."""
     rng = np.random.default_rng(1000 * n + k)
     shared = rng.standard_normal((P, 2 * n, k))
-    S1 = np.concatenate([shared, random_complex(rng, (P, 2 * n, n - k))], axis=-1)
-    S2 = np.concatenate([shared, random_complex(rng, (P, 2 * n, n - k))], axis=-1)
+    S1 = np.concatenate([shared, normal_complex(rng, (P, 2 * n, n - k))], axis=-1)
+    S2 = np.concatenate([shared, normal_complex(rng, (P, 2 * n, n - k))], axis=-1)
     lifts = rng.standard_normal((P, 2 * n, 2 * n - k))
-    preq, nu1, nu2 = random_complex(rng, (3, P))
+    preq, nu1, nu2 = normal_complex(rng, (3, P))
     signs = rng.choice([-1.0, 1.0], P)
     dt = signs * np.array([principal_sqrt(d) for d in delta(S1, S2, k)])
     return preq, nu1, nu2, S1, S2, lifts, dt

@@ -139,6 +139,33 @@ def test_track_sqrt_near_the_float_maximum(f):
     assert abs(z * z - end) <= 1e-14 * abs(end)
 
 
+# Smith's denominator of a quotient by 1e308-1e308j overflows, and for
+# -1e308j over it the numerator stays finite: Python's quotient is -0j,
+# not 0.5-0.5j, a step of pi/4
+_BIG, _TURNED = 1e308 - 1e308j, -1e308j
+
+
+def test_track_graph_takes_a_step_whose_quotient_underflows_to_zero():
+    z = _track_path_graph([_BIG, _TURNED])
+    assert z[0] == cmath.sqrt(_BIG)
+    assert abs(z[1] - cmath.sqrt(_BIG) * cmath.sqrt(0.5 - 0.5j)) <= 1e-15 * abs(z[1])
+
+
+def test_track_sqrt_takes_a_step_whose_quotient_underflows_to_zero():
+    # the spiral from _BIG, near _TURNED at t = 1/16, turning by pi/4
+    # (ratio 0.5-0.5j) each grid step; its first step was bisected
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        w = np.exp(16 * t * cmath.log(0.5 - 0.5j))
+        return 1e308 * (w.real + w.imag) + 1e308j * (w.imag - w.real)
+
+    z = _alone(f, cmath.sqrt(_BIG))
+    assert calls == [17]
+    assert abs(z - cmath.sqrt(_BIG) / 16) <= 1e-14 * abs(z)
+
+
 def _track_path_graph(vals):
     """track_graph on the path 0 - 1 - ... - m-1, rooted at vertex 0."""
     edges = [(i, i + 1) for i in range(len(vals) - 1)]
