@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import get_tolerances
 from .errors import SingularityError, ValidationError
+from .smallmat import det, inv, opnorm
 
 
 def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -47,8 +48,8 @@ def sp_apply(g: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, n
 
 def check_positive(dets: np.ndarray) -> None:
     """Raise SingularityError if a determinant of U - iV (equivalently of
-    alpha(g, W)) is within the ``singular`` tolerance of zero."""
-    if np.any(np.abs(dets) <= get_tolerances().singular):
+    alpha(g, W)) is NaN or within the ``singular`` tolerance of zero."""
+    if np.any(~(np.abs(dets) > get_tolerances().singular)):
         raise SingularityError("U - iV is singular (frame not positive)")
 
 
@@ -57,8 +58,8 @@ def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
-    check_positive(np.linalg.det(C))
-    W = (U + 1j * V) @ np.linalg.inv(C)
+    check_positive(det(C))
+    W = (U + 1j * V) @ inv(C)
     return W, C
 
 
@@ -90,8 +91,8 @@ def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     P, Q, R, S = cayley_blocks(g)
     alpha = P + Q @ W
-    check_positive(np.linalg.det(alpha))
-    return (R + S @ W) @ np.linalg.inv(alpha), alpha
+    check_positive(det(alpha))
+    return (R + S @ W) @ inv(alpha), alpha
 
 
 def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,5 +102,5 @@ def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not W.shape[-1]:
         return np.zeros(len(W)), np.zeros(len(W))
     sym = np.max(np.abs(W - np.swapaxes(W, -1, -2)), axis=(-2, -1))
-    norm = np.linalg.norm(W, 2, axis=(-2, -1))
+    norm = opnorm(W)
     return sym, np.maximum(0.0, norm - 1.0)

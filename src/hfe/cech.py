@@ -22,6 +22,7 @@ import numpy as np
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
+from .smallmat import det
 from .tracking import Walk, cabs, cdiv, cmul, track_graph
 
 PairKey = tuple[str, str]
@@ -322,7 +323,7 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
         if c.group == "Glkd":
             G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
         with np.errstate(all="ignore"):
-            size = np.abs(np.linalg.det(c.mats))
+            size = np.abs(det(c.mats))
         if not np.isfinite(size).all():
             raise ValidationError(f"{what} has a non-finite determinant")
         if np.any(size <= get_tolerances().singular):
@@ -331,7 +332,7 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
         return np.zeros(len(c.mats))
     if c.group == "Mp":
         G.check_sp(c.mats)
-    dets = G.alpha0_det(c.mats) if c.group == "Mp" else G.det_stack(c.mats)
+    dets = G.alpha0_det(c.mats) if c.group == "Mp" else det(c.mats)
     return cabs(cmul(c.roots, c.roots) - dets) / np.fmax(1.0, cabs(dets))
 
 
@@ -522,7 +523,7 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     """
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
-    z = track_graph(G.det_stack(c.mats), nerve.overlap_walk,
+    z = track_graph(det(c.mats), nerve.overlap_walk,
                     [pt.id for pt in nerve.points], 1, jump=lambda r: "(edge too long)",
                     cycle=lambda r: "around a cycle in component")
 

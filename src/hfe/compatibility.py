@@ -27,8 +27,9 @@ from .errors import (
     ValidationError,
     raise_first,
 )
-from .groups import det_stack, rel_residual, subgroup_classify
+from .groups import rel_residual, subgroup_classify
 from .sampling import Draws, random_mlkd_stack
+from .smallmat import det
 
 # seeded random draws per chart in the translation-law and positivity checks
 _DRAWS_PER_CHART = 20
@@ -80,7 +81,7 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     residuals = rel_residual(delta[b], delta[a] * law)
     res = residuals.tolist()
     failures = [("delta-consistency", *nerve.keys[nerve.comp[r]], nerve.points[r].id,
-                 res[r]) for r in np.flatnonzero(residuals > bound).tolist()]
+                 res[r]) for r in np.flatnonzero(~(residuals <= bound)).tolist()]
     if data.k == data.n:
         # delta is an empty determinant: every sample must be 1
         ones = rel_residual(delta, 1.0).tolist()
@@ -144,7 +145,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
     tols = get_tolerances()
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
     detA = subgroup_classify(G1, G2, data.k)["detA"]
-    premise = np.conj(det_stack(G1)) * det_stack(G2) / (detA * detA)
+    premise = np.conj(det(G1)) * det(G2) / (detA * detA)
     L = z1.mats
     axes = (-2, -1)
     off = np.max(np.abs(L - G1), axis=axes, initial=0.0)
@@ -196,10 +197,11 @@ def draw_translations(rng: Draws, n: int, k: int,
 
 def _chart_draws(nerve: Nerve, rng: Draws) -> list[int]:
     """_DRAWS_PER_CHART seeded chart rows per chart, drawn from the
-    chart's draw population (see Nerve.draws) by one integers call per
-    chart."""
-    return [population[i] for population in nerve.draws.values()
-            for i in rng.integers(len(population), size=_DRAWS_PER_CHART).tolist()]
+    chart's draw population (see Nerve.draws) by one integers call with
+    one high per row."""
+    populations = list(nerve.draws.values())
+    picks = rng.integers(np.repeat([len(p) for p in populations], _DRAWS_PER_CHART))
+    return [populations[j // _DRAWS_PER_CHART][i] for j, i in enumerate(picks.tolist())]
 
 
 def _check_translation_law(
@@ -215,7 +217,7 @@ def _check_translation_law(
     t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve, rng))
     rows, detA = t["rows"], t["detA"]
     val = dt.base[rows] * t["factor"]
-    target = (data.delta_samples[rows] * np.conj(det_stack(t["M1"])) * det_stack(t["M2"])
+    target = (data.delta_samples[rows] * np.conj(det(t["M1"])) * det(t["M2"])
               / (detA * detA))
     return max([0.0, *rel_residual(val * val, target).tolist()])
 

@@ -19,13 +19,8 @@ import numpy as np
 from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
-from .groups import (
-    block_pattern,
-    check_ml,
-    det_stack,
-    shared_corner,
-    tracked_alpha_det,
-)
+from .groups import block_pattern, check_ml, shared_corner, tracked_alpha_det
+from .smallmat import det, hermitian_extremes, inv
 from .tracking import cdiv, cmul, track_sqrt
 
 
@@ -54,7 +49,7 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
                                        np.max(np.abs(V), axis=axes)))
     Ut, Vt = np.swapaxes(U, -1, -2), np.swapaxes(V, -1, -2)
     iso = np.max(np.abs(Ut @ V - Vt @ U), axis=axes)
-    indep = np.linalg.det(Ut.conj() @ U + Vt.conj() @ V)
+    indep = det(Ut.conj() @ U + Vt.conj() @ V)
     raise_first([
         (iso > tols.rel * scale * scale, lambda p: ValidationError(
             f"frame not isotropic (residual {iso[p]:.3e})")),
@@ -62,8 +57,7 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
          lambda p: ValidationError("frame vectors dependent")),
     ])
     H = 1j * (Vt.conj() @ U - Ut.conj() @ V)
-    mineig = np.min(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2).conj())),
-                    axis=-1)
+    mineig, _ = hermitian_extremes(0.5 * (H + np.swapaxes(H, -1, -2).conj()))
     return mineig >= -tols.abs * scale * scale
 
 
@@ -93,7 +87,7 @@ def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     n), for the standard form; raises for the first pair whose
     determinant vanishes."""
     omega = standard_omega(S1.shape[-1])
-    vals = det_stack(
+    vals = det(
         -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:]))
     raise_first([(np.abs(vals) <= get_tolerances().singular,
                   lambda p: SingularityError(
@@ -139,7 +133,7 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     eye = np.eye(n)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return np.linalg.det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
+        return det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
 
     return track_sqrt(f, np.full(P, 2.0 ** (-n / 2.0), dtype=complex))
 
@@ -160,7 +154,7 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     z, a1 = tracked_alpha_det(g, W, zeta)
     check_ml(a1, z)
     _, _, R, S = ball.cayley_blocks(g)
-    return (R + S @ W) @ np.linalg.inv(a1), a1, z
+    return (R + S @ W) @ inv(a1), a1, z
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
     checks2, b2 = frame_pattern(U2, V2, k)
     M = 1j * (np.swapaxes(b1["Vr"], -1, -2).conj() @ b2["Ur"]
               - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
-    vals = det_stack(M)
+    vals = det(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
         (np.abs(vals) <= get_tolerances().singular,
          lambda p: SingularityError("reduced pairing determinant vanishes"))])
@@ -257,5 +251,5 @@ def pairing_density(prequantum, nu1, nu2, S1: np.ndarray, S2: np.ndarray, k: int
         raise_first([(np.abs(factor * factor - d)
                       > identity_bound(get_tolerances()) * np.abs(d),
                       lambda p: ValidationError("delta_tilde does not square to delta"))])
-    vol = det_stack(np.concatenate([S1[..., :k], lifts], axis=-1))
+    vol = det(np.concatenate([S1[..., :k], lifts], axis=-1))
     return np.asarray(prequantum) * np.conj(nu1) * nu2 * factor * np.abs(vol)

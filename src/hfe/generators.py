@@ -24,6 +24,7 @@ from . import ball
 from .cech import SamplePoint
 from .errors import ValidationError
 from .groups import alpha0_det
+from .smallmat import det
 from .tracking import cdiv, cmul
 
 Generator = Callable[[Sequence[SamplePoint]], tuple]
@@ -197,7 +198,7 @@ def _meta_member(spec: dict, n: int, k: int, prefix: str) -> Generator:
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
-    z = int(spec.get("zsign", 1)) * cmath.sqrt(np.linalg.det(C) if n else 1.0)
+    z = int(spec.get("zsign", 1)) * cmath.sqrt(det(C))
 
     def fn(points):
         W = np.zeros((len(points), n, n), dtype=complex)

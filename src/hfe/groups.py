@@ -20,6 +20,7 @@ import numpy as np
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
+from .smallmat import det, inv
 from .tracking import cabs, cmul, track_sqrt
 
 
@@ -49,16 +50,6 @@ def stack_values(parts: Sequence[tuple[Callable, Sequence]], layout: tuple,
     return stacks
 
 
-def det_stack(A: np.ndarray) -> np.ndarray:
-    """The (P,) determinants of a stack A (P, m, m), 1 for m = 0.  A
-    determinant near the float maximum may overflow inside det's
-    factorization without a warning; every caller checks the result."""
-    if not A.shape[-1]:
-        return np.ones(len(A), dtype=complex)
-    with np.errstate(over="ignore"):
-        return np.linalg.det(A)
-
-
 def rel_residual(x, target) -> np.ndarray:
     """The relative residuals |x - t| / max(1, |t|), elementwise."""
     return np.abs(np.subtract(x, target)) / np.maximum(1.0, np.abs(target))
@@ -69,7 +60,7 @@ def ml_checks(A: np.ndarray, z) -> list:
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p].  A
     NaN fails them: the flags are negated comparisons."""
     tols = get_tolerances()
-    dets = det_stack(A)
+    dets = det(A)
     size = cabs(dets)
     return [
         (~(size > tols.singular), lambda p: SingularityError("matrix is singular")),
@@ -124,7 +115,7 @@ def alpha0_det(g: np.ndarray) -> np.ndarray:
     """det alpha(g, 0) of a 2n x 2n matrix g, or the (P,) determinants of
     a stack: alpha(g, 0) is the block P of ball.cayley_blocks.  Raises
     alpha_raw's SingularityError if one is within ``singular`` of 0."""
-    dets = np.linalg.det(ball.cayley_blocks(g)[0])
+    dets = det(ball.cayley_blocks(g)[0])
     ball.check_positive(dets)
     return dets
 
@@ -154,7 +145,7 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
     QW = Q @ W
 
     def f(s: np.ndarray) -> np.ndarray:
-        dets = np.linalg.det(P[:, None] + s[None, :, None, None] * QW[:, None])
+        dets = det(P[:, None] + s[None, :, None, None] * QW[:, None])
         ball.check_positive(dets)
         return dets
 
@@ -210,8 +201,7 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     order one point is checked, for raise_first (a failing rule is a
     SubgroupRejection with the offending indices, region by region and
     row-major; a singular corner a SingularityError), the (P, k, k)
-    real parts of the corners and their (P,) determinants (det_stack,
-    so 1 for k = 0).
+    real parts of the corners and their (P,) determinants (1 for k = 0).
     """
     tols = get_tolerances()
     corners = corner[:, :k, :k]
@@ -219,7 +209,7 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     checks.append(_region_check(real_message, corners.imag,
                                 [(slice(0, k), slice(0, k))], tols.abs))
     corners = corners.real
-    dets = det_stack(corners)
+    dets = det(corners)
     if k:
         checks.append((np.abs(dets) <= tols.singular,
                        lambda p: SingularityError("A-block singular")))
@@ -264,8 +254,8 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
     checks = checks1 + checks2 + shared_corner(A, Ab, k)
     blocks = {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:],
               "D1": A1[:, k:, k:], "D2": A2[:, k:, k:]}
-    blocks.update(detA=detA, detD1=det_stack(blocks["D1"]),
-                  detD2=det_stack(blocks["D2"]))
+    blocks.update(detA=detA, detD1=det(blocks["D1"]),
+                  detD2=det(blocks["D2"]))
     if z1 is not None:
         bound = identity_bound(get_tolerances())
         z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
@@ -295,11 +285,11 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
                             [(s[i], s[j]) for i, j in zero_blocks], tols.abs)]
     A_g = np.swapaxes(g[:, s[0], s[0]], -1, -2)
     if k:
-        checks.append((np.abs(np.linalg.det(A_g)) <= tols.singular,
+        checks.append((np.abs(det(A_g)) <= tols.singular,
                        lambda p: SingularityError("A_g block singular")))
     raise_first(checks)
     if k:
-        inv_res = np.max(np.abs(g[:, s[2], s[2]] - np.linalg.inv(A_g)), axis=(-2, -1))
+        inv_res = np.max(np.abs(g[:, s[2], s[2]] - inv(A_g)), axis=(-2, -1))
         bound = check_bound(tols) * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
         raise_first([(inv_res > bound, lambda p: SubgroupRejection(
             "third diagonal block is not the inverse of the first", []))])

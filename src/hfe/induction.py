@@ -33,6 +33,7 @@ from .frames import (
 )
 from .groups import check_ml, ml_checks, rel_residual, spk_blocks
 from .sampling import Draws
+from .smallmat import det, inv, lstsq
 from .tracking import cdiv, cmul, track_graph
 
 
@@ -193,7 +194,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     gU, gV = ball.sp_apply(g, U[b], V[b])
     Sa = np.concatenate([U[a], V[a]], axis=-2)
     Sg = np.concatenate([gU, gV], axis=-2)
-    N = np.linalg.pinv(Sa) @ Sg
+    N = lstsq(Sa, Sg)
     axes = (-2, -1)
     res = np.max(np.abs(Sa @ N - Sg), axis=axes, initial=0.0)
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
@@ -225,7 +226,7 @@ def recipe(
     nerve = data.nerve
     t = sections.transport(data)
     # per-chart lifted sections
-    z = chart_sqrt_values(nerve, np.linalg.det(t.C), sheet_flips or {})
+    z = chart_sqrt_values(nerve, det(t.C), sheet_flips or {})
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
@@ -237,7 +238,7 @@ def recipe(
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
         f"Ball points disagree on overlap at {nerve.points[p].id}"))])
-    Ninv = np.linalg.inv(t.C[a]) @ moved_A
+    Ninv = inv(t.C[a]) @ moved_A
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)

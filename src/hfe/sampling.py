@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import get_tolerances
 from .groups import check_ml
+from .smallmat import det
 
 _MASK = 2 ** 64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -63,13 +64,15 @@ class Draws:
         u = (x >> np.uint64(11)).astype(float) * 2.0 ** -53
         return (low + (high - low) * u).reshape(shape)
 
-    def integers(self, high: int, size=None) -> np.ndarray:
+    def integers(self, high, size=None) -> np.ndarray:
         """int64 values x mod high in [0, high) for the next values x
-        (biased by at most high / 2**64), 1 <= high <= 2**63."""
-        if not 1 <= high <= 2 ** 63:
+        (biased by at most high / 2**64), 1 <= high <= 2**63; high may be
+        an array, which broadcasts against size (its shape by default)."""
+        high = np.asarray(high)
+        if not np.all((1 <= high) & (high <= 2 ** 63)):
             raise ValueError(f"high must be an integer in [1, 2**63], got {high}")
-        x, shape = self._next(size)
-        return (x % np.uint64(high)).astype(np.int64).reshape(shape)
+        x, shape = self._next(high.shape if size is None else size)
+        return (x.reshape(shape) % high.astype(np.uint64)).astype(np.int64)
 
 
 # Matrix entries are uniform on [-_SPREAD, _SPREAD): no transcendental
@@ -85,8 +88,9 @@ def random_real(rng: Draws, shape) -> np.ndarray:
 
 
 def random_complex(rng: Draws, shape) -> np.ndarray:
-    """Real, then imaginary parts drawn by random_real."""
-    return random_real(rng, shape) + 1j * random_real(rng, shape)
+    """Real, then imaginary parts drawn by random_real, in one draw."""
+    u = random_real(rng, (2, *shape))
+    return u[0] + 1j * u[1]
 
 
 # redraw rounds of a rejection; a row still rejected after them is left
@@ -100,14 +104,14 @@ def _invertible_stack(draw, m: int, floor=1e-3) -> tuple[np.ndarray, np.ndarray]
     for r of them) until none is rejected or _REDRAWS rounds are done;
     returns the stack and its determinants."""
     X = draw(m)
-    dets = np.linalg.det(X)
+    dets = det(X)
     floor = np.broadcast_to(floor, (m,))
     bad = np.flatnonzero(np.abs(dets) <= floor)
     for _ in range(_REDRAWS):
         if not bad.size:
             break
         X[bad] = draw(bad.size)
-        dets[bad] = np.linalg.det(X[bad])
+        dets[bad] = det(X[bad])
         bad = bad[np.abs(dets[bad]) <= floor[bad]]
     return X, dets
 

@@ -649,12 +649,12 @@ def test_exit_2_on_mobius_pole_at_a_sample_point(tmp_path, capsys):
 _ZETA = {"name": "mobius_ratio", "params": {"w_a": [0, 0], "w_b": "inf"}}
 
 
-def _gl_path_file(tmp_path, name, generator, *params):
-    """A two-chart n = 1 scenario whose Gl cocycle is ``generator`` on one
+def _gl_path_file(tmp_path, name, generator, *params, n=1):
+    """A two-chart scenario whose Gl cocycle is ``generator`` on one
     overlap component, a path through points with the params, run with
     pipelines validate and obstruction."""
     doc = {
-        "name": name, "n": 1, "k": 0,
+        "name": name, "n": n, "k": 0,
         "nerve": {"charts": ["a", "b"], "overlaps": [{
             "pair": ["a", "b"], "components": [{
                 "points": [{"id": f"p{i}", "params": p} for i, p in enumerate(params)],
@@ -691,7 +691,7 @@ def test_transition_near_the_float_maximum_is_tracked(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("generator, params, error", [
-    # np.linalg.det of the finite 1.7e308 + 1e308i is nan + nan i
+    # the size of the finite 1.7e308 + 1e308i overflows
     (_ZETA, [[1e308, 0], [1.7e308, 1e308]],
      "ValidationError: Gl transition has a non-finite determinant"),
     ({"name": "const", "params": {"value": [[0]]}}, [[0.0]],
@@ -710,6 +710,18 @@ def test_gl_transition_outside_gl_is_a_validate_error(generator, params, error,
     assert checks["validate.error"]["failures"] == [error]
     # no cocycle.gl and no obstruction.lift
     assert list(checks) == ["nerve.structure", "validate.error", "obstruction.skipped"]
+
+
+def test_gl_transition_whose_determinant_is_nan_is_a_validate_error(tmp_path, capsys):
+    # a d - b c of the finite (1e200 1e200; 1e200 2e200) is inf - inf, a
+    # NaN that the determinant kernel returns without a warning
+    path = _gl_path_file(tmp_path, "nan_det", {"name": "const", "params": {
+        "value": [[1e200, 1e200], [1e200, 2e200]]}}, [0.0], n=2)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert (code, err) == (1, "")
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["validate.error"]["failures"] == [
+        "ValidationError: Gl transition has a non-finite determinant"]
 
 
 @pytest.mark.parametrize("generator", [

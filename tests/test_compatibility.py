@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from hfe.compatibility import (
     verify_uniqueness,
 )
 from hfe.errors import GluingError, TheoremFalsification, ValidationError
+from hfe.pipelines import run_scenario
+from hfe.scenario import builtin_scenario_path
 
 from helpers import per_point
 
@@ -254,3 +258,17 @@ def test_self_compat_rejects_nonreal_delta(rng):
     )
     with pytest.raises(ValidationError):
         self_compat(bad, _diagonal_lift(), rng)
+
+
+def test_overflowing_pair_transition_fails_the_delta_law():
+    # conj(det D1) det D2 of the pair transition 1e308 overflows, so the
+    # residual of the delta transformation law is NaN: a failure, not a
+    # pass (a NaN compares false with its bound)
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["pair_cocycle"]["transitions"][0]["generator"]["params"] = {
+        "first": [[1e308]], "second": [[1e308]]}
+    with np.errstate(all="ignore"):
+        report = run_scenario(doc, pipelines=["validate"])
+    check = next(c for c in report.checks if c.check_id == "pair_data.consistency")
+    assert not check.passed
+    assert [f[:4] for f in check.failures] == [("delta-consistency", ("0", "1"), 0, "east")]

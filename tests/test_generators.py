@@ -17,6 +17,7 @@ from hfe.errors import ValidationError
 from hfe.generators import build_generator, parse_complex, parse_matrix
 from hfe.groups import alpha0_det
 from hfe.scenario import _build_nerve, builtin_scenario_names, builtin_scenario_path
+from hfe.smallmat import det
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 
@@ -68,7 +69,7 @@ def _meta_member(spec, n, k):
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
-    z = int(spec.get("zsign", 1)) * principal_sqrt(np.linalg.det(C) if n else 1.0)
+    z = int(spec.get("zsign", 1)) * principal_sqrt(det(C))
 
     def fn(pt):
         W = np.zeros((n, n), dtype=complex)

@@ -57,8 +57,9 @@ def test_circle_scenario_details(corpus_reports):
 
 
 def test_recipe_projection_bound_follows_rel():
-    # the projection residual is ~2e-16; its bound is a tenth of rel
-    path = builtin_scenario_path("circle_mobius")
+    # the projection residual is ~1e-16 (on circle_mobius, n = 1, the
+    # closed forms make it 0); its bound is a tenth of rel
+    path = builtin_scenario_path("abstract_k1_nonorientable")
     for rel, passed in ((1e-14, True), (1e-15, False)):
         report = run_scenario(path, pipelines=["recipe"],
                               tolerances={"rel": rel})
@@ -70,7 +71,7 @@ def test_recipe_projection_bound_follows_rel():
 
 def test_recipe_projection_bound_is_inclusive():
     # a residual exactly at its bound passes, as at every other check
-    path = builtin_scenario_path("circle_mobius")
+    path = builtin_scenario_path("abstract_k1_nonorientable")
     r = _check(run_scenario(path, pipelines=["recipe"]), "recipe.projection").max_residual
     rel = 10 * r
     with tolerance_overrides(rel=rel) as tols:
