@@ -322,8 +322,7 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
         what = "pair cocycle member" if c.group == "Glkd" else "Gl transition"
         if c.group == "Glkd":
             G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
-        with np.errstate(all="ignore"):
-            size = np.abs(det(c.mats))
+        size = np.abs(det(c.mats))
         if not np.isfinite(size).all():
             raise ValidationError(f"{what} has a non-finite determinant")
         if np.any(size <= get_tolerances().singular):

@@ -53,7 +53,7 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     raise_first([
         (iso > tols.rel * scale * scale, lambda p: ValidationError(
             f"frame not isotropic (residual {iso[p]:.3e})")),
-        (np.abs(indep) <= tols.singular,
+        (~(np.abs(indep) > tols.singular),
          lambda p: ValidationError("frame vectors dependent")),
     ])
     H = 1j * (Vt.conj() @ U - Ut.conj() @ V)
@@ -89,7 +89,7 @@ def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     omega = standard_omega(S1.shape[-1])
     vals = det(
         -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:]))
-    raise_first([(np.abs(vals) <= get_tolerances().singular,
+    raise_first([(~(np.abs(vals) > get_tolerances().singular),
                   lambda p: SingularityError(
                       "pairing determinant vanishes (invalid pair)"))])
     return vals.tolist()
@@ -102,9 +102,9 @@ def ball_checks(W: np.ndarray) -> list:
     sym, excess = ball.ball_point_residuals(W)
     scale = np.maximum(1.0, np.max(np.abs(W), axis=(-2, -1))) if W.shape[-1] else 1.0
     return [
-        (sym > tols.abs * scale,
+        (~(sym <= tols.abs * scale),
          lambda p: ValidationError("Ball point not symmetric")),
-        (excess > tols.abs,
+        (~(excess <= tols.abs),
          lambda p: ValidationError("Ball point has operator norm > 1")),
     ]
 
@@ -184,7 +184,7 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
               - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
     vals = det(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
-        (np.abs(vals) <= get_tolerances().singular,
+        (~(np.abs(vals) > get_tolerances().singular),
          lambda p: SingularityError("reduced pairing determinant vanishes"))])
     return vals.tolist()
 

@@ -211,7 +211,7 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     corners = corners.real
     dets = det(corners)
     if k:
-        checks.append((np.abs(dets) <= tols.singular,
+        checks.append((~(np.abs(dets) > tols.singular),
                        lambda p: SingularityError("A-block singular")))
     return checks, corners, dets
 
@@ -285,7 +285,7 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
                             [(s[i], s[j]) for i, j in zero_blocks], tols.abs)]
     A_g = np.swapaxes(g[:, s[0], s[0]], -1, -2)
     if k:
-        checks.append((np.abs(det(A_g)) <= tols.singular,
+        checks.append((~(np.abs(det(A_g)) > tols.singular),
                        lambda p: SingularityError("A_g block singular")))
     raise_first(checks)
     if k:

@@ -56,6 +56,13 @@ def test_validate_rejects_nonisotropic():
         validate_lagrangian(U[None], V[None])
 
 
+def test_validate_rejects_a_frame_whose_gram_determinant_overflows():
+    # det(U* U + V* V) is inf - inf = NaN here, and must not pass
+    U = np.array([[[1e100, 1e100], [1e100, 2e100]]], dtype=complex)
+    with pytest.raises(ValidationError, match="dependent"):
+        validate_lagrangian(U, np.zeros_like(U))
+
+
 def test_validate_positivity_verdict():
     U, V = np.array([[[1.0]], [[1.0]]]), np.array([[[1j]], [[-1j]]])
     assert validate_lagrangian(U, V).tolist() == [True, False]
@@ -417,3 +424,25 @@ def test_ball_point_validation():
         check_ball(np.array([[[0.0, 1.0], [0.0, 0.0]]]))  # not symmetric
     with pytest.raises(ValidationError):
         check_ball(np.array([[[1.5]]]))  # operator norm > 1
+
+
+@pytest.mark.parametrize("W", [np.array([[1e160]]), 1e160 * np.eye(2),
+                               np.array([[0.5, 1e300], [1e300, 0.5]])],
+                         ids=["n=1", "n=2", "n=2-off-diagonal"])
+def test_ball_point_whose_square_overflows_is_rejected(W):
+    # W* W overflows, and the norm must still be finite and fail the test
+    _, excess = ball.ball_point_residuals(W[None])
+    assert np.isfinite(excess).all()
+    with pytest.raises(ValidationError, match="operator norm > 1"):
+        check_ball(W[None])
+
+
+def test_ball_point_with_a_nan_residual_is_rejected(monkeypatch):
+    # a NaN residual fails both Ball checks rather than passing them
+    nan = np.array([np.nan])
+    monkeypatch.setattr(ball, "ball_point_residuals", lambda W: (np.zeros(1), nan))
+    with pytest.raises(ValidationError, match="operator norm > 1"):
+        check_ball(np.zeros((1, 1, 1)))
+    monkeypatch.setattr(ball, "ball_point_residuals", lambda W: (nan, np.zeros(1)))
+    with pytest.raises(ValidationError, match="not symmetric"):
+        check_ball(np.zeros((1, 1, 1)))

@@ -169,6 +169,17 @@ def test_subgroup_classify_pair_shared_a(rng):
         subgroup_classify(M1[:1], M1[1:], 2, z1[:1], z1[1:])
 
 
+def test_corner_whose_determinant_overflows_is_singular():
+    # a d - b c of this corner is inf - inf = NaN, which the guards reject
+    A = np.array([[[1e200, 1e200], [1e200, 2e200]]])
+    with pytest.raises(SingularityError, match="A-block singular"):
+        subgroup_classify(A, A, 2)
+    g = np.zeros((1, 4, 4))
+    g[:, :2, :2] = A
+    with pytest.raises(SingularityError, match="A_g block singular"):
+        spk_blocks(g, 2)
+
+
 def _dets(blocks: np.ndarray) -> np.ndarray:
     """The determinants of a stack, block by block, an empty block's 1."""
     return np.array([np.linalg.det(b) if b.size else 1.0 for b in blocks])

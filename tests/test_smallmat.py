@@ -106,6 +106,17 @@ def test_norm_and_hermitian_extremes_agree_with_lapack(case):
     assert np.all(np.abs(hi - vals[:, -1]) <= 16 * m * EPS * size)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e160, 1e300])
+@pytest.mark.parametrize("m", [1, 2])
+def test_spectral_norm_beyond_the_range_of_the_square(scale, m):
+    # W* W would overflow or underflow; the power-of-two scaling is exact
+    rng = np.random.default_rng(3)
+    W = (rng.uniform(-1, 1, (5, m, m)) + 1j * rng.uniform(-1, 1, (5, m, m))) * scale
+    want = np.linalg.norm(W, 2, axis=(-2, -1))
+    assert np.all(np.abs(opnorm(W) - want) <= 8 * m * EPS * want)
+    assert np.all(opnorm(scale * np.eye(m)[None]) == scale)
+
+
 def _near_unitary(count: int, spread: float) -> np.ndarray:
     """2 x 2 unitary matrices with singular values 1 and 1 + spread."""
     rng = np.random.default_rng(5)
