@@ -4,9 +4,10 @@ A nerve is a finite chart set together with sampled overlaps: every
 connected overlap component is a rooted connected graph of sample
 points, and triple intersections are recorded as sample points with
 their component memberships in the three pairwise overlaps.  The Nerve
-is also the one index of these points: its rows, and the maps from a
-row to its component, chart and triple points, are built once by its
-constructor, and every stack of the engine has one row per row of it.
+is built from the nerve section of a scenario document, and is the one
+index of these points: its rows, and the maps from a row to its
+component, chart and triple points, are built once by its constructor,
+and every stack of the engine has one row per row of it.
 A sign cochain is the GF(2) bits of its signs over the components
 (degree 1) or the triple points (degree 2).  Cocycle identities are
 checked at triple sample points only; continuous choices of square
@@ -15,7 +16,7 @@ roots become breadth-first tracking over component graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,68 +26,29 @@ from .errors import SingularityError, ValidationError, raise_first
 from .smallmat import det
 from .tracking import Walk, cabs, cdiv, cmul, track_graph
 
-PairKey = tuple[str, str]
-TripleKey = tuple[str, str, str]
-
-
-class SamplePoint:
-    def __init__(self, id: str, params: tuple[float, ...] = ()):
-        self.id = id
-        self.params = params
-
-
-ORIGIN = SamplePoint("origin", ())
-
-
-class OverlapComponent:
-    """A connected, sampled component of a pairwise overlap."""
-
-    def __init__(self, points: tuple[SamplePoint, ...],
-                 edges: tuple[tuple[int, int], ...] = (), contractible: bool = True):
-        self.points = points
-        self.edges = edges
-        self.contractible = contractible
-        npts = len(self.points)
-        if npts == 0:
-            raise ValidationError("overlap component needs at least one point")
-        for i, j in self.edges:
-            if not (0 <= i < npts and 0 <= j < npts):
-                raise ValidationError("edge references a missing point")
-        # the breadth-first walk the lift tracks on, which reaches every
-        # point of a connected graph
-        self.walk = Walk.of(npts, self.edges, [0])
-        if np.count_nonzero(self.walk.depth >= 0) != npts:
-            raise ValidationError("overlap component graph is disconnected")
-
-
-class TriplePoint:
-    """A sample point of a triple intersection.
-
-    memberships maps each of the three pairwise overlaps (as sorted
-    chart pairs) to (component index, point index within the component).
-    """
-
-    def __init__(self, id: str, memberships: dict[PairKey, tuple[int, int]]):
-        self.id = id
-        self.memberships = memberships
-
 
 class Nerve:
     """A finite nerve and the index of its sample points.
 
-    The constructor checks the charts, overlaps and triple points, then
-    builds every row map of the nerve once, as the attributes below; the
-    engine indexes these and builds no map of its own.
+    The constructor takes the ``nerve`` section of a scenario document
+    (``charts``, ``overlaps`` and ``triples``, as the scenario schema
+    shapes them), checks it, and builds every row map of the nerve once,
+    as the attributes below; the engine indexes these and builds no map
+    of its own.  A sample point is its rows.
 
     Overlap rows, one per (component, point), the components in key order:
 
     keys        the sorted component keys (pair, component index)
-    points      the sample point of each overlap row
+    ids         the point id of each overlap row
+    params      (P, D) float array: the parameters of each overlap row's
+                point, zero-padded to the longest
     comp        (P,) int array: the position in keys of each overlap row's
                 component
     components  (pair, component index) -> the range of its overlap rows
     overlap_walk  the Walk of the components' graphs on the overlap rows,
                 each rooted at its first row
+    noncontractible  the keys of the components declared non-contractible,
+                in document order
 
     Chart rows, chart by chart in the given order: one per point id of the
     overlaps containing the chart, in the order of their first overlap
@@ -95,7 +57,10 @@ class Nerve:
     charts      chart -> the range of its chart rows
     chart       (R,) int array: the position in charts of each chart row's
                 chart
-    sites       (chart, sample point) of each chart row
+    sites       (chart, point id) of each chart row, the id "origin" for
+                an origin row
+    site_params (R, D) float array: the params of each chart row's first
+                overlap row, zeros for an origin row
     ends        (P, 2) int array: the chart rows of each overlap row's
                 point in the first and the second chart of its overlap
     draws       chart -> the chart rows of the overlap rows containing the
@@ -109,7 +74,7 @@ class Nerve:
 
     Triple points, and the GF(2) coboundaries:
 
-    triples     (triple key, TriplePoint) of every triple point, the keys
+    triples     (triple key, point id) of every triple point, the keys
                 sorted
     triple_rows (T, 3) int array: the overlap rows of the factors t_ab,
                 t_bc, t_ac at each triple point
@@ -122,101 +87,144 @@ class Nerve:
     degree 1 and over triples in degree 2.
     """
 
-    def __init__(self, charts: tuple[str, ...],
-                 overlaps: Optional[dict[PairKey, tuple[OverlapComponent, ...]]] = None,
-                 triples: Optional[dict[TripleKey, tuple[TriplePoint, ...]]] = None):
-        self.overlaps = overlaps = overlaps or {}
-        triples = triples or {}
+    def __init__(self, doc: dict):
+        charts = doc["charts"]
+        overlaps = doc.get("overlaps", [])
+        listed = [(tuple(ov["pair"]), ci, comp) for ov in overlaps
+                  for ci, comp in enumerate(ov["components"])]
+        # the components in key order
+        order = sorted(range(len(listed)), key=lambda j: listed[j][:2])
+        sizes = [len(listed[j][2]["points"]) for j in order]
+        first = np.cumsum([0] + sizes).tolist()
+        start = dict(zip(order, first))
+        # each component's fault, in document order: it has no point, an
+        # edge leaves it, or its graph is disconnected
+        faults, joins = {}, {}
+        for j, (_, _, comp) in enumerate(listed):
+            npts, pairs = len(comp["points"]), comp.get("edges", [])
+            if not npts:
+                faults[j] = "overlap component needs at least one point"
+            elif not all(0 <= i < npts and 0 <= k < npts for i, k in pairs):
+                faults[j] = "edge references a missing point"
+            else:
+                joins[j] = [(int(i), int(k)) for i, k in pairs]
+        edges = [(start[j] + i, start[j] + k) for j, pairs in joins.items() for i, k in pairs]
+        walk = Walk.of(first[-1], edges, [r for r, size in zip(first, sizes) if size])
+        reached = np.zeros(first[-1], dtype=bool)
+        reached[walk.visits[walk.depth >= 0, 1]] = True
+        for j in np.repeat(order, sizes)[~reached].tolist():
+            faults.setdefault(int(j), "overlap component graph is disconnected")
+        if faults:
+            raise ValidationError(faults[min(faults)])
         chartset = set(charts)
         if len(chartset) != len(charts):
             raise ValidationError("duplicate chart ids")
-        for (a, b), comps in overlaps.items():
+        pairs = [tuple(ov["pair"]) for ov in overlaps]
+        for a, b in dict.fromkeys(pairs):
             if a == b:
                 raise ValidationError("self-overlap (a, a) not allowed")
             if a > b:
                 raise ValidationError("overlap keys must be sorted pairs")
             if a not in chartset or b not in chartset:
                 raise ValidationError(f"overlap ({a},{b}) references unknown chart")
+        # a repeated pair or triple key, rejected below, is its last listing
+        self.keys = [listed[j][:2] for j in order]
+        self.components = {key: range(r, r + size)
+                           for key, r, size in zip(self.keys, first, sizes)}
+        points = [pt for j in order for pt in listed[j][2]["points"]]
+        self.ids = [pt["id"] for pt in points]
+        keys = [tuple(tr["key"]) for tr in doc.get("triples", [])]
+        triples = {key: tr["points"] for key, tr in zip(keys, doc.get("triples", []))}
+        rows_of = {}
         for key, pts in triples.items():
             a, b, c = key
             if not (a < b < c) or {a, b, c} - chartset:
                 raise ValidationError(f"bad triple key {key}")
+            rows_of[key] = []
             for tp in pts:
+                memberships = {tuple(pair.split(",")): v
+                               for pair, v in tp["memberships"].items()}
+                factors = []
                 for pair in ((a, b), (b, c), (a, c)):
-                    if pair not in tp.memberships:
+                    if pair not in memberships:
                         raise ValidationError(
-                            f"triple point {tp.id} missing membership for {pair}"
+                            f"triple point {tp['id']} missing membership for {pair}"
                         )
-                    ci, pi = tp.memberships[pair]
-                    comps = overlaps.get(pair, ())
-                    if ci >= len(comps) or pi >= len(comps[ci].points):
+                    ci, pi = memberships[pair]
+                    rows = self.components.get((pair, ci)) if ci >= 0 else None
+                    if rows is None or not 0 <= pi < len(rows):
                         raise ValidationError(
-                            f"triple point {tp.id}: bad membership for {pair}"
+                            f"triple point {tp['id']}: bad membership for {pair}"
                         )
-                    if comps[ci].points[pi].id != tp.id:
+                    factors.append(rows[int(pi)])
+                    if self.ids[factors[-1]] != tp["id"]:
                         raise ValidationError(
-                            f"triple point {tp.id}: id mismatch in {pair}"
+                            f"triple point {tp['id']}: id mismatch in {pair}"
                         )
-        self.keys = [(pair, ci) for pair in sorted(overlaps)
-                     for ci in range(len(overlaps[pair]))]
-        self.triples = [(key, tp) for key in sorted(triples) for tp in triples[key]]
-        points: list[SamplePoint] = []
-        components: dict[tuple[PairKey, int], range] = {}
+                rows_of[key].append(factors)
+        for what, found in (("overlap", pairs), ("triple key", keys)):
+            if len(set(found)) != len(found):
+                twice = next(key for i, key in enumerate(found) if key in found[:i])
+                raise ValidationError(f"{what} {twice} is listed twice")
+        width = max((len(pt.get("params", ())) for pt in points), default=0)
+        try:
+            self.params = np.array([[*pt.get("params", ()), *[0.0] * width][:width]
+                                    for pt in points], dtype=float).reshape(len(points), width)
+        except OverflowError:
+            raise ValidationError("sample point params must fit a float") from None
+        self.noncontractible = [(pair, ci) for pair, ci, comp in listed
+                                if not comp.get("contractible", True)]
+        self.triples = [(key, tp["id"]) for key in sorted(triples) for tp in triples[key]]
+        self.triple_rows = np.array([f for key in sorted(rows_of) for f in rows_of[key]],
+                                    dtype=int).reshape(-1, 3)
+        self.comp = np.repeat(np.arange(len(self.keys)), sizes)
+        self.overlap_walk = walk
+
         # per chart: the position of each point id among its chart rows,
-        # their points, and the position of every overlap row it is in
+        # their first overlap rows, the position of every overlap row it
+        # is in, and the id pairs of its graph's edges
         at: dict[str, dict[str, int]] = {ch: {} for ch in charts}
-        vertices: dict[str, list[SamplePoint]] = {ch: [] for ch in charts}
+        firsts: dict[str, list[int]] = {ch: [] for ch in charts}
         met: dict[str, list[int]] = {ch: [] for ch in charts}
-        edges: dict[str, set] = {ch: set() for ch in charts}
-        for pair, ci in self.keys:
-            comp = overlaps[pair][ci]
-            components[(pair, ci)] = range(len(points), len(points) + len(comp.points))
-            points.extend(comp.points)
-            ids = [pt.id for pt in comp.points]
+        joined: dict[str, set] = {ch: set() for ch in charts}
+        for j, ((pair, _), span) in zip(order, self.components.items()):
+            ids = self.ids[span.start:span.stop]
             for ch in pair:
-                for pt in comp.points:
-                    if pt.id not in at[ch]:
-                        at[ch][pt.id] = len(vertices[ch])
-                        vertices[ch].append(pt)
-                    met[ch].append(at[ch][pt.id])
-                edges[ch].update((min(ids[i], ids[j]), max(ids[i], ids[j]))
-                                 for i, j in comp.edges)
-        sites: list[tuple[str, SamplePoint]] = []
+                for r, pid in zip(span, ids):
+                    if pid not in at[ch]:
+                        at[ch][pid] = len(firsts[ch])
+                        firsts[ch].append(r)
+                    met[ch].append(at[ch][pid])
+                joined[ch].update((min(ids[i], ids[k]), max(ids[i], ids[k]))
+                                  for i, k in joins[j])
+        sites: list[tuple[str, str]] = []
         rows: dict[str, range] = {}
         for ch in charts:
-            rows[ch] = range(len(sites), len(sites) + max(1, len(vertices[ch])))
-            sites += [(ch, pt) for pt in vertices[ch] or [ORIGIN]]
-        self.points = tuple(points)
-        self.components = components
-        self.comp = np.repeat(np.arange(len(self.keys)),
-                              [len(span) for span in components.values()])
-        self.overlap_walk = Walk.join([(overlaps[pair][ci].walk, span.start)
-                                       for (pair, ci), span in components.items()])
+            rows[ch] = range(len(sites), len(sites) + max(1, len(firsts[ch])))
+            sites += [(ch, self.ids[r]) for r in firsts[ch]] or [(ch, "origin")]
         self.charts = rows
         self.chart = np.repeat(np.arange(len(rows)), [len(span) for span in rows.values()])
-        self.sites = tuple(sites)
-        self.ends = np.array([[rows[ch].start + at[ch][pt.id] for ch in pair]
-                              for (pair, _), span in components.items()
-                              for pt in points[span.start:span.stop]],
+        self.sites = sites
+        self.site_params = np.zeros((len(sites), width))
+        for ch, span in rows.items():
+            self.site_params[span.start:span.start + len(firsts[ch])] = self.params[firsts[ch]]
+        self.ends = np.array([[rows[ch].start + at[ch][pid] for ch in pair]
+                              for (pair, _), span in self.components.items()
+                              for pid in self.ids[span.start:span.stop]],
                              dtype=int).reshape(-1, 2)
         self.draws = {ch: [rows[ch].start + i for i in met[ch]] or [rows[ch].start]
                       for ch in charts}
         self.chart_walk = Walk.of(
             len(sites),
             [(span.start + at[ch][a], span.start + at[ch][b]) for ch, span in rows.items()
-             for a, b in sorted(edges[ch])],
-            [r for span in rows.values()
-             for r in sorted(span, key=lambda r: sites[r][1].id)])
-        self.triple_rows = np.array(
-            [components[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
-             for (a, b, c), tp in self.triples for pair in ((a, b), (b, c), (a, c))],
-            dtype=int).reshape(-1, 3)
+             for a, b in sorted(joined[ch])],
+            [r for span in rows.values() for r in sorted(span, key=lambda r: sites[r][1])])
         self.delta0 = np.zeros((len(self.keys), len(rows)), dtype=np.uint8)
         self.delta0[self.comp[:, None], self.chart[self.ends]] = 1
         self.delta1 = np.zeros((len(self.triples), len(self.keys)), dtype=np.uint8)
         self.delta1[np.arange(len(self.triples))[:, None], self.comp[self.triple_rows]] = 1
-        for shared in (self.comp, self.chart, self.ends, self.triple_rows,
-                       self.delta0, self.delta1):
+        for shared in (self.params, self.comp, self.chart, self.site_params, self.ends,
+                       self.triple_rows, self.delta0, self.delta1):
             shared.setflags(write=False)
 
 
@@ -242,11 +250,12 @@ def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
     missing = sorted(set(nerve.charts) - set(generators))
     if missing:
         raise ValidationError(f"no {role} for charts {missing}")
-    parts = [(generators[ch], [pt for _, pt in sites[rows.start:rows.stop]])
+    parts = [(generators[ch], nerve.site_params[rows.start:rows.stop],
+              [pid for _, pid in sites[rows.start:rows.stop]])
              for ch, rows in nerve.charts.items()]
     return G.stack_values(parts, layout,
                           lambda r: f"{role} of chart {sites[r][0]!r} at "
-                                    f"{sites[r][1].id} is not {kind}")
+                                    f"{sites[r][1]} is not {kind}")
 
 
 class Cocycle:
@@ -273,24 +282,19 @@ class Cocycle:
 
     @classmethod
     def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
-                 transitions: dict[PairKey, tuple[Callable, ...]]) -> "Cocycle":
-        """The cocycle whose transition on component ci of a sorted chart
-        pair is the generator transitions[pair][ci] (see hfe.generators),
-        evaluated once on the stack of the component's sample points by
-        groups.stack_values.  A value that does not fit the group's layout
-        (see _layout) raises ValidationError, and so does an Ml or Mp
-        value that is not in its group."""
-        for pair in sorted(nerve.overlaps):
-            if pair not in transitions:
-                raise ValidationError(f"missing transition for overlap {pair}")
-            if len(transitions[pair]) != len(nerve.overlaps[pair]):
-                raise ValidationError(f"component count mismatch for {pair}")
+                 transitions: Sequence[Callable]) -> "Cocycle":
+        """The cocycle whose transition on each component of nerve.keys is
+        the generator in the same place of transitions (see
+        hfe.generators), evaluated once on the stack of the component's
+        rows by groups.stack_values.  A value that does not fit the
+        group's layout (see _layout) raises ValidationError, and so does
+        an Ml or Mp value that is not in its group."""
         stacks = G.stack_values(
-            [(transitions[pair][ci], nerve.points[rows.start:rows.stop])
-             for (pair, ci), rows in nerve.components.items()],
+            [(fn, nerve.params[rows.start:rows.stop], nerve.ids[rows.start:rows.stop])
+             for fn, rows in zip(transitions, nerve.components.values(), strict=True)],
             _layout(group, n),
             lambda r: f"transition of {nerve.keys[nerve.comp[r]][0]} at "
-                      f"{nerve.points[r].id} is not a {group} value for n={n}")
+                      f"{nerve.ids[r]} is not a {group} value for n={n}")
         if group == "Glkd":
             return cls(group, n, k, np.stack(stacks, axis=1))
         if group == "Mp":
@@ -339,12 +343,12 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     """Check group membership of every value and the cocycle identity at
     every triple sample point.  Returns a result dict with residuals."""
     tols = get_tolerances()
-    if len(c.mats) != len(nerve.points):
+    if len(c.mats) != len(nerve.ids):
         raise ValidationError(f"cocycle has {len(c.mats)} values for "
-                              f"{len(nerve.points)} sample points")
+                              f"{len(nerve.ids)} sample points")
     res = _membership_residuals(c)
     residuals = res.tolist()
-    failures = [("membership", *nerve.keys[nerve.comp[r]], nerve.points[r].id, residuals[r])
+    failures = [("membership", *nerve.keys[nerve.comp[r]], nerve.ids[r], residuals[r])
                 for r in np.flatnonzero(res > tols.rel).tolist()]
     # triple keys are sorted, so every factor is a forward transition
     ab, bc, ac = nerve.triple_rows.T
@@ -358,12 +362,11 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
         gap = cabs(roots - c.roots[ac])
     dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
                   initial=0.0)
-    dist = np.where(gap > dist, gap, dist).tolist()
-    failures += [("cocycle", key, tp.id, r)
-                 for (key, tp), r in zip(nerve.triples, dist)
+    dist = np.where(gap > dist, gap, dist)
+    failures += [("cocycle", key, pid, r)
+                 for (key, pid), r in zip(nerve.triples, dist.tolist())
                  if r > identity_bound(tols)]
-    return {"ok": not failures, "max_residual": max([0.0, *residuals, *dist]),
-            "failures": failures}
+    return {"ok": not failures, "max_residual": G.worst(res, dist), "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +526,14 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     if c.group != "Gl":
         raise ValidationError("lift_double_cover expects a Gl cocycle")
     z = track_graph(det(c.mats), nerve.overlap_walk,
-                    [pt.id for pt in nerve.points], 1, jump=lambda r: "(edge too long)",
+                    nerve.ids, 1, jump=lambda r: "(edge too long)",
                     cycle=lambda r: "around a cycle in component")
 
     ab, bc, ac = nerve.triple_rows.T
     s = cdiv(cmul(z[ab], z[bc]), z[ac])
     rhs, off = _sign_bits(s)
     raise_first([(off, lambda t: ValidationError(
-        f"triple defect at {nerve.triples[t][1].id} is not a sign: {complex(s[t])} "
+        f"triple defect at {nerve.triples[t][1]} is not a sign: {complex(s[t])} "
         "(input not a cocycle?)"))])
     sol = gf2_solve(nerve.delta1, rhs)
     if sol is None:
@@ -565,7 +568,7 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     raise_first([
         (apart, lambda p: ValidationError("lifts do not project to the same Gl cocycle")),
         (off, lambda p: ValidationError(
-            f"z-ratio at {nerve.points[p].id} is not a sign: {complex(r[p])}")),
+            f"z-ratio at {nerve.ids[p]} is not a sign: {complex(r[p])}")),
         (bits != bits[starts][nerve.comp], lambda p: ValidationError(
             "z-ratio not constant on an overlap component")),
     ])

@@ -52,22 +52,17 @@ EXIT_FALSIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _tolerance_value(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {text!r}")
-    return value
-
-
 def _parse_tolerances(items: list[str]) -> dict[str, float]:
     out = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"tolerance override must be key=value, got {item!r}")
-        key, _, value = item.partition("=")
+        key, _, text = item.partition("=")
         if key not in ("rel", "abs", "singular", "track"):
             raise ValueError(f"unknown tolerance key {key!r}")
-        out[key] = _tolerance_value(value)
+        out[key] = float(text)
+        if not (math.isfinite(out[key]) and out[key] > 0):
+            raise ValueError(f"tolerance must be a finite number > 0, got {text!r}")
     return out
 
 
@@ -124,14 +119,6 @@ def _verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    env_rel = os.environ.get("HFE_TOL_REL")
-    if env_rel is not None and "rel" not in tolerances:
-        try:
-            tolerances["rel"] = _tolerance_value(env_rel)
-        except ValueError:
-            print(f"error: HFE_TOL_REL={env_rel!r} is not a finite number > 0",
-                  file=sys.stderr)
-            return EXIT_PARSE_ERROR
     pipelines = args.pipeline.split(",") if args.pipeline else None
     try:
         reports = [

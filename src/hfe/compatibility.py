@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     raise_first,
 )
-from .groups import rel_residual, subgroup_classify
+from .groups import rel_residual, subgroup_classify, worst
 from .sampling import Draws, random_mlkd_stack
 from .smallmat import det
 
@@ -60,7 +60,7 @@ def _check_delta_samples(data: PolarizationPairData) -> None:
     vanishes."""
     sites = data.nerve.sites
     raise_first([(np.abs(data.delta_samples) <= get_tolerances().singular,
-                  lambda r: SingularityError(f"delta sample vanishes at {sites[r][1].id} "
+                  lambda r: SingularityError(f"delta sample vanishes at {sites[r][1]} "
                                              f"on chart {sites[r][0]!r}"))])
 
 
@@ -76,19 +76,21 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     _check_delta_samples(data)
     delta = data.delta_samples
     a, b = nerve.ends.T
-    # conj(det D1) det D2, the pairing-determinant transformation
-    law = np.conj(blocks["detD1"]) * blocks["detD2"]
-    residuals = rel_residual(delta[b], delta[a] * law)
+    # conj(det D1) det D2, the pairing-determinant transformation; one
+    # that overflows gives a NaN residual
+    with np.errstate(over="ignore"):
+        law = np.conj(blocks["detD1"]) * blocks["detD2"]
+        residuals = rel_residual(delta[b], delta[a] * law)
     res = residuals.tolist()
-    failures = [("delta-consistency", *nerve.keys[nerve.comp[r]], nerve.points[r].id,
-                 res[r]) for r in np.flatnonzero(~(residuals <= bound)).tolist()]
+    failures = [("delta-consistency", *nerve.keys[nerve.comp[r]], nerve.ids[r], res[r])
+                for r in np.flatnonzero(~(residuals <= bound)).tolist()]
     if data.k == data.n:
         # delta is an empty determinant: every sample must be 1
-        ones = rel_residual(delta, 1.0).tolist()
-        res += ones
-        failures += [("delta-consistency", chart, pt.id, x)
-                     for (chart, pt), x in zip(nerve.sites, ones) if x > bound]
-    return {"ok": not failures, "max_residual": max([0.0, *res]), "failures": failures}
+        ones = rel_residual(delta, 1.0)
+        residuals = np.concatenate([residuals, ones])
+        failures += [("delta-consistency", chart, pid, x)
+                     for (chart, pid), x in zip(nerve.sites, ones.tolist()) if x > bound]
+    return {"ok": not failures, "max_residual": worst(residuals), "failures": failures}
 
 
 def _diag_changes(values: list[complex], n: int) -> np.ndarray:
@@ -153,7 +155,7 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
                                                        initial=0.0))
     raise_first([
         (np.abs(premise - 1.0) > property_bound(tols), lambda r: ValidationError(
-            f"premise violated at {data.nerve.points[r].id}: "
+            f"premise violated at {data.nerve.ids[r]}: "
             f"conj(det g1) det g2 / det(A)^2 = {premise[r]}")),
         (off > off_bound, lambda r: ValidationError("z1 does not lift the first member")),
     ])
@@ -219,7 +221,7 @@ def _check_translation_law(
     val = dt.base[rows] * t["factor"]
     target = (data.delta_samples[rows] * np.conj(det(t["M1"])) * det(t["M2"])
               / (detA * detA))
-    return max([0.0, *rel_residual(val * val, target).tolist()])
+    return worst(rel_residual(val * val, target))
 
 
 def build_delta_tilde(
@@ -247,14 +249,13 @@ def build_delta_tilde(
     a, b = nerve.ends.T
     residuals = rel_residual(base_values[a] * factor, base_values[b])
     res = residuals.tolist()
-    bad = {(*nerve.keys[nerve.comp[r]], nerve.points[r].id): res[r]
+    bad = {(*nerve.keys[nerve.comp[r]], nerve.ids[r]): res[r]
            for r in np.flatnonzero(residuals > bound).tolist()}
     if bad:
         raise GluingError("square-root datum does not glue", bad)
     dt = DeltaTildeData(base=base_values, residuals=residuals)
     # squared identity against the delta samples
-    sq_worst = max([0.0, *rel_residual(base_values * base_values,
-                                       data.delta_samples).tolist()])
+    sq_worst = worst(rel_residual(base_values * base_values, data.delta_samples))
     dt.checks["square_identity"] = sq_worst
     if sq_worst > bound:
         raise GluingError("square identity fails", {"square": sq_worst})
@@ -314,8 +315,8 @@ def self_compat(data: PolarizationPairData, z1: Cocycle, rng: Draws
     t = draw_translations(rng, data.n, data.k,
                           _chart_draws(data.nerve, rng), diagonal=True)
     val = dt_norm.base[t["rows"]] * t["factor"]
-    worst_imag = max([0.0, *np.abs(val.imag).tolist()])
-    min_real = min([float("inf"), *val.real.tolist()])
+    worst_imag = worst(np.abs(val.imag))
+    min_real = -worst(-val.real, floor=-np.inf)
     dt_norm.checks["positivity_imag"] = worst_imag
     dt_norm.checks["positivity_min_real"] = min_real
     if worst_imag > check_bound(tols) or min_real <= 0:

@@ -2,9 +2,10 @@
 
 Scenario files describe transition functions, sections, and sampled
 scalar fields as named generators with JSON parameters; this module
-parses those descriptions into functions from a stack of P sample points
-(the points of one overlap component, or the chart rows of one chart)
-to the tuple of stacked arrays of their values: (P,) for a scalar,
+parses those descriptions into functions from a stack of P rows of the
+nerve (the overlap rows of one component, or the chart rows of one
+chart), given as their (P, D) params (see cech.Nerve) and their point
+ids, to the tuple of stacked arrays of their values: (P,) for a scalar,
 (P, m, m) for a matrix, and one such array per member of a tuple value
 (an Mp value (g, zeta), a frame (U, V), a pair of meta frames
 (W1, C1, z1, W2, C2, z2)).  groups.stack_values calls each once and
@@ -21,13 +22,12 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import ball
-from .cech import SamplePoint
 from .errors import ValidationError
 from .groups import alpha0_det
 from .smallmat import det
 from .tracking import cdiv, cmul
 
-Generator = Callable[[Sequence[SamplePoint]], tuple]
+Generator = Callable[[np.ndarray, Sequence[str]], tuple]
 
 
 def parse_complex(v: Any) -> complex:
@@ -68,17 +68,17 @@ def _zeta(params: dict, det_value: complex) -> complex:
     return sign * cmath.sqrt(det_value)
 
 
-def _params(points: Sequence[SamplePoint], d: int) -> np.ndarray:
-    """The (P, d) float array of the first d parameters of the points, a
-    missing one 0."""
-    return np.array([(tuple(pt.params) + (0.0,) * d)[:d] for pt in points],
-                    dtype=float).reshape(len(points), d)
+def _params(params: np.ndarray, d: int) -> np.ndarray:
+    """The first d columns of the (P, D) params, a missing one 0."""
+    out = np.zeros((len(params), d))
+    out[:, :params.shape[1]] = params[:, :d]
+    return out
 
 
 def _constant(*values) -> Generator:
     """The generator whose values are the same at every point."""
-    return lambda points: tuple(np.broadcast_to(v, (len(points),) + np.shape(v))
-                                for v in values)
+    return lambda params, ids: tuple(np.broadcast_to(v, (len(params),) + np.shape(v))
+                                     for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _gen_linear_scalar(params, n, k):
     complex arithmetic computes it."""
     c0 = parse_complex(params["const"])
     c1 = parse_complex(params.get("slope", 0.0))
-    return lambda points: (c0 + cmul(c1, _params(points, 1)[:, 0]),)
+    return lambda params, ids: (c0 + cmul(c1, _params(params, 1)[:, 0]),)
 
 
 def _gen_mobius_ratio(params, n, k):
@@ -128,15 +128,15 @@ def _gen_mobius_ratio(params, n, k):
     wa = parse_complex(params["w_a"])
     wb = parse_complex(params["w_b"])
 
-    def fn(points):
-        z = _params(points, 2).view(complex)[:, 0]
-        one = np.ones(len(points), dtype=complex)
+    def fn(params, ids):
+        z = _params(params, 2).view(complex)[:, 0]
+        one = np.ones(len(params), dtype=complex)
         num = one if wa == complex("inf") else z - wa
         den = one if wb == complex("inf") else z - wb
         poles = np.flatnonzero(den == 0)
         if poles.size:
             raise ValidationError(f"generator 'mobius_ratio': pole at sample "
-                                  f"point {points[poles[0]].id}")
+                                  f"point {ids[poles[0]]}")
         return (cdiv(num, den)[:, None, None],)
 
     return fn
@@ -164,10 +164,10 @@ def _parse_blocks(params: dict, n: int, k: int, prefix: str = ""):
               if "Wr_slope" in params else None)
     Cr = _matrix(params, "Cr", (r, r), prefix)
 
-    def Wr(points):
+    def Wr(params):
         if Wslope is None:
-            return np.broadcast_to(Wr0, (len(points), r, r))
-        return Wr0 + _params(points, 1)[:, :, None] * Wslope
+            return np.broadcast_to(Wr0, (len(params), r, r))
+        return Wr0 + _params(params, 1)[:, :, None] * Wslope
 
     return A, B, Wr, Cr
 
@@ -176,10 +176,10 @@ def _gen_frame_blocks(params, n, k):
     """D-adapted block frame with reduced part phi_inv(Wr(t), Cr)."""
     A, B, Wr, Cr = _parse_blocks(params, n, k)
 
-    def fn(points):
-        Ur, Vr = ball.phi_inv_raw(Wr(points), Cr)
-        U = np.zeros((len(points), n, n), dtype=complex)
-        V = np.zeros((len(points), n, n), dtype=complex)
+    def fn(params, ids):
+        Ur, Vr = ball.phi_inv_raw(Wr(params), Cr)
+        U = np.zeros((len(params), n, n), dtype=complex)
+        V = np.zeros((len(params), n, n), dtype=complex)
         U[:, :k, :k] = A
         U[:, :k, k:] = B
         U[:, k:, k:] = Ur
@@ -200,11 +200,11 @@ def _meta_member(spec: dict, n: int, k: int, prefix: str) -> Generator:
     C[k:, k:] = Cr
     z = int(spec.get("zsign", 1)) * cmath.sqrt(det(C))
 
-    def fn(points):
-        W = np.zeros((len(points), n, n), dtype=complex)
+    def fn(params, ids):
+        W = np.zeros((len(params), n, n), dtype=complex)
         W[:, :k, :k] = np.eye(k)
-        W[:, k:, k:] = Wr(points)
-        return (W,) + _constant(C, z)(points)
+        W[:, k:, k:] = Wr(params)
+        return (W,) + _constant(C, z)(params, ids)
 
     return fn
 
@@ -213,7 +213,7 @@ def _gen_meta_pair_blocks(params, n, k):
     """Pair of meta frames in D-adapted block form sharing the A block."""
     f1 = _meta_member(params["first"], n, k, "first.")
     f2 = _meta_member(params["second"], n, k, "second.")
-    return lambda points: f1(points) + f2(points)
+    return lambda params, ids: f1(params, ids) + f2(params, ids)
 
 
 _REGISTRY: dict[str, Callable] = {

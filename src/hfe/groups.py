@@ -24,16 +24,17 @@ from .smallmat import det, inv
 from .tracking import cabs, cmul, track_sqrt
 
 
-def stack_values(parts: Sequence[tuple[Callable, Sequence]], layout: tuple,
-                 error: Callable[[int], str]) -> list[np.ndarray]:
-    """Evaluate generators on stacks of sample points and stack their
-    values.  ``parts`` lists, in row order, pairs (fn, points): fn is
-    called once and returns one array of shape (P, *shape) per shape of
-    the layout, P = len(points).  Returns one complex stack (R, *shape)
-    per shape, R the total point count; raises ValidationError(error(r))
-    for r the first row of the first part whose arrays do not fit the
-    layout, or else for the first row with a NaN or infinite entry."""
-    values = [(fn(points), len(points)) for fn, points in parts]
+def stack_values(parts: Sequence[tuple[Callable, np.ndarray, Sequence[str]]],
+                 layout: tuple, error: Callable[[int], str]) -> list[np.ndarray]:
+    """Evaluate generators on stacks of rows of the nerve and stack their
+    values.  ``parts`` lists, in row order, triples (fn, params, ids) of
+    P rows each: fn(params, ids) is called once and returns one array of
+    shape (P, *shape) per shape of the layout.  Returns one complex stack
+    (R, *shape) per shape, R the total row count; raises
+    ValidationError(error(r)) for r the first row of the first part whose
+    arrays do not fit the layout, or else for the first row with a NaN or
+    infinite entry."""
+    values = [(fn(params, ids), len(params)) for fn, params, ids in parts]
     row = 0
     for arrays, size in values:
         if len(arrays) != len(layout) or any(
@@ -51,8 +52,17 @@ def stack_values(parts: Sequence[tuple[Callable, Sequence]], layout: tuple,
 
 
 def rel_residual(x, target) -> np.ndarray:
-    """The relative residuals |x - t| / max(1, |t|), elementwise."""
-    return np.abs(np.subtract(x, target)) / np.maximum(1.0, np.abs(target))
+    """The relative residuals |x - t| / max(1, |t|), elementwise: NaN,
+    without a warning, where both are infinite."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(np.subtract(x, target)) / np.maximum(1.0, np.abs(target))
+
+
+def worst(*residuals, floor: float = 0.0) -> float:
+    """The largest of floor and every entry of the residuals (arrays or
+    numbers): NaN if any entry is NaN, which Python's max would drop
+    unless it came first."""
+    return float(np.max(np.concatenate([[floor], *map(np.ravel, residuals)])))
 
 
 def ml_checks(A: np.ndarray, z) -> list:

@@ -31,7 +31,7 @@ from .frames import (
     delta_L_tilde,
     validate_lagrangian,
 )
-from .groups import check_ml, ml_checks, rel_residual, spk_blocks
+from .groups import check_ml, ml_checks, rel_residual, spk_blocks, worst
 from .sampling import Draws
 from .smallmat import det, inv, lstsq
 from .tracking import cdiv, cmul, track_graph
@@ -122,7 +122,7 @@ def chart_sqrt_values(nerve: Nerve, values, flips: dict[str, int]) -> np.ndarray
     chart that fails.
     """
     where = lambda r: f"on chart {nerve.sites[r][0]}"  # noqa: E731
-    return track_graph(values, nerve.chart_walk, [pt.id for _, pt in nerve.sites],
+    return track_graph(values, nerve.chart_walk, [pid for _, pid in nerve.sites],
                        np.array([flips.get(ch, 1) for ch in nerve.charts])[nerve.chart],
                        jump=where, cycle=where)
 
@@ -185,7 +185,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     U, V = sections.U, sections.V
     W, C = ball.phi_raw(U, V)
     raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
-        f"section frame not positive at {nerve.sites[r][1].id}"))])
+        f"section frame not positive at {nerve.sites[r][1]}"))])
     check_ball(W)
     a, b = nerve.ends.T
     g = data.mp_cocycle.mats
@@ -200,7 +200,7 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
                                                           initial=0.0))
     raise_first([(res > bound, lambda p: ValidationError(
-        f"sections inconsistent with the cocycle at {nerve.points[p].id}"))])
+        f"sections inconsistent with the cocycle at {nerve.ids[p]}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
     check_ball(gW)
     return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
@@ -237,7 +237,7 @@ def recipe(
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
-        f"Ball points disagree on overlap at {nerve.points[p].id}"))])
+        f"Ball points disagree on overlap at {nerve.ids[p]}"))])
     Ninv = inv(t.C[a]) @ moved_A
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
@@ -250,8 +250,8 @@ def recipe(
     return RecipeResult(
         ml_cocycle=ml_c,
         chart_z=z,
-        residuals={"ball_match": max([0.0, *wres.tolist()]),
-                   "projection_match": max([0.0, *nres.tolist()]),
+        residuals={"ball_match": worst(wres),
+                   "projection_match": worst(nres),
                    "cocycle": report["max_residual"]},
     )
 
@@ -293,9 +293,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     moved = delta_L_tilde(gW[:P], gC[:P], gz[:P], gW[P:], gC[P:], gz[P:], k)
     residuals = rel_residual(moved, values[b])
     dt = DeltaTildeData(base=values, residuals=residuals)
-    worst = max([0.0, *residuals.tolist()])
-    dt.checks["invariance"] = worst
-    if worst > property_bound(tols):
+    dt.checks["invariance"] = worst(residuals)
+    if not dt.checks["invariance"] <= property_bound(tols):
         raise ValidationError("delta_L_tilde not invariant across an overlap")
 
     # square identity and transformation law at chart sample points
@@ -308,10 +307,9 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     check_ml(Y1, y1)
     check_ml(Y2, y2)
     law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])
-    sq_worst, law_worst = (max([0.0, *r.tolist()]) for r in (sq, law))
-    dt.checks["square_identity"] = sq_worst
-    dt.checks["translation_law"] = law_worst
-    if max(sq_worst, law_worst) > property_bound(tols):
+    dt.checks["square_identity"] = worst(sq)
+    dt.checks["translation_law"] = worst(law)
+    if not worst(sq, law) <= property_bound(tols):
         raise ValidationError("delta_D_tilde property check failed")
     return dt
 
@@ -376,13 +374,13 @@ def cross_check(data: MetaplecticBundleData, sections1: FrameSectionData,
     S1 = np.concatenate([t1.U, t1.V], axis=-2)
     S2 = np.concatenate([t2.U, t2.V], axis=-2)
     check_frame_pairs(S1, S2, k)
-    restr_worst = max([0.0, *rel_residual(delta(S1, S2, k), reduced).tolist()])
-    if restr_worst > check_bound(tols):
+    restr_worst = worst(rel_residual(delta(S1, S2, k), reduced))
+    if not restr_worst <= check_bound(tols):
         raise TheoremFalsification("restriction identity fails")
 
     return {
         "global_sign": global_sign,
         "witness": witness,
-        "glue_residual": max(dt_ref.residuals.tolist(), default=0.0),
+        "glue_residual": worst(dt_ref.residuals),
         "restriction_residual": restr_worst,
     }

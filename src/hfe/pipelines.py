@@ -49,6 +49,7 @@ from .config import (
 )
 from .errors import EngineError, GluingError, TheoremFalsification
 from .frames import check_frame_pairs, delta, validate_lagrangian
+from .groups import worst
 from .report import CheckRecord, VerificationReport
 from .sampling import Draws
 from .scenario import Scenario, load_scenario
@@ -106,8 +107,7 @@ def _coboundary_base(nerve: Nerve, pattern) -> np.ndarray:
 def _defects(nerve: Nerve, bits: np.ndarray) -> list:
     """The (triple key, point id) of the triple points where a degree-2
     sign cochain is -1, sorted."""
-    return sorted((key, tp.id) for (key, tp), bit in zip(nerve.triples, bits.tolist())
-                  if bit)
+    return sorted(tp for tp, bit in zip(nerve.triples, bits.tolist()) if bit)
 
 
 def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
@@ -119,8 +119,8 @@ def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
 def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     """The record of a glued square-root datum: its worst gluing residual
     against the check bound, with its property-check residuals."""
-    glue = max(dt.residuals.tolist(), default=0.0)
-    return CheckRecord(check_id, anchor, max_residual=float(glue),
+    glue = worst(dt.residuals)
+    return CheckRecord(check_id, anchor, max_residual=glue,
                        passed=glue <= check_bound(get_tolerances()),
                        details={key: dt.checks.get(key, 0.0) for key in
                                 ("square_identity", "translation_law")})
@@ -166,7 +166,7 @@ def _run_validate(scenario: Scenario, report, rng):
         failures = res["failures"] + base["failures"]
         report.add(_verdict("pair_data.consistency", "delta.transformation-law", {
             "ok": not failures, "failures": failures,
-            "max_residual": max(res["max_residual"], base["max_residual"])}))
+            "max_residual": worst(res["max_residual"], base["max_residual"])}))
         out["pair.data"] = data
     # one bundle for the whole run: each section family caches its
     # recipe transport per bundle
@@ -184,8 +184,7 @@ def _run_validate(scenario: Scenario, report, rng):
 @_stage("frame_pairs")
 def _run_frame_pairs(scenario: Scenario, report, rng):
     tols = get_tolerances()
-    worst = 0.0
-    failures = []
+    residuals, failures = [], []
     for fp in scenario.frame_pairs:
         (U1, V1), (U2, V2) = fp["first"], fp["second"]
         validate_lagrangian(U1[None], V1[None])
@@ -194,14 +193,14 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
         check_frame_pairs(S1, S2, fp["k"])
         val, = delta(S1, S2, fp["k"])
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
-        worst = max(worst, r)
+        residuals.append(r)
         if r > check_bound(tols):
             failures.append((fp["name"], val))
     report.add(
         CheckRecord(
             "frame_pairs.delta-values",
             "delta.pairing-determinant",
-            max_residual=worst,
+            max_residual=worst(residuals),
             passed=not failures,
             failures=failures,
             details={"pairs": len(scenario.frame_pairs)},
@@ -281,13 +280,13 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
         dt2 = compatibility.build_delta_tilde(
             norm, z1, flipped, rng,
             base_values=_coboundary_base(scenario.nerve, lc.witness_equiv))
-        glue2 = max(dt2.residuals.tolist(), default=0.0)
+        glue2 = worst(dt2.residuals)
         witness = compatibility.verify_uniqueness(scenario.nerve, z2, flipped)
         report.add(
             CheckRecord(
                 "delta_tilde.equivalent-glues",
                 "sqrt-datum.coboundary-freedom",
-                max_residual=float(glue2),
+                max_residual=glue2,
                 passed=(glue2 <= check_bound(get_tolerances())
                         and witness is not None),
                 details={"witness": witness},
@@ -306,7 +305,7 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
                 CheckRecord(
                     "delta_tilde.inequivalent-fails",
                     "sqrt-datum.uniqueness",
-                    max_residual=float(max(exc.residuals.values())),
+                    max_residual=worst(list(exc.residuals.values())),
                     passed=True,
                     details={"rejected_points": len(exc.residuals)},
                 )
@@ -350,12 +349,12 @@ def _run_self_compat(scenario: Scenario, report, rng):
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
 def _run_recipe(scenario: Scenario, report, rng, data, sections):
     r = induction.recipe(data, sections)
-    residual = max(r.residuals["projection_match"], r.residuals["ball_match"])
+    residual = worst(r.residuals["projection_match"], r.residuals["ball_match"])
     report.add(
         CheckRecord(
             "recipe.projection",
             "recipe.metalinear-transitions",
-            max_residual=float(residual),
+            max_residual=residual,
             passed=residual <= projection_bound(get_tolerances()),
             details=dict(r.residuals),
         )
@@ -386,13 +385,13 @@ def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
         consumes=("mp.bundle", "sections.first", "sections.second"))
 def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
     out = induction.cross_check(data, first, second, rng)
-    worst = max(out["glue_residual"], out["restriction_residual"])
+    residual = worst(out["glue_residual"], out["restriction_residual"])
     report.add(
         CheckRecord(
             "cross_check.agreement",
             "cross-check.global-sign",
-            max_residual=float(worst),
-            passed=worst <= check_bound(get_tolerances()),
+            max_residual=residual,
+            passed=residual <= check_bound(get_tolerances()),
             details={
                 "global_sign": out["global_sign"],
                 "witness": out["witness"],
@@ -541,10 +540,10 @@ def run_scenario(
         "overlap components are taken as contractible as declared by the "
         "scenario; contractibility itself is not verified"
     )
-    if scenario.noncontractible_components:
+    if scenario.nerve.noncontractible:
         report.notes.append(
             "components declared non-contractible: "
-            + ", ".join(str(c) for c in scenario.noncontractible_components)
+            + ", ".join(str(c) for c in scenario.nerve.noncontractible)
         )
     report.wall_time = time.perf_counter() - start
     return report

@@ -4,7 +4,8 @@ A report is a flat list of check records, each naming an internal rule
 id (its "anchor"), the worst residual observed, and a pass/fail verdict
 with failure locations.  JSON output is stable-ordered with numeric
 values rounded to 12 significant digits so identical runs produce
-byte-identical reports.
+byte-identical reports; a non-finite value is the string "nan", "inf"
+or "-inf", so the output is strict JSON.
 """
 
 from __future__ import annotations
@@ -48,8 +49,12 @@ class VerificationReport:
         return not self.falsified and all(c.passed for c in self.checks)
 
 
-def _round12(x: float) -> float:
-    if x == 0 or not np.isfinite(x):
+def _round12(x: float) -> float | str:
+    """x to 12 significant digits; a non-finite x as the string "nan",
+    "inf" or "-inf", since strict JSON has no such number."""
+    if not np.isfinite(x):
+        return str(float(x))
+    if x == 0:
         return float(x)
     return float(f"{x:.12g}")
 
@@ -100,7 +105,8 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     """Serialize a report; JSON is stable-ordered, text is one line per
     check, with SKIP and the reason for a skipped stage."""
     if fmt == "json":
-        return json.dumps(report_to_dict(report), sort_keys=True, indent=2)
+        return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
+                          allow_nan=False)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"scenario {report.scenario} (seed {report.seed})"]

@@ -18,15 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cech import (
-    ORIGIN,
-    Cocycle,
-    Nerve,
-    OverlapComponent,
-    SamplePoint,
-    TriplePoint,
-    chart_stacks,
-)
+from .cech import Cocycle, Nerve, chart_stacks
 from .config import get_tolerances, loosest, tolerance_overrides
 from .errors import EngineError, ValidationError
 from .generators import build_generator, parse_complex
@@ -341,62 +333,31 @@ class Scenario:
         self.self_compat_cases: list[dict] = []
         self.frame_pairs: list[dict] = []
         self.sign_cochains: dict[str, np.ndarray] = {}
-        self.noncontractible_components: list = []
-
-
-def _build_nerve(doc: dict) -> Nerve:
-    overlaps = {}
-    for ov in doc.get("overlaps", []):
-        pair = tuple(ov["pair"])
-        comps = []
-        for comp in ov["components"]:
-            pts = tuple(
-                SamplePoint(p["id"], tuple(p.get("params", []))) for p in comp["points"]
-            )
-            edges = tuple(tuple(e) for e in comp.get("edges", []))
-            comps.append(
-                OverlapComponent(pts, edges, comp.get("contractible", True))
-            )
-        overlaps[pair] = tuple(comps)
-    triples = {}
-    for tr in doc.get("triples", []):
-        key = tuple(tr["key"])
-        pts = []
-        for p in tr["points"]:
-            memberships = {
-                tuple(pair.split(",")): tuple(v)
-                for pair, v in p["memberships"].items()
-            }
-            pts.append(TriplePoint(p["id"], memberships))
-        triples[key] = tuple(pts)
-    return Nerve(tuple(doc["charts"]), overlaps, triples)
 
 
 def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
     """The cocycle a document describes, each generator evaluated once on
-    the sample points of its component."""
-    table: dict[tuple[str, str], dict[int, Callable]] = {}
+    the rows of its component.  Its transitions must name each component
+    of the nerve once."""
+    pairs = {pair for pair, _ in nerve.keys}
+    table: dict[tuple, Callable] = {}
     for tr in doc["transitions"]:
-        pair, ci = tuple(tr["pair"]), tr["component"]
-        if pair not in nerve.overlaps:
+        key = pair, ci = tuple(tr["pair"]), tr["component"]
+        if pair not in pairs:
             raise ValidationError(f"cocycle references unknown overlap {pair}")
-        if ci >= len(nerve.overlaps[pair]):
+        if key not in nerve.components:
             raise ValidationError(f"cocycle references unknown component {ci} "
                                   f"of overlap {pair}")
-        if ci in table.setdefault(pair, {}):
+        if key in table:
             raise ValidationError(f"cocycle has two transitions for overlap "
                                   f"{pair} component {ci}")
-        table[pair][ci] = build_generator(tr["generator"], n, k)
-    transitions = {}
-    for pair, comps in nerve.overlaps.items():
-        fns = table.get(pair, {})
-        missing = [ci for ci in range(len(comps)) if ci not in fns]
-        if missing:
-            raise ValidationError(
-                f"cocycle missing transitions for {pair} components {missing}"
-            )
-        transitions[pair] = tuple(fns[ci] for ci in range(len(comps)))
-    return Cocycle.evaluate(doc["group"], n, k, nerve, transitions)
+        table[key] = build_generator(tr["generator"], n, k)
+    missing = [key for key in nerve.keys if key not in table]
+    if missing:
+        pair = missing[0][0]
+        raise ValidationError(f"cocycle missing transitions for {pair} components "
+                              f"{[ci for p, ci in missing if p == pair]}")
+    return Cocycle.evaluate(doc["group"], n, k, nerve, [table[key] for key in nerve.keys])
 
 
 def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
@@ -420,8 +381,8 @@ def _build_delta_samples(doc: dict, nerve: Nerve, n: int, k: int) -> np.ndarray:
 def _build_frame(spec: dict, n: int, k: int, what: str
                  ) -> tuple[np.ndarray, np.ndarray]:
     """A frame (U, V) generator evaluated once, at the origin."""
-    U, V = stack_values([(build_generator(spec, n, k), [ORIGIN])], ((n, n), (n, n)),
-                        lambda r: f"{what} is not a frame (U, V) for n={n}")
+    U, V = stack_values([(build_generator(spec, n, k), np.zeros((1, 0)), ["origin"])],
+                        ((n, n), (n, n)), lambda r: f"{what} is not a frame (U, V) for n={n}")
     return U[0], V[0]
 
 
@@ -439,13 +400,12 @@ def _build_sign_cochain(name: str, doc: dict, nerve: Nerve) -> np.ndarray:
     its last value at a triple point is -1.  A value at a triple point
     that the nerve does not have raises ValidationError."""
     signs = {(tuple(v["triple"]), v["point"]): v["sign"] for v in doc["values"]}
-    known = {(key, tp.id) for key, tp in nerve.triples}
+    known = set(nerve.triples)
     for key, point in signs:
         if (key, point) not in known:
             raise ValidationError(f"sign cochain {name!r} names point {point!r} of "
                                   f"triple {list(key)}, which the nerve does not have")
-    return np.array([signs.get((key, tp.id)) == -1 for key, tp in nerve.triples],
-                    dtype=np.uint8)
+    return np.array([signs.get(tp) == -1 for tp in nerve.triples], dtype=np.uint8)
 
 
 def load_scenario(source: str | Path | dict,
@@ -476,7 +436,7 @@ def _build_scenario(doc: dict) -> Scenario:
     n, k = doc["n"], doc["k"]
     if k > n:
         raise ValidationError("k must not exceed n")
-    nerve = _build_nerve(doc["nerve"])
+    nerve = Nerve(doc["nerve"])
     sc = Scenario(
         name=doc["name"],
         n=n,
@@ -529,12 +489,6 @@ def _build_scenario(doc: dict) -> Scenario:
         )
     for name, sdoc in doc.get("sign_cochains", {}).items():
         sc.sign_cochains[name] = _build_sign_cochain(name, sdoc, nerve)
-    sc.noncontractible_components = [
-        (pair, ci)
-        for pair, comps in nerve.overlaps.items()
-        for ci, comp in enumerate(comps)
-        if not comp.contractible
-    ]
     return sc
 
 

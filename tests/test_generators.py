@@ -12,23 +12,24 @@ import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.cech import ORIGIN, SamplePoint
+from hfe.cech import Nerve
 from hfe.errors import ValidationError
 from hfe.generators import build_generator, parse_complex, parse_matrix
 from hfe.groups import alpha0_det
-from hfe.scenario import _build_nerve, builtin_scenario_names, builtin_scenario_path
+from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 from hfe.smallmat import det
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 
 
 # ---------------------------------------------------------------------------
-# the former per-point generators, each a callable from one sample point
-# to a plain value: a scalar, a matrix, or a tuple of such values
+# the former per-point generators, each a callable from the params of one
+# sample point to a plain value: a scalar, a matrix, or a tuple of such
+# values
 # ---------------------------------------------------------------------------
 
 def _param(pt, idx=0):
-    return pt.params[idx] if len(pt.params) > idx else 0.0
+    return pt[idx] if len(pt) > idx else 0.0
 
 
 def _zeta(params, det_value):
@@ -147,22 +148,37 @@ def _flat(value):
 # ---------------------------------------------------------------------------
 
 def _evaluations(doc):
-    """(label, spec, n, k, points) of every generator of a document."""
+    """(label, spec, n, k, params, ids, points) of every generator of a
+    document: the params and ids of the nerve's rows it is evaluated on,
+    and the former sample points of those rows, as (params, id) read off
+    the document.  On the chart rows these are the points of each id's
+    first overlap row, or ((), "origin") at an origin."""
     n, k = doc["n"], doc["k"]
-    nerve = _build_nerve(doc["nerve"])
-    comps = {(pair, ci): nerve.points[rows.start:rows.stop]
-             for (pair, ci), rows in nerve.components.items()}
-    rows = {ch: [pt for _, pt in nerve.sites[r.start:r.stop]]
-            for ch, r in nerve.charts.items()}
+    nerve = Nerve(doc["nerve"])
+    listed = {(tuple(ov["pair"]), ci): [(tuple(pt.get("params", ())), pt["id"])
+                                        for pt in comp["points"]]
+              for ov in doc["nerve"].get("overlaps", [])
+              for ci, comp in enumerate(ov["components"])}
+    firsts = {ch: {} for ch in nerve.charts}
+    for pair, ci in nerve.keys:
+        for ch in pair:
+            for params, pid in listed[(pair, ci)]:
+                firsts[ch].setdefault(pid, params)
 
     def cocycle(role, cdoc):
         for tr in cdoc["transitions"]:
+            key = tuple(tr["pair"]), tr["component"]
+            rows = nerve.components[key]
             yield (f"{role} {tr['pair']}", tr["generator"], n, k,
-                   comps[(tuple(tr["pair"]), tr["component"])])
+                   nerve.params[rows], nerve.ids[rows.start:rows.stop], listed[key])
 
     def charts(role, family):
         for ch, spec in family.items():
-            yield f"{role} {ch}", spec, n, k, rows[ch]
+            rows = nerve.charts[ch]
+            points = [(params, pid) for pid, params in firsts[ch].items()]
+            yield (f"{role} {ch}", spec, n, k, nerve.site_params[rows],
+                   [pid for _, pid in nerve.sites[rows.start:rows.stop]],
+                   points or [((), "origin")])
 
     for role in ("pair_cocycle", "gl_cocycle", "mp_cocycle"):
         if role in doc:
@@ -178,7 +194,8 @@ def _evaluations(doc):
         yield from charts(f"self_compat {case['name']}", case["delta_samples"])
     for fp in doc.get("frame_pairs", []):
         for member in ("first", "second"):
-            yield f"frame_pairs {fp['name']}", fp[member], n, fp["k"], [ORIGIN]
+            yield (f"frame_pairs {fp['name']}", fp[member], n, fp["k"],
+                   np.zeros((1, 0)), ["origin"], [((), "origin")])
 
 
 DOCUMENTS = ([builtin_scenario_path(name) for name in builtin_scenario_names()]
@@ -189,11 +206,12 @@ DOCUMENTS = ([builtin_scenario_path(name) for name in builtin_scenario_names()]
 def test_stacked_generators_match_former_per_point_values(path):
     evaluations = list(_evaluations(json.loads(path.read_text())))
     assert evaluations
-    for label, spec, n, k, points in evaluations:
-        got = build_generator(spec, n, k)(points)
+    for label, spec, n, k, params, ids, points in evaluations:
+        assert ids == [pid for _, pid in points], label
+        got = build_generator(spec, n, k)(params, ids)
         former = _former(spec, n, k)
         want = [np.stack(member) for member in
-                zip(*(_flat(former(pt)) for pt in points))]
+                zip(*(_flat(former(params)) for params, _ in points))]
         assert len(got) == len(want), label
         for a, b in zip(got, want):
             assert a.shape == b.shape, label
@@ -204,20 +222,20 @@ def test_stacked_generators_match_former_per_point_values(path):
 # block forms at k = n, where the reduced blocks are 0 x 0
 # ---------------------------------------------------------------------------
 
-POINTS = [SamplePoint("t0", (0.0,)), SamplePoint("t1", (1.0,))]
+PARAMS, IDS = np.array([[0.0], [1.0]]), ["t0", "t1"]
 SHARED = {"A": [[2, 0], [0, -3]], "Wr": [], "Cr": []}
 
 
 def test_frame_blocks_at_k_equals_n():
     U, V = build_generator({"name": "frame_blocks", "params": {
-        **SHARED, "B": [[], []], "Wr_slope": []}}, 2, 2)(POINTS)
+        **SHARED, "B": [[], []], "Wr_slope": []}}, 2, 2)(PARAMS, IDS)
     assert np.array_equal(U, np.broadcast_to(np.diag([2.0, -3.0]), (2, 2, 2)))
     assert np.array_equal(V, np.zeros((2, 2, 2)))
 
 
 def test_meta_pair_blocks_at_k_equals_n():
     W1, C1, z1, W2, C2, z2 = build_generator({"name": "meta_pair_blocks", "params": {
-        "first": SHARED, "second": {**SHARED, "zsign": -1}}}, 2, 2)(POINTS)
+        "first": SHARED, "second": {**SHARED, "zsign": -1}}}, 2, 2)(PARAMS, IDS)
     for W, C in ((W1, C1), (W2, C2)):
         assert np.array_equal(W, np.broadcast_to(np.eye(2), (2, 2, 2)))
         assert np.array_equal(C, np.broadcast_to(np.diag([2.0, -3.0]), (2, 2, 2)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lifts_equivalent
+from hfe.cech import Cocycle, Nerve, lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, validate_lagrangian
 from hfe.induction import (
@@ -21,30 +21,25 @@ from hfe.induction import (
 )
 from hfe.scenario import builtin_scenario_path, load_scenario
 
-from helpers import per_point
-
-EAST = SamplePoint("east", (0.0,))
-WEST = SamplePoint("west", (1.0,))
+from helpers import component, nerve_doc, per_point
 
 
 def circle_nerve():
-    return Nerve(
-        ("a", "b"),
-        {("a", "b"): (OverlapComponent((EAST,)), OverlapComponent((WEST,)))},
-    )
+    return Nerve(nerve_doc("ab", {("a", "b"): [component([("east", (0.0,))]),
+                                               component([("west", (1.0,))])]}))
 
 
 def _mp_rotation(theta):
     g = np.array([[math.cos(theta), math.sin(theta)],
                   [-math.sin(theta), math.cos(theta)]])
     value = (g, cmath.exp(0.5j * theta))
-    return per_point(lambda pt: value)
+    return per_point(lambda *_: value)
 
 
 def rotation_bundle(theta=math.pi / 2):
     nerve = circle_nerve()
     mp_c = Cocycle.evaluate(
-        "Mp", 1, 0, nerve, {("a", "b"): (_mp_rotation(0.0), _mp_rotation(theta))},
+        "Mp", 1, 0, nerve, [_mp_rotation(0.0), _mp_rotation(theta)],
     )
     return MetaplecticBundleData(nerve, mp_c, d_adapted=False)
 
@@ -53,8 +48,8 @@ def _sections(UVa, UVb=None):
     """Sections of the circle nerve, the frame UVa on chart a and UVb
     (by default the same) on chart b."""
     return FrameSectionData.evaluate(circle_nerve(), 1, {
-        "a": per_point(lambda pt: UVa),
-        "b": per_point(lambda pt: UVa if UVb is None else UVb)})
+        "a": per_point(lambda *_: UVa),
+        "b": per_point(lambda *_: UVa if UVb is None else UVb)})
 
 
 def holo_sections():
@@ -65,7 +60,7 @@ def test_recipe_rotation_anchor():
     # rotating the origin frame by a quarter turn produces the metalinear
     # transition ([i], e^{i pi/4}) on the twisted component
     r = recipe(rotation_bundle(), holo_sections())
-    (eye, el), (z_eye, z_el) = r.ml_cocycle.mats, r.ml_cocycle.roots  # EAST, WEST
+    (eye, el), (z_eye, z_el) = r.ml_cocycle.mats, r.ml_cocycle.roots  # east, west
     assert abs(el[0, 0] - 1j) < 1e-12
     assert abs(z_el - cmath.exp(0.25j * cmath.pi)) < 1e-12
     assert abs(eye[0, 0] - 1.0) < 1e-12 and abs(z_eye - 1.0) < 1e-12
@@ -133,13 +128,11 @@ def test_mp_act_stack_identity():
 
 
 def test_chart_sqrt_values_continuity():
-    pts = tuple(
-        SamplePoint(f"t{i}", (i / 8.0,)) for i in range(9)
-    )
-    comp = OverlapComponent(pts, tuple((i, i + 1) for i in range(8)))
-    nerve = Nerve(("a", "b"), {("a", "b"): (comp,)})
+    comp = component([(f"t{i}", (i / 8.0,)) for i in range(9)],
+                     [(i, i + 1) for i in range(8)])
+    nerve = Nerve(nerve_doc("ab", {("a", "b"): [comp]}))
     # chart a's rows are t0, ..., t8, and so are chart b's
-    values = [cmath.exp(2j * cmath.pi * pt.params[0]) for pt in pts]
+    values = [cmath.exp(2j * cmath.pi * t) for t in nerve.params[:, 0].tolist()]
     z = chart_sqrt_values(nerve, values + values, {})
     assert abs(z[0] - 1.0) < 1e-12
     assert abs(z[8] + 1.0) < 1e-9  # tracked onto the other sheet

