@@ -81,7 +81,9 @@ class Nerve:
     delta0      (C, H) uint8: from chart signs to component signs, ones at
                 the two charts of each component of keys
     delta1      (T, C) uint8: from component signs to triple-point signs,
-                ones at the three components of each triple point
+                ones at the three components of each triple point;
+                delta1 delta0 = 0 over GF(2), since each chart of a
+                triple key lies on exactly two of its three pairs
 
     A sign cochain is the GF(2) bits of its signs, 1 for -1: over keys in
     degree 1 and over triples in degree 2.
@@ -391,7 +393,7 @@ def _gf2_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     nonzero, and the pivot columns in increasing order.  Each pivot row
     is the first remaining row with a one in that column.
     """
-    R = (np.asarray(M) & 1).astype(np.uint8)
+    R = (np.asarray(M) & 1).astype(np.uint8, order="C")  # contiguous row XORs
     pivots: list[int] = []
     for col in range(R.shape[1]):
         r = len(pivots)
@@ -409,18 +411,16 @@ def _gf2_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _gf2_rank(M: np.ndarray) -> int:
-    return len(_gf2_reduce(M)[1])
-
-
-def _gf2_nullspace(M: np.ndarray) -> np.ndarray:
-    """Basis of {x : M x = 0} over GF(2), one uint8 row per free column."""
+def _gf2_nullspace(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Basis of {x : M x = 0} over GF(2), one uint8 row per free column,
+    and the free columns in increasing order.  Each row's highest one is
+    at its own free column, where no other row has a one."""
     R, pivots = _gf2_reduce(M)
     free = sorted(set(range(R.shape[1])) - set(pivots))
     N = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
     N[np.arange(len(free)), free] = 1
     N[:, pivots] = R[:len(pivots), free].T
-    return N
+    return N, free
 
 
 def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -439,13 +439,13 @@ def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     return x
 
 
-def _top_down_basis(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _top_down_basis(M: np.ndarray) -> np.ndarray:
     """Fully reduced basis of the row space of M, pivots taken from the
-    highest column down, and its pivot columns.  Read as integers with
-    column 0 the least significant bit, the rows decrease: the last one
-    is the smallest nonzero vector of the span."""
+    highest column down.  Read as integers with column 0 the least
+    significant bit, the rows decrease: the last one is the smallest
+    nonzero vector of the span."""
     R, pivots = _gf2_reduce(np.asarray(M)[:, ::-1])
-    return R[:len(pivots), ::-1], [R.shape[1] - 1 - p for p in pivots]
+    return R[:len(pivots), ::-1]
 
 
 class LiftClasses:
@@ -469,27 +469,23 @@ class LiftClasses:
 
 def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
     """Count the sign patterns of a nerve with coboundaries delta1
-    (triple points x components) and delta0 (components x charts)."""
-    kernel, _ = _top_down_basis(_gf2_nullspace(delta1))
-    # ker delta1 meets im delta0 in the image of ker(delta1 delta0);
-    # uint8 products wrap modulo 256, which keeps their parity
-    gluing, pivots = _top_down_basis(
-        (_gf2_nullspace((delta1 @ delta0) & 1) @ delta0.T) & 1
-    )
-    # a kernel row is a coboundary iff the gluing rows at its pivot
-    # entries add up to it
-    outside = np.flatnonzero(
-        np.any(kernel ^ ((kernel[:, pivots] @ gluing) & 1), axis=1)
-    )
-    valid, coboundaries = 2 ** len(kernel), 2 ** _gf2_rank(delta0)
-    return LiftClasses(
-        valid=valid,
-        coboundaries=coboundaries,
-        gluing=2 ** len(gluing),
-        classes=valid // coboundaries,
-        witness_equiv=gluing[-1] if len(gluing) else None,
-        witness_inequiv=kernel[outside[-1]] if outside.size else None,
-    )
+    (triple points x components) and delta0 (components x charts).
+    Precondition: delta1 delta0 = 0 over GF(2), as on every nerve, so
+    the gluing patterns are the coboundaries, im delta0."""
+    # reversed, the nullspace rows are the top-down basis of ker delta1
+    null, free = _gf2_nullspace(delta1)
+    kernel, image = null[::-1], _top_down_basis(delta0.T)
+    # a valid pattern is the sum of the kernel rows at its free columns,
+    # so kernel row j is a coboundary iff the unit vector j is a row of
+    # the reduced image in these coordinates
+    R, pivots = _gf2_reduce(image[:, free[::-1]])
+    units = {p for p, row in zip(pivots, R) if np.count_nonzero(row) == 1}
+    outside = [j for j in range(len(kernel)) if j not in units]
+    valid, coboundaries = 2 ** len(kernel), 2 ** len(image)
+    return LiftClasses(valid=valid, coboundaries=coboundaries, gluing=coboundaries,
+                       classes=valid // coboundaries,
+                       witness_equiv=image[-1] if len(image) else None,
+                       witness_inequiv=kernel[outside[-1]] if outside else None)
 
 
 # ---------------------------------------------------------------------------

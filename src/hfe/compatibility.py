@@ -117,7 +117,10 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     delta = data.delta_samples
     a, b = data.nerve.ends.T
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
-    G2 = _diag_changes(delta[a], n) @ G2 @ _diag_changes(1.0 / delta[b], n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G2 = _diag_changes(delta[a], n) @ G2 @ _diag_changes(1.0 / delta[b], n)
+    raise_first([(~np.isfinite(G2).all(axis=(1, 2)), lambda r: ValidationError(
+        f"normalized second member at {data.nerve.ids[r]} is not finite"))])
     return PolarizationPairData(
         nerve=data.nerve,
         pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),

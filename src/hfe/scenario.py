@@ -230,7 +230,18 @@ SCENARIO_SCHEMA: dict = {
             },
         },
         "pipelines": {"type": "array", "items": {"type": "string"}},
-        "expectations": {"type": "object"},
+        "expectations": {
+            "type": "object",
+            "properties": {
+                "lift_classes": {"type": "integer", "minimum": 1},
+                "obstructed": {"type": "boolean"},
+                "self_compat_eps": {"type": "object",
+                                    "additionalProperties": {"enum": [0, 1]}},
+                "sign_cochains": {"type": "object", "additionalProperties": {
+                    "enum": ["feasible", "infeasible"]}},
+            },
+            "additionalProperties": False,
+        },
         "tolerances": {"type": "object", "additionalProperties": False,
                        "properties": {key: {"type": "number", "exclusiveMinimum": 0}
                                       for key in ("rel", "abs", "singular", "track")}},

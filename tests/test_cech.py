@@ -1,5 +1,7 @@
 import itertools
+import json
 from cmath import sqrt as principal_sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hfe import ball
 from hfe.cech import (
     Cocycle,
     Nerve,
+    _gf2_nullspace,
     _membership_residuals,
+    _top_down_basis,
     gf2_solve,
     lift_classes,
     lift_double_cover,
@@ -24,13 +28,13 @@ from hfe.scenario import (
     _build_sign_cochain,
     builtin_scenario_names,
     builtin_scenario_path,
-    load_scenario,
 )
 from hfe.smallmat import det
 from hfe.tracking import Walk
 
 from helpers import by_key, component, nerve_doc, per_point, random_sp
 
+GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
 SIDES = (("a", "b"), ("b", "c"), ("a", "c"))
 
 
@@ -525,11 +529,31 @@ def test_nerve_maps_match_former_builds(doc, data):
         assert ((delta1 @ sol) & 1).tolist() == former
 
 
-@pytest.mark.parametrize("name", builtin_scenario_names())
-def test_corpus_coboundaries_compose_to_zero(name):
-    nerve = load_scenario(builtin_scenario_path(name)).nerve
-    composite = nerve.delta1.astype(int) @ nerve.delta0.astype(int)
-    assert not np.any(composite % 2)
+def _composes_to_zero(nerve):
+    """delta1 delta0 = 0 over GF(2), the precondition of lift_classes."""
+    return not np.any((nerve.delta1.astype(int) @ nerve.delta0.astype(int)) % 2)
+
+
+@pytest.mark.parametrize(
+    "path", [builtin_scenario_path(name) for name in builtin_scenario_names()]
+    + sorted(GOLDEN_SCENARIOS.glob("*.json")), ids=lambda path: path.stem)
+def test_corpus_coboundaries_compose_to_zero(path):
+    assert _composes_to_zero(Nerve(json.loads(path.read_text())["nerve"]))
+
+
+@given(_nerve_docs())
+def test_generated_nerve_coboundaries_compose_to_zero(doc):
+    # each chart of a triple key lies on exactly two of its three pairs
+    assert _composes_to_zero(Nerve(doc))
+
+
+@given(st.integers(0, 8), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_reversed_nullspace_is_the_top_down_basis(rows, cols, seed):
+    M = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    null, free = _gf2_nullspace(M)
+    assert np.array_equal(null[::-1], _top_down_basis(null))
+    assert [int(np.flatnonzero(row)[-1]) for row in null] == free
+    assert not np.any((M.astype(int) @ null.T.astype(int)) % 2)
 
 
 def _brute_force_classes(delta1, delta0):
@@ -556,13 +580,12 @@ def _coboundary_pairs(draw):
     t = draw(st.integers(0, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     delta0 = rng.integers(0, 2, size=(c, h))
-    delta1 = rng.integers(0, 2, size=(t, c))
-    if draw(st.booleans()):
-        # rows from the left kernel of delta0, so delta1 delta0 = 0
-        left = [y for y in (np.arange(2 ** c)[:, None] >> np.arange(c)) & 1
-                if not np.any((y @ delta0) % 2)]
-        delta1 = np.array([left[i] for i in rng.integers(0, len(left), t)],
-                          dtype=int).reshape(t, c)
+    # rows from the left kernel of delta0, so delta1 delta0 = 0 as on
+    # every nerve
+    left = [y for y in (np.arange(2 ** c)[:, None] >> np.arange(c)) & 1
+            if not np.any((y @ delta0) % 2)]
+    delta1 = np.array([left[i] for i in rng.integers(0, len(left), t)],
+                      dtype=int).reshape(t, c)
     return delta1.astype(np.uint8), delta0.astype(np.uint8)
 
 

@@ -96,6 +96,22 @@ def test_schema_violation_message(tmp_path, capsys):
                    "'x' is not of type 'array'\n")
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("trivial_r2", "self_compat_eps", 5),
+    ("sphere_octa", "sign_cochains", [1]),
+    ("torus_grid", "lift_classes", [4]),
+    ("sphere_octa", "obstructed", "yes"),
+    ("torus_grid", "lift_clases", 3),
+])
+def test_exit_2_on_a_malformed_expectation(tmp_path, capsys, name, key, value):
+    def edit(doc):
+        doc.setdefault("expectations", {})[key] = value
+    code, _, err = run(capsys, "verify", _scenario_file(tmp_path, name, edit))
+    assert code == 2
+    assert err.startswith("error: scenario schema violation at expectations")
+    assert "Traceback" not in err
+
+
 _IMPORT_PROBE = """
 import sys
 import hfe.cli
@@ -1121,6 +1137,19 @@ def test_overflowing_pair_transition_reports_nan_as_strict_json(tmp_path, capsys
     assert not record["pass"]
     assert record["max_residual"] == "nan"
     assert record["failures"] == [["delta-consistency", ["0", "1"], 0, "east", "nan"]]
+
+
+def test_overflowing_second_member_fails_induce_with_its_point(tmp_path, capsys):
+    # normalizing the second member overflows at the first component's
+    # point: induce names it, and no overflow warning reaches stderr
+    def edit(doc):
+        doc["pair_cocycle"]["transitions"][0]["generator"]["params"]["second"] = [[1e308]]
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert (code, err) == (1, "")
+    record = next(c for c in json.loads(out)["checks"] if c["id"] == "induce.error")
+    assert record["failures"] == [
+        "ValidationError: normalized second member at east is not finite"]
 
 
 def test_json_report_writes_non_finite_numbers_as_strings():

@@ -201,16 +201,17 @@ def _ring_doc(n_charts: int, twisted: set[int]) -> dict:
     }
 
 
-def test_lift_classes_counted_on_a_24_chart_ring():
-    # 2^24 sign patterns: counted from GF(2) ranks, not enumerated
-    report = run_scenario(_ring_doc(24, {0, 5, 11, 17}))
+@pytest.mark.parametrize("n_charts", [24, 1024])
+def test_lift_classes_counted_on_a_ring(n_charts):
+    # 2^n_charts sign patterns: counted from GF(2) bases, not enumerated
+    report = run_scenario(_ring_doc(n_charts, {0, 5, 11, 17}))
     assert report.passed, [c.check_id for c in report.checks if not c.passed]
     count = _check(report, "lift.class-count")
-    assert count.details == {"valid_lifts": 2 ** 24, "coboundaries": 2 ** 23,
-                             "classes": 2}
+    assert count.details == {"valid_lifts": 2 ** n_charts,
+                             "coboundaries": 2 ** (n_charts - 1), "classes": 2}
     unique = _check(report, "delta_tilde.unique-class")
-    assert unique.details == {"gluing_patterns": 2 ** 23,
-                              "total_valid": 2 ** 24}
+    assert unique.details == {"gluing_patterns": 2 ** (n_charts - 1),
+                              "total_valid": 2 ** n_charts}
     ids = {c.check_id for c in report.checks}
     assert {"delta_tilde.equivalent-glues",
             "delta_tilde.inequivalent-fails"} <= ids
