@@ -126,7 +126,7 @@ def _verify(args) -> int:
                          tolerances=tolerances, seed=args.seed)
             for t in args.scenarios
         ]
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (ValidationError, EngineError) as exc:

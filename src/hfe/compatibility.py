@@ -217,14 +217,16 @@ def _check_translation_law(
     """Squared identity under random metalinear-pair translations.
 
     The square of the translated value must be delta at the translated
-    pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.
+    pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.  A product that
+    overflows gives a NaN residual.
     """
     t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve, rng))
     rows, detA = t["rows"], t["detA"]
     val = dt.base[rows] * t["factor"]
-    target = (data.delta_samples[rows] * np.conj(det(t["M1"])) * det(t["M2"])
-              / (detA * detA))
-    return worst(rel_residual(val * val, target))
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = (data.delta_samples[rows] * np.conj(det(t["M1"])) * det(t["M2"])
+                  / (detA * detA))
+        return worst(rel_residual(val * val, target))
 
 
 def build_delta_tilde(
@@ -268,10 +270,12 @@ def build_delta_tilde(
 
 
 def verify_uniqueness(nerve: Nerve, z2a: Cocycle, z2b: Cocycle) -> dict[str, int]:
-    """Two candidates that both glue (checked by the caller) must be
-    equivalent: returns the chart-sign witness of the coboundary solver.
-    A failure contradicts the uniqueness theorem and raises
-    TheoremFalsification."""
+    """Two candidates for a gluing lift must be equivalent: returns the
+    chart-sign witness of the coboundary solver, or raises
+    TheoremFalsification, since inequivalent lifts would contradict the
+    uniqueness theorem.  The delta_tilde stage asks for it before
+    gluing: where z2a glues from base 1, the witness taken at every
+    chart row is the base that glues z2b."""
     witness = cech.lifts_equivalent(nerve, z2a, z2b)
     if witness is None:
         raise TheoremFalsification(
@@ -318,7 +322,8 @@ def self_compat(data: PolarizationPairData, z1: Cocycle, rng: Draws
     t = draw_translations(rng, data.n, data.k,
                           _chart_draws(data.nerve, rng), diagonal=True)
     val = dt_norm.base[t["rows"]] * t["factor"]
-    worst_imag = worst(np.abs(val.imag))
+    # relative to |val|, which grows like |delta|^(1/2)
+    worst_imag = worst(np.abs(val.imag) / np.maximum(1.0, np.abs(val)))
     min_real = -worst(-val.real, floor=-np.inf)
     dt_norm.checks["positivity_imag"] = worst_imag
     dt_norm.checks["positivity_min_real"] = min_real

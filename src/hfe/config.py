@@ -43,9 +43,6 @@ class Tolerances:
             return NotImplemented
         return self.as_dict() == other.as_dict()
 
-    def __hash__(self):
-        return hash(tuple(self.as_dict().values()))
-
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"Tolerances({args})"

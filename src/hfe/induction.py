@@ -19,7 +19,7 @@ import numpy as np
 from . import ball, cech, compatibility
 from .cech import Cocycle, Nerve, chart_stacks
 from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
-from .config import Tolerances, check_bound, get_tolerances, property_bound
+from .config import check_bound, get_tolerances, property_bound
 from .errors import TheoremFalsification, ValidationError, raise_first
 from .frames import (
     alpha_tilde,
@@ -56,16 +56,11 @@ class MetaplecticBundleData:
 class FrameSectionData:
     """Per-chart frame sections in chart coordinates: the stacks U and V
     (R, n, n) of their frames (U, V) at every chart row of the nerve,
-    checked as positive Lagrangian frames by the transport.
-
-    Keeps the sheet-independent transport of the last bundle it served
-    (see transport), so the recipe runs of one section family share it.
-    """
+    checked as positive Lagrangian frames by the transport."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray):
         self.U = U
         self.V = V
-        self._last: Optional[SectionTransport] = None
 
     @classmethod
     def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
@@ -73,16 +68,6 @@ class FrameSectionData:
         """The sections of a family of chart generators, evaluated once."""
         return cls(*chart_stacks(nerve, generators, "section", ((n, n), (n, n)),
                                  f"a frame (U, V) for n={n}"))
-
-    def transport(self, data: MetaplecticBundleData) -> "SectionTransport":
-        """The sheet-independent part of the recipe on this bundle,
-        computed once per bundle and tolerance set."""
-        tols = get_tolerances()
-        last = self._last
-        if last is None or last.bundle is not data or last.tols != tols:
-            last = _transport(data, self)
-            self._last = last
-        return last
 
 
 class PairSectionData:
@@ -163,11 +148,10 @@ class SectionTransport:
     alpha_tilde(g, W_b), and gW the Ball point g.W_b.
     """
 
-    def __init__(self, bundle: MetaplecticBundleData, tols: Tolerances, U: np.ndarray,
-                 V: np.ndarray, W: np.ndarray, C: np.ndarray, N: np.ndarray,
-                 alpha: np.ndarray, alpha_z: np.ndarray, gW: np.ndarray):
+    def __init__(self, bundle: MetaplecticBundleData, U: np.ndarray, V: np.ndarray,
+                 W: np.ndarray, C: np.ndarray, N: np.ndarray, alpha: np.ndarray,
+                 alpha_z: np.ndarray, gW: np.ndarray):
         self.bundle = bundle
-        self.tols = tols
         self.U = U
         self.V = V
         self.W = W
@@ -178,8 +162,10 @@ class SectionTransport:
         self.gW = gW
 
 
-def _transport(data: MetaplecticBundleData, sections: FrameSectionData
-               ) -> SectionTransport:
+def transport(data: MetaplecticBundleData, sections: FrameSectionData
+              ) -> SectionTransport:
+    """The sheet-independent part of the recipe for a section family on
+    a bundle, which the recipe runs of one stage share."""
     tols = get_tolerances()
     nerve = data.nerve
     U, V = sections.U, sections.V
@@ -203,14 +189,11 @@ def _transport(data: MetaplecticBundleData, sections: FrameSectionData
         f"sections inconsistent with the cocycle at {nerve.ids[p]}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
     check_ball(gW)
-    return SectionTransport(data, tols, U, V, W, C, N, alpha, alpha_z, gW)
+    return SectionTransport(data, U, V, W, C, N, alpha, alpha_z, gW)
 
 
-def recipe(
-    data: MetaplecticBundleData,
-    sections: FrameSectionData,
-    sheet_flips: Optional[dict[str, int]] = None,
-) -> RecipeResult:
+def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
+           ) -> RecipeResult:
     """Compute the induced metalinear transition functions.
 
     Per chart, sections are mapped through phi and lifted by a continuous
@@ -219,12 +202,13 @@ def recipe(
     chart and is compared with the lifted section of the other; the
     quotient is the metalinear transition.  Its projection equals the
     Gl-valued frame transition computed independently from the sections.
-    The sheet-independent part comes from sections.transport(data), and
-    every step runs on the stacks of all sample points at once.
+    The sheet-independent part is the transport t of the sections to
+    the bundle t.bundle, and every step runs on the stacks of all sample
+    points at once.
     """
     tols = get_tolerances()
+    data = t.bundle
     nerve = data.nerve
-    t = sections.transport(data)
     # per-chart lifted sections
     z = chart_sqrt_values(nerve, det(t.C), sheet_flips or {})
     check_ml(t.C, z)
@@ -330,9 +314,10 @@ def cross_check(data: MetaplecticBundleData, sections1: FrameSectionData,
         raise ValidationError("cross_check requires D-adapted data")
     tols = get_tolerances()
     nerve, n, k = data.nerve, data.n, data.k
-    r1 = recipe(data, sections1)
-    r2 = recipe(data, sections2)
-    t1, t2 = sections1.transport(data), sections2.transport(data)
+    t1 = transport(data, sections1)
+    r1 = recipe(t1)
+    t2 = transport(data, sections2)
+    r2 = recipe(t2)
 
     # pair data spanned by the two families
     pair_c = Cocycle("Glkd", n, k, np.stack([r1.ml_cocycle.mats, r2.ml_cocycle.mats],

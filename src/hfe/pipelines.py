@@ -22,13 +22,12 @@ A stage declares the named artefacts it consumes and produces:
     pair.normalized   the pair data normalized to delta = 1
     induced           the compatible metalinear cocycle of the second member
 
-A stage may also take an artefact as an optional input, which it gets
-as None when its producer finished without it.  From these
+An artefact may be None (``gl.cocycle`` when the scenario has none);
+it is missing only when its producer left it out.  From these
 declarations alone, run_scenario pulls in the stages that produce a
-selected stage's inputs, optional ones included, and records a stage
-whose inputs are missing as ``<stage>.skipped`` (anchor
-``pipeline.skipped``) with the reason and the missing artefacts; an
-optional input is missing only when its producer was skipped or failed.
+selected stage's inputs, and records a stage whose inputs are missing
+as ``<stage>.skipped`` (anchor ``pipeline.skipped``) with the reason
+and the missing artefacts.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cech, compatibility, induction
-from .cech import Nerve, gf2_solve
+from .cech import Nerve
 from .compatibility import PolarizationPairData
 from .config import (
     check_bound,
@@ -63,31 +62,24 @@ class Stage:
     """The artefacts a stage consumes and produces.
 
     Its runner is called as run(scenario, report, rng, *inputs), with
-    the consumed and then the optional artefacts in declared order, and
-    returns a dict of the artefacts it produced.  ``produces`` maps each
-    to the reason a finished run of the stage leaves it out, or None if
-    it never does.
+    the consumed artefacts in declared order, and returns a dict of the
+    artefacts it produced.  ``produces`` maps each to the reason a
+    finished run of the stage leaves it out, or None if it never does.
     """
 
-    def __init__(self, consumes: tuple[str, ...], produces: dict[str, Optional[str]],
-                 optional: tuple[str, ...]):
+    def __init__(self, consumes: tuple[str, ...], produces: dict[str, Optional[str]]):
         self.consumes = consumes
         self.produces = produces
-        self.optional = optional
-
-    @property
-    def inputs(self) -> tuple[str, ...]:
-        return self.consumes + self.optional
 
 
 _STAGES: dict[str, Stage] = {}
 _RUNNERS: dict[str, Callable] = {}
 
 
-def _stage(name: str, consumes=(), produces=None, optional=()):
+def _stage(name: str, consumes=(), produces=None):
     """Declare a stage; stages run in declaration order."""
     def register(run):
-        _STAGES[name] = Stage(tuple(consumes), produces or {}, tuple(optional))
+        _STAGES[name] = Stage(tuple(consumes), produces or {})
         _RUNNERS[name] = run
         return run
     return register
@@ -96,13 +88,6 @@ def _stage(name: str, consumes=(), produces=None, optional=()):
 # ---------------------------------------------------------------------------
 # sign patterns on overlap components
 # ---------------------------------------------------------------------------
-
-def _coboundary_base(nerve: Nerve, pattern) -> np.ndarray:
-    """Chart signs whose coboundary is the given coboundary pattern, as
-    base values at every chart row."""
-    flips = gf2_solve(nerve.delta0, pattern).astype(bool)[nerve.chart]
-    return np.where(flips, -1.0, 1.0).astype(complex)
-
 
 def _defects(nerve: Nerve, bits: np.ndarray) -> list:
     """The (triple key, point id) of the triple points where a degree-2
@@ -132,7 +117,7 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
 
 @_stage("validate", produces={
     "pair.cocycle": "no pair cocycle",
-    "gl.cocycle": "no gl cocycle",
+    "gl.cocycle": None,
     "pair.data": "no pair cocycle with delta samples",
     "mp.bundle": "no metaplectic data",
     "sections.first": "no first section family",
@@ -153,11 +138,9 @@ def _run_validate(scenario: Scenario, report, rng):
         checked[role] = cech.validate_cocycle(scenario.nerve, c)
         report.add(_verdict(f"cocycle.{role}", "cocycle.identity-at-triples",
                             checked[role]))
-    out = {}
+    out = {"gl.cocycle": scenario.gl_cocycle}
     if scenario.pair_cocycle is not None:
         out["pair.cocycle"] = scenario.pair_cocycle
-    if scenario.gl_cocycle is not None:
-        out["gl.cocycle"] = scenario.gl_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
         data = PolarizationPairData(scenario.nerve, scenario.pair_cocycle,
                                     scenario.delta_samples)
@@ -168,8 +151,6 @@ def _run_validate(scenario: Scenario, report, rng):
             "ok": not failures, "failures": failures,
             "max_residual": worst(res["max_residual"], base["max_residual"])}))
         out["pair.data"] = data
-    # one bundle for the whole run: each section family caches its
-    # recipe transport per bundle
     if scenario.mp_cocycle is not None:
         out["mp.bundle"] = induction.MetaplecticBundleData(
             scenario.nerve, scenario.mp_cocycle, scenario.d_adapted)
@@ -274,21 +255,22 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
             details={"gluing_patterns": lc.gluing, "total_valid": lc.valid},
         )
     )
-    # concrete confirmations on representatives
+    # concrete confirmations on representatives: the chart signs that
+    # make the flipped lift equivalent are the base values that glue it
     if lc.witness_equiv is not None:
-        flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_equiv)
-        dt2 = compatibility.build_delta_tilde(
-            norm, z1, flipped, rng,
-            base_values=_coboundary_base(scenario.nerve, lc.witness_equiv))
+        nerve = scenario.nerve
+        flipped = cech.flip_sheets(nerve, z2, lc.witness_equiv)
+        witness = compatibility.verify_uniqueness(nerve, z2, flipped)
+        base = np.array([witness[ch] for ch in nerve.charts], dtype=complex)
+        dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
+                                              base_values=base[nerve.chart])
         glue2 = worst(dt2.residuals)
-        witness = compatibility.verify_uniqueness(scenario.nerve, z2, flipped)
         report.add(
             CheckRecord(
                 "delta_tilde.equivalent-glues",
                 "sqrt-datum.coboundary-freedom",
                 max_residual=glue2,
-                passed=(glue2 <= check_bound(get_tolerances())
-                        and witness is not None),
+                passed=glue2 <= check_bound(get_tolerances()),
                 details={"witness": witness},
             )
         )
@@ -348,7 +330,8 @@ def _run_self_compat(scenario: Scenario, report, rng):
 
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
 def _run_recipe(scenario: Scenario, report, rng, data, sections):
-    r = induction.recipe(data, sections)
+    t = induction.transport(data, sections)
+    r = induction.recipe(t)
     residual = worst(r.residuals["projection_match"], r.residuals["ball_match"])
     report.add(
         CheckRecord(
@@ -362,7 +345,7 @@ def _run_recipe(scenario: Scenario, report, rng, data, sections):
     # a different sheet choice on one chart changes the result only by a
     # coboundary of chart signs
     flip_chart = next(iter(scenario.nerve.charts))
-    r2 = induction.recipe(data, sections, sheet_flips={flip_chart: -1})
+    r2 = induction.recipe(t, sheet_flips={flip_chart: -1})
     witness = cech.lifts_equivalent(scenario.nerve, r.ml_cocycle, r2.ml_cocycle)
     report.add(
         CheckRecord(
@@ -402,7 +385,7 @@ def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
     )
 
 
-@_stage("obstruction", optional=("gl.cocycle",))
+@_stage("obstruction", consumes=("gl.cocycle",))
 def _run_obstruction(scenario: Scenario, report, rng, gl_cocycle):
     if gl_cocycle is not None:
         lifted = cech.lift_double_cover(scenario.nerve, gl_cocycle)
@@ -443,7 +426,7 @@ def _producers() -> dict[str, str]:
     earlier stage produces, so declaration order is a run order."""
     producer: dict[str, str] = {}
     for name, stage in _STAGES.items():
-        unmet = [a for a in stage.inputs if a not in producer]
+        unmet = [a for a in stage.consumes if a not in producer]
         twice = [a for a in stage.produces if a in producer]
         if unmet or twice:
             raise RuntimeError(f"stage {name}: inputs {unmet} not produced "
@@ -462,7 +445,7 @@ def _with_producers(selected) -> list[str]:
     needed = set(selected)
     for name in reversed(PIPELINE_ORDER):
         if name in needed:
-            needed.update(_PRODUCER[a] for a in _STAGES[name].inputs)
+            needed.update(_PRODUCER[a] for a in _STAGES[name].consumes)
     return [p for p in PIPELINE_ORDER if p in needed]
 
 
@@ -502,8 +485,6 @@ def run_scenario(
         for name in _with_producers(selected):
             stage = _STAGES[name]
             missing = [a for a in stage.consumes if a not in artefacts]
-            missing += [a for a in stage.optional
-                        if a not in artefacts and _PRODUCER[a] in unfinished]
             if missing:
                 producer = _PRODUCER[missing[0]]
                 reason = (unfinished.get(producer)
@@ -513,7 +494,7 @@ def run_scenario(
                                        details={"reason": reason,
                                                 "missing": missing}))
                 continue
-            inputs = [artefacts.get(a) for a in stage.inputs]
+            inputs = [artefacts[a] for a in stage.consumes]
             try:
                 produced = _RUNNERS[name](scenario, report, rng, *inputs) or {}
             except TheoremFalsification as exc:

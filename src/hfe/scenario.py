@@ -428,7 +428,8 @@ def load_scenario(source: str | Path | dict,
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text()
+        # JSON text is UTF-8 (RFC 8259)
+        text = Path(source).read_text(encoding="utf-8")
         doc = json.loads(text)
     _check_schema(doc)
     # json reads NaN and Infinity, and the schema's exclusiveMinimum

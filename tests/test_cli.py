@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,29 @@ def test_verify_multiple_scenarios(capsys):
     assert out.count("=> PASS") == 2
 
 
+def test_report_in_a_batch_equals_the_report_alone(capsys):
+    # each scenario runs on its own loaded data: nothing a run computes
+    # reaches the next one
+    targets = builtin_scenario_names() + [str(p) for p in _DOCUMENTS]
+    alone = {}
+    for t in targets:
+        code, out, _ = run(capsys, "verify", t, "--report", "json")
+        assert code == 0
+        alone[t] = json.loads(out)
+        del alone[t]["wall_time"]
+    batch = targets * 2
+    random.Random(0).shuffle(batch)
+    code, out, _ = run(capsys, "verify", *batch, "--report", "json")
+    assert code == 0
+    decoder, end = json.JSONDecoder(), 0
+    for t in batch:
+        doc, end = decoder.raw_decode(out, end)
+        end = len(out) - len(out[end:].lstrip())
+        del doc["wall_time"]
+        assert doc == alone[t]
+    assert end == len(out)
+
+
 def test_exit_2_on_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/no/such/scenario.json")
     assert code == 2
@@ -74,6 +98,14 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
     p.write_text("{not json")
     code, _, err = run(capsys, "verify", str(p))
     assert code == 2
+
+
+def test_exit_2_on_a_scenario_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "verify", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read scenario: 'utf-8' codec can't decode")
 
 
 def test_exit_2_on_schema_violation(tmp_path, capsys):
@@ -1137,6 +1169,21 @@ def test_overflowing_pair_transition_reports_nan_as_strict_json(tmp_path, capsys
     assert not record["pass"]
     assert record["max_residual"] == "nan"
     assert record["failures"] == [["delta-consistency", ["0", "1"], 0, "east", "nan"]]
+
+
+@pytest.mark.parametrize("value", [1e24, 1e308])
+def test_self_compat_passes_on_a_large_delta_sample(value, tmp_path, capsys):
+    # the normalized value grows like |delta|^(1/2): its imaginary part
+    # is bounded relative to it, and the translation law overflows
+    # without a warning
+    def edit(doc):
+        doc["self_compat"][0]["delta_samples"]["0"]["params"]["value"] = value
+    path = _scenario_file(tmp_path, "trivial_r2", edit)
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert (code, err) == (0, "")
+    records = [c for c in json.loads(out)["checks"] if c["id"].startswith("self_compat.")]
+    assert [(c["id"], c["pass"]) for c in records] == [("self_compat.eps0", True),
+                                                        ("self_compat.eps1", True)]
 
 
 def test_overflowing_second_member_fails_induce_with_its_point(tmp_path, capsys):

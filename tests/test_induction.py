@@ -18,6 +18,7 @@ from hfe.induction import (
     chart_sqrt_values,
     cross_check,
     recipe,
+    transport,
 )
 from hfe.scenario import builtin_scenario_path, load_scenario
 
@@ -59,7 +60,7 @@ def holo_sections():
 def test_recipe_rotation_anchor():
     # rotating the origin frame by a quarter turn produces the metalinear
     # transition ([i], e^{i pi/4}) on the twisted component
-    r = recipe(rotation_bundle(), holo_sections())
+    r = recipe(transport(rotation_bundle(), holo_sections()))
     (eye, el), (z_eye, z_el) = r.ml_cocycle.mats, r.ml_cocycle.roots  # east, west
     assert abs(el[0, 0] - 1j) < 1e-12
     assert abs(z_el - cmath.exp(0.25j * cmath.pi)) < 1e-12
@@ -70,18 +71,19 @@ def test_recipe_rotation_anchor():
 def test_recipe_projection_matches_gl():
     # the projection of the metalinear transition is the frame transition
     # N with g sigma_b = sigma_a N, solved from the sections on their own
-    data, sections = rotation_bundle(theta=0.7), holo_sections()
-    r = recipe(data, sections)
+    data = rotation_bundle(theta=0.7)
+    t = transport(data, holo_sections())
+    r = recipe(t)
     row = data.nerve.components[(("a", "b"), 1)][0]
-    gl = sections.transport(data).N[row]
+    gl = t.N[row]
     assert np.allclose(r.ml_cocycle.mats[row], gl)
 
 
 def test_recipe_sheet_flip_is_coboundary():
     data = rotation_bundle()
-    sections = holo_sections()
-    r1 = recipe(data, sections)
-    r2 = recipe(data, sections, sheet_flips={"a": -1})
+    t = transport(data, holo_sections())
+    r1 = recipe(t)
+    r2 = recipe(t, sheet_flips={"a": -1})
     witness = lifts_equivalent(data.nerve, r1.ml_cocycle, r2.ml_cocycle)
     assert witness is not None
     assert witness["a"] * witness["b"] == -1
@@ -92,14 +94,14 @@ def test_recipe_rejects_inconsistent_sections():
     sections = _sections(ball.phi_inv_raw(np.array([[0.5]]), np.eye(1)),
                          ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1)))
     with pytest.raises(ValidationError):
-        recipe(data, sections)
+        recipe(transport(data, sections))
 
 
 def test_frame_sections_must_be_positive():
     # Lagrangian with U - iV invertible, but i(V*U - U*V) = -1
     negative = (np.array([[1.0]]), np.array([[-0.5j]]))
     with pytest.raises(ValidationError, match="section frame not positive at east"):
-        recipe(rotation_bundle(), _sections(negative))
+        recipe(transport(rotation_bundle(), _sections(negative)))
 
 
 @pytest.mark.parametrize("flip", [1, -1])
@@ -113,9 +115,10 @@ def test_recipe_roots_an_isolated_chart_at_its_origin_row(flip):
         family["2"] = family["0"]
     sc = load_scenario(doc)
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
-    r = recipe(data, sc.sections_first, sheet_flips={"2": flip})
+    t = transport(data, sc.sections_first)
+    r = recipe(t, sheet_flips={"2": flip})
     row, = sc.nerve.charts["2"]
-    det = np.linalg.det(sc.sections_first.transport(data).C)[row]
+    det = np.linalg.det(t.C)[row]
     assert r.chart_z[row] == flip * principal_sqrt(complex(det))
 
 
