@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import get_tolerances
 from .errors import SingularityError, ValidationError
-from .smallmat import det, inv, opnorm
+from .smallmat import det, inv, mul, opnorm
 
 
 def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -43,7 +43,7 @@ def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 def sp_apply(g: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left action of a symplectic matrix on frame coordinates (U, V)."""
     T1, T2, T3, T4 = sp_blocks(g)
-    return T1 @ U + T2 @ V, T3 @ U + T4 @ V
+    return mul(T1, U) + mul(T2, V), mul(T3, U) + mul(T4, V)
 
 
 def check_positive(dets: np.ndarray) -> None:
@@ -59,7 +59,7 @@ def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
     check_positive(det(C))
-    W = (U + 1j * V) @ inv(C)
+    W = mul(U + 1j * V, inv(C))
     return W, C
 
 
@@ -68,7 +68,7 @@ def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
     eye = np.eye(W.shape[-1])
-    return 0.5 * (eye + W) @ C, 0.5j * (eye - W) @ C
+    return mul(0.5 * (eye + W), C), mul(0.5j * (eye - W), C)
 
 
 def cayley_blocks(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -90,9 +90,9 @@ def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phi_raw's SingularityError if det alpha is within ``singular`` of 0.
     """
     P, Q, R, S = cayley_blocks(g)
-    alpha = P + Q @ W
+    alpha = P + mul(Q, W)
     check_positive(det(alpha))
-    return (R + S @ W) @ inv(alpha), alpha
+    return mul(R + mul(S, W), inv(alpha)), alpha
 
 
 def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

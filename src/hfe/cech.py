@@ -23,7 +23,7 @@ import numpy as np
 from . import groups as G
 from .config import check_bound, get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
-from .smallmat import det
+from .smallmat import det, mul
 from .tracking import Walk, cabs, cdiv, cmul, track_graph
 
 
@@ -351,23 +351,23 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     res = _membership_residuals(c)
     residuals = res.tolist()
     failures = [("membership", *nerve.keys[nerve.comp[r]], nerve.ids[r], residuals[r])
-                for r in np.flatnonzero(res > tols.rel).tolist()]
+                for r in np.flatnonzero(~(res <= tols.rel)).tolist()]
     # triple keys are sorted, so every factor is a forward transition
     ab, bc, ac = nerve.triple_rows.T
     if c.roots is None or not len(ab):
-        prod, gap = c.mats[ab] @ c.mats[bc], np.zeros(len(ab))
+        prod, gap = mul(c.mats[ab], c.mats[bc]), np.zeros(len(ab))
     else:
         # products checked as group elements, skipped without triple
         # points since an empty stack still calls det and track_sqrt
-        mul = G.ml_mul if c.group == "Ml" else G.mp_mul
-        prod, roots = mul(c.mats[ab], c.roots[ab], c.mats[bc], c.roots[bc])
+        group_mul = G.ml_mul if c.group == "Ml" else G.mp_mul
+        prod, roots = group_mul(c.mats[ab], c.roots[ab], c.mats[bc], c.roots[bc])
         gap = cabs(roots - c.roots[ac])
     dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
                   initial=0.0)
-    dist = np.where(gap > dist, gap, dist)
+    dist = np.maximum(dist, gap)
     failures += [("cocycle", key, pid, r)
                  for (key, pid), r in zip(nerve.triples, dist.tolist())
-                 if r > identity_bound(tols)]
+                 if not r <= identity_bound(tols)]
     return {"ok": not failures, "max_residual": G.worst(res, dist), "failures": failures}
 
 

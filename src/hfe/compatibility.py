@@ -93,14 +93,6 @@ def validate_pair_data(data: PolarizationPairData) -> dict:
     return {"ok": not failures, "max_residual": worst(residuals), "failures": failures}
 
 
-def _diag_changes(values: list[complex], n: int) -> np.ndarray:
-    """The section-change matrices: the identity with one diagonal element
-    set to each value (in the last slot of the D-block), as a stack."""
-    m = np.tile(np.eye(n, dtype=complex), (len(values), 1, 1))
-    m[:, n - 1, n - 1] = values
-    return m
-
-
 def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     """Change sections so every delta sample becomes identically 1.
 
@@ -116,9 +108,13 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         return data
     delta = data.delta_samples
     a, b = data.nerve.ends.T
-    G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
+    G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1].astype(complex)
+    # the section changes, the identity with its last diagonal element
+    # set to delta_a on the left and 1 / delta_b on the right, scale the
+    # last row and the last column
     with np.errstate(over="ignore", invalid="ignore"):
-        G2 = _diag_changes(delta[a], n) @ G2 @ _diag_changes(1.0 / delta[b], n)
+        G2[:, n - 1] *= delta[a][:, None]
+        G2[:, :, n - 1] *= (1.0 / delta[b])[:, None]
     raise_first([(~np.isfinite(G2).all(axis=(1, 2)), lambda r: ValidationError(
         f"normalized second member at {data.nerve.ids[r]} is not finite"))])
     return PolarizationPairData(
@@ -217,16 +213,16 @@ def _check_translation_law(
     """Squared identity under random metalinear-pair translations.
 
     The square of the translated value must be delta at the translated
-    pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.  A product that
-    overflows gives a NaN residual.
+    pair, i.e. delta * conj(det g1) det g2 det(A)^{-2}.  Both sides are
+    divided by delta before the value is squared, so that a finite law
+    has a finite residual however large delta is.
     """
     t = draw_translations(rng, data.n, data.k, _chart_draws(data.nerve, rng))
     rows, detA = t["rows"], t["detA"]
     val = dt.base[rows] * t["factor"]
     with np.errstate(over="ignore", invalid="ignore"):
-        target = (data.delta_samples[rows] * np.conj(det(t["M1"])) * det(t["M2"])
-                  / (detA * detA))
-        return worst(rel_residual(val * val, target))
+        law = np.conj(det(t["M1"])) * det(t["M2"]) / (detA * detA)
+        return worst(rel_residual(val * (val / data.delta_samples[rows]), law))
 
 
 def build_delta_tilde(
@@ -242,10 +238,13 @@ def build_delta_tilde(
     With normalized data the base value is 1 on every chart; gluing
     requires conj(z1) z2 |det A|^{-1} = base_b / base_a across every
     overlap sample point.  A residual above tolerance raises GluingError
-    (this is the uniqueness detector).  The pairs (z1, z2) of all points
+    (this is the uniqueness detector), and so does a square identity or,
+    given an rng, a translation law above its bound; a NaN fails each, as
+    the guards are negated comparisons.  The pairs (z1, z2) of all points
     are classified as one stack.
     """
-    bound = check_bound(get_tolerances())
+    tols = get_tolerances()
+    bound = check_bound(tols)
     nerve = data.nerve
     if base_values is None:
         _require_normalized(data)
@@ -255,17 +254,20 @@ def build_delta_tilde(
     residuals = rel_residual(base_values[a] * factor, base_values[b])
     res = residuals.tolist()
     bad = {(*nerve.keys[nerve.comp[r]], nerve.ids[r]): res[r]
-           for r in np.flatnonzero(residuals > bound).tolist()}
+           for r in np.flatnonzero(~(residuals <= bound)).tolist()}
     if bad:
         raise GluingError("square-root datum does not glue", bad)
     dt = DeltaTildeData(base=base_values, residuals=residuals)
     # squared identity against the delta samples
     sq_worst = worst(rel_residual(base_values * base_values, data.delta_samples))
     dt.checks["square_identity"] = sq_worst
-    if sq_worst > bound:
+    if not sq_worst <= bound:
         raise GluingError("square identity fails", {"square": sq_worst})
     if rng is not None:
-        dt.checks["translation_law"] = _check_translation_law(dt, data, rng)
+        law = _check_translation_law(dt, data, rng)
+        dt.checks["translation_law"] = law
+        if not law <= property_bound(tols):
+            raise GluingError("translation law fails", {"translation_law": law})
     return dt
 
 

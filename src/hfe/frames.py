@@ -20,7 +20,7 @@ from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
 from .groups import block_pattern, check_ml, shared_corner, tracked_alpha_det
-from .smallmat import det, hermitian_extremes, inv
+from .smallmat import det, hermitian_extremes, inv, mul
 from .tracking import cdiv, cmul, track_sqrt
 
 
@@ -48,15 +48,15 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(U), axis=axes),
                                        np.max(np.abs(V), axis=axes)))
     Ut, Vt = np.swapaxes(U, -1, -2), np.swapaxes(V, -1, -2)
-    iso = np.max(np.abs(Ut @ V - Vt @ U), axis=axes)
-    indep = det(Ut.conj() @ U + Vt.conj() @ V)
+    iso = np.max(np.abs(mul(Ut, V) - mul(Vt, U)), axis=axes)
+    indep = det(mul(Ut.conj(), U) + mul(Vt.conj(), V))
     raise_first([
         (iso > tols.rel * scale * scale, lambda p: ValidationError(
             f"frame not isotropic (residual {iso[p]:.3e})")),
         (~(np.abs(indep) > tols.singular),
          lambda p: ValidationError("frame vectors dependent")),
     ])
-    H = 1j * (Vt.conj() @ U - Ut.conj() @ V)
+    H = 1j * (mul(Vt.conj(), U) - mul(Ut.conj(), V))
     mineig, _ = hermitian_extremes(0.5 * (H + np.swapaxes(H, -1, -2).conj()))
     return mineig >= -tols.abs * scale * scale
 
@@ -88,7 +88,7 @@ def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     determinant vanishes."""
     omega = standard_omega(S1.shape[-1])
     vals = det(
-        -1j * (np.swapaxes(S1[..., k:], -1, -2).conj() @ omega @ S2[..., k:]))
+        -1j * mul(mul(np.swapaxes(S1[..., k:], -1, -2).conj(), omega), S2[..., k:]))
     raise_first([(~(np.abs(vals) > get_tolerances().singular),
                   lambda p: SingularityError(
                       "pairing determinant vanishes (invalid pair)"))])
@@ -129,7 +129,7 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     P, n = len(W1), W1.shape[-1]
     if n == 0:
         return np.ones(P, dtype=complex)
-    M = np.swapaxes(W1, -1, -2).conj() @ W2
+    M = mul(np.swapaxes(W1, -1, -2).conj(), W2)
     eye = np.eye(n)
 
     def f(t: np.ndarray) -> np.ndarray:
@@ -154,7 +154,7 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     z, a1 = tracked_alpha_det(g, W, zeta)
     check_ml(a1, z)
     _, _, R, S = ball.cayley_blocks(g)
-    return (R + S @ W) @ inv(a1), a1, z
+    return mul(R + mul(S, W), inv(a1)), a1, z
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,8 @@ def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
     (P, n, n) stacks; raises for the first pair that fails."""
     checks1, b1 = frame_pattern(U1, V1, k)
     checks2, b2 = frame_pattern(U2, V2, k)
-    M = 1j * (np.swapaxes(b1["Vr"], -1, -2).conj() @ b2["Ur"]
-              - np.swapaxes(b1["Ur"], -1, -2).conj() @ b2["Vr"])
+    M = 1j * (mul(np.swapaxes(b1["Vr"], -1, -2).conj(), b2["Ur"])
+              - mul(np.swapaxes(b1["Ur"], -1, -2).conj(), b2["Vr"]))
     vals = det(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
         (~(np.abs(vals) > get_tolerances().singular),

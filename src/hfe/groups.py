@@ -20,7 +20,7 @@ import numpy as np
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
-from .smallmat import det, inv
+from .smallmat import det, inv, mul
 from .tracking import cabs, cmul, track_sqrt
 
 
@@ -89,7 +89,7 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, np.ndarr
     """The products (A1[p], z1[p]) (A2[p], z2[p]) in Ml(n,C) of two
     (P, n, n) stacks and their roots: componentwise, checked in one pass
     of check_ml."""
-    A = A1 @ A2
+    A = mul(A1, A2)
     z = cmul(z1, z2)
     check_ml(A, z)
     return A, z
@@ -98,24 +98,25 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, np.ndarr
 def sp_residuals(g: np.ndarray) -> np.ndarray:
     """The residuals of T4'T1 - T2'T3 = 1, T1'T3 = T3'T1 and T2'T4 = T4'T2
     of a stack g (P, 2n, 2n) of matrices (T1 T2; T3 T4), as a (P, 3)
-    array."""
+    array: inf or NaN, without a warning, where the products overflow."""
     T1, T2, T3, T4 = ball.sp_blocks(g)
     Tt = [np.swapaxes(T, -1, -2) for T in (T1, T2, T3, T4)]
     axes = (-2, -1)
-    r1 = np.max(np.abs(Tt[3] @ T1 - Tt[1] @ T3 - np.eye(g.shape[-1] // 2)),
-                axis=axes, initial=0.0)
-    r2 = np.max(np.abs(Tt[0] @ T3 - Tt[2] @ T1), axis=axes, initial=0.0)
-    r3 = np.max(np.abs(Tt[1] @ T4 - Tt[3] @ T2), axis=axes, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = np.max(np.abs(mul(Tt[3], T1) - mul(Tt[1], T3) - np.eye(g.shape[-1] // 2)),
+                    axis=axes, initial=0.0)
+        r2 = np.max(np.abs(mul(Tt[0], T3) - mul(Tt[2], T1)), axis=axes, initial=0.0)
+        r3 = np.max(np.abs(mul(Tt[1], T4) - mul(Tt[3], T2)), axis=axes, initial=0.0)
     return np.stack([r1, r2, r3], axis=-1)
 
 
 def check_sp(g: np.ndarray) -> np.ndarray:
     """The symplectic test of a stack g (P, 2n, 2n), the three block
     identities of sp_residuals: raises for the first matrix that is not
-    symplectic; returns the residuals."""
+    symplectic, a NaN residual included; returns the residuals."""
     res = sp_residuals(g)
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1), initial=0.0))
-    raise_first([(np.max(res, axis=-1) > get_tolerances().rel * scale,
+    raise_first([(~(np.max(res, axis=-1) <= get_tolerances().rel * scale),
                   lambda p: ValidationError(
                       f"matrix is not symplectic, residuals {tuple(res[p].tolist())}"))])
     return res
@@ -147,12 +148,12 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
     Tracks the square roots of det alpha(g[p], s*W[p]) along the straight
     segments s in [0, 1] as one stack of paths, for stacks g (P, 2n, 2n)
     and W (P, n, n).  In closed form alpha(g, sW) = P + s QW (see
-    ball.cayley_blocks), so QW is one matmul per point and no parameter
+    ball.cayley_blocks), so QW is one product per point and no parameter
     takes an inverse; every determinant gets alpha_raw's singular check.
     Returns the roots and alpha(g, W) = P + QW (P, n, n).
     """
     P, Q, _, _ = ball.cayley_blocks(np.asarray(g))
-    QW = Q @ W
+    QW = mul(Q, W)
 
     def f(s: np.ndarray) -> np.ndarray:
         dets = det(P[:, None] + s[None, :, None, None] * QW[:, None])
@@ -177,7 +178,7 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     n = g1.shape[-1] // 2
     W2, _ = ball.alpha_raw(g2, np.zeros((len(g2), n, n)))
     za, _ = tracked_alpha_det(g1, W2, zeta1)
-    g = g1 @ g2
+    g = mul(g1, g2)
     zeta = cmul(za, zeta2)
     check_mp(g, zeta)
     return g, zeta

@@ -33,7 +33,7 @@ from .frames import (
 )
 from .groups import check_ml, ml_checks, rel_residual, spk_blocks, worst
 from .sampling import Draws
-from .smallmat import det, inv, lstsq
+from .smallmat import det, inv, lstsq, mul
 from .tracking import cdiv, cmul, track_graph
 
 
@@ -129,7 +129,7 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     moved z, checked in one pass."""
     gW, aA, az = alpha_tilde(g, zeta, W)
     check_ball(gW)
-    A = aA @ C
+    A = mul(aA, C)
     zs = cmul(az, z)
     check_ml(A, zs)
     return gW, A, zs
@@ -182,7 +182,7 @@ def transport(data: MetaplecticBundleData, sections: FrameSectionData
     Sg = np.concatenate([gU, gV], axis=-2)
     N = lstsq(Sa, Sg)
     axes = (-2, -1)
-    res = np.max(np.abs(Sa @ N - Sg), axis=axes, initial=0.0)
+    res = np.max(np.abs(mul(Sa, N) - Sg), axis=axes, initial=0.0)
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
                                                           initial=0.0))
     raise_first([(res > bound, lambda p: ValidationError(
@@ -215,14 +215,14 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
 
     # the metaplectic transition acting on the lifted section of chart b
     a, b = nerve.ends.T
-    moved_A = t.alpha @ t.C[b]
+    moved_A = mul(t.alpha, t.C[b])
     moved_z = cmul(t.alpha_z, z[b])
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(wres > property_bound(tols), lambda p: ValidationError(
         f"Ball points disagree on overlap at {nerve.ids[p]}"))])
-    Ninv = inv(t.C[a]) @ moved_A
+    Ninv = mul(inv(t.C[a]), moved_A)
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)
@@ -286,8 +286,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     U2, V2 = ball.phi_inv_raw(W2, C2)
     sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
     t = draw_translations(rng, n, k, range(len(values)))
-    Y1, y1 = C1 @ t["M1"], cmul(z1, t["z1"])
-    Y2, y2 = C2 @ t["M2"], cmul(z2, t["z2"])
+    Y1, y1 = mul(C1, t["M1"]), cmul(z1, t["z1"])
+    Y2, y2 = mul(C2, t["M2"]), cmul(z2, t["z2"])
     check_ml(Y1, y1)
     check_ml(Y2, y2)
     law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])

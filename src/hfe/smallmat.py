@@ -1,8 +1,30 @@
 """Linear algebra over stacks (..., m, m): closed forms for m <= 2, so that
-n <= 2 data runs no LAPACK code; np.linalg, looked up at call time, for
-m > 2.  Nothing warns: an overflow leaves an inf or NaN for the caller."""
+n <= 2 data runs no LAPACK code, and products as sums of K outer products
+for inner size K <= 4, so that it runs no BLAS code either; np.linalg and
+np.matmul, looked up at call time, beyond.  Nothing warns: an overflow
+leaves an inf or NaN for the caller."""
 
 import numpy as np
+
+
+def mul(A, B) -> np.ndarray:
+    """The products of stacks (..., m, K) and (..., K, p), broadcast like
+    np.matmul: for K <= 4 the sum over k of the outer products of column
+    k of A and row k of B, elementwise."""
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim < 2 or B.ndim < 2 or B.shape[-2] != A.shape[-1]:
+        raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
+    K = A.shape[-1]
+    if not K:
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        return np.zeros((*shape, A.shape[-2], B.shape[-1]), np.result_type(A, B))
+    with np.errstate(all="ignore"):
+        if K > 4:
+            return np.matmul(A, B)
+        out = A[..., :1] * B[..., :1, :]
+        for k in range(1, K):
+            out += A[..., k:k + 1] * B[..., k:k + 1, :]
+    return out
 
 
 def det(A) -> np.ndarray:
@@ -48,7 +70,7 @@ def _gram(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.frexp(np.max(np.abs(A), axis=(-2, -1), keepdims=True, initial=0.0))[1]
     s = np.ldexp(1.0, -np.clip(e, -1020, 1020))
     Ah = np.swapaxes(A * s, -1, -2).conj()
-    return Ah @ (A * s), Ah, s
+    return mul(Ah, A * s), Ah, s
 
 
 def opnorm(W) -> np.ndarray:
@@ -64,4 +86,4 @@ def lstsq(A, B) -> np.ndarray:
     (A* A)^-1 A* B, scaled by _gram's s, inv's precondition on A* A."""
     with np.errstate(all="ignore"):
         gram, Ah, s = _gram(np.asarray(A))
-        return inv(gram) @ (Ah @ (B * s))
+        return mul(inv(gram), mul(Ah, B * s))

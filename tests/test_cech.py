@@ -121,9 +121,10 @@ def test_mp_triangle_residuals_are_pinned():
     # An n = 2 triangle of seeded random_sp elements, t_ac = t_ab t_bc,
     # with a perturbed t_ab anchor at p2 (membership), a perturbed t_ac
     # anchor at p0 (membership and cocycle) and the other t_ac sheet at
-    # p3 (cocycle).  The values below were re-recorded when determinants
-    # moved to the closed forms of hfe.smallmat, which move their last
-    # bits; no golden report reaches mp_mul or these residuals.
+    # p3 (cocycle).  The values below were re-recorded when determinants,
+    # and again when products, moved to the closed forms of hfe.smallmat,
+    # which move their last bits; no golden report reaches mp_mul or these
+    # residuals.
     ids = ("p0", "p1", "p2", "p3")
     nerve = triangle_nerve(ids)
     rng = np.random.default_rng(19)
@@ -137,12 +138,12 @@ def test_mp_triangle_residuals_are_pinned():
         pair: (per_point(lambda pid, _, j=j: values[pid][j]),)
         for j, pair in enumerate(SIDES)}))
     assert validate_cocycle(nerve, c) == {
-        "ok": False, "max_residual": 95.3039066179093, "failures": [
+        "ok": False, "max_residual": 95.30390661790894, "failures": [
             ("membership", ("a", "b"), 0, "p2", 5.999999835307505e-09),
             ("membership", ("a", "c"), 0, "p0", 4.000000060222288e-08),
-            ("cocycle", ("a", "b", "c"), "p0", 3.2463039393643745e-07),
-            ("cocycle", ("a", "b", "c"), "p2", 1.4663279184558976e-07),
-            ("cocycle", ("a", "b", "c"), "p3", 95.3039066179093)]}
+            ("cocycle", ("a", "b", "c"), "p0", 3.246304007433228e-07),
+            ("cocycle", ("a", "b", "c"), "p2", 1.4663277968833474e-07),
+            ("cocycle", ("a", "b", "c"), "p3", 95.30390661790894)]}
     assert _membership_residuals(c).tolist() == [
         1.5969949940837668e-16, 2.644266862192411e-16, 5.999999835307505e-09, 0.0,
         4.000000060222288e-08, 1.1027924931775653e-16, 1.9034877485339496e-16, 0.0,
@@ -151,8 +152,21 @@ def test_mp_triangle_residuals_are_pinned():
     _, zeta = mp_mul(*(np.array([values[p][j][m] for p in ids])
                        for j in (0, 1) for m in (0, 1)))
     assert zeta.tolist() == [
-        (13.704828236270643 - 8.697121239091713j), (8.125634025365418 - 13.845540079751663j),
-        (25.309711418204742 + 41.81435408464688j), (32.976114681021066 + 34.39890281248722j)]
+        (13.70482823627064 - 8.697121239091706j), (8.125634025365425 - 13.845540079751672j),
+        (25.309711418204742 + 41.814354084646865j), (32.976114681020945 + 34.39890281248684j)]
+
+
+def test_gl_cocycle_with_an_overflowing_product_fails():
+    # the corner of t_ab t_bc sums 1e400 and -1e400: its NaN residual
+    # fails, as the cocycle filter is a negated comparison
+    nerve = triangle_nerve()
+    values = {("a", "b"): [[1e200, 1e200], [0.0, 1.0]],
+              ("b", "c"): [[1e200, 0.0], [-1e200, 1.0]], ("a", "c"): np.eye(2)}
+    c = Cocycle.evaluate("Gl", 2, 0, nerve, by_key(nerve, {
+        pair: (_const(value),) for pair, value in values.items()}))
+    report = validate_cocycle(nerve, c)
+    assert not report["ok"] and np.isnan(report["max_residual"])
+    assert [f[:3] for f in report["failures"]] == [("cocycle", ("a", "b", "c"), "p")]
 
 
 def test_cocycle_evaluates_each_transition_once_per_component():

@@ -1174,8 +1174,8 @@ def test_overflowing_pair_transition_reports_nan_as_strict_json(tmp_path, capsys
 @pytest.mark.parametrize("value", [1e24, 1e308])
 def test_self_compat_passes_on_a_large_delta_sample(value, tmp_path, capsys):
     # the normalized value grows like |delta|^(1/2): its imaginary part
-    # is bounded relative to it, and the translation law overflows
-    # without a warning
+    # is bounded relative to it, and the translation law, divided by
+    # delta, stays finite and within its bound
     def edit(doc):
         doc["self_compat"][0]["delta_samples"]["0"]["params"]["value"] = value
     path = _scenario_file(tmp_path, "trivial_r2", edit)
@@ -1184,6 +1184,7 @@ def test_self_compat_passes_on_a_large_delta_sample(value, tmp_path, capsys):
     records = [c for c in json.loads(out)["checks"] if c["id"].startswith("self_compat.")]
     assert [(c["id"], c["pass"]) for c in records] == [("self_compat.eps0", True),
                                                         ("self_compat.eps1", True)]
+    assert all(0 <= c["details"]["translation_law"] < 1e-12 for c in records)
 
 
 def test_overflowing_second_member_fails_induce_with_its_point(tmp_path, capsys):
@@ -1231,13 +1232,6 @@ def test_frame_pairs_reports_a_wrong_expected_delta(tmp_path, capsys):
     check = checks["frame_pairs.delta-values"]
     assert check["pass"] is False
     assert check["failures"] == [["vertical_holomorphic", [0.0, 1.0]]]
-
-
-def _both(*edits):
-    def edit(doc):
-        for e in edits:
-            e(doc)
-    return edit
 
 
 @pytest.mark.parametrize("edit, error", [

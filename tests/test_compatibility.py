@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hfe import compatibility
 from hfe.cech import Cocycle, Nerve
 from hfe.compatibility import (
     PolarizationPairData,
@@ -165,6 +166,45 @@ def test_flipped_lift_fails_to_glue(rng):
     with pytest.raises(GluingError) as exc:
         build_delta_tilde(norm, z1, _flip(z2, {1}), rng)
     assert exc.value.residuals  # the offending points are reported
+
+
+def test_nan_base_value_fails_to_glue_at_its_point(rng):
+    # a NaN compares false with every bound, so each guard of
+    # build_delta_tilde is a negated comparison
+    norm = normalize_sections(circle_pair_data())
+    z1 = identity_lift(2)
+    z2, _ = induce_compatible(norm, z1)
+    base = np.ones(len(SITES), dtype=complex)
+    base[_row("b", "west")] = np.nan
+    with pytest.raises(GluingError, match="does not glue") as exc:
+        build_delta_tilde(norm, z1, z2, rng, base_values=base)
+    assert list(exc.value.residuals) == [(("a", "b"), 1, "west")]
+    # a NaN delta sample leaves the gluing alone and fails the square identity
+    nan_delta = PolarizationPairData(norm.nerve, norm.pair_cocycle,
+                                     np.where(np.arange(len(SITES)) == _row("a", "east"),
+                                              np.nan, norm.delta_samples))
+    with pytest.raises(GluingError, match="square identity fails"):
+        build_delta_tilde(nan_delta, z1, z2, rng, base_values=np.ones(len(SITES), complex))
+
+
+def test_wrong_translation_factor_fails_the_law(rng, monkeypatch):
+    # the law compares squares, so a factor off by i (not by -1) breaks it;
+    # the gluing takes its factor from the classification and still passes
+    draw = compatibility.draw_translations
+
+    def wrong(*args, **kwargs):
+        t = draw(*args, **kwargs)
+        t["factor"] = 1j * t["factor"]
+        return t
+
+    norm = normalize_sections(circle_pair_data())
+    z1 = identity_lift(2)
+    z2, _ = induce_compatible(norm, z1)
+    assert build_delta_tilde(norm, z1, z2, rng).checks["translation_law"] < 1e-12
+    monkeypatch.setattr(compatibility, "draw_translations", wrong)
+    with pytest.raises(GluingError, match="translation law fails") as exc:
+        build_delta_tilde(norm, z1, z2, rng)
+    assert exc.value.residuals["translation_law"] > 1e-2
 
 
 def test_verify_uniqueness_witness(rng):

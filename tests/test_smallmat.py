@@ -1,12 +1,14 @@
-"""The small-matrix kernel against LAPACK, and the kernel as the one home
-of numpy.linalg in the package.
+"""The small-matrix kernel against LAPACK and BLAS, and the kernel as the
+one home of numpy.linalg and of matrix products in the package.
 
 The closed forms (m <= 2) must agree with np.linalg within a few ulps
 times a condition number, over stacks of 0, 1 and 5 matrices, real and
 complex, with entries scaled by 10**-150, 1 or 10**150 and near-singular
 rows; m = 3 takes the np.linalg fallback.  np.linalg.det is sign times
 exp(log|det|), which loses about |ln|det|| ulps, so its bound carries
-that term.  Every kernel call runs with RuntimeWarnings as errors.
+that term.  Products (K <= 4 closed, K > 4 the np.matmul fallback) must
+agree with np.matmul within a few ulps times sum_k |a_ik| |b_kj|.  Every
+kernel call runs with RuntimeWarnings as errors.
 """
 
 import ast
@@ -19,10 +21,11 @@ from hypothesis import given, settings, strategies as st
 from hfe import ball
 from hfe.config import get_tolerances
 from hfe.errors import SingularityError
-from hfe.smallmat import det, hermitian_extremes, inv, lstsq, opnorm
+from hfe.smallmat import det, hermitian_extremes, inv, lstsq, mul, opnorm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
 
 
 @st.composite
@@ -103,6 +106,57 @@ def test_norm_and_hermitian_extremes_agree_with_lapack(case):
     assert np.all(np.abs(hi - vals[:, -1]) <= 16 * m * EPS * size)
 
 
+@st.composite
+def _products(draw):
+    """Operands (P, m, K) and (P, K, p) of a product, m, p <= 4 and
+    K <= 5 (the np.matmul fallback), one of them maybe 2-D (m, K) or
+    (K, p): normal entries times a scale each, real or complex, and
+    maybe a NaN or an infinity in matrix 2 of a stack of 5 (the bad
+    value, or None)."""
+    m, K, p = (draw(st.integers(0, 5 if i == 1 else 4)) for i in range(3))
+    size = draw(st.sampled_from([0, 1, 5]))
+    flat = draw(st.sampled_from([None, 0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for i, shape in enumerate([(m, K), (K, p)]):
+        shape = shape if flat == i else (size, *shape)
+        X = rng.standard_normal(shape)
+        if draw(st.booleans()):
+            X = X + 1j * rng.standard_normal(shape)
+        ops.append(X * draw(st.sampled_from([1e-150, 1.0, 1e150])))
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    if bad is None or size != 5 or not m * K * p:
+        return *ops, None
+    X = ops[draw(st.sampled_from([i for i in (0, 1) if i != flat]))]
+    X[2, draw(st.integers(0, X.shape[1] - 1)), draw(st.integers(0, X.shape[2] - 1))] = bad
+    return *ops, bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(_products())
+def test_products_agree_with_matmul(case):
+    A, B, bad = case
+    got = mul(A, B)
+    with np.errstate(all="ignore"):
+        want = np.matmul(A, B)
+        size = np.matmul(np.abs(A), np.abs(B))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    keep = np.arange(len(got)) != 2 if bad is not None else slice(None)
+    K = A.shape[-1]
+    assert np.all(np.abs(got[keep] - want[keep])
+                  <= 8 * (K + 2) * EPS * size[keep] + 4 * K * TINY)
+    if bad is not None:
+        assert not np.all(np.isfinite(got[2]))
+
+
+def test_products_check_their_shapes():
+    for A, B in [(np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones((3, 1))),
+                 (np.float64(2.0), np.ones((1, 1))),
+                 (np.ones((2, 6)), np.ones((5, 1)))]:
+        with pytest.raises(ValueError):
+            mul(A, B)
+
+
 @pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e160, 1e300])
 @pytest.mark.parametrize("m", [1, 2])
 def test_spectral_norm_beyond_the_range_of_the_square(scale, m):
@@ -169,24 +223,46 @@ def test_check_positive_rejects_nan():
     ball.check_positive(np.array([1.0 + 0j, np.inf]))
 
 
-def _linalg_uses(tree: ast.Module) -> list[int]:
-    """The lines of a module that name numpy's linalg: as an attribute,
-    a bare name or an import."""
+# numpy's matrix products, by the names of their functions and methods
+PRODUCTS = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+
+
+def _uses(tree: ast.Module, names: set) -> list[int]:
+    """The sorted lines of a module that name one of names: as an
+    attribute, a bare name or a part of an import; with "@" in names,
+    also the lines of the operators @ and @=."""
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "linalg":
+        elif isinstance(node, ast.Name) and node.id in names:
             lines.append(node.lineno)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-            if any("linalg" in name for name in names):
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if "@" in names:
                 lines.append(node.lineno)
-    return lines
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any(names & set(name.split(".")) for name in imported):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _package_uses(names: set) -> dict[str, list[int]]:
+    return {path.stem: _uses(ast.parse(path.read_text()), names)
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_numpy_linalg_is_used_only_by_the_kernel():
-    uses = {path.stem: _linalg_uses(ast.parse(path.read_text()))
-            for path in sorted(PACKAGE.glob("*.py"))}
+    uses = _package_uses({"linalg"})
+    assert uses.pop("smallmat")
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_matrix_products_are_taken_only_by_the_kernel():
+    probe = ("a @ b\nx @= y\nnp.dot(a, b)\na.dot(b)\nnp.einsum('ij', a)\n"
+             "from numpy import vdot\nnp.tensordot(a, b)\nnp.inner(a, b)\n"
+             "np.matmul(a, b)\na * b\nnp.multiply(a, b)\n")
+    assert _uses(ast.parse(probe), {"@", *PRODUCTS}) == list(range(1, 10))
+    uses = _package_uses({"@", *PRODUCTS})
     assert uses.pop("smallmat")
     assert {name: lines for name, lines in uses.items() if lines} == {}
