@@ -39,7 +39,8 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     Isotropy is U^t V = V^t U; independence is det(U*U + V*V) != 0;
     positivity is PSD-ness of i(V*U - U*V) (equivalently, the hermitian
-    matrix -i omega(conj u_i, u_j) has no negative eigenvalue).
+    matrix -i omega(conj u_i, u_j) has no negative eigenvalue).  Nothing
+    warns: a residual that overflows is inf or NaN, and fails its check.
     """
     tols = get_tolerances()
     if not U.shape[-1]:
@@ -48,17 +49,20 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(U), axis=axes),
                                        np.max(np.abs(V), axis=axes)))
     Ut, Vt = np.swapaxes(U, -1, -2), np.swapaxes(V, -1, -2)
-    iso = np.max(np.abs(mul(Ut, V) - mul(Vt, U)), axis=axes)
-    indep = det(mul(Ut.conj(), U) + mul(Vt.conj(), V))
+    with np.errstate(all="ignore"):
+        iso = np.max(np.abs(mul(Ut, V) - mul(Vt, U)), axis=axes)
+        indep = det(mul(Ut.conj(), U) + mul(Vt.conj(), V))
+        scale2 = scale * scale
     raise_first([
-        (iso > tols.rel * scale * scale, lambda p: ValidationError(
+        (~(iso <= tols.rel * scale2), lambda p: ValidationError(
             f"frame not isotropic (residual {iso[p]:.3e})")),
         (~(np.abs(indep) > tols.singular),
          lambda p: ValidationError("frame vectors dependent")),
     ])
-    H = 1j * (mul(Vt.conj(), U) - mul(Ut.conj(), V))
-    mineig, _ = hermitian_extremes(0.5 * (H + np.swapaxes(H, -1, -2).conj()))
-    return mineig >= -tols.abs * scale * scale
+    with np.errstate(all="ignore"):
+        H = 1j * (mul(Vt.conj(), U) - mul(Ut.conj(), V))
+        mineig, _ = hermitian_extremes(0.5 * (H + np.swapaxes(H, -1, -2).conj()))
+        return mineig >= -tols.abs * scale2
 
 
 def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:

@@ -272,7 +272,7 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
         z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         for who, z, D in (("first", z1, "detD1"), ("second", z2, "detD2")):
             d = blocks["detA"] * blocks[D]
-            checks.append((np.abs(z * z - d) > bound * np.abs(d),
+            checks.append((~(np.abs(z * z - d) <= bound * np.abs(d)),
                            lambda p, who=who: SubgroupRejection(
                                f"z**2 != det(A) det(D) ({who})", [])))
     raise_first(checks)
@@ -302,7 +302,7 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
     if k:
         inv_res = np.max(np.abs(g[:, s[2], s[2]] - inv(A_g)), axis=(-2, -1))
         bound = check_bound(tols) * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-        raise_first([(inv_res > bound, lambda p: SubgroupRejection(
+        raise_first([(~(inv_res <= bound), lambda p: SubgroupRejection(
             "third diagonal block is not the inverse of the first", []))])
     g_r = np.concatenate([
         np.concatenate([g[:, s[1], s[1]], g[:, s[1], s[3]]], axis=-1),

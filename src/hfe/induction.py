@@ -185,7 +185,7 @@ def transport(data: MetaplecticBundleData, sections: FrameSectionData
     res = np.max(np.abs(mul(Sa, N) - Sg), axis=axes, initial=0.0)
     bound = property_bound(tols) * np.maximum(1.0, np.max(np.abs(Sg), axis=axes,
                                                           initial=0.0))
-    raise_first([(res > bound, lambda p: ValidationError(
+    raise_first([(~(res <= bound), lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {nerve.ids[p]}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
     check_ball(gW)
@@ -220,7 +220,7 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     check_ml(moved_A, moved_z)
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
-    raise_first([(wres > property_bound(tols), lambda p: ValidationError(
+    raise_first([(~(wres <= property_bound(tols)), lambda p: ValidationError(
         f"Ball points disagree on overlap at {nerve.ids[p]}"))])
     Ninv = mul(inv(t.C[a]), moved_A)
     Nz = cdiv(moved_z, z[a])

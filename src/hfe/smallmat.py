@@ -1,16 +1,15 @@
 """Linear algebra over stacks (..., m, m): closed forms for m <= 2, so that
-n <= 2 data runs no LAPACK code, and products as sums of K outer products
-for inner size K <= 4, so that it runs no BLAS code either; np.linalg and
-np.matmul, looked up at call time, beyond.  Nothing warns: an overflow
-leaves an inf or NaN for the caller."""
+n <= 2 data runs no LAPACK code, np.linalg, looked up at call time, beyond;
+and products as sums of K outer products, so that no data runs BLAS code.
+Nothing warns: an overflow leaves an inf or NaN for the caller."""
 
 import numpy as np
 
 
 def mul(A, B) -> np.ndarray:
     """The products of stacks (..., m, K) and (..., K, p), broadcast like
-    np.matmul: for K <= 4 the sum over k of the outer products of column
-    k of A and row k of B, elementwise."""
+    np.matmul: the sum over k of the outer products of column k of A and
+    row k of B, elementwise."""
     A, B = np.asarray(A), np.asarray(B)
     if A.ndim < 2 or B.ndim < 2 or B.shape[-2] != A.shape[-1]:
         raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
@@ -19,8 +18,6 @@ def mul(A, B) -> np.ndarray:
         shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
         return np.zeros((*shape, A.shape[-2], B.shape[-1]), np.result_type(A, B))
     with np.errstate(all="ignore"):
-        if K > 4:
-            return np.matmul(A, B)
         out = A[..., :1] * B[..., :1, :]
         for k in range(1, K):
             out += A[..., k:k + 1] * B[..., k:k + 1, :]

@@ -63,6 +63,14 @@ def test_validate_rejects_a_frame_whose_gram_determinant_overflows():
         validate_lagrangian(U, np.zeros_like(U))
 
 
+def test_validate_rejects_a_frame_whose_isotropy_residual_overflows():
+    # U^t V - V^t U is inf - inf = NaN here, which the negated isotropy
+    # check fails, without a warning
+    U = np.array([[[1e200]]], dtype=complex)
+    with pytest.raises(ValidationError, match=r"not isotropic \(residual nan\)"):
+        validate_lagrangian(U, 1j * U)
+
+
 def test_validate_positivity_verdict():
     U, V = np.array([[[1.0]], [[1.0]]]), np.array([[[1j]], [[-1j]]])
     assert validate_lagrangian(U, V).tolist() == [True, False]

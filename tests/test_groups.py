@@ -183,6 +183,17 @@ def test_corner_whose_determinant_overflows_is_singular():
         spk_blocks(g, 2)
 
 
+def test_nan_residuals_fail_the_subgroup_guards():
+    # the Mlkd root and Spk inverse guards are negated comparisons
+    M = np.eye(2)[None]
+    with pytest.raises(SubgroupRejection, match=r"z\*\*2 != det\(A\) det\(D\) \(first\)"):
+        subgroup_classify(M, M, 1, np.array([np.nan]), np.array([1.0]))
+    g = np.eye(4)[None]
+    g[0, 2, 2] = np.nan
+    with pytest.raises(SubgroupRejection, match="not the inverse of the first"):
+        spk_blocks(g, 1)
+
+
 def _dets(blocks: np.ndarray) -> np.ndarray:
     """The determinants of a stack, block by block, an empty block's 1."""
     return np.array([np.linalg.det(b) if b.size else 1.0 for b in blocks])

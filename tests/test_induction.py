@@ -6,7 +6,7 @@ from cmath import sqrt as principal_sqrt
 import numpy as np
 import pytest
 
-from hfe import ball
+from hfe import ball, induction
 from hfe.cech import Cocycle, Nerve, lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, validate_lagrangian
@@ -95,6 +95,22 @@ def test_recipe_rejects_inconsistent_sections():
                          ball.phi_inv_raw(np.zeros((1, 1)), np.eye(1)))
     with pytest.raises(ValidationError):
         recipe(transport(data, sections))
+
+
+def test_transport_rejects_a_nan_frame_transition(monkeypatch):
+    # a NaN consistency residual fails the negated guard
+    monkeypatch.setattr(induction, "lstsq", lambda A, B: np.full(
+        (*A.shape[:-2], A.shape[-1], B.shape[-1]), np.nan))
+    with pytest.raises(ValidationError, match="inconsistent with the cocycle at east"):
+        transport(rotation_bundle(), holo_sections())
+
+
+def test_recipe_rejects_a_nan_ball_point():
+    # a NaN overlap residual of the Ball points fails the negated guard
+    t = transport(rotation_bundle(), holo_sections())
+    t.gW = t.gW + np.array([np.nan, 0.0])[:, None, None]
+    with pytest.raises(ValidationError, match="Ball points disagree on overlap at east"):
+        recipe(t)
 
 
 def test_frame_sections_must_be_positive():
