@@ -68,7 +68,8 @@ def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W = np.asarray(W, dtype=complex)
     C = np.asarray(C, dtype=complex)
     eye = np.eye(W.shape[-1])
-    return mul(0.5 * (eye + W), C), mul(0.5j * (eye - W), C)
+    with np.errstate(all="ignore"):
+        return mul(0.5 * (eye + W), C), mul(0.5j * (eye - W), C)
 
 
 def cayley_blocks(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -78,8 +79,9 @@ def cayley_blocks(g: np.ndarray) -> tuple[np.ndarray, ...]:
     R = 1/2 [(T1 - T4) + i(T2 + T3)], S = 1/2 [(T1 + T4) - i(T2 - T3)];
     for a real g, R = conj Q and S = conj P."""
     T1, T2, T3, T4 = sp_blocks(g)
-    plus, minus, skew, sym = T1 + T4, T1 - T4, 1j * (T2 - T3), 1j * (T2 + T3)
-    return 0.5 * (plus + skew), 0.5 * (minus - sym), 0.5 * (minus + sym), 0.5 * (plus - skew)
+    with np.errstate(all="ignore"):
+        plus, minus, skew, sym = T1 + T4, T1 - T4, 1j * (T2 - T3), 1j * (T2 + T3)
+        return 0.5 * (plus + skew), 0.5 * (minus - sym), 0.5 * (minus + sym), 0.5 * (plus - skew)
 
 
 def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -174,6 +174,10 @@ class Nerve:
                                     for pt in points], dtype=float).reshape(len(points), width)
         except OverflowError:
             raise ValidationError("sample point params must fit a float") from None
+        bad = np.flatnonzero(~np.isfinite(self.params).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"params of sample point {points[bad[0]]['id']} "
+                                  "must be finite")
         self.noncontractible = [(pair, ci) for pair, ci, comp in listed
                                 if not comp.get("contractible", True)]
         self.triples = [(key, tp["id"]) for key in sorted(triples) for tp in triples[key]]

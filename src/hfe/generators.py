@@ -30,13 +30,23 @@ from .tracking import cdiv, cmul
 Generator = Callable[[np.ndarray, Sequence[str]], tuple]
 
 
+def _real(x: Any) -> bool:
+    """Whether a JSON value is a real number (a boolean is not)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex(v: Any) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str) and v == "inf":
-        return complex("inf")
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    """A complex scalar: a real number, "inf", or a list [re, im] of two
+    real numbers."""
+    try:
+        if _real(v):
+            return complex(v)
+        if v == "inf":
+            return complex("inf")
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_real, v)):
+            return complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an integer beyond the float range
+        pass
     raise ValidationError(f"cannot parse complex scalar from {v!r}")
 
 
@@ -57,15 +67,24 @@ def _matrix(params: dict, key: str, shape: tuple, prefix: str = "") -> np.ndarra
             f"parameter '{prefix}{key}' must be {shape[0]} x {shape[1]}, "
             f"got {' x '.join(map(str, M.shape))}"
         )
+    if not np.isfinite(M).all():
+        raise ValueError(f"parameter '{prefix}{key}' has a non-finite entry")
     return M
+
+
+def _sign(params: dict, key: str, prefix: str = "") -> int:
+    """The sign parameter ``key``, 1 or -1, and 1 if it is missing."""
+    sign = params.get(key, 1)
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"parameter '{prefix}{key}' must be 1 or -1, got {sign!r}")
+    return int(sign)
 
 
 def _zeta(params: dict, det_value: complex) -> complex:
     """Anchor scalar: explicit value, or a signed principal root."""
     if "zeta" in params:
         return parse_complex(params["zeta"])
-    sign = int(params.get("sheet", 1))
-    return sign * cmath.sqrt(det_value)
+    return _sign(params, "sheet") * cmath.sqrt(det_value)
 
 
 def _params(params: np.ndarray, d: int) -> np.ndarray:
@@ -103,7 +122,9 @@ def _gen_mp_const(params, n, k):
 def _gen_mp_rotation(params, n, k):
     """n=1 rotation by theta with anchor e^{i theta/2} on the chosen sheet."""
     theta = float(params["theta"])
-    sign = int(params.get("sheet", 1))
+    if not cmath.isfinite(theta):
+        raise ValueError(f"parameter 'theta' must be finite, got {theta!r}")
+    sign = _sign(params, "sheet")
     g = np.array([[np.cos(theta), np.sin(theta)],
                   [-np.sin(theta), np.cos(theta)]])
     return _constant(g, sign * cmath.exp(0.5j * theta))
@@ -198,7 +219,7 @@ def _meta_member(spec: dict, n: int, k: int, prefix: str) -> Generator:
     C[:k, :k] = A
     C[:k, k:] = B
     C[k:, k:] = Cr
-    z = int(spec.get("zsign", 1)) * cmath.sqrt(det(C))
+    z = _sign(spec, "zsign", prefix) * cmath.sqrt(det(C))
 
     def fn(params, ids):
         W = np.zeros((len(params), n, n), dtype=complex)

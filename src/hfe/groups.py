@@ -72,10 +72,11 @@ def ml_checks(A: np.ndarray, z) -> list:
     tols = get_tolerances()
     dets = det(A)
     size = cabs(dets)
+    with np.errstate(all="ignore"):
+        stray = ~(cabs(cmul(z, z) - dets) <= identity_bound(tols) * size)
     return [
         (~(size > tols.singular), lambda p: SingularityError("matrix is singular")),
-        (~(cabs(cmul(z, z) - dets) <= identity_bound(tols) * size),
-         lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
+        (stray, lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
     ]
 
 

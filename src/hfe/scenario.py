@@ -398,11 +398,14 @@ def _build_frame(spec: dict, n: int, k: int, what: str
 
 
 def _expected_delta(fp: dict) -> complex:
-    """A frame pair's expected delta, which must be finite."""
-    value = parse_complex(fp["expected_delta"])
+    """A frame pair's expected delta, which must be a finite complex scalar."""
+    what = f"expected delta of frame pair {fp['name']!r}"
+    try:
+        value = parse_complex(fp["expected_delta"])
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
     if not np.isfinite(value):
-        raise ValidationError(f"expected delta of frame pair {fp['name']!r} at "
-                              f"origin is not finite")
+        raise ValidationError(f"{what} at origin is not finite")
     return value
 
 

@@ -1,20 +1,20 @@
 """Continuous square-root tracking.
 
-Given a continuous nonvanishing path ``f(t)`` of complex numbers and an
-anchor ``z0`` with ``z0**2 = f(t0)``, there is a unique continuous branch
-``z(t)`` with ``z(t)**2 = f(t)``.  We realize it numerically by stepping
-along the path and multiplying by the principal square root of the ratio
-of consecutive values; adaptive bisection keeps every argument step below
-pi/2 so the branch can never jump.  On a sampled graph (track_graph)
-the steps are the edges and cannot be refined, so a step of pi/2 or
-more is an error.  Both trackers decide a step with one test, _turns.
+Given a continuous nonvanishing path ``f(t)``, t in [0, 1], of complex
+numbers and an anchor ``z0`` with ``z0**2 = f(0)``, there is a unique
+continuous branch ``z(t)`` with ``z(t)**2 = f(t)``.  We realize it
+numerically by stepping along the path and multiplying by the principal
+square root of the ratio of consecutive values; adaptive bisection keeps
+every argument step below pi/2 so the branch can never jump.  On a
+sampled graph (track_graph) the steps are the edges and cannot be
+refined, so a step of pi/2 or more is an error.  Both trackers decide a
+step with one test, _turns.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 import sys
 from typing import Callable, Sequence
 
@@ -23,39 +23,26 @@ import numpy as np
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import TrackingError, raise_first
 
-# Argument-step safety margin: a ratio with |arg| beyond this triggers
-# bisection (continuous functions) or an error (sampled graphs).
-_MAX_ARG = 0.5 * math.pi * 0.999
-# track_sqrt cuts [t0, t1] into _INITIAL_STEPS pieces and bisects a step
+# A ratio r of consecutive values turns (may cross the branch cut of the
+# square root) unless its argument stays below 0.999·pi/2: unless 0 <
+# Re r < inf and |Im r| < _TAN_MAX_ARG · Re r.  The tangent of that
+# margin is a literal, 0x1.3e4f438b2ce6cp+9, so that no libm call
+# decides a step.
+_TAN_MAX_ARG = 636.6192487687345
+# track_sqrt cuts [0, 1] into _INITIAL_STEPS pieces and bisects a step
 # at most _MAX_DEPTH times in a row.
 _INITIAL_STEPS = 16
 _MAX_DEPTH = 48
-# np.angle may differ from the exact argument by a few ulps: a step
-# whose argument is this close to _MAX_ARG is decided by _turns_at.
-_ARG_MARGIN = 1e-12
 
 
-def _turns_at(r: complex) -> bool:
-    """The exact step test of a ratio r of consecutive values: the step
-    may cross the branch cut of the square root if |arg r| reaches
-    _MAX_ARG or r is zero or not finite.  The argument is math.atan2 of
-    the parts, which unlike cmath.phase does not raise where the angle
-    underflows to a subnormal, as for 2+5e-324j."""
-    return (not abs(math.atan2(r.imag, r.real)) < _MAX_ARG or r == 0
-            or not cmath.isfinite(r))
-
-
-def _turns(ratio: np.ndarray) -> np.ndarray:
-    """The step classifier of both trackers: _turns_at of every entry of
-    a complex array of ratios.  track_sqrt bisects such a step, and on a
-    sampled graph it is a branch jump.  np.angle decides, except within
-    _ARG_MARGIN of _MAX_ARG, where _turns_at does."""
-    with np.errstate(invalid="ignore"):
-        angle = np.abs(np.angle(ratio))
-    turns = ~(angle < _MAX_ARG) | (ratio == 0) | ~np.isfinite(ratio)
-    near = np.abs(angle - _MAX_ARG) <= _ARG_MARGIN
-    turns[near] = [_turns_at(r) for r in ratio[near].tolist()]
-    return turns
+def _turns(ratio):
+    """The step test of both trackers, exact in real arithmetic, of a
+    ratio or an array of ratios: whether the step may cross the branch
+    cut.  track_sqrt bisects such a step, and on a sampled graph it is a
+    branch jump."""
+    re = np.real(ratio)
+    with np.errstate(over="ignore"):  # S · Re r may overflow to inf
+        return ~((0.0 < re) & (re < np.inf) & (np.abs(np.imag(ratio)) < _TAN_MAX_ARG * re))
 
 
 def _ratio(a, b) -> np.ndarray:
@@ -75,23 +62,22 @@ def _ratio(a, b) -> np.ndarray:
     return q
 
 
-def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
-               t1: float = 1.0) -> np.ndarray:
-    """Continue the anchors z0 (P,), z0[p]**2 = f(t0)[p], along a stack of
-    P paths from t0 to t1: returns the (P,) roots at t1.
+def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0) -> np.ndarray:
+    """Continue the anchors z0 (P,), z0[p]**2 = f(0)[p], along a stack of
+    P paths from t = 0 to 1: returns the (P,) roots at 1.
 
     ``f`` takes a 1-D float array of m parameters and returns a (P, m)
-    complex array, row p on path p.  The grid ``t0 + j*h`` (j =
-    0.._INITIAL_STEPS) is evaluated in one call, and each bisection
-    midpoint in one call of length 1 for the whole stack, so ``f`` must
-    be defined on all of [t0, t1] for every path.
+    complex array, row p on path p.  The grid j / _INITIAL_STEPS is
+    evaluated in one call, and each bisection midpoint in one call of
+    length 1 for the whole stack, so ``f`` must be defined on all of
+    [0, 1] for every path.
 
     The paths are stepped in lockstep, with the exact kernel (cdiv,
-    cmul, cabs and _sqrt).  Only a step that _turns flags, or that comes
-    within the tracking tolerance of zero, is stepped by _bisect, path by
-    path in stack order, and so is the anchor test of a path that comes
-    within a margin of its bound.  The roots, the errors and the
-    midpoints evaluated are those of stepping each path alone.
+    cmul, cabs and _sqrt), and every anchor is tested in lockstep.  Only
+    a step that _turns flags, or that comes within the tracking
+    tolerance of zero, is stepped by _bisect, path by path in stack
+    order.  The roots, the errors and the midpoints evaluated are those
+    of stepping each path alone.
 
     Raises TrackingError, for the first failing path, if its anchor does
     not square to its start value, if its value is not finite, if it
@@ -103,8 +89,7 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
     that winds around the origin yet returns with a small total argument.
     """
     z = anchors = np.asarray(z0, dtype=complex)
-    h = (t1 - t0) / _INITIAL_STEPS
-    grid = t0 + np.arange(_INITIAL_STEPS + 1) * h
+    grid = np.arange(_INITIAL_STEPS + 1) / _INITIAL_STEPS
     rows = np.asarray(f(grid), dtype=complex).reshape(len(anchors), len(grid))
     # the values of every path at a bisection midpoint, one call each
     at = functools.cache(lambda tm: np.asarray(f(np.array([tm])), dtype=complex)
@@ -113,35 +98,35 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, t0: float = 0.0,
     tols = get_tolerances()
     size = cabs(rows)
     with np.errstate(all="ignore"):
-        # the anchor test is settled here only well inside its bound
-        slow = ~(cabs(cmul(z, z) - rows[:, 0])
-                 < 0.5 * identity_bound(tols) * np.fmax(1.0, size[:, 0]))
+        # Python's abs(z * z - f(0)) <= bound * max(1, abs(f(0))), bit for bit
+        stray = ~(cabs(cmul(z, z) - rows[:, 0])
+                  <= identity_bound(tols) * np.fmax(1.0, size[:, 0]))
         # step j goes from grid point j to j + 1; a value that is zero or
         # not finite makes its ratios zero or not finite, which _turns flags
         ratio = _ratio(rows[:, 1:], rows[:, :-1])
         flagged = _turns(ratio)
-        flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < t1)
+        flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < 1.0)
         steps = _sqrt(ratio)
         for j in range(_INITIAL_STEPS):
             z = cmul(z, steps[:, j])
     grid = grid.tolist()
-    # each path with a flagged step or anchor, in stack order, as alone
-    for p in np.flatnonzero(slow | flagged.any(axis=1)).tolist():
-        values, root = rows[p].tolist(), complex(anchors[p])
-        if not abs(root * root - values[0]) <= identity_bound(tols) * max(1.0, abs(values[0])):
+    # each path with a stray anchor or a flagged step, in stack order, as alone
+    for p in np.flatnonzero(stray | flagged.any(axis=1)).tolist():
+        if stray[p]:
             raise TrackingError("anchor does not square to the path start value")
+        values, root = rows[p].tolist(), complex(anchors[p])
         floor = tols.track * max(1.0, abs(values[0]))
         for j, step in enumerate(steps[p].tolist()):
             if flagged[p, j]:
                 root = _bisect(root, grid[j], values[j], grid[j + 1], values[j + 1],
-                               at, p, t1, floor)
+                               at, p, floor)
             else:
                 root = root * step
         z[p] = root
     return z
 
 
-def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
+def _bisect(z, t, ft, tn, fn, at, p, floor) -> complex:
     """One grid step of path p of track_sqrt, from the value ft at t to
     fn at tn, bisected as needed: returns z continued to tn.  ``at(tm)[p]``
     is the path's value at a midpoint tm."""
@@ -156,12 +141,12 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
         tn, fn = pending[-1]
         if not cmath.isfinite(fn):
             raise TrackingError(f"tracked value is not finite at t={tn:.6g}")
-        if abs(fn) <= floor and tn < t1:
+        if abs(fn) <= floor and tn < 1.0:
             raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
         if abs(ft) == 0.0:
             raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-        ratio = complex(_ratio(fn, ft))
-        if _turns_at(ratio):
+        ratio = _ratio(fn, ft)
+        if _turns(ratio):
             depth += 1
             if depth > _MAX_DEPTH:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
@@ -171,7 +156,7 @@ def _bisect(z, t, ft, tn, fn, at, p, t1, floor) -> complex:
                                     "left to bisect (branch ambiguity)")
             pending.append((tm, at(tm)[p]))
             continue
-        z = z * cmath.sqrt(ratio)
+        z = z * cmath.sqrt(complex(ratio))
         t, ft = tn, fn
         pending.pop()
         depth = 0
@@ -187,8 +172,9 @@ def cmul(a, b) -> np.ndarray:
     """Python's complex a * b, elementwise on complex arrays, bit for bit
     (numpy's complex multiply may round differently)."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return _complex(a.real * b.real - a.imag * b.imag,
-                    a.real * b.imag + a.imag * b.real)
+    with np.errstate(all="ignore"):
+        return _complex(a.real * b.real - a.imag * b.imag,
+                        a.real * b.imag + a.imag * b.real)
 
 
 def cdiv(a, b) -> np.ndarray:
@@ -207,9 +193,11 @@ def cdiv(a, b) -> np.ndarray:
 
 def cabs(a) -> np.ndarray:
     """Python's abs of complex values, elementwise: np.hypot of the parts
-    (numpy's complex abs may round differently)."""
+    (numpy's complex abs may round differently), inf where Python's
+    raises OverflowError."""
     a = np.asarray(a, dtype=complex)
-    return np.hypot(a.real, a.imag)
+    with np.errstate(over="ignore"):
+        return np.hypot(a.real, a.imag)
 
 
 def _sqrt(w: np.ndarray) -> np.ndarray:
@@ -218,10 +206,11 @@ def _sqrt(w: np.ndarray) -> np.ndarray:
     both are subnormal."""
     re, ax, ay = w.real, np.abs(w.real), np.abs(w.imag)
     tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    up = np.ldexp(ax, 53)
-    s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
-                 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
-    d = ay / np.where(s == 0.0, 1.0, 2.0 * s)  # s is 0 only where w is
+    with np.errstate(all="ignore"):
+        up = np.ldexp(ax, 53)
+        s = np.where(tiny, np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
+                     2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
+        d = ay / np.where(s == 0.0, 1.0, 2.0 * s)  # s is 0 only where w is
     return _complex(np.where(re >= 0.0, s, d),
                     np.copysign(np.where(re >= 0.0, d, s), w.imag))
 

@@ -3,12 +3,25 @@ inputs from, small nerve documents, the adapter that turns a per-point
 test callable into a generator on a stack of rows, and independent
 formulas the tests check the engine's kernels against."""
 
+import math
+
 import numpy as np
 
 from hfe import ball
 from hfe.frames import check_ball, validate_lagrangian
 from hfe.sampling import _invertible_stack
 from hfe.tracking import track_sqrt
+
+
+# the trackers' argument-step margin, 0.999 pi/2; hfe.tracking tests it
+# through its tangent
+MAX_ARG = 0.5 * math.pi * 0.999
+
+
+def rescaled(f, t0: float, t1: float):
+    """The path f on [t0, t1] as a path on [0, 1], the interval of
+    track_sqrt."""
+    return lambda t: f(t0 + (t1 - t0) * t)
 
 
 def component(points, edges=()) -> dict:
@@ -144,5 +157,5 @@ def gamma_two_legs(W1: np.ndarray, W2: np.ndarray, via: float) -> np.ndarray:
     def f(t: np.ndarray) -> np.ndarray:
         return np.linalg.det(0.5 * (np.eye(n) - (t * t)[None, :, None, None] * M[:, None]))
 
-    mid = track_sqrt(f, np.full(len(W1), 2.0 ** (-n / 2.0), dtype=complex), 0.0, via)
-    return track_sqrt(f, mid, via, 1.0)
+    mid = track_sqrt(rescaled(f, 0.0, via), np.full(len(W1), 2.0 ** (-n / 2.0), dtype=complex))
+    return track_sqrt(rescaled(f, via, 1.0), mid)

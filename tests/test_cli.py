@@ -890,8 +890,7 @@ _NONFINITE = {
     # falsification, while four checks passed with residual 0
     "pair_cocycle<-NaN": (
         "circle_mobius", _nan_pair_member,
-        "transition of ('0', '1') at east is not a Glkd value for n=1: "
-        "it has a non-finite entry"),
+        "generator 'pair_const': parameter 'first' has a non-finite entry"),
     "delta_sample<-Infinity": (
         "circle_mobius",
         lambda doc: doc["delta_samples"]["0"]["params"].update(const=float("inf")),
@@ -913,6 +912,81 @@ def test_exit_2_on_nonfinite_values(name, edit, message, tmp_path, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: invalid scenario data: {message}")
+
+
+@pytest.mark.parametrize("value", [[1.0, None], [[0, 0], [0, 0]], True],
+                         ids=["null-part", "nested", "boolean"])
+def test_exit_2_on_a_malformed_expected_delta(value, tmp_path, capsys):
+    # parse_complex raised TypeError, with a traceback, on a part that is
+    # not a number, and read a boolean as 1
+    def edit(doc):
+        doc["frame_pairs"][1]["expected_delta"] = value
+    code, out, err = run(capsys, "verify", _scenario_file(tmp_path, "trivial_r2", edit))
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid scenario data: expected delta of frame pair "
+                   f"'horizontal_vertical': cannot parse complex scalar from {value!r}\n")
+
+
+def _mp_params(doc, index):
+    return doc["mp_cocycle"]["transitions"][index]["generator"]["params"]
+
+
+def _pair_member(doc, member):
+    return doc["pair_sections"]["0"]["params"][member]
+
+
+_INF = float("inf")
+# name: (scenario, edit, exit code, the message of exit 2)
+_EXTREME = {
+    "param<-Infinity": (
+        "abstract_k1_nonorientable",
+        lambda doc: doc["nerve"]["overlaps"][0]["components"][0]["points"][0].update(
+            params=[_INF]),
+        2, "params of sample point east must be finite"),
+    "slope<-Infinity": (
+        "circle_mobius", lambda doc: doc["delta_samples"]["0"]["params"].update(slope=_INF),
+        2, "delta sample of chart '0' at east is not a scalar: it has a non-finite entry"),
+    "W<-Infinity": (
+        "circle_mobius",
+        lambda doc: doc["sections"]["first"]["0"]["params"].update(W=[[_INF]]),
+        2, "generator 'frame_phi_inv': parameter 'W' has a non-finite entry"),
+    # this was "U - iV is singular (frame not positive)"
+    "g<-Infinity": (
+        "abstract_k1_nonorientable", lambda doc: _mp_params(doc, 0)["g"][0].__setitem__(1, _INF),
+        2, "generator 'mp_const': parameter 'g' has a non-finite entry"),
+    "Cr<-1e308": (
+        "abstract_k1_nonorientable",
+        lambda doc: _pair_member(doc, "first").update(Cr=[[[1e308, 1e308]]]), 1, None),
+    "zeta<-1e308": (
+        "abstract_k1_nonorientable", lambda doc: _mp_params(doc, 0).update(zeta=1e308),
+        2, "zeta**2 != det alpha(g, 0)"),
+    "sheet<-1e308": (
+        "circle_mobius", lambda doc: _mp_params(doc, 1).update(sheet=1e308),
+        2, "generator 'mp_rotation': parameter 'sheet' must be 1 or -1, got 1e+308"),
+    "sheet<-true": (
+        "circle_mobius", lambda doc: _mp_params(doc, 1).update(sheet=True),
+        2, "generator 'mp_rotation': parameter 'sheet' must be 1 or -1, got True"),
+    "theta<-Infinity": (
+        "circle_mobius", lambda doc: _mp_params(doc, 1).update(theta=_INF),
+        2, "generator 'mp_rotation': parameter 'theta' must be finite, got inf"),
+    "pair_section_Cr<-1e308": (
+        "circle_mobius",
+        lambda doc: doc["pair_sections"]["1"]["params"]["first"].update(Cr=[[[1e308, 0.2]]]),
+        0, None),
+    "zsign<-1e308": (
+        "abstract_k1_nonorientable", lambda doc: _pair_member(doc, "first").update(zsign=1e308),
+        2, "generator 'meta_pair_blocks': parameter 'first.zsign' must be 1 or -1, "
+        "got 1e+308"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, edit, code, message", _EXTREME.values(), ids=_EXTREME)
+def test_extreme_parameters_print_no_warning(name, edit, code, message, tmp_path, capsys):
+    # each printed numpy RuntimeWarnings before its verdict
+    got, out, err = run(capsys, "verify", _scenario_file(tmp_path, name, edit))
+    assert got == code
+    assert err == ("" if message is None else f"error: invalid scenario data: {message}\n")
 
 
 def _isolated_chart(doc):

@@ -38,11 +38,22 @@ def test_ml_element_rejects_wrong_root():
 
 def test_ml_checks_reject_nan():
     # nan <= singular and nan > bound are both False
-    with np.errstate(all="ignore"), pytest.raises(SingularityError,
-                                                  match="matrix is singular"):
+    with pytest.raises(SingularityError, match="matrix is singular"):
         check_ml(np.array([[[np.nan]]]), [np.nan])
     with pytest.raises(ValidationError, match="not a metalinear element"):
         check_ml(np.eye(1)[None], [np.nan])
+
+
+def test_kernels_overflow_without_a_warning():
+    # z * z overflows, and inf * 0j is NaN: the checks fail, the Ball
+    # blocks are inf or NaN, and nothing warns
+    big = 1e308 + 1e308j
+    with pytest.raises(ValidationError, match="not a metalinear element"):
+        check_ml(np.full((1, 1, 1), 1e308), [big])
+    g = np.eye(2)
+    g[0, 1] = np.inf
+    assert not np.isfinite(ball.cayley_blocks(g)).all()
+    assert not all(np.isfinite(M).all() for M in ball.phi_inv_raw([[np.inf]], [[big]]))
 
 
 def test_check_mp_rejects_nan():

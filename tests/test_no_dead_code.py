@@ -22,8 +22,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 
 EXCEPTIONS = {
-    # the BKS pairing of the open ROADMAP item 2; its stage will call it
-    ("frames", "pairing_density"): "BKS pairing, ROADMAP item 2",
+    # the BKS pairing of the open ROADMAP item 1; its stage will call it
+    ("frames", "pairing_density"): "BKS pairing, ROADMAP item 1",
 }
 
 

@@ -23,7 +23,9 @@ from hfe.frames import frame_pattern, meta_pattern
 from hfe.groups import _glk_pattern
 from hfe import smallmat, tracking
 from hfe.pipelines import run_scenario
-from hfe.tracking import _MAX_ARG, Walk, track_graph, track_sqrt
+from hfe.tracking import Walk, track_graph, track_sqrt
+
+from helpers import MAX_ARG, rescaled
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -210,26 +212,25 @@ def _stack_of_paths(ws, amps, broken):
     return f
 
 
-def _oracle_track(f, z0, t0=0.0, t1=1.0, max_depth=48, initial_steps=16):
+def _oracle_track(f, z0, max_depth=48, initial_steps=16):
     """track_sqrt as it was, for one path at a time."""
     tols = get_tolerances()
-    h = (t1 - t0) / initial_steps
-    grid = t0 + np.arange(initial_steps + 1) * h
+    grid = np.arange(initial_steps + 1) / initial_steps
     values = np.asarray(f(grid), dtype=complex).tolist()
     ft0 = values[0]
     if abs(z0 * z0 - ft0) > tols.rel * max(1.0, abs(ft0)) * 10:
         raise TrackingError("anchor does not square to the path start value")
-    t, ft, z = t0, ft0, complex(z0)
+    t, ft, z = 0.0, ft0, complex(z0)
     pending = list(zip(grid.tolist()[:0:-1], values[:0:-1]))
     depth = 0
     while pending:
         tn, fn = pending[-1]
-        if abs(fn) <= tols.track * max(1.0, abs(ft0)) and tn < t1:
+        if abs(fn) <= tols.track * max(1.0, abs(ft0)) and tn < 1.0:
             raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
         if abs(ft) == 0.0:
             raise TrackingError(f"tracked value vanishes at t={t:.6g}")
         ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= _MAX_ARG or abs(ratio) == 0.0:
+        if abs(cmath.phase(ratio)) >= MAX_ARG or abs(ratio) == 0.0:
             depth += 1
             if depth > max_depth:
                 raise TrackingError("bisection depth exceeded (branch ambiguity)")
@@ -256,9 +257,9 @@ def _tracked(track, *args):
     return out.tolist() if isinstance(out, np.ndarray) else out
 
 
-def _alone(f, z0, *interval):
+def _alone(f, z0):
     """track_sqrt on the stack of the one path f, anchored at z0."""
-    return track_sqrt(lambda t: f(t)[None], [z0], *interval)[0]
+    return track_sqrt(lambda t: f(t)[None], [z0])[0]
 
 
 _PATH = st.tuples(st.floats(-60.0, 60.0), st.floats(-0.9, 2.0),
@@ -273,18 +274,18 @@ _PATH = st.tuples(st.floats(-60.0, 60.0), st.floats(-0.9, 2.0),
 @example(paths=[(2.225073858507203e-309, 1.0, None, 1.0)], t1=1.0)
 def test_stacked_tracking_matches_each_path(paths, t1):
     ws, amps, broken, signs = zip(*paths)
-    f = _stack_of_paths(ws, amps, broken)
+    f = rescaled(_stack_of_paths(ws, amps, broken), 0.0, t1)
     anchors = [s * complex(np.sqrt(complex(v))) for s, v in zip(signs, f(np.zeros(1))[:, 0])]
     alone = []
     for p, z0 in enumerate(anchors):
         path = (lambda t, p=p: f(t)[p])
-        want = _tracked(_oracle_track, path, z0, 0.0, t1)
+        want = _tracked(_oracle_track, path, z0)
         # bit for bit, or the same error
-        assert _tracked(_alone, path, z0, 0.0, t1) == want
+        assert _tracked(_alone, path, z0) == want
         alone.append(want)
         if isinstance(want, str):
             break
-    stacked = _tracked(track_sqrt, f, anchors, 0.0, t1)
+    stacked = _tracked(track_sqrt, f, anchors)
     assert stacked == (alone[-1] if isinstance(alone[-1], str) else alone)
 
 

@@ -17,11 +17,10 @@ from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
 from hfe.smallmat import det
 from hfe.tracking import (
-    _MAX_ARG,
+    _TAN_MAX_ARG,
     Walk,
     _sqrt,
     _turns,
-    _turns_at,
     cabs,
     cdiv,
     cmul,
@@ -29,12 +28,12 @@ from hfe.tracking import (
     track_sqrt,
 )
 
-from helpers import component, nerve_doc, per_point
+from helpers import MAX_ARG, component, nerve_doc, per_point, rescaled
 
 
-def _alone(f, z0, *interval):
+def _alone(f, z0):
     """track_sqrt on the stack of the one path f, anchored at z0."""
-    return track_sqrt(lambda t: f(t)[None], [z0], *interval)[0]
+    return track_sqrt(lambda t: f(t)[None], [z0])[0]
 
 
 def _root(w: complex) -> complex:
@@ -76,8 +75,8 @@ def test_track_sqrt_vanishing_path():
 
 def test_track_sqrt_partial_interval_composition():
     f = lambda t: np.exp(1.7j * math.pi * t)
-    z_mid = _alone(f, 1.0, 0.0, 0.4)
-    z_full = _alone(f, z_mid, 0.4, 1.0)
+    z_mid = _alone(rescaled(f, 0.0, 0.4), 1.0)
+    z_full = _alone(rescaled(f, 0.4, 1.0), z_mid)
     assert abs(z_full - _alone(f, 1.0)) < 1e-12
 
 
@@ -102,7 +101,7 @@ def test_track_sqrt_rejects_a_sign_jump_without_hanging():
     assert "branch ambiguity" in proc.stdout
 
 
-# a step argument past _MAX_ARG
+# a step argument past MAX_ARG
 _THETA = 0.5 * math.pi * 0.9995
 
 
@@ -202,18 +201,19 @@ _FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
 @given(st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT, _FLOAT), min_size=1, max_size=8))
 @example([(1.0, 2.0, 3.0, 0.0)])
 @example([(float("inf"), float("nan"), -0.0, 5e-324)])
+@example([(1e308, 1e308, 1e308, -1e308), (5e-324, 1e-310, 1e-200, 1e-300)])
 # numpy's complex *, / and abs round these differently
 @example([(20.41, 0.3, -14.04, 8.2), (-25.56, -9.6, -7.73, -19.2), (-20.2, 1.94, 1.0, 1.0)])
 def test_float_array_complex_ops_match_python(parts):
     # the kernel of every root computation: cmul, cdiv and cabs are
     # Python's *, / and abs bit for bit, a real (float) divisor included,
-    # and _sqrt is cmath.sqrt on the finite nonzero values it is used on
+    # and _sqrt is cmath.sqrt on the finite nonzero values it is used on;
+    # none of them warns, whatever the parts
     a, b = (np.array([complex(x, y) for x, y in pair]) for pair in
             (([p[0], p[1]] for p in parts), ([p[2], p[3]] for p in parts)))
     reals = np.array([p[2] for p in parts])
-    with np.errstate(all="ignore"):
-        prod, quot, by_real = cmul(a, b).tolist(), cdiv(a, b).tolist(), cdiv(a, reals)
-        size, root = cabs(a).tolist(), _sqrt(a).tolist()
+    prod, quot, by_real = cmul(a, b).tolist(), cdiv(a, b).tolist(), cdiv(a, reals)
+    size, root = cabs(a).tolist(), _sqrt(a).tolist()
     for x, y, r, p, q, qr, m, s in zip(a.tolist(), b.tolist(), reals.tolist(), prod,
                                        quot, by_real.tolist(), size, root):
         assert _bits(p) == _bits(x * y)
@@ -233,7 +233,7 @@ def test_float_array_complex_ops_match_python(parts):
 # the batched tracker against a scalar stepping oracle
 # ---------------------------------------------------------------------------
 
-def _scalar_track(f, z0, t0=0.0, t1=1.0, max_depth=48, initial_steps=16):
+def _scalar_track(f, z0, max_depth=48, initial_steps=16):
     """Reference stepping: one evaluation per parameter, in stack order.
 
     Returns the tracked value and every parameter it evaluated.
@@ -244,16 +244,15 @@ def _scalar_track(f, z0, t0=0.0, t1=1.0, max_depth=48, initial_steps=16):
         evaluated.append(t)
         return complex(f(np.array([t]))[0])
 
-    ft0 = value(t0)
-    t, ft, z = t0, ft0, complex(z0)
-    h = (t1 - t0) / initial_steps
-    pending = [t0 + j * h for j in range(initial_steps, 0, -1)]
+    ft0 = value(0.0)
+    t, ft, z = 0.0, ft0, complex(z0)
+    pending = [j / initial_steps for j in range(initial_steps, 0, -1)]
     depth = 0
     while pending:
         tn = pending[-1]
         fn = value(tn)
         ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= _MAX_ARG:
+        if abs(cmath.phase(ratio)) >= MAX_ARG:
             depth += 1
             assert depth <= max_depth
             pending.append(0.5 * (t + tn))
@@ -284,9 +283,9 @@ def _winding(w):
 @given(st.floats(-90.0, 90.0), st.floats(0.05, 1.0))
 def test_track_sqrt_matches_scalar_oracle(w, t1):
     # |w| * t1 / 16 beyond pi/2 forces bisection of the initial grid
-    f = _Recorder(_winding(w))
-    z = _alone(f, 1.0, 0.0, t1)
-    z_ref, evaluated = _scalar_track(_winding(w), 1.0, 0.0, t1)
+    f = _Recorder(rescaled(_winding(w), 0.0, t1))
+    z = _alone(f, 1.0)
+    z_ref, evaluated = _scalar_track(f.f, 1.0)
     assert abs(z - z_ref) <= 1e-12
     assert abs(z * z - np.exp(1j * w * t1)) <= 1e-9
     # the same parameters, each evaluated once
@@ -333,7 +332,7 @@ def _oracle_track_component(comp, fn):
         cur = frontier.pop(0)
         for nxt in adj[cur]:
             ratio = dets[nxt] / dets[cur]
-            if abs(np.angle(ratio)) >= _MAX_ARG:
+            if abs(np.angle(ratio)) >= MAX_ARG:
                 raise TrackingError(
                     f"branch jump between {ids[cur]} and {ids[nxt]} (edge too long)"
                 )
@@ -374,7 +373,7 @@ def _oracle_chart_sqrt_values(doc, chart, value_fn, flip=1):
             cur = frontier.pop(0)
             for nxt in adj[cur]:
                 ratio = vals[nxt] / vals[cur]
-                if abs(np.angle(ratio)) >= _MAX_ARG:
+                if abs(np.angle(ratio)) >= MAX_ARG:
                     raise TrackingError(
                         f"branch jump between {cur} and {nxt} on chart {chart}"
                     )
@@ -519,12 +518,98 @@ def test_lift_rejects_a_non_finite_determinant():
         lift_double_cover(nerve, gl)
 
 
+def _turns_in_python(r: complex) -> bool:
+    """The step test of hfe.tracking in Python's float arithmetic."""
+    return not (0.0 < r.real < math.inf and abs(r.imag) < _TAN_MAX_ARG * r.real)
+
+
+def test_the_step_margin_is_the_tangent_of_its_angle():
+    assert _TAN_MAX_ARG == math.tan(MAX_ARG)
+    assert _TAN_MAX_ARG.hex() == "0x1.3e4f438b2ce6cp+9"
+
+
 @given(st.one_of(st.floats(-1e-9, 1e-9), st.integers(-8, 8).map(lambda k: k * 2.0 ** -52)),
        st.floats(0.5, 2.0), st.sampled_from([1, -1]))
 @example(0.0, 1.0, 1)
 def test_turns_is_the_exact_step_test(offset, size, side):
-    # near the margin np.angle may be a few ulps off; _turns is exact
-    ratios = np.array([size * cmath.exp(1j * side * (_MAX_ARG + offset)), 0j,
-                       complex(np.inf, 0.0), complex(np.nan, 1.0), 1.0 + 0j])
-    assert _turns(ratios).tolist() == [_turns_at(r) for r in ratios.tolist()]
-    assert _turns(ratios)[1:].tolist() == [True, True, True, False]
+    # the same verdict for an array and for each of its entries, that of
+    # the test in Python floats; a ratio whose argument is more than 8
+    # ulps from the margin turns if and only if the argument reaches it
+    ratios = np.array([size * cmath.exp(1j * side * (MAX_ARG + offset)), 0j, -1.0, 1j,
+                       complex(np.inf, 0.0), complex(np.nan, 1.0), complex(1e308, -np.inf),
+                       complex(1e308, 1e308), 1.0 + 0j])
+    turns = _turns(ratios).tolist()
+    assert turns == [bool(_turns(r)) for r in ratios] == list(map(_turns_in_python, ratios.tolist()))
+    assert turns[1:] == [True] * 6 + [False, False]
+    if abs(offset) >= 2.0 ** -49:
+        assert turns[0] == (offset > 0)
+
+
+# ---------------------------------------------------------------------------
+# the trackers' bits do not depend on numpy's SIMD dispatch
+# ---------------------------------------------------------------------------
+
+def _parts(re, im) -> np.ndarray:
+    """The complex array of two float arrays of parts, with no complex *."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _power(s, m: int):
+    """The parts of (1 + i s)^m, by real products only: its argument is
+    m atan(s), a winding path for s linear in t."""
+    x, y = np.ones_like(s), np.zeros_like(s)
+    for _ in range(m):
+        x, y = x - y * s, y + x * s
+    return x, y
+
+
+def dispatch_probe() -> str:
+    """The bits of _turns, track_graph and track_sqrt on inputs built from
+    parts with real arithmetic only, as hex digits."""
+    # ratios whose arguments are within 4 ulps of the margin, in quarter
+    # ulps, where np.angle's verdicts differ between dispatch levels, and
+    # within 4 ulps of S in their slope Im / Re
+    re = (1.0 + np.arange(2000)) / 7.0
+    ulp = np.spacing(MAX_ARG) * (1.0 + _TAN_MAX_ARG * _TAN_MAX_ARG)
+    edge = _TAN_MAX_ARG * re
+    ratios = _parts(np.tile(re, 41), np.concatenate(
+        [re * (_TAN_MAX_ARG + k * ulp) for k in np.arange(-16, 17) / 4]
+        + [edge + k * np.spacing(edge) for k in (-4, -3, -2, -1, 1, 2, 3, 4)]))
+    turns = _turns(np.concatenate([ratios, -ratios.conj()]))
+    # a path around the circle through the rational points
+    # ((1 - u^2), 2u) / (1 + u^2), scaled by radii, with a cycle
+    u = np.arange(-40, 41) / 16.0
+    radius = 1.0 + np.arange(len(u)) / 50.0
+    vals = _parts(radius * (1.0 - u * u) / (1.0 + u * u), radius * 2.0 * u / (1.0 + u * u))
+    edges = [(i, i + 1) for i in range(len(u) - 1)] + [(0, 2)]
+    graph = track_graph(vals, Walk.of(len(u), edges, [0]), [str(i) for i in range(len(u))],
+                        1, jump=lambda v: "", cycle=lambda v: "")
+    slopes = np.arange(1, 7) / 2.0
+    powers = np.array([3, 9, 20, 1, 14, 6])
+
+    def f(t):
+        return np.stack([_parts(*_power(s * t, m)) for s, m in zip(slopes, powers)])
+
+    roots = track_sqrt(f, np.ones(len(slopes)))
+    return "".join(a.tobytes().hex() for a in (turns, graph, roots))
+
+
+def test_the_trackers_do_not_depend_on_simd_dispatch():
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    above = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not above:
+        pytest.skip("numpy dispatches nothing above its baseline on this CPU")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(above))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hfe.__file__).parents[1]), str(Path(__file__).parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "from test_tracking import dispatch_probe\nprint(dispatch_probe())"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == dispatch_probe() + "\n"
