@@ -40,9 +40,9 @@ def _turns(ratio):
     ratio or an array of ratios: whether the step may cross the branch
     cut.  track_sqrt bisects such a step, and on a sampled graph it is a
     branch jump."""
-    re = np.real(ratio)
+    re = ratio.real
     with np.errstate(over="ignore"):  # S · Re r may overflow to inf
-        return ~((0.0 < re) & (re < np.inf) & (np.abs(np.imag(ratio)) < _TAN_MAX_ARG * re))
+        return ~((0.0 < re) & (re < np.inf) & (np.abs(ratio.imag) < _TAN_MAX_ARG * re))
 
 
 def _ratio(a, b) -> np.ndarray:
