@@ -14,6 +14,16 @@ class ValidationError(EngineError):
     """Input fails a structural invariant (dimension, pattern, residual)."""
 
 
+class SchemaViolation(ValidationError):
+    """A scenario document violates the scenario schema at ``path``, the
+    keys and indices from its root to the offending value."""
+
+    def __init__(self, path, message: str):
+        self.path, self.message = tuple(path), message
+        loc = "/".join(map(str, self.path)) or "<root>"
+        super().__init__(f"scenario schema violation at {loc}: {message}")
+
+
 class SubgroupRejection(ValidationError):
     """Block-pattern membership test failed.
 

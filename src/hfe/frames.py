@@ -21,7 +21,7 @@ from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
 from .groups import block_pattern, check_ml, shared_corner, tracked_alpha_det
 from .smallmat import det, hermitian_extremes, inv, mul
-from .tracking import cdiv, cmul, track_sqrt
+from .tracking import cabs, cdiv, cmul, track_sqrt
 
 
 def standard_omega(n: int) -> np.ndarray:
@@ -252,8 +252,9 @@ def pairing_density(prequantum, nu1, nu2, S1: np.ndarray, S2: np.ndarray, k: int
         factor = np.sqrt(np.abs(d))
     else:
         factor = np.asarray(delta_tilde, dtype=complex)
-        raise_first([(np.abs(factor * factor - d)
-                      > identity_bound(get_tolerances()) * np.abs(d),
-                      lambda p: ValidationError("delta_tilde does not square to delta"))])
+        with np.errstate(all="ignore"):
+            stray = ~(cabs(cmul(factor, factor) - d)
+                      <= identity_bound(get_tolerances()) * cabs(d))
+        raise_first([(stray, lambda p: ValidationError("delta_tilde does not square to delta"))])
     vol = det(np.concatenate([S1[..., :k], lifts], axis=-1))
     return np.asarray(prequantum) * np.conj(nu1) * nu2 * factor * np.abs(vol)

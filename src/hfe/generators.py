@@ -17,6 +17,7 @@ matrices as nested lists of such scalars.
 from __future__ import annotations
 
 import cmath
+import sys
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -121,9 +122,10 @@ def _gen_mp_const(params, n, k):
 
 def _gen_mp_rotation(params, n, k):
     """n=1 rotation by theta with anchor e^{i theta/2} on the chosen sheet."""
-    theta = float(params["theta"])
-    if not cmath.isfinite(theta):
-        raise ValueError(f"parameter 'theta' must be finite, got {theta!r}")
+    theta = params["theta"]
+    if not (_real(theta) and abs(theta) <= sys.float_info.max):
+        raise ValueError(f"parameter 'theta' must be a finite real number, got {theta!r}")
+    theta = float(theta)
     sign = _sign(params, "sheet")
     g = np.array([[np.cos(theta), np.sin(theta)],
                   [-np.sin(theta), np.cos(theta)]])

@@ -273,7 +273,9 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
         z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         for who, z, D in (("first", z1, "detD1"), ("second", z2, "detD2")):
             d = blocks["detA"] * blocks[D]
-            checks.append((~(np.abs(z * z - d) <= bound * np.abs(d)),
+            with np.errstate(all="ignore"):
+                stray = ~(cabs(cmul(z, z) - d) <= bound * cabs(d))
+            checks.append((stray,
                            lambda p, who=who: SubgroupRejection(
                                f"z**2 != det(A) det(D) ({who})", [])))
     raise_first(checks)

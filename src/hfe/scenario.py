@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cech import Cocycle, Nerve, chart_stacks
 from .config import get_tolerances, loosest, tolerance_overrides
-from .errors import EngineError, ValidationError
+from .errors import SchemaViolation, ValidationError
 from .generators import build_generator, parse_complex
 from .groups import stack_values
 from .induction import FrameSectionData, PairSectionData
@@ -262,61 +263,75 @@ _TYPES: dict[str, Callable] = {
         isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
 
-# The keywords _conforms implements; the schema uses no others.
+# The keywords _violation implements; the schema uses no others.
 CHECKED_KEYWORDS = frozenset({
     "type", "properties", "required", "additionalProperties", "items",
     "minItems", "maxItems", "minimum", "exclusiveMinimum", "enum",
 })
 
 
-def _conforms(value, schema: dict) -> bool:
-    """Whether ``value`` satisfies ``schema`` under Draft 2020-12, for the
-    keywords in CHECKED_KEYWORDS.  As in jsonschema, NaN and Infinity
-    pass ``minimum`` and ``exclusiveMinimum``."""
+def _violation(value, schema: dict) -> Optional[tuple[tuple, str]]:
+    """None, or the path and message of the first violation of ``schema``
+    by ``value`` under Draft 2020-12, worded as the tests' reference
+    validator words it, for the keywords in CHECKED_KEYWORDS.  A node's
+    own keywords come first, in the order type, required,
+    additionalProperties: false (every extra key in one message),
+    minItems, maxItems, minimum, exclusiveMinimum, enum; then its
+    children, in schema order, then document order.  NaN and Infinity
+    pass ``minimum`` and ``exclusiveMinimum``, as in that validator."""
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
-        return False
+        return (), f"{value!r} is not of type {kind!r}"
     if isinstance(value, dict):
-        if any(key not in value for key in schema.get("required", ())):
-            return False
+        for key in schema.get("required", ()):
+            if key not in value:
+                return (), f"{key!r} is a required property"
         props = schema.get("properties", {})
         extra = schema.get("additionalProperties", True)
-        for key, item in value.items():
-            sub = props.get(key, extra)
-            if sub is False or (sub is not True and not _conforms(item, sub)):
-                return False
+        if extra is False and not value.keys() <= props.keys():
+            extras = sorted((key for key in value if key not in props), key=str)
+            return (), (f"Additional properties are not allowed ("
+                        f"{', '.join(map(repr, extras))} "
+                        f"{'was' if len(extras) == 1 else 'were'} unexpected)")
     elif isinstance(value, list):
-        if not schema.get("minItems", 0) <= len(value) <= schema.get(
-                "maxItems", math.inf):
-            return False
-        items = schema.get("items")
-        if items is not None and not all(_conforms(v, items) for v in value):
-            return False
+        if len(value) < schema.get("minItems", 0):
+            return (), f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1
+                                        else "is too short")
+        if len(value) > schema.get("maxItems", math.inf):
+            return (), f"{value!r} " + ("is expected to be empty" if schema["maxItems"] == 0
+                                        else "is too long")
     elif _TYPES["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
-            return False
+            return (), f"{value!r} is less than the minimum of {schema['minimum']!r}"
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            return False
+            return (), (f"{value!r} is less than or equal to the minimum of "
+                        f"{schema['exclusiveMinimum']!r}")
     # enum members are scalars; True equals 1 in Python but not in JSON
-    return "enum" not in schema or any(
-        value == member and isinstance(value, bool) == isinstance(member, bool)
-        for member in schema["enum"])
+    if "enum" in schema and not any(
+            value == member and isinstance(value, bool) == isinstance(member, bool)
+            for member in schema["enum"]):
+        return (), f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        for key, sub in props.items():
+            if key in value and (found := _violation(value[key], sub)):
+                return (key, *found[0]), found[1]
+        if isinstance(extra, dict):
+            for key, item in value.items():
+                if key not in props and (found := _violation(item, extra)):
+                    return (key, *found[0]), found[1]
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            if found := _violation(item, schema["items"]):
+                return (i, *found[0]), found[1]
+    return None
 
 
-def _check_schema(doc) -> None:
-    """Raise jsonschema's best-matching error if ``doc`` violates
-    SCENARIO_SCHEMA.  jsonschema is imported only to describe a document
-    that _conforms rejected."""
-    if _conforms(doc, SCENARIO_SCHEMA):
-        return
-    import jsonschema
-
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if error is None:
-        raise EngineError("the scenario schema checker rejected a "
-                          "document that jsonschema accepts")
-    raise error
+def _check_schema(doc, schema: dict = SCENARIO_SCHEMA, path: tuple = ()) -> None:
+    """Raise SchemaViolation for the first violation of ``schema`` in
+    ``doc`` (see _violation), the value at ``path`` of a scenario."""
+    found = _violation(doc, schema)
+    if found is not None:
+        raise SchemaViolation(path + found[0], found[1])
 
 
 class Scenario:
@@ -435,14 +450,17 @@ def load_scenario(source: str | Path | dict,
         text = Path(source).read_text(encoding="utf-8")
         doc = json.loads(text)
     _check_schema(doc)
-    # json reads NaN and Infinity, and the schema's exclusiveMinimum
-    # lets both through
-    nonfinite = sorted(key for key, value in doc.get("tolerances", {}).items()
-                       if not math.isfinite(value))
+    # the caller's overrides pass the document's checks
+    overrides = {**doc.get("tolerances", {}), **(tolerances or {})}
+    _check_schema(overrides, SCENARIO_SCHEMA["properties"]["tolerances"], ("tolerances",))
+    # json reads NaN and Infinity, and the schema's exclusiveMinimum lets
+    # both through; so it does an integer beyond the float range
+    nonfinite = sorted(key for key, value in overrides.items()
+                       if not abs(value) <= sys.float_info.max)
     if nonfinite:
         raise ValidationError(f"tolerances {nonfinite} must be finite")
     base = get_tolerances()
-    run = base.with_overrides(**{**doc.get("tolerances", {}), **(tolerances or {})})
+    run = base.with_overrides(**overrides)
     with tolerance_overrides(**loosest(base, run).as_dict()):
         return _build_scenario(doc)
 

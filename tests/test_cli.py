@@ -9,6 +9,7 @@ import pytest
 
 import hfe.cli as cli
 from hfe.errors import ValidationError
+from hfe.pipelines import run_scenario
 from hfe.report import CheckRecord, VerificationReport, emit_report
 from hfe.scenario import (
     SCENARIO_SCHEMA,
@@ -150,11 +151,13 @@ import hfe.cli
 assert "jsonschema" not in sys.modules, "imported by hfe.cli"
 assert hfe.cli.main(["verify", "trivial_r2"]) == 0
 assert "jsonschema" not in sys.modules, "imported by a passing verify"
-sys.exit(hfe.cli.main(["verify", sys.argv[1]]))
+code = hfe.cli.main(["verify", sys.argv[1]])
+assert "jsonschema" not in sys.modules, "imported by a rejected document"
+sys.exit(code)
 """
 
 
-def test_jsonschema_is_imported_only_for_a_rejected_document(tmp_path):
+def test_no_verification_imports_jsonschema(tmp_path):
     doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
     doc["nerve"]["overlaps"][0]["components"][0]["points"][0]["params"] = "x"
     p = tmp_path / "bad.json"
@@ -285,6 +288,23 @@ def test_cli_import_freezes_and_keeps_the_collector_state(enabled):
         "import hfe.cli\n"
         "print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0]))"
     ) == [enabled, True]
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("rel", -1.0, "scenario schema violation at tolerances/rel: "
+     "-1.0 is less than or equal to the minimum of 0"),
+    ("rel", float("nan"), "invalid scenario data: tolerances ['rel'] must be finite"),
+    ("bogus", 1.0, "scenario schema violation at tolerances: "
+     "Additional properties are not allowed ('bogus' was unexpected)"),
+], ids=["negative", "nan", "unknown-key"])
+def test_tolerance_overrides_pass_the_scenario_check(key, value, error, capsys):
+    # through the API they ran at rel = -1 or NaN, and "bogus" raised
+    # TypeError from Tolerances
+    path = builtin_scenario_path("trivial_r2")
+    with pytest.raises(ValidationError):
+        run_scenario(path, tolerances={key: value})
+    code, out, err = run(capsys, "verify", str(path), "--tolerance", f"{key}={value}")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_exit_2_on_bad_tolerance_key(capsys):
@@ -454,6 +474,13 @@ def _text_rotation_angle(doc):
     rotation["params"]["theta"] = "x"
 
 
+def _boolean_rotation_angle(doc):
+    # read as an angle of 1 rad, it verified => PASS
+    rotation = doc["mp_cocycle"]["transitions"][1]["generator"]
+    assert rotation["name"] == "mp_rotation"
+    rotation["params"]["theta"] = True
+
+
 def _wide_frame_point(doc):
     frame = doc["sections"]["first"]["0"]
     assert frame["name"] == "frame_phi_inv"
@@ -468,7 +495,9 @@ def _ml_const_transition(doc):
 @pytest.mark.parametrize("edit, message", [
     (_empty_delta_params, "generator 'linear_scalar': missing parameter 'const'"),
     (_text_rotation_angle,
-     "generator 'mp_rotation': could not convert string to float: 'x'"),
+     "generator 'mp_rotation': parameter 'theta' must be a finite real number, got 'x'"),
+    (_boolean_rotation_angle,
+     "generator 'mp_rotation': parameter 'theta' must be a finite real number, got True"),
     (_wide_frame_point,
      "generator 'frame_phi_inv': parameter 'W' must be 1 x 1, got 1 x 2"),
     # no role takes an Ml value, so the vocabulary has no Ml generator
@@ -968,7 +997,8 @@ _EXTREME = {
         2, "generator 'mp_rotation': parameter 'sheet' must be 1 or -1, got True"),
     "theta<-Infinity": (
         "circle_mobius", lambda doc: _mp_params(doc, 1).update(theta=_INF),
-        2, "generator 'mp_rotation': parameter 'theta' must be finite, got inf"),
+        2, "generator 'mp_rotation': parameter 'theta' must be a finite real number, "
+        "got inf"),
     "pair_section_Cr<-1e308": (
         "circle_mobius",
         lambda doc: doc["pair_sections"]["1"]["params"]["first"].update(Cr=[[[1e308, 0.2]]]),

@@ -344,8 +344,10 @@ def test_pairing_density_anchor():
     assert abs(v - 2 ** 0.5) < 1e-12
     v2, = pairing_density(one, one, one, S, S, 0, lifts, delta_tilde=[2 ** 0.5])
     assert abs(v2 - 2 ** 0.5) < 1e-12
-    with pytest.raises(ValidationError):
-        pairing_density(one, one, one, S, S, 0, lifts, delta_tilde=[1.0])
+    # a NaN root returned nan+nanj, and an overflowing square warned
+    for root in (1.0, np.nan, 1e200):
+        with pytest.raises(ValidationError):
+            pairing_density(one, one, one, S, S, 0, lifts, delta_tilde=[root])
     # the frames must share their first k columns
     with pytest.raises(ValidationError):
         pairing_density(one, one, one, _columns(*VERT), _columns(*HORIZ), 1,
