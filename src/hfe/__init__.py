@@ -1,6 +1,10 @@
 """Numerical engine for metalinear frame bundles and pairing determinants.
 
-Modules, from the numerical kernels up to the command line:
+Modules, from the numerical kernels up to the command line.  ``hfe.cli``
+loads all of them but the three marked (first use): the stage runners of
+``hfe.pipelines`` import those where they call them, and ``hfe.scenario``
+imports ``hfe.induction`` for a document with sections, so a verification
+loads only the layers its scenario runs.
 
 - ``hfe.smallmat``      small-matrix linear algebra over stacks, no BLAS at n <= 2
 - ``hfe.tracking``      the exact complex kernel and continuous square-root tracking
@@ -8,11 +12,11 @@ Modules, from the numerical kernels up to the command line:
 - ``hfe.errors``        the exception hierarchy, and raise_first over stacks
 - ``hfe.ball``          raw Siegel-Ball linear algebra and the Ball action
 - ``hfe.groups``        matrix groups, double covers, block subgroups
-- ``hfe.frames``        Lagrangian frame linear algebra, Ball checks, densities
+- ``hfe.frames``        Lagrangian frame linear algebra, Ball checks, densities (first use)
 - ``hfe.sampling``      seeded random draws for the property checks
 - ``hfe.cech``          finite-nerve cocycle machinery, double-cover lifting
-- ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data
-- ``hfe.induction``     metaplectic-to-metalinear transition-function recipe
+- ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data (first use)
+- ``hfe.induction``     metaplectic-to-metalinear transition-function recipe (first use)
 - ``hfe.generators``    named generators of scenario data
 - ``hfe.scenario``      scenario files: schema, loading, the built-in corpus
 - ``hfe.pipelines``     the verification stages over a loaded scenario

@@ -37,9 +37,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import cech, compatibility, induction
+# hfe.compatibility, hfe.induction and hfe.frames are imported by the
+# stage runners that call them: a verification then compiles and loads
+# only the layers its scenario runs (sphere_octa none of them).
+from . import cech
 from .cech import Nerve
-from .compatibility import PolarizationPairData
 from .config import (
     check_bound,
     get_tolerances,
@@ -47,11 +49,10 @@ from .config import (
     tolerance_overrides,
 )
 from .errors import EngineError, GluingError, TheoremFalsification
-from .frames import check_frame_pairs, delta, validate_lagrangian
 from .groups import worst
 from .report import CheckRecord, VerificationReport
 from .sampling import Draws
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, run_tolerances
 
 # ---------------------------------------------------------------------------
 # stage declarations
@@ -142,8 +143,9 @@ def _run_validate(scenario: Scenario, report, rng):
     if scenario.pair_cocycle is not None:
         out["pair.cocycle"] = scenario.pair_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
-        data = PolarizationPairData(scenario.nerve, scenario.pair_cocycle,
-                                    scenario.delta_samples)
+        from . import compatibility
+        data = compatibility.PolarizationPairData(
+            scenario.nerve, scenario.pair_cocycle, scenario.delta_samples)
         # the consistency of pair data includes its cocycle's check
         res, base = compatibility.validate_pair_data(data), checked["pair"]
         failures = res["failures"] + base["failures"]
@@ -152,6 +154,7 @@ def _run_validate(scenario: Scenario, report, rng):
             "max_residual": worst(res["max_residual"], base["max_residual"])}))
         out["pair.data"] = data
     if scenario.mp_cocycle is not None:
+        from . import induction
         out["mp.bundle"] = induction.MetaplecticBundleData(
             scenario.nerve, scenario.mp_cocycle, scenario.d_adapted)
     for key, sections in (("sections.first", scenario.sections_first),
@@ -164,6 +167,7 @@ def _run_validate(scenario: Scenario, report, rng):
 
 @_stage("frame_pairs")
 def _run_frame_pairs(scenario: Scenario, report, rng):
+    from .frames import check_frame_pairs, delta, validate_lagrangian
     tols = get_tolerances()
     residuals, failures = [], []
     for fp in scenario.frame_pairs:
@@ -230,6 +234,7 @@ def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
 @_stage("induce", consumes=("pair.data", "pair_first.lift"),
         produces=dict.fromkeys(("pair.normalized", "induced")))
 def _run_induce(scenario: Scenario, report, rng, data, z1):
+    from . import compatibility
     norm = compatibility.normalize_sections(data)
     z2, res = compatibility.induce_compatible(norm, z1)
     report.add(_verdict("induce.compatible", "induce.formula", res))
@@ -240,6 +245,7 @@ def _run_induce(scenario: Scenario, report, rng, data, z1):
         consumes=("pair.normalized", "pair_first.lift", "induced",
                   "lift_classes"))
 def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
+    from . import compatibility
     dt = compatibility.build_delta_tilde(norm, z1, z2, rng)
     report.add(_glue_record("delta_tilde.glue", "sqrt-datum.gluing", dt))
     # Exactly the valid sheet patterns equivalent to the induced lift,
@@ -296,9 +302,10 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
 
 @_stage("self_compat")
 def _run_self_compat(scenario: Scenario, report, rng):
+    from . import compatibility
     for case in scenario.self_compat_cases:
-        data = PolarizationPairData(scenario.nerve, case["pair_cocycle"],
-                                    case["delta_samples"])
+        data = compatibility.PolarizationPairData(
+            scenario.nerve, case["pair_cocycle"], case["delta_samples"])
         base = cech.push_cocycle(case["pair_cocycle"])
         z1 = cech.lift_double_cover(scenario.nerve, base)
         name = case["name"]
@@ -330,6 +337,7 @@ def _run_self_compat(scenario: Scenario, report, rng):
 
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
 def _run_recipe(scenario: Scenario, report, rng, data, sections):
+    from . import induction
     t = induction.transport(data, sections)
     r = induction.recipe(t)
     residual = worst(r.residuals["projection_match"], r.residuals["ball_match"])
@@ -360,6 +368,7 @@ def _run_recipe(scenario: Scenario, report, rng, data, sections):
 
 @_stage("delta_D", consumes=("mp.bundle", "sections.pair"))
 def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
+    from . import induction
     dt = induction.build_delta_D_tilde(data, pair_sections, rng)
     report.add(_glue_record("delta_D.glue", "sqrt-datum.block-form-gluing", dt))
 
@@ -367,6 +376,7 @@ def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
 @_stage("cross_check",
         consumes=("mp.bundle", "sections.first", "sections.second"))
 def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
+    from . import induction
     out = induction.cross_check(data, first, second, rng)
     residual = worst(out["glue_residual"], out["restriction_residual"])
     report.add(
@@ -461,9 +471,12 @@ def run_scenario(
     for check failures (they are recorded); scenario-level errors are
     recorded as failing checks; a stage whose inputs are missing is
     recorded as skipped; a TheoremFalsification marks the whole report.
+    ``tolerances`` override the scenario's own, and both pass its checks
+    (run_tolerances) whatever the source.
     """
     scenario = (source if isinstance(source, Scenario)
                 else load_scenario(source, tolerances))
+    overrides = run_tolerances(scenario.tolerance_overrides, tolerances)
     unknown = sorted(set(scenario.pipelines).union(pipelines or ())
                      - set(PIPELINE_ORDER))
     if unknown:
@@ -472,8 +485,6 @@ def run_scenario(
         p for p in scenario.pipelines if p in pipelines
     ]
 
-    overrides = dict(scenario.tolerance_overrides)
-    overrides.update(tolerances or {})
     report = VerificationReport(scenario=scenario.name, seed=seed)
     rng = Draws(seed)
     artefacts: dict = {}

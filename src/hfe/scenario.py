@@ -15,7 +15,7 @@ import math
 import numbers
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .config import get_tolerances, loosest, tolerance_overrides
 from .errors import SchemaViolation, ValidationError
 from .generators import build_generator, parse_complex
 from .groups import stack_values
-from .induction import FrameSectionData, PairSectionData
+
+if TYPE_CHECKING:  # _build_scenario imports them for the documents that have them
+    from .induction import FrameSectionData, PairSectionData
 
 _GENERATOR = {
     "type": "object",
@@ -252,13 +254,14 @@ SCENARIO_SCHEMA: dict = {
 }
 
 # Draft 2020-12 type checks: bool is neither an integer nor a number,
-# and an integral float is an integer.
+# and an integral float is an integer.  A number is real: JSON has no
+# complex numbers, and an API caller's complex tolerance is not one.
 _TYPES: dict[str, Callable] = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
     "integer": lambda v: not isinstance(v, bool) and (
         isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
@@ -437,21 +440,12 @@ def _build_sign_cochain(name: str, doc: dict, nerve: Nerve) -> np.ndarray:
     return np.array([signs.get(tp) == -1 for tp in nerve.triples], dtype=np.uint8)
 
 
-def load_scenario(source: str | Path | dict,
-                  tolerances: Optional[dict[str, float]] = None) -> Scenario:
-    """Load and validate a scenario from a path or a dict, at the
-    loosest of the current tolerances and those of a run of it (the
-    document's, overridden by ``tolerances``): what a run tightens, its
-    stages judge."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        # JSON text is UTF-8 (RFC 8259)
-        text = Path(source).read_text(encoding="utf-8")
-        doc = json.loads(text)
-    _check_schema(doc)
-    # the caller's overrides pass the document's checks
-    overrides = {**doc.get("tolerances", {}), **(tolerances or {})}
+def run_tolerances(document: dict[str, float],
+                   tolerances: Optional[dict[str, float]] = None) -> dict[str, float]:
+    """The tolerance overrides of a run: a document's, overridden by
+    ``tolerances``.  They pass the document's checks: the schema's
+    ``tolerances`` subschema, and finiteness."""
+    overrides = {**document, **(tolerances or {})}
     _check_schema(overrides, SCENARIO_SCHEMA["properties"]["tolerances"], ("tolerances",))
     # json reads NaN and Infinity, and the schema's exclusiveMinimum lets
     # both through; so it does an integer beyond the float range
@@ -459,6 +453,22 @@ def load_scenario(source: str | Path | dict,
                        if not abs(value) <= sys.float_info.max)
     if nonfinite:
         raise ValidationError(f"tolerances {nonfinite} must be finite")
+    return overrides
+
+
+def load_scenario(source: str | Path | dict,
+                  tolerances: Optional[dict[str, float]] = None) -> Scenario:
+    """Load and validate a scenario from a path or a dict, at the
+    loosest of the current tolerances and those of a run of it
+    (run_tolerances): what a run tightens, its stages judge."""
+    if isinstance(source, dict):
+        doc = source
+    else:
+        # JSON text is UTF-8 (RFC 8259)
+        text = Path(source).read_text(encoding="utf-8")
+        doc = json.loads(text)
+    _check_schema(doc)
+    overrides = run_tolerances(doc.get("tolerances", {}), tolerances)
     base = get_tolerances()
     run = base.with_overrides(**overrides)
     with tolerance_overrides(**loosest(base, run).as_dict()):
@@ -489,6 +499,8 @@ def _build_scenario(doc: dict) -> Scenario:
     if "delta_samples" in doc:
         sc.delta_samples = _build_delta_samples(doc["delta_samples"], nerve, n, k)
     sections = doc.get("sections", {})
+    if sections or "pair_sections" in doc:
+        from .induction import FrameSectionData, PairSectionData
     if "first" in sections:
         sc.sections_first = FrameSectionData.evaluate(
             nerve, n, _build_chart_generators(sections["first"], nerve, n, k))

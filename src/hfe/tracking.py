@@ -107,8 +107,11 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0) -> np.ndarray:
         flagged = _turns(ratio)
         flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < 1.0)
         steps = _sqrt(ratio)
+        # cmul step by step, on the parts
+        zr, zi, sr, si = z.real, z.imag, steps.real.T, steps.imag.T
         for j in range(_INITIAL_STEPS):
-            z = cmul(z, steps[:, j])
+            zr, zi = zr * sr[j] - zi * si[j], zr * si[j] + zi * sr[j]
+        z = _complex(zr, zi)
     grid = grid.tolist()
     # each path with a stray anchor or a flagged step, in stack order, as alone
     for p in np.flatnonzero(stray | flagged.any(axis=1)).tolist():
@@ -165,16 +168,21 @@ def _bisect(z, t, ft, tn, fn, at, p, floor) -> complex:
 
 def _complex(re, im) -> np.ndarray:
     """The complex array of two float arrays of parts, signed zeros kept."""
-    return np.stack([re, im], axis=-1).view(complex)[..., 0]
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def cmul(a, b) -> np.ndarray:
     """Python's complex a * b, elementwise on complex arrays, bit for bit
     (numpy's complex multiply may round differently)."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     with np.errstate(all="ignore"):
-        return _complex(a.real * b.real - a.imag * b.imag,
-                        a.real * b.imag + a.imag * b.real)
+        np.subtract(ar * br, ai * bi, out=out.real)
+        np.add(ar * bi, ai * br, out=out.imag)
+    return out
 
 
 def cdiv(a, b) -> np.ndarray:
@@ -292,11 +300,17 @@ def track_graph(values, walk: Walk, names: Sequence[str], flip, *,
     with np.errstate(all="ignore"):
         ratio = _ratio(v[nxt], v[cur])
         roots = _sqrt(ratio)
-        z = np.full(len(v), np.nan, dtype=complex)
+        # the roots as parts, NaN + 0j where no piece arrives; each level
+        # is cmul of its visits, on the parts
+        zr, zi = np.full(len(v), np.nan), np.zeros(len(v))
         first = nxt[walk.depth == 0]
-        z[first] = cmul(np.broadcast_to(flip, v.shape)[first], _sqrt(v[first]))
+        head = cmul(np.broadcast_to(flip, v.shape)[first], _sqrt(v[first]))
+        zr[first], zi[first] = head.real, head.imag
+        rr, ri = roots.real, roots.imag
         for at in walk.levels[1:]:
-            z[nxt[at]] = cmul(z[cur[at]], roots[at])
+            a, b, c, d = zr[cur[at]], zi[cur[at]], rr[at], ri[at]
+            zr[nxt[at]], zi[nxt[at]] = a * c - b * d, a * d + b * c
+        z = _complex(zr, zi)
         val = cmul(z[cur], roots)
         size = cabs(val)
         off = ~(cabs(val - z[nxt]) <= check_bound(get_tolerances()) * np.fmax(1.0, size))

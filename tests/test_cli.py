@@ -196,6 +196,44 @@ def test_no_verification_imports_numpy_random(target):
     assert json.loads(proc.stdout)["status"] == "pass"
 
 
+_LAYER_PROBE = """
+import contextlib, io, json, sys
+import hfe.cli
+at_import = sorted(m for m in sys.modules if m.startswith("hfe."))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hfe.cli.main(["verify", sys.argv[1]])
+after = sorted(m for m in sys.modules if m.startswith("hfe."))
+print(json.dumps([code, at_import, sorted(set(after) - set(at_import))]))
+"""
+
+_LAYERS = ["hfe.compatibility", "hfe.frames", "hfe.induction"]
+
+# the layers each verification loads besides those of import hfe.cli
+_LAYERS_RUN = {
+    "sphere_octa": [],
+    "torus_grid": ["hfe.compatibility"],
+    "trivial_r2": ["hfe.compatibility", "hfe.frames"],
+    "circle_mobius": _LAYERS,
+    "abstract_k1_nonorientable": _LAYERS,
+    "dense_ring_seed0": _LAYERS,
+    "dense_ring_seed3": _LAYERS,
+}
+
+
+# a verification compiles and loads only the layers its scenario runs
+@pytest.mark.parametrize("target", builtin_scenario_names() + [str(p) for p in _DOCUMENTS],
+                         ids=builtin_scenario_names() + [p.stem for p in _DOCUMENTS])
+def test_a_verification_loads_only_the_layers_it_runs(target):
+    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, target],
+                          capture_output=True, text=True, timeout=120,
+                          env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    code, at_import, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert not set(_LAYERS) & set(at_import)
+    assert loaded == _LAYERS_RUN[Path(target).stem]
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_exit_2_on_a_seed_outside_the_draw_stream(seed, capsys):
     # a 64-bit counter would alias such a seed to another one
@@ -305,6 +343,25 @@ def test_tolerance_overrides_pass_the_scenario_check(key, value, error, capsys):
         run_scenario(path, tolerances={key: value})
     code, out, err = run(capsys, "verify", str(path), "--tolerance", f"{key}={value}")
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("tolerances, error", [
+    ({"rel": -1.0}, "scenario schema violation at tolerances/rel: "
+     "-1.0 is less than or equal to the minimum of 0"),
+    ({"rel": float("nan")}, "tolerances ['rel'] must be finite"),
+    ({"rel": 1j}, "scenario schema violation at tolerances/rel: "
+     "1j is not of type 'number'"),
+    ({"bogus": 1.0}, "scenario schema violation at tolerances: "
+     "Additional properties are not allowed ('bogus' was unexpected)"),
+], ids=["negative", "nan", "complex", "unknown-key"])
+def test_tolerance_overrides_are_checked_for_a_loaded_scenario(tolerances, error):
+    # given a loaded Scenario, rel = -1 or NaN ran and the others raised
+    # TypeError; through a path, 1j raised TypeError
+    path = builtin_scenario_path("trivial_r2")
+    for source in (path, load_scenario(path)):
+        with pytest.raises(ValidationError) as exc:
+            run_scenario(source, tolerances=tolerances)
+        assert str(exc.value) == error
 
 
 def test_exit_2_on_bad_tolerance_key(capsys):
