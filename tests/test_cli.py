@@ -355,8 +355,8 @@ def test_tolerance_overrides_pass_the_scenario_check(key, value, error, capsys):
      "Additional properties are not allowed ('bogus' was unexpected)"),
 ], ids=["negative", "nan", "complex", "unknown-key"])
 def test_tolerance_overrides_are_checked_for_a_loaded_scenario(tolerances, error):
-    # given a loaded Scenario, rel = -1 or NaN ran and the others raised
-    # TypeError; through a path, 1j raised TypeError
+    # a run checks the caller's overrides whatever its source, and a
+    # complex value is not a number
     path = builtin_scenario_path("trivial_r2")
     for source in (path, load_scenario(path)):
         with pytest.raises(ValidationError) as exc:
