@@ -102,14 +102,32 @@ def _verdict(check_id: str, anchor: str, res: dict) -> CheckRecord:
                        passed=res["ok"], failures=res["failures"])
 
 
+def _bounded(check_id: str, anchor: str, residual: float, bound: float,
+             details: Optional[dict] = None, failures=()) -> CheckRecord:
+    """The record of a residual against its bound: it passes iff
+    residual <= bound, so a NaN fails."""
+    return CheckRecord(check_id, anchor, max_residual=residual,
+                       passed=residual <= bound, failures=list(failures),
+                       details=details)
+
+
+def _expected(check_id: str, anchor: str, key: str, value, expected,
+              details: dict, residual: float = 0.0) -> CheckRecord:
+    """The record of a value against its expectation: it fails only when
+    an expectation is given and the value differs from it."""
+    ok = expected is None or value == expected
+    return CheckRecord(check_id, anchor, max_residual=residual, passed=ok,
+                       failures=[] if ok else [(key, value, "expected", expected)],
+                       details=details)
+
+
 def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     """The record of a glued square-root datum: its worst gluing residual
     against the check bound, with its property-check residuals."""
-    glue = worst(dt.residuals)
-    return CheckRecord(check_id, anchor, max_residual=glue,
-                       passed=glue <= check_bound(get_tolerances()),
-                       details={key: dt.checks.get(key, 0.0) for key in
-                                ("square_identity", "translation_law")})
+    return _bounded(check_id, anchor, worst(dt.residuals),
+                    check_bound(get_tolerances()),
+                    {key: dt.checks[key] for key in
+                     ("square_identity", "translation_law")})
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +186,7 @@ def _run_validate(scenario: Scenario, report, rng):
 @_stage("frame_pairs")
 def _run_frame_pairs(scenario: Scenario, report, rng):
     from .frames import check_frame_pairs, delta, validate_lagrangian
-    tols = get_tolerances()
+    bound = check_bound(get_tolerances())
     residuals, failures = [], []
     for fp in scenario.frame_pairs:
         (U1, V1), (U2, V2) = fp["first"], fp["second"]
@@ -179,18 +197,11 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
         val, = delta(S1, S2, fp["k"])
         r = abs(val - fp["expected_delta"]) / max(1.0, abs(fp["expected_delta"]))
         residuals.append(r)
-        if r > check_bound(tols):
+        if not r <= bound:
             failures.append((fp["name"], val))
-    report.add(
-        CheckRecord(
-            "frame_pairs.delta-values",
-            "delta.pairing-determinant",
-            max_residual=worst(residuals),
-            passed=not failures,
-            failures=failures,
-            details={"pairs": len(scenario.frame_pairs)},
-        )
-    )
+    report.add(_bounded("frame_pairs.delta-values", "delta.pairing-determinant",
+                        worst(residuals), bound,
+                        {"pairs": len(scenario.frame_pairs)}, failures))
 
 
 @_stage("lift", consumes=("pair.cocycle",),
@@ -213,21 +224,10 @@ def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
     res = cech.validate_cocycle(scenario.nerve, lifted)
     report.add(_verdict("lift.double-cover", "cocycle.sqrt-lift", res))
     lc = cech.lift_classes(scenario.nerve.delta1, scenario.nerve.delta0)
-    expected = scenario.expectations.get("lift_classes")
-    ok = expected is None or lc.classes == expected
-    report.add(
-        CheckRecord(
-            "lift.class-count",
-            "cocycle.lift-enumeration",
-            passed=ok,
-            failures=[] if ok else [("classes", lc.classes, "expected", expected)],
-            details={
-                "valid_lifts": lc.valid,
-                "coboundaries": lc.coboundaries,
-                "classes": lc.classes,
-            },
-        )
-    )
+    report.add(_expected("lift.class-count", "cocycle.lift-enumeration", "classes",
+                         lc.classes, scenario.expectations.get("lift_classes"),
+                         {"valid_lifts": lc.valid, "coboundaries": lc.coboundaries,
+                          "classes": lc.classes}))
     return {"pair_first.lift": lifted, "lift_classes": lc}
 
 
@@ -250,17 +250,10 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     report.add(_glue_record("delta_tilde.glue", "sqrt-datum.gluing", dt))
     # Exactly the valid sheet patterns equivalent to the induced lift,
     # the coboundaries, may admit chart-sign base values that glue.
-    ok = lc.gluing == lc.coboundaries
-    report.add(
-        CheckRecord(
-            "delta_tilde.unique-class",
-            "sqrt-datum.uniqueness-enumeration",
-            passed=ok,
-            failures=[] if ok else [("gluing_patterns", lc.gluing,
-                                     "expected", lc.coboundaries)],
-            details={"gluing_patterns": lc.gluing, "total_valid": lc.valid},
-        )
-    )
+    report.add(_expected("delta_tilde.unique-class",
+                         "sqrt-datum.uniqueness-enumeration",
+                         "gluing_patterns", lc.gluing, lc.coboundaries,
+                         {"gluing_patterns": lc.gluing, "total_valid": lc.valid}))
     # concrete confirmations on representatives: the chart signs that
     # make the flipped lift equivalent are the base values that glue it
     if lc.witness_equiv is not None:
@@ -270,16 +263,10 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
         base = np.array([witness[ch] for ch in nerve.charts], dtype=complex)
         dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
                                               base_values=base[nerve.chart])
-        glue2 = worst(dt2.residuals)
-        report.add(
-            CheckRecord(
-                "delta_tilde.equivalent-glues",
-                "sqrt-datum.coboundary-freedom",
-                max_residual=glue2,
-                passed=glue2 <= check_bound(get_tolerances()),
-                details={"witness": witness},
-            )
-        )
+        report.add(_bounded("delta_tilde.equivalent-glues",
+                            "sqrt-datum.coboundary-freedom",
+                            worst(dt2.residuals), check_bound(get_tolerances()),
+                            {"witness": witness}))
     if lc.witness_inequiv is not None:
         flipped = cech.flip_sheets(scenario.nerve, z2, lc.witness_inequiv)
         try:
@@ -315,24 +302,13 @@ def _run_self_compat(scenario: Scenario, report, rng):
                                    failures=[("not liftable",)]))
             continue
         dt, dt_norm = compatibility.self_compat(data, z1, rng)
-        expected_eps = scenario.expectations.get("self_compat_eps", {}).get(name)
-        ok = expected_eps is None or dt.epsilon == expected_eps
-        report.add(
-            CheckRecord(
-                f"self_compat.{name}",
-                "self-compat.epsilon",
-                max_residual=float(dt.checks.get("square_identity", 0.0)),
-                passed=ok,
-                failures=[] if ok else [("epsilon", dt.epsilon,
-                                         "expected", expected_eps)],
-                details={
-                    "epsilon": dt.epsilon,
-                    "translation_law": dt.checks.get("translation_law", 0.0),
-                    "normalized_min_real":
-                        dt_norm.checks.get("positivity_min_real", 1.0),
-                },
-            )
-        )
+        report.add(_expected(
+            f"self_compat.{name}", "self-compat.epsilon", "epsilon", dt.epsilon,
+            scenario.expectations.get("self_compat_eps", {}).get(name),
+            {"epsilon": dt.epsilon,
+             "translation_law": dt.checks["translation_law"],
+             "normalized_min_real": dt_norm.checks["positivity_min_real"]},
+            residual=float(dt.checks["square_identity"])))
 
 
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
@@ -340,16 +316,10 @@ def _run_recipe(scenario: Scenario, report, rng, data, sections):
     from . import induction
     t = induction.transport(data, sections)
     r = induction.recipe(t)
-    residual = worst(r.residuals["projection_match"], r.residuals["ball_match"])
-    report.add(
-        CheckRecord(
-            "recipe.projection",
-            "recipe.metalinear-transitions",
-            max_residual=residual,
-            passed=residual <= projection_bound(get_tolerances()),
-            details=dict(r.residuals),
-        )
-    )
+    report.add(_bounded("recipe.projection", "recipe.metalinear-transitions",
+                        worst(r.residuals["projection_match"],
+                              r.residuals["ball_match"]),
+                        projection_bound(get_tolerances()), dict(r.residuals)))
     # a different sheet choice on one chart changes the result only by a
     # coboundary of chart signs
     flip_chart = next(iter(scenario.nerve.charts))
@@ -378,21 +348,9 @@ def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
 def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
     from . import induction
     out = induction.cross_check(data, first, second, rng)
-    residual = worst(out["glue_residual"], out["restriction_residual"])
-    report.add(
-        CheckRecord(
-            "cross_check.agreement",
-            "cross-check.global-sign",
-            max_residual=residual,
-            passed=residual <= check_bound(get_tolerances()),
-            details={
-                "global_sign": out["global_sign"],
-                "witness": out["witness"],
-                "glue_residual": out["glue_residual"],
-                "restriction_residual": out["restriction_residual"],
-            },
-        )
-    )
+    report.add(_bounded("cross_check.agreement", "cross-check.global-sign",
+                        worst(out["glue_residual"], out["restriction_residual"]),
+                        check_bound(get_tolerances()), out))
 
 
 @_stage("obstruction", consumes=("gl.cocycle",))
@@ -418,17 +376,9 @@ def _run_obstruction(scenario: Scenario, report, rng, gl_cocycle):
     for name, cochain in sorted(scenario.sign_cochains.items()):
         sol = cech.z2_coboundary_solve(scenario.nerve, cochain)
         verdict = "feasible" if sol is not None else "infeasible"
-        expected = expected_map.get(name)
-        ok = expected is None or verdict == expected
-        report.add(
-            CheckRecord(
-                f"obstruction.cochain.{name}",
-                "cohomology.gf2-feasibility",
-                passed=ok,
-                failures=[] if ok else [(verdict, "expected", expected)],
-                details={"verdict": verdict},
-            )
-        )
+        report.add(_expected(f"obstruction.cochain.{name}",
+                             "cohomology.gf2-feasibility", "verdict", verdict,
+                             expected_map.get(name), {"verdict": verdict}))
 
 
 def _producers() -> dict[str, str]:

@@ -629,6 +629,35 @@ def test_obstruction_without_gl_cocycle_checks_its_sign_cochains(
                    "obstruction.cochain.trivial"]
 
 
+def _other_counts(doc):
+    doc["expectations"]["lift_classes"] = 2
+    doc["expectations"]["self_compat_eps"]["eps0"] = 1
+
+
+def _trivial_cochain_infeasible(doc):
+    doc["expectations"]["sign_cochains"]["trivial"] = "infeasible"
+
+
+@pytest.mark.parametrize("name, edit, missed", [
+    ("trivial_r2", _other_counts, {
+        "lift.class-count": ["classes", 1, "expected", 2],
+        "self_compat.eps0": ["epsilon", 0, "expected", 1]}),
+    ("sphere_octa", _trivial_cochain_infeasible, {
+        "obstruction.cochain.trivial":
+            ["verdict", "feasible", "expected", "infeasible"]}),
+], ids=["counts", "cochain"])
+def test_a_missed_expectation_names_its_key_value_and_expectation(
+        name, edit, missed, tmp_path, capsys):
+    # every expectation record fails in one shape: (key, value,
+    # "expected", expected), and only the records whose value differs
+    path = _scenario_file(tmp_path, name, edit)
+    code, out, _ = run(capsys, "verify", path, "--report", "json")
+    assert code == 1
+    failed = {c["id"]: c["failures"] for c in json.loads(out)["checks"]
+              if not c["pass"]}
+    assert failed == {check: [failure] for check, failure in missed.items()}
+
+
 def _cochain_at_unknown_point(doc):
     doc["sign_cochains"]["fundamental_class"]["values"][0]["point"] = "nope"
     doc["expectations"]["sign_cochains"]["fundamental_class"] = "feasible"

@@ -1,3 +1,4 @@
+import ast
 import copy
 import functools
 import json
@@ -85,6 +86,32 @@ def test_recipe_projection_bound_is_inclusive():
                   "recipe.projection")
     assert proj.max_residual == r
     assert proj.passed
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def test_a_residual_meets_its_bound_only_in_the_bounded_record():
+    # pipelines._bounded is the one record that compares a residual
+    # with its bound; every other CheckRecord call takes its pass flag
+    # from elsewhere (an expectation, a kernel result, a fixed verdict)
+    tree = ast.parse((Path(hfe.__file__).parent / "pipelines.py").read_text())
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_bounded"
+              for node in ast.walk(fn)}
+    ordered = {}
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "CheckRecord"):
+            continue
+        for kw in call.keywords:
+            if kw.arg == "passed" and any(
+                    isinstance(node, ast.Compare)
+                    and any(isinstance(op, _ORDERINGS) for op in node.ops)
+                    for node in ast.walk(kw.value)):
+                ordered[call.lineno] = id(call) in inside
+    assert [line for line, home in ordered.items() if not home] == []
+    assert list(ordered.values()) == [True]
 
 
 def test_torus_enumeration_details(corpus_reports):
