@@ -1,16 +1,24 @@
 """Command-line front end.
 
-Subcommands: ``verify`` runs a scenario file's pipelines and prints a
-report, ``list-scenarios`` lists the built-in corpus, ``schema`` prints
-the scenario JSON schema.  Exit codes: 0 all checks pass, 1 check
-failure, 2 parse/schema error, 3 a verified theorem was numerically
-falsified, 141 (as for a process ended by SIGPIPE) standard output was
-closed before the report was written.
+Subcommands: ``verify`` runs the pipelines of each scenario, a file path
+or a built-in scenario name, and prints a report per scenario,
+``list-scenarios`` lists the built-in corpus, ``schema`` prints the
+scenario JSON schema.  ``_read`` reads the command line by the fixed
+grammar of ``_USAGE`` with no parser library, whose import, with the
+gettext and locale it loads, would cost a verify about 2 ms of start-up:
+``verify``'s options may come before, between or after the scenarios,
+as ``--name value`` or ``--name=value``, and by a unique prefix of the
+name; ``--`` ends them.  A malformed line prints the usage text and one
+``error:`` line to stderr and raises ``SystemExit(2)``.
+
+Exit codes: 0 all checks pass, 1 check failure, 2 parse/schema error,
+3 a verified theorem was numerically falsified, 141 (as for a process
+ended by SIGPIPE) standard output was closed before the report was
+written.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -72,7 +80,8 @@ def _seed(text: str) -> int:
             return seed
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2**64), got {text!r}")
+    _usage_error("hfe verify",
+                 f"argument --seed: seed must be an integer in [0, 2**64), got {text!r}")
 
 
 def _resolve(target: str) -> str:
@@ -84,44 +93,132 @@ def _resolve(target: str) -> str:
     return target  # let the loader produce the file error
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hfe",
-        description="Verification engine for metalinear frame-bundle "
-        "constructions over finite nerves.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_USAGE = """\
+usage: hfe verify SCENARIO... [--pipeline P[,P...]] [--tolerance KEY=VALUE]...
+                  [--seed N] [--report json|jsonl|text]
+       hfe list-scenarios
+       hfe schema
+       hfe -h | --help
+"""
 
-    v = sub.add_parser("verify", help="run a scenario's verification pipelines")
-    v.add_argument("scenarios", nargs="+",
-                   help="scenario file path or built-in scenario name")
-    v.add_argument("--pipeline", default=None,
-                   help="comma-separated pipeline filter; the stages "
-                   "producing a selected stage's inputs are pulled in")
-    v.add_argument("--tolerance", action="append", default=[],
-                   metavar="KEY=VALUE",
-                   help="tolerance override (rel, abs, singular, track)")
-    v.add_argument("--seed", type=_seed, default=0,
-                   help="seed of the draw stream, an integer in [0, 2**64)")
-    v.add_argument("--report", choices=("json", "text"), default="text")
+_HELP = _USAGE + """
+Verification engine for metalinear frame-bundle constructions over finite
+nerves.
 
-    sub.add_parser("list-scenarios", help="list the built-in scenario corpus")
-    sub.add_parser("schema", help="print the scenario JSON schema")
-    return parser
+commands:
+  verify          run the verification pipelines of each SCENARIO, a
+                  scenario file path or a built-in scenario name
+  list-scenarios  list the built-in scenario corpus
+  schema          print the scenario JSON schema
+
+options of verify, before, between or after the scenarios, as --name value
+or --name=value, or by a unique prefix of the name; -- ends them:
+  --pipeline P[,P...]    run the named pipelines; the stages producing a
+                         selected stage's inputs are pulled in
+  --tolerance KEY=VALUE  tolerance override (rel, abs, singular, track);
+                         may be given more than once
+  --seed N               seed of the draw stream, an integer in [0, 2**64);
+                         default 0
+  --report FORMAT        json: one indented document per scenario;
+                         jsonl: one compact document per line;
+                         text (default): one line per check
+"""
+
+_VERIFY_OPTIONS = ("--pipeline", "--tolerance", "--seed", "--report", "--help")
+_REPORTS = ("json", "jsonl", "text")
 
 
-def _verify(args) -> int:
+def _usage_error(prog: str, message: str):
+    """Print the usage text and the message, and exit 2."""
+    sys.stderr.write(f"{_USAGE}{prog}: error: {message}\n")
+    raise SystemExit(EXIT_PARSE_ERROR)
+
+
+def _names_option(arg: str) -> bool:
+    """Whether arg names an option, rather than giving a scenario or a
+    value: it starts with "-" and is neither "-" nor a negative number."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:2].isdigit()
+
+
+def _option(prog: str, arg: str, names: tuple[str, ...]) -> str:
+    """The option of names that arg names: "-h" for --help, or a unique
+    prefix of a name."""
+    if arg == "-h":
+        arg = "--help"
+    found = [n for n in names if len(arg) > 2 and n.startswith(arg)]
+    if len(found) != 1:
+        _usage_error(prog, f"unrecognized arguments: {arg}")
+    return found[0]
+
+
+def _read_verify(args: list[str]) -> dict | None:
+    """verify's scenarios and settings; None for -h."""
+    out = {"scenarios": [], "pipeline": None, "tolerance": [], "seed": 0,
+           "report": "text"}
+    rest = iter(args)
+    for arg in rest:
+        if arg == "--":
+            out["scenarios"].extend(rest)
+        elif not _names_option(arg):
+            out["scenarios"].append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            option = _option("hfe verify", name, _VERIFY_OPTIONS)
+            if option == "--help":
+                if eq:
+                    _usage_error("hfe verify", f"argument --help: takes no value, got {value!r}")
+                return None
+            if not eq:
+                value = next(rest, None)
+                if value is None or _names_option(value):
+                    _usage_error("hfe verify", f"argument {option}: expected one argument")
+            if option == "--tolerance":
+                out["tolerance"].append(value)
+            elif option == "--seed":
+                out["seed"] = _seed(value)
+            elif option == "--report" and value not in _REPORTS:
+                _usage_error("hfe verify", f"argument --report: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, _REPORTS))})")
+            else:  # --pipeline, or a --report of _REPORTS
+                out[option[2:]] = value
+    if not out["scenarios"]:
+        _usage_error("hfe verify", "the following arguments are required: SCENARIO")
+    return out
+
+
+def _read(argv: list[str]) -> tuple[str, dict | None]:
+    """The command of argv, "help" for -h, and verify's settings."""
+    if not argv:
+        _usage_error("hfe", "the following arguments are required: command")
+    command, rest = argv[0], argv[1:]
+    if command == "verify":
+        settings = _read_verify(rest)
+        return ("help", None) if settings is None else ("verify", settings)
+    if command in ("list-scenarios", "schema"):
+        if rest:
+            _option(f"hfe {command}", rest[0], ("--help",))
+            return "help", None
+        return command, None
+    if _names_option(command):
+        _option("hfe", command, ("--help",))
+        return "help", None
+    _usage_error("hfe", f"invalid command: {command!r} "
+                 "(choose from 'verify', 'list-scenarios', 'schema')")
+
+
+def _verify(scenarios, pipeline, tolerance, seed, report) -> int:
     try:
-        tolerances = _parse_tolerances(args.tolerance)
+        tolerances = _parse_tolerances(tolerance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    pipelines = args.pipeline.split(",") if args.pipeline else None
+    # "" selects the pipeline "", which is unknown, not every pipeline
+    pipelines = None if pipeline is None else pipeline.split(",")
     try:
         reports = [
             run_scenario(_resolve(t), pipelines=pipelines,
-                         tolerances=tolerances, seed=args.seed)
-            for t in args.scenarios
+                         tolerances=tolerances, seed=seed)
+            for t in scenarios
         ]
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
@@ -133,8 +230,8 @@ def _verify(args) -> int:
         print(f"error: invalid scenario data: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
-    for report in reports:
-        print(emit_report(report, args.report))
+    for r in reports:
+        print(emit_report(r, report))
     if any(r.falsified for r in reports):
         return EXIT_FALSIFICATION
     if not all(r.passed for r in reports):
@@ -142,21 +239,24 @@ def _verify(args) -> int:
     return EXIT_OK
 
 
-def _run(args) -> int:
-    if args.command == "list-scenarios":
+def _run(command: str, settings: dict | None) -> int:
+    if command == "help":
+        sys.stdout.write(_HELP)
+        return EXIT_OK
+    if command == "list-scenarios":
         for name in builtin_scenario_names():
             print(name)
         return EXIT_OK
-    if args.command == "schema":
+    if command == "schema":
         print(json.dumps(SCENARIO_SCHEMA, indent=2, sort_keys=True))
         return EXIT_OK
-    return _verify(args)
+    return _verify(**settings)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, settings = _read(sys.argv[1:] if argv is None else list(argv))
     try:
-        code = _run(args)
+        code = _run(command, settings)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

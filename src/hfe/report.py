@@ -102,11 +102,15 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
-    """Serialize a report; JSON is stable-ordered, text is one line per
-    check, with SKIP and the reason for a skipped stage."""
+    """Serialize a report; JSON is stable-ordered, indented for "json" and
+    on one line for "jsonl", and text is one line per check, with SKIP and
+    the reason for a skipped stage."""
     if fmt == "json":
         return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
                           allow_nan=False)
+    if fmt == "jsonl":
+        return json.dumps(report_to_dict(report), sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"scenario {report.scenario} (seed {report.seed})"]

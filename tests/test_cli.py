@@ -65,16 +65,22 @@ def test_verify_multiple_scenarios(capsys):
     assert out.count("=> PASS") == 2
 
 
-def test_report_in_a_batch_equals_the_report_alone(capsys):
-    # each scenario runs on its own loaded data: nothing a run computes
-    # reaches the next one
-    targets = builtin_scenario_names() + [str(p) for p in _DOCUMENTS]
+def _reports_alone(capsys, targets):
+    """Each target's report from a verify of it alone, minus wall_time."""
     alone = {}
     for t in targets:
         code, out, _ = run(capsys, "verify", t, "--report", "json")
         assert code == 0
         alone[t] = json.loads(out)
         del alone[t]["wall_time"]
+    return alone
+
+
+def test_report_in_a_batch_equals_the_report_alone(capsys):
+    # each scenario runs on its own loaded data: nothing a run computes
+    # reaches the next one
+    targets = builtin_scenario_names() + [str(p) for p in _DOCUMENTS]
+    alone = _reports_alone(capsys, targets)
     batch = targets * 2
     random.Random(0).shuffle(batch)
     code, out, _ = run(capsys, "verify", *batch, "--report", "json")
@@ -86,6 +92,24 @@ def test_report_in_a_batch_equals_the_report_alone(capsys):
         del doc["wall_time"]
         assert doc == alone[t]
     assert end == len(out)
+
+
+def test_jsonl_report_of_a_batch_is_each_report_alone_one_per_line(capsys):
+    # unlike back-to-back --report json documents, the output of a batch
+    # is read line by line with json.loads
+    targets = builtin_scenario_names() + [str(p) for p in _DOCUMENTS]
+    alone = _reports_alone(capsys, targets)
+    batch = targets * 2
+    random.Random(1).shuffle(batch)
+    code, out, _ = run(capsys, "verify", *batch, "--report", "jsonl")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines.pop() == "" and len(lines) == len(batch)
+    for t, line in zip(batch, lines):
+        doc = json.loads(line)
+        assert line == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        del doc["wall_time"]
+        assert doc == alone[t]
 
 
 def test_exit_2_on_missing_file(capsys):
@@ -328,6 +352,99 @@ def test_cli_import_freezes_and_keeps_the_collector_state(enabled):
     ) == [enabled, True]
 
 
+_READER_PROBE = """
+import contextlib, io, json, sys
+import hfe.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [hfe.cli.main(["verify", "trivial_r2", "--report", "json"]),
+             hfe.cli.main(["--help"])]
+print(json.dumps([codes, [m for m in ("argparse", "gettext", "locale") if m in sys.modules]]))
+"""
+
+
+def test_the_command_line_loads_no_argparse_gettext_or_locale():
+    # importing them and building a parser cost a verify about 2 ms
+    assert _fresh_interpreter(_READER_PROBE) == [[0, 0], []]
+
+
+def _jsonl_reports(capsys, *argv):
+    """The reports of verify argv, which must pass, minus wall_time."""
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    docs = [json.loads(line) for line in out.splitlines()]
+    for doc in docs:
+        del doc["wall_time"]
+    return docs
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["trivial_r2", "--seed=7", "--report=jsonl"],
+     ["trivial_r2", "--seed", "7", "--report", "jsonl"]),
+    (["--seed", "7", "trivial_r2", "--report", "jsonl", "circle_mobius"],
+     ["trivial_r2", "circle_mobius", "--seed", "7", "--report", "jsonl"]),
+    (["trivial_r2", "--rep", "jsonl", "--s", "7", "--pip", "lift", "--tol=rel=1e-8"],
+     ["trivial_r2", "--report", "jsonl", "--seed", "7", "--pipeline", "lift",
+      "--tolerance", "rel=1e-8"]),
+    (["--report", "jsonl", "--", "trivial_r2"], ["trivial_r2", "--report", "jsonl"]),
+], ids=["equals-sign", "options-anywhere", "unique-prefix", "double-dash"])
+def test_the_reader_reads_each_spelling_of_a_line_alike(argv, same_as, capsys):
+    assert _jsonl_reports(capsys, *argv) == _jsonl_reports(capsys, *same_as)
+
+
+def test_every_tolerance_override_is_applied(capsys):
+    (doc,) = _jsonl_reports(capsys, "trivial_r2", "--tolerance", "rel=1e-7",
+                            "--report", "jsonl", "--tolerance=track=1e-5")
+    assert doc["tolerances"] == {"abs": 1e-10, "rel": 1e-7, "singular": 1e-12,
+                                 "track": 1e-5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["verify", "-h"], ["verify", "trivial_r2", "--help"],
+    ["verify", "trivial_r2", "--seed", "7", "--h"], ["list-scenarios", "-h"],
+    ["schema", "--help"],
+], ids=["h", "help", "help-prefix", "verify-h", "verify-help", "verify-help-prefix",
+        "list-scenarios-h", "schema-help"])
+def test_help_prints_the_usage_text_and_exits_0(argv, capsys):
+    assert run(capsys, *argv) == (0, cli._HELP, "")
+    assert cli._HELP.startswith(cli._USAGE)
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "hfe: error: the following arguments are required: command"),
+    (["bogus"], "hfe: error: invalid command: 'bogus' "
+     "(choose from 'verify', 'list-scenarios', 'schema')"),
+    (["--seed", "1", "verify", "trivial_r2"], "hfe: error: unrecognized arguments: --seed"),
+    (["verify"], "hfe verify: error: the following arguments are required: SCENARIO"),
+    (["verify", "--report", "json"],
+     "hfe verify: error: the following arguments are required: SCENARIO"),
+    (["verify", "trivial_r2", "--seed"], "hfe verify: error: argument --seed: expected one argument"),
+    (["verify", "trivial_r2", "--pipeline", "--seed", "1"],
+     "hfe verify: error: argument --pipeline: expected one argument"),
+    (["verify", "trivial_r2", "--seed", "1.5"], "hfe verify: error: argument --seed: "
+     "seed must be an integer in [0, 2**64), got '1.5'"),
+    (["verify", "trivial_r2", "--report", "xml"], "hfe verify: error: argument --report: "
+     "invalid choice: 'xml' (choose from 'json', 'jsonl', 'text')"),
+    (["verify", "trivial_r2", "--rep=yaml"], "hfe verify: error: argument --report: "
+     "invalid choice: 'yaml' (choose from 'json', 'jsonl', 'text')"),
+    (["verify", "trivial_r2", "--bogus"], "hfe verify: error: unrecognized arguments: --bogus"),
+    (["verify", "trivial_r2", "-x"], "hfe verify: error: unrecognized arguments: -x"),
+    (["verify", "trivial_r2", "--help=1"],
+     "hfe verify: error: argument --help: takes no value, got '1'"),
+    (["list-scenarios", "extra"], "hfe list-scenarios: error: unrecognized arguments: extra"),
+    (["schema", "--seed", "1"], "hfe schema: error: unrecognized arguments: --seed"),
+], ids=["no-command", "unknown-command", "option-before-command", "no-scenario",
+        "only-options", "missing-value", "option-as-value", "bad-seed", "bad-report",
+        "bad-report-prefix", "unknown-option", "unknown-short-option", "help-with-value",
+        "list-scenarios-extra", "schema-extra"])
+def test_a_malformed_line_prints_the_usage_and_one_error(argv, error, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{cli._USAGE}{error}\n")
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value, error", [
     ("rel", -1.0, "scenario schema violation at tolerances/rel: "
      "-1.0 is less than or equal to the minimum of 0"),
@@ -397,6 +514,12 @@ def test_exit_2_on_unknown_pipeline(capsys):
     assert code == 2
     assert "bogus" in err
     assert "PASS" not in out
+
+
+def test_exit_2_on_an_empty_pipeline_selection(capsys):
+    # "" selects the unknown pipeline "", not every pipeline
+    code, out, err = run(capsys, "verify", "trivial_r2", "--pipeline", "")
+    assert (code, out, err) == (2, "", "error: invalid scenario data: unknown pipelines ['']\n")
 
 
 def test_exit_2_on_unknown_scenario_tolerance(tmp_path, capsys):
@@ -1394,9 +1517,10 @@ def test_json_report_writes_non_finite_numbers_as_strings():
     report = VerificationReport(scenario="s", seed=0)
     report.add(CheckRecord("c", "a", max_residual=float("inf"),
                            details={"low": -float("inf"), "z": complex(float("nan"), 1.0)}))
-    doc = json.loads(emit_report(report, "json"))
-    assert doc["checks"][0]["max_residual"] == "inf"
-    assert doc["checks"][0]["details"] == {"low": "-inf", "z": ["nan", 1.0]}
+    for fmt in ("json", "jsonl"):
+        doc = json.loads(emit_report(report, fmt))
+        assert doc["checks"][0]["max_residual"] == "inf"
+        assert doc["checks"][0]["details"] == {"low": "-inf", "z": ["nan", 1.0]}
 
 
 def _frame_member(index, member, U, V):
