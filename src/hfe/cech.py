@@ -455,19 +455,15 @@ def _top_down_basis(M: np.ndarray) -> np.ndarray:
 class LiftClasses:
     """Counts of sign patterns on overlap components (entry j flips
     component j): valid ones keep the cocycle identity (ker delta1),
-    coboundaries come from chart signs (im delta0), and gluing ones are
-    both.  The witnesses are the smallest nonzero gluing pattern and the
-    smallest valid non-coboundary, or None; "smallest" reads a pattern as
-    an integer with component 0 the least significant bit."""
+    coboundaries come from chart signs (im delta0).  The witness is the
+    smallest valid non-coboundary, or None; "smallest" reads a pattern
+    as an integer with component 0 the least significant bit."""
 
-    def __init__(self, valid: int, coboundaries: int, gluing: int, classes: int,
-                 witness_equiv: Optional[np.ndarray],
+    def __init__(self, valid: int, coboundaries: int, classes: int,
                  witness_inequiv: Optional[np.ndarray]):
         self.valid = valid
         self.coboundaries = coboundaries
-        self.gluing = gluing
         self.classes = classes
-        self.witness_equiv = witness_equiv
         self.witness_inequiv = witness_inequiv
 
 
@@ -475,7 +471,7 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
     """Count the sign patterns of a nerve with coboundaries delta1
     (triple points x components) and delta0 (components x charts).
     Precondition: delta1 delta0 = 0 over GF(2), as on every nerve, so
-    the gluing patterns are the coboundaries, im delta0."""
+    every coboundary, im delta0, is valid."""
     # reversed, the nullspace rows are the top-down basis of ker delta1
     null, free = _gf2_nullspace(delta1)
     kernel, image = null[::-1], _top_down_basis(delta0.T)
@@ -486,9 +482,8 @@ def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
     units = {p for p, row in zip(pivots, R) if np.count_nonzero(row) == 1}
     outside = [j for j in range(len(kernel)) if j not in units]
     valid, coboundaries = 2 ** len(kernel), 2 ** len(image)
-    return LiftClasses(valid=valid, coboundaries=coboundaries, gluing=coboundaries,
+    return LiftClasses(valid=valid, coboundaries=coboundaries,
                        classes=valid // coboundaries,
-                       witness_equiv=image[-1] if len(image) else None,
                        witness_inequiv=kernel[outside[-1]] if outside else None)
 
 

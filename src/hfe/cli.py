@@ -65,9 +65,13 @@ def _parse_tolerances(items: list[str]) -> dict[str, float]:
     out = {}
     for item in items:
         if "=" not in item:
-            raise ValueError(f"tolerance override must be key=value, got {item!r}")
+            raise ValueError(f"argument --tolerance: expected KEY=VALUE, got {item!r}")
         key, _, text = item.partition("=")
-        out[key] = float(text)
+        try:
+            out[key] = float(text)
+        except ValueError:
+            raise ValueError(f"argument --tolerance: {key} must be a number, "
+                             f"got {text!r}") from None
     return out
 
 

@@ -7,7 +7,7 @@ sections so the determinant is identically one, induces the unique
 compatible metalinear cocycle for the second member from a metalinear
 lift of the first, builds the global square-root datum (as per-chart base
 values plus the group-translation formula), verifies its two defining
-conditions, tests uniqueness, and establishes self-compatibility.
+conditions, and establishes self-compatibility.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def build_delta_tilde(
     data: PolarizationPairData,
     z1: Cocycle,
     z2: Cocycle,
-    rng: Optional[Draws] = None,
+    rng: Draws,
     base_values: Optional[np.ndarray] = None,
 ) -> DeltaTildeData:
     """Glue the global square-root datum from base values at every chart
@@ -238,10 +238,10 @@ def build_delta_tilde(
     With normalized data the base value is 1 on every chart; gluing
     requires conj(z1) z2 |det A|^{-1} = base_b / base_a across every
     overlap sample point.  A residual above tolerance raises GluingError
-    (this is the uniqueness detector), and so does a square identity or,
-    given an rng, a translation law above its bound; a NaN fails each, as
-    the guards are negated comparisons.  The pairs (z1, z2) of all points
-    are classified as one stack.
+    before any draw of rng (an inequivalent lift fails here), and so
+    does a square identity or a translation law above its bound; a NaN
+    fails each, as the guards are negated comparisons.  The pairs
+    (z1, z2) of all points are classified as one stack.
     """
     tols = get_tolerances()
     bound = check_bound(tols)
@@ -263,27 +263,11 @@ def build_delta_tilde(
     dt.checks["square_identity"] = sq_worst
     if not sq_worst <= bound:
         raise GluingError("square identity fails", {"square": sq_worst})
-    if rng is not None:
-        law = _check_translation_law(dt, data, rng)
-        dt.checks["translation_law"] = law
-        if not law <= property_bound(tols):
-            raise GluingError("translation law fails", {"translation_law": law})
+    law = _check_translation_law(dt, data, rng)
+    dt.checks["translation_law"] = law
+    if not law <= property_bound(tols):
+        raise GluingError("translation law fails", {"translation_law": law})
     return dt
-
-
-def verify_uniqueness(nerve: Nerve, z2a: Cocycle, z2b: Cocycle) -> dict[str, int]:
-    """Two candidates for a gluing lift must be equivalent: returns the
-    chart-sign witness of the coboundary solver, or raises
-    TheoremFalsification, since inequivalent lifts would contradict the
-    uniqueness theorem.  The delta_tilde stage asks for it before
-    gluing: where z2a glues from base 1, the witness taken at every
-    chart row is the base that glues z2b."""
-    witness = cech.lifts_equivalent(nerve, z2a, z2b)
-    if witness is None:
-        raise TheoremFalsification(
-            "two gluing metalinear lifts are inequivalent"
-        )
-    return witness
 
 
 def self_compat(data: PolarizationPairData, z1: Cocycle, rng: Draws

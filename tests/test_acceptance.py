@@ -10,6 +10,7 @@ from cmath import sqrt as principal_sqrt
 import numpy as np
 
 from hfe import ball
+from hfe.cech import lift_double_cover, z2_coboundary_solve
 from hfe.frames import (
     alpha_tilde,
     check_ball,
@@ -22,6 +23,7 @@ from hfe.frames import (
 )
 from hfe.groups import check_ml, ml_mul
 from hfe.sampling import random_mlkd_stack
+from hfe.scenario import builtin_scenario_path, load_scenario
 
 from helpers import (
     gamma_two_legs,
@@ -334,10 +336,13 @@ def test_criterion_10_obstruction(corpus_reports):
     lift = _check(report, "obstruction.lift")
     fc = _check(report, "obstruction.cochain.fundamental_class")
     tv = _check(report, "obstruction.cochain.trivial")
+    scenario = load_scenario(builtin_scenario_path("sphere_octa"))
+    nerve = scenario.nerve
+    defect = lift_double_cover(nerve, scenario.gl_cocycle)
     ok = (
         lift.passed
         and lift.details["obstructed"] is True
-        and lift.details["defect_feasible"] is False
+        and z2_coboundary_solve(nerve, defect) is None
         and fc.details["verdict"] == "infeasible"
         and tv.details["verdict"] == "feasible"
     )

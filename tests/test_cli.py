@@ -9,7 +9,7 @@ import pytest
 
 import hfe.cli as cli
 from hfe.errors import ValidationError
-from hfe.pipelines import run_scenario
+from hfe.pipelines import PIPELINE_ORDER, run_scenario
 from hfe.report import CheckRecord, VerificationReport, emit_report
 from hfe.scenario import (
     SCENARIO_SCHEMA,
@@ -487,6 +487,17 @@ def test_exit_2_on_bad_tolerance_key(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("item, error", [
+    ("rel=abc", "argument --tolerance: rel must be a number, got 'abc'"),
+    ("singular=", "argument --tolerance: singular must be a number, got ''"),
+    ("rel", "argument --tolerance: expected KEY=VALUE, got 'rel'"),
+], ids=["word", "empty", "no-equals"])
+def test_a_malformed_tolerance_names_the_option_and_the_key(item, error, capsys):
+    # float()'s own message named neither
+    code, out, err = run(capsys, "verify", "trivial_r2", "--tolerance", item)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_tolerance_environment_variable_changes_no_verdict(capsys, monkeypatch):
     # --tolerance rel= is the one way to set the relative tolerance; the
     # former HFE_TOL_REL variable is ignored
@@ -623,6 +634,41 @@ def test_missing_stage_inputs_are_recorded_as_skipped(
     assert checks[skipped]["details"]["missing"]
     code, out, _ = run(capsys, "verify", path)
     assert f"SKIP  [{reason}]" in out
+
+
+# the prefixes of each stage's check ids, where they are not the stage name
+_RECORD_PREFIXES = {"validate": ("nerve.", "cocycle.", "pair_data.")}
+
+
+@pytest.mark.parametrize("name", builtin_scenario_names())
+def test_every_requested_stage_has_records_or_its_skipped_record(name, capsys):
+    # an undeclared stage vanished: trivial_r2 with --pipeline recipe
+    # printed no record and PASS
+    declared = json.loads(builtin_scenario_path(name).read_text())["pipelines"]
+    for stage in PIPELINE_ORDER:
+        code, out, _ = run(capsys, "verify", name, "--pipeline", stage, "--report", "json")
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        if stage in declared:
+            assert code == 0
+            prefixes = _RECORD_PREFIXES.get(stage, (f"{stage}.",))
+            assert [i for i in checks if i.startswith(prefixes)], stage
+            assert f"{stage}.skipped" not in checks
+        else:
+            assert list(checks) == [f"{stage}.skipped"]
+            assert checks[f"{stage}.skipped"]["anchor"] == "pipeline.skipped"
+            assert checks[f"{stage}.skipped"]["details"] == {
+                "reason": "not declared by the scenario"}
+
+
+def test_a_requested_stage_that_runs_as_a_producer_is_not_skipped(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "circle_mobius",
+                          lambda d: d.update(pipelines=["delta_tilde"]))
+    code, out, _ = run(capsys, "verify", path, "--pipeline", "recipe,lift,delta_tilde",
+                       "--report", "json")
+    ids = [c["id"] for c in json.loads(out)["checks"]]
+    assert code == 0
+    assert "lift.class-count" in ids and "lift.skipped" not in ids
+    assert [i for i in ids if i.endswith(".skipped")] == ["recipe.skipped"]
 
 
 def _perturbed_section(doc):

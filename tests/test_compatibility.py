@@ -12,9 +12,8 @@ from hfe.compatibility import (
     normalize_sections,
     self_compat,
     validate_pair_data,
-    verify_uniqueness,
 )
-from hfe.errors import GluingError, TheoremFalsification, ValidationError
+from hfe.errors import GluingError, ValidationError
 from hfe.pipelines import run_scenario
 from hfe.scenario import builtin_scenario_path
 
@@ -205,36 +204,6 @@ def test_wrong_translation_factor_fails_the_law(rng, monkeypatch):
     with pytest.raises(GluingError, match="translation law fails") as exc:
         build_delta_tilde(norm, z1, z2, rng)
     assert exc.value.residuals["translation_law"] > 1e-2
-
-
-def test_verify_uniqueness_witness(rng):
-    norm = normalize_sections(circle_pair_data())
-    z1 = identity_lift(2)
-    z2, _ = induce_compatible(norm, z1)
-    both = _flip(z2, {0, 1})
-    base_b = _samples(a=lambda pid: 1.0 + 0j, b=lambda pid: -1.0 + 0j)
-    # both candidates glue, each with its own base values
-    build_delta_tilde(norm, z1, z2, rng)
-    build_delta_tilde(norm, z1, both, rng, base_values=base_b)
-    witness = verify_uniqueness(norm.nerve, z2, both)
-    assert witness["a"] * witness["b"] == -1
-
-
-def test_verify_uniqueness_falsification_detector(rng):
-    # a one-component sheet flip glues only with a base that jumps inside
-    # chart b; the candidates are then provably inequivalent
-    norm = normalize_sections(circle_pair_data())
-    z1 = identity_lift(2)
-    z2, _ = induce_compatible(norm, z1)
-    one = _flip(z2, {1})
-    base_b = _samples(
-        a=lambda pid: 1.0 + 0j,
-        b=lambda pid: -1.0 + 0j if pid == "west" else 1.0 + 0j,
-    )
-    build_delta_tilde(norm, z1, z2, rng)
-    build_delta_tilde(norm, z1, one, rng, base_values=base_b)
-    with pytest.raises(TheoremFalsification):
-        verify_uniqueness(norm.nerve, z2, one)
 
 
 def diagonal_pair_data(sign=1.0):

@@ -8,7 +8,8 @@ list.  A decorated function counts as used, since its decorator
 registers it (the pipeline stages).  A class named only as the class
 argument of isinstance does not count as used: no instance of it can
 reach the check unless some code makes one.  The exceptions below have
-no caller in the package on purpose.  The benchmark's trace targets get
+no caller in the package on purpose, and the test fails once one gains
+a caller.  The benchmark's trace targets get
 no exception: a traced run must measure code the engine runs.
 
 Every name a module imports must be used by that module: by name, as
@@ -94,14 +95,20 @@ def _references(name: str, tree: ast.Module):
                 yield target(node), stmt
 
 
-def _unused() -> list[str]:
-    modules = _modules()
-    defs = _definitions(modules)
+def _used(modules, defs) -> set[tuple[str, str]]:
+    """The definitions that some code outside themselves refers to."""
     used = set()
     for name, tree in modules.items():
         for ref, stmt in _references(name, tree):
             if ref in defs and defs[ref] is not stmt:
                 used.add(ref)
+    return used
+
+
+def _unused() -> list[str]:
+    modules = _modules()
+    defs = _definitions(modules)
+    used = _used(modules, defs)
     return sorted(f"{m}.{n}" for (m, n), node in defs.items()
                   if (m, n) not in used and (m, n) not in EXCEPTIONS
                   and not (isinstance(node, ast.FunctionDef)
@@ -140,3 +147,10 @@ def test_every_import_is_used():
 def test_exceptions_exist():
     defs = _definitions(_modules())
     assert [key for key in EXCEPTIONS if key not in defs] == []
+
+
+def test_exceptions_have_no_caller():
+    # an exception outlives its reason once the definition gains a caller
+    modules = _modules()
+    used = _used(modules, _definitions(modules))
+    assert [key for key in EXCEPTIONS if key in used] == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hfe
-from hfe.cech import Cocycle
+from hfe.cech import Cocycle, lift_double_cover, z2_coboundary_solve
 from hfe.config import projection_bound, tolerance_overrides
 from hfe.errors import SchemaViolation
 from hfe.pipelines import run_scenario
@@ -123,11 +123,38 @@ def test_sphere_obstruction_details(corpus_reports):
     report = corpus_reports["sphere_octa"]
     lift = _check(report, "obstruction.lift")
     assert lift.details["obstructed"] is True
-    assert lift.details["defect_feasible"] is False
+    scenario = load_scenario(builtin_scenario_path("sphere_octa"))
+    nerve = scenario.nerve
+    assert z2_coboundary_solve(nerve, lift_double_cover(nerve, scenario.gl_cocycle)) is None
     fc = _check(report, "obstruction.cochain.fundamental_class")
     assert fc.details["verdict"] == "infeasible"
     tv = _check(report, "obstruction.cochain.trivial")
     assert tv.details["verdict"] == "feasible"
+
+
+def _runs_delta_tilde_with_overlaps(source) -> bool:
+    doc = json.loads(source.read_text())
+    return "delta_tilde" in doc["pipelines"] and bool(doc["nerve"].get("overlaps"))
+
+
+# trivial_r2 has one chart and no component to flip
+_GLUED_SOURCES = [source for source in (
+    *map(builtin_scenario_path, builtin_scenario_names()),
+    *sorted((Path(__file__).parent / "golden" / "scenarios").glob("*.json")))
+    if _runs_delta_tilde_with_overlaps(source)]
+
+
+@pytest.mark.parametrize("source", _GLUED_SOURCES, ids=lambda source: source.stem)
+def test_the_equivalent_glues_witness_flips_some_component(source):
+    # the stage reglues the lift flipped by the coboundary of its witness
+    # without checking that flip: a zero coboundary would reglue the lift
+    # that delta_tilde.glue already glued
+    scenario = load_scenario(source)
+    record = _check(run_scenario(scenario), "delta_tilde.equivalent-glues")
+    assert record.passed
+    witness = record.details["witness"]
+    bits = np.array([witness[ch] == -1 for ch in scenario.nerve.charts], dtype=int)
+    assert np.any(scenario.nerve.delta0.astype(int) @ bits % 2)
 
 
 def test_self_compat_expectations(corpus_reports):
