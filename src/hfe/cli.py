@@ -12,9 +12,11 @@ name; ``--`` ends them.  A malformed line prints the usage text and one
 ``error:`` line to stderr and raises ``SystemExit(2)``.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse/schema error,
-3 a verified theorem was numerically falsified, 141 (as for a process
+3 a verified theorem was numerically falsified, 4 no check ran (the
+report holds no record, or only skipped ones), 141 (as for a process
 ended by SIGPIPE) standard output was closed before the report was
-written.
+written.  A batch reports every scenario it can read and exits with its
+worst code, in the order 2, 3, 1, 4, 0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 _gc_enabled = gc.isenabled()
 gc.disable()
 
-from .errors import EngineError, SchemaViolation, ValidationError  # noqa: E402
+from .errors import EngineError, SchemaViolation  # noqa: E402
 from .pipelines import run_scenario  # noqa: E402
 from .report import emit_report  # noqa: E402
 from .scenario import (  # noqa: E402
@@ -56,7 +58,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_FALSIFICATION = 3
+EXIT_UNCHECKED = 4
 EXIT_BROKEN_PIPE = 141
+
+# the exit code of each report status, and the codes of a batch from
+# worst to best
+_EXIT_OF = {"pass": EXIT_OK, "fail": EXIT_CHECK_FAILURE,
+            "falsified": EXIT_FALSIFICATION, "unchecked": EXIT_UNCHECKED}
+_WORST_FIRST = (EXIT_PARSE_ERROR, EXIT_FALSIFICATION, EXIT_CHECK_FAILURE,
+                EXIT_UNCHECKED, EXIT_OK)
 
 
 def _parse_tolerances(items: list[str]) -> dict[str, float]:
@@ -218,29 +228,27 @@ def _verify(scenarios, pipeline, tolerance, seed, report) -> int:
         return EXIT_PARSE_ERROR
     # "" selects the pipeline "", which is unknown, not every pipeline
     pipelines = None if pipeline is None else pipeline.split(",")
-    try:
-        reports = [
-            run_scenario(_resolve(t), pipelines=pipelines,
-                         tolerances=tolerances, seed=seed)
-            for t in scenarios
-        ]
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except SchemaViolation as exc:  # a ValidationError, with its own line
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (ValidationError, EngineError) as exc:
-        print(f"error: invalid scenario data: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-
-    for r in reports:
-        print(emit_report(r, report))
-    if any(r.falsified for r in reports):
-        return EXIT_FALSIFICATION
-    if not all(r.passed for r in reports):
-        return EXIT_CHECK_FAILURE
-    return EXIT_OK
+    codes = []
+    for target in scenarios:
+        try:
+            r = run_scenario(_resolve(target), pipelines=pipelines,
+                             tolerances=tolerances, seed=seed)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            message = f"cannot read scenario: {exc}"
+        except SchemaViolation as exc:  # a ValidationError, with its own line
+            message = str(exc)
+        except EngineError as exc:
+            message = f"invalid scenario data: {exc}"
+        else:
+            print(emit_report(r, report))
+            codes.append(_EXIT_OF[r.status])
+            continue
+        print(f"error: {message}", file=sys.stderr)
+        if report == "jsonl" and len(scenarios) > 1:
+            print(json.dumps({"scenario": target, "status": "error", "error": message},
+                             sort_keys=True, separators=(",", ":")))
+        codes.append(EXIT_PARSE_ERROR)
+    return min(codes, key=_WORST_FIRST.index)
 
 
 def _run(command: str, settings: dict | None) -> int:

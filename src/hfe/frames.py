@@ -211,6 +211,17 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
                     "Wr": W[:, k:, k:]}
 
 
+def meta_pair_factor(W1, C1, z1, W2, C2, z2, k: int):
+    """The factors conj(z1) z2 |det A|^{-1} of the square-root pairing
+    values of meta frame pairs in block form (see delta_L_tilde), after
+    their block-pattern checks, and the reduced Ball points W1r, W2r
+    whose Gamma completes them; raises for the first pair that fails."""
+    checks1, b1 = meta_pattern(W1, C1, k)
+    checks2, b2 = meta_pattern(W2, C2, k)
+    raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
+    return cdiv(cmul(np.conj(z1), z2), np.abs(b1["detA"])), b1["Wr"], b2["Wr"]
+
+
 def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
     """Square-root pairing values of the meta frame pairs ((W1[p], (C1[p],
     z1[p])), (W2[p], (C2[p], z2[p]))) in block form, for stacks W, C (P,
@@ -220,11 +231,8 @@ def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
     points, the Gamma factors tracked as one stack of paths; its square
     is delta_L of the projected pair.
     """
-    checks1, b1 = meta_pattern(W1, C1, k)
-    checks2, b2 = meta_pattern(W2, C2, k)
-    raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
-    return cmul(cdiv(cmul(np.conj(z1), z2), np.abs(b1["detA"])),
-                gamma_stack(b1["Wr"], b2["Wr"]))
+    factor, W1r, W2r = meta_pair_factor(W1, C1, z1, W2, C2, z2, k)
+    return cmul(factor, gamma_stack(W1r, W2r))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from . import ball, cech, compatibility
 from .cech import Cocycle, Nerve, chart_stacks
 from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
 from .config import check_bound, get_tolerances, property_bound
-from .errors import TheoremFalsification, ValidationError, raise_first
+from .errors import EngineError, TheoremFalsification, ValidationError, raise_first
 from .frames import (
     alpha_tilde,
     ball_checks,
@@ -29,6 +29,8 @@ from .frames import (
     delta,
     delta_L_stack,
     delta_L_tilde,
+    gamma_stack,
+    meta_pair_factor,
     validate_lagrangian,
 )
 from .groups import check_ml, ml_checks, rel_residual, spk_blocks, worst
@@ -136,7 +138,8 @@ def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
 
 
 class SectionTransport:
-    """The part of the recipe that no sheet choice changes, as stacks.
+    """The part of the recipe that no sheet choice changes, as stacks;
+    a SectionFamily computes it once per run.
 
     Chart stacks have one row per chart row of the nerve:
     U, V hold the section frames, validated as positive Lagrangian
@@ -165,7 +168,7 @@ class SectionTransport:
 def transport(data: MetaplecticBundleData, sections: FrameSectionData
               ) -> SectionTransport:
     """The sheet-independent part of the recipe for a section family on
-    a bundle, which the recipe runs of one stage share."""
+    a bundle, which every recipe run on that family shares."""
     tols = get_tolerances()
     nerve = data.nerve
     U, V = sections.U, sections.V
@@ -240,6 +243,38 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     )
 
 
+class SectionFamily:
+    """A frame-section family on a bundle for one run: the recipe stage
+    and cross_check take its transport and plain recipe from plain().
+
+    The first call computes them and later calls return the same pair;
+    an EngineError of the first call is raised again by every later one,
+    so each stage records the same error.  A run makes its own families,
+    so nothing outlives it: a Scenario run again, or at other
+    tolerances, transports its sections afresh.
+    """
+
+    def __init__(self, bundle: MetaplecticBundleData, sections: FrameSectionData):
+        self.bundle = bundle
+        self.sections = sections
+        self._plain: Optional[tuple[SectionTransport, RecipeResult]] = None
+        self._error: Optional[EngineError] = None
+
+    def plain(self) -> tuple[SectionTransport, RecipeResult]:
+        """The transport of the sections to the bundle and the recipe with
+        no sheet flipped."""
+        if self._error is not None:
+            raise self._error
+        if self._plain is None:
+            try:
+                t = transport(self.bundle, self.sections)
+                self._plain = t, recipe(t)
+            except EngineError as exc:
+                self._error = exc
+                raise
+        return self._plain
+
+
 def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionData,
                         rng: Draws) -> DeltaTildeData:
     """Global square-root pairing datum on a D-adapted metaplectic bundle.
@@ -250,7 +285,9 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     assumed.  The square identity against delta_L and the metalinear-pair
     transformation law are checked at sample points.  Each check runs on
     the stacks of all sample points at once, after the pair sections
-    are checked as Ball points and metalinear frames.
+    are checked as Ball points and metalinear frames.  Gamma is tracked
+    once: the translated pairs have the same W stacks, so the law's
+    values reuse it after their own block-pattern checks.
     """
     if not data.d_adapted:
         raise ValidationError("requires D-adapted metaplectic data")
@@ -264,7 +301,9 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     # each point's first W, first (C, z), second W and second (C, z)
     raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
                 + ml_checks(C2, z2))
-    values = delta_L_tilde(W1, C1, z1, W2, C2, z2, k)
+    factor, W1r, W2r = meta_pair_factor(W1, C1, z1, W2, C2, z2, k)
+    gamma = gamma_stack(W1r, W2r)
+    values = cmul(factor, gamma)
 
     # invariance: both members of the chart-b pair moved by the transition
     b = nerve.ends[:, 1]
@@ -290,7 +329,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     Y2, y2 = mul(C2, t["M2"]), cmul(z2, t["z2"])
     check_ml(Y1, y1)
     check_ml(Y2, y2)
-    law = rel_residual(delta_L_tilde(W1, Y1, y1, W2, Y2, y2, k), values * t["factor"])
+    law_factor, _, _ = meta_pair_factor(W1, Y1, y1, W2, Y2, y2, k)
+    law = rel_residual(cmul(law_factor, gamma), values * t["factor"])
     dt.checks["square_identity"] = worst(sq)
     dt.checks["translation_law"] = worst(law)
     if not worst(sq, law) <= property_bound(tols):
@@ -298,26 +338,27 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     return dt
 
 
-def cross_check(data: MetaplecticBundleData, sections1: FrameSectionData,
-                sections2: FrameSectionData, rng: Draws) -> dict:
+def cross_check(data: MetaplecticBundleData, first: SectionFamily,
+                second: SectionFamily, rng: Draws) -> dict:
     """Metaplectically induced metalinear bundles are compatible.
 
-    Runs the recipe for both section families, assembles the pair data
-    they span, induces the second metalinear cocycle from the first, and
-    verifies (i) the reference cocycle built from the square-root pairing
-    values glues, (ii) it is equivalent to the induced one, and (iii) the
-    restricted square-root pairing datum agrees with the induced one up
-    to a single global sign.  The recipe has validated both cocycles,
-    so the pair they span is not validated again.
+    Takes the transport and plain recipe of each section family from the
+    family, which computes them on its first call, so after the recipe
+    stage the first family's are that stage's own.  Assembles the pair
+    data the two recipes span, induces the second metalinear cocycle
+    from the first, and verifies (i) the reference cocycle built from
+    the square-root pairing values glues, (ii) it is equivalent to the
+    induced one, and (iii) the restricted square-root pairing datum
+    agrees with the induced one up to a single global sign.  The recipe
+    has validated both cocycles, so the pair they span is not validated
+    again.
     """
     if not data.d_adapted:
         raise ValidationError("cross_check requires D-adapted data")
     tols = get_tolerances()
     nerve, n, k = data.nerve, data.n, data.k
-    t1 = transport(data, sections1)
-    r1 = recipe(t1)
-    t2 = transport(data, sections2)
-    r2 = recipe(t2)
+    t1, r1 = first.plain()
+    t2, r2 = second.plain()
 
     # pair data spanned by the two families
     pair_c = Cocycle("Glkd", n, k, np.stack([r1.ml_cocycle.mats, r2.ml_cocycle.mats],

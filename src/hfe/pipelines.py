@@ -14,8 +14,11 @@ A stage declares the named artefacts it consumes and produces:
     gl.cocycle        the Gl cocycle, checked as cocycle.gl
     pair.data         the pair cocycle with its delta samples
     mp.bundle         the metaplectic bundle, its cocycle checked as cocycle.mp
-    sections.first    the first frame-section family
-    sections.second   the second frame-section family
+    sections.first    the first frame-section family, with mp.bundle an
+                      induction.SectionFamily, which transports it and
+                      runs its plain recipe once per run for the recipe
+                      stage and cross_check
+    sections.second   the second frame-section family, likewise
     sections.pair     the meta pair sections of the block-form datum
     pair_first.lift   the metalinear lift of the pair's first member
     lift_classes      the lift classes of the nerve
@@ -171,15 +174,19 @@ def _run_validate(scenario: Scenario, report, rng):
             "ok": not failures, "failures": failures,
             "max_residual": worst(res["max_residual"], base["max_residual"])}))
         out["pair.data"] = data
+    bundle = None
     if scenario.mp_cocycle is not None:
         from . import induction
-        out["mp.bundle"] = induction.MetaplecticBundleData(
+        bundle = out["mp.bundle"] = induction.MetaplecticBundleData(
             scenario.nerve, scenario.mp_cocycle, scenario.d_adapted)
     for key, sections in (("sections.first", scenario.sections_first),
-                          ("sections.second", scenario.sections_second),
-                          ("sections.pair", scenario.pair_sections)):
+                          ("sections.second", scenario.sections_second)):
         if sections is not None:
-            out[key] = sections
+            # transported once per run, by the family's first consumer
+            out[key] = (sections if bundle is None
+                        else induction.SectionFamily(bundle, sections))
+    if scenario.pair_sections is not None:
+        out["sections.pair"] = scenario.pair_sections
     return out
 
 
@@ -313,10 +320,9 @@ def _run_self_compat(scenario: Scenario, report, rng):
 
 
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
-def _run_recipe(scenario: Scenario, report, rng, data, sections):
+def _run_recipe(scenario: Scenario, report, rng, data, family):
     from . import induction
-    t = induction.transport(data, sections)
-    r = induction.recipe(t)
+    t, r = family.plain()
     report.add(_bounded("recipe.projection", "recipe.metalinear-transitions",
                         worst(r.residuals["projection_match"],
                               r.residuals["ball_match"]),

@@ -45,8 +45,20 @@ class VerificationReport:
         return record
 
     @property
+    def status(self) -> str:
+        """"falsified", "fail", "pass", or "unchecked" when no check ran:
+        the report holds no record, or only skipped ones."""
+        if self.falsified:
+            return "falsified"
+        if not all(c.passed for c in self.checks):
+            return "fail"
+        if all(c.anchor == "pipeline.skipped" for c in self.checks):
+            return "unchecked"
+        return "pass"
+
+    @property
     def passed(self) -> bool:
-        return not self.falsified and all(c.passed for c in self.checks)
+        return self.status == "pass"
 
 
 def _round12(x: float) -> float | str:
@@ -83,8 +95,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "scenario": report.scenario,
         "seed": report.seed,
         "tolerances": _jsonable(report.tolerances),
-        "status": "falsified" if report.falsified
-        else ("pass" if report.passed else "fail"),
+        "status": report.status,
         "checks": [
             {
                 "id": c.check_id,
@@ -126,7 +137,5 @@ def emit_report(report: VerificationReport, fmt: str = "text") -> str:
         lines.append(line)
     for note in report.notes:
         lines.append(f"  note: {note}")
-    status = "FALSIFIED" if report.falsified else (
-        "PASS" if report.passed else "FAIL")
-    lines.append(f"  => {status} ({report.wall_time:.2f}s)")
+    lines.append(f"  => {report.status.upper()} ({report.wall_time:.2f}s)")
     return "\n".join(lines)

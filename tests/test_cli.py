@@ -520,6 +520,96 @@ def test_exit_3_on_falsification(capsys, monkeypatch):
     assert "FALSIFIED" in out
 
 
+def test_exit_4_when_no_check_runs(tmp_path, capsys):
+    # a report of skipped records only, or of none, read PASS and exit 0
+    code, out, _ = run(capsys, "verify", "trivial_r2", "--pipeline", "recipe")
+    assert code == cli.EXIT_UNCHECKED
+    assert out.rstrip().split("\n")[-1].startswith("  => UNCHECKED (")
+    assert "PASS" not in out
+    path = _scenario_file(tmp_path, "trivial_r2", lambda d: d.update(pipelines=[]))
+    code, out, _ = run(capsys, "verify", path, "--report", "json")
+    doc = json.loads(out)
+    assert (code, doc["status"], doc["checks"]) == (cli.EXIT_UNCHECKED, "unchecked", [])
+
+
+def test_a_report_with_a_check_besides_skipped_ones_is_checked():
+    report = VerificationReport(scenario="r", seed=0)
+    assert (report.status, report.passed) == ("unchecked", False)
+    report.add(CheckRecord("recipe.skipped", "pipeline.skipped",
+                           details={"reason": "no metaplectic data"}))
+    assert (report.status, report.passed) == ("unchecked", False)
+    report.add(CheckRecord("lift.double-cover", "cocycle.sqrt-lift"))
+    assert (report.status, report.passed) == ("pass", True)
+    report.add(CheckRecord("lift.class-count", "cocycle.lift-enumeration",
+                           passed=False))
+    assert (report.status, report.passed) == ("fail", False)
+    report.falsified = True
+    assert (report.status, report.passed) == ("falsified", False)
+
+
+def _fake_outcomes(monkeypatch, outcomes):
+    """Make cli.run_scenario give each target a report of the status
+    outcomes[target], or raise a ValidationError for "error"."""
+    records = {"pass": [CheckRecord("a", "x")],
+               "fail": [CheckRecord("a", "x", passed=False)],
+               "falsified": [CheckRecord("a.falsification", "theorem.violated",
+                                         passed=False)],
+               "unchecked": [CheckRecord("a.skipped", "pipeline.skipped",
+                                         details={"reason": "r"})]}
+
+    def fake_run(source, pipelines=None, tolerances=None, seed=0):
+        if outcomes[source] == "error":
+            raise ValidationError(f"{source} is broken")
+        report = VerificationReport(scenario=source, seed=seed)
+        for record in records[outcomes[source]]:
+            report.add(record)
+        report.falsified = outcomes[source] == "falsified"
+        return report
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+
+
+_CODE_OF = {"error": 2, "falsified": 3, "fail": 1, "unchecked": 4, "pass": 0}
+
+
+@pytest.mark.parametrize("first", list(_CODE_OF))
+def test_a_batch_exits_with_its_worst_code(first, monkeypatch, capsys):
+    worst_first = list(_CODE_OF)
+    for second in worst_first:
+        _fake_outcomes(monkeypatch, {"s0": first, "s1": second})
+        code, out, err = run(capsys, "verify", "s0", "s1", "--report", "jsonl")
+        assert code == _CODE_OF[min(first, second, key=worst_first.index)]
+        statuses = [json.loads(line)["status"] for line in out.splitlines()]
+        assert statuses == [first, second]
+        assert err.count("error: ") == [first, second].count("error")
+
+
+def test_a_batch_keeps_the_verdicts_it_computed(tmp_path, capsys):
+    # an unreadable scenario discarded the reports of the whole batch
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    message = ("cannot read scenario: Expecting property name enclosed in "
+               "double quotes: line 1 column 2 (char 1)")
+    alone = _reports_alone(capsys, ["trivial_r2", "circle_mobius"])
+    code, out, err = run(capsys, "verify", "trivial_r2", str(bad), "circle_mobius",
+                         "--report", "jsonl")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err == f"error: {message}\n"
+    first, error, last = map(json.loads, out.splitlines())
+    assert error == {"scenario": str(bad), "status": "error", "error": message}
+    for doc, target in ((first, "trivial_r2"), (last, "circle_mobius")):
+        del doc["wall_time"]
+        assert doc == alone[target]
+    # text and json write the error to stderr only
+    code, out, err = run(capsys, "verify", str(bad), "trivial_r2")
+    assert code == cli.EXIT_PARSE_ERROR
+    assert err == f"error: {message}\n"
+    assert out.startswith("scenario trivial_r2 (seed 0)\n") and "=> PASS" in out
+    # a scenario alone keeps its output: the error line and no report
+    assert run(capsys, "verify", str(bad), "--report", "jsonl") == (
+        cli.EXIT_PARSE_ERROR, "", f"error: {message}\n")
+
+
 def test_exit_2_on_unknown_pipeline(capsys):
     code, out, err = run(capsys, "verify", "trivial_r2", "--pipeline", "bogus")
     assert code == 2
@@ -647,13 +737,16 @@ def test_every_requested_stage_has_records_or_its_skipped_record(name, capsys):
     declared = json.loads(builtin_scenario_path(name).read_text())["pipelines"]
     for stage in PIPELINE_ORDER:
         code, out, _ = run(capsys, "verify", name, "--pipeline", stage, "--report", "json")
-        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        doc = json.loads(out)
+        checks = {c["id"]: c for c in doc["checks"]}
         if stage in declared:
-            assert code == 0
+            assert (code, doc["status"]) == (0, "pass")
             prefixes = _RECORD_PREFIXES.get(stage, (f"{stage}.",))
             assert [i for i in checks if i.startswith(prefixes)], stage
             assert f"{stage}.skipped" not in checks
         else:
+            # no check ran, so the report does not read PASS
+            assert (code, doc["status"]) == (cli.EXIT_UNCHECKED, "unchecked")
             assert list(checks) == [f"{stage}.skipped"]
             assert checks[f"{stage}.skipped"]["anchor"] == "pipeline.skipped"
             assert checks[f"{stage}.skipped"]["details"] == {

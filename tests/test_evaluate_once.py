@@ -1,13 +1,17 @@
 """Every generator runs once per overlap component or chart, on the stack
 of its sample points, when the scenario is loaded, and never during a
-run.  Rerunning a loaded scenario leaves its reports unchanged."""
+run.  Each section family is transported, and its plain recipe run,
+once per run.  Rerunning a loaded scenario leaves its reports
+unchanged."""
 
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import hfe.induction as induction
 import hfe.scenario as scenario_mod
 from hfe.pipelines import run_scenario
 from hfe.report import report_to_dict
@@ -131,3 +135,51 @@ def test_generators_run_once_per_component_or_chart(monkeypatch):
         assert set(calls.values()) == {1}
         assert {name: stacks(name) for name in loaded} == loaded
         assert sum(calls.values()) == 36
+
+
+DENSE_RING = Path(__file__).parent / "golden" / "scenarios" / "dense_ring_seed0.json"
+
+
+def _count_calls(monkeypatch, module, names):
+    """Count the calls of module's functions names, through the module
+    attributes that the engine calls them by."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_section_family_is_transported_once_per_run(monkeypatch):
+    # the recipe stage transports the first family and runs its plain and
+    # sheet-flipped recipes; cross_check reuses the first family's pair
+    # and transports the second
+    calls = _count_calls(monkeypatch, induction, ("transport", "recipe"))
+    sc = load_scenario(DENSE_RING)
+    for run in (1, 2):
+        assert run_scenario(sc).passed
+        assert calls == {"transport": 2 * run, "recipe": 3 * run}
+
+
+def test_cross_check_alone_transports_both_families(monkeypatch):
+    calls = _count_calls(monkeypatch, induction, ("transport", "recipe"))
+    report = run_scenario(DENSE_RING, pipelines=["cross_check"])
+    assert [c.check_id for c in report.checks][-1] == "cross_check.agreement"
+    assert report.passed
+    assert calls == {"transport": 2, "recipe": 2}
+
+
+@pytest.mark.parametrize("tight", [{"singular": 0.9}, {"rel": 1e-17}],
+                         ids=["singular=0.9", "rel=1e-17"])
+def test_a_loaded_scenario_keeps_no_transport_between_runs(tight):
+    # tight tolerances make the transport fail (singular) or the recipe
+    # records fail (rel); no run of a loaded scenario may see the
+    # transports of the run before it
+    sc = load_scenario(DENSE_RING)
+    settings = [tight, None, tight]
+    runs = [_report_json(sc, tolerances=t) for t in settings]
+    fresh = [_report_json(load_scenario(DENSE_RING), tolerances=t) for t in settings]
+    assert runs == fresh
+    assert [json.loads(r)["status"] for r in runs] == ["fail", "pass", "fail"]

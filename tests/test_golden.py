@@ -13,7 +13,10 @@ report of abstract_k1_nonorientable under one tolerance far from its
 default, where stages fail with evaluation errors.
 ``tests/golden/mutants/abstract_k1_nonorientable.<mutant>.json`` holds
 the report of that scenario with a fault patched into the pair sections
-of every chart, which ``delta_D`` must report as its error.
+of every chart, which ``delta_D`` must report as its error, or with a
+fault patched into the first section family on chart 1
+(``sections.first.1.<fault>``), which the recipe stage and
+``cross_check`` must report as the same error.
 
 A refactor that changes no verdict, residual or detail keeps these files
 as they are.  A change that means to alter a report re-records them with
@@ -57,6 +60,13 @@ MUTANTS = {
     "second.Cr=0": {"second": {"Cr": [[0]]}},
     "first.Wr=1.5,Cr=0": {"first": {"Wr": [[1.5]], "Cr": [[0]]}},
 }
+# First-family faults: mutant -> the frame_blocks parameters patched into
+# the first section family on chart 1 of abstract_k1_nonorientable.
+FAMILY_MUTANTS = {
+    "sections.first.1.Wr=0.5": {"Wr": [[0.5]]},  # inconsistent with the cocycle
+    "sections.first.1.Wr=1.5": {"Wr": [[1.5]]},  # not positive
+    "sections.first.1.Cr=0": {"Cr": [[0]]},  # U - iV singular
+}
 
 
 def golden_text(report) -> str:
@@ -87,6 +97,12 @@ def mutant_report(mutant: str):
     return run_scenario(doc)
 
 
+def family_mutant_report(mutant: str):
+    doc = json.loads(builtin_scenario_path("abstract_k1_nonorientable").read_text())
+    doc["sections"]["first"]["1"]["params"].update(FAMILY_MUTANTS[mutant])
+    return run_scenario(doc)
+
+
 def _golden_files():
     """Every golden file's path below GOLDEN_DIR with a function making
     its report."""
@@ -103,6 +119,9 @@ def _golden_files():
     out.update((f"mutants/abstract_k1_nonorientable.{mutant}.json",
                 lambda mutant=mutant: mutant_report(mutant))
                for mutant in MUTANTS)
+    out.update((f"mutants/abstract_k1_nonorientable.{mutant}.json",
+                lambda mutant=mutant: family_mutant_report(mutant))
+               for mutant in FAMILY_MUTANTS)
     return out
 
 
@@ -177,6 +196,16 @@ def test_stress_report_matches_golden(name, key, value):
 def test_mutant_report_matches_golden(mutant):
     _compare(f"mutants/abstract_k1_nonorientable.{mutant}.json",
              mutant_report(mutant))
+
+
+@pytest.mark.parametrize("mutant", FAMILY_MUTANTS)
+def test_family_mutant_report_matches_golden(mutant):
+    report = family_mutant_report(mutant)
+    _compare(f"mutants/abstract_k1_nonorientable.{mutant}.json", report)
+    errors = {c.check_id: c.failures for c in report.checks
+              if c.check_id.endswith(".error")}
+    assert list(errors) == ["recipe.error", "cross_check.error"]
+    assert errors["recipe.error"] == errors["cross_check.error"]
 
 
 def test_guard_allows_only_the_listed_fields():

@@ -13,6 +13,7 @@ from hfe.frames import frame_pattern, validate_lagrangian
 from hfe.induction import (
     FrameSectionData,
     MetaplecticBundleData,
+    SectionFamily,
     _mp_act_stack,
     build_delta_D_tilde,
     chart_sqrt_values,
@@ -209,7 +210,39 @@ def test_delta_D_on_nonorientable_scenario(rng):
 def test_cross_check_global_sign(rng):
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
-    out = cross_check(data, sc.sections_first, sc.sections_second, rng)
+    out = cross_check(data, SectionFamily(data, sc.sections_first),
+                      SectionFamily(data, sc.sections_second), rng)
     assert out["global_sign"] in (1, -1)
     assert out["glue_residual"] < 1e-8
     assert out["restriction_residual"] < 1e-9
+
+
+def test_a_section_family_computes_its_transport_once(monkeypatch):
+    sc = _load("abstract_k1_nonorientable")
+    data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
+    alone = recipe(transport(data, sc.sections_first))
+    family = SectionFamily(data, sc.sections_first)
+    t, r = family.plain()
+    monkeypatch.setattr(induction, "transport", None)  # not called again
+    assert family.plain()[0] is t and family.plain()[1] is r
+    assert t.bundle is data
+    np.testing.assert_array_equal(r.ml_cocycle.mats, alone.ml_cocycle.mats)
+    np.testing.assert_array_equal(r.chart_z, alone.chart_z)
+
+
+def test_a_section_family_raises_its_first_error_again(monkeypatch):
+    calls = []
+
+    def failing(data, sections):
+        calls.append(sections)
+        raise ValidationError(f"call {len(calls)}")
+
+    monkeypatch.setattr(induction, "transport", failing)
+    family = SectionFamily(rotation_bundle(), holo_sections())
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            family.plain()
+        errors.append(info.value)
+    assert errors[0] is errors[1]
+    assert str(errors[1]) == "call 1" and len(calls) == 1
