@@ -72,14 +72,17 @@ class Nerve:
                 has an edge between the rows of two point ids that some
                 overlap component containing the chart joins
 
-    Triple points, and the GF(2) coboundaries:
+    The chart graph, triple points, and the GF(2) coboundaries:
 
+    joins       (C, 2) int array: the positions in charts of the two charts
+                of each component of keys, the edges of the chart graph,
+                whose incidence matrix is delta0
+    forest      the Walk of the chart graph, each piece rooted at its last
+                chart
     triples     (triple key, point id) of every triple point, the keys
                 sorted
     triple_rows (T, 3) int array: the overlap rows of the factors t_ab,
                 t_bc, t_ac at each triple point
-    delta0      (C, H) uint8: from chart signs to component signs, ones at
-                the two charts of each component of keys
     delta1      (T, C) uint8: from component signs to triple-point signs,
                 ones at the three components of each triple point;
                 delta1 delta0 = 0 over GF(2), since each chart of a
@@ -101,7 +104,7 @@ class Nerve:
         start = dict(zip(order, first))
         # each component's fault, in document order: it has no point, an
         # edge leaves it, or its graph is disconnected
-        faults, joins = {}, {}
+        faults, graphs = {}, {}
         for j, (_, _, comp) in enumerate(listed):
             npts, pairs = len(comp["points"]), comp.get("edges", [])
             if not npts:
@@ -109,8 +112,8 @@ class Nerve:
             elif not all(0 <= i < npts and 0 <= k < npts for i, k in pairs):
                 faults[j] = "edge references a missing point"
             else:
-                joins[j] = [(int(i), int(k)) for i, k in pairs]
-        edges = [(start[j] + i, start[j] + k) for j, pairs in joins.items() for i, k in pairs]
+                graphs[j] = [(int(i), int(k)) for i, k in pairs]
+        edges = [(start[j] + i, start[j] + k) for j, pairs in graphs.items() for i, k in pairs]
         walk = Walk.of(first[-1], edges, [r for r, size in zip(first, sizes) if size])
         reached = np.zeros(first[-1], dtype=bool)
         reached[walk.visits[walk.depth >= 0, 1]] = True
@@ -202,7 +205,7 @@ class Nerve:
                         firsts[ch].append(r)
                     met[ch].append(at[ch][pid])
                 joined[ch].update((min(ids[i], ids[k]), max(ids[i], ids[k]))
-                                  for i, k in joins[j])
+                                  for i, k in graphs[j])
         sites: list[tuple[str, str]] = []
         rows: dict[str, range] = {}
         for ch in charts:
@@ -225,12 +228,12 @@ class Nerve:
             [(span.start + at[ch][a], span.start + at[ch][b]) for ch, span in rows.items()
              for a, b in sorted(joined[ch])],
             [r for span in rows.values() for r in sorted(span, key=lambda r: sites[r][1])])
-        self.delta0 = np.zeros((len(self.keys), len(rows)), dtype=np.uint8)
-        self.delta0[self.comp[:, None], self.chart[self.ends]] = 1
+        self.joins = self.chart[self.ends[first[:-1]]]
+        self.forest = Walk.of(len(rows), self.joins.tolist(), range(len(rows) - 1, -1, -1))
         self.delta1 = np.zeros((len(self.triples), len(self.keys)), dtype=np.uint8)
         self.delta1[np.arange(len(self.triples))[:, None], self.comp[self.triple_rows]] = 1
         for shared in (self.params, self.comp, self.chart, self.site_params, self.ends,
-                       self.triple_rows, self.delta0, self.delta1):
+                       self.triple_rows, self.joins, self.delta1):
             shared.setflags(write=False)
 
 
@@ -415,16 +418,16 @@ def _gf2_reduce(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
-def _gf2_nullspace(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _gf2_nullspace(M: np.ndarray) -> np.ndarray:
     """Basis of {x : M x = 0} over GF(2), one uint8 row per free column,
-    and the free columns in increasing order.  Each row's highest one is
-    at its own free column, where no other row has a one."""
+    the free columns in increasing order.  Each row's highest one is at
+    its own free column, where no other row has a one."""
     R, pivots = _gf2_reduce(M)
     free = sorted(set(range(R.shape[1])) - set(pivots))
     N = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
     N[np.arange(len(free)), free] = 1
     N[:, pivots] = R[:len(pivots), free].T
-    return N, free
+    return N
 
 
 def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -443,13 +446,21 @@ def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     return x
 
 
-def _top_down_basis(M: np.ndarray) -> np.ndarray:
-    """Fully reduced basis of the row space of M, pivots taken from the
-    highest column down.  Read as integers with column 0 the least
-    significant bit, the rows decrease: the last one is the smallest
-    nonzero vector of the span."""
-    R, pivots = _gf2_reduce(np.asarray(M)[:, ::-1])
-    return R[:len(pivots), ::-1]
+def chart_signs(nerve: Nerve, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve delta0 x = bits over GF(2) down nerve.forest, for bits over
+    nerve.keys or a (C, K) stack of them: x is 0 at each root, and
+    x[nxt] = x[cur] ^ bits[edge] at each tree visit.  Returns x and
+    whether x[a] ^ x[b] == bits on every join (a, b), per column.  A
+    feasible x is gf2_solve's particular solution on delta0, whose
+    elimination frees the last chart of each piece, its root."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8)  # a row per component
+    x = np.zeros((len(nerve.charts), *bits.shape[1:]), dtype=np.uint8)
+    walk = nerve.forest
+    cur, nxt = walk.visits.T
+    for at in walk.levels[1:]:
+        x[nxt[at]] = x[cur[at]] ^ bits[walk.edges[at]]
+    a, b = nerve.joins.T
+    return x, (x[a] ^ x[b] == bits).all(axis=0)
 
 
 class LiftClasses:
@@ -467,24 +478,21 @@ class LiftClasses:
         self.witness_inequiv = witness_inequiv
 
 
-def lift_classes(delta1: np.ndarray, delta0: np.ndarray) -> LiftClasses:
-    """Count the sign patterns of a nerve with coboundaries delta1
-    (triple points x components) and delta0 (components x charts).
-    Precondition: delta1 delta0 = 0 over GF(2), as on every nerve, so
-    every coboundary, im delta0, is valid."""
-    # reversed, the nullspace rows are the top-down basis of ker delta1
-    null, free = _gf2_nullspace(delta1)
-    kernel, image = null[::-1], _top_down_basis(delta0.T)
-    # a valid pattern is the sum of the kernel rows at its free columns,
-    # so kernel row j is a coboundary iff the unit vector j is a row of
-    # the reduced image in these coordinates
-    R, pivots = _gf2_reduce(image[:, free[::-1]])
-    units = {p for p, row in zip(pivots, R) if np.count_nonzero(row) == 1}
-    outside = [j for j in range(len(kernel)) if j not in units]
-    valid, coboundaries = 2 ** len(kernel), 2 ** len(image)
+def lift_classes(nerve: Nerve) -> LiftClasses:
+    """Count the sign patterns of a nerve: the valid ones, ker delta1, by
+    one elimination, and the coboundaries, which are valid since delta1
+    delta0 = 0, as 2^(charts - pieces of the chart graph).  A valid
+    pattern is the sum of the nullspace rows at its free columns, so the
+    witness is the row of the smallest free column that chart_signs
+    finds is not a coboundary."""
+    null = _gf2_nullspace(nerve.delta1)
+    _, exact = chart_signs(nerve, null.T)
+    outside = np.flatnonzero(~exact)
+    valid = 2 ** len(null)
+    coboundaries = 2 ** int(len(nerve.charts) - np.count_nonzero(nerve.forest.depth == 0))
     return LiftClasses(valid=valid, coboundaries=coboundaries,
                        classes=valid // coboundaries,
-                       witness_inequiv=kernel[outside[-1]] if outside else None)
+                       witness_inequiv=null[outside[0]] if outside.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +557,8 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
     coboundary of chart signs.
 
     Returns the witness {chart: epsilon} with z2 = eps_a eps_b z1 on
-    every overlap component, or None if the lifts are inequivalent.
+    every overlap component, by chart_signs, or None if the lifts are
+    inequivalent.
     """
     tols = get_tolerances()
     axes = (-2, -1)
@@ -567,7 +576,7 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
         (bits != bits[starts][nerve.comp], lambda p: ValidationError(
             "z-ratio not constant on an overlap component")),
     ])
-    sol = gf2_solve(nerve.delta0, bits[starts])
-    if sol is None:
+    sol, exact = chart_signs(nerve, bits[starts])
+    if not exact:
         return None
     return {ch: -1 if bit else 1 for ch, bit in zip(nerve.charts, sol)}

@@ -42,7 +42,7 @@ _gc_enabled = gc.isenabled()
 gc.disable()
 
 from .errors import EngineError, SchemaViolation  # noqa: E402
-from .pipelines import run_scenario  # noqa: E402
+from .pipelines import PIPELINE_ORDER, run_scenario  # noqa: E402
 from .report import emit_report  # noqa: E402
 from .scenario import (  # noqa: E402
     SCENARIO_SCHEMA,
@@ -226,8 +226,13 @@ def _verify(scenarios, pipeline, tolerance, seed, report) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    # "" selects the pipeline "", which is unknown, not every pipeline
+    # "" selects the pipeline "", which is unknown, not every pipeline;
+    # the names are checked once, before any scenario of a batch runs
     pipelines = None if pipeline is None else pipeline.split(",")
+    unknown = sorted(set(pipelines or ()) - set(PIPELINE_ORDER))
+    if unknown:
+        print(f"error: argument --pipeline: unknown pipelines {unknown}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     codes = []
     for target in scenarios:
         try:

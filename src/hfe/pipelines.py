@@ -230,7 +230,7 @@ def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
         return {}
     res = cech.validate_cocycle(scenario.nerve, lifted)
     report.add(_verdict("lift.double-cover", "cocycle.sqrt-lift", res))
-    lc = cech.lift_classes(scenario.nerve.delta1, scenario.nerve.delta0)
+    lc = cech.lift_classes(scenario.nerve)
     report.add(_expected("lift.class-count", "cocycle.lift-enumeration", "classes",
                          lc.classes, scenario.expectations.get("lift_classes"),
                          {"valid_lifts": lc.valid, "coboundaries": lc.coboundaries,
@@ -265,10 +265,10 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     # one is the coboundary of that chart's sign, so the chart signs,
     # taken at every chart row, are the base values that glue it
     nerve = scenario.nerve
-    met = np.flatnonzero(nerve.delta0.any(axis=0))
-    if met.size:
-        signs = np.where(np.arange(len(nerve.charts)) == met[0], -1, 1)
-        flipped = cech.flip_sheets(nerve, z2, nerve.delta0[:, met[0]])
+    if nerve.joins.size:
+        met = nerve.joins.min()
+        signs = np.where(np.arange(len(nerve.charts)) == met, -1, 1)
+        flipped = cech.flip_sheets(nerve, z2, (nerve.joins == met).any(axis=1))
         dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
                                               base_values=signs[nerve.chart] + 0j)
         report.add(_bounded("delta_tilde.equivalent-glues",

@@ -234,12 +234,15 @@ class Walk:
     depth   (V,) int array: 0 for a root, the depth of nxt for a visit
             that first reaches it (a tree visit), -1 for one that closes
             a cycle
+    edges   (V,) int array: the position in the edge list of the edge of
+            each visit, -1 at a root
     levels  the positions in visits of each depth 0, 1, 2, ...
     """
 
-    def __init__(self, visits: np.ndarray, depth: np.ndarray):
+    def __init__(self, visits: np.ndarray, depth: np.ndarray, edges: np.ndarray):
         self.visits = visits
         self.depth = depth
+        self.edges = edges
 
     @functools.cached_property
     def levels(self) -> list[np.ndarray]:
@@ -249,28 +252,31 @@ class Walk:
     def of(cls, size: int, edges, roots) -> "Walk":
         """The walk of the graph on vertices 0..size-1 with the edges
         (i, j), from the roots in their order."""
-        adj: list[list[int]] = [[] for _ in range(size)]
-        for i, j in edges:
-            adj[i].append(j)
-            adj[j].append(i)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        for e, (i, j) in enumerate(edges):
+            adj[i].append((j, e))
+            adj[j].append((i, e))
         level = [-1] * size
-        visits, depth = [], []
+        visits, depth, through = [], [], []
         for root in roots:
             if level[root] >= 0:
                 continue
             level[root] = 0
             visits.append((root, root))
             depth.append(0)
+            through.append(-1)
             queue = [root]
             for cur in queue:  # the loop also takes what it appends
-                for nxt in adj[cur]:
+                for nxt, e in adj[cur]:
                     tree = level[nxt] < 0
                     if tree:
                         level[nxt] = level[cur] + 1
                         queue.append(nxt)
                     visits.append((cur, nxt))
                     depth.append(level[nxt] if tree else -1)
-        return cls(np.array(visits, dtype=int).reshape(-1, 2), np.array(depth, dtype=int))
+                    through.append(e)
+        return cls(np.array(visits, dtype=int).reshape(-1, 2), np.array(depth, dtype=int),
+                   np.array(through, dtype=int))
 
 
 def track_graph(values, walk: Walk, names: Sequence[str], flip, *,

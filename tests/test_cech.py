@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 from cmath import sqrt as principal_sqrt
@@ -12,8 +13,9 @@ from hfe.cech import (
     Cocycle,
     Nerve,
     _gf2_nullspace,
+    _gf2_reduce,
     _membership_residuals,
-    _top_down_basis,
+    chart_signs,
     gf2_solve,
     lift_classes,
     lift_double_cover,
@@ -35,6 +37,10 @@ from hfe.tracking import Walk
 from helpers import by_key, component, nerve_doc, per_point, random_sp
 
 GOLDEN_SCENARIOS = Path(__file__).parent / "golden" / "scenarios"
+# every corpus scenario and golden dense ring, by its file name
+CORPUS = pytest.mark.parametrize(
+    "path", [builtin_scenario_path(name) for name in builtin_scenario_names()]
+    + sorted(GOLDEN_SCENARIOS.glob("*.json")), ids=lambda path: path.stem)
 SIDES = (("a", "b"), ("b", "c"), ("a", "c"))
 
 
@@ -315,13 +321,28 @@ def test_gf2_solve_particular_solution_sets_free_variables_to_zero():
     assert gf2_solve(A, np.array([1, 0])).tolist() == [1, 0, 1]
 
 
+def _delta0(nerve):
+    """The dense delta0 of a nerve, components x charts: the incidence
+    matrix of its chart graph, ones at the two charts of each join."""
+    delta0 = np.zeros((len(nerve.joins), len(nerve.charts)), dtype=np.uint8)
+    delta0[np.arange(len(nerve.joins))[:, None], nerve.joins] = 1
+    return delta0
+
+
 def test_nerve_incidence_matrices():
     nerve = triangle_nerve(points=("p", "q"))
     # components (a,b), (a,c), (b,c) against charts a, b, c
-    assert nerve.delta0.tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    assert nerve.joins.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert _delta0(nerve).tolist() == [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
     assert nerve.delta1.tolist() == [[1, 1, 1], [1, 1, 1]]
-    assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
-    assert nerve.delta0 is nerve.delta0  # built once
+    assert nerve.delta1.dtype == np.uint8
+    assert not nerve.joins.flags.writeable
+    # the forest is rooted at the last chart, c, and reaches a and b
+    # through the components (a,c) and (b,c)
+    tree = nerve.forest.depth > 0
+    assert nerve.forest.visits[nerve.forest.depth == 0].tolist() == [[2, 2]]
+    assert nerve.forest.visits[tree].tolist() == [[2, 0], [2, 1]]
+    assert nerve.forest.edges[tree].tolist() == [1, 2]
 
 
 @st.composite
@@ -509,9 +530,9 @@ def test_nerve_maps_match_former_builds(doc, data):
     assert nerve.components == spans
     assert nerve.triple_rows.tolist() == triple_rows
     assert nerve.triple_rows.shape == (len(tps), 3)
-    assert nerve.delta0.tolist() == delta0.tolist()
+    assert _delta0(nerve).tolist() == delta0.tolist()
     assert nerve.delta1.tolist() == delta1.tolist()
-    assert nerve.delta0.dtype == nerve.delta1.dtype == np.uint8
+    assert nerve.delta1.dtype == np.uint8
     # the walks visit the same rows in the same order at the same depths
     (visits, depth), chart_walk = walks
     assert nerve.overlap_walk.visits.tolist() == visits.tolist()
@@ -545,12 +566,10 @@ def test_nerve_maps_match_former_builds(doc, data):
 
 def _composes_to_zero(nerve):
     """delta1 delta0 = 0 over GF(2), the precondition of lift_classes."""
-    return not np.any((nerve.delta1.astype(int) @ nerve.delta0.astype(int)) % 2)
+    return not np.any((nerve.delta1.astype(int) @ _delta0(nerve).astype(int)) % 2)
 
 
-@pytest.mark.parametrize(
-    "path", [builtin_scenario_path(name) for name in builtin_scenario_names()]
-    + sorted(GOLDEN_SCENARIOS.glob("*.json")), ids=lambda path: path.stem)
+@CORPUS
 def test_corpus_coboundaries_compose_to_zero(path):
     assert _composes_to_zero(Nerve(json.loads(path.read_text())["nerve"]))
 
@@ -564,9 +583,13 @@ def test_generated_nerve_coboundaries_compose_to_zero(doc):
 @given(st.integers(0, 8), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
 def test_reversed_nullspace_is_the_top_down_basis(rows, cols, seed):
     M = np.random.default_rng(seed).integers(0, 2, size=(rows, cols), dtype=np.uint8)
-    null, free = _gf2_nullspace(M)
-    assert np.array_equal(null[::-1], _top_down_basis(null))
+    null = _gf2_nullspace(M)
+    _, pivots = _gf2_reduce(M)
+    free = sorted(set(range(cols)) - set(pivots))
+    # each row's highest one is at its own free column, where no other
+    # row has a one: reversed, the rows are reduced from the top down
     assert [int(np.flatnonzero(row)[-1]) for row in null] == free
+    assert null[:, free].tolist() == np.eye(len(free), dtype=int).tolist()
     assert not np.any((M.astype(int) @ null.T.astype(int)) % 2)
 
 
@@ -587,19 +610,96 @@ def _brute_force_classes(delta1, delta0):
 
 
 @st.composite
-def _coboundary_pairs(draw):
-    c = draw(st.integers(0, 12))
-    h = draw(st.integers(0, 6))
-    t = draw(st.integers(0, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    delta0 = rng.integers(0, 2, size=(c, h))
-    # rows from the left kernel of delta0, so delta1 delta0 = 0 as on
-    # every nerve
+def _chart_graphs(draw):
+    """The nerve of a random chart multigraph: 1-8 charts in random
+    order and 0-12 components, each joining two distinct charts, so
+    parallel components, isolated charts and several pieces occur; it
+    has no triple point."""
+    names = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    pairs = list(itertools.combinations(names, 2))
+    joined = draw(st.lists(st.sampled_from(pairs), max_size=12) if pairs else st.just([]))
+    overlaps = {}
+    for i, pair in enumerate(joined):
+        overlaps.setdefault(pair, []).append(component([f"p{i}"]))
+    return Nerve(nerve_doc(draw(st.permutations(names)), overlaps))
+
+
+def _pieces(nerve):
+    """The connected pieces of the chart graph, as a label per chart:
+    the smallest chart position of its piece."""
+    label = list(range(len(nerve.charts)))
+    for _ in nerve.charts:
+        for a, b in nerve.joins.tolist():
+            label[a] = label[b] = min(label[a], label[b])
+    return label
+
+
+@given(_chart_graphs(), st.data())
+def test_chart_signs_match_gf2_solve_on_the_chart_graph(nerve, data):
+    delta0 = _delta0(nerve).astype(int)
+    c, h = delta0.shape
+
+    def bits(size):
+        return np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+
+    # right-hand sides: coboundaries of chart signs, which are feasible,
+    # and random bits, which mostly are not
+    k = data.draw(st.integers(1, 4))
+    stack = np.array([(delta0 @ bits(h)) % 2 if data.draw(st.booleans()) else bits(c)
+                      for _ in range(k)], dtype=np.uint8).reshape(k, c).T
+    x, exact = chart_signs(nerve, stack)
+    assert x.shape == (h, k) and x.dtype == np.uint8
+    for j, b in enumerate(stack.T):
+        want = gf2_solve(delta0, b)
+        x_j, exact_j = chart_signs(nerve, b)
+        assert bool(exact[j]) == bool(exact_j) == (want is not None)
+        assert x_j.tolist() == x[:, j].tolist()
+        if want is not None:
+            assert x_j.tolist() == want.tolist()
+    # each piece is rooted at its last chart, and im delta0 has
+    # 2^(charts - pieces) elements
+    label = _pieces(nerve)
+    roots = nerve.forest.visits[nerve.forest.depth == 0, 0].tolist()
+    assert sorted(roots) == sorted(max(i for i in range(h) if label[i] == piece)
+                                   for piece in set(label))
+    image = {tuple((delta0 @ y) % 2) for y in (np.arange(2 ** h)[:, None] >> np.arange(h)) & 1}
+    assert len(image) == 2 ** (h - len(set(label))) == lift_classes(nerve).coboundaries
+
+
+@given(_nerve_docs())
+def test_every_walk_visit_crosses_its_edge(doc):
+    nerve = Nerve(doc)
+    overlaps = _overlaps(doc)
+    row = {site: r for r, site in enumerate(nerve.sites)}
+    # the edge lists the constructor builds: the components' graphs in
+    # document order, and each chart's graph in point-id order
+    overlap_edges = [(nerve.components[pair, ci].start + i, nerve.components[pair, ci].start + j)
+                     for pair in overlaps for ci, comp in enumerate(overlaps[pair])
+                     for i, j in comp["edges"]]
+    chart_edges = [(row[ch, a], row[ch, b]) for ch in nerve.charts for a, b in sorted(
+        {tuple(sorted((comp["points"][i]["id"], comp["points"][j]["id"])))
+         for pair in overlaps if ch in pair for comp in overlaps[pair]
+         for i, j in comp["edges"]})]
+    for walk, edges in ((nerve.overlap_walk, overlap_edges), (nerve.chart_walk, chart_edges),
+                        (nerve.forest, nerve.joins.tolist())):
+        step = walk.depth != 0
+        assert walk.edges[~step].tolist() == [-1] * int((~step).sum())
+        assert [sorted(edges[e]) for e in walk.edges[step].tolist()] == [
+            sorted(visit) for visit in walk.visits[step].tolist()]
+        # every vertex is reached, so the walk crosses each edge from both ends
+        assert sorted(walk.edges[step].tolist()) == sorted(list(range(len(edges))) * 2)
+
+
+def _with_delta1(nerve, rng, t):
+    """A copy of nerve whose delta1 is t random rows of the left kernel
+    of its delta0, so that delta1 delta0 = 0 as on every nerve."""
+    c = len(nerve.joins)
     left = [y for y in (np.arange(2 ** c)[:, None] >> np.arange(c)) & 1
-            if not np.any((y @ delta0) % 2)]
-    delta1 = np.array([left[i] for i in rng.integers(0, len(left), t)],
-                      dtype=int).reshape(t, c)
-    return delta1.astype(np.uint8), delta0.astype(np.uint8)
+            if not np.any((y @ _delta0(nerve)) % 2)]
+    out = copy.copy(nerve)
+    out.delta1 = np.array([left[i] for i in rng.integers(0, len(left), t)],
+                          dtype=np.uint8).reshape(t, c)
+    return out
 
 
 def _same_pattern(got, want):
@@ -608,13 +708,23 @@ def _same_pattern(got, want):
     return got is not None and np.array_equal(got, want)
 
 
-@given(_coboundary_pairs())
-def test_lift_classes_match_brute_force_enumeration(pair):
-    delta1, delta0 = pair
+def _check_against_brute_force(nerve):
     valid, cob, gluing, inequiv = _brute_force_classes(
-        delta1.astype(int), delta0.astype(int))
-    lc = lift_classes(delta1, delta0)
+        nerve.delta1.astype(int), _delta0(nerve).astype(int))
+    lc = lift_classes(nerve)
     # every coboundary is valid, so the gluing patterns are the coboundaries
     assert (lc.valid, lc.coboundaries, lc.coboundaries) == (valid, cob, gluing)
     assert lc.classes == valid // cob
     assert _same_pattern(lc.witness_inequiv, inequiv)
+
+
+@given(_chart_graphs(), st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+def test_lift_classes_match_brute_force_enumeration(nerve, t, seed):
+    _check_against_brute_force(_with_delta1(nerve, np.random.default_rng(seed), t))
+
+
+@CORPUS
+def test_lift_classes_of_the_corpus_match_brute_force_enumeration(path):
+    nerve = Nerve(json.loads(path.read_text())["nerve"])
+    assert len(nerve.keys) <= 16
+    _check_against_brute_force(nerve)

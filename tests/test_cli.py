@@ -620,7 +620,14 @@ def test_exit_2_on_unknown_pipeline(capsys):
 def test_exit_2_on_an_empty_pipeline_selection(capsys):
     # "" selects the unknown pipeline "", not every pipeline
     code, out, err = run(capsys, "verify", "trivial_r2", "--pipeline", "")
-    assert (code, out, err) == (2, "", "error: invalid scenario data: unknown pipelines ['']\n")
+    assert (code, out, err) == (2, "", "error: argument --pipeline: unknown pipelines ['']\n")
+
+
+@pytest.mark.parametrize("report", ["text", "jsonl"])
+def test_an_unknown_pipeline_fails_a_batch_once_before_any_scenario(report, capsys):
+    code, out, err = run(capsys, "verify", "trivial_r2", "circle_mobius",
+                         "--pipeline", "lift,bogus", "--report", report)
+    assert (code, out, err) == (2, "", "error: argument --pipeline: unknown pipelines ['bogus']\n")
 
 
 def test_exit_2_on_unknown_scenario_tolerance(tmp_path, capsys):
