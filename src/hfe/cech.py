@@ -16,7 +16,7 @@ roots become breadth-first tracking over component graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -446,53 +446,49 @@ def gf2_solve(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     return x
 
 
-def chart_signs(nerve: Nerve, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve delta0 x = bits over GF(2) down nerve.forest, for bits over
-    nerve.keys or a (C, K) stack of them: x is 0 at each root, and
-    x[nxt] = x[cur] ^ bits[edge] at each tree visit.  Returns x and
-    whether x[a] ^ x[b] == bits on every join (a, b), per column.  A
-    feasible x is gf2_solve's particular solution on delta0, whose
-    elimination frees the last chart of each piece, its root."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)  # a row per component
-    x = np.zeros((len(nerve.charts), *bits.shape[1:]), dtype=np.uint8)
+def chart_signs(nerve: Nerve, bits: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve delta0 x = bits over GF(2) down nerve.forest, bits over
+    nerve.keys: x is 0 at each root, and x[nxt] = x[cur] ^ bits[edge] at
+    each tree visit.  Returns x and whether x[a] ^ x[b] == bits on every
+    join (a, b).  A feasible x is gf2_solve's particular solution on
+    delta0, whose elimination frees each piece's last chart, its root."""
+    x = np.zeros(len(nerve.charts), dtype=np.uint8)
     walk = nerve.forest
     cur, nxt = walk.visits.T
     for at in walk.levels[1:]:
         x[nxt[at]] = x[cur[at]] ^ bits[walk.edges[at]]
     a, b = nerve.joins.T
-    return x, (x[a] ^ x[b] == bits).all(axis=0)
+    return x, bool(np.array_equal(x[a] ^ x[b], bits))
 
 
-class LiftClasses:
-    """Counts of sign patterns on overlap components (entry j flips
-    component j): valid ones keep the cocycle identity (ker delta1),
-    coboundaries come from chart signs (im delta0).  The witness is the
-    smallest valid non-coboundary, or None; "smallest" reads a pattern
-    as an integer with component 0 the least significant bit."""
+class LiftClasses(NamedTuple):
+    """The sign patterns on overlap components (entry j flips component
+    j): valid ones keep the cocycle identity (ker delta1), coboundaries
+    come from chart signs (im delta0), and classes = valid / coboundaries
+    is the order of H^1.  representatives is a (rows, C) uint8 array,
+    one row per generator of H^1, each zero on the tree components of
+    nerve.forest, so no nonzero sum of rows is a coboundary."""
 
-    def __init__(self, valid: int, coboundaries: int, classes: int,
-                 witness_inequiv: Optional[np.ndarray]):
-        self.valid = valid
-        self.coboundaries = coboundaries
-        self.classes = classes
-        self.witness_inequiv = witness_inequiv
+    valid: int
+    coboundaries: int
+    classes: int
+    representatives: np.ndarray
 
 
 def lift_classes(nerve: Nerve) -> LiftClasses:
-    """Count the sign patterns of a nerve: the valid ones, ker delta1, by
-    one elimination, and the coboundaries, which are valid since delta1
-    delta0 = 0, as 2^(charts - pieces of the chart graph).  A valid
-    pattern is the sum of the nullspace rows at its free columns, so the
-    witness is the row of the smallest free column that chart_signs
-    finds is not a coboundary."""
-    null = _gf2_nullspace(nerve.delta1)
-    _, exact = chart_signs(nerve, null.T)
-    outside = np.flatnonzero(~exact)
-    valid = 2 ** len(null)
-    coboundaries = 2 ** int(len(nerve.charts) - np.count_nonzero(nerve.forest.depth == 0))
-    return LiftClasses(valid=valid, coboundaries=coboundaries,
-                       classes=valid // coboundaries,
-                       witness_inequiv=null[outside[0]] if outside.size else None)
+    """The lift classes of a nerve from its chart forest.  A sign pattern
+    is cohomologous to exactly one pattern that is zero on the forest's
+    tree components, and valid iff that one is, since delta1 delta0 = 0;
+    so H^1 is the nullspace of delta1 on the other components, by one
+    elimination, and there are 2^(tree components) coboundaries."""
+    tree = nerve.forest.edges[nerve.forest.depth > 0]
+    free = np.ones(len(nerve.keys), dtype=bool)
+    free[tree] = False
+    null = _gf2_nullspace(nerve.delta1[:, free])
+    representatives = np.zeros((len(null), len(free)), dtype=np.uint8)
+    representatives[:, free] = null
+    classes, coboundaries = 2 ** len(null), 2 ** len(tree)
+    return LiftClasses(classes * coboundaries, coboundaries, classes, representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +573,4 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
             "z-ratio not constant on an overlap component")),
     ])
     sol, exact = chart_signs(nerve, bits[starts])
-    if not exact:
-        return None
-    return {ch: -1 if bit else 1 for ch, bit in zip(nerve.charts, sol)}
+    return {ch: -1 if bit else 1 for ch, bit in zip(nerve.charts, sol)} if exact else None

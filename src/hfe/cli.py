@@ -41,13 +41,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 _gc_enabled = gc.isenabled()
 gc.disable()
 
-from .errors import EngineError, SchemaViolation  # noqa: E402
+from .errors import EngineError, SchemaViolation, ValidationError  # noqa: E402
 from .pipelines import PIPELINE_ORDER, run_scenario  # noqa: E402
 from .report import emit_report  # noqa: E402
 from .scenario import (  # noqa: E402
     SCENARIO_SCHEMA,
     builtin_scenario_names,
     builtin_scenario_path,
+    run_tolerances,
 )
 
 gc.freeze()
@@ -70,8 +71,8 @@ _WORST_FIRST = (EXIT_PARSE_ERROR, EXIT_FALSIFICATION, EXIT_CHECK_FAILURE,
 
 
 def _parse_tolerances(items: list[str]) -> dict[str, float]:
-    """The --tolerance overrides by key; the loader checks them as it
-    checks a scenario's own tolerances."""
+    """The --tolerance overrides by key, checked once, as a scenario's own
+    tolerances are (scenario.run_tolerances)."""
     out = {}
     for item in items:
         if "=" not in item:
@@ -82,6 +83,12 @@ def _parse_tolerances(items: list[str]) -> dict[str, float]:
         except ValueError:
             raise ValueError(f"argument --tolerance: {key} must be a number, "
                              f"got {text!r}") from None
+    try:
+        run_tolerances({}, out)
+    except SchemaViolation as exc:  # at "tolerances", or at one of its keys
+        raise ValueError(": ".join(["argument --tolerance", *exc.path[1:], exc.message])) from None
+    except ValidationError as exc:
+        raise ValueError(f"argument --tolerance: {exc}") from None
     return out
 
 
@@ -221,17 +228,16 @@ def _read(argv: list[str]) -> tuple[str, dict | None]:
 
 
 def _verify(scenarios, pipeline, tolerance, seed, report) -> int:
-    try:
-        tolerances = _parse_tolerances(tolerance)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    # "" selects the pipeline "", which is unknown, not every pipeline;
-    # the names are checked once, before any scenario of a batch runs
+    # "" selects the unknown pipeline "", not every pipeline; the tolerances
+    # and the names are checked once, before any scenario of a batch runs
     pipelines = None if pipeline is None else pipeline.split(",")
     unknown = sorted(set(pipelines or ()) - set(PIPELINE_ORDER))
-    if unknown:
-        print(f"error: argument --pipeline: unknown pipelines {unknown}", file=sys.stderr)
+    try:
+        tolerances = _parse_tolerances(tolerance)
+        if unknown:
+            raise ValueError(f"argument --pipeline: unknown pipelines {unknown}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     codes = []
     for target in scenarios:

@@ -275,8 +275,8 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
                             "sqrt-datum.coboundary-freedom",
                             worst(dt2.residuals), check_bound(get_tolerances()),
                             {"witness": dict(zip(nerve.charts, signs.tolist()))}))
-    if lc.witness_inequiv is not None:
-        flipped = cech.flip_sheets(nerve, z2, lc.witness_inequiv)
+    if len(lc.representatives):
+        flipped = cech.flip_sheets(nerve, z2, lc.representatives[0])
         try:
             compatibility.build_delta_tilde(norm, z1, flipped, rng)
             report.add(CheckRecord("delta_tilde.inequivalent-fails",

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import tracemalloc
 from cmath import sqrt as principal_sqrt
 from pathlib import Path
 
@@ -594,19 +595,15 @@ def test_reversed_nullspace_is_the_top_down_basis(rows, cols, seed):
 
 
 def _brute_force_classes(delta1, delta0):
-    """Enumerate all 2^c sign patterns in integer order, component 0 the
-    least significant bit, and test each against the coboundaries of
-    all 2^h chart-sign patterns."""
+    """Enumerate all 2^c sign patterns and all 2^h chart-sign patterns:
+    the number of valid patterns, and the coboundaries."""
     c, h = delta0.shape
 
     def patterns(width):
         return (np.arange(2 ** width)[:, None] >> np.arange(width)) & 1
 
     valid = [p for p in patterns(c) if not np.any((delta1 @ p) % 2)]
-    image = {tuple((delta0 @ y) % 2) for y in patterns(h)}
-    gluing = [p for p in valid if tuple(p) in image]
-    inequiv = next((p for p in valid if tuple(p) not in image), None)
-    return len(valid), len(image), len(gluing), inequiv
+    return len(valid), {tuple((delta0 @ y) % 2) for y in patterns(h)}
 
 
 @st.composite
@@ -644,18 +641,15 @@ def test_chart_signs_match_gf2_solve_on_the_chart_graph(nerve, data):
 
     # right-hand sides: coboundaries of chart signs, which are feasible,
     # and random bits, which mostly are not
-    k = data.draw(st.integers(1, 4))
-    stack = np.array([(delta0 @ bits(h)) % 2 if data.draw(st.booleans()) else bits(c)
-                      for _ in range(k)], dtype=np.uint8).reshape(k, c).T
-    x, exact = chart_signs(nerve, stack)
-    assert x.shape == (h, k) and x.dtype == np.uint8
-    for j, b in enumerate(stack.T):
+    for _ in range(data.draw(st.integers(1, 4))):
+        b = np.array((delta0 @ bits(h)) % 2 if data.draw(st.booleans()) else bits(c),
+                     dtype=np.uint8).reshape(c)
         want = gf2_solve(delta0, b)
-        x_j, exact_j = chart_signs(nerve, b)
-        assert bool(exact[j]) == bool(exact_j) == (want is not None)
-        assert x_j.tolist() == x[:, j].tolist()
+        x, exact = chart_signs(nerve, b)
+        assert x.shape == (h,) and x.dtype == np.uint8
+        assert exact is (want is not None)
         if want is not None:
-            assert x_j.tolist() == want.tolist()
+            assert x.tolist() == want.tolist()
     # each piece is rooted at its last chart, and im delta0 has
     # 2^(charts - pieces) elements
     label = _pieces(nerve)
@@ -702,20 +696,20 @@ def _with_delta1(nerve, rng, t):
     return out
 
 
-def _same_pattern(got, want):
-    if want is None:
-        return got is None
-    return got is not None and np.array_equal(got, want)
-
-
 def _check_against_brute_force(nerve):
-    valid, cob, gluing, inequiv = _brute_force_classes(
-        nerve.delta1.astype(int), _delta0(nerve).astype(int))
+    delta1 = nerve.delta1.astype(int)
+    valid, image = _brute_force_classes(delta1, _delta0(nerve).astype(int))
     lc = lift_classes(nerve)
-    # every coboundary is valid, so the gluing patterns are the coboundaries
-    assert (lc.valid, lc.coboundaries, lc.coboundaries) == (valid, cob, gluing)
-    assert lc.classes == valid // cob
-    assert _same_pattern(lc.witness_inequiv, inequiv)
+    reps = lc.representatives
+    assert (lc.valid, lc.coboundaries) == (valid, len(image))
+    assert lc.classes == valid // len(image) == 2 ** len(reps)
+    # each representative is a valid pattern that is zero on the tree
+    assert reps.dtype == np.uint8 and reps.shape == (len(reps), len(nerve.keys))
+    assert not np.any((delta1 @ reps.T) % 2)
+    assert not np.any(reps[:, nerve.forest.edges[nerve.forest.depth > 0]])
+    # and no nonzero sum of them is a coboundary, so they span H^1
+    picks = (np.arange(1, 2 ** len(reps))[:, None] >> np.arange(len(reps))) & 1
+    assert image.isdisjoint(map(tuple, (picks @ reps) % 2))
 
 
 @given(_chart_graphs(), st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
@@ -728,3 +722,21 @@ def test_lift_classes_of_the_corpus_match_brute_force_enumeration(path):
     nerve = Nerve(json.loads(path.read_text())["nerve"])
     assert len(nerve.keys) <= 16
     _check_against_brute_force(nerve)
+
+
+def test_lift_classes_of_a_long_ring_hold_no_chart_by_chart_array():
+    # 1,024 charts in a ring, one point per overlap and no triple point:
+    # delta1 is empty, and H^1 is the class of the component that closes
+    # the ring; a (C, C) uint8 array alone would take 1 MB
+    names = [f"c{i:04d}" for i in range(1024)]
+    nerve = Nerve(nerve_doc(names, {
+        tuple(sorted(pair)): [component([f"p{i}"])]
+        for i, pair in enumerate(zip(names, names[1:] + names[:1]))}))
+    tracemalloc.start()
+    try:
+        lc = lift_classes(nerve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lc.classes, len(lc.representatives)) == (2, 1)
+    assert peak < 2 ** 20

@@ -445,20 +445,35 @@ def test_a_malformed_line_prints_the_usage_and_one_error(argv, error, capsys):
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value, error", [
-    ("rel", -1.0, "scenario schema violation at tolerances/rel: "
+_TOLERANCE_ERRORS = pytest.mark.parametrize("key, value, error", [
+    ("rel", -1.0, "argument --tolerance: rel: "
      "-1.0 is less than or equal to the minimum of 0"),
-    ("rel", float("nan"), "invalid scenario data: tolerances ['rel'] must be finite"),
-    ("bogus", 1.0, "scenario schema violation at tolerances: "
+    ("rel", float("nan"), "argument --tolerance: tolerances ['rel'] must be finite"),
+    ("bogus", 1.0, "argument --tolerance: "
      "Additional properties are not allowed ('bogus' was unexpected)"),
 ], ids=["negative", "nan", "unknown-key"])
+
+
+@_TOLERANCE_ERRORS
 def test_tolerance_overrides_pass_the_scenario_check(key, value, error, capsys):
     # through the API they ran at rel = -1 or NaN, and "bogus" raised
-    # TypeError from Tolerances
+    # TypeError from Tolerances; the command line names the option, not
+    # the scenario
     path = builtin_scenario_path("trivial_r2")
     with pytest.raises(ValidationError):
         run_scenario(path, tolerances={key: value})
     code, out, err = run(capsys, "verify", str(path), "--tolerance", f"{key}={value}")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@_TOLERANCE_ERRORS
+@pytest.mark.parametrize("report", ["text", "jsonl"])
+def test_a_bad_tolerance_fails_a_batch_once_before_any_scenario(report, key, value, error,
+                                                                capsys):
+    # it was reported once per scenario, as scenario data, with a jsonl
+    # error line for each
+    code, out, err = run(capsys, "verify", "trivial_r2", "circle_mobius",
+                         "--tolerance", f"{key}={value}", "--report", report)
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
