@@ -14,14 +14,16 @@ loads only the layers its scenario runs.
 - ``hfe.groups``        matrix groups, double covers, block subgroups
 - ``hfe.frames``        Lagrangian frame linear algebra, Ball checks, densities (first use)
 - ``hfe.sampling``      seeded random draws for the property checks
-- ``hfe.cech``          finite-nerve cocycle machinery, double-cover lifting
+- ``hfe.nerve``         the finite nerve and the index of its sample points
+- ``hfe.cech``          cocycles over a nerve, GF(2) algebra, double-cover lifting
 - ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data (first use)
 - ``hfe.induction``     metaplectic-to-metalinear transition-function recipe (first use)
 - ``hfe.generators``    named generators of scenario data
-- ``hfe.scenario``      scenario files: schema, loading, the built-in corpus
+- ``hfe.schema``        the scenario JSON schema and its checker
+- ``hfe.scenario``      scenario files: loading, the built-in corpus
 - ``hfe.pipelines``     the verification stages over a loaded scenario
 - ``hfe.report``        verification reports and their serialization
-- ``hfe.cli``           scenario runner front end
+- ``hfe.cli``           scenario runner front end, and the process's exit path
 """
 
 from .config import Tolerances, get_tolerances, tolerance_overrides

@@ -11,6 +11,16 @@ as ``--name value`` or ``--name=value``, and by a unique prefix of the
 name; ``--`` ends them.  A malformed line prints the usage text and one
 ``error:`` line to stderr and raises ``SystemExit(2)``.
 
+``console`` is the process's one exit path, the entry point of both the
+``hfe`` console script and ``python -m hfe.cli``: it runs ``main``, which
+returns its code for callers in process, flushes stdout then stderr,
+and ends the process by ``os._exit``.  Interpreter finalization would
+cost each verification a few milliseconds and raise its peak memory, by
+touching pages the run never touched; it can be skipped because the
+engine registers no atexit handler, starts no thread and writes to no
+stream but stdout and stderr.  An exception that escapes ``main`` (an
+engine fault) still ends the process the usual way, with its traceback.
+
 Exit codes: 0 all checks pass, 1 check failure, 2 parse/schema error,
 3 a verified theorem was numerically falsified, 4 no check ran (the
 report holds no record, or only skipped ones), 141 (as for a process
@@ -36,8 +46,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # The objects the engine's imports make (modules, functions, numpy's
 # tables) live as long as the process.  The collector pauses while they
 # are made, and gc.freeze() then moves them to the permanent generation,
-# which no later collection walks, the final one at exit included.  The
-# collector's enabled state is then restored.
+# which no later collection walks; console then ends the process with no
+# collection at exit.  The collector's enabled state is then restored.
 _gc_enabled = gc.isenabled()
 gc.disable()
 
@@ -45,11 +55,11 @@ from .errors import EngineError, SchemaViolation, ValidationError  # noqa: E402
 from .pipelines import PIPELINE_ORDER, run_scenario  # noqa: E402
 from .report import emit_report  # noqa: E402
 from .scenario import (  # noqa: E402
-    SCENARIO_SCHEMA,
     builtin_scenario_names,
     builtin_scenario_path,
     run_tolerances,
 )
+from .schema import SCENARIO_SCHEMA  # noqa: E402
 
 gc.freeze()
 if _gc_enabled:
@@ -284,10 +294,27 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader went away (`hfe verify ... | head`); send the rest,
-        # and the flush at exit, to devnull instead of a traceback
+        # and console's final flush, to devnull instead of a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
 
 
+def console() -> None:
+    """Run main, or end at its usage error with code 2, flush stdout then
+    stderr, and end the process with the code by os._exit (see the
+    module docstring); a closed pipe at the flush exits 141, as main's
+    own handler does."""
+    try:
+        code = main()
+    except SystemExit as exc:  # _read's usage errors
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = EXIT_BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import cech
-from .cech import Cocycle, Nerve
+from .cech import Cocycle
 from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import (
     GluingError,
@@ -28,6 +28,7 @@ from .errors import (
     raise_first,
 )
 from .groups import rel_residual, subgroup_classify, worst
+from .nerve import Nerve
 from .sampling import Draws, random_mlkd_stack
 from .smallmat import det
 

@@ -4,7 +4,7 @@ Scenario files describe transition functions, sections, and sampled
 scalar fields as named generators with JSON parameters; this module
 parses those descriptions into functions from a stack of P rows of the
 nerve (the overlap rows of one component, or the chart rows of one
-chart), given as their (P, D) params (see cech.Nerve) and their point
+chart), given as their (P, D) params (see nerve.Nerve) and their point
 ids, to the tuple of stacked arrays of their values: (P,) for a scalar,
 (P, m, m) for a matrix, and one such array per member of a tuple value
 (an Mp value (g, zeta), a frame (U, V), a pair of meta frames

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, Nerve, chart_stacks
+from .cech import Cocycle, chart_stacks
 from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
 from .config import check_bound, get_tolerances, property_bound
 from .errors import EngineError, TheoremFalsification, ValidationError, raise_first
@@ -34,6 +34,7 @@ from .frames import (
     validate_lagrangian,
 )
 from .groups import check_ml, ml_checks, rel_residual, spk_blocks, worst
+from .nerve import Nerve
 from .sampling import Draws
 from .smallmat import det, inv, lstsq, mul
 from .tracking import cdiv, cmul, track_graph

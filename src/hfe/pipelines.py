@@ -44,7 +44,6 @@ import numpy as np
 # stage runners that call them: a verification then compiles and loads
 # only the layers its scenario runs (sphere_octa none of them).
 from . import cech
-from .cech import Nerve
 from .config import (
     check_bound,
     get_tolerances,
@@ -53,6 +52,7 @@ from .config import (
 )
 from .errors import EngineError, GluingError, TheoremFalsification
 from .groups import worst
+from .nerve import Nerve
 from .report import CheckRecord, VerificationReport
 from .sampling import Draws
 from .scenario import Scenario, load_scenario, run_tolerances

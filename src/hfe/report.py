@@ -5,12 +5,17 @@ id (its "anchor"), the worst residual observed, and a pass/fail verdict
 with failure locations.  JSON output is stable-ordered with numeric
 values rounded to 12 significant digits so identical runs produce
 byte-identical reports; a non-finite value is the string "nan", "inf"
-or "-inf", so the output is strict JSON.
+or "-inf", so the output is strict JSON.  An integer is written in
+full, whatever its length: JSON puts no limit on a number's length, and
+the class counts of a nerve with thousands of charts are powers of 2
+past the interpreter's limit of 4,300 digits on converting an int to a
+string.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Optional
 
 import numpy as np
@@ -115,7 +120,19 @@ def report_to_dict(report: VerificationReport) -> dict:
 def emit_report(report: VerificationReport, fmt: str = "text") -> str:
     """Serialize a report; JSON is stable-ordered, indented for "json" and
     on one line for "jsonl", and text is one line per check, with SKIP and
-    the reason for a skipped stage."""
+    the reason for a skipped stage.  The interpreter's int-digit limit is
+    lifted while it serializes, and restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10 before 3.10.7
+        return _serialize(report, fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _serialize(report, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _serialize(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report_to_dict(report), sort_keys=True, indent=2,
                           allow_nan=False)

@@ -33,7 +33,7 @@ def component(points, edges=()) -> dict:
 
 
 def nerve_doc(charts, overlaps=None, triples=None) -> dict:
-    """The nerve section of a scenario document (see hfe.cech.Nerve):
+    """The nerve section of a scenario document (see hfe.nerve.Nerve):
     overlaps maps each chart pair to its components (see component), and
     triples each key to its points, pairs (id, memberships) with
     memberships mapping each chart pair to (component, position)."""

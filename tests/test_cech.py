@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 from hfe import ball
 from hfe.cech import (
     Cocycle,
-    Nerve,
     _gf2_nullspace,
     _gf2_reduce,
     _membership_residuals,
@@ -27,6 +26,7 @@ from hfe.cech import (
 )
 from hfe.errors import TrackingError, ValidationError
 from hfe.groups import mp_mul
+from hfe.nerve import Nerve
 from hfe.scenario import (
     _build_sign_cochain,
     builtin_scenario_names,

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -698,6 +699,75 @@ def test_closed_stdout_exits_without_traceback():
     code = proc.wait(timeout=60)
     assert "Traceback" not in err
     assert code == cli.EXIT_BROKEN_PIPE
+
+
+def _in_process(capsys, argv):
+    """The exit code, stdout and stderr of cli.main in this process; a
+    usage error's SystemExit gives its code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _report_lines(out: str) -> list:
+    """The lines of a verify's stdout, each JSON line as its document
+    minus wall_time and the time of a text verdict line dropped."""
+    lines = []
+    for line in out.splitlines():
+        if line.startswith("{"):
+            doc = json.loads(line)
+            doc.pop("wall_time", None)
+            lines.append(doc)
+        else:
+            lines.append(re.sub(r" \(\d+\.\d\ds\)$", "", line))
+    return lines
+
+
+_EXIT_PATHS = {
+    "pass": (["verify", "trivial_r2", "--report", "jsonl"], cli.EXIT_OK),
+    "pass-text": (["verify", "trivial_r2"], cli.EXIT_OK),
+    "help": (["--help"], cli.EXIT_OK),
+    "check-failure": (["verify", "trivial_r2", "--tolerance", "rel=1e-18",
+                       "--report", "jsonl"], cli.EXIT_CHECK_FAILURE),
+    "unreadable": (["verify", "{missing}", "--report", "jsonl"], cli.EXIT_PARSE_ERROR),
+    "usage-error": (["verify", "trivial_r2", "--report", "xml"], cli.EXIT_PARSE_ERROR),
+    "unchecked": (["verify", "trivial_r2", "--pipeline", "recipe", "--report", "jsonl"],
+                  cli.EXIT_UNCHECKED),
+    "batch-worst": (["verify", "trivial_r2", "{missing}", "circle_mobius",
+                     "--report", "jsonl"], cli.EXIT_PARSE_ERROR),
+}
+
+
+# a fresh process ends by console's os._exit, after its flushes: its code
+# is main's, and a file holding its stdout holds the whole report
+@pytest.mark.parametrize("name", list(_EXIT_PATHS))
+def test_a_fresh_process_exits_with_mains_code_and_its_whole_report(name, tmp_path, capsys):
+    template, want = _EXIT_PATHS[name]
+    argv = [arg.format(missing=tmp_path / "missing.json") for arg in template]
+    code, out, err = _in_process(capsys, argv)
+    assert code == want
+    path = tmp_path / "stdout"
+    # block-buffered, as a redirected stdout is, so the flushes write the report
+    env = {k: v for k, v in _subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    with open(path, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "hfe.cli", *argv], stdout=fh,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    written = path.read_text()
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert written.endswith("\n") == out.endswith("\n")
+    assert _report_lines(written) == _report_lines(out)
+
+
+def test_the_console_script_and_python_m_share_one_exit_path():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"hfe": "hfe.cli:console"}
+    main_block = Path(cli.__file__).read_text().split('if __name__ == "__main__":\n')[1]
+    assert main_block.strip() == "console()"
 
 
 @pytest.mark.parametrize("stage", ["recipe", "delta_D"])
@@ -1682,6 +1752,36 @@ def test_json_report_writes_non_finite_numbers_as_strings():
         doc = json.loads(emit_report(report, fmt))
         assert doc["checks"][0]["max_residual"] == "inf"
         assert doc["checks"][0]["details"] == {"low": "-inf", "z": ["nan", 1.0]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-digit limit in this interpreter")
+@pytest.mark.parametrize("fmt", ["json", "jsonl", "text"])
+def test_a_report_writes_an_int_of_any_length_in_full(fmt):
+    # the class counts of a ring of 16,384 charts are 2**16384, past the
+    # interpreter's limit of 4,300 digits on converting an int to a string
+    big = 2 ** 20000
+    report = VerificationReport(scenario="s", seed=0)
+    report.add(CheckRecord("lift.class-count", "cocycle.lift-enumeration", passed=False,
+                           failures=[("count", big)],
+                           details={"valid_lifts": big, "coboundaries": 2}))
+    limit = sys.get_int_max_str_digits()
+    out = emit_report(report, fmt)
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(ValueError, match="unknown report format"):
+        emit_report(report, "xml")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(big)
+        doc = None if fmt == "text" else json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.count(digits) == (1 if fmt == "text" else 2)
+    if doc is not None:
+        check, = doc["checks"]
+        assert check["details"] == {"valid_lifts": big, "coboundaries": 2}
+        assert check["failures"] == [["count", big]]
 
 
 def _frame_member(index, member, U, V):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hfe import compatibility
-from hfe.cech import Cocycle, Nerve
+from hfe.cech import Cocycle
 from hfe.compatibility import (
     PolarizationPairData,
     build_delta_tilde,
@@ -14,6 +14,7 @@ from hfe.compatibility import (
     validate_pair_data,
 )
 from hfe.errors import GluingError, ValidationError
+from hfe.nerve import Nerve
 from hfe.pipelines import run_scenario
 from hfe.scenario import builtin_scenario_path
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from hfe import ball
-from hfe.cech import Nerve
 from hfe.errors import ValidationError
 from hfe.generators import build_generator, parse_complex, parse_matrix
 from hfe.groups import alpha0_det
+from hfe.nerve import Nerve
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 from hfe.smallmat import det
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hfe import ball, induction
-from hfe.cech import Cocycle, Nerve, lifts_equivalent
+from hfe.cech import Cocycle, lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, validate_lagrangian
 from hfe.induction import (
@@ -21,6 +21,7 @@ from hfe.induction import (
     recipe,
     transport,
 )
+from hfe.nerve import Nerve
 from hfe.scenario import builtin_scenario_path, load_scenario
 
 from helpers import component, nerve_doc, per_point

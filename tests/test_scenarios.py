@@ -17,14 +17,12 @@ from hfe.errors import SchemaViolation
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import (
-    _TYPES,
-    CHECKED_KEYWORDS,
     SCENARIO_SCHEMA,
-    _violation,
     builtin_scenario_names,
     builtin_scenario_path,
     load_scenario,
 )
+from hfe.schema import _TYPES, CHECKED_KEYWORDS, _violation
 
 _JSONSCHEMA = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 

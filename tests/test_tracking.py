@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import hfe
-from hfe.cech import Cocycle, Nerve, lift_double_cover
+from hfe.cech import Cocycle, lift_double_cover
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
+from hfe.nerve import Nerve
 from hfe.smallmat import det
 from hfe.tracking import (
     _TAN_MAX_ARG,
