@@ -2,8 +2,7 @@
 
 Modules, from the numerical kernels up to the command line.  ``hfe.cli``
 loads all of them but the three marked (first use): the stage runners of
-``hfe.pipelines`` import those where they call them, and ``hfe.scenario``
-imports ``hfe.induction`` for a document with sections, so a verification
+``hfe.pipelines`` import those where they call them, so a verification
 loads only the layers its scenario runs.
 
 - ``hfe.smallmat``      small-matrix linear algebra over stacks, no BLAS at n <= 2
@@ -20,7 +19,7 @@ loads only the layers its scenario runs.
 - ``hfe.induction``     metaplectic-to-metalinear transition-function recipe (first use)
 - ``hfe.generators``    named generators of scenario data
 - ``hfe.schema``        the scenario JSON schema and its checker
-- ``hfe.scenario``      scenario files: loading, the built-in corpus
+- ``hfe.scenario``      scenario files: loading, generator evaluation, the built-in corpus
 - ``hfe.pipelines``     the verification stages over a loaded scenario
 - ``hfe.report``        verification reports and their serialization
 - ``hfe.cli``           scenario runner front end, and the process's exit path

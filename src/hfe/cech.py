@@ -8,7 +8,7 @@ roots become breadth-first tracking over component graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -18,36 +18,6 @@ from .errors import SingularityError, ValidationError, raise_first
 from .nerve import Nerve
 from .smallmat import det, mul
 from .tracking import cabs, cdiv, cmul, track_graph
-
-
-def _layout(group: str, n: int) -> tuple:
-    """The layout of a generator value of a cocycle group (see
-    groups.stack_values), the shapes of its arrays: an n x n matrix
-    (Gl), a pair of them (Glkd), an n x n matrix with its root (Ml), a
-    2n x 2n matrix with its anchor (Mp)."""
-    if group not in ("Gl", "Glkd", "Ml", "Mp"):
-        raise ValidationError(f"unknown cocycle group {group!r}")
-    square = (n, n)
-    return {"Gl": (square,), "Glkd": (square, square), "Ml": (square, ()),
-            "Mp": ((2 * n, 2 * n), ())}[group]
-
-
-def chart_stacks(nerve: Nerve, generators: dict[str, Callable], role: str,
-                 layout: tuple, kind: str) -> list[np.ndarray]:
-    """The generators of a chart role, one per chart, each evaluated once
-    on the stack of its chart's rows of the nerve, by
-    groups.stack_values; a chart without a generator, or a value that is
-    not ``kind`` (of the layout), raises ValidationError."""
-    sites = nerve.sites
-    missing = sorted(set(nerve.charts) - set(generators))
-    if missing:
-        raise ValidationError(f"no {role} for charts {missing}")
-    parts = [(generators[ch], nerve.site_params[rows.start:rows.stop],
-              [pid for _, pid in sites[rows.start:rows.stop]])
-             for ch, rows in nerve.charts.items()]
-    return G.stack_values(parts, layout,
-                          lambda r: f"{role} of chart {sites[r][0]!r} at "
-                                    f"{sites[r][1]} is not {kind}")
 
 
 class Cocycle:
@@ -65,39 +35,11 @@ class Cocycle:
 
     def __init__(self, group: str, n: int, k: int, mats: np.ndarray,
                  roots: Optional[np.ndarray] = None):
-        _layout(group, n)  # rejects an unknown group
         self.group = group
         self.n = n
         self.k = k
         self.mats = mats
         self.roots = roots
-
-    @classmethod
-    def evaluate(cls, group: str, n: int, k: int, nerve: Nerve,
-                 transitions: Sequence[Callable]) -> "Cocycle":
-        """The cocycle whose transition on each component of nerve.keys is
-        the generator in the same place of transitions (see
-        hfe.generators), evaluated once on the stack of the component's
-        rows by groups.stack_values.  A value that does not fit the
-        group's layout (see _layout) raises ValidationError, and so does
-        an Ml or Mp value that is not in its group."""
-        stacks = G.stack_values(
-            [(fn, nerve.params[rows.start:rows.stop], nerve.ids[rows.start:rows.stop])
-             for fn, rows in zip(transitions, nerve.components.values(), strict=True)],
-            _layout(group, n),
-            lambda r: f"transition of {nerve.keys[nerve.comp[r]][0]} at "
-                      f"{nerve.ids[r]} is not a {group} value for n={n}")
-        if group == "Glkd":
-            return cls(group, n, k, np.stack(stacks, axis=1))
-        if group == "Mp":
-            # a copy, so that the stack is contiguous
-            g = stacks[0].real.copy()
-            G.check_sp(g)
-            G.check_mp(g, stacks[1])
-            return cls(group, n, k, g, stacks[1])
-        if group == "Ml":
-            G.check_ml(*stacks)
-        return cls(group, n, k, *stacks)
 
     @classmethod
     def ml(cls, n: int, k: int, A: np.ndarray, z) -> "Cocycle":

@@ -25,14 +25,7 @@ class SchemaViolation(ValidationError):
 
 
 class SubgroupRejection(ValidationError):
-    """Block-pattern membership test failed.
-
-    Carries the indices of the offending entries.
-    """
-
-    def __init__(self, message: str, indices=()):
-        super().__init__(message)
-        self.indices = tuple(indices)
+    """Block-pattern membership test failed."""
 
 
 class SingularityError(EngineError):

@@ -8,8 +8,9 @@ chart), given as their (P, D) params (see nerve.Nerve) and their point
 ids, to the tuple of stacked arrays of their values: (P,) for a scalar,
 (P, m, m) for a matrix, and one such array per member of a tuple value
 (an Mp value (g, zeta), a frame (U, V), a pair of meta frames
-(W1, C1, z1, W2, C2, z2)).  groups.stack_values calls each once and
-checks the arrays against the layout of their role.
+(W1, C1, z1, W2, C2, z2)).  hfe.scenario alone builds and calls them:
+it evaluates each once and checks the arrays against the layout of
+their role.
 Complex scalars are written as a number or a two-element [re, im] list;
 matrices as nested lists of such scalars.
 """

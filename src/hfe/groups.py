@@ -13,8 +13,6 @@ or anchors; the membership tests raise for the first point that fails.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
 from . import ball
@@ -22,33 +20,6 @@ from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
 from .smallmat import det, inv, mul
 from .tracking import cabs, cmul, track_sqrt
-
-
-def stack_values(parts: Sequence[tuple[Callable, np.ndarray, Sequence[str]]],
-                 layout: tuple, error: Callable[[int], str]) -> list[np.ndarray]:
-    """Evaluate generators on stacks of rows of the nerve and stack their
-    values.  ``parts`` lists, in row order, triples (fn, params, ids) of
-    P rows each: fn(params, ids) is called once and returns one array of
-    shape (P, *shape) per shape of the layout.  Returns one complex stack
-    (R, *shape) per shape, R the total row count; raises
-    ValidationError(error(r)) for r the first row of the first part whose
-    arrays do not fit the layout, or else for the first row with a NaN or
-    infinite entry."""
-    values = [(fn(params, ids), len(params)) for fn, params, ids in parts]
-    row = 0
-    for arrays, size in values:
-        if len(arrays) != len(layout) or any(
-                np.shape(a) != (size, *shape) for a, shape in zip(arrays, layout)):
-            raise ValidationError(error(row))
-        row += size
-    stacks = [np.concatenate([np.empty((0, *shape), dtype=complex)]
-                             + [arrays[i] for arrays, _ in values])
-              for i, shape in enumerate(layout)]
-    finite = np.logical_and.reduce(
-        [np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks])
-    raise_first([(~finite, lambda r: ValidationError(
-        f"{error(r)}: it has a non-finite entry"))])
-    return stacks
 
 
 def rel_residual(x, target) -> np.ndarray:
@@ -187,19 +158,11 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
 
 def _region_check(message: str, dev: np.ndarray, regions, tol: float):
     """The check that every entry of dev[p] in the regions (pairs of row
-    and column slices with explicit starts) is within tol of zero."""
-    over = [np.abs(dev[:, r, c]) > tol for r, c in regions]
+    and column slices) is within tol of zero."""
     bad = np.zeros(len(dev), dtype=bool)
-    for o in over:
-        bad |= o.any(axis=(1, 2))
-
-    def error(p: int) -> SubgroupRejection:
-        return SubgroupRejection(message, [
-            (r.start + i, c.start + j)
-            for (r, c), o in zip(regions, over) for i, j in np.argwhere(o[p]).tolist()
-        ])
-
-    return bad, error
+    for r, c in regions:
+        bad |= (np.abs(dev[:, r, c]) > tol).any(axis=(1, 2))
+    return bad, lambda p: SubgroupRejection(message)
 
 
 def block_pattern(rules, corner: np.ndarray, k: int,
@@ -211,9 +174,9 @@ def block_pattern(rules, corner: np.ndarray, k: int,
     must be within tol of zero.  The k x k corner of corner[p] must then
     be real (real_message) and invertible.  Returns the checks, in the
     order one point is checked, for raise_first (a failing rule is a
-    SubgroupRejection with the offending indices, region by region and
-    row-major; a singular corner a SingularityError), the (P, k, k)
-    real parts of the corners and their (P,) determinants (1 for k = 0).
+    SubgroupRejection, a singular corner a SingularityError), the
+    (P, k, k) real parts of the corners and their (P,) determinants (1
+    for k = 0).
     """
     tols = get_tolerances()
     corners = corner[:, :k, :k]
@@ -247,7 +210,7 @@ def shared_corner(A1: np.ndarray, A2: np.ndarray, k: int) -> list:
     if not k:
         return []
     return [(np.max(np.abs(A1 - A2), axis=(-2, -1)) > get_tolerances().abs,
-             lambda p: SubgroupRejection("A-blocks differ across the pair", []))]
+             lambda p: SubgroupRejection("A-blocks differ across the pair"))]
 
 
 def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
@@ -277,7 +240,7 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
                 stray = ~(cabs(cmul(z, z) - d) <= bound * cabs(d))
             checks.append((stray,
                            lambda p, who=who: SubgroupRejection(
-                               f"z**2 != det(A) det(D) ({who})", [])))
+                               f"z**2 != det(A) det(D) ({who})")))
     raise_first(checks)
     if z1 is not None:
         blocks.update(z1=z1, z2=z2, factor=np.conj(z1) * z2 / np.abs(blocks["detA"]))
@@ -306,7 +269,7 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
         inv_res = np.max(np.abs(g[:, s[2], s[2]] - inv(A_g)), axis=(-2, -1))
         bound = check_bound(tols) * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
         raise_first([(~(inv_res <= bound), lambda p: SubgroupRejection(
-            "third diagonal block is not the inverse of the first", []))])
+            "third diagonal block is not the inverse of the first"))])
     g_r = np.concatenate([
         np.concatenate([g[:, s[1], s[1]], g[:, s[1], s[3]]], axis=-1),
         np.concatenate([g[:, s[3], s[1]], g[:, s[3], s[3]]], axis=-1),

@@ -12,12 +12,12 @@ compatible-cocycle machinery.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import ball, cech, compatibility
-from .cech import Cocycle, chart_stacks
+from .cech import Cocycle
 from .compatibility import DeltaTildeData, PolarizationPairData, draw_translations
 from .config import check_bound, get_tolerances, property_bound
 from .errors import EngineError, TheoremFalsification, ValidationError, raise_first
@@ -54,48 +54,6 @@ class MetaplecticBundleData:
         self.d_adapted = d_adapted
         self.n = mp_cocycle.n
         self.k = mp_cocycle.k
-
-
-class FrameSectionData:
-    """Per-chart frame sections in chart coordinates: the stacks U and V
-    (R, n, n) of their frames (U, V) at every chart row of the nerve,
-    checked as positive Lagrangian frames by the transport."""
-
-    def __init__(self, U: np.ndarray, V: np.ndarray):
-        self.U = U
-        self.V = V
-
-    @classmethod
-    def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
-                 ) -> "FrameSectionData":
-        """The sections of a family of chart generators, evaluated once."""
-        return cls(*chart_stacks(nerve, generators, "section", ((n, n), (n, n)),
-                                 f"a frame (U, V) for n={n}"))
-
-
-class PairSectionData:
-    """Per-chart pairs of meta frames (W, (C, z)) in block form: at every
-    chart row of the nerve, W1, C1, z1 of the first frame and W2,
-    C2, z2 of the second, the W and C as stacks (R, n, n) and the z as
-    (R,) arrays.  build_delta_D_tilde checks them as Ball points and
-    metalinear frames."""
-
-    def __init__(self, W1: np.ndarray, C1: np.ndarray, z1: np.ndarray,
-                 W2: np.ndarray, C2: np.ndarray, z2: np.ndarray):
-        self.W1 = W1
-        self.C1 = C1
-        self.z1 = z1
-        self.W2 = W2
-        self.C2 = C2
-        self.z2 = z2
-
-    @classmethod
-    def evaluate(cls, nerve: Nerve, n: int, generators: dict[str, Callable]
-                 ) -> "PairSectionData":
-        """The pair sections of chart generators, evaluated once."""
-        meta = ((n, n), (n, n), ())
-        return cls(*chart_stacks(nerve, generators, "pair section", meta + meta,
-                                 f"a pair of meta frames (W, C, z) for n={n}"))
 
 
 def chart_sqrt_values(nerve: Nerve, values, flips: dict[str, int]) -> np.ndarray:
@@ -166,13 +124,15 @@ class SectionTransport:
         self.gW = gW
 
 
-def transport(data: MetaplecticBundleData, sections: FrameSectionData
+def transport(data: MetaplecticBundleData, sections: tuple[np.ndarray, ...]
               ) -> SectionTransport:
     """The sheet-independent part of the recipe for a section family on
-    a bundle, which every recipe run on that family shares."""
+    a bundle, which every recipe run on that family shares: sections are
+    the stacks (U, V) (R, n, n) of its frames at every chart row of the
+    nerve (see scenario.Scenario)."""
     tols = get_tolerances()
     nerve = data.nerve
-    U, V = sections.U, sections.V
+    U, V = sections
     W, C = ball.phi_raw(U, V)
     raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
         f"section frame not positive at {nerve.sites[r][1]}"))])
@@ -255,7 +215,7 @@ class SectionFamily:
     tolerances, transports its sections afresh.
     """
 
-    def __init__(self, bundle: MetaplecticBundleData, sections: FrameSectionData):
+    def __init__(self, bundle: MetaplecticBundleData, sections: tuple[np.ndarray, ...]):
         self.bundle = bundle
         self.sections = sections
         self._plain: Optional[tuple[SectionTransport, RecipeResult]] = None
@@ -276,7 +236,8 @@ class SectionFamily:
         return self._plain
 
 
-def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionData,
+def build_delta_D_tilde(data: MetaplecticBundleData,
+                        pair_sections: tuple[np.ndarray, ...],
                         rng: Draws) -> DeltaTildeData:
     """Global square-root pairing datum on a D-adapted metaplectic bundle.
 
@@ -284,11 +245,13 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     block form; gluing across an overlap is the invariance of that value
     under the (diagonal) metaplectic block action — verified here, not
     assumed.  The square identity against delta_L and the metalinear-pair
-    transformation law are checked at sample points.  Each check runs on
-    the stacks of all sample points at once, after the pair sections
-    are checked as Ball points and metalinear frames.  Gamma is tracked
-    once: the translated pairs have the same W stacks, so the law's
-    values reuse it after their own block-pattern checks.
+    transformation law are checked at sample points.  pair_sections are
+    the stacks (W1, C1, z1, W2, C2, z2) at every chart row of the nerve
+    (see scenario.Scenario).  Each check runs on the stacks of all
+    sample points at once, after the pair sections are checked as Ball
+    points and metalinear frames.  Gamma is tracked once: the translated
+    pairs have the same W stacks, so the law's values reuse it after
+    their own block-pattern checks.
     """
     if not data.d_adapted:
         raise ValidationError("requires D-adapted metaplectic data")
@@ -296,9 +259,7 @@ def build_delta_D_tilde(data: MetaplecticBundleData, pair_sections: PairSectionD
     nerve, n, k = data.nerve, data.n, data.k
 
     # the values at every chart row serve the gluing and the chart checks
-    s = pair_sections
-    W1, C1, z1 = s.W1, s.C1, s.z1
-    W2, C2, z2 = s.W2, s.C2, s.z2
+    W1, C1, z1, W2, C2, z2 = pair_sections
     # each point's first W, first (C, z), second W and second (C, z)
     raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
                 + ml_checks(C2, z2))

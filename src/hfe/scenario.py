@@ -5,8 +5,11 @@ scalar fields, frame sections, and the list of verification pipelines to
 run on them.  Everything is declarative: transition functions and
 sections are generator descriptions resolved by :mod:`hfe.generators`,
 and loading evaluates every generator once, on the stack of the points
-its consumer reads.  A document is first checked against the scenario
-schema of :mod:`hfe.schema`.
+its consumer reads.  This module is the one place that evaluates
+generators: it holds each role's layout, the shapes of the arrays a
+generator returns for it, and the rule that names the first bad row.
+A document is first checked against the scenario schema of
+:mod:`hfe.schema`.
 """
 
 from __future__ import annotations
@@ -14,25 +17,30 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cech import Cocycle, chart_stacks
+from . import groups as G
+from .cech import Cocycle
 from .config import get_tolerances, loosest, tolerance_overrides
-from .errors import ValidationError
+from .errors import ValidationError, raise_first
 from .generators import build_generator, parse_complex
-from .groups import stack_values
 from .nerve import Nerve
 from .schema import SCENARIO_SCHEMA, _check_schema
-
-if TYPE_CHECKING:  # _build_scenario imports them for the documents that have them
-    from .induction import FrameSectionData, PairSectionData
 
 
 class Scenario:
     """A loaded scenario with every generator evaluated; load_scenario
-    sets the optional parts that the document has."""
+    sets the optional parts that the document has.
+
+    A frame-section family (sections_first, sections_second) is the
+    stacks (U, V), each (R, n, n), of its frames at every chart row of
+    the nerve; the transport checks them as positive Lagrangian frames.
+    pair_sections is the stacks (W1, C1, z1, W2, C2, z2) of a pair of
+    meta frames (W, (C, z)) in block form at every chart row, the W and
+    C (R, n, n) and the z (R,); build_delta_D_tilde checks them as Ball
+    points and metalinear frames."""
 
     def __init__(self, name: str, n: int, k: int, nerve: Nerve, pipelines: list[str],
                  d_adapted: bool, expectations: dict,
@@ -49,12 +57,70 @@ class Scenario:
         self.gl_cocycle: Optional[Cocycle] = None
         self.mp_cocycle: Optional[Cocycle] = None
         self.delta_samples: Optional[np.ndarray] = None
-        self.sections_first: Optional[FrameSectionData] = None
-        self.sections_second: Optional[FrameSectionData] = None
-        self.pair_sections: Optional[PairSectionData] = None
+        self.sections_first: Optional[tuple[np.ndarray, ...]] = None
+        self.sections_second: Optional[tuple[np.ndarray, ...]] = None
+        self.pair_sections: Optional[tuple[np.ndarray, ...]] = None
         self.self_compat_cases: list[dict] = []
         self.frame_pairs: list[dict] = []
         self.sign_cochains: dict[str, np.ndarray] = {}
+
+
+def stack_values(parts: Sequence[tuple[Callable, np.ndarray, Sequence[str]]],
+                 layout: tuple, error: Callable[[int], str]) -> list[np.ndarray]:
+    """Evaluate generators on stacks of rows of the nerve and stack their
+    values.  ``parts`` lists, in row order, triples (fn, params, ids) of
+    P rows each: fn(params, ids) is called once and returns one array of
+    shape (P, *shape) per shape of the layout.  Returns one complex stack
+    (R, *shape) per shape, R the total row count; raises
+    ValidationError(error(r)) for r the first row of the first part whose
+    arrays do not fit the layout, or else for the first row with a NaN or
+    infinite entry."""
+    values = [(fn(params, ids), len(params)) for fn, params, ids in parts]
+    row = 0
+    for arrays, size in values:
+        if len(arrays) != len(layout) or any(
+                np.shape(a) != (size, *shape) for a, shape in zip(arrays, layout)):
+            raise ValidationError(error(row))
+        row += size
+    stacks = [np.concatenate([np.empty((0, *shape), dtype=complex)]
+                             + [arrays[i] for arrays, _ in values])
+              for i, shape in enumerate(layout)]
+    finite = np.logical_and.reduce(
+        [np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks])
+    raise_first([(~finite, lambda r: ValidationError(
+        f"{error(r)}: it has a non-finite entry"))])
+    return stacks
+
+
+def evaluate_cocycle(group: str, n: int, k: int, nerve: Nerve,
+                     transitions: Sequence[Callable]) -> Cocycle:
+    """The cocycle whose transition on each component of nerve.keys is
+    the generator in the same place of transitions, evaluated once on
+    the stack of the component's rows by stack_values.  A value of an
+    n x n matrix (Gl), a pair of them (Glkd), an n x n matrix with its
+    root (Ml) or a 2n x 2n matrix with its anchor (Mp) that does not fit
+    that layout raises ValidationError, and so does an Ml or Mp value
+    that is not in its group."""
+    square = (n, n)
+    layout = {"Gl": (square,), "Glkd": (square, square), "Ml": (square, ()),
+              "Mp": ((2 * n, 2 * n), ())}[group]
+    stacks = stack_values(
+        [(fn, nerve.params[rows.start:rows.stop], nerve.ids[rows.start:rows.stop])
+         for fn, rows in zip(transitions, nerve.components.values(), strict=True)],
+        layout,
+        lambda r: f"transition of {nerve.keys[nerve.comp[r]][0]} at "
+                  f"{nerve.ids[r]} is not a {group} value for n={n}")
+    if group == "Glkd":
+        return Cocycle(group, n, k, np.stack(stacks, axis=1))
+    if group == "Mp":
+        # a copy, so that the stack is contiguous
+        g = stacks[0].real.copy()
+        G.check_sp(g)
+        G.check_mp(g, stacks[1])
+        return Cocycle(group, n, k, g, stacks[1])
+    if group == "Ml":
+        G.check_ml(*stacks)
+    return Cocycle(group, n, k, *stacks)
 
 
 def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
@@ -79,24 +145,37 @@ def _build_cocycle(doc: dict, nerve: Nerve, n: int, k: int) -> Cocycle:
         pair = missing[0][0]
         raise ValidationError(f"cocycle missing transitions for {pair} components "
                               f"{[ci for p, ci in missing if p == pair]}")
-    return Cocycle.evaluate(doc["group"], n, k, nerve, [table[key] for key in nerve.keys])
+    return evaluate_cocycle(doc["group"], n, k, nerve, [table[key] for key in nerve.keys])
 
 
-def _build_chart_generators(doc: dict, nerve: Nerve, n: int, k: int
-                            ) -> dict[str, Callable]:
-    out = {}
+def chart_stacks(doc: dict, nerve: Nerve, n: int, k: int, role: str,
+                 layout: tuple, kind: str) -> tuple[np.ndarray, ...]:
+    """The generators of a chart role, one per chart, each evaluated once
+    on the stack of its chart's rows of the nerve, by stack_values.  A
+    generator for a chart the nerve does not have, a chart without a
+    generator, or a value that is not ``kind`` (of the layout) raises
+    ValidationError."""
+    generators = {}
     for ch, gen in doc.items():
         if ch not in nerve.charts:
             raise ValidationError(f"generator for unknown chart {ch!r}")
-        out[ch] = build_generator(gen, n, k)
-    return out
+        generators[ch] = build_generator(gen, n, k)
+    sites = nerve.sites
+    missing = sorted(set(nerve.charts) - set(generators))
+    if missing:
+        raise ValidationError(f"no {role} for charts {missing}")
+    parts = [(generators[ch], nerve.site_params[rows.start:rows.stop],
+              [pid for _, pid in sites[rows.start:rows.stop]])
+             for ch, rows in nerve.charts.items()]
+    return tuple(stack_values(parts, layout,
+                              lambda r: f"{role} of chart {sites[r][0]!r} at "
+                                        f"{sites[r][1]} is not {kind}"))
 
 
 def _build_delta_samples(doc: dict, nerve: Nerve, n: int, k: int) -> np.ndarray:
     """Delta-sample generators, one per chart, each evaluated once on its
     chart's rows of the nerve: the (R,) stack of their scalar values."""
-    values, = chart_stacks(nerve, _build_chart_generators(doc, nerve, n, k),
-                           "delta sample", ((),), "a scalar")
+    values, = chart_stacks(doc, nerve, n, k, "delta sample", ((),), "a scalar")
     return values
 
 
@@ -192,17 +271,18 @@ def _build_scenario(doc: dict) -> Scenario:
     if "delta_samples" in doc:
         sc.delta_samples = _build_delta_samples(doc["delta_samples"], nerve, n, k)
     sections = doc.get("sections", {})
-    if sections or "pair_sections" in doc:
-        from .induction import FrameSectionData, PairSectionData
+    frame = ((n, n), (n, n))
     if "first" in sections:
-        sc.sections_first = FrameSectionData.evaluate(
-            nerve, n, _build_chart_generators(sections["first"], nerve, n, k))
+        sc.sections_first = chart_stacks(sections["first"], nerve, n, k, "section",
+                                         frame, f"a frame (U, V) for n={n}")
     if "second" in sections:
-        sc.sections_second = FrameSectionData.evaluate(
-            nerve, n, _build_chart_generators(sections["second"], nerve, n, k))
+        sc.sections_second = chart_stacks(sections["second"], nerve, n, k, "section",
+                                          frame, f"a frame (U, V) for n={n}")
     if "pair_sections" in doc:
-        sc.pair_sections = PairSectionData.evaluate(
-            nerve, n, _build_chart_generators(doc["pair_sections"], nerve, n, k))
+        meta = ((n, n), (n, n), ())
+        sc.pair_sections = chart_stacks(doc["pair_sections"], nerve, n, k, "pair section",
+                                        meta + meta,
+                                        f"a pair of meta frames (W, C, z) for n={n}")
     for case in doc.get("self_compat", []):
         sc.self_compat_cases.append(
             {

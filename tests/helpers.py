@@ -47,7 +47,7 @@ def nerve_doc(charts, overlaps=None, triples=None) -> dict:
 
 def by_key(nerve, transitions: dict) -> list:
     """The generators transitions[pair][ci] in the order of nerve.keys,
-    as Cocycle.evaluate takes them."""
+    as scenario.evaluate_cocycle takes them."""
     return [transitions[pair][ci] for pair, ci in nerve.keys]
 
 

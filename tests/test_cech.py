@@ -31,6 +31,7 @@ from hfe.scenario import (
     _build_sign_cochain,
     builtin_scenario_names,
     builtin_scenario_path,
+    evaluate_cocycle,
 )
 from hfe.smallmat import det
 from hfe.tracking import Walk
@@ -71,7 +72,7 @@ def test_nerve_rejects_malformed():
 
 def test_validate_cocycle_accepts_consistent_triangle():
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[6.0]]),),
@@ -82,7 +83,7 @@ def test_validate_cocycle_accepts_consistent_triangle():
 
 def test_validate_cocycle_flags_broken_identity():
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[2.0]]),),
         ("b", "c"): (_const([[3.0]]),),
         ("a", "c"): (_const([[5.0]]),),
@@ -104,7 +105,7 @@ def test_validate_mp_cocycle_on_triangle(sheet):
     # e^{i theta/2}; the other sheet over t_ac misses the product's
     # anchor by 2 at both triple points
     nerve = triangle_nerve(("p", "q"))
-    c = Cocycle.evaluate("Mp", 1, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Mp", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_rotation(0.7),),
         ("b", "c"): (_rotation(1.9),),
         ("a", "c"): (_rotation(2.6, sheet),),
@@ -141,7 +142,7 @@ def test_mp_triangle_residuals_are_pinned():
         values[p] = ((g1, _alpha0_root(g1, 1 + 3e-9 if i == 2 else 1.0)),
                      (g2, _alpha0_root(g2)),
                      (g1 @ g2, _alpha0_root(g1 @ g2, {0: 1 + 2e-8, 3: -1.0}.get(i, 1.0))))
-    c = Cocycle.evaluate("Mp", 2, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Mp", 2, 0, nerve, by_key(nerve, {
         pair: (per_point(lambda pid, _, j=j: values[pid][j]),)
         for j, pair in enumerate(SIDES)}))
     assert validate_cocycle(nerve, c) == {
@@ -169,7 +170,7 @@ def test_gl_cocycle_with_an_overflowing_product_fails():
     nerve = triangle_nerve()
     values = {("a", "b"): [[1e200, 1e200], [0.0, 1.0]],
               ("b", "c"): [[1e200, 0.0], [-1e200, 1.0]], ("a", "c"): np.eye(2)}
-    c = Cocycle.evaluate("Gl", 2, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Gl", 2, 0, nerve, by_key(nerve, {
         pair: (_const(value),) for pair, value in values.items()}))
     report = validate_cocycle(nerve, c)
     assert not report["ok"] and np.isnan(report["max_residual"])
@@ -184,24 +185,24 @@ def test_cocycle_evaluates_each_transition_once_per_component():
         calls.append(list(ids))
         return (np.ones((len(params), 1, 1)),)
 
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, [fn, _const([[2.0]])])
+    c = evaluate_cocycle("Gl", 1, 0, nerve, [fn, _const([[2.0]])])
     assert calls == [["east"]]
     assert np.allclose(c.mats, [np.eye(1), [[2.0]]])
     # one call on the stack of a component's two points
     calls.clear()
-    c = Cocycle.evaluate("Gl", 1, 0, triangle_nerve(("p", "q")), [fn] * 3)
+    c = evaluate_cocycle("Gl", 1, 0, triangle_nerve(("p", "q")), [fn] * 3)
     assert calls == [["p", "q"]] * 3
     assert c.mats.tolist() == [[[1.0]]] * 6
     # one generator per component
     with pytest.raises(ValueError):
-        Cocycle.evaluate("Gl", 1, 0, nerve, [fn])
+        evaluate_cocycle("Gl", 1, 0, nerve, [fn])
     with pytest.raises(ValidationError, match="1 values for 2 sample points"):
         validate_cocycle(nerve, Cocycle("Gl", 1, 0, c.mats[:1]))
 
 
 def test_push_cocycle_pair_first():
     nerve = circle_nerve()
-    pc = Cocycle.evaluate("Glkd", 1, 0, nerve, [
+    pc = evaluate_cocycle("Glkd", 1, 0, nerve, [
         per_point(lambda *_: (np.array([[2.0]]), np.array([[5.0]])))] * 2)
     first = push_cocycle(pc)
     assert first.group == "Gl"
@@ -212,7 +213,7 @@ def test_lift_double_cover_correctable_defect():
     # three -1 transitions on a triangle: principal roots give defect -1,
     # which is a coboundary of component flips
     nerve = triangle_nerve()
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_const([[-1.0]]),),
         ("b", "c"): (_const([[-1.0]]),),
         ("a", "c"): (_const([[1.0]]),),
@@ -245,7 +246,7 @@ def test_lift_double_cover_obstructed():
             ("t0", {("a", "b"): (0, 0), ("b", "c"): (0, 0), ("a", "c"): (0, 0)}),
             ("t8", {("a", "b"): (0, 8), ("b", "c"): (0, 1), ("a", "c"): (0, 1)}),
         ]}))
-    c = Cocycle.evaluate("Gl", 1, 0, nerve, by_key(nerve, {
+    c = evaluate_cocycle("Gl", 1, 0, nerve, by_key(nerve, {
         ("a", "b"): (_winding,),
         ("b", "c"): (_const([[1.0]]),),
         ("a", "c"): (_winding,),  # equals 1 at both triple points
@@ -261,7 +262,7 @@ def test_lift_tracks_branch_along_component():
     # a determinant winding once around zero forces the other sheet at
     # the far end of the component
     nerve = Nerve(nerve_doc("ab", {("a", "b"): [_path(9)]}))
-    lifted = lift_double_cover(nerve, Cocycle.evaluate("Gl", 1, 0, nerve, [_winding]))
+    lifted = lift_double_cover(nerve, evaluate_cocycle("Gl", 1, 0, nerve, [_winding]))
     z_end = lifted.roots[-1]
     assert abs(z_end + 1.0) < 1e-9  # continued onto the other sheet
 
@@ -271,7 +272,7 @@ def test_lift_rejects_too_coarse_edges():
     nerve = Nerve(nerve_doc("ab", {("a", "b"): [comp]}))
 
     with pytest.raises(TrackingError):
-        lift_double_cover(nerve, Cocycle.evaluate("Gl", 1, 0, nerve, [_winding]))
+        lift_double_cover(nerve, evaluate_cocycle("Gl", 1, 0, nerve, [_winding]))
 
 
 def test_lifts_equivalent_witness_and_rejection():

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import hfe.cli as cli
-from hfe.errors import ValidationError
+from hfe import pipelines
+from hfe.errors import TheoremFalsification, ValidationError
 from hfe.pipelines import PIPELINE_ORDER, run_scenario
 from hfe.report import CheckRecord, VerificationReport, emit_report
 from hfe.scenario import (
@@ -536,6 +537,38 @@ def test_exit_3_on_falsification(capsys, monkeypatch):
     assert "FALSIFIED" in out
 
 
+def test_a_stage_that_raises_a_falsification_falsifies_the_run(capsys, monkeypatch):
+    # run_scenario records the falsification, marks the report, and skips
+    # the stages that consume what the falsified stage would produce
+    def falsified(*args):
+        raise TheoremFalsification("lift falsified")
+
+    monkeypatch.setitem(pipelines._RUNNERS, "lift", falsified)
+    code, out, err = run(capsys, "verify", "circle_mobius", "--report", "json")
+    assert (code, err) == (3, "")
+    doc = json.loads(out)
+    assert doc["status"] == "falsified"
+    checks = {c["id"]: c for c in doc["checks"]}
+    record = checks["lift.falsification"]
+    assert (record["anchor"], record["pass"], record["failures"]) == (
+        "theorem.violated", False, ["lift falsified"])
+    for consumer in ("induce", "delta_tilde"):
+        assert checks[f"{consumer}.skipped"]["details"]["reason"] == (
+            "lift failed (see lift.falsification)")
+
+
+def test_cross_check_on_mp_data_that_is_not_d_adapted(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "abstract_k1_nonorientable",
+                          lambda doc: doc.update(d_adapted=False))
+    code, out, err = run(capsys, "verify", path, "--report", "json")
+    assert (code, err) == (1, "")
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["delta_D.error"]["failures"] == [
+        "ValidationError: requires D-adapted metaplectic data"]
+    assert checks["cross_check.error"]["failures"] == [
+        "ValidationError: cross_check requires D-adapted data"]
+
+
 def test_exit_4_when_no_check_runs(tmp_path, capsys):
     # a report of skipped records only, or of none, read PASS and exit 0
     code, out, _ = run(capsys, "verify", "trivial_r2", "--pipeline", "recipe")
@@ -1042,7 +1075,6 @@ def test_exit_2_on_a_sign_cochain_that_means_nothing(edit, message, tmp_path, ca
 def test_obstruction_is_skipped_when_validate_fails(monkeypatch, capsys):
     # gl.cocycle is missing because its producer failed, not because the
     # scenario has none: the lift check must not vanish silently
-    from hfe import pipelines
     from hfe.errors import EngineError
 
     def broken(nerve, cocycle):
@@ -1492,6 +1524,19 @@ def test_exit_2_on_a_chart_role_without_a_chart(name, edit, message, tmp_path,
     assert err.startswith(f"error: invalid scenario data: {message}")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(k=doc["n"] + 1), "k must not exceed n"),
+    (lambda doc: doc["delta_samples"].update(zz=doc["delta_samples"]["0"]),
+     "generator for unknown chart 'zz'"),
+], ids=["k-above-n", "unknown-chart"])
+def test_exit_2_on_a_document_that_fails_to_load(edit, message, tmp_path, capsys):
+    # each passes the schema and is rejected while the scenario loads
+    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid scenario data: {message}\n"
+
+
 def _loose_mp_anchor(doc):
     # zeta**2 is off det alpha(g, 0) = 1 by 2e-8: inside the load-time
     # check at the default tolerances, outside the membership bound at
@@ -1555,24 +1600,25 @@ def test_pair_data_consistency_includes_the_pair_cocycle_check(tmp_path, capsys)
         for point in ("q_EN", "q_WN")] + cocycle
 
 
-def _extra_transition(component):
-    """A circle_mobius edit adding a pair_cocycle transition for a
-    component of overlap ('0', '1')."""
+def _extra_transition(fields):
+    """A circle_mobius edit adding a pair_cocycle transition: the first
+    one, for component 0 of overlap ('0', '1'), with fields changed."""
     def edit(doc):
         transitions = doc["pair_cocycle"]["transitions"]
-        transitions.append({**transitions[0], "component": component})
+        transitions.append({**transitions[0], **fields})
     return edit
 
 
-@pytest.mark.parametrize("component, message", [
-    (7, "cocycle references unknown component 7 of overlap ('0', '1')"),
-    (0, "cocycle has two transitions for overlap ('0', '1') component 0"),
-], ids=["unknown-component", "repeated-component"])
-def test_exit_2_on_malformed_cocycle_transitions(component, message, tmp_path,
+@pytest.mark.parametrize("fields, message", [
+    ({"component": 7}, "cocycle references unknown component 7 of overlap ('0', '1')"),
+    ({"component": 0}, "cocycle has two transitions for overlap ('0', '1') component 0"),
+    ({"pair": ["0", "9"]}, "cocycle references unknown overlap ('0', '9')"),
+], ids=["unknown-component", "repeated-component", "unknown-overlap"])
+def test_exit_2_on_malformed_cocycle_transitions(fields, message, tmp_path,
                                                  capsys):
-    # both used to load: the unknown component was ignored, and the last
-    # of two transitions for one component was kept
-    path = _scenario_file(tmp_path, "circle_mobius", _extra_transition(component))
+    # the first two used to load: the unknown component was ignored, and
+    # the last of two transitions for one component was kept
+    path = _scenario_file(tmp_path, "circle_mobius", _extra_transition(fields))
     code, out, err = run(capsys, "verify", path)
     assert code == 2
     assert out == ""
@@ -1641,6 +1687,8 @@ _EMPTY = _component(1, points=[])
     ("circle_mobius", _EMPTY, "overlap component needs at least one point"),
     ("circle_mobius", _component(0, edges=[[0, 1]]), "edge references a missing point"),
     ("circle_mobius", _APART, "overlap component graph is disconnected"),
+    ("circle_mobius", _component(0, points=[{"id": "east", "params": [10 ** 400]}]),
+     "sample point params must fit a float"),
     # two faults: the components are checked first, in document order
     ("circle_mobius", _both(lambda nv: nv["charts"].append("0"), _APART),
      "overlap component graph is disconnected"),
@@ -1650,7 +1698,7 @@ _EMPTY = _component(1, points=[])
      "overlap component needs at least one point"),
 ], ids=["duplicate-charts", "self-overlap", "unsorted-pair", "unknown-chart",
         "bad-triple-key", "missing-membership", "bad-membership", "id-mismatch",
-        "empty-component", "edge-out-of-range", "disconnected",
+        "empty-component", "edge-out-of-range", "disconnected", "huge-param",
         "duplicate-charts-and-disconnected", "empty-after-disconnected",
         "disconnected-after-empty"])
 def test_exit_2_on_a_malformed_nerve(name, edit, message, tmp_path, capsys):

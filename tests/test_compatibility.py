@@ -16,7 +16,7 @@ from hfe.compatibility import (
 from hfe.errors import GluingError, ValidationError
 from hfe.nerve import Nerve
 from hfe.pipelines import run_scenario
-from hfe.scenario import builtin_scenario_path
+from hfe.scenario import builtin_scenario_path, evaluate_cocycle
 
 from helpers import component, nerve_doc, per_point
 
@@ -50,7 +50,7 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
     """Two-chart, two-component pair data with a twisted west transition."""
     n = len(g2_west)
     nerve = circle_nerve()
-    pair_c = Cocycle.evaluate(
+    pair_c = evaluate_cocycle(
         "Glkd", n, 0, nerve,
         [_pair_fn(np.eye(n)), _pair_fn(g2_west)],
     )
@@ -68,7 +68,7 @@ def _ml_const(A, z):
 
 
 def identity_lift(n):
-    return Cocycle.evaluate(
+    return evaluate_cocycle(
         "Ml", n, 0, circle_nerve(),
         [_ml_const(np.eye(n), 1.0), _ml_const(np.eye(n), 1.0)],
     )
@@ -101,7 +101,7 @@ def test_pair_data_requires_glkd():
     with pytest.raises(ValidationError):
         PolarizationPairData(
             circle_nerve(),
-            Cocycle.evaluate("Gl", 1, 0, circle_nerve(),
+            evaluate_cocycle("Gl", 1, 0, circle_nerve(),
                              [per_point(lambda *_: np.eye(1))] * 2),
             _samples(a=lambda pid: 1.0, b=lambda pid: 1.0),
         )
@@ -124,7 +124,7 @@ def test_induce_requires_normalized_data():
 
 def test_induce_requires_ml_lift():
     norm = normalize_sections(circle_pair_data())
-    gl = Cocycle.evaluate("Gl", 2, 0, norm.nerve,
+    gl = evaluate_cocycle("Gl", 2, 0, norm.nerve,
                           [per_point(lambda *_: np.eye(2))] * 2)
     with pytest.raises(ValidationError):
         induce_compatible(norm, gl)
@@ -134,7 +134,7 @@ def test_induce_rejects_premise_violation():
     # data that claims to be normalized but whose second member has a
     # non-unit determinant factor
     nerve = circle_nerve()
-    pair_c = Cocycle.evaluate(
+    pair_c = evaluate_cocycle(
         "Glkd", 2, 0, nerve,
         [_pair_fn(np.eye(2)), _pair_fn(np.diag([2.0, 1.0]))],
     )
@@ -211,7 +211,7 @@ def diagonal_pair_data(sign=1.0):
     """Diagonal pair data with real delta samples of one sign."""
     nerve = circle_nerve()
     g = np.array([[2.0]])
-    pair_c = Cocycle.evaluate(
+    pair_c = evaluate_cocycle(
         "Glkd", 1, 0, nerve,
         [per_point(lambda *_: (np.eye(1), np.eye(1))), per_point(lambda *_: (g, g))],
     )
@@ -224,7 +224,7 @@ def diagonal_pair_data(sign=1.0):
 
 
 def _diagonal_lift():
-    return Cocycle.evaluate(
+    return evaluate_cocycle(
         "Ml", 1, 0, circle_nerve(),
         [_ml_const(np.eye(1), 1.0), _ml_const([[2.0]], 2.0 ** 0.5)],
     )

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from hfe import ball, induction
-from hfe.cech import Cocycle, lifts_equivalent
+from hfe.cech import lifts_equivalent
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, validate_lagrangian
 from hfe.induction import (
-    FrameSectionData,
     MetaplecticBundleData,
     SectionFamily,
     _mp_act_stack,
@@ -22,7 +21,7 @@ from hfe.induction import (
     transport,
 )
 from hfe.nerve import Nerve
-from hfe.scenario import builtin_scenario_path, load_scenario
+from hfe.scenario import builtin_scenario_path, evaluate_cocycle, load_scenario
 
 from helpers import component, nerve_doc, per_point
 
@@ -41,7 +40,7 @@ def _mp_rotation(theta):
 
 def rotation_bundle(theta=math.pi / 2):
     nerve = circle_nerve()
-    mp_c = Cocycle.evaluate(
+    mp_c = evaluate_cocycle(
         "Mp", 1, 0, nerve, [_mp_rotation(0.0), _mp_rotation(theta)],
     )
     return MetaplecticBundleData(nerve, mp_c, d_adapted=False)
@@ -49,10 +48,11 @@ def rotation_bundle(theta=math.pi / 2):
 
 def _sections(UVa, UVb=None):
     """Sections of the circle nerve, the frame UVa on chart a and UVb
-    (by default the same) on chart b."""
-    return FrameSectionData.evaluate(circle_nerve(), 1, {
-        "a": per_point(lambda *_: UVa),
-        "b": per_point(lambda *_: UVa if UVb is None else UVb)})
+    (by default the same) on chart b: the stacks (U, V) over its chart
+    rows."""
+    frames = {"a": UVa, "b": UVa if UVb is None else UVb}
+    return tuple(np.array([frames[ch][i] for ch, _ in circle_nerve().sites], dtype=complex)
+                 for i in (0, 1))
 
 
 def holo_sections():

@@ -39,11 +39,11 @@ def _oracle_glk(A, k, label=""):
     n = A.shape[0]
     bad = [(i, j) for i in range(k, n) for j in range(k) if abs(A[i, j]) > tols.abs]
     if bad:
-        raise SubgroupRejection(f"nonzero lower-left block{label}", bad)
+        raise SubgroupRejection(f"nonzero lower-left block{label}")
     Ak = A[:k, :k]
     bad = [(i, j) for i in range(k) for j in range(k) if abs(Ak[i, j].imag) > tols.abs]
     if bad:
-        raise SubgroupRejection(f"A-block not real{label}", bad)
+        raise SubgroupRejection(f"A-block not real{label}")
     Ak = Ak.real
     if k and abs(np.linalg.det(Ak)) <= tols.singular:
         raise SingularityError("A-block singular")
@@ -56,14 +56,14 @@ def _oracle_frame(U, V, k):
     bad = [(i, j) for i in range(n) for j in range(k) if abs(V[i, j]) > tols.abs]
     bad += [(i, j) for i in range(k) for j in range(k, n) if abs(V[i, j]) > tols.abs]
     if bad:
-        raise SubgroupRejection("V does not vanish on the D-block", bad)
+        raise SubgroupRejection("V does not vanish on the D-block")
     bad = [(i, j) for i in range(k, n) for j in range(k) if abs(U[i, j]) > tols.abs]
     if bad:
-        raise SubgroupRejection("U lower-left block nonzero", bad)
+        raise SubgroupRejection("U lower-left block nonzero")
     A = U[:k, :k]
     bad = [(i, j) for i in range(k) for j in range(k) if abs(A[i, j].imag) > tols.abs]
     if bad:
-        raise SubgroupRejection("A-block not real", bad)
+        raise SubgroupRejection("A-block not real")
     A = A.real
     if k and abs(np.linalg.det(A)) <= tols.singular:
         raise SingularityError("A-block singular")
@@ -81,15 +81,15 @@ def _oracle_meta(W, C, k):
     ]
     bad += [(i, j) for i in range(k, n) for j in range(k) if abs(W[i, j]) > 1e3 * tols.abs]
     if bad:
-        raise SubgroupRejection("W not of the form diag(1, Wr)", bad)
+        raise SubgroupRejection("W not of the form diag(1, Wr)")
     cb = {"A": None, "B": C[:k, k:], "Cr": C[k:, k:]}
     bad = [(i, j) for i in range(k, n) for j in range(k) if abs(C[i, j]) > tols.abs]
     if bad:
-        raise SubgroupRejection("C lower-left block nonzero", bad)
+        raise SubgroupRejection("C lower-left block nonzero")
     A = C[:k, :k]
     bad = [(i, j) for i in range(k) for j in range(k) if abs(A[i, j].imag) > tols.abs]
     if bad:
-        raise SubgroupRejection("C's A-block not real", bad)
+        raise SubgroupRejection("C's A-block not real")
     cb["A"] = A.real
     if k and abs(np.linalg.det(cb["A"])) <= tols.singular:
         raise SingularityError("A-block singular")
@@ -98,11 +98,11 @@ def _oracle_meta(W, C, k):
 
 
 def _outcome(fn):
-    """("ok", blocks) or the class, message and indices of what fn raised."""
+    """("ok", blocks) or the class and message of what fn raised."""
     try:
         return "ok", fn()
     except (SubgroupRejection, SingularityError) as exc:
-        return type(exc), str(exc), getattr(exc, "indices", None)
+        return type(exc), str(exc)
 
 
 def _first_failure(oracle, stacks):

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import hfe
-from hfe.cech import Cocycle, lift_double_cover
+from hfe.cech import lift_double_cover
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
 from hfe.induction import chart_sqrt_values
 from hfe.nerve import Nerve
+from hfe.scenario import evaluate_cocycle
 from hfe.smallmat import det
 from hfe.tracking import (
     _TAN_MAX_ARG,
@@ -464,7 +465,7 @@ def test_lift_tracking_matches_former_tracker(case):
     doc, vals = case
     nerve = Nerve(doc)
     fn = lambda pid: np.array([[vals[pid]]])  # noqa: E731
-    gl = Cocycle.evaluate("Gl", 1, 0, nerve,
+    gl = evaluate_cocycle("Gl", 1, 0, nerve,
                           [per_point(lambda pid, _: fn(pid))] * len(nerve.keys))
 
     def lifted():
@@ -514,7 +515,7 @@ def test_lift_rejects_a_non_finite_determinant():
     # a NaN that the kernel returns without a warning
     doc, vals = _path_case(np.eye(2), np.array([[1e200, 1e200], [1e200, 2e200]]))
     nerve = Nerve(doc)
-    gl = Cocycle.evaluate("Gl", 2, 0, nerve, [per_point(lambda pid, _: vals[pid] + 0j)])
+    gl = evaluate_cocycle("Gl", 2, 0, nerve, [per_point(lambda pid, _: vals[pid] + 0j)])
     with pytest.raises(TrackingError, match="value at p01 is not finite"):
         lift_double_cover(nerve, gl)
 
