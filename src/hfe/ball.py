@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import get_tolerances
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError
 from .smallmat import det, inv, mul, opnorm
 
 
@@ -33,10 +33,7 @@ def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     """Split a 2n x 2n matrix, or a stack of them, into its four n x n
     blocks (T1, T2; T3, T4)."""
     g = np.asarray(g)
-    m = g.shape[-1]
-    if g.ndim < 2 or g.shape[-2] != m or m % 2 != 0:
-        raise ValidationError("expected a square even-dimensional matrix")
-    n = m // 2
+    n = g.shape[-1] // 2
     return g[..., :n, :n], g[..., :n, n:], g[..., n:, :n], g[..., n:, n:]
 
 

@@ -75,11 +75,10 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
     """Check group membership of every value and the cocycle identity at
-    every triple sample point.  Returns a result dict with residuals."""
+    every triple sample point.  c has one row per overlap row of the
+    nerve, as every cocycle that loading or a kernel makes over it does.
+    Returns a result dict with residuals."""
     tols = get_tolerances()
-    if len(c.mats) != len(nerve.ids):
-        raise ValidationError(f"cocycle has {len(c.mats)} values for "
-                              f"{len(nerve.ids)} sample points")
     res = _membership_residuals(c)
     residuals = res.tolist()
     failures = [("membership", *nerve.keys[nerve.comp[r]], nerve.ids[r], residuals[r])
@@ -224,10 +223,9 @@ def lift_classes(nerve: Nerve) -> LiftClasses:
 
 def flip_sheets(nerve: Nerve, c: Cocycle, pattern: np.ndarray) -> Cocycle:
     """The Ml cocycle c with its z-sheet flipped on the components whose
-    bit of pattern (over nerve.keys) is set."""
-    rows = pattern.astype(bool)[nerve.comp]
-    z = np.where(rows, -c.roots, c.roots)
-    G.check_ml(c.mats[rows], z[rows])
+    bit of pattern (over nerve.keys) is set; negating a root is exact,
+    so the flipped rows are in Ml as c's are."""
+    z = np.where(pattern.astype(bool)[nerve.comp], -c.roots, c.roots)
     return Cocycle("Ml", c.n, c.k, c.mats, z)
 
 
@@ -240,7 +238,8 @@ def _sign_bits(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lift_double_cover(nerve: Nerve, c: Cocycle):
-    """Lift a Gl cocycle through the metalinear double cover.
+    """Lift a Gl cocycle (push_cocycle's) through the metalinear double
+    cover.
 
     Chooses a continuous square root of det t_ab per overlap component,
     each tracked from its first point with the principal root, solves
@@ -249,8 +248,6 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     defect bits over nerve.triples (a degree-2 sign cochain) are returned
     instead — the witness of a nontrivial obstruction class.
     """
-    if c.group != "Gl":
-        raise ValidationError("lift_double_cover expects a Gl cocycle")
     z = track_graph(det(c.mats), nerve.overlap_walk,
                     nerve.ids, 1, jump=lambda r: "(edge too long)",
                     cycle=lambda r: "around a cycle in component")

@@ -68,8 +68,6 @@ def raise_first(checks) -> None:
     error): bad a (P,) boolean array flagging the failing points, and
     error(p) the exception of point p.
     """
-    if not checks:
-        return
     bad = np.array([b for b, _ in checks])
     hit = bad.any(axis=0)
     if hit.any():

@@ -67,11 +67,9 @@ def validate_lagrangian(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def check_frame_pairs(S1: np.ndarray, S2: np.ndarray, k: int) -> None:
     """The pair test of the frames with stacked columns S1[p] and S2[p],
-    stacks (P, 2n, n): their first k columns are real and shared.  Raises
-    for the first pair that fails."""
-    n = S1.shape[-1]
-    if S2.shape[-1] != n or not (0 <= k <= n):
-        raise ValidationError("pair dimension/k mismatch")
+    stacks (P, 2n, n), for 0 <= k <= n (which loading requires of a
+    frame pair): their first k columns are real and shared.  Raises for
+    the first pair that fails."""
     if not k:
         return
     tol = get_tolerances().abs

@@ -268,5 +268,5 @@ def build_generator(spec: dict, n: int, k: int) -> Generator:
         return _REGISTRY[name](spec.get("params", {}), n, k)
     except KeyError as exc:
         raise ValidationError(f"generator {name!r}: missing parameter {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"generator {name!r}: {exc}") from exc

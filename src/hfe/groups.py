@@ -196,8 +196,6 @@ def _glk_pattern(A: np.ndarray, k: int, label: str = ""):
     checks of a stack A (P, n, n), its real corners and their
     determinants."""
     n = A.shape[-1]
-    if not (0 <= k <= n):
-        raise ValidationError(f"k={k} out of range for n={n}")
     return block_pattern(
         [(f"nonzero lower-left block{label}", A, [(slice(k, n), slice(0, k))],
           get_tolerances().abs)],
@@ -254,8 +252,6 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
     failing matrix; returns the blocks A_g and g_r as stacks."""
     tols = get_tolerances()
     n = g.shape[-1] // 2
-    if not (0 <= k <= n):
-        raise ValidationError(f"k={k} out of range for n={n}")
     s = [slice(0, k), slice(k, n), slice(n, n + k), slice(n + k, 2 * n)]
     zero_blocks = [(1, 0), (2, 0), (2, 1), (2, 3), (3, 0)]
     checks = [_region_check("zero pattern violated", g,

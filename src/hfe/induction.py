@@ -42,11 +42,10 @@ from .tracking import cdiv, cmul, track_graph
 
 class MetaplecticBundleData:
     """A metaplectic cocycle over a nerve, optionally in D-adapted form;
-    n and k are the cocycle's."""
+    n and k are the cocycle's, whose group the schema makes Mp.  A
+    D-adapted cocycle is checked as Spk-valued."""
 
     def __init__(self, nerve: Nerve, mp_cocycle: Cocycle, d_adapted: bool = False):
-        if mp_cocycle.group != "Mp":
-            raise ValidationError("mp cocycle must be Mp-valued")
         if d_adapted:
             spk_blocks(mp_cocycle.mats, mp_cocycle.k)
         self.nerve = nerve

@@ -96,13 +96,14 @@ def evaluate_cocycle(group: str, n: int, k: int, nerve: Nerve,
                      transitions: Sequence[Callable]) -> Cocycle:
     """The cocycle whose transition on each component of nerve.keys is
     the generator in the same place of transitions, evaluated once on
-    the stack of the component's rows by stack_values.  A value of an
-    n x n matrix (Gl), a pair of them (Glkd), an n x n matrix with its
-    root (Ml) or a 2n x 2n matrix with its anchor (Mp) that does not fit
-    that layout raises ValidationError, and so does an Ml or Mp value
-    that is not in its group."""
+    the stack of the component's rows by stack_values.  group is one of
+    the schema's cocycle groups: a value of an n x n matrix (Gl), a pair
+    of them (Glkd) or a 2n x 2n matrix with its anchor (Mp) that does
+    not fit that layout raises ValidationError, and so does an Mp value
+    that is not in its group.  An Ml cocycle is not evaluated from
+    generators: Cocycle.ml builds one from its stacks."""
     square = (n, n)
-    layout = {"Gl": (square,), "Glkd": (square, square), "Ml": (square, ()),
+    layout = {"Gl": (square,), "Glkd": (square, square),
               "Mp": ((2 * n, 2 * n), ())}[group]
     stacks = stack_values(
         [(fn, nerve.params[rows.start:rows.stop], nerve.ids[rows.start:rows.stop])
@@ -118,8 +119,6 @@ def evaluate_cocycle(group: str, n: int, k: int, nerve: Nerve,
         G.check_sp(g)
         G.check_mp(g, stacks[1])
         return Cocycle(group, n, k, g, stacks[1])
-    if group == "Ml":
-        G.check_ml(*stacks)
     return Cocycle(group, n, k, *stacks)
 
 
@@ -251,6 +250,9 @@ def _build_scenario(doc: dict) -> Scenario:
     n, k = doc["n"], doc["k"]
     if k > n:
         raise ValidationError("k must not exceed n")
+    for fp in doc.get("frame_pairs", []):
+        if fp["k"] > n:
+            raise ValidationError(f"frame pair {fp['name']!r}: k must not exceed n")
     nerve = Nerve(doc["nerve"])
     sc = Scenario(
         name=doc["name"],
@@ -319,7 +321,6 @@ def builtin_scenario_names() -> list[str]:
 
 
 def builtin_scenario_path(name: str) -> Path:
-    path = _BUILTIN_DIR / f"{name}.json"
-    if not path.is_file():
-        raise ValidationError(f"no built-in scenario named {name!r}")
-    return path
+    """The file of a built-in scenario, one that builtin_scenario_names
+    lists."""
+    return _BUILTIN_DIR / f"{name}.json"

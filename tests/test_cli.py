@@ -679,6 +679,14 @@ def test_an_unknown_pipeline_fails_a_batch_once_before_any_scenario(report, caps
     assert (code, out, err) == (2, "", "error: argument --pipeline: unknown pipelines ['bogus']\n")
 
 
+def test_exit_2_on_an_unknown_pipeline_a_document_declares(tmp_path, capsys):
+    path = _scenario_file(tmp_path, "trivial_r2",
+                          lambda doc: doc["pipelines"].append("bogus"))
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out, err) == (
+        2, "", "error: invalid scenario data: unknown pipelines ['bogus']\n")
+
+
 def test_exit_2_on_unknown_scenario_tolerance(tmp_path, capsys):
     doc = json.loads(builtin_scenario_path("trivial_r2").read_text())
     doc["tolerances"] = {"bogus": 1.0}
@@ -931,6 +939,19 @@ def _wide_frame_point(doc):
     frame["params"]["W"] = [[0, 1]]
 
 
+def _text_pair_member(doc):
+    pair = doc["pair_cocycle"]["transitions"][0]["generator"]
+    assert pair["name"] == "pair_const"
+    pair["params"]["first"] = "x"
+
+
+def _huge_pair_entry(doc):
+    # an integer beyond the float range
+    pair = doc["pair_cocycle"]["transitions"][0]["generator"]
+    assert pair["name"] == "pair_const"
+    pair["params"]["first"] = [[10 ** 400]]
+
+
 def _ml_const_transition(doc):
     doc["mp_cocycle"]["transitions"][0]["generator"] = {
         "name": "ml_const", "params": {"A": [[1]]}}
@@ -946,6 +967,13 @@ def _ml_const_transition(doc):
      "generator 'frame_phi_inv': parameter 'W' must be 1 x 1, got 1 x 2"),
     # no role takes an Ml value, so the vocabulary has no Ml generator
     (_ml_const_transition, "unknown generator 'ml_const'"),
+    # the two parse errors name their generator, as every other does
+    pytest.param(_text_pair_member,
+                 "generator 'pair_const': cannot parse matrix from 'x'",
+                 id="text-pair-member"),
+    pytest.param(_huge_pair_entry,
+                 f"generator 'pair_const': cannot parse complex scalar from {10 ** 400!r}",
+                 id="huge-pair-entry"),
 ])
 def test_exit_2_on_malformed_generator_params(edit, message, tmp_path, capsys):
     path = _scenario_file(tmp_path, "circle_mobius", edit)
@@ -1524,14 +1552,26 @@ def test_exit_2_on_a_chart_role_without_a_chart(name, edit, message, tmp_path,
     assert err.startswith(f"error: invalid scenario data: {message}")
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc.update(k=doc["n"] + 1), "k must not exceed n"),
-    (lambda doc: doc["delta_samples"].update(zz=doc["delta_samples"]["0"]),
+def _frame_pair_k_above_n(doc):
+    pair = doc["frame_pairs"][4]
+    assert pair["name"] == "shared_vertical_k1" and doc["n"] == 1
+    pair["k"] = 2
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("circle_mobius", lambda doc: doc.update(k=doc["n"] + 1), "k must not exceed n"),
+    ("circle_mobius",
+     lambda doc: doc["delta_samples"].update(zz=doc["delta_samples"]["0"]),
      "generator for unknown chart 'zz'"),
-], ids=["k-above-n", "unknown-chart"])
-def test_exit_2_on_a_document_that_fails_to_load(edit, message, tmp_path, capsys):
+    # it used to load, and the frame_pairs stage recorded "pair
+    # dimension/k mismatch" with exit 1
+    ("trivial_r2", _frame_pair_k_above_n,
+     "frame pair 'shared_vertical_k1': k must not exceed n"),
+], ids=["k-above-n", "unknown-chart", "frame-pair-k-above-n"])
+def test_exit_2_on_a_document_that_fails_to_load(name, edit, message, tmp_path,
+                                                 capsys):
     # each passes the schema and is rejected while the scenario loads
-    path = _scenario_file(tmp_path, "circle_mobius", edit)
+    path = _scenario_file(tmp_path, name, edit)
     code, out, err = run(capsys, "verify", path)
     assert (code, out) == (2, "")
     assert err == f"error: invalid scenario data: {message}\n"

@@ -62,16 +62,9 @@ def circle_pair_data(g2_west=((1j, 0.0), (0.0, 1.0))):
     return PolarizationPairData(nerve, pair_c, _samples(a=lambda pid: 2.0 + 0j, b=delta_b))
 
 
-def _ml_const(A, z):
-    value = (np.array(A, dtype=complex), z)
-    return per_point(lambda *_: value)
-
-
 def identity_lift(n):
-    return evaluate_cocycle(
-        "Ml", n, 0, circle_nerve(),
-        [_ml_const(np.eye(n), 1.0), _ml_const(np.eye(n), 1.0)],
-    )
+    """The Ml cocycle (1, 1) on both components of the circle nerve."""
+    return Cocycle.ml(n, 0, [np.eye(n)] * 2, [1.0, 1.0])
 
 
 def _flip(c, comp_indices):
@@ -97,16 +90,6 @@ def test_validate_pair_data_flags_inconsistent_delta():
     assert any(f[0] == "delta-consistency" for f in out["failures"])
 
 
-def test_pair_data_requires_glkd():
-    with pytest.raises(ValidationError):
-        PolarizationPairData(
-            circle_nerve(),
-            evaluate_cocycle("Gl", 1, 0, circle_nerve(),
-                             [per_point(lambda *_: np.eye(1))] * 2),
-            _samples(a=lambda pid: 1.0, b=lambda pid: 1.0),
-        )
-
-
 def test_normalize_makes_delta_one_and_keeps_consistency():
     norm = normalize_sections(circle_pair_data())
     assert norm.delta_samples.tolist() == [1.0] * len(SITES)
@@ -120,14 +103,6 @@ def test_normalize_makes_delta_one_and_keeps_consistency():
 def test_induce_requires_normalized_data():
     with pytest.raises(ValidationError):
         induce_compatible(circle_pair_data(), identity_lift(2))
-
-
-def test_induce_requires_ml_lift():
-    norm = normalize_sections(circle_pair_data())
-    gl = evaluate_cocycle("Gl", 2, 0, norm.nerve,
-                          [per_point(lambda *_: np.eye(2))] * 2)
-    with pytest.raises(ValidationError):
-        induce_compatible(norm, gl)
 
 
 def test_induce_rejects_premise_violation():
@@ -224,10 +199,9 @@ def diagonal_pair_data(sign=1.0):
 
 
 def _diagonal_lift():
-    return evaluate_cocycle(
-        "Ml", 1, 0, circle_nerve(),
-        [_ml_const(np.eye(1), 1.0), _ml_const([[2.0]], 2.0 ** 0.5)],
-    )
+    """The Ml cocycle of the diagonal pair data's first members, each
+    with its principal root."""
+    return Cocycle.ml(1, 0, [np.eye(1), [[2.0]]], [1.0, 2.0 ** 0.5])
 
 
 def test_self_compat_positive_sign(rng):
@@ -275,3 +249,15 @@ def test_overflowing_pair_transition_fails_the_delta_law():
     check = next(c for c in report.checks if c.check_id == "pair_data.consistency")
     assert not check.passed
     assert [f[:4] for f in check.failures] == [("delta-consistency", ("0", "1"), 0, "east")]
+
+
+def test_nan_delta_sample_fails_the_k_equals_n_test():
+    # with k == n delta is an empty determinant, so every sample must be
+    # 1; a NaN sample fails that test, whose guard is a negated
+    # comparison (documents cannot reach it: loading rejects a NaN)
+    nerve = Nerve(nerve_doc("a"))
+    pair_c = evaluate_cocycle("Glkd", 1, 1, nerve, [])
+    out = validate_pair_data(PolarizationPairData(nerve, pair_c, np.array([np.nan + 0j])))
+    assert not out["ok"] and np.isnan(out["max_residual"])
+    assert [f[:3] for f in out["failures"]] == [("delta-consistency", "a", "origin")]
+    assert np.isnan(out["failures"][0][3])

@@ -318,6 +318,27 @@ def test_obstructed_first_member_skips_induce_and_delta_tilde():
     assert not report.passed
 
 
+def test_an_obstructed_self_compat_case_is_not_liftable():
+    # the sphere's obstructed Gl cocycle as both members of a diagonal pair
+    sc = load_scenario(builtin_scenario_path("sphere_octa"))
+    gl = sc.gl_cocycle
+    sc.self_compat_cases.append({
+        "name": "obstructed",
+        "pair_cocycle": Cocycle("Glkd", gl.n, gl.k, np.stack([gl.mats, gl.mats], axis=1)),
+        "delta_samples": np.ones(len(sc.nerve.sites), dtype=complex)})
+    sc.pipelines = ["self_compat"]
+    check = _check(run_scenario(sc), "self_compat.obstructed")
+    assert not check.passed
+    assert check.failures == [("not liftable",)]
+
+
+def test_a_component_declared_non_contractible_is_noted():
+    doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
+    doc["nerve"]["overlaps"][0]["components"][0]["contractible"] = False
+    report = run_scenario(doc, pipelines=["validate"])
+    assert "components declared non-contractible: (('0', '1'), 0)" in report.notes
+
+
 # ---------------------------------------------------------------------------
 # the in-tree schema checker against jsonschema
 # ---------------------------------------------------------------------------
