@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups as G
-from .config import check_bound, get_tolerances, identity_bound, zero_bound
+from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, ValidationError, raise_first
 from .nerve import Nerve
 from .smallmat import det, mul
@@ -53,13 +53,11 @@ class Cocycle:
 def _membership_residuals(c: Cocycle) -> np.ndarray:
     """Residuals of the group-membership invariant of every row: of
     z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
-    max(1, |det|); a pattern that fails raises for the first failing row,
-    and so does a Gl or Glkd matrix whose determinant is not finite or is
-    within ``singular`` of 0."""
+    max(1, |det|); a Gl or Glkd matrix whose determinant is not finite or
+    is within ``singular`` of 0 raises (a Glkd pattern is classified
+    where its compatibility.PolarizationPairData is made)."""
     if c.group in ("Gl", "Glkd"):
         what = "pair cocycle member" if c.group == "Glkd" else "Gl transition"
-        if c.group == "Glkd":
-            G.subgroup_classify(c.mats[:, 0], c.mats[:, 1], c.k)
         size = np.abs(det(c.mats))
         if not np.isfinite(size).all():
             raise ValidationError(f"{what} has a non-finite determinant")
@@ -70,7 +68,8 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
     if c.group == "Mp":
         G.check_sp(c.mats)
     dets = G.alpha0_det(c.mats) if c.group == "Mp" else det(c.mats)
-    return cabs(cmul(c.roots, c.roots) - dets) / np.fmax(1.0, cabs(dets))
+    with np.errstate(invalid="ignore"):
+        return cabs(cmul(c.roots, c.roots) - dets) / np.fmax(1.0, cabs(dets))
 
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
@@ -93,8 +92,9 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
         group_mul = G.ml_mul if c.group == "Ml" else G.mp_mul
         prod, roots = group_mul(c.mats[ab], c.roots[ab], c.mats[bc], c.roots[bc])
         gap = cabs(roots - c.roots[ac])
-    dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
-                  initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.max(np.abs(prod - c.mats[ac]), axis=tuple(range(1, prod.ndim)),
+                      initial=0.0)
     dist = np.maximum(dist, gap)
     failures += [("cocycle", key, pid, r)
                  for (key, pid), r in zip(nerve.triples, dist.tolist())
@@ -278,19 +278,14 @@ def lifts_equivalent(nerve: Nerve, l1: Cocycle, l2: Cocycle
 
     Returns the witness {chart: epsilon} with z2 = eps_a eps_b z1 on
     every overlap component, by chart_signs, or None if the lifts are
-    inequivalent.
+    inequivalent.  Only the roots are compared: both engine callers
+    pass lifts whose matrices are equal bit for bit.
     """
-    tols = get_tolerances()
-    axes = (-2, -1)
-    apart = (np.max(np.abs(l1.mats - l2.mats), axis=axes, initial=0.0)
-             > zero_bound(tols) * np.maximum(1.0, np.max(np.abs(l1.mats), axis=axes,
-                                                        initial=0.0)))
     r = cdiv(l2.roots, l1.roots)
     bits, off = _sign_bits(r)
     # each row against the first row of its component
     starts = [rows.start for rows in nerve.components.values()]
     raise_first([
-        (apart, lambda p: ValidationError("lifts do not project to the same Gl cocycle")),
         (off, lambda p: ValidationError(
             f"z-ratio at {nerve.ids[p]} is not a sign: {complex(r[p])}")),
         (bits != bits[starts][nerve.comp], lambda p: ValidationError(

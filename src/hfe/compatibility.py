@@ -2,12 +2,13 @@
 
 Given Čech data for a pair of polarizations — a Gl_k²-valued transition
 cocycle whose two members share their real A-block, together with sampled
-values of the pairing determinant per chart — this module normalizes the
-sections so the determinant is identically one, induces the unique
-compatible metalinear cocycle for the second member from a metalinear
-lift of the first, builds the global square-root datum (as per-chart base
-values plus the group-translation formula), verifies its two defining
-conditions, and establishes self-compatibility.
+values of the pairing determinant per chart — this module classifies the
+pair where its data is made, normalizes the sections so the determinant
+is identically one, induces the unique compatible metalinear cocycle for
+the second member from a metalinear lift of the first, builds the global
+square-root datum (as per-chart base values plus the group-translation
+formula), verifies its two defining conditions, and establishes
+self-compatibility.
 """
 
 from __future__ import annotations
@@ -37,14 +38,17 @@ _DRAWS_PER_CHART = 20
 
 
 class PolarizationPairData:
-    """Čech data of a compatible pair of polarizations: the Glkd pair
-    cocycle and the (R,) complex stack of the pairing determinant delta at
-    every chart row of the nerve; n and k are the pair cocycle's.  It
-    checks neither: the schema gives a document's pair cocycles the
-    group Glkd, loading gives every stack its rows, and cross_check
-    builds its pair cocycle as Glkd over the same rows."""
+    """Čech data of a compatible pair of polarizations, classified where
+    it is made: the Glkd pair cocycle, the (R,) complex stack of the
+    pairing determinant delta at every chart row of the nerve (None for a
+    pair cocycle without samples), and blocks, the pair stack's
+    subgroup_classify blocks (the constructor raises for the first pair
+    not in Glkd); n and k are the pair cocycle's.  The schema, loading
+    and cross_check decide the cocycle's group and the stacks' rows."""
 
-    def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples: np.ndarray):
+    def __init__(self, nerve: Nerve, pair_cocycle: Cocycle, delta_samples):
+        pairs = pair_cocycle.mats
+        self.blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], pair_cocycle.k)
         self.nerve = nerve
         self.pair_cocycle = pair_cocycle
         self.delta_samples = delta_samples
@@ -62,21 +66,19 @@ def _check_delta_samples(data: PolarizationPairData) -> None:
 
 
 def validate_pair_data(data: PolarizationPairData) -> dict:
-    """Check shared-A membership, nonzero delta samples, and the
-    transformation consistency of the delta samples across overlaps;
-    with k == n, that every delta sample is 1.  The pair cocycle itself
-    is checked by cech.validate_cocycle, not here."""
+    """Check nonzero delta samples and their transformation consistency
+    across overlaps by data's blocks, without a warning; with k == n,
+    that every delta sample is 1.  The pair cocycle itself is checked by
+    cech.validate_cocycle, not here."""
     bound = check_bound(get_tolerances())
     nerve = data.nerve
-    pairs = data.pair_cocycle.mats
-    blocks = subgroup_classify(pairs[:, 0], pairs[:, 1], data.k)
     _check_delta_samples(data)
     delta = data.delta_samples
     a, b = nerve.ends.T
     # conj(det D1) det D2, the pairing-determinant transformation; one
     # that overflows gives a NaN residual
-    with np.errstate(over="ignore"):
-        law = np.conj(blocks["detD1"]) * blocks["detD2"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        law = np.conj(data.blocks["detD1"]) * data.blocks["detD2"]
         residuals = rel_residual(delta[b], delta[a] * law)
     res = residuals.tolist()
     failures = [("delta-consistency", *nerve.keys[nerve.comp[r]], nerve.ids[r], res[r])
@@ -137,16 +139,17 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
 
     z2 = |det A| / conj(z1) per sample point, after checking that the
     data is normalized and the premise conj(det g1) det g2 det(A)^{-2} = 1
-    of normalized compatible data.  z1 is the Ml lift of data's first
-    members: the lift stage lifts them, and cross_check stacks its pair
-    from z1's matrices.  Returns z2 with its cech.validate_cocycle
-    result, which must pass.
+    of normalized compatible data, with det A from data's blocks.  z1 is
+    the Ml lift of data's first members: the lift stage lifts them, and
+    cross_check stacks its pair from z1's matrices.  Returns z2 with its
+    cech.validate_cocycle result, which must pass.
     """
     _require_normalized(data)
     G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
-    detA = subgroup_classify(G1, G2, data.k)["detA"]
-    premise = np.conj(det(G1)) * det(G2) / (detA * detA)
-    raise_first([(np.abs(premise - 1.0) > property_bound(get_tolerances()),
+    detA = data.blocks["detA"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        premise = np.conj(det(G1)) * det(G2) / (detA * detA)
+    raise_first([(~(np.abs(premise - 1.0) <= property_bound(get_tolerances())),
                   lambda r: ValidationError(
                       f"premise violated at {data.nerve.ids[r]}: "
                       f"conj(det g1) det g2 / det(A)^2 = {premise[r]}"))])
@@ -227,21 +230,21 @@ def build_delta_tilde(
     """Glue the global square-root datum from base values at every chart
     row.
 
-    Without base_values, data is normalized data that induce_compatible
-    has accepted, so the base value is 1 on every chart; gluing
-    requires conj(z1) z2 |det A|^{-1} = base_b / base_a across every
-    overlap sample point.  A residual above tolerance raises GluingError
-    before any draw of rng (an inequivalent lift fails here), and so
-    does a square identity or a translation law above its bound; a NaN
-    fails each, as the guards are negated comparisons.  The pairs
-    (z1, z2) of all points are classified as one stack.
+    z1 and z2 are Cocycle.ml-checked lifts of data's two members, whose
+    det A is in data's blocks.  Without base_values, data is normalized
+    data that induce_compatible has accepted, so the base value is 1 on
+    every chart; gluing requires conj(z1) z2 |det A|^{-1} = base_b /
+    base_a across every overlap sample point.  A residual above tolerance
+    raises GluingError before any draw of rng (an inequivalent lift fails
+    here), and so does a square identity or a translation law above its
+    bound; a NaN fails each, as the guards are negated comparisons.
     """
     tols = get_tolerances()
     bound = check_bound(tols)
     nerve = data.nerve
     if base_values is None:
         base_values = np.ones(len(nerve.sites), dtype=complex)
-    factor = subgroup_classify(z1.mats, z2.mats, data.k, z1.roots, z2.roots)["factor"]
+    factor = np.conj(z1.roots) * z2.roots / np.abs(data.blocks["detA"])
     a, b = nerve.ends.T
     residuals = rel_residual(base_values[a] * factor, base_values[b])
     res = residuals.tolist()

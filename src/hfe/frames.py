@@ -4,12 +4,12 @@ A Lagrangian frame is stored as a pair of n x n complex matrices (U, V)
 whose stacked columns (U; V) are the coordinates of n frame vectors in a
 symplectic frame; the per-point kernels take stacks of frames, (P, n, n)
 or (P, 2n, n), and raise for the first point that fails.  This module
-provides validation (isotropy,
-independence, positivity), the pairing determinant delta_k and its
-D-adapted block versions, Ball membership, the metalinear automorphy
-factor alpha-tilde, the continuous square root Gamma, and pointwise
-pairing densities, whose Liouville volume is a determinant; the
-bijection phi and the Ball action live in hfe.ball.
+provides validation (isotropy, independence, positivity), the pairing
+determinant delta_k and its D-adapted block versions, Ball membership,
+the metalinear automorphy factor alpha-tilde with the Ball point g.W
+that it checks, the continuous square root Gamma, and pointwise pairing
+densities, whose Liouville volume is a determinant; the bijection phi
+and the Ball action live in hfe.ball.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
-from .groups import block_pattern, check_ml, shared_corner, tracked_alpha_det
+from .groups import block_pattern, check_ml, off_root, shared_corner, tracked_alpha_det
 from .smallmat import det, hermitian_extremes, inv, mul
-from .tracking import cabs, cdiv, cmul, track_sqrt
+from .tracking import cdiv, cmul, track_sqrt
 
 
 def standard_omega(n: int) -> np.ndarray:
@@ -87,10 +87,11 @@ def delta(S1: np.ndarray, S2: np.ndarray, k: int) -> list[complex]:
     """Pairing determinants det(-i omega(conj u_i, v_j)) over i, j > k of
     the frame pairs with stacked columns S1[p] and S2[p], stacks (P, 2n,
     n), for the standard form; raises for the first pair whose
-    determinant vanishes."""
+    determinant vanishes, a NaN included.  Nothing warns."""
     omega = standard_omega(S1.shape[-1])
-    vals = det(
-        -1j * mul(mul(np.swapaxes(S1[..., k:], -1, -2).conj(), omega), S2[..., k:]))
+    with np.errstate(all="ignore"):
+        vals = det(
+            -1j * mul(mul(np.swapaxes(S1[..., k:], -1, -2).conj(), omega), S2[..., k:]))
     raise_first([(~(np.abs(vals) > get_tolerances().singular),
                   lambda p: SingularityError(
                       "pairing determinant vanishes (invalid pair)"))])
@@ -146,7 +147,8 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     metaplectic elements (g[p], zeta[p]) at the Ball points W[p], for
     stacks g (P, 2n, 2n) and W (P, n, n), with the Ball action: the
     stacks (P, n, n) of g.W and of alpha and the (P,) roots, checked in
-    one pass of check_ml.
+    one pass of check_ml, and g.W checked as Ball points in one pass of
+    check_ball.
 
     z[p] is continued from the anchor zeta[p] at the Ball center along
     the straight segment s -> s W[p] by square-root tracking of det
@@ -156,7 +158,9 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     z, a1 = tracked_alpha_det(g, W, zeta)
     check_ml(a1, z)
     _, _, R, S = ball.cayley_blocks(g)
-    return mul(R + mul(S, W), inv(a1)), a1, z
+    gW = mul(R + mul(S, W), inv(a1))
+    check_ball(gW)
+    return gW, a1, z
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +183,13 @@ def frame_pattern(U: np.ndarray, V: np.ndarray, k: int):
 
 def delta_L_stack(U1, V1, U2, V2, k: int) -> list[complex]:
     """delta_L of the frame pairs ((U1[p], V1[p]), (U2[p], V2[p])) of four
-    (P, n, n) stacks; raises for the first pair that fails."""
+    (P, n, n) stacks; raises for the first pair that fails.  Nothing
+    warns."""
     checks1, b1 = frame_pattern(U1, V1, k)
     checks2, b2 = frame_pattern(U2, V2, k)
-    M = 1j * (mul(np.swapaxes(b1["Vr"], -1, -2).conj(), b2["Ur"])
-              - mul(np.swapaxes(b1["Ur"], -1, -2).conj(), b2["Vr"]))
+    with np.errstate(all="ignore"):
+        M = 1j * (mul(np.swapaxes(b1["Vr"], -1, -2).conj(), b2["Ur"])
+                  - mul(np.swapaxes(b1["Ur"], -1, -2).conj(), b2["Vr"]))
     vals = det(M)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k) + [
         (~(np.abs(vals) > get_tolerances().singular),
@@ -258,9 +264,7 @@ def pairing_density(prequantum, nu1, nu2, S1: np.ndarray, S2: np.ndarray, k: int
         factor = np.sqrt(np.abs(d))
     else:
         factor = np.asarray(delta_tilde, dtype=complex)
-        with np.errstate(all="ignore"):
-            stray = ~(cabs(cmul(factor, factor) - d)
-                      <= identity_bound(get_tolerances()) * cabs(d))
-        raise_first([(stray, lambda p: ValidationError("delta_tilde does not square to delta"))])
+        raise_first([(off_root(factor, d, identity_bound(get_tolerances())),
+                      lambda p: ValidationError("delta_tilde does not square to delta"))])
     vol = det(np.concatenate([S1[..., :k], lifts], axis=-1))
     return np.asarray(prequantum) * np.conj(nu1) * nu2 * factor * np.abs(vol)

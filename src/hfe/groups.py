@@ -8,7 +8,8 @@ stored as (g, zeta) where zeta**2 = det alpha(g, 0) anchors the sheet at
 the Ball center, and products are formed by continuous square-root
 tracking of det alpha along a segment in the Ball.  Elements are held as
 stacks: a (P, n, n) or (P, 2n, 2n) array with the (P,) array of its roots
-or anchors; the membership tests raise for the first point that fails.
+or anchors; the membership tests raise for the first point that fails,
+and off_root is the one test of a root z**2 = d.
 """
 
 from __future__ import annotations
@@ -36,18 +37,24 @@ def worst(*residuals, floor: float = 0.0) -> float:
     return float(np.max(np.concatenate([[floor], *map(np.ravel, residuals)])))
 
 
+def off_root(z, d, bound: float) -> np.ndarray:
+    """The one root test: the flags of the z[p] whose square misses d[p]
+    by more than bound * |d[p]|, by the exact kernel and without a
+    warning.  A NaN is flagged, as the flag is a negated comparison."""
+    with np.errstate(all="ignore"):
+        return ~(cabs(cmul(z, z) - d) <= bound * cabs(d))
+
+
 def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p].  A
     NaN fails them: the flags are negated comparisons."""
     tols = get_tolerances()
     dets = det(A)
-    size = cabs(dets)
-    with np.errstate(all="ignore"):
-        stray = ~(cabs(cmul(z, z) - dets) <= identity_bound(tols) * size)
     return [
-        (~(size > tols.singular), lambda p: SingularityError("matrix is singular")),
-        (stray, lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
+        (~(cabs(dets) > tols.singular), lambda p: SingularityError("matrix is singular")),
+        (off_root(z, dets, identity_bound(tols)),
+         lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
     ]
 
 
@@ -108,8 +115,7 @@ def check_mp(g: np.ndarray, zeta) -> None:
     every g[p] of the (P, 2n, 2n) stack g.  Raises for the first point
     that fails; a NaN fails, as the flag is a negated comparison."""
     dets = alpha0_det(g)
-    bound = check_bound(get_tolerances())
-    raise_first([(~(cabs(cmul(zeta, zeta) - dets) <= bound * cabs(dets)),
+    raise_first([(off_root(zeta, dets, check_bound(get_tolerances())),
                   lambda p: ValidationError("zeta**2 != det alpha(g, 0)"))])
 
 
@@ -233,10 +239,7 @@ def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
         bound = identity_bound(get_tolerances())
         z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
         for who, z, D in (("first", z1, "detD1"), ("second", z2, "detD2")):
-            d = blocks["detA"] * blocks[D]
-            with np.errstate(all="ignore"):
-                stray = ~(cabs(cmul(z, z) - d) <= bound * cabs(d))
-            checks.append((stray,
+            checks.append((off_root(z, blocks["detA"] * blocks[D], bound),
                            lambda p, who=who: SubgroupRejection(
                                f"z**2 != det(A) det(D) ({who})")))
     raise_first(checks)

@@ -33,7 +33,7 @@ from .frames import (
     meta_pair_factor,
     validate_lagrangian,
 )
-from .groups import check_ml, ml_checks, rel_residual, spk_blocks, worst
+from .groups import check_ml, ml_checks, ml_mul, rel_residual, spk_blocks, worst
 from .nerve import Nerve
 from .sampling import Draws
 from .smallmat import det, inv, lstsq, mul
@@ -85,14 +85,10 @@ class RecipeResult:
 def _mp_act_stack(g: np.ndarray, zeta, W: np.ndarray, C: np.ndarray, z):
     """The left metaplectic action, through the Ball, of the elements
     (g[p], zeta[p]) on the meta frames (W[p], (C[p], z[p])), for stacks
-    g (P, 2n, 2n) and W, C (P, n, n): the moved W and C stacks and the
-    moved z, checked in one pass."""
+    g (P, 2n, 2n) and W, C (P, n, n): the Ball points g.W, which
+    alpha_tilde checks, and the Ml products alpha (C, z)."""
     gW, aA, az = alpha_tilde(g, zeta, W)
-    check_ball(gW)
-    A = mul(aA, C)
-    zs = cmul(az, z)
-    check_ml(A, zs)
-    return gW, A, zs
+    return (gW, *ml_mul(aA, az, C, z))
 
 
 class SectionTransport:
@@ -151,7 +147,6 @@ def transport(data: MetaplecticBundleData, sections: tuple[np.ndarray, ...]
     raise_first([(~(res <= bound), lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {nerve.ids[p]}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
-    check_ball(gW)
     return SectionTransport(data, U, V, W, C, N, alpha, alpha_z, gW)
 
 
@@ -178,9 +173,7 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
 
     # the metaplectic transition acting on the lifted section of chart b
     a, b = nerve.ends.T
-    moved_A = mul(t.alpha, t.C[b])
-    moved_z = cmul(t.alpha_z, z[b])
-    check_ml(moved_A, moved_z)
+    moved_A, moved_z = ml_mul(t.alpha, t.alpha_z, t.C[b], z[b])
     axes = (-2, -1)
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(~(wres <= property_bound(tols)), lambda p: ValidationError(
@@ -284,12 +277,11 @@ def build_delta_D_tilde(data: MetaplecticBundleData,
     # square identity and transformation law at chart sample points
     U1, V1 = ball.phi_inv_raw(W1, C1)
     U2, V2 = ball.phi_inv_raw(W2, C2)
-    sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = rel_residual(values * values, delta_L_stack(U1, V1, U2, V2, k))
     t = draw_translations(rng, n, k, range(len(values)))
-    Y1, y1 = mul(C1, t["M1"]), cmul(z1, t["z1"])
-    Y2, y2 = mul(C2, t["M2"]), cmul(z2, t["z2"])
-    check_ml(Y1, y1)
-    check_ml(Y2, y2)
+    Y1, y1 = ml_mul(C1, z1, t["M1"], t["z1"])
+    Y2, y2 = ml_mul(C2, z2, t["M2"], t["z2"])
     law_factor, _, _ = meta_pair_factor(W1, Y1, y1, W2, Y2, y2, k)
     law = rel_residual(cmul(law_factor, gamma), values * t["factor"])
     dt.checks["square_identity"] = worst(sq)

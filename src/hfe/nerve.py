@@ -94,14 +94,19 @@ class Nerve:
         first = np.cumsum([0] + sizes).tolist()
         start = dict(zip(order, first))
         # each component's fault, in document order: it has no point, an
-        # edge leaves it, or its graph is disconnected
+        # edge leaves it, it lists a point id twice (chart rows are one
+        # per point id), or its graph is disconnected
         faults, graphs = {}, {}
         for j, (_, _, comp) in enumerate(listed):
             npts, pairs = len(comp["points"]), comp.get("edges", [])
+            ids = [pt["id"] for pt in comp["points"]]
             if not npts:
                 faults[j] = "overlap component needs at least one point"
             elif not all(0 <= i < npts and 0 <= k < npts for i, k in pairs):
                 faults[j] = "edge references a missing point"
+            elif len(set(ids)) < npts:
+                twice = next(pid for i, pid in enumerate(ids) if pid in ids[:i])
+                faults[j] = f"overlap component lists point {twice!r} twice"
             else:
                 graphs[j] = [(int(i), int(k)) for i, k in pairs]
         edges = [(start[j] + i, start[j] + k) for j, pairs in graphs.items() for i, k in pairs]

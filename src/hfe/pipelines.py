@@ -149,6 +149,13 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
 def _run_validate(scenario: Scenario, report, rng):
     report.add(CheckRecord("nerve.structure", "nerve.validity",
                            details={"charts": len(scenario.nerve.charts)}))
+    out = {"gl.cocycle": scenario.gl_cocycle}
+    if scenario.pair_cocycle is not None:
+        # classified where its data is made, before the cocycle records
+        from . import compatibility
+        data = compatibility.PolarizationPairData(
+            scenario.nerve, scenario.pair_cocycle, scenario.delta_samples)
+        out["pair.cocycle"] = scenario.pair_cocycle
     checked = {}
     for role, c in (
         ("pair", scenario.pair_cocycle),
@@ -160,13 +167,7 @@ def _run_validate(scenario: Scenario, report, rng):
         checked[role] = cech.validate_cocycle(scenario.nerve, c)
         report.add(_verdict(f"cocycle.{role}", "cocycle.identity-at-triples",
                             checked[role]))
-    out = {"gl.cocycle": scenario.gl_cocycle}
-    if scenario.pair_cocycle is not None:
-        out["pair.cocycle"] = scenario.pair_cocycle
     if scenario.pair_cocycle is not None and scenario.delta_samples is not None:
-        from . import compatibility
-        data = compatibility.PolarizationPairData(
-            scenario.nerve, scenario.pair_cocycle, scenario.delta_samples)
         # the consistency of pair data includes its cocycle's check
         res, base = compatibility.validate_pair_data(data), checked["pair"]
         failures = res["failures"] + base["failures"]

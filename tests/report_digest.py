@@ -10,7 +10,8 @@ then ``dense_samples_doc(0..39)`` and ``ring_enum_doc(0..19)`` of
 digest ``json.dumps([exit code, report minus wall_time],
 sort_keys=True)``, the report None where nothing was printed, and it
 prints the number of reports and the hex digest.  Run it at two commits
-and compare the lines.  The file name has no ``test_`` prefix, so
+and compare the lines; ``tests/test_golden.py`` pins the line as
+``REPORT_DIGEST``.  The file name has no ``test_`` prefix, so
 pytest does not collect it.
 """
 

@@ -1464,6 +1464,19 @@ def _pair_member(doc, member):
     return doc["pair_sections"]["0"]["params"][member]
 
 
+def _horizontal_vertical_at_1e308(doc):
+    pair = doc["frame_pairs"][1]
+    assert pair["name"] == "horizontal_vertical"
+    pair["first"]["params"]["U"] = [[-1e308]]
+    pair["second"]["params"]["V"] = [[1e308]]
+
+
+def _pair_section_crs_at_extremes(doc):
+    params = doc["pair_sections"]["0"]["params"]
+    params["first"]["Cr"] = [[[1.5, 2 ** 70]]]
+    params["second"]["Cr"] = [[[0.8, -1e308]]]
+
+
 _INF = float("inf")
 # name: (scenario, edit, exit code, the message of exit 2)
 _EXTREME = {
@@ -1507,6 +1520,18 @@ _EXTREME = {
         "abstract_k1_nonorientable", lambda doc: _pair_member(doc, "first").update(zsign=1e308),
         2, "generator 'meta_pair_blocks': parameter 'first.zsign' must be 1 or -1, "
         "got 1e+308"),
+    # the delta law conj(det D1) det D2 overflows
+    "pair_const<-1e308": (
+        "circle_mobius",
+        lambda doc: doc["pair_cocycle"]["transitions"][0]["generator"].update(
+            params={"first": [[1e308]], "second": [[1e308]]}),
+        1, None),
+    # the pairing determinant's product overflows
+    "horizontal_vertical<-1e308": (
+        "trivial_r2", _horizontal_vertical_at_1e308, 1, None),
+    # delta_L and the square of the pairing value overflow
+    "pair_section_Cr<-2**70,-1e308": (
+        "circle_mobius", _pair_section_crs_at_extremes, 1, None),
 }
 
 
@@ -1706,6 +1731,10 @@ def _both(*edits):
 
 _APART = _component(0, points=[{"id": "east"}, {"id": "north"}])  # no edge
 _EMPTY = _component(1, points=[])
+# chart rows are one per point id, so the second east used to take the
+# first one's chart values, and the document passed
+_TWICE = _component(0, points=[{"id": "east", "params": [0.0]},
+                               {"id": "east", "params": [0.1]}], edges=[[0, 1]])
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -1736,11 +1765,17 @@ _EMPTY = _component(1, points=[])
     ("circle_mobius", _both(_component(0, points=[]),
                             _component(1, points=[{"id": "west"}, {"id": "south"}])),
      "overlap component needs at least one point"),
+    ("circle_mobius", _TWICE, "overlap component lists point 'east' twice"),
+    ("circle_mobius", _both(_TWICE, _EMPTY), "overlap component lists point 'east' twice"),
+    ("circle_mobius", _both(_APART, _component(1, points=[{"id": "west"}, {"id": "west"}],
+                                               edges=[[0, 1]])),
+     "overlap component graph is disconnected"),
 ], ids=["duplicate-charts", "self-overlap", "unsorted-pair", "unknown-chart",
         "bad-triple-key", "missing-membership", "bad-membership", "id-mismatch",
         "empty-component", "edge-out-of-range", "disconnected", "huge-param",
         "duplicate-charts-and-disconnected", "empty-after-disconnected",
-        "disconnected-after-empty"])
+        "disconnected-after-empty", "point-listed-twice", "empty-after-point-twice",
+        "point-twice-after-disconnected"])
 def test_exit_2_on_a_malformed_nerve(name, edit, message, tmp_path, capsys):
     path = _scenario_file(tmp_path, name, _nerve(edit))
     code, out, err = run(capsys, "verify", path)

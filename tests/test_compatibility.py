@@ -244,8 +244,7 @@ def test_overflowing_pair_transition_fails_the_delta_law():
     doc = json.loads(builtin_scenario_path("circle_mobius").read_text())
     doc["pair_cocycle"]["transitions"][0]["generator"]["params"] = {
         "first": [[1e308]], "second": [[1e308]]}
-    with np.errstate(all="ignore"):
-        report = run_scenario(doc, pipelines=["validate"])
+    report = run_scenario(doc, pipelines=["validate"])
     check = next(c for c in report.checks if c.check_id == "pair_data.consistency")
     assert not check.passed
     assert [f[:4] for f in check.failures] == [("delta-consistency", ("0", "1"), 0, "east")]

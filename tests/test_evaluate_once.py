@@ -1,16 +1,19 @@
 """Every generator runs once per overlap component or chart, on the stack
 of its sample points, when the scenario is loaded, and never during a
 run.  Each section family is transported, and its plain recipe run,
-once per run.  Rerunning a loaded scenario leaves its reports
+once per run, and each pair stack is classified once, where its pair
+data is made.  Rerunning a loaded scenario leaves its reports
 unchanged."""
 
 import itertools
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import hfe.groups as groups
 import hfe.induction as induction
 import hfe.scenario as scenario_mod
 from hfe.pipelines import run_scenario
@@ -183,3 +186,54 @@ def test_a_loaded_scenario_keeps_no_transport_between_runs(tight):
     fresh = [_report_json(load_scenario(DENSE_RING), tolerances=t) for t in settings]
     assert runs == fresh
     assert [json.loads(r)["status"] for r in runs] == ["fail", "pass", "fail"]
+
+
+
+# The subgroup_classify calls of one run: one per pair stack, where its
+# PolarizationPairData is made, and one per draw site of
+# draw_translations, which classifies the Mlkd pairs it draws.
+_SCENARIO_PAIR = ("the scenario's pair (validate)", "its normalized pair (induce)")
+_RECIPE_PAIR = ("the pair of the two recipe cocycles (cross_check)",
+                "its normalized pair (cross_check)")
+_GLUE_DRAWS = ("the translation law of delta_tilde.glue",
+               "the translation law of delta_tilde.equivalent-glues")
+_DELTA_D_DRAW = ("the translation law of delta_D.glue",)
+_ALL_STAGES = (_SCENARIO_PAIR + _RECIPE_PAIR,
+               _GLUE_DRAWS + _DELTA_D_DRAW
+               + ("the translation law of cross_check's reference glue",))
+_CLASSIFIED = {
+    DENSE_RING: _ALL_STAGES,
+    "abstract_k1_nonorientable": _ALL_STAGES,
+    "circle_mobius": (_SCENARIO_PAIR, _GLUE_DRAWS + _DELTA_D_DRAW),
+    "torus_grid": (_SCENARIO_PAIR, _GLUE_DRAWS),
+    # one chart, so no equivalent-glues flip
+    "trivial_r2": (_SCENARIO_PAIR + ("the pair of self_compat.eps0",
+                                     "the pair of self_compat.eps1"),
+                   ("the translation law of delta_tilde.glue",
+                    "the translation law of self_compat.eps0",
+                    "the positivity draw of self_compat.eps0",
+                    "the translation law of self_compat.eps1",
+                    "the positivity draw of self_compat.eps1")),
+}
+
+
+@pytest.mark.parametrize("source", list(_CLASSIFIED), ids=lambda s: Path(s).stem)
+def test_each_pair_stack_is_classified_once(monkeypatch, source):
+    calls = []
+    original = groups.subgroup_classify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every name that binds the function, so that no caller escapes the count
+    bound = [name for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "hfe"
+             and getattr(module, "subgroup_classify", None) is original]
+    assert {"hfe.groups", "hfe.compatibility"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "subgroup_classify", counted)
+    path = source if isinstance(source, Path) else builtin_scenario_path(source)
+    assert run_scenario(path).passed
+    stacks, draws = _CLASSIFIED[source]
+    assert len(calls) == len(stacks) + len(draws)

@@ -18,8 +18,12 @@ fault patched into the first section family on chart 1
 (``sections.first.1.<fault>``), which the recipe stage and
 ``cross_check`` must report as the same error.
 
+``REPORT_DIGEST`` pins the line that ``tests/report_digest.py`` prints
+for its 185 reports.
+
 A refactor that changes no verdict, residual or detail keeps these files
-as they are.  A change that means to alter a report re-records them with
+and the digest as they are.  A change that means to alter a report
+updates the digest and re-records the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -40,12 +44,14 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+import report_digest
 
 from hfe.pipelines import run_scenario
 from hfe.report import emit_report
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+REPORT_DIGEST = (185, "ffe5bafa0549119053f7ccec7d65e10394017d0ebf6064135273d9aeceb3e52b")
 DOCUMENTS = sorted(p.stem for p in (GOLDEN_DIR / "scenarios").glob("*.json"))
 SELECTIONS = [(name, stage) for name in builtin_scenario_names()
               for stage in json.loads(
@@ -196,6 +202,10 @@ def test_stress_report_matches_golden(name, key, value):
 def test_mutant_report_matches_golden(mutant):
     _compare(f"mutants/abstract_k1_nonorientable.{mutant}.json",
              mutant_report(mutant))
+
+
+def test_report_digest_matches_the_pinned_one():
+    assert report_digest.digest() == REPORT_DIGEST
 
 
 @pytest.mark.parametrize("mutant", FAMILY_MUTANTS)
