@@ -12,7 +12,6 @@ loads only the layers its scenario runs.
 - ``hfe.ball``          raw Siegel-Ball linear algebra and the Ball action
 - ``hfe.groups``        matrix groups, double covers, block subgroups
 - ``hfe.frames``        Lagrangian frame linear algebra, Ball checks, densities (first use)
-- ``hfe.sampling``      seeded random draws for the property checks
 - ``hfe.nerve``         the finite nerve and the index of its sample points
 - ``hfe.cech``          cocycles over a nerve, GF(2) algebra, double-cover lifting
 - ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data (first use)

@@ -103,8 +103,10 @@ def _parse_tolerances(items: list[str]) -> dict[str, float]:
 
 
 def _seed(text: str) -> int:
-    """A --seed value: an integer in [0, 2**64), the seeds of the draw
-    stream (hfe.sampling.Draws)."""
+    """A --seed value: an integer in [0, 2**64).  The report echoes it,
+    and it changes no value, since every check reads the scenario alone;
+    the option stays so that the command lines that pass it (the
+    benchmark's among them) keep working."""
     try:
         seed = int(text)
         if 0 <= seed < 2 ** 64:
@@ -148,8 +150,10 @@ or --name=value, or by a unique prefix of the name; -- ends them:
                          selected stage's inputs are pulled in
   --tolerance KEY=VALUE  tolerance override (rel, abs, singular, track);
                          may be given more than once
-  --seed N               seed of the draw stream, an integer in [0, 2**64);
-                         default 0
+  --seed N               an integer in [0, 2**64), default 0, echoed in the
+                         report; it changes no value, as every check reads
+                         the scenario alone, and stays for the command
+                         lines that pass it
   --report FORMAT        json: one indented document per scenario;
                          jsonl: one compact document per line;
                          text (default): one line per check

@@ -217,35 +217,18 @@ def shared_corner(A1: np.ndarray, A2: np.ndarray, k: int) -> list:
              lambda p: SubgroupRejection("A-blocks differ across the pair"))]
 
 
-def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int,
-                      z1=None, z2=None) -> dict:
-    """Stacked Glkd membership of the pairs (A1[p], A2[p]), or Mlkd
-    membership with the scalars z1[p], z2[p]: both members upper
-    block-triangular with one real invertible k x k corner A and, for
-    Mlkd, z**2 = det(A) det(D).  Raises for the first failing pair;
-    returns the blocks as stacks with their (P,) determinants detA,
-    detD1 and detD2 and, for Mlkd, the roots z1, z2 and the factor
-    conj(z1) z2 / |det A| by which the pair translates a square-root
-    datum.
+def subgroup_classify(A1: np.ndarray, A2: np.ndarray, k: int) -> dict:
+    """Stacked Glkd membership of the pairs (A1[p], A2[p]): both members
+    upper block-triangular with one real invertible k x k corner A.
+    Raises for the first failing pair; returns the blocks as stacks with
+    their (P,) determinants detA, detD1 and detD2.
     """
     checks1, A, detA = _glk_pattern(A1, k, " (first)")
     checks2, Ab, _ = _glk_pattern(A2, k, " (second)")
-    checks = checks1 + checks2 + shared_corner(A, Ab, k)
-    blocks = {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:],
-              "D1": A1[:, k:, k:], "D2": A2[:, k:, k:]}
-    blocks.update(detA=detA, detD1=det(blocks["D1"]),
-                  detD2=det(blocks["D2"]))
-    if z1 is not None:
-        bound = identity_bound(get_tolerances())
-        z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-        for who, z, D in (("first", z1, "detD1"), ("second", z2, "detD2")):
-            checks.append((off_root(z, blocks["detA"] * blocks[D], bound),
-                           lambda p, who=who: SubgroupRejection(
-                               f"z**2 != det(A) det(D) ({who})")))
-    raise_first(checks)
-    if z1 is not None:
-        blocks.update(z1=z1, z2=z2, factor=np.conj(z1) * z2 / np.abs(blocks["detA"]))
-    return blocks
+    raise_first(checks1 + checks2 + shared_corner(A, Ab, k))
+    D1, D2 = A1[:, k:, k:], A2[:, k:, k:]
+    return {"A": A, "B1": A1[:, :k, k:], "B2": A2[:, :k, k:], "D1": D1, "D2": D2,
+            "detA": detA, "detD1": det(D1), "detD2": det(D2)}
 
 
 def spk_blocks(g: np.ndarray, k: int) -> dict:

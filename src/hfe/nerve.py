@@ -54,10 +54,6 @@ class Nerve:
                 overlap row, zeros for an origin row
     ends        (P, 2) int array: the chart rows of each overlap row's
                 point in the first and the second chart of its overlap
-    draws       chart -> the chart rows of the overlap rows containing the
-                chart, in overlap-row order (a point in two of them once
-                per row), or its origin row: the population of the
-                chart's seeded draws
     chart_walk  the Walk of the charts' sample graphs on the chart rows,
                 each rooted at its rows in point-id order: a chart's graph
                 has an edge between the rows of two point ids that some
@@ -186,11 +182,9 @@ class Nerve:
         self.overlap_walk = walk
 
         # per chart: the position of each point id among its chart rows,
-        # their first overlap rows, the position of every overlap row it
-        # is in, and the id pairs of its graph's edges
+        # their first overlap rows, and the id pairs of its graph's edges
         at: dict[str, dict[str, int]] = {ch: {} for ch in charts}
         firsts: dict[str, list[int]] = {ch: [] for ch in charts}
-        met: dict[str, list[int]] = {ch: [] for ch in charts}
         joined: dict[str, set] = {ch: set() for ch in charts}
         for j, ((pair, _), span) in zip(order, self.components.items()):
             ids = self.ids[span.start:span.stop]
@@ -199,7 +193,6 @@ class Nerve:
                     if pid not in at[ch]:
                         at[ch][pid] = len(firsts[ch])
                         firsts[ch].append(r)
-                    met[ch].append(at[ch][pid])
                 joined[ch].update((min(ids[i], ids[k]), max(ids[i], ids[k]))
                                   for i, k in graphs[j])
         sites: list[tuple[str, str]] = []
@@ -217,8 +210,6 @@ class Nerve:
                               for (pair, _), span in self.components.items()
                               for pid in self.ids[span.start:span.stop]],
                              dtype=int).reshape(-1, 2)
-        self.draws = {ch: [rows[ch].start + i for i in met[ch]] or [rows[ch].start]
-                      for ch in charts}
         self.chart_walk = Walk.of(
             len(sites),
             [(span.start + at[ch][a], span.start + at[ch][b]) for ch, span in rows.items()

@@ -54,7 +54,6 @@ from .errors import EngineError, GluingError, TheoremFalsification
 from .groups import worst
 from .nerve import Nerve
 from .report import CheckRecord, VerificationReport
-from .sampling import Draws
 from .scenario import Scenario, load_scenario, run_tolerances
 
 # ---------------------------------------------------------------------------
@@ -65,7 +64,7 @@ from .scenario import Scenario, load_scenario, run_tolerances
 class Stage:
     """The artefacts a stage consumes and produces.
 
-    Its runner is called as run(scenario, report, rng, *inputs), with
+    Its runner is called as run(scenario, report, *inputs), with
     the consumed artefacts in declared order, and returns a dict of the
     artefacts it produced.  ``produces`` maps each to the reason a
     finished run of the stage leaves it out, or None if it never does.
@@ -126,11 +125,10 @@ def _expected(check_id: str, anchor: str, key: str, value, expected,
 
 def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     """The record of a glued square-root datum: its worst gluing residual
-    against the check bound, with its property-check residuals."""
+    against the check bound, with its square-identity residual."""
     return _bounded(check_id, anchor, worst(dt.residuals),
                     check_bound(get_tolerances()),
-                    {key: dt.checks[key] for key in
-                     ("square_identity", "translation_law")})
+                    {"square_identity": dt.checks["square_identity"]})
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,7 @@ def _glue_record(check_id: str, anchor: str, dt) -> CheckRecord:
     "sections.second": "no second section family",
     "sections.pair": "no pair sections",
 })
-def _run_validate(scenario: Scenario, report, rng):
+def _run_validate(scenario: Scenario, report):
     report.add(CheckRecord("nerve.structure", "nerve.validity",
                            details={"charts": len(scenario.nerve.charts)}))
     out = {"gl.cocycle": scenario.gl_cocycle}
@@ -192,7 +190,7 @@ def _run_validate(scenario: Scenario, report, rng):
 
 
 @_stage("frame_pairs")
-def _run_frame_pairs(scenario: Scenario, report, rng):
+def _run_frame_pairs(scenario: Scenario, report):
     from .frames import check_frame_pairs, delta, validate_lagrangian
     bound = check_bound(get_tolerances())
     residuals, failures = [], []
@@ -216,7 +214,7 @@ def _run_frame_pairs(scenario: Scenario, report, rng):
         produces=dict.fromkeys(("pair_first.lift", "lift_classes"),
                                "the first member does not lift "
                                "(see lift.double-cover)"))
-def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
+def _run_lift(scenario: Scenario, report, pair_cocycle):
     base = cech.push_cocycle(pair_cocycle)
     lifted = cech.lift_double_cover(scenario.nerve, base)
     if isinstance(lifted, np.ndarray):
@@ -241,7 +239,7 @@ def _run_lift(scenario: Scenario, report, rng, pair_cocycle):
 
 @_stage("induce", consumes=("pair.data", "pair_first.lift"),
         produces=dict.fromkeys(("pair.normalized", "induced")))
-def _run_induce(scenario: Scenario, report, rng, data, z1):
+def _run_induce(scenario: Scenario, report, data, z1):
     from . import compatibility
     norm = compatibility.normalize_sections(data)
     z2, res = compatibility.induce_compatible(norm, z1)
@@ -252,9 +250,9 @@ def _run_induce(scenario: Scenario, report, rng, data, z1):
 @_stage("delta_tilde",
         consumes=("pair.normalized", "pair_first.lift", "induced",
                   "lift_classes"))
-def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
+def _run_delta_tilde(scenario: Scenario, report, norm, z1, z2, lc):
     from . import compatibility
-    dt = compatibility.build_delta_tilde(norm, z1, z2, rng)
+    dt = compatibility.build_delta_tilde(norm, z1, z2)
     report.add(_glue_record("delta_tilde.glue", "sqrt-datum.gluing", dt))
     # Every valid sheet pattern that glues is a coboundary (delta1 delta0
     # = 0), so this record cannot fail; the benchmark reference lists it.
@@ -270,7 +268,7 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
         met = nerve.joins.min()
         signs = np.where(np.arange(len(nerve.charts)) == met, -1, 1)
         flipped = cech.flip_sheets(nerve, z2, (nerve.joins == met).any(axis=1))
-        dt2 = compatibility.build_delta_tilde(norm, z1, flipped, rng,
+        dt2 = compatibility.build_delta_tilde(norm, z1, flipped,
                                               base_values=signs[nerve.chart] + 0j)
         report.add(_bounded("delta_tilde.equivalent-glues",
                             "sqrt-datum.coboundary-freedom",
@@ -279,7 +277,7 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
     if len(lc.representatives):
         flipped = cech.flip_sheets(nerve, z2, lc.representatives[0])
         try:
-            compatibility.build_delta_tilde(norm, z1, flipped, rng)
+            compatibility.build_delta_tilde(norm, z1, flipped)
             report.add(CheckRecord("delta_tilde.inequivalent-fails",
                                    "sqrt-datum.uniqueness",
                                    passed=False,
@@ -297,7 +295,7 @@ def _run_delta_tilde(scenario: Scenario, report, rng, norm, z1, z2, lc):
 
 
 @_stage("self_compat")
-def _run_self_compat(scenario: Scenario, report, rng):
+def _run_self_compat(scenario: Scenario, report):
     from . import compatibility
     for case in scenario.self_compat_cases:
         data = compatibility.PolarizationPairData(
@@ -310,18 +308,15 @@ def _run_self_compat(scenario: Scenario, report, rng):
                                    passed=False,
                                    failures=[("not liftable",)]))
             continue
-        dt, dt_norm = compatibility.self_compat(data, z1, rng)
+        dt = compatibility.self_compat(data, z1)
         report.add(_expected(
             f"self_compat.{name}", "self-compat.epsilon", "epsilon", dt.epsilon,
             scenario.expectations.get("self_compat_eps", {}).get(name),
-            {"epsilon": dt.epsilon,
-             "translation_law": dt.checks["translation_law"],
-             "normalized_min_real": dt_norm.checks["positivity_min_real"]},
-            residual=float(dt.checks["square_identity"])))
+            {"epsilon": dt.epsilon}, residual=float(dt.checks["square_identity"])))
 
 
 @_stage("recipe", consumes=("mp.bundle", "sections.first"))
-def _run_recipe(scenario: Scenario, report, rng, data, family):
+def _run_recipe(scenario: Scenario, report, data, family):
     from . import induction
     t, r = family.plain()
     report.add(_bounded("recipe.projection", "recipe.metalinear-transitions",
@@ -345,24 +340,24 @@ def _run_recipe(scenario: Scenario, report, rng, data, family):
 
 
 @_stage("delta_D", consumes=("mp.bundle", "sections.pair"))
-def _run_delta_D(scenario: Scenario, report, rng, data, pair_sections):
+def _run_delta_D(scenario: Scenario, report, data, pair_sections):
     from . import induction
-    dt = induction.build_delta_D_tilde(data, pair_sections, rng)
+    dt = induction.build_delta_D_tilde(data, pair_sections)
     report.add(_glue_record("delta_D.glue", "sqrt-datum.block-form-gluing", dt))
 
 
 @_stage("cross_check",
         consumes=("mp.bundle", "sections.first", "sections.second"))
-def _run_cross_check(scenario: Scenario, report, rng, data, first, second):
+def _run_cross_check(scenario: Scenario, report, data, first, second):
     from . import induction
-    out = induction.cross_check(data, first, second, rng)
+    out = induction.cross_check(data, first, second)
     report.add(_bounded("cross_check.agreement", "cross-check.global-sign",
                         worst(out["glue_residual"], out["restriction_residual"]),
                         check_bound(get_tolerances()), out))
 
 
 @_stage("obstruction", consumes=("gl.cocycle",))
-def _run_obstruction(scenario: Scenario, report, rng, gl_cocycle):
+def _run_obstruction(scenario: Scenario, report, gl_cocycle):
     if gl_cocycle is not None:
         lifted = cech.lift_double_cover(scenario.nerve, gl_cocycle)
         expected = scenario.expectations.get("obstructed", False)
@@ -431,7 +426,8 @@ def run_scenario(
     stage needs, is recorded as skipped; a TheoremFalsification marks
     the whole report.
     ``tolerances`` override the scenario's own, and both pass its checks
-    (run_tolerances) whatever the source.
+    (run_tolerances) whatever the source.  ``seed`` is echoed in the
+    report and changes no value: every check reads the scenario alone.
     """
     scenario = (source if isinstance(source, Scenario)
                 else load_scenario(source, tolerances))
@@ -449,7 +445,6 @@ def run_scenario(
     undeclared = set(pipelines or ()) - set(runs)
 
     report = VerificationReport(scenario=scenario.name, seed=seed)
-    rng = Draws(seed)
     artefacts: dict = {}
     # stage -> why it produced nothing: it was skipped or failed
     unfinished: dict[str, str] = {}
@@ -475,7 +470,7 @@ def run_scenario(
                 continue
             inputs = [artefacts[a] for a in stage.consumes]
             try:
-                produced = _RUNNERS[name](scenario, report, rng, *inputs) or {}
+                produced = _RUNNERS[name](scenario, report, *inputs) or {}
             except TheoremFalsification as exc:
                 report.falsified = True
                 failed = report.add(

@@ -22,8 +22,7 @@ stay on the list:
   construction raises of ``induction`` (the recipe cocycle's
   validation, the invariance and property checks of the square-root
   pairing data, the recipe pair data's consistency and
-  ``cross_check``'s falsifications) and of
-  ``compatibility.self_compat``, and the unexpected-glue branch of
+  ``cross_check``'s falsifications), and the unexpected-glue branch of
   ``delta_tilde.inequivalent-fails``;
 - ``VerificationReport.add``'s duplicate-id check and ``_producers``'
   declaration check, which guard the stage table of ``hfe.pipelines``;

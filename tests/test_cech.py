@@ -431,14 +431,9 @@ def test_chart_rows_index_every_chart_point(doc):
             assert nerve.site_params[rows].tolist() == [
                 nerve.params[next(r for r in met if nerve.ids[r] == pid)].tolist()
                 for pid in ids]
-            # the draw population: its overlap rows, duplicates included
-            assert [nerve.sites[r][1] for r in nerve.draws[ch]] == [
-                nerve.ids[r] for r in met]
-            assert all(r in rows for r in nerve.draws[ch])
         else:
             assert sites == [(ch, "origin")]
             assert nerve.site_params[rows].tolist() == [[0.0] * width]
-            assert nerve.draws[ch] == [rows.start]
         edges = {tuple(sorted((comp["points"][i]["id"], comp["points"][j]["id"])))
                  for pair in overlaps if ch in pair
                  for comp in overlaps[pair] for i, j in comp["edges"]}

@@ -190,30 +190,17 @@ def test_a_loaded_scenario_keeps_no_transport_between_runs(tight):
 
 
 # The subgroup_classify calls of one run: one per pair stack, where its
-# PolarizationPairData is made, and one per draw site of
-# draw_translations, which classifies the Mlkd pairs it draws.
+# PolarizationPairData is made.
 _SCENARIO_PAIR = ("the scenario's pair (validate)", "its normalized pair (induce)")
 _RECIPE_PAIR = ("the pair of the two recipe cocycles (cross_check)",
                 "its normalized pair (cross_check)")
-_GLUE_DRAWS = ("the translation law of delta_tilde.glue",
-               "the translation law of delta_tilde.equivalent-glues")
-_DELTA_D_DRAW = ("the translation law of delta_D.glue",)
-_ALL_STAGES = (_SCENARIO_PAIR + _RECIPE_PAIR,
-               _GLUE_DRAWS + _DELTA_D_DRAW
-               + ("the translation law of cross_check's reference glue",))
 _CLASSIFIED = {
-    DENSE_RING: _ALL_STAGES,
-    "abstract_k1_nonorientable": _ALL_STAGES,
-    "circle_mobius": (_SCENARIO_PAIR, _GLUE_DRAWS + _DELTA_D_DRAW),
-    "torus_grid": (_SCENARIO_PAIR, _GLUE_DRAWS),
-    # one chart, so no equivalent-glues flip
-    "trivial_r2": (_SCENARIO_PAIR + ("the pair of self_compat.eps0",
-                                     "the pair of self_compat.eps1"),
-                   ("the translation law of delta_tilde.glue",
-                    "the translation law of self_compat.eps0",
-                    "the positivity draw of self_compat.eps0",
-                    "the translation law of self_compat.eps1",
-                    "the positivity draw of self_compat.eps1")),
+    DENSE_RING: _SCENARIO_PAIR + _RECIPE_PAIR,
+    "abstract_k1_nonorientable": _SCENARIO_PAIR + _RECIPE_PAIR,
+    "circle_mobius": _SCENARIO_PAIR,
+    "torus_grid": _SCENARIO_PAIR,
+    "trivial_r2": _SCENARIO_PAIR + ("the pair of self_compat.eps0",
+                                    "the pair of self_compat.eps1"),
 }
 
 
@@ -235,5 +222,4 @@ def test_each_pair_stack_is_classified_once(monkeypatch, source):
         monkeypatch.setattr(sys.modules[name], "subgroup_classify", counted)
     path = source if isinstance(source, Path) else builtin_scenario_path(source)
     assert run_scenario(path).passed
-    stacks, draws = _CLASSIFIED[source]
-    assert len(calls) == len(stacks) + len(draws)
+    assert len(calls) == len(_CLASSIFIED[source])

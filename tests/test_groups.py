@@ -25,10 +25,9 @@ from hfe.groups import (
     subgroup_classify,
     tracked_alpha_det,
 )
-from hfe.sampling import random_mlkd_stack
 from hfe.smallmat import det
 
-from helpers import random_gl, random_sp
+from helpers import random_gl, random_mlkd_stack, random_sp
 
 
 def test_ml_element_rejects_wrong_root():
@@ -175,11 +174,11 @@ def test_subgroup_classify_complex_a_block_rejected():
 
 
 def test_subgroup_classify_pair_shared_a(rng):
-    M1, z1, M2, z2 = random_mlkd_stack(rng, 2, 3, 2)
-    blocks = subgroup_classify(M1[:1], M2[:1], 2, z1[:1], z2[:1])
+    M1, _, M2, _ = random_mlkd_stack(rng, 2, 3, 2)
+    blocks = subgroup_classify(M1[:1], M2[:1], 2)
     assert np.array_equal(blocks["A"], M1[:1, :2, :2].real)
-    with pytest.raises(SubgroupRejection):
-        subgroup_classify(M1[:1], M1[1:], 2, z1[:1], z1[1:])
+    with pytest.raises(SubgroupRejection, match="A-blocks differ"):
+        subgroup_classify(M1[:1], M1[1:], 2)
 
 
 def test_corner_whose_determinant_overflows_is_singular():
@@ -194,10 +193,7 @@ def test_corner_whose_determinant_overflows_is_singular():
 
 
 def test_nan_residuals_fail_the_subgroup_guards():
-    # the Mlkd root and Spk inverse guards are negated comparisons
-    M = np.eye(2)[None]
-    with pytest.raises(SubgroupRejection, match=r"z\*\*2 != det\(A\) det\(D\) \(first\)"):
-        subgroup_classify(M, M, 1, np.array([np.nan]), np.array([1.0]))
+    # the Spk inverse guard is a negated comparison
     g = np.eye(4)[None]
     g[0, 2, 2] = np.nan
     with pytest.raises(SubgroupRejection, match="not the inverse of the first"):
@@ -209,19 +205,17 @@ def _dets(blocks: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.det(b) if b.size else 1.0 for b in blocks])
 
 
-def test_subgroup_classify_returns_determinants_and_factor(rng):
+def test_subgroup_classify_returns_determinants(rng):
     for n in range(4):
         for k in range(n + 1):
-            M1, z1, M2, z2 = random_mlkd_stack(rng, 4, n, k)
-            blocks = subgroup_classify(M1, M2, k, z1, z2)
-            detA = _dets(M1[:, :k, :k])
-            for key, want in (("detA", detA), ("detD1", _dets(M1[:, k:, k:])),
-                              ("detD2", _dets(M2[:, k:, k:])),
-                              ("factor", np.conj(z1) * z2 / np.abs(detA))):
+            M1, _, M2, _ = random_mlkd_stack(rng, 4, n, k)
+            blocks = subgroup_classify(M1, M2, k)
+            for key, want in (("detA", _dets(M1[:, :k, :k])),
+                              ("detD1", _dets(M1[:, k:, k:])),
+                              ("detD2", _dets(M2[:, k:, k:]))):
                 assert blocks[key].shape == (4,)
                 np.testing.assert_allclose(blocks[key], want, rtol=1e-12, atol=0,
                                            err_msg=f"{key}, n={n}, k={k}")
-            assert "factor" not in subgroup_classify(M1, M2, k)
 
 
 def test_subgroup_classify_spk():

@@ -5,11 +5,15 @@ from cmath import sqrt as principal_sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfe import ball, induction
 from hfe.cech import lifts_equivalent
+from hfe.compatibility import translation_factor
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
-from hfe.frames import frame_pattern, validate_lagrangian
+from hfe.frames import frame_pattern, meta_pair_factor, validate_lagrangian
+from hfe.groups import ml_mul, subgroup_classify
 from hfe.induction import (
     MetaplecticBundleData,
     SectionFamily,
@@ -23,7 +27,7 @@ from hfe.induction import (
 from hfe.nerve import Nerve
 from hfe.scenario import builtin_scenario_path, evaluate_cocycle, load_scenario
 
-from helpers import component, nerve_doc, per_point
+from helpers import component, nerve_doc, per_point, random_ball_point, random_mlkd_stack
 
 
 def circle_nerve():
@@ -185,34 +189,58 @@ def test_frame_pattern_rejects_bad_pattern():
         raise_first(frame_pattern(np.eye(2)[None], 1j * np.eye(2)[None], 1)[0])
 
 
-def test_build_delta_D_requires_adapted_flag(rng):
+def test_build_delta_D_requires_adapted_flag():
     data = rotation_bundle()  # d_adapted False
     with pytest.raises(ValidationError):
-        build_delta_D_tilde(data, None, rng)
+        build_delta_D_tilde(data, None)
 
 
 def _load(name):
     return load_scenario(builtin_scenario_path(name))
 
 
-def test_delta_D_on_nonorientable_scenario(rng):
+def test_delta_D_on_nonorientable_scenario():
     # the transition has a negative-determinant shared block, so the
     # gluing exercises the |det A| convention
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     g = sc.mp_cocycle.mats[sc.nerve.components[(("0", "1"), 1)][0]]
     assert np.linalg.det(g[: sc.k, : sc.k]) < 0
-    dt = build_delta_D_tilde(data, sc.pair_sections, rng)
+    dt = build_delta_D_tilde(data, sc.pair_sections)
     assert dt.checks["invariance"] < 1e-8
     assert dt.checks["square_identity"] < 1e-9
-    assert dt.checks["translation_law"] < 1e-8
 
 
-def test_cross_check_global_sign(rng):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+       st.integers(0, 2 ** 32 - 1))
+def test_meta_pair_factor_translates_by_the_translation_factor(dims, seed):
+    # the metalinear-pair transformation law of the block-form datum, an
+    # identity of the engine's formulas that no verification checks:
+    # moving both meta frames of a pair by an Mlkd pair (M1, M2) leaves
+    # the Ball points, so Gamma, alone and multiplies the factor
+    # conj(z1) z2 / |det A| by translation_factor of (M1, M2)
+    n, k = dims
+    rng = np.random.default_rng(seed)
+    m = 8
+    C1, z1, C2, z2 = random_mlkd_stack(rng, m, n, k)
+    W1, W2 = (np.stack([np.eye(n, dtype=complex)] * m) for _ in range(2))
+    for W in (W1, W2):
+        W[:, k:, k:] = [random_ball_point(rng, n - k) for _ in range(m)]
+    M1, y1, M2, y2 = random_mlkd_stack(rng, m, n, k)
+    before, W1r, W2r = meta_pair_factor(W1, C1, z1, W2, C2, z2, k)
+    after, W1t, W2t = meta_pair_factor(W1, *ml_mul(C1, z1, M1, y1),
+                                       W2, *ml_mul(C2, z2, M2, y2), k)
+    assert np.array_equal(W1t, W1r) and np.array_equal(W2t, W2r)
+    want = before * translation_factor(y1, y2, subgroup_classify(M1, M2, k)["detA"])
+    assert np.all(np.abs(after - want) <= 1e-10 * np.abs(want))
+
+
+def test_cross_check_global_sign():
     sc = _load("abstract_k1_nonorientable")
     data = MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
     out = cross_check(data, SectionFamily(data, sc.sections_first),
-                      SectionFamily(data, sc.sections_second), rng)
+                      SectionFamily(data, sc.sections_second))
     assert out["global_sign"] in (1, -1)
     assert out["glue_residual"] < 1e-8
     assert out["restriction_residual"] < 1e-9

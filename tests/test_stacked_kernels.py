@@ -307,22 +307,14 @@ def _dense_ring(points: int) -> dict:
 
 
 def test_det_calls_do_not_grow_with_sample_points(monkeypatch):
-    # The seeded draws (a metalinear pair per chart sample point in the
-    # delta_D transformation law, each with its own rejection tests) are
-    # evaluated point by point by design; every other determinant of the
-    # load and the seven stages is taken over a stack, or once per
-    # generator.  Every module takes its determinants from the kernel.
+    # Every determinant of the load and the seven stages is taken over a
+    # stack, or once per generator.  Every module takes its determinants
+    # from the kernel.
     real_det = smallmat.det
     count = [0]
 
     def counting_det(a, *args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_globals.get("__name__") == "hfe.sampling":
-                break
-            frame = frame.f_back
-        else:
-            count[0] += 1
+        count[0] += 1
         return real_det(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
