@@ -6,7 +6,7 @@ loads all of them but the three marked (first use): the stage runners of
 loads only the layers its scenario runs.
 
 - ``hfe.smallmat``      small-matrix linear algebra over stacks, no BLAS at n <= 2
-- ``hfe.tracking``      the exact complex kernel and continuous square-root tracking
+- ``hfe.tracking``      the exact complex kernel; square roots on straight paths and graphs
 - ``hfe.config``        numerical tolerances and the bounds derived from them
 - ``hfe.errors``        the exception hierarchy, and raise_first over stacks
 - ``hfe.ball``          raw Siegel-Ball linear algebra and the Ball action

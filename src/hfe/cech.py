@@ -88,7 +88,8 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
         prod, gap = mul(c.mats[ab], c.mats[bc]), np.zeros(len(ab))
     else:
         # products checked as group elements, skipped without triple
-        # points since an empty stack still calls det and track_sqrt
+        # points since an empty stack still takes det and the closed-form
+        # roots of track_sqrt
         group_mul = G.ml_mul if c.group == "Ml" else G.mp_mul
         prod, roots = group_mul(c.mats[ab], c.roots[ab], c.mats[bc], c.roots[bc])
         gap = cabs(roots - c.roots[ac])

@@ -24,7 +24,7 @@ from . import cech
 from .cech import Cocycle
 from .config import check_bound, get_tolerances, property_bound, zero_bound
 from .errors import GluingError, SingularityError, ValidationError, raise_first
-from .groups import rel_residual, subgroup_classify, worst
+from .groups import rel_residual, subgroup_classify, translation_factor, worst
 from .nerve import Nerve
 from .smallmat import det
 
@@ -169,15 +169,6 @@ class DeltaTildeData:
         self.residuals = residuals
         self.checks: dict = {}
         self.epsilon: Optional[int] = None
-
-
-def translation_factor(z1, z2, detA) -> np.ndarray:
-    """conj(z1) z2 / |det A|: the factor by which the Mlkd pairs with
-    roots z1, z2 and A-block determinants detA translate a square-root
-    datum, and by which build_delta_tilde glues across overlaps.  Its
-    square is conj(det g1) det g2 / det(A)^2, the transformation of
-    delta, as z**2 = det(A) det(D) for each member."""
-    return np.conj(z1) * z2 / np.abs(detA)
 
 
 def build_delta_tilde(

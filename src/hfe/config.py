@@ -20,7 +20,9 @@ class Tolerances:
     rel       relative error for algebraic identities
     abs       absolute error for exact-zero / reality pattern checks
     singular  threshold below which a determinant counts as singular
-    track     margin for square-root path tracking near a vanishing value
+    track     margin of a straight path's square root: the least |det| on
+              the path, bounded below in closed form, over max(1, |det|
+              at its start)
     """
 
     def __init__(self, rel: float = 1e-9, abs: float = 1e-10,

@@ -19,9 +19,10 @@ import numpy as np
 from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
-from .groups import block_pattern, check_ml, off_root, shared_corner, tracked_alpha_det
+from .groups import (block_pattern, check_ml, off_root, shared_corner, tracked_alpha_det,
+                     translation_factor)
 from .smallmat import det, hermitian_extremes, inv, mul
-from .tracking import cdiv, cmul, track_sqrt
+from .tracking import cmul, track_sqrt
 
 
 def standard_omega(n: int) -> np.ndarray:
@@ -120,25 +121,20 @@ def check_ball(W: np.ndarray) -> None:
 
 def gamma_stack(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     """Continuous square roots of det(1/2 (1 - W1[p]* W2[p])) on Ball x
-    Ball, for two stacks (P, n, n) of Ball points, tracked as one stack
-    of paths.
+    Ball, for two stacks (P, n, n) of Ball points, as one stack of paths.
 
     The argument order is fixed so that the square of the meta pairing
     value equals the pairing determinant of the projected frames; with
     the opposite order the squared identity fails by a conjugation.
     Anchored at W1 = W2 = 0 with 2**(-n/2), which is forced by the
-    squared identity; tracked along t -> det(1/2 (1 - t^2 W1* W2)).
+    squared identity; continued along t -> 1/2 (1 - t^2 M), M = W1* W2,
+    which is straight in s = t^2: 2**(-n/2) prod sqrt(1 - eig M).
     """
     P, n = len(W1), W1.shape[-1]
-    if n == 0:
-        return np.ones(P, dtype=complex)
     M = mul(np.swapaxes(W1, -1, -2).conj(), W2)
     eye = np.eye(n)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return det(0.5 * (eye - (t * t)[None, :, None, None] * M[:, None]))
-
-    return track_sqrt(f, np.full(P, 2.0 ** (-n / 2.0), dtype=complex))
+    return track_sqrt(lambda s: 0.5 * (eye - s[None, :, None, None] * M[:, None]),
+                      np.full(P, 2.0 ** (-n / 2.0), dtype=complex))
 
 
 def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
@@ -151,8 +147,8 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     check_ball.
 
     z[p] is continued from the anchor zeta[p] at the Ball center along
-    the straight segment s -> s W[p] by square-root tracking of det
-    alpha, all points as one stack of paths; g.W = (R + S W) alpha^{-1}
+    the straight segment s -> s W[p] by tracked_alpha_det, in closed
+    form, all points as one stack of paths; g.W = (R + S W) alpha^{-1}
     (ball.cayley_blocks) takes its alpha.
     """
     z, a1 = tracked_alpha_det(g, W, zeta)
@@ -216,14 +212,15 @@ def meta_pattern(W: np.ndarray, C: np.ndarray, k: int):
 
 
 def meta_pair_factor(W1, C1, z1, W2, C2, z2, k: int):
-    """The factors conj(z1) z2 |det A|^{-1} of the square-root pairing
-    values of meta frame pairs in block form (see delta_L_tilde), after
-    their block-pattern checks, and the reduced Ball points W1r, W2r
-    whose Gamma completes them; raises for the first pair that fails."""
+    """The factors conj(z1) z2 |det A|^{-1} (translation_factor) of the
+    square-root pairing values of meta frame pairs in block form (see
+    delta_L_tilde), after their block-pattern checks, and the reduced
+    Ball points W1r, W2r whose Gamma completes them; raises for the
+    first pair that fails."""
     checks1, b1 = meta_pattern(W1, C1, k)
     checks2, b2 = meta_pattern(W2, C2, k)
     raise_first(checks1 + checks2 + shared_corner(b1["A"], b2["A"], k))
-    return cdiv(cmul(np.conj(z1), z2), np.abs(b1["detA"])), b1["Wr"], b2["Wr"]
+    return translation_factor(z1, z2, b1["detA"]), b1["Wr"], b2["Wr"]
 
 
 def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
@@ -232,7 +229,7 @@ def delta_L_tilde(W1, C1, z1, W2, C2, z2, k: int) -> np.ndarray:
     n, n) and roots z (P,); raises for the first pair that fails.
 
     Value: conj(z1) z2 |det A|^{-1} Gamma(W1r, W2r) on the reduced Ball
-    points, the Gamma factors tracked as one stack of paths; its square
+    points, the Gamma factors taken as one stack of paths; its square
     is delta_L of the projected pair.
     """
     factor, W1r, W2r = meta_pair_factor(W1, C1, z1, W2, C2, z2, k)

@@ -5,11 +5,12 @@ Ml(n,C) is realized as pairs (A, z) with z**2 = det A, multiplying
 componentwise.  Sp(2n,R) is validated through its block identities.  The
 metaplectic group Mp(2n,R) has no matrix realization; an element is
 stored as (g, zeta) where zeta**2 = det alpha(g, 0) anchors the sheet at
-the Ball center, and products are formed by continuous square-root
-tracking of det alpha along a segment in the Ball.  Elements are held as
-stacks: a (P, n, n) or (P, 2n, 2n) array with the (P,) array of its roots
-or anchors; the membership tests raise for the first point that fails,
-and off_root is the one test of a root z**2 = d.
+the Ball center, and products continue det alpha along a segment in the
+Ball, a straight path of matrices whose square root track_sqrt gives in
+closed form.  Elements are held as stacks: a (P, n, n) or (P, 2n, 2n)
+array with the (P,) array of its roots or anchors; the membership tests
+raise for the first point that fails, and off_root is the one test of a
+root z**2 = d.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
 from .smallmat import det, inv, mul
-from .tracking import cabs, cmul, track_sqrt
+from .tracking import cabs, cdiv, cmul, track_sqrt
 
 
 def rel_residual(x, target) -> np.ndarray:
@@ -43,6 +44,16 @@ def off_root(z, d, bound: float) -> np.ndarray:
     warning.  A NaN is flagged, as the flag is a negated comparison."""
     with np.errstate(all="ignore"):
         return ~(cabs(cmul(z, z) - d) <= bound * cabs(d))
+
+
+def translation_factor(z1, z2, detA) -> np.ndarray:
+    """conj(z1) z2 / |det A|, by the exact kernel: the factor by which
+    Mlkd pairs with roots z1, z2 and A-block determinants detA translate
+    a square-root datum (compatibility.build_delta_tilde glues by it) and
+    a meta pair's square-root pairing value (frames.meta_pair_factor).
+    Its square is conj(det g1) det g2 / det(A)^2, the transformation of
+    delta, as z**2 = det(A) det(D) for each member."""
+    return cdiv(cmul(np.conj(z1), z2), np.abs(detA))
 
 
 def ml_checks(A: np.ndarray, z) -> list:
@@ -123,20 +134,21 @@ def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Continue each anchor zeta[p] (at W = 0) to the Ball point W[p].
 
-    Tracks the square roots of det alpha(g[p], s*W[p]) along the straight
-    segments s in [0, 1] as one stack of paths, for stacks g (P, 2n, 2n)
-    and W (P, n, n).  In closed form alpha(g, sW) = P + s QW (see
-    ball.cayley_blocks), so QW is one product per point and no parameter
-    takes an inverse; every determinant gets alpha_raw's singular check.
-    Returns the roots and alpha(g, W) = P + QW (P, n, n).
+    The square roots of det alpha(g[p], s W[p]) along the straight
+    segments s in [0, 1], for stacks g (P, 2n, 2n) and W (P, n, n): in
+    closed form alpha(g, sW) = P + s QW (see ball.cayley_blocks), a
+    straight path of matrices, so track_sqrt takes the root at s = 1
+    from the eigenvalues of P^-1 QW.  QW is one product per point, and
+    both ends get alpha_raw's singular check.  Returns the roots and
+    alpha(g, W) = P + QW (P, n, n).
     """
     P, Q, _, _ = ball.cayley_blocks(np.asarray(g))
     QW = mul(Q, W)
 
     def f(s: np.ndarray) -> np.ndarray:
-        dets = det(P[:, None] + s[None, :, None, None] * QW[:, None])
-        ball.check_positive(dets)
-        return dets
+        alpha = P[:, None] + s[None, :, None, None] * QW[:, None]
+        ball.check_positive(det(alpha))
+        return alpha
 
     return track_sqrt(f, zeta), P + QW
 
@@ -149,8 +161,9 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     The matrix part is the matrix product; the anchor of the product is
     fixed by the automorphy-cocycle identity
     alphat(ab, 0) = alphat(a, b.0) * alphat(b, 0),
-    where alphat(a, .) is continued from a's anchor by tracking, all
-    products as one stack of paths.  The products are checked in one
+    where alphat(a, .) is continued from a's anchor along the segment
+    from 0 to b.0 by tracked_alpha_det, in closed form, all products as
+    one stack of paths.  The products are checked in one
     pass of check_mp.
     """
     n = g1.shape[-1] // 2

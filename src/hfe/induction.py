@@ -230,7 +230,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData,
     """Global square-root pairing datum on a D-adapted metaplectic bundle.
 
     Per chart, the value at a sampled meta pair is delta_L_tilde of its
-    block form; gluing across an overlap is the invariance of that value
+    block form, whose Gamma factor track_sqrt takes in closed form along
+    a straight path; gluing across an overlap is the invariance of that value
     under the (diagonal) metaplectic block action — verified here, not
     assumed.  The square identity against delta_L is checked at every
     chart row.  pair_sections are the stacks (W1, C1, z1, W2, C2, z2) at
@@ -238,8 +239,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData,
     runs on the stacks of all sample points at once, after the pair
     sections are checked as Ball points and metalinear frames.  The
     metalinear-pair transformation law is the product identity of
-    meta_pair_factor with compatibility.translation_factor, which the
-    tests check.
+    meta_pair_factor with groups.translation_factor, which the tests
+    check.
     """
     if not data.d_adapted:
         raise ValidationError("requires D-adapted metaplectic data")

@@ -48,6 +48,15 @@ def inv(A) -> np.ndarray:
         return adj / det(A)[..., None, None]
 
 
+def eigvals(A, X) -> np.ndarray:
+    """The eigenvalues of A^-1 X, for stacks with m > 2 (callers take
+    m <= 2 in closed form) and det A != 0: those of np.linalg.solve(A, X),
+    NaN where that is not finite."""
+    quot = np.linalg.solve(A, X)
+    finite = np.isfinite(quot).all(axis=(-2, -1))[..., None]
+    return np.where(finite, np.linalg.eigvals(np.where(finite[..., None], quot, 0.0)), np.nan)
+
+
 def hermitian_extremes(H) -> tuple[np.ndarray, np.ndarray]:
     """The least and largest eigenvalues of Hermitian stacks, m >= 1, read
     from the diagonal and lower triangle as by eigvalsh."""

@@ -1,19 +1,16 @@
-"""Continuous square-root tracking.
+"""Continuous square roots along straight paths and over sampled graphs.
 
-Given a continuous nonvanishing path ``f(t)``, t in [0, 1], of complex
-numbers and an anchor ``z0`` with ``z0**2 = f(0)``, there is a unique
-continuous branch ``z(t)`` with ``z(t)**2 = f(t)``.  We realize it
-numerically by stepping along the path and multiplying by the principal
-square root of the ratio of consecutive values; adaptive bisection keeps
-every argument step below pi/2 so the branch can never jump.  On a
-sampled graph (track_graph) the steps are the edges and cannot be
-refined, so a step of pi/2 or more is an error.  Both trackers decide a
-step with one test, _turns.
+On a straight path, det(A + sX) = det A prod(1 + s mu_i), mu_i the
+eigenvalues of A^-1 X.  Each factor runs along a segment from 1, which
+meets the negative reals only through 0, so away from 0 the continuous
+root from z0 at s = 0 is z0 prod sqrt(1 + mu_i) at s = 1 (principal
+roots), and each segment's distance from 0 bounds the path from below.
+On a sampled graph (track_graph) the steps are the edges and cannot be
+refined, so a step that _turns flags, by pi/2 or more, is an error.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import sys
 from typing import Callable, Sequence
@@ -22,6 +19,7 @@ import numpy as np
 
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import TrackingError, raise_first
+from .smallmat import det, eigvals
 
 # A ratio r of consecutive values turns (may cross the branch cut of the
 # square root) unless its argument stays below 0.999·pi/2: unless 0 <
@@ -29,30 +27,26 @@ from .errors import TrackingError, raise_first
 # margin is a literal, 0x1.3e4f438b2ce6cp+9, so that no libm call
 # decides a step.
 _TAN_MAX_ARG = 636.6192487687345
-# track_sqrt cuts [0, 1] into _INITIAL_STEPS pieces and bisects a step
-# at most _MAX_DEPTH times in a row.
-_INITIAL_STEPS = 16
-_MAX_DEPTH = 48
 
 
 def _turns(ratio):
-    """The step test of both trackers, exact in real arithmetic, of a
-    ratio or an array of ratios: whether the step may cross the branch
-    cut.  track_sqrt bisects such a step, and on a sampled graph it is a
-    branch jump."""
+    """The step test of track_graph, exact in real arithmetic, of a ratio
+    or an array of ratios: whether the step may cross the branch cut, a
+    branch jump on a sampled graph."""
     re = ratio.real
     with np.errstate(over="ignore"):  # S · Re r may overflow to inf
         return ~((0.0 < re) & (re < np.inf) & (np.abs(ratio.imag) < _TAN_MAX_ARG * re))
 
 
 def _ratio(a, b) -> np.ndarray:
-    """The step ratio a / b of both trackers: cdiv, except where Smith's
-    denominator overflows near the float maximum, so that the quotient
-    of finite operands is not finite (Python's (1e308+1e308j) /
-    (1e308+1e308j) is nan+0j) or that of nonzero ones is zero
-    ((-1e308j) / (1e308-1e308j) is -0j, not 0.5-0.5j); there both
-    operands are halved first.  Halving is exact for normal parts, and
-    every other ratio is cdiv's, bit for bit."""
+    """The quotient a / b of the step ratios of track_graph and of the
+    pencils of track_sqrt: cdiv, except where Smith's denominator
+    overflows near the float maximum, so that the quotient of finite
+    operands is not finite (Python's (1e308+1e308j) / (1e308+1e308j) is
+    nan+0j) or that of nonzero ones is zero ((-1e308j) / (1e308-1e308j)
+    is -0j, not 0.5-0.5j); there both operands are halved first.
+    Halving is exact for normal parts, and every other ratio is cdiv's,
+    bit for bit."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     q = cdiv(a, b)
     redo = (~np.isfinite(q) | ((q == 0) & (a != 0))) & np.isfinite(a) & np.isfinite(b)
@@ -62,108 +56,76 @@ def _ratio(a, b) -> np.ndarray:
     return q
 
 
+def _pencil(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The eigenvalues (P, m) of A^-1 X, for stacks (P, m, m) with
+    det A != 0.  For m <= 2 by the exact kernel, from mu_1 + mu_2 =
+    a_1 / det A and mu_1 mu_2 = det X / det A, a_1 the mixed term of
+    det(A + sX): the larger root, then the product over it, so neither
+    cancels.  For m > 2 by smallmat.eigvals."""
+    P, m = len(A), A.shape[-1]
+    if m < 2:
+        return _ratio(X.reshape(P, m), A.reshape(P, m))
+    if m > 2:
+        return eigvals(A, X)
+    (a, b), (c, d) = A[:, 0].T, A[:, 1].T
+    (w, x), (y, z) = X[:, 0].T, X[:, 1].T
+    det_a = cmul(a, d) - cmul(b, c)
+    half = _ratio(cmul(a, z) + cmul(w, d) - cmul(b, y) - cmul(x, c), det_a + det_a)
+    prod = _ratio(cmul(w, z) - cmul(x, y), det_a)
+    root = _sqrt(cmul(half, half) - prod)
+    big = np.where(half.real * root.real + half.imag * root.imag < 0.0, half - root, half + root)
+    return np.stack([big, np.where(big == 0, 0j, _ratio(prod, np.where(big == 0, 1.0, big)))],
+                    axis=-1)
+
+
 def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0) -> np.ndarray:
-    """Continue the anchors z0 (P,), z0[p]**2 = f(0)[p], along a stack of
-    P paths from t = 0 to 1: returns the (P,) roots at 1.
+    """Continue the anchors z0 (P,), z0[p]**2 = det f(0)[p], along P
+    straight paths of matrices from s = 0 to 1: the (P,) roots at 1.
 
-    ``f`` takes a 1-D float array of m parameters and returns a (P, m)
-    complex array, row p on path p.  The grid j / _INITIAL_STEPS is
-    evaluated in one call, and each bisection midpoint in one call of
-    length 1 for the whole stack, so ``f`` must be defined on all of
-    [0, 1] for every path.
-
-    The paths are stepped in lockstep, with the exact kernel (cdiv,
-    cmul, cabs and _sqrt), and every anchor is tested in lockstep.  Only
-    a step that _turns flags, or that comes within the tracking
-    tolerance of zero, is stepped by _bisect, path by path in stack
-    order.  The roots, the errors and the midpoints evaluated are those
-    of stepping each path alone.
-
-    Raises TrackingError, for the first failing path, if its anchor does
-    not square to its start value, if its value is not finite, if it
-    passes within the tracking tolerance of zero away from the endpoint,
-    or if bisection cannot reduce the argument step.
-
-    The interval is always cut into _INITIAL_STEPS pieces before the
-    adaptive bisection: testing only endpoint ratios would miss a path
-    that winds around the origin yet returns with a small total argument.
+    ``f`` takes a 1-D float array of parameters and returns the (P, len,
+    m, m) matrices of the paths there, each affine in s; it is called
+    once, at s = [0, 1].  With A = f(0), X = f(1) - A and mu = _pencil,
+    the root is z0 prod sqrt(1 + mu_i) by the exact kernel.  Raises
+    TrackingError for the first path whose anchor fails Python's
+    abs(z0**2 - det A) <= bound * max(1, abs(det A)), bit for bit, whose
+    matrices at s = 0 or 1 are not finite, or that vanishes: |det A|
+    prod_i min over s of |1 + s mu_i|, the least size on the path, is at
+    most the tracking tolerance times max(1, |det A|).
     """
-    z = anchors = np.asarray(z0, dtype=complex)
-    grid = np.arange(_INITIAL_STEPS + 1) / _INITIAL_STEPS
-    rows = np.asarray(f(grid), dtype=complex).reshape(len(anchors), len(grid))
-    # the values of every path at a bisection midpoint, one call each
-    at = functools.cache(lambda tm: np.asarray(f(np.array([tm])), dtype=complex)
-                         .reshape(len(anchors)).tolist())
-
+    anchors = np.asarray(z0, dtype=complex)
+    ends = np.asarray(f(np.array([0.0, 1.0])), dtype=complex)
+    A, m = ends[:, 0], ends.shape[-1]
     tols = get_tolerances()
-    size = cabs(rows)
+    start = det(A)
+    size = cabs(start)
     with np.errstate(all="ignore"):
+        X = ends[:, 1] - A
         # Python's abs(z * z - f(0)) <= bound * max(1, abs(f(0))), bit for bit
-        stray = ~(cabs(cmul(z, z) - rows[:, 0])
-                  <= identity_bound(tols) * np.fmax(1.0, size[:, 0]))
-        # step j goes from grid point j to j + 1; a value that is zero or
-        # not finite makes its ratios zero or not finite, which _turns flags
-        ratio = _ratio(rows[:, 1:], rows[:, :-1])
-        flagged = _turns(ratio)
-        flagged |= (size[:, 1:] <= tols.track * np.fmax(1.0, size[:, :1])) & (grid[1:] < 1.0)
-        steps = _sqrt(ratio)
-        # cmul step by step, on the parts
-        zr, zi, sr, si = z.real, z.imag, steps.real.T, steps.imag.T
-        for j in range(_INITIAL_STEPS):
-            zr, zi = zr * sr[j] - zi * si[j], zr * si[j] + zi * sr[j]
-        z = _complex(zr, zi)
-    grid = grid.tolist()
-    # each path with a stray anchor or a flagged step, in stack order, as alone
-    for p in np.flatnonzero(stray | flagged.any(axis=1)).tolist():
-        if stray[p]:
-            raise TrackingError("anchor does not square to the path start value")
-        values, root = rows[p].tolist(), complex(anchors[p])
-        floor = tols.track * max(1.0, abs(values[0]))
-        for j, step in enumerate(steps[p].tolist()):
-            if flagged[p, j]:
-                root = _bisect(root, grid[j], values[j], grid[j + 1], values[j + 1],
-                               at, p, floor)
-            else:
-                root = root * step
-        z[p] = root
-    return z
-
-
-def _bisect(z, t, ft, tn, fn, at, p, floor) -> complex:
-    """One grid step of path p of track_sqrt, from the value ft at t to
-    fn at tn, bisected as needed: returns z continued to tn.  ``at(tm)[p]``
-    is the path's value at a midpoint tm."""
-    if not cmath.isfinite(ft):
-        raise TrackingError(f"tracked value is not finite at t={t:.6g}")
-    # Stack of pending (right endpoint, value) pairs, the grid point at
-    # the bottom and bisection midpoints above it; the top is processed
-    # next.
-    pending = [(tn, fn)]
-    depth = 0
-    while pending:
-        tn, fn = pending[-1]
-        if not cmath.isfinite(fn):
-            raise TrackingError(f"tracked value is not finite at t={tn:.6g}")
-        if abs(fn) <= floor and tn < 1.0:
-            raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
-        if abs(ft) == 0.0:
-            raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-        ratio = _ratio(fn, ft)
-        if _turns(ratio):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise TrackingError("bisection depth exceeded (branch ambiguity)")
-            tm = 0.5 * (t + tn)
-            if tm in (t, tn):
-                raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
-                                    "left to bisect (branch ambiguity)")
-            pending.append((tm, at(tm)[p]))
-            continue
-        z = z * cmath.sqrt(complex(ratio))
-        t, ft = tn, fn
-        pending.pop()
-        depth = 0
-    return z
+        stray = ~(cabs(cmul(anchors, anchors) - start)
+                  <= identity_bound(tols) * np.fmax(1.0, size))
+        # not finite at s = 0, or else at s = 1 where X is not
+        head = ~(np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(start))
+        broken = head | ~np.isfinite(X).all(axis=(-2, -1))
+        # a path that fails gets the pencil of a constant one
+        ok = (~broken & (start != 0))[:, None, None]
+        mu = _pencil(np.where(ok, A, np.eye(m)), np.where(ok, X, 0.0))
+        # the nearest point 1 + s mu of each segment to 0, s in [0, 1]
+        h = np.hypot(mu.real, mu.imag)
+        at = np.where(mu.real < 0.0, np.fmin(-mu.real / h / h, 1.0), 0.0)
+        least = np.hypot(1.0 + at * mu.real, at * mu.imag)
+        # |det A| prod least over max(1, |det A|), without inf / inf
+        bound, roots = np.fmin(1.0, size), anchors
+        for j in range(m):
+            bound = bound * least[:, j]
+            roots = cmul(roots, _sqrt(1.0 + mu[:, j]))
+    raise_first([
+        (stray, lambda p: TrackingError("anchor does not square to the path start value")),
+        (broken, lambda p: TrackingError(
+            f"tracked value is not finite at s={0 if head[p] else 1}")),
+        (~(bound > tols.track), lambda p: TrackingError(
+            f"tracked value vanishes near s={at[p, np.argmin(least[p])] if m else 0.0:.6g}")),
+    ])
+    return roots
 
 
 def _complex(re, im) -> np.ndarray:

@@ -14,7 +14,6 @@ from hfe.config import get_tolerances
 from hfe.frames import check_ball, validate_lagrangian
 from hfe.groups import check_ml
 from hfe.smallmat import det
-from hfe.tracking import track_sqrt
 
 
 # the trackers' argument-step margin, 0.999 pi/2; hfe.tracking tests it
@@ -24,7 +23,7 @@ MAX_ARG = 0.5 * math.pi * 0.999
 
 def rescaled(f, t0: float, t1: float):
     """The path f on [t0, t1] as a path on [0, 1], the interval of
-    track_sqrt."""
+    track_sqrt and reference_sqrt."""
     return lambda t: f(t0 + (t1 - t0) * t)
 
 
@@ -227,16 +226,39 @@ def delta_L_from_wc(X1: tuple[np.ndarray, np.ndarray],
     )
 
 
+def reference_sqrt(values, z0, steps: int = 1024) -> np.ndarray:
+    """The continuous square roots at s = 1 of P nonvanishing paths from
+    the anchors z0 (P,) at s = 0, by stepping: values(s) gives the (P,
+    len) values of the paths at a 1-D float array s.  The grid j / steps
+    is doubled until no step turns by 0.1 rad or more (an assertion fails
+    past 2**16 steps), each step multiplies by the principal root of its
+    ratio, and the result is the principal root of the end value, or its
+    negative, whichever is nearer the stepped one.  An independent
+    reference for hfe.tracking.track_sqrt."""
+    z0 = np.asarray(z0, dtype=complex)
+    while True:
+        v = np.asarray(values(np.arange(steps + 1) / steps), dtype=complex)
+        ratio = v[:, 1:] / v[:, :-1]
+        if np.max(np.abs(np.angle(ratio)), initial=0.0) < 0.1:
+            break
+        assert steps < 2 ** 16, "the reference grid does not resolve the path"
+        steps *= 2
+    stepped = z0 * np.prod(np.sqrt(ratio), axis=1)
+    end = np.sqrt(v[:, -1])
+    return np.where(np.abs(end - stepped) <= np.abs(end + stepped), end, -end)
+
+
 def gamma_two_legs(W1: np.ndarray, W2: np.ndarray, via: float) -> np.ndarray:
     """The roots of frames.gamma_stack, for two stacks (P, n, n) of Ball
-    points with n > 0, tracked in two legs along the same path, re-anchored
-    at t = via in (0, 1): equal to gamma_stack's if the roots do not
-    depend on where the path is cut."""
+    points with n > 0, by reference_sqrt in two legs along the same path
+    t -> det(1/2 (1 - t^2 W1* W2)), re-anchored at t = via in (0, 1):
+    equal to gamma_stack's if the roots do not depend on where the path
+    is cut."""
     n = W1.shape[-1]
     M = np.swapaxes(W1, -1, -2).conj() @ W2
 
     def f(t: np.ndarray) -> np.ndarray:
         return np.linalg.det(0.5 * (np.eye(n) - (t * t)[None, :, None, None] * M[:, None]))
 
-    mid = track_sqrt(rescaled(f, 0.0, via), np.full(len(W1), 2.0 ** (-n / 2.0), dtype=complex))
-    return track_sqrt(rescaled(f, via, 1.0), mid)
+    mid = reference_sqrt(rescaled(f, 0.0, via), np.full(len(W1), 2.0 ** (-n / 2.0)))
+    return reference_sqrt(rescaled(f, via, 1.0), mid)

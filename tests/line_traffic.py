@@ -26,7 +26,6 @@ stay on the list:
   ``delta_tilde.inequivalent-fails``;
 - ``VerificationReport.add``'s duplicate-id check and ``_producers``'
   declaration check, which guard the stage table of ``hfe.pipelines``;
-- the tracker's vanishing-value guard;
 - ``emit_report``'s path for Python before 3.10.7;
 - ``_jsonable``'s fallbacks;
 - ``Tolerances.__eq__``'s ``NotImplemented`` and ``Tolerances.__repr__``;

@@ -131,8 +131,9 @@ def test_mp_triangle_residuals_are_pinned():
     # anchor at p0 (membership and cocycle) and the other t_ac sheet at
     # p3 (cocycle).  The values below were re-recorded when determinants,
     # and again when products, moved to the closed forms of hfe.smallmat,
-    # which move their last bits; no golden report reaches mp_mul or these
-    # residuals.
+    # and when the tracked anchors moved to track_sqrt's closed form, each
+    # of which moves their last bits; no golden report reaches mp_mul or
+    # these residuals.
     ids = ("p0", "p1", "p2", "p3")
     nerve = triangle_nerve(ids)
     rng = np.random.default_rng(19)
@@ -146,12 +147,12 @@ def test_mp_triangle_residuals_are_pinned():
         pair: (per_point(lambda pid, _, j=j: values[pid][j]),)
         for j, pair in enumerate(SIDES)}))
     assert validate_cocycle(nerve, c) == {
-        "ok": False, "max_residual": 95.30390661790894, "failures": [
+        "ok": False, "max_residual": 95.30390661790905, "failures": [
             ("membership", ("a", "b"), 0, "p2", 5.999999835307505e-09),
             ("membership", ("a", "c"), 0, "p0", 4.000000060222288e-08),
-            ("cocycle", ("a", "b", "c"), "p0", 3.246304007433228e-07),
-            ("cocycle", ("a", "b", "c"), "p2", 1.4663277968833474e-07),
-            ("cocycle", ("a", "b", "c"), "p3", 95.30390661790894)]}
+            ("cocycle", ("a", "b", "c"), "p0", 3.2463039979152093e-07),
+            ("cocycle", ("a", "b", "c"), "p2", 1.4663278704697278e-07),
+            ("cocycle", ("a", "b", "c"), "p3", 95.30390661790905)]}
     assert _membership_residuals(c).tolist() == [
         1.5969949940837668e-16, 2.644266862192411e-16, 5.999999835307505e-09, 0.0,
         4.000000060222288e-08, 1.1027924931775653e-16, 1.9034877485339496e-16, 0.0,
@@ -160,8 +161,8 @@ def test_mp_triangle_residuals_are_pinned():
     _, zeta = mp_mul(*(np.array([values[p][j][m] for p in ids])
                        for j in (0, 1) for m in (0, 1)))
     assert zeta.tolist() == [
-        (13.70482823627064 - 8.697121239091706j), (8.125634025365425 - 13.845540079751672j),
-        (25.309711418204742 + 41.814354084646865j), (32.976114681020945 + 34.39890281248684j)]
+        (13.70482823627064 - 8.697121239091707j), (8.125634025365422 - 13.845540079751673j),
+        (25.309711418204756 + 41.814354084646865j), (32.97611468102113 + 34.39890281248681j)]
 
 
 def test_gl_cocycle_with_an_overflowing_product_fails():

@@ -13,11 +13,10 @@ from hfe.compatibility import (
     induce_compatible,
     normalize_sections,
     self_compat,
-    translation_factor,
     validate_pair_data,
 )
 from hfe.errors import GluingError, ValidationError
-from hfe.groups import subgroup_classify
+from hfe.groups import subgroup_classify, translation_factor
 from hfe.nerve import Nerve
 from hfe.pipelines import run_scenario
 from hfe.scenario import builtin_scenario_path, evaluate_cocycle

@@ -53,7 +53,7 @@ from hfe.report import emit_report
 from hfe.scenario import builtin_scenario_names, builtin_scenario_path
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-REPORT_DIGEST = (185, "d142064af3d8082bf1fdaae26d8ef18206ed10dc074bd26cdc1311a1cb4bc556")
+REPORT_DIGEST = (185, "4dd31e06ffd8a7db80f4c8523f5f85c6cb262b89c0394db961af2159394b48e7")
 DOCUMENTS = sorted(p.stem for p in (GOLDEN_DIR / "scenarios").glob("*.json"))
 # every corpus scenario with each stage it declares
 DECLARED = [(name, stage) for name in builtin_scenario_names()

@@ -118,25 +118,26 @@ def test_mp_product_stays_on_cover(rng):
 
 
 def test_tracked_alpha_det_takes_no_inverse(rng, monkeypatch):
-    # alpha(g, sW) = P + s QW: no grid parameter inverts anything
-    g = np.stack([random_sp(rng, 2) for _ in range(3)])
-    W = np.stack([np.diag([0.5, -0.3j]), np.zeros((2, 2)), [[0.2, 0.1], [0.1, 0.0]]])
-    zeta = [_lift(gp)[1][0] for gp in g]
+    # alpha(g, sW) = P + s QW, so groups inverts nothing, and the tracker
+    # takes the eigenvalues of P^-1 QW in closed form for n <= 2 and by
+    # an LU solve beyond, so nothing calls np.linalg.inv either
     calls = []
-    real_inv = groups.inv
-
-    def counting_inv(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real_inv(a, *args, **kwargs)
-
-    monkeypatch.setattr(groups, "inv", counting_inv)
-    z, alpha = tracked_alpha_det(g, W, zeta)
-    assert calls == []
-    monkeypatch.undo()
-    _, want = ball.alpha_raw(g, W)
-    assert np.array_equal(alpha, want)
-    for zp, a in zip(z, np.linalg.det(alpha)):
-        assert abs(zp * zp - a) < 1e-9 * abs(a)
+    for module, name in ((groups, "inv"), (np.linalg, "inv")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, real=real: calls.append(np.shape(a))
+                            or real(a))
+    for n in (1, 2, 3):
+        g = np.stack([random_sp(rng, n) for _ in range(3)])
+        W = np.stack([np.diag(np.linspace(0.5, -0.3j, n)), np.zeros((n, n)),
+                      np.full((n, n), 0.1)])
+        zeta = [_lift(gp)[1][0] for gp in g]
+        calls.clear()  # random_sp inverts
+        z, alpha = tracked_alpha_det(g, W, zeta)
+        assert calls == []
+        _, want = ball.alpha_raw(g, W)
+        assert np.array_equal(alpha, want)
+        for zp, a in zip(z, np.linalg.det(alpha)):
+            assert abs(zp * zp - a) < 1e-9 * abs(a)
 
 
 def test_mp_associativity_of_sheets(rng):

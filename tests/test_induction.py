@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hfe import ball, induction
 from hfe.cech import lifts_equivalent
-from hfe.compatibility import translation_factor
 from hfe.errors import SubgroupRejection, ValidationError, raise_first
 from hfe.frames import frame_pattern, meta_pair_factor, validate_lagrangian
-from hfe.groups import ml_mul, subgroup_classify
+from hfe.groups import ml_mul, subgroup_classify, translation_factor
 from hfe.induction import (
     MetaplecticBundleData,
     SectionFamily,
@@ -218,8 +217,9 @@ def test_meta_pair_factor_translates_by_the_translation_factor(dims, seed):
     # the metalinear-pair transformation law of the block-form datum, an
     # identity of the engine's formulas that no verification checks:
     # moving both meta frames of a pair by an Mlkd pair (M1, M2) leaves
-    # the Ball points, so Gamma, alone and multiplies the factor
-    # conj(z1) z2 / |det A| by translation_factor of (M1, M2)
+    # the Ball points, so Gamma, alone and multiplies the factor,
+    # translation_factor of the pair's roots and det A, by
+    # translation_factor of (M1, M2)
     n, k = dims
     rng = np.random.default_rng(seed)
     m = 8

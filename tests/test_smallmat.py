@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from hfe import ball
 from hfe.config import get_tolerances
 from hfe.errors import SingularityError
-from hfe.smallmat import det, hermitian_extremes, inv, lstsq, mul, opnorm
+from hfe.smallmat import det, eigvals, hermitian_extremes, inv, lstsq, mul, opnorm
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hfe"
 EPS = np.finfo(float).eps
@@ -206,6 +206,17 @@ def test_non_finite_input_gives_non_finite_output(m, bad, dtype):
     for out in outs:
         assert np.all(np.isfinite(out[[0, 2]]))
         assert not np.all(np.isfinite(out[1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pencil_eigenvalues_are_lapacks_and_nan_where_not_finite(bad):
+    # m > 2 only: the tracker's pencils take m <= 2 in closed form
+    rng = np.random.default_rng(5)
+    A, X = (rng.standard_normal((3, 4, 4)) + 0j for _ in range(2))
+    X[1, 2, 0] = bad
+    got = eigvals(A, X)
+    assert np.array_equal(got[[0, 2]], np.linalg.eigvals(np.linalg.solve(A[[0, 2]], X[[0, 2]])))
+    assert np.isnan(got[1]).all()
 
 
 def test_overflowing_determinant_is_nan_without_a_warning():

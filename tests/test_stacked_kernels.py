@@ -9,13 +9,12 @@ steps one depth at a time, so that their number does not grow with the
 sampling density.
 """
 
-import cmath
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hfe.config import get_tolerances
 from hfe.errors import SingularityError, SubgroupRejection, TrackingError, raise_first
@@ -24,8 +23,6 @@ from hfe.groups import _glk_pattern
 from hfe import smallmat, tracking
 from hfe.pipelines import run_scenario
 from hfe.tracking import Walk, track_graph, track_sqrt
-
-from helpers import MAX_ARG, rescaled
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -194,99 +191,48 @@ def test_block_pattern_matches_the_scalar_checks(n, data):
 # a stack of paths against each path alone
 # ---------------------------------------------------------------------------
 
-def _stack_of_paths(ws, amps, broken):
-    """Row p is (1 + a_p t) e^{i w_p t}, except where broken[p] names a
-    path that vanishes at t = 1/2 or one that winds too fast for any
-    bisection depth (branch ambiguity)."""
-    ws, amps = np.array(ws), np.array(amps)
-
-    def f(t):
-        out = (1 + amps[:, None] * t) * np.exp(1j * ws[:, None] * t)
-        for p, kind in enumerate(broken):
-            if kind == "vanishes":
-                out[p] = np.where(t < 0.75, 1.0 - 2.0 * t, 1.0)
-            elif kind == "winds":
-                out[p] = np.exp(1e18j * t)
-        return out
-
-    return f
-
-
-def _oracle_track(f, z0, max_depth=48, initial_steps=16):
-    """track_sqrt as it was, for one path at a time."""
-    tols = get_tolerances()
-    grid = np.arange(initial_steps + 1) / initial_steps
-    values = np.asarray(f(grid), dtype=complex).tolist()
-    ft0 = values[0]
-    if abs(z0 * z0 - ft0) > tols.rel * max(1.0, abs(ft0)) * 10:
-        raise TrackingError("anchor does not square to the path start value")
-    t, ft, z = 0.0, ft0, complex(z0)
-    pending = list(zip(grid.tolist()[:0:-1], values[:0:-1]))
-    depth = 0
-    while pending:
-        tn, fn = pending[-1]
-        if abs(fn) <= tols.track * max(1.0, abs(ft0)) and tn < 1.0:
-            raise TrackingError(f"tracked value vanishes near t={tn:.6g}")
-        if abs(ft) == 0.0:
-            raise TrackingError(f"tracked value vanishes at t={t:.6g}")
-        ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= MAX_ARG or abs(ratio) == 0.0:
-            depth += 1
-            if depth > max_depth:
-                raise TrackingError("bisection depth exceeded (branch ambiguity)")
-            tm = 0.5 * (t + tn)
-            if tm in (t, tn):
-                raise TrackingError(f"path jumps near t={t:.6g}: no midpoint "
-                                    "left to bisect (branch ambiguity)")
-            pending.append((tm, complex(f(np.array([tm]))[0])))
-            continue
-        z = z * cmath.sqrt(ratio)
-        t, ft = tn, fn
-        pending.pop()
-        depth = 0
-    return z
-
-
-def _tracked(track, *args):
-    """The root, the list of the roots of a stack, or the message of the
+def _tracked(*args):
+    """The list of track_sqrt's roots of a stack, or the message of the
     TrackingError raised."""
     try:
-        out = track(*args)
+        return track_sqrt(*args).tolist()
     except TrackingError as exc:
         return str(exc)
-    return out.tolist() if isinstance(out, np.ndarray) else out
 
 
-def _alone(f, z0):
-    """track_sqrt on the stack of the one path f, anchored at z0."""
-    return track_sqrt(lambda t: f(t)[None], [z0])[0]
-
-
-_PATH = st.tuples(st.floats(-60.0, 60.0), st.floats(-0.9, 2.0),
-                  st.sampled_from([None, None, None, "vanishes", "winds"]),
-                  st.sampled_from([1.0, -1.0]))
+_ENTRIES = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=18, max_size=18)
+_PATH = st.tuples(_ENTRIES, st.sampled_from([None, None, None, "vanishes", "not finite",
+                                             "stray"]), st.sampled_from([1.0, -1.0]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_PATH, min_size=1, max_size=5), st.floats(0.05, 1.0))
-@example([(0.0, 0.0, "winds", 1.0)], 0.7239267074851946)
-# a subnormal imaginary part, where np.sqrt and cmath.sqrt disagree
-@example(paths=[(2.225073858507203e-309, 1.0, None, 1.0)], t1=1.0)
-def test_stacked_tracking_matches_each_path(paths, t1):
-    ws, amps, broken, signs = zip(*paths)
-    f = rescaled(_stack_of_paths(ws, amps, broken), 0.0, t1)
-    anchors = [s * complex(np.sqrt(complex(v))) for s, v in zip(signs, f(np.zeros(1))[:, 0])]
+@given(st.integers(1, 3), st.lists(_PATH, min_size=1, max_size=5))
+def test_stacked_tracking_matches_each_path(m, paths):
+    # path p is the straight path A + sX of m x m matrices, with A near
+    # 2I, unless it vanishes at s = 1/2, is NaN at s = 1 or has an anchor
+    # on neither sheet
+    A, X, anchors = [], [], []
+    for entries, broken, sign in paths:
+        a = 2.0 * np.eye(m) + 0.5 * np.reshape(entries[:m * m], (m, m))
+        x = np.reshape(entries[9:9 + m * m], (m, m))
+        x = {"vanishes": -2.0 * a, "not finite": np.where(np.eye(m) > 0, np.nan, x)}.get(broken, x)
+        A.append(a)
+        X.append(x)
+        anchors.append(sign * (2.0 if broken == "stray" else 1.0)
+                       * np.sqrt(complex(smallmat.det(a[None])[0])))
+    A, X = np.array(A, dtype=complex), np.array(X, dtype=complex)
+
+    def f(s):
+        return A[:, None] + s[None, :, None, None] * X[:, None]
+
     alone = []
-    for p, z0 in enumerate(anchors):
-        path = (lambda t, p=p: f(t)[p])
-        want = _tracked(_oracle_track, path, z0)
-        # bit for bit, or the same error
-        assert _tracked(_alone, path, z0) == want
-        alone.append(want)
-        if isinstance(want, str):
+    for p in range(len(A)):
+        alone.append(_tracked(lambda s, p=p: f(s)[p:p + 1], anchors[p:p + 1]))
+        if isinstance(alone[-1], str):
             break
-    stacked = _tracked(track_sqrt, f, anchors)
-    assert stacked == (alone[-1] if isinstance(alone[-1], str) else alone)
+    # bit for bit, or the first path's error
+    assert _tracked(f, anchors) == (alone[-1] if isinstance(alone[-1], str)
+                                    else [z for [z] in alone])
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hfe
+from hfe import ball
 from hfe.cech import lift_double_cover
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
+from hfe.frames import gamma_stack
+from hfe.groups import tracked_alpha_det
 from hfe.induction import chart_sqrt_values
 from hfe.nerve import Nerve
 from hfe.scenario import evaluate_cocycle
@@ -30,12 +33,21 @@ from hfe.tracking import (
     track_sqrt,
 )
 
-from helpers import MAX_ARG, component, nerve_doc, per_point, rescaled
+from helpers import (MAX_ARG, component, nerve_doc, per_point, random_ball_point, random_sp,
+                     reference_sqrt, rescaled)
 
 
 def _alone(f, z0):
-    """track_sqrt on the stack of the one path f, anchored at z0."""
-    return track_sqrt(lambda t: f(t)[None], [z0])[0]
+    """track_sqrt on the stack of the one straight path f of matrices,
+    anchored at z0."""
+    return track_sqrt(lambda s: f(s)[None], [z0])[0]
+
+
+def _line(A, X):
+    """The straight path s -> A + sX of m x m matrices, or of 1 x 1 ones
+    for numbers A and X, as (len(s), m, m) arrays."""
+    A, X = np.atleast_2d(A).astype(complex), np.atleast_2d(X).astype(complex)
+    return lambda s: A + s[:, None, None] * X
 
 
 def _root(w: complex) -> complex:
@@ -60,85 +72,51 @@ def test_principal_sqrt_negative_axis():
 
 
 def test_track_sqrt_full_loop_changes_sheet():
-    # following f(t) = e^{2 pi i t} once around the origin flips the root
-    z = _alone(lambda t: np.exp(2j * math.pi * t), 1.0)
-    assert abs(z + 1.0) < 1e-9
+    # det(I + sX) = (1 + s mu)^2 winds once around the origin, so its
+    # continuous root 1 + s mu ends on the other sheet from the principal
+    # root of the end value
+    mu = -2.0 + 0.1j
+    z = _alone(_line(np.eye(2), mu * np.eye(2)), 1.0)
+    assert abs(z - (1.0 + mu)) < 1e-15
+    assert abs(z + cmath.sqrt((1.0 + mu) ** 2)) < 1e-15
 
 
 def test_track_sqrt_bad_anchor():
-    with pytest.raises(TrackingError):
-        _alone(lambda t: 1.0 + t, 2.0)
+    with pytest.raises(TrackingError, match="anchor does not square"):
+        _alone(_line(1.0, 1.0), 2.0)
 
 
 def test_track_sqrt_vanishing_path():
-    with pytest.raises(TrackingError):
-        _alone(lambda t: np.where(t < 0.75, 1.0 - 2.0 * t, 1.0), 1.0)
+    # paths through 0 at s = 1/2 and at s = 1, one that starts at 0, and
+    # one that starts within the tracking tolerance (1e-6) of it
+    for A, X, at in [(1.0, -2.0, "0.5"), (np.eye(2), np.diag([-0.5, -1.0]), "1"),
+                     (0.0, 1.0, "0"), (1e-7, 1.0, "0")]:
+        with pytest.raises(TrackingError, match=f"tracked value vanishes near s={at}$"):
+            _alone(_line(A, X), cmath.sqrt(np.linalg.det(np.atleast_2d(A))))
 
 
 def test_track_sqrt_partial_interval_composition():
-    f = lambda t: np.exp(1.7j * math.pi * t)
-    z_mid = _alone(rescaled(f, 0.0, 0.4), 1.0)
+    A = np.array([[1.0, 0.3j], [0.2, 2.0 - 0.5j]])
+    X = np.array([[-2.5 + 0.4j, 0.1], [-0.3j, -3.0 - 1.2j]])
+    f, z0 = _line(A, X), cmath.sqrt(np.linalg.det(A))
+    z_mid = _alone(rescaled(f, 0.0, 0.4), z0)
     z_full = _alone(rescaled(f, 0.4, 1.0), z_mid)
-    assert abs(z_full - _alone(f, 1.0)) < 1e-12
+    assert abs(z_full - _alone(f, z0)) < 1e-12
 
 
-def test_track_sqrt_rejects_a_sign_jump_without_hanging():
-    # the path changes sign without vanishing: bisection shrinks the step
-    # toward the jump until no midpoint is left between its two ends
-    code = ("import numpy as np\n"
-            "from hfe.errors import TrackingError\n"
-            "from hfe.tracking import track_sqrt\n"
-            "try:\n"
-            "    track_sqrt(lambda t: np.where(t < 0.3, 1.0, -1.0)[None], [1.0])\n"
-            "except TrackingError as exc:\n"
-            "    print(exc)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(hfe.__file__).parents[1])]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("path jumps near t=0.3")
-    assert "branch ambiguity" in proc.stdout
-
-
-# a step argument past MAX_ARG
-_THETA = 0.5 * math.pi * 0.9995
-
-
-def _subnormal_path(split):
-    """1 at t = 0 and 2 + 5e-324j up to t = 1/32: the angle of the ratio
-    of the two underflows to a subnormal.  Past 1/32 the argument turns
-    by _THETA, in two halves at t = 3/64 if ``split``."""
-    def f(t):
-        turned = 2 * np.exp(1j * np.where(split & (t <= 3 / 64), 0.5, 1.0) * _THETA)
-        return np.where(t == 0, 1.0, np.where(t <= 1 / 32, 2 + 5e-324j, turned))
-    return f
-
-
-def test_track_sqrt_steps_through_a_subnormal_step_angle():
-    # the first grid step turns by _THETA, so _bisect takes it; the angle
-    # of its first half underflows, where cmath.phase raised OverflowError
-    z = _alone(_subnormal_path(True), 1.0)
-    assert abs(z - cmath.sqrt(2 * cmath.exp(1j * _THETA))) < 1e-12
-    # unsplit, the turn at 1/32 is a branch jump
-    with pytest.raises(TrackingError, match="bisection depth exceeded"):
-        _alone(_subnormal_path(False), 1.0)
-
-
-@pytest.mark.parametrize("f", [
-    lambda t: np.full(len(t), 1e308 + 1e308j),
-    # every grid step turns by _THETA, so _bisect takes it
-    lambda t: 1.5e308 * np.exp(1j * (np.pi / 4 + 16 * _THETA * t)),
+@pytest.mark.parametrize("f, turn", [
+    (lambda s: np.full((len(s), 1, 1), 1.5e308 + 1.5e308j), 0.0),
+    # Smith's denominator of the pencil's quotient by the start overflows
+    (_line(1.5e308 * cmath.exp(0.25j * math.pi), 1.5e308 * (1j - cmath.exp(0.25j * math.pi))),
+     0.25 * math.pi),
 ], ids=["constant", "turning"])
-def test_track_sqrt_near_the_float_maximum(f):
-    # Python's quotient of two such values overflows (nan + 0j for equal
-    # ones), which the trackers took for a step they must bisect, until
-    # the bisection depth was exceeded
-    start, end = f(np.array([0.0, 1.0])).tolist()
+def test_track_sqrt_near_the_float_maximum(f, turn):
+    # the value turns by ``turn``, and its root by half that; the size
+    # of the constant start value overflows to inf, which the vanishing
+    # test takes as max(1, |det A|) without dividing inf by inf
+    start = f(np.zeros(1))[0, 0, 0]
     z = _alone(f, cmath.sqrt(start))
-    assert abs(z * z - end) <= 1e-14 * abs(end)
+    assert abs(z - cmath.sqrt(start) * cmath.exp(0.5j * turn)) <= 1e-15 * abs(z)
 
 
 # Smith's denominator of a quotient by 1e308-1e308j overflows, and for
@@ -154,18 +132,17 @@ def test_track_graph_takes_a_step_whose_quotient_underflows_to_zero():
 
 
 def test_track_sqrt_takes_a_step_whose_quotient_underflows_to_zero():
-    # the spiral from _BIG, near _TURNED at t = 1/16, turning by pi/4
-    # (ratio 0.5-0.5j) each grid step; its first step was bisected
+    # the straight path from _BIG to _TURNED: its pencil mu = -1/2 - i/2
+    # is Python's quotient -0j, unless _ratio halves the operands
     calls = []
 
-    def f(t):
-        calls.append(len(t))
-        w = np.exp(16 * t * cmath.log(0.5 - 0.5j))
-        return 1e308 * (w.real + w.imag) + 1e308j * (w.imag - w.real)
+    def f(s):
+        calls.append(len(s))
+        return _line(_BIG, _TURNED - _BIG)(s)
 
     z = _alone(f, cmath.sqrt(_BIG))
-    assert calls == [17]
-    assert abs(z - cmath.sqrt(_BIG) / 16) <= 1e-14 * abs(z)
+    assert calls == [2]
+    assert abs(z - cmath.sqrt(_BIG) * cmath.sqrt(0.5 - 0.5j)) <= 1e-15 * abs(z)
 
 
 def _track_path_graph(vals):
@@ -232,38 +209,69 @@ def test_float_array_complex_ops_match_python(parts):
 
 
 # ---------------------------------------------------------------------------
-# the batched tracker against a scalar stepping oracle
+# the closed form against a fine-grid reference
 # ---------------------------------------------------------------------------
 
-def _scalar_track(f, z0, max_depth=48, initial_steps=16):
-    """Reference stepping: one evaluation per parameter, in stack order.
+def _close(got, want, cond=1.0) -> bool:
+    """Each root within 1e-12 of the reference, relatively, or within 16
+    eps times cond, the condition number of the path's matrices, where
+    that is larger: no determinant of such matrices, the reference's
+    included, is more accurate.  A root on the other sheet is off by
+    twice its size."""
+    bound = np.maximum(1e-12, 16 * np.finfo(float).eps * np.asarray(cond))
+    return bool(np.all(np.abs(got - want) <= bound * np.abs(want)))
 
-    Returns the tracked value and every parameter it evaluated.
-    """
-    evaluated = []
 
-    def value(t):
-        evaluated.append(t)
-        return complex(f(np.array([t]))[0])
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_track_sqrt_matches_a_fine_grid_reference(n, P, seed):
+    rng = np.random.default_rng(seed)
+    W1, W2, W = (np.stack([random_ball_point(rng, n) for _ in range(P)]) for _ in range(3))
+    M = np.swapaxes(W1, -1, -2).conj() @ W2
+    gamma = reference_sqrt(lambda s: np.linalg.det(
+        0.5 * (np.eye(n) - s[None, :, None, None] * M[:, None])), np.full(P, 2.0 ** (-n / 2.0)))
+    assert _close(gamma_stack(W1, W2), gamma)
+    g = np.stack([random_sp(rng, n) for _ in range(P)])
 
-    ft0 = value(0.0)
-    t, ft, z = 0.0, ft0, complex(z0)
-    pending = [j / initial_steps for j in range(initial_steps, 0, -1)]
-    depth = 0
-    while pending:
-        tn = pending[-1]
-        fn = value(tn)
-        ratio = fn / ft
-        if abs(cmath.phase(ratio)) >= MAX_ARG:
-            depth += 1
-            assert depth <= max_depth
-            pending.append(0.5 * (t + tn))
-            continue
-        z = z * cmath.sqrt(ratio)
-        t, ft = tn, fn
-        pending.pop()
-        depth = 0
-    return z, evaluated
+    def alpha(s):
+        """alpha(g[p], s W[p]) (P, len(s), n, n)."""
+        return np.stack([ball.alpha_raw(gp, s[:, None, None] * Wp)[1] for gp, Wp in zip(g, W)])
+
+    ends = alpha(np.array([0.0, 1.0]))
+    zeta = [cmath.sqrt(d) for d in np.linalg.det(ends[:, 0])]
+    assert _close(tracked_alpha_det(g, W, zeta)[0],
+                  reference_sqrt(lambda s: np.linalg.det(alpha(s)), zeta),
+                  np.max(np.linalg.cond(ends), axis=1))
+
+
+def test_track_sqrt_takes_a_defective_pencil():
+    # A^-1 X is a Jordan block of mu: det(A + sX) = det A (1 + s mu)^2,
+    # whose continuous root is sqrt(det A) (1 + s mu), on the other sheet
+    # at s = 1 for this mu
+    mu = -2.0 + 0.3j
+    A = np.array([[2.0, 1.0j], [0.5, 1.0]])
+    X = A @ np.array([[mu, 1.0], [0.0, mu]])
+    z0 = cmath.sqrt(np.linalg.det(A))
+    assert _close(_alone(_line(A, X), z0), z0 * (1.0 + mu))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_track_sqrt_near_the_negative_reals(side):
+    # the segment from 1 to -1 + i eps passes 0 at distance about eps / 2:
+    # its root is +-i on the side of eps, and within the tracking
+    # tolerance (1e-6) of 0 the path vanishes
+    z = _alone(_line(1.0, -2.0 + side * 4e-6j), 1.0)
+    assert _close(z, cmath.sqrt(-1.0 + side * 4e-6j))
+    assert abs(z - side * 1j) < 1e-5
+    with pytest.raises(TrackingError, match="vanishes near s=0.5$"):
+        _alone(_line(1.0, -2.0 + side * 1e-6j), 1.0)
+
+
+def test_gamma_vanishes_on_the_ball_boundary():
+    # W1* W2 = diag(1, 0.25): det(1/2 (1 - s M)) vanishes at s = 1
+    W = np.diag([1.0, 0.5])[None]
+    with pytest.raises(TrackingError, match="vanishes near s=1$"):
+        gamma_stack(W, W)
 
 
 class _Recorder:
@@ -273,44 +281,15 @@ class _Recorder:
         self.f = f
         self.calls = []
 
-    def __call__(self, t):
-        self.calls.append(np.array(t, copy=True))
-        return self.f(t)
-
-
-def _winding(w):
-    return lambda t: np.exp(1j * w * t)
-
-
-@given(st.floats(-90.0, 90.0), st.floats(0.05, 1.0))
-def test_track_sqrt_matches_scalar_oracle(w, t1):
-    # |w| * t1 / 16 beyond pi/2 forces bisection of the initial grid
-    f = _Recorder(rescaled(_winding(w), 0.0, t1))
-    z = _alone(f, 1.0)
-    z_ref, evaluated = _scalar_track(f.f, 1.0)
-    assert abs(z - z_ref) <= 1e-12
-    assert abs(z * z - np.exp(1j * w * t1)) <= 1e-9
-    # the same parameters, each evaluated once
-    batched = np.concatenate(f.calls).tolist()
-    assert len(batched) == len(set(batched))
-    assert set(batched) == set(evaluated)
+    def __call__(self, s):
+        self.calls.append(np.array(s, copy=True))
+        return self.f(s)
 
 
 def test_track_sqrt_one_call_without_bisection():
-    f = _Recorder(_winding(2.0 * math.pi))
+    f = _Recorder(_line(np.eye(2), np.diag([-2.0 + 0.1j, 3.0j])))
     _alone(f, 1.0)
-    assert [c.shape for c in f.calls] == [(17,)]
-    assert np.array_equal(f.calls[0], np.arange(17) / 16)
-
-
-def test_track_sqrt_one_call_per_midpoint():
-    # 3.75 rad per grid step: each step bisects to 1.875 (still too far)
-    # and 0.9375, so it needs three midpoints
-    f = _Recorder(_winding(60.0))
-    z = _alone(f, 1.0)
-    assert abs(z * z - cmath.exp(60j)) < 1e-9
-    assert f.calls[0].shape == (17,)
-    assert [c.shape for c in f.calls[1:]] == [(1,)] * (16 * 3)
+    assert [c.tolist() for c in f.calls] == [[0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +479,15 @@ def test_track_graph_rejects_a_non_finite_value(vals, name):
 
 
 @pytest.mark.parametrize("f, z0, message", [
-    # this path used to step on to a NaN root
-    (lambda t: np.where(t > 0.5, np.nan, 1.0), 1.0, "tracked value is not finite at t=0.5625"),
-    (lambda t: np.full(t.shape, np.inf), 1.0, "tracked value is not finite at t=0"),
-    (lambda t: np.ones(t.shape), np.nan, "anchor does not square"),
+    (lambda s: np.where(s > 0.5, np.nan, 1.0), 1.0, "tracked value is not finite at s=1"),
+    (lambda s: np.full(s.shape, np.inf), 1.0, "tracked value is not finite at s=0"),
+    (lambda s: np.ones(s.shape), np.nan, "anchor does not square"),
+    # X = f(1) - f(0) overflows
+    (lambda s: 1e308 * (1.0 - 2.0 * s), 1e154, "tracked value is not finite at s=1"),
 ])
 def test_track_sqrt_rejects_a_non_finite_value(f, z0, message):
     with pytest.raises(TrackingError, match=message):
-        _alone(lambda t: f(t) + 0j, z0)
+        _alone(lambda s: (f(s) + 0j)[:, None, None], z0)
 
 
 def test_lift_rejects_a_non_finite_determinant():
@@ -558,18 +538,9 @@ def _parts(re, im) -> np.ndarray:
     return out
 
 
-def _power(s, m: int):
-    """The parts of (1 + i s)^m, by real products only: its argument is
-    m atan(s), a winding path for s linear in t."""
-    x, y = np.ones_like(s), np.zeros_like(s)
-    for _ in range(m):
-        x, y = x - y * s, y + x * s
-    return x, y
-
-
 def dispatch_probe() -> str:
     """The bits of _turns, track_graph and track_sqrt on inputs built from
-    parts with real arithmetic only, as hex digits."""
+    parts with real arithmetic and the exact kernel only, as hex digits."""
     # ratios whose arguments are within 4 ulps of the margin, in quarter
     # ulps, where np.angle's verdicts differ between dispatch levels, and
     # within 4 ulps of S in their slope Im / Re
@@ -588,13 +559,17 @@ def dispatch_probe() -> str:
     edges = [(i, i + 1) for i in range(len(u) - 1)] + [(0, 2)]
     graph = track_graph(vals, Walk.of(len(u), edges, [0]), [str(i) for i in range(len(u))],
                         1, jump=lambda v: "", cycle=lambda v: "")
-    slopes = np.arange(1, 7) / 2.0
-    powers = np.array([3, 9, 20, 1, 14, 6])
-
-    def f(t):
-        return np.stack([_parts(*_power(s * t, m)) for s, m in zip(slopes, powers)])
-
-    roots = track_sqrt(f, np.ones(len(slopes)))
+    # straight paths A + sX of 2 x 2 matrices: A = (r^2 u; 0 w^2), whose
+    # root r w is taken by cmul, and X with complex pencils, half of whose
+    # factors 1 + mu_i end in the left half-plane, some near the negative
+    # reals
+    k = np.arange(1, 25) / 8.0
+    r, w, zero = _parts(1.0 + k / 7.0, k / 5.0), _parts(1.0 - k / 11.0, -k / 3.0), 0.0 * k
+    A = np.stack([cmul(r, r), _parts(k / 9.0, -k / 17.0), zero, cmul(w, w)], axis=-1)
+    X = np.stack([_parts(-2.0 - k, k / 6.0), _parts(0.3 + zero, k / 13.0),
+                  _parts(k / 5.0, 0.1 + zero), _parts(-1.5 + k / 4.0, -k / 2.0)], axis=-1)
+    A, X = A.reshape(-1, 2, 2), X.reshape(-1, 2, 2)
+    roots = track_sqrt(lambda s: A[:, None] + s[None, :, None, None] * X[:, None], cmul(r, w))
     return "".join(a.tobytes().hex() for a in (turns, graph, roots))
 
 
