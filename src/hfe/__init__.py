@@ -5,13 +5,13 @@ loads all of them but the three marked (first use): the stage runners of
 ``hfe.pipelines`` import those where they call them, so a verification
 loads only the layers its scenario runs.
 
-- ``hfe.smallmat``      small-matrix linear algebra over stacks, no BLAS at n <= 2
+- ``hfe.smallmat``      small-matrix linear algebra over stacks (no BLAS at n <= 2), cabs
 - ``hfe.tracking``      the exact complex kernel; square roots on straight paths and graphs
 - ``hfe.config``        numerical tolerances and the bounds derived from them
 - ``hfe.errors``        the exception hierarchy, and raise_first over stacks
-- ``hfe.ball``          raw Siegel-Ball linear algebra and the Ball action
+- ``hfe.ball``          Siegel-Ball linear algebra; automorphy, the one alpha(g, W) kernel
 - ``hfe.groups``        matrix groups, double covers, block subgroups
-- ``hfe.frames``        Lagrangian frame linear algebra, Ball checks, densities (first use)
+- ``hfe.frames``        Lagrangian frames, Ball checks, alpha_tilde, densities (first use)
 - ``hfe.nerve``         the finite nerve and the index of its sample points
 - ``hfe.cech``          cocycles over a nerve, GF(2) algebra, double-cover lifting
 - ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data (first use)

@@ -13,7 +13,7 @@ A real symplectic matrix g = (T1 T2; T3 T4) acts on frames by
 and through phi this induces the Ball action g.W together with the
 automorphy factor alpha(g, W) defined by g.(W, C) = (g.W, alpha(g,W) C).
 In closed form, alpha(g, W) = P + Q W and g.W = (R + S W) alpha(g, W)^{-1}
-with the blocks P, Q, R, S of cayley_blocks.
+with the blocks P, Q, R, S of cayley_blocks, all taken by automorphy.
 
 Everything here is a pure function of ndarrays.  The n x n arguments U,
 V, W and C may carry leading stack axes, which broadcast like np.matmul;
@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import get_tolerances
 from .errors import SingularityError
-from .smallmat import det, inv, mul, opnorm
+from .smallmat import cabs, det, inv, mul, opnorm
+from .tracking import track_sqrt
 
 
 def sp_blocks(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -46,7 +47,7 @@ def sp_apply(g: np.ndarray, U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, n
 def check_positive(dets: np.ndarray) -> None:
     """Raise SingularityError if a determinant of U - iV (equivalently of
     alpha(g, W)) is NaN or within the ``singular`` tolerance of zero."""
-    if np.any(~(np.abs(dets) > get_tolerances().singular)):
+    if np.any(~(cabs(dets) > get_tolerances().singular)):
         raise SingularityError("U - iV is singular (frame not positive)")
 
 
@@ -55,9 +56,9 @@ def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
-    check_positive(det(C))
-    W = mul(U + 1j * V, inv(C))
-    return W, C
+    dets = det(C)
+    check_positive(dets)
+    return mul(U + 1j * V, inv(C, dets)), C
 
 
 def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,17 +82,29 @@ def cayley_blocks(g: np.ndarray) -> tuple[np.ndarray, ...]:
         return 0.5 * (plus + skew), 0.5 * (minus - sym), 0.5 * (minus + sym), 0.5 * (plus - skew)
 
 
-def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ball action and automorphy factor: returns (g.W, alpha(g, W)).
-
-    In closed form (cayley_blocks): the values of pushing (W, 1) through
-    phi_inv, acting and reading off phi, without the round trip; raises
-    phi_raw's SingularityError if det alpha is within ``singular`` of 0.
-    """
+def automorphy(g: np.ndarray, W: np.ndarray, zeta=None) -> tuple:
+    """The one kernel of the automorphy factor: returns g.W, alpha(g, W),
+    det alpha(g, W) and, given anchors zeta (P,) with zeta[p]**2 = det
+    alpha(g[p], 0), their roots continued along the straight paths
+    alpha(g, sW) = P + s QW, s in [0, 1], by track_sqrt (else None).  The
+    blocks, both ends of the path and their determinants are each taken
+    once; both determinants get check_positive, and g.W's inverse and
+    the roots' callers take the one at s = 1."""
     P, Q, R, S = cayley_blocks(g)
-    alpha = P + mul(Q, W)
-    check_positive(det(alpha))
-    return mul(R + mul(S, W), inv(alpha)), alpha
+    QW = mul(Q, W)
+    ends = P[..., None, :, :] + np.array([0.0, 1.0])[:, None, None] * QW[..., None, :, :]
+    dets = det(ends)
+    check_positive(dets)
+    alpha, d = ends[..., 1, :, :], dets[..., 1]
+    # track_sqrt reads its path at s = 0 and 1 only: the ends made here
+    roots = None if zeta is None else track_sqrt(lambda s: ends, zeta)
+    return mul(R + mul(S, W), inv(alpha, d)), alpha, d, roots
+
+
+def alpha_raw(g: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ball action and automorphy factor: (g.W, alpha(g, W)) of
+    automorphy, whose SingularityError it raises."""
+    return automorphy(g, W)[:2]
 
 
 def ball_point_residuals(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,8 @@ import numpy as np
 from . import ball
 from .config import get_tolerances, identity_bound, zero_bound
 from .errors import SingularityError, ValidationError, raise_first
-from .groups import (block_pattern, check_ml, off_root, shared_corner, tracked_alpha_det,
-                     translation_factor)
-from .smallmat import det, hermitian_extremes, inv, mul
+from .groups import block_pattern, ml_root_check, off_root, shared_corner, translation_factor
+from .smallmat import det, hermitian_extremes, mul
 from .tracking import cmul, track_sqrt
 
 
@@ -142,21 +141,14 @@ def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray
     """Metalinear automorphy factors (alpha(g[p], W[p]), z[p]) of the
     metaplectic elements (g[p], zeta[p]) at the Ball points W[p], for
     stacks g (P, 2n, 2n) and W (P, n, n), with the Ball action: the
-    stacks (P, n, n) of g.W and of alpha and the (P,) roots, checked in
-    one pass of check_ml, and g.W checked as Ball points in one pass of
-    check_ball.
-
-    z[p] is continued from the anchor zeta[p] at the Ball center along
-    the straight segment s -> s W[p] by tracked_alpha_det, in closed
-    form, all points as one stack of paths; g.W = (R + S W) alpha^{-1}
-    (ball.cayley_blocks) takes its alpha.
+    stacks (P, n, n) of g.W and of alpha and the (P,) roots, all of
+    ball.automorphy (z[p] continued from zeta[p] along s -> s W[p]); the
+    roots get ml_root_check on its determinants, and g.W check_ball.
     """
-    z, a1 = tracked_alpha_det(g, W, zeta)
-    check_ml(a1, z)
-    _, _, R, S = ball.cayley_blocks(g)
-    gW = mul(R + mul(S, W), inv(a1))
+    gW, alpha, dets, z = ball.automorphy(g, W, zeta)
+    raise_first([ml_root_check(z, dets)])
     check_ball(gW)
-    return gW, a1, z
+    return gW, alpha, z
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ componentwise.  Sp(2n,R) is validated through its block identities.  The
 metaplectic group Mp(2n,R) has no matrix realization; an element is
 stored as (g, zeta) where zeta**2 = det alpha(g, 0) anchors the sheet at
 the Ball center, and products continue det alpha along a segment in the
-Ball, a straight path of matrices whose square root track_sqrt gives in
-closed form.  Elements are held as stacks: a (P, n, n) or (P, 2n, 2n)
-array with the (P,) array of its roots or anchors; the membership tests
-raise for the first point that fails, and off_root is the one test of a
-root z**2 = d.
+Ball, a straight path of matrices whose square root ball.automorphy
+gives in closed form.  Elements are held as stacks: a (P, n, n) or (P,
+2n, 2n) array with the (P,) array of its roots or anchors; the
+membership tests raise for the first point that fails, and off_root is
+the one test of a root z**2 = d.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from . import ball
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, SubgroupRejection, ValidationError, raise_first
-from .smallmat import det, inv, mul
-from .tracking import cabs, cdiv, cmul, track_sqrt
+from .smallmat import cabs, det, inv, mul
+from .tracking import cdiv, cmul
 
 
 def rel_residual(x, target) -> np.ndarray:
@@ -56,17 +56,19 @@ def translation_factor(z1, z2, detA) -> np.ndarray:
     return cdiv(cmul(np.conj(z1), z2), np.abs(detA))
 
 
+def ml_root_check(z, dets):
+    """The Ml root check, for raise_first: z[p]**2 = dets[p]."""
+    return (off_root(z, dets, identity_bound(get_tolerances())),
+            lambda p: ValidationError("z**2 != det(A): not a metalinear element"))
+
+
 def ml_checks(A: np.ndarray, z) -> list:
     """The Ml membership checks of a stack, for raise_first: every A[p]
     of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p].  A
     NaN fails them: the flags are negated comparisons."""
-    tols = get_tolerances()
     dets = det(A)
-    return [
-        (~(cabs(dets) > tols.singular), lambda p: SingularityError("matrix is singular")),
-        (off_root(z, dets, identity_bound(tols)),
-         lambda p: ValidationError("z**2 != det(A): not a metalinear element")),
-    ]
+    return [(~(cabs(dets) > get_tolerances().singular),
+             lambda p: SingularityError("matrix is singular")), ml_root_check(z, dets)]
 
 
 def check_ml(A: np.ndarray, z) -> None:
@@ -130,29 +132,6 @@ def check_mp(g: np.ndarray, zeta) -> None:
                   lambda p: ValidationError("zeta**2 != det alpha(g, 0)"))])
 
 
-def tracked_alpha_det(g: np.ndarray, W: np.ndarray, zeta
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Continue each anchor zeta[p] (at W = 0) to the Ball point W[p].
-
-    The square roots of det alpha(g[p], s W[p]) along the straight
-    segments s in [0, 1], for stacks g (P, 2n, 2n) and W (P, n, n): in
-    closed form alpha(g, sW) = P + s QW (see ball.cayley_blocks), a
-    straight path of matrices, so track_sqrt takes the root at s = 1
-    from the eigenvalues of P^-1 QW.  QW is one product per point, and
-    both ends get alpha_raw's singular check.  Returns the roots and
-    alpha(g, W) = P + QW (P, n, n).
-    """
-    P, Q, _, _ = ball.cayley_blocks(np.asarray(g))
-    QW = mul(Q, W)
-
-    def f(s: np.ndarray) -> np.ndarray:
-        alpha = P[:, None] + s[None, :, None, None] * QW[:, None]
-        ball.check_positive(det(alpha))
-        return alpha
-
-    return track_sqrt(f, zeta), P + QW
-
-
 def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
            ) -> tuple[np.ndarray, np.ndarray]:
     """The products (g1[p], zeta1[p]) (g2[p], zeta2[p]) in Mp(2n,R) of two
@@ -162,13 +141,13 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     fixed by the automorphy-cocycle identity
     alphat(ab, 0) = alphat(a, b.0) * alphat(b, 0),
     where alphat(a, .) is continued from a's anchor along the segment
-    from 0 to b.0 by tracked_alpha_det, in closed form, all products as
-    one stack of paths.  The products are checked in one
-    pass of check_mp.
+    from 0 to b.0 by ball.automorphy, in closed form, all products as
+    one stack of paths, and b.0 is ball.alpha_raw's.  The products are
+    checked in one pass of check_mp.
     """
     n = g1.shape[-1] // 2
     W2, _ = ball.alpha_raw(g2, np.zeros((len(g2), n, n)))
-    za, _ = tracked_alpha_det(g1, W2, zeta1)
+    za = ball.automorphy(g1, W2, zeta1)[3]
     g = mul(g1, g2)
     zeta = cmul(za, zeta2)
     check_mp(g, zeta)
@@ -257,11 +236,12 @@ def spk_blocks(g: np.ndarray, k: int) -> dict:
                             [(s[i], s[j]) for i, j in zero_blocks], tols.abs)]
     A_g = np.swapaxes(g[:, s[0], s[0]], -1, -2)
     if k:
-        checks.append((~(np.abs(det(A_g)) > tols.singular),
+        dets = det(A_g)
+        checks.append((~(np.abs(dets) > tols.singular),
                        lambda p: SingularityError("A_g block singular")))
     raise_first(checks)
     if k:
-        inv_res = np.max(np.abs(g[:, s[2], s[2]] - inv(A_g)), axis=(-2, -1))
+        inv_res = np.max(np.abs(g[:, s[2], s[2]] - inv(A_g, dets)), axis=(-2, -1))
         bound = check_bound(tols) * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
         raise_first([(~(inv_res <= bound), lambda p: SubgroupRejection(
             "third diagonal block is not the inverse of the first"))])

@@ -165,7 +165,8 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     data = t.bundle
     nerve = data.nerve
     # per-chart lifted sections
-    z = chart_sqrt_values(nerve, det(t.C), sheet_flips or {})
+    dets = det(t.C)
+    z = chart_sqrt_values(nerve, dets, sheet_flips or {})
     check_ml(t.C, z)
 
     # the metaplectic transition acting on the lifted section of chart b
@@ -175,7 +176,7 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(~(wres <= property_bound(tols)), lambda p: ValidationError(
         f"Ball points disagree on overlap at {nerve.ids[p]}"))])
-    Ninv = mul(inv(t.C[a]), moved_A)
+    Ninv = mul(inv(t.C[a], dets[a]), moved_A)
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)

@@ -247,10 +247,12 @@ def load_scenario(source: str | Path | dict,
 
 
 def _build_scenario(doc: dict) -> Scenario:
-    n, k = doc["n"], doc["k"]
+    # the schema's integers include floats such as 1.0: read as ints
+    n, k = int(doc["n"]), int(doc["k"])
+    frame_pairs = [{**fp, "k": int(fp["k"])} for fp in doc.get("frame_pairs", [])]
     if k > n:
         raise ValidationError("k must not exceed n")
-    for fp in doc.get("frame_pairs", []):
+    for fp in frame_pairs:
         if fp["k"] > n:
             raise ValidationError(f"frame pair {fp['name']!r}: k must not exceed n")
     nerve = Nerve(doc["nerve"])
@@ -295,7 +297,7 @@ def _build_scenario(doc: dict) -> Scenario:
                 ),
             }
         )
-    for fp in doc.get("frame_pairs", []):
+    for fp in frame_pairs:
         sc.frame_pairs.append(
             {
                 "name": fp["name"],

@@ -36,16 +36,17 @@ def det(A) -> np.ndarray:
         return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
 
 
-def inv(A) -> np.ndarray:
-    """The inverses, given determinants above ``singular`` in size, as
-    every caller checks (a singular m <= 2 matrix gives inf or NaN)."""
+def inv(A, dets) -> np.ndarray:
+    """The inverses, given their determinants dets = det(A), above
+    ``singular`` in size as each caller checks or assumes (a singular
+    m <= 2 matrix gives inf or NaN); m > 2 takes np.linalg.inv."""
     A = np.asarray(A)
     if A.shape[-1] > 2:
         return np.linalg.inv(A)
     adj = (np.stack([A[..., 1, 1], -A[..., 0, 1], -A[..., 1, 0], A[..., 0, 0]],
                     axis=-1).reshape(A.shape) if A.shape[-1] == 2 else np.ones(A.shape))
     with np.errstate(all="ignore"):
-        return adj / det(A)[..., None, None]
+        return adj / dets[..., None, None]
 
 
 def eigvals(A, X) -> np.ndarray:
@@ -57,6 +58,15 @@ def eigvals(A, X) -> np.ndarray:
     return np.where(finite, np.linalg.eigvals(np.where(finite[..., None], quot, 0.0)), np.nan)
 
 
+def cabs(a) -> np.ndarray:
+    """Python's abs of complex values, elementwise: np.hypot of the parts
+    (numpy's complex abs may round differently), inf where Python's
+    raises OverflowError."""
+    a = np.asarray(a, dtype=complex)
+    with np.errstate(over="ignore"):
+        return np.hypot(a.real, a.imag)
+
+
 def hermitian_extremes(H) -> tuple[np.ndarray, np.ndarray]:
     """The least and largest eigenvalues of Hermitian stacks, m >= 1, read
     from the diagonal and lower triangle as by eigvalsh."""
@@ -66,7 +76,7 @@ def hermitian_extremes(H) -> tuple[np.ndarray, np.ndarray]:
         return vals[..., 0], vals[..., -1]
     p, q = H[..., 0, 0].real, H[..., -1, -1].real
     with np.errstate(all="ignore"):
-        rad = np.hypot(0.5 * (p - q), np.abs(H[..., -1, 0]) if H.shape[-1] == 2 else 0.0)
+        rad = np.hypot(0.5 * (p - q), cabs(H[..., -1, 0]) if H.shape[-1] == 2 else 0.0)
         return 0.5 * (p + q) - rad, 0.5 * (p + q) + rad
 
 
@@ -92,4 +102,4 @@ def lstsq(A, B) -> np.ndarray:
     (A* A)^-1 A* B, scaled by _gram's s, inv's precondition on A* A."""
     with np.errstate(all="ignore"):
         gram, Ah, s = _gram(np.asarray(A))
-        return mul(inv(gram), mul(Ah, B * s))
+        return mul(inv(gram, det(gram)), mul(Ah, B * s))

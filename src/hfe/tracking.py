@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import TrackingError, raise_first
-from .smallmat import det, eigvals
+from .smallmat import cabs, det, eigvals
 
 # A ratio r of consecutive values turns (may cross the branch cut of the
 # square root) unless its argument stays below 0.999·pi/2: unless 0 <
@@ -159,15 +159,6 @@ def cdiv(a, b) -> np.ndarray:
         d = np.where(big, br, bi) + np.where(big, bi, br) * q
         return _complex(np.where(big, ar + ai * q, ar * q + ai) / d,
                         np.where(big, ai - ar * q, ai * q - ar) / d)
-
-
-def cabs(a) -> np.ndarray:
-    """Python's abs of complex values, elementwise: np.hypot of the parts
-    (numpy's complex abs may round differently), inf where Python's
-    raises OverflowError."""
-    a = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore"):
-        return np.hypot(a.real, a.imag)
 
 
 def _sqrt(w: np.ndarray) -> np.ndarray:

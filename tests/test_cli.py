@@ -875,6 +875,26 @@ def test_missing_stage_inputs_are_recorded_as_skipped(
     assert f"SKIP  [{reason}]" in out
 
 
+@pytest.mark.parametrize("name, edit", [
+    ("trivial_r2", lambda d: d.update(n=1.0)),
+    ("trivial_r2", lambda d: d.update(k=0.0)),
+    ("trivial_r2", lambda d: d["frame_pairs"][0].update(k=0.0)),
+    ("circle_mobius", lambda d: d.update(k=0.0)),
+], ids=["n", "k", "frame_pair_k", "circle_mobius_k"])
+def test_an_integral_float_is_read_as_its_integer(name, edit, tmp_path, capsys):
+    # the schema's integers include 1.0 and 0.0, which must load as the
+    # ints they equal
+    def report(target):
+        code, out, err = run(capsys, "verify", target, "--report", "json")
+        doc = json.loads(out)
+        doc.pop("wall_time")
+        return code, doc, err
+
+    code, doc, err = report(_scenario_file(tmp_path, name, edit))
+    assert "Traceback" not in err
+    assert (code, doc) == report(str(builtin_scenario_path(name)))[:2]
+
+
 # the prefixes of each stage's check ids, where they are not the stage name
 _RECORD_PREFIXES = {"validate": ("nerve.", "cocycle.", "pair_data.")}
 

@@ -2,23 +2,32 @@
 of its sample points, when the scenario is loaded, and never during a
 run.  Each section family is transported, and its plain recipe run,
 once per run, and each pair stack is classified once, where its pair
-data is made.  Rerunning a loaded scenario leaves its reports
-unchanged."""
+data is made.  Each automorphy-factor stack takes its Cayley blocks, and
+the determinants of its path's ends, once.  Rerunning a loaded scenario
+leaves its reports unchanged."""
 
+import cmath
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hfe.frames as frames
 import hfe.groups as groups
 import hfe.induction as induction
 import hfe.scenario as scenario_mod
+from hfe import ball
 from hfe.pipelines import run_scenario
 from hfe.report import report_to_dict
 from hfe.scenario import builtin_scenario_path, load_scenario
+from hfe.smallmat import det
+
+from helpers import random_ball_point, random_sp
 
 
 def _ring_doc(n_charts=6, points=4):
@@ -213,13 +222,55 @@ def test_each_pair_stack_is_classified_once(monkeypatch, source):
         calls.append(args)
         return original(*args, **kwargs)
 
-    # every name that binds the function, so that no caller escapes the count
-    bound = [name for name, module in list(sys.modules.items())
-             if name.split(".")[0] == "hfe"
-             and getattr(module, "subgroup_classify", None) is original]
-    assert {"hfe.groups", "hfe.compatibility"} <= set(bound)
-    for name in bound:
-        monkeypatch.setattr(sys.modules[name], "subgroup_classify", counted)
+    assert {"hfe.groups", "hfe.compatibility"} <= _rebind(monkeypatch, original, counted)
     path = source if isinstance(source, Path) else builtin_scenario_path(source)
     assert run_scenario(path).passed
     assert len(calls) == len(_CLASSIFIED[source])
+
+
+def _rebind(monkeypatch, original, replacement) -> set[str]:
+    """Bind replacement in place of original in every module of hfe that
+    binds it, so that no caller escapes a count; the names of those
+    modules."""
+    bound = {name for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "hfe"
+             and getattr(module, original.__name__, None) is original}
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], original.__name__, replacement)
+    return bound
+
+
+def _count_dets(monkeypatch) -> Counter:
+    """Count the smallmat.det calls ("calls") and the matrices they take
+    ("matrices"), through every name that binds it."""
+    counts = Counter()
+
+    def counted(A):
+        counts["calls"] += 1
+        counts["matrices"] += math.prod(np.shape(A)[:-2])
+        return det(A)
+    _rebind(monkeypatch, det, counted)
+    return counts
+
+
+def test_each_alpha_stack_takes_its_blocks_and_path_ends_once(monkeypatch, rng):
+    # alpha_tilde on P points: one cayley_blocks call, and the
+    # determinants of the path's two ends and of track_sqrt's start
+    P, n = 5, 2
+    g = np.stack([random_sp(rng, n) for _ in range(P)])
+    W = np.stack([random_ball_point(rng, n) for _ in range(P)])
+    zeta = [cmath.sqrt(a) for a in np.linalg.det(ball.cayley_blocks(g)[0])]
+    blocks = []
+    cayley = ball.cayley_blocks
+    _rebind(monkeypatch, cayley, lambda g: blocks.append(g) or cayley(g))
+    counts = _count_dets(monkeypatch)
+    frames.alpha_tilde(g, zeta, W)
+    assert len(blocks) == 1
+    assert counts["matrices"] <= 3 * P
+
+
+def test_a_dense_ring_run_takes_its_determinants(monkeypatch):
+    # the run's smallmat.det calls, loading included
+    counts = _count_dets(monkeypatch)
+    assert run_scenario(DENSE_RING).passed
+    assert counts["calls"] == 96

@@ -23,7 +23,6 @@ from hfe.groups import (
     mp_mul,
     spk_blocks,
     subgroup_classify,
-    tracked_alpha_det,
 )
 from hfe.smallmat import det
 
@@ -117,25 +116,27 @@ def test_mp_product_stays_on_cover(rng):
         assert np.allclose(g[0], a[0][0] @ b[0][0])
 
 
-def test_tracked_alpha_det_takes_no_inverse(rng, monkeypatch):
-    # alpha(g, sW) = P + s QW, so groups inverts nothing, and the tracker
-    # takes the eigenvalues of P^-1 QW in closed form for n <= 2 and by
-    # an LU solve beyond, so nothing calls np.linalg.inv either
+def test_automorphy_path_takes_no_inverse(rng, monkeypatch):
+    # alpha(g, sW) = P + s QW, so the path inverts nothing, and the
+    # tracker takes the eigenvalues of P^-1 QW in closed form for n <= 2
+    # and by an LU solve beyond: the one inverse is g.W's, of alpha(g, W),
+    # which calls np.linalg.inv only for n > 2
     calls = []
-    for module, name in ((groups, "inv"), (np.linalg, "inv")):
+    for module, name in ((ball, "inv"), (np.linalg, "inv")):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda a, real=real: calls.append(np.shape(a))
-                            or real(a))
+        monkeypatch.setattr(module, name, lambda a, *dets, real=real, name=module.__name__:
+                            calls.append((name, np.shape(a))) or real(a, *dets))
     for n in (1, 2, 3):
         g = np.stack([random_sp(rng, n) for _ in range(3)])
         W = np.stack([np.diag(np.linspace(0.5, -0.3j, n)), np.zeros((n, n)),
                       np.full((n, n), 0.1)])
         zeta = [_lift(gp)[1][0] for gp in g]
         calls.clear()  # random_sp inverts
-        z, alpha = tracked_alpha_det(g, W, zeta)
-        assert calls == []
-        _, want = ball.alpha_raw(g, W)
-        assert np.array_equal(alpha, want)
+        gW, alpha, dets, z = ball.automorphy(g, W, zeta)
+        assert calls == [("hfe.ball", (3, n, n))] + [("numpy.linalg", (3, n, n))] * (n > 2)
+        want_gW, want = ball.alpha_raw(g, W)
+        assert np.array_equal(alpha, want) and np.array_equal(gW, want_gW)
+        assert np.array_equal(dets, det(alpha))
         for zp, a in zip(z, np.linalg.det(alpha)):
             assert abs(zp * zp - a) < 1e-9 * abs(a)
 

@@ -16,17 +16,15 @@ from hfe.cech import lift_double_cover
 from hfe.config import check_bound, get_tolerances
 from hfe.errors import TrackingError
 from hfe.frames import gamma_stack
-from hfe.groups import tracked_alpha_det
 from hfe.induction import chart_sqrt_values
 from hfe.nerve import Nerve
 from hfe.scenario import evaluate_cocycle
-from hfe.smallmat import det
+from hfe.smallmat import cabs, det
 from hfe.tracking import (
     _TAN_MAX_ARG,
     Walk,
     _sqrt,
     _turns,
-    cabs,
     cdiv,
     cmul,
     track_graph,
@@ -239,7 +237,7 @@ def test_track_sqrt_matches_a_fine_grid_reference(n, P, seed):
 
     ends = alpha(np.array([0.0, 1.0]))
     zeta = [cmath.sqrt(d) for d in np.linalg.det(ends[:, 0])]
-    assert _close(tracked_alpha_det(g, W, zeta)[0],
+    assert _close(ball.automorphy(g, W, zeta)[3],
                   reference_sqrt(lambda s: np.linalg.det(alpha(s)), zeta),
                   np.max(np.linalg.cond(ends), axis=1))
 
