@@ -6,16 +6,16 @@ loads all of them but the three marked (first use): the stage runners of
 loads only the layers its scenario runs.
 
 - ``hfe.smallmat``      small-matrix linear algebra over stacks (no BLAS at n <= 2), cabs
-- ``hfe.tracking``      the exact complex kernel; square roots on straight paths and graphs
+- ``hfe.tracking``      the exact complex kernel; roots on straight paths (dets given) and graphs
 - ``hfe.config``        numerical tolerances and the bounds derived from them
 - ``hfe.errors``        the exception hierarchy, and raise_first over stacks
-- ``hfe.ball``          Siegel-Ball linear algebra; automorphy, the one alpha(g, W) kernel
-- ``hfe.groups``        matrix groups, double covers, block subgroups
+- ``hfe.ball``          Siegel-Ball algebra; automorphy, the one alpha(g, W) kernel; phi with det C
+- ``hfe.groups``        matrix groups, double covers, block subgroups; tests of given dets
 - ``hfe.frames``        Lagrangian frames, Ball checks, alpha_tilde, densities (first use)
 - ``hfe.nerve``         the finite nerve and the index of its sample points
-- ``hfe.cech``          cocycles over a nerve, GF(2) algebra, double-cover lifting
+- ``hfe.cech``          cocycles over a nerve with their dets, GF(2) algebra, double-cover lifts
 - ``hfe.compatibility`` inducing a compatible metalinear cocycle, delta-tilde data (first use)
-- ``hfe.induction``     metaplectic-to-metalinear transition-function recipe (first use)
+- ``hfe.induction``     metaplectic-to-metalinear recipe, on transports keeping det C (first use)
 - ``hfe.generators``    named generators of scenario data
 - ``hfe.schema``        the scenario JSON schema and its checker
 - ``hfe.scenario``      scenario files: loading, generator evaluation, the built-in corpus

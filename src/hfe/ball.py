@@ -51,14 +51,14 @@ def check_positive(dets: np.ndarray) -> None:
         raise SingularityError("U - iV is singular (frame not positive)")
 
 
-def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi(U, V) = ((U+iV)(U-iV)^{-1}, U-iV); requires U-iV invertible."""
+def phi_raw(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(U, V) = ((U+iV)(U-iV)^{-1}, U-iV) and det(U-iV), check_positive's."""
     U = np.asarray(U, dtype=complex)
     V = np.asarray(V, dtype=complex)
     C = U - 1j * V
     dets = det(C)
     check_positive(dets)
-    return mul(U + 1j * V, inv(C, dets)), C
+    return mul(U + 1j * V, inv(C, dets)), C, dets
 
 
 def phi_inv_raw(W: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,8 +88,8 @@ def automorphy(g: np.ndarray, W: np.ndarray, zeta=None) -> tuple:
     alpha(g[p], 0), their roots continued along the straight paths
     alpha(g, sW) = P + s QW, s in [0, 1], by track_sqrt (else None).  The
     blocks, both ends of the path and their determinants are each taken
-    once; both determinants get check_positive, and g.W's inverse and
-    the roots' callers take the one at s = 1."""
+    once; both determinants get check_positive, track_sqrt takes the one
+    at s = 0, and g.W's inverse and the roots' callers the one at s = 1."""
     P, Q, R, S = cayley_blocks(g)
     QW = mul(Q, W)
     ends = P[..., None, :, :] + np.array([0.0, 1.0])[:, None, None] * QW[..., None, :, :]
@@ -97,7 +97,7 @@ def automorphy(g: np.ndarray, W: np.ndarray, zeta=None) -> tuple:
     check_positive(dets)
     alpha, d = ends[..., 1, :, :], dets[..., 1]
     # track_sqrt reads its path at s = 0 and 1 only: the ends made here
-    roots = None if zeta is None else track_sqrt(lambda s: ends, zeta)
+    roots = None if zeta is None else track_sqrt(lambda s: ends, zeta, dets[..., 0])
     return mul(R + mul(S, W), inv(alpha, d)), alpha, d, roots
 
 

@@ -13,11 +13,12 @@ from typing import Optional
 import numpy as np
 
 from . import groups as G
+from .ball import check_positive
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import SingularityError, ValidationError, raise_first
 from .nerve import Nerve
-from .smallmat import det, mul
-from .tracking import cabs, cdiv, cmul, track_graph
+from .smallmat import cabs, det, mul
+from .tracking import cdiv, cmul, track_graph
 
 
 class Cocycle:
@@ -31,34 +32,42 @@ class Cocycle:
         Ml    mats (P, n, n) complex, roots z (P,) with z**2 = det A
         Mp    mats (P, 2n, 2n) real, roots the anchors zeta (P,) with
               zeta**2 = det alpha(g, 0)
+
+    dets holds the values' determinants, (P, 2) for Glkd and det alpha(g,
+    0) for Mp (alpha0_det): passed by a maker that holds them for these
+    matrices, else taken here; every membership test and lift reads them.
     """
 
     def __init__(self, group: str, n: int, k: int, mats: np.ndarray,
-                 roots: Optional[np.ndarray] = None):
+                 roots: Optional[np.ndarray] = None, dets: Optional[np.ndarray] = None):
         self.group = group
         self.n = n
         self.k = k
         self.mats = mats
         self.roots = roots
+        if dets is None:
+            dets = G.alpha0_det(mats) if group == "Mp" else det(mats)
+        self.dets = dets
 
     @classmethod
-    def ml(cls, n: int, k: int, A: np.ndarray, z) -> "Cocycle":
-        """The Ml cocycle of the (P, n, n) stack A and the roots z,
-        checked in one pass of check_ml."""
-        A, z = np.asarray(A, dtype=complex), np.array(z, dtype=complex)
-        G.check_ml(A, z)
-        return cls("Ml", n, k, A, z)
+    def ml(cls, n: int, k: int, A: np.ndarray, z, dets=None) -> "Cocycle":
+        """The Ml cocycle of the (P, n, n) stack A, its roots z and det(A)
+        if held, checked in one pass of check_ml."""
+        c = cls("Ml", n, k, np.asarray(A, dtype=complex), np.array(z, dtype=complex), dets)
+        G.check_ml(c.dets, c.roots)
+        return c
 
 
 def _membership_residuals(c: Cocycle) -> np.ndarray:
-    """Residuals of the group-membership invariant of every row: of
-    z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
-    max(1, |det|); a Gl or Glkd matrix whose determinant is not finite or
-    is within ``singular`` of 0 raises (a Glkd pattern is classified
-    where its compatibility.PolarizationPairData is made)."""
+    """Residuals of the group-membership invariant of every row, of c.dets:
+    of z**2 = det A (Ml) and zeta**2 = det alpha(g, 0) (Mp), relative to
+    max(1, |det|); a det of Gl or Glkd not finite or within ``singular``
+    of 0 raises (a Glkd pattern is classified where its
+    compatibility.PolarizationPairData is made), and so do an Mp value
+    not symplectic and a det alpha(g, 0) within ``singular`` of 0."""
     if c.group in ("Gl", "Glkd"):
         what = "pair cocycle member" if c.group == "Glkd" else "Gl transition"
-        size = np.abs(det(c.mats))
+        size = np.abs(c.dets)
         if not np.isfinite(size).all():
             raise ValidationError(f"{what} has a non-finite determinant")
         if np.any(size <= get_tolerances().singular):
@@ -67,9 +76,9 @@ def _membership_residuals(c: Cocycle) -> np.ndarray:
         return np.zeros(len(c.mats))
     if c.group == "Mp":
         G.check_sp(c.mats)
-    dets = G.alpha0_det(c.mats) if c.group == "Mp" else det(c.mats)
+        check_positive(c.dets)
     with np.errstate(invalid="ignore"):
-        return cabs(cmul(c.roots, c.roots) - dets) / np.fmax(1.0, cabs(dets))
+        return cabs(cmul(c.roots, c.roots) - c.dets) / np.fmax(1.0, cabs(c.dets))
 
 
 def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
@@ -110,8 +119,8 @@ def validate_cocycle(nerve: Nerve, c: Cocycle) -> dict:
 def push_cocycle(c: Cocycle) -> Cocycle:
     """The transition functions of the first polarization's frame bundle:
     the Gl cocycle of the first member of every pair of the Glkd cocycle
-    c."""
-    return Cocycle("Gl", c.n, c.k, c.mats[:, 0])
+    c, with their determinants."""
+    return Cocycle("Gl", c.n, c.k, c.mats[:, 0], dets=c.dets[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def flip_sheets(nerve: Nerve, c: Cocycle, pattern: np.ndarray) -> Cocycle:
     bit of pattern (over nerve.keys) is set; negating a root is exact,
     so the flipped rows are in Ml as c's are."""
     z = np.where(pattern.astype(bool)[nerve.comp], -c.roots, c.roots)
-    return Cocycle("Ml", c.n, c.k, c.mats, z)
+    return Cocycle("Ml", c.n, c.k, c.mats, z, c.dets)
 
 
 def _sign_bits(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,14 +251,14 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     """Lift a Gl cocycle (push_cocycle's) through the metalinear double
     cover.
 
-    Chooses a continuous square root of det t_ab per overlap component,
-    each tracked from its first point with the principal root, solves
-    the triple-point sign defects for per-component flips over GF(2),
-    and returns the Ml cocycle; if the GF(2) system is infeasible the
-    defect bits over nerve.triples (a degree-2 sign cochain) are returned
-    instead — the witness of a nontrivial obstruction class.
+    Chooses a continuous square root of det t_ab (c.dets) per overlap
+    component, each tracked from its first point with the principal root,
+    solves the triple-point sign defects for per-component flips over
+    GF(2), and returns the Ml cocycle; if the GF(2) system is infeasible
+    the defect bits over nerve.triples (a degree-2 sign cochain) are
+    returned instead — the witness of a nontrivial obstruction class.
     """
-    z = track_graph(det(c.mats), nerve.overlap_walk,
+    z = track_graph(c.dets, nerve.overlap_walk,
                     nerve.ids, 1, jump=lambda r: "(edge too long)",
                     cycle=lambda r: "around a cycle in component")
 
@@ -262,7 +271,8 @@ def lift_double_cover(nerve: Nerve, c: Cocycle):
     sol = gf2_solve(nerve.delta1, rhs)
     if sol is None:
         return rhs
-    return Cocycle.ml(c.n, c.k, c.mats, np.where(sol.astype(bool)[nerve.comp], -z, z))
+    z = np.where(sol.astype(bool)[nerve.comp], -z, z)
+    return Cocycle.ml(c.n, c.k, c.mats, z, c.dets)
 
 
 def z2_coboundary_solve(nerve: Nerve, c2: np.ndarray) -> Optional[np.ndarray]:

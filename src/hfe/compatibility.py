@@ -91,7 +91,7 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
     The second frame of each pair is multiplied by the inverse of a
     diagonal matrix carrying the local delta value, which divides delta
     by itself; the pair cocycle is conjugated accordingly.  The shared
-    A-block is untouched (the change lives in the D-block).  Its callers
+    A-block and first members are untouched, with their dets.  Its callers
     run validate_pair_data on the same data first, whose
     _check_delta_samples has found no vanishing sample.
     """
@@ -110,9 +110,10 @@ def normalize_sections(data: PolarizationPairData) -> PolarizationPairData:
         G2[:, :, n - 1] *= (1.0 / delta[b])[:, None]
     raise_first([(~np.isfinite(G2).all(axis=(1, 2)), lambda r: ValidationError(
         f"normalized second member at {data.nerve.ids[r]} is not finite"))])
+    dets = np.stack([data.pair_cocycle.dets[:, 0], det(G2)], axis=1)
     return PolarizationPairData(
         nerve=data.nerve,
-        pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1)),
+        pair_cocycle=Cocycle("Glkd", n, k, np.stack([G1, G2], axis=1), dets=dets),
         delta_samples=np.ones(len(delta), dtype=complex),
     )
 
@@ -131,21 +132,22 @@ def induce_compatible(data: PolarizationPairData, z1: Cocycle
 
     z2 = |det A| / conj(z1) per sample point, after checking that the
     data is normalized and the premise conj(det g1) det g2 det(A)^{-2} = 1
-    of normalized compatible data, with det A from data's blocks.  z1 is
-    the Ml lift of data's first members: the lift stage lifts them, and
-    cross_check stacks its pair from z1's matrices.  Returns z2 with its
-    cech.validate_cocycle result, which must pass.
+    of normalized compatible data, with det A from data's blocks and the
+    pair cocycle's dets.  z1 is the Ml lift of data's first members: the
+    lift stage lifts them, and cross_check stacks its pair from z1's
+    matrices.  Returns z2 with its validate_cocycle result, which must pass.
     """
     _require_normalized(data)
-    G1, G2 = data.pair_cocycle.mats[:, 0], data.pair_cocycle.mats[:, 1]
+    G2 = data.pair_cocycle.mats[:, 1]
+    det1, det2 = data.pair_cocycle.dets.T
     detA = data.blocks["detA"]
     with np.errstate(over="ignore", invalid="ignore"):
-        premise = np.conj(det(G1)) * det(G2) / (detA * detA)
+        premise = np.conj(det1) * det2 / (detA * detA)
     raise_first([(~(np.abs(premise - 1.0) <= property_bound(get_tolerances())),
                   lambda r: ValidationError(
                       f"premise violated at {data.nerve.ids[r]}: "
                       f"conj(det g1) det g2 / det(A)^2 = {premise[r]}"))])
-    out = Cocycle.ml(data.n, data.k, G2, np.abs(detA) / np.conj(z1.roots))
+    out = Cocycle.ml(data.n, data.k, G2, np.abs(detA) / np.conj(z1.roots), det2)
     report = cech.validate_cocycle(data.nerve, out)
     if not report["ok"]:
         raise ValidationError(f"induced lift fails cocycle validation: "

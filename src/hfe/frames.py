@@ -131,9 +131,10 @@ def gamma_stack(W1: np.ndarray, W2: np.ndarray) -> np.ndarray:
     """
     P, n = len(W1), W1.shape[-1]
     M = mul(np.swapaxes(W1, -1, -2).conj(), W2)
-    eye = np.eye(n)
-    return track_sqrt(lambda s: 0.5 * (eye - s[None, :, None, None] * M[:, None]),
-                      np.full(P, 2.0 ** (-n / 2.0), dtype=complex))
+    ends = 0.5 * (np.eye(n) - np.array([0.0, 1.0])[:, None, None] * M[:, None])
+    # track_sqrt reads its path at s = 0 and 1 only: the ends made here
+    return track_sqrt(lambda s: ends, np.full(P, 2.0 ** (-n / 2.0), dtype=complex),
+                      det(ends[:, 0]))
 
 
 def alpha_tilde(g: np.ndarray, zeta, W: np.ndarray

@@ -62,19 +62,18 @@ def ml_root_check(z, dets):
             lambda p: ValidationError("z**2 != det(A): not a metalinear element"))
 
 
-def ml_checks(A: np.ndarray, z) -> list:
-    """The Ml membership checks of a stack, for raise_first: every A[p]
-    of the (P, n, n) stack A is nonsingular with z[p]**2 = det A[p].  A
-    NaN fails them: the flags are negated comparisons."""
-    dets = det(A)
+def ml_checks(dets, z) -> list:
+    """The Ml membership checks of a stack given its determinants dets
+    (P,), for raise_first: every matrix is nonsingular with z[p]**2 =
+    dets[p].  A NaN fails them: the flags are negated comparisons."""
     return [(~(cabs(dets) > get_tolerances().singular),
              lambda p: SingularityError("matrix is singular")), ml_root_check(z, dets)]
 
 
-def check_ml(A: np.ndarray, z) -> None:
-    """The Ml membership test of a stack (see ml_checks): raises for the
-    first point that fails."""
-    raise_first(ml_checks(A, z))
+def check_ml(dets, z) -> None:
+    """The Ml membership test of a stack given its determinants (see
+    ml_checks): raises for the first point that fails."""
+    raise_first(ml_checks(dets, z))
 
 
 def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +82,7 @@ def ml_mul(A1: np.ndarray, z1, A2: np.ndarray, z2) -> tuple[np.ndarray, np.ndarr
     of check_ml."""
     A = mul(A1, A2)
     z = cmul(z1, z2)
-    check_ml(A, z)
+    check_ml(det(A), z)
     return A, z
 
 
@@ -123,11 +122,10 @@ def alpha0_det(g: np.ndarray) -> np.ndarray:
     return dets
 
 
-def check_mp(g: np.ndarray, zeta) -> None:
-    """The Mp anchor test of a stack: zeta[p]**2 = det alpha(g[p], 0) for
-    every g[p] of the (P, 2n, 2n) stack g.  Raises for the first point
-    that fails; a NaN fails, as the flag is a negated comparison."""
-    dets = alpha0_det(g)
+def check_mp(dets, zeta) -> None:
+    """The Mp anchor test of a stack given dets = alpha0_det(g) (P,):
+    zeta[p]**2 = det alpha(g[p], 0).  Raises for the first point that
+    fails; a NaN fails, as the flag is a negated comparison."""
     raise_first([(off_root(zeta, dets, check_bound(get_tolerances())),
                   lambda p: ValidationError("zeta**2 != det alpha(g, 0)"))])
 
@@ -150,7 +148,7 @@ def mp_mul(g1: np.ndarray, zeta1, g2: np.ndarray, zeta2
     za = ball.automorphy(g1, W2, zeta1)[3]
     g = mul(g1, g2)
     zeta = cmul(za, zeta2)
-    check_mp(g, zeta)
+    check_mp(alpha0_det(g), zeta)
     return g, zeta
 
 

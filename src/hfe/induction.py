@@ -31,7 +31,7 @@ from .frames import (
     delta_L_tilde,
     validate_lagrangian,
 )
-from .groups import check_ml, ml_checks, ml_mul, rel_residual, spk_blocks, worst
+from .groups import ml_checks, ml_mul, ml_root_check, rel_residual, spk_blocks, worst
 from .nerve import Nerve
 from .smallmat import det, inv, lstsq, mul
 from .tracking import cdiv, cmul, track_graph
@@ -92,24 +92,25 @@ class SectionTransport:
     """The part of the recipe that no sheet choice changes, as stacks;
     a SectionFamily computes it once per run.
 
-    Chart stacks have one row per chart row of the nerve:
-    U, V hold the section frames, validated as positive Lagrangian
-    frames, W and C the stacks (R, n, n) of (W, C) = phi(section), W
-    checked as Ball points.  Overlap stacks have one row per overlap row,
-    whose point has the chart rows a, b (the nerve's ends) in the two
-    charts of its overlap: N the frame transition with g sigma_b =
-    sigma_a N, alpha and alpha_z the stack and roots of
-    alpha_tilde(g, W_b), and gW the Ball point g.W_b.
+    Chart stacks have one row per chart row of the nerve: U, V hold the
+    section frames, validated as positive Lagrangian frames, W and C the
+    stacks (R, n, n) of (W, C) = phi(section), W checked as Ball points,
+    and dets the det C that phi_raw took and checked.  Overlap stacks
+    have one row per overlap row, whose point has the chart rows a, b
+    (the nerve's ends) in the two charts of its overlap: N the frame
+    transition with g sigma_b = sigma_a N, alpha and alpha_z the stack
+    and roots of alpha_tilde(g, W_b), and gW the Ball point g.W_b.
     """
 
     def __init__(self, bundle: MetaplecticBundleData, U: np.ndarray, V: np.ndarray,
-                 W: np.ndarray, C: np.ndarray, N: np.ndarray, alpha: np.ndarray,
-                 alpha_z: np.ndarray, gW: np.ndarray):
+                 W: np.ndarray, C: np.ndarray, dets: np.ndarray, N: np.ndarray,
+                 alpha: np.ndarray, alpha_z: np.ndarray, gW: np.ndarray):
         self.bundle = bundle
         self.U = U
         self.V = V
         self.W = W
         self.C = C
+        self.dets = dets
         self.N = N
         self.alpha = alpha
         self.alpha_z = alpha_z
@@ -121,11 +122,11 @@ def transport(data: MetaplecticBundleData, sections: tuple[np.ndarray, ...]
     """The sheet-independent part of the recipe for a section family on
     a bundle, which every recipe run on that family shares: sections are
     the stacks (U, V) (R, n, n) of its frames at every chart row of the
-    nerve (see scenario.Scenario)."""
+    nerve (see scenario.Scenario); det C is phi_raw's, kept."""
     tols = get_tolerances()
     nerve = data.nerve
     U, V = sections
-    W, C = ball.phi_raw(U, V)
+    W, C, dets = ball.phi_raw(U, V)
     raise_first([(~validate_lagrangian(U, V), lambda r: ValidationError(
         f"section frame not positive at {nerve.sites[r][1]}"))])
     check_ball(W)
@@ -144,7 +145,7 @@ def transport(data: MetaplecticBundleData, sections: tuple[np.ndarray, ...]
     raise_first([(~(res <= bound), lambda p: ValidationError(
         f"sections inconsistent with the cocycle at {nerve.ids[p]}"))])
     gW, alpha, alpha_z = alpha_tilde(g, data.mp_cocycle.roots, W[b])
-    return SectionTransport(data, U, V, W, C, N, alpha, alpha_z, gW)
+    return SectionTransport(data, U, V, W, C, dets, N, alpha, alpha_z, gW)
 
 
 def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
@@ -159,15 +160,14 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     Gl-valued frame transition computed independently from the sections.
     The sheet-independent part is the transport t of the sections to
     the bundle t.bundle, and every step runs on the stacks of all sample
-    points at once.
+    points at once; the lifted sections take t.dets, checked nonsingular.
     """
     tols = get_tolerances()
     data = t.bundle
     nerve = data.nerve
     # per-chart lifted sections
-    dets = det(t.C)
-    z = chart_sqrt_values(nerve, dets, sheet_flips or {})
-    check_ml(t.C, z)
+    z = chart_sqrt_values(nerve, t.dets, sheet_flips or {})
+    raise_first([ml_root_check(z, t.dets)])
 
     # the metaplectic transition acting on the lifted section of chart b
     a, b = nerve.ends.T
@@ -176,7 +176,7 @@ def recipe(t: SectionTransport, sheet_flips: Optional[dict[str, int]] = None
     wres = np.max(np.abs(t.gW - t.W[a]), axis=axes, initial=0.0)
     raise_first([(~(wres <= property_bound(tols)), lambda p: ValidationError(
         f"Ball points disagree on overlap at {nerve.ids[p]}"))])
-    Ninv = mul(inv(t.C[a], dets[a]), moved_A)
+    Ninv = mul(inv(t.C[a], t.dets[a]), moved_A)
     Nz = cdiv(moved_z, z[a])
     nres = np.max(np.abs(Ninv - t.N), axis=axes, initial=0.0)
     ml_c = Cocycle.ml(data.n, data.k, Ninv, Nz)
@@ -251,8 +251,8 @@ def build_delta_D_tilde(data: MetaplecticBundleData,
     # the values at every chart row serve the gluing and the chart checks
     W1, C1, z1, W2, C2, z2 = pair_sections
     # each point's first W, first (C, z), second W and second (C, z)
-    raise_first(ball_checks(W1) + ml_checks(C1, z1) + ball_checks(W2)
-                + ml_checks(C2, z2))
+    raise_first(ball_checks(W1) + ml_checks(det(C1), z1) + ball_checks(W2)
+                + ml_checks(det(C2), z2))
     values = delta_L_tilde(W1, C1, z1, W2, C2, z2, k)
 
     # invariance: both members of the chart-b pair moved by the transition
@@ -304,8 +304,9 @@ def cross_check(data: MetaplecticBundleData, first: SectionFamily,
     t2, r2 = second.plain()
 
     # pair data spanned by the two families
-    pair_c = Cocycle("Glkd", n, k, np.stack([r1.ml_cocycle.mats, r2.ml_cocycle.mats],
-                                            axis=1))
+    recipes = r1.ml_cocycle, r2.ml_cocycle
+    pair_c = Cocycle("Glkd", n, k, np.stack([c.mats for c in recipes], axis=1),
+                     dets=np.stack([c.dets for c in recipes], axis=1))
     # the reduced pairing determinant of the two families at every chart
     # row; it also serves the restriction identity
     reduced = delta_L_stack(t1.U, t1.V, t2.U, t2.V, k)
@@ -324,7 +325,8 @@ def cross_check(data: MetaplecticBundleData, first: SectionFamily,
     w = delta_L_tilde(t1.W, t1.C, r1.chart_z, t2.W, t2.C, r2.chart_z, k)
     a, b = nerve.ends.T
     zs = cdiv(cmul(w[a], r2.ml_cocycle.roots), w[b])
-    z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs)
+    z2_ref = Cocycle.ml(n, k, pnorm.pair_cocycle.mats[:, 1], zs,
+                        pnorm.pair_cocycle.dets[:, 1])
     dt_ref = compatibility.build_delta_tilde(pnorm, z1, z2_ref)
     witness = cech.lifts_equivalent(nerve, z2_ind, z2_ref)
     if witness is None:

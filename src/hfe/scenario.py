@@ -117,8 +117,9 @@ def evaluate_cocycle(group: str, n: int, k: int, nerve: Nerve,
         # a copy, so that the stack is contiguous
         g = stacks[0].real.copy()
         G.check_sp(g)
-        G.check_mp(g, stacks[1])
-        return Cocycle(group, n, k, g, stacks[1])
+        dets = G.alpha0_det(g)
+        G.check_mp(dets, stacks[1])
+        return Cocycle(group, n, k, g, stacks[1], dets)
     return Cocycle(group, n, k, *stacks)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import check_bound, get_tolerances, identity_bound
 from .errors import TrackingError, raise_first
-from .smallmat import cabs, det, eigvals
+from .smallmat import cabs, eigvals
 
 # A ratio r of consecutive values turns (may cross the branch cut of the
 # square root) unless its argument stays below 0.999·pi/2: unless 0 <
@@ -78,14 +78,15 @@ def _pencil(A: np.ndarray, X: np.ndarray) -> np.ndarray:
                     axis=-1)
 
 
-def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0) -> np.ndarray:
-    """Continue the anchors z0 (P,), z0[p]**2 = det f(0)[p], along P
+def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0, start) -> np.ndarray:
+    """Continue the anchors z0 (P,), z0[p]**2 = start[p], along P
     straight paths of matrices from s = 0 to 1: the (P,) roots at 1.
 
     ``f`` takes a 1-D float array of parameters and returns the (P, len,
     m, m) matrices of the paths there, each affine in s; it is called
-    once, at s = [0, 1].  With A = f(0), X = f(1) - A and mu = _pencil,
-    the root is z0 prod sqrt(1 + mu_i) by the exact kernel.  Raises
+    once, at s = [0, 1].  start is det f(0), taken by the caller, as
+    smallmat.inv's are.  With A = f(0), X = f(1) - A and mu = _pencil, the
+    root is z0 prod sqrt(1 + mu_i) by the exact kernel.  Raises
     TrackingError for the first path whose anchor fails Python's
     abs(z0**2 - det A) <= bound * max(1, abs(det A)), bit for bit, whose
     matrices at s = 0 or 1 are not finite, or that vanishes: |det A|
@@ -96,7 +97,7 @@ def track_sqrt(f: Callable[[np.ndarray], np.ndarray], z0) -> np.ndarray:
     ends = np.asarray(f(np.array([0.0, 1.0])), dtype=complex)
     A, m = ends[:, 0], ends.shape[-1]
     tols = get_tolerances()
-    start = det(A)
+    start = np.asarray(start, dtype=complex)
     size = cabs(start)
     with np.errstate(all="ignore"):
         X = ends[:, 1] - A

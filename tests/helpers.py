@@ -145,7 +145,7 @@ def random_mlkd_stack(rng: np.random.Generator, m: int, n: int, k: int,
     M[:, :, k:, k:] = D.reshape(members, m, r, r)
     roots = np.sqrt((dA * dD.reshape(members, m)).astype(complex))
     z = np.where(rng.integers(2, size=(members, m)) == 1, -roots, roots)
-    check_ml(M.reshape(members * m, n, n), z.ravel())
+    check_ml(det(M.reshape(members * m, n, n)), z.ravel())
     return M[0], z[0], M[-1], z[-1]
 
 

@@ -23,6 +23,7 @@ from hfe.frames import (
 )
 from hfe.groups import check_ml, ml_mul
 from hfe.scenario import builtin_scenario_path, load_scenario
+from hfe.smallmat import det
 
 from helpers import (
     gamma_two_legs,
@@ -110,7 +111,7 @@ def test_criterion_01_metalinear_group_law():
         A = random_gl(rng, int(rng.integers(1, 7)))
         z = principal_sqrt(np.linalg.det(A))
         # both sheets over A are metalinear (check_ml raises otherwise)
-        check_ml(np.array([A, A]), [z, -z])
+        check_ml(det(np.array([A, A])), [z, -z])
         lift_ok = lift_ok and abs(z * z - np.linalg.det(A)) <= 1e-9 * abs(z * z)
     _verdict(
         "criterion 1: metalinear products keep z^2 = det on 1000 draws "
@@ -152,7 +153,7 @@ def test_criterion_03_ball_chart_roundtrips():
     for _ in range(500):
         n = int(rng.integers(1, 5))
         U0, V0 = random_positive_frame(rng, n)
-        W, C = ball.phi_raw(U0, V0)
+        W, C, _ = ball.phi_raw(U0, V0)
         check_ball(W[None])
         U, V = ball.phi_inv_raw(W, C)
         worst = max(
@@ -166,13 +167,13 @@ def test_criterion_03_ball_chart_roundtrips():
         C = random_gl(rng, n)
         U, V = ball.phi_inv_raw(W, C)
         validate_lagrangian(U[None], V[None])
-        W2, C2 = ball.phi_raw(U, V)
+        W2, C2, _ = ball.phi_raw(U, V)
         worst = max(
             worst,
             float(np.max(np.abs(W2 - W))),
             float(np.max(np.abs(C2 - C))),
         )
-    Wa, Ca = ball.phi_raw(np.array([[1.0]]), np.array([[1j]]))
+    Wa, Ca, _ = ball.phi_raw(np.array([[1.0]]), np.array([[1j]]))
     anchor_ok = (
         abs(Wa[0, 0]) < 1e-12 and abs(Ca[0, 0] - 2.0) < 1e-12
     )
@@ -400,7 +401,7 @@ def test_criterion_11_density_invariance():
         W, C = (np.array(x) for x in zip(*metas))
         zc = [principal_sqrt(d) for d in np.linalg.det(C)]
         check_ball(W)
-        check_ml(C, zc)
+        check_ml(det(C), zc)
         U, V = ball.phi_inv_raw(W, C)
         validate_lagrangian(U, V)
         S = np.concatenate([U, V], axis=-2)

@@ -3,8 +3,10 @@ of its sample points, when the scenario is loaded, and never during a
 run.  Each section family is transported, and its plain recipe run,
 once per run, and each pair stack is classified once, where its pair
 data is made.  Each automorphy-factor stack takes its Cayley blocks, and
-the determinants of its path's ends, once.  Rerunning a loaded scenario
-leaves its reports unchanged."""
+the determinants of its path's ends, once.  Each cocycle holds the
+determinants of its values, and each section transport its det C, and
+later tests read them.  Rerunning a loaded scenario leaves its reports
+unchanged."""
 
 import cmath
 import itertools
@@ -21,13 +23,16 @@ import hfe.frames as frames
 import hfe.groups as groups
 import hfe.induction as induction
 import hfe.scenario as scenario_mod
-from hfe import ball
+from hfe import ball, cech
+from hfe.cech import Cocycle
+from hfe.compatibility import PolarizationPairData, normalize_sections
 from hfe.pipelines import run_scenario
+from hfe.nerve import Nerve
 from hfe.report import report_to_dict
-from hfe.scenario import builtin_scenario_path, load_scenario
+from hfe.scenario import builtin_scenario_names, builtin_scenario_path, load_scenario
 from hfe.smallmat import det
 
-from helpers import random_ball_point, random_sp
+from helpers import component, nerve_doc, random_ball_point, random_mlkd_stack, random_sp
 
 
 def _ring_doc(n_charts=6, points=4):
@@ -240,14 +245,17 @@ def _rebind(monkeypatch, original, replacement) -> set[str]:
     return bound
 
 
-def _count_dets(monkeypatch) -> Counter:
+def _count_dets(monkeypatch, taken=None) -> Counter:
     """Count the smallmat.det calls ("calls") and the matrices they take
-    ("matrices"), through every name that binds it."""
+    ("matrices"), through every name that binds it; append each stack
+    taken to the list taken, if given."""
     counts = Counter()
 
     def counted(A):
         counts["calls"] += 1
         counts["matrices"] += math.prod(np.shape(A)[:-2])
+        if taken is not None:
+            taken.append(A)
         return det(A)
     _rebind(monkeypatch, det, counted)
     return counts
@@ -255,7 +263,8 @@ def _count_dets(monkeypatch) -> Counter:
 
 def test_each_alpha_stack_takes_its_blocks_and_path_ends_once(monkeypatch, rng):
     # alpha_tilde on P points: one cayley_blocks call, and the
-    # determinants of the path's two ends and of track_sqrt's start
+    # determinants of the path's two ends, of which track_sqrt takes
+    # the one at s = 0
     P, n = 5, 2
     g = np.stack([random_sp(rng, n) for _ in range(P)])
     W = np.stack([random_ball_point(rng, n) for _ in range(P)])
@@ -266,11 +275,91 @@ def test_each_alpha_stack_takes_its_blocks_and_path_ends_once(monkeypatch, rng):
     counts = _count_dets(monkeypatch)
     frames.alpha_tilde(g, zeta, W)
     assert len(blocks) == 1
-    assert counts["matrices"] <= 3 * P
+    assert counts["matrices"] <= 2 * P
 
 
 def test_a_dense_ring_run_takes_its_determinants(monkeypatch):
     # the run's smallmat.det calls, loading included
     counts = _count_dets(monkeypatch)
     assert run_scenario(DENSE_RING).passed
-    assert counts["calls"] == 96
+    assert counts["calls"] == 73
+
+
+def test_a_lift_takes_its_matrices_determinants_once(monkeypatch):
+    # the Gl cocycle of the dense ring's first members takes their
+    # determinants where it is made; its lift tracks and checks them,
+    # and validate_cocycle reads them
+    sc = load_scenario(DENSE_RING)
+    mats = sc.pair_cocycle.mats[:, 0]
+    counts = _count_dets(monkeypatch)
+    base = Cocycle("Gl", sc.n, sc.k, mats)
+    lifted = cech.lift_double_cover(sc.nerve, base)
+    assert cech.validate_cocycle(sc.nerve, lifted)["ok"]
+    assert counts == {"calls": 1, "matrices": len(mats)}
+    assert lifted.dets is base.dets
+
+
+def test_an_ml_cocycle_and_its_validation_take_one_determinant(monkeypatch):
+    sc = load_scenario(DENSE_RING)
+    lifted = cech.lift_double_cover(sc.nerve, cech.push_cocycle(sc.pair_cocycle))
+    counts = _count_dets(monkeypatch)
+    c = Cocycle.ml(lifted.n, lifted.k, lifted.mats, lifted.roots)
+    assert cech.validate_cocycle(sc.nerve, c)["ok"]
+    assert counts == {"calls": 1, "matrices": len(lifted.mats)}
+
+
+def test_a_recipe_takes_no_determinant_of_the_section_frames(monkeypatch):
+    # recipe reads t.dets, which phi_raw took in transport; it takes the
+    # determinants of the moved sections (ml_mul) and of its transitions
+    # (Cocycle.ml) only
+    sc = load_scenario(DENSE_RING)
+    bundle = induction.MetaplecticBundleData(sc.nerve, sc.mp_cocycle, sc.d_adapted)
+    t = induction.transport(bundle, sc.sections_first)
+    taken = []
+    counts = _count_dets(monkeypatch, taken)
+    for flips in (None, {next(iter(sc.nerve.charts)): -1}):
+        induction.recipe(t, flips)
+    assert counts["calls"] == 4
+    assert not any(np.shares_memory(A, t.C) or np.shape(A) == t.C.shape for A in taken)
+
+
+def _assert_held_dets(c: Cocycle) -> None:
+    """c's held determinants are smallmat.det's of its matrices, or for
+    Mp of the P blocks of ball.cayley_blocks, bit for bit."""
+    mats = ball.cayley_blocks(c.mats)[0] if c.group == "Mp" else c.mats
+    assert np.asarray(c.dets).tobytes() == det(mats).tobytes(), c.group
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_held_determinants_are_the_determinants_of_the_values(rng, n):
+    # each maker that passes determinants on, on random values
+    P, k = 6, n // 2
+    M1, z1, M2, _ = random_mlkd_stack(rng, P, n, k)
+    pair = Cocycle("Glkd", n, k, np.stack([M1, M2], axis=1))
+    gl = cech.push_cocycle(pair)
+    ml = Cocycle.ml(n, k, gl.mats, z1, gl.dets)
+    nerve = Nerve(nerve_doc("ab", {("a", "b"): [component(
+        [f"p{i}" for i in range(P)], [(i, i + 1) for i in range(P - 1)])]}))
+    data = PolarizationPairData(nerve, pair, np.full(len(nerve.sites), 2.0 - 1j))
+    g = np.stack([random_sp(rng, n) for _ in range(P)])
+    for c in (pair, gl, ml, cech.flip_sheets(nerve, ml, np.ones(1, dtype=np.uint8)),
+              normalize_sections(data).pair_cocycle,
+              Cocycle("Mp", n, k, g, np.ones(P, dtype=complex))):
+        _assert_held_dets(c)
+
+
+@pytest.mark.parametrize("path", [builtin_scenario_path(name) for name in builtin_scenario_names()]
+                         + sorted(DENSE_RING.parent.glob("dense_ring_*.json")),
+                         ids=lambda path: path.stem)
+def test_each_cocycle_of_a_run_holds_its_values_determinants(monkeypatch, path):
+    made = []
+    init = Cocycle.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(Cocycle, "__init__", recorded)
+    run_scenario(path)
+    assert made
+    for c in made:
+        _assert_held_dets(c)

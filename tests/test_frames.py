@@ -106,13 +106,13 @@ def test_delta_singular_bound_is_inclusive():
 
 
 def test_phi_anchor_and_roundtrip(rng):
-    W, C = ball.phi_raw(*HOLO)
+    W, C, _ = ball.phi_raw(*HOLO)
     assert np.max(np.abs(W)) < 1e-12
     assert abs(C[0, 0] - 2.0) < 1e-12
     for _ in range(50):
         n = int(rng.integers(1, 5))
         U0, V0 = random_positive_frame(rng, n)
-        W, C = ball.phi_raw(U0, V0)
+        W, C, _ = ball.phi_raw(U0, V0)
         check_ball(W[None])
         U, V = ball.phi_inv_raw(W, C)
         assert np.max(np.abs(U - U0)) < 1e-10
@@ -126,7 +126,7 @@ def test_phi_inv_left_inverse(rng):
         C = random_gl(rng, n)
         U, V = ball.phi_inv_raw(W, C)
         assert validate_lagrangian(U[None], V[None])[0]
-        W2, C2 = ball.phi_raw(U, V)
+        W2, C2, _ = ball.phi_raw(U, V)
         assert np.max(np.abs(W2 - W)) < 1e-10
         assert np.max(np.abs(C2 - C)) < 1e-10
 
@@ -147,7 +147,7 @@ def _alpha_by_frames(g, W):
     """(g.W, alpha(g, W)) the long way: (W, 1) through phi_inv, the
     action on frames, and phi of the result."""
     U, V = ball.phi_inv_raw(W, np.eye(W.shape[-1]))
-    return ball.phi_raw(*ball.sp_apply(g, U, V))
+    return ball.phi_raw(*ball.sp_apply(g, U, V))[:2]
 
 
 def _ball_maps(fn, g, W):
@@ -204,9 +204,9 @@ def test_alpha_moves_frames_consistently(rng):
     # phi(g . frame) = (g.W, alpha(g, W) C)
     g = random_sp(rng, 2)
     U, V = random_positive_frame(rng, 2)
-    W, C = ball.phi_raw(U, V)
+    W, C, _ = ball.phi_raw(U, V)
     gU, gV = ball.sp_apply(g, U, V)
-    W2, C2 = ball.phi_raw(gU, gV)
+    W2, C2, _ = ball.phi_raw(gU, gV)
     gW, a = ball.alpha_raw(g, W)
     check_ball(gW[None])
     assert np.max(np.abs(W2 - gW)) < 1e-9

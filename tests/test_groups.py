@@ -15,6 +15,7 @@ from hfe.errors import (
 )
 from hfe.groups import (
     _glk_pattern,
+    alpha0_det,
     check_ml,
     check_mp,
     check_sp,
@@ -31,15 +32,15 @@ from helpers import random_gl, random_mlkd_stack, random_sp
 
 def test_ml_element_rejects_wrong_root():
     with pytest.raises(ValidationError):
-        check_ml(np.eye(2)[None], [2.0])
+        check_ml(det(np.eye(2)[None]), [2.0])
 
 
 def test_ml_checks_reject_nan():
     # nan <= singular and nan > bound are both False
     with pytest.raises(SingularityError, match="matrix is singular"):
-        check_ml(np.array([[[np.nan]]]), [np.nan])
+        check_ml(det(np.array([[[np.nan]]])), [np.nan])
     with pytest.raises(ValidationError, match="not a metalinear element"):
-        check_ml(np.eye(1)[None], [np.nan])
+        check_ml(det(np.eye(1)[None]), [np.nan])
 
 
 def test_kernels_overflow_without_a_warning():
@@ -47,7 +48,7 @@ def test_kernels_overflow_without_a_warning():
     # blocks are inf or NaN, and nothing warns
     big = 1e308 + 1e308j
     with pytest.raises(ValidationError, match="not a metalinear element"):
-        check_ml(np.full((1, 1, 1), 1e308), [big])
+        check_ml(det(np.full((1, 1, 1), 1e308)), [big])
     g = np.eye(2)
     g[0, 1] = np.inf
     assert not np.isfinite(ball.cayley_blocks(g)).all()
@@ -57,7 +58,7 @@ def test_kernels_overflow_without_a_warning():
 def test_check_mp_rejects_nan():
     # nan > bound is False, so a plain comparison let a NaN anchor pass
     with pytest.raises(ValidationError, match=r"zeta\*\*2 != det alpha"):
-        check_mp(np.eye(2)[None], np.array([np.nan + 0j]))
+        check_mp(alpha0_det(np.eye(2)[None]), np.array([np.nan + 0j]))
 
 
 def test_ml_product_preserves_relation(rng):
@@ -75,8 +76,8 @@ def test_ml_product_preserves_relation(rng):
 def test_ml_identity(rng):
     A = random_gl(rng, 3)[None]
     z = [principal_sqrt(np.linalg.det(A[0]))]
-    check_ml(A, z)
-    check_ml(np.eye(3)[None], [1.0])
+    check_ml(det(A), z)
+    check_ml(det(np.eye(3)[None]), [1.0])
     assert ml_mul(A, z, np.eye(3)[None], [1.0])[1] == z
 
 
@@ -84,7 +85,7 @@ def test_ml_lift_two_sheets(rng):
     A = random_gl(rng, 3)
     z = principal_sqrt(np.linalg.det(A))
     # both sheets over A are metalinear; their roots differ by the sign
-    check_ml(np.array([A, A]), [z, -z])
+    check_ml(det(np.array([A, A])), [z, -z])
     assert abs(z * z - np.linalg.det(A)) < 1e-9 * abs(np.linalg.det(A))
 
 
@@ -155,7 +156,7 @@ def test_mp_deck_is_central(rng):
     _, (zeta,) = mp_mul(ga, [za], *b)
     assert abs(flipped + zeta) < 1e-8
     # the identity lies on the cover with either anchor
-    check_mp(np.array([np.eye(4), np.eye(4)]), [1.0, -1.0])
+    check_mp(alpha0_det(np.array([np.eye(4), np.eye(4)])), [1.0, -1.0])
 
 
 def test_subgroup_classify_glk_accept_and_reject():
@@ -241,7 +242,7 @@ def test_mp_element_wrong_anchor_rejected(rng):
     _, a0 = ball.alpha_raw(g, np.zeros((2, 2)))
     zeta = np.sqrt(abs(np.linalg.det(a0))) * 5.0
     with pytest.raises(ValidationError):
-        check_mp(g[None], [zeta])
+        check_mp(alpha0_det(g[None]), [zeta])
 
 
 def _per_row_ml_flags(A, z):
@@ -263,6 +264,11 @@ def _per_row_check_mp(g, zeta) -> None:
     for zp, d in zip(zeta, det(a0)):
         if abs(zp * zp - d) > bound * abs(d):
             raise ValidationError("zeta**2 != det alpha(g, 0)")
+
+
+def _check_mp_stack(g, zeta) -> None:
+    """The Mp anchor test of the stack g, on its alpha0_det."""
+    check_mp(alpha0_det(g), zeta)
 
 
 def _outcome(check, *args):
@@ -302,9 +308,9 @@ def test_vectorized_membership_flags_match_the_per_row_checks(rng):
                      _at_the_bound(abs(zeta[p] * zeta[p] - dm), abs(dm), 1e3)]
         for tols in settings:
             with tolerance_overrides(**tols):
-                flags = [bad for bad, _ in ml_checks(A, np.array(z))]
+                flags = [bad for bad, _ in ml_checks(det(A), np.array(z))]
                 assert [f.tolist() for f in flags] == [
                     f.tolist() for f in _per_row_ml_flags(A, z)], (trial, tols)
                 for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(off))]:
-                    assert (_outcome(check_mp, g[rows], np.array(zeta[rows]))
+                    assert (_outcome(_check_mp_stack, g[rows], np.array(zeta[rows]))
                             == _outcome(_per_row_check_mp, g[rows], zeta[rows])), (trial, tols)

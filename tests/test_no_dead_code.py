@@ -14,7 +14,8 @@ no exception: a traced run must measure code the engine runs.
 
 Every name a module imports must be used by that module: by name, as
 the root of an attribute, in a string (a quoted annotation) or in an
-``__all__`` list.
+``__all__`` list.  Every name a module imports from another module of
+the package must be defined there, not imported there.
 """
 
 import ast
@@ -142,6 +143,32 @@ def _unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert _unused_imports() == []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names a module's top-level statements define: its functions,
+    classes and assigned names; not the names it imports."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out.update(node.id for t in targets for node in ast.walk(t)
+                       if isinstance(node, ast.Name))
+    return out
+
+
+def test_every_relative_import_names_a_definition_of_its_module():
+    # a name imported through a module that only imports it breaks when
+    # that module stops needing it
+    modules = _modules()
+    defined = {name: _defined(tree) for name, tree in modules.items()}
+    misses = [f"{name}: from .{node.module} import {alias.name}"
+              for name, tree in modules.items() for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+              for alias in node.names if alias.name not in defined[node.module]]
+    assert misses == []
 
 
 def test_exceptions_exist():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hfe.config import tolerance_overrides
 from hfe.errors import SingularityError
 from hfe.groups import check_ml, subgroup_classify
+from hfe.smallmat import det
 
 from helpers import random_mlkd_stack
 
@@ -28,7 +29,7 @@ def test_the_stream_warns_nowhere(seed):
 def _mlkd_blocks(M1, z1, M2, z2, k: int) -> dict:
     """The Glkd blocks of the pairs (M1[p], M2[p]), after the Ml test of
     every member: z**2 = det M = det(A) det(D) of a block-triangular M."""
-    check_ml(np.concatenate([M1, M2]), np.concatenate([z1, z2]))
+    check_ml(det(np.concatenate([M1, M2])), np.concatenate([z1, z2]))
     return subgroup_classify(M1, M2, k)
 
 

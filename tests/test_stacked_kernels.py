@@ -191,11 +191,11 @@ def test_block_pattern_matches_the_scalar_checks(n, data):
 # a stack of paths against each path alone
 # ---------------------------------------------------------------------------
 
-def _tracked(*args):
-    """The list of track_sqrt's roots of a stack, or the message of the
-    TrackingError raised."""
+def _tracked(f, z0):
+    """The list of track_sqrt's roots of a stack of paths f, given det
+    f(0), or the message of the TrackingError raised."""
     try:
-        return track_sqrt(*args).tolist()
+        return track_sqrt(f, z0, smallmat.det(f(np.zeros(1))[:, 0])).tolist()
     except TrackingError as exc:
         return str(exc)
 

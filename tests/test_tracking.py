@@ -35,10 +35,12 @@ from helpers import (MAX_ARG, component, nerve_doc, per_point, random_ball_point
                      reference_sqrt, rescaled)
 
 
-def _alone(f, z0):
+def _alone(f, z0, start=None):
     """track_sqrt on the stack of the one straight path f of matrices,
-    anchored at z0."""
-    return track_sqrt(lambda s: f(s)[None], [z0])[0]
+    anchored at z0, with the determinant start of f(0), which is taken
+    from f unless given."""
+    start = det(f(np.zeros(1))) if start is None else [start]
+    return track_sqrt(lambda s: f(s)[None], [z0], start)[0]
 
 
 def _line(A, X):
@@ -138,7 +140,7 @@ def test_track_sqrt_takes_a_step_whose_quotient_underflows_to_zero():
         calls.append(len(s))
         return _line(_BIG, _TURNED - _BIG)(s)
 
-    z = _alone(f, cmath.sqrt(_BIG))
+    z = _alone(f, cmath.sqrt(_BIG), _BIG)
     assert calls == [2]
     assert abs(z - cmath.sqrt(_BIG) * cmath.sqrt(0.5 - 0.5j)) <= 1e-15 * abs(z)
 
@@ -286,7 +288,7 @@ class _Recorder:
 
 def test_track_sqrt_one_call_without_bisection():
     f = _Recorder(_line(np.eye(2), np.diag([-2.0 + 0.1j, 3.0j])))
-    _alone(f, 1.0)
+    _alone(f, 1.0, 1.0)
     assert [c.tolist() for c in f.calls] == [[0.0, 1.0]]
 
 
@@ -567,7 +569,8 @@ def dispatch_probe() -> str:
     X = np.stack([_parts(-2.0 - k, k / 6.0), _parts(0.3 + zero, k / 13.0),
                   _parts(k / 5.0, 0.1 + zero), _parts(-1.5 + k / 4.0, -k / 2.0)], axis=-1)
     A, X = A.reshape(-1, 2, 2), X.reshape(-1, 2, 2)
-    roots = track_sqrt(lambda s: A[:, None] + s[None, :, None, None] * X[:, None], cmul(r, w))
+    roots = track_sqrt(lambda s: A[:, None] + s[None, :, None, None] * X[:, None], cmul(r, w),
+                       det(A))
     return "".join(a.tobytes().hex() for a in (turns, graph, roots))
 
 
